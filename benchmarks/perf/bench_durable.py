@@ -13,10 +13,15 @@ Measures :mod:`repro.recovery.durable` end to end:
   a state dir with one snapshot and N replayable records is reopened
   through a :class:`RecoveryManager` (scan, verify, restore, replay);
   RTO should grow roughly linearly in N.
-- ``rto_checkpoint_interval`` -- RTO at a fixed mutation count as the
-  snapshot cadence tightens: more frequent checkpoints mean fewer
-  records to replay, trading write-path snapshot cost for restart
-  speed.  This is the RPO=0 system's only tunable on the RTO axis.
+- ``rto_replay_debt`` -- the recovery bound the amortized checkpoint
+  cadence is traded against.  The manager snapshots only once the
+  items served reach the checkpoint's size, so a restart replays
+  between nothing and (stored items + one batch) items.  The pair
+  restarts a state dir cut **just after** a snapshot rotation (best
+  case: restore only) and one cut **just before** the next (worst
+  case: restore + a full window of replay); the rotation points are
+  observed on a scratch run, not computed.  ``worst_over_best`` is the
+  number the regression gate holds under a constant.
 
 Every recovery cell also verifies the restart (restored range scan ==
 the expected oracle state) and records that verdict in ``ok`` -- a fast
@@ -63,13 +68,12 @@ APPEND_QUICK = (2_000, 8)
 LOG_LENGTHS_FULL = [32, 128, 512]
 LOG_LENGTHS_QUICK = [16, 64]
 
-#: Snapshot cadences for the RTO-vs-checkpoint-interval sweep.
-INTERVALS_FULL = [1, 4, 16, 64]
-INTERVALS_QUICK = [1, 8]
-
-#: Mutating batches driven through the manager for the interval sweep.
-INTERVAL_MUTATIONS_FULL = 128
-INTERVAL_MUTATIONS_QUICK = 24
+#: The replay-debt pair restarts around this snapshot rotation (1 =
+#: the first after bootstrap), at the serving layer's default
+#: ``checkpoint_every``.
+DEBT_ROTATION_FULL = 3
+DEBT_ROTATION_QUICK = 1
+DEBT_CHECKPOINT_EVERY = 4
 
 NUM_MODULES = 8
 BATCH_KEYS = 8
@@ -126,6 +130,11 @@ def _durable_manager(root: str, checkpoint_every: int,
     return manager, store
 
 
+def _batch(i: int) -> List[Tuple[int, int]]:
+    """The ``i``-th mutating batch: ``BATCH_KEYS`` fresh keys."""
+    return [(1_000_000 + i * BATCH_KEYS + j, i) for j in range(BATCH_KEYS)]
+
+
 def _populate(root: str, mutations: int, checkpoint_every: int,
               ) -> List[Tuple[int, int]]:
     """Drive ``mutations`` upsert batches through a durable manager;
@@ -133,12 +142,30 @@ def _populate(root: str, mutations: int, checkpoint_every: int,
     manager, store = _durable_manager(root, checkpoint_every)
     state = dict(INITIAL_ITEMS)
     for i in range(mutations):
-        payload = [(1_000_000 + i * BATCH_KEYS + j, i)
-                   for j in range(BATCH_KEYS)]
+        payload = _batch(i)
         manager.run("upsert", payload)
         state.update(payload)
     store.close()
     return sorted(state.items())
+
+
+def rotation_points(rotations: int, checkpoint_every: int) -> List[int]:
+    """Mutation counts at which the manager rotated the snapshot, for
+    the first ``rotations`` rotations of the ``_populate`` stream."""
+    root = tempfile.mkdtemp(prefix="repro-bench-rot-")
+    try:
+        manager, store = _durable_manager(root, checkpoint_every)
+        points: List[int] = []
+        done = 0
+        while len(points) < rotations:
+            manager.run("upsert", _batch(done))
+            done += 1
+            if store.snapshots_written > len(points):
+                points.append(done)
+        store.close()
+        return points
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
 
 
 def bench_restart(mutations: int, checkpoint_every: int,
@@ -149,13 +176,15 @@ def bench_restart(mutations: int, checkpoint_every: int,
         expected = _populate(root, mutations, checkpoint_every)
         lo, hi = expected[0][0], expected[-1][0]
         best = None
-        replayed = 0
+        replayed = replayed_items = checkpoint_items = 0
         ok = True
         for _ in range(repeat):
             start = time.perf_counter()
             manager, store = _durable_manager(root, checkpoint_every)
             seconds = time.perf_counter() - start
             replayed = len(store.report.records)
+            replayed_items = manager.replay_debt_items
+            checkpoint_items = manager.last_checkpoint_items
             got = manager.run("range", [(lo, hi)])
             ok = ok and got == [expected] and manager.restored_from_disk
             store.close()
@@ -165,6 +194,8 @@ def bench_restart(mutations: int, checkpoint_every: int,
             "mutations": mutations,
             "checkpoint_every": checkpoint_every,
             "replayed_records": replayed,
+            "replayed_items": replayed_items,
+            "checkpoint_items": checkpoint_items,
             "rto_seconds": best,
             "records_per_sec": (replayed / best) if best else 0.0,
             "ok": ok,
@@ -173,15 +204,29 @@ def bench_restart(mutations: int, checkpoint_every: int,
         shutil.rmtree(root, ignore_errors=True)
 
 
+def bench_replay_debt(rotation: int, checkpoint_every: int,
+                      repeat: int) -> Dict[str, Any]:
+    """Restart just after snapshot rotation ``rotation`` and just
+    before rotation ``rotation + 1``."""
+    points = rotation_points(rotation + 1, checkpoint_every)
+    after = bench_restart(points[rotation - 1], checkpoint_every, repeat)
+    before = bench_restart(points[rotation] - 1, checkpoint_every, repeat)
+    return {
+        "rotation": rotation,
+        "batch_items": BATCH_KEYS,
+        "after_snapshot": after,
+        "before_snapshot": before,
+        "worst_over_best": before["rto_seconds"] / after["rto_seconds"],
+    }
+
+
 def run(quick: bool = False, repeat: int = 3,
         out_path: Optional[str] = OUT_PATH) -> Dict[str, Any]:
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
     records, pairs = APPEND_QUICK if quick else APPEND_FULL
     lengths = LOG_LENGTHS_QUICK if quick else LOG_LENGTHS_FULL
-    intervals = INTERVALS_QUICK if quick else INTERVALS_FULL
-    interval_mutations = (INTERVAL_MUTATIONS_QUICK if quick
-                          else INTERVAL_MUTATIONS_FULL)
+    rotation = DEBT_ROTATION_QUICK if quick else DEBT_ROTATION_FULL
 
     best = None
     for _ in range(repeat):
@@ -205,18 +250,15 @@ def run(quick: bool = False, repeat: int = 3,
               f"replayed {cell['replayed_records']:>4d} records  "
               f"{'ok' if cell['ok'] else 'RESTART WRONG'}")
 
-    interval_sweep = []
-    for interval in intervals:
-        # Stop one mutation short of the next snapshot boundary: the
-        # worst-case restart replays interval-1 records, which is the
-        # RTO the cadence actually buys you.
-        worst_case = (interval_mutations
-                      - interval_mutations % interval + interval - 1)
-        cell = bench_restart(worst_case, interval, repeat)
-        interval_sweep.append(cell)
-        print(f"rto interval={interval:<3}   {cell['rto_seconds']:7.3f}s  "
-              f"replayed {cell['replayed_records']:>4d} records  "
+    debt = bench_replay_debt(rotation, DEBT_CHECKPOINT_EVERY, repeat)
+    for label in ("after_snapshot", "before_snapshot"):
+        cell = debt[label]
+        print(f"rto {label:<15} {cell['rto_seconds']:7.3f}s  "
+              f"replayed {cell['replayed_records']:>4d} records "
+              f"({cell['replayed_items']} items over a "
+              f"{cell['checkpoint_items']}-item checkpoint)  "
               f"{'ok' if cell['ok'] else 'RESTART WRONG'}")
+    print(f"rto worst/best     {debt['worst_over_best']:7.2f}x")
 
     doc = {
         "config": {"quick": quick, "repeat": repeat,
@@ -224,7 +266,7 @@ def run(quick: bool = False, repeat: int = 3,
         "wal_append": best,
         "wal_append_fsync": fsynced,
         "rto_log_length": log_sweep,
-        "rto_checkpoint_interval": interval_sweep,
+        "rto_replay_debt": debt,
     }
     if out_path:
         if quick and os.path.exists(out_path):
@@ -253,7 +295,9 @@ def main() -> int:
     if args.repeat < 1:
         ap.error(f"--repeat must be >= 1, got {args.repeat}")
     doc = run(quick=args.quick, repeat=args.repeat, out_path=args.out)
-    cells = doc["rto_log_length"] + doc["rto_checkpoint_interval"]
+    cells = doc["rto_log_length"] + [
+        doc["rto_replay_debt"]["after_snapshot"],
+        doc["rto_replay_debt"]["before_snapshot"]]
     return 0 if all(c["ok"] for c in cells) else 1
 
 

@@ -79,10 +79,12 @@ class DurabilityPolicy:
       durable.  Larger values batch syncs; a crash may lose up to
       N - 1 *unacked* tail records (never acked ones -- ack waits for
       the covering sync).
-    - ``snapshot_every`` -- advisory snapshot cadence in durable
-      records, consumed by :meth:`DurableStore.should_snapshot`
-      (the recovery manager drives snapshots off its own checkpoint
-      boundary instead).
+    - ``snapshot_every`` -- accepted and validated, but read by
+      nothing: the store has no cadence of its own.  The recovery
+      manager calls :meth:`DurableStore.snapshot` in lockstep with its
+      amortized checkpoint capture (``repro.recovery.manager``).  The
+      field stays because existing callers -- the end-to-end benchmark
+      among them -- construct the policy with it.
     - ``keep_snapshots`` -- snapshots retained; segments are kept back
       to the oldest retained snapshot's LSN.
     - ``os_fsync`` -- issue real ``os.fsync`` calls.  False keeps the
@@ -134,7 +136,6 @@ class DurableStore:
         self.snapshot_lsn = report.snapshot_lsn
         self.appends = 0
         self.snapshots_written = 0
-        self._since_snapshot = 0
         self._fsyncs_closed = 0  # from writers already rotated out
         self._writer: Optional[WalWriter] = None
         self._closed = False
@@ -256,7 +257,6 @@ class DurableStore:
         writer = self._require_writer()
         record = writer.append(op, payload)
         self.appends += 1
-        self._since_snapshot += 1
         if writer.pending_records >= self.policy.fsync_every:
             writer.sync()
         return record
@@ -264,10 +264,6 @@ class DurableStore:
     def sync(self) -> None:
         """Force the active segment durable (covers any pending tail)."""
         self._require_writer().sync()
-
-    def should_snapshot(self) -> bool:
-        """Advisory: has ``snapshot_every`` elapsed since the last one?"""
-        return self._since_snapshot >= self.policy.snapshot_every
 
     def snapshot(self, chk: Checkpoint, *,
                  crash_before_rename: bool = False) -> str:
@@ -292,7 +288,6 @@ class DurableStore:
             return path
         self.snapshot_lsn = lsn
         self.snapshots_written += 1
-        self._since_snapshot = 0
         self._start_segment(lsn + 1)
         self._prune()
         return path

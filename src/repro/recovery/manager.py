@@ -4,9 +4,21 @@
 fault-injected) machine and makes its batch stream survive module
 crashes:
 
-- it takes a logical checkpoint at start and after every
-  ``checkpoint_every`` successful *mutating* batches,
-- it logs every successful mutating batch since the last checkpoint,
+- it takes a logical checkpoint at start, and again after a successful
+  *mutating* batch once **both** hold: ``checkpoint_every`` mutating
+  batches have passed (the minimum spacing), and the payload items
+  ``run`` has served since the last capture -- reads and writes
+  together -- add up to at least the checkpoint's own item count.
+  Capture is Theta(stored items), so this is the rule that keeps it
+  amortized: at most one stored item walked (and, with a state dir,
+  snapshotted) per item served.  On an empty or tiny structure the
+  second condition is vacuous and the cadence is every
+  ``checkpoint_every`` mutating batches,
+- it logs every successful mutating batch since the last checkpoint --
+  at most the checkpoint's item count plus one batch of items (or
+  ``checkpoint_every`` batches, on a tiny structure), so a failover or
+  restart replays a constant factor of what restoring the checkpoint
+  already costs,
 - when a batch dies with :class:`~repro.sim.errors.ModuleCrashed` or
   :class:`~repro.sim.errors.DeliveryTimeout`, it rebuilds the structure
   on a *clean* standby machine (the ``rebuild`` factory), restores the
@@ -135,11 +147,6 @@ def _default_backoff(attempt: int) -> int:
     return min(1 << (attempt - 1), 8)
 
 
-def _wal_payload(payload: Sequence) -> list:
-    """Batch payload -> JSON-safe WAL form (pair tuples become lists)."""
-    return [list(p) if isinstance(p, tuple) else p for p in payload]
-
-
 def _replay_payload(op: str, payload: list) -> list:
     """WAL form -> batch payload (upsert pairs back to tuples)."""
     if op == "upsert":
@@ -194,8 +201,11 @@ class RecoveryManager:
         self.degraded_reason = ""
         self.events: List[RecoveryEvent] = []
         self.read_retries = 0  # in-place read retries actually spent
+        self.checkpoints_captured = 0  # by this manager, initial included
         self._log: List[Tuple[str, list]] = []
-        self._mutations = 0
+        self._log_items = 0     # payload items across ``_log``
+        self._mutations = 0     # mutating batches since the last capture
+        self._served_items = 0  # payload items run() served since then
         self.durable = durable
         self.checkpoint: Checkpoint
         if durable is not None and not durable.report.created:
@@ -204,17 +214,18 @@ class RecoveryManager:
             # snapshot restore + WAL replay onto clean hardware.
             standby = rebuild()
             assert durable.report.checkpoint is not None
-            restore_structure(durable.report.checkpoint, standby)
+            self._adopt(durable.report.checkpoint)
+            restore_structure(self.checkpoint, standby)
             for record in durable.report.records:
-                standby.apply_batch(record.op, _replay_payload(record.op,
-                                                              record.payload))
+                self._log_batch(record.op,
+                                _replay_payload(record.op, record.payload))
+            for op, payload in self._log:
+                standby.apply_batch(op, payload)
+            self._served_items = self._log_items
             self.structure = standby
-            self.checkpoint = durable.report.checkpoint
-            self._log = [(r.op, _replay_payload(r.op, r.payload))
-                         for r in durable.report.records]
-            self._mutations = len(self._log)
             return
-        self.checkpoint = checkpoint_structure(structure)
+        self._adopt(checkpoint_structure(structure))
+        self.checkpoints_captured = 1
         if durable is not None:
             durable.bootstrap(self.checkpoint)
 
@@ -241,6 +252,18 @@ class RecoveryManager:
         """Mutating batches logged since the last checkpoint."""
         return len(self._log)
 
+    @property
+    def replay_debt_items(self) -> int:
+        """Payload items a failover or restart would replay right now
+        (the logged batches' sizes, summed)."""
+        return self._log_items
+
+    @property
+    def last_checkpoint_items(self) -> int:
+        """Item count of the current checkpoint -- the served-items
+        threshold the next capture waits for."""
+        return self._checkpoint_items
+
     # -- batch driver ----------------------------------------------------
 
     def run(self, op: str, payload: Sequence) -> Any:
@@ -251,7 +274,7 @@ class RecoveryManager:
         attempt = 0
         while True:
             try:
-                result = self.structure.apply_batch(op, list(payload))
+                result = self.structure.apply_batch(op, payload)
             except (ModuleCrashed, DeliveryTimeout) as exc:
                 if self.on_failure is not None:
                     self.on_failure(op, exc)
@@ -276,18 +299,34 @@ class RecoveryManager:
         if machine is not None and rounds > 0:
             machine.idle_rounds(rounds)
 
+    def _adopt(self, checkpoint: Checkpoint) -> None:
+        self.checkpoint = checkpoint
+        # Cached: the capture rule reads it per batch, and an LSM
+        # checkpoint's item_count() merges its runs on every call.
+        self._checkpoint_items = checkpoint.item_count()
+
+    def _log_batch(self, op: str, payload: list) -> None:
+        self._log.append((op, payload))
+        self._log_items += len(payload)
+        self._mutations += 1
+
     def _note_success(self, op: str, payload: Sequence) -> None:
+        self._served_items += len(payload)
         if op not in MUTATING_OPS:
             return
-        self._log.append((op, list(payload)))
-        self._mutations += 1
+        # The one copy the manager takes: the caller keeps its list, and
+        # ``apply_batch`` copies for itself.  The WAL encodes this same
+        # list (JSON writes pair tuples as the lists replay expects).
+        logged = list(payload)
+        self._log_batch(op, logged)
         if self.durable is not None:
             # Durable-before-ack: run() only returns (and the serving
             # layer only acks) after this record survives a crash.
-            self.durable.append(op, _wal_payload(payload))
-        if self._mutations >= self.checkpoint_every:
+            self.durable.append(op, logged)
+        if (self._mutations >= self.checkpoint_every
+                and self._served_items >= self._checkpoint_items):
             try:
-                self.checkpoint = checkpoint_structure(self.structure)
+                captured = checkpoint_structure(self.structure)
             except CheckpointUnavailable:
                 # A wiped module holds part of the structure and no
                 # traffic has tripped failover yet.  The previous
@@ -295,10 +334,14 @@ class RecoveryManager:
                 # recovery recipe; capture retries after the next
                 # mutation.
                 return
+            self._adopt(captured)
+            self.checkpoints_captured += 1
             self._log.clear()
+            self._log_items = 0
             self._mutations = 0
+            self._served_items = 0
             if self.durable is not None:
-                self.durable.snapshot(self.checkpoint)
+                self.durable.snapshot(captured)
 
     def _recover(self, op: str, payload: Sequence, exc: Exception) -> Any:
         cause = f"{type(exc).__name__}: {exc}"
@@ -311,10 +354,10 @@ class RecoveryManager:
         standby = self.rebuild()
         restore_structure(self.checkpoint, standby)
         for logged_op, logged_payload in self._log:
-            standby.apply_batch(logged_op, list(logged_payload))
+            standby.apply_batch(logged_op, logged_payload)
         event = RecoveryEvent(
             op=op, cause=cause,
-            checkpoint_items=self.checkpoint.item_count(),
+            checkpoint_items=self._checkpoint_items,
             replayed_batches=len(self._log))
         self.events.append(event)
         self.structure = standby
@@ -324,7 +367,7 @@ class RecoveryManager:
         # crash, but the factory may hand back faulty hardware; recurse
         # so a second failure consumes another recovery (or degrades).
         try:
-            result = standby.apply_batch(op, list(payload))
+            result = standby.apply_batch(op, payload)
         except (ModuleCrashed, DeliveryTimeout) as retry_exc:
             if self.on_failure is not None:
                 self.on_failure(op, retry_exc)

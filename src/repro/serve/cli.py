@@ -93,6 +93,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"  failovers        : {report.recoveries}, "
           f"breaker trips: {report.trips}, "
           f"stale reads: {report.stale_reads}")
+    if report.recovery:  # empty when the harness gave up before status()
+        print(f"  checkpoints      : "
+              f"{report.recovery['checkpoints_captured']} captured, last "
+              f"{report.recovery['last_checkpoint_items']} item(s), replay "
+              f"debt {report.recovery['replay_debt_items']} item(s)")
     print(f"  final health     : {report.health_state} "
           f"({report.health_transitions} transition(s))")
 

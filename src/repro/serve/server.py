@@ -323,7 +323,16 @@ class Server:
 
     def status(self) -> Dict[str, object]:
         """The health/metrics surface (everything JSON-serialisable)."""
-        machine = getattr(self.manager.structure, "machine", None)
+        manager = self.manager
+        machine = getattr(manager.structure, "machine", None)
+        # The checkpoint cadence, visible: what has been captured, what
+        # a failover (or, with a state dir, a restart) would replay
+        # right now, and the served-items threshold of the next capture.
+        cadence = {
+            "checkpoints_captured": manager.checkpoints_captured,
+            "replay_debt_items": manager.replay_debt_items,
+            "last_checkpoint_items": manager.last_checkpoint_items,
+        }
         return {
             "tick": self.tick,
             "running": self._running,
@@ -337,10 +346,10 @@ class Server:
             "journal_batches": len(self.journal),
             "rounds": (None if machine is None
                        else machine.metrics.rounds),
+            "recovery": cadence,
             "durability": (None if self.durable is None
-                           else dict(self.durable.stats(),
-                                     restored=self.manager
-                                     .restored_from_disk)),
+                           else dict(self.durable.stats(), **cadence,
+                                     restored=manager.restored_from_disk)),
             "tenants": {name: state.metrics.as_dict()
                         for name, state in
                         sorted(self.admission.tenants.items())},

@@ -81,12 +81,14 @@ class MachineConfig:
         :class:`repro.sim.tracing.AccessTrace` (needed by the Lemma 4.2
         contention experiments; small overhead otherwise).
     trace_rounds:
-        If true (the default), every round appends a
-        :class:`repro.sim.tracing.RoundLog` to the machine's tracer (the
-        round-timeline reports need them).  Disable for pure-throughput
-        runs -- the wall-clock benchmarks turn this off -- where the
-        per-round log object and its unbounded list are wasted work;
-        model metrics are unaffected either way.
+        If true (the default), every round appends one row to the
+        tracer's typed round columns (:class:`repro.sim.tracing.Tracer`;
+        the round-timeline reports read them back as
+        :class:`repro.sim.tracing.RoundLog` records).  A row is 40
+        bytes and no garbage-collected object, so leaving this on costs
+        a long-running machine memory, not collection time; the
+        wall-clock micro-benchmarks still turn it off to time the bare
+        round loop.  Model metrics are unaffected either way.
     contention_model:
         ``"none"`` (default) or ``"qrqw"``.  The paper's §2.1 Discussion
         sketches a queue-read/queue-write variant where ``k`` accesses to

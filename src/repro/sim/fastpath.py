@@ -99,7 +99,6 @@ from repro.sim.errors import LivelockError, MalformedMessageError, \
 from repro.sim.machine import PIMMachine, _CPU_Q, _FWD_Q
 from repro.sim.module import ModuleContext
 from repro.sim.task import Reply
-from repro.sim.tracing import RoundLog
 
 try:  # numpy is an accelerator, not a dependency
     import numpy as _np
@@ -745,15 +744,9 @@ class ColumnarPIMMachine(PIMMachine):
         metrics.pim_time += round_pim_max
         self.tasks_executed += tasks
         if self._trace_rounds:
-            self.tracer.log_round(
-                RoundLog(
-                    index=metrics.rounds - 1,
-                    h=h,
-                    messages=incoming_total + sent_total,
-                    pim_work_max=round_pim_max,
-                    tasks_executed=tasks,
-                )
-            )
+            self.tracer.log_round(metrics.rounds - 1, h,
+                                  incoming_total + sent_total,
+                                  round_pim_max, tasks)
         # Return the consumed recv buffer to the pool, zeroed.
         for mid in active:
             recv[mid] = 0

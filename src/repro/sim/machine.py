@@ -64,7 +64,7 @@ from repro.sim.errors import (LivelockError, MalformedMessageError,
 from repro.sim.metrics import Metrics, MetricsDelta
 from repro.sim.module import ModuleContext, PIMModule
 from repro.sim.task import Reply
-from repro.sim.tracing import RoundLog, Tracer
+from repro.sim.tracing import Tracer
 
 Handler = Callable[..., None]
 
@@ -417,15 +417,8 @@ class PIMMachine:
         self.tasks_executed += tasks
 
         if self._trace_rounds:
-            self.tracer.log_round(
-                RoundLog(
-                    index=metrics.rounds - 1,
-                    h=h,
-                    messages=total_msgs,
-                    pim_work_max=round_pim_max,
-                    tasks_executed=tasks,
-                )
-            )
+            self.tracer.log_round(metrics.rounds - 1, h, total_msgs,
+                                  round_pim_max, tasks)
         elif self._trace_access:
             self.tracer.access.end_round()
         return replies
@@ -469,9 +462,7 @@ class PIMMachine:
         if self._chaos is not None:
             self._chaos.stats.idle_rounds += 1
         if self._trace_rounds:
-            self.tracer.log_round(
-                RoundLog(index=metrics.rounds - 1, h=0, messages=0,
-                         pim_work_max=0.0, tasks_executed=0))
+            self.tracer.log_round(metrics.rounds - 1, 0, 0, 0.0, 0)
         elif self._trace_access:
             self.tracer.access.end_round()
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.skiplist import PIMSkipList
 from repro.recovery import DegradedResult, RecoveryManager
@@ -50,12 +50,14 @@ from repro.workloads.sessions import Session
 __all__ = [
     "ChaosReport",
     "MESSAGE_SCHEDULES",
+    "MIN_ROTATIONS",
     "OVERHEAD_ENVELOPES",
     "STRUCTURE_FACTORIES",
     "chaos_containers",
     "chaos_matrix",
     "chaos_session",
     "check_chaos_determinism",
+    "sized_session",
 ]
 
 #: Structures the chaos harness can put under a fault schedule.  Each
@@ -99,6 +101,57 @@ OVERHEAD_ENVELOPES: Dict[str, Tuple[float, int]] = {
 }
 
 
+#: Checkpoint rotations (captures after the initial one) every sweep
+#: session must cross: recovery from the bootstrap checkpoint, from a
+#: rotated one, and from a rotated one with an older one behind it are
+#: three different code paths, and only the third needs two.
+MIN_ROTATIONS = 2
+
+#: The longest session :func:`sized_session` will try before giving up
+#: on a seed (sessions of single-item batches over the fuzzer's 60
+#: initial keys need ~150).
+_MAX_BATCHES = 256
+
+
+def sized_session(seed: int, make: Callable[[int], Any], *,
+                  num_batches: int, batch_size: int,
+                  checkpoint_every: int) -> Session:
+    """The fuzz session for ``seed``, long enough to cross
+    :data:`MIN_ROTATIONS` checkpoint rotations.
+
+    The recovery manager captures only once the items served reach the
+    checkpoint's size, so how many batches a rotation takes depends on
+    the seed's op mix; a fixed length would leave some seeds restarting
+    from the bootstrap checkpoint only.  ``num_batches`` is therefore a
+    floor: a fuzz session is a prefix of every longer one on the same
+    seed, so the session is cut at the first batch, at or past the
+    floor, where a fault-free manager over ``make(session.seed)`` (a
+    fresh empty structure) has rotated often enough *and* logged two
+    mutations since: the last rotation, too, is then followed by
+    recoveries that replay on top of it, and the newest WAL segment
+    holds a record with a valid one after it (what separates mid-log
+    corruption from a torn tail in the disk-fault sweep).
+    """
+    longest = fuzz_session(seed, num_batches=max(num_batches, _MAX_BATCHES),
+                           batch_size=batch_size)
+    live = make(longest.seed)
+    live.build(initial_items_for(longest))
+    manager = RecoveryManager(live, lambda: make(longest.seed),
+                              checkpoint_every=checkpoint_every)
+    for done, batch in enumerate(longest.batches, start=1):
+        manager.run(batch.op, batch.payload)
+        if (done >= num_batches and manager.log_size >= 2
+                and manager.checkpoints_captured > MIN_ROTATIONS):
+            return Session(batches=longest.batches[:done],
+                           initial_keys=longest.initial_keys,
+                           seed=longest.seed)
+    raise ValueError(
+        f"session seed {seed} crossed {manager.checkpoints_captured - 1} "
+        f"checkpoint rotation(s) in {len(longest.batches)} batches; "
+        f"sweeps need {MIN_ROTATIONS} and two mutations past the last "
+        f"(raise batch_size)")
+
+
 @dataclass
 class ChaosReport:
     """Everything one chaos session observed."""
@@ -113,6 +166,7 @@ class ChaosReport:
     degraded: bool = False
     degraded_at: int = -1  # batch index at which the run quiesced
     recoveries: int = 0
+    rotations: int = 0     # checkpoint captures after the initial one
     base_rounds: int = 0   # fault-free twin, whole session
     chaos_rounds: int = 0  # chaos machine + any standby machines
     stats: Dict[str, int] = field(default_factory=dict)
@@ -136,8 +190,8 @@ class ChaosReport:
         return (f"seed={self.session_seed} fault_seed={self.fault_seed} "
                 f"schedule={self.schedule}: {self.num_batches} batches -> "
                 f"{state}; rounds {self.base_rounds} -> {self.chaos_rounds} "
-                f"({self.overhead:.2f}x), {self.recoveries} recovery(ies)"
-                f"{faults}{tail}")
+                f"({self.overhead:.2f}x), {self.recoveries} recovery(ies), "
+                f"{self.rotations} rotation(s){faults}{tail}")
 
 
 def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
@@ -151,8 +205,11 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     """Replay one fuzz session under a machine-level fault schedule.
 
     ``session`` overrides the fuzzed one (the repro-replay path); its
-    seed then labels the report.  ``structure`` picks the structure
-    under chaos (see :data:`STRUCTURE_FACTORIES`); ``storage`` picks
+    seed then labels the report.  A fuzzed session is at least
+    ``num_batches`` long and crosses :data:`MIN_ROTATIONS` checkpoint
+    rotations fault-free (:func:`sized_session`).  ``structure`` picks
+    the structure under chaos (see :data:`STRUCTURE_FACTORIES`);
+    ``storage`` picks
     the skip list's structure storage for the twin, the chaos run, and
     every standby a recovery builds (``None`` defers to the environment
     override).  The report carries a fingerprint of every observable
@@ -167,8 +224,12 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
         raise ValueError(f"unknown chaos structure {structure!r}; known: "
                          f"{', '.join(sorted(STRUCTURE_FACTORIES))}")
     if session is None:
-        session = fuzz_session(session_seed, num_batches=num_batches,
-                               batch_size=batch_size)
+        session = sized_session(
+            session_seed,
+            lambda seed: factory(PIMMachine(num_modules=num_modules,
+                                            seed=seed), storage),
+            num_batches=num_batches, batch_size=batch_size,
+            checkpoint_every=checkpoint_every)
     items = initial_items_for(session)
     report = ChaosReport(session_seed=session.seed, fault_seed=fault_seed,
                          schedule=schedule, num_modules=num_modules,
@@ -251,6 +312,7 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
                     f"invariant violated after chaos session: {exc}")
 
     report.recoveries = manager.recoveries
+    report.rotations = manager.checkpoints_captured - 1
     report.chaos_rounds = sum(m.metrics.rounds for m in machines)
     report.stats = chaos_state.stats.as_dict()
     parts.append(repr(sorted(report.stats.items())))

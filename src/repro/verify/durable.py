@@ -22,6 +22,15 @@ across reruns:
    ``fsck --repair`` resolves.  A recovered state that is not an
    oracle prefix is the one unforgivable outcome.
 
+Both sweeps size their session with
+:func:`~repro.verify.chaos.sized_session`, so each crosses at least
+:data:`~repro.verify.chaos.MIN_ROTATIONS` snapshot rotations (the
+manager's checkpoint cadence follows the items served, not a batch
+count), and both check that the driven store really rotated that often:
+the kill sweep then restarts from the bootstrap snapshot (early
+boundaries) and from rotated ones (late boundaries), and the snapshot
+faults always find an older snapshot behind the one they damage.
+
 State dirs live in fresh temp directories and are removed on the way
 out, pass or fail (the ``--keep-state`` escape hatch in the CLI trades
 that for debuggability).
@@ -44,11 +53,12 @@ from repro.recovery.durable import (
     fsck,
 )
 from repro.recovery.durable.wal import WalRecord, encode_record
-from repro.recovery.manager import MUTATING_OPS, _wal_payload
+from repro.recovery.manager import MUTATING_OPS
 from repro.sim.chaos import _mix
 from repro.sim.machine import PIMMachine
+from repro.verify.chaos import MIN_ROTATIONS, sized_session
 from repro.verify.faults import DISK_FAULTS
-from repro.verify.fuzz import fuzz_session, initial_items_for
+from repro.verify.fuzz import initial_items_for
 from repro.verify.oracle import SequentialOracle
 from repro.workloads.sessions import Session
 
@@ -65,6 +75,8 @@ class DurableReport:
     fault_seed: int
     cases: int = 0
     mutations: int = 0
+    #: Snapshot rotations the uninterrupted session crossed.
+    rotations: int = 0
     violations: List[str] = field(default_factory=list)
     #: fault name -> how the damage was caught ("recovered" /
     #: "refused+repaired" / "refused+unrepairable"), fault sweep only.
@@ -83,7 +95,8 @@ class DurableReport:
                                    for k, v in sorted(self.caught.items())))
         return (f"durable {self.mode} seed={self.session_seed} "
                 f"fault_seed={self.fault_seed}: {self.mutations} acked "
-                f"record(s), {detail} -> {verdict}")
+                f"record(s), {self.rotations} rotation(s), {detail} -> "
+                f"{verdict}")
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -92,6 +105,7 @@ class DurableReport:
             "fault_seed": self.fault_seed,
             "cases": self.cases,
             "mutations": self.mutations,
+            "rotations": self.rotations,
             "violations": list(self.violations),
             "caught": dict(self.caught),
             "fingerprint": self.fingerprint,
@@ -109,11 +123,18 @@ _POLICY = DurabilityPolicy(os_fsync=False)
 
 
 def _plan(session_seed: int, num_batches: int, batch_size: int,
+          num_modules: int, checkpoint_every: int,
           ) -> Tuple[Session, list, List[Dict[Any, Any]], List[Any]]:
-    """Session + initial items + oracle state after each mutating batch
-    (index = acked-record count) + expected answers per batch."""
-    session = fuzz_session(session_seed, num_batches=num_batches,
-                           batch_size=batch_size)
+    """Session (at least ``num_batches`` long, sized to cross
+    ``MIN_ROTATIONS`` rotations) + initial items + oracle state after
+    each mutating batch (index = acked-record count) + expected answers
+    per batch."""
+    session = sized_session(
+        session_seed,
+        lambda seed: PIMSkipList(PIMMachine(num_modules=num_modules,
+                                            seed=seed)),
+        num_batches=num_batches, batch_size=batch_size,
+        checkpoint_every=checkpoint_every)
     initial = initial_items_for(session)
     oracle = SequentialOracle(initial)
     states: List[Dict[Any, Any]] = [dict(oracle.data)]
@@ -168,6 +189,17 @@ def _drive(manager: RecoveryManager, session: Session, answers: List[Any],
     return len(session.batches), mutated
 
 
+def _note_rotations(report: DurableReport, store: DurableStore) -> None:
+    """Record what the uninterrupted session rotated, and hold the
+    sweep to the coverage its sizing promised."""
+    report.rotations = store.snapshots_written
+    if report.rotations < MIN_ROTATIONS:
+        report.violations.append(
+            f"coverage: the session crossed {report.rotations} snapshot "
+            f"rotation(s); the sweep needs {MIN_ROTATIONS} to restart "
+            f"both before and after a rotation")
+
+
 def _state_key(state: Dict[Any, Any]) -> str:
     return repr(sorted(state.items()))
 
@@ -181,7 +213,7 @@ def _torn_fragment(session: Session, boundary: int, lsn: int,
         return b""
     batch = session.batches[next_index]
     blob = encode_record(WalRecord(lsn=lsn, op=batch.op,
-                                   payload=_wal_payload(batch.payload)))
+                                   payload=list(batch.payload)))
     if variant == 1:
         cut = 1 + _mix(session.seed, boundary, 0xF1) % 7       # header only
     else:
@@ -199,8 +231,8 @@ def kill_sweep(session_seed: int, *, fault_seed: int = 0,
                ) -> DurableReport:
     """Crash at every acked-record boundary; each restart must equal
     the oracle's acked prefix and resume to the full oracle state."""
-    session, initial, states, answers = _plan(session_seed, num_batches,
-                                              batch_size)
+    session, initial, states, answers = _plan(
+        session_seed, num_batches, batch_size, num_modules, checkpoint_every)
     total = len(states) - 1
     report = DurableReport(mode="kill", session_seed=session_seed,
                            fault_seed=fault_seed, mutations=total)
@@ -214,6 +246,8 @@ def kill_sweep(session_seed: int, *, fault_seed: int = 0,
             next_index, _ = _drive(manager, session, answers, 0, boundary,
                                    report.violations,
                                    f"kill@{boundary} pre-crash")
+            if boundary == total:
+                _note_rotations(report, store)
             variant = _mix(session_seed, fault_seed, boundary, 0xF0) % 3
             store.crash(_torn_fragment(session, boundary, boundary + 1,
                                        next_index, variant))
@@ -282,8 +316,8 @@ def fault_sweep(session_seed: int, *, fault_seed: int = 1,
     if unknown:
         raise ValueError(f"unknown disk fault(s) {unknown}; known: "
                          f"{', '.join(sorted(DISK_FAULTS))}")
-    session, initial, states, answers = _plan(session_seed, num_batches,
-                                              batch_size)
+    session, initial, states, answers = _plan(
+        session_seed, num_batches, batch_size, num_modules, checkpoint_every)
     total = len(states) - 1
     report = DurableReport(mode="fault", session_seed=session_seed,
                            fault_seed=fault_seed, mutations=total)
@@ -304,6 +338,8 @@ def fault_sweep(session_seed: int, *, fault_seed: int = 1,
                                            num_modules, checkpoint_every)
             _drive(manager, session, answers, 0, None, report.violations,
                    f"{name} baseline")
+            if name == names[0]:  # every baseline runs the same session
+                _note_rotations(report, store)
             store.close()
 
             detail = damage(root, fault_seed)

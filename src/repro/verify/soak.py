@@ -120,6 +120,9 @@ class SoakReport:
     health_state: str = ""
     health_transitions: int = 0
     recoveries: int = 0
+    #: ``Server.status()["recovery"]`` at the end of the run: the
+    #: checkpoint cadence counters (not part of the fingerprint).
+    recovery: Dict[str, int] = field(default_factory=dict)
     trips: int = 0
     stale_reads: int = 0
     ticks: int = 0
@@ -176,6 +179,7 @@ class SoakReport:
             "health_state": self.health_state,
             "health_transitions": self.health_transitions,
             "recoveries": self.recoveries,
+            "recovery": dict(self.recovery),
             "trips": self.trips,
             "stale_reads": self.stale_reads,
             "ticks": self.ticks,
@@ -303,6 +307,7 @@ def soak_session(schedule: str = "none", fault_seed: int = 0, *,
     report.health_transitions = len(
         status["health"]["transitions"])  # type: ignore[index]
     report.recoveries = server.manager.recoveries
+    report.recovery = dict(status["recovery"])  # type: ignore[call-overload]
     report.trips = server.policy.stats["trips"]
     report.stale_reads = server.policy.stats["stale_reads"]
     report.ticks = server.tick

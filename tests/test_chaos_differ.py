@@ -77,6 +77,15 @@ class TestChaosSessions:
         assert check_chaos_determinism(2, "dup_delay", fault_seed=3,
                                        num_batches=4, batch_size=8) is None
 
+    def test_fuzzed_sessions_cross_two_checkpoint_rotations(self):
+        # Seeds that serve too few items in 10 batches to rotate the
+        # manager's checkpoint twice are extended, never cut short.
+        for seed in (4, 5, 7):
+            report = chaos_session(seed, "drop", fault_seed=1)
+            assert report.ok, report.divergences
+            assert report.num_batches >= 10
+            assert report.rotations >= 2
+
     def test_matrix_smoke(self):
         reports = chaos_matrix([1, 2], ["drop", "crash_restart"],
                                num_batches=3, batch_size=8)

@@ -387,33 +387,80 @@ def _managed_skiplist(**kwargs):
 
 
 class TestCheckpointBoundaries:
-    """``checkpoint_every`` edge cases: k=1, a crash landing exactly on
-    a checkpoint boundary, and the log surviving a failover."""
+    """The amortized capture rule.  ``checkpoint_every`` (k) is a floor
+    on spacing; the boundary falls on the mutating batch at which the
+    items served since the last capture -- reads and writes -- reach
+    the checkpoint's own size; a crash exactly on a boundary replays
+    nothing, one between boundaries replays the log and keeps it."""
 
-    def test_k_equals_one_checkpoints_after_every_mutation(self):
-        manager, machines = _managed_skiplist(checkpoint_every=1)
-        base = manager.checkpoint.item_count()
-        for i, key in enumerate((5, 7, 9), start=1):
-            manager.run("upsert", [(key, f"n{i}")])
-            assert manager.log_size == 0  # boundary after *every* write
-            assert manager.checkpoint.item_count() == base + i
-        # a crash now replays nothing: the checkpoint alone is current
-        machines[0].wipe_module(2)
-        keys = [k for k, _ in ITEMS] + [5, 7, 9]
-        result = manager.run("get", keys)
-        assert result == [v for _, v in ITEMS] + ["n1", "n2", "n3"]
-        assert manager.recoveries == 1
-        assert manager.events[0].replayed_batches == 0
+    KEYS = [k for k, _ in ITEMS]
+
+    def test_k_is_a_floor_on_spacing_not_the_cadence(self):
+        # k=1 does not re-walk 40 stored items for every 1-item write:
+        # the boundary waits until 40 items have been served.
+        manager, _ = _managed_skiplist(checkpoint_every=1)
+        n = manager.checkpoint.item_count()
+        for i in range(1, n):
+            manager.run("upsert", [(5 + i, f"n{i}")])
+            assert manager.log_size == i
+        assert manager.checkpoints_captured == 1  # the initial one only
+        manager.run("upsert", [(5 + n, "last")])  # the n-th served item
+        assert manager.log_size == 0
+        assert manager.checkpoints_captured == 2
+        # ...and k still binds when served items are plentiful: batches
+        # as large as the structure capture every k-th, not every one.
+        manager, _ = _managed_skiplist(checkpoint_every=3)
+        rewrite = [(k, "x") for k in self.KEYS]
+        for expected_log in (1, 2, 0, 1, 2, 0):
+            manager.run("upsert", rewrite)
+            assert manager.log_size == expected_log
+        assert manager.checkpoints_captured == 3
+
+    def test_boundary_falls_where_served_items_reach_checkpoint_size(self):
+        manager, _ = _managed_skiplist(checkpoint_every=2)
+        n = manager.checkpoint.item_count()
+        manager.run("upsert", [(5, "a")])
+        manager.run("upsert", [(7, "b")])
+        assert manager.log_size == 2  # k reached, 2 of 40 items served
+        manager.run("get", self.KEYS[:n - 3])
+        assert manager.log_size == 2  # reads count, but never capture
+        manager.run("upsert", [(9, "c")])  # served item number 40
+        assert manager.log_size == 0
+        assert manager.replay_debt_items == 0
+        assert manager.last_checkpoint_items == n + 3
+        # the next window is measured against the *new* checkpoint
+        manager.run("get", self.KEYS)
+        manager.run("upsert", [(11, "d")])
+        manager.run("upsert", [(13, "e")])
+        assert manager.log_size == 2  # 42 of 43
+        manager.run("upsert", [(15, "f")])
+        assert manager.log_size == 0
+
+    def test_tiny_structure_keeps_the_every_k_cadence(self):
+        machines = []
+
+        def standby() -> PIMSkipList:
+            machines.append(_machine())
+            return PIMSkipList(machines[-1])
+
+        manager = RecoveryManager(standby(), standby, checkpoint_every=2)
+        assert manager.last_checkpoint_items == 0  # empty: rule is k alone
+        batch = [(k, "v") for k in (1, 2, 3, 4)]
+        for expected_log in (1, 0, 1, 0, 1, 0):
+            manager.run("upsert", batch)  # never outgrows one batch
+            assert manager.log_size == expected_log
+        assert manager.checkpoints_captured == 4
 
     def test_crash_exactly_at_a_boundary_replays_an_empty_log(self):
         manager, machines = _managed_skiplist(checkpoint_every=2)
         manager.run("upsert", [(5, "a")])
         assert manager.log_size == 1
-        manager.run("upsert", [(7, "b")])  # lands on the k=2 boundary
+        manager.run("get", self.KEYS[:-2])
+        manager.run("upsert", [(7, "b")])  # k=2 and served item 40
         assert manager.log_size == 0
         assert manager.checkpoint.item_count() == len(ITEMS) + 2
         machines[0].wipe_module(2)
-        result = manager.run("get", [k for k, _ in ITEMS] + [5, 7])
+        result = manager.run("get", self.KEYS + [5, 7])
         assert result == [v for _, v in ITEMS] + ["a", "b"]
         assert manager.events[0].replayed_batches == 0
         assert manager.events[0].checkpoint_items == len(ITEMS) + 2
@@ -429,10 +476,57 @@ class TestCheckpointBoundaries:
         # Failover must NOT clear the log: checkpoint + log is still the
         # recipe for rebuilding the standby if *it* fails too.
         assert manager.log_size == 3
-        # the next mutation reaches the k=4 boundary and checkpoints
+        # the k=4 floor alone no longer closes the window ...
         manager.run("upsert", [(11, "n4")])
+        assert manager.log_size == 4
+        assert manager.replay_debt_items == 4
+        # ... the 40th served item does (3 + 3 + 1 + 32 + 1)
+        manager.run("get", self.KEYS[:32])
+        manager.run("upsert", [(13, "n5")])
         assert manager.log_size == 0
-        assert manager.checkpoint.item_count() == len(ITEMS) + 4
+        assert manager.checkpoint.item_count() == len(ITEMS) + 5
+
+
+class TestCheckpointAmortization:
+    """N single-item writes over n stored items walk (and, with a state
+    dir, snapshot) the structure at most ceil(N/n) + 1 times, and the
+    replay debt never exceeds the checkpoint's size plus one batch."""
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_single_item_writes_amortize_capture_and_snapshot(
+            self, durable, tmp_path, monkeypatch):
+        from repro.recovery import manager as manager_module
+        from repro.recovery.durable import DurabilityPolicy, DurableStore
+
+        captures = []
+        real = manager_module.checkpoint_structure
+
+        def counting(structure):
+            captures.append(real(structure))
+            return captures[-1]
+        monkeypatch.setattr(manager_module, "checkpoint_structure",
+                            counting)
+
+        store = (DurableStore.open(str(tmp_path / "state"),
+                                   DurabilityPolicy(os_fsync=False))
+                 if durable else None)
+        sl = PIMSkipList(_machine())
+        sl.build(ITEMS)
+        manager = RecoveryManager(sl, lambda: PIMSkipList(_machine()),
+                                  checkpoint_every=1, durable=store)
+        n = len(ITEMS)
+        writes = 3 * n + 5
+        for i in range(writes):
+            key = ITEMS[i % n][0]  # overwrite: n stays put, the tight case
+            manager.run("upsert", [(key, i)])
+            assert (manager.replay_debt_items
+                    <= manager.checkpoint.item_count() + 1)
+        bound = -(-writes // n) + 1
+        assert len(captures) == manager.checkpoints_captured == 4 <= bound
+        if store is not None:
+            assert store.snapshots_written == 3 <= bound
+            assert store.appends == writes  # one WAL record per write
+            store.close()
 
 
 class TestManagerHooksAndReadRetry:

@@ -550,3 +550,28 @@ class TestServer:
         json.dumps(status)  # must not raise
         assert status["journal_batches"] == 1
         assert status["tenants"]["t"]["completed"] == 1
+
+    def test_status_shows_the_checkpoint_cadence(self, tmp_path):
+        async def scenario():
+            config = ServerConfig(checkpoint_every=1, os_fsync=False,
+                                  state_dir=str(tmp_path / "state"))
+            server, _ = _server(config=config)  # 50 stored items
+            await server.start()
+            await server.submit("t", "upsert", [(1, "a"), (3, "b")])
+            early = server.status()
+            await server.submit("t", "get", list(range(0, 96, 2)))
+            await server.submit("t", "upsert", [(5, "c")])  # item 51
+            late = server.status()
+            await server.stop()
+            return early, late
+
+        early, late = _run(scenario())
+        assert early["recovery"] == {"checkpoints_captured": 1,
+                                     "replay_debt_items": 2,
+                                     "last_checkpoint_items": 50}
+        assert late["recovery"] == {"checkpoints_captured": 2,
+                                    "replay_debt_items": 0,
+                                    "last_checkpoint_items": 53}
+        for key, value in late["recovery"].items():
+            assert late["durability"][key] == value
+        assert late["durability"]["snapshots_written"] == 1

@@ -3,6 +3,10 @@ the gated no-op paths the engine relies on for its fast path."""
 
 from __future__ import annotations
 
+import gc
+
+import pytest
+
 from repro.sim.machine import PIMMachine
 from repro.sim.tracing import AccessTrace, RoundLog, Tracer
 
@@ -17,6 +21,12 @@ def _touch_twice(ctx, x, tag=None):
     ctx.charge(1)
     ctx.touch(("hot", 0), count=2)
     ctx.reply(x, tag=tag)
+
+
+def _hop(ctx, hops_left, tag=None):
+    ctx.charge(1)
+    if hops_left:
+        ctx.forward((ctx.mid + 1) % ctx.num_modules, "hop", (hops_left - 1,))
 
 
 class TestAccessTrace:
@@ -142,3 +152,79 @@ class TestLemma42Style:
         assert access.num_rounds > 0
         assert access.max_contention() >= 1
         assert sum(access.total_accesses().values()) > 0
+
+
+class TestColumnarRoundLog:
+    """The round log is five typed columns behind a record-shaped view:
+    nothing per round for the garbage collector to walk."""
+
+    @pytest.mark.parametrize("backend", ["object", "columnar"])
+    def test_ten_thousand_rounds_add_no_gc_tracked_objects(self, backend):
+        machine = PIMMachine(num_modules=4, seed=0, backend=backend)
+        machine.register("hop", _hop)
+
+        def drain_rounds(rounds: int) -> None:
+            machine.send(0, "hop", (rounds - 1,))
+            machine.drain()
+
+        drain_rounds(64)  # handler tables, pools and lazy imports settle
+        gc.collect()
+        before = len(gc.get_objects())
+        drain_rounds(10_000)
+        gc.collect()
+        after = len(gc.get_objects())
+        assert len(machine.tracer.rounds) == machine.metrics.rounds == 10_064
+        assert after - before <= 0
+
+    def test_round_log_records_are_slotted(self):
+        log = RoundLog(index=0, h=1, messages=2, pim_work_max=0.5,
+                       tasks_executed=3)
+        assert not hasattr(log, "__dict__")
+        assert log == RoundLog(0, 1, 2, 0.5, 3)
+
+    def _tracer(self, rounds: int = 5) -> Tracer:
+        tracer = Tracer()
+        for i in range(rounds):
+            tracer.log_round(i, 2 * i, 3 * i, i / 2, i + 1)
+        return tracer
+
+    def test_view_len_index_and_negative_index(self):
+        rounds = self._tracer().rounds
+        assert len(rounds) == 5
+        assert rounds[0] == RoundLog(0, 0, 0, 0.0, 1)
+        assert rounds[3] == RoundLog(3, 6, 9, 1.5, 4)
+        assert rounds[-1] == rounds[4] == RoundLog(4, 8, 12, 2.0, 5)
+        with pytest.raises(IndexError):
+            rounds[5]
+
+    def test_view_slices_materialize_lists_of_records(self):
+        rounds = self._tracer().rounds
+        tail = rounds[3:]
+        assert isinstance(tail, list)
+        assert tail == [RoundLog(3, 6, 9, 1.5, 4), RoundLog(4, 8, 12, 2.0, 5)]
+        assert [log.index for log in rounds[::2]] == [0, 2, 4]
+        assert [log.index for log in rounds[-2:]] == [3, 4]
+        assert rounds[5:] == []
+        assert [log.index for log in rounds] == [0, 1, 2, 3, 4]
+        assert [log.index for log in reversed(rounds)] == [4, 3, 2, 1, 0]
+
+    def test_view_equality_and_emptiness(self):
+        tracer = Tracer()
+        assert tracer.rounds == []
+        assert len(tracer.rounds) == 0
+        tracer.log_round(0, 1, 1, 1.0, 1)
+        assert tracer.rounds != []
+        assert tracer.rounds == [RoundLog(0, 1, 1, 1.0, 1)]
+        assert tracer.rounds == tracer.rounds
+        tracer.reset()
+        assert tracer.rounds == []
+
+    def test_view_is_live_and_read_only(self):
+        tracer = self._tracer(2)
+        rounds = tracer.rounds
+        tracer.log_round(2, 0, 0, 0.0, 0)
+        assert len(rounds) == 3
+        with pytest.raises(TypeError):
+            rounds[0] = RoundLog(9, 9, 9, 9.0, 9)
+        with pytest.raises(AttributeError):
+            rounds.append(RoundLog(9, 9, 9, 9.0, 9))

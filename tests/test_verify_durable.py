@@ -94,6 +94,45 @@ class TestFaultSweep:
         assert len(report.violations) == len(DISK_FAULTS)
 
 
+class TestRotationCoverage:
+    """The amortized cadence rotates by items served, so the sweeps
+    size their sessions; both must really cross two rotations."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sweeps_cross_two_rotations(self, seed):
+        for sweep in (kill_sweep, fault_sweep):
+            report = sweep(seed, **SMALL)
+            assert report.ok, report.violations
+            assert report.rotations >= 2
+            assert report.as_dict()["rotations"] == report.rotations
+
+    def test_fuzz_sessions_are_prefix_stable(self):
+        # sized_session cuts one long session; that is only the seed's
+        # own session, extended, if length never changes the prefix.
+        from repro.verify.fuzz import fuzz_session
+
+        short = fuzz_session(3, num_batches=8, batch_size=8)
+        longer = fuzz_session(3, num_batches=40, batch_size=8)
+        assert longer.batches[:8] == short.batches
+        assert longer.initial_keys == short.initial_keys
+
+    def test_an_unsized_session_is_a_coverage_violation(self, monkeypatch):
+        # Mutation test: hand the sweep the bare 8-batch session (one
+        # rotation at most) and the harness must say so.
+        import repro.verify.durable as durable_mod
+        from repro.verify.fuzz import fuzz_session
+
+        monkeypatch.setattr(
+            durable_mod, "sized_session",
+            lambda seed, make, *, num_batches, batch_size, checkpoint_every:
+            fuzz_session(seed, num_batches=num_batches,
+                         batch_size=batch_size))
+        for sweep in (kill_sweep, fault_sweep):
+            report = sweep(1, **SMALL)
+            assert report.rotations < 2
+            assert any(v.startswith("coverage:") for v in report.violations)
+
+
 class TestVerifyDurableCli:
     def test_clean_sweep_exits_zero(self, capsys):
         from repro.verify.cli import main as verify_main
