@@ -75,7 +75,7 @@ from repro.baselines import (
     naive_batch_successor,
 )
 from repro.core.skiplist import PIMSkipList
-from repro.sim.machine import PIMMachine
+from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.structures.pimtree import PIMTree
 from repro.workloads import build_items, same_successor_batch, zipf_batch
 
@@ -100,10 +100,13 @@ LOAD_RATIO_CEILING = 0.5
 def _instrument_loads(machine: PIMMachine) -> List[int]:
     """Count messages *delivered* to each module, per the whole run.
 
-    Wraps the round executor: every staged slot's incoming count is
-    credited to its destination module before the round runs.  Replies
-    to the CPU are not counted (the CPU is not a module, per the
-    model); a module->module forward is counted once, at delivery.
+    Wraps the per-task round executor: every staged slot's incoming
+    count is credited to its destination module before the round runs.
+    Replies to the CPU are not counted (the CPU is not a module, per
+    the model); a module->module forward is counted once, at delivery.
+    Only the reference oracle delivers *every* message through slots
+    (the engine chunks batch-handled functions), so the cells are
+    measured there -- these are model quantities, identical on both.
     """
     loads = [0] * machine.num_modules
     inner = machine._run_round
@@ -131,7 +134,7 @@ def make_workloads(keys: List[int], b: int, seed: int) -> Dict[str, List]:
 
 def measure_cell(factory, items, batch, *, P: int, seed: int) -> dict:
     """Build, warm with one replay, measure the second replay."""
-    machine = PIMMachine(num_modules=P, seed=seed)
+    machine = ReferencePIMMachine(num_modules=P, seed=seed)
     struct = factory(machine)
     struct.build(list(items))
     struct.apply_batch("successor", list(batch))

@@ -3,8 +3,10 @@
 Unlike the model benchmarks under ``benchmarks/``, which measure the
 *simulated* machine (rounds, h-relations, PIM time), this harness measures
 the *simulator*: wall-clock seconds, tasks/sec and rounds/sec on five
-scenarios chosen to stress different engine paths, each run on BOTH round
-engines (``backend="object"`` and ``backend="columnar"``):
+scenarios chosen to stress different engine paths, each run on the round
+engine (``PIMMachine``, reported under the label ``"columnar"``) and on
+its per-task reference oracle (``ReferencePIMMachine``, label
+``"object"``) -- the labels are the keys the committed baseline uses:
 
 - ``macro_successor`` -- the acceptance macro scenario: a P=128 skip list
   serving batched-successor sessions (dominated by search-step forwards
@@ -18,17 +20,17 @@ engines (``backend="object"`` and ``backend="columnar"``):
   fanout (stresses send/step fixed overhead at low occupancy);
 - ``forward_chain`` -- long module-to-module continuation chains
   (stresses the forward path and drain loop; fully vectorized on the
-  columnar backend);
+  engine);
 - ``fanout_broadcast`` -- one CPU broadcast per round to every module
-  (the high-fanout dispatch-stress case: the columnar engine retires the
-  whole round as one array accumulate);
+  (the high-fanout dispatch-stress case: the engine retires the whole
+  round as one array accumulate);
 - ``mixed_dispatch`` -- many distinct function ids per round, issued in
   per-fn runs (stresses grouped dispatch: one batch call per function id
   versus one context dispatch per task).
 
 Handlers that matter for throughput register *batch* variants via
 ``machine.register_batch`` -- one call per round over contiguous chunks,
-inert on the object backend (the scalar handler remains the reference
+inert on the reference oracle (the scalar handler remains the reference
 semantics; ``repro.verify.differ`` certifies the streams bit-identical).
 
 Usage::
@@ -58,8 +60,8 @@ Writes ``benchmarks/perf/BENCH_simwall.json``::
 
 The ``storages`` dimension runs the skip-list scenarios once per
 structure-storage backend (``storage="object"`` / ``"arena"``), both on
-the columnar round engine -- it isolates the storage layout the walk
-reads from the engine the round executes on.
+the round engine -- it isolates the storage layout the walk reads from
+the engine the round executes on.
 
 ``--quick`` shrinks every scenario to a seconds-scale smoke run (used by
 CI); full runs are the numbers quoted in EXPERIMENTS.md.  Round logging
@@ -82,7 +84,7 @@ from repro.core.ops_search import search_message
 from repro.core.skiplist import PIMSkipList
 from repro.core.storage import STORAGES
 from repro.sim.fastpath import BCAST, COLS
-from repro.sim.machine import PIMMachine
+from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.profiling import HandlerProfile, ThroughputProbe
 from repro.sim.task import Reply
 
@@ -93,21 +95,22 @@ except ImportError:  # pragma: no cover - numpy is optional everywhere
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "BENCH_simwall.json")
 
-#: Both round engines, measured in this order (object first: it is the
+#: The reference oracle and the engine, under the labels the committed
+#: baseline is keyed by, measured in this order (object first: it is the
 #: reference the speedup ratios divide by).
-BACKENDS = ("object", "columnar")
+ENGINES = {"object": ReferencePIMMachine, "columnar": PIMMachine}
+BACKENDS = tuple(ENGINES)
 
 
 def macro_successor(probe_machine, *, P=128, n=4096, batches=4, seed=7,
-                    backend=None, storage=None, fault_plan=None):
+                    machine_cls=PIMMachine, storage=None, fault_plan=None):
     """The ISSUE acceptance scenario: P=128 batched-successor session.
 
     ``fault_plan`` optionally installs a chaos plan after the build (the
     regression gate uses a zero-rate plan to price the reliable-delivery
     protocol's envelope overhead against the fault-free fast path).
     """
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
+    machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
     sl = PIMSkipList(machine, name="bench", storage=storage)
     rng = random.Random(seed)
     keys = sorted(rng.sample(range(10 * n), n))
@@ -123,7 +126,7 @@ def macro_successor(probe_machine, *, P=128, n=4096, batches=4, seed=7,
 
 
 def pointer_walk(probe_machine, *, P=128, n=8192, B=4096, batches=3,
-                 seed=13, backend=None, storage=None):
+                 seed=13, machine_cls=PIMMachine, storage=None):
     """Search+successor only: the storage layer's raw walk throughput.
 
     Each batch issues ``B`` search messages straight at the prebuilt
@@ -133,8 +136,7 @@ def pointer_walk(probe_machine, *, P=128, n=8192, B=4096, batches=3,
     on object storage every hop is one Python step.  The regression
     gate holds the arena's floor at >= 2x object on this scenario.
     """
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
+    machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
     sl = PIMSkipList(machine, name="bench", storage=storage)
     rng = random.Random(seed)
     keys = sorted(rng.sample(range(10 * n), n))
@@ -158,9 +160,8 @@ def pointer_walk(probe_machine, *, P=128, n=8192, B=4096, batches=3,
 
 
 def engine_echo(probe_machine, *, P=64, rounds=400, fanout=16, seed=3,
-                backend=None):
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
+                machine_cls=PIMMachine):
+    machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
 
     def echo(ctx, x, tag=None):
         ctx.charge(1)
@@ -193,9 +194,8 @@ def engine_echo(probe_machine, *, P=64, rounds=400, fanout=16, seed=3,
 
 
 def forward_chain(probe_machine, *, P=64, chains=256, hops=48, seed=5,
-                  backend=None):
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
+                  machine_cls=PIMMachine):
+    machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
 
     def hop(ctx, remaining, opid, tag=None):
         ctx.charge(1)
@@ -263,15 +263,14 @@ def forward_chain(probe_machine, *, P=64, chains=256, hops=48, seed=5,
 
 
 def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9,
-                     backend=None):
+                     machine_cls=PIMMachine):
     """High-fanout dispatch stress: one CPU broadcast per round.
 
-    Every module charges one unit per broadcast; the columnar backend
+    Every module charges one unit per broadcast; the engine
     retires the whole P-task round as a single array accumulate instead
     of P context dispatches.
     """
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
+    machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
 
     def accum(ctx, i, tag=None):
         ctx.charge(1)
@@ -302,17 +301,16 @@ def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9,
 
 
 def mixed_dispatch(probe_machine, *, P=64, fns=24, per_fn=12, rounds=120,
-                   seed=11, backend=None):
+                   seed=11, machine_cls=PIMMachine):
     """Many-distinct-function-id dispatch stress.
 
     Each round issues ``fns`` runs of ``per_fn`` messages (one run per
-    function id, so the columnar queues tail-merge each run into one
+    function id, so the chunk queues tail-merge each run into one
     contiguous chunk); grouped dispatch then makes ``fns`` batch calls
-    per round where the object engine makes ``fns * per_fn`` context
+    per round where the reference oracle makes ``fns * per_fn`` context
     dispatches.
     """
-    machine = PIMMachine(num_modules=P, seed=seed, trace_rounds=False,
-                         backend=backend)
+    machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
 
     def make_scalar(j):
         def h(ctx, x, tag=None):
@@ -405,7 +403,8 @@ def run(quick: bool = False, repeat: int = 3, profile: bool = False,
         for backend in backends:
             best = None
             for _ in range(repeat):
-                probe = fn(probe_machine, backend=backend, **params)
+                probe = fn(probe_machine, machine_cls=ENGINES[backend],
+                           **params)
                 if best is None or probe.seconds < best["seconds"]:
                     best = probe.as_dict()
             best["params"] = dict(params)
@@ -425,7 +424,8 @@ def run(quick: bool = False, repeat: int = 3, profile: bool = False,
             col = results["columnar"][name]["tasks_per_sec"]
             speedup[name] = col / obj if obj > 0 else 0.0
         doc["speedup"] = speedup
-        print("\ncolumnar speedup (tasks/sec over object):")
+        print("\nengine speedup (columnar tasks/sec over the object "
+              "reference):")
         for name, x in speedup.items():
             print(f"  {name:<18} {x:6.2f}x")
 
@@ -438,8 +438,7 @@ def run(quick: bool = False, repeat: int = 3, profile: bool = False,
             for storage in storages:
                 best = None
                 for _ in range(repeat):
-                    probe = fn(probe_machine, backend="columnar",
-                               storage=storage, **params)
+                    probe = fn(probe_machine, storage=storage, **params)
                     if best is None or probe.seconds < best["seconds"]:
                         best = probe.as_dict()
                 best["params"] = dict(params)
@@ -455,8 +454,8 @@ def run(quick: bool = False, repeat: int = 3, profile: bool = False,
                 arn = sresults["arena"][name]["tasks_per_sec"]
                 sspeed[name] = arn / obj if obj > 0 else 0.0
             doc["storage_speedup"] = sspeed
-            print("\narena storage speedup (tasks/sec over object storage, "
-                  "columnar engine):")
+            print("\narena storage speedup (tasks/sec over object "
+                  "storage):")
             for name, x in sspeed.items():
                 print(f"  {name:<18} {x:6.2f}x")
     if handler_profile is not None:
@@ -477,13 +476,14 @@ def main() -> None:
                     help="repeats per scenario; best is reported (default 3)")
     ap.add_argument("--profile", action="store_true",
                     help="per-handler wall-time attribution (slows the run; "
-                         "forces the columnar backend into its profiler "
-                         "fallback, so use it for object-path attribution)")
+                         "puts the engine into its profiler fallback, so "
+                         "use it for scalar-loop attribution)")
     ap.add_argument("--backend", choices=list(BACKENDS), default=None,
-                    help="measure only one backend (default: both)")
+                    help="measure only the reference oracle (object) or "
+                         "only the engine (columnar); default: both")
     ap.add_argument("--no-storages", action="store_true",
                     help="skip the structure-storage dimension "
-                         "(object vs arena on the columnar engine)")
+                         "(object vs arena)")
     ap.add_argument("--out", default=OUT_PATH,
                     help="output JSON path (default BENCH_simwall.json)")
     args = ap.parse_args()

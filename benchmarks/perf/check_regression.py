@@ -1,22 +1,23 @@
-"""Wall-clock regression gate for the simulator's round engines.
+"""Wall-clock regression gate for the simulator's round engine.
 
 Re-runs the ``macro_successor`` scenario (the P=128 batched-successor
-session from ``bench_wallclock.py``) on BOTH backends with the
-*committed* baseline's own parameters and fails when either backend's
+session from ``bench_wallclock.py``) on the engine (``PIMMachine``,
+baseline key ``"columnar"``) and on its per-task reference oracle
+(``ReferencePIMMachine``, baseline key ``"object"``) with the
+*committed* baseline's own parameters and fails when either side's
 measured best-of-N wall time regresses by more than the threshold over
-that backend's recorded seconds.
+its recorded seconds.
 
-On top of the per-backend wall-time gates, the script asserts the
-columnar engine's *speedup floors*: the measured columnar-over-object
-tasks/sec ratio must stay above a conservative floor for each gated
-scenario.  The floors are deliberately below the recorded speedups
+On top of the two wall-time gates, the script asserts the engine's
+*speedup floors*: the measured engine-over-reference tasks/sec ratio
+must stay above a conservative floor for each gated scenario.  The floors are deliberately below the recorded speedups
 (macro 1.23x, forward_chain ~9x, fanout_broadcast ~17x at baseline
 time) so runner noise doesn't flake the gate, but a change that quietly
-collapses the columnar fast path back to object-engine speed fails.
+collapses the array-native path back to per-task speed fails.
 
 The structure-storage dimension is gated the same way: wall-time gates
 for the macro scenario under *both* storage backends (``object`` and
-``arena``, columnar engine, with extra slack -- these are sub-second
+``arena``, with extra slack -- these are sub-second
 probes whose best-of-N jitter exceeds the engine gates' 10% envelope),
 plus an arena-over-object speedup floor of >= 2x on the
 ``pointer_walk`` scenario -- the search+successor-only probe where the
@@ -29,15 +30,15 @@ working tree (the CI smoke run writes its quick-mode output to a
 separate path for exactly that reason).
 
 The committed baseline is measured with the chaos layer present but no
-fault plan installed, so the object gate doubles as the chaos-neutrality
+fault plan installed, so the reference gate doubles as the chaos-neutrality
 check: a >10% slowdown against it means the chaos hooks leak cost into
 the fault-free path.  The gate also prints (informationally, not gated
 -- the protocol's ack traffic is a real, honestly-charged cost, not a
 regression) how much slower the same scenario runs with a zero-rate
 fault plan installed, i.e. the price of the reliable-delivery protocol
-itself.  That run uses the object backend explicitly: a fault plan
-triggers the columnar engine's documented fallback, so the price is an
-object-engine property.
+itself.  That run uses the reference oracle explicitly: a fault plan
+puts the engine into its documented scalar fallback, so the price is a
+scalar-loop property.
 
 The skew-adversary gate reads the committed ``BENCH_pimtree.json``
 (see ``bench_pimtree.py``): it re-measures the same-successor
@@ -95,7 +96,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-from bench_wallclock import BACKENDS, SCENARIOS  # noqa: E402
+from bench_wallclock import BACKENDS, ENGINES, SCENARIOS  # noqa: E402
 from repro.sim.profiling import ThroughputProbe  # noqa: E402
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_simwall.json")
@@ -132,7 +133,7 @@ SERVE_THROUGHPUT_FLOOR = 0.4
 #: carries the throughput floor and the zero-refusal ceiling).
 SERVE_GATED = ("fault_free", "chaos_intermittent")
 
-# Columnar-over-object tasks/sec floors, per scenario.  Conservative by
+# Engine-over-reference tasks/sec floors, per scenario.  Conservative by
 # construction: roughly half the speedup recorded in the committed
 # baseline, so they gate the existence of the fast path, not the exact
 # magnitude of a given runner's luck.
@@ -145,7 +146,7 @@ SPEEDUP_FLOORS = {
 #: The search+successor-only scenario carrying the arena storage floor.
 STORAGE_GATE_SCENARIO = "pointer_walk"
 
-#: Arena-over-object tasks/sec floor on that scenario (columnar engine).
+#: Arena-over-object tasks/sec floor on that scenario.
 #: The committed baseline records ~4.3x; 2x gates the vectorized
 #: wavefront walk's existence with the same anti-flake headroom the
 #: engine floors use.
@@ -166,11 +167,13 @@ STORAGE_WALL_SLACK = 0.15
 
 def measure(name: str, params: dict, repeat: int, backend: str,
             **extra) -> dict:
-    """Best-of-``repeat`` probe dict for one scenario on one backend."""
+    """Best-of-``repeat`` probe dict for one scenario on the side of
+    ``ENGINES`` labelled ``backend``."""
     fn = SCENARIOS[name][0]
     best = None
     for _ in range(repeat):
-        probe = fn(ThroughputProbe, backend=backend, **params, **extra)
+        probe = fn(ThroughputProbe, machine_cls=ENGINES[backend], **params,
+                   **extra)
         if best is None or probe.seconds < best["seconds"]:
             best = probe.as_dict()
     return best
@@ -186,7 +189,7 @@ def report_protocol_price(params: dict, repeat: int,
 
     armed = measure(GATE_SCENARIO, params, repeat, backend="object",
                     fault_plan=FaultPlan(FaultSpec(), seed=0))
-    print(f"chaos protocol price (informational, object backend): "
+    print(f"chaos protocol price (informational, reference oracle): "
           f"fault-free {fault_free_s:.3f}s vs zero-rate plan "
           f"{armed['seconds']:.3f}s "
           f"({armed['seconds'] / fault_free_s:.2f}x)")
@@ -477,7 +480,7 @@ def main() -> int:
               "full-parameter baseline", file=sys.stderr)
         return 1
     if "backends" not in doc:
-        print(f"error: {args.baseline} predates the dual-backend schema; "
+        print(f"error: {args.baseline} predates the \"backends\" schema; "
               "regenerate it with bench_wallclock.py", file=sys.stderr)
         return 1
 
@@ -491,7 +494,7 @@ def main() -> int:
     # cancels in a same-run ratio.
     wall_repeat = max(args.repeat, doc.get("config", {}).get("repeat", 1))
 
-    # -- per-backend wall-time gates on the macro scenario ---------------
+    # -- wall-time gates on the macro scenario, engine and reference ------
     measured: dict = {}
     for backend in BACKENDS:
         base = doc["backends"][backend]["scenarios"][GATE_SCENARIO]
@@ -509,7 +512,7 @@ def main() -> int:
                 f"{GATE_SCENARIO} [{backend}] is {ratio:.2f}x the baseline "
                 f"(allowed {1.0 + args.threshold:.2f}x)")
 
-    # -- columnar speedup floors -----------------------------------------
+    # -- engine-over-reference speedup floors ----------------------------
     for name, floor in SPEEDUP_FLOORS.items():
         if name == GATE_SCENARIO:
             per_backend = measured
@@ -528,7 +531,7 @@ def main() -> int:
                 f"{name} columnar speedup {speedup:.2f}x below the "
                 f"{floor:.2f}x floor")
 
-    # -- structure-storage gates (both storages, columnar engine) --------
+    # -- structure-storage gates (both storages) -------------------------
     if "storages" not in doc:
         failures.append(
             f"{args.baseline} predates the storage dimension; regenerate "

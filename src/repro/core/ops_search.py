@@ -14,8 +14,8 @@ When ``record`` is set, every visited lower-part node is streamed back to
 shared memory (one constant-size message per node), which is how stage 1
 of the batched Successor saves the pivots' lower-part search paths.
 
-Vectorized wavefront (arena storage + columnar engine)
-------------------------------------------------------
+Vectorized wavefront (arena storage)
+------------------------------------
 With the arena storage backend (:mod:`repro.core.storage`) the structure
 is additionally held as flat index-addressed arrays, and the per-round
 batch kernels below advance the *whole* frontier of in-flight searches
@@ -30,13 +30,15 @@ and only touches Python when it finishes (one ``done`` reply per op).
 Rows that cannot vectorize (path recording, non-int64 keys or opids,
 nodes not arena-resident) fall back to the scalar per-row loop;
 accounting (work, message counts, rounds) is charged identically on both
-paths, so the columnar metric streams stay bit-identical across storages
+paths, so the metric streams stay bit-identical across storages
 -- certified by ``repro.verify.differ``'s cross-storage replay.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Optional
+
+import numpy as _np
 
 from repro.core.node import Node, UPPER
 from repro.core.probes import ABOVE_ALL, AboveAll, BELOW_ALL, BelowAll
@@ -45,11 +47,6 @@ from repro.core.structure import SkipListStructure
 from repro.ops import cached_handlers
 from repro.sim.fastpath import COLS
 from repro.sim.task import Reply
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
 
 VEC_MIN = 16
 """Minimum vector-eligible rows per round before the numpy path engages
@@ -128,10 +125,14 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 module = ctx.module
                 module.work += hops
                 module.round_work += hops
-                # Equivalent to ctx.forward(owner, fn_step, ...), staged
-                # directly: the continuation handler is this function and
-                # the destination comes from the placement hash, so the
-                # per-hop registry lookup and bounds check are skipped.
+                # ctx.forward(owner, fn_step, ...) inlined, staged
+                # directly into the destination's slot: the continuation
+                # handler is this function and the destination comes
+                # from the placement hash, so the per-hop registry lookup
+                # and bounds check are skipped.  (This scalar walk only
+                # runs for search steps that are themselves in slots --
+                # a scalar fallback, the reference oracle -- and a slot
+                # entry always runs scalar, so the chain stays in slots.)
                 staged = ctx.machine._staged
                 entry = (lower_walk, (nxt, key, opid, record), None, fn_step)
                 slot = staged.get(owner)
@@ -152,13 +153,14 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         else:
             ctx.forward(x.owner, fn_step, (x, key, opid, record))
 
-    # -- batch variants (columnar backend) --------------------------------
+    # -- batch variants (array-native rounds) -----------------------------
     #
     # One call per round over all of the round's search tasks, mirroring
     # the scalar handlers' charges/replies/forwards exactly.  The walk is
     # read-only over the shared structure, order-insensitive and draws no
-    # RNG, so it satisfies the columnar execution contract (certified
-    # bit-identical by repro.verify.differ).  Inert on the object engine.
+    # RNG, so it satisfies the batch-handler execution contract (certified
+    # bit-identical by repro.verify.differ).  Inert during a scalar
+    # fallback and on the reference oracle.
 
     def _walk_batch(bct, mid, x, key, opid, record, hops):
         """Walk one task from ``x``; returns a forward row or None.
@@ -318,8 +320,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         out: list = []
         out_append = out.append
         arena = sl.storage.arena
-        vec_ready = (_np is not None and arena is not None
-                     and arena.vector_ok)
+        vec_ready = arena is not None and arena.vector_ok
         col_parts: list = []   # (dests, aids, tgts, opids) from COLS chunks
         scal: list = []
         vec: list = []
@@ -414,8 +415,8 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         out_append = out.append
         arena = sl.storage.arena
         root = sl.root
-        use_vec = (_np is not None and arena is not None
-                   and arena.vector_ok and sl.h_low >= 1 and root.aid >= 0)
+        use_vec = (arena is not None and arena.vector_ok
+                   and sl.h_low >= 1 and root.aid >= 0)
         scal: list = []
         vec: list = []
         vtgt: list = []

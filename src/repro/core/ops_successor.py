@@ -40,6 +40,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.core import ops_search
 from repro.core.node import Node, UPPER
 from repro.core.ops_search import _target_i64, search_message
@@ -47,11 +49,6 @@ from repro.core.structure import SkipListStructure
 from repro.cpuside.sort import parallel_sort
 from repro.ops import BatchOp, run_batch
 from repro.sim.cpu import WorkDepth
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None  # type: ignore[assignment]
 
 #: Minimum hinted record-free rows worth issuing as one column chunk.
 COLS_SEND_MIN = 16
@@ -195,13 +192,13 @@ class _BatchSearchOp(BatchOp):
         # Record-free searches that start from a lower-part hint node can
         # launch as one engine-level column chunk: the destination is the
         # hint's owner (no RNG draw) and the walk's batch handler consumes
-        # the chunk natively.  Gated off under chaos plans -- those wrap
-        # every CPU-issued scalar message in a delivery envelope, which a
-        # column chunk would bypass.
+        # the chunk natively.  Off during a scalar fallback, which
+        # includes chaos plans -- those wrap every CPU-issued scalar
+        # message in a delivery envelope, which a column chunk would
+        # bypass.
         arena = getattr(sl.storage, "arena", None)
-        cols_send = (_np is not None and arena is not None
-                     and arena.vector_ok and machine._chaos is None
-                     and getattr(machine, "can_send_cols", False))
+        cols_send = (arena is not None and arena.vector_ok
+                     and machine.columnar_active)
 
         def pivot_ids(ppos: int) -> Optional[set]:
             """Cached ``id()`` set of a pivot's recorded path nodes."""

@@ -25,8 +25,7 @@ write) and :meth:`StorageBackend.set_value`, plus the read-side
 no-op (the object pointers, written by the shared algorithm, *are* the
 storage); for the arena backend each hook maintains the arrays.
 
-Selection mirrors the engine-backend pattern of :mod:`repro.sim.config`:
-``PIMSkipList(storage="object" | "arena")``, with the
+Selection: ``PIMSkipList(storage="object" | "arena")``, with the
 :data:`STORAGE_ENV_VAR` environment variable supplying the default for
 structures built without an explicit argument.  Model metrics are
 certified bit-identical across storages by ``repro.verify.differ``'s
@@ -38,12 +37,9 @@ from __future__ import annotations
 import os
 from typing import Any, List, Optional
 
-from repro.core.node import NEG_INF, Node
+import numpy as _np
 
-try:  # numpy is optional at runtime; the arena degrades to Python lists.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via _force_no_numpy
-    _np = None  # type: ignore[assignment]
+from repro.core.node import NEG_INF, Node
 
 #: Environment variable overriding the structure-storage backend for
 #: skip lists constructed without an explicit ``storage=`` argument.
@@ -95,8 +91,8 @@ class NodeArena:
 
     Rows are addressed by *arena id* (``aid``, stamped onto the node's
     ``aid`` slot at :meth:`alloc` time).  Columns are parallel arrays --
-    numpy int64 when numpy is available (the vectorized walk's gather
-    targets), plain Python lists otherwise (correctness-only mode).
+    numpy int64 for the integer fields (the vectorized walk's gather
+    targets), plain Python lists for the object-valued ones.
     ``right`` / ``down`` / ``up`` hold successor *indices* (-1 for no
     neighbor); ``key_i64`` holds the int64 image of the key (rows whose
     key has no int64 image are tracked in ``_bad_keys`` and disable
@@ -112,7 +108,7 @@ class NodeArena:
         "allocs", "frees", "reuses", "live_count",
     )
 
-    # int64 ndarrays with numpy, plain Python lists without.
+    # int64 ndarrays.
     key_i64: Any
     level: Any
     owner: Any
@@ -125,21 +121,13 @@ class NodeArena:
         self._n = 0
         self._bad_keys = 0
         self._free: List[int] = []
-        if _np is not None:
-            empty = _np.empty(0, dtype=_np.int64)
-            self.key_i64 = empty
-            self.level = empty.copy()
-            self.owner = empty.copy()
-            self.right = empty.copy()
-            self.down = empty.copy()
-            self.up = empty.copy()
-        else:
-            self.key_i64 = []
-            self.level = []
-            self.owner = []
-            self.right = []
-            self.down = []
-            self.up = []
+        empty = _np.empty(0, dtype=_np.int64)
+        self.key_i64 = empty
+        self.level = empty.copy()
+        self.owner = empty.copy()
+        self.right = empty.copy()
+        self.down = empty.copy()
+        self.up = empty.copy()
         self.key_ok: List[bool] = []
         self.keys: List[Any] = []
         self.values: List[Any] = []
@@ -163,21 +151,17 @@ class NodeArena:
     @property
     def vector_ok(self) -> bool:
         """True when the numpy wavefront walk may read these arrays:
-        numpy present and every live key has a faithful int64 image."""
-        return _np is not None and self._bad_keys == 0
+        every live key has a faithful int64 image."""
+        return self._bad_keys == 0
 
     def _grow(self) -> None:
         new_cap = max(64, self._cap * 2)
         add = new_cap - self._cap
-        if _np is not None:
-            for name in ("key_i64", "level", "owner", "right", "down", "up"):
-                old = getattr(self, name)
-                arr = _np.empty(new_cap, dtype=_np.int64)
-                arr[: self._cap] = old
-                setattr(self, name, arr)
-        else:
-            for name in ("key_i64", "level", "owner", "right", "down", "up"):
-                getattr(self, name).extend([0] * add)
+        for name in ("key_i64", "level", "owner", "right", "down", "up"):
+            old = getattr(self, name)
+            arr = _np.empty(new_cap, dtype=_np.int64)
+            arr[: self._cap] = old
+            setattr(self, name, arr)
         self.key_ok.extend([True] * add)
         self.keys.extend([None] * add)
         self.values.extend([None] * add)

@@ -3,36 +3,16 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-#: Environment variable overriding the round-engine backend for machines
-#: constructed without an explicit ``backend=`` argument.  Accepted
-#: values: ``"object"`` or ``"columnar"``.  Lets a whole test suite or
-#: benchmark run flip engines without touching call sites.
+#: Inert: read by nothing.  The round engine used to be selectable
+#: through this environment variable; there is one engine now
+#: (:class:`repro.sim.machine.PIMMachine`) and setting the variable
+#: changes nothing.  The name stays importable because the frozen
+#: end-to-end benchmark (``benchmarks/e2e/bench_e2e.py``) imports it to
+#: report the environment it ran in.
 BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
-
-#: The two round-engine backends (see :mod:`repro.sim.fastpath`).
-BACKENDS = ("object", "columnar")
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve a backend selection to ``"object"`` or ``"columnar"``.
-
-    ``None`` (unspecified) consults :data:`BACKEND_ENV_VAR`, defaulting
-    to ``"object"``.  An explicit argument always wins over the
-    environment.  Unknown names raise ``ValueError`` either way.
-    """
-    origin = "backend"
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "object"
-        origin = BACKEND_ENV_VAR
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown round-engine backend {backend!r} (from {origin}); "
-            f"expected one of {', '.join(BACKENDS)}")
-    return backend
 
 
 def default_shared_memory_words(num_modules: int) -> int:
@@ -107,14 +87,6 @@ class MachineConfig:
         bulk-synchronous rounds: attempt ``k`` waits
         ``min(base * 2**(k-1), cap)`` idle rounds (each charged one round
         plus ``log2 P`` sync cost -- waiting is not free).
-    backend:
-        Round-engine backend: ``"object"`` (the reference slotted-object
-        engine), ``"columnar"`` (the array-native engine of
-        :mod:`repro.sim.fastpath`), or ``None`` to consult the
-        :data:`BACKEND_ENV_VAR` environment variable (default
-        ``"object"``).  Model metrics are certified bit-identical across
-        backends by ``repro.verify.differ``; only wall-clock behaviour
-        differs.
     """
 
     num_modules: int
@@ -129,14 +101,8 @@ class MachineConfig:
     max_delivery_attempts: int = 8
     retry_backoff_base: int = 1
     retry_backoff_cap: int = 8
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown round-engine backend {self.backend!r}; "
-                f"expected one of {', '.join(BACKENDS)} (or None for the "
-                f"{BACKEND_ENV_VAR} environment default)")
         if self.num_modules < 1:
             raise ValueError("num_modules must be >= 1")
         if self.shared_memory_words is not None and self.shared_memory_words < 1:
@@ -149,11 +115,6 @@ class MachineConfig:
             raise ValueError("max_delivery_attempts must be >= 1")
         if self.retry_backoff_base < 1 or self.retry_backoff_cap < 1:
             raise ValueError("retry backoff rounds must be >= 1")
-
-    @property
-    def resolved_backend(self) -> str:
-        """The backend after applying the environment default."""
-        return resolve_backend(self.backend)
 
     @property
     def resolved_shared_memory_words(self) -> int:

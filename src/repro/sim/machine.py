@@ -19,48 +19,67 @@ Algorithms are CPU-side orchestration code that:
 Handlers are plain functions ``handler(ctx, *args) -> None`` registered
 under a function id; they receive a :class:`repro.sim.module.ModuleContext`.
 
-Engine fast path
+One round engine
 ----------------
 
-The round engine is the hot loop of every benchmark, so it is built around
-three invariants that keep a round touching ``k`` modules at ``O(k + tasks)``
-Python work rather than ``O(P)``:
+The round engine is the hot loop of every benchmark.  It is one engine
+with two staging forms, chosen per *function id* when a message is
+issued or forwarded:
 
-- **Staged delivery.**  ``send``/``send_all``/``broadcast``/``forward``
-  route directly into per-destination queues (``_staged``), so ``step``
-  never scans or re-buckets a message list.  Each staged entry carries its
-  handler *callable*, resolved at issue time (an unknown function id
-  raises :class:`~repro.sim.errors.UnknownHandlerError` when the message
-  is issued, not a round later).  CPU-issued messages are delivered before
-  module-to-module continuations within a destination queue, mirroring the
-  historical ``outbox + forwards`` concatenation order.
-- **Active-module scheduling.**  A round iterates only the modules that
-  received messages (in module-id order, for reply-order stability).
-  Per-round work/contention state lives on the per-module
-  :class:`~repro.sim.module.ModuleContext`, re-armed on activation, so
-  nothing is reset machine-wide.
-- **Gated bookkeeping.**  Round logs (``trace_rounds``), access tracing
-  (``trace_accesses``) and qrqw queue accounting are no-ops when disabled:
-  the flags are folded into the context at construction and checked once
-  per call or per round.
+- **Slots (the scalar loop).**  A message for a function with no
+  registered batch handler is placed straight into its destination's
+  slot (``_staged``) by ``send``/``send_all``/``broadcast``/``forward``,
+  carrying its handler *callable*, resolved at issue time (an unknown
+  function id raises :class:`~repro.sim.errors.UnknownHandlerError` when
+  the message is issued, not a round later).  A round iterates only the
+  modules that received messages (in module-id order, for reply-order
+  stability) and calls one handler per task; CPU-issued messages are
+  delivered before module-to-module continuations within a slot.
+- **Chunks (the array-native path).**  A message for a function with a
+  batch handler (:meth:`PIMMachine.register_batch`) is appended to a
+  per-function chunk, and the round makes ONE batch-handler call per
+  function over all of its chunks; see :mod:`repro.sim.fastpath` for the
+  layout and the execution contract.
+
+A round with no chunks *is* the scalar loop (``_run_round``); a round
+with chunks runs its slots first, in the same order, then the batch
+handlers, and accounts both halves in one pass (``_array_round``).
+Features that are per-task by definition -- a fault plan, the profiler,
+qrqw, access tracing -- stop routing to chunks for as long as they are
+on (a typed :class:`~repro.sim.fastpath.FallbackEvent`), which leaves
+exactly the scalar loop.  :class:`ReferencePIMMachine` never routes to
+chunks at all: it is the per-task oracle the differ, the tests and the
+perf gates compare the engine against.
+
+Bookkeeping is gated: round logs (``trace_rounds``), access tracing
+(``trace_accesses``) and qrqw queue accounting are no-ops when disabled
+-- the flags are folded into the context at construction and checked
+once per call or per round.
 
 All *model* metrics (IO time, rounds, messages, sync cost, PIM time,
-per-module work) are accounted exactly as before; the golden-metrics
-regression suite (``tests/test_golden_metrics.py``) pins the values the
-pre-fast-path engine produced on seed workloads.
+per-module work) are accounted exactly the same way on both forms; the
+golden-metrics regression suite (``tests/test_golden_metrics.py``) pins
+the values the per-task loop produced on seed workloads.
 """
 
 from __future__ import annotations
 
 import random
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
+
+import numpy as np
 
 from repro.sim.chaos import ChaosState, FaultPlan
-from repro.sim.config import MachineConfig, resolve_backend
+from repro.sim.config import MachineConfig
 from repro.sim.cpu import CPUSide
 from repro.sim.errors import (LivelockError, MalformedMessageError,
                               UnknownHandlerError)
+from repro.sim.fastpath import (BCAST, COLS, FALLBACK_FAULT_PLAN,
+                                FALLBACK_PROFILER, FALLBACK_QRQW,
+                                FALLBACK_TRACE_ACCESSES, ROWS, _CPU_Q, _FWD_Q,
+                                BatchRound, FallbackEvent, _Chunk)
 from repro.sim.metrics import Metrics, MetricsDelta
 from repro.sim.module import ModuleContext, PIMModule
 from repro.sim.task import Reply
@@ -68,9 +87,9 @@ from repro.sim.tracing import Tracer
 
 Handler = Callable[..., None]
 
-# A staged per-destination slot: [units_in, cpu_entries, forward_entries]
-# where each entry is (handler, args, tag, fn).
-_CPU_Q, _FWD_Q = 1, 2
+# What ``_chunk_fns`` points at while no function is routed to chunks
+# (scalar fallback, the reference oracle).  Never mutated.
+_NO_CHUNK_FNS: Dict[str, Any] = {}
 
 
 class PIMMachine:
@@ -90,30 +109,16 @@ class PIMMachine:
     >>> [r.payload for r in m.drain()]
     [42]
 
-    Two round-engine backends exist behind this constructor:
-    ``PIMMachine(..., backend="object")`` (this class -- the reference
-    slotted-object engine) and ``backend="columnar"`` (the array-native
-    engine, :class:`repro.sim.fastpath.ColumnarPIMMachine`).  With no
-    explicit backend the ``REPRO_SIM_BACKEND`` environment variable
-    decides, defaulting to ``"object"``.  Both backends produce
-    bit-identical model metrics (certified by ``repro.verify.differ``).
+    There is one round engine and no option that selects another: rounds
+    run array-native for every function with a batch handler
+    (:attr:`columnar_active`) and per-task for the rest, with a typed
+    scalar fallback (:attr:`fallback_events`) for fault plans, the
+    profiler, qrqw and access tracing.
     """
 
-    def __new__(cls, num_modules: Optional[int] = None,
-                config: Optional[MachineConfig] = None,
-                **kwargs: Any) -> "PIMMachine":
-        # Backend dispatch happens only for direct PIMMachine(...) calls
-        # with construction arguments; subclasses and argument-less
-        # allocation (copy protocols) get the class they asked for.
-        if cls is PIMMachine and (num_modules is not None
-                                  or config is not None or kwargs):
-            backend = kwargs.get("backend")
-            if backend is None and config is not None:
-                backend = config.backend
-            if resolve_backend(backend) == "columnar":
-                from repro.sim.fastpath import ColumnarPIMMachine
-                return object.__new__(ColumnarPIMMachine)
-        return object.__new__(cls)
+    #: False only on :class:`ReferencePIMMachine`, which opts out of the
+    #: array-native path for its whole lifetime.
+    _array_native = True
 
     def __init__(self, num_modules: Optional[int] = None,
                  config: Optional[MachineConfig] = None, **kwargs: Any) -> None:
@@ -151,12 +156,47 @@ class PIMMachine:
         #: observers must be passive (no sends, no charging).
         self.batch_observer: Optional[Callable[[str, MetricsDelta], None]] = None
         self._handlers: Dict[str, Handler] = {}
-        # fn -> batch handler (see register_batch).  The object engine
-        # never consults this; the columnar backend dispatches a round's
-        # tasks for a registered fn as ONE call over contiguous chunks.
+        # fn -> batch handler (see register_batch): a round's tasks for a
+        # registered fn run as ONE call over contiguous chunks.
         self._batch_handlers: Dict[str, Callable[..., None]] = {}
+        # The functions whose messages are staged as chunks right now:
+        # ``_batch_handlers`` itself while the array-native path is on,
+        # the empty ``_NO_CHUNK_FNS`` during a scalar fallback (and
+        # always, on the reference oracle).  Every issue path asks
+        # ``fn in self._chunk_fns`` once per message.
+        self._chunk_fns: Dict[str, Any] = (
+            self._batch_handlers if self._array_native else _NO_CHUNK_FNS)
         # mid -> [units_in, cpu_entries, forward_entries]; see module doc.
         self._staged: Dict[int, list] = {}
+        # Chunk staging (see repro.sim.fastpath): CPU-issued and
+        # forwarded chunk streams, per-destination receive units of the
+        # row chunks (``_recv``, pooled; ``_active`` lists its non-zero
+        # entries), of the column chunks (``_recv_np``) and of the
+        # broadcast chunks, and their running total.
+        P = self.num_modules
+        self._cq: List[_Chunk] = []
+        self._fq: List[_Chunk] = []
+        self._recv: List[int] = [0] * P
+        self._recv_spare: Optional[List[int]] = None
+        self._recv_np: Any = None
+        self._active: List[int] = []
+        self._bcast_units = 0
+        self._incoming_total = 0
+        # Zero templates for slice-resetting the BatchRound's pooled
+        # flat accumulators, and a shared all-zero receive vector for
+        # rounds with no row-staged traffic (never mutated -- arithmetic
+        # on it allocates fresh).
+        self._zeros_f: List[float] = [0.0] * P
+        self._zeros_i: List[int] = [0] * P
+        self._zero_np = np.zeros(P, dtype="int64")
+        self._bct = BatchRound(self)
+        # Deferred per-module batch work (float64 vector): the vectorized
+        # accounting accumulates here instead of touching P module
+        # objects per round; folded into ``module.work`` lazily at
+        # measurement points (``_sync_pim_work``).  Integer-valued
+        # charges keep the float64 sums exact, so the deferral cannot
+        # perturb the metric stream.
+        self._work_acc: Any = None
         self._log_p = config.log_p
         self._trace_rounds = config.trace_rounds
         self._trace_access = config.trace_accesses
@@ -172,6 +212,17 @@ class PIMMachine:
         # filter keeps them unreachable (typed faults, not KeyErrors on
         # missing state) until recovery calls :meth:`mark_repaired`.
         self.wiped_modules: set = set()
+        #: Typed fallback history (list of :class:`FallbackEvent`).
+        self.fallback_events: List[FallbackEvent] = []
+        self._fallback_reasons: set = set()
+        if self.qrqw:
+            self._enter_fallback(
+                FALLBACK_QRQW,
+                "qrqw contention accounting is per-task by definition")
+        if config.trace_accesses:
+            self._enter_fallback(
+                FALLBACK_TRACE_ACCESSES,
+                "per-object access tracing is per-task by definition")
 
     # -- handler registry ---------------------------------------------------
 
@@ -200,16 +251,17 @@ class PIMMachine:
         A batch handler ``batch_handler(bct, chunks)`` processes one
         round's entire task population for ``fn`` in a single call over
         contiguous chunk buffers (see
-        :class:`repro.sim.fastpath.BatchRound`); the columnar backend
-        dispatches it instead of calling the scalar handler per task.
-        On the object backend the registration is inert -- the scalar
-        handler remains the reference semantics, and the differential
-        oracle certifies the two produce bit-identical metric streams.
+        :class:`repro.sim.fastpath.BatchRound`); the engine dispatches
+        it instead of calling the scalar handler per task.  During a
+        scalar fallback, and always on :class:`ReferencePIMMachine`,
+        the registration is inert -- the scalar handler remains the
+        reference semantics, and the differential oracle certifies the
+        two produce bit-identical metric streams.
 
         Batch handlers must be behaviourally equivalent to their scalar
-        handler under the columnar execution contract: order-insensitive
-        within a round, no reads of the machine RNG, and no mutation of
-        shared replicated structure (see ``repro/sim/fastpath.py``).
+        handler under the execution contract: order-insensitive within a
+        round, no reads of the machine RNG, and no mutation of shared
+        replicated structure (see ``repro/sim/fastpath.py``).
 
         Same collision rule as :meth:`register`: re-registering a
         different callable under an existing id is an error, the
@@ -222,8 +274,65 @@ class PIMMachine:
 
     @property
     def backend(self) -> str:
-        """The round-engine backend this machine runs (``"object"``)."""
-        return "object"
+        """A read-only label, not a selector: ``"columnar"`` on the
+        engine, ``"object"`` on :class:`ReferencePIMMachine`."""
+        return "columnar" if self._array_native else "object"
+
+    @property
+    def columnar_active(self) -> bool:
+        """True when batch-handled functions run array-native (this is
+        the engine and no fallback reason is currently engaged)."""
+        return self._chunk_fns is self._batch_handlers
+
+    # -- typed scalar fallback ----------------------------------------------
+
+    def _enter_fallback(self, reason: str, detail: str) -> None:
+        if reason in self._fallback_reasons:
+            return
+        self._fallback_reasons.add(reason)
+        self.fallback_events.append(
+            FallbackEvent(reason, detail, self.metrics.rounds))
+        self._chunk_fns = _NO_CHUNK_FNS
+        if self._cq or self._fq:
+            self._chunks_to_staged()
+
+    def _exit_fallback(self, reason: str) -> None:
+        self._fallback_reasons.discard(reason)
+        if self._array_native and not self._fallback_reasons:
+            self._chunk_fns = self._batch_handlers
+
+    def _chunks_to_staged(self) -> None:
+        """Move pending chunks into their destination slots, preserving
+        aggregate units and, per destination, the chunks' arrival order
+        (they land behind entries already in the slot; chunked functions
+        are order-insensitive by contract, so that is immaterial)."""
+        for q, chunks in ((_CPU_Q, self._cq), (_FWD_Q, self._fq)):
+            for ch in chunks:
+                self._rows_to_slots(q, ch.fn, ch.handler,
+                                    self._iter_chunk(ch))
+        self._cq = []
+        self._fq = []
+        recv = self._recv
+        for mid in self._active:
+            recv[mid] = 0
+        self._active = []
+        self._recv_np = None
+        self._bcast_units = 0
+        self._incoming_total = 0
+
+    def _iter_chunk(self, ch: _Chunk) -> Iterator[tuple]:
+        """Yield ``(dest, args, tag, size)`` rows of any chunk kind."""
+        if ch.kind == ROWS:
+            yield from ch.rows
+        elif ch.kind == COLS:
+            size = ch.size
+            dests = ch.dests.tolist()
+            cols = [c.tolist() for c in ch.cols]
+            for i, dest in enumerate(dests):
+                yield dest, tuple(c[i] for c in cols), None, size
+        else:  # BCAST
+            for mid in range(self.num_modules):
+                yield mid, ch.args, ch.tag, ch.size
 
     # -- profiling ----------------------------------------------------------
 
@@ -244,6 +353,13 @@ class PIMMachine:
         if profiler is not None and not getattr(profiler, "enabled", True):
             profiler = None
         self._profiler = profiler
+        if profiler is not None:
+            self._enter_fallback(
+                FALLBACK_PROFILER,
+                "per-handler wall-time attribution requires per-task "
+                "clock reads")
+        else:
+            self._exit_fallback(FALLBACK_PROFILER)
 
     # -- message issue ----------------------------------------------------
 
@@ -256,6 +372,9 @@ class PIMMachine:
         if handler is None:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at send time)")
+        if fn in self._chunk_fns:
+            self._stage_row(self._cq, fn, handler, dest, args, tag, size)
+            return
         slot = self._staged.get(dest)
         if slot is None:
             self._staged[dest] = [size, [(handler, args, tag, fn)], []]
@@ -268,44 +387,68 @@ class PIMMachine:
 
         Each message is ``(dest, fn, args, tag)`` or, with an explicit
         message size in constant-size units, ``(dest, fn, args, tag,
-        size)``.  This is the allocation-light bulk path: handlers are
-        resolved once per message and staged directly into the
-        per-destination queues.  Malformed messages -- wrong arity, or a
-        size element that is not a positive ``int`` -- raise
+        size)``.  This is the allocation-light bulk path: a message is
+        staged directly into its function's tail chunk or its
+        destination's slot, resolving the handler once per message (once
+        per run of messages, for a chunked function).  Malformed
+        messages -- wrong arity, or a size element that is not a
+        positive ``int`` -- raise
         :class:`~repro.sim.errors.MalformedMessageError` here, at issue
         time, rather than corrupting the round accounting.
         """
         staged = self._staged
         handlers = self._handlers
+        chunk_fns = self._chunk_fns
         n = self.num_modules
-        for msg in messages:
-            if len(msg) == 4:
-                dest, fn, args, tag = msg
-                size = 1
-            elif len(msg) == 5:
-                dest, fn, args, tag, size = msg
-                if type(size) is not int or size < 1:
+        cq = self._cq
+        recv = self._recv
+        active = self._active
+        inc = 0
+        tail = cq[-1] if cq and cq[-1].kind == ROWS else None
+        try:
+            for msg in messages:
+                if len(msg) == 4:
+                    dest, fn, args, tag = msg
+                    size = 1
+                elif len(msg) == 5:
+                    dest, fn, args, tag, size = msg
+                    if type(size) is not int or size < 1:
+                        raise MalformedMessageError(
+                            f"send_all message {(dest, fn)} has invalid "
+                            f"size {size!r}: the optional 5th element must "
+                            f"be a positive int (constant-size message "
+                            f"units)")
+                else:
                     raise MalformedMessageError(
-                        f"send_all message {(dest, fn)} has invalid size "
-                        f"{size!r}: the optional 5th element must be a "
-                        f"positive int (constant-size message units)")
-            else:
-                raise MalformedMessageError(
-                    f"send_all message has {len(msg)} elements; expected "
-                    f"(dest, fn, args, tag) or (dest, fn, args, tag, size): "
-                    f"{msg!r}")
-            if not 0 <= dest < n:
-                raise ValueError(f"bad module id {dest}")
-            handler = handlers.get(fn)
-            if handler is None:
-                raise UnknownHandlerError(
-                    f"no handler for {fn!r} (resolved at send time)")
-            slot = staged.get(dest)
-            if slot is None:
-                staged[dest] = [size, [(handler, args, tag, fn)], []]
-            else:
-                slot[0] += size
-                slot[1].append((handler, args, tag, fn))
+                        f"send_all message has {len(msg)} elements; "
+                        f"expected (dest, fn, args, tag) or (dest, fn, "
+                        f"args, tag, size): {msg!r}")
+                if not 0 <= dest < n:
+                    raise ValueError(f"bad module id {dest}")
+                if tail is None or tail.fn != fn:
+                    handler = handlers.get(fn)
+                    if handler is None:
+                        raise UnknownHandlerError(
+                            f"no handler for {fn!r} (resolved at send time)")
+                    if fn not in chunk_fns:
+                        slot = staged.get(dest)
+                        if slot is None:
+                            staged[dest] = [size, [(handler, args, tag, fn)],
+                                            []]
+                        else:
+                            slot[0] += size
+                            slot[1].append((handler, args, tag, fn))
+                        continue
+                    tail = _Chunk(fn, handler, ROWS)
+                    tail.rows = []
+                    cq.append(tail)
+                if recv[dest] == 0:
+                    active.append(dest)
+                recv[dest] += size
+                inc += size
+                tail.rows.append((dest, args, tag, size))
+        finally:
+            self._incoming_total += inc
 
     def broadcast(self, fn: str, args: tuple = (), tag: Any = None,
                   size: int = 1) -> None:
@@ -314,6 +457,15 @@ class PIMMachine:
         if handler is None:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at send time)")
+        if fn in self._chunk_fns:
+            ch = _Chunk(fn, handler, BCAST)
+            ch.args = args
+            ch.tag = tag
+            ch.size = size
+            self._cq.append(ch)
+            self._bcast_units += size
+            self._incoming_total += size * self.num_modules
+            return
         staged = self._staged
         entry = (handler, args, tag, fn)
         for mid in range(self.num_modules):
@@ -323,6 +475,122 @@ class PIMMachine:
             else:
                 slot[0] += size
                 slot[1].append(entry)
+
+    def send_cols(self, fn: str, dests: Any, cols: Tuple[Any, ...],
+                  size: int = 1) -> None:
+        """Issue one CPU-side batch of messages as a column chunk.
+
+        The vectorized twin of :meth:`send_all` for homogeneous batches:
+        ``dests`` (int64 array) and the parallel ``cols`` arrays land as
+        one chunk that ``fn``'s registered batch handler consumes
+        natively next round.  Receive accounting (h-relation units,
+        task counts) is identical to sending the rows one by one, so
+        metric streams do not depend on which form a caller uses.  Only
+        available while :attr:`columnar_active` -- check it first: in a
+        scalar fallback the round loop never dispatches batch handlers,
+        and a column chunk's args are only meaningful to those.  (A
+        fault plan is such a fallback, which also keeps column sends off
+        the reliable-delivery protocol: chaos plans wrap every
+        CPU-issued *scalar* message in an envelope, and a column chunk
+        would bypass that accounting.)
+        """
+        if not self.columnar_active:
+            raise RuntimeError(
+                "send_cols unavailable: rounds are running on the scalar "
+                f"loop (fallback reasons: {sorted(self._fallback_reasons)})")
+        self._stage_cols(_CPU_Q, fn, dests, cols, size)
+
+    # -- chunk staging ------------------------------------------------------
+
+    def _stage_row(self, queue: List[_Chunk], fn: str, handler: Any,
+                   dest: int, args: tuple, tag: Any, size: int) -> None:
+        """Append one message row to ``queue``'s tail chunk for ``fn``
+        (receive accounting included)."""
+        recv = self._recv
+        if recv[dest] == 0:
+            self._active.append(dest)
+        recv[dest] += size
+        self._incoming_total += size
+        if queue:
+            tail = queue[-1]
+            if tail.fn == fn and tail.kind == ROWS:
+                tail.rows.append((dest, args, tag, size))
+                return
+        ch = _Chunk(fn, handler, ROWS)
+        ch.rows = [(dest, args, tag, size)]
+        queue.append(ch)
+
+    def _rows_to_slots(self, q: int, fn: str, handler: Any,
+                       rows: Iterable[tuple]) -> None:
+        """Place ``(dest, args, tag, size)`` rows in their destination
+        slots (queue ``q``), preserving arrival order and units."""
+        staged = self._staged
+        for dest, args, tag, size in rows:
+            slot = staged.get(dest)
+            if slot is None:
+                slot = staged[dest] = [0, [], []]
+            slot[0] += size
+            slot[q].append((handler, args, tag, fn))
+
+    def _stage_fwd_rows(self, fn: str, rows: list) -> None:
+        """Bulk-append continuation rows (``BatchRound.stage_rows``)."""
+        if not rows:
+            return
+        handler = self._handlers.get(fn)
+        if handler is None:
+            raise UnknownHandlerError(
+                f"no handler for {fn!r} (resolved at forward time)")
+        if fn not in self._chunk_fns:
+            self._rows_to_slots(_FWD_Q, fn, handler, rows)
+            return
+        recv = self._recv
+        active = self._active
+        inc = 0
+        for dest, _args, _tag, size in rows:
+            if recv[dest] == 0:
+                active.append(dest)
+            recv[dest] += size
+            inc += size
+        self._incoming_total += inc
+        fq = self._fq
+        if fq:
+            tail = fq[-1]
+            if tail.fn == fn and tail.kind == ROWS:
+                tail.rows.extend(rows)
+                return
+        ch = _Chunk(fn, handler, ROWS)
+        ch.rows = rows
+        fq.append(ch)
+
+    def _stage_cols(self, q: int, fn: str, dests: Any,
+                    cols: Tuple[Any, ...], size: int) -> None:
+        """Stage one vectorized column chunk into the CPU-issued
+        (``q == _CPU_Q``) or forwarded stream, receive accounting
+        included (``send_cols`` / ``BatchRound.stage_cols``)."""
+        n = len(dests)
+        if n == 0:
+            return
+        handler = self._handlers.get(fn)
+        if handler is None:
+            raise UnknownHandlerError(
+                f"no handler for {fn!r} (resolved at forward time)")
+        ch = _Chunk(fn, handler, COLS)
+        ch.dests = dests
+        ch.cols = tuple(cols)
+        ch.size = size
+        if fn not in self._chunk_fns:
+            self._rows_to_slots(q, fn, handler, self._iter_chunk(ch))
+            return
+        # bincount yields a fresh int64 vector we own -- adopt it.
+        counts = np.bincount(dests, minlength=self.num_modules)
+        if size != 1:
+            counts *= size
+        if self._recv_np is None:
+            self._recv_np = counts
+        else:
+            self._recv_np += counts
+        self._incoming_total += n * size
+        (self._cq if q == _CPU_Q else self._fq).append(ch)
 
     # -- round execution -----------------------------------------------------
 
@@ -342,6 +610,8 @@ class PIMMachine:
         """
         if self._chaos is not None:
             return self._chaos_round()
+        if self._cq or self._fq:
+            return self._array_round()
         staged = self._staged
         if not staged:
             return []
@@ -351,7 +621,8 @@ class PIMMachine:
         return self._run_round(staged)
 
     def _run_round(self, staged: Dict[int, list]) -> List[Reply]:
-        """Deliver and execute one round's already-unstaged slots."""
+        """Deliver and execute one round's already-unstaged slots: the
+        per-task scalar loop."""
         incoming_total = 0
 
         qrqw = self.qrqw
@@ -405,7 +676,13 @@ class PIMMachine:
             if h_mod > h:
                 h = h_mod
 
-        total_msgs = incoming_total + sent_total
+        self._commit_round(h, incoming_total + sent_total, round_pim_max,
+                           tasks)
+        return replies
+
+    def _commit_round(self, h: int, total_msgs: int, round_pim_max: float,
+                      tasks: int) -> None:
+        """Charge one finished round to the model metrics."""
         metrics = self.metrics
         metrics.io_time += h
         metrics.rounds += 1
@@ -421,7 +698,201 @@ class PIMMachine:
                                   round_pim_max, tasks)
         elif self._trace_access:
             self.tracer.access.end_round()
+
+    def _array_round(self) -> List[Reply]:
+        """One round with chunks pending: the slots run first, through
+        the scalar loop's own order (module id ascending, CPU-issued
+        before forwarded, arrival order within), then every chunked
+        function runs as one batch-handler call; both halves are
+        accounted together.  Never entered during a scalar fallback --
+        no chunk exists then -- so profiler, qrqw and access tracing
+        need no handling here."""
+        P = self.num_modules
+        cq = self._cq
+        fq = self._fq
+        staged = self._staged
+        recv = self._recv
+        active = self._active
+        recv_np = self._recv_np
+        bcast_units = self._bcast_units
+        incoming_total = self._incoming_total
+        # Install fresh staging (pooled recv buffer) for the messages
+        # this round's handlers emit toward the NEXT round.
+        spare = self._recv_spare
+        if spare is None:
+            spare = [0] * P
+        else:
+            self._recv_spare = None
+        self._cq = []
+        self._fq = []
+        self._staged = {}
+        self._recv = spare
+        self._active = []
+        self._recv_np = None
+        self._bcast_units = 0
+        self._incoming_total = 0
+
+        replies: List[Reply] = []
+        bct = self._bct
+        bct._arm(replies)
+        bwork = bct.work
+        bsent = bct.sent
+        modules = self.modules
+        tasks = 0
+        if staged:
+            # Scalar charges go through ctx.charge into round_work; the
+            # slot's receive and send units join the chunks' flat
+            # per-module counters so one accounting pass covers both.
+            contexts = self._contexts
+            for mid, slot in sorted(staged.items()):
+                ctx = contexts[mid]
+                ctx._replies = replies
+                ctx._sent_size = 0
+                modules[mid].round_work = 0.0
+                cpu_q = slot[_CPU_Q]
+                fwd_q = slot[_FWD_Q]
+                tasks += len(cpu_q) + len(fwd_q)
+                for handler, args, tag, _fn in cpu_q:
+                    handler(ctx, *args, tag=tag)
+                for handler, args, tag, _fn in fwd_q:
+                    handler(ctx, *args, tag=tag)
+                if recv[mid] == 0:
+                    active.append(mid)
+                recv[mid] += slot[0]
+                incoming_total += slot[0]
+                bsent[mid] = ctx._sent_size
+
+        # Grouped dispatch: one call per function id over its chunks.
+        by_fn: Dict[str, List[_Chunk]] = {}
+        for chunks in (cq, fq):
+            for ch in chunks:
+                tasks += ch.task_count(P)
+                lst = by_fn.get(ch.fn)
+                if lst is None:
+                    by_fn[ch.fn] = [ch]
+                else:
+                    lst.append(ch)
+        batch_handlers = self._batch_handlers
+        for fn, fn_chunks in by_fn.items():
+            batch_handlers[fn](bct, fn_chunks)
+
+        # -- round accounting (exact; see repro.sim.fastpath) ---------------
+        # Batch charges are folded into cumulative per-module work here
+        # (scalar charges already went through ctx.charge).
+        work_np = bct._work_np
+        sent_np = bct._sent_np
+        if recv_np is not None or work_np is not None or sent_np is not None:
+            h, round_pim_max, sent_total = self._finish_np(
+                recv, recv_np, bcast_units, staged, bwork, bsent,
+                work_np, sent_np, active)
+        else:
+            # Plain-Python accounting: the fast path for rounds whose
+            # batch handlers used no array accumulators.
+            h = 0
+            round_pim_max = 0.0
+            sent_total = 0
+            for mid in (range(P) if bcast_units else active):
+                w = bwork[mid]
+                if mid in staged:
+                    module = modules[mid]
+                    if w:
+                        module.work += w
+                        module.round_work += w
+                    w = module.round_work
+                elif w:
+                    module = modules[mid]
+                    module.work += w
+                    module.round_work = w
+                s = bsent[mid]
+                sent_total += s
+                hm = recv[mid] + bcast_units + s
+                if hm > h:
+                    h = hm
+                if w > round_pim_max:
+                    round_pim_max = w
+
+        self._commit_round(h, incoming_total + sent_total, round_pim_max,
+                           tasks)
+        # Return the consumed recv buffer to the pool, zeroed.
+        for mid in active:
+            recv[mid] = 0
+        if self._recv_spare is None:
+            self._recv_spare = recv
         return replies
+
+    def _finish_np(self, recv, recv_np, bcast_units, staged, bwork, bsent,
+                   work_np, sent_np, active):
+        """Vectorized round accounting (any numpy accumulator present).
+
+        Also flushes the batch work charges into the modules (the
+        plain-Python branch of ``_array_round`` does the same inline).
+        The pooled flat lists are only converted when they can hold
+        charges: row-delivered and slot-delivered tasks imply a
+        non-empty ``active`` set, so with it empty a cheap all-zero scan
+        decides whether the lists can be skipped entirely (a handler may
+        still have walked a column chunk via ``_iter_chunk`` and charged
+        the lists directly).
+        """
+        modules = self.modules
+        if active:
+            rv = np.asarray(recv, dtype="int64")
+            if recv_np is not None:
+                rv = rv + recv_np
+        elif recv_np is not None:
+            rv = recv_np
+        else:
+            rv = self._zero_np
+        if bcast_units:
+            rv = rv + bcast_units
+        if active or any(bsent) or any(bwork):
+            sv = np.asarray(bsent, dtype="int64")
+            if sent_np is not None:
+                sv = sv + sent_np
+            wv = np.asarray(bwork, dtype="float64")
+            if work_np is not None:
+                wv = wv + work_np
+        else:
+            sv = sent_np
+            wv = work_np
+        # h: senders are receivers under the execution contract, so the
+        # max of rv+sv over all modules IS the max over receiving ones
+        # (and an all-quiet round maxes to 0 either way).
+        if sv is None:
+            h = int(rv.max())
+            sent_total = 0
+        else:
+            h = int((rv + sv).max())
+            sent_total = int(sv.sum())
+        # Per-module round totals for the PIM-time max: batch charges plus
+        # the scalar charges already sitting in round_work.
+        if wv is None:
+            return h, 0.0, sent_total
+        wtot = wv
+        if staged:
+            wtot = wv.copy()
+            for mid in staged:
+                wtot[mid] += modules[mid].round_work
+        round_pim_max = float(wtot.max())
+        # Defer the per-module flush: one vector add per round instead of
+        # a python loop over charged modules.  ``wv`` is freshly built
+        # (or owned by the round's BatchRound, which forgets it on the
+        # next arm), so adopting or mutating it is safe.
+        acc = self._work_acc
+        if acc is None:
+            self._work_acc = wv
+        else:
+            acc += wv
+        return h, round_pim_max, sent_total
+
+    def _flush_work_acc(self) -> None:
+        """Fold the deferred batch-work vector into the module objects."""
+        acc = self._work_acc
+        if acc is None:
+            return
+        self._work_acc = None
+        modules = self.modules
+        for mid in np.nonzero(acc)[0].tolist():
+            modules[mid].work += float(acc[mid])
 
     # -- unreliable execution (chaos) ---------------------------------------
 
@@ -456,15 +927,9 @@ class PIMMachine:
         round count, but no IO, messages or PIM work -- the honest price
         of a straggler wait or a retry backoff window.
         """
-        metrics = self.metrics
-        metrics.rounds += 1
-        metrics.sync_cost += self._log_p
+        self._commit_round(0, 0, 0.0, 0)
         if self._chaos is not None:
             self._chaos.stats.idle_rounds += 1
-        if self._trace_rounds:
-            self.tracer.log_round(metrics.rounds - 1, 0, 0, 0.0, 0)
-        elif self._trace_access:
-            self.tracer.access.end_round()
 
     def idle_rounds(self, count: int) -> None:
         """Charge ``count`` idle rounds (retry backoff windows)."""
@@ -485,6 +950,10 @@ class PIMMachine:
         if self._chaos is not None and self._chaos.has_pending():
             raise RuntimeError("cannot replace a fault plan with delayed "
                                "messages still in flight; drain first")
+        self._enter_fallback(
+            FALLBACK_FAULT_PLAN,
+            "chaos schedules and reliable delivery rewrite per-"
+            "destination queues in place")
         self._chaos = ChaosState(plan, base_round=self.metrics.rounds)
         return self._chaos
 
@@ -499,6 +968,7 @@ class PIMMachine:
             raise RuntimeError("fault plan holds delayed messages; "
                                "drain before uninstalling")
         self._chaos = None
+        self._exit_fallback(FALLBACK_FAULT_PLAN)
         return chaos
 
     def wipe_module(self, mid: int) -> None:
@@ -540,46 +1010,31 @@ class PIMMachine:
         """
         replies: List[Reply] = []
         rounds = 0
-        chaos = self._chaos
-        if chaos is None:
-            while self._staged:
-                if rounds >= max_rounds:
-                    raise LivelockError(
-                        self._livelock_report(rounds, max_rounds, label))
-                replies.extend(self.step())
-                rounds += 1
-            return replies
-        # Chaos drain: delayed messages held by the fault plan count as
-        # pending work, and the report separates genuinely stuck ops
-        # from in-flight protocol retries / chaos-held traffic.
-        while self._staged or chaos.has_pending():
+        while self.pending:
             if rounds >= max_rounds:
-                extra = chaos.describe(self.metrics.rounds - chaos.base_round)
-                rdp = getattr(self, "_rdp", None)
-                if rdp is not None and rdp.inflight:
-                    extra += "; " + rdp.describe()
                 raise LivelockError(
-                    self._livelock_report(rounds, max_rounds, label)
-                    + "; " + extra)
+                    self._livelock_report(rounds, max_rounds, label))
             replies.extend(self.step())
             rounds += 1
         return replies
 
     def _pending_stats(self) -> tuple:
         """Pending-queue diagnostics: ``({mid: tasks}, {fn: tasks})``,
-        module ids in ascending order.  Backends with their own staging
-        representation override this; the report formatting is shared."""
-        pending = {
-            mid: len(slot[_CPU_Q]) + len(slot[_FWD_Q])
-            for mid, slot in sorted(self._staged.items())
-        }
+        module ids in ascending order, over slots and chunks alike."""
+        pending: Dict[int, int] = {}
         by_fn: Dict[str, int] = {}
-        for slot in self._staged.values():
-            for entry in slot[_CPU_Q]:
-                by_fn[entry[3]] = by_fn.get(entry[3], 0) + 1
-            for entry in slot[_FWD_Q]:
-                by_fn[entry[3]] = by_fn.get(entry[3], 0) + 1
-        return pending, by_fn
+        for mid, slot in self._staged.items():
+            pending[mid] = len(slot[_CPU_Q]) + len(slot[_FWD_Q])
+            for queue in (slot[_CPU_Q], slot[_FWD_Q]):
+                for entry in queue:
+                    by_fn[entry[3]] = by_fn.get(entry[3], 0) + 1
+        for chunks in (self._cq, self._fq):
+            for ch in chunks:
+                by_fn[ch.fn] = (by_fn.get(ch.fn, 0)
+                                + ch.task_count(self.num_modules))
+                for dest, _args, _tag, _size in self._iter_chunk(ch):
+                    pending[dest] = pending.get(dest, 0) + 1
+        return dict(sorted(pending.items())), by_fn
 
     def _livelock_report(self, rounds: int, max_rounds: int,
                          label: Optional[str]) -> str:
@@ -589,23 +1044,34 @@ class PIMMachine:
         shown = dict(list(pending.items())[:8])
         more = "" if len(pending) <= 8 else \
             f" (+{len(pending) - 8} more modules)"
-        fn_list = sorted(by_fn.items(), key=lambda kv: -kv[1])
+        fn_list = sorted(by_fn.items(), key=lambda kv: (-kv[1], kv[0]))
         fn_shown = ", ".join(f"{fn}={cnt}" for fn, cnt in fn_list[:8])
         fn_more = "" if len(fn_list) <= 8 else \
             f" (+{len(fn_list) - 8} more handler ids)"
         origin = f" during op {label!r}" if label else ""
-        return (
+        report = (
             f"drain{origin} executed {rounds} rounds (max_rounds="
             f"{max_rounds}) with {total} tasks still pending; "
             f"livelock?  pending handlers: {fn_shown}{fn_more}; "
             f"pending tasks per module: {shown}{more}"
         )
+        chaos = self._chaos
+        if chaos is not None:
+            # Delayed messages held by the fault plan count as pending
+            # work: separate genuinely stuck ops from in-flight protocol
+            # retries / chaos-held traffic.
+            report += "; " + chaos.describe(
+                self.metrics.rounds - chaos.base_round)
+            rdp = getattr(self, "_rdp", None)
+            if rdp is not None and rdp.inflight:
+                report += "; " + rdp.describe()
+        return report
 
     @property
     def pending(self) -> bool:
         """True if messages await delivery in a future round (including
         messages the fault plan is holding back for later rounds)."""
-        if self._staged:
+        if self._staged or self._cq or self._fq:
             return True
         chaos = self._chaos
         return chaos is not None and chaos.has_pending()
@@ -619,6 +1085,7 @@ class PIMMachine:
         construction charges module work directly); syncing here keeps
         snapshots exact.
         """
+        self._flush_work_acc()
         for mid, module in enumerate(self.modules):
             self.metrics.pim_work_per_module[mid] = module.work
 
@@ -641,3 +1108,17 @@ class PIMMachine:
     def spawn_rng(self, salt: int) -> random.Random:
         """A deterministic child RNG (for structures sharing the machine)."""
         return random.Random((self.config.seed << 20) ^ salt)
+
+
+class ReferencePIMMachine(PIMMachine):
+    """The per-task reference oracle: every message, whatever its
+    function, is placed in a slot and run by the scalar loop, and a
+    registered batch handler is never dispatched.
+
+    This is what the engine is certified against -- the differ's
+    cross-engine replay, the parity tests and the perf gates construct
+    it by name; nothing on a production path does, and no string, config
+    field or environment variable selects it.
+    """
+
+    _array_native = False

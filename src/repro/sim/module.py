@@ -199,7 +199,9 @@ class ModuleContext:
         value to shared memory which triggers a ``TaskSend`` from the CPU
         side; the simulator accounts it as one message sent by this module
         this round and one received by ``dest`` next round.  The handler
-        for ``fn`` is resolved here, at issue time.
+        for ``fn`` is resolved here, at issue time, and the message goes
+        straight to its function's chunk stream or its destination's
+        slot (see :mod:`repro.sim.machine`).
         """
         if not 0 <= dest < self.num_modules:
             raise ValueError(f"bad module id {dest}")
@@ -207,7 +209,13 @@ class ModuleContext:
         if handler is None:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at forward time)")
-        staged = self.machine._staged
+        machine = self.machine
+        if fn in machine._chunk_fns:
+            machine._stage_row(machine._fq, fn, handler, dest, args, tag,
+                               size)
+            self._sent_size += size
+            return
+        staged = machine._staged
         slot = staged.get(dest)
         if slot is None:
             staged[dest] = [size, [], [(handler, args, tag, fn)]]

@@ -113,7 +113,7 @@ class HandlerProfile:
     A profile constructed with ``enabled=False`` is *dropped* by
     ``set_profiler`` -- the round loop runs its unprofiled path with zero
     per-task lookups, exactly as if no profiler were installed (and the
-    columnar backend does not fall back to the object engine for it).
+    engine does not enter its scalar fallback for it).
     """
 
     __slots__ = ("seconds", "calls", "enabled")

@@ -33,7 +33,7 @@ from repro.baselines.local_skiplist import LocalSkipList
 from repro.baselines.naive_batch import naive_batch_successor
 from repro.baselines.range_partition import RangePartitionedSkipList
 from repro.core.skiplist import PIMSkipList
-from repro.sim.machine import PIMMachine
+from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.metrics import MetricsDelta
 from repro.structures.lsm import PIMLSMStore
 from repro.structures.pimtree import PIMTree
@@ -114,18 +114,30 @@ class _NaiveSuccessorMap:
 
 
 def _adapt_skiplist(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-                    num_modules: int, backend: Optional[str],
+                    num_modules: int,
                     storage: Optional[str] = None) -> ImplAdapter:
-    machine = PIMMachine(num_modules=num_modules, seed=seed, backend=backend)
+    machine = PIMMachine(num_modules=num_modules, seed=seed)
     sl = PIMSkipList(machine, storage=storage)
     sl.build(items)
     return ImplAdapter(name, sl, machine)
 
 
+def reference_skiplist(seed: int, items: Sequence[Tuple[Any, Any]],
+                       num_modules: int,
+                       storage: Optional[str] = None) -> ImplAdapter:
+    """The skip list on the per-task reference oracle
+    (:class:`~repro.sim.machine.ReferencePIMMachine`): what the differ's
+    cross-engine replay compares the engine's metric stream against."""
+    machine = ReferencePIMMachine(num_modules=num_modules, seed=seed)
+    sl = PIMSkipList(machine, storage=storage)
+    sl.build(items)
+    return ImplAdapter("skiplist", sl, machine)
+
+
 def _adapt_naive(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-                 num_modules: int, backend: Optional[str],
+                 num_modules: int,
                  storage: Optional[str] = None) -> ImplAdapter:
-    machine = PIMMachine(num_modules=num_modules, seed=seed, backend=backend)
+    machine = PIMMachine(num_modules=num_modules, seed=seed)
     sl = PIMSkipList(machine, storage=storage)
     sl.build(items)
     return ImplAdapter(name, _NaiveSuccessorMap(sl), machine)
@@ -134,9 +146,8 @@ def _adapt_naive(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
 def _adapt_range_partition(name: str, seed: int,
                            items: Sequence[Tuple[Any, Any]],
                            num_modules: int,
-                           backend: Optional[str],
                            storage: Optional[str] = None) -> ImplAdapter:
-    machine = PIMMachine(num_modules=num_modules, seed=seed, backend=backend)
+    machine = PIMMachine(num_modules=num_modules, seed=seed)
     rp = RangePartitionedSkipList(machine)
     rp.build(items)
     return ImplAdapter(name, rp, machine)
@@ -145,9 +156,8 @@ def _adapt_range_partition(name: str, seed: int,
 def _adapt_hash_partition(name: str, seed: int,
                           items: Sequence[Tuple[Any, Any]],
                           num_modules: int,
-                          backend: Optional[str],
                           storage: Optional[str] = None) -> ImplAdapter:
-    machine = PIMMachine(num_modules=num_modules, seed=seed, backend=backend)
+    machine = PIMMachine(num_modules=num_modules, seed=seed)
     hp = HashPartitionedMap(machine)
     hp.build(items)
     return ImplAdapter(name, hp, machine)
@@ -156,18 +166,17 @@ def _adapt_hash_partition(name: str, seed: int,
 def _adapt_fine_grained(name: str, seed: int,
                         items: Sequence[Tuple[Any, Any]],
                         num_modules: int,
-                        backend: Optional[str],
                         storage: Optional[str] = None) -> ImplAdapter:
-    machine = PIMMachine(num_modules=num_modules, seed=seed, backend=backend)
+    machine = PIMMachine(num_modules=num_modules, seed=seed)
     fg = FineGrainedSkipList(machine)
     fg.build(items)
     return ImplAdapter(name, fg, machine)
 
 
 def _adapt_local(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-                 num_modules: int, backend: Optional[str],
+                 num_modules: int,
                  storage: Optional[str] = None) -> ImplAdapter:
-    # The sequential baseline owns no machine; ``backend`` is moot.
+    # The sequential baseline owns no machine.
     ls = LocalSkipList(rng=random.Random(seed ^ 0x10CA1))
     for k, v in items:
         ls.upsert(k, v)
@@ -175,9 +184,9 @@ def _adapt_local(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
 
 
 def _adapt_lsm(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-               num_modules: int, backend: Optional[str],
+               num_modules: int,
                storage: Optional[str] = None) -> ImplAdapter:
-    machine = PIMMachine(num_modules=num_modules, seed=seed, backend=backend)
+    machine = PIMMachine(num_modules=num_modules, seed=seed)
     # Small blocks and a low flush threshold so fuzz sessions actually
     # exercise compaction, tombstone collection and fence rebuilds.
     lsm = PIMLSMStore(machine, block_size=16, flush_threshold=48)
@@ -188,9 +197,9 @@ def _adapt_lsm(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
 
 
 def _adapt_pimtree(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-                   num_modules: int, backend: Optional[str],
+                   num_modules: int,
                    storage: Optional[str] = None) -> ImplAdapter:
-    machine = PIMMachine(num_modules=num_modules, seed=seed, backend=backend)
+    machine = PIMMachine(num_modules=num_modules, seed=seed)
     # Tiny nodes and an eager promotion threshold so fuzz-sized sessions
     # (tens of keys) still grow module-resident interior levels, take
     # both push and pull branches, and promote shadow subtrees.
@@ -199,7 +208,7 @@ def _adapt_pimtree(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
     return ImplAdapter(name, tree, machine)
 
 
-#: name -> builder(name, seed, items, num_modules, backend).  The skip
+#: name -> builder(name, seed, items, num_modules, storage).  The skip
 #: list, the five baselines (range/hash partition, fine-grained,
 #: sequential local skip list, naive batched search on the paper's
 #: structure), the LSM foil, and the skew-resistant PIM-tree.
@@ -220,17 +229,14 @@ DEFAULT_IMPLS: Tuple[str, ...] = tuple(IMPLEMENTATIONS)
 def build_implementations(names: Sequence[str], *, seed: int,
                           items: Sequence[Tuple[Any, Any]],
                           num_modules: int,
-                          backend: Optional[str] = None,
                           storage: Optional[str] = None) -> List[ImplAdapter]:
     """Construct the named implementations, each freshly built over
     ``items`` on its own machine seeded with ``seed``.
 
-    ``backend`` picks each machine's execution backend (``"object"`` /
-    ``"columnar"``); ``None`` defers to the environment override and the
-    machine default, exactly like :class:`PIMMachine` itself.  ``storage``
-    picks the skip-list structure storage (``"object"`` / ``"arena"``)
-    the same way; implementations that are not the paper's skip list
-    ignore it.
+    ``storage`` picks the skip-list structure storage (``"object"`` /
+    ``"arena"``); ``None`` defers to the environment override and the
+    structure default, exactly like :class:`PIMSkipList` itself.
+    Implementations that are not the paper's skip list ignore it.
     """
     out: List[ImplAdapter] = []
     for name in names:
@@ -239,6 +245,5 @@ def build_implementations(names: Sequence[str], *, seed: int,
             raise ValueError(
                 f"unknown implementation {name!r}; "
                 f"known: {', '.join(sorted(IMPLEMENTATIONS))}")
-        out.append(builder(name, seed, items, num_modules, backend,
-                           storage=storage))
+        out.append(builder(name, seed, items, num_modules, storage=storage))
     return out

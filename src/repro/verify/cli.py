@@ -70,12 +70,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-determinism", action="store_true",
                    help="skip the bit-identical rerun check")
     p.add_argument("--no-backends", action="store_true",
-                   help="skip the cross-backend (object vs columnar) "
-                        "equivalence replay")
-    p.add_argument("--backend", choices=["object", "columnar"], default=None,
-                   help="execution backend for the primary replay "
-                        "(default: machine default / REPRO_SIM_BACKEND; "
-                        "the equivalence replay always uses the other one)")
+                   help="skip the cross-engine equivalence replay on "
+                        "the per-task reference oracle")
     p.add_argument("--no-storages", action="store_true",
                    help="skip the cross-storage (object nodes vs arena) "
                         "equivalence replay")
@@ -100,7 +96,6 @@ def _verify_kwargs(args: argparse.Namespace) -> dict:
         "check_determinism": not args.no_determinism,
         "check_backends": not args.no_backends,
         "check_storages": not args.no_storages,
-        "backend": args.backend,
         "storage": args.storage,
     }
 

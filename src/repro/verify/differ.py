@@ -20,8 +20,9 @@ session is replayed once more on a fresh machine to check that the
 per-op metric stream -- collected through the op pipeline's
 ``batch_observer`` hook -- is bit-identical across reruns of the same
 seed.  Two further solo replays pin the equivalence axes: one on the
-*other execution backend* (object vs columnar engine) and one on the
-*other structure storage* (object node graph vs flat arena), each of
+*per-task reference oracle* (the engine's array-native rounds vs the
+scalar loop, :class:`~repro.sim.machine.ReferencePIMMachine`) and one
+on the *other structure storage* (object node graph vs flat arena), each of
 which must reproduce the primary run's results and metric stream
 bit-for-bit.
 
@@ -41,6 +42,7 @@ from repro.verify.adapters import (
     ImplAdapter,
     MUTATING_OPS,
     build_implementations,
+    reference_skiplist,
 )
 from repro.verify.fuzz import initial_items_for
 from repro.verify.oracle import SequentialOracle
@@ -172,7 +174,6 @@ def verify_session(session: Session,
                    check_determinism: bool = True,
                    check_backends: bool = True,
                    check_storages: bool = True,
-                   backend: Optional[str] = None,
                    storage: Optional[str] = None,
                    fault: Optional[Tuple[str, str]] = None,
                    ) -> SessionReport:
@@ -183,19 +184,20 @@ def verify_session(session: Session,
     the mutation-testing hook that proves the verifier can see.
 
     With ``check_backends`` (the default) the skip list session is
-    replayed once more on the *other* execution backend (columnar when
-    the primary run used the object engine, and vice versa); its read
-    results must match the oracle and its per-op metric stream must be
-    bit-identical to the primary run's -- the oracle-level certification
-    that the two engines are observationally equivalent.
+    replayed once more on the per-task reference oracle
+    (:class:`~repro.sim.machine.ReferencePIMMachine`); its read results
+    must match the sequential oracle and its per-op metric stream must
+    be bit-identical to the primary run's -- the certification that the
+    engine's array-native rounds and the scalar loop are
+    observationally equivalent.
 
     ``check_storages`` (also the default) does the same along the
     structure-storage axis: the skip list session is replayed on the
     *other* storage backend (arena when the primary used object nodes,
-    and vice versa) on the same execution backend, and its read
-    results, final structural integrity, and per-op metric stream must
-    all match the primary run bit-for-bit -- the certification that the
-    flat arena and the pointer graph are the same structure.
+    and vice versa), and its read results, final structural integrity,
+    and per-op metric stream must all match the primary run
+    bit-for-bit -- the certification that the flat arena and the
+    pointer graph are the same structure.
     """
     names = tuple(impls) if impls is not None else DEFAULT_IMPLS
     items = initial_items_for(session)
@@ -204,7 +206,7 @@ def verify_session(session: Session,
     oracle = SequentialOracle(items)
     adapters = build_implementations(names, seed=session.seed, items=items,
                                      num_modules=num_modules,
-                                     backend=backend, storage=storage)
+                                     storage=storage)
     if fault is not None:
         from repro.verify.faults import inject_fault
         impl_name, fault_name = fault
@@ -222,7 +224,7 @@ def verify_session(session: Session,
         twin = build_implementations(["skiplist"], seed=session.seed,
                                      items=items,
                                      num_modules=num_modules,
-                                     backend=backend, storage=storage)[0]
+                                     storage=storage)[0]
 
     # Per-op metric stream of the skip list's machine, via the pipeline
     # driver's batch_observer hook (nested ops included).
@@ -287,20 +289,17 @@ def verify_session(session: Session,
 
     if check_determinism and skiplist is not None:
         _check_determinism(report, session, num_modules, stream,
-                           backend=backend, storage=storage, fault=fault)
+                           storage=storage, fault=fault)
 
     if (check_backends and skiplist is not None
             and skiplist.machine is not None):
-        _check_backend_equivalence(
-            report, session, num_modules, stream,
-            primary_backend=skiplist.machine.backend, storage=storage,
-            fault=fault)
+        _check_backend_equivalence(report, session, num_modules, stream,
+                                   storage=storage, fault=fault)
 
     if check_storages and skiplist is not None:
         _check_storage_equivalence(
             report, session, num_modules, stream,
-            primary_storage=skiplist.impl.storage,
-            backend=backend, fault=fault)
+            primary_storage=skiplist.impl.storage, fault=fault)
     return report
 
 
@@ -427,12 +426,11 @@ def _check_final_states(report: SessionReport, session: Session,
 def _check_determinism(report: SessionReport, session: Session,
                        num_modules: int,
                        first_stream: List[Tuple[str, MetricsDelta]], *,
-                       backend: Optional[str] = None,
                        storage: Optional[str] = None,
                        fault: Optional[Tuple[str, str]] = None,
                        ) -> None:
-    """Replay the skip list alone on a fresh machine (same backend and
-    storage); the per-op metric stream must be bit-identical to the
+    """Replay the skip list alone on a fresh machine (same storage);
+    the per-op metric stream must be bit-identical to the
     first run's.  An injected fault is replayed too, so this check
     isolates nondeterminism rather than re-detecting the fault's state
     divergence."""
@@ -440,7 +438,7 @@ def _check_determinism(report: SessionReport, session: Session,
     rerun = build_implementations(["skiplist"], seed=session.seed,
                                   items=items,
                                   num_modules=num_modules,
-                                  backend=backend, storage=storage)[0]
+                                  storage=storage)[0]
     if fault is not None and fault[0] == "skiplist":
         from repro.verify.faults import inject_fault
         inject_fault(rerun, fault[1])
@@ -471,26 +469,23 @@ def _check_determinism(report: SessionReport, session: Session,
 def _check_backend_equivalence(report: SessionReport, session: Session,
                                num_modules: int,
                                first_stream: List[Tuple[str, MetricsDelta]],
-                               *, primary_backend: str,
-                               storage: Optional[str] = None,
+                               *, storage: Optional[str] = None,
                                fault: Optional[Tuple[str, str]] = None,
                                ) -> None:
-    """Replay the skip list alone on the other execution backend.
+    """Replay the skip list alone on the per-task reference oracle.
 
     Two checks, both against the primary run: every read batch's result
     must match the sequential oracle (replayed fresh here, so the check
     stands alone), and the per-op metric stream -- rounds, h-relations,
     IO/PIM time, messages -- must be *bit-identical* to the stream the
-    primary backend produced.  An injected skip-list fault is replayed
-    too (and the oracle comparison skipped, since the fault's result
-    divergence is already reported by the primary run): this check
-    isolates backend divergence, nothing else.
+    engine produced.  An injected skip-list fault is replayed too (and
+    the oracle comparison skipped, since the fault's result divergence
+    is already reported by the primary run): this check isolates engine
+    divergence, nothing else.
     """
-    other = "columnar" if primary_backend == "object" else "object"
+    other = "reference"  # label in divergence details
     items = initial_items_for(session)
-    rerun = build_implementations(["skiplist"], seed=session.seed,
-                                  items=items, num_modules=num_modules,
-                                  backend=other, storage=storage)[0]
+    rerun = reference_skiplist(session.seed, items, num_modules, storage)
     faulted = fault is not None and fault[0] == "skiplist"
     if faulted:
         from repro.verify.faults import inject_fault
@@ -523,15 +518,15 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
         report.divergences.append(Divergence(
             seed=session.seed, batch_index=-1, op="rerun", impl="skiplist",
             kind="backend",
-            detail=(f"{other} backend produced {len(stream)} pipeline "
-                    f"ops, {primary_backend} {len(first_stream)}")))
+            detail=(f"{other} engine produced {len(stream)} pipeline "
+                    f"ops, primary {len(first_stream)}")))
         return
     for j, ((op1, d1), (op2, d2)) in enumerate(zip(first_stream, stream)):
         if op1 != op2 or d1 != d2:
             report.divergences.append(Divergence(
                 seed=session.seed, batch_index=-1, op="rerun",
                 impl="skiplist", kind="backend",
-                detail=(f"pipeline op {j}: {primary_backend} ({op1}, {d1})"
+                detail=(f"pipeline op {j}: primary ({op1}, {d1})"
                         f" != {other} ({op2}, {d2})")))
             return
 
@@ -540,13 +535,12 @@ def _check_storage_equivalence(report: SessionReport, session: Session,
                                num_modules: int,
                                first_stream: List[Tuple[str, MetricsDelta]],
                                *, primary_storage: str,
-                               backend: Optional[str] = None,
                                fault: Optional[Tuple[str, str]] = None,
                                ) -> None:
     """Replay the skip list alone on the other structure storage.
 
     The storage twin of :func:`_check_backend_equivalence`: same
-    execution backend, other storage (arena when the primary run used
+    engine, other storage (arena when the primary run used
     object nodes, and vice versa).  Read results must match the
     sequential oracle, the rerun's structural invariants must hold
     after the last batch, and the per-op metric stream must be
@@ -561,7 +555,7 @@ def _check_storage_equivalence(report: SessionReport, session: Session,
     items = initial_items_for(session)
     rerun = build_implementations(["skiplist"], seed=session.seed,
                                   items=items, num_modules=num_modules,
-                                  backend=backend, storage=other)[0]
+                                  storage=other)[0]
     faulted = fault is not None and fault[0] == "skiplist"
     if faulted:
         from repro.verify.faults import inject_fault

@@ -19,11 +19,17 @@ from typing import Tuple
 import pytest
 
 from repro import PIMMachine, PIMSkipList
+from repro.sim.machine import ReferencePIMMachine
 from repro.verify.oracle import SequentialOracle
 from repro.workloads import build_items
 
 #: The suite's ordered-map oracle (see module docstring).
 ReferenceMap = SequentialOracle
+
+#: The two sides of every engine parity check, under the labels the perf
+#: baselines (and the parametrized test ids) already use: the per-task
+#: reference oracle, and the engine.
+ENGINES = {"object": ReferencePIMMachine, "columnar": PIMMachine}
 
 #: Default master seed; override with REPRO_TEST_SEED=<int>.
 DEFAULT_TEST_SEED = 123

@@ -1,30 +1,36 @@
-"""Tests for the columnar round engine (:mod:`repro.sim.fastpath`).
+"""Tests for the array-native half of the round engine.
 
-The columnar backend must be *observationally equivalent* to the object
-engine: same replies, same model metrics, bit for bit.  These tests pin
-that equivalence where it is easiest to break -- golden metrics, chaos
-fallback, drain diagnostics -- plus the backend-selection surface and
-the fallback state machine itself.
+:class:`~repro.sim.machine.PIMMachine` must be *observationally
+equivalent* to the per-task reference oracle
+(:class:`~repro.sim.machine.ReferencePIMMachine`): same replies, same
+model metrics, bit for bit.  These tests pin that equivalence where it
+is easiest to break -- mixed slot/chunk rounds, golden metrics, chaos
+fallback, drain diagnostics -- plus the absence of any engine-selection
+surface and the fallback state machine itself.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.sim.chaos import FaultPlan, FaultSpec
-from repro.sim.config import BACKEND_ENV_VAR, MachineConfig, resolve_backend
+from repro.sim.config import BACKEND_ENV_VAR, MachineConfig
 from repro.sim.errors import LivelockError
 from repro.sim.fastpath import (
+    BCAST,
+    COLS,
     FALLBACK_FAULT_PLAN,
     FALLBACK_PROFILER,
     FALLBACK_QRQW,
-    ColumnarPIMMachine,
+    ROWS,
     FallbackEvent,
 )
-from repro.sim.machine import PIMMachine
+from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.profiling import HandlerProfile
+from tests.conftest import ENGINES
 from tests.test_golden_metrics import GOLDEN_PATH, compute_all
 
 P = 8
@@ -49,17 +55,99 @@ def _loop(ctx, n, tag=None):
     ctx.forward((ctx.mid + 1) % ctx.machine.num_modules, "loop", (n + 1,))
 
 
-def _machine(backend=None, **kwargs):
-    machine = PIMMachine(num_modules=P, seed=42, backend=backend, **kwargs)
+def _walk(ctx, rem, opid, tag=None):
+    """Batch-handled below: hop to the next module ``rem`` times, then
+    hand the op to the scalar-only ``echo``."""
+    ctx.charge(2)
+    nxt = (ctx.mid + 1) % ctx.machine.num_modules
+    if rem > 0:
+        ctx.forward(nxt, "walk", (rem - 1, opid))
+    else:
+        ctx.forward(nxt, "echo", (opid,), tag=opid)
+
+
+def _ping(ctx, tag=None):
+    ctx.charge(1)
+    ctx.reply(("ping", ctx.mid), tag=tag)
+
+
+def _batch_walk(bct, chunks):
+    """``_walk`` over a round's chunks: row chunks answered with row
+    forwards, column chunks with one column forward, a scalar-only
+    continuation through ``stage_rows`` (which must land in slots)."""
+    P_ = bct.num_modules
+    rows_out, echo_out = [], []
+    for ch in chunks:
+        if ch.kind == COLS:
+            mids, rem, opid = ch.dests, ch.cols[0], ch.cols[1]
+            cnt = np.bincount(mids, minlength=P_)
+            bct.add_work_array(cnt * 2.0)
+            bct.add_sent_array(cnt)
+            go = rem > 0
+            if go.any():
+                bct.stage_cols("walk", (mids[go] + 1) % P_,
+                               (rem[go] - 1, opid[go]))
+            for m, o in zip(mids[~go].tolist(), opid[~go].tolist()):
+                echo_out.append(((m + 1) % P_, (o,), o, 1))
+            continue
+        for mid, (rem, opid), _tag, _size in bct.machine._iter_chunk(ch):
+            bct.work[mid] += 2
+            bct.sent[mid] += 1
+            if rem > 0:
+                rows_out.append(((mid + 1) % P_, (rem - 1, opid), None, 1))
+            else:
+                echo_out.append(((mid + 1) % P_, (opid,), opid, 1))
+    if rows_out:
+        bct.stage_rows("walk", rows_out)
+    if echo_out:
+        bct.stage_rows("echo", echo_out)
+
+
+def _batch_ping(bct, chunks):
+    for ch in chunks:
+        assert ch.kind == BCAST
+        for mid in range(bct.num_modules):
+            bct.work[mid] += 1
+            bct.reply(mid, ("ping", mid), tag=ch.tag)
+
+
+def _machine(engine="columnar", **kwargs):
+    machine = ENGINES[engine](num_modules=P, seed=42, **kwargs)
     machine.register("echo", _echo)
     machine.register("relay", _relay)
     machine.register("loop", _loop)
+    machine.register("walk", _walk)
+    machine.register("ping", _ping)
+    machine.register_batch("walk", _batch_walk)
+    machine.register_batch("ping", _batch_ping)
     return machine
 
 
+def _staging(machine):
+    """Next-round staging as ``{mid: sorted (fn, args) tasks}`` plus the
+    per-module receive units -- slots and chunks alike."""
+    tasks = {}
+    units = {}
+    for mid, slot in machine._staged.items():
+        units[mid] = units.get(mid, 0) + slot[0]
+        for queue in (slot[1], slot[2]):
+            for _handler, args, _tag, fn in queue:
+                tasks.setdefault(mid, []).append((fn, tuple(args)))
+    for chunks in (machine._cq, machine._fq):
+        for ch in chunks:
+            for dest, args, _tag, size in machine._iter_chunk(ch):
+                units[dest] = units.get(dest, 0) + size
+                tasks.setdefault(dest, []).append((ch.fn, tuple(args)))
+    return ({mid: sorted(v) for mid, v in sorted(tasks.items())},
+            dict(sorted(units.items())))
+
+
 def _mixed_workload(machine):
-    """Scalar echoes, multi-hop forwards, an uneven send_all -- returns
-    (replies, final snapshot dict)."""
+    """Scalar echoes, multi-hop forwards, an uneven send_all, and rounds
+    that mix slots with row, column and broadcast chunks -- returns
+    (replies, final snapshot dict).  Reply order is compared only where
+    no batch handler runs (batch handlers are order-insensitive by
+    contract, so mixed rounds compare the sorted replies)."""
     replies = []
     machine.send_all([(m, "echo", (m,), m) for m in range(P)])
     replies += machine.drain()
@@ -69,50 +157,79 @@ def _mixed_workload(machine):
     for m in range(P // 2):
         machine.send(m, "echo", (100 + m,))
     replies += machine.drain()
-    return replies, machine.snapshot().as_dict()
+    mixed = []
+    _issue_mixed_round(machine)
+    mixed += machine.drain()
+    return (replies, sorted(mixed, key=repr)), machine.snapshot().as_dict()
+
+
+def _issue_mixed_round(machine):
+    """One round's worth of every staging form: rows for the scalar-only
+    ``relay``/``echo``, rows and (on the engine) a column chunk for the
+    batch-handled ``walk``, one batch-handled broadcast, sizes > 1."""
+    machine.send_all(
+        [(m % P, "relay", (m, m % 3), m) for m in range(P + 3)]
+        + [(m % P, "walk", (m % 4, 100 + m), None) for m in range(2 * P)]
+        + [(3, "echo", (7,), "big", 5), (3, "walk", (2, 99), None, 2)])
+    col = [(m % 5, 1 + m % 3, 200 + m) for m in range(12)]
+    if machine.columnar_active:
+        machine.send_cols("walk", np.array([c[0] for c in col], np.int64),
+                          (np.array([c[1] for c in col], np.int64),
+                           np.array([c[2] for c in col], np.int64)))
+    else:
+        machine.send_all([(d, "walk", (r, o), None) for d, r, o in col])
+    machine.broadcast("ping", tag="b")
+    machine.send(6, "walk", (0, 77))
 
 
 # ----------------------------------------------------------------------
-# backend selection
+# one engine, no selection surface
 # ----------------------------------------------------------------------
 
 class TestBackendSelection:
-    def test_default_backend_is_object(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        machine = PIMMachine(num_modules=P, seed=0)
-        assert machine.backend == "object"
-        assert not isinstance(machine, ColumnarPIMMachine)
-
-    def test_explicit_columnar(self):
-        machine = PIMMachine(num_modules=P, seed=0, backend="columnar")
-        assert isinstance(machine, ColumnarPIMMachine)
-        assert machine.backend == "columnar"
+    def test_default_engine_is_array_native(self):
+        machine = PIMMachine(P)
         assert machine.columnar_active
+        assert machine.fallback_events == []
+        assert type(machine) is PIMMachine
 
-    def test_env_override_flips_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "columnar")
-        machine = PIMMachine(num_modules=P, seed=0)
-        assert machine.backend == "columnar"
+    def test_unknown_backend_rejected(self):
+        """There is no ``backend`` argument any more: the constructor
+        and the config reject it like any other unknown name."""
+        for name in ("object", "columnar", "vectorized"):
+            with pytest.raises(TypeError, match="backend"):
+                PIMMachine(P, backend=name)
+            with pytest.raises(TypeError, match="backend"):
+                MachineConfig(num_modules=P, backend=name)
 
-    def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "columnar")
-        machine = PIMMachine(num_modules=P, seed=0, backend="object")
+    def test_env_var_changes_nothing(self, monkeypatch):
+        for value in ("object", "columnar", "vectorized"):
+            monkeypatch.setenv(BACKEND_ENV_VAR, value)
+            machine = PIMMachine(P, seed=0)
+            assert type(machine) is PIMMachine
+            assert machine.columnar_active
+            assert machine.backend == "columnar"  # a label, not a switch
+
+    def test_reference_class_runs_the_scalar_loop(self, monkeypatch):
+        machine = _machine("object")
+        assert not machine.columnar_active
         assert machine.backend == "object"
-
-    def test_config_carries_backend(self):
-        cfg = MachineConfig(num_modules=P, seed=0, backend="columnar")
-        machine = PIMMachine(config=cfg)
-        assert machine.backend == "columnar"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="backend"):
-            PIMMachine(num_modules=P, seed=0, backend="vectorized")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
-        with pytest.raises(ValueError, match="backend"):
-            resolve_backend(None)
+        monkeypatch.setattr(
+            machine, "_array_round",
+            lambda: pytest.fail("array round on the reference oracle"))
+        for fn in ("walk", "ping"):  # registered, never dispatched
+            monkeypatch.setitem(
+                machine._batch_handlers, fn,
+                lambda bct, chunks: pytest.fail("batch handler dispatched"))
+        _issue_mixed_round(machine)
+        assert not (machine._cq or machine._fq)  # slots only
+        assert machine.drain()
+        with pytest.raises(RuntimeError, match="send_cols unavailable"):
+            machine.send_cols("walk", np.zeros(1, np.int64),
+                              (np.zeros(1, np.int64),) * 2)
 
     def test_register_batch_collision(self):
-        machine = _machine(backend="columnar")
+        machine = _machine()
 
         def batch_a(bct, chunks):
             pass
@@ -123,13 +240,43 @@ class TestBackendSelection:
             machine.register_batch("echo", lambda bct, chunks: None)
 
     def test_register_batch_inert_on_object_backend(self):
-        machine = _machine(backend="object")
+        machine = _machine("object")
         called = []
         machine.register_batch("echo", lambda bct, chunks: called.append(1))
         machine.send(0, "echo", (1,))
         (reply,) = machine.drain()
         assert reply.payload == 2
         assert not called
+
+    def test_fault_free_server_session_never_falls_back(self):
+        import asyncio
+
+        from repro.core.skiplist import PIMSkipList
+        from repro.serve import Server, ServerConfig
+
+        machines = []
+
+        def standby():
+            machines.append(PIMMachine(P, seed=3))
+            return PIMSkipList(machines[-1])
+
+        async def scenario():
+            sl = standby()
+            sl.build([(k, k) for k in range(0, 200, 2)])
+            server = Server(sl, standby, ServerConfig())
+            await server.start()
+            got = await asyncio.gather(
+                server.submit("a", "get", [4, 5]),
+                server.submit("b", "successor", [6, 150]),
+                server.submit("a", "upsert", [(7, 70)]),
+                server.submit("b", "delete", [8]))
+            await server.stop()
+            return got
+
+        got = asyncio.run(scenario())
+        assert got[0] == [4, None] and got[1] == [(6, 6), (150, 150)]
+        assert machines[0].columnar_active
+        assert all(m.fallback_events == [] for m in machines)
 
 
 # ----------------------------------------------------------------------
@@ -138,16 +285,67 @@ class TestBackendSelection:
 
 class TestBackendParity:
     def test_mixed_workload_bit_identical(self):
-        obj = _mixed_workload(_machine(backend="object"))
-        col = _mixed_workload(_machine(backend="columnar"))
-        assert obj[0] == col[0]  # replies, order included
+        obj = _mixed_workload(_machine("object"))
+        col = _mixed_workload(_machine("columnar"))
+        assert obj[0] == col[0]  # replies (order included where scalar)
         assert obj[1] == col[1]  # full metrics snapshot
 
-    def test_golden_metrics_under_columnar(self, monkeypatch):
+    def test_mixed_round_staging_parity(self):
+        """A round mixing slots with row, column and broadcast chunks:
+        round by round the engine and the oracle agree on replies,
+        per-module work, ``h``, messages, next-round staging and the
+        pending diagnostics."""
+        obj, col = _machine("object"), _machine("columnar")
+        for machine in (obj, col):
+            _issue_mixed_round(machine)
+        assert col._staged and col._cq  # slots AND chunks pending
+        kinds = {ch.kind for ch in col._cq}
+        assert kinds == {ROWS, COLS, BCAST}
+        rounds = 0
+        while obj.pending or col.pending:
+            assert _staging(obj) == _staging(col)
+            assert obj._pending_stats() == col._pending_stats()
+            assert (obj._livelock_report(rounds, 99, "x")
+                    == col._livelock_report(rounds, 99, "x"))
+            got = {name: sorted(m.step(), key=repr)
+                   for name, m in (("object", obj), ("columnar", col))}
+            assert got["object"] == got["columnar"]
+            assert obj.snapshot().as_dict() == col.snapshot().as_dict()
+            assert ([m.work for m in obj.modules]
+                    == [m.work for m in col.modules])
+            assert (obj.tracer.rounds[-1] == col.tracer.rounds[-1])
+            rounds += 1
+        assert rounds >= 5
+        assert col.columnar_active and col.fallback_events == []
+
+    def test_column_send_to_scalar_only_function_lands_in_slots(self):
+        """Chunks are for batch handlers only: a column batch for a
+        function without one is bucketed into slots at issue time."""
+        machine = _machine()
+        machine.send_cols("echo", np.array([1, 1, 5], np.int64),
+                          (np.array([10, 11, 12], np.int64),), size=2)
+        assert not machine._cq
+        assert {mid: slot[0] for mid, slot in machine._staged.items()} \
+            == {1: 4, 5: 2}
+        assert sorted(r.payload for r in machine.drain()) == [20, 22, 24]
+
+    def test_scalar_only_round_is_the_scalar_loop(self, monkeypatch):
+        """No batch-handled function in a round: the engine must not
+        enter the array path at all."""
+        machine = _machine()
+        monkeypatch.setattr(
+            machine, "_array_round",
+            lambda: pytest.fail("array round for a slot-only round"))
+        machine.send_all([(m, "relay", (m, 2), m) for m in range(P)])
+        machine.broadcast("echo", (1,))
+        assert len(machine.drain()) == 2 * P
+
+    def test_golden_metrics_under_columnar(self):
         """All golden workloads (skip list, baselines, collectives,
-        qrqw, containers) replayed with the columnar backend must match
-        the checked-in object-engine golden values exactly."""
-        monkeypatch.setenv(BACKEND_ENV_VAR, "columnar")
+        qrqw, containers) run on the engine must match the checked-in
+        golden values exactly -- those were produced by the per-task
+        loop and no golden file has been regenerated since."""
+        assert PIMMachine(P).columnar_active
         with open(GOLDEN_PATH) as f:
             golden = json.load(f)
         actual = compute_all()
@@ -161,8 +359,8 @@ class TestBackendParity:
         the *same* diagnostic report on both backends: same pending
         handler ids, same per-module queue depths."""
         msgs = {}
-        for backend in ("object", "columnar"):
-            machine = _machine(backend=backend)
+        for backend in ENGINES:
+            machine = _machine(backend)
             machine.send(0, "loop", (0,))
             with pytest.raises(LivelockError) as exc:
                 machine.drain(max_rounds=5, label="cycle")
@@ -178,18 +376,48 @@ class TestBackendParity:
 
 class TestChaosFallback:
     def test_fault_plan_triggers_typed_fallback(self):
-        machine = _machine(backend="columnar")
+        machine = _machine()
         assert machine.columnar_active
         machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
         assert not machine.columnar_active
         assert machine.backend == "columnar"  # identity, not engine state
-        events = [e for e in machine.fallback_events
-                  if e.reason == FALLBACK_FAULT_PLAN]
-        assert len(events) == 1
-        assert isinstance(events[0], FallbackEvent)
-        assert events[0].at_round == machine.metrics.rounds
+        (event,) = machine.fallback_events
+        assert isinstance(event, FallbackEvent)
+        assert event.reason == FALLBACK_FAULT_PLAN
+        assert event.at_round == machine.metrics.rounds
         machine.uninstall_fault_plan()
         assert machine.columnar_active
+        assert len(machine.fallback_events) == 1  # history, not state
+
+    def test_fallback_with_chunks_pending_converts_once(self):
+        """Entering a fallback moves pending chunks into slots (units
+        and tasks preserved); leaving it converts nothing, and the
+        drained result matches the oracle's."""
+        obj, col = _machine("object"), _machine("columnar")
+        for machine in (obj, col):
+            _issue_mixed_round(machine)
+        before = _staging(col)
+        col.set_profiler(HandlerProfile())
+        assert not (col._cq or col._fq)
+        assert _staging(col) == before == _staging(obj)
+        col.set_profiler(None)
+        assert col.columnar_active and not (col._cq or col._fq)
+        assert _staging(col) == before
+        got = sorted(col.drain(), key=repr)
+        assert got == sorted(obj.drain(), key=repr)
+        assert obj.snapshot().as_dict() == col.snapshot().as_dict()
+
+    def test_send_cols_in_fallback_is_a_typed_error(self):
+        """Regression: the message used to be built from
+        ``e.reason for e in <set of str>`` and died with AttributeError
+        instead of the intended RuntimeError."""
+        machine = _machine(contention_model="qrqw")
+        one = np.zeros(1, np.int64)
+        with pytest.raises(RuntimeError, match=r"\['qrqw'\]"):
+            machine.send_cols("walk", one, (one, one))
+        machine.set_profiler(HandlerProfile())
+        with pytest.raises(RuntimeError, match=r"\['profiler', 'qrqw'\]"):
+            machine.send_cols("walk", one, (one, one))
 
     def test_behaviour_parity_under_faults(self):
         """With an identical seeded fault plan the columnar machine (in
@@ -197,14 +425,14 @@ class TestChaosFallback:
         the same replies and account the same metrics."""
         spec = FaultSpec(drop=0.15, dup=0.1, delay=0.1, delay_rounds=2)
         results = {}
-        for backend in ("object", "columnar"):
-            machine = _machine(backend=backend)
+        for backend in ENGINES:
+            machine = _machine(backend)
             machine.install_fault_plan(FaultPlan(spec, seed=7))
             results[backend] = _mixed_workload(machine)
         assert results["object"] == results["columnar"]
 
     def test_profiler_fallback_enters_and_exits(self):
-        machine = _machine(backend="columnar")
+        machine = _machine()
         machine.set_profiler(HandlerProfile())
         assert not machine.columnar_active
         assert any(e.reason == FALLBACK_PROFILER
@@ -217,7 +445,7 @@ class TestChaosFallback:
         assert machine.columnar_active
 
     def test_qrqw_contention_model_falls_back_at_construction(self):
-        machine = PIMMachine(num_modules=P, seed=1, backend="columnar",
+        machine = PIMMachine(num_modules=P, seed=1,
                              contention_model="qrqw")
         assert not machine.columnar_active
         assert any(e.reason == FALLBACK_QRQW
@@ -229,14 +457,15 @@ class TestChaosFallback:
 # ----------------------------------------------------------------------
 
 class TestBackendEquivalenceCheck:
-    def _stream_for(self, session, backend):
+    def _stream_for(self, session):
+        """The engine's per-op metric stream for ``session``."""
         from repro.verify.adapters import build_implementations
         from repro.verify.fuzz import initial_items_for
 
         sl = build_implementations(
             ["skiplist"], seed=session.seed,
-            items=initial_items_for(session), num_modules=P,
-            backend=backend)[0]
+            items=initial_items_for(session), num_modules=P)[0]
+        assert sl.machine.columnar_active
         stream = []
         sl.machine.batch_observer = lambda op, d: stream.append((op, d))
         for batch in session.batches:
@@ -252,16 +481,22 @@ class TestBackendEquivalenceCheck:
         report = verify_session(session, impls=["skiplist"], num_modules=P)
         assert report.ok, [str(d) for d in report.divergences]
 
+    def test_reference_skiplist_is_on_the_oracle(self):
+        from repro.verify.adapters import reference_skiplist
+
+        ref = reference_skiplist(0, [(1, 1)], P)
+        assert type(ref.machine) is ReferencePIMMachine
+
     def test_check_flags_doctored_stream(self):
-        """Mutation test: the cross-backend check must detect a metric
-        stream that does not match the other backend's."""
+        """Mutation test: the cross-engine check must detect a metric
+        stream that does not match the reference oracle's."""
         from repro.verify.differ import (SessionReport,
                                          _check_backend_equivalence)
         from repro.verify.fuzz import fuzz_session
 
         session = fuzz_session(17, num_batches=3, batch_size=8,
                                read_only=True)
-        stream = self._stream_for(session, "object")
+        stream = self._stream_for(session)
 
         def fresh_report():
             return SessionReport(seed=session.seed, num_modules=P,
@@ -269,21 +504,18 @@ class TestBackendEquivalenceCheck:
                                  num_batches=len(session.batches))
 
         report = fresh_report()
-        _check_backend_equivalence(report, session, P, stream,
-                                   primary_backend="object")
+        _check_backend_equivalence(report, session, P, stream)
         assert report.ok  # the genuine stream certifies clean
 
         doctored = list(stream)
         op, delta = doctored[0]
         doctored[0] = (op + "!", delta)
         report = fresh_report()
-        _check_backend_equivalence(report, session, P, doctored,
-                                   primary_backend="object")
+        _check_backend_equivalence(report, session, P, doctored)
         assert not report.ok
         assert report.divergences[0].kind == "backend"
 
         report = fresh_report()
-        _check_backend_equivalence(report, session, P, stream[:-1],
-                                   primary_backend="object")
+        _check_backend_equivalence(report, session, P, stream[:-1])
         assert not report.ok
         assert "pipeline ops" in report.divergences[0].detail

@@ -6,8 +6,8 @@ Three layers, mirroring how the structure earns trust:
   over mixed batch streams, with the integrity sweep after every wave
   (leaf chain, directory, mirror parity, shadow parity).
 - **conformance** -- the shared ``apply_batch`` surface through the
-  differential driver across both engine backends and both skip-list
-  storages (the tree ignores ``storage``; the parameterization proves
+  differential driver, on the engine and on its reference oracle, with
+  both skip-list storages (the tree ignores ``storage``; the parameterization proves
   the *harness* composes, and the skip list rides along as the second
   implementation in every cell).
 - **mutation** -- the registered ``pimtree_shadow_stale`` fault breaks
@@ -22,22 +22,23 @@ import pytest
 
 from repro import PIMMachine
 from repro.structures.pimtree import PIMTree
+from repro.verify import adapters
 from repro.verify.adapters import IMPLEMENTATIONS, ImplAdapter
 from repro.verify.differ import verify_session
 from repro.verify.faults import fault_names, get_fault, inject_fault
 from repro.verify.fuzz import fuzz_session
 from repro.workloads.sessions import Session, SessionBatch
-from tests.conftest import ReferenceMap
+from tests.conftest import ENGINES, ReferenceMap
 
-BACKENDS = ("object", "columnar")
+BACKENDS = tuple(ENGINES)
 STORAGES = ("object", "arena")
 
 
-def make_tree(p=8, seed=0, backend=None, **kw):
+def make_tree(p=8, seed=0, **kw):
     kw.setdefault("leaf_size", 4)
     kw.setdefault("fanout", 4)
     kw.setdefault("promote_threshold", 2)
-    machine = PIMMachine(num_modules=p, seed=seed, backend=backend)
+    machine = PIMMachine(num_modules=p, seed=seed)
     return machine, PIMTree(machine, **kw)
 
 
@@ -142,10 +143,13 @@ class TestConformance:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("storage", STORAGES)
-    def test_differ_cell(self, backend, storage):
+    def test_differ_cell(self, backend, storage, monkeypatch):
+        # Every adapter builds its machine as ``adapters.PIMMachine``;
+        # the "object" cells run the whole session on the oracle.
+        monkeypatch.setattr(adapters, "PIMMachine", ENGINES[backend])
         session = fuzz_session(11, num_batches=8, batch_size=16)
         report = verify_session(session, impls=["skiplist", "pimtree"],
-                                backend=backend, storage=storage,
+                                storage=storage,
                                 check_backends=False, check_storages=False)
         assert report.ok, [str(d) for d in report.divergences]
 
@@ -154,12 +158,12 @@ class TestConformance:
 
     def test_metric_stream_identical_across_backends(self):
         """The tree's per-batch metric stream must be bit-identical on
-        the object and columnar engines (the golden-metrics contract)."""
+        the reference oracle and the engine (the golden-metrics
+        contract)."""
         session = fuzz_session(5, num_batches=10, batch_size=16)
         streams = {}
         for backend in BACKENDS:
-            machine = PIMMachine(num_modules=8, seed=session.seed,
-                                 backend=backend)
+            machine = ENGINES[backend](num_modules=8, seed=session.seed)
             tree = PIMTree(machine, leaf_size=4, fanout=4,
                            promote_threshold=2)
             tree.build([(k, k) for k in session.initial_keys])

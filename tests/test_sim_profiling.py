@@ -184,7 +184,7 @@ class TestDisabledProbesAreNoOps:
         assert prof.calls == {}
 
     def test_disabled_profile_keeps_columnar_engine_active(self):
-        machine = PIMMachine(num_modules=4, seed=0, backend="columnar")
+        machine = PIMMachine(num_modules=4, seed=0)
         machine.register("work", _work)
         machine.set_profiler(HandlerProfile(enabled=False))
         assert machine.columnar_active

@@ -9,6 +9,7 @@ import pytest
 
 from repro.sim.machine import PIMMachine
 from repro.sim.tracing import AccessTrace, RoundLog, Tracer
+from tests.conftest import ENGINES
 
 
 def _echo(ctx, x, tag=None):
@@ -158,9 +159,9 @@ class TestColumnarRoundLog:
     """The round log is five typed columns behind a record-shaped view:
     nothing per round for the garbage collector to walk."""
 
-    @pytest.mark.parametrize("backend", ["object", "columnar"])
+    @pytest.mark.parametrize("backend", list(ENGINES))
     def test_ten_thousand_rounds_add_no_gc_tracked_objects(self, backend):
-        machine = PIMMachine(num_modules=4, seed=0, backend=backend)
+        machine = ENGINES[backend](num_modules=4, seed=0)
         machine.register("hop", _hop)
 
         def drain_rounds(rounds: int) -> None:

@@ -30,8 +30,8 @@ from repro.verify.faults import inject_fault
 from repro.verify.fuzz import fuzz_session
 
 
-def make_sl(storage, *, p=8, seed=0, backend=None, n=0, stride=2):
-    machine = PIMMachine(num_modules=p, seed=seed, backend=backend)
+def make_sl(storage, *, p=8, seed=0, n=0, stride=2):
+    machine = PIMMachine(num_modules=p, seed=seed)
     sl = PIMSkipList(machine, storage=storage)
     if n:
         sl.build([(k, k) for k in range(0, n * stride, stride)])
@@ -100,7 +100,7 @@ class TestArenaMirror:
         sl.check_integrity()
 
     def test_non_int_keys_disable_vectorization_not_correctness(self):
-        machine, sl = make_sl("arena", backend="columnar")
+        machine, sl = make_sl("arena")
         items = [(f"k{i:03d}", i) for i in range(64)]
         sl.build(items)
         arena = sl.struct.storage.arena
@@ -121,11 +121,11 @@ class TestArenaMirror:
 class TestCrossStorageEquivalence:
     def test_bit_identical_deltas_and_results(self):
         """The same batched-successor session on both storages, per-op
-        deltas compared bit-for-bit on the columnar engine (where the
-        arena drives the vectorized wavefront walk)."""
+        deltas compared bit-for-bit on the engine (where the arena
+        drives the vectorized wavefront walk)."""
         runs = {}
         for kind in STORAGES:
-            machine, sl = make_sl(kind, backend="columnar", n=200)
+            machine, sl = make_sl(kind, n=200)
             queries = list(range(1, 399, 2))
             before = machine.snapshot()
             res = sl.apply_batch("successor", queries)
@@ -139,9 +139,9 @@ class TestCrossStorageEquivalence:
         column-send fast path must stand down; results stay correct."""
         from repro.sim.chaos import FaultPlan, FaultSpec
 
-        machine, sl = make_sl("arena", backend="object", n=100)
+        machine, sl = make_sl("arena", n=100)
         machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
-        assert machine._chaos is not None
+        assert machine._chaos is not None and not machine.columnar_active
         queries = list(range(1, 199, 4))
         got = sl.apply_batch("successor", queries)
         assert got == [(q + 1, q + 1) for q in queries]
@@ -149,7 +149,7 @@ class TestCrossStorageEquivalence:
     def test_differ_runs_storage_replay_clean(self):
         session = fuzz_session(5, num_batches=6, batch_size=16)
         report = verify_session(session, impls=["skiplist"],
-                                backend="columnar", storage="arena")
+                                storage="arena")
         assert report.ok, [str(d) for d in report.divergences]
 
 
@@ -159,7 +159,7 @@ class TestStorageMutation:
     object graph intact) has to surface as ``storage`` divergences."""
 
     def test_arena_succ_corrupt_is_visible(self):
-        machine, sl = make_sl("arena", backend="columnar", n=200)
+        machine, sl = make_sl("arena", n=200)
         inject_fault(ImplAdapter("skiplist", sl, machine),
                      "arena_succ_corrupt")
         queries = list(range(1, 399, 2))
@@ -168,7 +168,7 @@ class TestStorageMutation:
         assert got != want  # the vectorized walk read the severed rows
 
     def test_arena_succ_corrupt_is_noop_on_object_storage(self):
-        machine, sl = make_sl("object", backend="columnar", n=200)
+        machine, sl = make_sl("object", n=200)
         inject_fault(ImplAdapter("skiplist", sl, machine),
                      "arena_succ_corrupt")
         queries = list(range(1, 399, 2))
@@ -178,12 +178,12 @@ class TestStorageMutation:
     def test_cross_storage_differ_catches_corruption(self):
         session = fuzz_session(3, num_batches=8, batch_size=32)
         report = verify_session(session, impls=["skiplist"],
-                                backend="columnar", storage="arena",
+                                storage="arena",
                                 fault=("skiplist", "arena_succ_corrupt"))
         kinds = {d.kind for d in report.divergences}
         assert "storage" in kinds, [str(d) for d in report.divergences]
         clean = verify_session(session, impls=["skiplist"],
-                               backend="columnar", storage="arena")
+                               storage="arena")
         assert clean.ok, [str(d) for d in clean.divergences]
 
 
