@@ -72,6 +72,7 @@ per-round log objects are pure overhead; model metrics are unaffected.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -102,6 +103,19 @@ ENGINES = {"object": ReferencePIMMachine, "columnar": PIMMachine}
 BACKENDS = tuple(ENGINES)
 
 
+def _settle_heap() -> None:
+    """Collect before a timed region that follows a bulk build.
+
+    The previous repeat's dropped rig is one big reference cycle, and a
+    build runs with the cyclic collector paused (``repro.ops.batch_epoch``),
+    so without this the timed region -- ``pointer_walk`` drives ``drain``
+    directly, outside any epoch -- pays for freeing the last rig and for
+    ageing this one.  ``benchmarks/e2e`` collects after its warm-up for
+    the same reason.
+    """
+    gc.collect()
+
+
 def macro_successor(probe_machine, *, P=128, n=4096, batches=4, seed=7,
                     machine_cls=PIMMachine, storage=None, fault_plan=None):
     """The ISSUE acceptance scenario: P=128 batched-successor session.
@@ -119,6 +133,7 @@ def macro_successor(probe_machine, *, P=128, n=4096, batches=4, seed=7,
         machine.install_fault_plan(fault_plan)
     B = sl.min_search_batch
     queries = [[rng.randrange(10 * n) for _ in range(B)] for _ in range(batches)]
+    _settle_heap()
     with probe_machine(machine) as probe:
         for qs in queries:
             sl.batch_successor(qs)
@@ -144,6 +159,7 @@ def pointer_walk(probe_machine, *, P=128, n=8192, B=4096, batches=3,
     struct = sl.struct
     queries = [[rng.randrange(10 * n) for _ in range(B)]
                for _ in range(batches)]
+    _settle_heap()
     with probe_machine(machine) as probe:
         for qs in queries:
             msgs = [search_message(struct, k, opid=i)

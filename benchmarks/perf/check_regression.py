@@ -1,43 +1,42 @@
-"""Wall-clock regression gate for the simulator's round engine.
+"""Regression gate for the simulator's round engine and its layers.
 
 Re-runs the ``macro_successor`` scenario (the P=128 batched-successor
 session from ``bench_wallclock.py``) on the engine (``PIMMachine``,
 baseline key ``"columnar"``) and on its per-task reference oracle
 (``ReferencePIMMachine``, baseline key ``"object"``) with the
-*committed* baseline's own parameters and fails when either side's
-measured best-of-N wall time regresses by more than the threshold over
-its recorded seconds.
+*committed* baseline's own parameters, and gates on **ratios measured
+inside this one process**: both sides of a ratio run on the same host
+in the same minute, so the host's speed cancels.
 
-On top of the two wall-time gates, the script asserts the engine's
-*speedup floors*: the measured engine-over-reference tasks/sec ratio
-must stay above a conservative floor for each gated scenario.  The floors are deliberately below the recorded speedups
-(macro 1.23x, forward_chain ~9x, fanout_broadcast ~17x at baseline
-time) so runner noise doesn't flake the gate, but a change that quietly
-collapses the array-native path back to per-task speed fails.
+- *Speedup floors*: the measured engine-over-reference tasks/sec ratio
+  must stay above a conservative floor for each gated scenario.  The
+  floors are deliberately below the recorded speedups (macro 1.2x,
+  forward_chain ~9x, fanout_broadcast ~17x at baseline time) so runner
+  noise doesn't flake the gate, but a change that quietly collapses the
+  array-native path back to per-task speed fails.
+- *Storage floor*: arena-over-object >= 2x on the ``pointer_walk``
+  scenario -- the search+successor-only probe where the arena's
+  vectorized wavefront walk is the whole workload (recorded ~4.3x; the
+  floor gates the existence of the vectorized path, not the runner's
+  luck).
 
-The structure-storage dimension is gated the same way: wall-time gates
-for the macro scenario under *both* storage backends (``object`` and
-``arena``, with extra slack -- these are sub-second
-probes whose best-of-N jitter exceeds the engine gates' 10% envelope),
-plus an arena-over-object speedup floor of >= 2x on the
-``pointer_walk`` scenario -- the search+successor-only probe where the
-arena's vectorized wavefront walk is the whole workload (recorded
-~4.3x; the floor gates the existence of the vectorized path, not the
-runner's luck).
+Wall seconds against the committed ``BENCH_simwall.json`` are printed
+for every measured cell but **not gated**: the baseline's seconds are a
+property of the box that recorded them (a +10 % / +25 % gate against
+them failed at an unchanged commit on a slower host and would pass any
+regression on a faster one).  End-to-end wall-time claims are made
+against ``benchmarks/e2e`` with parent/change pairs, not here.
 
 Run this *before* anything overwrites ``BENCH_simwall.json`` in the
 working tree (the CI smoke run writes its quick-mode output to a
 separate path for exactly that reason).
 
-The committed baseline is measured with the chaos layer present but no
-fault plan installed, so the reference gate doubles as the chaos-neutrality
-check: a >10% slowdown against it means the chaos hooks leak cost into
-the fault-free path.  The gate also prints (informationally, not gated
--- the protocol's ack traffic is a real, honestly-charged cost, not a
-regression) how much slower the same scenario runs with a zero-rate
-fault plan installed, i.e. the price of the reliable-delivery protocol
-itself.  That run uses the reference oracle explicitly: a fault plan
-puts the engine into its documented scalar fallback, so the price is a
+The script also prints (informationally, not gated -- the protocol's
+ack traffic is a real, honestly-charged cost, not a regression) how
+much slower the same scenario runs with a zero-rate fault plan
+installed, i.e. the price of the reliable-delivery protocol itself.
+That run uses the reference oracle explicitly: a fault plan puts the
+engine into its documented scalar fallback, so the price is a
 scalar-loop property.
 
 The skew-adversary gate reads the committed ``BENCH_pimtree.json``
@@ -78,13 +77,11 @@ report the serving SLO intact.
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/check_regression.py
-        [--baseline PATH] [--threshold 0.10] [--repeat 3] [--no-chaos]
+        [--baseline PATH] [--repeat 3] [--no-chaos]
         [--serve-baseline PATH] [--no-serve]
         [--pimtree-baseline PATH] [--no-pimtree]
 
-Exit status 0 when every gate passes, 1 otherwise.  Faster-than-
-baseline runs always pass the wall-time gates (they are one-sided: they
-exist to catch engine slowdowns, not to pin CI-runner luck).
+Exit status 0 when every gate passes, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -155,14 +152,6 @@ STORAGE_SPEEDUP_FLOOR = 2.0
 #: Both structure storages, measured in this order (object first: it is
 #: the reference the storage ratios divide by).
 STORAGE_KINDS = ("object", "arena")
-
-#: Extra wall-time slack for the per-storage macro gate.  The storage
-#: scenarios are sub-second probes (the arena macro run is ~0.2s), so
-#: best-of-N jitter routinely exceeds the 10% envelope the longer
-#: engine gates use; the load-immune regression signal for this layer
-#: is STORAGE_SPEEDUP_FLOOR above, and the wall gate only needs to
-#: catch gross (>25%) slowdowns.
-STORAGE_WALL_SLACK = 0.15
 
 
 def measure(name: str, params: dict, repeat: int, backend: str,
@@ -416,8 +405,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", default=BASELINE_PATH,
                     help="baseline JSON (default: committed BENCH_simwall)")
-    ap.add_argument("--threshold", type=float, default=0.10,
-                    help="allowed fractional slowdown (default 0.10)")
     ap.add_argument("--repeat", type=int, default=3,
                     help="runs; best is compared (default 3)")
     ap.add_argument("--no-chaos", action="store_true",
@@ -435,7 +422,7 @@ def main() -> int:
     ap.add_argument("--only-pimtree", action="store_true",
                     help="run only the skew-adversary gate (it is exact "
                          "and machine-independent, so a CI lane can run "
-                         "it without the wall-time gates' noise)")
+                         "it without the wall-clock floors' noise)")
     ap.add_argument("--durable-baseline", default=DURABLE_BASELINE_PATH,
                     help="durability baseline JSON (default: committed "
                          "BENCH_durable)")
@@ -448,8 +435,6 @@ def main() -> int:
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error(f"--repeat must be >= 1, got {args.repeat}")
-    if args.threshold < 0:
-        ap.error(f"--threshold must be >= 0, got {args.threshold}")
     if args.only_pimtree and args.no_pimtree:
         ap.error("--only-pimtree and --no-pimtree are mutually exclusive")
     if args.only_durable and args.no_durable:
@@ -462,7 +447,7 @@ def main() -> int:
         for msg in failures:
             print(f"REGRESSION: {msg}", file=sys.stderr)
         if not failures:
-            print("ok: skew-adversary gate within threshold")
+            print("ok: skew-adversary gate passed")
         return 1 if failures else 0
     if args.only_durable:
         failures = []
@@ -470,7 +455,7 @@ def main() -> int:
         for msg in failures:
             print(f"REGRESSION: {msg}", file=sys.stderr)
         if not failures:
-            print("ok: durability gates within threshold")
+            print("ok: durability gates passed")
         return 1 if failures else 0
 
     with open(args.baseline) as f:
@@ -486,31 +471,16 @@ def main() -> int:
 
     failures = []
 
-    # The committed baseline is a best-of-K probe (K recorded in its
-    # config).  Comparing a best-of-3 measurement against a best-of-8
-    # baseline is a one-sided bias -- the baseline had more draws at
-    # the minimum -- so wall-time gates measure with at least the
-    # baseline's own repeat count.  Ratio floors keep --repeat: load
-    # cancels in a same-run ratio.
-    wall_repeat = max(args.repeat, doc.get("config", {}).get("repeat", 1))
-
-    # -- wall-time gates on the macro scenario, engine and reference ------
+    # -- the macro scenario, engine and reference (wall: informational) ---
     measured: dict = {}
     for backend in BACKENDS:
         base = doc["backends"][backend]["scenarios"][GATE_SCENARIO]
-        params = base["params"]
-        baseline_s = base["seconds"]
-        got = measure(GATE_SCENARIO, params, wall_repeat, backend)
+        got = measure(GATE_SCENARIO, base["params"], args.repeat, backend)
         measured[backend] = got
-        limit_s = baseline_s * (1.0 + args.threshold)
-        ratio = got["seconds"] / baseline_s
-        print(f"{GATE_SCENARIO} [{backend}]: baseline {baseline_s:.3f}s, "
-              f"measured {got['seconds']:.3f}s ({ratio:.2f}x), "
-              f"limit {limit_s:.3f}s (+{args.threshold:.0%}) params={params}")
-        if got["seconds"] > limit_s:
-            failures.append(
-                f"{GATE_SCENARIO} [{backend}] is {ratio:.2f}x the baseline "
-                f"(allowed {1.0 + args.threshold:.2f}x)")
+        print(f"{GATE_SCENARIO} [{backend}]: baseline {base['seconds']:.3f}s, "
+              f"measured {got['seconds']:.3f}s "
+              f"({got['seconds'] / base['seconds']:.2f}x, not gated) "
+              f"params={base['params']}")
 
     # -- engine-over-reference speedup floors ----------------------------
     for name, floor in SPEEDUP_FLOORS.items():
@@ -531,34 +501,25 @@ def main() -> int:
                 f"{name} columnar speedup {speedup:.2f}x below the "
                 f"{floor:.2f}x floor")
 
-    # -- structure-storage gates (both storages) -------------------------
+    # -- structure-storage floor (arena over object) ---------------------
     if "storages" not in doc:
         failures.append(
             f"{args.baseline} predates the storage dimension; regenerate "
             "it with bench_wallclock.py")
     else:
-        for storage in STORAGE_KINDS:
-            base = doc["storages"][storage]["scenarios"][GATE_SCENARIO]
-            params = base["params"]
-            baseline_s = base["seconds"]
-            got = measure(GATE_SCENARIO, params, wall_repeat, "columnar",
-                          storage=storage)
-            slack = args.threshold + STORAGE_WALL_SLACK
-            limit_s = baseline_s * (1.0 + slack)
-            ratio = got["seconds"] / baseline_s
-            print(f"{GATE_SCENARIO} [storage={storage}]: baseline "
-                  f"{baseline_s:.3f}s, measured {got['seconds']:.3f}s "
-                  f"({ratio:.2f}x), limit {limit_s:.3f}s "
-                  f"(+{slack:.0%})")
-            if got["seconds"] > limit_s:
-                failures.append(
-                    f"{GATE_SCENARIO} [storage={storage}] is {ratio:.2f}x "
-                    f"the baseline (allowed {1.0 + slack:.2f}x)")
         params = doc["storages"]["object"]["scenarios"][
             STORAGE_GATE_SCENARIO]["params"]
+        base_s = {s: doc["storages"][s]["scenarios"][
+            STORAGE_GATE_SCENARIO]["seconds"] for s in STORAGE_KINDS}
         per_storage = {s: measure(STORAGE_GATE_SCENARIO, params,
                                   args.repeat, "columnar", storage=s)
                        for s in STORAGE_KINDS}
+        for s in STORAGE_KINDS:
+            print(f"{STORAGE_GATE_SCENARIO} [storage={s}]: baseline "
+                  f"{base_s[s]:.3f}s, measured "
+                  f"{per_storage[s]['seconds']:.3f}s "
+                  f"({per_storage[s]['seconds'] / base_s[s]:.2f}x, "
+                  "not gated)")
         obj_tps = per_storage["object"]["tasks_per_sec"]
         arn_tps = per_storage["arena"]["tasks_per_sec"]
         sspeed = arn_tps / obj_tps if obj_tps > 0 else 0.0
@@ -590,7 +551,7 @@ def main() -> int:
         for msg in failures:
             print(f"REGRESSION: {msg}", file=sys.stderr)
         return 1
-    print("ok: all gates within threshold")
+    print("ok: all gates passed")
     return 0
 
 

@@ -135,6 +135,17 @@ class Node:
         """Allocate the per-module next-leaf array (upper-part leaves)."""
         self.next_leaf = [None] * num_modules
 
+    def clear_links(self) -> None:
+        """Drop every pointer this node holds (a node leaving the
+        structure for good).  Neighbors link both ways and towers link
+        up and down, so a removed node that kept its pointers would be
+        part of a reference cycle; cleared, it dies by reference count
+        (see :func:`repro.ops.batch_epoch`)."""
+        self.left = self.right = self.up = self.down = None
+        self.local_left = self.local_right = None
+        self.next_leaf = None
+        self.up_chain = None
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         own = "U" if self.owner == UPPER else str(self.owner)
         return f"Node({self.key!r}@L{self.level}/{own}{'#' if self.deleted else ''})"

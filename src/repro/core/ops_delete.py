@@ -169,6 +169,19 @@ class _BatchDeleteOp(BatchOp):
             if marked:
                 yield _splice_lower(sl, marked)
 
+            # -- teardown (host memory only; no model cost) --------------
+            # Every marked node is out of the structure now.  Consecutive
+            # deleted neighbors and each tower's up/down/up_chain links
+            # are reference cycles; cut them so the towers die with this
+            # batch's temporaries.
+            for node, _left, _right in marked:
+                node.clear_links()
+            for u in upper_leaves:
+                while u is not None:
+                    above = u.up
+                    u.clear_links()
+                    u = above
+
             sl.num_keys -= deleted
             return DeleteStats(deleted=deleted, not_found=not_found)
         finally:

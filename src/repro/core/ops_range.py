@@ -40,6 +40,7 @@ subrange, and streams results to the CPU in shared-memory-sized groups.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -722,24 +723,26 @@ class _BatchRangeTreeOp(BatchOp):
 
         # -- split into disjoint elementary subranges --------------------
         # Elementary pieces over the sorted endpoints: the point [e, e]
-        # for each endpoint contained in some op, and the open gap
-        # (e, e') for each consecutive endpoint pair fully contained in
-        # some op.  Pieces never straddle an endpoint, so containment
-        # tests are whole-piece.
+        # for each endpoint (always inside its own op; ``point_sid``
+        # records its position), and the open gap (e, e') for each
+        # consecutive endpoint pair fully contained in some op.  One
+        # sweep finds the gaps: ``open_ops`` counts the ops that started
+        # at or before e and end after it.  Pieces never straddle an
+        # endpoint.
         endpoints = sorted({e for op in ops for e in op})
+        starts = Counter(l for l, _ in ops)
+        ends = Counter(r for _, r in ops)
         subranges: List[Tuple[Any, Bound]] = []  # (search lq, right bound)
-        sub_meta: List[Tuple[Hashable, Hashable]] = []  # (lo, hi) hull
+        point_sid: Dict[Hashable, int] = {}
         cpu.charge_wd(WorkDepth(2 * n * max(1, int(math.log2(n + 1))),
                                 max(1.0, math.log2(n + 1))))
+        open_ops = 0
         for i, e in enumerate(endpoints):
-            if any(l <= e <= r for l, r in ops):
-                subranges.append((JustBelow(e), Bound(e, True)))
-                sub_meta.append((e, e))
-            if i + 1 < len(endpoints):
-                a, b = e, endpoints[i + 1]
-                if any(l <= a and b <= r for l, r in ops):
-                    subranges.append((a, Bound(b, False)))
-                    sub_meta.append((a, b))
+            point_sid[e] = len(subranges)
+            subranges.append((JustBelow(e), Bound(e, True)))
+            open_ops += starts[e] - ends[e]
+            if open_ops and i + 1 < len(endpoints):
+                subranges.append((e, Bound(endpoints[i + 1], False)))
 
         # -- boundary predecessors via the pivot-protected search --------
         lqs = [lq for lq, _ in subranges]
@@ -828,18 +831,16 @@ class _BatchRangeTreeOp(BatchOp):
                 yield from run_group(group, group_mass)
 
         # -- assemble per-op results -------------------------------------
-        # A piece belongs to op [l, r] iff its closed hull is inside
-        # [l, r] (pieces never straddle an op endpoint).  Pieces are in
-        # ascending key order, so concatenation preserves range order.
+        # Pieces never straddle an op endpoint, so op [l, r] is exactly
+        # the contiguous run of pieces from l's point piece to r's, in
+        # ascending key order: concatenation preserves range order.
         sorted_items = {sid: sorted(got) for sid, got in items.items()}
         results: List[RangeResult] = []
         work = 0
         for l, r in ops:
             total = 0
             vals: List[Tuple[Hashable, Any]] = []
-            for sid, (lo, hi) in enumerate(sub_meta):
-                if not (l <= lo and hi <= r):
-                    continue
+            for sid in range(point_sid[l], point_sid[r] + 1):
                 total += totals.get(sid, 0)
                 got = sorted_items.get(sid, ())
                 vals.extend((k, v) for _, k, v in got)

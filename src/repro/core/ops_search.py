@@ -380,27 +380,13 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         if out:
             bct.stage_rows(fn_step, out)
 
-    class _ChargeCell:
-        """Counts ``upper_descend`` charges without a per-node closure."""
-
-        __slots__ = ("v",)
-
-        def __init__(self) -> None:
-            self.v = 0.0
-
-        def add(self, w: float = 1.0) -> None:
-            self.v += w
-
     def _scalar_entry_rows(bct, rows, out_append):
         work = bct.work
         sent = bct.sent
-        cell = _ChargeCell()
-        add = cell.add
         for mid, args, _tag, _size in rows:
             key, opid, record = args
-            cell.v = 0.0
-            u = sl.upper_descend(key, add)
-            work[mid] += cell.v
+            u, steps = sl.upper_descend_steps(key)
+            work[mid] += steps
             x = u.down
             if x.owner == UPPER or x.owner == mid:
                 fwd = _walk_batch(bct, mid, x, key, opid, record, 0)

@@ -17,6 +17,7 @@ from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import ops_delete, ops_point, ops_search, ops_successor, ops_upsert, ops_write
 from repro.core.structure import SkipListStructure
+from repro.ops import batch_epoch
 from repro.sim.errors import InvalidBatchError
 from repro.sim.machine import PIMMachine
 
@@ -97,7 +98,8 @@ class PIMSkipList:
     def build(self, items: Iterable[Tuple[Hashable, Any]]) -> None:
         """Initialize from sorted unique (key, value) pairs (see
         :meth:`SkipListStructure.bulk_build`)."""
-        self.struct.bulk_build(items)
+        with batch_epoch(self.machine):
+            self.struct.bulk_build(items)
 
     # -- point operations -----------------------------------------------------
 

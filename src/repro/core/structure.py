@@ -202,23 +202,34 @@ class SkipListStructure:
     # replicated upper-part operations (local on any module)
     # ------------------------------------------------------------------
 
+    def upper_descend_steps(self, key: Hashable) -> Tuple[Node, int]:
+        """:meth:`upper_descend` without the charging: the landing leaf
+        and the number of nodes traversed (what the caller must bill)."""
+        x = self.root
+        steps = 1
+        h_low = self.h_low
+        while True:
+            right = x.right
+            while right is not None and right.key <= key:
+                x = right
+                right = x.right
+                steps += 1
+            if x.level == h_low:
+                return x, steps
+            x = x.down
+            steps += 1
+
     def upper_descend(self, key: Hashable, charge: Charge) -> Node:
         """Descend the (replicated) upper part toward ``key``.
 
         Returns the upper-part leaf (level ``h_low`` node) with the
         largest key <= ``key``.  Purely local: every touched node is
-        replicated.  Charges one unit per node traversed.
+        replicated.  Charges one unit per node traversed (in one call:
+        charges are integer-valued, so the sum is exact).
         """
-        x = self.root
-        charge(1)
-        while True:
-            while x.right is not None and x.right.key <= key:
-                x = x.right
-                charge(1)
-            if x.level == self.h_low:
-                return x
-            x = x.down
-            charge(1)
+        u, steps = self.upper_descend_steps(key)
+        charge(steps)
+        return u
 
     def upper_descend_path(self, key: Hashable, charge: Charge) -> List[Node]:
         """Like :meth:`upper_descend` but returns the rightmost node at
@@ -337,14 +348,20 @@ class SkipListStructure:
         replicated upper part + the module's next-leaf pointers, then a
         short local walk (O(log P) whp).
         """
-        ml = self.mlocal(mid)
-        u = self.upper_descend(key, charge)
+        return self._local_position_from(
+            self.upper_descend(key, charge), mid, key, charge)
+
+    def _local_position_from(self, u: Node, mid: int, key: Hashable,
+                             charge: Charge,
+                             ) -> Tuple[Optional[Node], Optional[Node]]:
+        """:meth:`local_position` given ``key``'s upper-part landing leaf
+        ``u`` (the descent is the caller's, already charged)."""
         cur = u.next_leaf[mid] if u.next_leaf is not None else None
         if cur is None:
             # no local leaf at or after u.key: pred is the module's last
             # leaf if it is < key (it must be, since it is < u.key <= key
             # ... unless the list is empty).
-            pred = ml.last_leaf
+            pred = self.mlocal(mid).last_leaf
             if pred is not None and not (pred.key < key):
                 # Defensive: stale next-leaf would be a structure bug.
                 raise AssertionError("next-leaf invariant violated")
@@ -354,11 +371,30 @@ class SkipListStructure:
             return cur.local_left, cur
         prev = cur
         cur = cur.local_right
-        charge(1)
+        steps = 1
         while cur is not None and cur.key < key:
             prev, cur = cur, cur.local_right
-            charge(1)
+            steps += 1
+        charge(steps)
         return prev, cur
+
+    def _repair_next_leaf(self, u: Optional[Node], mid: int,
+                          pred: Optional[Node], old: Optional[Node],
+                          new: Optional[Node], charge: Charge) -> None:
+        """Walk the upper leaves left from ``u`` while their keys exceed
+        ``pred``'s, pointing module ``mid``'s next-leaf at ``new`` (only
+        where it pointed at ``old``, when ``old`` is given)."""
+        pred_key = pred.key if pred is not None else None
+        steps = 0
+        while u is not None and (pred_key is None or u.key > pred_key):
+            if u.next_leaf is not None and (
+                    old is None or u.next_leaf[mid] is old):
+                u.next_leaf[mid] = new
+            steps += 1
+            u = u.left
+            if u is not None and u.level != self.h_low:  # pragma: no cover
+                raise AssertionError("left walk left the upper-leaf level")
+        charge(steps)
 
     def local_insert_leaf(self, mid: int, leaf: Node, charge: Charge) -> None:
         """Insert ``leaf`` into module ``mid``'s local list + hash table.
@@ -367,7 +403,12 @@ class SkipListStructure:
         leaf with key in (pred.key, leaf.key] must now point at ``leaf``.
         """
         ml = self.mlocal(mid)
-        pred, succ = self.local_position(mid, leaf.key, charge)
+        # One descent serves both the position lookup and the next-leaf
+        # repair (nothing in between touches the upper part); the model
+        # bills a descent for each, so its step count is charged twice.
+        u, descent = self.upper_descend_steps(leaf.key)
+        charge(descent)
+        pred, succ = self._local_position_from(u, mid, leaf.key, charge)
         leaf.local_left = pred
         leaf.local_right = succ
         if pred is not None:
@@ -381,16 +422,8 @@ class SkipListStructure:
         ml.leaf_count += 1
         charge(1)
         ml.table.insert(leaf.key, leaf)
-        # next-leaf repair: walk upper leaves left from the descent point.
-        pred_key = pred.key if pred is not None else None
-        u = self.upper_descend(leaf.key, charge)
-        while u is not None and (pred_key is None or u.key > pred_key):
-            if u.next_leaf is not None:
-                u.next_leaf[mid] = leaf
-            charge(1)
-            u = u.left
-            if u is not None and u.level != self.h_low:  # pragma: no cover
-                raise AssertionError("left walk left the upper-leaf level")
+        charge(descent)
+        self._repair_next_leaf(u, mid, pred, None, leaf, charge)
 
     def local_remove_leaf(self, mid: int, leaf: Node, charge: Charge) -> None:
         """Remove ``leaf`` from module ``mid``'s local list + hash table,
@@ -410,15 +443,8 @@ class SkipListStructure:
         ml.table.delete(leaf.key)
         leaf.local_left = None
         leaf.local_right = None
-        pred_key = pred.key if pred is not None else None
         u = self.upper_descend(leaf.key, charge)
-        while u is not None and (pred_key is None or u.key > pred_key):
-            if u.next_leaf is not None and u.next_leaf[mid] is leaf:
-                u.next_leaf[mid] = succ
-            charge(1)
-            u = u.left
-            if u is not None and u.level != self.h_low:  # pragma: no cover
-                raise AssertionError("left walk left the upper-leaf level")
+        self._repair_next_leaf(u, mid, pred, leaf, succ, charge)
 
     def compute_next_leaf(self, mid: int, upper_leaf: Node, charge: Charge) -> None:
         """Set a *new* upper leaf's next-leaf pointer for module ``mid``:

@@ -33,15 +33,6 @@ from repro.sim.cpu import CPUSide, WorkDepth
 
 
 @dataclass
-class _CNode:
-    ident: Hashable
-    marked: bool
-    left: Optional["_CNode"] = None
-    right: Optional["_CNode"] = None
-    alive: bool = True
-
-
-@dataclass
 class ContractionStats:
     """Measured cost of one contraction run."""
 
@@ -56,28 +47,44 @@ class ContractionList:
     Build with :meth:`add_chain` (each chain is an independent linked list
     segment, e.g. the copied region of one skip-list level), then call
     :meth:`contract`.
+
+    The copied nodes are rows of parallel index columns (``left`` /
+    ``right`` hold row numbers, -1 for none), not linked objects: a
+    doubly linked scratch graph is a reference cycle per adjacency,
+    which the batch path must not create (the cyclic collector is paused
+    while a batch runs; see :func:`repro.ops.batch_epoch`).
     """
 
     def __init__(self) -> None:
-        self._nodes: List[_CNode] = []
-        self._by_ident: Dict[Hashable, _CNode] = {}
+        self._ident: List[Hashable] = []
+        self._marked: List[bool] = []
+        self._left: List[int] = []
+        self._right: List[int] = []
+        self._row: Dict[Hashable, int] = {}
+
+    def _add(self, ident: Hashable, marked: bool) -> int:
+        row = len(self._ident)
+        self._row[ident] = row
+        self._ident.append(ident)
+        self._marked.append(marked)
+        self._left.append(-1)
+        self._right.append(-1)
+        return row
 
     def add_chain(self, chain: Sequence[Tuple[Hashable, bool]]) -> None:
         """Append a chain of ``(ident, marked)`` pairs, linked in order.
 
         Idents must be globally unique across chains.
         """
-        prev: Optional[_CNode] = None
+        prev = -1
         for ident, marked in chain:
-            if ident in self._by_ident:
+            if ident in self._row:
                 raise ValueError(f"duplicate ident {ident!r}")
-            node = _CNode(ident=ident, marked=marked)
-            self._by_ident[ident] = node
-            self._nodes.append(node)
-            if prev is not None:
-                prev.right = node
-                node.left = prev
-            prev = node
+            row = self._add(ident, marked)
+            if prev >= 0:
+                self._right[prev] = row
+                self._left[row] = prev
+            prev = row
 
     def add_adjacency(
         self,
@@ -92,35 +99,30 @@ class ContractionList:
         neighbors, and no sequential run-walking is needed (O(B) work,
         O(log B) depth on the CPU side).
         """
+        rows = self._row
         # First pass: create all marked nodes.
         for ident, _, _ in entries:
-            if ident in self._by_ident:
+            if ident in rows:
                 raise ValueError(f"duplicate ident {ident!r}")
-            node = _CNode(ident=ident, marked=True)
-            self._by_ident[ident] = node
-            self._nodes.append(node)
+            self._add(ident, True)
         # Second pass: link, creating unmarked boundaries on demand.
         for ident, left, right in entries:
-            node = self._by_ident[ident]
+            row = rows[ident]
             if left is not None:
-                lnode = self._by_ident.get(left)
-                if lnode is None:
-                    lnode = _CNode(ident=left, marked=False)
-                    self._by_ident[left] = lnode
-                    self._nodes.append(lnode)
-                node.left = lnode
-                lnode.right = node
+                lrow = rows.get(left)
+                if lrow is None:
+                    lrow = self._add(left, False)
+                self._left[row] = lrow
+                self._right[lrow] = row
             if right is not None:
-                rnode = self._by_ident.get(right)
-                if rnode is None:
-                    rnode = _CNode(ident=right, marked=False)
-                    self._by_ident[right] = rnode
-                    self._nodes.append(rnode)
-                node.right = rnode
-                rnode.left = node
+                rrow = rows.get(right)
+                if rrow is None:
+                    rrow = self._add(right, False)
+                self._right[row] = rrow
+                self._left[rrow] = row
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._ident)
 
     def contract(self, rng: random.Random) -> ContractionStats:
         """Splice out all marked nodes; returns measured cost.
@@ -129,31 +131,39 @@ class ContractionList:
         pointers bypass every marked node.  Query the result with
         :meth:`links`.
         """
-        live = [n for n in self._nodes if n.marked]
+        marked, left, right = self._marked, self._left, self._right
+        live = [row for row, m in enumerate(marked) if m]
+        # A live node's left neighbor is never a spliced node (splicing
+        # rewires around it), so stale coins of dead rows are never read.
+        coin = [0] * len(marked)
         rounds = 0
         work = 0
         spliced_total = 0
         while live:
             rounds += 1
-            coins = {id(n): rng.getrandbits(1) for n in live}
+            for row in live:
+                coin[row] = rng.getrandbits(1)
             work += len(live)
-            to_splice: List[_CNode] = []
-            for n in live:
-                if not coins[id(n)]:
-                    continue  # tails: wait this round
-                lf = n.left
-                if lf is not None and lf.marked and coins.get(id(lf), 0):
-                    continue  # left marked neighbor also heads: defer to it
-                to_splice.append(n)
-            for n in to_splice:
-                lf, rt = n.left, n.right
-                if lf is not None:
-                    lf.right = rt
-                if rt is not None:
-                    rt.left = lf
-                n.alive = False
+            to_splice: List[int] = []
+            waiting: List[int] = []
+            for row in live:
+                if coin[row]:
+                    lf = left[row]
+                    # heads, and no marked left neighbor that is also
+                    # heads (that one goes first; adjacent marked nodes
+                    # never splice in the same round)
+                    if lf < 0 or not marked[lf] or not coin[lf]:
+                        to_splice.append(row)
+                        continue
+                waiting.append(row)
+            for row in to_splice:
+                lf, rt = left[row], right[row]
+                if lf >= 0:
+                    right[lf] = rt
+                if rt >= 0:
+                    left[rt] = lf
             spliced_total += len(to_splice)
-            live = [n for n in live if n.alive]
+            live = waiting
         return ContractionStats(rounds=rounds, work=work, spliced=spliced_total)
 
     def links(self) -> List[Tuple[Optional[Hashable], Optional[Hashable]]]:
@@ -163,22 +173,23 @@ class ContractionList:
         including ``(ident, None)`` for chain tails -- exactly the remote
         pointer writes batched Delete must issue.
         """
+        ident, right = self._ident, self._right
         out: List[Tuple[Optional[Hashable], Optional[Hashable]]] = []
-        for n in self._nodes:
-            if n.marked or not n.alive:
+        for row, m in enumerate(self._marked):
+            if m:
                 continue
-            rt = n.right
-            out.append((n.ident, rt.ident if rt is not None else None))
+            rt = right[row]
+            out.append((ident[row], ident[rt] if rt >= 0 else None))
         return out
 
     def neighbor_of(self, ident: Hashable) -> Tuple[Optional[Hashable], Optional[Hashable]]:
         """Post-contraction (left, right) neighbor idents of a survivor."""
-        n = self._by_ident[ident]
-        if n.marked:
+        row = self._row[ident]
+        if self._marked[row]:
             raise ValueError("marked nodes have no post-contraction neighbors")
-        lf = n.left.ident if n.left is not None else None
-        rt = n.right.ident if n.right is not None else None
-        return lf, rt
+        lf, rt = self._left[row], self._right[row]
+        return (self._ident[lf] if lf >= 0 else None,
+                self._ident[rt] if rt >= 0 else None)
 
 
 def splice_out_marked(

@@ -32,7 +32,11 @@ The four phases of a :class:`BatchOp`:
 The driver (:func:`run_batch`) owns handler registration, staged-queue
 issue, round draining (labelled with the op name, so a livelock report
 names its originating op) and leaves all metric charging to the phases
-and the round engine -- the cost model is unchanged.
+and the round engine -- the cost model is unchanged.  The outermost
+``run_batch`` on a machine is also one host-memory *reclamation epoch*
+(:func:`batch_epoch`): the interpreter's cyclic collector is paused for
+its length, so ops must not build reference cycles among their
+temporaries (see the notes for op authors below).
 
 Backends and observability hook in here: a different driver (e.g. one
 that ships stages to multiprocess shards, or charges an alternative cost
@@ -59,6 +63,12 @@ Design notes for op authors
   driver closes the generator, which runs the ``finally`` blocks.  Never
   yield from inside a ``finally`` -- cleanup *messages* must be a normal
   success-path stage.
+- Keep a batch's temporaries acyclic.  The cyclic collector is paused
+  while a batch runs, so a plan record that points back at its op, or a
+  freed structure node that keeps its neighbour pointers, is a leak
+  until some later full collection.  Index into flat lists instead of
+  linking scratch objects both ways, and clear the pointer slots of
+  whatever the op removes from the structure.
 - Handler dicts must be stable: :meth:`PIMMachine.register` treats
   re-registration of the identical handler object as a no-op but rejects
   a different object under the same id, so :meth:`BatchOp.handlers` must
@@ -68,15 +78,17 @@ Design notes for op authors
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+import gc
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.sim.chaos import DELIVER_FN
 from repro.sim.errors import (DeliveryTimeout, MalformedMessageError,
                               UnknownHandlerError)
 from repro.sim.machine import Handler, PIMMachine
 
-__all__ = ["ACK_TAG", "BatchOp", "Broadcast", "cached_handlers",
-           "run_batch"]
+__all__ = ["ACK_TAG", "BatchOp", "Broadcast", "batch_epoch",
+           "cached_handlers", "run_batch"]
 
 
 class Broadcast:
@@ -346,6 +358,39 @@ def _issue(machine: PIMMachine, stage: Optional[Iterable]) -> None:
         machine.send_all(run)
 
 
+@contextmanager
+def batch_epoch(machine: PIMMachine) -> Iterator[None]:
+    """One reclamation epoch: the outermost batch scope on ``machine``.
+
+    The model's CPU side is batch-scoped -- shared memory is claimed and
+    released per batch and only the structure outlives one -- so the
+    tens of thousands of rows, replies and path records a batch keeps
+    alive are all dead when it ends.  The interpreter's cyclic
+    collector cannot know that: left running it promotes them and then
+    walks the whole structure, in full collections that free nothing.
+    The outermost scope therefore pauses the collector (only if it was
+    enabled) and restores it on every exit path; scopes nested inside
+    it -- composite ops, bulk construction inside an op -- do nothing.
+    Temporaries die by reference count when the batch ends, which holds
+    only while the batch path creates no reference cycles (DESIGN.md,
+    "Host memory: batch epochs").  This is the one place that touches
+    the collector; thresholds are never changed.
+    """
+    paused = False
+    if machine._epoch_depth == 0:
+        machine.batch_epochs += 1
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
+    machine._epoch_depth += 1
+    try:
+        yield
+    finally:
+        machine._epoch_depth -= 1
+        if paused:
+            gc.enable()
+
+
 def run_batch(machine: PIMMachine, op: BatchOp, batch: Any = None) -> Any:
     """Drive one :class:`BatchOp` to completion and return its result.
 
@@ -359,7 +404,18 @@ def run_batch(machine: PIMMachine, op: BatchOp, batch: Any = None) -> Any:
     through the reliable-delivery protocol instead (see the module
     comment above): ops are written against a perfect network and
     survive message-level faults without changes.
+
+    The outermost call on a machine is one reclamation epoch (see
+    :func:`batch_epoch`); nested calls run inside it.
     """
+    # The driver is its own frame so that the plan, the replies and the
+    # routed value are already released when the epoch closes: the
+    # collector comes back to the result alone.
+    with batch_epoch(machine):
+        return _drive(machine, op, batch)
+
+
+def _drive(machine: PIMMachine, op: BatchOp, batch: Any) -> Any:
     observer = getattr(machine, "batch_observer", None)
     before = machine.snapshot() if observer is not None else None
     handlers = op.handlers()

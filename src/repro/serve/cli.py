@@ -98,6 +98,10 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{report.recovery['checkpoints_captured']} captured, last "
               f"{report.recovery['last_checkpoint_items']} item(s), replay "
               f"debt {report.recovery['replay_debt_items']} item(s)")
+        young, middle, full = report.runtime["gc_collections"]
+        print(f"  host runtime     : {report.runtime['batch_epochs']} batch "
+              f"epoch(s) on the live machine, collections "
+              f"{young} young / {middle} middle / {full} full")
     print(f"  final health     : {report.health_state} "
           f"({report.health_transitions} transition(s))")
 

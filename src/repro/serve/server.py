@@ -33,6 +33,7 @@ the journal sequentially.
 from __future__ import annotations
 
 import asyncio
+import gc
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -97,6 +98,11 @@ class JournalEntry:
     kind: str = "live"
 
 
+def _gc_collections() -> List[int]:
+    """Completed collections per generation, youngest first."""
+    return [gen["collections"] for gen in gc.get_stats()]
+
+
 class Server:
     """Serve many concurrent client streams over one PIM structure.
 
@@ -149,6 +155,7 @@ class Server:
         self._task: Optional[asyncio.Task] = None
         self._failure: Optional[BaseException] = None
         self._last_progress = 0
+        self._gc_at_start = _gc_collections()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -156,6 +163,7 @@ class Server:
         if self._running:
             return
         self._running = True
+        self._gc_at_start = _gc_collections()
         self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def stop(self) -> None:
@@ -347,6 +355,18 @@ class Server:
             "rounds": (None if machine is None
                        else machine.metrics.rounds),
             "recovery": cadence,
+            # What the host interpreter did since start(): collections
+            # per generation (batches run with the cyclic collector
+            # paused -- repro.ops.batch_epoch -- so the oldest
+            # generation's count should barely move), and how many
+            # outermost batch scopes the live machine has run.
+            "runtime": {
+                "gc_collections": [now - then for now, then in
+                                   zip(_gc_collections(),
+                                       self._gc_at_start)],
+                "batch_epochs": (None if machine is None
+                                 else machine.batch_epochs),
+            },
             "durability": (None if self.durable is None
                            else dict(self.durable.stats(), **cadence,
                                      restored=manager.restored_from_disk)),

@@ -155,6 +155,10 @@ class PIMMachine:
         #: ``repro.verify`` to check cost invariants batch by batch;
         #: observers must be passive (no sends, no charging).
         self.batch_observer: Optional[Callable[[str, MetricsDelta], None]] = None
+        #: Outermost batch scopes entered on this machine so far (see
+        #: :func:`repro.ops.batch_epoch`, which also owns the depth).
+        self.batch_epochs = 0
+        self._epoch_depth = 0
         self._handlers: Dict[str, Handler] = {}
         # fn -> batch handler (see register_batch): a round's tasks for a
         # registered fn run as ONE call over contiguous chunks.

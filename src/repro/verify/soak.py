@@ -123,6 +123,10 @@ class SoakReport:
     #: ``Server.status()["recovery"]`` at the end of the run: the
     #: checkpoint cadence counters (not part of the fingerprint).
     recovery: Dict[str, int] = field(default_factory=dict)
+    #: ``Server.status()["runtime"]`` at the end of the run: host
+    #: interpreter counters (not deterministic, so neither in the
+    #: fingerprint nor in :meth:`as_dict`).
+    runtime: Dict[str, Any] = field(default_factory=dict)
     trips: int = 0
     stale_reads: int = 0
     ticks: int = 0
@@ -308,6 +312,7 @@ def soak_session(schedule: str = "none", fault_seed: int = 0, *,
         status["health"]["transitions"])  # type: ignore[index]
     report.recoveries = server.manager.recoveries
     report.recovery = dict(status["recovery"])  # type: ignore[call-overload]
+    report.runtime = dict(status["runtime"])  # type: ignore[call-overload]
     report.trips = server.policy.stats["trips"]
     report.stale_reads = server.policy.stats["stale_reads"]
     report.ticks = server.tick

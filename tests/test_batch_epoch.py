@@ -1,0 +1,427 @@
+"""Batch epochs: the cyclic collector is off the batch path, and stays off
+it only because the batch path is acyclic.
+
+Two halves.  The scope (:func:`repro.ops.batch_epoch`, entered by every
+outermost ``run_batch`` and by bulk build) pauses the interpreter's
+cyclic collector and must hand it back exactly as it found it -- on
+success, on an exception, across a failover, and when the caller had it
+off already.  The teardown (``Node.clear_links`` after a batched Delete,
+index columns in ``ContractionList``) must leave nothing for the paused
+collector to miss: a churn of upserts and deletes leaves zero
+unreachable structure objects behind.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import gc
+import random
+from collections import Counter
+from typing import Dict, Hashable, List, Optional, Tuple
+
+import pytest
+
+from repro import PIMMachine, PIMSkipList
+from repro.cpuside.list_contraction import ContractionList
+from repro.ops import BatchOp, batch_epoch, run_batch
+from repro.recovery import DegradedResult, RecoveryManager
+from repro.serve import Server, ServerConfig
+from repro.sim.chaos import CrashEvent, FaultPlan, FaultSpec
+from repro.structures.pimtree import PIMTree
+
+POINTER_SLOTS = ("left", "right", "up", "down", "local_left",
+                 "local_right", "next_leaf", "up_chain")
+
+
+@pytest.fixture
+def collector():
+    """The test starts with the collector on and leaves it on."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def _collector_state() -> tuple:
+    return gc.isenabled(), gc.get_threshold()
+
+
+def _skiplist(p: int = 8, n: int = 512, storage: Optional[str] = None,
+              ) -> PIMSkipList:
+    sl = PIMSkipList(PIMMachine(num_modules=p, seed=3), storage=storage)
+    sl.build([(k * 20, k) for k in range(n)])
+    return sl
+
+
+class _Probe(BatchOp):
+    """One echo round; records the collector state seen from inside the
+    batch, optionally runs an inner op first or fails after the round."""
+
+    name = "probe"
+
+    def __init__(self, inner: Optional[BatchOp] = None,
+                 fail: bool = False) -> None:
+        self.inner, self.fail = inner, fail
+        self.seen: List[bool] = []
+
+    def handlers(self):
+        return _ECHO
+
+    def route(self, machine, plan):
+        if self.inner is not None:
+            run_batch(machine, self.inner)
+        self.seen.append(gc.isenabled())
+        replies = yield [(0, "probe:echo", (1,), None)]
+        self.seen.append(gc.isenabled())
+        if self.fail:
+            raise RuntimeError("route failed mid-batch")
+        return [r.payload for r in replies]
+
+
+def _echo(ctx, x, tag=None):
+    ctx.reply(x, tag=tag)
+
+
+_ECHO = {"probe:echo": _echo}
+
+
+# ---------------------------------------------------------------------------
+# the scope
+
+
+class TestCollectorIsHandedBack:
+    def test_paused_inside_and_restored_on_success(self, collector):
+        machine = PIMMachine(num_modules=4, seed=1)
+        before = _collector_state()
+        op = _Probe()
+        assert run_batch(machine, op) == [1]
+        assert op.seen == [False, False]
+        assert _collector_state() == before
+        assert machine.batch_epochs == 1
+
+    def test_restored_when_a_route_generator_raises(self, collector):
+        machine = PIMMachine(num_modules=4, seed=1)
+        before = _collector_state()
+        with pytest.raises(RuntimeError, match="mid-batch"):
+            run_batch(machine, _Probe(fail=True))
+        assert _collector_state() == before
+        # and the machine is not stuck "inside" an epoch
+        op = _Probe()
+        run_batch(machine, op)
+        assert op.seen == [False, False] and gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, collector):
+        gc.disable()
+        before = _collector_state()
+        sl = _skiplist()
+        sl.batch_upsert([(5, "a"), (15, "b")])
+        assert sl.batch_get([5, 15]) == ["a", "b"]
+        with pytest.raises(RuntimeError):
+            run_batch(sl.machine, _Probe(fail=True))
+        assert _collector_state() == before
+
+    def test_nested_run_batch_does_not_reenable(self, collector):
+        machine = PIMMachine(num_modules=4, seed=1)
+        inner = _Probe()
+        outer = _Probe(inner=inner)
+        run_batch(machine, outer)
+        assert inner.seen == [False, False]
+        # after the inner run_batch returned, still inside the outer one
+        assert outer.seen == [False, False]
+        assert machine.batch_epochs == 1
+        assert gc.isenabled()
+
+    def test_restored_across_a_failover(self, collector):
+        machines: List[PIMMachine] = []
+
+        def standby() -> PIMSkipList:
+            machines.append(PIMMachine(num_modules=8, seed=11))
+            return PIMSkipList(machines[-1])
+
+        sl = standby()
+        sl.build([(k * 100, f"v{k}") for k in range(1, 41)])
+        machines[0].install_fault_plan(FaultPlan(FaultSpec(
+            crashes=(CrashEvent(mid=2, at_round=2),)), seed=0))
+        manager = RecoveryManager(sl, standby, checkpoint_every=2)
+        before = _collector_state()
+        for op, payload in [("upsert", [(150, "x"), (4100, "y")]),
+                            ("delete", [200, 300]),
+                            ("get", [100, 150, 200, 4100])]:
+            result = manager.run(op, payload)
+            assert not isinstance(result, DegradedResult)
+            assert _collector_state() == before
+        assert result == ["v1", "x", None, "y"]
+        assert manager.recoveries == 1  # ModuleCrashed inside a batch
+        assert machines[0]._epoch_depth == 0
+
+    def test_bulk_build_shares_the_scope(self, collector):
+        machine = PIMMachine(num_modules=4, seed=1)
+        sl = PIMSkipList(machine)
+        seen: List[bool] = []
+        real = sl.struct.bulk_build
+
+        def spying_build(items):
+            seen.append(gc.isenabled())
+            real(items)
+
+        sl.struct.bulk_build = spying_build
+        sl.build([(k, k) for k in range(64)])
+        assert seen == [False] and gc.isenabled()
+        assert machine.batch_epochs == 1
+        tree = PIMTree(PIMMachine(num_modules=4, seed=1))
+        tree.build([(k, k) for k in range(64)])
+        assert tree.machine.batch_epochs == 1 and gc.isenabled()
+
+    def test_scope_restores_when_its_body_raises(self, collector):
+        machine = PIMMachine(num_modules=4, seed=1)
+        with pytest.raises(KeyError):
+            with batch_epoch(machine):
+                with batch_epoch(machine):
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+                raise KeyError("boom")
+        assert gc.isenabled() and machine._epoch_depth == 0
+
+
+def test_no_collection_starts_inside_a_wide_batch(collector):
+    """One 2304-key ``batch_successor`` at P=64 / n=16384 (the
+    ``batch_read_wide`` shape) keeps tens of thousands of tracked
+    temporaries alive; none of it may reach the collector -- no
+    collection of any generation while the epoch is open, and no
+    generation-2 pass over the whole node graph on its account after."""
+    sl = _skiplist(p=64, n=16384)
+    machine = sl.machine
+    assert sl.min_search_batch == 2304
+    rng = random.Random(5)
+    inside: List[int] = []
+    around: List[int] = []
+
+    def on_gc(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            (inside if machine._epoch_depth else around).append(
+                info["generation"])
+
+    gc.collect()
+    for _ in range(3):
+        keys = [rng.randrange(16384 * 20) for _ in range(2304)]
+        gc.callbacks.append(on_gc)
+        try:
+            got = sl.batch_successor(keys)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert len(got) == 2304
+    assert inside == []
+    assert 2 not in around
+
+
+def test_server_status_reports_the_runtime(collector):
+    machines: List[PIMMachine] = []
+
+    def standby() -> PIMSkipList:
+        machines.append(PIMMachine(num_modules=4, seed=7))
+        return PIMSkipList(machines[-1])
+
+    sl = standby()
+    sl.build([(i, i * 10) for i in range(0, 100, 2)])
+    server = Server(sl, standby, ServerConfig())
+    before = _collector_state()
+
+    async def session():
+        await server.start()
+        got = await asyncio.gather(
+            server.submit("a", "upsert", [(1, "one")]),
+            server.submit("b", "get", [0, 2]),
+            server.submit("a", "get", [1]))
+        await server.stop()
+        return got
+
+    assert asyncio.run(session()) == [None, [0, 20], ["one"]]
+    assert _collector_state() == before
+    runtime = server.status()["runtime"]
+    assert len(runtime["gc_collections"]) == 3
+    assert all(isinstance(c, int) and c >= 0
+               for c in runtime["gc_collections"])
+    # the bulk build + at least one epoch per served batch
+    assert runtime["batch_epochs"] == machines[0].batch_epochs
+    assert runtime["batch_epochs"] > server.batches_served >= 2
+
+
+# ---------------------------------------------------------------------------
+# the batch path is acyclic
+
+
+def _unreachable_by_type(churn) -> Counter:
+    """Run ``churn()`` with the collector off, then count what only a
+    cyclic collection can reclaim, by type name."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.disable()
+    try:
+        churn()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()
+        gc.collect()
+
+
+@pytest.mark.parametrize("storage", ["object", "arena"])
+def test_skiplist_churn_leaves_no_cyclic_garbage(collector, storage):
+    sl = _skiplist(p=32, n=8192, storage=storage)
+    rng = random.Random(1)
+
+    def churn() -> None:
+        for cycle in range(10):
+            keys = [k * 20 + 1 + cycle
+                    for k in rng.sample(range(8192), 800)]
+            sl.apply_batch("upsert", [(k, k) for k in keys])
+            assert sl.apply_batch("get", keys) == keys
+            sl.apply_batch("delete", keys)
+
+    found = _unreachable_by_type(churn)
+    assert found["Node"] == 0 and found["_CNode"] == 0, found
+    assert sum(found.values()) == 0, found
+    assert sl.size == 8192
+    sl.check_integrity()
+
+
+def test_pimtree_churn_leaves_no_cyclic_garbage(collector):
+    tree = PIMTree(PIMMachine(num_modules=32, seed=3))
+    tree.build([(k * 20, k) for k in range(8192)])
+    rng = random.Random(1)
+
+    def churn() -> None:
+        for cycle in range(10):
+            keys = [k * 20 + 1 + cycle
+                    for k in rng.sample(range(8192), 800)]
+            tree.apply_batch("upsert", [(k, k) for k in keys])
+            assert tree.apply_batch("get", keys) == keys
+
+    found = _unreachable_by_type(churn)
+    assert sum(found.values()) == 0, found
+    tree.check_integrity()
+
+
+@pytest.mark.parametrize("storage", ["object", "arena"])
+def test_a_freed_tower_holds_no_pointers(storage):
+    sl = _skiplist(p=8, n=2048, storage=storage)
+    struct = sl.struct
+    # a tower that crosses into the replicated upper part, and a short one
+    tall = next(leaf for leaf in struct.iter_level(0)
+                if leaf.has_upper and leaf.up_chain)
+    short = next(leaf for leaf in struct.iter_level(0)
+                 if not leaf.has_upper and not leaf.up_chain)
+    towers = []
+    for leaf in (tall, short):
+        tower, x = [], leaf
+        while x is not None:
+            tower.append(x)
+            x = x.up
+        towers.append(tower)
+    assert towers[0][-1].level >= struct.h_low and len(towers[1]) == 1
+    # neighbors too, so runs of consecutive deleted nodes are covered
+    keys = sorted({tall.key, tall.key + 20, tall.key + 40, short.key})
+    sl.batch_delete(keys)
+    for tower in towers:
+        for node in tower:
+            assert node.deleted
+            assert [getattr(node, s) for s in POINTER_SLOTS] == \
+                [None] * len(POINTER_SLOTS), node
+    assert sl.batch_get(keys) == [None] * len(keys)
+    sl.check_integrity()
+
+
+# ---------------------------------------------------------------------------
+# list contraction: index columns, same coins
+
+
+class _LinkedReference:
+    """The doubly-linked-object contraction this repo shipped before the
+    index columns: the reference for coin order, rounds and links."""
+
+    class _N:
+        def __init__(self, ident, marked):
+            self.ident, self.marked = ident, marked
+            self.left = self.right = None
+            self.alive = True
+
+    def __init__(self, chains) -> None:
+        self.nodes = []
+        for chain in chains:
+            prev = None
+            for ident, marked in chain:
+                node = self._N(ident, marked)
+                self.nodes.append(node)
+                if prev is not None:
+                    prev.right, node.left = node, prev
+                prev = node
+
+    def contract(self, rng: random.Random) -> Tuple[int, int, int]:
+        live = [n for n in self.nodes if n.marked]
+        rounds = work = spliced = 0
+        while live:
+            rounds += 1
+            coins = {id(n): rng.getrandbits(1) for n in live}
+            work += len(live)
+            picked = []
+            for n in live:
+                if not coins[id(n)]:
+                    continue
+                lf = n.left
+                if lf is not None and lf.marked and coins.get(id(lf), 0):
+                    continue
+                picked.append(n)
+            for n in picked:
+                if n.left is not None:
+                    n.left.right = n.right
+                if n.right is not None:
+                    n.right.left = n.left
+                n.alive = False
+            spliced += len(picked)
+            live = [n for n in live if n.alive]
+        return rounds, work, spliced
+
+    def links(self) -> List[Tuple[Hashable, Optional[Hashable]]]:
+        out = [(n.ident, n.right.ident if n.right is not None else None)
+               for n in self.nodes if not n.marked]
+        for n in self.nodes:  # the reference is cyclic; the real one is not
+            n.left = n.right = None
+        return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_contraction_draws_the_same_coins_as_the_linked_version(seed):
+    shape = random.Random(seed)
+    chains, ident = [], 0
+    for _ in range(shape.randrange(1, 6)):
+        chain = []
+        for _ in range(shape.randrange(1, 60)):
+            chain.append((ident, shape.random() < 0.7))
+            ident += 1
+        chains.append(chain)
+    ref = _LinkedReference(chains)
+    ref_rng = random.Random(99)
+    ref_stats = ref.contract(ref_rng)
+
+    cl = ContractionList()
+    for chain in chains:
+        cl.add_chain(chain)
+    rng = random.Random(99)
+    stats = cl.contract(rng)
+    assert (stats.rounds, stats.work, stats.spliced) == ref_stats
+    assert cl.links() == ref.links()
+    # same number of draws, in the same order: the streams stay in step
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_contraction_list_is_acyclic(collector):
+    def churn() -> None:
+        cl = ContractionList()
+        cl.add_adjacency([(i, i - 1, i + 1) for i in range(1, 400)])
+        cl.contract(random.Random(0))
+        assert cl.links() == [(0, 400), (400, None)]
+
+    assert sum(_unreachable_by_type(churn).values()) == 0
