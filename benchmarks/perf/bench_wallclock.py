@@ -2,7 +2,7 @@
 
 Unlike the model benchmarks under ``benchmarks/``, which measure the
 *simulated* machine (rounds, h-relations, PIM time), this harness measures
-the *simulator*: wall-clock seconds, tasks/sec and rounds/sec on five
+the *simulator*: wall-clock seconds, tasks/sec and rounds/sec on seven
 scenarios chosen to stress different engine paths, each run on the round
 engine (``PIMMachine``, reported under the label ``"columnar"``) and on
 its per-task reference oracle (``ReferencePIMMachine``, label
@@ -16,6 +16,10 @@ its per-task reference oracle (``ReferencePIMMachine``, label
   machinery in the way.  This is the storage-layer scenario: the arena
   storage's vectorized wavefront walk versus the object graph's per-hop
   walk, measured via the ``storages`` dimension below;
+- ``write_churn`` -- upsert -> get -> delete of fresh keys at P=32: the
+  write path and the hash-shortcut point ops (RemoteWrites, tower
+  delivery, delete marking), chunked on the engine, per-task on the
+  reference oracle;
 - ``engine_echo`` -- many tiny rounds of CPU-issued sends with small
   fanout (stresses send/step fixed overhead at low occupancy);
 - ``forward_chain`` -- long module-to-module continuation chains
@@ -172,6 +176,34 @@ def pointer_walk(probe_machine, *, P=128, n=8192, B=4096, batches=3,
                     succ[opid] = (pred.key, pred.value)
                 elif right is not None:
                     succ[opid] = (right.key, right.value)
+    return probe
+
+
+def write_churn(probe_machine, *, P=32, n=4096, cycles=4, seed=17,
+                machine_cls=PIMMachine, storage=None):
+    """The write path: upsert -> get -> delete of fresh keys.
+
+    Every cycle inserts one ``P log^2 P`` batch of keys the list does
+    not hold, reads them back and deletes them again, so the traffic is
+    RemoteWrites, hash-shortcut point tasks, tower delivery and delete
+    marking around one embedded search.  On the engine those run as
+    batch handlers; on the reference oracle every one is a task through
+    a slot.  The regression gate holds the engine's floor on this
+    scenario the way ``forward_chain`` holds the vector walk's.
+    """
+    machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
+    sl = PIMSkipList(machine, name="bench", storage=storage)
+    rng = random.Random(seed)
+    sl.build([(2 * k, k) for k in range(n)])  # even keys; fresh ones are odd
+    B = sl.min_search_batch  # 800 at P = 32; n must be at least that
+    fresh = [[2 * k + 1 for k in rng.sample(range(n), B)]
+             for _ in range(cycles)]
+    _settle_heap()
+    with probe_machine(machine) as probe:
+        for keys in fresh:
+            sl.batch_upsert([(k, -k) for k in keys])
+            sl.batch_get(keys)
+            sl.batch_delete(keys)
     return probe
 
 
@@ -378,6 +410,9 @@ SCENARIOS = {
                       "seed": 13},
                      {"P": 32, "n": 512, "B": 256, "batches": 1,
                       "seed": 13}),
+    "write_churn": (write_churn,
+                    {"P": 32, "n": 4096, "cycles": 4, "seed": 17},
+                    {"P": 32, "n": 1024, "cycles": 1, "seed": 17}),
     "engine_echo": (engine_echo,
                     {"P": 64, "rounds": 400, "fanout": 16, "seed": 3},
                     {"P": 64, "rounds": 40, "fanout": 16, "seed": 3}),
@@ -397,7 +432,7 @@ SCENARIOS = {
 
 #: Scenarios that exercise the skip-list structure itself and therefore
 #: accept a ``storage=`` override (the storages dimension below).
-STORAGE_SCENARIOS = ("macro_successor", "pointer_walk")
+STORAGE_SCENARIOS = ("macro_successor", "pointer_walk", "write_churn")
 
 
 def run(quick: bool = False, repeat: int = 3, profile: bool = False,

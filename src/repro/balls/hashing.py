@@ -12,7 +12,7 @@ key's repr (stable fallback for anything else).
 from __future__ import annotations
 
 import hashlib
-from typing import Hashable
+from typing import Dict, Hashable
 
 _MASK = (1 << 64) - 1
 
@@ -55,11 +55,32 @@ class KeyLevelHash:
             raise ValueError("num_modules must be >= 1")
         self.num_modules = num_modules
         self.seed = mix64(seed ^ 0x9E3779B97F4A7C15)
+        # Folded constants: ``module_of`` is on every placement, so the
+        # two mixes that depend only on the seed (and the level) are
+        # taken once -- the int-key mix here, the level mixes on first
+        # use of a level.  Values are those of the unfused expression
+        # ``mix64(stable_hash(key, seed) ^ mix64(level ^ seed))``.
+        self._seed_mix = mix64(self.seed)
+        self._level_mix: Dict[int, int] = {}
 
     def module_of(self, key: Hashable, level: int = 0) -> int:
         """The module that owns the node for ``key`` at ``level``."""
-        h = stable_hash(key, seed=self.seed)
-        return mix64(h ^ mix64(level ^ self.seed)) % self.num_modules
+        lm = self._level_mix.get(level)
+        if lm is None:
+            lm = self._level_mix[level] = mix64(level ^ self.seed)
+        if type(key) is int:
+            # stable_hash's int path with the splitmix64 finalizer
+            # inlined (bool is not ``int`` here and takes the call).
+            x = (key ^ self._seed_mix) & _MASK
+            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+            x ^= x >> 31
+        else:
+            x = stable_hash(key, seed=self.seed)
+        x ^= lm
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+        return (x ^ (x >> 31)) % self.num_modules
 
     def __call__(self, key: Hashable, level: int = 0) -> int:
         return self.module_of(key, level)

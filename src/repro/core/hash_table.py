@@ -31,6 +31,7 @@ from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple
 from repro.balls.hashing import mix64, stable_hash
 
 _ABSENT = object()
+_MASK = (1 << 64) - 1
 
 
 class CuckooHashTable:
@@ -76,12 +77,27 @@ class CuckooHashTable:
     def _new_seeds(self) -> None:
         self._seed1 = self._rng.getrandbits(63)
         self._seed2 = self._rng.getrandbits(63)
+        # ``stable_hash(key, seed)`` mixes the seed before the key; that
+        # half depends on the seed alone, so it is taken once per reseed.
+        self._mix1 = mix64(self._seed1)
+        self._mix2 = mix64(self._seed2)
 
     def _h1(self, key: Hashable) -> int:
-        return stable_hash(key, seed=self._seed1) % self._capacity
+        if type(key) is not int:  # bool included: it hashes as a tuple
+            return stable_hash(key, seed=self._seed1) % self._capacity
+        # stable_hash's int path, splitmix64 finalizer inlined.
+        x = (key ^ self._mix1) & _MASK
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+        return (x ^ (x >> 31)) % self._capacity
 
     def _h2(self, key: Hashable) -> int:
-        return stable_hash(key, seed=self._seed2) % self._capacity
+        if type(key) is not int:
+            return stable_hash(key, seed=self._seed2) % self._capacity
+        x = (key ^ self._mix2) & _MASK
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+        return (x ^ (x >> 31)) % self._capacity
 
     def _max_chase(self) -> int:
         """Eviction-chain cutoff before an item is stashed (cycle break)."""
@@ -95,6 +111,12 @@ class CuckooHashTable:
         (losing the alternation state would ping-pong forever at small
         ``moves_per_op``).
         """
+        if not self._pending:
+            # Nothing queued (every lookup of a settled table): only the
+            # stash-limit check below remains to be made.
+            if len(self._stash) > self._stash_limit:
+                self._rebuild(self._capacity * 2)
+            return
         max_chase = self._max_chase()
         while steps > 0 and self._pending:
             key, (value, use_t1) = self._pending.popitem(last=False)

@@ -36,12 +36,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.node import Node
-from repro.core.ops_write import write_message
+from repro.core.ops_write import ACK, write_message
 from repro.core.structure import SkipListStructure
 from repro.cpuside.list_contraction import ContractionList
 from repro.cpuside.semisort import group_by
 from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
 from repro.sim.cpu import WorkDepth
+from repro.sim.task import Reply
 
 
 @dataclass
@@ -53,20 +54,26 @@ class DeleteStats:
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    def h_delete_mark(ctx, key, tag=None):
-        ml = sl.mlocal(ctx.mid)
-        leaf = ml.table.lookup(key)
-        ctx.charge(1)
+    name = sl.name
+    storage = sl.storage
+    fn_mark_node = f"{name}:del_mark_node"
+
+    # Row bodies, shared by the scalar handlers and the chunk loops.
+
+    def mark_leaf(module, key, charge):
+        """Take ``key``'s leaf out of ``module``'s local state.  Returns
+        the reply payload and the ``(node, is_top)`` marker task of each
+        lower tower node above the leaf."""
+        leaf = module.state[name].table.lookup(key)
+        charge(1)
         if leaf is None:
-            ctx.reply(("notfound", key), tag=tag)
-            return
-        ctx.touch(leaf.nid)
-        sl.local_remove_leaf(ctx.mid, leaf, ctx.charge)
+            return ("notfound", key), ()
+        sl.local_remove_leaf(module.mid, leaf, charge)
         leaf.deleted = True
         sl.account_lower_free(leaf)
-        if sl.storage.mirrors:
-            sl.storage.free(leaf)
-        chain = leaf.up_chain or []
+        if storage.mirrors:
+            storage.free(leaf)
+        chain = leaf.up_chain or ()
         # If the tower tops out below the upper part, the top chain node's
         # marker must return nothing extra; if it reaches the upper part,
         # the top *lower* node's marker returns its up pointer so the CPU
@@ -75,25 +82,62 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
             up_ref = leaf.up  # h_low == 1: the leaf itself is the top
         else:
             up_ref = None
-        ctx.reply(("marked", key, leaf, leaf.left, leaf.right, up_ref),
-                  size=1, tag=tag)
-        fn_mark_node = f"{sl.name}:del_mark_node"
-        for i, node in enumerate(chain):
-            is_top = leaf.has_upper and (i == len(chain) - 1)
-            ctx.forward(node.owner, fn_mark_node, (node, is_top), tag=tag)
+        top = len(chain) - 1 if leaf.has_upper else -1
+        return (("marked", key, leaf, leaf.left, leaf.right, up_ref),
+                [(node, i == top) for i, node in enumerate(chain)])
+
+    def mark_node(node, is_top):
+        node.deleted = True
+        sl.account_lower_free(node)
+        if storage.mirrors:
+            storage.free(node)
+        return ("marked_node", node, node.left, node.right,
+                node.up if is_top else None)
+
+    def h_delete_mark(ctx, key, tag=None):
+        payload, markers = mark_leaf(ctx.module, key, ctx.charge)
+        if payload[0] == "marked":
+            ctx.touch(payload[2].nid)
+        ctx.reply(payload, size=1, tag=tag)
+        for args in markers:
+            ctx.forward(args[0].owner, fn_mark_node, args, tag=tag)
 
     def h_mark_node(ctx, node, is_top, tag=None):
         ctx.charge(1)
         ctx.touch(node.nid)
-        node.deleted = True
-        sl.account_lower_free(node)
-        if sl.storage.mirrors:
-            sl.storage.free(node)
-        up_ref = node.up if is_top else None
-        ctx.reply(("marked_node", node, node.left, node.right, up_ref),
-                  size=1, tag=tag)
+        ctx.reply(mark_node(node, is_top), size=1, tag=tag)
+
+    # The CPU side contracts the marked nodes in the order their replies
+    # arrive (the random-mate coins are drawn in that order), so both
+    # chunk loops run their rows in the scalar loop's order and the
+    # reply stream is the reference oracle's, element for element.
+
+    def batch_delete_mark(bct, chunks):
+        modules = bct.machine.modules
+        sent = bct.sent
+        rep_append = bct.replies.append
+        out: list = []
+        for mid, (key,), tag, _size in bct.rows_in_slot_order(chunks):
+            module = modules[mid]
+            payload, markers = mark_leaf(module, key, module.charge)
+            rep_append(Reply(payload, tag, mid))
+            sent[mid] += 1 + len(markers)
+            for args in markers:
+                out.append((args[0].owner, args, tag, 1))
+        bct.stage_rows(fn_mark_node, out)
+
+    def batch_mark_node(bct, chunks):
+        work = bct.work
+        sent = bct.sent
+        rep_append = bct.replies.append
+        for mid, (node, is_top), tag, _size in bct.rows_in_slot_order(chunks):
+            work[mid] += 1
+            sent[mid] += 1
+            rep_append(Reply(mark_node(node, is_top), tag, mid))
 
     def h_delete_upper_tower(ctx, upper_leaf, tag=None):
+        # Scalar only: the first executor's unlink splices the shared
+        # level, the others find the node already unlinked.
         u: Optional[Node] = upper_leaf
         while u is not None:
             ctx.charge(1)
@@ -101,12 +145,16 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
             u.deleted = True
             sl.unlink_upper_node(u, ctx.charge)
             u = u.up
-        ctx.reply(("ack",), tag=tag)
+        ctx.reply(ACK, tag=tag)
+
+    machine = sl.machine
+    machine.register_batch(f"{name}:del_mark", batch_delete_mark)
+    machine.register_batch(fn_mark_node, batch_mark_node)
 
     return {
-        f"{sl.name}:del_mark": h_delete_mark,
-        f"{sl.name}:del_mark_node": h_mark_node,
-        f"{sl.name}:del_upper": h_delete_upper_tower,
+        f"{name}:del_mark": h_delete_mark,
+        fn_mark_node: h_mark_node,
+        f"{name}:del_upper": h_delete_upper_tower,
     }
 
 

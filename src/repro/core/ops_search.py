@@ -334,8 +334,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 else:  # pragma: no cover - storage cannot change mid-op
                     scal.extend(_cols_to_rows(arena, ch))
                 continue
-            rows = ch.rows if ch.rows is not None \
-                else list(bct.machine._iter_chunk(ch))
+            rows = bct.rows_of(ch)
             if not vec_ready:
                 scal.extend(rows)
                 continue
@@ -407,8 +406,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         vec: list = []
         vtgt: list = []
         for ch in chunks:
-            rows = ch.rows if ch.rows is not None \
-                else list(bct.machine._iter_chunk(ch))
+            rows = bct.rows_of(ch)
             if not use_vec:
                 scal.extend(rows)
                 continue

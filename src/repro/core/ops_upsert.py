@@ -40,13 +40,15 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.node import Node
+from repro.core.ops_point import update_handlers
 from repro.core.ops_successor import batch_search
-from repro.core.ops_write import write_message
+from repro.core.ops_write import ACK, write_message
 from repro.core.structure import SkipListStructure
 from repro.cpuside.semisort import group_by
 from repro.cpuside.sort import parallel_sort
 from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
 from repro.sim.cpu import WorkDepth
+from repro.sim.task import Reply
 
 
 @dataclass
@@ -58,45 +60,81 @@ class UpsertStats:
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    def h_try_update(ctx, key, value, tag=None):
-        ml = sl.mlocal(ctx.mid)
-        leaf = ml.table.lookup(key)
-        ctx.charge(1)
-        if leaf is not None:
-            ctx.touch(leaf.nid)
-            leaf.value = value
-            sl.storage.set_value(leaf, value)
-        ctx.reply((key, leaf is not None), tag=tag)
+    name = sl.name
 
-    def h_insert_lower(ctx, node, tag=None):
+    # Row bodies: what one task does on ``module``, charging through
+    # ``charge`` -- ``ctx.charge`` under the scalar loop, a ``bct.work``
+    # adder in a chunk loop.
+
+    def insert_lower(module, node, charge):
         sl.account_lower_alloc(node)
-        ctx.charge(1)
-        ctx.touch(node.nid)
+        charge(1)
         if node.level == 0:
-            sl.local_insert_leaf(ctx.mid, node, ctx.charge)
-        ctx.reply(("ack",), tag=tag)
+            sl.local_insert_leaf(module.mid, node, charge)
 
-    def h_upper_prepare(ctx, node, tag=None):
+    def upper_prepare(module, node, charge):
         # Round 1 of upper installation: charge this module's replica
         # storage and -- for new upper leaves -- compute this module's
         # next-leaf pointer *against the old upper part* (nothing is
         # linked yet, so the descent sees a consistent structure).
-        sl.account_upper_alloc_on(ctx.mid, node)
-        ctx.charge(1)
+        # Every replica does its own work here (its own storage, its
+        # own next-leaf slot), so a broadcast runs once per module.
+        sl.account_upper_alloc_on(module.mid, node)
+        charge(1)
         if node.level == sl.h_low:
-            sl.compute_next_leaf(ctx.mid, node, ctx.charge)
-        ctx.reply(("ack",), tag=tag)
+            sl.compute_next_leaf(module.mid, node, charge)
+
+    def h_insert_lower(ctx, node, tag=None):
+        insert_lower(ctx.module, node, ctx.charge)
+        ctx.touch(node.nid)
+        ctx.reply(ACK, tag=tag)
+
+    def h_upper_prepare(ctx, node, tag=None):
+        upper_prepare(ctx.module, node, ctx.charge)
+        ctx.reply(ACK, tag=tag)
+
+    def ack_batch(body):
+        """The chunk loop of a one-node task that acknowledges.  Charges
+        go to ``bct.work``: under a broadcast every module runs the body,
+        and the engine reads ``module.charge`` back only for row and slot
+        receivers (the leaf table's own probes, on a delivery row)."""
+        def batch(bct, chunks):
+            modules = bct.machine.modules
+            work = bct.work
+            sent = bct.sent
+            rep_append = bct.replies.append
+            mid = 0
+
+            def charge(w):  # reads ``mid`` when called: the row's module
+                work[mid] += w
+
+            for ch in chunks:
+                for mid, (node,), tag, _size in bct.rows_of(ch):
+                    body(modules[mid], node, charge)
+                    sent[mid] += 1
+                    rep_append(Reply(ACK, tag, mid))
+        return batch
 
     def h_upper_link(ctx, node, tag=None):
         # Round 2: idempotent horizontal linking of the shared replica.
+        # Scalar only: the first executor pays the descent, the others
+        # one unit each.
         sl.link_upper_node(node, ctx.charge)
-        ctx.reply(("ack",), tag=tag)
+        ctx.reply(ACK, tag=tag)
+
+    h_try_update, batch_try_update = update_handlers(sl)
+    machine = sl.machine
+    machine.register_batch(f"{name}:ups_try_update", batch_try_update)
+    machine.register_batch(f"{name}:ups_insert_lower",
+                           ack_batch(insert_lower))
+    machine.register_batch(f"{name}:ups_upper_prepare",
+                           ack_batch(upper_prepare))
 
     return {
-        f"{sl.name}:ups_try_update": h_try_update,
-        f"{sl.name}:ups_insert_lower": h_insert_lower,
-        f"{sl.name}:ups_upper_prepare": h_upper_prepare,
-        f"{sl.name}:ups_upper_link": h_upper_link,
+        f"{name}:ups_try_update": h_try_update,
+        f"{name}:ups_insert_lower": h_insert_lower,
+        f"{name}:ups_upper_prepare": h_upper_prepare,
+        f"{name}:ups_upper_link": h_upper_link,
     }
 
 

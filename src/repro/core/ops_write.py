@@ -4,7 +4,10 @@ A ``RemoteWrite`` is performed by sending a write task to the module that
 owns the target node (paper §3.2).  Writes to replicated nodes (sentinels,
 upper-part nodes) are broadcast to every module; the handler's mutation is
 idempotent (it stores a fixed value), so replaying it per replica is safe
-and each replica's work is charged on its own module.
+and each replica's work is charged on its own module.  The simulator
+keeps one object per replicated node, so the chunk handler applies a
+broadcast write once and charges every module its unit; the scalar
+handler (reference oracle, fallbacks) replays it per module.
 
 Writers build their messages with :func:`write_message` and yield them in
 a :class:`~repro.ops.BatchOp` route stage; :func:`remote_write` wraps a
@@ -19,30 +22,64 @@ from typing import Any, Dict, Optional, Union
 from repro.core.node import NODE_WORDS, Node, UPPER
 from repro.core.structure import SkipListStructure
 from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
+from repro.sim.fastpath import BCAST
+from repro.sim.task import Reply
 
 _FIELDS = ("left", "right", "up", "down", "local_left", "local_right")
+_MIRRORED = ("right", "up", "down")
+ACK = ("ack",)
+"""The acknowledgement payload of every write-path task."""
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    def h_write_ptr(ctx, node, field, value, tag=None):
+    def apply_write(node, field, value):
         if field not in _FIELDS:
             raise ValueError(f"bad pointer field {field!r}")
+        setattr(node, field, value)
+        if sl.storage.mirrors and field in _MIRRORED:
+            sl.storage.link(node, field, value)
+
+    def h_write_ptr(ctx, node, field, value, tag=None):
         ctx.charge(1)
         ctx.touch(node.nid)
-        setattr(node, field, value)
-        if sl.storage.mirrors and field in ("right", "up", "down"):
-            sl.storage.link(node, field, value)
-        ctx.reply(("ack",), tag=tag)
+        apply_write(node, field, value)
+        ctx.reply(ACK, tag=tag)
+
+    def batch_write_ptr(bct, chunks):
+        # One RemoteWrite per row.  A broadcast write targets a
+        # replicated node, which the simulator keeps as ONE object: the
+        # mutation stores a fixed value, so it is applied once and every
+        # module is charged its replica's unit and sends its own ack.
+        work = bct.work
+        sent = bct.sent
+        rep_append = bct.replies.append
+        for ch in chunks:
+            if ch.kind == BCAST:
+                apply_write(*ch.args)
+                tag = ch.tag
+                for mid in range(bct.num_modules):
+                    work[mid] += 1
+                    sent[mid] += 1
+                    rep_append(Reply(ACK, tag, mid))
+                continue
+            for mid, args, tag, _size in bct.rows_of(ch):
+                apply_write(*args)
+                work[mid] += 1
+                sent[mid] += 1
+                rep_append(Reply(ACK, tag, mid))
 
     def h_grow(ctx, target_level, added_levels, tag=None):
         # Idempotent shared mutation; every module charges its replica's
-        # share of the new sentinel storage.
+        # share of the new sentinel storage.  Scalar only: the first
+        # executor pays the growth's charges, the rest pay none.
         sl.grow_to_level(target_level, ctx.charge)
         ctx.module.alloc_words(added_levels * NODE_WORDS)
-        ctx.reply(("ack",), tag=tag)
+        ctx.reply(ACK, tag=tag)
+
+    sl.machine.register_batch(sl.fn_write_ptr, batch_write_ptr)
 
     return {
-        f"{sl.name}:write_ptr": h_write_ptr,
+        sl.fn_write_ptr: h_write_ptr,
         f"{sl.name}:grow": h_grow,
     }
 
@@ -59,7 +96,7 @@ def write_message(sl: SkipListStructure, node: Node, field: str,
     Owned nodes get one message to their owner; replicated nodes get a
     broadcast (one message per module, an h=1 relation contribution each).
     """
-    fn = f"{sl.name}:write_ptr"
+    fn = sl.fn_write_ptr
     if node.owner == UPPER:
         return Broadcast(fn, (node, field, value))
     return (node.owner, fn, (node, field, value), None)

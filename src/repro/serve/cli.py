@@ -99,9 +99,12 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{report.recovery['last_checkpoint_items']} item(s), replay "
               f"debt {report.recovery['replay_debt_items']} item(s)")
         young, middle, full = report.runtime["gc_collections"]
+        share = report.runtime["chunked_task_share"]
         print(f"  host runtime     : {report.runtime['batch_epochs']} batch "
               f"epoch(s) on the live machine, collections "
-              f"{young} young / {middle} middle / {full} full")
+              f"{young} young / {middle} middle / {full} full, "
+              + ("no tasks run" if share is None
+                 else f"{share:.0%} of tasks run chunked"))
     print(f"  final health     : {report.health_state} "
           f"({report.health_transitions} transition(s))")
 

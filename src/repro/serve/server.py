@@ -359,13 +359,19 @@ class Server:
             # per generation (batches run with the cyclic collector
             # paused -- repro.ops.batch_epoch -- so the oldest
             # generation's count should barely move), and how many
-            # outermost batch scopes the live machine has run.
+            # outermost batch scopes the live machine has run, and what
+            # share of its tasks ran inside batch handlers rather than
+            # through per-task slots (``columnar_active`` only says the
+            # array-native path is on, not how much traffic it carries).
             "runtime": {
                 "gc_collections": [now - then for now, then in
                                    zip(_gc_collections(),
                                        self._gc_at_start)],
                 "batch_epochs": (None if machine is None
                                  else machine.batch_epochs),
+                "chunked_task_share": (
+                    None if machine is None or not machine.tasks_executed
+                    else machine.tasks_chunked / machine.tasks_executed),
             },
             "durability": (None if self.durable is None
                            else dict(self.durable.stats(), **cadence,

@@ -49,19 +49,56 @@ sums, the per-round PIM maximum) are order-independent, and the
 per-destination multisets staged for the next round are preserved under
 any execution order.  Batch handlers are therefore required to be:
 
-- **order-insensitive** across the round's tasks (no observable
-  dependence on intra-round execution order),
-- **read-only with respect to shared replicated structure** (handlers
-  like ``link_upper_node``, whose first executor pays different charges,
-  must stay scalar), and
+- **order-insensitive** across the round's tasks: the metrics, the
+  structure and the next round's staging may not depend on the order
+  the round's tasks run in.  Tasks of one module keep their arrival
+  order in every chunk loop, so module-local state (a leaf list, a
+  cuckoo table) evolves exactly as under the scalar loop.  Where the
+  CPU side reduces the *replies* in arrival order (Delete contracts the
+  marked nodes in reply order), the handler runs its rows through
+  :meth:`BatchRound.rows_in_slot_order` and the reply stream is the
+  scalar loop's, element for element;
+- **uniform across executors**: every task pays the charges its own
+  arguments determine.  A write to a replicated node that stores a
+  fixed value is idempotent, so a *broadcast* of it may be executed
+  **once**, with P unit charges and P acknowledgements (``write_ptr``).
+  A handler whose *first* executor pays different charges than the
+  rest -- ``ups_upper_link``, ``del_upper``, ``grow``: the first
+  replica to run links, unlinks or grows the shared object and pays the
+  descent, the others pay one unit -- depends on which module runs
+  first, and stays scalar; and
 - **RNG-free** (the machine's seeded stream must be consumed in the
   same order as under the scalar loop).
+
+Charging: a batch handler charges into ``bct.work[mid]`` (or the array
+accumulators).  On a module that received **row or slot** traffic this
+round it may also hand out ``module.charge`` -- the bound callback the
+module's local structures already hold (the cuckoo table charges its
+probes through it) -- and the engine adds what that left in
+``round_work`` to the module's round total.  Work done for a broadcast
+or a column chunk is charged through ``bct`` only: the engine does not
+sweep all P modules per round to read a callback back.
+
+Which skip-list functions are chunked::
+
+    chunked  search_entry, search_step        the walk (read-only)
+             write_ptr                        rows; broadcast executed once
+             pt_get, pt_update,               hash-shortcut point tasks
+             ups_try_update
+             ups_insert_lower                 tower delivery (module-local)
+             ups_upper_prepare                broadcast, run per module: each
+                                              replica's own storage + next-leaf
+             del_mark, del_mark_node          in slot order (see above)
+    scalar   ups_upper_link, del_upper, grow  first executor pays
+             rng_*, sel_*                     stateful per module; not yet done
 
 The contract is not just documented -- it is *certified empirically*:
 ``repro.verify.differ`` replays fuzz sessions on the per-task reference
 oracle (:class:`repro.sim.machine.ReferencePIMMachine`) and requires
-bit-identical per-op metric streams and results, and the golden
-13-workload suite pins the values the per-task loop produced.
+bit-identical per-op metric streams and results, the parity tests
+(``tests/test_fastpath.py``, ``tests/test_fastpath_writes.py``) compare
+the two round by round, and the golden 13-workload suite pins the
+values the per-task loop produced.
 
 Typed fallback
 --------------
@@ -87,7 +124,8 @@ in the slots runs scalar, and new traffic is routed to chunks again.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.sim.task import Reply
 
@@ -98,6 +136,8 @@ ROWS, COLS, BCAST = 0, 1, 2
 # where each entry is (handler, args, tag, fn); the two streams keep the
 # same indices wherever one is named.
 _CPU_Q, _FWD_Q = 1, 2
+
+_row_dest = itemgetter(0)
 
 # Fallback reasons (FallbackEvent.reason).
 FALLBACK_FAULT_PLAN = "fault_plan"
@@ -167,7 +207,9 @@ class BatchRound:
       (the executing module of some task; charging elsewhere violates
       the execution contract) -- or, for vectorized handlers, into flat
       per-module arrays via :meth:`add_work_array` /
-      :meth:`add_sent_array`;
+      :meth:`add_sent_array`; on a row or slot receiver it may also
+      pass ``machine.modules[mid].charge`` to module-local structures
+      (see the module docstring's charging rule);
     - stages next-round continuations with :meth:`stage_rows` /
       :meth:`stage_cols`.
 
@@ -204,6 +246,23 @@ class BatchRound:
         """Emit one reply from module ``mid`` (accounts the send)."""
         self.replies.append(Reply(payload, tag, mid))
         self.sent[mid] += size
+
+    def rows_of(self, ch: _Chunk) -> Iterable[tuple]:
+        """The ``(dest, args, tag, size)`` rows of a chunk of any kind
+        (a broadcast chunk yields one row per module)."""
+        return ch.rows if ch.kind == ROWS else self.machine._iter_chunk(ch)
+
+    def rows_in_slot_order(self, chunks: List[_Chunk]) -> List[tuple]:
+        """All rows of one function's ``chunks`` in the order the scalar
+        loop would run them: destination ascending and, within one,
+        CPU-issued before forwarded, arrival order (the engine passes
+        the CPU stream's chunks first; the sort is stable).  For
+        handlers whose *replies* feed an order-sensitive CPU-side
+        reduction: in a round that runs only this function, the reply
+        stream then equals the reference oracle's element for element."""
+        rows = [row for ch in chunks for row in self.rows_of(ch)]
+        rows.sort(key=_row_dest)
+        return rows
 
     # -- vectorized accumulation ------------------------------------------
 

@@ -148,6 +148,7 @@ class PIMMachine:
         self.tracer = Tracer(trace_accesses=config.trace_accesses)
         self.qrqw = config.contention_model == "qrqw"
         self.tasks_executed = 0  # cumulative, across all rounds
+        self._tasks_chunked = 0  # of those, run by batch handlers
         #: Optional per-batch metric feed: when set to a callable
         #: ``observer(op_name, delta)``, the op-pipeline driver
         #: (:func:`repro.ops.run_batch`) reports every completed op's
@@ -264,8 +265,10 @@ class PIMMachine:
 
         Batch handlers must be behaviourally equivalent to their scalar
         handler under the execution contract: order-insensitive within a
-        round, no reads of the machine RNG, and no mutation of shared
-        replicated structure (see ``repro/sim/fastpath.py``).
+        round, every task paying the charges its own arguments determine
+        (no first-executor-pays mutation of shared replicated
+        structure), and no reads of the machine RNG (see
+        ``repro/sim/fastpath.py``).
 
         Same collision rule as :meth:`register`: re-registering a
         different callable under an existing id is an error, the
@@ -281,6 +284,14 @@ class PIMMachine:
         """A read-only label, not a selector: ``"columnar"`` on the
         engine, ``"object"`` on :class:`ReferencePIMMachine`."""
         return "columnar" if self._array_native else "object"
+
+    @property
+    def tasks_chunked(self) -> int:
+        """How many of :attr:`tasks_executed` ran inside a batch-handler
+        call rather than through a slot.  :attr:`columnar_active` says
+        the array-native path is *on*; this says how much of the
+        traffic it actually carries."""
+        return self._tasks_chunked
 
     @property
     def columnar_active(self) -> bool:
@@ -393,8 +404,8 @@ class PIMMachine:
         message size in constant-size units, ``(dest, fn, args, tag,
         size)``.  This is the allocation-light bulk path: a message is
         staged directly into its function's tail chunk or its
-        destination's slot, resolving the handler once per message (once
-        per run of messages, for a chunked function).  Malformed
+        destination's slot, resolving the handler once per run of
+        messages for the same function.  Malformed
         messages -- wrong arity, or a size element that is not a
         positive ``int`` -- raise
         :class:`~repro.sim.errors.MalformedMessageError` here, at issue
@@ -408,7 +419,11 @@ class PIMMachine:
         recv = self._recv
         active = self._active
         inc = 0
-        tail = cq[-1] if cq and cq[-1].kind == ROWS else None
+        # Resolved once per run of same-fn messages: the handler, and
+        # the run's row chunk (``None`` for a slot-routed function).
+        run_fn = None
+        handler = None
+        tail = None
         try:
             for msg in messages:
                 if len(msg) == 4:
@@ -429,23 +444,28 @@ class PIMMachine:
                         f"args, tag, size): {msg!r}")
                 if not 0 <= dest < n:
                     raise ValueError(f"bad module id {dest}")
-                if tail is None or tail.fn != fn:
+                if fn != run_fn:
                     handler = handlers.get(fn)
                     if handler is None:
                         raise UnknownHandlerError(
                             f"no handler for {fn!r} (resolved at send time)")
+                    run_fn = fn
                     if fn not in chunk_fns:
-                        slot = staged.get(dest)
-                        if slot is None:
-                            staged[dest] = [size, [(handler, args, tag, fn)],
-                                            []]
-                        else:
-                            slot[0] += size
-                            slot[1].append((handler, args, tag, fn))
-                        continue
-                    tail = _Chunk(fn, handler, ROWS)
-                    tail.rows = []
-                    cq.append(tail)
+                        tail = None
+                    elif cq and cq[-1].fn == fn and cq[-1].kind == ROWS:
+                        tail = cq[-1]
+                    else:
+                        tail = _Chunk(fn, handler, ROWS)
+                        tail.rows = []
+                        cq.append(tail)
+                if tail is None:
+                    slot = staged.get(dest)
+                    if slot is None:
+                        staged[dest] = [size, [(handler, args, tag, fn)], []]
+                    else:
+                        slot[0] += size
+                        slot[1].append((handler, args, tag, fn))
+                    continue
                 if recv[dest] == 0:
                     active.append(dest)
                 recv[dest] += size
@@ -742,6 +762,14 @@ class PIMMachine:
         bwork = bct.work
         bsent = bct.sent
         modules = self.modules
+        # A module that receives row or slot traffic starts the round
+        # with ``round_work`` zero (``active`` lists the row receivers;
+        # the slot receivers join it below) and has it read back
+        # afterwards, so a batch handler may charge such a module through
+        # ``module.charge`` -- the callback its local structures hold --
+        # as well as through ``bct.work``.
+        for mid in active:
+            modules[mid].round_work = 0.0
         tasks = 0
         if staged:
             # Scalar charges go through ctx.charge into round_work; the
@@ -768,26 +796,30 @@ class PIMMachine:
 
         # Grouped dispatch: one call per function id over its chunks.
         by_fn: Dict[str, List[_Chunk]] = {}
+        chunked = 0
         for chunks in (cq, fq):
             for ch in chunks:
-                tasks += ch.task_count(P)
+                chunked += ch.task_count(P)
                 lst = by_fn.get(ch.fn)
                 if lst is None:
                     by_fn[ch.fn] = [ch]
                 else:
                     lst.append(ch)
+        tasks += chunked
+        self._tasks_chunked += chunked
         batch_handlers = self._batch_handlers
         for fn, fn_chunks in by_fn.items():
             batch_handlers[fn](bct, fn_chunks)
 
         # -- round accounting (exact; see repro.sim.fastpath) ---------------
-        # Batch charges are folded into cumulative per-module work here
-        # (scalar charges already went through ctx.charge).
+        # Batch charges made through ``bct`` are folded into cumulative
+        # per-module work here (``ctx.charge`` / ``module.charge`` already
+        # added theirs); a module's round total is the two together.
         work_np = bct._work_np
         sent_np = bct._sent_np
         if recv_np is not None or work_np is not None or sent_np is not None:
             h, round_pim_max, sent_total = self._finish_np(
-                recv, recv_np, bcast_units, staged, bwork, bsent,
+                recv, recv_np, bcast_units, bwork, bsent,
                 work_np, sent_np, active)
         else:
             # Plain-Python accounting: the fast path for rounds whose
@@ -797,16 +829,15 @@ class PIMMachine:
             sent_total = 0
             for mid in (range(P) if bcast_units else active):
                 w = bwork[mid]
-                if mid in staged:
+                if recv[mid]:
+                    # A row or slot receiver: round_work is this round's.
                     module = modules[mid]
                     if w:
                         module.work += w
                         module.round_work += w
                     w = module.round_work
                 elif w:
-                    module = modules[mid]
-                    module.work += w
-                    module.round_work = w
+                    modules[mid].work += w
                 s = bsent[mid]
                 sent_total += s
                 hm = recv[mid] + bcast_units + s
@@ -824,7 +855,7 @@ class PIMMachine:
             self._recv_spare = recv
         return replies
 
-    def _finish_np(self, recv, recv_np, bcast_units, staged, bwork, bsent,
+    def _finish_np(self, recv, recv_np, bcast_units, bwork, bsent,
                    work_np, sent_np, active):
         """Vectorized round accounting (any numpy accumulator present).
 
@@ -868,14 +899,16 @@ class PIMMachine:
             h = int((rv + sv).max())
             sent_total = int(sv.sum())
         # Per-module round totals for the PIM-time max: batch charges plus
-        # the scalar charges already sitting in round_work.
-        if wv is None:
+        # what ctx.charge / module.charge left in round_work on the row
+        # and slot receivers (reset at the top of the round).
+        if wv is None:  # nothing charged, and no row or slot receiver
             return h, 0.0, sent_total
         wtot = wv
-        if staged:
-            wtot = wv.copy()
-            for mid in staged:
-                wtot[mid] += modules[mid].round_work
+        if active:
+            charged = [modules[mid].round_work for mid in active]
+            if any(charged):
+                wtot = wv.copy()
+                wtot[active] += charged
         round_pim_max = float(wtot.max())
         # Defer the per-module flush: one vector add per round instead of
         # a python loop over charged modules.  ``wv`` is freshly built

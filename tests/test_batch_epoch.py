@@ -244,6 +244,13 @@ def test_server_status_reports_the_runtime(collector):
     # the bulk build + at least one epoch per served batch
     assert runtime["batch_epochs"] == machines[0].batch_epochs
     assert runtime["batch_epochs"] > server.batches_served >= 2
+    # the upsert and the gets ran their point tasks in batch handlers
+    assert sorted(runtime) == ["batch_epochs", "chunked_task_share",
+                               "gc_collections"]
+    machine = machines[0]
+    assert 0 < machine.tasks_chunked <= machine.tasks_executed
+    assert runtime["chunked_task_share"] \
+        == machine.tasks_chunked / machine.tasks_executed
 
 
 # ---------------------------------------------------------------------------

@@ -123,22 +123,23 @@ def _machine(engine="columnar", **kwargs):
     return machine
 
 
-def _staging(machine):
+def _staging(machine, norm=tuple):
     """Next-round staging as ``{mid: sorted (fn, args) tasks}`` plus the
-    per-module receive units -- slots and chunks alike."""
+    per-module receive units -- slots and chunks alike.  ``norm`` maps
+    an args tuple to its comparable form."""
     tasks = {}
     units = {}
     for mid, slot in machine._staged.items():
         units[mid] = units.get(mid, 0) + slot[0]
         for queue in (slot[1], slot[2]):
             for _handler, args, _tag, fn in queue:
-                tasks.setdefault(mid, []).append((fn, tuple(args)))
+                tasks.setdefault(mid, []).append((fn, norm(args)))
     for chunks in (machine._cq, machine._fq):
         for ch in chunks:
             for dest, args, _tag, size in machine._iter_chunk(ch):
                 units[dest] = units.get(dest, 0) + size
-                tasks.setdefault(dest, []).append((ch.fn, tuple(args)))
-    return ({mid: sorted(v) for mid, v in sorted(tasks.items())},
+                tasks.setdefault(dest, []).append((ch.fn, norm(args)))
+    return ({mid: sorted(v, key=repr) for mid, v in sorted(tasks.items())},
             dict(sorted(units.items())))
 
 
@@ -317,6 +318,62 @@ class TestBackendParity:
             rounds += 1
         assert rounds >= 5
         assert col.columnar_active and col.fallback_events == []
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_module_bound_charges_reach_the_round_maximum(self, vectorized):
+        """A batch handler may hand ``module.charge`` to module-local
+        structures (the cuckoo table holds one) on a module that
+        receives row traffic: those charges must land in the round's PIM
+        maximum on modules with no slot traffic, next to ``bct.work``
+        charges and next to slot charges, in the plain-Python accounting
+        and in ``_finish_np`` alike."""
+
+        def meter(ctx, units, tag=None):
+            ctx.charge(1)
+            ctx.module.charge(units)  # what a local structure would do
+            ctx.reply(units, tag=tag)
+
+        def batch_meter(bct, chunks):
+            modules = bct.machine.modules
+            for ch in chunks:
+                for mid, (units,), tag, _size in bct.rows_of(ch):
+                    if ch.kind == ROWS:
+                        modules[mid].charge(units)
+                        bct.work[mid] += 1
+                    else:  # broadcast work is charged through bct
+                        bct.work[mid] += units + 1
+                    bct.reply(mid, units, tag=tag)
+            if vectorized:
+                zeros = np.zeros(bct.num_modules)
+                bct.add_work_array(zeros)
+                bct.add_sent_array(zeros.astype(np.int64))
+
+        obj, col = _machine("object"), _machine("columnar")
+        for machine in (obj, col):
+            machine.register("meter", meter)
+            machine.register_batch("meter", batch_meter)
+            # Stale round_work on a broadcast-only receiver (out-of-round
+            # charging) must not leak into the round either.
+            machine.modules[5].charge(1000)
+            machine.send_all(
+                [(1, "meter", (30,), "a"), (1, "meter", (2,), "b"),  # chunk
+                 (2, "echo", (1,), "s"),                             # slot
+                 (4, "meter", (7,), "c"), (4, "echo", (2,), "t")])   # both
+            machine.broadcast("meter", (3,), tag="all")
+        assert col._cq and col._staged
+        while obj.pending or col.pending:
+            got = [sorted(m.step(), key=repr) for m in (obj, col)]
+            assert got[0] == got[1]
+            assert obj.snapshot().as_dict() == col.snapshot().as_dict()
+            assert ([m.work for m in obj.modules]
+                    == [m.work for m in col.modules])
+            assert obj.tracer.rounds[-1] == col.tracer.rounds[-1]
+        # The maximum sits on module 1, which has no slot: two metered
+        # rows and the broadcast one, each with its own unit.
+        assert col.metrics.pim_time == (30 + 1) + (2 + 1) + (3 + 1)
+        assert col.tasks_chunked == 3 + P
+        assert col.tasks_executed == obj.tasks_executed == 5 + P
+        assert obj.tasks_chunked == 0
 
     def test_column_send_to_scalar_only_function_lands_in_slots(self):
         """Chunks are for batch handlers only: a column batch for a

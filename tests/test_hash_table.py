@@ -114,6 +114,26 @@ class TestAdversarialPatterns:
         assert all(t.lookup(i * 2**32) == i for i in range(512))
 
 
+def test_lookup_with_empty_queue_still_enforces_the_stash_limit():
+    """``_drain_pending`` returns at once on an empty queue, but not
+    before its stash-limit check: a lookup on a settled table whose
+    stash is over the limit must still rebuild."""
+    t = make_table(seed=3, stash_limit=2)
+    for i in range(20):
+        t.insert(i, i)
+    while t.pending_size:
+        t.lookup(0)
+    for i in range(100, 103):  # park three items past the limit of two
+        t._stash[i] = i
+        t._count += 1
+    capacity = t.capacity
+    assert t.pending_size == 0 and t.stash_size == 3
+    assert t.lookup(5) == 5
+    assert t.capacity > capacity and t.stash_size <= 2
+    assert all(t.lookup(i) == i for i in list(range(20)) + [100, 101, 102])
+    assert len(t) == 23
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     ops=st.lists(

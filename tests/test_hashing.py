@@ -1,8 +1,13 @@
 """Tests for the deterministic hash family and stable hashing."""
 
+import random
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.balls.hashing import KeyLevelHash, mix64, stable_hash
+from repro.core.hash_table import CuckooHashTable
+from repro.core.structure import MAX_HEIGHT
 
 
 class TestMix64:
@@ -69,3 +74,57 @@ class TestKeyLevelHash:
         import pytest
         with pytest.raises(ValueError):
             KeyLevelHash(0, seed=0)
+
+
+# -- folded hashes equal the unfused reference ------------------------------
+#
+# ``KeyLevelHash.module_of`` and ``CuckooHashTable._h1/_h2`` precompute
+# the seed-only mixes and inline the splitmix64 finalizer for int keys.
+# The unfused expressions are kept here as the reference.
+
+def _ref_module_of(h, key, level):
+    return mix64(stable_hash(key, seed=h.seed)
+                 ^ mix64(level ^ h.seed)) % h.num_modules
+
+
+def _ref_slots(t, key):
+    return (stable_hash(key, seed=t._seed1) % t._capacity,
+            stable_hash(key, seed=t._seed2) % t._capacity)
+
+
+_keys = st.one_of(
+    st.integers(min_value=-2**70, max_value=2**70),   # negative, >= 2**64
+    st.sampled_from([0, -1, 2**63, 2**64 - 1, 2**64, 2**64 + 5, -2**64]),
+    st.booleans(),
+    st.text(max_size=8),
+    st.tuples(st.integers(), st.text(max_size=3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=_keys, seed=st.integers(min_value=0, max_value=2**32 - 1),
+       modules=st.integers(min_value=1, max_value=257))
+def test_module_of_equals_unfused_reference(key, seed, modules):
+    h = KeyLevelHash(modules, seed=seed)
+    for level in range(MAX_HEIGHT + 1):
+        assert h.module_of(key, level) == _ref_module_of(h, key, level)
+    assert h(key) == _ref_module_of(h, key, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=_keys, seed=st.integers(min_value=0, max_value=2**16))
+def test_cuckoo_slots_equal_unfused_reference(key, seed):
+    t = CuckooHashTable(random.Random(seed))
+    assert (t._h1(key), t._h2(key)) == _ref_slots(t, key)
+    old_seeds = (t._seed1, t._seed2)
+    t._rebuild(t._capacity * 2)  # reseeds: the folded mixes must follow
+    assert (t._seed1, t._seed2) != old_seeds
+    assert (t._h1(key), t._h2(key)) == _ref_slots(t, key)
+
+
+def test_bool_keys_do_not_take_the_int_path():
+    h = KeyLevelHash(1 << 20, seed=1)
+    assert h.module_of(True) != h.module_of(1)
+    assert h.module_of(False) != h.module_of(0)
+    t = CuckooHashTable(random.Random(0), initial_capacity=1 << 20)
+    assert t._h1(True) != t._h1(1)
