@@ -13,9 +13,8 @@ its per-task reference oracle (``ReferencePIMMachine``, label
   and per-round module activation);
 - ``pointer_walk`` -- search+successor only: raw search messages against
   a prebuilt list, resolved to successors from the replies, with no pivot
-  machinery in the way.  This is the storage-layer scenario: the arena
-  storage's vectorized wavefront walk versus the object graph's per-hop
-  walk, measured via the ``storages`` dimension below;
+  machinery in the way: the walk's chunk handler versus the per-task
+  walk;
 - ``write_churn`` -- upsert -> get -> delete of fresh keys at P=32: the
   write path and the hash-shortcut point ops (RemoteWrites, tower
   delivery, delete marking), chunked on the engine, per-task on the
@@ -53,19 +52,8 @@ Writes ``benchmarks/perf/BENCH_simwall.json``::
         "columnar": {"scenarios": {...}}
       },
       "speedup": {"<name>": <columnar tasks/sec over object tasks/sec>},
-      "storages": {
-        "object": {"scenarios": {"macro_successor": {...},
-                                 "pointer_walk": {...}}},
-        "arena":  {"scenarios": {...}}
-      },
-      "storage_speedup": {"<name>": <arena tasks/sec over object tasks/sec>},
       "handler_profile": {"<fn>": {"seconds": ..., "calls": ...}}  # --profile
     }
-
-The ``storages`` dimension runs the skip-list scenarios once per
-structure-storage backend (``storage="object"`` / ``"arena"``), both on
-the round engine -- it isolates the storage layout the walk reads from
-the engine the round executes on.
 
 ``--quick`` shrinks every scenario to a seconds-scale smoke run (used by
 CI); full runs are the numbers quoted in EXPERIMENTS.md.  Round logging
@@ -87,7 +75,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 from repro.core.ops_search import search_message
 from repro.core.skiplist import PIMSkipList
-from repro.core.storage import STORAGES
 from repro.sim.fastpath import BCAST, COLS
 from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.profiling import HandlerProfile, ThroughputProbe
@@ -121,7 +108,7 @@ def _settle_heap() -> None:
 
 
 def macro_successor(probe_machine, *, P=128, n=4096, batches=4, seed=7,
-                    machine_cls=PIMMachine, storage=None, fault_plan=None):
+                    machine_cls=PIMMachine, fault_plan=None):
     """The ISSUE acceptance scenario: P=128 batched-successor session.
 
     ``fault_plan`` optionally installs a chaos plan after the build (the
@@ -129,7 +116,7 @@ def macro_successor(probe_machine, *, P=128, n=4096, batches=4, seed=7,
     protocol's envelope overhead against the fault-free fast path).
     """
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
-    sl = PIMSkipList(machine, name="bench", storage=storage)
+    sl = PIMSkipList(machine, name="bench")
     rng = random.Random(seed)
     keys = sorted(rng.sample(range(10 * n), n))
     sl.build([(k, k) for k in keys])
@@ -145,18 +132,15 @@ def macro_successor(probe_machine, *, P=128, n=4096, batches=4, seed=7,
 
 
 def pointer_walk(probe_machine, *, P=128, n=8192, B=4096, batches=3,
-                 seed=13, machine_cls=PIMMachine, storage=None):
-    """Search+successor only: the storage layer's raw walk throughput.
+                 seed=13, machine_cls=PIMMachine):
+    """Search+successor only: the raw walk throughput.
 
     Each batch issues ``B`` search messages straight at the prebuilt
     list (no pivot machinery, no hint derivation) and resolves every
     reply to its successor pair -- the walk itself is the whole probe.
-    On arena storage the wavefront advances as array gathers per round;
-    on object storage every hop is one Python step.  The regression
-    gate holds the arena's floor at >= 2x object on this scenario.
     """
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
-    sl = PIMSkipList(machine, name="bench", storage=storage)
+    sl = PIMSkipList(machine, name="bench")
     rng = random.Random(seed)
     keys = sorted(rng.sample(range(10 * n), n))
     sl.build([(k, k) for k in keys])
@@ -180,7 +164,7 @@ def pointer_walk(probe_machine, *, P=128, n=8192, B=4096, batches=3,
 
 
 def write_churn(probe_machine, *, P=32, n=4096, cycles=4, seed=17,
-                machine_cls=PIMMachine, storage=None):
+                machine_cls=PIMMachine):
     """The write path: upsert -> get -> delete of fresh keys.
 
     Every cycle inserts one ``P log^2 P`` batch of keys the list does
@@ -189,10 +173,10 @@ def write_churn(probe_machine, *, P=32, n=4096, cycles=4, seed=17,
     marking around one embedded search.  On the engine those run as
     batch handlers; on the reference oracle every one is a task through
     a slot.  The regression gate holds the engine's floor on this
-    scenario the way ``forward_chain`` holds the vector walk's.
+    scenario the way ``forward_chain`` holds the column path's.
     """
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
-    sl = PIMSkipList(machine, name="bench", storage=storage)
+    sl = PIMSkipList(machine, name="bench")
     rng = random.Random(seed)
     sl.build([(2 * k, k) for k in range(n)])  # even keys; fresh ones are odd
     B = sl.min_search_batch  # 800 at P = 32; n must be at least that
@@ -430,15 +414,9 @@ SCENARIOS = {
 }
 
 
-#: Scenarios that exercise the skip-list structure itself and therefore
-#: accept a ``storage=`` override (the storages dimension below).
-STORAGE_SCENARIOS = ("macro_successor", "pointer_walk", "write_churn")
-
-
 def run(quick: bool = False, repeat: int = 3, profile: bool = False,
         out_path: Optional[str] = OUT_PATH,
-        backends: Sequence[str] = BACKENDS,
-        storages: Optional[Sequence[str]] = STORAGES) -> Dict[str, Any]:
+        backends: Sequence[str] = BACKENDS) -> Dict[str, Any]:
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
     handler_profile = HandlerProfile() if profile else None
@@ -480,35 +458,6 @@ def run(quick: bool = False, repeat: int = 3, profile: bool = False,
         for name, x in speedup.items():
             print(f"  {name:<18} {x:6.2f}x")
 
-    # -- storages dimension: same engine, different structure storage ----
-    if storages and profile is False:
-        sresults: Dict[str, Dict[str, Any]] = {s: {} for s in storages}
-        for name in STORAGE_SCENARIOS:
-            fn, full, small = SCENARIOS[name]
-            params = small if quick else full
-            for storage in storages:
-                best = None
-                for _ in range(repeat):
-                    probe = fn(probe_machine, storage=storage, **params)
-                    if best is None or probe.seconds < best["seconds"]:
-                        best = probe.as_dict()
-                best["params"] = dict(params)
-                sresults[storage][name] = best
-                print(f"storage={storage:<7} {name:<18} "
-                      f"{best['seconds']:8.3f}s  "
-                      f"{best['tasks_per_sec']:>12.0f} tasks/s")
-        doc["storages"] = {s: {"scenarios": sresults[s]} for s in storages}
-        if "object" in sresults and "arena" in sresults:
-            sspeed = {}
-            for name in STORAGE_SCENARIOS:
-                obj = sresults["object"][name]["tasks_per_sec"]
-                arn = sresults["arena"][name]["tasks_per_sec"]
-                sspeed[name] = arn / obj if obj > 0 else 0.0
-            doc["storage_speedup"] = sspeed
-            print("\narena storage speedup (tasks/sec over object "
-                  "storage):")
-            for name, x in sspeed.items():
-                print(f"  {name:<18} {x:6.2f}x")
     if handler_profile is not None:
         doc["handler_profile"] = handler_profile.as_dict()
         print("\nhottest handlers:\n" + handler_profile.top())
@@ -532,9 +481,6 @@ def main() -> None:
     ap.add_argument("--backend", choices=list(BACKENDS), default=None,
                     help="measure only the reference oracle (object) or "
                          "only the engine (columnar); default: both")
-    ap.add_argument("--no-storages", action="store_true",
-                    help="skip the structure-storage dimension "
-                         "(object vs arena)")
     ap.add_argument("--out", default=OUT_PATH,
                     help="output JSON path (default BENCH_simwall.json)")
     args = ap.parse_args()
@@ -542,8 +488,7 @@ def main() -> None:
         ap.error(f"--repeat must be >= 1, got {args.repeat}")
     backends = BACKENDS if args.backend is None else (args.backend,)
     run(quick=args.quick, repeat=args.repeat, profile=args.profile,
-        out_path=args.out, backends=backends,
-        storages=None if args.no_storages else STORAGES)
+        out_path=args.out, backends=backends)
 
 
 if __name__ == "__main__":

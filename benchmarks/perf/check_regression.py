@@ -17,11 +17,6 @@ in the same minute, so the host's speed cancels.
   count, the share of its tasks run inside batch handlers) so runner
   noise doesn't flake the gate, but a change that quietly collapses the
   array-native path back to per-task speed fails.
-- *Storage floor*: arena-over-object >= 2x on the ``pointer_walk``
-  scenario -- the search+successor-only probe where the arena's
-  vectorized wavefront walk is the whole workload (recorded ~4.3x; the
-  floor gates the existence of the vectorized path, not the runner's
-  luck).
 
 Wall seconds against the committed ``BENCH_simwall.json`` are printed
 for every measured cell but **not gated**: the baseline's seconds are a
@@ -157,19 +152,6 @@ SPEEDUP_FLOORS = {
 #: the search walk chunked, so unlike a wall-clock ratio it cannot flake.
 CHUNKED_SHARE_SCENARIO = "write_churn"
 CHUNKED_SHARE_FLOOR = 0.85
-
-#: The search+successor-only scenario carrying the arena storage floor.
-STORAGE_GATE_SCENARIO = "pointer_walk"
-
-#: Arena-over-object tasks/sec floor on that scenario.
-#: The committed baseline records ~4.3x; 2x gates the vectorized
-#: wavefront walk's existence with the same anti-flake headroom the
-#: engine floors use.
-STORAGE_SPEEDUP_FLOOR = 2.0
-
-#: Both structure storages, measured in this order (object first: it is
-#: the reference the storage ratios divide by).
-STORAGE_KINDS = ("object", "arena")
 
 
 def measure(name: str, params: dict, repeat: int, backend: str,
@@ -534,38 +516,6 @@ def main() -> int:
             f"{CHUNKED_SHARE_SCENARIO} runs {share:.1%} of its tasks in "
             f"batch handlers, below the {CHUNKED_SHARE_FLOOR:.0%} floor -- "
             "a write-path function fell back to slots")
-
-    # -- structure-storage floor (arena over object) ---------------------
-    if "storages" not in doc:
-        failures.append(
-            f"{args.baseline} predates the storage dimension; regenerate "
-            "it with bench_wallclock.py")
-    else:
-        params = doc["storages"]["object"]["scenarios"][
-            STORAGE_GATE_SCENARIO]["params"]
-        base_s = {s: doc["storages"][s]["scenarios"][
-            STORAGE_GATE_SCENARIO]["seconds"] for s in STORAGE_KINDS}
-        per_storage = {s: measure(STORAGE_GATE_SCENARIO, params,
-                                  args.repeat, "columnar", storage=s)
-                       for s in STORAGE_KINDS}
-        for s in STORAGE_KINDS:
-            print(f"{STORAGE_GATE_SCENARIO} [storage={s}]: baseline "
-                  f"{base_s[s]:.3f}s, measured "
-                  f"{per_storage[s]['seconds']:.3f}s "
-                  f"({per_storage[s]['seconds'] / base_s[s]:.2f}x, "
-                  "not gated)")
-        obj_tps = per_storage["object"]["tasks_per_sec"]
-        arn_tps = per_storage["arena"]["tasks_per_sec"]
-        sspeed = arn_tps / obj_tps if obj_tps > 0 else 0.0
-        status = "ok" if sspeed >= STORAGE_SPEEDUP_FLOOR else "FAIL"
-        print(f"storage floor {STORAGE_GATE_SCENARIO:<18} arena "
-              f"{sspeed:5.2f}x (floor {STORAGE_SPEEDUP_FLOOR:.2f}x) "
-              f"{status}")
-        if sspeed < STORAGE_SPEEDUP_FLOOR:
-            failures.append(
-                f"{STORAGE_GATE_SCENARIO} arena storage speedup "
-                f"{sspeed:.2f}x below the {STORAGE_SPEEDUP_FLOOR:.2f}x "
-                "floor")
 
     if not args.no_serve:
         check_serve(args.serve_baseline, args.repeat, failures)

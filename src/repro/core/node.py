@@ -91,17 +91,13 @@ class Node:
         Leaf-only flag: the tower continues into the upper part.
     deleted:
         Deletion mark set during batched Delete stage 1.
-    aid:
-        Arena row index when the owning structure uses the arena storage
-        backend (see :mod:`repro.core.storage`); -1 when the node is not
-        resident in an arena (object storage, or freed).
     """
 
     __slots__ = (
         "nid", "key", "level", "value", "owner",
         "left", "right", "up", "down",
         "local_left", "local_right", "next_leaf",
-        "up_chain", "has_upper", "deleted", "aid",
+        "up_chain", "has_upper", "deleted",
     )
 
     def __init__(self, key: Any, level: int, owner: int,
@@ -121,7 +117,6 @@ class Node:
         self.up_chain: Optional[List[Node]] = None
         self.has_upper: bool = False
         self.deleted: bool = False
-        self.aid: int = -1
 
     @property
     def is_replicated(self) -> bool:

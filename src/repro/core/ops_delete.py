@@ -55,7 +55,6 @@ class DeleteStats:
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     name = sl.name
-    storage = sl.storage
     fn_mark_node = f"{name}:del_mark_node"
 
     # Row bodies, shared by the scalar handlers and the chunk loops.
@@ -71,8 +70,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         sl.local_remove_leaf(module.mid, leaf, charge)
         leaf.deleted = True
         sl.account_lower_free(leaf)
-        if storage.mirrors:
-            storage.free(leaf)
         chain = leaf.up_chain or ()
         # If the tower tops out below the upper part, the top chain node's
         # marker must return nothing extra; if it reaches the upper part,
@@ -89,8 +86,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     def mark_node(node, is_top):
         node.deleted = True
         sl.account_lower_free(node)
-        if storage.mirrors:
-            storage.free(node)
         return ("marked_node", node, node.left, node.right,
                 node.up if is_top else None)
 

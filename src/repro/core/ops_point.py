@@ -43,7 +43,6 @@ def update_handlers(sl: SkipListStructure) -> Tuple[Any, Any]:
         leaf = module.state[name].table.lookup(key)
         if leaf is not None:
             leaf.value = value
-            sl.storage.set_value(leaf, value)
         return leaf
 
     def h_update(ctx, key, value, tag=None):

@@ -113,8 +113,7 @@ class Bound:
 FUNCS = ("read", "count", "set", "fetch_and_add")
 
 
-def _apply_func(sl: SkipListStructure, leaf: Node, func: str,
-                farg: Any) -> Optional[Any]:
+def _apply_func(leaf: Node, func: str, farg: Any) -> Optional[Any]:
     """Apply a registry function to a leaf; returns the reply value."""
     if func == "read":
         return leaf.value
@@ -122,12 +121,10 @@ def _apply_func(sl: SkipListStructure, leaf: Node, func: str,
         return None
     if func == "set":
         leaf.value = farg
-        sl.storage.set_value(leaf, farg)
         return None
     if func == "fetch_and_add":
         old = leaf.value
         leaf.value = old + farg
-        sl.storage.set_value(leaf, leaf.value)
         return old
     raise ValueError(f"unknown range function {func!r}")
 
@@ -178,7 +175,7 @@ def _make_bcast(sl: SkipListStructure):
         while cur is not None and bound.admits(cur.key):
             ctx.charge(1)
             ctx.touch(cur.nid)
-            out = _apply_func(sl, cur, func, farg)
+            out = _apply_func(cur, func, farg)
             if out is not None:
                 values.append((cur.key, out))
             hits += 1
@@ -506,7 +503,7 @@ def _make_offset(sl: SkipListStructure):
         node = nctx.node
         after_self = offset
         if nctx.self_count:
-            value = _apply_func(sl, node, nctx.func, nctx.farg)
+            value = _apply_func(node, nctx.func, nctx.farg)
             if nctx.func in ("read", "fetch_and_add"):
                 ctx.reply(("item", opid, node.key, value, offset), size=1)
             after_self = offset + 1

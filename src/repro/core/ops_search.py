@@ -13,73 +13,16 @@ nodes are walked locally.
 When ``record`` is set, every visited lower-part node is streamed back to
 shared memory (one constant-size message per node), which is how stage 1
 of the batched Successor saves the pivots' lower-part search paths.
-
-Vectorized wavefront (arena storage)
-------------------------------------
-With the arena storage backend (:mod:`repro.core.storage`) the structure
-is additionally held as flat index-addressed arrays, and the per-round
-batch kernels below advance the *whole* frontier of in-flight searches
-with numpy gathers instead of per-task Python pointer chasing: one
-``right[cur]`` / ``key_i64[right]`` gather and one compare per wavefront
-step replaces one Python loop iteration per task.  Searches that cross
-to another module are re-staged as *column* chunks
-(``BatchRound.stage_cols``) -- arena row index, int64 target and integer
-opid -- so an in-flight search stays array-shaped from round to round
-and only touches Python when it finishes (one ``done`` reply per op).
-
-Rows that cannot vectorize (path recording, non-int64 keys or opids,
-nodes not arena-resident) fall back to the scalar per-row loop;
-accounting (work, message counts, rounds) is charged identically on both
-paths, so the metric streams stay bit-identical across storages
--- certified by ``repro.verify.differ``'s cross-storage replay.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Optional
 
-import numpy as _np
-
 from repro.core.node import Node, UPPER
-from repro.core.probes import ABOVE_ALL, AboveAll, BELOW_ALL, BelowAll
-from repro.core.storage import I64_MAX, I64_MIN
 from repro.core.structure import SkipListStructure
 from repro.ops import cached_handlers
-from repro.sim.fastpath import COLS
 from repro.sim.task import Reply
-
-VEC_MIN = 16
-"""Minimum vector-eligible rows per round before the numpy path engages
-(below this the per-row Python loop wins on setup cost)."""
-
-
-def _target_i64(key: Any) -> Optional[int]:
-    """Map a search target onto the arena's int64 key order, or None.
-
-    Plain ints strictly inside the int64 range compare identically in
-    either representation.  ``BELOW_ALL`` maps to int64-min: no stored
-    non-sentinel key compares <= it, and sentinels never appear as
-    right-targets.  ``ABOVE_ALL`` maps to int64-max: every stored key
-    compares <= it (stored keys are strictly inside the range, else the
-    arena reports ``vector_ok == False``).  Everything else -- JustBelow
-    probes, tuples, strings -- walks the scalar path.
-    """
-    if type(key) is int and I64_MIN < key < I64_MAX:
-        return key
-    if isinstance(key, BelowAll):
-        return I64_MIN
-    if isinstance(key, AboveAll):
-        return I64_MAX
-    return None
-
-
-def _key_from_i64(t: int) -> Any:
-    """Invert :func:`_target_i64` (column rows falling back to scalar)."""
-    if t == I64_MIN:
-        return BELOW_ALL
-    if t == I64_MAX:
-        return ABOVE_ALL
-    return t
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
@@ -166,7 +109,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         """Walk one task from ``x``; returns a forward row or None.
 
         ``hops`` pre-counts nodes already attributed (0 for a step task).
-        Work/sent/reply accounting mirrors ``lower_walk`` exactly.
+        Work/sent/reply accounting matches ``lower_walk`` exactly.
         """
         replies = bct.replies
         work = bct.work
@@ -195,303 +138,65 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 sent[mid] += 1
                 return (owner, (nxt, key, opid, record), None, 1)
 
-    def _scalar_step_rows(bct, rows, out_append):
-        """The per-row walk over a list of step rows (object-path hot
-        loop, and the fallback for rows the vector walk cannot take)."""
+    def batch_search_step(bct, chunks):
         work = bct.work
         sent = bct.sent
+        rows_of = bct.rows_of
         rep_append = bct.replies.append
-        for mid, args, _tag, _size in rows:
-            x, key, opid, record = args
-            if record:
-                fwd = _walk_batch(bct, mid, x, key, opid, record, 0)
-                if fwd is not None:
-                    out_append(fwd)
-                continue
-            # Hot path: the recording-free walk, inlined per task.
-            hops = 0
-            while True:
-                hops += 1
-                r = x.right
-                if r is not None and r.key <= key:
-                    nxt = r
-                elif x.level > 0:
-                    nxt = x.down
-                else:
-                    work[mid] += hops
-                    rep_append(Reply(("done", opid, x, r), None, mid))
-                    sent[mid] += 1
-                    break
-                owner = nxt.owner
-                if owner == UPPER or owner == mid:
-                    x = nxt
-                else:
-                    work[mid] += hops
-                    out_append((owner, (nxt, key, opid, record), None, 1))
-                    sent[mid] += 1
-                    break
-
-    def _cols_to_rows(arena, ch):
-        """Reconstruct scalar step rows from one of our column chunks
-        (fallback when a round is too small to vectorize)."""
-        nodes = arena.nodes
-        return [(mid, (nodes[aid], _key_from_i64(tgt), opid, False),
-                 None, 1)
-                for mid, aid, tgt, opid in zip(ch.dests.tolist(),
-                                               ch.cols[0].tolist(),
-                                               ch.cols[1].tolist(),
-                                               ch.cols[2].tolist())]
-
-    def _vector_lower(bct, arena, work_acc, sent_acc, fwd_parts,
-                      mids, aids, tgts, opids):
-        """Advance a whole wavefront of recording-free lower walks.
-
-        Arrays are parallel per in-flight row: ``mids`` the executing
-        module, ``aids`` the current arena row, ``tgts`` the int64
-        search target, ``opids`` the integer opid.  Each loop iteration
-        is one synchronized step of every row: gather the
-        right-successor, compare against the target, go right / go down
-        / finish -- exactly the per-row scalar automaton, so per-module
-        work and message counts land identically.  Every row enters
-        with zero hops and all rows advance in lockstep, so the per-row
-        hop count is one uniform scalar.  Rows crossing to another
-        module accumulate into ``fwd_parts`` (staged as one column chunk
-        by the caller); only finished rows touch Python.
-        """
-        rep_append = bct.replies.append
-        nodes = arena.nodes
-        right = arena.right
-        down = arena.down
-        level = arena.level
-        owner = arena.owner
-        key_i64 = arena.key_i64
-        where = _np.where
-        bincount = _np.bincount
-        P = bct.num_modules
-        hops = 0
-        while mids.size:
-            hops += 1
-            r = right[aids]
-            # Absent successors are -1: the wrapped gather reads a valid
-            # row, and every lane it feeds is masked off by ``r >= 0``
-            # (or by ``~done`` for the owner gather below).
-            go = (r >= 0) & (key_i64[r] <= tgts)
-            done = ~go & (level[aids] == 0)
-            nxt = where(go, r, down[aids])
-            own = owner[nxt]
-            cross = ~done & (own != UPPER) & (own != mids)
-            fin = done | cross
-            if fin.any():
-                cnt = bincount(mids[fin], minlength=P)
-                work_acc += cnt * float(hops)
-                sent_acc += cnt
-                if done.any():
-                    for m, o, a, ri in zip(mids[done].tolist(),
-                                           opids[done].tolist(),
-                                           aids[done].tolist(),
-                                           r[done].tolist()):
-                        rep_append(Reply(
-                            ("done", o, nodes[a],
-                             nodes[ri] if ri >= 0 else None), None, m))
-                if cross.any():
-                    fwd_parts.append((own[cross], nxt[cross], tgts[cross],
-                                      opids[cross]))
-                keep = ~fin
-                aids = nxt[keep]
-                mids = mids[keep]
-                tgts = tgts[keep]
-                opids = opids[keep]
-            else:
-                aids = nxt
-
-    def _stage_fwd_parts(bct, fwd_parts):
-        if not fwd_parts:
-            return
-        if len(fwd_parts) == 1:
-            d, a, t, o = fwd_parts[0]
-        else:
-            d = _np.concatenate([p[0] for p in fwd_parts])
-            a = _np.concatenate([p[1] for p in fwd_parts])
-            t = _np.concatenate([p[2] for p in fwd_parts])
-            o = _np.concatenate([p[3] for p in fwd_parts])
-        bct.stage_cols(fn_step, d, (a, t, o), 1)
-
-    def batch_search_step(bct, chunks):
         out: list = []
         out_append = out.append
-        arena = sl.storage.arena
-        vec_ready = arena is not None and arena.vector_ok
-        col_parts: list = []   # (dests, aids, tgts, opids) from COLS chunks
-        scal: list = []
-        vec: list = []
-        vtgt: list = []
         for ch in chunks:
-            if ch.kind == COLS:
-                # One of our own column chunks from the previous round.
-                if vec_ready:
-                    col_parts.append((ch.dests, ch.cols[0], ch.cols[1],
-                                      ch.cols[2]))
-                else:  # pragma: no cover - storage cannot change mid-op
-                    scal.extend(_cols_to_rows(arena, ch))
-                continue
-            rows = bct.rows_of(ch)
-            if not vec_ready:
-                scal.extend(rows)
-                continue
-            for row in rows:
-                x, key, opid, record = row[1]
-                t = None
-                if not record and x.aid >= 0 and type(opid) is int:
-                    t = _target_i64(key)
-                if t is None:
-                    scal.append(row)
-                else:
-                    vec.append(row)
-                    vtgt.append(t)
-        if not col_parts and len(vec) < VEC_MIN:
-            scal.extend(vec)
-            vec = []
-        if scal:
-            _scalar_step_rows(bct, scal, out_append)
-        if vec or col_parts:
-            if vec:
-                n = len(vec)
-                col_parts.append((
-                    _np.fromiter((r[0] for r in vec), _np.int64, n),
-                    _np.fromiter((r[1][0].aid for r in vec), _np.int64, n),
-                    _np.array(vtgt, _np.int64),
-                    _np.fromiter((r[1][2] for r in vec), _np.int64, n)))
-            if len(col_parts) == 1:
-                mids, aids, tgts, opids = col_parts[0]
-            else:
-                mids = _np.concatenate([p[0] for p in col_parts])
-                aids = _np.concatenate([p[1] for p in col_parts])
-                tgts = _np.concatenate([p[2] for p in col_parts])
-                opids = _np.concatenate([p[3] for p in col_parts])
-            work_acc = _np.zeros(bct.num_modules, _np.float64)
-            sent_acc = _np.zeros(bct.num_modules, _np.int64)
-            fwd_parts: list = []
-            _vector_lower(bct, arena, work_acc, sent_acc, fwd_parts,
-                          mids, aids, tgts, opids)
-            bct.add_work_array(work_acc)
-            bct.add_sent_array(sent_acc)
-            _stage_fwd_parts(bct, fwd_parts)
+            for mid, args, _tag, _size in rows_of(ch):
+                x, key, opid, record = args
+                if record:
+                    fwd = _walk_batch(bct, mid, x, key, opid, record, 0)
+                    if fwd is not None:
+                        out_append(fwd)
+                    continue
+                # Hot path: the recording-free walk, inlined per task.
+                hops = 0
+                while True:
+                    hops += 1
+                    r = x.right
+                    if r is not None and r.key <= key:
+                        nxt = r
+                    elif x.level > 0:
+                        nxt = x.down
+                    else:
+                        work[mid] += hops
+                        rep_append(Reply(("done", opid, x, r), None, mid))
+                        sent[mid] += 1
+                        break
+                    owner = nxt.owner
+                    if owner == UPPER or owner == mid:
+                        x = nxt
+                    else:
+                        work[mid] += hops
+                        out_append((owner, (nxt, key, opid, record), None, 1))
+                        sent[mid] += 1
+                        break
         if out:
             bct.stage_rows(fn_step, out)
 
-    def _scalar_entry_rows(bct, rows, out_append):
+    def batch_search_entry(bct, chunks):
         work = bct.work
         sent = bct.sent
-        for mid, args, _tag, _size in rows:
-            key, opid, record = args
-            u, steps = sl.upper_descend_steps(key)
-            work[mid] += steps
-            x = u.down
-            if x.owner == UPPER or x.owner == mid:
-                fwd = _walk_batch(bct, mid, x, key, opid, record, 0)
-                if fwd is not None:
-                    out_append(fwd)
-            else:
-                sent[mid] += 1
-                out_append((x.owner, (x, key, opid, record), None, 1))
-
-    def batch_search_entry(bct, chunks):
+        rows_of = bct.rows_of
         out: list = []
         out_append = out.append
-        arena = sl.storage.arena
-        root = sl.root
-        use_vec = (arena is not None and arena.vector_ok
-                   and sl.h_low >= 1 and root.aid >= 0)
-        scal: list = []
-        vec: list = []
-        vtgt: list = []
         for ch in chunks:
-            rows = bct.rows_of(ch)
-            if not use_vec:
-                scal.extend(rows)
-                continue
-            for row in rows:
-                key, opid, record = row[1]
-                t = None
-                if not record and type(opid) is int:
-                    t = _target_i64(key)
-                if t is None:
-                    scal.append(row)
+            for mid, args, _tag, _size in rows_of(ch):
+                key, opid, record = args
+                u, steps = sl.upper_descend_steps(key)
+                work[mid] += steps
+                x = u.down
+                if x.owner == UPPER or x.owner == mid:
+                    fwd = _walk_batch(bct, mid, x, key, opid, record, 0)
+                    if fwd is not None:
+                        out_append(fwd)
                 else:
-                    vec.append(row)
-                    vtgt.append(t)
-        if len(vec) < VEC_MIN:
-            scal.extend(vec)
-            vec = []
-        if scal:
-            _scalar_entry_rows(bct, scal, out_append)
-        if vec:
-            n = len(vec)
-            right = arena.right
-            down = arena.down
-            level = arena.level
-            owner = arena.owner
-            key_i64 = arena.key_i64
-            where = _np.where
-            bincount = _np.bincount
-            P = bct.num_modules
-            h_low = sl.h_low
-            mids = _np.fromiter((r[0] for r in vec), _np.int64, n)
-            tgts = _np.array(vtgt, _np.int64)
-            opids = _np.fromiter((r[1][1] for r in vec), _np.int64, n)
-            cur = _np.full(n, root.aid, _np.int64)
-            # The descent's initial charge; right/down steps add 1 each,
-            # the h_low exit is free -- exactly upper_descend's charges.
-            # Every row starts at the root and steps in lockstep, so the
-            # accumulated charge is one uniform scalar.
-            wch = 1.0
-            work_acc = _np.zeros(P, _np.float64)
-            sent_acc = _np.zeros(P, _np.int64)
-            fwd_parts: list = []
-            low_parts: list = []
-            while cur.size:
-                r = right[cur]
-                # -1 gathers wrap to a valid row; masked off by r >= 0.
-                go = (r >= 0) & (key_i64[r] <= tgts)
-                exit_ = ~go & (level[cur] == h_low)
-                nxt = where(go, r, down[cur])
-                if exit_.any():
-                    em = mids[exit_]
-                    work_acc += bincount(em, minlength=P) * wch
-                    xd = nxt[exit_]  # the upper leaf's down pointer
-                    xt = tgts[exit_]
-                    xi = opids[exit_]
-                    xo = owner[xd]
-                    local = (xo == UPPER) | (xo == em)
-                    if local.any():
-                        low_parts.append((em[local], xd[local],
-                                          xt[local], xi[local]))
-                    if not local.all():
-                        rem = ~local
-                        sent_acc += bincount(em[rem], minlength=P)
-                        fwd_parts.append((xo[rem], xd[rem],
-                                          xt[rem], xi[rem]))
-                    keep = ~exit_
-                    cur = nxt[keep]
-                    mids = mids[keep]
-                    tgts = tgts[keep]
-                    opids = opids[keep]
-                else:
-                    cur = nxt
-                wch += 1.0
-            if low_parts:
-                if len(low_parts) == 1:
-                    lm, la, lt, lo = low_parts[0]
-                else:
-                    lm = _np.concatenate([p[0] for p in low_parts])
-                    la = _np.concatenate([p[1] for p in low_parts])
-                    lt = _np.concatenate([p[2] for p in low_parts])
-                    lo = _np.concatenate([p[3] for p in low_parts])
-                _vector_lower(bct, arena, work_acc, sent_acc, fwd_parts,
-                              lm, la, lt, lo)
-            bct.add_work_array(work_acc)
-            bct.add_sent_array(sent_acc)
-            _stage_fwd_parts(bct, fwd_parts)
+                    sent[mid] += 1
+                    out_append((x.owner, (x, key, opid, record), None, 1))
         if out:
             bct.stage_rows(fn_step, out)
 

@@ -40,18 +40,13 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-import numpy as _np
-
 from repro.core import ops_search
-from repro.core.node import Node, UPPER
-from repro.core.ops_search import _target_i64, search_message
+from repro.core.node import Node
+from repro.core.ops_search import search_message
 from repro.core.structure import SkipListStructure
 from repro.cpuside.sort import parallel_sort
 from repro.ops import BatchOp, run_batch
 from repro.sim.cpu import WorkDepth
-
-#: Minimum hinted record-free rows worth issuing as one column chunk.
-COLS_SEND_MIN = 16
 
 PathEntry = Tuple[Node, int, Optional[Node]]  # (node, level, right snapshot)
 
@@ -189,17 +184,6 @@ class _BatchSearchOp(BatchOp):
         piv_level_cache: Dict[int, Dict[int, Tuple[Node, Optional[Node]]]] = {}
         piv_ids_cache: Dict[int, set] = {}
 
-        # Record-free searches that start from a lower-part hint node can
-        # launch as one engine-level column chunk: the destination is the
-        # hint's owner (no RNG draw) and the walk's batch handler consumes
-        # the chunk natively.  Off during a scalar fallback, which
-        # includes chaos plans -- those wrap every CPU-issued scalar
-        # message in a delivery envelope, which a column chunk would
-        # bypass.
-        arena = getattr(sl.storage, "arena", None)
-        cols_send = (arena is not None and arena.vector_ok
-                     and machine.columnar_active)
-
         def pivot_ids(ppos: int) -> Optional[set]:
             """Cached ``id()`` set of a pivot's recorded path nodes."""
             s = piv_ids_cache.get(ppos)
@@ -284,11 +268,6 @@ class _BatchSearchOp(BatchOp):
             nonlocal retained_words
             msgs = []
             madd = msgs.append
-            vec = cols_send and not record
-            cd: List[int] = []   # dests (hint owners)
-            ca: List[int] = []   # arena row of the hint node
-            ct: List[int] = []   # int64 search target
-            co: List[int] = []   # opid (sorted position)
             for pos, hint in ops:
                 if hint is None:
                     madd(search_message(sl, skeys[pos], opid=pos,
@@ -304,39 +283,9 @@ class _BatchSearchOp(BatchOp):
                         cpu.alloc(1)
                         retained_words += 1
                     continue
-                if vec:
-                    node = hint[1]
-                    aid = node.aid
-                    if aid >= 0 and node.owner != UPPER:
-                        t = _target_i64(skeys[pos])
-                        if t is not None:
-                            cd.append(node.owner)
-                            ca.append(aid)
-                            ct.append(t)
-                            co.append(pos)
-                            continue
                 madd(search_message(sl, skeys[pos], opid=pos, record=record,
                                     start=hint[1]))
-            staged_cols = False
-            if cd:
-                if len(cd) >= COLS_SEND_MIN:
-                    machine.send_cols(
-                        sl.fn_search_step,
-                        _np.array(cd, _np.int64),
-                        (_np.array(ca, _np.int64), _np.array(ct, _np.int64),
-                         _np.array(co, _np.int64)))
-                    staged_cols = True
-                else:
-                    # Too few to amortize a chunk; the deferred scalar
-                    # build draws no RNG (hint owners are never UPPER),
-                    # so appending here preserves the machine's seeded
-                    # stream and all per-round accounting.
-                    nodes = arena.nodes
-                    for aid, pos in zip(ca, co):
-                        madd(search_message(sl, skeys[pos], opid=pos,
-                                            record=record,
-                                            start=nodes[aid]))
-            if not msgs and not staged_cols:
+            if not msgs:
                 return
             replies = yield msgs
             if not record and not keep_ordered:

@@ -163,9 +163,6 @@ def _build_tower(sl: SkipListStructure, key: Hashable, value: Any,
         if below is not None:
             below.up = node
             node.down = below
-            if sl.storage.mirrors:
-                sl.storage.link(below, "up", node)
-                sl.storage.link(node, "down", below)
         nodes.append(node)
         below = node
     leaf = nodes[0]

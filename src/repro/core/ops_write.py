@@ -26,7 +26,6 @@ from repro.sim.fastpath import BCAST
 from repro.sim.task import Reply
 
 _FIELDS = ("left", "right", "up", "down", "local_left", "local_right")
-_MIRRORED = ("right", "up", "down")
 ACK = ("ack",)
 """The acknowledgement payload of every write-path task."""
 
@@ -36,8 +35,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         if field not in _FIELDS:
             raise ValueError(f"bad pointer field {field!r}")
         setattr(node, field, value)
-        if sl.storage.mirrors and field in _MIRRORED:
-            sl.storage.link(node, field, value)
 
     def h_write_ptr(ctx, node, field, value, tag=None):
         ctx.charge(1)

@@ -38,25 +38,14 @@ class PIMSkipList:
         :class:`~repro.sim.errors.InvalidBatchError`.  Default off so
         small-scale tests and ablations can run; the complexity
         guarantees only hold at or above the minimums.
-    storage:
-        Structure-storage backend: ``"object"`` (the plain linked node
-        graph), ``"arena"`` (node graph + flat index-addressed arrays
-        enabling the vectorized search walk; see
-        :mod:`repro.core.storage`), or ``None`` to consult the
-        ``REPRO_STRUCT_STORAGE`` environment variable (default
-        ``"object"``).  Model metrics are certified bit-identical
-        across storages by ``repro.verify.differ``; only wall-clock
-        behaviour differs.
     """
 
     def __init__(self, machine: PIMMachine, name: str = "skiplist",
                  enforce_batch_size: bool = False,
-                 h_low_override: Optional[int] = None,
-                 storage: Optional[str] = None) -> None:
+                 h_low_override: Optional[int] = None) -> None:
         self.machine = machine
         self.struct = SkipListStructure(machine, name=name,
-                                        h_low_override=h_low_override,
-                                        storage=storage)
+                                        h_low_override=h_low_override)
         self.enforce_batch_size = enforce_batch_size
         # Register eagerly (direct sends in tests and the single-op path
         # rely on it); the op-pipeline driver re-registers the same cached
@@ -281,8 +270,7 @@ class PIMSkipList:
             self.batch_delete([k for k, _ in moved])
         out = PIMSkipList(self.machine,
                           name=f"{self.struct.name}:split{seq}",
-                          enforce_batch_size=self.enforce_batch_size,
-                          storage=self.storage)
+                          enforce_batch_size=self.enforce_batch_size)
         out.build(moved)
         return out
 
@@ -330,11 +318,6 @@ class PIMSkipList:
     def size(self) -> int:
         """Number of keys currently stored."""
         return self.struct.num_keys
-
-    @property
-    def storage(self) -> str:
-        """The resolved structure-storage backend ("object" / "arena")."""
-        return self.struct.storage_kind
 
     def check_integrity(self) -> None:
         """Assert all structural invariants (test/diagnostic)."""

@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 from repro.balls.hashing import KeyLevelHash, stable_hash
 from repro.core.hash_table import CuckooHashTable
 from repro.core.node import NEG_INF, NODE_WORDS, Node, UPPER
-from repro.core.storage import StorageBackend, make_storage
 from repro.sim.machine import PIMMachine
 
 Charge = Callable[[float], None]
@@ -57,13 +56,9 @@ class SkipListStructure:
 
     def __init__(self, machine: PIMMachine, name: str = "skiplist",
                  level_promotion: float = 0.5,
-                 h_low_override: Optional[int] = None,
-                 storage: Optional[str] = None) -> None:
+                 h_low_override: Optional[int] = None) -> None:
         self.machine = machine
         self.name = name
-        # Storage backend first: node creation below registers with it.
-        self.storage: StorageBackend = make_storage(storage)
-        self.storage_kind: str = self.storage.kind
         self.num_modules = machine.num_modules
         p = self.num_modules
         if h_low_override is not None:
@@ -99,7 +94,6 @@ class SkipListStructure:
             )
 
         # Sentinel tower (-inf at every level, fully replicated).
-        st = self.storage
         self.sentinels: List[Node] = []
         self.top_level = self.h_low + 1
         prev: Optional[Node] = None
@@ -107,12 +101,9 @@ class SkipListStructure:
             s = Node(NEG_INF, lvl, owner=UPPER)
             if lvl == self.h_low:
                 s.init_next_leaf(p)
-            st.alloc(s)
             if prev is not None:
                 s.down = prev
                 prev.up = s
-                st.link(s, "down", prev)
-                st.link(prev, "up", s)
             self.sentinels.append(s)
             prev = s
         for mid in range(p):
@@ -168,9 +159,7 @@ class SkipListStructure:
         """
         if self.is_upper_level(level):
             raise ValueError("lower node at upper level")
-        node = Node(key, level, owner=self.owner_of(key, level), value=value)
-        self.storage.alloc(node)
-        return node
+        return Node(key, level, owner=self.owner_of(key, level), value=value)
 
     def make_upper_node(self, key: Hashable, level: int) -> Node:
         """Create an unlinked upper-part (replicated) node."""
@@ -179,7 +168,6 @@ class SkipListStructure:
         node = Node(key, level, owner=UPPER)
         if level == self.h_low:
             node.init_next_leaf(self.num_modules)
-        self.storage.alloc(node)
         return node
 
     def account_lower_alloc(self, node: Node) -> None:
@@ -294,9 +282,6 @@ class SkipListStructure:
         x.right = node
         if succ is not None:
             succ.left = node
-        if self.storage.mirrors:
-            self.storage.link(x, "right", node)
-            self.storage.link(node, "right", succ)
         charge(1)
 
     def unlink_upper_node(self, node: Node, charge: Charge) -> None:
@@ -311,12 +296,6 @@ class SkipListStructure:
             rt.left = lf
         node.left = None
         node.right = None
-        if self.storage.mirrors:
-            # First (real) unlink of the replicated node: splice the
-            # mirror and release its arena row exactly once.
-            if lf is not None:
-                self.storage.link(lf, "right", rt)
-            self.storage.free(node)
 
     def grow_to_level(self, level: int, charge: Charge) -> None:
         """Extend the sentinel tower so the root sits above ``level``.
@@ -330,10 +309,6 @@ class SkipListStructure:
             s = Node(NEG_INF, self.top_level + 1, owner=UPPER)
             s.down = below
             below.up = s
-            self.storage.alloc(s)
-            if self.storage.mirrors:
-                self.storage.link(s, "down", below)
-                self.storage.link(below, "up", s)
             self.sentinels.append(s)
             self.top_level += 1
 
@@ -488,8 +463,6 @@ class SkipListStructure:
                 self.machine.modules[mid].alloc_words(grown * NODE_WORDS)
 
         # Build towers and link all levels horizontally.
-        st = self.storage
-        mirrors = st.mirrors
         level_tail: List[Node] = list(self.sentinels)
         for (key, value), h in zip(items, heights):
             below: Optional[Node] = None
@@ -511,11 +484,6 @@ class SkipListStructure:
                 if below is not None:
                     below.up = node
                     node.down = below
-                if mirrors:
-                    st.link(tail, "right", node)
-                    if below is not None:
-                        st.link(below, "up", node)
-                        st.link(node, "down", below)
                 below = node
                 if lvl == 0:
                     leaf = node
@@ -653,35 +621,3 @@ class SkipListStructure:
                 )
         # 7. key count
         assert self.num_keys == len(all_leaves)
-        # 8. arena mirror (arena storage only): every linked node resides
-        #    in the arena and its mirrored columns agree with the graph
-        arena = self.storage.arena
-        if arena is not None:
-            reachable = 0
-            for lvl in range(self.top_level + 1):
-                x: Optional[Node] = self.sentinels[lvl]
-                while x is not None:
-                    aid = x.aid
-                    assert aid >= 0 and arena.nodes[aid] is x, (
-                        f"node {x!r} not resident in the arena")
-                    assert arena.live[aid], f"arena row {aid} not live"
-                    assert arena.keys[aid] == x.key or x.key is NEG_INF
-                    assert int(arena.level[aid]) == x.level
-                    assert int(arena.owner[aid]) == x.owner
-                    r = int(arena.right[aid])
-                    assert (arena.nodes[r] if r >= 0 else None) is x.right, (
-                        f"arena right index stale at {x!r}")
-                    d = int(arena.down[aid])
-                    assert (arena.nodes[d] if d >= 0 else None) is x.down, (
-                        f"arena down index stale at {x!r}")
-                    u = int(arena.up[aid])
-                    assert (arena.nodes[u] if u >= 0 else None) is x.up, (
-                        f"arena up index stale at {x!r}")
-                    if x.level == 0:
-                        assert arena.values[aid] == x.value, (
-                            f"arena value stale at {x!r}")
-                    reachable += 1
-                    x = x.right
-            assert arena.live_count == reachable, (
-                f"arena holds {arena.live_count} live rows, structure "
-                f"links {reachable}")

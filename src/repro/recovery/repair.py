@@ -96,7 +96,6 @@ def reattach_module(struct: SkipListStructure, mid: int,
             module.charge(1)
             if lvl == 0:
                 node.value = values[node.key]
-                struct.storage.set_value(node, node.value)
 
     # 4. Local leaf list + hash table, in key order.
     prev: Optional[Node] = None

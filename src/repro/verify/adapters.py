@@ -114,39 +114,35 @@ class _NaiveSuccessorMap:
 
 
 def _adapt_skiplist(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-                    num_modules: int,
-                    storage: Optional[str] = None) -> ImplAdapter:
+                    num_modules: int) -> ImplAdapter:
     machine = PIMMachine(num_modules=num_modules, seed=seed)
-    sl = PIMSkipList(machine, storage=storage)
+    sl = PIMSkipList(machine)
     sl.build(items)
     return ImplAdapter(name, sl, machine)
 
 
 def reference_skiplist(seed: int, items: Sequence[Tuple[Any, Any]],
-                       num_modules: int,
-                       storage: Optional[str] = None) -> ImplAdapter:
+                       num_modules: int) -> ImplAdapter:
     """The skip list on the per-task reference oracle
     (:class:`~repro.sim.machine.ReferencePIMMachine`): what the differ's
     cross-engine replay compares the engine's metric stream against."""
     machine = ReferencePIMMachine(num_modules=num_modules, seed=seed)
-    sl = PIMSkipList(machine, storage=storage)
+    sl = PIMSkipList(machine)
     sl.build(items)
     return ImplAdapter("skiplist", sl, machine)
 
 
 def _adapt_naive(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-                 num_modules: int,
-                 storage: Optional[str] = None) -> ImplAdapter:
+                 num_modules: int) -> ImplAdapter:
     machine = PIMMachine(num_modules=num_modules, seed=seed)
-    sl = PIMSkipList(machine, storage=storage)
+    sl = PIMSkipList(machine)
     sl.build(items)
     return ImplAdapter(name, _NaiveSuccessorMap(sl), machine)
 
 
 def _adapt_range_partition(name: str, seed: int,
                            items: Sequence[Tuple[Any, Any]],
-                           num_modules: int,
-                           storage: Optional[str] = None) -> ImplAdapter:
+                           num_modules: int) -> ImplAdapter:
     machine = PIMMachine(num_modules=num_modules, seed=seed)
     rp = RangePartitionedSkipList(machine)
     rp.build(items)
@@ -155,8 +151,7 @@ def _adapt_range_partition(name: str, seed: int,
 
 def _adapt_hash_partition(name: str, seed: int,
                           items: Sequence[Tuple[Any, Any]],
-                          num_modules: int,
-                          storage: Optional[str] = None) -> ImplAdapter:
+                          num_modules: int) -> ImplAdapter:
     machine = PIMMachine(num_modules=num_modules, seed=seed)
     hp = HashPartitionedMap(machine)
     hp.build(items)
@@ -165,8 +160,7 @@ def _adapt_hash_partition(name: str, seed: int,
 
 def _adapt_fine_grained(name: str, seed: int,
                         items: Sequence[Tuple[Any, Any]],
-                        num_modules: int,
-                        storage: Optional[str] = None) -> ImplAdapter:
+                        num_modules: int) -> ImplAdapter:
     machine = PIMMachine(num_modules=num_modules, seed=seed)
     fg = FineGrainedSkipList(machine)
     fg.build(items)
@@ -174,8 +168,7 @@ def _adapt_fine_grained(name: str, seed: int,
 
 
 def _adapt_local(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-                 num_modules: int,
-                 storage: Optional[str] = None) -> ImplAdapter:
+                 num_modules: int) -> ImplAdapter:
     # The sequential baseline owns no machine.
     ls = LocalSkipList(rng=random.Random(seed ^ 0x10CA1))
     for k, v in items:
@@ -184,8 +177,7 @@ def _adapt_local(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
 
 
 def _adapt_lsm(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-               num_modules: int,
-               storage: Optional[str] = None) -> ImplAdapter:
+               num_modules: int) -> ImplAdapter:
     machine = PIMMachine(num_modules=num_modules, seed=seed)
     # Small blocks and a low flush threshold so fuzz sessions actually
     # exercise compaction, tombstone collection and fence rebuilds.
@@ -197,8 +189,7 @@ def _adapt_lsm(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
 
 
 def _adapt_pimtree(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-                   num_modules: int,
-                   storage: Optional[str] = None) -> ImplAdapter:
+                   num_modules: int) -> ImplAdapter:
     machine = PIMMachine(num_modules=num_modules, seed=seed)
     # Tiny nodes and an eager promotion threshold so fuzz-sized sessions
     # (tens of keys) still grow module-resident interior levels, take
@@ -208,7 +199,7 @@ def _adapt_pimtree(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
     return ImplAdapter(name, tree, machine)
 
 
-#: name -> builder(name, seed, items, num_modules, storage).  The skip
+#: name -> builder(name, seed, items, num_modules).  The skip
 #: list, the five baselines (range/hash partition, fine-grained,
 #: sequential local skip list, naive batched search on the paper's
 #: structure), the LSM foil, and the skew-resistant PIM-tree.
@@ -228,16 +219,9 @@ DEFAULT_IMPLS: Tuple[str, ...] = tuple(IMPLEMENTATIONS)
 
 def build_implementations(names: Sequence[str], *, seed: int,
                           items: Sequence[Tuple[Any, Any]],
-                          num_modules: int,
-                          storage: Optional[str] = None) -> List[ImplAdapter]:
+                          num_modules: int) -> List[ImplAdapter]:
     """Construct the named implementations, each freshly built over
-    ``items`` on its own machine seeded with ``seed``.
-
-    ``storage`` picks the skip-list structure storage (``"object"`` /
-    ``"arena"``); ``None`` defers to the environment override and the
-    structure default, exactly like :class:`PIMSkipList` itself.
-    Implementations that are not the paper's skip list ignore it.
-    """
+    ``items`` on its own machine seeded with ``seed``."""
     out: List[ImplAdapter] = []
     for name in names:
         builder = IMPLEMENTATIONS.get(name)
@@ -245,5 +229,5 @@ def build_implementations(names: Sequence[str], *, seed: int,
             raise ValueError(
                 f"unknown implementation {name!r}; "
                 f"known: {', '.join(sorted(IMPLEMENTATIONS))}")
-        out.append(builder(name, seed, items, num_modules, storage=storage))
+        out.append(builder(name, seed, items, num_modules))
     return out

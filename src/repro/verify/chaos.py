@@ -61,14 +61,13 @@ __all__ = [
 ]
 
 #: Structures the chaos harness can put under a fault schedule.  Each
-#: factory builds a fresh *empty* structure on ``machine`` (``storage``
-#: only applies to the skip list).  The PIM-tree uses the same tiny
-#: geometry as its differ adapter, so chaos-sized sessions exercise
-#: interior levels, splits, and shadow promotion/rebroadcast.
+#: factory builds a fresh *empty* structure on ``machine``.  The
+#: PIM-tree uses the same tiny geometry as its differ adapter, so
+#: chaos-sized sessions exercise interior levels, splits, and shadow
+#: promotion/rebroadcast.
 STRUCTURE_FACTORIES = {
-    "skiplist": lambda machine, storage: PIMSkipList(machine,
-                                                     storage=storage),
-    "pimtree": lambda machine, storage: PIMTree(
+    "skiplist": PIMSkipList,
+    "pimtree": lambda machine: PIMTree(
         machine, leaf_size=4, fanout=4, promote_threshold=2),
 }
 
@@ -199,7 +198,6 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
                   batch_size: int = 16, checkpoint_every: int = 3,
                   allow_restore: bool = True,
                   session: Optional[Session] = None,
-                  storage: Optional[str] = None,
                   structure: str = "skiplist",
                   check_overhead: bool = True) -> ChaosReport:
     """Replay one fuzz session under a machine-level fault schedule.
@@ -208,13 +206,9 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     seed then labels the report.  A fuzzed session is at least
     ``num_batches`` long and crosses :data:`MIN_ROTATIONS` checkpoint
     rotations fault-free (:func:`sized_session`).  ``structure`` picks
-    the structure under chaos (see :data:`STRUCTURE_FACTORIES`);
-    ``storage`` picks
-    the skip list's structure storage for the twin, the chaos run, and
-    every standby a recovery builds (``None`` defers to the environment
-    override).  The report carries a fingerprint of every observable
-    (results, fault statistics, rounds) for the bit-identical-rerun
-    check.
+    the structure under chaos (see :data:`STRUCTURE_FACTORIES`).  The
+    report carries a fingerprint of every observable (results, fault
+    statistics, rounds) for the bit-identical-rerun check.
     """
     if schedule not in MACHINE_SCHEDULES:
         raise ValueError(f"unknown fault schedule {schedule!r}; known: "
@@ -227,7 +221,7 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
         session = sized_session(
             session_seed,
             lambda seed: factory(PIMMachine(num_modules=num_modules,
-                                            seed=seed), storage),
+                                            seed=seed)),
             num_batches=num_batches, batch_size=batch_size,
             checkpoint_every=checkpoint_every)
     items = initial_items_for(session)
@@ -241,7 +235,7 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     # and the only difference under chaos is fault handling).
     oracle = SequentialOracle(items)
     twin_machine = PIMMachine(num_modules=num_modules, seed=session.seed)
-    twin = factory(twin_machine, storage)
+    twin = factory(twin_machine)
     twin.build(items)
     expected: List = []
     for batch in session.batches:
@@ -256,7 +250,7 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     def standby():
         m = PIMMachine(num_modules=num_modules, seed=session.seed)
         machines.append(m)
-        return factory(m, storage)
+        return factory(m)
 
     chaotic = standby()
     chaotic.build(items)
@@ -336,7 +330,6 @@ def check_chaos_determinism(session_seed: int, schedule: str,
                             fault_seed: int = 0, *,
                             num_modules: int = 8, num_batches: int = 10,
                             batch_size: int = 16,
-                            storage: Optional[str] = None,
                             structure: str = "skiplist",
                             ) -> Optional[Divergence]:
     """Run the same chaos session twice; the fingerprints must match.
@@ -344,7 +337,7 @@ def check_chaos_determinism(session_seed: int, schedule: str,
     Returns the describing divergence on mismatch, else ``None``.
     """
     kwargs = dict(num_modules=num_modules, num_batches=num_batches,
-                  batch_size=batch_size, storage=storage,
+                  batch_size=batch_size,
                   structure=structure, check_overhead=False)
     first = chaos_session(session_seed, schedule, fault_seed, **kwargs)
     second = chaos_session(session_seed, schedule, fault_seed, **kwargs)
@@ -381,14 +374,12 @@ def chaos_matrix(session_seeds: Sequence[int],
                  schedules: Sequence[str], fault_seed: int = 0, *,
                  num_modules: int = 8, num_batches: int = 10,
                  batch_size: int = 16,
-                 storage: Optional[str] = None,
                  structure: str = "skiplist") -> List[ChaosReport]:
     """The full sweep: every session seed under every fault schedule."""
     return [
         chaos_session(seed, schedule, fault_seed,
                       num_modules=num_modules, num_batches=num_batches,
-                      batch_size=batch_size, storage=storage,
-                      structure=structure)
+                      batch_size=batch_size, structure=structure)
         for schedule in schedules
         for seed in session_seeds
     ]

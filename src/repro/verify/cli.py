@@ -72,14 +72,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-backends", action="store_true",
                    help="skip the cross-engine equivalence replay on "
                         "the per-task reference oracle")
-    p.add_argument("--no-storages", action="store_true",
-                   help="skip the cross-storage (object nodes vs arena) "
-                        "equivalence replay")
-    p.add_argument("--storage", choices=["object", "arena"], default=None,
-                   help="structure storage for the primary replay "
-                        "(default: structure default / "
-                        "REPRO_STRUCT_STORAGE; the equivalence replay "
-                        "always uses the other one)")
 
 
 def _impl_list(args: argparse.Namespace) -> Optional[List[str]]:
@@ -95,8 +87,6 @@ def _verify_kwargs(args: argparse.Namespace) -> dict:
         "check_metamorphic": not args.no_metamorphic,
         "check_determinism": not args.no_determinism,
         "check_backends": not args.no_backends,
-        "check_storages": not args.no_storages,
-        "storage": args.storage,
     }
 
 
@@ -161,8 +151,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         chaos_divs = []
         for schedule in chaos_schedules:
             cr = chaos_session(seed, schedule, args.fault_seed,
-                               num_modules=args.modules, session=session,
-                               storage=args.storage)
+                               num_modules=args.modules, session=session)
             chaos_divs += cr.divergences
         print(report.summary()
               + (f" + {len(container_divs)} container divergence(s)"
@@ -280,8 +269,7 @@ def _replay_one(path: str, args: argparse.Namespace) -> bool:
         # Chaos repro: replay under the recorded machine fault schedule.
         report = chaos_session(session.seed, schedule,
                                int(data.get("fault_seed", 0)),
-                               num_modules=num_modules, session=session,
-                               storage=args.storage)
+                               num_modules=num_modules, session=session)
         tag = "DIVERGES" if not report.ok else "clean"
         print(f"{path}: {len(session.batches)} batch(es) under "
               f"{schedule!r} (fault_seed={report.fault_seed}) -> {tag}")
@@ -374,8 +362,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             report = chaos_session(
                 seed, schedule, args.fault_seed,
                 num_modules=args.modules, num_batches=args.batches,
-                batch_size=args.batch_size, storage=args.storage,
-                structure=args.structure)
+                batch_size=args.batch_size, structure=args.structure)
             runs += 1
             print(report.summary())
             if report.ok:
@@ -391,8 +378,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             div = check_chaos_determinism(
                 args.seed, schedule, args.fault_seed,
                 num_modules=args.modules, num_batches=args.batches,
-                batch_size=args.batch_size, storage=args.storage,
-                structure=args.structure)
+                batch_size=args.batch_size, structure=args.structure)
             if div is not None:
                 failures += 1
                 print(f"  {div}")
@@ -423,13 +409,11 @@ def _shrink_chaos_and_write(seed: int, schedule: str,
     def is_failing(candidate) -> bool:
         return not chaos_session(seed, schedule, args.fault_seed,
                                  num_modules=args.modules,
-                                 session=candidate,
-                                 storage=args.storage).ok
+                                 session=candidate).ok
 
     small = shrink_session(session, is_failing, max_evals=args.max_evals)
     report = chaos_session(seed, schedule, args.fault_seed,
-                           num_modules=args.modules, session=small,
-                           storage=args.storage)
+                           num_modules=args.modules, session=small)
     os.makedirs(args.repro_dir, exist_ok=True)
     path = os.path.join(args.repro_dir,
                         f"seed{seed}-{schedule}-f{args.fault_seed}.json")
@@ -680,10 +664,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="ops per batch (default 16)")
     ch.add_argument("--modules", type=int, default=8,
                     help="PIM modules per machine (default 8)")
-    ch.add_argument("--storage", choices=["object", "arena"], default=None,
-                    help="structure storage for twin, chaos run and "
-                         "standbys (default: structure default / "
-                         "REPRO_STRUCT_STORAGE)")
     ch.add_argument("--structure", choices=sorted(STRUCTURE_FACTORIES),
                     default="skiplist",
                     help="structure to put under chaos (default skiplist)")

@@ -19,12 +19,10 @@ the skip list's structural invariants are asserted, and the whole
 session is replayed once more on a fresh machine to check that the
 per-op metric stream -- collected through the op pipeline's
 ``batch_observer`` hook -- is bit-identical across reruns of the same
-seed.  Two further solo replays pin the equivalence axes: one on the
-*per-task reference oracle* (the engine's array-native rounds vs the
-scalar loop, :class:`~repro.sim.machine.ReferencePIMMachine`) and one
-on the *other structure storage* (object node graph vs flat arena), each of
-which must reproduce the primary run's results and metric stream
-bit-for-bit.
+seed.  One further solo replay pins the engine axis: on the *per-task
+reference oracle* (the engine's array-native rounds vs the scalar loop,
+:class:`~repro.sim.machine.ReferencePIMMachine`), which must reproduce
+the primary run's results and metric stream bit-for-bit.
 
 Divergences are collected, not raised: the driver is also the shrinker's
 test function, and a shrinker needs "still failing?" as a value.
@@ -61,7 +59,7 @@ class Divergence:
     impl: str
     kind: str  # result | final_state | integrity | determinism |
     #            rounds_envelope | split_result | split_monotonicity |
-    #            container | crash | backend | storage
+    #            container | crash | backend
     detail: str
 
     def __str__(self) -> str:
@@ -173,8 +171,6 @@ def verify_session(session: Session,
                    check_metamorphic: bool = True,
                    check_determinism: bool = True,
                    check_backends: bool = True,
-                   check_storages: bool = True,
-                   storage: Optional[str] = None,
                    fault: Optional[Tuple[str, str]] = None,
                    ) -> SessionReport:
     """Differentially replay ``session``; returns the full report.
@@ -190,14 +186,6 @@ def verify_session(session: Session,
     be bit-identical to the primary run's -- the certification that the
     engine's array-native rounds and the scalar loop are
     observationally equivalent.
-
-    ``check_storages`` (also the default) does the same along the
-    structure-storage axis: the skip list session is replayed on the
-    *other* storage backend (arena when the primary used object nodes,
-    and vice versa), and its read results, final structural integrity,
-    and per-op metric stream must all match the primary run
-    bit-for-bit -- the certification that the flat arena and the
-    pointer graph are the same structure.
     """
     names = tuple(impls) if impls is not None else DEFAULT_IMPLS
     items = initial_items_for(session)
@@ -205,8 +193,7 @@ def verify_session(session: Session,
                            impls=names, num_batches=len(session.batches))
     oracle = SequentialOracle(items)
     adapters = build_implementations(names, seed=session.seed, items=items,
-                                     num_modules=num_modules,
-                                     storage=storage)
+                                     num_modules=num_modules)
     if fault is not None:
         from repro.verify.faults import inject_fault
         impl_name, fault_name = fault
@@ -223,8 +210,7 @@ def verify_session(session: Session,
     if check_metamorphic and "skiplist" in names:
         twin = build_implementations(["skiplist"], seed=session.seed,
                                      items=items,
-                                     num_modules=num_modules,
-                                     storage=storage)[0]
+                                     num_modules=num_modules)[0]
 
     # Per-op metric stream of the skip list's machine, via the pipeline
     # driver's batch_observer hook (nested ops included).
@@ -288,18 +274,12 @@ def verify_session(session: Session,
     _check_final_states(report, session, oracle, adapters)
 
     if check_determinism and skiplist is not None:
-        _check_determinism(report, session, num_modules, stream,
-                           storage=storage, fault=fault)
+        _check_determinism(report, session, num_modules, stream, fault=fault)
 
     if (check_backends and skiplist is not None
             and skiplist.machine is not None):
         _check_backend_equivalence(report, session, num_modules, stream,
-                                   storage=storage, fault=fault)
-
-    if check_storages and skiplist is not None:
-        _check_storage_equivalence(
-            report, session, num_modules, stream,
-            primary_storage=skiplist.impl.storage, fault=fault)
+                                   fault=fault)
     return report
 
 
@@ -426,19 +406,16 @@ def _check_final_states(report: SessionReport, session: Session,
 def _check_determinism(report: SessionReport, session: Session,
                        num_modules: int,
                        first_stream: List[Tuple[str, MetricsDelta]], *,
-                       storage: Optional[str] = None,
                        fault: Optional[Tuple[str, str]] = None,
                        ) -> None:
-    """Replay the skip list alone on a fresh machine (same storage);
-    the per-op metric stream must be bit-identical to the
-    first run's.  An injected fault is replayed too, so this check
-    isolates nondeterminism rather than re-detecting the fault's state
-    divergence."""
+    """Replay the skip list alone on a fresh machine; the per-op metric
+    stream must be bit-identical to the first run's.  An injected fault
+    is replayed too, so this check isolates nondeterminism rather than
+    re-detecting the fault's state divergence."""
     items = initial_items_for(session)
     rerun = build_implementations(["skiplist"], seed=session.seed,
                                   items=items,
-                                  num_modules=num_modules,
-                                  storage=storage)[0]
+                                  num_modules=num_modules)[0]
     if fault is not None and fault[0] == "skiplist":
         from repro.verify.faults import inject_fault
         inject_fault(rerun, fault[1])
@@ -469,8 +446,7 @@ def _check_determinism(report: SessionReport, session: Session,
 def _check_backend_equivalence(report: SessionReport, session: Session,
                                num_modules: int,
                                first_stream: List[Tuple[str, MetricsDelta]],
-                               *, storage: Optional[str] = None,
-                               fault: Optional[Tuple[str, str]] = None,
+                               *, fault: Optional[Tuple[str, str]] = None,
                                ) -> None:
     """Replay the skip list alone on the per-task reference oracle.
 
@@ -485,7 +461,7 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
     """
     other = "reference"  # label in divergence details
     items = initial_items_for(session)
-    rerun = reference_skiplist(session.seed, items, num_modules, storage)
+    rerun = reference_skiplist(session.seed, items, num_modules)
     faulted = fault is not None and fault[0] == "skiplist"
     if faulted:
         from repro.verify.faults import inject_fault
@@ -527,83 +503,6 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
                 seed=session.seed, batch_index=-1, op="rerun",
                 impl="skiplist", kind="backend",
                 detail=(f"pipeline op {j}: primary ({op1}, {d1})"
-                        f" != {other} ({op2}, {d2})")))
-            return
-
-
-def _check_storage_equivalence(report: SessionReport, session: Session,
-                               num_modules: int,
-                               first_stream: List[Tuple[str, MetricsDelta]],
-                               *, primary_storage: str,
-                               fault: Optional[Tuple[str, str]] = None,
-                               ) -> None:
-    """Replay the skip list alone on the other structure storage.
-
-    The storage twin of :func:`_check_backend_equivalence`: same
-    engine, other storage (arena when the primary run used
-    object nodes, and vice versa).  Read results must match the
-    sequential oracle, the rerun's structural invariants must hold
-    after the last batch, and the per-op metric stream must be
-    *bit-identical* to the primary run's -- the certification that the
-    flat arena and the pointer graph are the same structure with the
-    same costs, op for op.  A skip-list fault is replayed too; a
-    *storage-level* fault (e.g. ``arena_succ_corrupt``) is by design a
-    no-op on the other storage, so its drift surfaces here as a
-    ``storage`` stream divergence.
-    """
-    other = "arena" if primary_storage == "object" else "object"
-    items = initial_items_for(session)
-    rerun = build_implementations(["skiplist"], seed=session.seed,
-                                  items=items, num_modules=num_modules,
-                                  storage=other)[0]
-    faulted = fault is not None and fault[0] == "skiplist"
-    if faulted:
-        from repro.verify.faults import inject_fault
-        inject_fault(rerun, fault[1])
-    oracle = SequentialOracle(items)
-    stream: List[Tuple[str, MetricsDelta]] = []
-    assert rerun.machine is not None
-    rerun.machine.batch_observer = \
-        lambda op_name, delta: stream.append((op_name, delta))
-    for i, batch in enumerate(session.batches):
-        expected = oracle.apply_batch(batch.op, batch.payload)
-        try:
-            result = rerun.apply(batch.op, batch.payload)
-        except Exception as exc:  # noqa: BLE001 - report, don't die
-            report.divergences.append(Divergence(
-                seed=session.seed, batch_index=i, op=batch.op,
-                impl="skiplist", kind="storage",
-                detail=(f"[{other}] {type(exc).__name__}: {exc}")))
-            rerun.machine.batch_observer = None
-            return
-        if batch.op in READ_OPS and not faulted and result != expected:
-            report.divergences.append(Divergence(
-                seed=session.seed, batch_index=i, op=batch.op,
-                impl="skiplist", kind="storage",
-                detail=(f"[{other}] "
-                        + _diff_results(batch.op, batch.payload,
-                                        expected, result))))
-    rerun.machine.batch_observer = None
-    try:
-        rerun.check_integrity()
-    except AssertionError as exc:
-        report.divergences.append(Divergence(
-            seed=session.seed, batch_index=-1, op="final", impl="skiplist",
-            kind="storage",
-            detail=f"[{other}] invariant violated: {exc}"))
-    if len(stream) != len(first_stream):
-        report.divergences.append(Divergence(
-            seed=session.seed, batch_index=-1, op="rerun", impl="skiplist",
-            kind="storage",
-            detail=(f"{other} storage produced {len(stream)} pipeline "
-                    f"ops, {primary_storage} {len(first_stream)}")))
-        return
-    for j, ((op1, d1), (op2, d2)) in enumerate(zip(first_stream, stream)):
-        if op1 != op2 or d1 != d2:
-            report.divergences.append(Divergence(
-                seed=session.seed, batch_index=-1, op="rerun",
-                impl="skiplist", kind="storage",
-                detail=(f"pipeline op {j}: {primary_storage} ({op1}, {d1})"
                         f" != {other} ({op2}, {d2})")))
             return
 

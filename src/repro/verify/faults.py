@@ -1,8 +1,8 @@
-"""The unified fault registry: adapter-level mutations + machine-level
-fault schedules, collision-checked under one namespace.
+"""The unified fault registry: adapter, storage, machine and disk
+faults, collision-checked under one namespace.
 
 A verifier that never fires is indistinguishable from one that cannot
-see.  Faults exist at two levels and the registry names both:
+see.  Faults exist at four levels and the registry names all of them:
 
 - **adapter** faults wrap one implementation's ``apply`` with a small,
   realistic bug -- a dropped hit, an off-by-one successor, a silently
@@ -11,11 +11,12 @@ see.  Faults exist at two levels and the registry names both:
   replayable repro file comes out the other end.  Pure functions of the
   payload (no RNG, no hidden state), so an injected failure shrinks
   deterministically.
-- **storage** faults corrupt a built structure's storage in place --
-  today, severing a successor index in the arena mirror while the
-  authoritative object graph stays intact.  They prove the
-  *cross-storage* replay can see: the same fault is a no-op on the
-  other storage, so the bit-identical-stream comparison must diverge.
+- **storage** faults corrupt a built structure's own state in place,
+  once, at injection time -- today, switching off the PIM-tree's
+  shadow-subtree invalidation so promoted replicas go stale.  The bug
+  is latent until the batch stream reaches it; the differ's read
+  comparison, final-state check and the structure's integrity sweep
+  must each be able to see it.
 - **machine** faults are the named schedules of
   :data:`repro.sim.chaos.MACHINE_SCHEDULES`: seeded
   :class:`~repro.sim.chaos.FaultPlan` builders that drop / duplicate /
@@ -110,38 +111,6 @@ FAULTS: Dict[str, FaultFn] = {
 # storage-level mutation faults
 # ----------------------------------------------------------------------
 
-def _arena_succ_corrupt(adapter: ImplAdapter) -> None:
-    """Sever the successor indices of one module's live lower-part
-    level-0 rows in the arena mirror (``right`` -> -1), leaving the
-    authoritative object graph intact -- one module's mirror segment
-    going stale, the classic drift bug only the cross-storage replay
-    can attribute.  The module is the one owning the median-key row, so
-    the severed range sits mid-keyspace where the vectorized wavefront
-    actually walks.  A deliberate no-op on object storage (there is no
-    arena to corrupt), which is exactly what makes the cross-storage
-    differ's stream comparison light up."""
-    from repro.core.node import UPPER
-
-    impl = adapter.impl
-    sl = getattr(impl, "sl", impl)  # unwrap _NaiveSuccessorMap
-    struct = getattr(sl, "struct", None)
-    arena = getattr(getattr(struct, "storage", None), "arena", None)
-    if arena is None:
-        return
-    rows = [aid for aid in range(arena.size)
-            if (arena.live[aid] and int(arena.level[aid]) == 0
-                and int(arena.owner[aid]) != UPPER
-                and int(arena.right[aid]) >= 0)]
-    if not rows:
-        return
-    rows.sort(key=lambda aid: int(arena.key_i64[aid])
-              if arena.key_ok[aid] else 0)
-    victim = int(arena.owner[rows[len(rows) // 2]])
-    for aid in rows:
-        if int(arena.owner[aid]) == victim:
-            arena.right[aid] = -1
-
-
 def _pimtree_shadow_stale(adapter: ImplAdapter) -> None:
     """Disable the PIM-tree's shadow-subtree invalidation: promoted
     nodes keep serving their broadcast replicas after leaf splits
@@ -158,10 +127,9 @@ def _pimtree_shadow_stale(adapter: ImplAdapter) -> None:
         adapter.impl._shadow_invalidation = False
 
 
-#: name -> storage corruptor (mutates the built structure's storage
+#: name -> storage corruptor (mutates the built structure's state
 #: in place at injection time; deterministic given the same build).
 STORAGE_FAULTS: Dict[str, Callable[[ImplAdapter], None]] = {
-    "arena_succ_corrupt": _arena_succ_corrupt,
     "pimtree_shadow_stale": _pimtree_shadow_stale,
 }
 
@@ -302,7 +270,7 @@ def inject_fault(adapter: ImplAdapter, fault_name: str) -> ImplAdapter:
     """Apply the named fault to ``adapter``; returns the adapter.
 
     Adapter faults wrap ``adapter.apply``; storage faults corrupt the
-    built structure's storage in place, once, at injection time."""
+    built structure's state in place, once, at injection time."""
     corrupt = STORAGE_FAULTS.get(fault_name)
     if corrupt is not None:
         corrupt(adapter)
@@ -366,8 +334,8 @@ def _register(defn: FaultDef) -> None:
     if clash is not None:
         raise ValueError(
             f"fault name {defn.name!r} registered twice "
-            f"({clash.level} vs {defn.level}); adapter faults and "
-            f"machine schedules share one namespace")
+            f"({clash.level} vs {defn.level}); adapter, storage, "
+            f"machine and disk faults share one namespace")
     REGISTRY[defn.name] = defn
 
 
@@ -394,7 +362,7 @@ del _name, _fn, _cfn, _builder, _dfn
 
 
 def get_fault(name: str) -> FaultDef:
-    """Look up a registered fault by name (either level)."""
+    """Look up a registered fault by name (any of the four levels)."""
     defn = REGISTRY.get(name)
     if defn is None:
         raise ValueError(f"unknown fault {name!r}; known: "

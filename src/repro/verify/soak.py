@@ -238,7 +238,7 @@ def soak_session(schedule: str = "none", fault_seed: int = 0, *,
     def standby() -> Any:
         m = PIMMachine(num_modules=num_modules, seed=seed)
         machines.append(m)
-        return factory(m, None)
+        return factory(m)
 
     live = standby()
     live.build(initial)

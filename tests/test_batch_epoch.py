@@ -46,9 +46,8 @@ def _collector_state() -> tuple:
     return gc.isenabled(), gc.get_threshold()
 
 
-def _skiplist(p: int = 8, n: int = 512, storage: Optional[str] = None,
-              ) -> PIMSkipList:
-    sl = PIMSkipList(PIMMachine(num_modules=p, seed=3), storage=storage)
+def _skiplist(p: int = 8, n: int = 512) -> PIMSkipList:
+    sl = PIMSkipList(PIMMachine(num_modules=p, seed=3))
     sl.build([(k * 20, k) for k in range(n)])
     return sl
 
@@ -275,9 +274,8 @@ def _unreachable_by_type(churn) -> Counter:
         gc.collect()
 
 
-@pytest.mark.parametrize("storage", ["object", "arena"])
-def test_skiplist_churn_leaves_no_cyclic_garbage(collector, storage):
-    sl = _skiplist(p=32, n=8192, storage=storage)
+def test_skiplist_churn_leaves_no_cyclic_garbage(collector):
+    sl = _skiplist(p=32, n=8192)
     rng = random.Random(1)
 
     def churn() -> None:
@@ -312,9 +310,8 @@ def test_pimtree_churn_leaves_no_cyclic_garbage(collector):
     tree.check_integrity()
 
 
-@pytest.mark.parametrize("storage", ["object", "arena"])
-def test_a_freed_tower_holds_no_pointers(storage):
-    sl = _skiplist(p=8, n=2048, storage=storage)
+def test_a_freed_tower_holds_no_pointers():
+    sl = _skiplist(p=8, n=2048)
     struct = sl.struct
     # a tower that crosses into the replicated upper part, and a short one
     tall = next(leaf for leaf in struct.iter_level(0)

@@ -160,7 +160,7 @@ class TestPimtreeChaos:
         expected = [oracle.apply_batch(b.op, b.payload)
                     for b in session.batches]
         twin_machine = PIMMachine(num_modules=8, seed=session.seed)
-        twin = factory(twin_machine, None)
+        twin = factory(twin_machine)
         twin.build(items)
         for batch in session.batches:
             twin.apply_batch(batch.op, batch.payload)
@@ -174,7 +174,7 @@ class TestPimtreeChaos:
             def standby():
                 m = PIMMachine(num_modules=8, seed=session.seed)
                 machines.append(m)
-                return factory(m, None)
+                return factory(m)
 
             struct = standby()
             struct.build(items)
@@ -275,7 +275,7 @@ class TestChaosRepros:
         assert data["fault_schedule"] == "drop"
         assert data["fault_seed"] == 2
 
-        args = argparse.Namespace(modules=8, storage=None)
+        args = argparse.Namespace(modules=8)
         assert verify_cli._replay_one(path, args) is False
         out = capsys.readouterr().out
         assert "'drop'" in out and "clean" in out

@@ -16,6 +16,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.node import Node
+from repro.core.skiplist import PIMSkipList
+from repro.core.storage import STORAGE_ENV_VAR
+from repro.core.structure import SkipListStructure
 from repro.sim.chaos import FaultPlan, FaultSpec
 from repro.sim.config import BACKEND_ENV_VAR, MachineConfig
 from repro.sim.errors import LivelockError
@@ -31,7 +35,11 @@ from repro.sim.fastpath import (
 from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.profiling import HandlerProfile
 from tests.conftest import ENGINES
-from tests.test_golden_metrics import GOLDEN_PATH, compute_all
+from tests.test_golden_metrics import (
+    GOLDEN_PATH,
+    _skiplist_workloads,
+    compute_all,
+)
 
 P = 8
 
@@ -211,6 +219,26 @@ class TestBackendSelection:
             assert machine.columnar_active
             assert machine.backend == "columnar"  # a label, not a switch
 
+    def test_storage_env_var_changes_nothing(self, monkeypatch):
+        """The skip list has one storage, the ``Node`` graph: with the
+        old selector set it builds and answers to the golden metrics,
+        and a node carries no row index of a second layout."""
+        monkeypatch.setenv(STORAGE_ENV_VAR, "arena")
+        assert "aid" not in Node.__slots__
+        with open(GOLDEN_PATH) as f:
+            golden = json.load(f)
+        actual: dict = {}
+        _skiplist_workloads(actual)
+        assert len(actual) == 5
+        for label, delta in actual.items():
+            assert delta == golden[label], label
+
+    def test_storage_argument_rejected(self):
+        with pytest.raises(TypeError, match="storage"):
+            PIMSkipList(PIMMachine(P), storage="arena")
+        with pytest.raises(TypeError, match="storage"):
+            SkipListStructure(PIMMachine(P), storage="object")
+
     def test_reference_class_runs_the_scalar_loop(self, monkeypatch):
         machine = _machine("object")
         assert not machine.columnar_active
@@ -252,7 +280,6 @@ class TestBackendSelection:
     def test_fault_free_server_session_never_falls_back(self):
         import asyncio
 
-        from repro.core.skiplist import PIMSkipList
         from repro.serve import Server, ServerConfig
 
         machines = []

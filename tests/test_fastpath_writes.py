@@ -7,9 +7,7 @@
 :class:`~repro.sim.machine.ReferencePIMMachine`.  Each test drives the
 same messages into one skip list on each, steps both in lockstep, and
 requires, round by round, equal replies (as multisets), per-module
-work, ``h``, messages and next-round staging -- on both structure
-storages, so the arena's mirror hooks are seen to fire from the chunk
-loops too.
+work, ``h``, messages and next-round staging.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from repro import PIMSkipList
 from repro.core.node import Node
 from repro.core.ops_upsert import _build_tower
 from repro.core.ops_write import write_message
-from repro.core.storage import STORAGES
 from repro.ops.pipeline import _issue
 from repro.sim.fastpath import BCAST, ROWS
 from repro.sim.profiling import HandlerProfile
@@ -32,13 +29,13 @@ P = 8
 STRIDE = 1000
 
 
-@pytest.fixture(params=STORAGES)
-def pair(request):
+@pytest.fixture
+def pair():
     """The same 200-key skip list on the oracle and on the engine."""
     lists = []
     for engine in ("object", "columnar"):
         machine = ENGINES[engine](num_modules=P, seed=42, trace_rounds=True)
-        sl = PIMSkipList(machine, storage=request.param)
+        sl = PIMSkipList(machine)
         sl.build(build_items(200, stride=STRIDE))
         lists.append(sl)
     assert lists[1].machine.columnar_active
@@ -97,16 +94,6 @@ def _upper_node_with_two_successors(s):
     raise AssertionError("fixture too small: no upper run of three")
 
 
-def _arena_right(s, node):
-    """What the arena mirror holds for ``node.right`` (the node itself
-    on object storage, where the pointer is the storage)."""
-    arena = s.storage.arena
-    if arena is None:
-        return node.right
-    r = int(arena.right[node.aid])
-    return arena.nodes[r] if r >= 0 else None
-
-
 class TestWritePtr:
     def _writes(self, sl):
         """Row writes to owned leaves plus one broadcast write to an
@@ -135,7 +122,6 @@ class TestWritePtr:
         for sl, writes in zip(pair, want):
             for node, value in writes:
                 assert node.right is value
-                assert _arena_right(sl.struct, node) is value
 
     def test_mixed_with_scalar_upper_link(self, pair):
         """(b): one round with chunked ``write_ptr`` and the scalar-only
@@ -205,11 +191,6 @@ class TestPointOps:
             got = sl.batch_get(self.KEYS)
             assert got == [("v", 0), ("v", 2), ("v", 2), None, ("v", 4),
                            None, ("v", 6)]
-            arena = sl.struct.storage.arena
-            if arena is not None:
-                leaf = sl.struct.mlocal(
-                    sl.struct.leaf_owner(4 * STRIDE)).table.lookup(4 * STRIDE)
-                assert arena.values[leaf.aid] == ("v", 2)
 
 
 class TestUpsertInstall:
@@ -266,9 +247,6 @@ class TestDeleteMarking:
         assert not col._staged and obj._staged
         assert _lockstep(obj, col, ordered=True) == 1
         assert col.tasks_chunked == col.tasks_executed
-        arena = pair[1].struct.storage.arena
-        if arena is not None:
-            assert arena.frees == pair[0].struct.storage.arena.frees > 0
 
     def test_whole_ops_leave_equal_structures(self, pair):
         """The ops end to end, chunk handlers and scalar ones mixed as

@@ -56,6 +56,15 @@ def test_public_classes_and_methods_documented(name):
                 f"{name}.{cls.__name__}.{mname} lacks a docstring")
 
 
+def test_storage_module_is_one_inert_name():
+    """``repro.core.storage`` survives only for the frozen end-to-end
+    benchmark's import of ``STORAGE_ENV_VAR``."""
+    mod = importlib.import_module("repro.core.storage")
+    public = [n for n in dir(mod) if not n.startswith("_")]
+    assert public == ["STORAGE_ENV_VAR"]
+    assert mod.STORAGE_ENV_VAR == "REPRO_STRUCT_STORAGE"
+
+
 def test_version_consistent():
     import repro as top
     assert top.__version__ == "1.0.0"

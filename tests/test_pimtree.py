@@ -6,10 +6,8 @@ Three layers, mirroring how the structure earns trust:
   over mixed batch streams, with the integrity sweep after every wave
   (leaf chain, directory, mirror parity, shadow parity).
 - **conformance** -- the shared ``apply_batch`` surface through the
-  differential driver, on the engine and on its reference oracle, with
-  both skip-list storages (the tree ignores ``storage``; the parameterization proves
-  the *harness* composes, and the skip list rides along as the second
-  implementation in every cell).
+  differential driver, on the engine and on its reference oracle (the
+  skip list rides along as the second implementation in every cell).
 - **mutation** -- the registered ``pimtree_shadow_stale`` fault breaks
   shadow-subtree invalidation on purpose; the differ, the final-state
   check and the tree's own integrity sweep must all see it, and the
@@ -31,7 +29,6 @@ from repro.workloads.sessions import Session, SessionBatch
 from tests.conftest import ENGINES, ReferenceMap
 
 BACKENDS = tuple(ENGINES)
-STORAGES = ("object", "arena")
 
 
 def make_tree(p=8, seed=0, **kw):
@@ -142,15 +139,13 @@ class TestConformance:
     envelopes, then the mutated-rerun checks the differ layers on."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_differ_cell(self, backend, storage, monkeypatch):
+    def test_differ_cell(self, backend, monkeypatch):
         # Every adapter builds its machine as ``adapters.PIMMachine``;
         # the "object" cells run the whole session on the oracle.
         monkeypatch.setattr(adapters, "PIMMachine", ENGINES[backend])
         session = fuzz_session(11, num_batches=8, batch_size=16)
         report = verify_session(session, impls=["skiplist", "pimtree"],
-                                storage=storage,
-                                check_backends=False, check_storages=False)
+                                check_backends=False)
         assert report.ok, [str(d) for d in report.divergences]
 
     def test_pimtree_registered(self):

@@ -270,6 +270,20 @@ class TestVerifyCliExitCodes:
             verify_main(["soak", "--structure", "gremlins"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--storage", "arena"],
+        ["fuzz", "--no-storages"],
+        ["replay", "--storage", "object"],
+        ["chaos", "--storage", "arena"],
+    ])
+    def test_storage_flags_are_gone(self, argv, capsys):
+        from repro.verify.cli import main as verify_main
+
+        with pytest.raises(SystemExit) as exc:
+            verify_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestServeCli:
     def test_serve_command_runs_and_verifies(self, capsys):
