@@ -71,6 +71,8 @@ import random
 import sys
 from typing import Any, Dict, Optional, Sequence
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 from repro.core.ops_search import search_message
@@ -79,11 +81,6 @@ from repro.sim.fastpath import BCAST, COLS
 from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.profiling import HandlerProfile, ThroughputProbe
 from repro.sim.task import Reply
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is optional everywhere
-    np = None
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "BENCH_simwall.json")
 
@@ -238,55 +235,55 @@ def forward_chain(probe_machine, *, P=64, chains=256, hops=48, seed=5,
                         "hop", (remaining - 1, opid))
 
     machine.register("hop", hop)
-    if np is not None:
-        def batch_hop(bct, chunks):
-            # Vectorized chain step: every task charges 1 and sends 1
-            # (a reply when its hop budget is spent, a forward
-            # otherwise), so both flat accumulators are one bincount.
-            if len(chunks) == 1 and chunks[0].kind == COLS:
-                ch = chunks[0]  # steady state: one column chunk per round
-                mids, rem, opid = ch.dests, ch.cols[0], ch.cols[1]
-            else:
-                parts = []
-                for ch in chunks:
-                    if ch.kind == COLS:
-                        parts.append((ch.dests, ch.cols[0], ch.cols[1]))
-                    else:
-                        rows = ch.rows
-                        k = len(rows)
-                        parts.append((
-                            np.fromiter((r[0] for r in rows), np.int64, k),
-                            np.fromiter((r[1][0] for r in rows), np.int64, k),
-                            np.fromiter((r[1][1] for r in rows), np.int64, k),
-                        ))
-                if len(parts) == 1:
-                    mids, rem, opid = parts[0]
-                else:
-                    mids = np.concatenate([t[0] for t in parts])
-                    rem = np.concatenate([t[1] for t in parts])
-                    opid = np.concatenate([t[2] for t in parts])
-            counts = np.bincount(mids, minlength=P)
-            bct.add_work_array(counts)
-            bct.add_sent_array(counts)
-            done = rem == 0
-            if done.any():
-                replies = bct.replies
-                for mid, op in zip(mids[done].tolist(),
-                                   opid[done].tolist()):
-                    replies.append(Reply(op, None, mid))
-                live = ~done
-                mids, rem, opid = mids[live], rem[live], opid[live]
-            if mids.size:
-                # The consumed chunk's arrays are ours now (the engine
-                # has retired the chunk), so advance the chain in place.
-                mids *= 31
-                mids += opid
-                mids += 1
-                mids %= P
-                rem -= 1
-                bct.stage_cols("hop", mids, (rem, opid))
 
-        machine.register_batch("hop", batch_hop)
+    def batch_hop(bct, chunks):
+        # Vectorized chain step: every task charges 1 and sends 1
+        # (a reply when its hop budget is spent, a forward
+        # otherwise), so both flat accumulators are one bincount.
+        if len(chunks) == 1 and chunks[0].kind == COLS:
+            ch = chunks[0]  # steady state: one column chunk per round
+            mids, rem, opid = ch.dests, ch.cols[0], ch.cols[1]
+        else:
+            parts = []
+            for ch in chunks:
+                if ch.kind == COLS:
+                    parts.append((ch.dests, ch.cols[0], ch.cols[1]))
+                else:
+                    rows = ch.rows
+                    k = len(rows)
+                    parts.append((
+                        np.fromiter((r[0] for r in rows), np.int64, k),
+                        np.fromiter((r[1][0] for r in rows), np.int64, k),
+                        np.fromiter((r[1][1] for r in rows), np.int64, k),
+                    ))
+            if len(parts) == 1:
+                mids, rem, opid = parts[0]
+            else:
+                mids = np.concatenate([t[0] for t in parts])
+                rem = np.concatenate([t[1] for t in parts])
+                opid = np.concatenate([t[2] for t in parts])
+        counts = np.bincount(mids, minlength=P)
+        bct.add_work_array(counts)
+        bct.add_sent_array(counts)
+        done = rem == 0
+        if done.any():
+            replies = bct.replies
+            for mid, op in zip(mids[done].tolist(),
+                               opid[done].tolist()):
+                replies.append(Reply(op, None, mid))
+            live = ~done
+            mids, rem, opid = mids[live], rem[live], opid[live]
+        if mids.size:
+            # The consumed chunk's arrays are ours now (the engine
+            # has retired the chunk), so advance the chain in place.
+            mids *= 31
+            mids += opid
+            mids += 1
+            mids %= P
+            rem -= 1
+            bct.stage_cols("hop", mids, (rem, opid))
+
+    machine.register_batch("hop", batch_hop)
     with probe_machine(machine) as probe:
         for c in range(chains):
             machine.send(c % P, "hop", (hops, c))
@@ -308,23 +305,22 @@ def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9,
         ctx.charge(1)
 
     machine.register("accum", accum)
-    if np is not None:
-        ones = np.ones(P, dtype=np.float64)
+    ones = np.ones(P, dtype=np.float64)
 
-        def batch_accum(bct, chunks):
-            k = 0
-            for ch in chunks:
-                if ch.kind == BCAST:
-                    k += 1
-                else:
-                    for mid, _args, _tag, _size in ch.rows:
-                        bct.work[mid] += 1
-            if k == 1:
-                bct.add_work_array(ones)
-            elif k:
-                bct.add_work_array(ones * k)
+    def batch_accum(bct, chunks):
+        k = 0
+        for ch in chunks:
+            if ch.kind == BCAST:
+                k += 1
+            else:
+                for mid, _args, _tag, _size in ch.rows:
+                    bct.work[mid] += 1
+        if k == 1:
+            bct.add_work_array(ones)
+        elif k:
+            bct.add_work_array(ones * k)
 
-        machine.register_batch("accum", batch_accum)
+    machine.register_batch("accum", batch_accum)
     with probe_machine(machine) as probe:
         for i in range(rounds):
             machine.broadcast("accum", (i,))

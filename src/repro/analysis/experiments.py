@@ -29,26 +29,9 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.ops import BatchOp, run_batch
-from repro.sim.machine import PIMMachine
 from repro.sim.metrics import MetricsDelta
 
 Runner = Callable[[Any, int], MetricsDelta]
-
-
-def measure_batch(machine: PIMMachine, op: BatchOp, batch: Any = None,
-                  ) -> Tuple[Any, MetricsDelta]:
-    """Drive one :class:`~repro.ops.BatchOp` and measure its cost.
-
-    Wraps :func:`repro.ops.run_batch` in the snapshot/delta idiom every
-    experiment repeats; returns ``(result, delta)``.  Structure methods
-    (``batch_get`` etc.) already run through the same driver, so sweeps
-    may measure either a method call or a raw op -- the charged costs are
-    identical.
-    """
-    before = machine.snapshot()
-    result = run_batch(machine, op, batch)
-    return result, machine.delta_since(before)
 
 
 @dataclass

@@ -119,10 +119,6 @@ class Node:
         self.deleted: bool = False
 
     @property
-    def is_replicated(self) -> bool:
-        return self.owner == UPPER
-
-    @property
     def is_sentinel(self) -> bool:
         return self.key is NEG_INF
 

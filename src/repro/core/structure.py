@@ -221,22 +221,6 @@ class SkipListStructure:
         charge(steps)
         return u
 
-    def upper_descend_path(self, key: Hashable, charge: Charge) -> List[Node]:
-        """Like :meth:`upper_descend` but returns the rightmost node at
-        *every* upper level (root level down to ``h_low``), for insertion."""
-        path: List[Node] = []
-        x = self.root
-        charge(1)
-        while True:
-            while x.right is not None and x.right.key <= key:
-                x = x.right
-                charge(1)
-            path.append(x)
-            if x.level == self.h_low:
-                return path
-            x = x.down
-            charge(1)
-
     def link_upper_node(self, node: Node, charge: Charge) -> None:
         """Horizontally link a new upper node into its level (idempotent).
 

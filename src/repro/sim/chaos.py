@@ -175,11 +175,6 @@ class ChaosStats:
     restarts: int = 0
     wipes: int = 0
 
-    def faults_injected(self) -> int:
-        """Total individual fault events (for overhead envelopes)."""
-        return (self.drops + self.dups + self.delays + self.corrupts
-                + self.dead_drops + self.stalled_slots + self.crashes)
-
     def as_dict(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -247,15 +242,6 @@ class FaultPlan:
             if ev.at_round <= rnd < ev.at_round + ev.rounds:
                 return True
         return False
-
-    def max_event_round(self) -> int:
-        """The last chaos round at which any module event transitions."""
-        last = 0
-        for ev in self.spec.crashes:
-            last = max(last, ev.at_round, ev.restart_round or 0)
-        for ev in self.spec.stalls:
-            last = max(last, ev.at_round + ev.rounds)
-        return last
 
 
 class ChaosState:

@@ -32,13 +32,14 @@ class UnknownHandlerError(SimulationError):
 
 
 class MalformedMessageError(SimulationError):
-    """Raised at *issue* time for a structurally invalid ``send_all`` message.
+    """Raised at *issue* time for a structurally invalid CPU-side message.
 
-    A message must be ``(dest, fn, args, tag)`` or ``(dest, fn, args,
-    tag, size)`` with ``size`` a positive ``int`` (the accounted message
-    size in constant-size units).  Validating at issue keeps the failure
-    at the offending ``send_all`` call instead of surfacing as an opaque
-    unpacking or arithmetic error deep inside the round loop.
+    A ``send_all`` message must be ``(dest, fn, args, tag)`` or ``(dest,
+    fn, args, tag, size)``; there and in ``send`` / ``broadcast``,
+    ``size`` must be a positive ``int`` (the accounted message size in
+    constant-size units).  Validating at issue keeps the failure at the
+    offending call instead of surfacing as an opaque unpacking error or
+    a round whose message count misses tasks it ran.
     """
 
 

@@ -92,6 +92,15 @@ Handler = Callable[..., None]
 _NO_CHUNK_FNS: Dict[str, Any] = {}
 
 
+def _bad_size(what: str, size: Any) -> MalformedMessageError:
+    """The error every CPU-side issue call raises for a ``size`` that is
+    not a positive ``int``: staging it would run the task while the
+    round's message and h-relation counts miss it."""
+    return MalformedMessageError(
+        f"{what} has invalid size {size!r}: a message size must be a "
+        f"positive int (constant-size message units)")
+
+
 class PIMMachine:
     """A simulated PIM system with ``P`` modules and an ``M``-word cache.
 
@@ -359,14 +368,7 @@ class PIMMachine:
         engine times every handler invocation -- attach only when
         attributing wall time, as the two clock reads per task cost more
         than dispatching most handlers.
-
-        A profiler whose ``enabled`` attribute is false is dropped here:
-        the round loop then runs its unprofiled path with zero per-task
-        attribute lookups or callable checks, identical to having no
-        profiler installed.
         """
-        if profiler is not None and not getattr(profiler, "enabled", True):
-            profiler = None
         self._profiler = profiler
         if profiler is not None:
             self._enter_fallback(
@@ -380,9 +382,15 @@ class PIMMachine:
 
     def send(self, dest: int, fn: str, args: tuple = (), tag: Any = None,
              size: int = 1) -> None:
-        """Queue a ``TaskSend`` from the CPU side to module ``dest``."""
+        """Queue a ``TaskSend`` from the CPU side to module ``dest``.
+
+        ``size`` (constant-size message units) must be a positive
+        ``int``, as in :meth:`send_all`.
+        """
         if not 0 <= dest < self.num_modules:
             raise ValueError(f"bad module id {dest}")
+        if type(size) is not int or size < 1:
+            raise _bad_size(f"send {(dest, fn)}", size)
         handler = self._handlers.get(fn)
         if handler is None:
             raise UnknownHandlerError(
@@ -432,11 +440,8 @@ class PIMMachine:
                 elif len(msg) == 5:
                     dest, fn, args, tag, size = msg
                     if type(size) is not int or size < 1:
-                        raise MalformedMessageError(
-                            f"send_all message {(dest, fn)} has invalid "
-                            f"size {size!r}: the optional 5th element must "
-                            f"be a positive int (constant-size message "
-                            f"units)")
+                        raise _bad_size(f"send_all message {(dest, fn)}",
+                                        size)
                 else:
                     raise MalformedMessageError(
                         f"send_all message has {len(msg)} elements; "
@@ -476,7 +481,12 @@ class PIMMachine:
 
     def broadcast(self, fn: str, args: tuple = (), tag: Any = None,
                   size: int = 1) -> None:
-        """Queue one message to every module (an h=1 relation by itself)."""
+        """Queue one message to every module (an h=1 relation by itself).
+
+        ``size`` must be a positive ``int``, as in :meth:`send_all`.
+        """
+        if type(size) is not int or size < 1:
+            raise _bad_size(f"broadcast {fn!r}", size)
         handler = self._handlers.get(fn)
         if handler is None:
             raise UnknownHandlerError(

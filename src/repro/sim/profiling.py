@@ -14,7 +14,7 @@ model's accounting.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 
 class WallTimer:
@@ -23,65 +23,51 @@ class WallTimer:
     >>> with WallTimer() as t:
     ...     work()
     >>> t.elapsed  # seconds, float
-
-    Constructed with ``enabled=False`` the timer is a true no-op: enter
-    and exit read no clocks and ``elapsed`` stays 0.0, so instrumented
-    call sites can be left in place on hot paths.
     """
 
-    __slots__ = ("start", "elapsed", "enabled")
+    __slots__ = ("start", "elapsed")
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self.start = 0.0
         self.elapsed = 0.0
-        self.enabled = enabled
 
     def __enter__(self) -> "WallTimer":
-        if self.enabled:
-            self.start = perf_counter()
+        self.start = perf_counter()
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        if self.enabled:
-            self.elapsed = perf_counter() - self.start
+        self.elapsed = perf_counter() - self.start
 
 
 class ThroughputProbe:
     """Tasks/sec and rounds/sec for a region of driver code.
 
     Snapshots the machine's task and round counters on entry and computes
-    rates on exit.  ``tasks_executed`` is read with a ``getattr`` fallback
-    so the probe degrades gracefully on engines that don't expose it
-    (rates then report 0 tasks).  With ``enabled=False`` enter/exit read
-    no clocks and no counters (all rates stay 0) -- a true no-op.
+    rates on exit.
     """
 
     __slots__ = ("machine", "_timer", "_tasks0", "_rounds0",
-                 "tasks", "rounds", "seconds", "enabled")
+                 "tasks", "rounds", "seconds")
 
-    def __init__(self, machine: Any, enabled: bool = True) -> None:
+    def __init__(self, machine: Any) -> None:
         self.machine = machine
-        self._timer = WallTimer(enabled)
+        self._timer = WallTimer()
         self._tasks0 = 0
         self._rounds0 = 0
         self.tasks = 0
         self.rounds = 0
         self.seconds = 0.0
-        self.enabled = enabled
 
     def __enter__(self) -> "ThroughputProbe":
-        if self.enabled:
-            self._tasks0 = getattr(self.machine, "tasks_executed", 0)
-            self._rounds0 = self.machine.metrics.rounds
-            self._timer.__enter__()
+        self._tasks0 = self.machine.tasks_executed
+        self._rounds0 = self.machine.metrics.rounds
+        self._timer.__enter__()
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        if not self.enabled:
-            return
         self._timer.__exit__(*exc)
         self.seconds = self._timer.elapsed
-        self.tasks = getattr(self.machine, "tasks_executed", 0) - self._tasks0
+        self.tasks = self.machine.tasks_executed - self._tasks0
         self.rounds = self.machine.metrics.rounds - self._rounds0
 
     @property
@@ -109,19 +95,13 @@ class HandlerProfile:
     engine then times every handler invocation and calls :meth:`add`.
     Slows the run (two clock reads per task), so keep it off for
     throughput numbers and on for "where does the time go" questions.
-
-    A profile constructed with ``enabled=False`` is *dropped* by
-    ``set_profiler`` -- the round loop runs its unprofiled path with zero
-    per-task lookups, exactly as if no profiler were installed (and the
-    engine does not enter its scalar fallback for it).
     """
 
-    __slots__ = ("seconds", "calls", "enabled")
+    __slots__ = ("seconds", "calls")
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self.seconds: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
-        self.enabled = enabled
 
     def add(self, fn: str, dt: float) -> None:
         self.seconds[fn] = self.seconds.get(fn, 0.0) + dt
@@ -142,16 +122,3 @@ class HandlerProfile:
                 f"{fn:<40} {self.calls[fn]:>10} {self.seconds[fn]:>10.4f}")
         return "\n".join(lines)
 
-
-def profile_region(machine: Any,
-                   profiler: Optional[HandlerProfile] = None) -> ThroughputProbe:
-    """Convenience: a :class:`ThroughputProbe`, optionally installing a
-    :class:`HandlerProfile` on the machine for the region's duration.
-
-    >>> with profile_region(machine) as probe:
-    ...     structure.batch_get(keys)
-    >>> probe.tasks_per_sec
-    """
-    if profiler is not None:
-        machine.set_profiler(profiler)
-    return ThroughputProbe(machine)

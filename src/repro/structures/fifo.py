@@ -75,10 +75,6 @@ class PIMQueue:
         """Remove and return up to ``count`` oldest items, in order."""
         return run_batch(self.machine, _DequeueOp(self, count))
 
-    def peek_depth(self) -> int:
-        """Items currently queued (CPU-side counters; free)."""
-        return len(self)
-
 
 class _QueueOp(BatchOp):
     """Base for the queue's ops: handlers are registered by the queue's

@@ -116,6 +116,23 @@ class TestMalformedMessages:
             with pytest.raises(MalformedMessageError, match="size"):
                 machine.send_all([(0, "echo", (1,), None, bad)])
 
+    @pytest.mark.parametrize("chunked", [False, True],
+                             ids=["slots", "chunks"])
+    def test_send_and_broadcast_reject_what_send_all_rejects(self, chunked):
+        machine = _machine()
+        if chunked:
+            machine.register_batch("echo", lambda bct, chunks: None)
+        for bad in (0, -3, 1.5, "3", True):
+            with pytest.raises(MalformedMessageError, match="size"):
+                machine.send(1, "echo", (1,), size=bad)
+            with pytest.raises(MalformedMessageError, match="size"):
+                machine.broadcast("echo", (1,), size=bad)
+        # Rejected at issue: nothing was staged, so no task runs and the
+        # round accounting has nothing to miss.
+        assert machine.drain() == []
+        assert machine.tasks_executed == 0
+        assert machine.metrics.messages == 0
+
     def test_bad_module_id_rejected(self):
         machine = _machine()
         with pytest.raises(ValueError, match="bad module id"):
