@@ -19,6 +19,9 @@ one process can measure against itself:
   this minute, so the host's speed cancels.  The floors sit at about
   half the recorded ratios: they gate that the fast path exists, not a
   runner's luck.
+  The serve row is the same kind: 300 scheduler ticks of admission
+  and coalescing with 4096 idle tenants known to the controller, over
+  the same ticks with none.
 - two deliberately loose **cross-host bounds** on sub-second durable
   cells (0.25x the committed WAL append rate, 4x the committed RTO):
   they catch "the write path grew an O(n) scan", not scheduler jitter.
@@ -41,6 +44,7 @@ import functools
 import json
 import os
 import sys
+import time
 from operator import eq, ge, gt, le
 from typing import Any, Callable, Dict, List, NamedTuple, Sequence
 
@@ -52,6 +56,7 @@ from bench_durable import bench_restart, bench_wal_append  # noqa: E402
 from bench_pimtree import (ADVERSARY, CONTESTANTS,  # noqa: E402
                            make_workloads, measure_cell)
 from bench_wallclock import ENGINES, SCENARIOS  # noqa: E402
+from repro.serve import AdmissionController, Coalescer, Request  # noqa: E402
 from repro.sim.chaos import FaultPlan, FaultSpec  # noqa: E402
 from repro.sim.profiling import ThroughputProbe  # noqa: E402
 from repro.workloads import build_items  # noqa: E402
@@ -164,6 +169,27 @@ class Bench:
         return bench_restart(base["mutations"], base["checkpoint_every"],
                              self.repeat)
 
+    @memo
+    def serve_ticks(self, idle: int) -> float:
+        """Seconds for 300 scheduler ticks of ``admit`` + ``next_batch``
+        + ``pending`` -- 8 tenants submit one ``get`` each per tick --
+        on a controller that also knows ``idle`` tenants that were
+        created and left empty."""
+        best = float("inf")
+        for _ in range(self.repeat):
+            admission, coalescer = AdmissionController(), Coalescer()
+            for i in range(idle):
+                admission.tenant(f"idle{i:04d}")
+            start = time.perf_counter()
+            for tick in range(1, 301):
+                for busy in "abcdefgh":
+                    admission.admit(Request(busy, "get", [tick]), tick)
+                batch, _ = coalescer.next_batch(admission, tick)
+                if len(batch.slices) != 8 or admission.pending:
+                    raise AssertionError("a tick left requests queued")
+            best = min(best, time.perf_counter() - start)
+        return best
+
 
 EXACT = True
 LOG, AFTER, BEFORE = ("rto_log_length.-1", "rto_replay_debt.after_snapshot",
@@ -213,6 +239,12 @@ GATES: List[Gate] = [
          lambda b: (b.adversary("pimtree")["max_module_load"]
                     / b.adversary("skiplist")["max_module_load"]),
          "<=", Base("pimtree", "gates.load_ratio_ceiling"), EXACT),
+    # -- the serve loop: a tick costs what the tenants with queued work
+    # cost (32x before PR 18, when every tick walked every tenant ever
+    # seen).  Above the bound, a tick is scanning tenants with nothing
+    # queued.
+    Gate("serve tick cost, 4096 idle tenants / none",
+         lambda b: b.serve_ticks(4096) / b.serve_ticks(0), "<=", 2.0),
     # -- durability (bench_durable.py), modeled fsync.  A fast restart to
     # the wrong state is a correctness bug, not a perf win; a replayed-
     # record count that moved means the checkpoint cadence changed

@@ -19,7 +19,7 @@ identities in tracing and list contraction.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 UPPER = -1
 """Owner sentinel: the node is replicated in every PIM module."""

@@ -99,12 +99,20 @@ class TenantState:
     name: str
     bucket: TokenBucket
     max_pending: int
+    index: int = 0  # creation order (the order refusals are reported in)
     queue: Deque[Request] = field(default_factory=deque)
     metrics: TenantMetrics = field(default_factory=TenantMetrics)
 
 
 class AdmissionController:
-    """Admit or refuse requests tenant by tenant (see module docstring)."""
+    """Admit or refuse requests tenant by tenant (see module docstring).
+
+    The controller owns queue membership: :meth:`admit` is the only way
+    into a tenant queue and :meth:`take` the only way out, so ``pending``
+    (queued requests) and ``heads`` (tenant name -> the head of its
+    queue, for every tenant with work queued) are kept as they change
+    and a scheduler tick never visits a tenant with nothing queued.
+    """
 
     def __init__(self, *, rate: Optional[float] = None, burst: float = 1024,
                  max_pending: int = 256) -> None:
@@ -114,15 +122,26 @@ class AdmissionController:
         self.burst = burst
         self.max_pending = max_pending
         self.tenants: Dict[str, TenantState] = {}
+        self.heads: Dict[str, Request] = {}
+        self.pending = 0
 
     def tenant(self, name: str) -> TenantState:
         state = self.tenants.get(name)
         if state is None:
             state = TenantState(name=name,
                                 bucket=TokenBucket(self.rate, self.burst),
-                                max_pending=self.max_pending)
+                                max_pending=self.max_pending,
+                                index=len(self.tenants))
             self.tenants[name] = state
         return state
+
+    def refuse(self, tenant: str, op: str, reason: RefusalReason,
+               detail: str) -> Refusal:
+        """Count one submission refused before it was queued."""
+        metrics = self.tenant(tenant).metrics
+        metrics.submitted += 1
+        metrics.refuse(reason)
+        return Refusal(op, tenant, reason, detail)
 
     def admit(self, request: Request, tick: int) -> Optional[Refusal]:
         """Admit ``request`` into its tenant's queue, or refuse typed.
@@ -130,24 +149,35 @@ class AdmissionController:
         Returns ``None`` on admission (the request is now queued) or an
         :class:`~repro.serve.errors.Refusal` with reason ``OVERLOADED``.
         """
-        state = self.tenant(request.tenant)
+        state = request.state = (self.tenants.get(request.tenant)
+                                 or self.tenant(request.tenant))
+        queue = state.queue
+        if len(queue) >= state.max_pending:
+            return self.refuse(request.tenant, request.op,
+                               RefusalReason.OVERLOADED,
+                               f"queue full ({state.max_pending} pending)")
+        if self.rate is not None:  # else every bucket is unmetered
+            state.bucket.advance(tick)
+            if not state.bucket.try_take(request.items):
+                return self.refuse(request.tenant, request.op,
+                                   RefusalReason.OVERLOADED,
+                                   f"quota exhausted ({state.bucket.tokens:.1f}"
+                                   f" tokens < {request.items} items)")
         state.metrics.submitted += 1
-        if len(state.queue) >= state.max_pending:
-            state.metrics.refuse(RefusalReason.OVERLOADED)
-            return Refusal(request.op, request.tenant,
-                           RefusalReason.OVERLOADED,
-                           f"queue full ({state.max_pending} pending)")
-        state.bucket.advance(tick)
-        if not state.bucket.try_take(request.items):
-            state.metrics.refuse(RefusalReason.OVERLOADED)
-            return Refusal(request.op, request.tenant,
-                           RefusalReason.OVERLOADED,
-                           f"quota exhausted ({state.bucket.tokens:.1f} "
-                           f"tokens < {request.items} items)")
         state.metrics.admitted += 1
-        state.queue.append(request)
+        if not queue:
+            self.heads[state.name] = request
+        queue.append(request)
+        self.pending += 1
         return None
 
-    @property
-    def pending(self) -> int:
-        return sum(len(s.queue) for s in self.tenants.values())
+    def take(self, state: TenantState) -> Request:
+        """Remove and return the head of ``state``'s (non-empty) queue."""
+        queue = state.queue
+        request = queue.popleft()
+        self.pending -= 1
+        if queue:
+            self.heads[state.name] = queue[0]
+        else:
+            del self.heads[state.name]
+        return request

@@ -24,12 +24,15 @@ share of the replies back to its future.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, List, Optional, Tuple
 
-from repro.serve.admission import TenantState
+from repro.serve.admission import AdmissionController
 from repro.serve.errors import Request
 
 __all__ = ["Coalescer", "MergedBatch"]
+
+_request_id = attrgetter("id")
 
 
 @dataclass
@@ -40,17 +43,8 @@ class MergedBatch:
     items: List[Any]
     #: ``(request, lo, hi)``: request's results are ``replies[lo:hi]``.
     slices: List[Tuple[Request, int, int]] = field(default_factory=list)
-
-    @property
-    def min_deadline(self) -> Optional[int]:
-        """Tightest absolute deadline across the merged requests."""
-        deadlines = [r.deadline for r, _, _ in self.slices
-                     if r.deadline is not None]
-        return min(deadlines) if deadlines else None
-
-    @property
-    def tenants(self) -> List[str]:
-        return sorted({r.tenant for r, _, _ in self.slices})
+    #: Tightest absolute deadline across the merged requests.
+    min_deadline: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -69,57 +63,72 @@ class Coalescer:
         self.quantum = quantum
         self._rr = 0  # rotating round-robin offset
 
-    def next_batch(self, tenants: Dict[str, TenantState], tick: int,
+    def next_batch(self, admission: AdmissionController, tick: int,
                    ) -> Tuple[Optional[MergedBatch], List[Request]]:
-        """Build the next batch from the tenant queues.
+        """Build the next batch from the queues of the active tenants.
 
         Returns ``(batch, expired)``: the merged batch (``None`` when
         nothing is dispatchable) and the requests evicted because
-        their deadline passed before dispatch.
+        their deadline passed before dispatch.  Every request leaves
+        its queue through ``admission.take``; tenants with nothing
+        queued are not visited.
         """
+        take = admission.take
+        waiting = admission.heads
         expired: List[Request] = []
-        for state in tenants.values():
-            while state.queue and state.queue[0].expired(tick):
-                expired.append(state.queue.popleft())
-
-        heads = [s.queue[0] for s in tenants.values() if s.queue]
+        heads = [waiting[name] for name in sorted(waiting)]
+        stale = [head.state for head in heads
+                 if head.deadline is not None and tick > head.deadline]
+        if stale:
+            # refusals go out in tenant creation order
+            for state in sorted(stale, key=attrgetter("index")):
+                while state.queue and state.queue[0].expired(tick):
+                    expired.append(take(state))
+            heads = [waiting[name] for name in sorted(waiting)]
         if not heads:
             return None, expired
-        op = min(heads, key=lambda r: r.id).op
-
-        active = sorted(name for name, s in tenants.items() if s.queue)
-        offset = self._rr % len(active)
-        order = active[offset:] + active[:offset]
+        op = min(heads, key=_request_id).op
+        offset = self._rr % len(heads)
         self._rr += 1
+        turn = [head.state for head in heads[offset:] + heads[:offset]
+                if head.op == op]
 
+        limit, quantum = self.max_batch_items, self.quantum
         items: List[Any] = []
         slices: List[Tuple[Request, int, int]] = []
+        deadline: Optional[int] = None
         progress = True
-        while progress and len(items) < self.max_batch_items:
+        while progress and len(items) < limit:
             progress = False
-            for name in order:
-                queue = tenants[name].queue
+            again = []  # tenants whose next head is eligible too
+            for state in turn:
+                queue = state.queue
                 taken = 0
-                while queue and queue[0].op == op and taken < self.quantum:
+                while queue and queue[0].op == op and taken < quantum:
                     req = queue[0]
-                    if req.expired(tick):
-                        expired.append(queue.popleft())
+                    if req.deadline is not None and tick > req.deadline:
+                        expired.append(take(state))
                         continue
                     # An oversized request rides alone; otherwise stop
                     # at the batch bound and leave it for the next one.
-                    if items and len(items) + req.items > \
-                            self.max_batch_items:
+                    lo = len(items)
+                    hi = lo + req.items
+                    if lo and hi > limit:
                         break
-                    queue.popleft()
-                    slices.append((req, len(items),
-                                   len(items) + req.items))
+                    slices.append((take(state), lo, hi))
                     items.extend(req.payload)
-                    taken += max(1, req.items)
+                    if req.deadline is not None and (
+                            deadline is None or req.deadline < deadline):
+                        deadline = req.deadline
+                    taken += (hi - lo) or 1
                     progress = True
-                    if len(items) >= self.max_batch_items:
+                    if hi >= limit:
                         break
-                if len(items) >= self.max_batch_items:
+                if len(items) >= limit:
                     break
+                if queue and queue[0].op == op:
+                    again.append(state)
+            turn = again
         if not slices:
             return None, expired
-        return MergedBatch(op=op, items=items, slices=slices), expired
+        return MergedBatch(op, items, slices, deadline), expired

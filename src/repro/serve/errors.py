@@ -19,7 +19,7 @@ exception plumbing for ordinary backpressure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, List, Optional
 
@@ -76,7 +76,6 @@ class ServerStalled(RuntimeError):
 _request_ids = itertools.count()
 
 
-@dataclass
 class Request:
     """One client request: a small same-op batch plus routing state.
 
@@ -84,20 +83,27 @@ class Request:
     :class:`repro.serve.server.Server`); ``None`` means no deadline.
     ``future`` resolves to the op's result list (reads), ``None``
     (writes), a :class:`Refusal`, or a
-    :class:`~repro.recovery.DegradedResult`.
+    :class:`~repro.recovery.DegradedResult`.  ``items`` is the payload
+    length and ``state`` the tenant's
+    :class:`~repro.serve.admission.TenantState`, attached by admission,
+    so every later stage reaches the tenant without a lookup.
     """
 
-    tenant: str
-    op: str
-    payload: List[Any]
-    deadline: Optional[int] = None
-    submitted_tick: int = 0
-    future: Any = None  # asyncio.Future, attached by the server
-    id: int = field(default_factory=lambda: next(_request_ids))
+    __slots__ = ("tenant", "op", "payload", "items", "deadline",
+                 "submitted_tick", "future", "id", "state")
 
-    @property
-    def items(self) -> int:
-        return len(self.payload)
+    def __init__(self, tenant: str, op: str, payload: List[Any],
+                 deadline: Optional[int] = None,
+                 submitted_tick: int = 0) -> None:
+        self.tenant = tenant
+        self.op = op
+        self.payload = payload
+        self.items = len(payload)
+        self.deadline = deadline
+        self.submitted_tick = submitted_tick
+        self.future: Any = None  # asyncio.Future, attached by the server
+        self.id = next(_request_ids)
+        self.state: Any = None
 
     def expired(self, tick: int) -> bool:
         return self.deadline is not None and tick > self.deadline

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.recovery import (
@@ -175,11 +175,9 @@ class Server:
                 await self._task
             finally:
                 self._task = None
-        for state in self.admission.tenants.values():
-            while state.queue:
-                req = state.queue.popleft()
-                self._refuse(req, RefusalReason.SHUTDOWN,
-                             "server stopped with request queued")
+        for req in self._drain_queues():
+            self._refuse(req, RefusalReason.SHUTDOWN,
+                         "server stopped with request queued")
         if self.durable is not None:
             self.durable.close()
         if self._failure is not None:
@@ -187,40 +185,36 @@ class Server:
 
     # -- the client surface -----------------------------------------------
 
-    async def submit(self, tenant: str, op: str, payload: Sequence, *,
-                     timeout_ticks: Optional[int] = None) -> Any:
-        """Submit one request and await its outcome.
+    def submit(self, tenant: str, op: str, payload: Sequence, *,
+               timeout_ticks: Optional[int] = None) -> "asyncio.Future[Any]":
+        """Submit one request; ``await`` the returned future for its outcome.
 
-        Resolves to the op's result list (reads) / ``None`` (writes), a
-        :class:`Refusal`, or a :class:`DegradedResult` -- the falsy
+        It resolves to the op's result list (reads) / ``None`` (writes),
+        a :class:`Refusal`, or a :class:`DegradedResult` -- the falsy
         cases are the typed refusals.  ``timeout_ticks`` sets a
         deadline that many scheduler ticks from now (virtual time).
         """
         if self._failure is not None:
             raise self._failure
-        request = Request(
-            tenant=tenant, op=op, payload=list(payload),
-            deadline=(None if timeout_ticks is None
-                      else self.tick + timeout_ticks),
-            submitted_tick=self.tick)
-        request.future = asyncio.get_running_loop().create_future()
+        admission, tick = self.admission, self.tick
         if not self._running:
-            metrics = self.admission.tenant(tenant).metrics
-            metrics.submitted += 1
-            metrics.refuse(RefusalReason.SHUTDOWN)
-            return Refusal(op, tenant, RefusalReason.SHUTDOWN,
-                           "server is not running")
-        if op not in self.caps:
-            metrics = self.admission.tenant(tenant).metrics
-            metrics.submitted += 1
-            metrics.refuse(RefusalReason.UNSUPPORTED)
-            return Refusal(op, tenant, RefusalReason.UNSUPPORTED,
-                           f"op {op!r} not in structure caps")
-        refusal = self.admission.admit(request, self.tick)
+            refusal = admission.refuse(tenant, op, RefusalReason.SHUTDOWN,
+                                       "server is not running")
+        elif op not in self.caps:
+            refusal = admission.refuse(tenant, op, RefusalReason.UNSUPPORTED,
+                                       f"op {op!r} not in structure caps")
+        else:
+            request = Request(
+                tenant, op, list(payload),
+                None if timeout_ticks is None else tick + timeout_ticks, tick)
+            refusal = admission.admit(request, tick)
+        future = asyncio.get_running_loop().create_future()
         if refusal is not None:
-            return refusal
-        self._work.set()
-        return await request.future
+            future.set_result(refusal)
+        else:
+            request.future = future
+            self._work.set()
+        return future
 
     # -- the scheduler loop -----------------------------------------------
 
@@ -234,7 +228,7 @@ class Server:
                     continue
                 self.tick += 1
                 batch, expired = self.coalescer.next_batch(
-                    self.admission.tenants, self.tick)
+                    self.admission, self.tick)
                 progressed = False
                 for req in expired:
                     self._refuse(
@@ -269,10 +263,9 @@ class Server:
 
     def _journal(self, batch: MergedBatch, kind: str) -> None:
         self.journal.append(JournalEntry(
-            tick=self.tick, op=batch.op, items=tuple(batch.items),
-            slices=tuple((r.id, r.tenant, lo, hi)
-                         for r, lo, hi in batch.slices),
-            kind=kind))
+            self.tick, batch.op, tuple(batch.items),
+            tuple([(r.id, r.tenant, lo, hi) for r, lo, hi in batch.slices]),
+            kind))
 
     def _demux(self, batch: MergedBatch, result: Any) -> None:
         """Fan one batch outcome back out to its requests' futures."""
@@ -287,45 +280,47 @@ class Server:
                 for req, lo, hi in batch.slices:
                     self._resolve(req, DegradedResult(
                         req.op, result.reason, result.cause,
-                        None if values is None else values[lo:hi]),
-                        degraded=True)
+                        None if values is None else values[lo:hi]))
             else:
                 for req, _, _ in batch.slices:
                     self._resolve(req, DegradedResult(
-                        req.op, result.reason, result.cause),
-                        degraded=True)
+                        req.op, result.reason, result.cause))
             return
         self._journal(batch, "live")
+        tick = self.tick
         for req, lo, hi in batch.slices:
-            value = None if result is None else result[lo:hi]
-            self._resolve(req, value)
-
-    def _resolve(self, request: Request, outcome: Any, *,
-                 degraded: bool = False) -> None:
-        metrics = self.admission.tenant(request.tenant).metrics
-        if degraded:
-            metrics.degraded += 1
-        else:
+            metrics = req.state.metrics
             metrics.completed += 1
-            metrics.items_served += request.items
+            metrics.items_served += hi - lo
+            metrics.queue_wait_ticks += tick - req.submitted_tick
+            if not req.future.done():
+                req.future.set_result(
+                    None if result is None else result[lo:hi])
+
+    def _resolve(self, request: Request, outcome: DegradedResult) -> None:
+        metrics = request.state.metrics
+        metrics.degraded += 1
         metrics.queue_wait_ticks += self.tick - request.submitted_tick
-        if request.future is not None and not request.future.done():
+        if not request.future.done():
             request.future.set_result(outcome)
 
     def _refuse(self, request: Request, reason: RefusalReason,
                 detail: str) -> None:
-        metrics = self.admission.tenant(request.tenant).metrics
-        metrics.refuse(reason)
-        if request.future is not None and not request.future.done():
+        request.state.metrics.refuse(reason)
+        if not request.future.done():
             request.future.set_result(
                 Refusal(request.op, request.tenant, reason, detail))
 
+    def _drain_queues(self) -> List[Request]:
+        """Take everything still queued, tenants in creation order."""
+        take = self.admission.take
+        return [take(state) for state in self.admission.tenants.values()
+                for _ in range(len(state.queue))]
+
     def _abort_pending(self, exc: BaseException) -> None:
-        for state in self.admission.tenants.values():
-            while state.queue:
-                req = state.queue.popleft()
-                if req.future is not None and not req.future.done():
-                    req.future.set_exception(exc)
+        for req in self._drain_queues():
+            if not req.future.done():
+                req.future.set_exception(exc)
 
     # -- status API -------------------------------------------------------
 

@@ -43,7 +43,7 @@ fault-free history the machine already has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.errors import ModuleCrashed

@@ -526,12 +526,15 @@ class PIMMachine:
         fault plan is such a fallback, which also keeps column sends off
         the reliable-delivery protocol: chaos plans wrap every
         CPU-issued *scalar* message in an envelope, and a column chunk
-        would bypass that accounting.)
+        would bypass that accounting.)  ``size`` must be a positive
+        ``int``, as in :meth:`send_all`.
         """
         if not self.columnar_active:
             raise RuntimeError(
                 "send_cols unavailable: rounds are running on the scalar "
                 f"loop (fallback reasons: {sorted(self._fallback_reasons)})")
+        if type(size) is not int or size < 1:
+            raise _bad_size(f"send_cols {fn!r}", size)
         self._stage_cols(_CPU_Q, fn, dests, cols, size)
 
     # -- chunk staging ------------------------------------------------------

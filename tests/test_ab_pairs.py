@@ -1,0 +1,67 @@
+"""The pair runner's statistics (``benchmarks/perf/ab_pairs.py``) on
+canned numbers.  The script is not a package module, so it is imported
+by path; nothing here runs the benchmark."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = (Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
+         / "ab_pairs.py")
+_spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+
+
+def test_a_clear_gain_is_improved_with_the_house_cell():
+    change = [p * 1.2 for p in PARENT]
+    stats = ab.summarize(PARENT, change, higher_is_better=True)
+    assert (stats.pairs, stats.won, stats.lost) == (10, 10, 0)
+    assert stats.parent == (100.0, 99.25, 101.0)      # median, q1, q3
+    assert stats.ratio == pytest.approx((1.2, 1.2, 1.2))
+    assert stats.medians_apart and stats.verdict == "improved"
+    assert ab.cell("ops_per_s", stats) == (
+        "ops_per_s: 100 [99.25, 101] -> 120 [119.1, 121.2]"
+        " | ratio 1.200 (1.20-1.20), 10/10 won | improved")
+
+
+def test_direction_follows_the_metric():
+    change = [p * 1.2 for p in PARENT]
+    assert ab.summarize(PARENT, change, False).verdict == "worse"
+    assert ab.summarize(change, PARENT, False).verdict == "improved"
+
+
+def test_eight_of_ten_pairs_is_unresolved():
+    change = [p * 1.2 for p in PARENT]
+    change[0], change[1] = PARENT[0] - 1, PARENT[1] - 1
+    stats = ab.summarize(PARENT, change, True)
+    assert (stats.won, stats.lost) == (8, 2)
+    assert stats.medians_apart and stats.verdict == "unresolved"
+
+
+def test_ties_count_for_neither_side():
+    change = [p * 1.2 for p in PARENT]
+    change[0] = PARENT[0]                      # 9 won, 1 tie: still 0.9
+    assert ab.summarize(PARENT, change, True).verdict == "improved"
+    change[1] = PARENT[1]                      # 8 won, 2 ties
+    assert ab.summarize(PARENT, change, True).verdict == "unresolved"
+    assert ab.summarize(PARENT, PARENT, True).verdict == "flat"
+
+
+def test_medians_inside_the_parents_quartiles_are_unresolved():
+    change = [p + 0.5 for p in PARENT]         # wins every pair, by noise
+    stats = ab.summarize(PARENT, change, True)
+    assert stats.won == 10 and not stats.medians_apart
+    assert stats.verdict == "unresolved"
+
+
+def test_rejects_unpaired_runs():
+    with pytest.raises(ValueError):
+        ab.summarize([1.0, 2.0], [1.0], True)
+    with pytest.raises(ValueError):
+        ab.summarize([], [], True)

@@ -137,10 +137,6 @@ class TestAdmission:
 # coalescing
 
 
-def _tenants(ctl):
-    return ctl.tenants
-
-
 class TestCoalescer:
     def test_merges_same_op_across_tenants_with_slices(self):
         ctl = AdmissionController()
@@ -148,14 +144,15 @@ class TestCoalescer:
                 (("a", 0), ("b", 10), ("c", 20))]
         for r in reqs:
             ctl.admit(r, 0)
-        batch, expired = Coalescer().next_batch(_tenants(ctl), tick=1)
+        batch, expired = Coalescer().next_batch(ctl, tick=1)
         assert expired == []
         assert batch.op == "get"
         assert len(batch.items) == 6
         # every request's slice addresses exactly its own payload
         for req, lo, hi in batch.slices:
             assert batch.items[lo:hi] == req.payload
-        assert batch.tenants == ["a", "b", "c"]
+        assert sorted(req.tenant for req, _, _ in batch.slices) == \
+            ["a", "b", "c"]
 
     def test_op_classes_never_mix_and_fifo_picks_oldest(self):
         ctl = AdmissionController()
@@ -163,10 +160,10 @@ class TestCoalescer:
         ctl.admit(first, 0)
         ctl.admit(Request("b", "get", [5]), 0)
         coalescer = Coalescer()
-        batch, _ = coalescer.next_batch(_tenants(ctl), 1)
+        batch, _ = coalescer.next_batch(ctl, 1)
         assert batch.op == "upsert"  # oldest waiting request wins
         assert len(batch.slices) == 1
-        batch2, _ = coalescer.next_batch(_tenants(ctl), 2)
+        batch2, _ = coalescer.next_batch(ctl, 2)
         assert batch2.op == "get"
 
     def test_round_robin_rotates_the_lead_tenant(self):
@@ -175,8 +172,8 @@ class TestCoalescer:
             for i in range(2):
                 ctl.admit(Request(t, "get", [i]), 0)
         coalescer = Coalescer(max_batch_items=3)
-        lead1 = coalescer.next_batch(_tenants(ctl), 1)[0].slices[0][0].tenant
-        lead2 = coalescer.next_batch(_tenants(ctl), 2)[0].slices[0][0].tenant
+        lead1 = coalescer.next_batch(ctl, 1)[0].slices[0][0].tenant
+        lead2 = coalescer.next_batch(ctl, 2)[0].slices[0][0].tenant
         assert lead1 != lead2  # the rotating offset moved
 
     def test_preserves_per_tenant_program_order(self):
@@ -187,7 +184,7 @@ class TestCoalescer:
         coalescer = Coalescer(max_batch_items=2)
         seen = []
         while True:
-            batch, _ = coalescer.next_batch(_tenants(ctl), 1)
+            batch, _ = coalescer.next_batch(ctl, 1)
             if batch is None:
                 break
             seen += [r.id for r, _, _ in batch.slices]
@@ -199,8 +196,8 @@ class TestCoalescer:
         ctl.admit(Request("b", "get", [1]), 0)
         ctl.admit(big, 0)
         coalescer = Coalescer(max_batch_items=8)
-        first, _ = coalescer.next_batch(_tenants(ctl), 1)
-        second, _ = coalescer.next_batch(_tenants(ctl), 2)
+        first, _ = coalescer.next_batch(ctl, 1)
+        second, _ = coalescer.next_batch(ctl, 2)
         batches = {len(b.slices): b for b in (first, second)}
         assert set(batches) == {1, 1} or len(first.slices) + \
             len(second.slices) == 2
@@ -213,7 +210,7 @@ class TestCoalescer:
         fresh = Request("a", "get", [2])
         ctl.admit(stale, 0)
         ctl.admit(fresh, 0)
-        batch, expired = Coalescer().next_batch(_tenants(ctl), tick=5)
+        batch, expired = Coalescer().next_batch(ctl, tick=5)
         assert [r.id for r in expired] == [stale.id]
         assert [r.id for r, _, _ in batch.slices] == [fresh.id]
 
@@ -312,7 +309,8 @@ class TestResiliencePolicy:
         policy = ResiliencePolicy(manager, HealthMonitor())
         original = machines[0].config.max_delivery_attempts
         request = Request("t", "get", [2], deadline=12)
-        batch = MergedBatch("get", [2], [(request, 0, 1)])
+        batch = MergedBatch("get", [2], [(request, 0, 1)],
+                            min_deadline=request.deadline)
 
         seen = {}
         real_run = manager.run
@@ -524,7 +522,7 @@ class TestServer:
             server, _ = _server(config=ServerConfig(watchdog_ticks=4))
             # Simulate a scheduler bug: the coalescer stops producing
             # batches while requests sit queued.
-            server.coalescer.next_batch = lambda tenants, tick: (None, [])
+            server.coalescer.next_batch = lambda admission, tick: (None, [])
             await server.start()
             with pytest.raises(ServerStalled):
                 await server.submit("t", "get", [2])

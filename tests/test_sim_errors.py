@@ -9,6 +9,7 @@ livelock names the op and the pending handlers.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.sim.errors import (
@@ -116,13 +117,17 @@ class TestMalformedMessages:
             with pytest.raises(MalformedMessageError, match="size"):
                 machine.send_all([(0, "echo", (1,), None, bad)])
 
-    @pytest.mark.parametrize("chunked", [False, True],
-                             ids=["slots", "chunks"])
-    def test_send_and_broadcast_reject_what_send_all_rejects(self, chunked):
+    @pytest.mark.parametrize("path", ["slots", "chunks", "send_cols"])
+    def test_send_and_broadcast_reject_what_send_all_rejects(self, path):
         machine = _machine()
-        if chunked:
+        if path != "slots":
             machine.register_batch("echo", lambda bct, chunks: None)
+        one = np.ones(1, np.int64)
         for bad in (0, -3, 1.5, "3", True):
+            if path == "send_cols":
+                with pytest.raises(MalformedMessageError, match="size"):
+                    machine.send_cols("echo", one, (one,), size=bad)
+                continue
             with pytest.raises(MalformedMessageError, match="size"):
                 machine.send(1, "echo", (1,), size=bad)
             with pytest.raises(MalformedMessageError, match="size"):
