@@ -9,7 +9,9 @@ one process can measure against itself:
 
 - **exact counts** (rows marked ``EXACT``): rounds, per-module message
   load, replayed WAL records, the share of tasks run inside batch
-  handlers.  Deterministic functions of the committed parameters, equal
+  handlers, the boundary searches / roots / messages / rounds of one
+  fixed batch of ranges.  Deterministic functions of the committed
+  parameters (or of the seeds in :class:`Bench`), equal
   on every host, so they cannot flake; ``tests/test_perf_gates.py``
   runs them in tier-1.
 - **in-process ratios**: the engine (``PIMMachine``, label
@@ -43,6 +45,7 @@ import argparse
 import functools
 import json
 import os
+import random
 import sys
 import time
 from operator import eq, ge, gt, le
@@ -56,10 +59,13 @@ from bench_durable import bench_restart, bench_wal_append  # noqa: E402
 from bench_pimtree import (ADVERSARY, CONTESTANTS,  # noqa: E402
                            make_workloads, measure_cell)
 from bench_wallclock import ENGINES, SCENARIOS  # noqa: E402
+from repro.core.skiplist import PIMSkipList  # noqa: E402
 from repro.serve import AdmissionController, Coalescer, Request  # noqa: E402
 from repro.sim.chaos import FaultPlan, FaultSpec  # noqa: E402
-from repro.sim.profiling import ThroughputProbe  # noqa: E402
-from repro.workloads import build_items  # noqa: E402
+from repro.sim.machine import PIMMachine  # noqa: E402
+from repro.sim.profiling import HandlerProfile, ThroughputProbe  # noqa: E402
+from repro.structures.pimtree import PIMTree  # noqa: E402
+from repro.workloads import build_items, zipf_batch  # noqa: E402
 
 COMPARE = {">=": ge, "<=": le, "==": eq, ">": gt}
 
@@ -156,6 +162,53 @@ class Bench:
                             P=cfg["P"], seed=cfg["seed"])
 
     @memo
+    def range_batch(self) -> dict:
+        """One batch of 12 pairwise-disjoint ranges, each 2-9 wide in a
+        key space of 4096 (``serve_mixed``'s widths), on a 16-module,
+        2048-key skip list: tasks per function -- a boundary search is
+        one ``search_entry`` -- and the batch's messages and rounds.
+        Counted under the per-handler profiler, whose scalar fallback
+        leaves every model count what the engine's is."""
+        machine = PIMMachine(num_modules=16, seed=7)
+        sl = PIMSkipList(machine)
+        sl.build(build_items(2048, stride=2))
+        rng = random.Random(7)
+        ops = [(lo, lo + 1 + rng.randrange(8))
+               for lo in sorted(rng.sample(range(0, 4096, 16), 12))]
+        profile = HandlerProfile()
+        machine.set_profiler(profile)
+        before = machine.snapshot()
+        sl.batch_range(ops)
+        delta = machine.delta_since(before)
+        calls = {fn.split(":")[1]: n for fn, n in profile.calls.items()}
+        return dict(calls, messages=delta.messages, rounds=delta.rounds)
+
+    @memo
+    def pimtree_read_share(self) -> float:
+        """Share of tasks run inside batch handlers over eight rounds of
+        uniform gets, Zipf gets, successors and short ranges on a
+        16-module, 4096-key PIM-tree (``nd_pull`` / ``lf_pull`` are the
+        slot remainder)."""
+        machine = PIMMachine(num_modules=16, seed=7)
+        tree = PIMTree(machine)
+        items = build_items(4096, stride=2)
+        tree.build(items)
+        keys = [k for k, _ in items]
+        rng = random.Random(7)
+        tasks, chunked = machine.tasks_executed, machine.tasks_chunked
+        for i in range(8):
+            tree.apply_batch("get", [rng.randrange(8192) for _ in range(64)])
+            tree.apply_batch("get", zipf_batch(64, keys, alpha=1.2, seed=i))
+            tree.apply_batch("successor",
+                             [rng.randrange(8192) for _ in range(32)])
+            tree.apply_batch("range", [(lo, lo + 1 + rng.randrange(8))
+                                       for lo in rng.sample(range(8192), 8)])
+        if machine.fallback_events:
+            raise AssertionError(f"fallback: {machine.fallback_events}")
+        return ((machine.tasks_chunked - chunked)
+                / (machine.tasks_executed - tasks))
+
+    @memo
     def wal_append(self) -> dict:
         base = self.baseline("durable")["wal_append"]
         return min((bench_wal_append(base["records"],
@@ -215,6 +268,24 @@ GATES: List[Gate] = [
     Gate("chunked share write_churn",
          lambda b: b.scenario("write_churn", "columnar")["chunked_share"],
          ">=", 0.85, EXACT),
+    # -- batched tree range (core/ops_range.py): the cut-point sweep
+    # pays one boundary search, one root and one go per covered piece,
+    # so n pairwise-disjoint ops cost n of each (3n under the old
+    # point / gap / point sweep: 36, and 1355 messages in 72 rounds).
+    # The equalities move only when the range path's model cost does.
+    Gate("range batch: boundary searches == ops",
+         lambda b: b.range_batch()["search_entry"],
+         "==", 12, EXACT),
+    Gate("range batch: rng_root tasks == ops",
+         lambda b: b.range_batch()["rng_root"], "==", 12, EXACT),
+    Gate("range batch: messages",
+         lambda b: b.range_batch()["messages"], "==", 731, EXACT),
+    Gate("range batch: rounds",
+         lambda b: b.range_batch()["rounds"], "==", 52, EXACT),
+    # 0.983 with nd_step / sh_step / lf_get / lf_succ / lf_scan chunked,
+    # 0 before: below the floor, a PIM-tree read function is in slots.
+    Gate("chunked share pimtree reads",
+         lambda b: b.pimtree_read_share(), ">=", 0.95, EXACT),
     # -- the skew adversary (bench_pimtree.py; load = max messages
     # delivered to one module): the tree's shallow pull-collapsed descent
     # vs the skip list's Theta(log n) lockstep walk.  An equality that

@@ -31,10 +31,11 @@ offsets (root-to-leaf), so every marked leaf learns its index within the
 range and the CPU learns the total -- exactly the paper's prefix-sum
 scheme.
 
-The batched version splits the batch into disjoint ascending subranges,
-obtains every subrange's boundary predecessors through the pivot-protected
-batched search of §4.2 (no contention), launches one traversal per
-subrange, and streams results to the CPU in shared-memory-sized groups.
+The batched version cuts the batch's union wherever the set of covering
+operations changes -- at most 2n - 1 disjoint ascending subranges, exactly
+n for disjoint operations -- and pays one pivot-protected boundary search
+(§4.2, no contention) and one traversal per subrange; results stream to
+the CPU in shared-memory-sized groups.
 """
 
 from __future__ import annotations
@@ -326,6 +327,13 @@ def _make_root(sl: SkipListStructure):
                                  ("slot", lvl), bound, func, farg)
         for j, un in enumerate(uppers):
             slot = sl.h_low + j
+            if sides is not None and un.down is sides[-1]:
+                # This tower reaches the upper part, so its top lower
+                # node was just spawned as that level's side chain (the
+                # CPU's snapshots cannot see it): same subtree, adjacent
+                # position -- the slot stays empty.
+                root.pending -= 1
+                continue
             root.slots[slot] = un.down
             _spawn_chain(ctx, sl, un.down, opid, ctx.mid, "root",
                          ("slot", slot), bound, func, farg)
@@ -388,15 +396,6 @@ def _make_chain(sl: SkipListStructure):
         ml = sl.mlocal(ctx.mid)
         ctx.charge(1)
         ctx.touch(node.nid)
-        if (opid, node.nid) in ml.range_ctx:
-            # Duplicate spawn: a boundary side chain whose head's tower
-            # reaches the upper part is also spawned as that upper leaf's
-            # down chain.  The two candidate positions are adjacent in the
-            # traversal order, so the first registration keeps the subtree
-            # and the duplicate's slot reports zero.
-            ctx.forward(parent_mid, f"{sl.name}:rng_count",
-                        (opid, parent_token, parent_tag, 0))
-            return
         nctx = _NodeCtx(node=node, parent_mid=parent_mid,
                         parent_token=parent_token, parent_tag=parent_tag,
                         func=func, farg=farg)
@@ -590,12 +589,7 @@ def batch_range_auto(sl: SkipListStructure,
     if n == 0:
         return []
     if func in ("set", "fetch_and_add"):
-        spans = sorted(ops)
-        for (l1, r1), (l2, r2) in zip(spans, spans[1:]):
-            if l2 <= r1:
-                raise ValueError(
-                    "batched mutating range operations must be disjoint"
-                )
+        _require_disjoint(ops)
     p = sl.num_modules
     log_p = max(1, int(math.log2(p))) if p > 1 else 1
     threshold = large_threshold if large_threshold is not None \
@@ -684,6 +678,44 @@ def _collect_one(sl: SkipListStructure, replies, opid: Any) -> RangeResult:
                        values=[(k, v) for _, k, v in items])
 
 
+def _require_disjoint(ops: Sequence[Tuple[Hashable, Hashable]]) -> None:
+    """Mutating functions are applied once per covered key; overlapping
+    ops would make the multiplicity (and, for set, the order) ill-defined."""
+    spans = sorted(ops)
+    for (_l1, r1), (l2, _r2) in zip(spans, spans[1:]):
+        if l2 <= r1:
+            raise ValueError(
+                "batched mutating range operations must be disjoint")
+
+
+def _cut_pieces(ops: Sequence[Tuple[Hashable, Hashable]],
+                ) -> Tuple[List[Tuple[Any, Bound]], List[Tuple[int, int]]]:
+    """§5.2's disjoint subranges: cut where the set of covering ops changes.
+
+    A cut ``(k, 0)`` sits just below every left key and ``(k, 1)`` just
+    above every right key; consecutive cuts bound a piece, kept iff some
+    op covers it.  Returns the kept pieces -- ascending, disjoint, at
+    most 2n - 1, exactly n for pairwise-disjoint ops -- as ``(search key,
+    right bound)``, and per op the ``(first, stop)`` run that tiles it.
+    """
+    delta: Counter = Counter()
+    for l, r in ops:
+        delta[(l, 0)] += 1
+        delta[(r, 1)] -= 1
+    cuts = sorted(delta)
+    pieces: List[Tuple[Any, Bound]] = []
+    below: Dict[Tuple[Hashable, int], int] = {}  # cut -> pieces kept below it
+    open_ops = 0
+    for i, cut in enumerate(cuts):
+        below[cut] = len(pieces)
+        open_ops += delta[cut]
+        if open_ops:  # never at the last cut: it closes every op
+            (k, above), (k2, above2) = cut, cuts[i + 1]
+            pieces.append((k if above else JustBelow(k),
+                           Bound(k2, bool(above2))))
+    return pieces, [(below[(l, 0)], below[(r, 1)]) for l, r in ops]
+
+
 class _BatchRangeTreeOp(BatchOp):
     def __init__(self, sl: SkipListStructure,
                  ops: Sequence[Tuple[Hashable, Hashable]],
@@ -707,39 +739,12 @@ class _BatchRangeTreeOp(BatchOp):
             if r < l:
                 raise ValueError("range with rkey < lkey")
         if func in ("set", "fetch_and_add"):
-            # Mutating functions are applied once per covered key;
-            # overlapping ops in one batch would make the multiplicity
-            # (and, for set, the ordering) ill-defined, so require
-            # disjoint ranges.
-            spans = sorted(ops)
-            for (l1, r1), (l2, r2) in zip(spans, spans[1:]):
-                if l2 <= r1:
-                    raise ValueError(
-                        "batched mutating range operations must be disjoint"
-                    )
+            _require_disjoint(ops)
 
-        # -- split into disjoint elementary subranges --------------------
-        # Elementary pieces over the sorted endpoints: the point [e, e]
-        # for each endpoint (always inside its own op; ``point_sid``
-        # records its position), and the open gap (e, e') for each
-        # consecutive endpoint pair fully contained in some op.  One
-        # sweep finds the gaps: ``open_ops`` counts the ops that started
-        # at or before e and end after it.  Pieces never straddle an
-        # endpoint.
-        endpoints = sorted({e for op in ops for e in op})
-        starts = Counter(l for l, _ in ops)
-        ends = Counter(r for _, r in ops)
-        subranges: List[Tuple[Any, Bound]] = []  # (search lq, right bound)
-        point_sid: Dict[Hashable, int] = {}
+        # -- split into disjoint subranges (paper §5.2 step 1) -----------
+        subranges, spans = _cut_pieces(ops)
         cpu.charge_wd(WorkDepth(2 * n * max(1, int(math.log2(n + 1))),
                                 max(1.0, math.log2(n + 1))))
-        open_ops = 0
-        for i, e in enumerate(endpoints):
-            point_sid[e] = len(subranges)
-            subranges.append((JustBelow(e), Bound(e, True)))
-            open_ops += starts[e] - ends[e]
-            if open_ops and i + 1 < len(endpoints):
-                subranges.append((e, Bound(endpoints[i + 1], False)))
 
         # -- boundary predecessors via the pivot-protected search --------
         lqs = [lq for lq, _ in subranges]
@@ -753,9 +758,9 @@ class _BatchRangeTreeOp(BatchOp):
         # upward it is also reachable as a down-child from the level
         # above; the snapshot test below skips those, and the one case
         # snapshots cannot see (a tower reaching the upper part) is
-        # resolved by the chain handler's duplicate-registration guard --
-        # the two candidate positions are adjacent in the traversal order,
-        # so either is valid.
+        # resolved by the root handler, which leaves that upper leaf's
+        # slot empty -- the two candidate positions are adjacent in the
+        # traversal order, so either is valid.
         base = _next_opids(sl, len(subranges))
         root_module: Dict[int, int] = {}
         launch_msgs: List[tuple] = []
@@ -828,16 +833,17 @@ class _BatchRangeTreeOp(BatchOp):
                 yield from run_group(group, group_mass)
 
         # -- assemble per-op results -------------------------------------
-        # Pieces never straddle an op endpoint, so op [l, r] is exactly
-        # the contiguous run of pieces from l's point piece to r's, in
-        # ascending key order: concatenation preserves range order.
+        # Pieces never straddle a cut, so op [l, r] is exactly the
+        # contiguous run of pieces between the cut below l and the cut
+        # above r, in ascending key order: concatenation preserves range
+        # order.
         sorted_items = {sid: sorted(got) for sid, got in items.items()}
         results: List[RangeResult] = []
         work = 0
-        for l, r in ops:
+        for first, stop in spans:
             total = 0
             vals: List[Tuple[Hashable, Any]] = []
-            for sid in range(point_sid[l], point_sid[r] + 1):
+            for sid in range(first, stop):
                 total += totals.get(sid, 0)
                 got = sorted_items.get(sid, ())
                 vals.extend((k, v) for _, k, v in got)
@@ -854,9 +860,9 @@ def batch_range_tree(sl: SkipListStructure,
     """Batched tree-structured range operations (Theorem 5.2).
 
     ``ops`` are inclusive ``[lkey, rkey]`` pairs; results align with the
-    input.  The batch is split into disjoint ascending subranges, subrange
-    boundary predecessors come from one pivot-protected batched search,
-    and each subrange runs the fan-out traversal; results are assembled
-    per operation on the CPU side in shared-memory-sized groups.
+    input.  The batch is cut into disjoint ascending subranges
+    (:func:`_cut_pieces`), their boundary predecessors come from one
+    pivot-protected batched search, and each subrange runs the fan-out
+    traversal; results are assembled per operation on the CPU side.
     """
     return run_batch(sl.machine, _BatchRangeTreeOp(sl, ops, func, farg))

@@ -79,7 +79,7 @@ probes through it) -- and the engine adds what that left in
 or a column chunk is charged through ``bct`` only: the engine does not
 sweep all P modules per round to read a callback back.
 
-Which skip-list functions are chunked::
+Which functions are chunked (skip list, then PIM-tree)::
 
     chunked  search_entry, search_step        the walk (read-only)
              write_ptr                        rows; broadcast executed once
@@ -89,16 +89,29 @@ Which skip-list functions are chunked::
              ups_upper_prepare                broadcast, run per module: each
                                               replica's own storage + next-leaf
              del_mark, del_mark_node          in slot order (see above)
+             nd_step, sh_step, lf_get,        PIM-tree reads: rows, ``bisect``
+             lf_succ, lf_scan                 on the module's own lists
     scalar   ups_upper_link, del_upper, grow  first executor pays
-             rng_*, sel_*                     stateful per module; not yet done
+             nd_pull, lf_pull, *_store,       PIM-tree: the CPU side sums the
+             lf_write, lf_del                 pulls' non-integer charges in
+                                              reply order; slots run first
+             rng_*                            sized and deferred (below)
+             sel_*                            stateful per module; not sized
+
+``rng_*`` chunk forms were prototyped while PR 19 was sized (170 lines,
+not kept): the slot share of ``serve_mixed`` fell 0.35 -> 0.04 and
+``ops_per_s`` moved by ~3 %, because the traversal's rounds carry ~15
+tasks over three functions and a chunk round's fixed cost is 6.0 us
+against a slot round's 3.6.  Revisit when batches widen (ROADMAP item 2).
 
 The contract is not just documented -- it is *certified empirically*:
-``repro.verify.differ`` replays fuzz sessions on the per-task reference
-oracle (:class:`repro.sim.machine.ReferencePIMMachine`) and requires
+``repro.verify.differ`` replays fuzz sessions of the skip list and the
+PIM-tree on the per-task reference oracle
+(:class:`repro.sim.machine.ReferencePIMMachine`) and requires
 bit-identical per-op metric streams and results, the parity tests
-(``tests/test_fastpath.py``, ``tests/test_fastpath_writes.py``) compare
-the two round by round, and the golden 13-workload suite pins the
-values the per-task loop produced.
+(``tests/test_fastpath.py``, ``tests/test_fastpath_writes.py``,
+``tests/test_fastpath_pimtree.py``) compare the two round by round, and
+the golden suite pins the values the per-task loop produced.
 
 Typed fallback
 --------------

@@ -56,6 +56,7 @@ from repro.balls.hashing import KeyLevelHash, stable_hash
 from repro.cpuside.semisort import group_by
 from repro.ops import BatchOp, Broadcast, run_batch
 from repro.sim.machine import PIMMachine
+from repro.sim.task import Reply
 
 
 def _log2(n: int) -> float:
@@ -151,13 +152,22 @@ class PIMTree:
             module.state.setdefault(name, {"leaf": {}, "node": {},
                                            "shadow": {}})
         if f"{name}:nd_step" not in machine._handlers:
-            machine.register_all(self._handlers())
+            handlers, chunked = self._handlers()
+            machine.register_all(handlers)
+            for fn, batch_handler in chunked.items():
+                machine.register_batch(fn, batch_handler)
 
     # ------------------------------------------------------------------
     # handlers (module-resident nodes, shadow replicas, leaves)
     # ------------------------------------------------------------------
 
-    def _handlers(self) -> Dict[str, Any]:
+    def _handlers(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """``(handlers, chunked)``: every function's scalar handler, and
+        the row chunk handlers of the five read functions.  The stores,
+        writes, deletes and ``nd_pull`` / ``lf_pull`` stay in slots: the
+        CPU side sums the pull replies' non-integer ``log2`` charges in
+        arrival order, and slots run before chunks, module ascending, so
+        that order is the per-task loop's."""
         name = self.name
 
         def nstate(ctx):
@@ -168,6 +178,31 @@ class PIMTree:
 
         def lstate(ctx):
             return ctx.module.state[name]["leaf"]
+
+        def read_pair(store, body):
+            """One read function's ``(scalar, chunk)`` handlers around a
+            row body written once: ``body(module's store, args)`` ->
+            ``(work, reply payload, reply size)``, ``bisect`` over the
+            lists the module already holds."""
+            def scalar(ctx, *args, tag=None):
+                work, payload, size = body(ctx.module.state[name][store],
+                                           args)
+                ctx.charge(work)
+                ctx.reply(payload, tag=tag, size=size)
+
+            def chunk(bct, chunks):
+                modules = bct.machine.modules
+                work, sent = bct.work, bct.sent
+                rep_append = bct.replies.append
+                for ch in chunks:
+                    for mid, args, tag, _size in bct.rows_of(ch):
+                        w, payload, size = body(
+                            modules[mid].state[name][store], args)
+                        work[mid] += w
+                        sent[mid] += size
+                        rep_append(Reply(payload, tag, mid))
+
+            return scalar, chunk
 
         def _store_node(store, nid, fences, children, kind, module):
             old = store.get(nid)
@@ -181,11 +216,12 @@ class PIMTree:
             _store_node(nstate(ctx), nid, fences, children, kind, ctx.module)
             ctx.reply(("ack",), tag=tag)
 
-        def h_nd_step(ctx, nid, key, qid, tag=None):
-            fences, children, kind = nstate(ctx)[nid]
-            ctx.charge(max(1, int(math.log2(len(children) + 1))))
+        def step(nodes, args):
+            nid, key, qid = args
+            fences, children, kind = nodes[nid]
             i = max(0, bisect.bisect_right(fences, key) - 1)
-            ctx.reply(("step", qid, children[i], kind), tag=tag)
+            return (max(1, int(math.log2(len(children) + 1))),
+                    ("step", qid, children[i], kind), 1)
 
         def h_nd_pull(ctx, nid, tag=None):
             fences, children, kind = nstate(ctx)[nid]
@@ -197,12 +233,6 @@ class PIMTree:
             ctx.charge(len(children) + 1)
             _store_node(sstate(ctx), nid, fences, children, kind, ctx.module)
             ctx.reply(("ack",), tag=tag)
-
-        def h_sh_step(ctx, nid, key, qid, tag=None):
-            fences, children, kind = sstate(ctx)[nid]
-            ctx.charge(max(1, int(math.log2(len(children) + 1))))
-            i = max(0, bisect.bisect_right(fences, key) - 1)
-            ctx.reply(("step", qid, children[i], kind), tag=tag)
 
         def h_sh_dump(ctx, tag=None):
             shadows = sstate(ctx)
@@ -223,32 +253,32 @@ class PIMTree:
             ctx.module.alloc_words(2 * len(items))
             ctx.reply(("ack",), tag=tag)
 
-        def h_lf_get(ctx, lid, key, tag=None):
-            leaf = lstate(ctx)[lid]
-            ctx.charge(max(1, int(math.log2(len(leaf) + 1))))
+        def lf_get(leaves, args):
+            lid, key = args
+            leaf = leaves[lid]
             i = bisect.bisect_left(leaf, (key,))
             hit = i < len(leaf) and leaf[i][0] == key
-            ctx.reply(("lget", key, leaf[i][1] if hit else None, hit),
-                      tag=tag)
+            return (max(1, int(math.log2(len(leaf) + 1))),
+                    ("lget", key, leaf[i][1] if hit else None, hit), 1)
 
-        def h_lf_succ(ctx, lid, key, qid, tag=None):
-            leaf = lstate(ctx)[lid]
-            ctx.charge(max(1, int(math.log2(len(leaf) + 1))))
+        def lf_succ(leaves, args):
+            lid, key, qid = args
+            leaf = leaves[lid]
             i = bisect.bisect_left(leaf, (key,))
-            found = leaf[i] if i < len(leaf) else None
-            ctx.reply(("lsucc", qid, found), tag=tag)
+            return (max(1, int(math.log2(len(leaf) + 1))),
+                    ("lsucc", qid, leaf[i] if i < len(leaf) else None), 1)
 
-        def h_lf_scan(ctx, lid, lo, hi, qid, tag=None):
-            leaf = lstate(ctx)[lid]
+        def lf_scan(leaves, args):
+            lid, lo, hi, qid = args
+            leaf = leaves[lid]
             i = bisect.bisect_left(leaf, (lo,))
             out = []
             while i < len(leaf) and leaf[i][0] <= hi:
                 out.append(leaf[i])
                 i += 1
-            ctx.charge(len(out) + max(1, int(math.log2(len(leaf) + 1))))
             last = leaf[-1][0] if leaf else None
-            ctx.reply(("lscan", qid, lid, tuple(out), last),
-                      size=max(1, len(out)), tag=tag)
+            return (len(out) + max(1, int(math.log2(len(leaf) + 1))),
+                    ("lscan", qid, lid, tuple(out), last), max(1, len(out)))
 
         def h_lf_write(ctx, lid, pairs, tag=None):
             leaves = lstate(ctx)
@@ -281,21 +311,25 @@ class PIMTree:
             ctx.reply(("lpull", lid, tuple(leaf)),
                       size=max(1, len(leaf)), tag=tag)
 
-        return {
+        handlers = {
             f"{name}:nd_store": h_nd_store,
-            f"{name}:nd_step": h_nd_step,
             f"{name}:nd_pull": h_nd_pull,
             f"{name}:sh_store": h_sh_store,
-            f"{name}:sh_step": h_sh_step,
             f"{name}:sh_dump": h_sh_dump,
             f"{name}:lf_store": h_lf_store,
-            f"{name}:lf_get": h_lf_get,
-            f"{name}:lf_succ": h_lf_succ,
-            f"{name}:lf_scan": h_lf_scan,
             f"{name}:lf_write": h_lf_write,
             f"{name}:lf_del": h_lf_del,
             f"{name}:lf_pull": h_lf_pull,
         }
+        chunked = {}
+        for fn, store, body in (("nd_step", "node", step),
+                                ("sh_step", "shadow", step),
+                                ("lf_get", "leaf", lf_get),
+                                ("lf_succ", "leaf", lf_succ),
+                                ("lf_scan", "leaf", lf_scan)):
+            handlers[f"{name}:{fn}"], chunked[f"{name}:{fn}"] = \
+                read_pair(store, body)
+        return handlers, chunked
 
     # ------------------------------------------------------------------
     # CPU-side helpers

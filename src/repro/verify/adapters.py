@@ -114,22 +114,27 @@ class _NaiveSuccessorMap:
 
 
 def _adapt_skiplist(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-                    num_modules: int) -> ImplAdapter:
-    machine = PIMMachine(num_modules=num_modules, seed=seed)
+                    num_modules: int, machine_cls=PIMMachine) -> ImplAdapter:
+    machine = machine_cls(num_modules=num_modules, seed=seed)
     sl = PIMSkipList(machine)
     sl.build(items)
     return ImplAdapter(name, sl, machine)
 
 
-def reference_skiplist(seed: int, items: Sequence[Tuple[Any, Any]],
-                       num_modules: int) -> ImplAdapter:
-    """The skip list on the per-task reference oracle
+#: The implementations with batch handlers: the differ replays these on
+#: the per-task reference oracle as well (the cross-engine replay).
+CROSS_ENGINE_IMPLS: Tuple[str, ...] = ("skiplist", "pimtree")
+
+
+def reference_adapter(name: str, seed: int,
+                      items: Sequence[Tuple[Any, Any]],
+                      num_modules: int) -> ImplAdapter:
+    """Implementation ``name`` (one of :data:`CROSS_ENGINE_IMPLS`) on the
+    per-task reference oracle
     (:class:`~repro.sim.machine.ReferencePIMMachine`): what the differ's
     cross-engine replay compares the engine's metric stream against."""
-    machine = ReferencePIMMachine(num_modules=num_modules, seed=seed)
-    sl = PIMSkipList(machine)
-    sl.build(items)
-    return ImplAdapter("skiplist", sl, machine)
+    return IMPLEMENTATIONS[name](name, seed, items, num_modules,
+                                 machine_cls=ReferencePIMMachine)
 
 
 def _adapt_naive(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
@@ -189,8 +194,8 @@ def _adapt_lsm(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
 
 
 def _adapt_pimtree(name: str, seed: int, items: Sequence[Tuple[Any, Any]],
-                   num_modules: int) -> ImplAdapter:
-    machine = PIMMachine(num_modules=num_modules, seed=seed)
+                   num_modules: int, machine_cls=PIMMachine) -> ImplAdapter:
+    machine = machine_cls(num_modules=num_modules, seed=seed)
     # Tiny nodes and an eager promotion threshold so fuzz-sized sessions
     # (tens of keys) still grow module-resident interior levels, take
     # both push and pull branches, and promote shadow subtrees.

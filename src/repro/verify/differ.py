@@ -19,7 +19,8 @@ the skip list's structural invariants are asserted, and the whole
 session is replayed once more on a fresh machine to check that the
 per-op metric stream -- collected through the op pipeline's
 ``batch_observer`` hook -- is bit-identical across reruns of the same
-seed.  One further solo replay pins the engine axis: on the *per-task
+seed.  One further solo replay per implementation with batch handlers
+(the skip list and the PIM-tree) pins the engine axis: on the *per-task
 reference oracle* (the engine's array-native rounds vs the scalar loop,
 :class:`~repro.sim.machine.ReferencePIMMachine`), which must reproduce
 the primary run's results and metric stream bit-for-bit.
@@ -36,11 +37,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.metrics import MetricsDelta
 from repro.verify.adapters import (
+    CROSS_ENGINE_IMPLS,
     DEFAULT_IMPLS,
     ImplAdapter,
     MUTATING_OPS,
     build_implementations,
-    reference_skiplist,
+    reference_adapter,
 )
 from repro.verify.fuzz import initial_items_for
 from repro.verify.oracle import SequentialOracle
@@ -179,13 +181,13 @@ def verify_session(session: Session,
     :mod:`repro.verify.faults`) into one implementation's adapter --
     the mutation-testing hook that proves the verifier can see.
 
-    With ``check_backends`` (the default) the skip list session is
-    replayed once more on the per-task reference oracle
-    (:class:`~repro.sim.machine.ReferencePIMMachine`); its read results
-    must match the sequential oracle and its per-op metric stream must
-    be bit-identical to the primary run's -- the certification that the
-    engine's array-native rounds and the scalar loop are
-    observationally equivalent.
+    With ``check_backends`` (the default) the session is replayed once
+    more, for the skip list and for the PIM-tree, on the per-task
+    reference oracle (:class:`~repro.sim.machine.ReferencePIMMachine`);
+    the read results must match the sequential oracle and the per-op
+    metric stream must be bit-identical to the primary run's -- the
+    certification that the engine's array-native rounds and the scalar
+    loop are observationally equivalent.
     """
     names = tuple(impls) if impls is not None else DEFAULT_IMPLS
     items = initial_items_for(session)
@@ -212,13 +214,17 @@ def verify_session(session: Session,
                                      items=items,
                                      num_modules=num_modules)[0]
 
-    # Per-op metric stream of the skip list's machine, via the pipeline
-    # driver's batch_observer hook (nested ops included).
-    stream: List[Tuple[str, MetricsDelta]] = []
-    skiplist = next((a for a in adapters if a.name == "skiplist"), None)
-    if skiplist is not None and skiplist.machine is not None:
-        skiplist.machine.batch_observer = \
-            lambda op_name, delta: stream.append((op_name, delta))
+    # Per-op metric streams, via the pipeline driver's batch_observer
+    # hook (nested ops included): the skip list's also feeds the
+    # determinism rerun, each one its cross-engine replay.
+    observed = [a for a in adapters
+                if a.name in CROSS_ENGINE_IMPLS and a.machine is not None]
+    streams: Dict[str, List[Tuple[str, MetricsDelta]]] = {}
+    for adapter in observed:
+        stream = streams[adapter.name] = []
+        adapter.machine.batch_observer = \
+            lambda op_name, delta, out=stream: out.append((op_name, delta))
+    skiplist_stream = streams.get("skiplist")
 
     for i, batch in enumerate(session.batches):
         expected = oracle.apply_batch(batch.op, batch.payload)
@@ -265,21 +271,23 @@ def verify_session(session: Session,
                     _check_split(report, session, i, batch, expected,
                                  delta, twin)
 
-    # Detach the observer before the final-state scans, which run extra
-    # pipeline ops that the determinism rerun does not replay.
-    if skiplist is not None and skiplist.machine is not None:
-        skiplist.machine.batch_observer = None
-        report.observed_ops = len(stream)
+    # Detach the observers before the final-state scans, which run extra
+    # pipeline ops that the reruns do not replay.
+    for adapter in observed:
+        adapter.machine.batch_observer = None
+    if skiplist_stream is not None:
+        report.observed_ops = len(skiplist_stream)
 
     _check_final_states(report, session, oracle, adapters)
 
-    if check_determinism and skiplist is not None:
-        _check_determinism(report, session, num_modules, stream, fault=fault)
+    if check_determinism and skiplist_stream is not None:
+        _check_determinism(report, session, num_modules, skiplist_stream,
+                           fault=fault)
 
-    if (check_backends and skiplist is not None
-            and skiplist.machine is not None):
-        _check_backend_equivalence(report, session, num_modules, stream,
-                                   fault=fault)
+    if check_backends:
+        for name, stream in streams.items():
+            _check_backend_equivalence(report, session, num_modules, stream,
+                                       fault=fault, impl=name)
     return report
 
 
@@ -447,22 +455,22 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
                                num_modules: int,
                                first_stream: List[Tuple[str, MetricsDelta]],
                                *, fault: Optional[Tuple[str, str]] = None,
-                               ) -> None:
-    """Replay the skip list alone on the per-task reference oracle.
+                               impl: str = "skiplist") -> None:
+    """Replay ``impl`` alone on the per-task reference oracle.
 
     Two checks, both against the primary run: every read batch's result
     must match the sequential oracle (replayed fresh here, so the check
     stands alone), and the per-op metric stream -- rounds, h-relations,
     IO/PIM time, messages -- must be *bit-identical* to the stream the
-    engine produced.  An injected skip-list fault is replayed too (and
+    engine produced.  A fault injected into ``impl`` is replayed too (and
     the oracle comparison skipped, since the fault's result divergence
     is already reported by the primary run): this check isolates engine
     divergence, nothing else.
     """
     other = "reference"  # label in divergence details
     items = initial_items_for(session)
-    rerun = reference_skiplist(session.seed, items, num_modules)
-    faulted = fault is not None and fault[0] == "skiplist"
+    rerun = reference_adapter(impl, session.seed, items, num_modules)
+    faulted = fault is not None and fault[0] == impl
     if faulted:
         from repro.verify.faults import inject_fault
         inject_fault(rerun, fault[1])
@@ -478,21 +486,21 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
         except Exception as exc:  # noqa: BLE001 - report, don't die
             report.divergences.append(Divergence(
                 seed=session.seed, batch_index=i, op=batch.op,
-                impl="skiplist", kind="backend",
+                impl=impl, kind="backend",
                 detail=(f"[{other}] {type(exc).__name__}: {exc}")))
             rerun.machine.batch_observer = None
             return
         if batch.op in READ_OPS and not faulted and result != expected:
             report.divergences.append(Divergence(
                 seed=session.seed, batch_index=i, op=batch.op,
-                impl="skiplist", kind="backend",
+                impl=impl, kind="backend",
                 detail=(f"[{other}] "
                         + _diff_results(batch.op, batch.payload,
                                         expected, result))))
     rerun.machine.batch_observer = None
     if len(stream) != len(first_stream):
         report.divergences.append(Divergence(
-            seed=session.seed, batch_index=-1, op="rerun", impl="skiplist",
+            seed=session.seed, batch_index=-1, op="rerun", impl=impl,
             kind="backend",
             detail=(f"{other} engine produced {len(stream)} pipeline "
                     f"ops, primary {len(first_stream)}")))
@@ -501,7 +509,7 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
         if op1 != op2 or d1 != d2:
             report.divergences.append(Divergence(
                 seed=session.seed, batch_index=-1, op="rerun",
-                impl="skiplist", kind="backend",
+                impl=impl, kind="backend",
                 detail=(f"pipeline op {j}: primary ({op1}, {d1})"
                         f" != {other} ({op2}, {d2})")))
             return

@@ -229,7 +229,7 @@ class TestBackendSelection:
             golden = json.load(f)
         actual: dict = {}
         _skiplist_workloads(actual)
-        assert len(actual) == 5
+        assert len(actual) == 7
         for label, delta in actual.items():
             assert delta == golden[label], label
 
@@ -438,6 +438,15 @@ class TestBackendParity:
             assert actual[label] == golden[label], \
                 f"columnar metrics drifted for {label}"
 
+    def test_golden_metrics_on_the_reference_oracle(self, monkeypatch):
+        """The same workloads on the per-task loop: the golden values
+        (the batched ranges and the PIM-tree's chunked read functions
+        included) belong to the model, not to an engine."""
+        import tests.test_golden_metrics as golden_suite
+        monkeypatch.setattr(golden_suite, "PIMMachine", ReferencePIMMachine)
+        with open(GOLDEN_PATH) as f:
+            assert compute_all() == json.load(f)
+
     def test_drain_max_rounds_diagnostics_parity(self):
         """A livelocked forwarding cycle must exhaust ``max_rounds`` with
         the *same* diagnostic report on both backends: same pending
@@ -541,13 +550,13 @@ class TestChaosFallback:
 # ----------------------------------------------------------------------
 
 class TestBackendEquivalenceCheck:
-    def _stream_for(self, session):
+    def _stream_for(self, session, impl="skiplist"):
         """The engine's per-op metric stream for ``session``."""
         from repro.verify.adapters import build_implementations
         from repro.verify.fuzz import initial_items_for
 
         sl = build_implementations(
-            ["skiplist"], seed=session.seed,
+            [impl], seed=session.seed,
             items=initial_items_for(session), num_modules=P)[0]
         assert sl.machine.columnar_active
         stream = []
@@ -566,10 +575,39 @@ class TestBackendEquivalenceCheck:
         assert report.ok, [str(d) for d in report.divergences]
 
     def test_reference_skiplist_is_on_the_oracle(self):
-        from repro.verify.adapters import reference_skiplist
+        from repro.verify.adapters import (CROSS_ENGINE_IMPLS,
+                                           reference_adapter)
 
-        ref = reference_skiplist(0, [(1, 1)], P)
-        assert type(ref.machine) is ReferencePIMMachine
+        assert CROSS_ENGINE_IMPLS == ("skiplist", "pimtree")
+        for impl in CROSS_ENGINE_IMPLS:
+            ref = reference_adapter(impl, 0, [(1, 1)], P)
+            assert ref.name == impl
+            assert type(ref.machine) is ReferencePIMMachine
+
+    def test_pimtree_replayed_across_backends(self):
+        """The PIM-tree's chunked read functions are certified per op:
+        its session is replayed on the reference oracle too, and a
+        doctored stream is a ``[backend]`` divergence on ``pimtree``."""
+        from repro.verify.differ import (SessionReport,
+                                         _check_backend_equivalence,
+                                         verify_session)
+        from repro.verify.fuzz import fuzz_session
+
+        session = fuzz_session(17, num_batches=6, batch_size=8)
+        report = verify_session(session, impls=["pimtree"], num_modules=P)
+        assert report.ok, [str(d) for d in report.divergences]
+
+        stream = self._stream_for(session, "pimtree")
+        assert {op for op, _ in stream} >= {"pimtree:batch_get"}
+        op, delta = stream[0]
+        report = SessionReport(seed=session.seed, num_modules=P,
+                               impls=("pimtree",),
+                               num_batches=len(session.batches))
+        _check_backend_equivalence(report, session, P,
+                                   [(op + "!", delta)] + stream[1:],
+                                   impl="pimtree")
+        assert [(d.kind, d.impl) for d in report.divergences] \
+            == [("backend", "pimtree")]
 
     def test_check_flags_doctored_stream(self):
         """Mutation test: the cross-engine check must detect a metric

@@ -62,6 +62,20 @@ def _skiplist_workloads(out):
     del_keys = [rng.choice(keys) for _ in range(128)]
     _measure(machine, "skiplist/batch_delete",
              lambda: sl.batch_delete(del_keys), out)
+    # Batched tree ranges (§5.2): 16 pairwise-disjoint ops -- one
+    # boundary search, one root per op -- then 16 nested / overlapping /
+    # duplicated / shared-endpoint ops cut into at most 31 pieces.
+    cuts = sorted(rng.sample(range(1, 90_000), 32))
+    disjoint = list(zip(cuts[0::2], cuts[1::2]))
+    _measure(machine, "skiplist/batch_range_tree_disjoint",
+             lambda: sl.batch_range(disjoint), out)
+    overlap = []
+    for lo, hi in disjoint[:5]:
+        mid = (lo + hi) // 2
+        overlap += [(lo, hi), (lo, mid), (mid, hi)]
+    overlap.append(overlap[0])
+    _measure(machine, "skiplist/batch_range_tree_overlap",
+             lambda: sl.batch_range(overlap), out)
 
 
 def _baseline_workloads(out):
@@ -187,6 +201,12 @@ def _pimtree_workloads(out):
     del_keys = [rng.choice(keys) for _ in range(64)]
     _measure(machine, "pimtree/batch_delete",
              lambda: tree.apply_batch("delete", del_keys), out)
+    ranges = []
+    for _ in range(32):
+        lo = rng.randrange(90_000)
+        ranges.append((lo, lo + rng.randrange(1, 2_000)))
+    _measure(machine, "pimtree/batch_range",
+             lambda: tree.apply_batch("range", ranges), out)
     tree.check_integrity()
 
 

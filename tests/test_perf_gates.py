@@ -52,11 +52,13 @@ def test_quick_baseline_is_refused(tmp_path):
 
 
 def test_exact_rows_pass():
-    """The chunked-task share, the seven skew-adversary rows and the
-    durable restart counts, measured in process with the committed
-    baselines' parameters."""
+    """The chunked-task shares, the fixed batch of ranges, the seven
+    skew-adversary rows and the durable restart counts, measured in
+    process with the committed baselines' parameters."""
     names = {g.name for g in EXACT_ROWS}
-    assert {"chunked share write_churn", "pimtree rounds",
+    assert {"chunked share write_churn", "chunked share pimtree reads",
+            "range batch: boundary searches == ops",
+            "range batch: rounds", "pimtree rounds",
             "skiplist rounds above ceiling",
             "durable replayed records: before snapshot"} <= names
     assert gates.run(gates.Bench(repeat=1), EXACT_ROWS) == []
