@@ -10,7 +10,8 @@ one process can measure against itself:
 - **exact counts** (rows marked ``EXACT``): rounds, per-module message
   load, replayed WAL records, the share of tasks run inside batch
   handlers, the boundary searches / roots / messages / rounds of one
-  fixed batch of ranges.  Deterministic functions of the committed
+  fixed batch of ranges, the CPU-side charges and RNG position after
+  one fixed session.  Deterministic functions of the committed
   parameters (or of the seeds in :class:`Bench`), equal
   on every host, so they cannot flake; ``tests/test_perf_gates.py``
   runs them in tier-1.
@@ -23,7 +24,10 @@ one process can measure against itself:
   runner's luck.
   The serve row is the same kind: 300 scheduler ticks of admission
   and coalescing with 4096 idle tenants known to the controller, over
-  the same ticks with none.
+  the same ticks with none.  So are the CPU-side rows: the vector
+  placement hash over the scalar loop on one batch, and a batch's
+  CPU side (``apply_batch`` wall minus ``drain`` minus ``send_all``)
+  over its own ``drain``.
 - two deliberately loose **cross-host bounds** on sub-second durable
   cells (0.25x the committed WAL append rate, 4x the committed RTO):
   they catch "the write path grew an O(n) scan", not scheduler jitter.
@@ -46,6 +50,7 @@ import functools
 import json
 import os
 import random
+import statistics
 import sys
 import time
 from operator import eq, ge, gt, le
@@ -59,6 +64,7 @@ from bench_durable import bench_restart, bench_wal_append  # noqa: E402
 from bench_pimtree import (ADVERSARY, CONTESTANTS,  # noqa: E402
                            make_workloads, measure_cell)
 from bench_wallclock import ENGINES, SCENARIOS  # noqa: E402
+from repro.balls.hashing import KeyLevelHash  # noqa: E402
 from repro.core.skiplist import PIMSkipList  # noqa: E402
 from repro.serve import AdmissionController, Coalescer, Request  # noqa: E402
 from repro.sim.chaos import FaultPlan, FaultSpec  # noqa: E402
@@ -209,6 +215,82 @@ class Bench:
                 / (machine.tasks_executed - tasks))
 
     @memo
+    def placement_speedup(self) -> float:
+        """``KeyLevelHash.module_of_many`` over the scalar ``module_of``
+        loop it replaces, on one 2 304-key batch of plain ints."""
+        h = KeyLevelHash(64, seed=7)
+        rng = random.Random(7)
+        keys = [rng.randrange(1 << 31) for _ in range(2304)]
+        module_of = h.module_of
+        sides = {"scalar": lambda: [module_of(k) for k in keys],
+                 "vector": lambda: h.module_of_many(keys)}
+        best = dict.fromkeys(sides, float("inf"))
+        for _ in range(3 * self.repeat):
+            for side, place in sides.items():
+                start = time.perf_counter()
+                place()
+                best[side] = min(best[side], time.perf_counter() - start)
+        return best["scalar"] / best["vector"]
+
+    @memo
+    def cpu_side_over_drain(self, op: str) -> float:
+        """The host's CPU side of one fixed ``min_search_batch`` (2 304
+        keys) of ``op`` on a 64-module, 16 384-key skip list, over its
+        round engine: ``apply_batch`` wall minus the time inside
+        ``machine.drain`` and ``machine.send_all``, over the time inside
+        ``drain``.  Median of ``3 * repeat`` runs of the batch after one
+        warm-up; reads leave the structure as it was."""
+        machine = PIMMachine(num_modules=64, seed=7)
+        sl = PIMSkipList(machine)
+        sl.build(build_items(16384, stride=2))
+        rng = random.Random(7)
+        keys = [rng.randrange(2 * 16384) for _ in range(sl.min_search_batch)]
+        inside = {"drain": 0.0, "send_all": 0.0}
+
+        def timed(name: str) -> None:
+            call = getattr(machine, name)
+
+            def wrapper(*args, **kwargs):
+                start = time.perf_counter()
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    inside[name] += time.perf_counter() - start
+            setattr(machine, name, wrapper)
+
+        timed("drain")
+        timed("send_all")
+        ratios = []
+        for _ in range(1 + 3 * self.repeat):
+            inside["drain"] = inside["send_all"] = 0.0
+            start = time.perf_counter()
+            sl.apply_batch(op, keys)
+            wall = time.perf_counter() - start
+            ratios.append((wall - inside["drain"] - inside["send_all"])
+                          / inside["drain"])
+        return statistics.median(ratios[1:])
+
+    @memo
+    def cpu_side_session(self) -> tuple:
+        """What the CPU side is charged, and where it leaves the
+        machine's RNG, after one fixed Get + Successor + Upsert + Delete
+        session on a 16-module, 2 048-key skip list: ``(cpu_work,
+        cpu_depth, shared_mem_peak, next draw)``."""
+        machine = PIMMachine(num_modules=16, seed=7)
+        sl = PIMSkipList(machine)
+        sl.build(build_items(2048, stride=2))
+        rng = random.Random(7)
+        reads = [rng.randrange(4200) for _ in range(256)]
+        fresh = [2 * i + 1 for i in rng.sample(range(2048), 96)]
+        sl.apply_batch("get", reads)
+        sl.apply_batch("successor", reads)
+        sl.apply_batch("upsert", [(k, -k) for k in fresh] + [(2, 0), (2, 1)])
+        sl.apply_batch("delete", fresh[::2] + [4, 4, 5000])
+        m = machine.metrics
+        return (m.cpu_work, m.cpu_depth, m.shared_mem_peak,
+                machine.rng.random())
+
+    @memo
     def wal_append(self) -> dict:
         base = self.baseline("durable")["wal_append"]
         return min((bench_wal_append(base["records"],
@@ -268,6 +350,28 @@ GATES: List[Gate] = [
     Gate("chunked share write_churn",
          lambda b: b.scenario("write_churn", "columnar")["chunked_share"],
          ">=", 0.85, EXACT),
+    # -- the CPU side of a batch (PR 20): charged by formula, executed as
+    # arrays.  The vector placement hash over the scalar loop it
+    # replaced, 2 304 plain ints (recorded 12x on the development host;
+    # the floor is half of it).
+    Gate("vector placement / scalar loop, n = 2304",
+         lambda b: b.placement_speedup(), ">=", 6.0),
+    # apply_batch wall minus drain minus send_all, over drain, one fixed
+    # 2 304-key batch at P = 64.  Recorded 0.28 (Get) and 0.43
+    # (Successor); PR 19 read 0.72-0.75 and 0.58-0.60 here, with a
+    # Python frame or two per key in plan / route / aggregate.  Above
+    # the ceiling, a per-key spelling is back on the route.
+    Gate("CPU side / drain, 2304-key Get",
+         lambda b: b.cpu_side_over_drain("get"), "<=", 0.45),
+    Gate("CPU side / drain, 2304-key Successor",
+         lambda b: b.cpu_side_over_drain("successor"), "<=", 0.50),
+    # The charges and the RNG stream are PR 19's, to the last bit: how
+    # the host executes the CPU side is free, what the model is billed
+    # and which modules the searches start on are not.
+    Gate("CPU-side session: cpu_work, cpu_depth, shared_mem_peak, rng",
+         lambda b: b.cpu_side_session(), "==",
+         (11966.312800138461, 298.67617352573154, 1275,
+          0.8849328792636154), EXACT),
     # -- batched tree range (core/ops_range.py): the cut-point sweep
     # pays one boundary search, one root and one go per covered piece,
     # so n pairwise-disjoint ops cost n of each (3n under the old

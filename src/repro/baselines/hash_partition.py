@@ -18,7 +18,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 
 from repro.balls.hashing import KeyLevelHash
 from repro.baselines.local_skiplist import LocalSkipList
-from repro.cpuside.semisort import group_by
+from repro.cpuside.semisort import dedup_last, group_positions
 from repro.ops import BatchOp, Broadcast, run_batch
 from repro.sim.machine import PIMMachine
 
@@ -157,8 +157,7 @@ class _HashGetOp(_HashPartOp):
 
     def route(self, machine, plan):
         hp, keys = self.hp, self.batch
-        groups = group_by(machine.cpu, list(range(len(keys))),
-                          key=lambda i: keys[i])
+        groups = group_positions(machine.cpu, keys)
         fn_get = f"{hp.name}:get"
         replies = yield ((hp.owner(key), fn_get, (key,), None)
                          for key in groups)
@@ -177,10 +176,10 @@ class _HashUpsertOp(_HashPartOp):
 
     def route(self, machine, plan):
         hp, pairs = self.hp, self.batch
-        groups = group_by(machine.cpu, list(pairs), key=lambda kv: kv[0])
+        wanted = dedup_last(machine.cpu, pairs)
         fn_upsert = f"{hp.name}:upsert"
-        replies = yield ((hp.owner(key), fn_upsert, (key, occ[-1][1]), None)
-                         for key, occ in groups.items())
+        replies = yield ((hp.owner(key), fn_upsert, (key, value), None)
+                         for key, value in wanted.items())
         created = sum(1 for r in replies if r.payload[1])
         hp.num_keys += created
         return created
@@ -193,7 +192,7 @@ class _HashDeleteOp(_HashPartOp):
 
     def route(self, machine, plan):
         hp, keys = self.hp, self.batch
-        groups = group_by(machine.cpu, list(keys), key=lambda k: k)
+        groups = group_positions(machine.cpu, keys)
         fn_delete = f"{hp.name}:delete"
         replies = yield ((hp.owner(key), fn_delete, (key,), None)
                          for key in groups)

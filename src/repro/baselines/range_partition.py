@@ -24,7 +24,7 @@ import math
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.local_skiplist import LocalSkipList
-from repro.cpuside.semisort import group_by
+from repro.cpuside.semisort import dedup_last, group_positions
 from repro.ops import BatchOp, run_batch
 from repro.sim.machine import PIMMachine
 
@@ -189,8 +189,7 @@ class _RangeGetOp(_RangePartOp):
 
     def route(self, machine, plan):
         rp, keys = self.rp, self.batch
-        groups = group_by(machine.cpu, list(range(len(keys))),
-                          key=lambda i: keys[i])
+        groups = group_positions(machine.cpu, keys)
         fn_get = f"{rp.name}:get"
         replies = yield ((rp.route(key), fn_get, (key,), None)
                          for key in groups)
@@ -209,10 +208,10 @@ class _RangeUpsertOp(_RangePartOp):
 
     def route(self, machine, plan):
         rp, pairs = self.rp, self.batch
-        groups = group_by(machine.cpu, list(pairs), key=lambda kv: kv[0])
+        wanted = dedup_last(machine.cpu, pairs)
         fn_upsert = f"{rp.name}:upsert"
-        replies = yield ((rp.route(key), fn_upsert, (key, occ[-1][1]), None)
-                         for key, occ in groups.items())
+        replies = yield ((rp.route(key), fn_upsert, (key, value), None)
+                         for key, value in wanted.items())
         created = sum(1 for r in replies if r.payload[1])
         rp.num_keys += created
         return created
@@ -225,7 +224,7 @@ class _RangeDeleteOp(_RangePartOp):
 
     def route(self, machine, plan):
         rp, keys = self.rp, self.batch
-        groups = group_by(machine.cpu, list(keys), key=lambda k: k)
+        groups = group_positions(machine.cpu, keys)
         fn_delete = f"{rp.name}:delete"
         replies = yield ((rp.route(key), fn_delete, (key,), None)
                          for key in groups)

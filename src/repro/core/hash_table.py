@@ -62,7 +62,7 @@ class CuckooHashTable:
                  moves_per_op: int = 4) -> None:
         self._rng = rng
         self._charge = charge if charge is not None else (lambda w: None)
-        self._capacity = max(4, initial_capacity)
+        self._set_capacity(max(4, initial_capacity))
         self._stash_limit = stash_limit
         self._moves_per_op = moves_per_op
         self._count = 0
@@ -73,6 +73,11 @@ class CuckooHashTable:
         self._pending: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     # -- internals -----------------------------------------------------
+
+    def _set_capacity(self, capacity: int) -> None:
+        self._capacity = capacity
+        # Eviction-chain cutoff before an item is stashed (cycle break).
+        self._max_chase = max(8, 2 * capacity.bit_length())
 
     def _new_seeds(self) -> None:
         self._seed1 = self._rng.getrandbits(63)
@@ -99,10 +104,6 @@ class CuckooHashTable:
         x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
         return (x ^ (x >> 31)) % self._capacity
 
-    def _max_chase(self) -> int:
-        """Eviction-chain cutoff before an item is stashed (cycle break)."""
-        return max(8, 2 * self._capacity.bit_length())
-
     def _drain_pending(self, steps: int) -> None:
         """Run up to ``steps`` cuckoo placement moves from the queue.
 
@@ -117,7 +118,7 @@ class CuckooHashTable:
             if len(self._stash) > self._stash_limit:
                 self._rebuild(self._capacity * 2)
             return
-        max_chase = self._max_chase()
+        max_chase = self._max_chase
         while steps > 0 and self._pending:
             key, (value, use_t1) = self._pending.popitem(last=False)
             item: Optional[Tuple[Hashable, Any]] = (key, value)
@@ -151,7 +152,7 @@ class CuckooHashTable:
         items = list(self.items())
         capacity = max(4, new_capacity)
         while True:
-            self._capacity = capacity
+            self._set_capacity(capacity)
             self._new_seeds()
             self._t1 = [None] * self._capacity
             self._t2 = [None] * self._capacity
@@ -169,7 +170,7 @@ class CuckooHashTable:
         """Eager cuckoo placement used during rebuilds (overflow -> stash)."""
         item: Optional[Tuple[Hashable, Any]] = (key, value)
         use_t1 = True
-        for _ in range(self._max_chase()):
+        for _ in range(self._max_chase):
             if item is None:
                 return
             self._charge(1)

@@ -39,7 +39,7 @@ from repro.core.node import Node
 from repro.core.ops_write import ACK, write_message
 from repro.core.structure import SkipListStructure
 from repro.cpuside.list_contraction import ContractionList
-from repro.cpuside.semisort import group_by
+from repro.cpuside.semisort import group_positions
 from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
 from repro.sim.cpu import WorkDepth
 from repro.sim.task import Reply
@@ -179,10 +179,9 @@ class _BatchDeleteOp(BatchOp):
         cpu.alloc(shared_words)
         try:
             # -- stage 1: shortcut marking -------------------------------
-            groups = group_by(cpu, list(keys), key=lambda k: k)
-            fn_mark = f"{sl.name}:del_mark"
-            replies = yield ((sl.leaf_owner(key), fn_mark, (key,), None)
-                             for key in groups)
+            distinct = list(group_positions(cpu, keys))
+            replies = yield sl.shortcut_stage(f"{sl.name}:del_mark",
+                                              distinct, zip(distinct))
             marked: List[Tuple[Node, Optional[Node], Optional[Node]]] = []
             upper_leaves: List[Node] = []
             not_found = 0

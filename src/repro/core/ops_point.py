@@ -26,7 +26,7 @@ import math
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.structure import SkipListStructure
-from repro.cpuside.semisort import group_by
+from repro.cpuside.semisort import dedup_last, group_positions
 from repro.ops import BatchOp, cached_handlers, run_batch
 from repro.sim.task import Reply
 
@@ -135,10 +135,10 @@ class _PointGetOp(BatchOp):
         with cpu.region(2 * n):
             # Semisort to deduplicate (O(B) expected work, O(log B) whp
             # depth).
-            groups = group_by(cpu, list(range(n)), key=lambda i: keys[i])
-            fn_get = f"{sl.name}:pt_get"
-            replies = yield ((sl.leaf_owner(key), fn_get, (key,), None)
-                             for key in groups)
+            groups = group_positions(cpu, keys)
+            distinct = list(groups)
+            replies = yield sl.shortcut_stage(f"{sl.name}:pt_get", distinct,
+                                              zip(distinct))
             if self.want_value:
                 results: List[Optional[Any]] = [None] * n
                 for r in replies:
@@ -173,12 +173,9 @@ class _PointUpdateOp(BatchOp):
         if n == 0:
             return 0
         with cpu.region(2 * n):
-            groups = group_by(cpu, list(pairs), key=lambda kv: kv[0])
-            fn_update = f"{sl.name}:pt_update"
-            replies = yield (
-                (sl.leaf_owner(key), fn_update, (key, occurrences[-1][1]),
-                 None)
-                for key, occurrences in groups.items())
+            wanted = dedup_last(cpu, pairs)
+            replies = yield sl.shortcut_stage(
+                f"{sl.name}:pt_update", list(wanted), wanted.items())
             found = sum(1 for r in replies if r.payload[1])
         return found
 

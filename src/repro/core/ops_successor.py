@@ -29,26 +29,47 @@ time, ``O(P log^3 P)`` expected CPU work, ``O(log^2 P)`` CPU depth, and
 
 The whole two-stage algorithm is one :class:`~repro.ops.BatchOp`: each
 divide-and-conquer phase (and stage 2) is one route stage whose messages
-are built by :func:`repro.core.ops_search.search_message`; the search
-walk handlers are the execute phase.
+are :func:`repro.core.ops_search.search_message`'s; the search walk
+handlers are the execute phase.
+
+**How the host runs the CPU side.**  The charges above are formulas of
+the batch (sort ``B log B``; every op pays for scanning both bounding
+paths; one unit per launched op), so the route is free to do the work
+without a Python frame per key.  Its state is a set of columns indexed
+by *sorted position* -- ``pred``, ``pred_right``, ``by_level``,
+``paths`` -- not a dict and an object per op.  A recording stage's
+replies are folded in one pass (an op's ``by_level`` is the last entry
+per level of the path just collected); a segment's hint is derived once
+and, in the record-free stage 2 that launches most of a Successor batch,
+its messages are built in the same loop.  Two things are pinned while
+the execution changes (``tests/test_search_spec.py`` holds the PR-19
+route as the executable spec): the charges, call for call, and the
+order in which messages are built -- a root start (and a start on a
+replicated sentinel) draws its entry module from the machine's RNG at
+build time, so ops are launched in ascending sorted position within
+each stage.  :func:`batch_successor` / :func:`batch_predecessor` read
+the columns directly; :func:`batch_search` wraps them in
+:class:`SearchOutcome` objects, once, for the callers that record
+(``ops_upsert``, ``ops_range``).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core import ops_search
-from repro.core.node import Node
+from repro.core.node import NEG_INF, UPPER, Node
 from repro.core.ops_search import search_message
 from repro.core.structure import SkipListStructure
-from repro.cpuside.sort import parallel_sort
+from repro.cpuside.sort import sort_positions
 from repro.ops import BatchOp, run_batch
 from repro.sim.cpu import WorkDepth
 
 PathEntry = Tuple[Node, int, Optional[Node]]  # (node, level, right snapshot)
+LevelEntry = Tuple[Node, Optional[Node]]      # (node, right snapshot)
 
 
 @dataclass(slots=True)
@@ -65,16 +86,18 @@ class SearchOutcome:
 
     pred: Node
     pred_right: Optional[Node]
-    by_level: Optional[Dict[int, Tuple[Node, Optional[Node]]]] = None
+    by_level: Optional[Dict[int, LevelEntry]] = None
 
 
 Hint = Optional[Tuple[str, Any, Any]]  # ("leaf", leaf, right) | ("node", node, None)
+
+_node_of = itemgetter(0)
 
 
 def _lca_hint(path_a: Optional[List[PathEntry]],
               path_b: Optional[List[PathEntry]],
               min_level: int = 0,
-              ids_b: Optional[set] = None) -> Hint:
+              nodes_b: Optional[Set[Node]] = None) -> Hint:
     """Start hint from two recorded lower-part paths (paper, stage 1).
 
     Shared leaf -> the result itself; shared lower node -> the lowest such
@@ -104,18 +127,25 @@ def _lca_hint(path_a: Optional[List[PathEntry]],
     leaf_b = path_b[-1][0]
     if lvl_a == 0 and leaf_a is leaf_b:
         return ("leaf", leaf_a, right_a)
-    if ids_b is None:
-        # Callers with many ops against the same right pivot pass the
-        # pivot path's id-set in (batch_search caches one per pivot).
-        ids_b = {id(node) for node, _, _ in path_b}
-    for node, _, _ in reversed(path_a):
-        if id(node) in ids_b:
-            return ("node", node, None)
-    return None
+    if nodes_b is None:
+        # Callers with many hints against the same right pivot pass the
+        # pivot path's node set in (batch_search caches one per pivot).
+        nodes_b = set(map(_node_of, path_b))
+    # Nodes hash by identity; the scan runs without a frame per entry.
+    node = next(filter(nodes_b.__contains__,
+                       map(_node_of, reversed(path_a))), None)
+    return None if node is None else ("node", node, None)
 
 
 class _BatchSearchOp(BatchOp):
-    """The two-stage pivot search as a plan/route/execute/aggregate op."""
+    """The two-stage pivot search as a plan/route/execute/aggregate op.
+
+    The route keeps its state in lists indexed by *sorted position*
+    (``order[pos]`` is the caller's index of the op at ``pos``) and
+    returns them as columns ``(order, pred, pred_right, by_level)``:
+    :func:`batch_successor` / :func:`batch_predecessor` read the columns,
+    :func:`batch_search` wraps them in :class:`SearchOutcome` objects.
+    """
 
     def __init__(self, sl: SkipListStructure, keys: Sequence[Hashable],
                  record_all: bool, record_levels: Optional[Sequence[int]],
@@ -131,78 +161,64 @@ class _BatchSearchOp(BatchOp):
 
     def route(self, machine, plan):
         sl, keys = self.sl, self.keys
-        record_all, record_levels = self.record_all, self.record_levels
         cpu = machine.cpu
         b = len(keys)
         if b == 0:
-            return []
+            return [], [], [], []
         p = sl.num_modules
         seg_len = max(1, int(round(math.log2(p))) if p > 1 else 1)
+        h_cap = sl.h_low - 1
 
         # Sort the batch on the CPU side (O(B log B) expected, O(log B)
         # whp depth).
-        order = parallel_sort(cpu, list(range(b)), key=lambda i: (keys[i], i))
+        order = sort_positions(cpu, keys)
         skeys = [keys[i] for i in order]
-        limits: Dict[int, int] = {}
-        if record_levels is not None:
-            for pos in range(b):
-                limits[pos] = record_levels[order[pos]]
-        elif record_all:
-            # Record every lower level: hints must then start at or above
-            # the topmost lower level so each search visits all of them.
-            for pos in range(b):
-                limits[pos] = sl.h_low - 1
+        # Per-op retention limit (record mode only).  Pivots always
+        # record their *full* lower-part paths (the paper's stage 1
+        # stores them as the shared hint pool), so in record mode a
+        # pivot's search must start at or above ``h_cap``; a non-pivot
+        # only needs the levels up to its own limit.
+        limits: Optional[List[int]] = None
+        if self.record_levels is not None:
+            limits = [self.record_levels[i] for i in order]
+        elif self.record_all:
+            limits = [h_cap] * b
         cpu.alloc(b)  # sorted index buffer
+        retained_words = b
 
         piv_pos = list(range(0, b, seg_len))
         if piv_pos[-1] != b - 1:
             piv_pos.append(b - 1)
         num_piv = len(piv_pos)
-        piv_set = set(piv_pos)
 
-        h_cap = sl.h_low - 1
+        # Columns, by sorted position.
+        pred: List[Optional[Node]] = [None] * b
+        pred_right: List[Optional[Node]] = [None] * b
+        by_level: List[Optional[Dict[int, LevelEntry]]] = [None] * b
+        # Recorded paths (``List[PathEntry]``) of the executed pivots.
+        paths: List[Any] = [None] * b
+        pre_derived: Dict[int, Dict[int, LevelEntry]] = {}
 
-        def min_lvl(pos: int) -> int:
-            """Lowest level the op's search must start at.
+        piv_level_cache: Dict[int, Dict[int, LevelEntry]] = {}
+        piv_nodes_cache: Dict[int, Set[Node]] = {}
 
-            In record mode, pivots always record their *full* lower-part
-            paths (the paper's stage 1 stores them as the shared hint
-            pool); non-pivots only need levels up to their own retention
-            limit.
-            """
-            if not limits:
-                return 0
-            if pos in piv_set:
-                return h_cap
-            return min(limits.get(pos, 0), h_cap)
-
-        paths: Dict[int, List[PathEntry]] = {}      # sorted-pos -> path
-        outcomes: Dict[int, SearchOutcome] = {}     # sorted-pos -> outcome
-        pre_derived: Dict[int, Dict[int, Tuple[Node, Optional[Node]]]] = {}
-        retained_words = b  # the sorted index buffer
-
-        piv_level_cache: Dict[int, Dict[int, Tuple[Node, Optional[Node]]]] = {}
-        piv_ids_cache: Dict[int, set] = {}
-
-        def pivot_ids(ppos: int) -> Optional[set]:
-            """Cached ``id()`` set of a pivot's recorded path nodes."""
-            s = piv_ids_cache.get(ppos)
-            if s is None and ppos in paths:
-                s = {id(node) for node, _, _ in paths[ppos]}
-                piv_ids_cache[ppos] = s
+        def pivot_nodes(ppos: int) -> Set[Node]:
+            """Cached set of a pivot's recorded path nodes."""
+            s = piv_nodes_cache.get(ppos)
+            if s is None:
+                s = piv_nodes_cache[ppos] = set(map(_node_of, paths[ppos]))
             return s
 
-        def level_view(ppos: int):
+        def level_view(ppos: int) -> Dict[int, LevelEntry]:
             """Per-level last (node, right) of a pivot's recorded path."""
             lv = piv_level_cache.get(ppos)
-            if lv is None and ppos in paths:
-                lv = {}
-                for node, lvl, right in paths[ppos]:
-                    lv[lvl] = (node, right)
-                piv_level_cache[ppos] = lv
+            if lv is None:
+                lv = piv_level_cache[ppos] = {
+                    lvl: (node, right) for node, lvl, right in paths[ppos]}
             return lv
 
-        def derive_or_hint(pos: int, pa_pos: int, pb_pos: int):
+        def squeeze(lvl_limit: int, pa_pos: int, pb_pos: int,
+                    ) -> Dict[int, LevelEntry]:
             """Squeeze-derive per-level predecessors from bounding pivots.
 
             At any level where both bounding pivots have the *same*
@@ -213,208 +229,204 @@ class _BatchSearchOp(BatchOp):
             share high-level predecessors (e.g. a contiguous run at the
             end of the key space).
 
-            Returns ``("done", derived)`` when every needed level is
-            derived, else ``(hint, derived_above)`` where the search
-            starts at/above the highest underived level.
+            Returns the levels derived from ``lvl_limit`` downward, up to
+            the first level the pivots disagree on; the op is settled
+            without a search iff level 0 is among them.
             """
-            lvl_limit = min_lvl(pos)
-            pa, pb = paths.get(pa_pos), paths.get(pb_pos)
-            if lvl_limit == 0:
-                return (_lca_hint(pa, pb, 0, ids_b=pivot_ids(pb_pos)), {})
             la, lb = level_view(pa_pos), level_view(pb_pos)
-            derived: Dict[int, Tuple[Node, Optional[Node]]] = {}
-            top = -1
-            if la is not None and lb is not None:
-                for lvl in range(lvl_limit, -1, -1):
-                    ea, eb = la.get(lvl), lb.get(lvl)
-                    if ea is not None and eb is not None and ea[0] is eb[0]:
-                        derived[lvl] = ea
-                    else:
-                        top = lvl
-                        break
-            else:
-                top = lvl_limit
-            if top == -1:
-                return ("done", derived)
-            hint: Hint = None
-            if pa:
-                for node, lvl, _ in reversed(pa):
-                    if lvl >= top:
-                        hint = ("node", node, None)
-                        break
-            return (hint, derived)
+            derived: Dict[int, LevelEntry] = {}
+            for lvl in range(lvl_limit, -1, -1):
+                ea, eb = la.get(lvl), lb.get(lvl)
+                if ea is None or eb is None or ea[0] is not eb[0]:
+                    break
+                derived[lvl] = ea
+            return derived
 
-        def settle_derived(pos: int, derived, record: bool,
-                           keep_ordered: bool) -> None:
+        def settle(pos: int, derived: Dict[int, LevelEntry], record: bool,
+                   keep_ordered: bool) -> None:
             """Finish an op entirely from derived levels (no search)."""
             nonlocal retained_words
-            pred, right = derived[0]
-            outcomes[pos] = SearchOutcome(
-                pred=pred, pred_right=right,
-                by_level=dict(derived) if record else None,
-            )
+            pred[pos], pred_right[pos] = derived[0]
+            if record:
+                by_level[pos] = dict(derived)
             cpu.alloc(len(derived))
             retained_words += len(derived)
-            if keep_ordered:
-                paths[pos] = [
-                    (derived[lvl][0], lvl, derived[lvl][1])
-                    for lvl in sorted(derived, reverse=True)
-                ]
+            if keep_ordered:  # ``derived`` was filled top level first
+                paths[pos] = [(node, lvl, right)
+                              for lvl, (node, right) in derived.items()]
 
-        def execute(ops: List[Tuple[int, Hint]], record: bool,
-                    keep_ordered: bool):
-            """One phase: build the phase's search messages, yield them as
-            a stage, and fold the drained replies into the outcome maps."""
+        def launch(msgs: list, pos: int, hint: Hint, record: bool,
+                   keep_ordered: bool) -> None:
+            """Start op ``pos`` from ``hint``: append its search message
+            to ``msgs``, or settle it on the spot from a leaf hint.  The
+            destination draw consumes the machine's RNG stream, so ops
+            are launched in ascending sorted position."""
             nonlocal retained_words
-            msgs = []
-            madd = msgs.append
-            for pos, hint in ops:
-                if hint is None:
-                    madd(search_message(sl, skeys[pos], opid=pos,
-                                        record=record))
-                    continue
-                if hint[0] == "leaf":
-                    outcomes[pos] = SearchOutcome(
-                        pred=hint[1], pred_right=hint[2],
-                        by_level={0: (hint[1], hint[2])} if record else None,
-                    )
-                    if keep_ordered:
-                        paths[pos] = [(hint[1], 0, hint[2])]
-                        cpu.alloc(1)
-                        retained_words += 1
-                    continue
-                madd(search_message(sl, skeys[pos], opid=pos, record=record,
-                                    start=hint[1]))
+            if hint is None:
+                msgs.append(search_message(sl, skeys[pos], opid=pos,
+                                           record=record))
+            elif hint[0] == "leaf":
+                _, leaf, right = hint
+                pred[pos], pred_right[pos] = leaf, right
+                if record:
+                    by_level[pos] = {0: (leaf, right)}
+                if keep_ordered:
+                    paths[pos] = [(leaf, 0, right)]
+                    cpu.alloc(1)
+                    retained_words += 1
+            else:
+                msgs.append(search_message(sl, skeys[pos], opid=pos,
+                                           record=record, start=hint[1]))
+
+        def stage(msgs: list, record: bool, keep_ordered: bool):
+            """One phase: yield its messages and fold the drained replies
+            into the columns, in one pass over the replies.  Stage 1
+            records and keeps the ordered paths (the hint pool); stage 2
+            records only for a recording caller and keeps no path."""
+            nonlocal retained_words
             if not msgs:
                 return
             replies = yield msgs
-            if not record and not keep_ordered:
-                # Record-free phase: every reply is a "done" (no search
-                # emitted path records), so fold without the path branch.
+            if not record:
+                # Every reply is a "done": no search emitted path records.
                 for r in replies:
                     _, opid, node, right = r.payload
-                    outcomes[opid] = SearchOutcome(pred=node,
-                                                   pred_right=right)
+                    pred[opid] = node
+                    pred_right[opid] = right
                 return
-            acc_paths: Dict[int, List[PathEntry]] = {}
-            acc_bylevel: Dict[int, Dict[int, Tuple[Node, Optional[Node]]]] = {}
+            got = paths if keep_ordered else [None] * b
+            recorded: List[int] = []
             for r in replies:
                 payload = r.payload
-                if payload[0] == "path":
-                    _, opid, node, level, right = payload
-                    if keep_ordered:
-                        acc_paths.setdefault(opid, []).append(
-                            (node, level, right))
-                    if record:
-                        acc_bylevel.setdefault(opid, {})[level] = (node, right)
+                if payload[0] == "path":  # (_, opid, node, level, right)
+                    opid = payload[1]
+                    pth = got[opid]
+                    if pth is None:
+                        got[opid] = pth = []
+                        recorded.append(opid)
+                    pth.append(payload[2:])
                 else:
                     _, opid, node, right = payload
-                    outcomes[opid] = SearchOutcome(pred=node, pred_right=right)
-            if keep_ordered:
-                for opid, pth in acc_paths.items():
-                    paths[opid] = pth
-                    cpu.alloc(len(pth))
-                    retained_words += len(pth)
-            if record:
-                for opid, bl in acc_bylevel.items():
-                    if opid in outcomes:
-                        limit = limits.get(opid)
-                        if limit is not None:
-                            bl = {lvl: v for lvl, v in bl.items()
-                                  if lvl <= limit}
-                        extra = pre_derived.pop(opid, None)
-                        if extra:
-                            for lvl, entry in extra.items():
-                                bl.setdefault(lvl, entry)
-                        outcomes[opid].by_level = bl
-                        cpu.alloc(len(bl))
-                        retained_words += len(bl)
+                    pred[opid] = node
+                    pred_right[opid] = right
+            words = 0
+            for opid in recorded:
+                pth = got[opid]
+                if keep_ordered:
+                    words += len(pth)
+                # The last entry per level is that level's predecessor.
+                if limits is None:
+                    bl = {lvl: (node, right) for node, lvl, right in pth}
+                else:
+                    limit = limits[opid]
+                    bl = {lvl: (node, right) for node, lvl, right in pth
+                          if lvl <= limit}
+                    extra = pre_derived.pop(opid, None)
+                    if extra:
+                        for lvl, entry in extra.items():
+                            bl.setdefault(lvl, entry)
+                by_level[opid] = bl
+                words += len(bl)
+            cpu.alloc(words)
+            retained_words += words
 
         # ---- Stage 1: pivots by divide and conquer ----------------------
         first, last = piv_pos[0], piv_pos[-1]
-        phase0 = [(first, None)]
+        msgs: list = []
+        launch(msgs, first, None, True, True)
         if last != first:
-            phase0.append((last, None))
-        yield from execute(phase0, record=True, keep_ordered=True)
+            launch(msgs, last, None, True, True)
+        yield from stage(msgs, True, True)
 
         segments: List[Tuple[int, int]] = [(0, num_piv - 1)]
         while True:
-            minis: List[Tuple[int, Hint]] = []
+            msgs = []
             next_segments: List[Tuple[int, int]] = []
             hint_work = 0.0
+            launched = 0
             for i, j in segments:
                 if j - i < 2:
                     continue
                 mid = (i + j) // 2
-                pa = paths.get(piv_pos[i])
-                pb = paths.get(piv_pos[j])
-                hint_work += (len(pa) if pa else 0) + (len(pb) if pb else 0)
-                hint, derived = derive_or_hint(piv_pos[mid], piv_pos[i],
-                                               piv_pos[j])
+                lo, mpos, hi = piv_pos[i], piv_pos[mid], piv_pos[j]
+                pa, pb = paths[lo], paths[hi]
+                hint_work += len(pa) + len(pb)
                 next_segments.append((i, mid))
                 next_segments.append((mid, j))
-                if hint == "done":
-                    settle_derived(piv_pos[mid], derived, record=True,
-                                   keep_ordered=True)
-                    continue
-                if derived:
-                    pre_derived[piv_pos[mid]] = derived
-                if limits:
+                if limits is None:
+                    hint = _lca_hint(pa, pb, 0, nodes_b=pivot_nodes(hi))
+                else:
                     # Full-path recording from an elevated hint would walk
                     # horizontally across the whole segment (endpoints are
                     # far apart in early phases); the root start is
                     # cheaper -- its upper descent is local on a replica
-                    # -- and the shared-predecessor contention case was
-                    # already settled by the squeeze derivation above.
+                    # -- and the shared-predecessor contention case is
+                    # settled by the squeeze derivation.
                     hint = None
-                minis.append((piv_pos[mid], hint))
-            cpu.charge_wd(WorkDepth(hint_work + len(minis) + 1,
-                                    max(1.0, math.log2(len(minis) + 2)) + 8))
-            if not minis and not any(j - i >= 2 for i, j in next_segments):
+                    derived = squeeze(h_cap, lo, hi) if h_cap else {}
+                    if 0 in derived:
+                        settle(mpos, derived, True, True)
+                        continue
+                    if derived:
+                        pre_derived[mpos] = derived
+                launch(msgs, mpos, hint, True, True)
+                launched += 1
+            cpu.charge_wd(WorkDepth(hint_work + launched + 1,
+                                    max(1.0, math.log2(launched + 2)) + 8))
+            if not launched and not any(j - i >= 2 for i, j in next_segments):
                 break
-            yield from execute(minis, record=True, keep_ordered=True)
+            yield from stage(msgs, True, True)
             segments = next_segments
             if not segments:
                 break
 
         # ---- Stage 2: everything else, with pivot-path hints ------------
-        rest: List[Tuple[int, Hint]] = []
+        # One pass per segment derives the hint and builds the messages.
+        # Every op is charged for scanning both bounding paths, whether
+        # or not the host shares the scan across the segment.
+        msgs = []
+        madd = msgs.append
         hint_work = 0.0
-        if not limits:
-            # Record-free searches: the hint depends only on the two
-            # bounding pivot paths (``derive_or_hint`` degenerates to a
-            # bare ``_lca_hint``), so every op inside a segment shares
-            # one hint.  Derive it once per segment -- B/log P hint
-            # computations instead of B.  The charged hint work is
-            # unchanged: each op still pays for scanning both paths.
-            for a in range(num_piv - 1):
-                lo, hi = piv_pos[a], piv_pos[a + 1]
-                if hi - lo < 2:
-                    continue
-                pa = paths.get(lo)
-                pb = paths.get(hi)
-                seg_work = (len(pa) if pa else 0) + (len(pb) if pb else 0)
-                seg_hint = _lca_hint(pa, pb, 0, ids_b=pivot_ids(hi))
-                for pos in range(lo + 1, hi):
-                    hint_work += seg_work
-                    rest.append((pos, seg_hint))
-        else:
-            for pos in range(b):
-                if pos in piv_set:
-                    continue
-                a = bisect.bisect_right(piv_pos, pos) - 1
-                c = min(a + 1, num_piv - 1)
-                pa = paths.get(piv_pos[a])
-                pb = paths.get(piv_pos[c])
-                hint_work += (len(pa) if pa else 0) + (len(pb) if pb else 0)
-                hint, derived = derive_or_hint(pos, piv_pos[a], piv_pos[c])
-                if hint == "done":
-                    settle_derived(pos, derived, record=record_all,
-                                   keep_ordered=False)
-                    continue
-                if derived:
-                    pre_derived[pos] = derived
-                if min_lvl(pos) > 0:
+        rest = 0
+        record = self.record_all
+        for a in range(num_piv - 1):
+            lo, hi = piv_pos[a], piv_pos[a + 1]
+            if hi - lo < 2:
+                continue
+            pa, pb = paths[lo], paths[hi]
+            seg_work = len(pa) + len(pb)
+            if limits is None:
+                # Record-free searches: the hint depends only on the two
+                # bounding pivot paths, so the segment shares one, and
+                # its messages are built here (``search_message``
+                # inlined: this loop launches most of the batch).
+                hint_work += seg_work * (hi - lo - 1)
+                rest += hi - lo - 1
+                hint = _lca_hint(pa, pb, 0, nodes_b=pivot_nodes(hi))
+                if hint is None:
+                    fn = sl.fn_search_entry
+                    for pos in range(lo + 1, hi):
+                        madd((machine.random_module(), fn,
+                              (skeys[pos], pos, False), None))
+                elif hint[0] == "leaf":
+                    _, leaf, right = hint
+                    for pos in range(lo + 1, hi):
+                        pred[pos], pred_right[pos] = leaf, right
+                else:
+                    start = hint[1]
+                    owner = start.owner
+                    fn = sl.fn_search_step
+                    for pos in range(lo + 1, hi):
+                        madd((owner if owner != UPPER
+                              else machine.random_module(), fn,
+                              (start, skeys[pos], pos, False), None))
+                continue
+            for pos in range(lo + 1, hi):
+                hint_work += seg_work
+                lvl_limit = min(limits[pos], h_cap)
+                if lvl_limit == 0:
+                    hint = _lca_hint(pa, pb, 0, nodes_b=pivot_nodes(hi))
+                else:
                     # Underived level-constrained search: start from the
                     # root.  The upper descent is local (replicated), and
                     # an elevated per-segment hint can force a long
@@ -423,21 +435,34 @@ class _BatchSearchOp(BatchOp):
                     # case never reaches here (the squeeze derivation
                     # settles it).
                     hint = None
-                rest.append((pos, hint))
+                    derived = squeeze(lvl_limit, lo, hi)
+                    if 0 in derived:
+                        settle(pos, derived, record, False)
+                        continue
+                    if derived:
+                        pre_derived[pos] = derived
+                launch(msgs, pos, hint, record, False)
+                rest += 1
         if rest:
-            cpu.charge_wd(WorkDepth(hint_work + len(rest),
-                                    max(1.0, math.log2(len(rest) + 1)) + 8))
-            yield from execute(rest, record=record_all, keep_ordered=False)
+            cpu.charge_wd(WorkDepth(hint_work + rest,
+                                    max(1.0, math.log2(rest + 1)) + 8))
+            yield from stage(msgs, record, False)
 
         cpu.free(retained_words)
-
-        # Map back to the caller's order: order[pos] is the original index
-        # of the operation at sorted position pos.
-        results: List[Optional[SearchOutcome]] = [None] * b
-        for pos in range(b):
-            results[order[pos]] = outcomes[pos]
+        # Mapping back to the caller's order (``order[pos]`` is the
+        # original index of the op at sorted position ``pos``) is the
+        # consumer's loop; its cost is charged here.
         cpu.charge(b, max(1.0, math.log2(b)))
-        return results  # type: ignore[return-value]
+        return order, pred, pred_right, by_level
+
+
+def _search_columns(sl: SkipListStructure, keys: Sequence[Hashable],
+                    record_all: bool = False,
+                    record_levels: Optional[Sequence[int]] = None):
+    """Run the two-stage search; ``(order, pred, pred_right, by_level)``
+    by sorted position (see :class:`_BatchSearchOp`)."""
+    return run_batch(sl.machine,
+                     _BatchSearchOp(sl, keys, record_all, record_levels))
 
 
 def batch_search(sl: SkipListStructure, keys: Sequence[Hashable],
@@ -454,22 +479,25 @@ def batch_search(sl: SkipListStructure, keys: Sequence[Hashable],
     of each operation, which is what keeps the shared-memory footprint at
     ``Theta(P log^2 P)`` rather than ``Theta(P log^3 P)``.
     """
-    return run_batch(sl.machine,
-                     _BatchSearchOp(sl, keys, record_all, record_levels))
+    order, pred, pred_right, by_level = _search_columns(
+        sl, keys, record_all, record_levels)
+    out: List[Optional[SearchOutcome]] = [None] * len(order)
+    for i, node, right, levels in zip(order, pred, pred_right, by_level):
+        out[i] = SearchOutcome(node, right, levels)
+    return out  # type: ignore[return-value]
 
 
 def batch_successor(sl: SkipListStructure, keys: Sequence[Hashable],
                     ) -> List[Optional[Tuple[Hashable, Any]]]:
     """Successor(k): the smallest (key, value) with key >= k, else None."""
-    out: List[Optional[Tuple[Hashable, Any]]] = []
-    for key, res in zip(keys, batch_search(sl, keys)):
-        pred = res.pred
-        if not pred.is_sentinel and pred.key == key:
-            out.append((pred.key, pred.value))
-        elif res.pred_right is not None:
-            out.append((res.pred_right.key, res.pred_right.value))
-        else:
-            out.append(None)
+    order, pred, pred_right, _ = _search_columns(sl, keys)
+    out: List[Optional[Tuple[Hashable, Any]]] = [None] * len(order)
+    for i, node, right in zip(order, pred, pred_right):
+        found = node.key
+        if found == keys[i] and found is not NEG_INF:
+            out[i] = (found, node.value)
+        elif right is not None:
+            out[i] = (right.key, right.value)
     sl.machine.cpu.charge(len(keys), 8)
     return out
 
@@ -477,9 +505,10 @@ def batch_successor(sl: SkipListStructure, keys: Sequence[Hashable],
 def batch_predecessor(sl: SkipListStructure, keys: Sequence[Hashable],
                       ) -> List[Optional[Tuple[Hashable, Any]]]:
     """Predecessor(k): the largest (key, value) with key <= k, else None."""
-    out: List[Optional[Tuple[Hashable, Any]]] = []
-    for res in batch_search(sl, keys):
-        pred = res.pred
-        out.append(None if pred.is_sentinel else (pred.key, pred.value))
+    order, pred, _, _ = _search_columns(sl, keys)
+    out: List[Optional[Tuple[Hashable, Any]]] = [None] * len(order)
+    for i, node in zip(order, pred):
+        if node.key is not NEG_INF:
+            out[i] = (node.key, node.value)
     sl.machine.cpu.charge(len(keys), 8)
     return out

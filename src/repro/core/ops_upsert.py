@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.node import Node
@@ -44,7 +45,7 @@ from repro.core.ops_point import update_handlers
 from repro.core.ops_successor import batch_search
 from repro.core.ops_write import ACK, write_message
 from repro.core.structure import SkipListStructure
-from repro.cpuside.semisort import group_by
+from repro.cpuside.semisort import dedup_last
 from repro.cpuside.sort import parallel_sort
 from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
 from repro.sim.cpu import WorkDepth
@@ -64,33 +65,40 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
 
     # Row bodies: what one task does on ``module``, charging through
     # ``charge`` -- ``ctx.charge`` under the scalar loop, a ``bct.work``
-    # adder in a chunk loop.
+    # adder in a chunk loop.  ``memo`` is scratch shared by the rows of
+    # one handler call (one round; the structure's upper part does not
+    # change within it).
 
-    def insert_lower(module, node, charge):
+    def insert_lower(module, node, charge, memo):
         sl.account_lower_alloc(node)
         charge(1)
         if node.level == 0:
             sl.local_insert_leaf(module.mid, node, charge)
 
-    def upper_prepare(module, node, charge):
+    def upper_prepare(module, node, charge, memo):
         # Round 1 of upper installation: charge this module's replica
         # storage and -- for new upper leaves -- compute this module's
         # next-leaf pointer *against the old upper part* (nothing is
         # linked yet, so the descent sees a consistent structure).
         # Every replica does its own work here (its own storage, its
-        # own next-leaf slot), so a broadcast runs once per module.
+        # own next-leaf slot), so a broadcast runs once per module; the
+        # descent toward the new leaf's key is the same on each of
+        # them, so it is walked once per node and billed to every one.
         sl.account_upper_alloc_on(module.mid, node)
         charge(1)
         if node.level == sl.h_low:
-            sl.compute_next_leaf(module.mid, node, charge)
+            landing = memo.get(node.nid)
+            if landing is None:
+                landing = memo[node.nid] = sl.upper_descend_steps(node.key)
+            sl.compute_next_leaf(module.mid, node, landing, charge)
 
     def h_insert_lower(ctx, node, tag=None):
-        insert_lower(ctx.module, node, ctx.charge)
+        insert_lower(ctx.module, node, ctx.charge, {})
         ctx.touch(node.nid)
         ctx.reply(ACK, tag=tag)
 
     def h_upper_prepare(ctx, node, tag=None):
-        upper_prepare(ctx.module, node, ctx.charge)
+        upper_prepare(ctx.module, node, ctx.charge, {})
         ctx.reply(ACK, tag=tag)
 
     def ack_batch(body):
@@ -104,13 +112,14 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
             sent = bct.sent
             rep_append = bct.replies.append
             mid = 0
+            memo: dict = {}
 
             def charge(w):  # reads ``mid`` when called: the row's module
                 work[mid] += w
 
             for ch in chunks:
                 for mid, (node,), tag, _size in bct.rows_of(ch):
-                    body(modules[mid], node, charge)
+                    body(modules[mid], node, charge, memo)
                     sent[mid] += 1
                     rep_append(Reply(ACK, tag, mid))
         return batch
@@ -150,25 +159,34 @@ class _Tower:
     nodes: List[Node]  # levels 0..height
 
 
-def _build_tower(sl: SkipListStructure, key: Hashable, value: Any,
-                 height: int) -> _Tower:
-    """Create a tower's nodes with vertical pointers and leaf metadata."""
-    nodes: List[Node] = []
-    below: Optional[Node] = None
-    for lvl in range(height + 1):
-        if sl.is_upper_level(lvl):
-            node = sl.make_upper_node(key, lvl)
-        else:
-            node = sl.make_lower_node(key, lvl, value if lvl == 0 else None)
-        if below is not None:
-            below.up = node
-            node.down = below
-        nodes.append(node)
-        below = node
-    leaf = nodes[0]
-    leaf.up_chain = [n for n in nodes[1:] if not sl.is_upper_level(n.level)]
-    leaf.has_upper = height >= sl.h_low
-    return _Tower(key=key, height=height, nodes=nodes)
+def _build_towers(sl: SkipListStructure,
+                  items: Sequence[Tuple[Hashable, Any]],
+                  heights: Sequence[int]) -> List[_Tower]:
+    """Create each item's tower: nodes with vertical pointers and leaf
+    metadata, the lower-part nodes placed one level of the batch at a
+    time."""
+    h_low = sl.h_low
+    owners = sl.lower_owners([k for k, _ in items], heights)
+    towers: List[_Tower] = []
+    for (key, value), height in zip(items, heights):
+        nodes: List[Node] = []
+        below: Optional[Node] = None
+        for lvl in range(height + 1):
+            if lvl >= h_low:
+                node = sl.make_upper_node(key, lvl)
+            else:
+                node = Node(key, lvl, next(owners[lvl]),
+                            value if lvl == 0 else None)
+            if below is not None:
+                below.up = node
+                node.down = below
+            nodes.append(node)
+            below = node
+        leaf = nodes[0]
+        leaf.up_chain = nodes[1:h_low]
+        leaf.has_upper = height >= h_low
+        towers.append(_Tower(key=key, height=height, nodes=nodes))
+    return towers
 
 
 class _BatchUpsertOp(BatchOp):
@@ -192,15 +210,10 @@ class _BatchUpsertOp(BatchOp):
         cpu.alloc(shared_words)
         try:
             # -- phase A: deduplicate, try Update via the hash shortcut --
-            groups = group_by(cpu, list(pairs), key=lambda kv: kv[0])
-            wanted: Dict[Hashable, Any] = {
-                k: occ[-1][1] for k, occ in groups.items()
-            }
-            cpu.charge(len(groups), max(1.0, math.log2(len(groups) + 1)))
-            fn_try_update = f"{sl.name}:ups_try_update"
-            replies = yield (
-                (sl.leaf_owner(key), fn_try_update, (key, value), None)
-                for key, value in wanted.items())
+            wanted = dedup_last(cpu, pairs)
+            cpu.charge(len(wanted), max(1.0, math.log2(len(wanted) + 1)))
+            replies = yield sl.shortcut_stage(
+                f"{sl.name}:ups_try_update", list(wanted), wanted.items())
             found = {r.payload[0] for r in replies if r.payload[1]}
             missing = [(k, v) for k, v in wanted.items() if k not in found]
             updated = len(wanted) - len(missing)
@@ -208,12 +221,9 @@ class _BatchUpsertOp(BatchOp):
                 return UpsertStats(updated=updated, inserted=0)
 
             # -- phase B: sort, draw heights, build towers ----------------
-            missing = parallel_sort(cpu, missing, key=lambda kv: kv[0])
+            missing = parallel_sort(cpu, missing, key=itemgetter(0))
             heights = [sl.draw_height() for _ in missing]
-            towers = [
-                _build_tower(sl, k, v, h)
-                for (k, v), h in zip(missing, heights)
-            ]
+            towers = _build_towers(sl, missing, heights)
             tower_words = sum(t.height + 1 for t in towers)
             cpu.alloc(tower_words)
             shared_words += tower_words

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from repro.balls.hashing import KeyLevelHash, stable_hash
 from repro.core.hash_table import CuckooHashTable
@@ -139,6 +140,27 @@ class SkipListStructure:
     def leaf_owner(self, key: Hashable) -> int:
         """Module owning ``key``'s leaf (the Get/Update shortcut target)."""
         return self.owner_of(key, 0)
+
+    def shortcut_stage(self, fn: str, keys: Sequence[Hashable],
+                       args: Iterable[tuple]) -> List[tuple]:
+        """The hash-shortcut stage of a point operation (paper §4.1):
+        one ``fn`` message per key of the batch, with that key's
+        ``args``, sent to the module owning the key's leaf -- the whole
+        batch placed in one call."""
+        return [(owner, fn, a, None) for owner, a
+                in zip(self.hash.module_of_many(keys), args)]
+
+    def lower_owners(self, keys: Sequence[Hashable],
+                     heights: Sequence[int]) -> List[Iterator[int]]:
+        """Placement of a batch of towers' lower-part nodes, one hash
+        call per level: element ``lvl`` iterates, in tower order, over
+        the owners of the level-``lvl`` nodes of the towers that reach
+        that level."""
+        owners = [iter(self.hash.module_of_many(keys, 0))]
+        for lvl in range(1, min(self.h_low, max(heights, default=0) + 1)):
+            owners.append(iter(self.hash.module_of_many(
+                [k for k, h in zip(keys, heights) if h >= lvl], lvl)))
+        return owners
 
     def draw_height(self) -> int:
         """Tower top level: geometric(1/2), so the tower spans 0..height."""
@@ -407,13 +429,19 @@ class SkipListStructure:
         u = self.upper_descend(leaf.key, charge)
         self._repair_next_leaf(u, mid, pred, leaf, succ, charge)
 
-    def compute_next_leaf(self, mid: int, upper_leaf: Node, charge: Charge) -> None:
+    def compute_next_leaf(self, mid: int, upper_leaf: Node,
+                          landing: Tuple[Node, int], charge: Charge) -> None:
         """Set a *new* upper leaf's next-leaf pointer for module ``mid``:
-        the first local leaf with key >= the upper leaf's key."""
-        _, succ = self.local_position(mid, upper_leaf.key, charge)
-        # local_position's succ is the first local leaf >= key; but a
-        # leaf with key exactly equal belongs to next_leaf as well, and
-        # local_position treats `key <= cur.key` as succ -- correct.
+        the first local leaf with key >= the upper leaf's key.
+
+        ``landing`` is ``upper_descend_steps(upper_leaf.key)``.  The
+        upper part is replicated, so the descent is the same on every
+        module: a caller serving several replicas takes it once and
+        each module is charged its steps here.
+        """
+        u, steps = landing
+        charge(steps)
+        _, succ = self._local_position_from(u, mid, upper_leaf.key, charge)
         upper_leaf.next_leaf[mid] = succ
 
     # ------------------------------------------------------------------
@@ -447,6 +475,7 @@ class SkipListStructure:
                 self.machine.modules[mid].alloc_words(grown * NODE_WORDS)
 
         # Build towers and link all levels horizontally.
+        owners = self.lower_owners([k for k, _ in items], heights)
         level_tail: List[Node] = list(self.sentinels)
         for (key, value), h in zip(items, heights):
             below: Optional[Node] = None
@@ -458,7 +487,8 @@ class SkipListStructure:
                         self.account_upper_alloc_on(mid, node)
                         self.machine.modules[mid].charge(1)
                 else:
-                    node = self.make_lower_node(key, lvl, value if lvl == 0 else None)
+                    node = Node(key, lvl, next(owners[lvl]),
+                                value if lvl == 0 else None)
                     self.account_lower_alloc(node)
                     self.machine.modules[node.owner].charge(1)
                 tail = level_tail[lvl]

@@ -19,6 +19,23 @@ Each primitive *executes* the real computation (sequentially, in Python)
 and *charges* the canonical work/depth of the parallel algorithm to the
 machine's CPU-side accountant -- the same separation the paper's analysis
 uses (real results, model costs).
+
+Because the charge is a formula of ``n`` alone, how the host computes
+the result is free to change.  The batch routes use the *index-stable*
+forms, which do a generic primitive's work without a Python call per
+key and charge exactly what it charges:
+
+- :func:`sort_positions` -- the positions ``0..n-1`` ordered by their
+  keys, ties by position: ``parallel_sort`` of ``range(n)`` keyed by
+  ``(keys[i], i)``;
+- :func:`group_positions` -- the positions of each distinct key, keys in
+  first-occurrence order: ``group_by`` of ``range(n)`` keyed by
+  ``keys[i]``;
+- :func:`dedup_last` -- ``(key, value)`` pairs deduplicated, the last
+  value winning: the last member of each ``group_by`` group.
+
+The generic forms stay as the reference the property tests compare them
+with (``tests/test_cpuside.py``).
 """
 
 from repro.cpuside.list_contraction import ContractionList, splice_out_marked
@@ -30,13 +47,21 @@ from repro.cpuside.primitives import (
     pscan_exclusive,
     ppack,
 )
-from repro.cpuside.semisort import dedup, group_by, semisort
-from repro.cpuside.sort import merge_sorted, parallel_sort
+from repro.cpuside.semisort import (
+    dedup,
+    dedup_last,
+    group_by,
+    group_positions,
+    semisort,
+)
+from repro.cpuside.sort import merge_sorted, parallel_sort, sort_positions
 
 __all__ = [
     "ContractionList",
     "dedup",
+    "dedup_last",
     "group_by",
+    "group_positions",
     "merge_sorted",
     "parallel_sort",
     "pfilter",
@@ -46,5 +71,6 @@ __all__ = [
     "preduce",
     "pscan_exclusive",
     "semisort",
+    "sort_positions",
     "splice_out_marked",
 ]

@@ -52,6 +52,38 @@ def group_by(cpu: CPUSide, items: Sequence[T],
     return out
 
 
+def group_positions(cpu: CPUSide, keys: Sequence[Hashable],
+                    ) -> "Dict[Hashable, List[int]]":
+    """The positions of each distinct key of ``keys``: ``group_by(cpu,
+    range(n), key=lambda i: keys[i])`` without a Python call per key.
+
+    Same charge, same first-occurrence key order, positions ascending
+    within a group.
+    """
+    out: Dict[Hashable, List[int]] = {}
+    setdefault = out.setdefault
+    for i, k in enumerate(keys):
+        setdefault(k, []).append(i)
+    n = len(keys)
+    if n:
+        cpu.charge_wd(WorkDepth(2 * n, _log2(n)))
+    return out
+
+
+def dedup_last(cpu: CPUSide, pairs: Sequence[Tuple[Hashable, T]],
+               ) -> "Dict[Hashable, T]":
+    """Deduplicate ``(key, value)`` pairs, the last value of a key
+    winning: ``{k: occ[-1][1] for k, occ in group_by(cpu, pairs, key=
+    first).items()}`` as one ``dict`` call.  Same charge, same
+    first-occurrence key order (and the first occurrence's key object).
+    """
+    out = dict(pairs)
+    n = len(pairs)
+    if n:
+        cpu.charge_wd(WorkDepth(2 * n, _log2(n)))
+    return out
+
+
 def dedup(cpu: CPUSide, items: Sequence[T],
           key: Callable[[T], Hashable]) -> Tuple[List[T], Dict[Hashable, List[T]]]:
     """Deduplicate a batch by ``key``.

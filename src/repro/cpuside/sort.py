@@ -7,6 +7,9 @@ the ``O(P log^3 P)`` expected work / ``O(log P)`` whp depth the Successor
 analysis quotes.
 
 The simulator executes Python's Timsort and charges the sample-sort cost.
+The charge is a formula of ``n`` alone, so how the host orders the batch
+is free to change: :func:`sort_positions` sorts a batch's *positions*
+by its keys with no per-key Python call.
 """
 
 from __future__ import annotations
@@ -29,6 +32,21 @@ def parallel_sort(cpu: CPUSide, items: Sequence[T],
     """Sort ``items``: ``O(n log n)`` expected work, ``O(log n)`` whp depth."""
     out = sorted(items, key=key, reverse=reverse)
     n = len(items)
+    if n:
+        cpu.charge_wd(WorkDepth(n * _log2(n), _log2(n)))
+    return out
+
+
+def sort_positions(cpu: CPUSide, keys: Sequence[Any]) -> List[int]:
+    """The positions ``0..n-1`` ordered by ``keys``, equal keys by position.
+
+    The index-stable form of ``parallel_sort(cpu, range(n), key=lambda i:
+    (keys[i], i))``, same charge: the sort is stable over ascending
+    positions, so ties need no tuple key, and ``keys.__getitem__`` is the
+    key function, so no Python frame runs per key.
+    """
+    n = len(keys)
+    out = sorted(range(n), key=keys.__getitem__)
     if n:
         cpu.charge_wd(WorkDepth(n * _log2(n), _log2(n)))
     return out

@@ -35,7 +35,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 
 from repro.balls.hashing import KeyLevelHash
 from repro.core.skiplist import PIMSkipList
-from repro.cpuside.semisort import group_by
+from repro.cpuside.semisort import group_positions
 from repro.ops import BatchOp, run_batch
 from repro.sim.machine import PIMMachine
 
@@ -298,8 +298,7 @@ class _LSMGetOp(_LSMOp):
 
     def route(self, machine, plan):
         lsm, keys = self.lsm, self.keys
-        groups = group_by(machine.cpu, list(range(len(keys))),
-                          key=lambda i: keys[i])
+        groups = group_positions(machine.cpu, keys)
         out: List[Optional[Any]] = [None] * len(keys)
         delta_vals = lsm.delta.batch_get(list(groups))
         delta_hit: Dict[Hashable, Any] = {}

@@ -53,7 +53,7 @@ import math
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.balls.hashing import KeyLevelHash, stable_hash
-from repro.cpuside.semisort import group_by
+from repro.cpuside.semisort import group_positions
 from repro.ops import BatchOp, Broadcast, run_batch
 from repro.sim.machine import PIMMachine
 from repro.sim.task import Reply
@@ -713,8 +713,7 @@ class _PTGetOp(_PTOp):
 
     def route(self, machine, plan):
         tree, keys = self.tree, self.keys
-        groups = group_by(machine.cpu, list(range(len(keys))),
-                          key=lambda i: keys[i])
+        groups = group_positions(machine.cpu, keys)
         out: List[Optional[Any]] = [None] * len(keys)
         if tree.first_leaf is None:
             return out
@@ -774,8 +773,7 @@ class _PTSuccessorOp(_PTOp):
 
     def route(self, machine, plan):
         tree, keys = self.tree, self.keys
-        groups = group_by(machine.cpu, list(range(len(keys))),
-                          key=lambda i: keys[i])
+        groups = group_positions(machine.cpu, keys)
         out: List[Optional[Tuple[Hashable, Any]]] = [None] * len(keys)
         if tree.first_leaf is None:
             return out
@@ -944,7 +942,7 @@ class _PTDeleteOp(_PTOp):
 
     def route(self, machine, plan):
         tree = self.tree
-        groups = group_by(machine.cpu, list(self.keys), key=lambda k: k)
+        groups = group_positions(machine.cpu, self.keys)
         if not groups or tree.first_leaf is None:
             return None
         name = tree.name

@@ -17,6 +17,7 @@ import random
 from typing import Tuple
 
 import pytest
+from hypothesis import settings
 
 from repro import PIMMachine, PIMSkipList
 from repro.sim.machine import ReferencePIMMachine
@@ -30,6 +31,10 @@ ReferenceMap = SequentialOracle
 #: baselines (and the parametrized test ids) already use: the per-task
 #: reference oracle, and the engine.
 ENGINES = {"object": ReferencePIMMachine, "columnar": PIMMachine}
+
+#: The one Hypothesis profile of the property tests that tier-1 and CI
+#: must run identically: the examples are the same on every run.
+DETERMINISTIC = settings(max_examples=80, deadline=None, derandomize=True)
 
 #: Default master seed; override with REPRO_TEST_SEED=<int>.
 DEFAULT_TEST_SEED = 123

@@ -3,10 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cpuside import (
     dedup,
+    dedup_last,
     group_by,
+    group_positions,
     merge_sorted,
     parallel_sort,
     pfilter,
@@ -16,9 +19,11 @@ from repro.cpuside import (
     preduce,
     pscan_exclusive,
     semisort,
+    sort_positions,
 )
 from repro.sim.cpu import CPUSide
 from repro.sim.metrics import Metrics
+from tests.conftest import DETERMINISTIC
 
 
 @pytest.fixture
@@ -112,3 +117,57 @@ class TestSemisort:
         # 2n for grouping (+ scatter already included)
         assert cpu.metrics.cpu_work == pytest.approx(2 * 64)
         assert cpu.metrics.cpu_depth == pytest.approx(6)
+
+
+# -- the index-stable forms equal the generic ones ----------------------------
+#
+# ``sort_positions``, ``group_positions`` and ``dedup_last`` do the work
+# of a generic primitive called with a per-key lambda, without the
+# lambda; the generic spelling is the reference: same result, same
+# charge, on batches with ties, all-equal and all-distinct keys.
+
+_BATCH = st.one_of(
+    st.lists(st.integers(-5, 5), max_size=40),               # many ties
+    st.lists(st.integers(), max_size=40, unique=True),       # all distinct
+    st.lists(st.just(7), max_size=12),                       # all equal
+    st.lists(st.text(max_size=2), max_size=20),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=20),
+)
+
+
+def _charged(fn, *args, **kwargs):
+    side = CPUSide(Metrics(num_modules=4), shared_memory_words=1000)
+    out = fn(side, *args, **kwargs)
+    return out, side.metrics.cpu_work, side.metrics.cpu_depth
+
+
+@DETERMINISTIC
+@given(_BATCH)
+def test_sort_positions_equals_the_tuple_keyed_sort(keys):
+    want = _charged(parallel_sort, list(range(len(keys))),
+                    key=lambda i: (keys[i], i))
+    assert _charged(sort_positions, keys) == want
+    assert _charged(sort_positions, tuple(keys)) == want
+    order = want[0]
+    assert all((keys[a], a) < (keys[b], b) for a, b in zip(order, order[1:]))
+
+
+@DETERMINISTIC
+@given(_BATCH)
+def test_group_positions_equals_group_by_over_positions(keys):
+    want = _charged(group_by, list(range(len(keys))), key=lambda i: keys[i])
+    got = _charged(group_positions, keys)
+    assert got == want
+    assert list(got[0]) == list(want[0])        # first-occurrence order
+    assert sorted(i for g in got[0].values() for i in g) == list(
+        range(len(keys)))
+
+
+@DETERMINISTIC
+@given(_BATCH, st.data())
+def test_dedup_last_equals_the_last_of_each_group(keys, data):
+    pairs = [(k, data.draw(st.integers(0, 9))) for k in keys]
+    groups, work, depth = _charged(group_by, pairs, key=lambda kv: kv[0])
+    got = _charged(dedup_last, pairs)
+    assert got == ({k: occ[-1][1] for k, occ in groups.items()}, work, depth)
+    assert list(got[0]) == list(groups)

@@ -16,7 +16,7 @@ import pytest
 
 from repro import PIMSkipList
 from repro.core.node import Node
-from repro.core.ops_upsert import _build_tower
+from repro.core.ops_upsert import _build_towers
 from repro.core.ops_write import write_message
 from repro.ops.pipeline import _issue
 from repro.sim.fastpath import BCAST, ROWS
@@ -202,8 +202,9 @@ class TestUpsertInstall:
         new_keys = [k * STRIDE + 7 for k in (5, 60, 61, 120)]
         for sl in pair:
             s = sl.struct
-            towers = [_build_tower(s, k, -k, s.h_low + (i % 2))
-                      for i, k in enumerate(new_keys)]
+            towers = _build_towers(
+                s, [(k, -k) for k in new_keys],
+                [s.h_low + (i % 2) for i in range(len(new_keys))])
             nodes = [n for t in towers for n in t.nodes]
             sl.machine.send_all(
                 (n.owner, f"{s.name}:ups_insert_lower", (n,), None)

@@ -3,11 +3,14 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.balls.hashing import KeyLevelHash, mix64, stable_hash
+from repro.balls.hashing import (VECTOR_CROSSOVER, KeyLevelHash, mix64,
+                                 stable_hash)
 from repro.core.hash_table import CuckooHashTable
 from repro.core.structure import MAX_HEIGHT
+from tests.conftest import DETERMINISTIC
 
 
 class TestMix64:
@@ -36,6 +39,24 @@ class TestStableHash:
 
     def test_tuple_keys(self):
         assert stable_hash((1, "a"), seed=0) == stable_hash((1, "a"), seed=0)
+
+    @pytest.mark.parametrize("twin", [
+        np.int64(42), np.int8(-42), np.uint64(2**63 + 1), 42.0, -42.0,
+        np.float64(42.0), float(2**70)])
+    def test_a_key_equal_to_an_int_hashes_as_that_int(self, twin):
+        as_int = int(twin)
+        assert twin == as_int and hash(twin) == hash(as_int)
+        assert stable_hash(twin, seed=7) == stable_hash(as_int, seed=7)
+
+    def test_non_integral_floats_keep_their_repr_hash(self):
+        assert stable_hash(42.5, seed=7) != stable_hash(42, seed=7)
+        for x in (float("inf"), float("nan"), 1e-3):
+            assert stable_hash(x, seed=1) == stable_hash(x, seed=1)
+
+    def test_numpy_bool_is_not_an_int(self):
+        # numpy's bool is not Integral: it keeps its repr hash, like
+        # ``True`` keeps its disambiguated one.
+        assert stable_hash(np.bool_(True), seed=0) != stable_hash(1, seed=0)
 
 
 class TestKeyLevelHash:
@@ -120,6 +141,82 @@ def test_cuckoo_slots_equal_unfused_reference(key, seed):
     t._rebuild(t._capacity * 2)  # reseeds: the folded mixes must follow
     assert (t._seed1, t._seed2) != old_seeds
     assert (t._h1(key), t._h2(key)) == _ref_slots(t, key)
+
+
+# -- the batch placement equals the scalar loop ------------------------------
+#
+# ``module_of_many`` takes the fold as uint64 numpy arithmetic for plain
+# ints inside int64 (and integer ndarrays) from ``VECTOR_CROSSOVER`` keys
+# up, and is the scalar loop for everything else.  One placement: the
+# scalar ``module_of`` is the reference, for every key type and width.
+
+_INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
+_exotic = st.one_of(
+    st.integers(min_value=2**63, max_value=2**70),    # past int64
+    st.integers(min_value=-2**70, max_value=-2**63 - 1),
+    st.booleans(),
+    st.text(max_size=4),
+    st.tuples(st.integers(), st.text(max_size=2)),
+    st.floats(allow_nan=False),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+)
+# Widths on both sides of the crossover, the empty batch included.
+_WIDTH = st.sampled_from(
+    [0, 1, VECTOR_CROSSOVER - 1, VECTOR_CROSSOVER, VECTOR_CROSSOVER + 1,
+     3 * VECTOR_CROSSOVER])
+
+
+def _scalar(h, keys, level):
+    return [h.module_of(k, level) for k in keys]
+
+
+@DETERMINISTIC
+@given(data=st.data(), width=_WIDTH,
+       seed=st.integers(0, 2**32 - 1), modules=st.integers(1, 257),
+       level=st.integers(0, MAX_HEIGHT))
+def test_module_of_many_equals_the_scalar_loop(data, width, seed, modules,
+                                               level):
+    h = KeyLevelHash(modules, seed=seed)
+    plain = data.draw(st.lists(_INT64, min_size=width, max_size=width))
+    assert h.module_of_many(plain, level) == _scalar(h, plain, level)
+    assert h.module_of_many(tuple(plain), level) == _scalar(h, plain, level)
+    # One exotic key anywhere sends the whole batch down the scalar loop.
+    mixed = list(plain)
+    for key in data.draw(st.lists(_exotic, min_size=1, max_size=3)):
+        mixed.insert(data.draw(st.integers(0, len(mixed))), key)
+    assert h.module_of_many(mixed, level) == _scalar(h, mixed, level)
+
+
+@DETERMINISTIC
+@given(data=st.data(), width=_WIDTH, seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64,
+                              np.uint8, np.uint32, np.uint64, np.bool_,
+                              np.float64]))
+def test_module_of_many_on_ndarrays(data, width, seed, dtype):
+    h = KeyLevelHash(64, seed=seed)
+    if dtype is np.float64:
+        elems = st.floats(-1e6, 1e6).map(
+            lambda x: round(x) if abs(x) < 10 else x)
+    elif dtype is np.bool_:
+        elems = st.booleans()
+    else:
+        info = np.iinfo(dtype)
+        elems = st.integers(int(info.min), int(info.max))
+    arr = np.array(data.draw(st.lists(elems, min_size=width,
+                                      max_size=width)), dtype=dtype)
+    for level in (0, 1, MAX_HEIGHT):
+        # The array's elements place as the Python values they equal
+        # (``True`` excepted: a bool array places as bools).
+        assert h.module_of_many(arr, level) == _scalar(h, arr.tolist(), level)
+
+
+def test_module_of_many_every_level_at_bench_width():
+    h = KeyLevelHash(64, seed=20)
+    rng = random.Random(20)
+    keys = [rng.randrange(-2**40, 2**40) for _ in range(2304)]
+    for level in range(MAX_HEIGHT + 1):
+        assert h.module_of_many(keys, level) == _scalar(h, keys, level)
 
 
 def test_bool_keys_do_not_take_the_int_path():

@@ -2,14 +2,18 @@
 
 The model's keys are abstract ordered values; placement uses the
 process-stable blake2b fallback for non-integer keys, so strings, floats
-and tuples all work -- deterministically across runs.
+and tuples all work -- deterministically across runs -- and a key that
+equals an int (a numpy integer, an integer-valued float) is placed as
+that int.
 """
 
+import asyncio
 import random
 
-import pytest
+import numpy as np
 
 from repro import PIMMachine, PIMSkipList
+from repro.serve import Server, ServerConfig
 
 
 def build(items, p=8, seed=70):
@@ -75,4 +79,84 @@ class TestTupleKeys:
         assert [k for k, _ in r[0].values] == [(2, i) for i in range(4)]
         sl.batch_upsert([((2, 9), 29)])
         assert sl.successor((2, 4)) == ((2, 9), 29)
+        sl.check_integrity()
+
+
+class TestKeysEqualToAnInt:
+    """A key that is ``==`` and hash-equal to a stored Python int --
+    a numpy integer, an integer-valued float -- shares its dict slot in
+    every CPU-side grouping, so it must share its placement too.  At
+    PR 19 it was placed by blake2b of its ``repr``: point reads missed
+    stored keys and an upsert inserted a second copy."""
+
+    STORED = [(k, k * 10) for k in range(0, 200, 2)]
+
+    def test_integer_ndarray_get(self):
+        _, sl = build(self.STORED)
+        assert sl.batch_get(np.arange(8, 14)) == [80, None, 100, None,
+                                                  120, None]
+        assert sl.batch_contains(np.arange(8, 12)) == [True, False,
+                                                       True, False]
+
+    def test_numpy_scalar_and_its_int_twin_in_one_batch(self):
+        _, sl = build(self.STORED)
+        assert sl.batch_get([np.int64(10), 10]) == [100, 100]
+        assert sl.batch_get([10, np.int64(10)]) == [100, 100]
+        assert sl.get(np.int32(10)) == 100
+
+    def test_integer_valued_float_get(self):
+        _, sl = build(self.STORED)
+        assert sl.batch_get([10.0, 10.5, np.float64(12.0)]) == [100, None,
+                                                                120]
+
+    def test_numpy_upsert_takes_the_update_shortcut(self):
+        _, sl = build(self.STORED)
+        stats = sl.batch_upsert([(np.int64(10), -1)])
+        assert (stats.updated, stats.inserted) == (1, 0)
+        assert sl.size == len(self.STORED)
+        sl.check_integrity()
+        assert sl.batch_get([10]) == [-1]
+        assert sl.batch_update([(np.int64(12), -2), (14.0, -3)]) == 2
+        assert sl.batch_get([12, 14]) == [-2, -3]
+
+    def test_numpy_delete_finds_the_stored_int(self):
+        _, sl = build(self.STORED)
+        stats = sl.batch_delete([np.int64(10), 12.0, np.int64(11)])
+        assert (stats.deleted, stats.not_found) == (2, 1)
+        sl.check_integrity()
+        assert sl.batch_get([10, 12]) == [None, None]
+
+    def test_successor_was_always_right(self):
+        # The walk compares keys; it never depended on placement.
+        _, sl = build(self.STORED)
+        assert sl.batch_successor([np.int64(10), np.int64(11)]) == [
+            (10, 100), (12, 120)]
+
+    def test_a_numpy_key_inserted_fresh_is_found_as_an_int(self):
+        _, sl = build(self.STORED)
+        sl.batch_upsert([(np.int64(11), "new")])
+        sl.check_integrity()
+        assert sl.batch_get([11, np.int64(11), 11.0]) == ["new"] * 3
+
+    def test_through_the_server(self):
+        def standby():
+            return PIMSkipList(PIMMachine(num_modules=8, seed=70))
+
+        async def scenario():
+            sl = standby()
+            sl.build(self.STORED)
+            server = Server(sl, standby, ServerConfig())
+            await server.start()
+            got = await server.submit("t", "get", [np.int64(10), 10, 12.0])
+            await server.submit("t", "upsert", [(np.int64(10), -1)])
+            after = await server.submit("t", "get", [10, np.int64(11)])
+            succ = await server.submit("t", "successor", [np.int64(11)])
+            await server.stop()
+            return sl, got, after, succ
+
+        sl, got, after, succ = asyncio.run(scenario())
+        assert got == [100, 100, 120]
+        assert after == [-1, None]
+        assert succ == [(12, 120)]
+        assert sl.size == len(self.STORED)
         sl.check_integrity()

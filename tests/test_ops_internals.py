@@ -5,7 +5,7 @@ import pytest
 
 from repro import PIMMachine, PIMSkipList
 from repro.core.node import UPPER
-from repro.core.ops_upsert import _build_tower
+from repro.core.ops_upsert import _build_towers
 from repro.core.ops_write import remote_write
 from tests.conftest import make_skiplist
 
@@ -58,7 +58,7 @@ class TestBuildTower:
     def test_short_tower_all_lower(self):
         machine, sl, _ = make_skiplist(num_modules=16, n=10, seed=54)
         s = sl.struct
-        t = _build_tower(s, key=999, value="v", height=1)
+        t, = _build_towers(s, [(999, "v")], [1])
         assert [n.level for n in t.nodes] == [0, 1]
         assert all(n.owner != UPPER for n in t.nodes)
         leaf = t.nodes[0]
@@ -71,7 +71,7 @@ class TestBuildTower:
     def test_tall_tower_crosses_into_upper_part(self):
         machine, sl, _ = make_skiplist(num_modules=16, n=10, seed=55)
         s = sl.struct  # h_low = 4
-        t = _build_tower(s, key=999, value="v", height=6)
+        t, = _build_towers(s, [(999, "v")], [6])
         lowers = [n for n in t.nodes if n.level < s.h_low]
         uppers = [n for n in t.nodes if n.level >= s.h_low]
         assert len(lowers) == 4 and len(uppers) == 3
@@ -90,7 +90,7 @@ class TestBuildTower:
     def test_owners_follow_the_hash(self):
         machine, sl, _ = make_skiplist(num_modules=8, n=10, seed=56)
         s = sl.struct
-        t = _build_tower(s, key=555, value=None, height=2)
+        t, = _build_towers(s, [(555, None)], [2])
         for n in t.nodes:
             if n.level < s.h_low:
                 assert n.owner == s.owner_of(555, n.level)

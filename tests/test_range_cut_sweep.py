@@ -17,7 +17,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro import PIMMachine, PIMSkipList
 from repro.core.ops_range import (
@@ -26,9 +26,7 @@ from repro.core.ops_range import (
     _require_disjoint,
     batch_range_auto,
 )
-from tests.conftest import ReferenceMap
-
-DETERMINISTIC = settings(max_examples=80, deadline=None, derandomize=True)
+from tests.conftest import DETERMINISTIC, ReferenceMap
 
 KEY = st.integers(0, 40)
 OP = st.tuples(KEY, KEY).map(lambda p: (min(p), max(p)))
