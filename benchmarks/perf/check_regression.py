@@ -11,10 +11,11 @@ one process can measure against itself:
   load, replayed WAL records, the share of tasks run inside batch
   handlers, the boundary searches / roots / messages / rounds of one
   fixed batch of ranges, the CPU-side charges and RNG position after
-  one fixed session.  Deterministic functions of the committed
-  parameters (or of the seeds in :class:`Bench`), equal
-  on every host, so they cannot flake; ``tests/test_perf_gates.py``
-  runs them in tier-1.
+  one fixed session, the messages of one fixed Upsert batch and how
+  many of them are path replies the route drops or write rows.
+  Deterministic functions of the committed parameters (or of the
+  seeds in :class:`Bench`), equal on every host, so they cannot flake;
+  ``tests/test_perf_gates.py`` runs them in tier-1.
 - **in-process ratios**: the engine (``PIMMachine``, label
   ``columnar``) over its per-task reference oracle
   (``ReferencePIMMachine``, label ``object``) on one scenario, and
@@ -25,9 +26,10 @@ one process can measure against itself:
   The serve row is the same kind: 300 scheduler ticks of admission
   and coalescing with 4096 idle tenants known to the controller, over
   the same ticks with none.  So are the CPU-side rows: the vector
-  placement hash over the scalar loop on one batch, and a batch's
+  placement hash over the scalar loop on one batch, a batch's
   CPU side (``apply_batch`` wall minus ``drain`` minus ``send_all``)
-  over its own ``drain``.
+  over its own ``drain``, and one stage of RemoteWrites issued as rows
+  over the same stage issued as columns.
 - two deliberately loose **cross-host bounds** on sub-second durable
   cells (0.25x the committed WAL append rate, 4x the committed RTO):
   they catch "the write path grew an O(n) scan", not scheduler jitter.
@@ -48,6 +50,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import statistics
@@ -65,7 +68,10 @@ from bench_pimtree import (ADVERSARY, CONTESTANTS,  # noqa: E402
                            make_workloads, measure_cell)
 from bench_wallclock import ENGINES, SCENARIOS  # noqa: E402
 from repro.balls.hashing import KeyLevelHash  # noqa: E402
+from repro.core import ops_upsert  # noqa: E402
+from repro.core.ops_write import handlers_for as write_handlers  # noqa: E402
 from repro.core.skiplist import PIMSkipList  # noqa: E402
+from repro.ops import BatchOp, Columns, run_batch  # noqa: E402
 from repro.serve import AdmissionController, Coalescer, Request  # noqa: E402
 from repro.sim.chaos import FaultPlan, FaultSpec  # noqa: E402
 from repro.sim.machine import PIMMachine  # noqa: E402
@@ -291,6 +297,110 @@ class Bench:
                 machine.rng.random())
 
     @memo
+    def upsert_batch(self) -> dict:
+        """One fixed Upsert of 800 fresh keys (``min_search_batch`` at
+        P = 32) into a 32-module, 8 192-key skip list -- one
+        ``batch_write_churn`` batch.  Counts the batch's messages, the
+        ``("path", ...)`` replies of its recording search that sit above
+        what the route keeps of their op (a pivot -- every ``log P``-th
+        sorted position and the last -- keeps its whole lower-part path,
+        any other op the levels up to its tower's height), and the
+        ``write_ptr`` messages that reached ``send_all`` as rows."""
+        machine = PIMMachine(num_modules=32, seed=7)
+        sl = PIMSkipList(machine)
+        sl.build(build_items(8192, stride=2))
+        rng = random.Random(7)
+        fresh = [2 * i + 1
+                 for i in rng.sample(range(8192), sl.min_search_batch)]
+        fn_write = sl.struct.fn_write_ptr
+        seen = {"write_rows": 0, "above": 0}
+        send_all, drain, search = (machine.send_all, machine.drain,
+                                   ops_upsert.batch_search)
+
+        def counting_send_all(messages):
+            messages = list(messages)
+            seen["write_rows"] += sum(m[1] == fn_write for m in messages)
+            send_all(messages)
+
+        def counting_search(struct, keys, record_all, record_levels):
+            h_cap = struct.h_low - 1
+            order = sorted(range(len(keys)), key=lambda i: (keys[i], i))
+            seg_len = int(round(math.log2(struct.num_modules)))
+            pivots = set(range(0, len(keys), seg_len)) | {len(keys) - 1}
+            keeps = [h_cap if pos in pivots
+                     else min(record_levels[i], h_cap)
+                     for pos, i in enumerate(order)]
+
+            def counting_drain(*args, **kwargs):
+                replies = drain(*args, **kwargs)
+                seen["above"] += sum(
+                    r.payload[0] == "path" and r.payload[3] > keeps[r.payload[1]]
+                    for r in replies)
+                return replies
+
+            machine.drain = counting_drain
+            try:
+                return search(struct, keys, record_all=record_all,
+                              record_levels=record_levels)
+            finally:
+                machine.drain = drain
+
+        machine.send_all = counting_send_all
+        ops_upsert.batch_search = counting_search
+        try:
+            before = machine.snapshot()
+            stats = sl.batch_upsert([(k, -k) for k in fresh])
+            messages = machine.delta_since(before).messages
+        finally:
+            ops_upsert.batch_search = search
+        if stats.inserted != len(fresh) or machine.fallback_events:
+            raise AssertionError((stats, machine.fallback_events))
+        return dict(seen, messages=messages)
+
+    @memo
+    def write_stage_speedup(self) -> float:
+        """One route stage of 6 000 RemoteWrites to owned leaves of a
+        32-module, 8 192-key skip list (each rewrites the pointer's
+        value, so the stage repeats), issued and drained as rows and as
+        one ``Columns`` element, alternately: rows wall / columns wall,
+        best of ``3 * repeat`` each."""
+        machine = PIMMachine(num_modules=32, seed=7)
+        sl = PIMSkipList(machine)
+        sl.build(build_items(8192, stride=2))
+        s = sl.struct
+        nodes = list(s.iter_level(0))[:6000]
+        fields = ["right"] * len(nodes)
+        values = [n.right for n in nodes]
+        owners = [n.owner for n in nodes]
+        fn = s.fn_write_ptr
+
+        class Stage(BatchOp):
+            name = "gate:write_stage"
+
+            def __init__(self, stage):
+                self.stage = stage
+
+            def handlers(self):
+                return write_handlers(s)
+
+            def route(self, machine, plan):
+                return len((yield self.stage))
+
+        forms = {
+            "rows": [(o, fn, (n, f, v), None)
+                     for o, n, f, v in zip(owners, nodes, fields, values)],
+            "columns": [Columns(fn, owners, (nodes, fields, values))],
+        }
+        best = dict.fromkeys(forms, float("inf"))
+        for _ in range(3 * self.repeat):
+            for form, stage in forms.items():
+                start = time.perf_counter()
+                if run_batch(machine, Stage(stage)) != len(nodes):
+                    raise AssertionError(f"{form}: an ack is missing")
+                best[form] = min(best[form], time.perf_counter() - start)
+        return best["rows"] / best["columns"]
+
+    @memo
     def wal_append(self) -> dict:
         base = self.baseline("durable")["wal_append"]
         return min((bench_wal_append(base["records"],
@@ -372,6 +482,22 @@ GATES: List[Gate] = [
          lambda b: b.cpu_side_session(), "==",
          (11966.312800138461, 298.67617352573154, 1275,
           0.8849328792636154), EXACT),
+    # -- the write path (PR 21).  A batch's RemoteWrites cross the ops
+    # boundary as columns: none reaches ``send_all`` as a row (6 066 did),
+    # and a 6 000-write stage is issued and drained 1.75-1.9x faster than
+    # its rows (half of that would pass a column path slower than rows,
+    # so the floor is 1.3).  The recording search streams back only the
+    # levels its op keeps: 3 876 of this batch's 7 990 path replies sat
+    # above them and were dropped by the CPU-side fold after the model
+    # had charged them -- the batch was 49 474 messages, not 45 598.
+    Gate("upsert batch: write_ptr rows through send_all",
+         lambda b: b.upsert_batch()["write_rows"], "==", 0, EXACT),
+    Gate("upsert batch: path replies above their op's limit",
+         lambda b: b.upsert_batch()["above"], "==", 0, EXACT),
+    Gate("upsert batch: messages",
+         lambda b: b.upsert_batch()["messages"], "==", 45598, EXACT),
+    Gate("write stage rows / columns, 6000 writes",
+         lambda b: b.write_stage_speedup(), ">=", 1.3),
     # -- batched tree range (core/ops_range.py): the cut-point sweep
     # pays one boundary search, one root and one go per covered piece,
     # so n pairwise-disjoint ops cost n of each (3n under the old

@@ -32,7 +32,7 @@ class _NaiveBatchSearchOp(BatchOp):
 
     def route(self, machine, plan):
         sl, keys = self.sl, self.keys
-        replies = yield [search_message(sl, key, opid=i, record=False)
+        replies = yield [search_message(sl, key, opid=i)
                          for i, key in enumerate(keys)]
         results: List[Optional[Tuple[Any, Any]]] = [None] * len(keys)
         for r in replies:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.node import Node
-from repro.core.ops_write import ACK, write_message
+from repro.core.ops_write import ACK, write_stage
 from repro.core.structure import SkipListStructure
 from repro.cpuside.list_contraction import ContractionList
 from repro.cpuside.semisort import group_positions
@@ -241,7 +241,7 @@ def _splice_lower(sl: SkipListStructure,
                   marked: List[Tuple[Node, Optional[Node], Optional[Node]]],
                   ) -> list:
     """Contract the marked lower nodes out of their horizontal lists and
-    build RemoteWrite messages for only the changed adjacencies."""
+    build the RemoteWrite stage of only the changed adjacencies."""
     cpu = sl.machine.cpu
     by_nid: Dict[int, Node] = {}
     clist = ContractionList()
@@ -269,16 +269,22 @@ def _splice_lower(sl: SkipListStructure,
     logt = max(1.0, math.log2(total + 1))
     cpu.charge_wd(WorkDepth(max(total, stats.work), stats.rounds + logt))
 
-    msgs: list = []
+    nodes: List[Node] = []
+    fields: List[str] = []
+    values: List[Optional[Node]] = []
     writes = 0
     for a_nid, b_nid in links:
         if original_right.get(a_nid, b_nid) == b_nid:
             continue  # adjacency unchanged; no write needed
         a = by_nid[a_nid]
         b = by_nid[b_nid] if b_nid is not None else None
-        msgs.append(write_message(sl, a, "right", b))
+        nodes.append(a)
+        fields.append("right")
+        values.append(b)
         if b is not None:
-            msgs.append(write_message(sl, b, "left", a))
+            nodes.append(b)
+            fields.append("left")
+            values.append(a)
         writes += 1
     cpu.charge_wd(WorkDepth(writes + 1, logt))
-    return msgs
+    return write_stage(sl, nodes, fields, values)

@@ -10,9 +10,13 @@ one message, one round -- realizing the paper's "push each query one node
 further per step" execution; runs of same-module (or replicated sentinel)
 nodes are walked locally.
 
-When ``record`` is set, every visited lower-part node is streamed back to
-shared memory (one constant-size message per node), which is how stage 1
-of the batched Successor saves the pivots' lower-part search paths.
+``record`` is the highest level a search streams back to shared memory:
+every visited lower-part node at or below it costs one constant-size
+message, and ``-1`` records nothing.  Stage 1 of the batched Successor
+saves the pivots' whole lower-part paths this way (``record = h_low -
+1``); a batched Insert's other searches send only the levels their
+operation keeps -- "the last ``l_i`` nodes" of §4.3 -- so nothing is
+streamed that the CPU side would drop.
 """
 
 from __future__ import annotations
@@ -41,17 +45,21 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     def lower_walk(ctx, x, key, opid, record, tag=None):
         hops = 0
         tracing = ctx.tracing
+        # A step right stays on the level, a step down is one level
+        # lower: the level is tracked, not re-read per node.
+        level = x.level
         while True:
             hops += 1
             if tracing:
                 ctx.touch(x.nid)
-            if record:
-                ctx.reply(("path", opid, x, x.level, x.right), size=1)
             r = x.right
+            if level <= record:
+                ctx.reply(("path", opid, x, level, r), size=1)
             if r is not None and r.key <= key:
                 nxt = r
-            elif x.level > 0:
+            elif level > 0:
                 nxt = x.down
+                level -= 1
             else:
                 module = ctx.module
                 module.work += hops
@@ -114,17 +122,18 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         replies = bct.replies
         work = bct.work
         sent = bct.sent
+        level = x.level  # tracked as in ``lower_walk``
         while True:
             hops += 1
-            if record:
-                replies.append(Reply(("path", opid, x, x.level, x.right),
-                                     None, mid))
-                sent[mid] += 1
             r = x.right
+            if level <= record:
+                replies.append(Reply(("path", opid, x, level, r), None, mid))
+                sent[mid] += 1
             if r is not None and r.key <= key:
                 nxt = r
-            elif x.level > 0:
+            elif level > 0:
                 nxt = x.down
+                level -= 1
             else:
                 work[mid] += hops
                 replies.append(Reply(("done", opid, x, r), None, mid))
@@ -148,7 +157,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         for ch in chunks:
             for mid, args, _tag, _size in rows_of(ch):
                 x, key, opid, record = args
-                if record:
+                if record >= 0:
                     fwd = _walk_batch(bct, mid, x, key, opid, record, 0)
                     if fwd is not None:
                         out_append(fwd)
@@ -216,17 +225,22 @@ def handlers_for(sl: SkipListStructure) -> Dict[str, Any]:
 
 
 def search_message(sl: SkipListStructure, key: Hashable, opid: Any,
-                   record: bool = False,
+                   record: int = -1,
                    start: Optional[Node] = None) -> tuple:
     """Build the message that launches one search: from ``start`` (a
     lower-part hint node) if given, else from the root on a random
-    module.
+    module.  ``record`` is the highest level whose visited nodes are
+    streamed back (``-1``: none; ``sl.h_low - 1``: the whole lower-part
+    path).
 
     The destination draw consumes the machine's seeded RNG stream at
     *build* time, so callers must construct messages in launch order.
     The returned tuple is ``send_all`` format, ready to be yielded in a
     :class:`~repro.ops.BatchOp` route stage.
     """
+    if type(record) is not int:
+        # ``False`` would compare as level 0 and record every leaf.
+        raise TypeError(f"record is a level (-1 for none), not {record!r}")
     machine = sl.machine
     if start is not None:
         dest = start.owner if start.owner != UPPER else machine.random_module()

@@ -56,7 +56,6 @@ the columns directly; :func:`batch_search` wraps them in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
@@ -72,7 +71,6 @@ PathEntry = Tuple[Node, int, Optional[Node]]  # (node, level, right snapshot)
 LevelEntry = Tuple[Node, Optional[Node]]      # (node, right snapshot)
 
 
-@dataclass(slots=True)
 class SearchOutcome:
     """Result of one search: the predecessor leaf and path information.
 
@@ -82,11 +80,30 @@ class SearchOutcome:
     (only when recording) maps each lower level to the last node the
     search visited there and that node's right snapshot -- exactly the
     per-level predecessors batched Insert needs.
+
+    Slotted by hand: ``dataclass(slots=True)`` needs Python 3.10 and the
+    package supports 3.9.
     """
 
-    pred: Node
-    pred_right: Optional[Node]
-    by_level: Optional[Dict[int, LevelEntry]] = None
+    __slots__ = ("pred", "pred_right", "by_level")
+
+    def __init__(self, pred: Node, pred_right: Optional[Node],
+                 by_level: Optional[Dict[int, LevelEntry]] = None) -> None:
+        self.pred = pred
+        self.pred_right = pred_right
+        self.by_level = by_level
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not SearchOutcome:
+            return NotImplemented
+        return (self.pred == other.pred
+                and self.pred_right == other.pred_right
+                and self.by_level == other.by_level)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"SearchOutcome(pred={self.pred!r}, "
+                f"pred_right={self.pred_right!r}, "
+                f"by_level={self.by_level!r})")
 
 
 Hint = Optional[Tuple[str, Any, Any]]  # ("leaf", leaf, right) | ("node", node, None)
@@ -260,11 +277,21 @@ class _BatchSearchOp(BatchOp):
             """Start op ``pos`` from ``hint``: append its search message
             to ``msgs``, or settle it on the spot from a leaf hint.  The
             destination draw consumes the machine's RNG stream, so ops
-            are launched in ascending sorted position."""
+            are launched in ascending sorted position.
+
+            The search streams back what the fold below keeps and no
+            more: a pivot (``keep_ordered``) its whole lower-part path,
+            any other recording op the levels up to its own limit."""
             nonlocal retained_words
+            if keep_ordered:
+                level = h_cap
+            elif record:  # a recording caller: ``limits`` is set
+                level = min(limits[pos], h_cap)
+            else:
+                level = -1
             if hint is None:
                 msgs.append(search_message(sl, skeys[pos], opid=pos,
-                                           record=record))
+                                           record=level))
             elif hint[0] == "leaf":
                 _, leaf, right = hint
                 pred[pos], pred_right[pos] = leaf, right
@@ -276,7 +303,7 @@ class _BatchSearchOp(BatchOp):
                     retained_words += 1
             else:
                 msgs.append(search_message(sl, skeys[pos], opid=pos,
-                                           record=record, start=hint[1]))
+                                           record=level, start=hint[1]))
 
         def stage(msgs: list, record: bool, keep_ordered: bool):
             """One phase: yield its messages and fold the drained replies
@@ -407,7 +434,7 @@ class _BatchSearchOp(BatchOp):
                     fn = sl.fn_search_entry
                     for pos in range(lo + 1, hi):
                         madd((machine.random_module(), fn,
-                              (skeys[pos], pos, False), None))
+                              (skeys[pos], pos, -1), None))
                 elif hint[0] == "leaf":
                     _, leaf, right = hint
                     for pos in range(lo + 1, hi):
@@ -419,7 +446,7 @@ class _BatchSearchOp(BatchOp):
                     for pos in range(lo + 1, hi):
                         madd((owner if owner != UPPER
                               else machine.random_module(), fn,
-                              (start, skeys[pos], pos, False), None))
+                              (start, skeys[pos], pos, -1), None))
                 continue
             for pos in range(lo + 1, hi):
                 hint_work += seg_work

@@ -43,7 +43,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.core.node import Node
 from repro.core.ops_point import update_handlers
 from repro.core.ops_successor import batch_search
-from repro.core.ops_write import ACK, write_message
+from repro.core.ops_write import ACK, write_stage
 from repro.core.structure import SkipListStructure
 from repro.cpuside.semisort import dedup_last
 from repro.cpuside.sort import parallel_sort
@@ -279,16 +279,20 @@ def batch_upsert(sl: SkipListStructure,
 
 def _algorithm1(sl: SkipListStructure, towers: List[_Tower],
                 outcomes) -> list:
-    """Build the RemoteWrite messages of the paper's Algorithm 1.
+    """Build the RemoteWrites of the paper's Algorithm 1 as one route
+    stage.
 
     ``towers`` are key-sorted; ``outcomes[j].by_level[i]`` holds the old
     structure's (pred, pred.right) at level ``i`` for tower ``j``.  For
     each lower level, runs of new nodes sharing an old segment are chained
     together; the run ends attach to the old pred/succ.  Every pointer is
-    written exactly once; the returned messages form one route stage.
+    written exactly once: write ``i`` is ``nodes[i].fields[i] =
+    values[i]``.
     """
     cpu = sl.machine.cpu
-    msgs: list = []
+    nodes: List[Node] = []
+    fields: List[str] = []
+    values: List[Optional[Node]] = []
     total = 0
     for lvl in range(sl.h_low):
         row: List[Tuple[Node, Node, Optional[Node]]] = []
@@ -300,18 +304,22 @@ def _algorithm1(sl: SkipListStructure, towers: List[_Tower],
         m = len(row)
         for j, (cur, pred, succ) in enumerate(row):
             right_end = (j == m - 1) or (row[j + 1][2] is not succ)
-            if right_end:
-                msgs.append(write_message(sl, cur, "right", succ))
-                if succ is not None:
-                    msgs.append(write_message(sl, succ, "left", cur))
-            else:
-                nxt = row[j + 1][0]
-                msgs.append(write_message(sl, cur, "right", nxt))
-                msgs.append(write_message(sl, nxt, "left", cur))
+            right = succ if right_end else row[j + 1][0]
+            nodes.append(cur)
+            fields.append("right")
+            values.append(right)
+            if right is not None:
+                nodes.append(right)
+                fields.append("left")
+                values.append(cur)
             left_end = (j == 0) or (row[j - 1][1] is not pred)
             if left_end:
-                msgs.append(write_message(sl, pred, "right", cur))
-                msgs.append(write_message(sl, cur, "left", pred))
+                nodes.append(pred)
+                fields.append("right")
+                values.append(cur)
+                nodes.append(cur)
+                fields.append("left")
+                values.append(pred)
         total += m
     cpu.charge_wd(WorkDepth(2 * total + 1, max(1.0, math.log2(total + 2)) + 8))
-    return msgs
+    return write_stage(sl, nodes, fields, values)

@@ -9,37 +9,48 @@ keeps one object per replicated node, so the chunk handler applies a
 broadcast write once and charges every module its unit; the scalar
 handler (reference oracle, fallbacks) replays it per module.
 
-Writers build their messages with :func:`write_message` and yield them in
-a :class:`~repro.ops.BatchOp` route stage; :func:`remote_write` wraps a
-single write in its own one-stage op for callers (tests, diagnostics)
-that want the write applied immediately.
+A batch's writers collect their writes as three parallel lists (node,
+field, value) and hand them to :func:`write_stage`, which builds the
+route stage: the writes to owned nodes as :class:`~repro.ops.Columns`,
+each write to a replicated node as a :class:`~repro.ops.Broadcast`.
+:func:`write_message` builds a single write's stage element, and
+:func:`remote_write` wraps one in its own one-stage op for callers
+(tests, diagnostics) that want the write applied immediately.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Optional, Union
+
+import numpy as np
 
 from repro.core.node import NODE_WORDS, Node, UPPER
 from repro.core.structure import SkipListStructure
-from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
-from repro.sim.fastpath import BCAST
+from repro.ops import BatchOp, Broadcast, Columns, cached_handlers, run_batch
+from repro.sim.fastpath import BCAST, COLS
 from repro.sim.task import Reply
 
-_FIELDS = ("left", "right", "up", "down", "local_left", "local_right")
+_FIELDS = frozenset(("left", "right", "up", "down", "local_left",
+                     "local_right"))
 ACK = ("ack",)
 """The acknowledgement payload of every write-path task."""
 
 
-def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    def apply_write(node, field, value):
-        if field not in _FIELDS:
-            raise ValueError(f"bad pointer field {field!r}")
-        setattr(node, field, value)
+def _check_fields(fields: Iterable[str]) -> None:
+    """Reject a bad pointer field before any write it travels with is
+    applied."""
+    if not _FIELDS.issuperset(fields):
+        bad = next(f for f in fields if f not in _FIELDS)
+        raise ValueError(f"bad pointer field {bad!r}")
 
+
+def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     def h_write_ptr(ctx, node, field, value, tag=None):
         ctx.charge(1)
         ctx.touch(node.nid)
-        apply_write(node, field, value)
+        _check_fields((field,))
+        setattr(node, field, value)
         ctx.reply(ACK, tag=tag)
 
     def batch_write_ptr(bct, chunks):
@@ -47,23 +58,45 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         # replicated node, which the simulator keeps as ONE object: the
         # mutation stores a fixed value, so it is applied once and every
         # module is charged its replica's unit and sends its own ack.
+        # The round's fields are checked before its first write, so a
+        # bad one cannot leave the structure half-written.
+        for ch in chunks:
+            if ch.kind == COLS:
+                _check_fields(ch.cols[1])
+            elif ch.kind == BCAST:
+                _check_fields((ch.args[1],))
+            else:
+                _check_fields([args[1] for _mid, args, _tag, _size
+                               in ch.rows])
         work = bct.work
         sent = bct.sent
-        rep_append = bct.replies.append
+        replies = bct.replies
+        rep_append = replies.append
         for ch in chunks:
-            if ch.kind == BCAST:
-                apply_write(*ch.args)
+            if ch.kind == COLS:
+                # Every module's unit of work and its ack per write are
+                # one count of the destinations; the acks are built
+                # without an interpreted step per write.
+                for node, field, value in zip(*ch.cols):
+                    setattr(node, field, value)
+                counts = np.bincount(ch.dests, minlength=bct.num_modules)
+                bct.add_work_array(counts)
+                bct.add_sent_array(counts)
+                replies.extend(map(Reply, repeat(ACK), repeat(None),
+                                   ch.dests.tolist()))
+            elif ch.kind == BCAST:
+                setattr(*ch.args)
                 tag = ch.tag
                 for mid in range(bct.num_modules):
                     work[mid] += 1
                     sent[mid] += 1
                     rep_append(Reply(ACK, tag, mid))
-                continue
-            for mid, args, tag, _size in bct.rows_of(ch):
-                apply_write(*args)
-                work[mid] += 1
-                sent[mid] += 1
-                rep_append(Reply(ACK, tag, mid))
+            else:
+                for mid, args, tag, _size in ch.rows:
+                    setattr(*args)
+                    work[mid] += 1
+                    sent[mid] += 1
+                    rep_append(Reply(ACK, tag, mid))
 
     def h_grow(ctx, target_level, added_levels, tag=None):
         # Idempotent shared mutation; every module charges its replica's
@@ -97,6 +130,31 @@ def write_message(sl: SkipListStructure, node: Node, field: str,
     if node.owner == UPPER:
         return Broadcast(fn, (node, field, value))
     return (node.owner, fn, (node, field, value), None)
+
+
+def write_stage(sl: SkipListStructure, nodes: List[Node], fields: List[str],
+                values: List[Optional[Node]]) -> list:
+    """The route stage of the RemoteWrites ``nodes[i].fields[i] =
+    values[i]``, in order: every run of writes to owned nodes is one
+    :class:`~repro.ops.Columns` element, every write to a replicated
+    node (a lower-level sentinel: a handful per batch) a
+    :class:`~repro.ops.Broadcast` in its place."""
+    fn = sl.fn_write_ptr
+    owners = [node.owner for node in nodes]
+    stage: list = []
+    lo, n = 0, len(owners)
+    while lo < n:
+        try:
+            hi = owners.index(UPPER, lo)
+        except ValueError:
+            hi = n
+        if hi > lo:
+            stage.append(Columns(fn, owners[lo:hi], (
+                nodes[lo:hi], fields[lo:hi], values[lo:hi])))
+        if hi < n:
+            stage.append(Broadcast(fn, (nodes[hi], fields[hi], values[hi])))
+        lo = hi + 1
+    return stage
 
 
 class _RemoteWriteOp(BatchOp):

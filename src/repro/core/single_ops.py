@@ -62,7 +62,7 @@ def update_one(sl: SkipListStructure, key: Hashable, value: Any) -> bool:
 
 def _search_one(sl: SkipListStructure, key: Hashable):
     op = _OneShotOp(sl, "search_one", ops_search.handlers_for)
-    msg = search_message(sl, key, opid=0, record=False)
+    msg = search_message(sl, key, opid=0)
     replies = run_batch(sl.machine, op, msg)
     pred = right = None
     for r in replies:

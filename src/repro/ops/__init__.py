@@ -5,8 +5,8 @@ See :mod:`repro.ops.pipeline` for the :class:`BatchOp` protocol and the
 through.
 """
 
-from repro.ops.pipeline import (BatchOp, Broadcast, batch_epoch,
+from repro.ops.pipeline import (BatchOp, Broadcast, Columns, batch_epoch,
                                 cached_handlers, run_batch)
 
-__all__ = ["BatchOp", "Broadcast", "batch_epoch", "cached_handlers",
-           "run_batch"]
+__all__ = ["BatchOp", "Broadcast", "Columns", "batch_epoch",
+           "cached_handlers", "run_batch"]

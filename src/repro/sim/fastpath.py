@@ -20,8 +20,10 @@ CPU-before-forward delivery order::
 
     chunk kinds
       rows:  rows = [(dest, args, tag, size), ...]   (scalar issue path)
-      cols:  dests = int array; cols = tuple of payload column arrays
-             (numpy, emitted by vectorized batch handlers)
+      cols:  dests = int64 array; cols = tuple of payload columns:
+             numpy arrays (emitted by vectorized batch handlers) or
+             plain lists (``send_cols`` for the ops pipeline's
+             ``Columns`` stage element, whose columns hold nodes)
       bcast: one (args, tag, size) delivered to every module
 
 Per-destination receive totals (the ``h``-relation's incoming half) are
@@ -82,7 +84,11 @@ sweep all P modules per round to read a callback back.
 Which functions are chunked (skip list, then PIM-tree)::
 
     chunked  search_entry, search_step        the walk (read-only)
-             write_ptr                        rows; broadcast executed once
+             write_ptr                        a batch's writes as one column
+                                              chunk (the ops pipeline's
+                                              ``Columns`` element), single
+                                              writes as rows; broadcast
+                                              executed once
              pt_get, pt_update,               hash-shortcut point tasks
              ups_try_update
              ups_insert_lower                 tower delivery (module-local)
@@ -263,7 +269,7 @@ class BatchRound:
     def rows_of(self, ch: _Chunk) -> Iterable[tuple]:
         """The ``(dest, args, tag, size)`` rows of a chunk of any kind
         (a broadcast chunk yields one row per module)."""
-        return ch.rows if ch.kind == ROWS else self.machine._iter_chunk(ch)
+        return self.machine._iter_chunk(ch)
 
     def rows_in_slot_order(self, chunks: List[_Chunk]) -> List[tuple]:
         """All rows of one function's ``chunks`` in the order the scalar

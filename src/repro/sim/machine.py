@@ -65,9 +65,10 @@ the values the per-task loop produced on seed workloads.
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from time import perf_counter
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -344,19 +345,22 @@ class PIMMachine:
         self._bcast_units = 0
         self._incoming_total = 0
 
-    def _iter_chunk(self, ch: _Chunk) -> Iterator[tuple]:
-        """Yield ``(dest, args, tag, size)`` rows of any chunk kind."""
+    def _iter_chunk(self, ch: _Chunk) -> Iterable[tuple]:
+        """The ``(dest, args, tag, size)`` rows of a chunk of any kind.
+        The column and broadcast forms are C-level iterators: a batch
+        handler with no arm of its own for them reads their rows without
+        an interpreted step per row."""
         if ch.kind == ROWS:
-            yield from ch.rows
-        elif ch.kind == COLS:
-            size = ch.size
-            dests = ch.dests.tolist()
-            cols = [c.tolist() for c in ch.cols]
-            for i, dest in enumerate(dests):
-                yield dest, tuple(c[i] for c in cols), None, size
-        else:  # BCAST
-            for mid in range(self.num_modules):
-                yield mid, ch.args, ch.tag, ch.size
+            return ch.rows
+        if ch.kind == COLS:
+            # Columns are numpy arrays (vectorized handlers) or plain
+            # lists (the ops pipeline's ``Columns`` stage element).
+            cols = [c.tolist() if isinstance(c, np.ndarray) else c
+                    for c in ch.cols]
+            return zip(ch.dests.tolist(), zip(*cols), repeat(None),
+                       repeat(ch.size))
+        return zip(range(self.num_modules), repeat(ch.args),
+                   repeat(ch.tag), repeat(ch.size))
 
     # -- profiling ----------------------------------------------------------
 
@@ -515,19 +519,22 @@ class PIMMachine:
         """Issue one CPU-side batch of messages as a column chunk.
 
         The vectorized twin of :meth:`send_all` for homogeneous batches:
-        ``dests`` (int64 array) and the parallel ``cols`` arrays land as
-        one chunk that ``fn``'s registered batch handler consumes
-        natively next round.  Receive accounting (h-relation units,
-        task counts) is identical to sending the rows one by one, so
-        metric streams do not depend on which form a caller uses.  Only
-        available while :attr:`columnar_active` -- check it first: in a
-        scalar fallback the round loop never dispatches batch handlers,
-        and a column chunk's args are only meaningful to those.  (A
-        fault plan is such a fallback, which also keeps column sends off
-        the reliable-delivery protocol: chaos plans wrap every
-        CPU-issued *scalar* message in an envelope, and a column chunk
-        would bypass that accounting.)  ``size`` must be a positive
-        ``int``, as in :meth:`send_all`.
+        ``dests`` (module ids: an int64 array or a list of ints) and the
+        parallel ``cols`` (numpy arrays or plain lists) land as one
+        chunk that ``fn``'s registered batch handler consumes natively
+        next round.  Receive accounting (h-relation units, task counts)
+        is identical to sending the rows one by one, so metric streams
+        do not depend on which form a caller uses.  Its production
+        caller is the ops pipeline's driver, for a
+        :class:`repro.ops.Columns` stage element.  Only available while
+        :attr:`columnar_active` -- check it first, as the driver does:
+        in a scalar fallback the round loop never dispatches batch
+        handlers, and the rows the columns stand for go through
+        :meth:`send_all` instead.  (A fault plan is such a fallback,
+        which also keeps column sends off the reliable-delivery
+        protocol: chaos plans wrap every CPU-issued *scalar* message in
+        an envelope, and a column chunk would bypass that accounting.)
+        ``size`` must be a positive ``int``, as in :meth:`send_all`.
         """
         if not self.columnar_active:
             raise RuntimeError(
@@ -611,6 +618,13 @@ class PIMMachine:
         if handler is None:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at forward time)")
+        dests = np.asarray(dests, dtype="int64")
+        # bincount yields a fresh int64 vector we own -- adopt it.  It
+        # is also the bounds check: a negative id raises inside it, an
+        # id >= P lengthens the vector.
+        counts = np.bincount(dests, minlength=self.num_modules)
+        if len(counts) != self.num_modules:
+            raise ValueError(f"bad module id {int(dests.max())}")
         ch = _Chunk(fn, handler, COLS)
         ch.dests = dests
         ch.cols = tuple(cols)
@@ -618,8 +632,6 @@ class PIMMachine:
         if fn not in self._chunk_fns:
             self._rows_to_slots(q, fn, handler, self._iter_chunk(ch))
             return
-        # bincount yields a fresh int64 vector we own -- adopt it.
-        counts = np.bincount(dests, minlength=self.num_modules)
         if size != 1:
             counts *= size
         if self._recv_np is None:

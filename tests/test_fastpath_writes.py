@@ -8,21 +8,35 @@
 same messages into one skip list on each, steps both in lockstep, and
 requires, round by round, equal replies (as multisets), per-module
 work, ``h``, messages and next-round staging.
+
+A batch's RemoteWrites cross the ``repro.ops`` boundary as a
+:class:`~repro.ops.Columns` stage element, which the driver turns into a
+column chunk on the engine and into rows everywhere else.
+``TestWriteColumns`` holds the two forms to each other -- alone, beside
+a broadcast write, across a fallback, under a fault plan -- and a
+Hypothesis property replays fuzzed Upsert / Delete sessions through the
+shipped driver and through a rows-only one kept here as the spec.
 """
 
 from __future__ import annotations
 
-import pytest
+import random
+from unittest import mock
 
-from repro import PIMSkipList
+import pytest
+from hypothesis import given, strategies as st
+
+from repro import PIMMachine, PIMSkipList
 from repro.core.node import Node
 from repro.core.ops_upsert import _build_towers
-from repro.core.ops_write import write_message
-from repro.ops.pipeline import _issue
-from repro.sim.fastpath import BCAST, ROWS
+from repro.core.ops_write import handlers_for, write_message, write_stage
+from repro.ops import BatchOp, Broadcast, Columns, pipeline, run_batch
+from repro.ops.pipeline import COLUMNS_CROSSOVER, _issue
+from repro.sim.chaos import FaultPlan, FaultSpec
+from repro.sim.fastpath import BCAST, COLS, ROWS
 from repro.sim.profiling import HandlerProfile
 from repro.workloads import build_items
-from tests.conftest import ENGINES
+from tests.conftest import DETERMINISTIC, ENGINES
 from tests.test_fastpath import _staging
 
 P = 8
@@ -154,13 +168,244 @@ class TestWritePtr:
         assert col.tasks_chunked == 0
 
     def test_bad_field_rejected_in_the_chunk_loop(self, pair):
+        """A bad field in the last write of a chunk -- a row chunk, then
+        a column chunk -- raises with no pointer moved: the fields are
+        checked before the first write, not inside the loop that
+        applies them."""
         sl = pair[1]
-        leaf = next(sl.struct.iter_level(0))
-        sl.machine.send(leaf.owner, sl.struct.fn_write_ptr,
-                        (leaf, "key", None))
-        assert sl.machine._cq
-        with pytest.raises(ValueError, match="bad pointer field"):
-            sl.machine.step()
+        s, machine = sl.struct, sl.machine
+        nodes = list(s.iter_level(0))[:6]
+        fields = ["right"] * 5 + ["key"]
+        values = [None] * 6
+        pointers = [(n.left, n.right, n.key) for n in nodes]
+        for kind in (ROWS, COLS):
+            if kind == ROWS:
+                machine.send_all((n.owner, s.fn_write_ptr, (n, f, v), None)
+                                 for n, f, v in zip(nodes, fields, values))
+            else:
+                machine.send_cols(s.fn_write_ptr, [n.owner for n in nodes],
+                                  (nodes, fields, values))
+            assert [ch.kind for ch in machine._cq] == [kind]
+            with pytest.raises(ValueError, match="bad pointer field 'key'"):
+                machine.step()
+            assert [(n.left, n.right, n.key) for n in nodes] == pointers
+
+
+def _rows_of_stage(stage):
+    """A stage with every :class:`Columns` element spelled out as the
+    ``send_all`` rows it stands for, in place."""
+    return [row for item in stage
+            for row in (item.rows() if item.__class__ is Columns
+                        else (item,))]
+
+
+def _rows_only_issue(machine, stage):
+    """The driver's issue step as it was before ``Columns`` existed
+    (PR 20's ``_issue``, verbatim) over :func:`_rows_of_stage`: the
+    executable spec of what a column element must amount to."""
+    if stage is None:
+        return
+    run = []
+    for item in _rows_of_stage(stage):
+        if item.__class__ is Broadcast:
+            if run:
+                machine.send_all(run)
+                run = []
+            machine.broadcast(item.fn, item.args, item.tag, item.size)
+        else:
+            run.append(item)
+    if run:
+        machine.send_all(run)
+
+
+class _StageOp(BatchOp):
+    """Issues one prebuilt stage and returns its replies."""
+
+    name = "test:stage"
+
+    def __init__(self, sl, stage):
+        self.sl, self.stage = sl, stage
+
+    def handlers(self):
+        return handlers_for(self.sl.struct)
+
+    def route(self, machine, plan):
+        return (yield self.stage)
+
+
+class TestWriteColumns:
+    N = 2 * COLUMNS_CROSSOVER
+
+    def _stage(self, sl, with_broadcast=False):
+        """``N`` writes to owned leaves -- each splices its right
+        neighbour out -- as one stage, a broadcast write to an upper
+        node in the middle of it if asked; returns ``(stage, [(node,
+        value written)])``."""
+        s = sl.struct
+        targets = list(s.iter_level(0))[5:5 + 2 * self.N:2]
+        if with_broadcast:
+            targets.insert(self.N // 2, _upper_node_with_two_successors(s))
+        writes = [(n, n.right.right) for n in targets]
+        stage = write_stage(s, targets, ["right"] * len(targets),
+                            [value for _n, value in writes])
+        return stage, writes
+
+    @staticmethod
+    def _assert_written(*written):
+        for writes in written:
+            for node, value in writes:
+                assert node.right is value
+
+    @pytest.mark.parametrize("with_broadcast", [False, True])
+    def test_columns_on_the_engine_rows_on_the_oracle(self, pair,
+                                                      with_broadcast):
+        """One stage, issued by the driver on both machines: a column
+        chunk (two around the broadcast, order kept) on the engine, the
+        rows it stands for on the oracle; one round, equal in every
+        count."""
+        written = []
+        for sl in pair:
+            stage, writes = self._stage(sl, with_broadcast)
+            written.append(writes)
+            _issue(sl.machine, stage)
+        obj, col = (sl.machine for sl in pair)
+        assert [ch.kind for ch in col._cq] == (
+            [COLS, BCAST, COLS] if with_broadcast else [COLS])
+        assert not col._staged and len(obj._staged) == P
+        before = col.tasks_chunked
+        assert _lockstep(obj, col) == 1
+        assert col.tasks_chunked - before == self.N + P * with_broadcast
+        self._assert_written(*written)
+
+    @pytest.mark.parametrize("with_broadcast", [False, True])
+    def test_columns_equal_rows_on_the_engine(self, with_broadcast):
+        """The same writes as a column element and as rows, both on the
+        engine: one round with equal replies, work, ``h`` and messages."""
+        lists = []
+        for form in ("rows", "columns"):
+            sl = PIMSkipList(PIMMachine(num_modules=P, seed=42,
+                                        trace_rounds=True))
+            sl.build(build_items(200, stride=STRIDE))
+            stage, writes = self._stage(sl, with_broadcast)
+            _issue(sl.machine,
+                   _rows_of_stage(stage) if form == "rows" else stage)
+            lists.append((sl, writes))
+        rows, cols = (sl.machine for sl, _writes in lists)
+        assert {ch.kind for ch in rows._cq} <= {ROWS, BCAST}
+        assert COLS in {ch.kind for ch in cols._cq}
+        assert _norm_staging(rows) == _norm_staging(cols)
+        assert sorted(_replies(rows.step())) == sorted(_replies(cols.step()))
+        assert not rows.pending and not cols.pending
+        assert rows.snapshot().as_dict() == cols.snapshot().as_dict()
+        assert ([m.work for m in rows.modules]
+                == [m.work for m in cols.modules])
+        assert rows.tracer.rounds[-1] == cols.tracer.rounds[-1]
+        assert rows.tasks_chunked == cols.tasks_chunked
+        self._assert_written(*(writes for _sl, writes in lists))
+
+    def test_short_element_is_issued_as_rows(self, pair):
+        """Under the crossover a column chunk's fixed cost is not paid."""
+        sl = pair[1]
+        s = sl.struct
+        nodes = list(s.iter_level(0))[:COLUMNS_CROSSOVER - 1]
+        _issue(sl.machine, write_stage(s, nodes, ["right"] * len(nodes),
+                                       [n.right for n in nodes]))
+        assert [ch.kind for ch in sl.machine._cq] == [ROWS]
+
+    def test_fallback_with_a_column_chunk_pending(self, pair):
+        """Entering a fallback moves a pending column chunk into slots
+        once (``_chunks_to_staged``): same tasks, same units, and the
+        drained result is the oracle's."""
+        written = []
+        for sl in pair:
+            stage, writes = self._stage(sl, with_broadcast=True)
+            written.append(writes)
+            _issue(sl.machine, stage)
+        obj, col = (sl.machine for sl in pair)
+        assert COLS in {ch.kind for ch in col._cq}
+        before = _norm_staging(col)
+        col.set_profiler(HandlerProfile())
+        assert not (col._cq or col._fq)
+        assert _norm_staging(col) == before == _norm_staging(obj)
+        col.set_profiler(None)
+        assert sorted(_replies(col.drain())) == sorted(_replies(obj.drain()))
+        assert obj.snapshot().as_dict() == col.snapshot().as_dict()
+        assert col.tasks_chunked == 0
+        self._assert_written(*written)
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    def test_under_a_fault_plan_columns_are_the_rows(self, engine):
+        """With a fault plan installed a column element rides the
+        reliable-delivery envelopes row by row: the same sequence
+        numbers, so the same faults, retries, metrics and pointers as
+        the rows form."""
+        spec = FaultSpec(drop=0.15, dup=0.1, delay=0.1, corrupt=0.05)
+        outcomes = []
+        for form in ("rows", "columns"):
+            sl = PIMSkipList(ENGINES[engine](num_modules=P, seed=42))
+            sl.build(build_items(200, stride=STRIDE))
+            stage, writes = self._stage(sl, with_broadcast=True)
+            chaos = sl.machine.install_fault_plan(FaultPlan(spec, seed=5))
+            replies = run_batch(
+                sl.machine,
+                _StageOp(sl, _rows_of_stage(stage) if form == "rows"
+                         else stage))
+            self._assert_written(writes)
+            outcomes.append((chaos.stats.as_dict(), _replies(replies),
+                             sl.machine.snapshot().as_dict()))
+        assert outcomes[0] == outcomes[1]
+        stats = outcomes[0][0]
+        assert stats["drops"] and stats["dups"] and stats["retransmissions"]
+
+
+# -- fuzzed write sessions: the shipped driver against the rows-only one ------
+
+KEY_SPACE = 400
+
+
+@st.composite
+def write_sessions(draw):
+    """A few Upsert / Delete batches over a small key space: wide enough
+    to cross the column crossover, narrow enough to stay under it, with
+    duplicates, updates of stored keys, deletes of missing ones and
+    runs of adjacent victims."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    width = st.sampled_from([1, 8, 60, 150])
+    ops = []
+    for _ in range(draw(st.integers(1, 4))):
+        keys = [rng.randrange(KEY_SPACE) for _ in range(draw(width))]
+        if draw(st.booleans()):
+            start = rng.randrange(KEY_SPACE)
+            ops.append(("delete",
+                        keys + list(range(start, start + draw(width)))))
+        else:
+            ops.append(("upsert", [(k, i) for i, k in enumerate(keys)]))
+    return (draw(st.sampled_from([1, 2, 8, 16])),
+            draw(st.sampled_from([0, 30, 200])), draw(st.integers(0, 3)), ops)
+
+
+def _run_session(p, n, seed, ops):
+    sl = PIMSkipList(PIMMachine(num_modules=p, seed=seed))
+    sl.build(build_items(n, stride=2))
+    trace = []
+    for op, payload in ops:
+        before = sl.machine.snapshot()
+        result = sl.apply_batch(op, payload)
+        trace.append((result, sl.machine.delta_since(before).as_dict()))
+        sl.struct.check_integrity()
+    stored = [(leaf.key, leaf.value) for leaf in sl.struct.iter_level(0)]
+    return trace, stored, sl.machine.rng.random()
+
+
+@DETERMINISTIC
+@given(write_sessions())
+def test_write_sessions_equal_the_rows_only_driver(session):
+    """Results, structure and every op's ``MetricsDelta``: what the
+    column boundary must not change."""
+    got = _run_session(*session)
+    with mock.patch.object(pipeline, "_issue", _rows_only_issue):
+        want = _run_session(*session)
+    assert got == want
 
 
 class TestPointOps:

@@ -78,6 +78,44 @@ def _skiplist_workloads(out):
              lambda: sl.batch_range(overlap), out)
 
 
+def _skiplist_write_workloads(out):
+    """The write path's interior: an Upsert whose new keys fall *between*
+    stored ones (towers of every height from 0 past ``h_low``, so the
+    recording search starts at the root and Algorithm 1 links runs
+    inside old segments -- ``skiplist/batch_upsert`` above inserts past
+    the last key only, where the squeeze settles every op), then a
+    Delete of adjacent victims, whose contraction splices whole runs."""
+    p, n = 16, 512
+    machine = PIMMachine(num_modules=p, seed=13)
+    sl = PIMSkipList(machine, name="goldw")
+    rng = random.Random(707)
+    keys = sorted(rng.sample(range(0, 50_000, 4), n))
+    sl.build([(k, k) for k in keys])
+    fresh = sorted(rng.sample(range(1, 50_000, 4), 192))
+    upserts = ([(k, -k) for k in fresh]
+               + [(rng.choice(keys), "u") for _ in range(16)])
+    rng.shuffle(upserts)
+    _measure(machine, "skiplist/batch_upsert_interleaved",
+             lambda: sl.batch_upsert(upserts), out)
+    new = set(fresh)
+    heights = {sum(1 for _ in _tower(leaf)) - 1
+               for leaf in sl.struct.iter_level(0) if leaf.key in new}
+    assert set(range(sl.struct.h_low + 2)) <= heights, heights
+    stored = sl.struct.keys_in_order()
+    victims = (stored[40:72] + stored[100:103] + stored[300:301]
+               + stored[500:560:2] + [3])
+    rng.shuffle(victims)
+    _measure(machine, "skiplist/batch_delete_runs",
+             lambda: sl.batch_delete(victims), out)
+    sl.struct.check_integrity()
+
+
+def _tower(node):
+    while node is not None:
+        yield node
+        node = node.up
+
+
 def _baseline_workloads(out):
     p, n = 16, 400
     machine = PIMMachine(num_modules=p, seed=23)
@@ -213,6 +251,7 @@ def _pimtree_workloads(out):
 def compute_all() -> dict:
     out: dict = {}
     _skiplist_workloads(out)
+    _skiplist_write_workloads(out)
     _baseline_workloads(out)
     _collective_workloads(out)
     _qrqw_workloads(out)

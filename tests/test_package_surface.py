@@ -1,9 +1,11 @@
 """Package-surface guards: every module imports, every export resolves,
-every public callable is documented."""
+every public callable is documented, every source file is Python 3.9."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +56,34 @@ def test_public_classes_and_methods_documented(name):
                 continue
             assert meth.__doc__, (
                 f"{name}.{cls.__name__}.{mname} lacks a docstring")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE_FILES = sorted(p for top in ("src", "benchmarks")
+                      for p in (ROOT / top).rglob("*.py"))
+
+
+def test_sources_are_python_3_9():
+    """``pyproject.toml`` says ``requires-python = ">=3.9"`` and CI has a
+    3.9 leg: every file under ``src/`` and ``benchmarks/`` parses with
+    the 3.9 grammar, and no ``dataclass(...)`` call passes ``slots=`` or
+    ``kw_only=`` -- keywords that 3.10 added and 3.9 rejects when the
+    module is imported (PR 20's ``dataclass(slots=True)``)."""
+    assert len(SOURCE_FILES) > 100
+    for path in SOURCE_FILES:
+        tree = ast.parse(path.read_text(), filename=str(path),
+                         feature_version=(3, 9))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else \
+                getattr(fn, "id", None)
+            late = [kw.arg for kw in node.keywords
+                    if kw.arg in ("slots", "kw_only")]
+            assert not (name == "dataclass" and late), (
+                f"{path.relative_to(ROOT)}:{node.lineno}: dataclass("
+                f"{late[0]}=...) needs Python 3.10")
 
 
 def test_storage_module_is_one_inert_name():

@@ -53,12 +53,15 @@ def test_quick_baseline_is_refused(tmp_path):
 
 def test_exact_rows_pass():
     """The chunked-task shares, the CPU-side charges of one fixed
-    session, the fixed batch of ranges, the seven skew-adversary rows
-    and the durable restart counts, measured in process with the
-    committed baselines' parameters."""
+    session, the fixed Upsert batch and batch of ranges, the seven
+    skew-adversary rows and the durable restart counts, measured in
+    process with the committed baselines' parameters."""
     names = {g.name for g in EXACT_ROWS}
     assert {"chunked share write_churn", "chunked share pimtree reads",
             "CPU-side session: cpu_work, cpu_depth, shared_mem_peak, rng",
+            "upsert batch: write_ptr rows through send_all",
+            "upsert batch: path replies above their op's limit",
+            "upsert batch: messages",
             "range batch: boundary searches == ops",
             "range batch: rounds", "pimtree rounds",
             "skiplist rounds above ceiling",

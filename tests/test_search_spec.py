@@ -1,10 +1,13 @@
 """The pre-PR-20 batched search as the executable spec of the current one.
 
-``_ParentSearchOp`` is ``_BatchSearchOp`` as PR 19 left it, verbatim: a
+``_ParentSearchOp`` is ``_BatchSearchOp`` as PR 19 left it: a
 dataclass and four dicts per batch, a ``(pos, hint)`` tuple per op, two
-``setdefault`` dicts per path reply.  The shipped route keeps its state
-in position-indexed columns, folds the recording replies in one pass and
-builds stage 2's messages while it derives the hints; it must return the
+``setdefault`` dicts per path reply -- verbatim but for the search
+message's ``record`` argument, which PR 21 turned from a flag into the
+highest level to stream back (see ``execute``).  The shipped route
+keeps its state in position-indexed columns, folds the recording
+replies in one pass and builds stage 2's messages while it derives the
+hints; it must return the
 same outcomes, field by field, send the same messages in the same order
 (so the machine's RNG stream and every model metric agree) and charge
 the CPU side the same work, depth and shared memory.  Hypothesis drives
@@ -234,9 +237,16 @@ class _ParentSearchOp(BatchOp):
             msgs = []
             madd = msgs.append
             for pos, hint in ops:
+                # The one thing PR 21 changed on this route: ``record``
+                # is the highest level the search streams back -- the
+                # whole lower part for a pivot, the op's own limit for
+                # another recording op, -1 for none -- and not a flag.
+                # The fold below is untouched; it now drops nothing.
+                level = (h_cap if keep_ordered
+                         else min_lvl(pos) if record else -1)
                 if hint is None:
                     madd(search_message(sl, skeys[pos], opid=pos,
-                                        record=record))
+                                        record=level))
                     continue
                 if hint[0] == "leaf":
                     outcomes[pos] = SearchOutcome(
@@ -248,7 +258,7 @@ class _ParentSearchOp(BatchOp):
                         cpu.alloc(1)
                         retained_words += 1
                     continue
-                madd(search_message(sl, skeys[pos], opid=pos, record=record,
+                madd(search_message(sl, skeys[pos], opid=pos, record=level,
                                     start=hint[1]))
             if not msgs:
                 return

@@ -144,6 +144,14 @@ class TestMalformedMessages:
             machine.send(99, "echo", (1,))
         with pytest.raises(ValueError, match="bad module id"):
             machine.send_all([(99, "echo", (1,), None)])
+        # The column form's receive ``bincount`` is its bounds check:
+        # nothing is staged for an id outside ``[0, P)``.
+        machine.register_batch("echo", lambda bct, chunks: None)
+        with pytest.raises(ValueError, match="bad module id 99"):
+            machine.send_cols("echo", [0, 99], ([1, 2],))
+        with pytest.raises(ValueError, match="negative"):
+            machine.send_cols("echo", [0, -1], ([1, 2],))
+        assert not machine.pending
 
 
 class TestLivelockReport:
