@@ -12,7 +12,9 @@ one process can measure against itself:
   handlers, the boundary searches / roots / messages / rounds of one
   fixed batch of ranges, the CPU-side charges and RNG position after
   one fixed session, the messages of one fixed Upsert batch and how
-  many of them are path replies the route drops or write rows.
+  many of them are path replies the route drops or write rows, the
+  rounds of the search at the widths the serve path sends and one key
+  past the width where its pivot spacing switches.
   Deterministic functions of the committed parameters (or of the
   seeds in :class:`Bench`), equal on every host, so they cannot flake;
   ``tests/test_perf_gates.py`` runs them in tier-1.
@@ -50,7 +52,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import random
 import statistics
@@ -297,6 +298,39 @@ class Bench:
                 machine.rng.random())
 
     @memo
+    def search_widths(self) -> dict:
+        """``(rounds, io_time)`` of four fixed batches, one after the
+        other, on a 64-module, 16 384-key skip list (``serve_mixed``'s
+        structure): the widths ``repro serve`` hands the search per tick
+        -- 13 Successor keys, 26 ranges of 2-9 keys, an Upsert of 64
+        fresh keys, all at most ``P log P`` = 384 wide -- and one
+        Successor batch of 385, the first width on the paper's spacing."""
+        machine = PIMMachine(num_modules=64, seed=7)
+        sl = PIMSkipList(machine)
+        sl.build(build_items(16384, stride=2))
+        rng = random.Random(7)
+        top = 2 * 16384
+        batches = {
+            "successor13": ("successor",
+                            [rng.randrange(top) for _ in range(13)]),
+            "successor385": ("successor",
+                             [rng.randrange(top) for _ in range(385)]),
+            "range26": ("range",
+                        [(lo, lo + 1 + rng.randrange(8))
+                         for lo in rng.sample(range(0, top, 16), 26)]),
+            "upsert64": ("upsert",
+                         [(2 * i + 1, i)
+                          for i in rng.sample(range(16384), 64)]),
+        }
+        cells = {}
+        for name, (op, payload) in batches.items():
+            before = machine.snapshot()
+            sl.apply_batch(op, payload)
+            delta = machine.delta_since(before)
+            cells[name] = (delta.rounds, delta.io_time)
+        return cells
+
+    @memo
     def upsert_batch(self) -> dict:
         """One fixed Upsert of 800 fresh keys (``min_search_batch`` at
         P = 32) into a 32-module, 8 192-key skip list -- one
@@ -325,7 +359,7 @@ class Bench:
         def counting_search(struct, keys, record_all, record_levels):
             h_cap = struct.h_low - 1
             order = sorted(range(len(keys)), key=lambda i: (keys[i], i))
-            seg_len = int(round(math.log2(struct.num_modules)))
+            seg_len = struct.log_p  # 800 keys > P log P: the paper's spacing
             pivots = set(range(0, len(keys), seg_len)) | {len(keys) - 1}
             keeps = [h_cap if pos in pivots
                      else min(record_levels[i], h_cap)
@@ -498,20 +532,37 @@ GATES: List[Gate] = [
          lambda b: b.upsert_batch()["messages"], "==", 45598, EXACT),
     Gate("write stage rows / columns, 6000 writes",
          lambda b: b.write_stage_speedup(), ">=", 1.3),
+    # -- the search's pivot spacing (PR 22).  A batch of at most
+    # P log P = 384 keys places its pivots log^2 P apart and runs fewer
+    # divide-and-conquer phases: the three widths the serve path sends
+    # read 42 / 94 / 97 rounds at the paper's spacing.  One key over the
+    # boundary the route is the paper's: 138 rounds and 816 IO are the
+    # values recorded before the rule existed.
+    Gate("search widths: 13-key Successor, rounds",
+         lambda b: b.search_widths()["successor13"][0], "==", 29, EXACT),
+    Gate("search widths: 26-range batch, rounds",
+         lambda b: b.search_widths()["range26"][0], "==", 59, EXACT),
+    Gate("search widths: 64-key Upsert, rounds",
+         lambda b: b.search_widths()["upsert64"][0], "==", 47, EXACT),
+    Gate("search widths: 385-key Successor, (rounds, io_time)",
+         lambda b: b.search_widths()["successor385"], "==", (138, 816.0),
+         EXACT),
     # -- batched tree range (core/ops_range.py): the cut-point sweep
     # pays one boundary search, one root and one go per covered piece,
     # so n pairwise-disjoint ops cost n of each (3n under the old
     # point / gap / point sweep: 36, and 1355 messages in 72 rounds).
-    # The equalities move only when the range path's model cost does.
+    # The equalities move only when the range path's model cost does:
+    # 731 messages in 52 rounds until PR 22, whose 12 pieces (<= P log P
+    # = 64) space their pivots log^2 P apart.
     Gate("range batch: boundary searches == ops",
          lambda b: b.range_batch()["search_entry"],
          "==", 12, EXACT),
     Gate("range batch: rng_root tasks == ops",
          lambda b: b.range_batch()["rng_root"], "==", 12, EXACT),
     Gate("range batch: messages",
-         lambda b: b.range_batch()["messages"], "==", 731, EXACT),
+         lambda b: b.range_batch()["messages"], "==", 727, EXACT),
     Gate("range batch: rounds",
-         lambda b: b.range_batch()["rounds"], "==", 52, EXACT),
+         lambda b: b.range_batch()["rounds"], "==", 39, EXACT),
     # 0.983 with nd_step / sh_step / lf_get / lf_succ / lf_scan chunked,
     # 0 before: below the floor, a PIM-tree read function is in slots.
     Gate("chunked share pimtree reads",

@@ -543,11 +543,9 @@ def apply_range_cpu(sl: SkipListStructure, lkey: Hashable, rkey: Hashable,
     from repro.core import ops_point
 
     machine = sl.machine
-    p = sl.num_modules
-    log_p = max(1, int(math.log2(p))) if p > 1 else 1
     if use_broadcast is None:
         probe = range_broadcast(sl, lkey, rkey, func="count")
-        use_broadcast = probe.count > p * log_p
+        use_broadcast = probe.count > sl.min_point_batch
     if use_broadcast:
         res = range_broadcast(sl, lkey, rkey, func="read")
     else:
@@ -590,10 +588,8 @@ def batch_range_auto(sl: SkipListStructure,
         return []
     if func in ("set", "fetch_and_add"):
         _require_disjoint(ops)
-    p = sl.num_modules
-    log_p = max(1, int(math.log2(p))) if p > 1 else 1
     threshold = large_threshold if large_threshold is not None \
-        else p * log_p
+        else sl.min_point_batch
     counts = batch_range_tree(sl, ops, func="count")
     large_idx = [i for i, c in enumerate(counts) if c.count > threshold]
     small_idx = [i for i, c in enumerate(counts) if c.count <= threshold]

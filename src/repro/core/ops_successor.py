@@ -27,6 +27,14 @@ Bounds (Theorem 4.3): ``O(log^3 P)`` IO time, ``O(log^2 P log n)`` PIM
 time, ``O(P log^3 P)`` expected CPU work, ``O(log^2 P)`` CPU depth, and
 ``Theta(P log^2 P)`` shared memory, all whp in ``P``.
 
+**Narrow batches.**  The above is stated for ``P log^2 P`` operations.
+A batch of at most ``P log P`` -- what ``repro serve`` sends -- would
+run the same ``log(P log P)`` root-to-leaf phases for a handful of
+pivots, so it spaces its pivots ``log^2 P`` apart instead: fewer
+phases, at most ``log^2 P`` operations per segment (``O(log^3 P)`` IO
+for a hot one), everything else unchanged.  One line in ``route``;
+DESIGN.md §17 has the argument and the alternatives.
+
 The whole two-stage algorithm is one :class:`~repro.ops.BatchOp`: each
 divide-and-conquer phase (and stage 2) is one route stage whose messages
 are :func:`repro.core.ops_search.search_message`'s; the search walk
@@ -182,8 +190,12 @@ class _BatchSearchOp(BatchOp):
         b = len(keys)
         if b == 0:
             return [], [], [], []
-        p = sl.num_modules
-        seg_len = max(1, int(round(math.log2(p))) if p > 1 else 1)
+        # Pivot spacing: log P, the paper's -- log^2 P for a batch with
+        # no more operations than the paper's batch has pivots (see the
+        # module docstring).  Everything below is the same at either.
+        seg_len = sl.log_p
+        if b <= sl.min_point_batch:
+            seg_len *= seg_len
         h_cap = sl.h_low - 1
 
         # Sort the batch on the CPU side (O(B log B) expected, O(log B)

@@ -12,7 +12,6 @@ were constructed on; measure an operation with::
 
 from __future__ import annotations
 
-import math
 from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import ops_delete, ops_point, ops_search, ops_successor, ops_upsert, ops_write
@@ -61,19 +60,17 @@ class PIMSkipList:
 
     # -- batch-size policy ---------------------------------------------------
 
-    def _log_p(self) -> int:
-        return max(1, int(round(math.log2(self.machine.num_modules)))
-                   if self.machine.num_modules > 1 else 1)
-
     @property
     def min_point_batch(self) -> int:
-        """Paper minimum for Get/Update batches: ``P log P``."""
-        return self.machine.num_modules * self._log_p()
+        """Paper minimum for Get/Update batches: ``P log P``.  Also the
+        widest search batch whose pivots sit ``log^2 P`` apart (see
+        :mod:`repro.core.ops_successor`)."""
+        return self.struct.min_point_batch
 
     @property
     def min_search_batch(self) -> int:
         """Paper minimum for Successor/Upsert/Delete/Range: ``P log^2 P``."""
-        return self.machine.num_modules * self._log_p() ** 2
+        return self.struct.min_point_batch * self.struct.log_p
 
     def _check_batch(self, size: int, minimum: int, op: str) -> None:
         if self.enforce_batch_size and 0 < size < minimum:

@@ -62,13 +62,17 @@ class SkipListStructure:
         self.name = name
         self.num_modules = machine.num_modules
         p = self.num_modules
+        # The one integer ``log P`` of the structure (rounded, floored at
+        # 1): the level split, the search's pivot spacing, the batch
+        # minima and the tree-vs-broadcast threshold all read it.
+        self.log_p = max(1, int(round(math.log2(p)))) if p > 1 else 1
         if h_low_override is not None:
             # Ablation hook: the paper sets the split at log2 P; the
             # upper/lower split benchmark varies it to show the space/IO
             # trade-off.
             self.h_low = max(1, h_low_override)
         else:
-            self.h_low = max(1, int(round(math.log2(p))) if p > 1 else 1)
+            self.h_low = self.log_p
         self.level_p = level_promotion
         # stable_hash, not hash(): the per-process salt on str hashing
         # would give each run a different placement draw, breaking
@@ -119,6 +123,13 @@ class SkipListStructure:
     def root(self) -> Node:
         """The search root: the sentinel node at the current top level."""
         return self.sentinels[self.top_level]
+
+    @property
+    def min_point_batch(self) -> int:
+        """``P log P``: the paper's minimum Get/Update batch, the number
+        of pivots in its ``P log^2 P`` search batch, and the measured
+        tree-vs-broadcast crossover of a range."""
+        return self.num_modules * self.log_p
 
     @property
     def upper_leaf_sentinel(self) -> Node:

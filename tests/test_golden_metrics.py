@@ -116,6 +116,24 @@ def _tower(node):
         node = node.up
 
 
+def _search_boundary_workloads(out):
+    """The width at which the search's pivot spacing switches, pinned on
+    both sides: the same 512-key structure on a fresh machine twice, a
+    Successor batch of ``P log P`` keys (pivots ``log^2 P`` apart) and
+    the same batch plus one key (the paper's ``log P``)."""
+    p, n = 16, 512
+    rng = random.Random(808)
+    keys = sorted(rng.sample(range(1, 50_000), n))
+    edge = p * 4  # P log P
+    succ_keys = [rng.randrange(60_000) for _ in range(edge + 1)]
+    for label, width in (("p_log_p", edge), ("p_log_p_plus_1", edge + 1)):
+        machine = PIMMachine(num_modules=p, seed=17)
+        sl = PIMSkipList(machine, name="goldb")
+        sl.build([(k, k) for k in keys])
+        _measure(machine, f"skiplist/batch_successor_{label}",
+                 lambda: sl.batch_successor(succ_keys[:width]), out)
+
+
 def _baseline_workloads(out):
     p, n = 16, 400
     machine = PIMMachine(num_modules=p, seed=23)
@@ -252,6 +270,7 @@ def compute_all() -> dict:
     out: dict = {}
     _skiplist_workloads(out)
     _skiplist_write_workloads(out)
+    _search_boundary_workloads(out)
     _baseline_workloads(out)
     _collective_workloads(out)
     _qrqw_workloads(out)

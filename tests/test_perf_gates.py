@@ -53,7 +53,8 @@ def test_quick_baseline_is_refused(tmp_path):
 
 def test_exact_rows_pass():
     """The chunked-task shares, the CPU-side charges of one fixed
-    session, the fixed Upsert batch and batch of ranges, the seven
+    session, the fixed Upsert batch and batch of ranges, the search at
+    four widths around its pivot-spacing boundary, the seven
     skew-adversary rows and the durable restart counts, measured in
     process with the committed baselines' parameters."""
     names = {g.name for g in EXACT_ROWS}
@@ -63,7 +64,10 @@ def test_exact_rows_pass():
             "upsert batch: path replies above their op's limit",
             "upsert batch: messages",
             "range batch: boundary searches == ops",
-            "range batch: rounds", "pimtree rounds",
+            "range batch: rounds",
+            "search widths: 13-key Successor, rounds",
+            "search widths: 385-key Successor, (rounds, io_time)",
+            "pimtree rounds",
             "skiplist rounds above ceiling",
             "durable replayed records: before snapshot"} <= names
     assert gates.run(gates.Bench(repeat=1), EXACT_ROWS) == []

@@ -1,0 +1,192 @@
+"""The batched search's pivot spacing (``core/ops_successor.py``).
+
+A search batch of at most ``P log P`` keys spaces its pivots ``log^2 P``
+apart, a wider one ``log P`` (the paper's).  What has to hold on both
+sides of that width, and across it:
+
+- one ``log P``: the structure, :class:`PIMSkipList`'s batch minima and
+  both tree-vs-broadcast range thresholds read the same rounded integer
+  (the range call sites used the floor until PR 22);
+- a batch answers as its two halves do and costs no more rounds / IO
+  than they do run back to back, under the slack the differ's
+  split-monotonicity check uses -- the property the coalescer relies on
+  when it merges requests, and the one a single-stage narrow search
+  broke;
+- the paper's adversary, distinct keys sharing one successor, is settled
+  from the extremes' paths at either spacing: its cost is the one
+  recorded before the rule existed, to the unit;
+- one hot segment stays inside Theorem 4.3's ``O(log^3 P)`` IO.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro import PIMMachine, PIMSkipList
+from repro.core import ops_range
+from repro.workloads import build_items, same_successor_batch
+from tests.conftest import DETERMINISTIC
+
+STRIDE = 4096
+
+
+def _built(p: int, n: int, seed: int = 7, stride: int = STRIDE) -> PIMSkipList:
+    sl = PIMSkipList(PIMMachine(num_modules=p, seed=seed))
+    sl.build(build_items(n, stride=stride))
+    return sl
+
+
+def _cost(sl: PIMSkipList, op: str, payload):
+    before = sl.machine.snapshot()
+    result = sl.apply_batch(op, payload)
+    return result, sl.machine.delta_since(before)
+
+
+# -- one log P ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, log_p", [(6, 3), (12, 4), (48, 6), (64, 6)])
+def test_one_log_p(p, log_p, monkeypatch):
+    """At P = 6, 12, 48 the floor of ``log2 P`` is one less than the
+    rounded value every other reader used."""
+    sl = _built(p, 4 * p * log_p, stride=1)
+    s = sl.struct
+    assert s.log_p == s.h_low == log_p
+    assert sl.min_point_batch == s.min_point_batch == p * log_p
+    assert sl.min_search_batch == p * log_p ** 2
+
+    # Both range call sites switch to a broadcast strictly above P log P
+    # covered pairs (keys are 0, 1, 2, ...: [lo, lo + k - 1] covers k).
+    reads = []
+    broadcast = ops_range.range_broadcast
+
+    def counting(struct, lkey, rkey, func="read", farg=None):
+        if func == "read":
+            reads.append(rkey - lkey + 1)
+        return broadcast(struct, lkey, rkey, func, farg)
+
+    monkeypatch.setattr(ops_range, "range_broadcast", counting)
+    edge = s.min_point_batch
+    for covered in (edge, edge + 1):
+        sl.batch_range_auto([(5, 5 + covered - 1)])
+        sl.apply_range(5, 5 + covered - 1, lambda k, v: v)
+    assert reads == [edge + 1, edge + 1]
+
+
+# -- (a) a batch against its two halves --------------------------------------
+
+
+@st.composite
+def split_cases(draw):
+    p = draw(st.sampled_from([8, 16, 64]))
+    edge = p * int(math.log2(p))
+    width = draw(st.one_of(
+        st.integers(2, 3 * edge),
+        # Around the widths where the whole batch, or its halves, change
+        # spacing.
+        st.sampled_from([edge - 1, edge, edge + 1, edge + 2,
+                         2 * edge - 1, 2 * edge, 2 * edge + 1,
+                         2 * edge + 2])))
+    return p, width, draw(st.integers(0, 2 ** 16))
+
+
+@DETERMINISTIC
+@given(split_cases())
+def test_a_batch_costs_no_more_than_its_halves(case):
+    """``verify/differ.py::_check_split``'s invariant and slack, over
+    every width from 2 to ``3 P log P``."""
+    p, width, seed = case
+    n = 32 * p
+    rng = random.Random(seed)
+    keys = [rng.randrange(-STRIDE, (n + 1) * STRIDE) for _ in range(width)]
+    whole, twin = _built(p, n), _built(p, n)
+    answers, d = _cost(whole, "successor", keys)
+    mid = width // 2
+    a1, d1 = _cost(twin, "successor", keys[:mid])
+    a2, d2 = _cost(twin, "successor", keys[mid:])
+    assert a1 + a2 == answers
+    assert d.rounds <= d1.rounds + d2.rounds + 8
+    assert d.io_time <= 1.5 * (d1.io_time + d2.io_time) + 16
+
+
+# -- (b) the paper's adversary ------------------------------------------------
+
+P, N = 64, 4096
+LOG3_P = 6 ** 3
+#: (rounds, io_time, pim_time, messages) on a fresh machine, recorded at
+#: 56d843e (every batch on the paper's spacing).  The search settles the
+#: whole batch from its two extremes' paths, so a Successor batch costs
+#: the same at every width; an Upsert adds its writes.  Widths: log^2 P,
+#: P and P log P (and two more) on the narrow side, one key over, and
+#: P log^2 P.
+SUCCESSOR_AT_PARENT = (8, 44.0, 22.0, 46)
+UPSERT_AT_PARENT = {
+    8: (11, 58.0, 59.0, 188),
+    36: (13, 76.0, 235.0, 806),
+    64: (13, 90.0, 247.0, 1186),
+    141: (13, 118.0, 360.0, 2794),
+    384: (13, 248.0, 781.0, 8566),
+    385: (13, 236.0, 774.0, 8574),
+    2304: (13, 1050.0, 5615.0, 53206),
+}
+
+
+def _adversary(width: int):
+    """``width`` distinct keys inside one gap -- the same gap at every
+    width: the generator draws it first, from the same stream."""
+    stored = [k for k, _ in build_items(N, stride=STRIDE)]
+    return same_successor_batch(stored, width, random.Random(5))
+
+
+def _adversary_cost(op: str, width: int):
+    keys = _adversary(width)
+    payload = keys if op == "successor" else [(k, -k) for k in keys]
+    _, d = _cost(_built(P, N), op, payload)
+    return d.rounds, d.io_time, d.pim_time, d.messages
+
+
+@pytest.mark.parametrize("width", sorted(UPSERT_AT_PARENT))
+def test_same_successor_batch_costs_what_it_did(width):
+    assert _adversary_cost("successor", width) == SUCCESSOR_AT_PARENT
+    upsert = _adversary_cost("upsert", width)
+    assert upsert == UPSERT_AT_PARENT[width]
+    # Theorem 4.3's O(log^3 P) IO (216 at P = 64), constants measured
+    # here: the search alone 44 = 0.21 log^3 P at every width; an Upsert
+    # of P log P keys into one gap, writes included, 248 = 1.15 log^3 P.
+    assert SUCCESSOR_AT_PARENT[1] <= 0.25 * LOG3_P
+    if width <= P * 6:
+        assert upsert[1] <= 1.25 * LOG3_P
+
+
+# -- (c) one hot segment inside a uniform batch -------------------------------
+
+
+#: Theorem 4.3's IO envelope for a batch with one hot segment, in units
+#: of log^3 P (the constants of (b) above sit well inside it).
+HOT_SEGMENT_C = 6.0
+
+
+@pytest.mark.parametrize("below", [0, 1, 2, 14, 35, 36, 37, 50])
+def test_one_cluster_inside_uniform_keys(below):
+    """36 keys in one gap (``log^2 P``: as many as one wide segment
+    holds) among 64 uniform ones, ``below`` of them sorting under the
+    cluster, so the cluster meets the pivot grid at every phase.  This
+    is the case the wider segment is sized for: up to ``log^2 P``
+    searches walk one lower-part path, ``log^2 P x O(log P)`` IO on its
+    modules.  Measured over these offsets: 711-1160 IO, at most
+    5.4 log^3 P, in 59-70 rounds (the paper's spacing: 426-544 IO,
+    2.5 log^3 P, in 104-119 rounds)."""
+    rng = random.Random(below)
+    lo = (N // 2) * STRIDE  # a stored key; the next one is lo + STRIDE
+    cluster = rng.sample(range(lo + 1, lo + STRIDE), 36)
+    keys = (cluster
+            + [rng.randrange(0, lo) for _ in range(below)]
+            + [rng.randrange(lo + STRIDE, N * STRIDE)
+               for _ in range(64 - below)])
+    rng.shuffle(keys)
+    answers, d = _cost(_built(P, N), "successor", keys)
+    assert all(got == (lo + STRIDE, lo + STRIDE)
+               for k, got in zip(keys, answers) if lo < k < lo + STRIDE)
+    assert d.io_time <= HOT_SEGMENT_C * LOG3_P

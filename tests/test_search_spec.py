@@ -2,9 +2,12 @@
 
 ``_ParentSearchOp`` is ``_BatchSearchOp`` as PR 19 left it: a
 dataclass and four dicts per batch, a ``(pos, hint)`` tuple per op, two
-``setdefault`` dicts per path reply -- verbatim but for the search
-message's ``record`` argument, which PR 21 turned from a flag into the
-highest level to stream back (see ``execute``).  The shipped route
+``setdefault`` dicts per path reply -- verbatim but for two lines: the
+search message's ``record`` argument, which PR 21 turned from a flag
+into the highest level to stream back (see ``execute``), and the pivot
+spacing, which PR 22 made ``log^2 P`` for a batch of at most ``P log P``
+keys (see ``route``; the boundary sessions below run both spacings,
+recording and record-free).  The shipped route
 keeps its state in position-indexed columns, folds the recording
 replies in one pass and builds stage 2's messages while it derives the
 hints; it must return the
@@ -106,6 +109,12 @@ class _ParentSearchOp(BatchOp):
             return []
         p = sl.num_modules
         seg_len = max(1, int(round(math.log2(p))) if p > 1 else 1)
+        # The one intended difference from the parent (PR 22): a batch of
+        # at most P log P keys spaces its pivots log^2 P apart.  Spelled
+        # from ``p`` alone, not read from the structure, so the spec and
+        # the shipped rule are two derivations of the same boundary.
+        if b <= p * seg_len:
+            seg_len *= seg_len
 
         # Sort the batch on the CPU side (O(B log B) expected, O(log B)
         # whp depth).
@@ -479,9 +488,39 @@ def searches(draw):
             mode in ("all", "levels"), levels)
 
 
+def _boundary_sessions():
+    """Widths on both sides of ``P log P``, where the pivot spacing
+    switches: one key under it, on it, one key over it and twice it,
+    for P in {8, 16}, in every recording mode."""
+    cases = []
+    for p in (8, 16):
+        edge = p * int(math.log2(p))
+        items = build_items(300, stride=STRIDE)
+        for b in (edge - 1, edge, edge + 1, 2 * edge):
+            rng = random.Random(b)
+            keys = [rng.randrange(-50, 300 * STRIDE + 50) for _ in range(b)]
+            levels = [rng.choice([0, 0, 0, 1, 2, 3, 7]) for _ in range(b)]
+            for record_all, record_levels in ((False, None), (True, None),
+                                              (True, levels)):
+                cases.append((p, items, b % 6, keys, record_all,
+                              record_levels))
+    return cases
+
+
+BOUNDARY_SESSIONS = _boundary_sessions()
+
+
 @DETERMINISTIC
-@given(searches())
+@given(st.one_of(searches(), st.sampled_from(BOUNDARY_SESSIONS)))
 def test_outcomes_and_costs_equal_the_parents(case):
+    _assert_same(*case)
+
+
+@pytest.mark.parametrize("case", BOUNDARY_SESSIONS, ids=lambda c: (
+    f"P{c[0]}-b{len(c[3])}-"
+    f"{'levels' if c[5] else 'all' if c[4] else 'free'}"))
+def test_boundary_session(case):
+    """Hypothesis samples the boundary sessions; this runs every one."""
     _assert_same(*case)
 
 
