@@ -2,7 +2,7 @@
 
 Unlike the model benchmarks under ``benchmarks/``, which measure the
 *simulated* machine (rounds, h-relations, PIM time), this harness measures
-the *simulator*: wall-clock seconds, tasks/sec and rounds/sec on seven
+the *simulator*: wall-clock seconds, tasks/sec and rounds/sec on six
 scenarios chosen to stress different engine paths, each run on the round
 engine (``PIMMachine``, reported under the label ``"columnar"``) and on
 its per-task reference oracle (``ReferencePIMMachine``, label
@@ -21,12 +21,9 @@ its per-task reference oracle (``ReferencePIMMachine``, label
   reference oracle;
 - ``engine_echo`` -- many tiny rounds of CPU-issued sends with small
   fanout (stresses send/step fixed overhead at low occupancy);
-- ``forward_chain`` -- long module-to-module continuation chains
-  (stresses the forward path and drain loop; fully vectorized on the
-  engine);
 - ``fanout_broadcast`` -- one CPU broadcast per round to every module
   (the high-fanout dispatch-stress case: the engine retires the whole
-  round as one array accumulate);
+  round as one batch-handler call over one ``BCAST`` chunk);
 - ``mixed_dispatch`` -- many distinct function ids per round, issued in
   per-fn runs (stresses grouped dispatch: one batch call per function id
   versus one context dispatch per task).
@@ -71,13 +68,11 @@ import random
 import sys
 from typing import Any, Dict, Optional, Sequence
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 from repro.core.ops_search import search_message
 from repro.core.skiplist import PIMSkipList
-from repro.sim.fastpath import BCAST, COLS
+from repro.sim.fastpath import BCAST
 from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.profiling import HandlerProfile, ThroughputProbe
 from repro.sim.task import Reply
@@ -170,7 +165,7 @@ def write_churn(probe_machine, *, P=32, n=4096, cycles=4, seed=17,
     marking around one embedded search.  On the engine those run as
     batch handlers; on the reference oracle every one is a task through
     a slot.  The regression gate holds the engine's floor on this
-    scenario the way ``forward_chain`` holds the column path's.
+    scenario by its chunked-task share.
     """
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
     sl = PIMSkipList(machine, name="bench")
@@ -222,82 +217,13 @@ def engine_echo(probe_machine, *, P=64, rounds=400, fanout=16, seed=3,
     return probe
 
 
-def forward_chain(probe_machine, *, P=64, chains=256, hops=48, seed=5,
-                  machine_cls=PIMMachine):
-    machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
-
-    def hop(ctx, remaining, opid, tag=None):
-        ctx.charge(1)
-        if remaining == 0:
-            ctx.reply(opid)
-        else:
-            ctx.forward((ctx.mid * 31 + opid + 1) % ctx.num_modules,
-                        "hop", (remaining - 1, opid))
-
-    machine.register("hop", hop)
-
-    def batch_hop(bct, chunks):
-        # Vectorized chain step: every task charges 1 and sends 1
-        # (a reply when its hop budget is spent, a forward
-        # otherwise), so both flat accumulators are one bincount.
-        if len(chunks) == 1 and chunks[0].kind == COLS:
-            ch = chunks[0]  # steady state: one column chunk per round
-            mids, rem, opid = ch.dests, ch.cols[0], ch.cols[1]
-        else:
-            parts = []
-            for ch in chunks:
-                if ch.kind == COLS:
-                    parts.append((ch.dests, ch.cols[0], ch.cols[1]))
-                else:
-                    rows = ch.rows
-                    k = len(rows)
-                    parts.append((
-                        np.fromiter((r[0] for r in rows), np.int64, k),
-                        np.fromiter((r[1][0] for r in rows), np.int64, k),
-                        np.fromiter((r[1][1] for r in rows), np.int64, k),
-                    ))
-            if len(parts) == 1:
-                mids, rem, opid = parts[0]
-            else:
-                mids = np.concatenate([t[0] for t in parts])
-                rem = np.concatenate([t[1] for t in parts])
-                opid = np.concatenate([t[2] for t in parts])
-        counts = np.bincount(mids, minlength=P)
-        bct.add_work_array(counts)
-        bct.add_sent_array(counts)
-        done = rem == 0
-        if done.any():
-            replies = bct.replies
-            for mid, op in zip(mids[done].tolist(),
-                               opid[done].tolist()):
-                replies.append(Reply(op, None, mid))
-            live = ~done
-            mids, rem, opid = mids[live], rem[live], opid[live]
-        if mids.size:
-            # The consumed chunk's arrays are ours now (the engine
-            # has retired the chunk), so advance the chain in place.
-            mids *= 31
-            mids += opid
-            mids += 1
-            mids %= P
-            rem -= 1
-            bct.stage_cols("hop", mids, (rem, opid))
-
-    machine.register_batch("hop", batch_hop)
-    with probe_machine(machine) as probe:
-        for c in range(chains):
-            machine.send(c % P, "hop", (hops, c))
-        machine.drain()
-    return probe
-
-
 def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9,
                      machine_cls=PIMMachine):
     """High-fanout dispatch stress: one CPU broadcast per round.
 
-    Every module charges one unit per broadcast; the engine
-    retires the whole P-task round as a single array accumulate instead
-    of P context dispatches.
+    Every module charges one unit per broadcast; the engine retires
+    the whole P-task round as one batch-handler call that adds to the
+    plain ``bct.work`` list instead of P context dispatches.
     """
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
 
@@ -305,20 +231,15 @@ def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9,
         ctx.charge(1)
 
     machine.register("accum", accum)
-    ones = np.ones(P, dtype=np.float64)
 
     def batch_accum(bct, chunks):
-        k = 0
+        work = bct.work
         for ch in chunks:
             if ch.kind == BCAST:
-                k += 1
+                work[:] = [w + 1 for w in work]
             else:
                 for mid, _args, _tag, _size in ch.rows:
-                    bct.work[mid] += 1
-        if k == 1:
-            bct.add_work_array(ones)
-        elif k:
-            bct.add_work_array(ones * k)
+                    work[mid] += 1
 
     machine.register_batch("accum", batch_accum)
     with probe_machine(machine) as probe:
@@ -396,9 +317,6 @@ SCENARIOS = {
     "engine_echo": (engine_echo,
                     {"P": 64, "rounds": 400, "fanout": 16, "seed": 3},
                     {"P": 64, "rounds": 40, "fanout": 16, "seed": 3}),
-    "forward_chain": (forward_chain,
-                      {"P": 64, "chains": 256, "hops": 48, "seed": 5},
-                      {"P": 64, "chains": 32, "hops": 16, "seed": 5}),
     "fanout_broadcast": (fanout_broadcast,
                          {"P": 256, "rounds": 400, "seed": 9},
                          {"P": 64, "rounds": 40, "seed": 9}),

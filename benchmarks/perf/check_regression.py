@@ -477,17 +477,19 @@ WALL = "backends.{}.scenarios.macro_successor.seconds"
 
 GATES: List[Gate] = [
     # -- engine over reference oracle, tasks/sec (recorded: 1.3x, 1.2x,
-    # 8x, 16x).  write_churn's ratio is mostly structure work both sides
+    # 5x).  write_churn's ratio is mostly structure work both sides
     # share, so its floor only says "not slower than the oracle"; the
     # chunked share below is what gates that path's existence.
+    # fanout_broadcast is one batch-handler call and one plain
+    # accounting pass over P = 256 modules against 256 context
+    # dispatches: 4.9-5.1x in one process (16x while a numpy twin of the
+    # round's books existed for it alone, DESIGN.md section 11).
     Gate("speedup macro_successor",
          lambda b: b.speedup("macro_successor"), ">=", 1.05),
     Gate("speedup write_churn",
          lambda b: b.speedup("write_churn"), ">=", 1.02),
-    Gate("speedup forward_chain",
-         lambda b: b.speedup("forward_chain"), ">=", 4.0),
     Gate("speedup fanout_broadcast",
-         lambda b: b.speedup("fanout_broadcast"), ">=", 8.0),
+         lambda b: b.speedup("fanout_broadcast"), ">=", 2.5),
     # 0.8965 with the committed parameters (ups_upper_link / del_upper /
     # grow stay in slots), 0.30 with only the search walk chunked: below
     # the floor, a write-path function fell back to slots.

@@ -23,8 +23,6 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-import numpy as np
-
 from repro.core.node import NODE_WORDS, Node, UPPER
 from repro.core.structure import SkipListStructure
 from repro.ops import BatchOp, Broadcast, Columns, cached_handlers, run_batch
@@ -75,15 +73,16 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         for ch in chunks:
             if ch.kind == COLS:
                 # Every module's unit of work and its ack per write are
-                # one count of the destinations; the acks are built
-                # without an interpreted step per write.
+                # the count of the destinations the engine took at issue
+                # time; the acks are built without an interpreted step
+                # per write.
                 for node, field, value in zip(*ch.cols):
                     setattr(node, field, value)
-                counts = np.bincount(ch.dests, minlength=bct.num_modules)
-                bct.add_work_array(counts)
-                bct.add_sent_array(counts)
+                for mid, k in ch.counts.items():
+                    work[mid] += k
+                    sent[mid] += k
                 replies.extend(map(Reply, repeat(ACK), repeat(None),
-                                   ch.dests.tolist()))
+                                   ch.dests))
             elif ch.kind == BCAST:
                 setattr(*ch.args)
                 tag = ch.tag

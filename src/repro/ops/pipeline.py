@@ -90,7 +90,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 from repro.sim.chaos import DELIVER_FN
 from repro.sim.errors import (DeliveryTimeout, MalformedMessageError,
                               UnknownHandlerError)
-from repro.sim.machine import Handler, PIMMachine
+from repro.sim.machine import Handler, PIMMachine, check_columns
 
 __all__ = ["ACK_TAG", "BatchOp", "Broadcast", "Columns", "batch_epoch",
            "cached_handlers", "run_batch"]
@@ -128,11 +128,10 @@ class Columns:
     built with a few ``append`` calls per message and issued without an
     interpreted step per message.
 
-    Only for a function whose batch handler charges through ``bct``
-    alone (``write_ptr``): on a column chunk the engine does not read
-    ``module.charge`` back into the round's PIM maximum (the charging
-    rule of :mod:`repro.sim.fastpath`), so a handler that hands that
-    callback to a module-local structure must be sent rows.
+    Any function may be sent this way: a column receiver is accounted
+    exactly like a row receiver.  A column of another length than
+    ``dests`` raises :class:`~repro.sim.errors.MalformedMessageError`
+    here, at construction, whichever form the driver would issue.
     """
 
     __slots__ = ("fn", "dests", "cols")
@@ -142,6 +141,7 @@ class Columns:
         self.fn = fn
         self.dests = dests
         self.cols = tuple(cols)
+        check_columns(f"Columns({fn!r})", dests, self.cols)
 
     def rows(self) -> Iterator[tuple]:
         """The element's messages as ``send_all`` tuples, in order."""
@@ -385,13 +385,15 @@ def _reliable_stage(machine: PIMMachine, op: "BatchOp",
         machine.send_all(list(pending.values()))
 
 
-# A column chunk costs one ``bincount`` when it is staged and puts its
-# round on the array accounting: ~8 us however short it is, against the
-# ~0.25 us a message that ``send_all`` and the row loop cost.  Measured
-# in one process on a ``write_ptr`` stage at P = 32 and P = 64 (rows
-# wall / columns wall, issue + drain): 0.60 at 1 message, 0.92 at 16,
-# 1.06-1.09 at 24, 1.17 at 32, 1.4 at 64, 1.85 at 256, 1.9 at 6 000.
-# Shorter elements are issued as rows.
+# A column chunk costs one count of its destinations when it is staged
+# and one pass over that count in the handler: ~1.7 us more than a row
+# at one message (4.7 against 3.0 us, issue + drain), then ~0.22 us a
+# message against the ~0.45 us that ``send_all`` and the row loop cost.
+# Measured in one process on a ``write_ptr`` stage at P = 32 and P = 64
+# (rows wall / columns wall, issue + drain): 0.65 at 1 message, 0.74 at
+# 4, 0.82-0.84 at 8, 0.90-0.91 at 16, 0.97-0.98 at 24, 0.99-1.04 at 32,
+# 1.16-1.22 at 64, 1.5-1.6 at 256, 2.15 at 6 000.  Shorter elements are
+# issued as rows.
 COLUMNS_CROSSOVER = 32
 
 

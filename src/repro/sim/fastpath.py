@@ -20,16 +20,22 @@ CPU-before-forward delivery order::
 
     chunk kinds
       rows:  rows = [(dest, args, tag, size), ...]   (scalar issue path)
-      cols:  dests = int64 array; cols = tuple of payload columns:
-             numpy arrays (emitted by vectorized batch handlers) or
-             plain lists (``send_cols`` for the ops pipeline's
-             ``Columns`` stage element, whose columns hold nodes)
+      cols:  dests = list of module ids; cols = tuple of payload
+             columns, plain lists as long as ``dests`` (``send_cols``,
+             for the ops pipeline's ``Columns`` stage element);
+             counts = {dest: messages}, the one count of ``dests``
       bcast: one (args, tag, size) delivered to every module
 
 Per-destination receive totals (the ``h``-relation's incoming half) are
-accumulated *at append time* into a pooled flat counter array
-(``_recv``), so a round never scans or re-buckets messages; column
-chunks accumulate through one ``bincount`` per emission.
+accumulated *at append time* into one pooled flat counter list
+(``_recv``; ``_active`` lists its non-zero entries), so a round never
+scans or re-buckets messages.  A column chunk is counted once, with
+``collections.Counter``, when it is issued: that count is its bounds
+check and its receive accounting, and it stays on the chunk
+(``counts``) for a handler whose work and sends per message are
+uniform.  Row, column and slot receivers share the one set of books;
+only a broadcast's units are kept apart (``_bcast_units``: every module
+receives them).
 
 Grouped dispatch
 ----------------
@@ -38,10 +44,10 @@ A round with chunks runs its scalar slots first, in exactly the scalar
 loop's order (destinations ascending, CPU-issued before forwarded,
 arrival order within a queue), then groups its chunks by function id and
 makes ONE batch-handler call per function over all of its chunks -- the
-handler loops (or numpy-vectorizes) over contiguous slices, charging
-work and sends into flat per-module accumulators on the shared
-:class:`BatchRound` context.  A round with no chunks *is* the scalar
-loop.
+handler loops over contiguous slices, charging work and sends into flat
+per-module lists on the shared :class:`BatchRound` context, and the
+round is finished by one plain accounting loop over its receivers.  A
+round with no chunks *is* the scalar loop.
 
 Execution contract for batch handlers
 -------------------------------------
@@ -72,16 +78,19 @@ any execution order.  Batch handlers are therefore required to be:
 - **RNG-free** (the machine's seeded stream must be consumed in the
   same order as under the scalar loop).
 
-Charging: a batch handler charges into ``bct.work[mid]`` (or the array
-accumulators).  On a module that received **row or slot** traffic this
-round it may also hand out ``module.charge`` -- the bound callback the
-module's local structures already hold (the cuckoo table charges its
-probes through it) -- and the engine adds what that left in
-``round_work`` to the module's round total.  Work done for a broadcast
-or a column chunk is charged through ``bct`` only: the engine does not
-sweep all P modules per round to read a callback back.
+Charging: a batch handler charges into ``bct.work[mid]``.  On a module
+that received **row, column or slot** traffic this round it may also
+hand out ``module.charge`` -- the bound callback the module's local
+structures already hold (the cuckoo table charges its probes through
+it) -- and the engine adds what that left in ``round_work`` to the
+module's round total.  Work done for a broadcast is charged through
+``bct`` only: the engine does not sweep all P modules per round to read
+a callback back.
 
-Which functions are chunked (skip list, then PIM-tree)::
+Which functions are chunked (skip list, then PIM-tree).  Any of them
+may be sent as a column chunk -- a column receiver is accounted like a
+row receiver -- and ``write_ptr`` is the one a route sends that way
+today::
 
     chunked  search_entry, search_step        the walk (read-only)
              write_ptr                        a batch's writes as one column
@@ -144,7 +153,7 @@ in the slots runs scalar, and new traffic is routed to chunks again.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.sim.task import Reply
 
@@ -189,15 +198,16 @@ class _Chunk:
     """One function id's contiguous run of staged messages."""
 
     __slots__ = ("fn", "handler", "kind", "rows", "dests", "cols",
-                 "args", "tag", "size")
+                 "counts", "args", "tag", "size")
 
     def __init__(self, fn: str, handler: Any, kind: int) -> None:
         self.fn = fn
         self.handler = handler
         self.kind = kind
         self.rows: Optional[list] = None   # ROWS: [(dest, args, tag, size)]
-        self.dests: Any = None             # COLS: int array of destinations
+        self.dests: Any = None             # COLS: list of destinations
         self.cols: Any = None              # COLS: tuple of payload columns
+        self.counts: Optional[Dict[int, int]] = None  # COLS: dest -> messages
         self.args: Any = None              # BCAST: the shared args tuple
         self.tag: Any = None               # BCAST: the shared tag
         self.size: int = 1                 # COLS/BCAST: uniform message size
@@ -224,21 +234,18 @@ class BatchRound:
     - charges local work into ``work[mid]`` and message sends into
       ``sent[mid]`` -- only for modules that received tasks this round
       (the executing module of some task; charging elsewhere violates
-      the execution contract) -- or, for vectorized handlers, into flat
-      per-module arrays via :meth:`add_work_array` /
-      :meth:`add_sent_array`; on a row or slot receiver it may also
-      pass ``machine.modules[mid].charge`` to module-local structures
-      (see the module docstring's charging rule);
-    - stages next-round continuations with :meth:`stage_rows` /
-      :meth:`stage_cols`.
+      the execution contract); on a row, column or slot receiver it may
+      also pass ``machine.modules[mid].charge`` to module-local
+      structures (see the module docstring's charging rule);
+    - stages next-round continuations with :meth:`stage_rows`.
 
     Work values must be integer-valued (the model charges unit RAM
-    instructions), which keeps float64 array summation exact and the
-    metric stream bit-identical to the reference oracle's.
+    instructions), which keeps the per-module sums independent of the
+    order a round's tasks are charged in and the metric stream
+    bit-identical to the reference oracle's.
     """
 
-    __slots__ = ("machine", "num_modules", "replies", "work", "sent",
-                 "_work_np", "_sent_np")
+    __slots__ = ("machine", "num_modules", "replies", "work", "sent")
 
     def __init__(self, machine: "PIMMachine") -> None:  # noqa: F821
         self.machine = machine
@@ -246,8 +253,6 @@ class BatchRound:
         self.replies: list = []
         self.work: List[float] = [0.0] * machine.num_modules
         self.sent: List[int] = [0] * machine.num_modules
-        self._work_np: Any = None
-        self._sent_np: Any = None
 
     def _arm(self, replies: list) -> None:
         self.replies = replies
@@ -255,10 +260,6 @@ class BatchRound:
         # templates -- no reallocation).
         self.work[:] = self.machine._zeros_f
         self.sent[:] = self.machine._zeros_i
-        self._work_np = None
-        self._sent_np = None
-
-    # -- scalar-ish accumulation ------------------------------------------
 
     def reply(self, mid: int, payload: Any, tag: Any = None,
               size: int = 1) -> None:
@@ -283,22 +284,6 @@ class BatchRound:
         rows.sort(key=_row_dest)
         return rows
 
-    # -- vectorized accumulation ------------------------------------------
-
-    def add_work_array(self, work: Any) -> None:
-        """Fold a length-P float array of per-module work charges in."""
-        if self._work_np is None:
-            self._work_np = work.astype("float64", copy=True)
-        else:
-            self._work_np += work
-
-    def add_sent_array(self, sent: Any) -> None:
-        """Fold a length-P int array of per-module sent units in."""
-        if self._sent_np is None:
-            self._sent_np = sent.astype("int64", copy=True)
-        else:
-            self._sent_np += sent
-
     # -- staging continuations --------------------------------------------
 
     def stage_rows(self, fn: str, rows: list) -> None:
@@ -306,8 +291,3 @@ class BatchRound:
         for the next round (receive accounting included).  The sender
         side must be charged by the handler via :attr:`sent`."""
         self.machine._stage_fwd_rows(fn, rows)
-
-    def stage_cols(self, fn: str, dests: Any, cols: Tuple[Any, ...],
-                   size: int = 1) -> None:
-        """Stage a column chunk of continuations (numpy path)."""
-        self.machine._stage_cols(_FWD_Q, fn, dests, cols, size)

@@ -65,12 +65,10 @@ the values the per-task loop produced on seed workloads.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import repeat
 from time import perf_counter
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
-
-import numpy as np
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.sim.chaos import ChaosState, FaultPlan
 from repro.sim.config import MachineConfig
@@ -100,6 +98,20 @@ def _bad_size(what: str, size: Any) -> MalformedMessageError:
     return MalformedMessageError(
         f"{what} has invalid size {size!r}: a message size must be a "
         f"positive int (constant-size message units)")
+
+
+def check_columns(what: str, dests: Sequence[int],
+                  cols: Sequence[Sequence[Any]]) -> None:
+    """Raise :class:`MalformedMessageError` unless ``cols`` is at least
+    one column and each is as long as ``dests``: ``zip`` would silently
+    cut the messages at the shortest column while the receive accounting
+    counts ``dests``."""
+    n = len(dests)
+    if not cols or any(len(col) != n for col in cols):
+        raise MalformedMessageError(
+            f"{what} has columns of lengths {[len(col) for col in cols]} "
+            f"for {n} destinations: expected at least one column, each as "
+            f"long as dests")
 
 
 class PIMMachine:
@@ -185,33 +197,22 @@ class PIMMachine:
         self._staged: Dict[int, list] = {}
         # Chunk staging (see repro.sim.fastpath): CPU-issued and
         # forwarded chunk streams, per-destination receive units of the
-        # row chunks (``_recv``, pooled; ``_active`` lists its non-zero
-        # entries), of the column chunks (``_recv_np``) and of the
-        # broadcast chunks, and their running total.
+        # row and column chunks (``_recv``, pooled; ``_active`` lists its
+        # non-zero entries) and of the broadcast chunks, and their
+        # running total.
         P = self.num_modules
         self._cq: List[_Chunk] = []
         self._fq: List[_Chunk] = []
         self._recv: List[int] = [0] * P
         self._recv_spare: Optional[List[int]] = None
-        self._recv_np: Any = None
         self._active: List[int] = []
         self._bcast_units = 0
         self._incoming_total = 0
         # Zero templates for slice-resetting the BatchRound's pooled
-        # flat accumulators, and a shared all-zero receive vector for
-        # rounds with no row-staged traffic (never mutated -- arithmetic
-        # on it allocates fresh).
+        # flat accumulators.
         self._zeros_f: List[float] = [0.0] * P
         self._zeros_i: List[int] = [0] * P
-        self._zero_np = np.zeros(P, dtype="int64")
         self._bct = BatchRound(self)
-        # Deferred per-module batch work (float64 vector): the vectorized
-        # accounting accumulates here instead of touching P module
-        # objects per round; folded into ``module.work`` lazily at
-        # measurement points (``_sync_pim_work``).  Integer-valued
-        # charges keep the float64 sums exact, so the deferral cannot
-        # perturb the metric stream.
-        self._work_acc: Any = None
         self._log_p = config.log_p
         self._trace_rounds = config.trace_rounds
         self._trace_access = config.trace_accesses
@@ -341,7 +342,6 @@ class PIMMachine:
         for mid in self._active:
             recv[mid] = 0
         self._active = []
-        self._recv_np = None
         self._bcast_units = 0
         self._incoming_total = 0
 
@@ -353,11 +353,7 @@ class PIMMachine:
         if ch.kind == ROWS:
             return ch.rows
         if ch.kind == COLS:
-            # Columns are numpy arrays (vectorized handlers) or plain
-            # lists (the ops pipeline's ``Columns`` stage element).
-            cols = [c.tolist() if isinstance(c, np.ndarray) else c
-                    for c in ch.cols]
-            return zip(ch.dests.tolist(), zip(*cols), repeat(None),
+            return zip(ch.dests, zip(*ch.cols), repeat(None),
                        repeat(ch.size))
         return zip(range(self.num_modules), repeat(ch.args),
                    repeat(ch.tag), repeat(ch.size))
@@ -514,27 +510,36 @@ class PIMMachine:
                 slot[0] += size
                 slot[1].append(entry)
 
-    def send_cols(self, fn: str, dests: Any, cols: Tuple[Any, ...],
-                  size: int = 1) -> None:
+    def send_cols(self, fn: str, dests: Sequence[int],
+                  cols: Sequence[Sequence[Any]], size: int = 1) -> None:
         """Issue one CPU-side batch of messages as a column chunk.
 
-        The vectorized twin of :meth:`send_all` for homogeneous batches:
-        ``dests`` (module ids: an int64 array or a list of ints) and the
-        parallel ``cols`` (numpy arrays or plain lists) land as one
-        chunk that ``fn``'s registered batch handler consumes natively
-        next round.  Receive accounting (h-relation units, task counts)
-        is identical to sending the rows one by one, so metric streams
-        do not depend on which form a caller uses.  Its production
-        caller is the ops pipeline's driver, for a
-        :class:`repro.ops.Columns` stage element.  Only available while
-        :attr:`columnar_active` -- check it first, as the driver does:
-        in a scalar fallback the round loop never dispatches batch
-        handlers, and the rows the columns stand for go through
-        :meth:`send_all` instead.  (A fault plan is such a fallback,
-        which also keeps column sends off the reliable-delivery
-        protocol: chaos plans wrap every CPU-issued *scalar* message in
-        an envelope, and a column chunk would bypass that accounting.)
-        ``size`` must be a positive ``int``, as in :meth:`send_all`.
+        The bulk form of :meth:`send_all` for one function's messages:
+        message ``i`` goes to module ``dests[i]`` with arguments
+        ``(cols[0][i], cols[1][i], ...)``, no tag.  ``dests`` and every
+        column are plain lists of one length; they land as one chunk
+        that ``fn``'s registered batch handler reads next round (a
+        function without one gets the rows in its destinations' slots).
+        The destinations are counted once: that count is the bounds
+        check, the receive accounting -- the same per-module units and
+        task counts as sending the rows one by one, so metric streams do
+        not depend on which form a caller uses -- and the chunk's
+        ``counts``.  A column of another length than ``dests`` (or no
+        column at all) raises
+        :class:`~repro.sim.errors.MalformedMessageError`, a module id
+        outside ``[0, P)`` ``ValueError``, an unknown ``fn``
+        :class:`~repro.sim.errors.UnknownHandlerError`; nothing is
+        staged then.  Its production caller is the ops pipeline's
+        driver, for a :class:`repro.ops.Columns` stage element.  Only
+        available while :attr:`columnar_active` -- check it first, as
+        the driver does: in a scalar fallback the round loop never
+        dispatches batch handlers, and the rows the columns stand for go
+        through :meth:`send_all` instead.  (A fault plan is such a
+        fallback, which also keeps column sends off the
+        reliable-delivery protocol: chaos plans wrap every CPU-issued
+        *scalar* message in an envelope, and a column chunk would bypass
+        that accounting.)  ``size`` must be a positive ``int``, as in
+        :meth:`send_all`.
         """
         if not self.columnar_active:
             raise RuntimeError(
@@ -542,7 +547,36 @@ class PIMMachine:
                 f"loop (fallback reasons: {sorted(self._fallback_reasons)})")
         if type(size) is not int or size < 1:
             raise _bad_size(f"send_cols {fn!r}", size)
-        self._stage_cols(_CPU_Q, fn, dests, cols, size)
+        handler = self._handlers.get(fn)
+        if handler is None:
+            raise UnknownHandlerError(
+                f"no handler for {fn!r} (resolved at send time)")
+        cols = tuple(cols)
+        check_columns(f"send_cols {fn!r}", dests, cols)
+        n = len(dests)
+        if not n:
+            return
+        counts = Counter(dests)
+        P = self.num_modules
+        for mid in counts:
+            if not 0 <= mid < P:
+                raise ValueError(f"bad module id {mid}")
+        ch = _Chunk(fn, handler, COLS)
+        ch.dests = dests
+        ch.cols = cols
+        ch.counts = counts
+        ch.size = size
+        if fn not in self._chunk_fns:
+            self._rows_to_slots(_CPU_Q, fn, handler, self._iter_chunk(ch))
+            return
+        recv = self._recv
+        active = self._active
+        for mid, k in counts.items():
+            if recv[mid] == 0:
+                active.append(mid)
+            recv[mid] += k * size
+        self._incoming_total += n * size
+        self._cq.append(ch)
 
     # -- chunk staging ------------------------------------------------------
 
@@ -605,41 +639,6 @@ class PIMMachine:
         ch = _Chunk(fn, handler, ROWS)
         ch.rows = rows
         fq.append(ch)
-
-    def _stage_cols(self, q: int, fn: str, dests: Any,
-                    cols: Tuple[Any, ...], size: int) -> None:
-        """Stage one vectorized column chunk into the CPU-issued
-        (``q == _CPU_Q``) or forwarded stream, receive accounting
-        included (``send_cols`` / ``BatchRound.stage_cols``)."""
-        n = len(dests)
-        if n == 0:
-            return
-        handler = self._handlers.get(fn)
-        if handler is None:
-            raise UnknownHandlerError(
-                f"no handler for {fn!r} (resolved at forward time)")
-        dests = np.asarray(dests, dtype="int64")
-        # bincount yields a fresh int64 vector we own -- adopt it.  It
-        # is also the bounds check: a negative id raises inside it, an
-        # id >= P lengthens the vector.
-        counts = np.bincount(dests, minlength=self.num_modules)
-        if len(counts) != self.num_modules:
-            raise ValueError(f"bad module id {int(dests.max())}")
-        ch = _Chunk(fn, handler, COLS)
-        ch.dests = dests
-        ch.cols = tuple(cols)
-        ch.size = size
-        if fn not in self._chunk_fns:
-            self._rows_to_slots(q, fn, handler, self._iter_chunk(ch))
-            return
-        if size != 1:
-            counts *= size
-        if self._recv_np is None:
-            self._recv_np = counts
-        else:
-            self._recv_np += counts
-        self._incoming_total += n * size
-        (self._cq if q == _CPU_Q else self._fq).append(ch)
 
     # -- round execution -----------------------------------------------------
 
@@ -762,7 +761,6 @@ class PIMMachine:
         staged = self._staged
         recv = self._recv
         active = self._active
-        recv_np = self._recv_np
         bcast_units = self._bcast_units
         incoming_total = self._incoming_total
         # Install fresh staging (pooled recv buffer) for the messages
@@ -777,7 +775,6 @@ class PIMMachine:
         self._staged = {}
         self._recv = spare
         self._active = []
-        self._recv_np = None
         self._bcast_units = 0
         self._incoming_total = 0
 
@@ -787,12 +784,12 @@ class PIMMachine:
         bwork = bct.work
         bsent = bct.sent
         modules = self.modules
-        # A module that receives row or slot traffic starts the round
-        # with ``round_work`` zero (``active`` lists the row receivers;
-        # the slot receivers join it below) and has it read back
-        # afterwards, so a batch handler may charge such a module through
-        # ``module.charge`` -- the callback its local structures hold --
-        # as well as through ``bct.work``.
+        # A module that receives row, column or slot traffic starts the
+        # round with ``round_work`` zero (``active`` lists the chunk
+        # receivers; the slot receivers join it below) and has it read
+        # back afterwards, so a batch handler may charge such a module
+        # through ``module.charge`` -- the callback its local structures
+        # hold -- as well as through ``bct.work``.
         for mid in active:
             modules[mid].round_work = 0.0
         tasks = 0
@@ -840,36 +837,28 @@ class PIMMachine:
         # Batch charges made through ``bct`` are folded into cumulative
         # per-module work here (``ctx.charge`` / ``module.charge`` already
         # added theirs); a module's round total is the two together.
-        work_np = bct._work_np
-        sent_np = bct._sent_np
-        if recv_np is not None or work_np is not None or sent_np is not None:
-            h, round_pim_max, sent_total = self._finish_np(
-                recv, recv_np, bcast_units, bwork, bsent,
-                work_np, sent_np, active)
-        else:
-            # Plain-Python accounting: the fast path for rounds whose
-            # batch handlers used no array accumulators.
-            h = 0
-            round_pim_max = 0.0
-            sent_total = 0
-            for mid in (range(P) if bcast_units else active):
-                w = bwork[mid]
-                if recv[mid]:
-                    # A row or slot receiver: round_work is this round's.
-                    module = modules[mid]
-                    if w:
-                        module.work += w
-                        module.round_work += w
-                    w = module.round_work
-                elif w:
-                    modules[mid].work += w
-                s = bsent[mid]
-                sent_total += s
-                hm = recv[mid] + bcast_units + s
-                if hm > h:
-                    h = hm
-                if w > round_pim_max:
-                    round_pim_max = w
+        # Only a broadcast reaches modules outside ``active``.
+        h = 0
+        round_pim_max = 0.0
+        sent_total = 0
+        for mid in (range(P) if bcast_units else active):
+            w = bwork[mid]
+            if recv[mid]:
+                # A chunk or slot receiver: round_work is this round's.
+                module = modules[mid]
+                if w:
+                    module.work += w
+                    module.round_work += w
+                w = module.round_work
+            elif w:
+                modules[mid].work += w
+            s = bsent[mid]
+            sent_total += s
+            hm = recv[mid] + bcast_units + s
+            if hm > h:
+                h = hm
+            if w > round_pim_max:
+                round_pim_max = w
 
         self._commit_round(h, incoming_total + sent_total, round_pim_max,
                            tasks)
@@ -879,82 +868,6 @@ class PIMMachine:
         if self._recv_spare is None:
             self._recv_spare = recv
         return replies
-
-    def _finish_np(self, recv, recv_np, bcast_units, bwork, bsent,
-                   work_np, sent_np, active):
-        """Vectorized round accounting (any numpy accumulator present).
-
-        Also flushes the batch work charges into the modules (the
-        plain-Python branch of ``_array_round`` does the same inline).
-        The pooled flat lists are only converted when they can hold
-        charges: row-delivered and slot-delivered tasks imply a
-        non-empty ``active`` set, so with it empty a cheap all-zero scan
-        decides whether the lists can be skipped entirely (a handler may
-        still have walked a column chunk via ``_iter_chunk`` and charged
-        the lists directly).
-        """
-        modules = self.modules
-        if active:
-            rv = np.asarray(recv, dtype="int64")
-            if recv_np is not None:
-                rv = rv + recv_np
-        elif recv_np is not None:
-            rv = recv_np
-        else:
-            rv = self._zero_np
-        if bcast_units:
-            rv = rv + bcast_units
-        if active or any(bsent) or any(bwork):
-            sv = np.asarray(bsent, dtype="int64")
-            if sent_np is not None:
-                sv = sv + sent_np
-            wv = np.asarray(bwork, dtype="float64")
-            if work_np is not None:
-                wv = wv + work_np
-        else:
-            sv = sent_np
-            wv = work_np
-        # h: senders are receivers under the execution contract, so the
-        # max of rv+sv over all modules IS the max over receiving ones
-        # (and an all-quiet round maxes to 0 either way).
-        if sv is None:
-            h = int(rv.max())
-            sent_total = 0
-        else:
-            h = int((rv + sv).max())
-            sent_total = int(sv.sum())
-        # Per-module round totals for the PIM-time max: batch charges plus
-        # what ctx.charge / module.charge left in round_work on the row
-        # and slot receivers (reset at the top of the round).
-        if wv is None:  # nothing charged, and no row or slot receiver
-            return h, 0.0, sent_total
-        wtot = wv
-        if active:
-            charged = [modules[mid].round_work for mid in active]
-            if any(charged):
-                wtot = wv.copy()
-                wtot[active] += charged
-        round_pim_max = float(wtot.max())
-        # Defer the per-module flush: one vector add per round instead of
-        # a python loop over charged modules.  ``wv`` is freshly built
-        # (or owned by the round's BatchRound, which forgets it on the
-        # next arm), so adopting or mutating it is safe.
-        acc = self._work_acc
-        if acc is None:
-            self._work_acc = wv
-        else:
-            acc += wv
-        return h, round_pim_max, sent_total
-
-    def _flush_work_acc(self) -> None:
-        """Fold the deferred batch-work vector into the module objects."""
-        acc = self._work_acc
-        if acc is None:
-            return
-        self._work_acc = None
-        modules = self.modules
-        for mid in np.nonzero(acc)[0].tolist():
-            modules[mid].work += float(acc[mid])
 
     # -- unreliable execution (chaos) ---------------------------------------
 
@@ -1147,7 +1060,6 @@ class PIMMachine:
         construction charges module work directly); syncing here keeps
         snapshots exact.
         """
-        self._flush_work_acc()
         for mid, module in enumerate(self.modules):
             self.metrics.pim_work_per_module[mid] = module.work
 

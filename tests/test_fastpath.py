@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core.node import Node
@@ -80,25 +79,26 @@ def _ping(ctx, tag=None):
 
 
 def _batch_walk(bct, chunks):
-    """``_walk`` over a round's chunks: row chunks answered with row
-    forwards, column chunks with one column forward, a scalar-only
-    continuation through ``stage_rows`` (which must land in slots)."""
+    """``_walk`` over a round's chunks.  A column chunk (CPU-issued:
+    list columns) is charged from its ``counts`` and read column by
+    column, a row chunk row by row; both answer with row forwards, the
+    scalar-only continuation through ``stage_rows`` too (which must land
+    in slots)."""
     P_ = bct.num_modules
     rows_out, echo_out = [], []
     for ch in chunks:
         if ch.kind == COLS:
-            mids, rem, opid = ch.dests, ch.cols[0], ch.cols[1]
-            cnt = np.bincount(mids, minlength=P_)
-            bct.add_work_array(cnt * 2.0)
-            bct.add_sent_array(cnt)
-            go = rem > 0
-            if go.any():
-                bct.stage_cols("walk", (mids[go] + 1) % P_,
-                               (rem[go] - 1, opid[go]))
-            for m, o in zip(mids[~go].tolist(), opid[~go].tolist()):
-                echo_out.append(((m + 1) % P_, (o,), o, 1))
+            for mid, k in ch.counts.items():
+                bct.work[mid] += 2 * k
+                bct.sent[mid] += k
+            for mid, rem, opid in zip(ch.dests, *ch.cols):
+                if rem > 0:
+                    rows_out.append(((mid + 1) % P_, (rem - 1, opid),
+                                     None, 1))
+                else:
+                    echo_out.append(((mid + 1) % P_, (opid,), opid, 1))
             continue
-        for mid, (rem, opid), _tag, _size in bct.machine._iter_chunk(ch):
+        for mid, (rem, opid), _tag, _size in ch.rows:
             bct.work[mid] += 2
             bct.sent[mid] += 1
             if rem > 0:
@@ -182,9 +182,8 @@ def _issue_mixed_round(machine):
         + [(3, "echo", (7,), "big", 5), (3, "walk", (2, 99), None, 2)])
     col = [(m % 5, 1 + m % 3, 200 + m) for m in range(12)]
     if machine.columnar_active:
-        machine.send_cols("walk", np.array([c[0] for c in col], np.int64),
-                          (np.array([c[1] for c in col], np.int64),
-                           np.array([c[2] for c in col], np.int64)))
+        machine.send_cols("walk", [c[0] for c in col],
+                          ([c[1] for c in col], [c[2] for c in col]))
     else:
         machine.send_all([(d, "walk", (r, o), None) for d, r, o in col])
     machine.broadcast("ping", tag="b")
@@ -254,8 +253,7 @@ class TestBackendSelection:
         assert not (machine._cq or machine._fq)  # slots only
         assert machine.drain()
         with pytest.raises(RuntimeError, match="send_cols unavailable"):
-            machine.send_cols("walk", np.zeros(1, np.int64),
-                              (np.zeros(1, np.int64),) * 2)
+            machine.send_cols("walk", [0], ([0], [0]))
 
     def test_register_batch_collision(self):
         machine = _machine()
@@ -346,14 +344,12 @@ class TestBackendParity:
         assert rounds >= 5
         assert col.columnar_active and col.fallback_events == []
 
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_module_bound_charges_reach_the_round_maximum(self, vectorized):
+    def test_module_bound_charges_reach_the_round_maximum(self):
         """A batch handler may hand ``module.charge`` to module-local
         structures (the cuckoo table holds one) on a module that
-        receives row traffic: those charges must land in the round's PIM
-        maximum on modules with no slot traffic, next to ``bct.work``
-        charges and next to slot charges, in the plain-Python accounting
-        and in ``_finish_np`` alike."""
+        receives row or column traffic: those charges must land in the
+        round's PIM maximum on modules with no slot traffic, next to
+        ``bct.work`` charges and next to slot charges."""
 
         def meter(ctx, units, tag=None):
             ctx.charge(1)
@@ -364,16 +360,21 @@ class TestBackendParity:
             modules = bct.machine.modules
             for ch in chunks:
                 for mid, (units,), tag, _size in bct.rows_of(ch):
-                    if ch.kind == ROWS:
+                    if ch.kind == BCAST:  # charged through bct only
+                        bct.work[mid] += units + 1
+                    else:
                         modules[mid].charge(units)
                         bct.work[mid] += 1
-                    else:  # broadcast work is charged through bct
-                        bct.work[mid] += units + 1
                     bct.reply(mid, units, tag=tag)
-            if vectorized:
-                zeros = np.zeros(bct.num_modules)
-                bct.add_work_array(zeros)
-                bct.add_sent_array(zeros.astype(np.int64))
+
+        def lockstep(obj, col):
+            while obj.pending or col.pending:
+                got = [sorted(m.step(), key=repr) for m in (obj, col)]
+                assert got[0] == got[1]
+                assert obj.snapshot().as_dict() == col.snapshot().as_dict()
+                assert ([m.work for m in obj.modules]
+                        == [m.work for m in col.modules])
+                assert obj.tracer.rounds[-1] == col.tracer.rounds[-1]
 
         obj, col = _machine("object"), _machine("columnar")
         for machine in (obj, col):
@@ -388,13 +389,7 @@ class TestBackendParity:
                  (4, "meter", (7,), "c"), (4, "echo", (2,), "t")])   # both
             machine.broadcast("meter", (3,), tag="all")
         assert col._cq and col._staged
-        while obj.pending or col.pending:
-            got = [sorted(m.step(), key=repr) for m in (obj, col)]
-            assert got[0] == got[1]
-            assert obj.snapshot().as_dict() == col.snapshot().as_dict()
-            assert ([m.work for m in obj.modules]
-                    == [m.work for m in col.modules])
-            assert obj.tracer.rounds[-1] == col.tracer.rounds[-1]
+        lockstep(obj, col)
         # The maximum sits on module 1, which has no slot: two metered
         # rows and the broadcast one, each with its own unit.
         assert col.metrics.pim_time == (30 + 1) + (2 + 1) + (3 + 1)
@@ -402,12 +397,23 @@ class TestBackendParity:
         assert col.tasks_executed == obj.tasks_executed == 5 + P
         assert obj.tasks_chunked == 0
 
+        # A round of nothing but one column chunk: its receivers are in
+        # the books like row receivers, so the callback's charges are
+        # the round's maximum (module 6: two messages).
+        before = col.metrics.pim_time
+        col.send_cols("meter", [6, 3, 6], ([40, 9, 5],))
+        obj.send_all([(6, "meter", (40,), None), (3, "meter", (9,), None),
+                      (6, "meter", (5,), None)])
+        assert [ch.kind for ch in col._cq] == [COLS] and not col._staged
+        lockstep(obj, col)
+        assert col.metrics.pim_time - before == (40 + 1) + (5 + 1)
+        assert col.tasks_chunked == 3 + P + 3
+
     def test_column_send_to_scalar_only_function_lands_in_slots(self):
         """Chunks are for batch handlers only: a column batch for a
         function without one is bucketed into slots at issue time."""
         machine = _machine()
-        machine.send_cols("echo", np.array([1, 1, 5], np.int64),
-                          (np.array([10, 11, 12], np.int64),), size=2)
+        machine.send_cols("echo", [1, 1, 5], ([10, 11, 12],), size=2)
         assert not machine._cq
         assert {mid: slot[0] for mid, slot in machine._staged.items()} \
             == {1: 4, 5: 2}
@@ -505,12 +511,11 @@ class TestChaosFallback:
         ``e.reason for e in <set of str>`` and died with AttributeError
         instead of the intended RuntimeError."""
         machine = _machine(contention_model="qrqw")
-        one = np.zeros(1, np.int64)
         with pytest.raises(RuntimeError, match=r"\['qrqw'\]"):
-            machine.send_cols("walk", one, (one, one))
+            machine.send_cols("walk", [0], ([0], [0]))
         machine.set_profiler(HandlerProfile())
         with pytest.raises(RuntimeError, match=r"\['profiler', 'qrqw'\]"):
-            machine.send_cols("walk", one, (one, one))
+            machine.send_cols("walk", [0], ([0], [0]))
 
     def test_behaviour_parity_under_faults(self):
         """With an identical seeded fault plan the columnar machine (in

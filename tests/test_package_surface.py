@@ -86,6 +86,24 @@ def test_sources_are_python_3_9():
                 f"{late[0]}=...) needs Python 3.10")
 
 
+def test_the_round_engine_does_not_import_numpy():
+    """A round has one set of books, the plain per-module lists
+    (DESIGN.md §11): no module under ``src/repro/sim/`` imports numpy,
+    so array accounting cannot come back beside them unreviewed."""
+    sim = [p for p in SOURCE_FILES if (ROOT / "src/repro/sim") in p.parents]
+    assert len(sim) >= 10
+    for path in sim:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "numpy" for n in names), (
+                f"{path.relative_to(ROOT)}:{node.lineno} imports numpy")
+
+
 def test_storage_module_is_one_inert_name():
     """``repro.core.storage`` survives only for the frozen end-to-end
     benchmark's import of ``STORAGE_ENV_VAR``."""

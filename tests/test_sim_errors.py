@@ -9,7 +9,6 @@ livelock names the op and the pending handlers.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.sim.errors import (
@@ -23,6 +22,8 @@ from repro.sim.errors import (
     SimulationError,
     UnknownHandlerError,
 )
+from repro.ops import BatchOp, Columns, run_batch
+from repro.sim.chaos import FaultPlan, FaultSpec
 from repro.sim.machine import PIMMachine
 
 
@@ -79,6 +80,12 @@ class TestUnknownHandlerAtIssue:
         assert "missing_fn" in str(ei.value)
         assert "send time" in str(ei.value)
 
+    def test_send_cols_is_cpu_issued(self):
+        machine = _machine()
+        with pytest.raises(UnknownHandlerError, match="send time"):
+            machine.send_cols("missing_fn", [0], ([1],))
+        assert not machine.pending
+
     def test_broadcast_raises_at_issue(self):
         machine = _machine()
         with pytest.raises(UnknownHandlerError, match="ghost"):
@@ -122,11 +129,10 @@ class TestMalformedMessages:
         machine = _machine()
         if path != "slots":
             machine.register_batch("echo", lambda bct, chunks: None)
-        one = np.ones(1, np.int64)
         for bad in (0, -3, 1.5, "3", True):
             if path == "send_cols":
                 with pytest.raises(MalformedMessageError, match="size"):
-                    machine.send_cols("echo", one, (one,), size=bad)
+                    machine.send_cols("echo", [1], ([1],), size=bad)
                 continue
             with pytest.raises(MalformedMessageError, match="size"):
                 machine.send(1, "echo", (1,), size=bad)
@@ -144,14 +150,53 @@ class TestMalformedMessages:
             machine.send(99, "echo", (1,))
         with pytest.raises(ValueError, match="bad module id"):
             machine.send_all([(99, "echo", (1,), None)])
-        # The column form's receive ``bincount`` is its bounds check:
-        # nothing is staged for an id outside ``[0, P)``.
-        machine.register_batch("echo", lambda bct, chunks: None)
-        with pytest.raises(ValueError, match="bad module id 99"):
-            machine.send_cols("echo", [0, 99], ([1, 2],))
-        with pytest.raises(ValueError, match="negative"):
-            machine.send_cols("echo", [0, -1], ([1, 2],))
+        with pytest.raises(ValueError, match="bad module id -1"):
+            machine.send(-1, "echo", (1,))
+        with pytest.raises(ValueError, match="bad module id -1"):
+            machine.send_all([(-1, "echo", (1,), None)])
+        # The column form's count of its destinations is its bounds
+        # check: nothing is staged for an id outside ``[0, P)``, to a
+        # chunked function or to a slot one.
+        for chunked in (False, True):
+            if chunked:
+                machine.register_batch("echo", lambda bct, chunks: None)
+            with pytest.raises(ValueError, match="bad module id 99"):
+                machine.send_cols("echo", [0, 99], ([1, 2],))
+            with pytest.raises(ValueError, match="bad module id -1"):
+                machine.send_cols("echo", [0, -1], ([1, 2],))
+            assert not machine.pending
+            assert machine._active == [] and not any(machine._recv)
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_column_of_the_wrong_length_rejected(self, chunked):
+        """``zip`` would cut the messages at the short column while the
+        receive accounting counts ``dests``: four units and four tasks
+        on the books, two tasks run.  Rejected at issue / construction,
+        nothing staged; under a fault plan nothing wrapped either."""
+        machine = _machine()
+        if chunked:
+            machine.register_batch("echo", lambda bct, chunks: None)
+        dests, cols = [0, 1, 2, 3], ([10, 11, 12, 13], [20, 21])
+        with pytest.raises(MalformedMessageError, match=r"\[4, 2\]"):
+            machine.send_cols("echo", dests, cols)
+        with pytest.raises(MalformedMessageError, match="column"):
+            machine.send_cols("echo", dests, ())
         assert not machine.pending
+        assert machine._active == [] and not any(machine._recv)
+        assert machine._incoming_total == 0
+        assert machine.drain() == [] and machine.tasks_executed == 0
+
+        with pytest.raises(MalformedMessageError, match=r"\[4, 2\]"):
+            Columns("echo", dests, cols)
+
+        class Stage(BatchOp):
+            def route(self, machine, plan):
+                yield [Columns("echo", dests, cols)]
+
+        machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
+        with pytest.raises(MalformedMessageError):
+            run_batch(machine, Stage())
+        assert not machine.pending and machine.metrics.messages == 0
 
 
 class TestLivelockReport:
