@@ -120,6 +120,25 @@ def memo(fn):
     return cached
 
 
+def _width_batches() -> dict:
+    """The four fixed batches of the ``search widths:`` rows, over the
+    key space of a 16 384-key structure built with stride 2."""
+    rng = random.Random(7)
+    top = 2 * 16384
+    return {
+        "successor13": ("successor",
+                        [rng.randrange(top) for _ in range(13)]),
+        "successor385": ("successor",
+                         [rng.randrange(top) for _ in range(385)]),
+        "range26": ("range",
+                    [(lo, lo + 1 + rng.randrange(8))
+                     for lo in rng.sample(range(0, top, 16), 26)]),
+        "upsert64": ("upsert",
+                     [(2 * i + 1, i)
+                      for i in rng.sample(range(16384), 64)]),
+    }
+
+
 class Bench:
     """The measurements the rows read, taken lazily with the committed
     baselines' own parameters; timed cells are best of ``repeat``."""
@@ -308,26 +327,48 @@ class Bench:
         machine = PIMMachine(num_modules=64, seed=7)
         sl = PIMSkipList(machine)
         sl.build(build_items(16384, stride=2))
-        rng = random.Random(7)
-        top = 2 * 16384
-        batches = {
-            "successor13": ("successor",
-                            [rng.randrange(top) for _ in range(13)]),
-            "successor385": ("successor",
-                             [rng.randrange(top) for _ in range(385)]),
-            "range26": ("range",
-                        [(lo, lo + 1 + rng.randrange(8))
-                         for lo in rng.sample(range(0, top, 16), 26)]),
-            "upsert64": ("upsert",
-                         [(2 * i + 1, i)
-                          for i in rng.sample(range(16384), 64)]),
-        }
         cells = {}
-        for name, (op, payload) in batches.items():
+        for name, (op, payload) in _width_batches().items():
             before = machine.snapshot()
             sl.apply_batch(op, payload)
             delta = machine.delta_since(before)
             cells[name] = (delta.rounds, delta.io_time)
+        return cells
+
+    @memo
+    def read_groups(self) -> dict:
+        """``(rounds, io_time, messages)`` of one ``apply_reads`` call
+        and of the same batches through ``apply_batch`` one after the
+        other, each on a fresh 64-module, 16 384-key structure: the
+        13 Successor keys and 26 ranges of :meth:`search_widths` on the
+        skip list (a ``serve_mixed`` shared-read tick), and 218 Gets,
+        13 Successor keys and 13 ranges on the PIM-tree (a
+        ``serve_read_pimtree`` tick's mix)."""
+        batches = _width_batches()
+        rng = random.Random(7)
+        groups = {
+            "skiplist": (PIMSkipList, [batches["successor13"],
+                                       batches["range26"]]),
+            "pimtree": (PIMTree, [
+                ("get", [rng.randrange(2 * 16384) for _ in range(218)]),
+                batches["successor13"],
+                ("range", batches["range26"][1][:13])]),
+        }
+        cells = {}
+        for name, (cls, reads) in groups.items():
+            for how in ("group", "apart"):
+                machine = PIMMachine(num_modules=64, seed=7)
+                structure = cls(machine)
+                structure.build(build_items(16384, stride=2))
+                before = machine.snapshot()
+                if how == "group":
+                    structure.apply_reads(reads)
+                else:
+                    for op, payload in reads:
+                        structure.apply_batch(op, payload)
+                delta = machine.delta_since(before)
+                cells[name, how] = (delta.rounds, delta.io_time,
+                                    delta.messages)
         return cells
 
     @memo
@@ -463,7 +504,7 @@ class Bench:
             for tick in range(1, 301):
                 for busy in "abcdefgh":
                     admission.admit(Request(busy, "get", [tick]), tick)
-                batch, _ = coalescer.next_batch(admission, tick)
+                [batch], _ = coalescer.next_batch(admission, tick)
                 if len(batch.slices) != 8 or admission.pending:
                     raise AssertionError("a tick left requests queued")
             best = min(best, time.perf_counter() - start)
@@ -549,6 +590,25 @@ GATES: List[Gate] = [
     Gate("search widths: 385-key Successor, (rounds, io_time)",
          lambda b: b.search_widths()["successor385"], "==", (138, 816.0),
          EXACT),
+    # -- reads that share a traversal (PR 24).  The 13 keys ride the 26
+    # ranges' boundary search: one more stage for the joint search
+    # against the 29 rounds of a Successor batch of their own (apart:
+    # 88 = 29 + 59, the two `search widths:` rows above, same batches).
+    # On the PIM-tree the three classes descend once and share a leaf
+    # stage per hop.
+    Gate("read group: 13-key Successor + 26 ranges, (rounds, io, messages)",
+         lambda b: b.read_groups()["skiplist", "group"],
+         "==", (71, 309.0, 2338), EXACT),
+    Gate("read group: the two batches apart, (rounds, io, messages)",
+         lambda b: b.read_groups()["skiplist", "apart"],
+         "==", (88, 345.0, 2347), EXACT),
+    Gate("read group: pimtree 218 Get + 13 Successor + 13 ranges, "
+         "(rounds, io, messages)",
+         lambda b: b.read_groups()["pimtree", "group"],
+         "==", (4, 72.0, 1077), EXACT),
+    Gate("read group: pimtree apart, (rounds, io, messages)",
+         lambda b: b.read_groups()["pimtree", "apart"],
+         "==", (10, 105.0, 1127), EXACT),
     # -- batched tree range (core/ops_range.py): the cut-point sweep
     # pays one boundary search, one root and one go per covered piece,
     # so n pairwise-disjoint ops cost n of each (3n under the old

@@ -45,8 +45,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.node import Node, UPPER
-from repro.core.ops_successor import batch_search
+from repro.core.node import NEG_INF, Node, UPPER
+from repro.core.ops_successor import (batch_search, batch_successor,
+                                       search_stages)
 from repro.core.structure import SkipListStructure
 from repro.cpuside.sort import parallel_sort
 from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
@@ -713,24 +714,35 @@ def _cut_pieces(ops: Sequence[Tuple[Hashable, Hashable]],
 
 
 class _BatchRangeTreeOp(BatchOp):
+    """The batched tree range; routes to ``(results, rider answers)``.
+
+    ``riders`` are Successor keys that share the batch's boundary search:
+    they join the pieces' search keys with a record limit of ``-1``, so
+    the one pivot-protected ``batch_search`` resolves both and a rider
+    streams nothing back but its ``pred`` / ``pred_right``.  With no
+    riders the op is the range batch alone, message for message.
+    """
+
     def __init__(self, sl: SkipListStructure,
                  ops: Sequence[Tuple[Hashable, Hashable]],
-                 func: str, farg: Any) -> None:
+                 func: str, farg: Any,
+                 riders: Sequence[Hashable] = ()) -> None:
         self.sl = sl
         self.ops = ops
         self.func, self.farg = func, farg
+        self.riders = riders
         self.name = f"{sl.name}:batch_range_tree"
 
     def handlers(self):
         return handlers_for(self.sl)
 
     def route(self, machine, plan):
-        sl, ops = self.sl, self.ops
+        sl, ops, riders = self.sl, self.ops, self.riders
         func, farg = self.func, self.farg
         cpu = machine.cpu
         n = len(ops)
         if n == 0:
-            return []
+            return [], batch_successor(sl, riders) if riders else []
         for l, r in ops:
             if r < l:
                 raise ValueError("range with rkey < lkey")
@@ -744,9 +756,18 @@ class _BatchRangeTreeOp(BatchOp):
 
         # -- boundary predecessors via the pivot-protected search --------
         lqs = [lq for lq, _ in subranges]
-        h_cap = [sl.h_low - 1] * len(lqs)
+        levels = [sl.h_low - 1] * len(lqs)
+        successors: List[Optional[Tuple[Hashable, Any]]] = []
+        riding = bool(riders) and _rides(sl, len(lqs), len(riders))
+        if riding:
+            lqs.extend(riders)
+            levels.extend([-1] * len(riders))
+        elif riders:
+            successors = batch_successor(sl, riders)
         outcomes = batch_search(sl, lqs, record_all=True,
-                                record_levels=h_cap)
+                                record_levels=levels)
+        if riding:
+            successors = _successors(cpu, riders, outcomes[len(subranges):])
 
         # -- launch one traversal per subrange ---------------------------
         # sides[lvl] is the level's in-range side-chain head (the recorded
@@ -846,7 +867,39 @@ class _BatchRangeTreeOp(BatchOp):
                 work += len(got) + 1
             results.append(RangeResult(count=total, values=vals))
         cpu.charge_wd(WorkDepth(work + n, max(1.0, math.log2(work + n + 1))))
-        return results
+        return results, successors
+
+
+def _rides(sl: SkipListStructure, pieces: int, riders: int) -> bool:
+    """Whether ``riders`` Successor keys join the boundary search of
+    ``pieces`` subranges, or run as the Successor batch they are first.
+
+    Every stage of the recording search is a root-to-leaf walk, while a
+    Successor batch of its own pays one such walk and then starts from
+    hints.  So the keys ride when they cost the joint search no stage --
+    or one, if their own search would have run a second -- and a batch
+    that would push the pieces past ``P log P`` onto the paper's pivot
+    spacing, or add pivots by the power of two, stays apart.
+    """
+    own, joint, theirs = (search_stages(sl, b)
+                          for b in (pieces, pieces + riders, riders))
+    return joint - own <= min(1, theirs - 1)
+
+
+def _successors(cpu, keys: Sequence[Hashable], outcomes: Sequence[Any],
+                ) -> List[Optional[Tuple[Hashable, Any]]]:
+    """Successor answers read off search outcomes, as
+    :func:`~repro.core.ops_successor.batch_successor` reads them (and
+    charges the CPU side for it)."""
+    out: List[Optional[Tuple[Hashable, Any]]] = []
+    for key, outcome in zip(keys, outcomes):
+        node, right = outcome.pred, outcome.pred_right
+        if node.key == key and node.key is not NEG_INF:
+            out.append((node.key, node.value))
+        else:
+            out.append(None if right is None else (right.key, right.value))
+    cpu.charge(len(keys), 8)
+    return out
 
 
 def batch_range_tree(sl: SkipListStructure,
@@ -861,4 +914,15 @@ def batch_range_tree(sl: SkipListStructure,
     pivot-protected batched search, and each subrange runs the fan-out
     traversal; results are assembled per operation on the CPU side.
     """
-    return run_batch(sl.machine, _BatchRangeTreeOp(sl, ops, func, farg))
+    return run_batch(sl.machine, _BatchRangeTreeOp(sl, ops, func, farg))[0]
+
+
+def batch_range_with_successors(
+        sl: SkipListStructure, ops: Sequence[Tuple[Hashable, Hashable]],
+        keys: Sequence[Hashable],
+        ) -> Tuple[List[RangeResult], List[Optional[Tuple[Hashable, Any]]]]:
+    """A ``read`` range batch and a Successor batch on one boundary
+    search (see :class:`_BatchRangeTreeOp`): ``(range results, successor
+    answers)``, each aligned with its input."""
+    return run_batch(sl.machine,
+                     _BatchRangeTreeOp(sl, ops, "read", None, keys))

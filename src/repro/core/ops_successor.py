@@ -162,6 +162,32 @@ def _lca_hint(path_a: Optional[List[PathEntry]],
     return None if node is None else ("node", node, None)
 
 
+def pivot_positions(sl: SkipListStructure, b: int) -> List[int]:
+    """Sorted positions of the pivots of a ``b``-key search (``b`` >= 1).
+
+    Pivot spacing: log P, the paper's -- log^2 P for a batch with no
+    more operations than the paper's batch has pivots (see the module
+    docstring).  Everything else about the search is the same at either.
+    """
+    seg_len = sl.log_p
+    if b <= sl.min_point_batch:
+        seg_len *= seg_len
+    piv_pos = list(range(0, b, seg_len))
+    if piv_pos[-1] != b - 1:
+        piv_pos.append(b - 1)
+    return piv_pos
+
+
+def search_stages(sl: SkipListStructure, b: int) -> int:
+    """Route stages a ``b``-key search runs one after the other
+    (``b`` >= 1): the two extreme pivots, ``ceil(log2(pivots - 1))``
+    divide-and-conquer phases over the pivots between them, and stage 2
+    if any key is not a pivot.  A stage is a root-to-leaf walk in a
+    recording search; in a record-free one only the first is."""
+    pivots = len(pivot_positions(sl, b))
+    return 1 + max(0, pivots - 2).bit_length() + (b > pivots)
+
+
 class _BatchSearchOp(BatchOp):
     """The two-stage pivot search as a plan/route/execute/aggregate op.
 
@@ -190,12 +216,6 @@ class _BatchSearchOp(BatchOp):
         b = len(keys)
         if b == 0:
             return [], [], [], []
-        # Pivot spacing: log P, the paper's -- log^2 P for a batch with
-        # no more operations than the paper's batch has pivots (see the
-        # module docstring).  Everything below is the same at either.
-        seg_len = sl.log_p
-        if b <= sl.min_point_batch:
-            seg_len *= seg_len
         h_cap = sl.h_low - 1
 
         # Sort the batch on the CPU side (O(B log B) expected, O(log B)
@@ -215,9 +235,7 @@ class _BatchSearchOp(BatchOp):
         cpu.alloc(b)  # sorted index buffer
         retained_words = b
 
-        piv_pos = list(range(0, b, seg_len))
-        if piv_pos[-1] != b - 1:
-            piv_pos.append(b - 1)
+        piv_pos = pivot_positions(sl, b)
         num_piv = len(piv_pos)
 
         # Columns, by sorted position.
@@ -463,7 +481,9 @@ class _BatchSearchOp(BatchOp):
             for pos in range(lo + 1, hi):
                 hint_work += seg_work
                 lvl_limit = min(limits[pos], h_cap)
-                if lvl_limit == 0:
+                if lvl_limit <= 0:
+                    # Nothing above the leaf level to record (or, at
+                    # -1, nothing at all): the record-free start.
                     hint = _lca_hint(pa, pb, 0, nodes_b=pivot_nodes(hi))
                 else:
                     # Underived level-constrained search: start from the
@@ -516,8 +536,17 @@ def batch_search(sl: SkipListStructure, keys: Sequence[Hashable],
     ``record_levels`` (aligned with ``keys``) caps the levels *retained*
     per operation -- batched Insert only keeps the last ``l_i`` path nodes
     of each operation, which is what keeps the shared-memory footprint at
-    ``Theta(P log^2 P)`` rather than ``Theta(P log^3 P)``.
+    ``Theta(P log^2 P)`` rather than ``Theta(P log^3 P)``.  A limit of
+    ``-1`` records nothing for that operation: it rides the batch's
+    pivots like a record-free search and only its ``pred`` /
+    ``pred_right`` come back (the Successor keys a range batch carries).
+    Anything below ``-1`` is a ``ValueError``, raised before a message
+    is built.
     """
+    if record_levels and min(record_levels) < -1:
+        raise ValueError(
+            f"record_levels are levels (-1 for none), got "
+            f"{min(record_levels)!r}")
     order, pred, pred_right, by_level = _search_columns(
         sl, keys, record_all, record_levels)
     out: List[Optional[SearchOutcome]] = [None] * len(order)

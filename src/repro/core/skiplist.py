@@ -12,13 +12,28 @@ were constructed on; measure an operation with::
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import ops_delete, ops_point, ops_search, ops_successor, ops_upsert, ops_write
 from repro.core.structure import SkipListStructure
 from repro.ops import batch_epoch
 from repro.sim.errors import InvalidBatchError
 from repro.sim.machine import PIMMachine
+
+
+READ_OPS = frozenset({"get", "successor", "range"})
+
+
+def distinct_reads(reads: Sequence[Tuple[str, Sequence]],
+                    ) -> Dict[str, Sequence]:
+    """``{op: payload}`` of an ``apply_reads`` group, which holds read
+    ops only and each at most once."""
+    payloads = dict(reads)
+    if len(payloads) != len(reads) or not payloads.keys() <= READ_OPS:
+        raise ValueError(
+            f"apply_reads: a group is distinct read ops, got "
+            f"{[op for op, _ in reads]}")
+    return payloads
 
 
 class PIMSkipList:
@@ -232,6 +247,35 @@ class PIMSkipList:
                 return []
             return [list(r.values) for r in self.batch_range(list(payload))]
         raise ValueError(f"apply_batch: unknown op {op!r}")
+
+    #: Read classes whose batches share a traversal when they run in one
+    #: :meth:`apply_reads` call: Successor keys ride the Range batch's
+    #: boundary search (§4.2 / §5.2).  Get is a one-round hash shortcut
+    #: and shares nothing.  ``repro serve`` drains these classes in one
+    #: tick; it is a fact of the structure, not a setting.
+    SHARED_READS = frozenset({"successor", "range"})
+
+    def apply_reads(self, reads: Sequence[Tuple[str, Sequence]],
+                    ) -> List[list]:
+        """Several read batches -- ``(op, payload)`` pairs of distinct
+        read ops -- in one call; one :meth:`apply_batch` result each.
+
+        A Successor and a Range batch run as one op on one boundary
+        search (:func:`~repro.core.ops_range.batch_range_with_successors`);
+        every other batch, and either of the two without the other, runs
+        exactly as :meth:`apply_batch` runs it.
+        """
+        payloads = distinct_reads(reads)
+        out = {}
+        keys, ranges = payloads.get("successor"), payloads.get("range")
+        if keys and ranges:
+            from repro.core import ops_range
+            results, out["successor"] = \
+                ops_range.batch_range_with_successors(
+                    self.struct, list(ranges), list(keys))
+            out["range"] = [list(r.values) for r in results]
+        return [out[op] if op in out else self.apply_batch(op, payload)
+                for op, payload in reads]
 
     # -- bulk structure surgery (compositions; costs = the moved data) ----
 

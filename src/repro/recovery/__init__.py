@@ -34,10 +34,12 @@ from repro.recovery.durable import (
 )
 from repro.recovery.manager import (
     MUTATING_OPS,
+    READ_GROUP,
     DegradedReason,
     DegradedResult,
     RecoveryEvent,
     RecoveryManager,
+    apply_to,
 )
 from repro.recovery.repair import (
     RepairError,
@@ -54,9 +56,11 @@ __all__ = [
     "DurableStore",
     "WalCorruption",
     "MUTATING_OPS",
+    "READ_GROUP",
     "RecoveryEvent",
     "RecoveryManager",
     "RepairError",
+    "apply_to",
     "checkpoint_structure",
     "merged_lsm_items",
     "reattach_lsm_module",

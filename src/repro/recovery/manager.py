@@ -72,12 +72,32 @@ from repro.recovery.checkpoint import (
 from repro.recovery.durable.store import DurableStore
 from repro.sim.errors import DeliveryTimeout, ModuleCrashed
 
-__all__ = ["DegradedReason", "DegradedResult", "MUTATING_OPS",
-           "RecoveryEvent", "RecoveryManager"]
+__all__ = ["DegradedReason", "DegradedResult", "MUTATING_OPS", "READ_GROUP",
+           "RecoveryEvent", "RecoveryManager", "apply_to"]
 
 #: ``apply_batch`` ops that change structure state (and so must be
 #: logged for replay).  Reads are never logged.
 MUTATING_OPS = frozenset({"upsert", "delete"})
+
+#: What ``run`` is handed in place of an op name when the payload is a
+#: group of read batches -- ``[(op, payload), ...]``, answered by the
+#: structure's ``apply_reads`` in one call.  Not an ``apply_batch`` op.
+READ_GROUP = "reads"
+
+
+def apply_to(structure: Any, op: str, payload: Sequence) -> Any:
+    """``structure.apply_batch(op, payload)``, or ``apply_reads`` for a
+    :data:`READ_GROUP`."""
+    if op == READ_GROUP:
+        return structure.apply_reads(payload)
+    return structure.apply_batch(op, payload)
+
+
+def _items(op: str, payload: Sequence) -> int:
+    """Payload items of one ``run``: a group counts its batches' items."""
+    if op == READ_GROUP:
+        return sum(len(part) for _, part in payload)
+    return len(payload)
 
 
 class DegradedReason(Enum):
@@ -267,14 +287,18 @@ class RecoveryManager:
     # -- batch driver ----------------------------------------------------
 
     def run(self, op: str, payload: Sequence) -> Any:
-        """Apply one batch; recover or degrade on module failure."""
+        """Apply one batch; recover or degrade on module failure.
+
+        A group of read batches (``op`` is :data:`READ_GROUP`) is one
+        non-mutating batch here: retried in place, failed over and
+        degraded whole, and answered with one result per batch."""
         if self.degraded:
             return DegradedResult(op, DegradedReason.QUIESCED,
                                   self.degraded_reason)
         attempt = 0
         while True:
             try:
-                result = self.structure.apply_batch(op, payload)
+                result = apply_to(self.structure, op, payload)
             except (ModuleCrashed, DeliveryTimeout) as exc:
                 if self.on_failure is not None:
                     self.on_failure(op, exc)
@@ -311,7 +335,7 @@ class RecoveryManager:
         self._mutations += 1
 
     def _note_success(self, op: str, payload: Sequence) -> None:
-        self._served_items += len(payload)
+        self._served_items += _items(op, payload)
         if op not in MUTATING_OPS:
             return
         # The one copy the manager takes: the caller keeps its list, and
@@ -367,7 +391,7 @@ class RecoveryManager:
         # crash, but the factory may hand back faulty hardware; recurse
         # so a second failure consumes another recovery (or degrades).
         try:
-            result = standby.apply_batch(op, payload)
+            result = apply_to(standby, op, payload)
         except (ModuleCrashed, DeliveryTimeout) as retry_exc:
             if self.on_failure is not None:
                 self.on_failure(op, retry_exc)

@@ -87,6 +87,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"\n  scheduler ticks  : {report.ticks}")
     print(f"  merged batches   : {report.batches} "
           f"({total / max(1, report.batches):.1f} requests/batch)")
+    if report.runtime:
+        kinds = ", ".join(f"{kind} {n}" for kind, n in
+                          report.runtime["ticks_by_kind"].items())
+        print(f"  ticks by kind    : {kinds} "
+              f"({report.runtime['batches_per_tick']:.2f} batches/tick)")
     print(f"  machine rounds   : {report.rounds}")
     print(f"  queue wait p50   : {report.latency_percentile(0.5)} ticks")
     print(f"  queue wait p99   : {report.latency_percentile(0.99)} ticks")

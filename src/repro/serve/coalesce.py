@@ -2,35 +2,57 @@
 
 The PIM model's economics come from batching: one ``run_batch`` over B
 ops costs rounds, not B round trips.  The coalescer is where many
-small per-tenant requests become one machine-sized batch:
+small per-tenant requests become machine-sized batches, one scheduler
+**tick** at a time:
 
-- batches are **same-op** (the model's batch constraint -- a batch has
-  one operation type), chosen FIFO: the op class of the *oldest*
-  waiting request goes first, so no op class can starve;
-- within the chosen op, requests are drained **round-robin across
-  tenants** in ``quantum``-item slices (rotating the starting tenant
-  each batch), so one chatty tenant cannot monopolise a batch;
+- a tick serves one **kind**, chosen FIFO: the kind of the *oldest*
+  waiting request goes first, so no kind can starve.  A kind is one op
+  class -- or, for the read classes the structure declares as sharing a
+  traversal (``SHARED_READS``: Successor + Range on the skip list, all
+  three reads on the PIM-tree, none elsewhere), the whole set: those
+  classes are drained in the same tick and reach the structure as one
+  ``apply_reads`` call, because run back to back they would each pay
+  the same search;
+- a batch is still **same-op** (the model's batch constraint -- a batch
+  has one operation type): a shared-read tick is one
+  :class:`MergedBatch` per class, journaled and demuxed class by class.
+  Writes never share a tick with anything;
+- within a class, requests are drained **round-robin across tenants**
+  in ``quantum``-item slices (rotating the starting tenant each tick),
+  up to ``max_batch_items`` a class, so one chatty tenant cannot
+  monopolise a batch;
 - only queue *heads* are eligible -- a tenant's stream executes in its
   program order, which is what lets the soak harness compare each
-  client's responses against a sequential replay;
+  client's responses against a sequential replay.  On a shared-read
+  tick a tenant's next head may ride too once the class before it has
+  left (reads commute, and the batches run in the order they were
+  built);
 - expired requests are evicted here (typed ``DEADLINE`` refusals),
   never dispatched.
 
-The result is a :class:`MergedBatch`: the concatenated payload plus
-the per-request slices the demux stage uses to route each tenant's
-share of the replies back to its future.
+Why the set and not every class: N closed-loop clients over G kinds
+with request shares q complete 2N / (1 + sum q^2) requests per cycle of
+G ticks whatever G is, so draining everything every tick (G = 1) only
+throws away what accumulates between a class's turns, while merging the
+classes that *share work* removes their duplicated rounds and keeps it
+(DESIGN.md §18).
+
+The result is a list of :class:`MergedBatch`: the concatenated payload
+plus the per-request slices the demux stage uses to route each
+tenant's share of the replies back to its future.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, List, Optional, Tuple
+from typing import Any, FrozenSet, List, Optional, Tuple
 
-from repro.serve.admission import AdmissionController
+from repro.recovery import READ_GROUP
+from repro.serve.admission import AdmissionController, TenantState
 from repro.serve.errors import Request
 
-__all__ = ["Coalescer", "MergedBatch"]
+__all__ = ["Coalescer", "MergedBatch", "ReadGroup"]
 
 _request_id = attrgetter("id")
 
@@ -50,6 +72,23 @@ class MergedBatch:
         return len(self.items)
 
 
+class ReadGroup:
+    """The batches of one shared-read tick, shaped like the one
+    non-mutating batch the resilience policy and the recovery manager
+    carry them as: ``op`` is :data:`~repro.recovery.READ_GROUP`,
+    ``items`` the ``(op, payload)`` pairs ``apply_reads`` takes, and the
+    deadline the tightest of the batches'."""
+
+    op = READ_GROUP
+
+    def __init__(self, batches: List[MergedBatch]) -> None:
+        self.batches = batches
+        self.items = [(batch.op, batch.items) for batch in batches]
+        self.min_deadline = min(
+            (batch.min_deadline for batch in batches
+             if batch.min_deadline is not None), default=None)
+
+
 class Coalescer:
     """Merge admitted requests into bounded same-op batches, fairly."""
 
@@ -64,11 +103,14 @@ class Coalescer:
         self._rr = 0  # rotating round-robin offset
 
     def next_batch(self, admission: AdmissionController, tick: int,
-                   ) -> Tuple[Optional[MergedBatch], List[Request]]:
-        """Build the next batch from the queues of the active tenants.
+                   shared_reads: FrozenSet[str] = frozenset(),
+                   ) -> Tuple[List[MergedBatch], List[Request]]:
+        """Build the next tick's batches from the active tenants' queues.
 
-        Returns ``(batch, expired)``: the merged batch (``None`` when
-        nothing is dispatchable) and the requests evicted because
+        Returns ``(batches, expired)``: the tick's same-op batches in
+        execution order (empty when nothing is dispatchable; more than
+        one only on a shared-read tick -- ``shared_reads`` is the
+        structure's ``SHARED_READS``) and the requests evicted because
         their deadline passed before dispatch.  Every request leaves
         its queue through ``admission.take``; tenants with nothing
         queued are not visited.
@@ -86,13 +128,35 @@ class Coalescer:
                     expired.append(take(state))
             heads = [waiting[name] for name in sorted(waiting)]
         if not heads:
-            return None, expired
+            return [], expired
         op = min(heads, key=_request_id).op
         offset = self._rr % len(heads)
         self._rr += 1
-        turn = [head.state for head in heads[offset:] + heads[:offset]
-                if head.op == op]
+        rotated = heads[offset:] + heads[:offset]
+        # The oldest head's class first ...
+        batch = self._drain(
+            op, [head.state for head in rotated if head.op == op],
+            take, tick, expired)
+        batches = [] if batch is None else [batch]
+        if op in shared_reads:
+            # ... and on a shared-read tick the rest of the set after
+            # it, each class drained from the heads as they stand once
+            # the classes before it have left.
+            states = [head.state for head in rotated]
+            for other in sorted(shared_reads - {op}):
+                batch = self._drain(
+                    other, [state for state in states
+                            if state.queue and state.queue[0].op == other],
+                    take, tick, expired)
+                if batch is not None:
+                    batches.append(batch)
+        return batches, expired
 
+    def _drain(self, op: str, turn: List[TenantState], take: Any, tick: int,
+               expired: List[Request]) -> Optional[MergedBatch]:
+        """One class's batch: ``quantum``-item slices round-robin over
+        ``turn`` (the tenants whose head is an ``op``, rotation order)
+        up to ``max_batch_items``; ``None`` when nothing was taken."""
         limit, quantum = self.max_batch_items, self.quantum
         items: List[Any] = []
         slices: List[Tuple[Request, int, int]] = []
@@ -130,5 +194,5 @@ class Coalescer:
                     again.append(state)
             turn = again
         if not slices:
-            return None, expired
-        return MergedBatch(op, items, slices, deadline), expired
+            return None
+        return MergedBatch(op, items, slices, deadline)

@@ -40,9 +40,10 @@ from repro.recovery import (
     MUTATING_OPS,
     RecoveryEvent,
     RecoveryManager,
+    apply_to,
     merged_lsm_items,
 )
-from repro.serve.coalesce import MergedBatch
+from repro.serve.coalesce import MergedBatch, ReadGroup
 from repro.serve.errors import Refusal, RefusalReason
 from repro.serve.health import HealthMonitor, HealthState
 from repro.sim.chaos import _mix
@@ -150,7 +151,9 @@ class ResiliencePolicy:
     def _durable_view(self) -> SequentialOracle:
         """The manager's durable state: checkpoint + mutation log."""
         chk = self.manager.checkpoint
-        key = (id(chk), self.manager.log_size)
+        # Captures counted, not ``id(chk)``: a freed checkpoint's address
+        # is reused, and right after a capture the log is empty again.
+        key = (self.manager.checkpoints_captured, self.manager.log_size)
         if self._stale_cache is not None and self._stale_cache[0] == key:
             return self._stale_cache[1]
         if chk.kind in ("skiplist", "pimtree"):
@@ -167,24 +170,27 @@ class ResiliencePolicy:
         self._stale_cache = (key, oracle)
         return oracle
 
-    def _stale_read(self, batch: MergedBatch) -> DegradedResult:
+    def _stale_read(self, batch: Union[MergedBatch, ReadGroup],
+                    ) -> DegradedResult:
         self.stats["stale_reads"] += 1
         view = self._durable_view()
         return DegradedResult(
             batch.op, DegradedReason.STALE_READ,
             cause=self.manager.degraded_reason or "circuit open",
-            value=view.apply_batch(batch.op, batch.items))
+            value=apply_to(view, batch.op, batch.items))
 
     # -- the execute path -------------------------------------------------
 
-    def execute(self, batch: MergedBatch, tick: int,
+    def execute(self, batch: Union[MergedBatch, ReadGroup], tick: int,
                 ) -> Union[Any, DegradedResult, Refusal]:
         """Run one merged batch under the resilience rules.
 
         Returns the structure's batch result on success, a
         :class:`DegradedResult` (stale read / quiesced), or a
         :class:`Refusal` template (degraded writes) that the server
-        stamps per request.
+        stamps per request.  A :class:`ReadGroup` is one non-mutating
+        batch: its result (and a stale read's ``value``) is a list,
+        one entry per batch of the group.
         """
         self._tick = tick
         self._maybe_half_open(tick)
@@ -224,7 +230,8 @@ class ResiliencePolicy:
                                f"{self._streak} clean batch(es)")
         return result
 
-    def _run_clamped(self, batch: MergedBatch, tick: int) -> Any:
+    def _run_clamped(self, batch: Union[MergedBatch, ReadGroup],
+                     tick: int) -> Any:
         """``manager.run`` with the deadline-clamped retry budget."""
         machine = getattr(self.manager.structure, "machine", None)
         deadline = batch.min_deadline

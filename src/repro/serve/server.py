@@ -16,10 +16,11 @@ this makes an entire serve session a pure function of the submission
 program and the fault seed, which is what lets the soak harness replay
 it bit-for-bit and compare against a sequential oracle.
 
-The scheduler loop pipelines: it dispatches the next merged batch as
-soon as the previous one resolves, yielding to the event loop between
-batches so clients can consume results and submit follow-ups (closed
-loop).  Per-tenant *program order* is preserved end to end -- the
+The scheduler loop pipelines: it dispatches the next tick's batches
+(one same-op batch, or one per class of a shared-read tick -- see
+:mod:`repro.serve.coalesce`) as soon as the previous tick resolves,
+yielding to the event loop between ticks so clients can consume results
+and submit follow-ups (closed loop).  Per-tenant *program order* is preserved end to end -- the
 coalescer only ever drains queue heads -- so each client's response
 stream is comparable against a sequential replay of the journal.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.recovery import (
@@ -44,7 +45,7 @@ from repro.recovery import (
 )
 from repro.recovery.durable import DurabilityPolicy, DurableStore
 from repro.serve.admission import AdmissionController
-from repro.serve.coalesce import Coalescer, MergedBatch
+from repro.serve.coalesce import Coalescer, MergedBatch, ReadGroup
 from repro.serve.errors import Refusal, RefusalReason, Request, ServerStalled
 from repro.serve.health import HealthMonitor
 from repro.serve.policy import ResiliencePolicy, jittered_backoff
@@ -119,6 +120,10 @@ class Server:
         cfg = self.config
         self.caps = frozenset(getattr(type(structure), "BATCH_CAPS",
                                       frozenset()))
+        # The read classes one tick drains together (see coalesce.py):
+        # the structure's fact, like its caps.
+        self.shared_reads = frozenset(getattr(type(structure),
+                                              "SHARED_READS", frozenset()))
         self.health = HealthMonitor()
         # With a state dir the journaled answer contract gains a leg:
         # policy.execute -> manager.run only returns after the batch's
@@ -150,6 +155,9 @@ class Server:
         self.tick = 0
         self.journal: List[JournalEntry] = []
         self.batches_served = 0
+        #: Ticks that ran a batch, by kind: the op, or the ops of a
+        #: shared-read tick joined with ``+``.
+        self.ticks_by_kind: Dict[str, int] = {}
         self._work = asyncio.Event()
         self._running = False
         self._task: Optional[asyncio.Task] = None
@@ -227,8 +235,8 @@ class Server:
                     await self._work.wait()
                     continue
                 self.tick += 1
-                batch, expired = self.coalescer.next_batch(
-                    self.admission, self.tick)
+                batches, expired = self.coalescer.next_batch(
+                    self.admission, self.tick, self.shared_reads)
                 progressed = False
                 for req in expired:
                     self._refuse(
@@ -236,10 +244,8 @@ class Server:
                         f"deadline tick {req.deadline} passed at tick "
                         f"{self.tick} before dispatch")
                     progressed = True
-                if batch is not None:
-                    result = self.policy.execute(batch, self.tick)
-                    self._demux(batch, result)
-                    self.batches_served += 1
+                if batches:
+                    self._execute(batches)
                     progressed = True
                 if progressed:
                     self._last_progress = self.tick
@@ -258,6 +264,31 @@ class Server:
             self._running = False
             self._abort_pending(exc)
             raise
+
+    def _execute(self, batches: List[MergedBatch]) -> None:
+        """Run one tick's batches: a lone batch as itself, the batches
+        of a shared-read tick as one :class:`ReadGroup` whose outcome
+        fans back out batch by batch."""
+        self.batches_served += len(batches)
+        if len(batches) == 1:
+            [batch] = batches
+            self._count_tick(batch.op)
+            self._demux(batch, self.policy.execute(batch, self.tick))
+            return
+        self._count_tick("+".join(sorted(batch.op for batch in batches)))
+        result = self.policy.execute(ReadGroup(batches), self.tick)
+        if isinstance(result, DegradedResult) and result.value is not None:
+            # a stale read answers each class from the durable view
+            parts = [replace(result, value=value) for value in result.value]
+        elif isinstance(result, (Refusal, DegradedResult)):
+            parts = [result] * len(batches)
+        else:
+            parts = result
+        for batch, part in zip(batches, parts):
+            self._demux(batch, part)
+
+    def _count_tick(self, kind: str) -> None:
+        self.ticks_by_kind[kind] = self.ticks_by_kind.get(kind, 0) + 1
 
     # -- demux ------------------------------------------------------------
 
@@ -350,7 +381,11 @@ class Server:
             "rounds": (None if machine is None
                        else machine.metrics.rounds),
             "recovery": cadence,
-            # What the host interpreter did since start(): collections
+            # What a tick was (ticks that ran a batch, by kind; the
+            # same-op batches they ran, per tick -- above one only where
+            # shared-read ticks happen: ``batches_served`` and the
+            # journal count same-op batches, ``tick`` counts ticks), and
+            # what the host interpreter did since start(): collections
             # per generation (batches run with the cyclic collector
             # paused -- repro.ops.batch_epoch -- so the oldest
             # generation's count should barely move), and how many
@@ -359,6 +394,10 @@ class Server:
             # through per-task slots (``columnar_active`` only says the
             # array-native path is on, not how much traffic it carries).
             "runtime": {
+                "ticks_by_kind": dict(sorted(self.ticks_by_kind.items())),
+                "batches_per_tick": (
+                    self.batches_served
+                    / max(1, sum(self.ticks_by_kind.values()))),
                 "gc_collections": [now - then for now, then in
                                    zip(_gc_collections(),
                                        self._gc_at_start)],

@@ -53,6 +53,7 @@ import math
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.balls.hashing import KeyLevelHash, stable_hash
+from repro.core.skiplist import distinct_reads
 from repro.cpuside.semisort import group_positions
 from repro.ops import BatchOp, Broadcast, run_batch
 from repro.sim.machine import PIMMachine
@@ -583,16 +584,20 @@ class PIMTree:
             raise ValueError("build requires an empty tree")
         run_batch(self.machine, _PTBuildOp(self, items))
 
+    def _read(self, reads: Sequence[Tuple[str, Sequence]]) -> List[list]:
+        return run_batch(self.machine, _PTReadOp(
+            self, [_READ_PARTS[op](self, payload) for op, payload in reads]))
+
     def batch_get(self, keys: Sequence[Hashable]) -> List[Optional[Any]]:
-        return run_batch(self.machine, _PTGetOp(self, keys))
+        return self._read([("get", keys)])[0]
 
     def batch_successor(self, keys: Sequence[Hashable],
                         ) -> List[Optional[Tuple[Hashable, Any]]]:
-        return run_batch(self.machine, _PTSuccessorOp(self, keys))
+        return self._read([("successor", keys)])[0]
 
     def batch_range(self, ops: Sequence[Tuple[Hashable, Hashable]],
                     ) -> List[List[Tuple[Hashable, Any]]]:
-        return run_batch(self.machine, _PTRangeOp(self, ops))
+        return self._read([("range", ops)])[0]
 
     def batch_upsert(self, pairs: Sequence[Tuple[Hashable, Any]]) -> None:
         run_batch(self.machine, _PTUpsertOp(self, pairs))
@@ -618,6 +623,20 @@ class PIMTree:
         if op == "range":
             return self.batch_range(list(payload)) if payload else []
         raise ValueError(f"apply_batch: unknown op {op!r}")
+
+    #: Read classes whose batches share a traversal in one
+    #: :meth:`apply_reads` call: all three start with the same descent.
+    SHARED_READS = frozenset({"get", "successor", "range"})
+
+    def apply_reads(self, reads: Sequence[Tuple[str, Sequence]],
+                    ) -> List[list]:
+        """Several read batches in one call (contract: see
+        :meth:`repro.core.skiplist.PIMSkipList.apply_reads`): the
+        non-empty ones descend once, as one op."""
+        distinct_reads(reads)
+        live = [(op, list(payload)) for op, payload in reads if payload]
+        results = iter(self._read(live) if live else ())
+        return [next(results) if payload else [] for _, payload in reads]
 
     def check_integrity(self) -> None:
         """Assert the structural invariants, dumping module state:
@@ -706,23 +725,40 @@ class _PTBuildOp(_PTOp):
         return None
 
 
-class _PTGetOp(_PTOp):
+class _KeysPart:
+    """A point-key share of a read op: the distinct keys descend, and
+    their answers fan back out to every position that asked."""
+
     def __init__(self, tree: PIMTree, keys: Sequence[Hashable]) -> None:
-        super().__init__(tree, "batch_get")
+        self.tree = tree
         self.keys = keys
 
-    def route(self, machine, plan):
-        tree, keys = self.tree, self.keys
-        groups = group_positions(machine.cpu, keys)
-        out: List[Optional[Any]] = [None] * len(keys)
-        if tree.first_leaf is None:
-            return out
-        distinct = sorted(groups)
-        target = yield from tree._descend(
-            machine, list(enumerate(distinct)))
-        by_leaf: Dict[int, List[Tuple[int, Any]]] = {}
-        for qid, key in enumerate(distinct):
-            by_leaf.setdefault(target[qid], []).append((qid, key))
+    def plan(self, machine) -> List[Hashable]:
+        self.groups = group_positions(machine.cpu, self.keys)
+        return sorted(self.groups)
+
+    def empty(self) -> List[Optional[Any]]:
+        return [None] * len(self.keys)
+
+    def fan_out(self, machine, answers: Dict[Any, Any]) -> List[Any]:
+        out = self.empty()
+        for key, idxs in self.groups.items():
+            for i in idxs:
+                out[i] = answers[key]
+        machine.cpu.charge(float(len(out)), _log2(len(out)))
+        return out
+
+
+class _GetPart(_KeysPart):
+    """Get's share of a read op: one leaf stage."""
+
+    suffix = "batch_get"
+
+    def leaves(self, machine, distinct, lids):
+        tree = self.tree
+        by_leaf: Dict[int, List[Any]] = {}
+        for key, lid in zip(distinct, lids):
+            by_leaf.setdefault(lid, []).append(key)
         name = tree.name
         values: Dict[Any, Any] = {}
         msgs: List = []
@@ -730,15 +766,15 @@ class _PTGetOp(_PTOp):
         for lid in sorted(by_leaf):
             grp = by_leaf[lid]
             if tree.leaf_len.get(lid, 0) == 0:
-                for _, key in grp:
+                for key in grp:
                     values[key] = None
             elif len(grp) >= tree.leaf_pull_threshold:
                 msgs.append((tree.leaf_owner[lid], f"{name}:lf_pull",
                              (lid,), None))
-                pulled[lid] = [key for _, key in grp]
+                pulled[lid] = grp
                 tree.stats["pull_msgs"] += 1
             else:
-                for _, key in grp:
+                for key in grp:
                     msgs.append((tree.leaf_owner[lid], f"{name}:lf_get",
                                  (lid, key), None))
                 tree.stats["push_msgs"] += len(grp)
@@ -759,33 +795,23 @@ class _PTGetOp(_PTOp):
                         i = bisect.bisect_left(items, (key,))
                         hit = i < len(items) and items[i][0] == key
                         values[key] = items[i][1] if hit else None
-        for key, idxs in groups.items():
-            for i in idxs:
-                out[i] = values[key]
-        machine.cpu.charge(float(len(keys)), _log2(len(keys)))
-        return out
+        return self.fan_out(machine, values)
 
 
-class _PTSuccessorOp(_PTOp):
-    def __init__(self, tree: PIMTree, keys: Sequence[Hashable]) -> None:
-        super().__init__(tree, "batch_successor")
-        self.keys = keys
+class _SuccessorPart(_KeysPart):
+    """Successor's share of a read op: one leaf stage per hop along the
+    leaf chain."""
 
-    def route(self, machine, plan):
-        tree, keys = self.tree, self.keys
-        groups = group_positions(machine.cpu, keys)
-        out: List[Optional[Tuple[Hashable, Any]]] = [None] * len(keys)
-        if tree.first_leaf is None:
-            return out
-        distinct = sorted(groups)
-        target = yield from tree._descend(
-            machine, list(enumerate(distinct)))
+    suffix = "batch_successor"
+
+    def leaves(self, machine, distinct, lids):
+        tree = self.tree
         name = tree.name
         found: Dict[Any, Optional[Tuple[Hashable, Any]]] = {}
         # key -> the leaf currently probed (None -> chain exhausted).
         pending: Dict[Any, Optional[int]] = {}
-        for qid, key in enumerate(distinct):
-            lid = tree._next_nonempty(target[qid])
+        for key, lid in zip(distinct, lids):
+            lid = tree._next_nonempty(lid)
             if lid is None:
                 found[key] = None
             else:
@@ -838,32 +864,34 @@ class _PTSuccessorOp(_PTOp):
                 else:
                     nxt[key] = follow
             pending = nxt
-        for key, idxs in groups.items():
-            for i in idxs:
-                out[i] = found[key]
-        machine.cpu.charge(float(len(keys)), _log2(len(keys)))
-        return out
+        return self.fan_out(machine, found)
 
 
-class _PTRangeOp(_PTOp):
+class _RangePart:
+    """Range's share of a read op: every op's low key in, the chained
+    leaf scans frontier-parallel (one stage per hop across all ops)."""
+
+    suffix = "batch_range"
+
     def __init__(self, tree: PIMTree,
                  ops: Sequence[Tuple[Hashable, Hashable]]) -> None:
-        super().__init__(tree, "batch_range")
+        self.tree = tree
         self.ops = ops
 
-    def route(self, machine, plan):
+    def plan(self, machine) -> List[Hashable]:
+        return [lo for lo, _hi in self.ops]
+
+    def empty(self) -> List[List[Tuple[Hashable, Any]]]:
+        return [[] for _ in self.ops]
+
+    def leaves(self, machine, _lows, lids):
         tree, ops = self.tree, self.ops
-        out: List[List[Tuple[Hashable, Any]]] = [[] for _ in ops]
-        if tree.first_leaf is None:
-            return out
-        queries = [(i, lo) for i, (lo, _hi) in enumerate(ops)]
-        target = yield from tree._descend(machine, queries)
         name = tree.name
-        # op index -> leaf currently scanned; ops hop their chains
-        # frontier-parallel (one stage per hop across all ops).
+        out = self.empty()
+        # op index -> leaf currently scanned.
         active: Dict[int, int] = {}
-        for i in range(len(ops)):
-            lid = tree._next_nonempty(target.get(i))
+        for i, lid in enumerate(lids):
+            lid = tree._next_nonempty(lid)
             if lid is not None:
                 active[i] = lid
         while active:
@@ -886,6 +914,66 @@ class _PTRangeOp(_PTOp):
         total = sum(len(rows) for rows in out)
         machine.cpu.charge(total + len(ops), _log2(total + len(ops)))
         return out
+
+
+_READ_PARTS = {"get": _GetPart, "successor": _SuccessorPart,
+               "range": _RangePart}
+
+
+def _lockstep(phases: Sequence):
+    """Advance leaf-phase generators together, one shared stage per hop.
+
+    Each phase yields its hop's messages and is sent back its own
+    replies (a message's tag is its phase's index, and a reply echoes
+    the tag), in arrival order; a hop's stage is the phases' messages
+    in phase order.  Returns the phases' return values.  Used via
+    ``yield from``.
+    """
+    results: List[Any] = [None] * len(phases)
+    # phase -> the replies it is owed (``None`` starts a generator)
+    owed: Dict[int, Optional[List]] = dict.fromkeys(range(len(phases)))
+    while True:
+        stages: Dict[int, List] = {}
+        for i, got in owed.items():
+            try:
+                stages[i] = phases[i].send(got)
+            except StopIteration as stop:
+                results[i] = stop.value
+        if not stages:
+            return results
+        replies = yield [(dest, fn, args, i)
+                         for i, msgs in stages.items()
+                         for dest, fn, args, _tag in msgs]
+        owed = {i: [] for i in stages}
+        for r in replies:
+            owed[r.tag].append(r)
+
+
+class _PTReadOp(_PTOp):
+    """Read batches -- one part each of Get / Successor / Range -- on one
+    descent: the parts' queries route to their leaves together
+    (:meth:`PIMTree._descend` over their union), then every part runs
+    its leaf phase, a hop's stages shared (:func:`_lockstep`).  With one
+    part this is that read op alone, named as it always was."""
+
+    def __init__(self, tree: PIMTree, parts: Sequence[Any]) -> None:
+        super().__init__(tree, parts[0].suffix if len(parts) == 1
+                         else "batch_reads")
+        self.parts = parts
+
+    def route(self, machine, plan):
+        tree, parts = self.tree, self.parts
+        queries = [part.plan(machine) for part in parts]
+        if tree.first_leaf is None:
+            return [part.empty() for part in parts]
+        target = yield from tree._descend(
+            machine, list(enumerate(q for qs in queries for q in qs)))
+        phases, base = [], 0
+        for part, qs in zip(parts, queries):
+            lids = [target.get(base + j) for j in range(len(qs))]
+            phases.append(part.leaves(machine, qs, lids))
+            base += len(qs)
+        return (yield from _lockstep(phases))
 
 
 class _PTUpsertOp(_PTOp):

@@ -52,6 +52,8 @@ class ImplAdapter:
         self.impl = impl
         self.machine = machine
         self.caps = frozenset(impl.BATCH_CAPS)
+        #: The structure's declared shared-read set (empty: none).
+        self.shared_reads = frozenset(getattr(impl, "SHARED_READS", ()))
         self._apply = apply_fn if apply_fn is not None else impl.apply_batch
         self.stale = False
         self.stale_at: Optional[int] = None  # batch index that retired it
@@ -67,11 +69,31 @@ class ImplAdapter:
                        ) -> Tuple[Any, Optional[MetricsDelta]]:
         """Like :meth:`apply` but also returns the machine's metric delta
         for the batch (``None`` for machine-less implementations)."""
+        return self._measured(lambda: self.apply(op, payload))
+
+    def _measured(self, call: Callable[[], Any],
+                  ) -> Tuple[Any, Optional[MetricsDelta]]:
         if self.machine is None:
-            return self.apply(op, payload), None
+            return call(), None
         before = self.machine.snapshot()
-        result = self.apply(op, payload)
+        result = call()
         return result, self.machine.delta_since(before)
+
+    def apply_step(self, batches: Sequence[Any]) -> List[Any]:
+        """Run one replay step (see :func:`repro.verify.differ.session_steps`);
+        one result per batch.  Several read batches go to an
+        implementation that declares shared reads as one ``apply_reads``
+        call -- straight to the structure: an adapter fault wraps
+        :meth:`apply` and so acts on lone batches only."""
+        if len(batches) > 1 and self.shared_reads:
+            return self.impl.apply_reads(
+                [(batch.op, batch.payload) for batch in batches])
+        return [self.apply(batch.op, batch.payload) for batch in batches]
+
+    def measured_step(self, batches: Sequence[Any],
+                      ) -> Tuple[List[Any], Optional[MetricsDelta]]:
+        """:meth:`apply_step` plus the machine's metric delta for it."""
+        return self._measured(lambda: self.apply_step(batches))
 
     def retire(self, batch_index: int) -> None:
         self.stale = True

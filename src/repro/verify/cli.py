@@ -72,6 +72,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-backends", action="store_true",
                    help="skip the cross-engine equivalence replay on "
                         "the per-task reference oracle")
+    p.add_argument("--read-groups", action="store_true",
+                   help="replay runs of consecutive read batches as one "
+                        "apply_reads call on the structures that declare "
+                        "shared reads (what a shared-read serve tick "
+                        "sends)")
 
 
 def _impl_list(args: argparse.Namespace) -> Optional[List[str]]:
@@ -87,6 +92,7 @@ def _verify_kwargs(args: argparse.Namespace) -> dict:
         "check_metamorphic": not args.no_metamorphic,
         "check_determinism": not args.no_determinism,
         "check_backends": not args.no_backends,
+        "read_groups": args.read_groups,
     }
 
 
@@ -198,7 +204,7 @@ def _shrink_and_write(session, args: argparse.Namespace, fault) -> str:
     return write_repro(
         small, path, divergences=report.divergences,
         impls=list(impls) if impls else None,
-        num_modules=args.modules,
+        num_modules=args.modules, read_groups=args.read_groups,
         note=(f"shrunk from a {len(session.batches)}-batch fuzz session"
               + (f" with injected fault {fault[0]}:{fault[1]}" if fault
                  else "")))
@@ -280,6 +286,7 @@ def _replay_one(path: str, args: argparse.Namespace) -> bool:
     if args.impls is None and data.get("impls"):
         kwargs["impls"] = data["impls"]
     kwargs["num_modules"] = num_modules
+    kwargs["read_groups"] = args.read_groups or bool(data.get("read_groups"))
     report = verify_session(session, **kwargs)
     tag = "DIVERGES" if not report.ok else "clean"
     print(f"{path}: {len(session.batches)} batch(es) -> {tag}")
@@ -321,6 +328,7 @@ def cmd_shrink(args: argparse.Namespace) -> int:
     kwargs = _verify_kwargs(args)
     if args.impls is None and data.get("impls"):
         kwargs["impls"] = data["impls"]
+    kwargs["read_groups"] = args.read_groups or bool(data.get("read_groups"))
 
     def is_failing(candidate) -> bool:
         return not verify_session(candidate, **kwargs).ok
@@ -335,6 +343,7 @@ def cmd_shrink(args: argparse.Namespace) -> int:
     write_repro(small, out, divergences=report.divergences,
                 impls=kwargs["impls"],
                 num_modules=kwargs["num_modules"],
+                read_groups=kwargs["read_groups"],
                 note=f"re-shrunk from {before} batch(es)")
     print(f"{args.path}: {before} -> {len(small.batches)} batch(es), "
           f"written to {out}")

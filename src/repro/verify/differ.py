@@ -25,6 +25,11 @@ reference oracle* (the engine's array-native rounds vs the scalar loop,
 :class:`~repro.sim.machine.ReferencePIMMachine`), which must reproduce
 the primary run's results and metric stream bit-for-bit.
 
+With ``read_groups`` the unit of replay is a *step*
+(:func:`session_steps`): runs of consecutive read batches go to the
+implementations that declare ``SHARED_READS`` as one ``apply_reads``
+call, and every check above runs over the same steps.
+
 Divergences are collected, not raised: the driver is also the shrinker's
 test function, and a shrinker needs "still failing?" as a value.
 """
@@ -35,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.skiplist import READ_OPS
 from repro.sim.metrics import MetricsDelta
 from repro.verify.adapters import (
     CROSS_ENGINE_IMPLS,
@@ -48,7 +54,6 @@ from repro.verify.fuzz import initial_items_for
 from repro.verify.oracle import SequentialOracle
 from repro.workloads.sessions import Session
 
-READ_OPS = frozenset({"get", "successor", "range"})
 
 
 @dataclass
@@ -173,9 +178,18 @@ def verify_session(session: Session,
                    check_metamorphic: bool = True,
                    check_determinism: bool = True,
                    check_backends: bool = True,
+                   read_groups: bool = False,
                    fault: Optional[Tuple[str, str]] = None,
                    ) -> SessionReport:
     """Differentially replay ``session``; returns the full report.
+
+    With ``read_groups`` the replay steps are :func:`session_steps`'s:
+    runs of consecutive read batches reach the implementations that
+    declare ``SHARED_READS`` (the skip list, the PIM-tree) as one
+    ``apply_reads`` call -- what a shared-read tick of ``repro serve``
+    sends -- and every check below covers that path: each sub-batch
+    against the oracle, the determinism rerun and the cross-engine
+    replay over the same steps.
 
     ``fault`` optionally injects a named fault (see
     :mod:`repro.verify.faults`) into one implementation's adapter --
@@ -226,50 +240,17 @@ def verify_session(session: Session,
             lambda op_name, delta, out=stream: out.append((op_name, delta))
     skiplist_stream = streams.get("skiplist")
 
-    for i, batch in enumerate(session.batches):
-        expected = oracle.apply_batch(batch.op, batch.payload)
+    for step in session_steps(session, read_groups):
+        expected = [oracle.apply_batch(batch.op, batch.payload)
+                    for _, batch in step]
         for adapter in adapters:
-            if adapter.stale:
+            if len(step) > 1 and adapter.shared_reads:
+                _replay_group(report, session, adapter, step, expected,
+                              len(oracle), twin)
                 continue
-            if not adapter.supports(batch.op):
-                if batch.op in MUTATING_OPS:
-                    adapter.retire(i)
-                    report.retired[adapter.name] = i
-                continue
-            try:
-                result, delta = adapter.measured_apply(batch.op,
-                                                       batch.payload)
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                report.divergences.append(Divergence(
-                    seed=session.seed, batch_index=i, op=batch.op,
-                    impl=adapter.name, kind="crash",
-                    detail=f"{type(exc).__name__}: {exc}"))
-                adapter.retire(i)
-                report.retired[adapter.name] = i
-                continue
-            if batch.op in READ_OPS and result != expected:
-                report.divergences.append(Divergence(
-                    seed=session.seed, batch_index=i, op=batch.op,
-                    impl=adapter.name, kind="result",
-                    detail=_diff_results(batch.op, batch.payload,
-                                         expected, result)))
-            envelope_fn = ENVELOPE_FNS.get(adapter.name)
-            if envelope_fn is not None and delta is not None:
-                result_size = (sum(len(rows) for rows in expected)
-                               if batch.op == "range" else 0)
-                budget = envelope_fn(batch.op, len(batch.payload),
-                                     num_modules, len(oracle),
-                                     result_size)
-                if delta.rounds > budget:
-                    report.divergences.append(Divergence(
-                        seed=session.seed, batch_index=i, op=batch.op,
-                        impl=adapter.name, kind="rounds_envelope",
-                        detail=(f"{delta.rounds} rounds > envelope "
-                                f"{budget} (batch of "
-                                f"{len(batch.payload)}, P={num_modules})")))
-                if adapter.name == "skiplist" and twin is not None:
-                    _check_split(report, session, i, batch, expected,
-                                 delta, twin)
+            for (i, batch), want in zip(step, expected):
+                _replay_batch(report, session, adapter, i, batch, want,
+                              len(oracle), twin)
 
     # Detach the observers before the final-state scans, which run extra
     # pipeline ops that the reruns do not replay.
@@ -282,13 +263,147 @@ def verify_session(session: Session,
 
     if check_determinism and skiplist_stream is not None:
         _check_determinism(report, session, num_modules, skiplist_stream,
-                           fault=fault)
+                           fault=fault, read_groups=read_groups)
 
     if check_backends:
         for name, stream in streams.items():
             _check_backend_equivalence(report, session, num_modules, stream,
-                                       fault=fault, impl=name)
+                                       fault=fault, impl=name,
+                                       read_groups=read_groups)
     return report
+
+
+def session_steps(session: Session, read_groups: bool = False,
+                  ) -> List[List[Tuple[int, Any]]]:
+    """The session's ``(index, batch)`` pairs as replay steps: one batch
+    a step, or -- with ``read_groups`` -- every maximal run of
+    consecutive read batches of distinct ops as one step, which an
+    implementation that declares ``SHARED_READS`` answers with one
+    ``apply_reads`` call (and any other, batch by batch)."""
+    steps: List[List[Tuple[int, Any]]] = []
+    for i, batch in enumerate(session.batches):
+        run = steps[-1] if steps else []
+        if (read_groups and run and batch.op in READ_OPS
+                and all(b.op in READ_OPS and b.op != batch.op
+                        for _, b in run)):
+            run.append((i, batch))
+        else:
+            steps.append([(i, batch)])
+    return steps
+
+
+def _replay_batch(report: SessionReport, session: Session,
+                  adapter: ImplAdapter, i: int, batch: Any, expected: Any,
+                  n_keys: int, twin: Optional[ImplAdapter]) -> None:
+    """One batch through one implementation: result against the oracle,
+    rounds against the envelope, the skip list against its twin."""
+    num_modules = report.num_modules
+    if adapter.stale:
+        return
+    if not adapter.supports(batch.op):
+        if batch.op in MUTATING_OPS:
+            adapter.retire(i)
+            report.retired[adapter.name] = i
+        return
+    try:
+        result, delta = adapter.measured_apply(batch.op, batch.payload)
+    except Exception as exc:  # noqa: BLE001 - report, don't die
+        report.divergences.append(Divergence(
+            seed=session.seed, batch_index=i, op=batch.op,
+            impl=adapter.name, kind="crash",
+            detail=f"{type(exc).__name__}: {exc}"))
+        adapter.retire(i)
+        report.retired[adapter.name] = i
+        return
+    if batch.op in READ_OPS and result != expected:
+        report.divergences.append(Divergence(
+            seed=session.seed, batch_index=i, op=batch.op,
+            impl=adapter.name, kind="result",
+            detail=_diff_results(batch.op, batch.payload,
+                                 expected, result)))
+    envelope_fn = ENVELOPE_FNS.get(adapter.name)
+    if envelope_fn is not None and delta is not None:
+        budget = _budget(envelope_fn, batch, expected, num_modules, n_keys)
+        if delta.rounds > budget:
+            report.divergences.append(Divergence(
+                seed=session.seed, batch_index=i, op=batch.op,
+                impl=adapter.name, kind="rounds_envelope",
+                detail=(f"{delta.rounds} rounds > envelope "
+                        f"{budget} (batch of "
+                        f"{len(batch.payload)}, P={num_modules})")))
+        if adapter.name == "skiplist" and twin is not None:
+            _check_split(report, session, i, batch, expected,
+                         delta, twin)
+
+
+def _budget(envelope_fn, batch: Any, expected: Any, num_modules: int,
+            n_keys: int) -> int:
+    result_size = (sum(len(rows) for rows in expected)
+                   if batch.op == "range" else 0)
+    return envelope_fn(batch.op, len(batch.payload), num_modules, n_keys,
+                       result_size)
+
+
+def _replay_group(report: SessionReport, session: Session,
+                  adapter: ImplAdapter, step: List[Tuple[int, Any]],
+                  expected: List[Any], n_keys: int,
+                  twin: Optional[ImplAdapter]) -> None:
+    """One read group through an implementation that declares shared
+    reads: every sub-batch against the oracle, the group's rounds
+    against the sum of its batches' envelopes and -- the skip list,
+    against its twin -- against the same batches run one after another
+    (a shared traversal must not cost more rounds than two)."""
+    if adapter.stale:
+        return
+    first = step[0][0]
+    ops = "+".join(batch.op for _, batch in step)
+    batches = [batch for _, batch in step]
+    try:
+        results, delta = adapter.measured_step(batches)
+    except Exception as exc:  # noqa: BLE001 - report, don't die
+        report.divergences.append(Divergence(
+            seed=session.seed, batch_index=first, op=ops,
+            impl=adapter.name, kind="crash",
+            detail=f"{type(exc).__name__}: {exc}"))
+        adapter.retire(first)
+        report.retired[adapter.name] = first
+        return
+    for (i, batch), want, got in zip(step, expected, results):
+        if got != want:
+            report.divergences.append(Divergence(
+                seed=session.seed, batch_index=i, op=batch.op,
+                impl=adapter.name, kind="result",
+                detail="[read group] " + _diff_results(
+                    batch.op, batch.payload, want, got)))
+    envelope_fn = ENVELOPE_FNS.get(adapter.name)
+    if envelope_fn is None or delta is None:
+        return
+    budget = sum(_budget(envelope_fn, batch, want, report.num_modules, n_keys)
+                 for batch, want in zip(batches, expected))
+    if delta.rounds > budget:
+        report.divergences.append(Divergence(
+            seed=session.seed, batch_index=first, op=ops,
+            impl=adapter.name, kind="rounds_envelope",
+            detail=(f"read group took {delta.rounds} rounds > {budget}, "
+                    f"the sum of its batches' envelopes")))
+    if adapter.name == "skiplist" and twin is not None:
+        apart = [twin.measured_apply(batch.op, batch.payload)
+                 for batch in batches]
+        if [r for r, _ in apart] != expected:
+            report.divergences.append(Divergence(
+                seed=session.seed, batch_index=first, op=ops,
+                impl="skiplist", kind="split_result",
+                detail="twin's one-after-another replay of a read group "
+                       "disagrees with the oracle"))
+        # The twin's machine has drawn different random modules by now
+        # (it splits every read batch), hence Successor's round slack.
+        rounds = sum(d.rounds for _, d in apart)
+        if delta.rounds > rounds + 8:
+            report.divergences.append(Divergence(
+                seed=session.seed, batch_index=first, op=ops,
+                impl="skiplist", kind="split_monotonicity",
+                detail=(f"read group took {delta.rounds} rounds > {rounds} "
+                        f"(+8 slack) for its batches one after another")))
 
 
 def _diff_results(op: str, payload: Sequence, expected: Any,
@@ -415,7 +530,7 @@ def _check_determinism(report: SessionReport, session: Session,
                        num_modules: int,
                        first_stream: List[Tuple[str, MetricsDelta]], *,
                        fault: Optional[Tuple[str, str]] = None,
-                       ) -> None:
+                       read_groups: bool = False) -> None:
     """Replay the skip list alone on a fresh machine; the per-op metric
     stream must be bit-identical to the first run's.  An injected fault
     is replayed too, so this check isolates nondeterminism rather than
@@ -431,8 +546,8 @@ def _check_determinism(report: SessionReport, session: Session,
     assert rerun.machine is not None
     rerun.machine.batch_observer = \
         lambda op_name, delta: stream.append((op_name, delta))
-    for batch in session.batches:
-        rerun.apply(batch.op, batch.payload)
+    for step in session_steps(session, read_groups):
+        rerun.apply_step([batch for _, batch in step])
     rerun.machine.batch_observer = None
     if len(stream) != len(first_stream):
         report.divergences.append(Divergence(
@@ -455,7 +570,8 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
                                num_modules: int,
                                first_stream: List[Tuple[str, MetricsDelta]],
                                *, fault: Optional[Tuple[str, str]] = None,
-                               impl: str = "skiplist") -> None:
+                               impl: str = "skiplist",
+                               read_groups: bool = False) -> None:
     """Replay ``impl`` alone on the per-task reference oracle.
 
     Two checks, both against the primary run: every read batch's result
@@ -479,24 +595,27 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
     assert rerun.machine is not None
     rerun.machine.batch_observer = \
         lambda op_name, delta: stream.append((op_name, delta))
-    for i, batch in enumerate(session.batches):
-        expected = oracle.apply_batch(batch.op, batch.payload)
+    for step in session_steps(session, read_groups):
+        batches = [batch for _, batch in step]
+        wanted = [oracle.apply_batch(batch.op, batch.payload)
+                  for batch in batches]
         try:
-            result = rerun.apply(batch.op, batch.payload)
+            results = rerun.apply_step(batches)
         except Exception as exc:  # noqa: BLE001 - report, don't die
             report.divergences.append(Divergence(
-                seed=session.seed, batch_index=i, op=batch.op,
-                impl=impl, kind="backend",
+                seed=session.seed, batch_index=step[0][0],
+                op=batches[0].op, impl=impl, kind="backend",
                 detail=(f"[{other}] {type(exc).__name__}: {exc}")))
             rerun.machine.batch_observer = None
             return
-        if batch.op in READ_OPS and not faulted and result != expected:
-            report.divergences.append(Divergence(
-                seed=session.seed, batch_index=i, op=batch.op,
-                impl=impl, kind="backend",
-                detail=(f"[{other}] "
-                        + _diff_results(batch.op, batch.payload,
-                                        expected, result))))
+        for (i, batch), expected, result in zip(step, wanted, results):
+            if batch.op in READ_OPS and not faulted and result != expected:
+                report.divergences.append(Divergence(
+                    seed=session.seed, batch_index=i, op=batch.op,
+                    impl=impl, kind="backend",
+                    detail=(f"[{other}] "
+                            + _diff_results(batch.op, batch.payload,
+                                            expected, result))))
     rerun.machine.batch_observer = None
     if len(stream) != len(first_stream):
         report.divergences.append(Divergence(

@@ -95,3 +95,10 @@ class SequentialOracle:
         if op == "range":
             return [self.range(lo, hi) for lo, hi in payload]
         raise ValueError(f"apply_batch: unknown op {op!r}")
+
+    def apply_reads(self, reads: Sequence[Tuple[str, Sequence]],
+                    ) -> List[list]:
+        """A group of read batches (contract: see
+        :meth:`repro.core.skiplist.PIMSkipList.apply_reads`): here, one
+        after the other."""
+        return [self.apply_batch(op, payload) for op, payload in reads]

@@ -61,6 +61,7 @@ def write_repro(session: Session, path: str, *,
                 divergences: Optional[List[Any]] = None,
                 impls: Optional[List[str]] = None,
                 num_modules: Optional[int] = None,
+                read_groups: bool = False,
                 fault_schedule: Optional[str] = None,
                 fault_seed: Optional[int] = None,
                 note: str = "") -> str:
@@ -76,6 +77,8 @@ def write_repro(session: Session, path: str, *,
         data["impls"] = list(impls)
     if num_modules is not None:
         data["num_modules"] = num_modules
+    if read_groups:  # replay steps were ``differ.session_steps``'s groups
+        data["read_groups"] = True
     if fault_schedule is not None:
         data["fault_schedule"] = fault_schedule
         data["fault_seed"] = int(fault_seed or 0)

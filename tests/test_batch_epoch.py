@@ -244,8 +244,12 @@ def test_server_status_reports_the_runtime(collector):
     assert runtime["batch_epochs"] == machines[0].batch_epochs
     assert runtime["batch_epochs"] > server.batches_served >= 2
     # the upsert and the gets ran their point tasks in batch handlers
-    assert sorted(runtime) == ["batch_epochs", "chunked_task_share",
-                               "gc_collections"]
+    assert sorted(runtime) == ["batch_epochs", "batches_per_tick",
+                               "chunked_task_share", "gc_collections",
+                               "ticks_by_kind"]
+    # one write tick, then the two gets in one same-op tick
+    assert runtime["ticks_by_kind"] == {"get": 1, "upsert": 1}
+    assert runtime["batches_per_tick"] == 1.0
     machine = machines[0]
     assert 0 < machine.tasks_chunked <= machine.tasks_executed
     assert runtime["chunked_task_share"] \

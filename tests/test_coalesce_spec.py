@@ -4,8 +4,16 @@
 verbatim: it walks every tenant the controller has ever seen, several
 times a tick, and pops queues directly.  The shipped coalescer visits
 only tenants with queued work and leaves through
-``AdmissionController.take``; it must build exactly the batches the old
-one built.  Hypothesis drives both over the same generated queues.
+``AdmissionController.take``; for a structure that declares no shared
+reads it must build exactly the batches the old one built, tick for
+tick.  Hypothesis drives both over the same generated queues.
+
+With a declared set (``PIMSkipList.SHARED_READS``, ``PIMTree``'s) a
+tick may hold one same-op batch per class of the set, and there is no
+old function to copy: the second half of this file states what a tick
+is as properties of generated queues -- program order, no request
+behind a write of its own tenant in one tick, what a tick may mix, and
+how long a class can wait.
 """
 
 import asyncio
@@ -25,6 +33,8 @@ from repro.serve import (
 from repro.serve.admission import TenantState
 from repro.serve.coalesce import MergedBatch
 from repro.sim.machine import PIMMachine
+from repro.structures.pimtree import PIMTree
+from tests.conftest import DETERMINISTIC
 
 
 def reference_next_batch(self, tenants: Dict[str, TenantState], tick: int,
@@ -136,7 +146,9 @@ def test_batches_equal_the_old_coalescers(tenants, creation, requests, ticks,
             admitted[name].append(k)
 
         expect = outcome(*reference_next_batch(old, old_ctl.tenants, tick))
-        batch, expired = new.next_batch(new_ctl, tick)
+        batches, expired = new.next_batch(new_ctl, tick)
+        assert len(batches) <= 1  # no shared reads declared: a tick is a batch
+        batch = batches[0] if batches else None
         assert outcome(batch, expired) == expect
         assert new._rr == old._rr
 
@@ -157,6 +169,140 @@ def test_batches_equal_the_old_coalescers(tenants, creation, requests, ticks,
                   for name, state in new_ctl.tenants.items() if state.queue}
         assert new_ctl.pending == sum(len(q) for q in queues.values())
         assert new_ctl.heads == {name: q[0] for name, q in queues.items()}
+
+
+# -- a tick over a declared set, as properties ---------------------------
+
+WRITES = frozenset({"upsert", "delete"})
+DECLARED = [frozenset(), PIMSkipList.SHARED_READS, PIMTree.SHARED_READS]
+
+_mixed_requests = st.lists(
+    st.tuples(
+        st.integers(0, 11),
+        st.sampled_from(["get", "successor", "range", "upsert", "delete"]),
+        st.one_of(st.integers(0, 4), st.integers(0, 40)),
+        st.one_of(st.none(), st.integers(0, 8)),
+        st.integers(1, 6)),
+    min_size=1, max_size=60)
+
+
+@DETERMINISTIC
+@given(
+    tenants=st.integers(1, 12),
+    requests=_mixed_requests,
+    ticks=st.integers(1, 8),
+    shared=st.sampled_from(DECLARED),
+    quantum=st.integers(1, 16),
+    max_batch_items=st.integers(1, 64),
+)
+def test_a_tick_over_a_declared_set(tenants, requests, ticks, shared,
+                                    quantum, max_batch_items):
+    ctl = AdmissionController()
+    coalescer = Coalescer(max_batch_items=max_batch_items, quantum=quantum)
+    admitted: Dict[str, List[Request]] = {}
+    gone: Dict[str, List[Request]] = {}
+
+    for tick in range(1, ticks + 1):
+        for who, op, size, deadline, arrives in requests:
+            if arrives == tick:
+                request = Request(f"t{who % tenants:02d}", op,
+                                  list(range(size)), deadline)
+                assert ctl.admit(request, tick - 1) is None
+                admitted.setdefault(request.tenant, []).append(request)
+        # What the tick starts from: per tenant, what is still queued,
+        # and the live heads (an expired prefix is evicted, not served).
+        queued = {name: list(state.queue)
+                  for name, state in ctl.tenants.items() if state.queue}
+        live = []
+        for queue in queued.values():
+            rest = [r for i, r in enumerate(queue)
+                    if not all(e.expired(tick) for e in queue[:i + 1])]
+            live += rest[:1]
+
+        batches, expired = coalescer.next_batch(ctl, tick, shared)
+
+        # A tick is one class, or classes of the declared set; the oldest
+        # live head's class is in it, first; same-op batches, one a class.
+        ops = [batch.op for batch in batches]
+        assert len(set(ops)) == len(ops)
+        assert len(ops) <= 1 or set(ops) <= shared
+        if live:
+            oldest = min(live, key=lambda r: r.id)
+            assert ops and ops[0] == oldest.op
+            if oldest.op in shared:  # ... and the set's other heads ride
+                assert set(ops) >= {r.op for r in live} & shared
+        else:
+            assert not ops
+        for batch in batches:
+            assert all(r.op == batch.op for r, _, _ in batch.slices)
+            assert [r.payload for r, _, _ in batch.slices] \
+                == [batch.items[lo:hi] for _, lo, hi in batch.slices]
+            assert len(batch.items) <= max_batch_items \
+                or sum(hi > lo for _, lo, hi in batch.slices) == 1
+            deadlines = [r.deadline for r, _, _ in batch.slices
+                         if r.deadline is not None]
+            assert batch.min_deadline == min(deadlines, default=None)
+        assert all(r.expired(tick) for r in expired)
+
+        taken = [r for batch in batches for r, _, _ in batch.slices]
+        for request in taken:
+            # Nothing rides a tick behind a write of its own tenant,
+            # unless the two are one class (one batch, payload order).
+            ahead = queued[request.tenant]
+            ahead = [e for e in ahead[:ahead.index(request)]
+                     if e.op in WRITES and not e.expired(tick)]
+            assert all(e.op == request.op for e in ahead)
+        for request in expired + taken:
+            gone.setdefault(request.tenant, []).append(request)
+        for name, left in gone.items():
+            # Program order: what has left a tenant's queue is a prefix
+            # of what it submitted, and its answers come in that order.
+            assert sorted(left, key=lambda r: r.id) \
+                == admitted[name][:len(left)]
+        for name in {r.tenant for r in taken}:
+            mine = [r.id for r in taken if r.tenant == name]
+            assert mine == sorted(mine)
+        assert ctl.pending == sum(len(s.queue) for s in ctl.tenants.values())
+
+
+@DETERMINISTIC
+@given(
+    clients=st.integers(1, 24),
+    program=st.lists(st.sampled_from(
+        ["get", "successor", "range", "upsert", "delete"]),
+        min_size=1, max_size=40),
+    shared=st.sampled_from(DECLARED),
+    ticks=st.integers(1, 30),
+)
+def test_no_class_waits_more_than_a_cycle_of_kinds(clients, program, shared,
+                                                   ticks):
+    """Closed-loop tenants (one request in flight each, the next one
+    submitted when it is served) and no batch bound in the way: a
+    request leaves within G ticks of its admission, G the number of tick
+    kinds -- every class outside the declared set is a kind of its own,
+    the set is one.  (A deeper queue can wait longer: FIFO-by-oldest-head
+    bounds a head's wait by the requests older than it, and behind a
+    head those need not be heads.)"""
+    kinds = {frozenset([op]) if op not in shared else shared
+             for op in program}
+    ctl = AdmissionController()
+    coalescer = Coalescer(max_batch_items=10_000, quantum=10_000)
+    cursor = 0
+    admitted_at: Dict[int, int] = {}
+    for tick in range(1, ticks + 1):
+        for c in range(clients):
+            if f"c{c:02d}" not in ctl.heads:
+                request = Request(f"c{c:02d}", program[cursor % len(program)],
+                                  [cursor])
+                cursor += 1
+                assert ctl.admit(request, tick - 1) is None
+                admitted_at[request.id] = tick
+        batches, _ = coalescer.next_batch(ctl, tick, shared)
+        for batch in batches:
+            for request, _, _ in batch.slices:
+                del admitted_at[request.id]
+        assert all(tick - since < len(kinds)
+                   for since in admitted_at.values())
 
 
 def _server():

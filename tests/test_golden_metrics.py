@@ -266,6 +266,32 @@ def _pimtree_workloads(out):
     tree.check_integrity()
 
 
+def _read_group_workloads(out):
+    """``apply_reads`` on fresh machines (the rows above keep theirs): a
+    Successor batch riding a Range batch's boundary search on the skip
+    list, and Get + Successor + Range on one descent of the PIM-tree."""
+    p, n = 16, 512
+    rng = random.Random(909)
+    keys = sorted(rng.sample(range(1, 50_000), n))
+    reads = [
+        ("get", [rng.choice(keys) if i % 2 == 0 else rng.randrange(50_000)
+                 for i in range(48)]),
+        ("successor", [rng.randrange(60_000) for _ in range(12)]),
+        ("range", [(lo, lo + rng.randrange(1, 600))
+                   for lo in rng.sample(range(0, 50_000, 700), 24)]),
+    ]
+    machine = PIMMachine(num_modules=p, seed=19)
+    sl = PIMSkipList(machine, name="goldg")
+    sl.build([(k, k) for k in keys])
+    _measure(machine, "skiplist/batch_read_group",
+             lambda: sl.apply_reads(reads[1:]), out)
+    machine = PIMMachine(num_modules=p, seed=73)
+    tree = PIMTree(machine, leaf_size=8, fanout=4, promote_threshold=2)
+    tree.build([(k, k) for k in keys])
+    _measure(machine, "pimtree/batch_read_group",
+             lambda: tree.apply_reads(reads), out)
+
+
 def compute_all() -> dict:
     out: dict = {}
     _skiplist_workloads(out)
@@ -276,6 +302,7 @@ def compute_all() -> dict:
     _qrqw_workloads(out)
     _structure_workloads(out)
     _pimtree_workloads(out)
+    _read_group_workloads(out)
     return out
 
 

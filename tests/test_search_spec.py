@@ -2,12 +2,15 @@
 
 ``_ParentSearchOp`` is ``_BatchSearchOp`` as PR 19 left it: a
 dataclass and four dicts per batch, a ``(pos, hint)`` tuple per op, two
-``setdefault`` dicts per path reply -- verbatim but for two lines: the
+``setdefault`` dicts per path reply -- verbatim but for three lines: the
 search message's ``record`` argument, which PR 21 turned from a flag
-into the highest level to stream back (see ``execute``), and the pivot
+into the highest level to stream back (see ``execute``), the pivot
 spacing, which PR 22 made ``log^2 P`` for a batch of at most ``P log P``
 keys (see ``route``; the boundary sessions below run both spacings,
-recording and record-free).  The shipped route
+recording and record-free), and the start of an op whose record limit is
+``-1``, which PR 24 gave the record-free hint (see ``derive_or_hint``;
+the boundary sessions mix ``h_cap`` and ``-1`` limits the way a range
+batch with Successor riders does).  The shipped route
 keeps its state in position-indexed columns, folds the recording
 replies in one pass and builds stage 2's messages while it derives the
 hints; it must return the
@@ -196,7 +199,11 @@ class _ParentSearchOp(BatchOp):
             """
             lvl_limit = min_lvl(pos)
             pa, pb = paths.get(pa_pos), paths.get(pb_pos)
-            if lvl_limit == 0:
+            # The one thing PR 24 changed: a limit of -1 (record
+            # nothing: a Successor key riding a range batch's search)
+            # takes the record-free start like a limit of 0, where the
+            # parent fell through to an empty derivation.
+            if lvl_limit <= 0:
                 return (_parent_lca_hint(pa, pb, 0, ids_b=pivot_ids(pb_pos)), {})
             la, lb = level_view(pa_pos), level_view(pb_pos)
             derived: Dict[int, Tuple[Node, Optional[Node]]] = {}
@@ -500,8 +507,12 @@ def _boundary_sessions():
             rng = random.Random(b)
             keys = [rng.randrange(-50, 300 * STRIDE + 50) for _ in range(b)]
             levels = [rng.choice([0, 0, 0, 1, 2, 3, 7]) for _ in range(b)]
+            # A range batch with riders: the pieces keep every lower
+            # level (any limit >= h_cap does), a rider keeps nothing.
+            riders = [rng.choice([7, 7, -1]) for _ in range(b)]
             for record_all, record_levels in ((False, None), (True, None),
-                                              (True, levels)):
+                                              (True, levels),
+                                              (True, riders)):
                 cases.append((p, items, b % 6, keys, record_all,
                               record_levels))
     return cases
@@ -516,9 +527,15 @@ def test_outcomes_and_costs_equal_the_parents(case):
     _assert_same(*case)
 
 
+def _mode(case) -> str:
+    _, _, _, _, record_all, levels = case
+    if levels:
+        return "riders" if -1 in levels else "levels"
+    return "all" if record_all else "free"
+
+
 @pytest.mark.parametrize("case", BOUNDARY_SESSIONS, ids=lambda c: (
-    f"P{c[0]}-b{len(c[3])}-"
-    f"{'levels' if c[5] else 'all' if c[4] else 'free'}"))
+    f"P{c[0]}-b{len(c[3])}-{_mode(c)}"))
 def test_boundary_session(case):
     """Hypothesis samples the boundary sessions; this runs every one."""
     _assert_same(*case)
@@ -536,3 +553,12 @@ def test_same_successor_adversary(p, mode):
     random.Random(1).shuffle(keys)
     levels = [i % 3 for i in range(len(keys))] if mode == "levels" else None
     _assert_same(p, items, 3, keys, mode != "free", levels)
+
+
+def test_a_limit_below_minus_one_is_rejected_before_any_message():
+    sl = _built(8, build_items(40, stride=STRIDE), 0)
+    before = _model(_built(8, build_items(40, stride=STRIDE), 0))
+    with pytest.raises(ValueError, match="-1 for none"):
+        batch_search(sl.struct, [5, 150, 990], record_all=True,
+                     record_levels=[2, -2, -1])
+    assert _model(sl) == before  # nothing sent, charged or drawn

@@ -144,7 +144,7 @@ class TestCoalescer:
                 (("a", 0), ("b", 10), ("c", 20))]
         for r in reqs:
             ctl.admit(r, 0)
-        batch, expired = Coalescer().next_batch(ctl, tick=1)
+        [batch], expired = Coalescer().next_batch(ctl, tick=1)
         assert expired == []
         assert batch.op == "get"
         assert len(batch.items) == 6
@@ -160,10 +160,10 @@ class TestCoalescer:
         ctl.admit(first, 0)
         ctl.admit(Request("b", "get", [5]), 0)
         coalescer = Coalescer()
-        batch, _ = coalescer.next_batch(ctl, 1)
+        [batch], _ = coalescer.next_batch(ctl, 1)
         assert batch.op == "upsert"  # oldest waiting request wins
         assert len(batch.slices) == 1
-        batch2, _ = coalescer.next_batch(ctl, 2)
+        [batch2], _ = coalescer.next_batch(ctl, 2)
         assert batch2.op == "get"
 
     def test_round_robin_rotates_the_lead_tenant(self):
@@ -172,8 +172,8 @@ class TestCoalescer:
             for i in range(2):
                 ctl.admit(Request(t, "get", [i]), 0)
         coalescer = Coalescer(max_batch_items=3)
-        lead1 = coalescer.next_batch(ctl, 1)[0].slices[0][0].tenant
-        lead2 = coalescer.next_batch(ctl, 2)[0].slices[0][0].tenant
+        lead1 = coalescer.next_batch(ctl, 1)[0][0].slices[0][0].tenant
+        lead2 = coalescer.next_batch(ctl, 2)[0][0].slices[0][0].tenant
         assert lead1 != lead2  # the rotating offset moved
 
     def test_preserves_per_tenant_program_order(self):
@@ -184,9 +184,10 @@ class TestCoalescer:
         coalescer = Coalescer(max_batch_items=2)
         seen = []
         while True:
-            batch, _ = coalescer.next_batch(ctl, 1)
-            if batch is None:
+            batches, _ = coalescer.next_batch(ctl, 1)
+            if not batches:
                 break
+            [batch] = batches
             seen += [r.id for r, _, _ in batch.slices]
         assert seen == sorted(seen) == [r.id for r in reqs]
 
@@ -196,8 +197,8 @@ class TestCoalescer:
         ctl.admit(Request("b", "get", [1]), 0)
         ctl.admit(big, 0)
         coalescer = Coalescer(max_batch_items=8)
-        first, _ = coalescer.next_batch(ctl, 1)
-        second, _ = coalescer.next_batch(ctl, 2)
+        [first], _ = coalescer.next_batch(ctl, 1)
+        [second], _ = coalescer.next_batch(ctl, 2)
         batches = {len(b.slices): b for b in (first, second)}
         assert set(batches) == {1, 1} or len(first.slices) + \
             len(second.slices) == 2
@@ -210,7 +211,7 @@ class TestCoalescer:
         fresh = Request("a", "get", [2])
         ctl.admit(stale, 0)
         ctl.admit(fresh, 0)
-        batch, expired = Coalescer().next_batch(ctl, tick=5)
+        [batch], expired = Coalescer().next_batch(ctl, tick=5)
         assert [r.id for r in expired] == [stale.id]
         assert [r.id for r, _, _ in batch.slices] == [fresh.id]
 
@@ -367,6 +368,37 @@ class TestResiliencePolicy:
         assert health.state is HealthState.HEALTHY
         assert policy.stats["probes"] == 1
 
+    def test_stale_view_follows_the_checkpoint_not_its_address(
+            self, monkeypatch):
+        """Two captures leave the log empty both times, and a freed
+        ``Checkpoint``'s address gets reused (provoked, about one
+        allocation pattern in twenty did): a view cached under
+        ``(id(chk), log_size)`` then answers a circuit-open read without
+        the writes in between.  ``id`` is pinned here so every
+        checkpoint collides, which is what the parent's cache key
+        needed to serve the stale view deterministically."""
+        import repro.serve.policy as policy_module
+        monkeypatch.setattr(policy_module, "id", lambda obj: 0xC0FFEE,
+                            raising=False)
+        machines = []
+        standby = _standby_factory(machines)
+        sl = standby()
+        sl.build([(0, 0), (2, 2)])
+        manager = RecoveryManager(sl, standby, checkpoint_every=1)
+        policy = ResiliencePolicy(manager, HealthMonitor())
+        assert policy._durable_view().get(10) is None
+        for value in (1, 2):
+            # 32 items served >= the 18 stored: every batch captures
+            manager.run("upsert", [(10 + i % 16, value) for i in range(32)])
+            assert manager.log_size == 0
+            assert policy._durable_view().get(10) == value
+        assert manager.checkpoints_captured == 3
+        # between captures the log grows and the view follows it
+        manager.checkpoint_every = 100
+        manager.run("upsert", [(10, 3)])
+        assert manager.log_size == 1
+        assert policy._durable_view().get(10) == 3
+
 
 # ---------------------------------------------------------------------------
 # the server, end to end
@@ -522,7 +554,7 @@ class TestServer:
             server, _ = _server(config=ServerConfig(watchdog_ticks=4))
             # Simulate a scheduler bug: the coalescer stops producing
             # batches while requests sit queued.
-            server.coalescer.next_batch = lambda admission, tick: (None, [])
+            server.coalescer.next_batch = lambda *tick: ([], [])
             await server.start()
             with pytest.raises(ServerStalled):
                 await server.submit("t", "get", [2])
