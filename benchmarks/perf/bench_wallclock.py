@@ -390,8 +390,8 @@ def main() -> None:
                     help="repeats per scenario; best is reported (default 3)")
     ap.add_argument("--profile", action="store_true",
                     help="per-handler wall-time attribution (slows the run; "
-                         "puts the engine into its profiler fallback, so "
-                         "use it for scalar-loop attribution)")
+                         "times slot tasks one by one and each batch-handler "
+                         "call as a whole, on the rounds the engine ships)")
     ap.add_argument("--backend", choices=list(BACKENDS), default=None,
                     help="measure only the reference oracle (object) or "
                          "only the engine (columnar); default: both")

@@ -82,7 +82,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 # from the placement hash, so the per-hop registry lookup
                 # and bounds check are skipped.  (This scalar walk only
                 # runs for search steps that are themselves in slots --
-                # a scalar fallback, the reference oracle -- and a slot
+                # a fault plan, qrqw, the reference oracle -- and a slot
                 # entry always runs scalar, so the chain stays in slots.)
                 staged = ctx.machine._staged
                 entry = (lower_walk, (nxt, key, opid, record), None, fn_step)
@@ -110,8 +110,8 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     # the scalar handlers' charges/replies/forwards exactly.  The walk is
     # read-only over the shared structure, order-insensitive and draws no
     # RNG, so it satisfies the batch-handler execution contract (certified
-    # bit-identical by repro.verify.differ).  Inert during a scalar
-    # fallback and on the reference oracle.
+    # bit-identical by repro.verify.differ).  Inert wherever messages
+    # stay in slots (a fault plan, qrqw, the reference oracle).
 
     def _walk_batch(bct, mid, x, key, opid, record, hops):
         """Walk one task from ``x``; returns a forward row or None.

@@ -7,7 +7,7 @@ idempotent (it stores a fixed value), so replaying it per replica is safe
 and each replica's work is charged on its own module.  The simulator
 keeps one object per replicated node, so the chunk handler applies a
 broadcast write once and charges every module its unit; the scalar
-handler (reference oracle, fallbacks) replays it per module.
+handler (reference oracle, fault plans) replays it per module.
 
 A batch's writers collect their writes as three parallel lists (node,
 field, value) and hand them to :func:`write_stage`, which builds the

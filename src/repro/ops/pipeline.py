@@ -401,11 +401,11 @@ def _issue(machine: PIMMachine, stage: Optional[Iterable]) -> None:
     """Issue one stage: runs of send tuples via ``send_all``, broadcasts
     in place, preserving the stage's element order exactly.  A
     :class:`Columns` element of :data:`COLUMNS_CROSSOVER` messages or
-    more becomes one column chunk (``machine.send_cols``) while the
-    machine routes to chunks; a shorter one, and any on the reference
-    oracle or in a scalar fallback, becomes the rows it stands for,
-    joined to the surrounding run -- exactly what ``send_all`` would
-    have been handed."""
+    more goes through ``machine.send_cols`` -- one column chunk where
+    its function is chunked, the rows it stands for in their slots
+    elsewhere; a shorter one becomes those rows, joined to the
+    surrounding run -- exactly what ``send_all`` would have been
+    handed."""
     if stage is None:
         return
     run: list = []
@@ -417,8 +417,7 @@ def _issue(machine: PIMMachine, stage: Optional[Iterable]) -> None:
                 run = []
             machine.broadcast(item.fn, item.args, item.tag, item.size)
         elif cls is Columns:
-            if (machine.columnar_active
-                    and len(item.dests) >= COLUMNS_CROSSOVER):
+            if len(item.dests) >= COLUMNS_CROSSOVER:
                 if run:
                     machine.send_all(run)
                     run = []

@@ -1,4 +1,4 @@
-"""Array-native round data: chunks, the batch-handler context, fallbacks.
+"""Array-native round data: chunks and the batch-handler context.
 
 :class:`repro.sim.machine.PIMMachine` is one round engine.  Messages for
 a function with a registered **batch handler**
@@ -128,26 +128,23 @@ bit-identical per-op metric streams and results, the parity tests
 ``tests/test_fastpath_pimtree.py``) compare the two round by round, and
 the golden suite pins the values the per-task loop produced.
 
-Typed fallback
---------------
+What turns chunks off
+---------------------
 
-Features that are inherently per-task run every function through the
-scalar loop, with a typed :class:`FallbackEvent` recorded on the machine
-(``machine.fallback_events``):
+Two things keep every message in slots, and neither ever meets a
+pending chunk:
 
-- ``fault_plan`` -- chaos schedules and the reliable-delivery protocol
-  rewrite per-destination queues in place; entered on
-  ``install_fault_plan``, exited on ``uninstall_fault_plan``.
-- ``profiler`` -- per-handler wall-time attribution needs per-task
-  clock reads; entered/exited via ``set_profiler``.
 - ``qrqw`` / ``trace_accesses`` -- per-object access accounting is
-  per-task by definition; permanent for the machine's lifetime.
+  per-task by definition; fixed when the machine is built, so such a
+  machine never routes to chunks (like the reference oracle).
+- a fault plan -- chaos schedules and the reliable-delivery protocol
+  rewrite per-destination queues in place.  ``install_fault_plan``
+  refuses while anything is pending, so the plan starts on a quiescent
+  machine; ``uninstall_fault_plan`` routes new traffic to chunks again.
 
-Entering a fallback stops routing to chunks and moves the chunks already
-pending into their destination slots once (aggregate per-destination
-message units preserved exactly, so the model metrics are unaffected by
-when a fallback triggers); leaving one converts nothing -- whatever is
-in the slots runs scalar, and new traffic is routed to chunks again.
+The profiler is not one of them: it times each slot task and each
+batch-handler call (``profiler.add(fn, seconds, tasks)``) on the rounds
+the machine runs unprofiled.
 """
 
 from __future__ import annotations
@@ -167,42 +164,15 @@ _CPU_Q, _FWD_Q = 1, 2
 
 _row_dest = itemgetter(0)
 
-# Fallback reasons (FallbackEvent.reason).
-FALLBACK_FAULT_PLAN = "fault_plan"
-FALLBACK_PROFILER = "profiler"
-FALLBACK_QRQW = "qrqw"
-FALLBACK_TRACE_ACCESSES = "trace_accesses"
-
-
-class FallbackEvent:
-    """A typed record of one array-native -> scalar-loop fallback.
-
-    ``reason`` is one of the ``FALLBACK_*`` constants, ``detail`` a
-    human-readable amplification, and ``at_round`` the machine's
-    cumulative round counter when the fallback engaged.
-    """
-
-    __slots__ = ("reason", "detail", "at_round")
-
-    def __init__(self, reason: str, detail: str, at_round: int) -> None:
-        self.reason = reason
-        self.detail = detail
-        self.at_round = at_round
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"FallbackEvent(reason={self.reason!r}, "
-                f"at_round={self.at_round}, detail={self.detail!r})")
-
 
 class _Chunk:
     """One function id's contiguous run of staged messages."""
 
-    __slots__ = ("fn", "handler", "kind", "rows", "dests", "cols",
-                 "counts", "args", "tag", "size")
+    __slots__ = ("fn", "kind", "rows", "dests", "cols", "counts", "args",
+                 "tag", "size")
 
-    def __init__(self, fn: str, handler: Any, kind: int) -> None:
+    def __init__(self, fn: str, kind: int) -> None:
         self.fn = fn
-        self.handler = handler
         self.kind = kind
         self.rows: Optional[list] = None   # ROWS: [(dest, args, tag, size)]
         self.dests: Any = None             # COLS: list of destinations

@@ -44,12 +44,14 @@ issued or forwarded:
 A round with no chunks *is* the scalar loop (``_run_round``); a round
 with chunks runs its slots first, in the same order, then the batch
 handlers, and accounts both halves in one pass (``_array_round``).
-Features that are per-task by definition -- a fault plan, the profiler,
-qrqw, access tracing -- stop routing to chunks for as long as they are
-on (a typed :class:`~repro.sim.fastpath.FallbackEvent`), which leaves
-exactly the scalar loop.  :class:`ReferencePIMMachine` never routes to
-chunks at all: it is the per-task oracle the differ, the tests and the
-perf gates compare the engine against.
+Three things keep every message in slots: a machine built with qrqw or
+access tracing (per-object accounting is per-task by definition), a
+fault plan for as long as it is installed (installing one needs a
+quiescent machine, so no chunk is ever pending under chaos), and
+:class:`ReferencePIMMachine` -- the per-task oracle the differ, the
+tests and the perf gates compare the engine against.  The profiler is
+not one of them: it times slot tasks one by one and each batch-handler
+call as a whole, on whichever loop the round runs.
 
 Bookkeeping is gated: round logs (``trace_rounds``), access tracing
 (``trace_accesses``) and qrqw queue accounting are no-ops when disabled
@@ -75,10 +77,8 @@ from repro.sim.config import MachineConfig
 from repro.sim.cpu import CPUSide
 from repro.sim.errors import (LivelockError, MalformedMessageError,
                               UnknownHandlerError)
-from repro.sim.fastpath import (BCAST, COLS, FALLBACK_FAULT_PLAN,
-                                FALLBACK_PROFILER, FALLBACK_QRQW,
-                                FALLBACK_TRACE_ACCESSES, ROWS, _CPU_Q, _FWD_Q,
-                                BatchRound, FallbackEvent, _Chunk)
+from repro.sim.fastpath import (BCAST, COLS, ROWS, _CPU_Q, _FWD_Q,
+                                BatchRound, _Chunk)
 from repro.sim.metrics import Metrics, MetricsDelta
 from repro.sim.module import ModuleContext, PIMModule
 from repro.sim.task import Reply
@@ -87,8 +87,19 @@ from repro.sim.tracing import Tracer
 Handler = Callable[..., None]
 
 # What ``_chunk_fns`` points at while no function is routed to chunks
-# (scalar fallback, the reference oracle).  Never mutated.
+# (qrqw, access tracing, a fault plan, the reference oracle).  Never
+# mutated.
 _NO_CHUNK_FNS: Dict[str, Any] = {}
+
+
+def _run_timed(profiler: Any, ctx: ModuleContext, cpu_q: list,
+               fwd_q: list) -> None:
+    """Run one slot's tasks in order, timing each into ``profiler``."""
+    for queue in (cpu_q, fwd_q):
+        for handler, args, tag, fn in queue:
+            t0 = perf_counter()
+            handler(ctx, *args, tag=tag)
+            profiler.add(fn, perf_counter() - t0)
 
 
 def _bad_size(what: str, size: Any) -> MalformedMessageError:
@@ -133,9 +144,9 @@ class PIMMachine:
 
     There is one round engine and no option that selects another: rounds
     run array-native for every function with a batch handler
-    (:attr:`columnar_active`) and per-task for the rest, with a typed
-    scalar fallback (:attr:`fallback_events`) for fault plans, the
-    profiler, qrqw and access tracing.
+    (:attr:`columnar_active`) and per-task for the rest.  qrqw and access
+    tracing, fixed at construction, and an installed fault plan keep
+    every message in slots.
     """
 
     #: False only on :class:`ReferencePIMMachine`, which opts out of the
@@ -187,12 +198,17 @@ class PIMMachine:
         # registered fn run as ONE call over contiguous chunks.
         self._batch_handlers: Dict[str, Callable[..., None]] = {}
         # The functions whose messages are staged as chunks right now:
-        # ``_batch_handlers`` itself while the array-native path is on,
-        # the empty ``_NO_CHUNK_FNS`` during a scalar fallback (and
-        # always, on the reference oracle).  Every issue path asks
+        # ``_batch_handlers`` itself on the engine, the empty
+        # ``_NO_CHUNK_FNS`` on the reference oracle and on a machine
+        # built with qrqw or access tracing (``_base_chunk_fns``), and
+        # while a fault plan is installed.  Every issue path asks
         # ``fn in self._chunk_fns`` once per message.
-        self._chunk_fns: Dict[str, Any] = (
-            self._batch_handlers if self._array_native else _NO_CHUNK_FNS)
+        self._base_chunk_fns: Dict[str, Any] = (
+            self._batch_handlers
+            if self._array_native and not (self.qrqw
+                                           or config.trace_accesses)
+            else _NO_CHUNK_FNS)
+        self._chunk_fns = self._base_chunk_fns
         # mid -> [units_in, cpu_entries, forward_entries]; see module doc.
         self._staged: Dict[int, list] = {}
         # Chunk staging (see repro.sim.fastpath): CPU-issued and
@@ -228,17 +244,6 @@ class PIMMachine:
         # filter keeps them unreachable (typed faults, not KeyErrors on
         # missing state) until recovery calls :meth:`mark_repaired`.
         self.wiped_modules: set = set()
-        #: Typed fallback history (list of :class:`FallbackEvent`).
-        self.fallback_events: List[FallbackEvent] = []
-        self._fallback_reasons: set = set()
-        if self.qrqw:
-            self._enter_fallback(
-                FALLBACK_QRQW,
-                "qrqw contention accounting is per-task by definition")
-        if config.trace_accesses:
-            self._enter_fallback(
-                FALLBACK_TRACE_ACCESSES,
-                "per-object access tracing is per-task by definition")
 
     # -- handler registry ---------------------------------------------------
 
@@ -268,11 +273,12 @@ class PIMMachine:
         round's entire task population for ``fn`` in a single call over
         contiguous chunk buffers (see
         :class:`repro.sim.fastpath.BatchRound`); the engine dispatches
-        it instead of calling the scalar handler per task.  During a
-        scalar fallback, and always on :class:`ReferencePIMMachine`,
-        the registration is inert -- the scalar handler remains the
-        reference semantics, and the differential oracle certifies the
-        two produce bit-identical metric streams.
+        it instead of calling the scalar handler per task.  Wherever
+        messages stay in slots (qrqw, access tracing, a fault plan,
+        :class:`ReferencePIMMachine`) the registration is inert -- the
+        scalar handler remains the reference semantics, and the
+        differential oracle certifies the two produce bit-identical
+        metric streams.
 
         Batch handlers must be behaviourally equivalent to their scalar
         handler under the execution contract: order-insensitive within a
@@ -306,44 +312,10 @@ class PIMMachine:
 
     @property
     def columnar_active(self) -> bool:
-        """True when batch-handled functions run array-native (this is
-        the engine and no fallback reason is currently engaged)."""
+        """A read-only label: True while batch-handled functions run
+        array-native (the engine, built without qrqw or access tracing,
+        with no fault plan installed)."""
         return self._chunk_fns is self._batch_handlers
-
-    # -- typed scalar fallback ----------------------------------------------
-
-    def _enter_fallback(self, reason: str, detail: str) -> None:
-        if reason in self._fallback_reasons:
-            return
-        self._fallback_reasons.add(reason)
-        self.fallback_events.append(
-            FallbackEvent(reason, detail, self.metrics.rounds))
-        self._chunk_fns = _NO_CHUNK_FNS
-        if self._cq or self._fq:
-            self._chunks_to_staged()
-
-    def _exit_fallback(self, reason: str) -> None:
-        self._fallback_reasons.discard(reason)
-        if self._array_native and not self._fallback_reasons:
-            self._chunk_fns = self._batch_handlers
-
-    def _chunks_to_staged(self) -> None:
-        """Move pending chunks into their destination slots, preserving
-        aggregate units and, per destination, the chunks' arrival order
-        (they land behind entries already in the slot; chunked functions
-        are order-insensitive by contract, so that is immaterial)."""
-        for q, chunks in ((_CPU_Q, self._cq), (_FWD_Q, self._fq)):
-            for ch in chunks:
-                self._rows_to_slots(q, ch.fn, ch.handler,
-                                    self._iter_chunk(ch))
-        self._cq = []
-        self._fq = []
-        recv = self._recv
-        for mid in self._active:
-            recv[mid] = 0
-        self._active = []
-        self._bcast_units = 0
-        self._incoming_total = 0
 
     def _iter_chunk(self, ch: _Chunk) -> Iterable[tuple]:
         """The ``(dest, args, tag, size)`` rows of a chunk of any kind.
@@ -363,20 +335,16 @@ class PIMMachine:
     def set_profiler(self, profiler: Optional[Any]) -> None:
         """Attach (or detach, with ``None``) a per-handler time profiler.
 
-        The profiler must expose ``add(fn, seconds)``; see
-        :class:`repro.sim.profiling.HandlerProfile`.  While attached, the
-        engine times every handler invocation -- attach only when
-        attributing wall time, as the two clock reads per task cost more
-        than dispatching most handlers.
+        The profiler must expose ``add(fn, seconds, tasks=1)``; see
+        :class:`repro.sim.profiling.HandlerProfile`.  Attaching it
+        changes no routing: the engine times every slot task (one
+        ``add`` per task) and every batch-handler call (one ``add`` per
+        call, with the number of tasks it ran), so the profile is of the
+        rounds the machine runs unprofiled.  The clock reads around slot
+        tasks cost more than dispatching most handlers, so attach it
+        only when attributing wall time.
         """
         self._profiler = profiler
-        if profiler is not None:
-            self._enter_fallback(
-                FALLBACK_PROFILER,
-                "per-handler wall-time attribution requires per-task "
-                "clock reads")
-        else:
-            self._exit_fallback(FALLBACK_PROFILER)
 
     # -- message issue ----------------------------------------------------
 
@@ -396,7 +364,7 @@ class PIMMachine:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at send time)")
         if fn in self._chunk_fns:
-            self._stage_row(self._cq, fn, handler, dest, args, tag, size)
+            self._stage_row(self._cq, fn, dest, args, tag, size)
             return
         slot = self._staged.get(dest)
         if slot is None:
@@ -460,7 +428,7 @@ class PIMMachine:
                     elif cq and cq[-1].fn == fn and cq[-1].kind == ROWS:
                         tail = cq[-1]
                     else:
-                        tail = _Chunk(fn, handler, ROWS)
+                        tail = _Chunk(fn, ROWS)
                         tail.rows = []
                         cq.append(tail)
                 if tail is None:
@@ -492,7 +460,7 @@ class PIMMachine:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at send time)")
         if fn in self._chunk_fns:
-            ch = _Chunk(fn, handler, BCAST)
+            ch = _Chunk(fn, BCAST)
             ch.args = args
             ch.tag = tag
             ch.size = size
@@ -518,9 +486,11 @@ class PIMMachine:
         message ``i`` goes to module ``dests[i]`` with arguments
         ``(cols[0][i], cols[1][i], ...)``, no tag.  ``dests`` and every
         column are plain lists of one length; they land as one chunk
-        that ``fn``'s registered batch handler reads next round (a
-        function without one gets the rows in its destinations' slots).
-        The destinations are counted once: that count is the bounds
+        that ``fn``'s registered batch handler reads next round.  A
+        function that is not chunked right now -- no batch handler, or a
+        machine whose messages all stay in slots -- gets the rows in its
+        destinations' slots, exactly where :meth:`send_all` would put
+        them.  The destinations are counted once: that count is the bounds
         check, the receive accounting -- the same per-module units and
         task counts as sending the rows one by one, so metric streams do
         not depend on which form a caller uses -- and the chunk's
@@ -530,21 +500,11 @@ class PIMMachine:
         outside ``[0, P)`` ``ValueError``, an unknown ``fn``
         :class:`~repro.sim.errors.UnknownHandlerError`; nothing is
         staged then.  Its production caller is the ops pipeline's
-        driver, for a :class:`repro.ops.Columns` stage element.  Only
-        available while :attr:`columnar_active` -- check it first, as
-        the driver does: in a scalar fallback the round loop never
-        dispatches batch handlers, and the rows the columns stand for go
-        through :meth:`send_all` instead.  (A fault plan is such a
-        fallback, which also keeps column sends off the
-        reliable-delivery protocol: chaos plans wrap every CPU-issued
-        *scalar* message in an envelope, and a column chunk would bypass
-        that accounting.)  ``size`` must be a positive ``int``, as in
+        driver, for a :class:`repro.ops.Columns` stage element (under a
+        fault plan the driver wraps the rows in reliable-delivery
+        envelopes instead).  ``size`` must be a positive ``int``, as in
         :meth:`send_all`.
         """
-        if not self.columnar_active:
-            raise RuntimeError(
-                "send_cols unavailable: rounds are running on the scalar "
-                f"loop (fallback reasons: {sorted(self._fallback_reasons)})")
         if type(size) is not int or size < 1:
             raise _bad_size(f"send_cols {fn!r}", size)
         handler = self._handlers.get(fn)
@@ -561,7 +521,7 @@ class PIMMachine:
         for mid in counts:
             if not 0 <= mid < P:
                 raise ValueError(f"bad module id {mid}")
-        ch = _Chunk(fn, handler, COLS)
+        ch = _Chunk(fn, COLS)
         ch.dests = dests
         ch.cols = cols
         ch.counts = counts
@@ -580,8 +540,8 @@ class PIMMachine:
 
     # -- chunk staging ------------------------------------------------------
 
-    def _stage_row(self, queue: List[_Chunk], fn: str, handler: Any,
-                   dest: int, args: tuple, tag: Any, size: int) -> None:
+    def _stage_row(self, queue: List[_Chunk], fn: str, dest: int,
+                   args: tuple, tag: Any, size: int) -> None:
         """Append one message row to ``queue``'s tail chunk for ``fn``
         (receive accounting included)."""
         recv = self._recv
@@ -594,7 +554,7 @@ class PIMMachine:
             if tail.fn == fn and tail.kind == ROWS:
                 tail.rows.append((dest, args, tag, size))
                 return
-        ch = _Chunk(fn, handler, ROWS)
+        ch = _Chunk(fn, ROWS)
         ch.rows = [(dest, args, tag, size)]
         queue.append(ch)
 
@@ -636,7 +596,7 @@ class PIMMachine:
             if tail.fn == fn and tail.kind == ROWS:
                 tail.rows.extend(rows)
                 return
-        ch = _Chunk(fn, handler, ROWS)
+        ch = _Chunk(fn, ROWS)
         ch.rows = rows
         fq.append(ch)
 
@@ -700,11 +660,7 @@ class PIMMachine:
                 for handler, args, tag, _fn in fwd_q:
                     handler(ctx, *args, tag=tag)
             else:
-                for queue in (cpu_q, fwd_q):
-                    for handler, args, tag, fn in queue:
-                        t0 = perf_counter()
-                        handler(ctx, *args, tag=tag)
-                        profiler.add(fn, perf_counter() - t0)
+                _run_timed(profiler, ctx, cpu_q, fwd_q)
             module_round = module.round_work
             if qrqw and module.round_touch:
                 # Queue-write variant (paper §2.1 Discussion): a module's
@@ -752,9 +708,10 @@ class PIMMachine:
         the scalar loop's own order (module id ascending, CPU-issued
         before forwarded, arrival order within), then every chunked
         function runs as one batch-handler call; both halves are
-        accounted together.  Never entered during a scalar fallback --
-        no chunk exists then -- so profiler, qrqw and access tracing
-        need no handling here."""
+        accounted together.  A machine with qrqw or access tracing, or
+        with a fault plan installed, has no chunk to run, so neither
+        needs handling here; an attached profiler times each slot task
+        and each batch-handler call."""
         P = self.num_modules
         cq = self._cq
         fq = self._fq
@@ -793,6 +750,7 @@ class PIMMachine:
         for mid in active:
             modules[mid].round_work = 0.0
         tasks = 0
+        profiler = self._profiler
         if staged:
             # Scalar charges go through ctx.charge into round_work; the
             # slot's receive and send units join the chunks' flat
@@ -806,10 +764,13 @@ class PIMMachine:
                 cpu_q = slot[_CPU_Q]
                 fwd_q = slot[_FWD_Q]
                 tasks += len(cpu_q) + len(fwd_q)
-                for handler, args, tag, _fn in cpu_q:
-                    handler(ctx, *args, tag=tag)
-                for handler, args, tag, _fn in fwd_q:
-                    handler(ctx, *args, tag=tag)
+                if profiler is None:
+                    for handler, args, tag, _fn in cpu_q:
+                        handler(ctx, *args, tag=tag)
+                    for handler, args, tag, _fn in fwd_q:
+                        handler(ctx, *args, tag=tag)
+                else:
+                    _run_timed(profiler, ctx, cpu_q, fwd_q)
                 if recv[mid] == 0:
                     active.append(mid)
                 recv[mid] += slot[0]
@@ -831,7 +792,13 @@ class PIMMachine:
         self._tasks_chunked += chunked
         batch_handlers = self._batch_handlers
         for fn, fn_chunks in by_fn.items():
-            batch_handlers[fn](bct, fn_chunks)
+            if profiler is None:
+                batch_handlers[fn](bct, fn_chunks)
+            else:
+                t0 = perf_counter()
+                batch_handlers[fn](bct, fn_chunks)
+                profiler.add(fn, perf_counter() - t0,
+                             sum(ch.task_count(P) for ch in fn_chunks))
 
         # -- round accounting (exact; see repro.sim.fastpath) ---------------
         # Batch charges made through ``bct`` are folded into cumulative
@@ -918,17 +885,19 @@ class PIMMachine:
 
         Event rounds in the plan are interpreted relative to the install
         point.  Installing also makes :func:`repro.ops.run_batch` wrap
-        every CPU->module message in the reliable-delivery protocol.
-        Returns the runtime :class:`~repro.sim.chaos.ChaosState` (fault
-        statistics, delayed-message buffer).
+        every CPU->module message in the reliable-delivery protocol, and
+        keeps every message in slots until :meth:`uninstall_fault_plan`
+        (the chaos filter rewrites per-destination queues in place).
+        Refuses while any message is :attr:`pending` -- rows, columns,
+        slots or a previous plan's delayed messages -- so no chunk is
+        ever pending under a plan.  Returns the runtime
+        :class:`~repro.sim.chaos.ChaosState` (fault statistics,
+        delayed-message buffer).
         """
-        if self._chaos is not None and self._chaos.has_pending():
-            raise RuntimeError("cannot replace a fault plan with delayed "
-                               "messages still in flight; drain first")
-        self._enter_fallback(
-            FALLBACK_FAULT_PLAN,
-            "chaos schedules and reliable delivery rewrite per-"
-            "destination queues in place")
+        if self.pending:
+            raise RuntimeError("cannot install a fault plan with messages "
+                               "pending; drain first")
+        self._chunk_fns = _NO_CHUNK_FNS
         self._chaos = ChaosState(plan, base_round=self.metrics.rounds)
         return self._chaos
 
@@ -943,7 +912,7 @@ class PIMMachine:
             raise RuntimeError("fault plan holds delayed messages; "
                                "drain before uninstalling")
         self._chaos = None
-        self._exit_fallback(FALLBACK_FAULT_PLAN)
+        self._chunk_fns = self._base_chunk_fns
         return chaos
 
     def wipe_module(self, mid: int) -> None:

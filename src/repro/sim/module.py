@@ -211,8 +211,7 @@ class ModuleContext:
                 f"no handler for {fn!r} (resolved at forward time)")
         machine = self.machine
         if fn in machine._chunk_fns:
-            machine._stage_row(machine._fq, fn, handler, dest, args, tag,
-                               size)
+            machine._stage_row(machine._fq, fn, dest, args, tag, size)
             self._sent_size += size
             return
         staged = machine._staged

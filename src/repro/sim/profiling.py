@@ -4,8 +4,8 @@ The model metrics (:mod:`repro.sim.metrics`) measure the *simulated*
 machine -- rounds, h-relations, PIM time.  This module measures the
 *simulator*: how many wall-clock seconds a scenario takes, how many
 handler tasks and bulk-synchronous rounds the engine retires per second,
-and (opt-in, it costs two ``perf_counter`` calls per task) where the
-handler time goes per function id.
+and (opt-in, it costs two ``perf_counter`` calls per slot task and per
+batch-handler call) where the handler time goes per function id.
 
 Used by ``benchmarks/perf/bench_wallclock.py``; nothing here touches the
 model's accounting.
@@ -92,9 +92,12 @@ class HandlerProfile:
     """Per-handler wall-time attribution.
 
     Install with :meth:`repro.sim.machine.PIMMachine.set_profiler`; the
-    engine then times every handler invocation and calls :meth:`add`.
-    Slows the run (two clock reads per task), so keep it off for
-    throughput numbers and on for "where does the time go" questions.
+    engine then times every slot task and every batch-handler call on
+    the same rounds it runs unprofiled, and calls :meth:`add`.
+    :attr:`calls` counts tasks per function id whichever loop ran them.
+    Slows the run (two clock reads per slot task and per batch-handler
+    call), so keep it off for throughput numbers and on for "where does
+    the time go" questions.
     """
 
     __slots__ = ("seconds", "calls")
@@ -103,9 +106,10 @@ class HandlerProfile:
         self.seconds: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
 
-    def add(self, fn: str, dt: float) -> None:
+    def add(self, fn: str, dt: float, tasks: int = 1) -> None:
+        """Book ``dt`` seconds spent running ``tasks`` tasks of ``fn``."""
         self.seconds[fn] = self.seconds.get(fn, 0.0) + dt
-        self.calls[fn] = self.calls.get(fn, 0) + 1
+        self.calls[fn] = self.calls.get(fn, 0) + tasks
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         return {

@@ -38,8 +38,6 @@ from repro.sim.metrics import MetricsDelta
 from repro.structures.lsm import PIMLSMStore
 from repro.structures.pimtree import PIMTree
 
-MUTATING_OPS = frozenset({"upsert", "delete"})
-
 
 class ImplAdapter:
     """One implementation under differential test."""

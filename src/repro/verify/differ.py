@@ -41,12 +41,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.skiplist import READ_OPS
+from repro.recovery.manager import MUTATING_OPS
 from repro.sim.metrics import MetricsDelta
 from repro.verify.adapters import (
     CROSS_ENGINE_IMPLS,
     DEFAULT_IMPLS,
     ImplAdapter,
-    MUTATING_OPS,
     build_implementations,
     reference_adapter,
 )

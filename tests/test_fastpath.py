@@ -4,14 +4,16 @@
 equivalent* to the per-task reference oracle
 (:class:`~repro.sim.machine.ReferencePIMMachine`): same replies, same
 model metrics, bit for bit.  These tests pin that equivalence where it
-is easiest to break -- mixed slot/chunk rounds, golden metrics, chaos
-fallback, drain diagnostics -- plus the absence of any engine-selection
-surface and the fallback state machine itself.
+is easiest to break -- mixed slot/chunk rounds, golden metrics, chaos,
+drain diagnostics, a profiled session -- plus the absence of any
+engine-selection surface and what keeps messages in slots (qrqw, access
+tracing, a fault plan installed on a quiescent machine).
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -22,17 +24,10 @@ from repro.core.structure import SkipListStructure
 from repro.sim.chaos import FaultPlan, FaultSpec
 from repro.sim.config import BACKEND_ENV_VAR, MachineConfig
 from repro.sim.errors import LivelockError
-from repro.sim.fastpath import (
-    BCAST,
-    COLS,
-    FALLBACK_FAULT_PLAN,
-    FALLBACK_PROFILER,
-    FALLBACK_QRQW,
-    ROWS,
-    FallbackEvent,
-)
+from repro.sim.fastpath import BCAST, COLS, ROWS
 from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.profiling import HandlerProfile
+from repro.workloads import build_items
 from tests.conftest import ENGINES
 from tests.test_golden_metrics import (
     GOLDEN_PATH,
@@ -181,11 +176,8 @@ def _issue_mixed_round(machine):
         + [(m % P, "walk", (m % 4, 100 + m), None) for m in range(2 * P)]
         + [(3, "echo", (7,), "big", 5), (3, "walk", (2, 99), None, 2)])
     col = [(m % 5, 1 + m % 3, 200 + m) for m in range(12)]
-    if machine.columnar_active:
-        machine.send_cols("walk", [c[0] for c in col],
-                          ([c[1] for c in col], [c[2] for c in col]))
-    else:
-        machine.send_all([(d, "walk", (r, o), None) for d, r, o in col])
+    machine.send_cols("walk", [c[0] for c in col],
+                      ([c[1] for c in col], [c[2] for c in col]))
     machine.broadcast("ping", tag="b")
     machine.send(6, "walk", (0, 77))
 
@@ -198,7 +190,6 @@ class TestBackendSelection:
     def test_default_engine_is_array_native(self):
         machine = PIMMachine(P)
         assert machine.columnar_active
-        assert machine.fallback_events == []
         assert type(machine) is PIMMachine
 
     def test_unknown_backend_rejected(self):
@@ -252,8 +243,6 @@ class TestBackendSelection:
         _issue_mixed_round(machine)
         assert not (machine._cq or machine._fq)  # slots only
         assert machine.drain()
-        with pytest.raises(RuntimeError, match="send_cols unavailable"):
-            machine.send_cols("walk", [0], ([0], [0]))
 
     def test_register_batch_collision(self):
         machine = _machine()
@@ -301,8 +290,8 @@ class TestBackendSelection:
 
         got = asyncio.run(scenario())
         assert got[0] == [4, None] and got[1] == [(6, 6), (150, 150)]
-        assert machines[0].columnar_active
-        assert all(m.fallback_events == [] for m in machines)
+        assert all(m.columnar_active for m in machines)
+        assert machines[0].tasks_chunked > 0
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +331,7 @@ class TestBackendParity:
             assert (obj.tracer.rounds[-1] == col.tracer.rounds[-1])
             rounds += 1
         assert rounds >= 5
-        assert col.columnar_active and col.fallback_events == []
+        assert col.columnar_active
 
     def test_module_bound_charges_reach_the_round_maximum(self):
         """A batch handler may hand ``module.charge`` to module-local
@@ -419,6 +408,30 @@ class TestBackendParity:
             == {1: 4, 5: 2}
         assert sorted(r.payload for r in machine.drain()) == [20, 22, 24]
 
+    def test_send_cols_on_the_oracle_stages_the_rows(self):
+        """On the reference oracle a column send is the rows it stands
+        for: the slots ``send_all`` of :meth:`Columns.rows` stages --
+        entries, order and units -- behind the traffic already there,
+        for a batch-handled function and a scalar-only one alike."""
+        from repro.ops import Columns
+
+        got = []
+        for form in ("cols", "rows"):
+            machine = _machine("object")
+            machine.send_all([(m % P, "echo", (m,), m) for m in range(P + 2)])
+            for fn, dests, cols in (
+                    ("walk", [3, 0, 3, 7, 3], ([1, 0, 2, 0, 1],
+                                              [10, 11, 12, 13, 14])),
+                    ("echo", [5, 5, 2], ([20, 21, 22],))):
+                if form == "cols":
+                    machine.send_cols(fn, dests, cols)
+                else:
+                    machine.send_all(Columns(fn, dests, cols).rows())
+            assert not (machine._cq or machine._fq)
+            staged = machine._staged
+            got.append((staged, machine.drain(), machine.snapshot()))
+        assert got[0] == got[1]
+
     def test_scalar_only_round_is_the_scalar_loop(self, monkeypatch):
         """No batch-handled function in a round: the engine must not
         enter the array path at all."""
@@ -470,57 +483,120 @@ class TestBackendParity:
 
 
 # ----------------------------------------------------------------------
-# fallback state machine
+# the profiler times the shipped path
 # ----------------------------------------------------------------------
+
+def _session(engine, profiler):
+    """A get / successor / upsert / delete / range session at P = 16,
+    profiled from the first batch on if ``profiler`` is given; returns
+    (results, MetricsDelta, tasks_chunked, tasks run, columnar_active)."""
+    machine = ENGINES[engine](num_modules=16, seed=5)
+    sl = PIMSkipList(machine)
+    sl.build(build_items(400, stride=10))
+    machine.set_profiler(profiler)
+    before, tasks = machine.snapshot(), machine.tasks_executed
+    rng = random.Random(3)
+    keys = [rng.randrange(4000) for _ in range(64)]
+    results = [
+        sl.apply_batch("get", keys),
+        sl.apply_batch("successor", keys),
+        sl.apply_batch("upsert", [(k * 10 + 5, k) for k in range(0, 400, 7)]),
+        sl.apply_batch("delete", [k * 10 for k in range(0, 400, 5)]),
+        sl.apply_batch("range", [(k, k + 300) for k in keys[:12]]),
+    ]
+    return (results, machine.delta_since(before), machine.tasks_chunked,
+            machine.tasks_executed - tasks, machine.columnar_active)
+
+
+class TestProfiledEngine:
+    def test_profiled_session_runs_chunked(self):
+        """Attaching the profiler changes no routing: the profiled
+        session keeps its chunks (the unprofiled ``tasks_chunked``), its
+        replies and its ``MetricsDelta``, and its per-function call
+        counts are the profiled reference oracle's task counts."""
+        prof, ref_prof = HandlerProfile(), HandlerProfile()
+        profiled = _session("columnar", prof)
+        assert profiled == _session("columnar", None)
+        results, delta, chunked, tasks, active = profiled
+        assert active and chunked > 0
+        ref = _session("object", ref_prof)
+        assert ref[:2] == (results, delta) and ref[2] == 0
+        assert prof.calls == ref_prof.calls
+        assert sum(prof.calls.values()) == tasks
+        assert set(prof.seconds) == set(prof.calls)
+
+
+# ----------------------------------------------------------------------
+# what keeps messages in slots
+# ----------------------------------------------------------------------
+
+def _assert_install_refused(machine, norm=tuple):
+    """``install_fault_plan`` with messages pending raises and moves
+    nothing: the same chunks, slots, units and routing, and no plan."""
+    def state():
+        return (_staging(machine, norm), machine._pending_stats(),
+                [(ch.fn, ch.kind) for q in (machine._cq, machine._fq)
+                 for ch in q],
+                machine._incoming_total, machine.columnar_active)
+
+    before = state()
+    with pytest.raises(RuntimeError, match="messages pending"):
+        machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
+    assert machine._chaos is None
+    assert state() == before
+
 
 class TestChaosFallback:
     def test_fault_plan_triggers_typed_fallback(self):
+        """An installed fault plan keeps every message in slots;
+        uninstalling it routes new traffic to chunks again.
+        ``columnar_active`` is the label of that, ``backend`` of the
+        machine's class."""
         machine = _machine()
-        assert machine.columnar_active
         machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
         assert not machine.columnar_active
         assert machine.backend == "columnar"  # identity, not engine state
-        (event,) = machine.fallback_events
-        assert isinstance(event, FallbackEvent)
-        assert event.reason == FALLBACK_FAULT_PLAN
-        assert event.at_round == machine.metrics.rounds
+        _issue_mixed_round(machine)
+        assert machine._staged and not (machine._cq or machine._fq)
+        machine.drain()
+        assert machine.tasks_chunked == 0
         machine.uninstall_fault_plan()
         assert machine.columnar_active
-        assert len(machine.fallback_events) == 1  # history, not state
+        _issue_mixed_round(machine)
+        assert machine._cq
+        machine.drain()
+        assert machine.tasks_chunked > 0
 
-    def test_fallback_with_chunks_pending_converts_once(self):
-        """Entering a fallback moves pending chunks into slots (units
-        and tasks preserved); leaving it converts nothing, and the
-        drained result matches the oracle's."""
+    def test_fault_plan_refused_with_messages_pending(self):
+        """Row, column and broadcast chunks beside slots, then one slot,
+        then forwarded continuations: each time the install raises and
+        moves nothing, the machine drains to the oracle's result, and a
+        quiescent machine accepts the plan."""
         obj, col = _machine("object"), _machine("columnar")
         for machine in (obj, col):
             _issue_mixed_round(machine)
-        before = _staging(col)
-        col.set_profiler(HandlerProfile())
-        assert not (col._cq or col._fq)
-        assert _staging(col) == before == _staging(obj)
-        col.set_profiler(None)
-        assert col.columnar_active and not (col._cq or col._fq)
-        assert _staging(col) == before
-        got = sorted(col.drain(), key=repr)
-        assert got == sorted(obj.drain(), key=repr)
+        assert {ch.kind for ch in col._cq} == {ROWS, COLS, BCAST}
+        assert col._staged
+        for machine in (obj, col):
+            _assert_install_refused(machine)
+        assert sorted(col.drain(), key=repr) == sorted(obj.drain(), key=repr)
+        for machine in (obj, col):
+            machine.send(2, "echo", (1,))
+            _assert_install_refused(machine)
+            machine.drain()
+            machine.send(2, "walk", (2, 5))
+            machine.step()  # the walk's next hop is forwarded
+            assert machine.pending and not machine._cq
+            _assert_install_refused(machine)
+            machine.drain()
+            machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
+            assert not machine.columnar_active
         assert obj.snapshot().as_dict() == col.snapshot().as_dict()
 
-    def test_send_cols_in_fallback_is_a_typed_error(self):
-        """Regression: the message used to be built from
-        ``e.reason for e in <set of str>`` and died with AttributeError
-        instead of the intended RuntimeError."""
-        machine = _machine(contention_model="qrqw")
-        with pytest.raises(RuntimeError, match=r"\['qrqw'\]"):
-            machine.send_cols("walk", [0], ([0], [0]))
-        machine.set_profiler(HandlerProfile())
-        with pytest.raises(RuntimeError, match=r"\['profiler', 'qrqw'\]"):
-            machine.send_cols("walk", [0], ([0], [0]))
-
     def test_behaviour_parity_under_faults(self):
-        """With an identical seeded fault plan the columnar machine (in
-        fallback) and the object machine observe the same faults, emit
-        the same replies and account the same metrics."""
+        """With an identical seeded fault plan the engine (every message
+        in slots) and the oracle observe the same faults, emit the same
+        replies and account the same metrics."""
         spec = FaultSpec(drop=0.15, dup=0.1, delay=0.1, delay_rounds=2)
         results = {}
         for backend in ENGINES:
@@ -529,25 +605,18 @@ class TestChaosFallback:
             results[backend] = _mixed_workload(machine)
         assert results["object"] == results["columnar"]
 
-    def test_profiler_fallback_enters_and_exits(self):
-        machine = _machine()
-        machine.set_profiler(HandlerProfile())
-        assert not machine.columnar_active
-        assert any(e.reason == FALLBACK_PROFILER
-                   for e in machine.fallback_events)
-        # The profiled (object-path) rounds still behave identically.
-        machine.send(0, "echo", (5,))
-        (reply,) = machine.drain()
-        assert reply.payload == 10
-        machine.set_profiler(None)
-        assert machine.columnar_active
-
     def test_qrqw_contention_model_falls_back_at_construction(self):
-        machine = PIMMachine(num_modules=P, seed=1,
-                             contention_model="qrqw")
-        assert not machine.columnar_active
-        assert any(e.reason == FALLBACK_QRQW
-                   for e in machine.fallback_events)
+        """qrqw and access tracing are fixed when the machine is built:
+        such a machine never routes to chunks, like the oracle."""
+        for kwargs in ({"contention_model": "qrqw"},
+                       {"trace_accesses": True}):
+            machine = _machine(**kwargs)
+            assert not machine.columnar_active
+            _issue_mixed_round(machine)
+            assert not (machine._cq or machine._fq)
+            machine.drain()
+            assert machine.tasks_executed > 0
+            assert machine.tasks_chunked == 0
 
 
 # ----------------------------------------------------------------------

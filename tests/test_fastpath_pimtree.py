@@ -20,13 +20,14 @@ import random
 
 import pytest
 
-from repro.sim.profiling import HandlerProfile
 from repro.structures.pimtree import PIMTree
 from repro.workloads import build_items, same_successor_batch
 from tests.conftest import ENGINES
+from tests.test_fastpath import _assert_install_refused
 from tests.test_fastpath_writes import (
     _chunked_fns,
     _lockstep,
+    _norm,
     _norm_staging,
     _replies,
 )
@@ -166,19 +167,15 @@ class TestMixedRounds:
         assert obj.tracer.rounds[-1] == col.tracer.rounds[-1]
         assert 0 < col.tasks_chunked < col.tasks_executed
 
-    def test_fallback_with_read_chunks_pending(self, pair):
-        """Entering a fallback moves the pending read chunks into slots
-        once, with the same units; the drained result is the oracle's."""
+    def test_fault_plan_refused_with_read_chunks_pending(self, pair):
+        """Installing a fault plan with read chunks and slot-run pulls
+        pending raises and moves nothing; the round then runs chunked
+        and equals the oracle's."""
         obj, col = _issue(pair, self._mixed)
         chunked_before = col.tasks_chunked
-        before = _norm_staging(col)
-        col.set_profiler(HandlerProfile())
-        assert not (col._cq or col._fq)
-        assert _norm_staging(col) == before == _norm_staging(obj)
-        col.set_profiler(None)
-        assert sorted(_replies(col.drain())) == sorted(_replies(obj.drain()))
-        assert obj.snapshot().as_dict() == col.snapshot().as_dict()
-        assert col.tasks_chunked == chunked_before
+        _assert_install_refused(col, norm=_norm)
+        assert _lockstep(obj, col) == 1
+        assert col.tasks_chunked > chunked_before
 
 
 def test_whole_ops_leave_equal_trees(pair):
@@ -211,4 +208,4 @@ def test_whole_ops_leave_equal_trees(pair):
     assert obj.tracer.rounds == col.tracer.rounds
     assert pair[0].stats == pair[1].stats
     assert 0 < col.tasks_chunked < col.tasks_executed
-    assert col.fallback_events == []
+    assert col.columnar_active

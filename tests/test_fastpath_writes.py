@@ -11,9 +11,9 @@ work, ``h``, messages and next-round staging.
 
 A batch's RemoteWrites cross the ``repro.ops`` boundary as a
 :class:`~repro.ops.Columns` stage element, which the driver turns into a
-column chunk on the engine and into rows everywhere else.
-``TestWriteColumns`` holds the two forms to each other -- alone, beside
-a broadcast write, across a fallback, under a fault plan -- and a
+column chunk on the engine and into the rows it stands for on the
+oracle.  ``TestWriteColumns`` holds the two forms to each other --
+alone, beside a broadcast write, under a fault plan -- and a
 Hypothesis property replays fuzzed Upsert / Delete sessions through the
 shipped driver and through a rows-only one kept here as the spec.
 """
@@ -34,10 +34,9 @@ from repro.ops import BatchOp, Broadcast, Columns, pipeline, run_batch
 from repro.ops.pipeline import COLUMNS_CROSSOVER, _issue
 from repro.sim.chaos import FaultPlan, FaultSpec
 from repro.sim.fastpath import BCAST, COLS, ROWS
-from repro.sim.profiling import HandlerProfile
 from repro.workloads import build_items
 from tests.conftest import DETERMINISTIC, ENGINES
-from tests.test_fastpath import _staging
+from tests.test_fastpath import _assert_install_refused, _staging
 
 P = 8
 STRIDE = 1000
@@ -92,7 +91,7 @@ def _lockstep(obj, col, ordered=False):
                 == [m.words_used for m in col.modules])
         assert obj.tracer.rounds[-1] == col.tracer.rounds[-1]
         rounds += 1
-    assert col.columnar_active and col.fallback_events == []
+    assert col.columnar_active
     assert obj.tasks_executed == col.tasks_executed
     return rounds
 
@@ -151,21 +150,16 @@ class TestWritePtr:
         assert _lockstep(obj, col) == 1
         assert col.tasks_chunked < col.tasks_executed
 
-    def test_fallback_with_write_chunks_pending(self, pair):
-        """(d): entering a fallback moves the pending write chunks into
-        slots once, with the same units, and the drained result is the
-        oracle's."""
+    def test_fault_plan_refused_with_write_chunks_pending(self, pair):
+        """(d): installing a fault plan with write rows and a broadcast
+        write pending raises and moves nothing; the round then runs
+        chunked and equals the oracle's."""
         for sl in pair:
             _issue(sl.machine, self._writes(sl)[1])
         obj, col = (sl.machine for sl in pair)
-        before = _norm_staging(col)
-        col.set_profiler(HandlerProfile())
-        assert not (col._cq or col._fq)
-        assert _norm_staging(col) == before == _norm_staging(obj)
-        col.set_profiler(None)
-        assert sorted(_replies(col.drain())) == sorted(_replies(obj.drain()))
-        assert obj.snapshot().as_dict() == col.snapshot().as_dict()
-        assert col.tasks_chunked == 0
+        _assert_install_refused(col, norm=_norm)
+        assert _lockstep(obj, col) == 1
+        assert col.tasks_chunked > 0
 
     def test_bad_field_rejected_in_the_chunk_loop(self, pair):
         """A bad field in the last write of a chunk -- a row chunk, then
@@ -312,10 +306,10 @@ class TestWriteColumns:
                                        [n.right for n in nodes]))
         assert [ch.kind for ch in sl.machine._cq] == [ROWS]
 
-    def test_fallback_with_a_column_chunk_pending(self, pair):
-        """Entering a fallback moves a pending column chunk into slots
-        once (``_chunks_to_staged``): same tasks, same units, and the
-        drained result is the oracle's."""
+    def test_fault_plan_refused_with_a_column_chunk_pending(self, pair):
+        """Installing a fault plan with a column chunk pending (and the
+        rows it stands for in the oracle's slots) raises and moves
+        nothing on either machine; the round then equals the oracle's."""
         written = []
         for sl in pair:
             stage, writes = self._stage(sl, with_broadcast=True)
@@ -323,14 +317,10 @@ class TestWriteColumns:
             _issue(sl.machine, stage)
         obj, col = (sl.machine for sl in pair)
         assert COLS in {ch.kind for ch in col._cq}
-        before = _norm_staging(col)
-        col.set_profiler(HandlerProfile())
-        assert not (col._cq or col._fq)
-        assert _norm_staging(col) == before == _norm_staging(obj)
-        col.set_profiler(None)
-        assert sorted(_replies(col.drain())) == sorted(_replies(obj.drain()))
-        assert obj.snapshot().as_dict() == col.snapshot().as_dict()
-        assert col.tasks_chunked == 0
+        for machine in (obj, col):
+            _assert_install_refused(machine, norm=_norm)
+        assert _lockstep(obj, col) == 1
+        assert col.tasks_chunked == self.N + P
         self._assert_written(*written)
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
@@ -510,4 +500,4 @@ class TestDeleteMarking:
         assert (pair[0].struct.keys_in_order()
                 == pair[1].struct.keys_in_order())
         assert 0 < col.tasks_chunked < col.tasks_executed
-        assert col.fallback_events == []
+        assert col.columnar_active

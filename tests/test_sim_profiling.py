@@ -87,6 +87,8 @@ class TestHandlerProfile:
         assert prof.seconds["a"] == 0.75
         assert prof.calls["a"] == 2
         assert prof.calls["b"] == 1
+        prof.add("b", 0.2, tasks=5)  # one batch-handler call, five tasks
+        assert prof.calls["b"] == 6
 
     def test_as_dict_sorted_by_time_desc(self):
         prof = HandlerProfile()
