@@ -460,7 +460,7 @@ class Bench:
                 return write_handlers(s)
 
             def route(self, machine, plan):
-                return len((yield self.stage))
+                yield self.stage
 
         forms = {
             "rows": [(o, fn, (n, f, v), None)
@@ -470,10 +470,13 @@ class Bench:
         best = dict.fromkeys(forms, float("inf"))
         for _ in range(3 * self.repeat):
             for form, stage in forms.items():
+                before = machine.snapshot()
                 start = time.perf_counter()
-                if run_batch(machine, Stage(stage)) != len(nodes):
-                    raise AssertionError(f"{form}: an ack is missing")
+                run_batch(machine, Stage(stage))
                 best[form] = min(best[form], time.perf_counter() - start)
+                # A write is one message and replies nothing.
+                if machine.delta_since(before).messages != len(nodes):
+                    raise AssertionError(f"{form}: a write is missing")
         return best["rows"] / best["columns"]
 
     @memo
@@ -567,13 +570,14 @@ GATES: List[Gate] = [
     # so the floor is 1.3).  The recording search streams back only the
     # levels its op keeps: 3 876 of this batch's 7 990 path replies sat
     # above them and were dropped by the CPU-side fold after the model
-    # had charged them -- the batch was 49 474 messages, not 45 598.
+    # had charged them -- the batch was 49 474 messages, not 45 598.  No
+    # write-path task replies (DESIGN.md §19): 45 598 -> 34 083.
     Gate("upsert batch: write_ptr rows through send_all",
          lambda b: b.upsert_batch()["write_rows"], "==", 0, EXACT),
     Gate("upsert batch: path replies above their op's limit",
          lambda b: b.upsert_batch()["above"], "==", 0, EXACT),
     Gate("upsert batch: messages",
-         lambda b: b.upsert_batch()["messages"], "==", 45598, EXACT),
+         lambda b: b.upsert_batch()["messages"], "==", 34083, EXACT),
     Gate("write stage rows / columns, 6000 writes",
          lambda b: b.write_stage_speedup(), ">=", 1.3),
     # -- the search's pivot spacing (PR 22).  A batch of at most

@@ -85,7 +85,6 @@ class PIMGraph:
             state = ctx.module.state[name]
             ctx.charge(len(state["dist"]) + 1)
             state["dist"] = {}
-            ctx.reply(("ack",), tag=tag)
 
         return {f"{name}:visit": h_visit, f"{name}:reset": h_reset}
 

@@ -127,7 +127,6 @@ def pim_sample_sort(machine: PIMMachine, parts: Sequence[Sequence[Any]],
             for dest, piece in row.items():
                 ctx.forward(dest, f"{name}:recv_piece", (piece,),
                             size=max(1, len(piece)))
-            ctx.reply(("ack",), tag=tag)
 
         def h_merge(ctx, tag=None):
             state = ctx.module.state[name]
@@ -140,7 +139,6 @@ def pim_sample_sort(machine: PIMMachine, parts: Sequence[Sequence[Any]],
                 work += len(out)
             ctx.charge(work)
             state["slot"] = out
-            ctx.reply(("ack",), tag=tag)
 
         machine.register(fn_route, h_route)
         machine.register(fn_merge, h_merge)

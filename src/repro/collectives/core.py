@@ -54,7 +54,6 @@ class Collectives:
         def h_put(ctx, value, tag=None):
             ctx.charge(1)
             st(ctx)["slot"] = value
-            ctx.reply(("ack",), tag=tag)
 
         def h_get(ctx, tag=None):
             ctx.charge(1)
@@ -66,7 +65,6 @@ class Collectives:
             out, cost = fn(ctx.mid, slot)
             ctx.charge(max(1, cost))
             st(ctx)["slot"] = out
-            ctx.reply(("ack",), tag=tag)
 
         def h_send_row(ctx, row, tag=None):
             # all-to-all phase 1: this module forwards its row pieces.
@@ -75,7 +73,6 @@ class Collectives:
                 if piece:
                     ctx.forward(dest, fn_recv_piece, (piece,),
                                 size=_words(piece))
-            ctx.reply(("ack",), tag=tag)
 
         def h_recv_piece(ctx, piece, tag=None):
             ctx.charge(max(1, _words(piece)))

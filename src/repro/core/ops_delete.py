@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.node import Node
-from repro.core.ops_write import ACK, write_stage
+from repro.core.ops_write import write_stage
 from repro.core.structure import SkipListStructure
 from repro.cpuside.list_contraction import ContractionList
 from repro.cpuside.semisort import group_positions
@@ -140,7 +140,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
             u.deleted = True
             sl.unlink_upper_node(u, ctx.charge)
             u = u.up
-        ctx.reply(ACK, tag=tag)
 
     machine = sl.machine
     machine.register_batch(f"{name}:del_mark", batch_delete_mark)

@@ -81,7 +81,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         keys = snapshots(ctx).pop(opid, [])
         ctx.charge(1)
         ctx.module.free_words(len(keys))
-        ctx.reply(("ack",), tag=tag)
 
     return {
         f"{name}:sel_begin": h_begin,

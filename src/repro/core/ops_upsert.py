@@ -43,13 +43,12 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.core.node import Node
 from repro.core.ops_point import update_handlers
 from repro.core.ops_successor import batch_search
-from repro.core.ops_write import ACK, write_stage
+from repro.core.ops_write import write_stage
 from repro.core.structure import SkipListStructure
 from repro.cpuside.semisort import dedup_last
 from repro.cpuside.sort import parallel_sort
 from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
 from repro.sim.cpu import WorkDepth
-from repro.sim.task import Reply
 
 
 @dataclass
@@ -95,22 +94,19 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     def h_insert_lower(ctx, node, tag=None):
         insert_lower(ctx.module, node, ctx.charge, {})
         ctx.touch(node.nid)
-        ctx.reply(ACK, tag=tag)
 
     def h_upper_prepare(ctx, node, tag=None):
         upper_prepare(ctx.module, node, ctx.charge, {})
-        ctx.reply(ACK, tag=tag)
 
-    def ack_batch(body):
-        """The chunk loop of a one-node task that acknowledges.  Charges
-        go to ``bct.work``: under a broadcast every module runs the body,
-        and the engine reads ``module.charge`` back only for row and slot
-        receivers (the leaf table's own probes, on a delivery row)."""
+    def node_batch(body):
+        """The chunk loop of a one-node task with nothing to return.
+        Charges go to ``bct.work``: under a broadcast every module runs
+        the body, and the engine reads ``module.charge`` back only for
+        row and slot receivers (the leaf table's own probes, on a
+        delivery row)."""
         def batch(bct, chunks):
             modules = bct.machine.modules
             work = bct.work
-            sent = bct.sent
-            rep_append = bct.replies.append
             mid = 0
             memo: dict = {}
 
@@ -118,10 +114,8 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 work[mid] += w
 
             for ch in chunks:
-                for mid, (node,), tag, _size in bct.rows_of(ch):
+                for mid, (node,), _tag, _size in bct.rows_of(ch):
                     body(modules[mid], node, charge, memo)
-                    sent[mid] += 1
-                    rep_append(Reply(ACK, tag, mid))
         return batch
 
     def h_upper_link(ctx, node, tag=None):
@@ -129,15 +123,14 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         # Scalar only: the first executor pays the descent, the others
         # one unit each.
         sl.link_upper_node(node, ctx.charge)
-        ctx.reply(ACK, tag=tag)
 
     h_try_update, batch_try_update = update_handlers(sl)
     machine = sl.machine
     machine.register_batch(f"{name}:ups_try_update", batch_try_update)
     machine.register_batch(f"{name}:ups_insert_lower",
-                           ack_batch(insert_lower))
+                           node_batch(insert_lower))
     machine.register_batch(f"{name}:ups_upper_prepare",
-                           ack_batch(upper_prepare))
+                           node_batch(upper_prepare))
 
     return {
         f"{name}:ups_try_update": h_try_update,

@@ -9,6 +9,10 @@ keeps one object per replicated node, so the chunk handler applies a
 broadcast write once and charges every module its unit; the scalar
 handler (reference oracle, fault plans) replays it per module.
 
+No write-path task replies: the round's barrier is what tells the CPU
+side a write has landed (DESIGN.md §19), so a write is one message in
+its round's h-relation.
+
 A batch's writers collect their writes as three parallel lists (node,
 field, value) and hand them to :func:`write_stage`, which builds the
 route stage: the writes to owned nodes as :class:`~repro.ops.Columns`,
@@ -20,19 +24,15 @@ each write to a replicated node as a :class:`~repro.ops.Broadcast`.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.core.node import NODE_WORDS, Node, UPPER
 from repro.core.structure import SkipListStructure
 from repro.ops import BatchOp, Broadcast, Columns, cached_handlers, run_batch
 from repro.sim.fastpath import BCAST, COLS
-from repro.sim.task import Reply
 
 _FIELDS = frozenset(("left", "right", "up", "down", "local_left",
                      "local_right"))
-ACK = ("ack",)
-"""The acknowledgement payload of every write-path task."""
 
 
 def _check_fields(fields: Iterable[str]) -> None:
@@ -49,15 +49,14 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         ctx.touch(node.nid)
         _check_fields((field,))
         setattr(node, field, value)
-        ctx.reply(ACK, tag=tag)
 
     def batch_write_ptr(bct, chunks):
         # One RemoteWrite per row.  A broadcast write targets a
         # replicated node, which the simulator keeps as ONE object: the
         # mutation stores a fixed value, so it is applied once and every
-        # module is charged its replica's unit and sends its own ack.
-        # The round's fields are checked before its first write, so a
-        # bad one cannot leave the structure half-written.
+        # module is charged its replica's unit of work.  The round's
+        # fields are checked before its first write, so a bad one cannot
+        # leave the structure half-written.
         for ch in chunks:
             if ch.kind == COLS:
                 _check_fields(ch.cols[1])
@@ -67,35 +66,22 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 _check_fields([args[1] for _mid, args, _tag, _size
                                in ch.rows])
         work = bct.work
-        sent = bct.sent
-        replies = bct.replies
-        rep_append = replies.append
         for ch in chunks:
             if ch.kind == COLS:
-                # Every module's unit of work and its ack per write are
-                # the count of the destinations the engine took at issue
-                # time; the acks are built without an interpreted step
-                # per write.
+                # Every module's unit of work per write is the count of
+                # the destinations the engine took at issue time.
                 for node, field, value in zip(*ch.cols):
                     setattr(node, field, value)
                 for mid, k in ch.counts.items():
                     work[mid] += k
-                    sent[mid] += k
-                replies.extend(map(Reply, repeat(ACK), repeat(None),
-                                   ch.dests))
             elif ch.kind == BCAST:
                 setattr(*ch.args)
-                tag = ch.tag
                 for mid in range(bct.num_modules):
                     work[mid] += 1
-                    sent[mid] += 1
-                    rep_append(Reply(ACK, tag, mid))
             else:
-                for mid, args, tag, _size in ch.rows:
+                for mid, args, _tag, _size in ch.rows:
                     setattr(*args)
                     work[mid] += 1
-                    sent[mid] += 1
-                    rep_append(Reply(ACK, tag, mid))
 
     def h_grow(ctx, target_level, added_levels, tag=None):
         # Idempotent shared mutation; every module charges its replica's
@@ -103,7 +89,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         # executor pays the growth's charges, the rest pay none.
         sl.grow_to_level(target_level, ctx.charge)
         ctx.module.alloc_words(added_levels * NODE_WORDS)
-        ctx.reply(ACK, tag=tag)
 
     sl.machine.register_batch(sl.fn_write_ptr, batch_write_ptr)
 

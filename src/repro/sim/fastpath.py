@@ -69,7 +69,7 @@ any execution order.  Batch handlers are therefore required to be:
 - **uniform across executors**: every task pays the charges its own
   arguments determine.  A write to a replicated node that stores a
   fixed value is idempotent, so a *broadcast* of it may be executed
-  **once**, with P unit charges and P acknowledgements (``write_ptr``).
+  **once**, with P unit charges (``write_ptr``).
   A handler whose *first* executor pays different charges than the
   rest -- ``ups_upper_link``, ``del_upper``, ``grow``: the first
   replica to run links, unlinks or grows the shared object and pays the

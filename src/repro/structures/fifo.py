@@ -48,7 +48,6 @@ class PIMQueue:
             ctx.charge(1)
             ctx.module.state[name][seq] = value
             ctx.module.alloc_words(2)
-            ctx.reply(("ack",), tag=tag)
 
         def h_take(ctx, seq, tag=None):
             ctx.charge(1)

@@ -80,14 +80,12 @@ class PIMLSMStore:
             ctx.charge(len(block) + 1)
             blocks(ctx)[bid] = block
             ctx.module.alloc_words(2 * len(block))
-            ctx.reply(("ack",), tag=tag)
 
         def h_drop(ctx, bid, tag=None):
             ctx.charge(1)
             block = blocks(ctx).pop(bid, None)
             if block is not None:
                 ctx.module.free_words(2 * len(block))
-            ctx.reply(("ack",), tag=tag)
 
         def h_get(ctx, bid, key, tag=None):
             block = blocks(ctx)[bid]

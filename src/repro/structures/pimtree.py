@@ -215,7 +215,6 @@ class PIMTree:
         def h_nd_store(ctx, nid, fences, children, kind, tag=None):
             ctx.charge(len(children) + 1)
             _store_node(nstate(ctx), nid, fences, children, kind, ctx.module)
-            ctx.reply(("ack",), tag=tag)
 
         def step(nodes, args):
             nid, key, qid = args
@@ -233,7 +232,6 @@ class PIMTree:
         def h_sh_store(ctx, nid, fences, children, kind, tag=None):
             ctx.charge(len(children) + 1)
             _store_node(sstate(ctx), nid, fences, children, kind, ctx.module)
-            ctx.reply(("ack",), tag=tag)
 
         def h_sh_dump(ctx, tag=None):
             shadows = sstate(ctx)
@@ -252,7 +250,6 @@ class PIMTree:
                 ctx.module.free_words(2 * len(old))
             leaves[lid] = [tuple(p) for p in items]
             ctx.module.alloc_words(2 * len(items))
-            ctx.reply(("ack",), tag=tag)
 
         def lf_get(leaves, args):
             lid, key = args

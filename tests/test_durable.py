@@ -13,6 +13,8 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.skiplist import PIMSkipList
 from repro.recovery import Checkpoint, RecoveryManager
@@ -33,6 +35,7 @@ from repro.recovery.durable import (
 )
 from repro.recovery.durable.wal import decode_record, encode_record
 from repro.sim.machine import PIMMachine
+from tests.conftest import DETERMINISTIC
 
 FAST = DurabilityPolicy(snapshot_every=3, os_fsync=False)
 
@@ -121,6 +124,93 @@ class TestWalCodec:
         scan = scan_segment(path, expect_lsn=1)
         assert [r.lsn for r in scan.records] == [1]  # unsynced gone
         assert scan.issues == []
+
+
+# -- the scanner under arbitrary damage ---------------------------------------
+
+_PAYLOAD = st.lists(st.lists(st.one_of(st.none(), st.integers(-10**6, 10**6),
+                                       st.text(max_size=6)),
+                             min_size=1, max_size=2), max_size=3)
+_LOGS = st.lists(st.tuples(st.sampled_from(["upsert", "delete"]), _PAYLOAD),
+                 min_size=1, max_size=6).map(
+    lambda ops: [WalRecord(lsn, op, payload)
+                 for lsn, (op, payload) in enumerate(ops, start=1)])
+_MASK = st.integers(1, 255)  # xor with it always changes the byte
+_BIT = st.integers(0, 7).map(lambda b: 1 << b)  # the classic disk error
+
+
+def _encode_log(records):
+    """The segment's bytes and each record's start offset, plus the end."""
+    blobs = [encode_record(r) for r in records]
+    bounds = [0]
+    for b in blobs:
+        bounds.append(bounds[-1] + len(b))
+    return bytearray(b"".join(blobs)), bounds
+
+
+def _scan_bytes(tmp_path_factory, data: bytearray):
+    path = tmp_path_factory.mktemp("wal") / "wal-000000000001.log"
+    path.write_bytes(bytes(data))
+    return scan_segment(str(path), expect_lsn=1)
+
+
+class TestWalScannerUnderDamage:
+    """Whatever a crash or the disk does to a segment, the scanner
+    returns a prefix of what was written -- never a wrong record -- and
+    reads the damage as exactly one of clean, a torn tail or a corrupt
+    record."""
+
+    @DETERMINISTIC
+    @given(records=_LOGS, cut=st.floats(0, 1),
+           flips=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                    _MASK), max_size=4))
+    def test_records_are_a_prefix_of_the_log(self, tmp_path_factory,
+                                             records, cut, flips):
+        data, bounds = _encode_log(records)
+        for at, mask in flips:
+            data[int(at * len(data))] ^= mask
+        del data[int(cut * len(data)):]
+        scan = _scan_bytes(tmp_path_factory, data)
+        got = len(scan.records)
+        assert scan.records == records[:got]
+        assert scan.good_size == bounds[got]
+        assert len(scan.issues) <= 1
+        assert {i.kind for i in scan.issues} <= {"torn_tail",
+                                                 "corrupt_record"}
+        if not scan.issues:
+            assert scan.good_size == scan.size
+
+    @DETERMINISTIC
+    @given(records=_LOGS, data=st.data())
+    def test_damage_to_the_last_record_is_a_torn_tail(
+            self, tmp_path_factory, records, data):
+        blob, bounds = _encode_log(records)
+        last = len(records) - 1
+        lo, hi = bounds[last], bounds[last + 1]
+        if data.draw(st.booleans(), label="truncate"):
+            del blob[data.draw(st.integers(lo + 1, hi - 1)):]
+        else:
+            for at, mask in data.draw(st.lists(
+                    st.tuples(st.integers(lo, hi - 1), _MASK), min_size=1,
+                    max_size=3, unique_by=lambda f: f[0])):
+                blob[at] ^= mask
+        scan = _scan_bytes(tmp_path_factory, blob)
+        assert scan.records == records[:last]
+        assert [(i.kind, i.offset) for i in scan.issues] == [
+            ("torn_tail", lo)]
+
+    @DETERMINISTIC
+    @given(records=_LOGS.filter(lambda rs: len(rs) >= 2), data=st.data())
+    def test_a_flipped_bit_before_an_intact_record_is_corrupt(
+            self, tmp_path_factory, records, data):
+        blob, bounds = _encode_log(records)
+        victim = data.draw(st.integers(0, len(records) - 2))
+        lo, hi = bounds[victim], bounds[victim + 1]
+        blob[data.draw(st.integers(lo, hi - 1))] ^= data.draw(_BIT)
+        scan = _scan_bytes(tmp_path_factory, blob)
+        assert scan.records == records[:victim]
+        assert [(i.kind, i.offset) for i in scan.issues] == [
+            ("corrupt_record", lo)]
 
 
 class TestSnapshots:

@@ -20,7 +20,7 @@ class TestWriteHandlers:
         machine.drain()
         d = machine.delta_since(before)
         assert leaf.right is other
-        assert d.messages == 2  # write + ack
+        assert d.messages == 1  # the write; the barrier is its ack
 
     def test_remote_write_to_replicated_node_broadcasts(self):
         machine, sl, _ = make_skiplist(num_modules=8, n=20, seed=51)
@@ -30,7 +30,7 @@ class TestWriteHandlers:
         remote_write(sl.struct, sentinel, "right", target)
         machine.drain()
         d = machine.delta_since(before)
-        assert d.messages == 16  # 8 writes + 8 acks
+        assert d.messages == 8  # one write per replica, no replies
         assert sentinel.right is target
 
     def test_invalid_field_rejected(self):

@@ -120,16 +120,18 @@ LOG3_P = 6 ** 3
 #: whole batch from its two extremes' paths, so a Successor batch costs
 #: the same at every width; an Upsert adds its writes.  Widths: log^2 P,
 #: P and P log P (and two more) on the narrow side, one key over, and
-#: P log^2 P.
+#: P log^2 P.  The Upsert's io_time and messages were re-recorded when
+#: write tasks stopped replying (DESIGN.md §19; at 384 keys 248 -> 158
+#: and 8 566 -> 4 690); its rounds and PIM time did not move.
 SUCCESSOR_AT_PARENT = (8, 44.0, 22.0, 46)
 UPSERT_AT_PARENT = {
-    8: (11, 58.0, 59.0, 188),
-    36: (13, 76.0, 235.0, 806),
-    64: (13, 90.0, 247.0, 1186),
-    141: (13, 118.0, 360.0, 2794),
-    384: (13, 248.0, 781.0, 8566),
-    385: (13, 236.0, 774.0, 8574),
-    2304: (13, 1050.0, 5615.0, 53206),
+    8: (11, 52.0, 59.0, 125),
+    36: (13, 62.0, 235.0, 462),
+    64: (13, 70.0, 247.0, 680),
+    141: (13, 88.0, 360.0, 1561),
+    384: (13, 158.0, 781.0, 4690),
+    385: (13, 152.0, 774.0, 4695),
+    2304: (13, 597.0, 5615.0, 28930),
 }
 
 
@@ -154,10 +156,10 @@ def test_same_successor_batch_costs_what_it_did(width):
     assert upsert == UPSERT_AT_PARENT[width]
     # Theorem 4.3's O(log^3 P) IO (216 at P = 64), constants measured
     # here: the search alone 44 = 0.21 log^3 P at every width; an Upsert
-    # of P log P keys into one gap, writes included, 248 = 1.15 log^3 P.
+    # of P log P keys into one gap, writes included, 158 = 0.73 log^3 P.
     assert SUCCESSOR_AT_PARENT[1] <= 0.25 * LOG3_P
     if width <= P * 6:
-        assert upsert[1] <= 1.25 * LOG3_P
+        assert upsert[1] <= 0.8 * LOG3_P
 
 
 # -- (c) one hot segment inside a uniform batch -------------------------------
