@@ -22,9 +22,8 @@ correctness backbone the ROADMAP's perf PRs regress against:
   under batch splitting), and the FIFO/priority-queue containers
   against deque/heap oracles.
 - :mod:`repro.verify.shrink` -- a failing-case shrinker that minimizes
-  any diverging session to a small reproducer and writes it to
-  ``tests/golden/repros/`` as a replayable JSON case (auto-collected by
-  ``tests/test_verify_repros.py``).
+  any diverging session to a small reproducer, plus the session's JSON
+  form.
 - :mod:`repro.verify.faults` -- the unified fault registry: adapter
   mutations (the verifier itself is mutation-tested: a seeded fault
   must be caught, shrunk, and emitted as a repro file) plus the
@@ -33,8 +32,15 @@ correctness backbone the ROADMAP's perf PRs regress against:
   sessions replayed on an unreliable machine under a recovery manager,
   checking result equivalence, round-overhead envelopes, and
   bit-identical reruns per (session seed, fault seed).
+- :mod:`repro.verify.soak` -- concurrent clients against
+  :mod:`repro.serve`, checked against a replay of the server's journal.
+- :mod:`repro.verify.durable` -- a kill at every acked-record boundary
+  and every disk fault, each restart checked against the acked prefix.
+- :mod:`repro.verify.certificate` -- the shape every harness reports
+  in, the one runner (:func:`certify`) and the one repro file format
+  (``tests/golden/repros/``, replayed by ``tests/test_verify_repros.py``).
 - :mod:`repro.verify.cli` --
-  ``python -m repro verify fuzz|replay|shrink|chaos|faults``.
+  ``python -m repro verify fuzz|replay|shrink|chaos|soak|durable|faults``.
 """
 
 from repro.verify.adapters import (
@@ -49,14 +55,18 @@ from repro.verify.differ import (
     verify_containers,
     verify_session,
 )
+from repro.verify.certificate import (
+    Certificate,
+    certify,
+    load_repro,
+    write_repro,
+)
 from repro.verify.chaos import (
     ChaosReport,
     MESSAGE_SCHEDULES,
     OVERHEAD_ENVELOPES,
     chaos_containers,
-    chaos_matrix,
     chaos_session,
-    check_chaos_determinism,
 )
 from repro.verify.faults import (
     FAULTS,
@@ -70,14 +80,13 @@ from repro.verify.faults import (
 from repro.verify.fuzz import fuzz_session
 from repro.verify.oracle import SequentialOracle
 from repro.verify.shrink import (
-    load_repro,
     session_from_dict,
     session_to_dict,
     shrink_session,
-    write_repro,
 )
 
 __all__ = [
+    "Certificate",
     "ChaosReport",
     "DEFAULT_IMPLS",
     "Divergence",
@@ -91,10 +100,9 @@ __all__ = [
     "SequentialOracle",
     "SessionReport",
     "build_implementations",
+    "certify",
     "chaos_containers",
-    "chaos_matrix",
     "chaos_session",
-    "check_chaos_determinism",
     "describe_faults",
     "fault_names",
     "fuzz_session",

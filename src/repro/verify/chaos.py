@@ -16,26 +16,26 @@ fuzz session on a machine running a named fault schedule
   *rounds*; each schedule's total must stay inside a calibrated
   multiple of the fault-free twin's rounds;
 - **determinism** -- the whole chaos run is a pure function of
-  ``(session seed, fault seed)``: a rerun must be bit-identical
-  (same results, same fault statistics, same round counts).
+  ``(session seed, fault seed)``: a rerun must seal the same digests
+  (results and final state; fault statistics, recoveries and rounds).
 
-Divergences reuse :class:`~repro.verify.differ.Divergence` with
-``chaos_*`` kinds, so the shrinker and the repro-file pipeline apply
-unchanged -- a diverging chaos session shrinks to a replayable JSON
-repro carrying its fault schedule and fault seed.
+Violations reuse :class:`~repro.verify.differ.Divergence` with
+``chaos_*`` kinds.  A report's config carries the session it ran, its
+fault schedule, fault seed and structure, so a diverging chaos session
+shrinks to a replayable JSON repro like a differential one.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.skiplist import PIMSkipList
 from repro.recovery import DegradedResult, RecoveryManager
 from repro.sim.chaos import MACHINE_SCHEDULES, build_schedule
 from repro.sim.machine import PIMMachine
 from repro.structures.pimtree import PIMTree
+from repro.verify.certificate import Certificate
 from repro.verify.differ import (
     Divergence,
     READ_OPS,
@@ -45,6 +45,7 @@ from repro.verify.differ import (
 )
 from repro.verify.fuzz import fuzz_session, initial_items_for
 from repro.verify.oracle import SequentialOracle
+from repro.verify.shrink import session_to_dict
 from repro.workloads.sessions import Session
 
 __all__ = [
@@ -54,9 +55,7 @@ __all__ = [
     "OVERHEAD_ENVELOPES",
     "STRUCTURE_FACTORIES",
     "chaos_containers",
-    "chaos_matrix",
     "chaos_session",
-    "check_chaos_determinism",
     "sized_session",
 ]
 
@@ -152,7 +151,7 @@ def sized_session(seed: int, make: Callable[[int], Any], *,
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(Certificate):
     """Everything one chaos session observed."""
 
     session_seed: int
@@ -161,7 +160,8 @@ class ChaosReport:
     num_modules: int
     num_batches: int
     structure: str = "skiplist"
-    divergences: List[Divergence] = field(default_factory=list)
+    violations: List[Divergence] = field(default_factory=list)
+    config: Dict[str, Any] = field(default_factory=dict)
     degraded: bool = False
     degraded_at: int = -1  # batch index at which the run quiesced
     recoveries: int = 0
@@ -169,18 +169,13 @@ class ChaosReport:
     base_rounds: int = 0   # fault-free twin, whole session
     chaos_rounds: int = 0  # chaos machine + any standby machines
     stats: Dict[str, int] = field(default_factory=dict)
-    fingerprint: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
 
     @property
     def overhead(self) -> float:
         return self.chaos_rounds / max(1, self.base_rounds)
 
     def summary(self) -> str:
-        state = "OK" if self.ok else f"{len(self.divergences)} divergence(s)"
+        state = "OK" if self.ok else f"{len(self.violations)} divergence(s)"
         tail = f", degraded at batch {self.degraded_at}" if self.degraded \
             else ""
         faults = self.stats.get("transmissions", 0) and (
@@ -196,10 +191,8 @@ class ChaosReport:
 def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
                   num_modules: int = 8, num_batches: int = 10,
                   batch_size: int = 16, checkpoint_every: int = 3,
-                  allow_restore: bool = True,
                   session: Optional[Session] = None,
-                  structure: str = "skiplist",
-                  check_overhead: bool = True) -> ChaosReport:
+                  structure: str = "skiplist") -> ChaosReport:
     """Replay one fuzz session under a machine-level fault schedule.
 
     ``session`` overrides the fuzzed one (the repro-replay path); its
@@ -207,8 +200,7 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     ``num_batches`` long and crosses :data:`MIN_ROTATIONS` checkpoint
     rotations fault-free (:func:`sized_session`).  ``structure`` picks
     the structure under chaos (see :data:`STRUCTURE_FACTORIES`).  The
-    report carries a fingerprint of every observable (results, fault
-    statistics, rounds) for the bit-identical-rerun check.
+    report's config holds the session that ran.
     """
     if schedule not in MACHINE_SCHEDULES:
         raise ValueError(f"unknown fault schedule {schedule!r}; known: "
@@ -225,10 +217,14 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
             num_batches=num_batches, batch_size=batch_size,
             checkpoint_every=checkpoint_every)
     items = initial_items_for(session)
-    report = ChaosReport(session_seed=session.seed, fault_seed=fault_seed,
-                         schedule=schedule, num_modules=num_modules,
-                         num_batches=len(session.batches),
-                         structure=structure)
+    report = ChaosReport(
+        session_seed=session.seed, fault_seed=fault_seed, schedule=schedule,
+        num_modules=num_modules, num_batches=len(session.batches),
+        structure=structure,
+        config=dict(session_to_dict(session), kind="chaos",
+                    fault_schedule=schedule, fault_seed=fault_seed,
+                    num_modules=num_modules, structure=structure,
+                    checkpoint_every=checkpoint_every))
 
     # Oracle answers + the fault-free twin's round count (the overhead
     # baseline; same machine seed, so the structure evolves identically
@@ -257,13 +253,12 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     chaos_state = machines[0].install_fault_plan(
         build_schedule(schedule, fault_seed, num_modules))
     manager = RecoveryManager(chaotic, standby,
-                              checkpoint_every=checkpoint_every,
-                              allow_restore=allow_restore)
+                              checkpoint_every=checkpoint_every)
 
-    parts: List[str] = []  # determinism fingerprint material
+    parts: List[str] = []  # what a client observed, for the result digest
 
     def diverge(i: int, op: str, kind: str, detail: str) -> None:
-        report.divergences.append(Divergence(
+        report.violations.append(Divergence(
             seed=session.seed, batch_index=i, op=op,
             impl=f"{structure}+chaos", kind=kind, detail=detail))
 
@@ -309,13 +304,11 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     report.rotations = manager.checkpoints_captured - 1
     report.chaos_rounds = sum(m.metrics.rounds for m in machines)
     report.stats = chaos_state.stats.as_dict()
-    parts.append(repr(sorted(report.stats.items())))
-    parts.append(f"recoveries={report.recoveries}")
-    parts.append(f"rounds={report.chaos_rounds}")
-    report.fingerprint = hashlib.sha256(
-        "\n".join(parts).encode()).hexdigest()
+    report.seal(parts, [repr(sorted(report.stats.items())),
+                        f"recoveries={report.recoveries}",
+                        f"rounds={report.chaos_rounds}"])
 
-    if check_overhead and not report.degraded:
+    if not report.degraded:
         factor, constant = OVERHEAD_ENVELOPES[schedule]
         budget = int(factor * report.base_rounds) + constant
         if report.chaos_rounds > budget:
@@ -324,32 +317,6 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
                     f"{budget} ({factor:g}x{report.base_rounds}+{constant} "
                     f"for schedule {schedule!r})")
     return report
-
-
-def check_chaos_determinism(session_seed: int, schedule: str,
-                            fault_seed: int = 0, *,
-                            num_modules: int = 8, num_batches: int = 10,
-                            batch_size: int = 16,
-                            structure: str = "skiplist",
-                            ) -> Optional[Divergence]:
-    """Run the same chaos session twice; the fingerprints must match.
-
-    Returns the describing divergence on mismatch, else ``None``.
-    """
-    kwargs = dict(num_modules=num_modules, num_batches=num_batches,
-                  batch_size=batch_size,
-                  structure=structure, check_overhead=False)
-    first = chaos_session(session_seed, schedule, fault_seed, **kwargs)
-    second = chaos_session(session_seed, schedule, fault_seed, **kwargs)
-    if first.fingerprint == second.fingerprint:
-        return None
-    return Divergence(
-        seed=session_seed, batch_index=-1, op="rerun",
-        impl=f"{structure}+chaos", kind="chaos_determinism",
-        detail=(f"schedule {schedule!r} fault_seed={fault_seed}: rerun "
-                f"fingerprint {second.fingerprint[:12]} != first "
-                f"{first.fingerprint[:12]} (stats {second.stats} vs "
-                f"{first.stats})"))
 
 
 def chaos_containers(seed: int, schedule: str, fault_seed: int = 0, *,
@@ -368,18 +335,3 @@ def chaos_containers(seed: int, schedule: str, fault_seed: int = 0, *,
     machine.install_fault_plan(build_schedule(schedule, fault_seed,
                                               num_modules))
     return verify_containers(seed, num_modules=num_modules, machine=machine)
-
-
-def chaos_matrix(session_seeds: Sequence[int],
-                 schedules: Sequence[str], fault_seed: int = 0, *,
-                 num_modules: int = 8, num_batches: int = 10,
-                 batch_size: int = 16,
-                 structure: str = "skiplist") -> List[ChaosReport]:
-    """The full sweep: every session seed under every fault schedule."""
-    return [
-        chaos_session(seed, schedule, fault_seed,
-                      num_modules=num_modules, num_batches=num_batches,
-                      batch_size=batch_size, structure=structure)
-        for schedule in schedules
-        for seed in session_seeds
-    ]

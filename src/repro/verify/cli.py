@@ -1,62 +1,52 @@
-"""``python -m repro verify fuzz|replay|shrink|chaos|faults``.
+"""``python -m repro verify fuzz|replay|shrink|chaos|soak|durable|faults``.
 
 - ``fuzz`` -- generate N seeded sessions, differentially replay each
   against every implementation (plus the FIFO/priority-queue container
-  checks), and on divergence shrink the session and write a replayable
-  repro file.  Exit code 1 if anything diverged.  ``--faults`` layers
-  registered faults on top (``--faults list`` enumerates the registry).
-- ``replay`` -- re-run one repro JSON file (or every file in a
-  directory) and report whether it still diverges.  Repros carrying a
-  ``fault_schedule`` replay through the chaos harness.
-- ``shrink`` -- minimize an existing repro file in place.
+  checks).  ``--faults`` layers registered faults on top (``--faults
+  list`` enumerates the registry).
+- ``replay`` -- re-run repro files through
+  :func:`~repro.verify.certificate.certify`; do they still fail?
+- ``shrink`` -- minimize a differential or chaos repro file in place.
 - ``chaos`` -- sweep fuzz sessions across machine-level fault
-  schedules: result equivalence under faults, round-overhead
-  envelopes, bit-identical reruns, and container checks on a faulty
-  machine.
-- ``soak`` -- chaos-soak the serving layer (:mod:`repro.serve`):
-  concurrent synthetic clients vs the sequential oracle under machine
-  fault schedules; every answer must match a sequential replay of the
-  server's journal or be a typed refusal, and fault-free runs must
-  refuse nothing.
-- ``durable`` -- certify crash-consistent persistence
-  (:mod:`repro.recovery.durable`): kill the store at every acked
-  record boundary and demand the restart equals the oracle's acked
-  prefix, then inject every registered disk fault into a completed
-  state dir and demand fsck or recovery catches it.
+  schedules (:mod:`repro.verify.chaos`).
+- ``soak`` -- chaos-soak the serving layer with concurrent clients
+  (:mod:`repro.verify.soak`).
+- ``durable`` -- a kill at every acked record boundary and every
+  registered disk fault (:mod:`repro.verify.durable`).
 - ``faults`` -- print the unified fault registry.
 
-``fuzz``, ``chaos``, ``soak`` and ``durable`` exit non-zero on any
-failure and, when a repro was written, print its path on the **last
+``fuzz``, ``chaos``, ``soak`` and ``durable`` generate certificates
+(:mod:`repro.verify.certificate`) under one exit contract: non-zero on
+any failure and, when a repro was written, its path on the **last
 line** of output so scripts can ``tail -1`` straight into ``replay``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.verify.chaos import (
-    MESSAGE_SCHEDULES,
-    STRUCTURE_FACTORIES,
-    chaos_containers,
-    chaos_session,
-    check_chaos_determinism,
-)
-from repro.verify.differ import verify_containers, verify_session
-from repro.verify.faults import describe_faults, get_fault
-from repro.verify.fuzz import fuzz_session
-from repro.verify.shrink import (
-    load_repro,
-    session_from_dict,
-    shrink_session,
-    write_repro,
-)
 from repro.sim.chaos import MACHINE_SCHEDULES
+from repro.verify import durable, soak
+from repro.verify.certificate import Certificate, certify, load_repro, write_repro
+from repro.verify.chaos import (MESSAGE_SCHEDULES, STRUCTURE_FACTORIES,
+                                chaos_containers, chaos_session)
+from repro.verify.differ import SessionReport, verify_containers, verify_session
+from repro.verify.faults import DISK_FAULTS, describe_faults, get_fault
+from repro.verify.fuzz import fuzz_session
+from repro.verify.shrink import session_from_dict, session_to_dict, shrink_session
 
 DEFAULT_REPRO_DIR = os.path.join("tests", "golden", "repros")
+
+#: Repro file names by certificate kind, filled from the config.
+_REPRO_NAMES = {
+    "differential": "seed{seed}",
+    "chaos": "seed{seed}-{fault_schedule}-f{fault_seed}",
+    "soak": "soak-{schedule}-f{fault_seed}-s{seed}",
+    "durable": "durable-{mode}-s{session_seed}-f{fault_seed}",
+}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -77,6 +67,24 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "apply_reads call on the structures that declare "
                         "shared reads (what a shared-read serve tick "
                         "sends)")
+
+
+def _add_contract(p: argparse.ArgumentParser, noun: str, *,
+                  max_evals: int = 0, determinism: bool = True) -> None:
+    """The exit contract's flags: where repros land, the rerun check,
+    and -- for runs that carry a session -- shrinking."""
+    p.add_argument("--repro-dir", default=DEFAULT_REPRO_DIR,
+                   help=f"where {noun} repros land "
+                        f"(default {DEFAULT_REPRO_DIR})")
+    if determinism:
+        p.add_argument("--no-determinism", action="store_true",
+                       help="skip the bit-identical rerun check")
+    if max_evals:
+        p.add_argument("--no-shrink", action="store_true",
+                       help="report divergences without shrinking")
+        p.add_argument("--max-evals", type=int, default=max_evals,
+                       help=f"shrinker evaluation budget "
+                            f"(default {max_evals})")
 
 
 def _impl_list(args: argparse.Namespace) -> Optional[List[str]]:
@@ -121,6 +129,101 @@ def _parse_faults(spec: str) -> Tuple[Optional[tuple], List[str]]:
     return adapter, schedules
 
 
+def _certify_all(args: argparse.Namespace, runs: Iterable[Certificate], *,
+                 noun: str, clean: str,
+                 fault: Optional[Tuple[str, str]] = None) -> int:
+    """Print each report's summary; a failing one's violations follow
+    and, unless ``--no-shrink``, its repro lands in ``--repro-dir`` (the
+    session the report ran, shrunk, when its config carries one).  Any
+    failure exits 1 with the last repro path as the last line; otherwise
+    ``clean`` is the verdict.  The shrinker injects ``fault``, the
+    adapter fault the runs injected; the repro never holds it.
+    """
+    failures = total = 0
+    written = None
+    for report in runs:
+        total += 1
+        print(report.summary())
+        if report.ok:
+            continue
+        failures += 1
+        for v in report.violations:
+            print(f"  {v}")
+        if not report.config or getattr(args, "no_shrink", False):
+            continue
+        note = f"a failing {noun} run"
+        if "batches" in report.config and "check" not in report.config:
+            before = len(report.config["batches"])
+            report = _shrink(report.config, args.max_evals, fault)
+            note = (f"shrunk from a {before}-batch {noun} session"
+                    + (f" with injected fault {fault[0]}:{fault[1]}"
+                       if fault else ""))
+        name = (_REPRO_NAMES[report.config["kind"]].format(**report.config)
+                + ("-determinism" if "check" in report.config else ""))
+        written = write_repro(os.path.join(args.repro_dir, name + ".json"),
+                              _repro(report, note))
+        print(f"  {noun} repro written: {written}")
+    if failures:
+        print(f"\n{failures} {noun} failure(s) across {total} run(s)")
+        if written:
+            # Contract: the repro path is the LAST line, so scripts (and
+            # humans) can tail -1 straight into replay.
+            print(written)
+        return 1
+    print(f"\n{clean}")
+    return 0
+
+
+def _shrink(config: Dict[str, Any], max_evals: int,
+            fault: Optional[Tuple[str, str]] = None) -> Certificate:
+    """The smallest failing certificate found by shrinking the session
+    ``config`` ran."""
+    def with_session(session) -> Dict[str, Any]:
+        return dict(config, **session_to_dict(session))
+
+    def is_failing(session) -> bool:
+        return not certify(with_session(session), fault=fault).ok
+
+    small = shrink_session(session_from_dict(config), is_failing,
+                           max_evals=max_evals)
+    return certify(with_session(small), fault=fault)
+
+
+def _repro(report: Certificate, note: str) -> Dict[str, Any]:
+    """A repro file: the config, how it was made, its first violations."""
+    return dict(report.config, note=note,
+                violations=[str(v) for v in report.violations[:20]])
+
+
+def _failing(*reports: Certificate) -> List[Certificate]:
+    """Riders (a determinism rerun, a container check) join the runs
+    only when they fail: a clean run prints its sessions alone."""
+    return [report for report in reports if not report.ok]
+
+
+def _with_rerun(reports: Iterable[Certificate], args: argparse.Namespace,
+                **change: Any) -> Iterator[Certificate]:
+    """``reports``, then -- unless ``--no-determinism`` or the first one
+    already failed -- its config (with ``change``) as a determinism
+    rider."""
+    first = None
+    for report in reports:
+        first = first or report
+        yield report
+    if first is not None and first.ok and not args.no_determinism:
+        yield from _failing(certify(dict(first.config, check="determinism",
+                                         **change)))
+
+
+def _containers(seed: int, num_modules: int,
+                divergences: list) -> SessionReport:
+    """The FIFO / priority-queue checks as a report.  It has no config:
+    a failure is printed, never written as a repro."""
+    return SessionReport(seed=seed, num_modules=num_modules,
+                         impls=("fifo", "priority_queue"), num_batches=6,
+                         violations=divergences)
+
+
 def cmd_fuzz(args: argparse.Namespace) -> int:
     fault = None
     chaos_schedules: List[str] = []
@@ -144,155 +247,46 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                   "--faults", file=sys.stderr)
             return 2
         fault = (impl, name)
-    failures = 0
-    repro_paths: List[str] = []
-    for i in range(args.sessions):
-        seed = args.seed + i
-        session = fuzz_session(seed, num_batches=args.batches,
-                               batch_size=args.batch_size,
-                               read_only=args.read_only)
-        report = verify_session(session, fault=fault,
-                                **_verify_kwargs(args))
-        container_divs = verify_containers(seed, num_modules=args.modules)
-        chaos_divs = []
-        for schedule in chaos_schedules:
-            cr = chaos_session(seed, schedule, args.fault_seed,
-                               num_modules=args.modules, session=session)
-            chaos_divs += cr.divergences
-        print(report.summary()
-              + (f" + {len(container_divs)} container divergence(s)"
-                 if container_divs else "")
-              + (f" + {len(chaos_divs)} chaos divergence(s)"
-                 if chaos_divs else ""))
-        for d in container_divs + chaos_divs:
-            print(f"  {d}")
-        if report.ok and not container_divs and not chaos_divs:
-            continue
-        failures += 1
-        for d in report.divergences:
-            print(f"  {d}")
-        if report.divergences and not args.no_shrink:
-            path = _shrink_and_write(session, args, fault)
-            repro_paths.append(path)
-            print(f"  shrunk repro written: {path}")
-    if failures:
-        print(f"\n{failures}/{args.sessions} session(s) diverged")
-        if repro_paths:
-            # Contract: on divergence the repro path is the LAST line,
-            # so scripts (and humans) can tail -1 straight into replay.
-            print(repro_paths[-1])
-        return 1
-    print(f"\nall {args.sessions} session(s) verified clean "
-          f"({args.batches} batches x {args.batch_size} each, "
-          f"P={args.modules}"
-          + (f", chaos: {','.join(chaos_schedules)}" if chaos_schedules
-             else "") + ")")
-    return 0
-
-
-def _shrink_and_write(session, args: argparse.Namespace, fault) -> str:
     kwargs = _verify_kwargs(args)
 
-    def is_failing(candidate) -> bool:
-        return not verify_session(candidate, fault=fault, **kwargs).ok
+    def runs():
+        for seed in range(args.seed, args.seed + args.sessions):
+            session = fuzz_session(seed, num_batches=args.batches,
+                                   batch_size=args.batch_size,
+                                   read_only=args.read_only)
+            yield verify_session(session, fault=fault, **kwargs)
+            yield from _failing(
+                _containers(seed, args.modules, verify_containers(
+                    seed, num_modules=args.modules)),
+                *(chaos_session(seed, schedule, args.fault_seed,
+                                num_modules=args.modules, session=session)
+                  for schedule in chaos_schedules))
 
-    small = shrink_session(session, is_failing, max_evals=args.max_evals)
-    report = verify_session(small, fault=fault, **kwargs)
-    os.makedirs(args.repro_dir, exist_ok=True)
-    path = os.path.join(args.repro_dir, f"seed{session.seed}.json")
-    impls = kwargs["impls"]
-    return write_repro(
-        small, path, divergences=report.divergences,
-        impls=list(impls) if impls else None,
-        num_modules=args.modules, read_groups=args.read_groups,
-        note=(f"shrunk from a {len(session.batches)}-batch fuzz session"
-              + (f" with injected fault {fault[0]}:{fault[1]}" if fault
-                 else "")))
-
-
-def _replay_soak(path: str, data: dict) -> bool:
-    """Re-run a soak repro; returns True when it (still) fails."""
-    from repro.verify.soak import check_soak_determinism, soak_session
-
-    kwargs = dict(clients=int(data["clients"]),
-                  ops_per_client=int(data["ops_per_client"]),
-                  seed=int(data["seed"]),
-                  num_modules=int(data["num_modules"]),
-                  structure=data.get("structure", "skiplist"))
-    schedule = data["schedule"]
-    fault_seed = int(data["fault_seed"])
-    if data.get("check") == "determinism":
-        same, first, second = check_soak_determinism(
-            schedule, fault_seed, **kwargs)
-        tag = "clean" if same else "STILL NOT DETERMINISTIC"
-        print(f"{path}: soak determinism {schedule!r} -> {tag}")
-        if not same:
-            print(f"  {first[:16]}... != {second[:16]}...")
-        return not same
-    report = soak_session(schedule, fault_seed, **kwargs)
-    tag = "STILL VIOLATES" if not report.ok else "clean"
-    print(f"{path}: {report.summary()} -> {tag}")
-    for v in report.violations:
-        print(f"  {v}")
-    return not report.ok
+    return _certify_all(
+        args, runs(), noun="fuzz", fault=fault,
+        clean=(f"all {args.sessions} session(s) verified clean "
+               f"({args.batches} batches x {args.batch_size} each, "
+               f"P={args.modules}"
+               + (f", chaos: {','.join(chaos_schedules)}"
+                  if chaos_schedules else "") + ")"))
 
 
-def _replay_durable(path: str, data: dict) -> bool:
-    """Re-run a durable-sweep repro; returns True when it still fails."""
-    from repro.verify.durable import fault_sweep, kill_sweep
-
-    kwargs = dict(fault_seed=int(data["fault_seed"]),
-                  num_batches=int(data["num_batches"]),
-                  batch_size=int(data["batch_size"]),
-                  num_modules=int(data["num_modules"]),
-                  checkpoint_every=int(data["checkpoint_every"]))
-    if data["mode"] == "fault":
-        report = fault_sweep(int(data["session_seed"]),
-                             faults=data.get("faults"), **kwargs)
-    else:
-        report = kill_sweep(int(data["session_seed"]), **kwargs)
-    tag = "STILL VIOLATES" if not report.ok else "clean"
-    print(f"{path}: {report.summary()} -> {tag}")
-    for v in report.violations:
-        print(f"  {v}")
-    return not report.ok
-
-
-def _replay_one(path: str, args: argparse.Namespace) -> bool:
-    """Replay one repro file; returns True when it (still) diverges."""
-    data = load_repro(path)
-    kind = data.get("kind")
-    if kind == "soak":
-        return _replay_soak(path, data)
-    if kind == "durable":
-        return _replay_durable(path, data)
-    session = session_from_dict(data)
-    num_modules = args.modules
-    if data.get("num_modules") and args.modules == 8:
-        num_modules = data["num_modules"]
-    schedule = data.get("fault_schedule")
-    if schedule is not None:
-        # Chaos repro: replay under the recorded machine fault schedule.
-        report = chaos_session(session.seed, schedule,
-                               int(data.get("fault_seed", 0)),
-                               num_modules=num_modules, session=session)
-        tag = "DIVERGES" if not report.ok else "clean"
-        print(f"{path}: {len(session.batches)} batch(es) under "
-              f"{schedule!r} (fault_seed={report.fault_seed}) -> {tag}")
-        for d in report.divergences:
-            print(f"  {d}")
-        return not report.ok
-    kwargs = _verify_kwargs(args)
-    if args.impls is None and data.get("impls"):
-        kwargs["impls"] = data["impls"]
-    kwargs["num_modules"] = num_modules
-    kwargs["read_groups"] = args.read_groups or bool(data.get("read_groups"))
-    report = verify_session(session, **kwargs)
-    tag = "DIVERGES" if not report.ok else "clean"
-    print(f"{path}: {len(session.batches)} batch(es) -> {tag}")
-    for d in report.divergences:
-        print(f"  {d}")
-    return not report.ok
+def _with_flags(config: Dict[str, Any],
+                args: argparse.Namespace) -> Dict[str, Any]:
+    """``replay`` / ``shrink`` flags over a session-bodied repro: an
+    explicit ``--modules``, and for a differential one ``--impls``,
+    ``--read-groups`` and each check a ``--no-*`` flag turns off."""
+    config = dict(config)
+    if "batches" in config and (args.modules != 8
+                                or "num_modules" not in config):
+        config["num_modules"] = args.modules
+    if config["kind"] == "differential":
+        flags = _verify_kwargs(args)
+        config.update((k, False) for k, on in flags.items()
+                      if k.startswith("check_") and not on)
+        config["impls"] = flags["impls"] or config.get("impls")
+        config["read_groups"] = args.read_groups or config.get("read_groups")
+    return config
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -312,7 +306,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if not paths:
         print("no repro files found", file=sys.stderr)
         return 2
-    diverged = sum(_replay_one(p, args) for p in paths)
+    diverged = 0
+    for path in paths:
+        report = certify(_with_flags(load_repro(path), args))
+        print(f"{path}: {report.summary()} -> "
+              f"{'clean' if report.ok else 'DIVERGES'}")
+        for v in report.violations:
+            print(f"  {v}")
+        diverged += not report.ok
     if diverged and not args.expect_divergence:
         return 1
     if args.expect_divergence and diverged != len(paths):
@@ -323,30 +324,20 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_shrink(args: argparse.Namespace) -> int:
-    data = load_repro(args.path)
-    session = session_from_dict(data)
-    kwargs = _verify_kwargs(args)
-    if args.impls is None and data.get("impls"):
-        kwargs["impls"] = data["impls"]
-    kwargs["read_groups"] = args.read_groups or bool(data.get("read_groups"))
-
-    def is_failing(candidate) -> bool:
-        return not verify_session(candidate, **kwargs).ok
-
-    if not is_failing(session):
+    config = _with_flags(load_repro(args.path), args)
+    if "batches" not in config:
+        print(f"{args.path}: a {config['kind']} repro has no session to "
+              f"shrink", file=sys.stderr)
+        return 2
+    if certify(config).ok:
         print(f"{args.path}: replays clean -- nothing to shrink")
         return 0
-    before = len(session.batches)
-    small = shrink_session(session, is_failing, max_evals=args.max_evals)
-    report = verify_session(small, **kwargs)
+    before = len(config["batches"])
+    report = _shrink(config, args.max_evals)
     out = args.out or args.path
-    write_repro(small, out, divergences=report.divergences,
-                impls=kwargs["impls"],
-                num_modules=kwargs["num_modules"],
-                read_groups=kwargs["read_groups"],
-                note=f"re-shrunk from {before} batch(es)")
-    print(f"{args.path}: {before} -> {len(small.batches)} batch(es), "
-          f"written to {out}")
+    write_repro(out, _repro(report, f"re-shrunk from {before} batch(es)"))
+    print(f"{args.path}: {before} -> {len(report.config['batches'])} "
+          f"batch(es), written to {out}")
     return 0
 
 
@@ -362,91 +353,29 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                       f"{', '.join(sorted(MACHINE_SCHEDULES))}",
                       file=sys.stderr)
                 return 2
-    failures = 0
-    runs = 0
-    repro_paths: List[str] = []
-    for schedule in schedules:
-        for i in range(args.sessions):
-            seed = args.seed + i
-            report = chaos_session(
-                seed, schedule, args.fault_seed,
-                num_modules=args.modules, num_batches=args.batches,
-                batch_size=args.batch_size, structure=args.structure)
-            runs += 1
-            print(report.summary())
-            if report.ok:
-                continue
-            failures += 1
-            for d in report.divergences:
-                print(f"  {d}")
-            if not args.no_shrink:
-                path = _shrink_chaos_and_write(seed, schedule, args)
-                repro_paths.append(path)
-                print(f"  shrunk chaos repro written: {path}")
-        if not args.no_determinism:
-            div = check_chaos_determinism(
-                args.seed, schedule, args.fault_seed,
-                num_modules=args.modules, num_batches=args.batches,
-                batch_size=args.batch_size, structure=args.structure)
-            if div is not None:
-                failures += 1
-                print(f"  {div}")
-        if not args.no_containers and schedule in MESSAGE_SCHEDULES:
-            divs = chaos_containers(args.seed, schedule, args.fault_seed,
-                                    num_modules=args.modules)
-            if divs:
-                failures += 1
-                for d in divs:
-                    print(f"  {d}")
-    if failures:
-        print(f"\n{failures} chaos failure(s) across {runs} session(s)")
-        if repro_paths:
-            # Same contract as fuzz: repro path on the last line.
-            print(repro_paths[-1])
-        return 1
-    print(f"\nall {runs} chaos session(s) exact "
-          f"({len(schedules)} schedule(s), fault_seed={args.fault_seed}, "
-          f"P={args.modules})")
-    return 0
 
+    def runs():
+        for schedule in schedules:
+            yield from _with_rerun((chaos_session(
+                seed, schedule, args.fault_seed, num_modules=args.modules,
+                num_batches=args.batches, batch_size=args.batch_size,
+                structure=args.structure)
+                for seed in range(args.seed, args.seed + args.sessions)),
+                args)
+            if not args.no_containers and schedule in MESSAGE_SCHEDULES:
+                yield from _failing(_containers(
+                    args.seed, args.modules, chaos_containers(
+                        args.seed, schedule, args.fault_seed,
+                        num_modules=args.modules)))
 
-def _shrink_chaos_and_write(seed: int, schedule: str,
-                            args: argparse.Namespace) -> str:
-    session = fuzz_session(seed, num_batches=args.batches,
-                           batch_size=args.batch_size)
-
-    def is_failing(candidate) -> bool:
-        return not chaos_session(seed, schedule, args.fault_seed,
-                                 num_modules=args.modules,
-                                 session=candidate).ok
-
-    small = shrink_session(session, is_failing, max_evals=args.max_evals)
-    report = chaos_session(seed, schedule, args.fault_seed,
-                           num_modules=args.modules, session=small)
-    os.makedirs(args.repro_dir, exist_ok=True)
-    path = os.path.join(args.repro_dir,
-                        f"seed{seed}-{schedule}-f{args.fault_seed}.json")
-    return write_repro(
-        small, path, divergences=report.divergences,
-        num_modules=args.modules, fault_schedule=schedule,
-        fault_seed=args.fault_seed,
-        note=(f"shrunk from a {len(session.batches)}-batch chaos session "
-              f"under schedule {schedule!r}"))
-
-
-def _write_param_repro(path: str, data: dict) -> str:
-    """Write a parameter-replay repro (soak/durable): no session body,
-    just the knobs ``verify replay`` needs to re-run the harness."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return _certify_all(
+        args, runs(), noun="chaos",
+        clean=(f"all {len(schedules) * args.sessions} chaos session(s) "
+               f"exact ({len(schedules)} schedule(s), "
+               f"fault_seed={args.fault_seed}, P={args.modules})"))
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
-    from repro.verify.soak import check_soak_determinism, soak_session
-
     if args.schedules == "all":
         schedules = ["none"] + sorted(MACHINE_SCHEDULES)
     else:
@@ -460,74 +389,25 @@ def cmd_soak(args: argparse.Namespace) -> int:
                 return 2
     fault_seeds = [int(s) for s in str(args.fault_seeds).split(",")
                    if s.strip() != ""]
-    failures = 0
-    runs = 0
-    repro_paths: List[str] = []
+    runs_per = {s: fault_seeds if s != "none" else [0] for s in schedules}
 
-    def _soak_repro(schedule: str, fault_seed: int, *, check: str,
-                    clients: int, violations: List[str]) -> None:
-        data = {
-            "kind": "soak", "check": check, "schedule": schedule,
-            "fault_seed": fault_seed, "clients": clients,
-            "ops_per_client": args.ops, "seed": args.seed,
-            "num_modules": args.modules, "structure": args.structure,
-            "violations": violations[:20],
-        }
-        path = os.path.join(
-            args.repro_dir,
-            f"soak-{schedule}-f{fault_seed}-s{args.seed}.json")
-        repro_paths.append(_write_param_repro(path, data))
-        print(f"  soak repro written: {path}")
-
-    for schedule in schedules:
-        for fault_seed in (fault_seeds if schedule != "none" else [0]):
-            report = soak_session(
+    def runs():
+        for schedule, seeds in runs_per.items():
+            yield from _with_rerun((soak.soak_session(
                 schedule, fault_seed, clients=args.clients,
                 ops_per_client=args.ops, seed=args.seed,
                 num_modules=args.modules, structure=args.structure)
-            runs += 1
-            print(report.summary())
-            if not report.ok:
-                failures += 1
-                for v in report.violations:
-                    print(f"  {v}")
-                _soak_repro(schedule, fault_seed, check="slo",
-                            clients=args.clients,
-                            violations=[str(v) for v in report.violations])
-        if not args.no_determinism:
-            det_seed = fault_seeds[0] if schedule != "none" else 0
-            det_clients = min(args.clients, 32)
-            same, first, second = check_soak_determinism(
-                schedule, det_seed, clients=det_clients,
-                ops_per_client=args.ops, seed=args.seed,
-                num_modules=args.modules, structure=args.structure)
-            if not same:
-                failures += 1
-                print(f"  soak {schedule!r} is NOT deterministic: "
-                      f"{first[:16]}... != {second[:16]}...")
-                _soak_repro(schedule, det_seed, check="determinism",
-                            clients=det_clients,
-                            violations=[f"{first} != {second}"])
-    if failures:
-        print(f"\n{failures} soak failure(s) across {runs} run(s)")
-        if repro_paths:
-            # Same contract as fuzz/chaos: repro path on the last line.
-            print(repro_paths[-1])
-        return 1
-    print(f"\nall {runs} soak run(s) clean ({args.clients} clients x "
-          f"{args.ops} ops, {len(schedules)} schedule(s), "
-          f"P={args.modules}, structure={args.structure})")
-    return 0
+                for fault_seed in seeds), args, clients=min(args.clients, 32))
+
+    return _certify_all(
+        args, runs(), noun="soak",
+        clean=(f"all {sum(map(len, runs_per.values()))} soak run(s) clean "
+               f"({args.clients} clients x {args.ops} ops, "
+               f"{len(schedules)} schedule(s), P={args.modules}, "
+               f"structure={args.structure})"))
 
 
 def cmd_durable(args: argparse.Namespace) -> int:
-    from repro.verify.durable import (
-        check_durable_determinism,
-        fault_sweep,
-        kill_sweep,
-    )
-    from repro.verify.faults import DISK_FAULTS
-
     if args.faults is None:
         faults: Optional[List[str]] = None
     else:
@@ -544,56 +424,24 @@ def cmd_durable(args: argparse.Namespace) -> int:
     kwargs = dict(num_batches=args.batches, batch_size=args.batch_size,
                   num_modules=args.modules,
                   checkpoint_every=args.checkpoint_every)
-    failures = 0
-    runs = 0
-    repro_paths: List[str] = []
 
-    def _durable_repro(report) -> None:
-        data = dict(kind="durable", mode=report.mode,
-                    session_seed=report.session_seed,
-                    fault_seed=report.fault_seed, faults=faults,
-                    violations=[str(v) for v in report.violations][:20],
-                    **kwargs)
-        path = os.path.join(
-            args.repro_dir,
-            f"durable-{report.mode}-s{report.session_seed}"
-            f"-f{report.fault_seed}.json")
-        repro_paths.append(_write_param_repro(path, data))
-        print(f"  durable repro written: {path}")
-
-    for session_seed in session_seeds:
+    def sweeps(session_seed):  # a kill sweep first: the one rerun
         for fault_seed in fault_seeds:
-            for report in (
-                    kill_sweep(session_seed, fault_seed=fault_seed,
-                               **kwargs),
-                    fault_sweep(session_seed, fault_seed=fault_seed,
-                                faults=faults, **kwargs)):
-                runs += 1
-                print(report.summary())
-                if report.ok:
-                    continue
-                failures += 1
-                for v in report.violations:
-                    print(f"  {v}")
-                _durable_repro(report)
-        if not args.no_determinism:
-            same, first, second = check_durable_determinism(
-                session_seed, fault_seed=fault_seeds[0], **kwargs)
-            if not same:
-                failures += 1
-                print(f"  durable kill sweep seed={session_seed} is NOT "
-                      f"deterministic: {first[:16]}... != {second[:16]}...")
-    if failures:
-        print(f"\n{failures} durable failure(s) across {runs} sweep(s)")
-        if repro_paths:
-            # Same contract as fuzz/chaos/soak: path on the last line.
-            print(repro_paths[-1])
-        return 1
-    print(f"\nall {runs} durable sweep(s) exact "
-          f"({len(session_seeds)} session seed(s) x "
-          f"{len(fault_seeds)} fault seed(s), "
-          f"checkpoint_every={args.checkpoint_every})")
-    return 0
+            yield durable.kill_sweep(session_seed, fault_seed=fault_seed,
+                                     **kwargs)
+            yield durable.fault_sweep(session_seed, fault_seed=fault_seed,
+                                      faults=faults, **kwargs)
+
+    def runs():
+        for session_seed in session_seeds:
+            yield from _with_rerun(sweeps(session_seed), args)
+
+    return _certify_all(
+        args, runs(), noun="durable",
+        clean=(f"all {2 * len(session_seeds) * len(fault_seeds)} durable "
+               f"sweep(s) exact ({len(session_seeds)} session seed(s) x "
+               f"{len(fault_seeds)} fault seed(s), "
+               f"checkpoint_every={args.checkpoint_every})"))
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -628,13 +476,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                          "session under that chaos schedule too)")
     fz.add_argument("--fault-seed", type=int, default=0,
                     help="seed for machine fault schedules (default 0)")
-    fz.add_argument("--no-shrink", action="store_true",
-                    help="report divergences without shrinking")
-    fz.add_argument("--repro-dir", default=DEFAULT_REPRO_DIR,
-                    help=f"where shrunk repros land "
-                         f"(default {DEFAULT_REPRO_DIR})")
-    fz.add_argument("--max-evals", type=int, default=400,
-                    help="shrinker evaluation budget (default 400)")
+    _add_contract(fz, "fuzz", max_evals=400, determinism=False)
     _add_common(fz)
     fz.set_defaults(fn=cmd_fuzz)
 
@@ -676,18 +518,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     ch.add_argument("--structure", choices=sorted(STRUCTURE_FACTORIES),
                     default="skiplist",
                     help="structure to put under chaos (default skiplist)")
-    ch.add_argument("--no-shrink", action="store_true",
-                    help="report divergences without shrinking")
-    ch.add_argument("--no-determinism", action="store_true",
-                    help="skip the bit-identical rerun check")
     ch.add_argument("--no-containers", action="store_true",
                     help="skip FIFO/priority-queue checks on a faulty "
                          "machine")
-    ch.add_argument("--repro-dir", default=DEFAULT_REPRO_DIR,
-                    help=f"where shrunk chaos repros land "
-                         f"(default {DEFAULT_REPRO_DIR})")
-    ch.add_argument("--max-evals", type=int, default=200,
-                    help="shrinker evaluation budget (default 200)")
+    _add_contract(ch, "chaos", max_evals=200)
     ch.set_defaults(fn=cmd_chaos)
 
     sk = sub.add_parser("soak", help="chaos-soak the serving layer "
@@ -711,11 +545,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sk.add_argument("--structure", choices=sorted(STRUCTURE_FACTORIES),
                     default="skiplist",
                     help="structure under serve (default skiplist)")
-    sk.add_argument("--no-determinism", action="store_true",
-                    help="skip the bit-identical rerun check")
-    sk.add_argument("--repro-dir", default=DEFAULT_REPRO_DIR,
-                    help=f"where soak repros land "
-                         f"(default {DEFAULT_REPRO_DIR})")
+    _add_contract(sk, "soak")
     sk.set_defaults(fn=cmd_soak)
 
     du = sub.add_parser("durable", help="certify crash-consistent "
@@ -737,11 +567,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     du.add_argument("--faults", default=None,
                     help="comma-separated disk fault names "
                          "(default: all registered disk faults)")
-    du.add_argument("--no-determinism", action="store_true",
-                    help="skip the bit-identical rerun check")
-    du.add_argument("--repro-dir", default=DEFAULT_REPRO_DIR,
-                    help=f"where durable repros land "
-                         f"(default {DEFAULT_REPRO_DIR})")
+    _add_contract(du, "durable")
     du.set_defaults(fn=cmd_durable)
 
     fl = sub.add_parser("faults", help="print the unified fault registry")

@@ -30,8 +30,9 @@ With ``read_groups`` the unit of replay is a *step*
 implementations that declare ``SHARED_READS`` as one ``apply_reads``
 call, and every check above runs over the same steps.
 
-Divergences are collected, not raised: the driver is also the shrinker's
-test function, and a shrinker needs "still failing?" as a value.
+Divergences are collected as the report's violations, not raised: the
+driver is also the shrinker's test function, and a shrinker needs "still
+failing?" as a value.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ from repro.verify.adapters import (
     build_implementations,
     reference_adapter,
 )
+from repro.verify.certificate import Certificate
 from repro.verify.fuzz import initial_items_for
 from repro.verify.oracle import SequentialOracle
+from repro.verify.shrink import session_to_dict
 from repro.workloads.sessions import Session
-
 
 
 @dataclass
@@ -77,23 +79,20 @@ class Divergence:
 
 
 @dataclass
-class SessionReport:
+class SessionReport(Certificate):
     """Everything the driver observed while replaying one session."""
 
     seed: int
     num_modules: int
     impls: Tuple[str, ...]
     num_batches: int
-    divergences: List[Divergence] = field(default_factory=list)
+    violations: List[Divergence] = field(default_factory=list)
+    config: Dict[str, Any] = field(default_factory=dict)
     retired: Dict[str, int] = field(default_factory=dict)  # impl -> batch
     observed_ops: int = 0  # pipeline batch_observer events on the skip list
 
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
     def summary(self) -> str:
-        state = "OK" if self.ok else f"{len(self.divergences)} divergence(s)"
+        state = "OK" if self.ok else f"{len(self.violations)} divergence(s)"
         retired = (f", retired: {sorted(self.retired)}" if self.retired
                    else "")
         return (f"seed={self.seed}: {self.num_batches} batches x "
@@ -205,8 +204,15 @@ def verify_session(session: Session,
     """
     names = tuple(impls) if impls is not None else DEFAULT_IMPLS
     items = initial_items_for(session)
-    report = SessionReport(seed=session.seed, num_modules=num_modules,
-                           impls=names, num_batches=len(session.batches))
+    report = SessionReport(
+        seed=session.seed, num_modules=num_modules, impls=names,
+        num_batches=len(session.batches),
+        config=dict(session_to_dict(session), kind="differential",
+                    impls=impls and list(impls), num_modules=num_modules,
+                    read_groups=read_groups,
+                    check_metamorphic=check_metamorphic,
+                    check_determinism=check_determinism,
+                    check_backends=check_backends))
     oracle = SequentialOracle(items)
     adapters = build_implementations(names, seed=session.seed, items=items,
                                      num_modules=num_modules)
@@ -240,9 +246,11 @@ def verify_session(session: Session,
             lambda op_name, delta, out=stream: out.append((op_name, delta))
     skiplist_stream = streams.get("skiplist")
 
+    answers: List[str] = []
     for step in session_steps(session, read_groups):
         expected = [oracle.apply_batch(batch.op, batch.payload)
                     for _, batch in step]
+        answers += map(repr, expected)
         for adapter in adapters:
             if len(step) > 1 and adapter.shared_reads:
                 _replay_group(report, session, adapter, step, expected,
@@ -260,6 +268,9 @@ def verify_session(session: Session,
         report.observed_ops = len(skiplist_stream)
 
     _check_final_states(report, session, oracle, adapters)
+    report.seal(answers + [repr(sorted(oracle.as_dict().items()))],
+                [f"{name}:{op}:{delta!r}" for name in sorted(streams)
+                 for op, delta in streams[name]])
 
     if check_determinism and skiplist_stream is not None:
         _check_determinism(report, session, num_modules, skiplist_stream,
@@ -308,7 +319,7 @@ def _replay_batch(report: SessionReport, session: Session,
     try:
         result, delta = adapter.measured_apply(batch.op, batch.payload)
     except Exception as exc:  # noqa: BLE001 - report, don't die
-        report.divergences.append(Divergence(
+        report.violations.append(Divergence(
             seed=session.seed, batch_index=i, op=batch.op,
             impl=adapter.name, kind="crash",
             detail=f"{type(exc).__name__}: {exc}"))
@@ -316,7 +327,7 @@ def _replay_batch(report: SessionReport, session: Session,
         report.retired[adapter.name] = i
         return
     if batch.op in READ_OPS and result != expected:
-        report.divergences.append(Divergence(
+        report.violations.append(Divergence(
             seed=session.seed, batch_index=i, op=batch.op,
             impl=adapter.name, kind="result",
             detail=_diff_results(batch.op, batch.payload,
@@ -325,7 +336,7 @@ def _replay_batch(report: SessionReport, session: Session,
     if envelope_fn is not None and delta is not None:
         budget = _budget(envelope_fn, batch, expected, num_modules, n_keys)
         if delta.rounds > budget:
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=i, op=batch.op,
                 impl=adapter.name, kind="rounds_envelope",
                 detail=(f"{delta.rounds} rounds > envelope "
@@ -361,7 +372,7 @@ def _replay_group(report: SessionReport, session: Session,
     try:
         results, delta = adapter.measured_step(batches)
     except Exception as exc:  # noqa: BLE001 - report, don't die
-        report.divergences.append(Divergence(
+        report.violations.append(Divergence(
             seed=session.seed, batch_index=first, op=ops,
             impl=adapter.name, kind="crash",
             detail=f"{type(exc).__name__}: {exc}"))
@@ -370,7 +381,7 @@ def _replay_group(report: SessionReport, session: Session,
         return
     for (i, batch), want, got in zip(step, expected, results):
         if got != want:
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=i, op=batch.op,
                 impl=adapter.name, kind="result",
                 detail="[read group] " + _diff_results(
@@ -381,7 +392,7 @@ def _replay_group(report: SessionReport, session: Session,
     budget = sum(_budget(envelope_fn, batch, want, report.num_modules, n_keys)
                  for batch, want in zip(batches, expected))
     if delta.rounds > budget:
-        report.divergences.append(Divergence(
+        report.violations.append(Divergence(
             seed=session.seed, batch_index=first, op=ops,
             impl=adapter.name, kind="rounds_envelope",
             detail=(f"read group took {delta.rounds} rounds > {budget}, "
@@ -390,7 +401,7 @@ def _replay_group(report: SessionReport, session: Session,
         apart = [twin.measured_apply(batch.op, batch.payload)
                  for batch in batches]
         if [r for r, _ in apart] != expected:
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=first, op=ops,
                 impl="skiplist", kind="split_result",
                 detail="twin's one-after-another replay of a read group "
@@ -399,7 +410,7 @@ def _replay_group(report: SessionReport, session: Session,
         # (it splits every read batch), hence Successor's round slack.
         rounds = sum(d.rounds for _, d in apart)
         if delta.rounds > rounds + 8:
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=first, op=ops,
                 impl="skiplist", kind="split_monotonicity",
                 detail=(f"read group took {delta.rounds} rounds > {rounds} "
@@ -438,7 +449,7 @@ def _check_split(report: SessionReport, session: Session, i: int, batch,
     r1, d1 = twin.measured_apply(batch.op, payload[:mid])
     r2, d2 = twin.measured_apply(batch.op, payload[mid:])
     if r1 + r2 != expected:
-        report.divergences.append(Divergence(
+        report.violations.append(Divergence(
             seed=session.seed, batch_index=i, op=batch.op, impl="skiplist",
             kind="split_result",
             detail=_diff_results(batch.op, payload, expected, r1 + r2)))
@@ -461,14 +472,14 @@ def _check_split(report: SessionReport, session: Session, i: int, batch,
         split_rounds = d1.rounds + d2.rounds
         split_io = d1.io_time + d2.io_time
         if whole_delta.rounds > split_rounds + round_slack:
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=i, op=batch.op,
                 impl="skiplist", kind="split_monotonicity",
                 detail=(f"whole batch took {whole_delta.rounds} rounds > "
                         f"{split_rounds} (+{round_slack} slack) for its "
                         f"two halves")))
         if whole_delta.io_time > io_mult * split_io + io_slack:
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=i, op=batch.op,
                 impl="skiplist", kind="split_monotonicity",
                 detail=(f"whole batch took {whole_delta.io_time:.0f} IO > "
@@ -506,7 +517,7 @@ def _check_final_states(report: SessionReport, session: Session,
         try:
             adapter.check_integrity()
         except AssertionError as exc:
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=-1, op="final",
                 impl=adapter.name, kind="integrity",
                 detail=f"invariant violated: {exc}"))
@@ -518,7 +529,7 @@ def _check_final_states(report: SessionReport, session: Session,
             extra = sorted(set(got) - set(want))[:4]
             wrong = sorted(k for k in set(want) & set(got)
                            if want[k] != got[k])[:4]
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=-1, op="final",
                 impl=adapter.name, kind="final_state",
                 detail=(f"{len(want)} keys expected, {len(got)} found; "
@@ -550,7 +561,7 @@ def _check_determinism(report: SessionReport, session: Session,
         rerun.apply_step([batch for _, batch in step])
     rerun.machine.batch_observer = None
     if len(stream) != len(first_stream):
-        report.divergences.append(Divergence(
+        report.violations.append(Divergence(
             seed=session.seed, batch_index=-1, op="rerun", impl="skiplist",
             kind="determinism",
             detail=(f"rerun produced {len(stream)} pipeline ops, first "
@@ -558,7 +569,7 @@ def _check_determinism(report: SessionReport, session: Session,
         return
     for j, ((op1, d1), (op2, d2)) in enumerate(zip(first_stream, stream)):
         if op1 != op2 or d1 != d2:
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=-1, op="rerun",
                 impl="skiplist", kind="determinism",
                 detail=(f"pipeline op {j}: first run ({op1}, {d1}) != "
@@ -602,7 +613,7 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
         try:
             results = rerun.apply_step(batches)
         except Exception as exc:  # noqa: BLE001 - report, don't die
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=step[0][0],
                 op=batches[0].op, impl=impl, kind="backend",
                 detail=(f"[{other}] {type(exc).__name__}: {exc}")))
@@ -610,7 +621,7 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
             return
         for (i, batch), expected, result in zip(step, wanted, results):
             if batch.op in READ_OPS and not faulted and result != expected:
-                report.divergences.append(Divergence(
+                report.violations.append(Divergence(
                     seed=session.seed, batch_index=i, op=batch.op,
                     impl=impl, kind="backend",
                     detail=(f"[{other}] "
@@ -618,7 +629,7 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
                                             expected, result))))
     rerun.machine.batch_observer = None
     if len(stream) != len(first_stream):
-        report.divergences.append(Divergence(
+        report.violations.append(Divergence(
             seed=session.seed, batch_index=-1, op="rerun", impl=impl,
             kind="backend",
             detail=(f"{other} engine produced {len(stream)} pipeline "
@@ -626,7 +637,7 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
         return
     for j, ((op1, d1), (op2, d2)) in enumerate(zip(first_stream, stream)):
         if op1 != op2 or d1 != d2:
-            report.divergences.append(Divergence(
+            report.violations.append(Divergence(
                 seed=session.seed, batch_index=-1, op="rerun",
                 impl=impl, kind="backend",
                 detail=(f"pipeline op {j}: primary ({op1}, {d1})"

@@ -32,13 +32,11 @@ boundaries) and from rotated ones (late boundaries), and the snapshot
 faults always find an older snapshot behind the one they damage.
 
 State dirs live in fresh temp directories and are removed on the way
-out, pass or fail (the ``--keep-state`` escape hatch in the CLI trades
-that for debuggability).
+out, pass or fail.
 """
 
 from __future__ import annotations
 
-import hashlib
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -56,18 +54,18 @@ from repro.recovery.durable.wal import WalRecord, encode_record
 from repro.recovery.manager import MUTATING_OPS
 from repro.sim.chaos import _mix
 from repro.sim.machine import PIMMachine
+from repro.verify.certificate import Certificate
 from repro.verify.chaos import MIN_ROTATIONS, sized_session
 from repro.verify.faults import DISK_FAULTS
 from repro.verify.fuzz import initial_items_for
 from repro.verify.oracle import SequentialOracle
 from repro.workloads.sessions import Session
 
-__all__ = ["DurableReport", "check_durable_determinism", "durable_matrix",
-           "fault_sweep", "kill_sweep"]
+__all__ = ["DurableReport", "fault_sweep", "kill_sweep"]
 
 
 @dataclass
-class DurableReport:
+class DurableReport(Certificate):
     """One sweep's observations and verdict."""
 
     mode: str  # "kill" | "fault"
@@ -78,14 +76,10 @@ class DurableReport:
     #: Snapshot rotations the uninterrupted session crossed.
     rotations: int = 0
     violations: List[str] = field(default_factory=list)
+    config: Dict[str, Any] = field(default_factory=dict)
     #: fault name -> how the damage was caught ("recovered" /
     #: "refused+repaired" / "refused+unrepairable"), fault sweep only.
     caught: Dict[str, str] = field(default_factory=dict)
-    fingerprint: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def summary(self) -> str:
         verdict = "OK" if self.ok else f"{len(self.violations)} violation(s)"
@@ -108,7 +102,8 @@ class DurableReport:
             "rotations": self.rotations,
             "violations": list(self.violations),
             "caught": dict(self.caught),
-            "fingerprint": self.fingerprint,
+            "result_digest": self.result_digest,
+            "model_digest": self.model_digest,
         }
 
 
@@ -234,9 +229,14 @@ def kill_sweep(session_seed: int, *, fault_seed: int = 0,
     session, initial, states, answers = _plan(
         session_seed, num_batches, batch_size, num_modules, checkpoint_every)
     total = len(states) - 1
-    report = DurableReport(mode="kill", session_seed=session_seed,
-                           fault_seed=fault_seed, mutations=total)
-    digest = hashlib.sha256()
+    report = DurableReport(
+        mode="kill", session_seed=session_seed, fault_seed=fault_seed,
+        mutations=total,
+        config=dict(kind="durable", mode="kill", session_seed=session_seed,
+                    fault_seed=fault_seed, num_batches=num_batches,
+                    batch_size=batch_size, num_modules=num_modules,
+                    checkpoint_every=checkpoint_every))
+    restarts: List[str] = []
     for boundary in range(total + 1):
         report.cases += 1
         root = tempfile.mkdtemp(prefix="repro-durable-kill-")
@@ -272,11 +272,10 @@ def kill_sweep(session_seed: int, *, fault_seed: int = 0,
                     f"the full oracle state ({len(final)} vs "
                     f"{len(states[-1])} key(s))")
             store2.close()
-            digest.update(f"{boundary}:{variant}:"
-                          f"{_state_key(restored)}\n".encode())
+            restarts.append(f"{boundary}:{variant}:{_state_key(restored)}")
         finally:
             shutil.rmtree(root, ignore_errors=True)
-    report.fingerprint = digest.hexdigest()
+    report.seal(restarts, [f"rotations={report.rotations}"])
     return report
 
 
@@ -319,14 +318,19 @@ def fault_sweep(session_seed: int, *, fault_seed: int = 1,
     session, initial, states, answers = _plan(
         session_seed, num_batches, batch_size, num_modules, checkpoint_every)
     total = len(states) - 1
-    report = DurableReport(mode="fault", session_seed=session_seed,
-                           fault_seed=fault_seed, mutations=total)
+    report = DurableReport(
+        mode="fault", session_seed=session_seed, fault_seed=fault_seed,
+        mutations=total,
+        config=dict(kind="durable", mode="fault", session_seed=session_seed,
+                    fault_seed=fault_seed, faults=faults,
+                    num_batches=num_batches, batch_size=batch_size,
+                    num_modules=num_modules, checkpoint_every=checkpoint_every))
     if total < 2:
         raise ValueError(
             f"session seed {session_seed} produced only {total} mutating "
             f"batch(es); disk faults need >= 2 (raise num_batches)")
     state_keys = {_state_key(s): i for i, s in enumerate(states)}
-    digest = hashlib.sha256()
+    outcomes: List[str] = []
     for name in names:
         report.cases += 1
         expect_state, may_refuse = _FAULT_EXPECT.get(name,
@@ -395,49 +399,9 @@ def fault_sweep(session_seed: int, *, fault_seed: int = 1,
                             f"damaged final record: prefix {prefix} "
                             f"of {total}")
             report.caught[name] = outcome
-            digest.update(f"{name}:{outcome}:"
-                          f"{'' if restored is None else _state_key(restored)}"
-                          f"\n".encode())
+            outcomes.append(f"{name}:{outcome}:"
+                            f"{'' if restored is None else _state_key(restored)}")
         finally:
             shutil.rmtree(root, ignore_errors=True)
-    report.fingerprint = digest.hexdigest()
+    report.seal(outcomes, [f"rotations={report.rotations}"])
     return report
-
-
-# ---------------------------------------------------------------------------
-# determinism + the matrix
-
-
-def check_durable_determinism(session_seed: int, *, fault_seed: int = 0,
-                              num_batches: int = 14, batch_size: int = 12,
-                              num_modules: int = 8, checkpoint_every: int = 3,
-                              ) -> Tuple[bool, str, str]:
-    """Run the kill sweep twice; fingerprints must be bit-identical."""
-    kwargs = dict(fault_seed=fault_seed, num_batches=num_batches,
-                  batch_size=batch_size, num_modules=num_modules,
-                  checkpoint_every=checkpoint_every)
-    first = kill_sweep(session_seed, **kwargs)
-    second = kill_sweep(session_seed, **kwargs)
-    return (first.fingerprint == second.fingerprint,
-            first.fingerprint, second.fingerprint)
-
-
-def durable_matrix(session_seeds: List[int], fault_seeds: List[int], *,
-                   num_batches: int = 14, batch_size: int = 12,
-                   num_modules: int = 8, checkpoint_every: int = 3,
-                   faults: Optional[List[str]] = None,
-                   ) -> List[DurableReport]:
-    """The certification sweep: kill sweep + full disk-fault sweep for
-    every (session seed, fault seed) pair."""
-    reports = []
-    for session_seed in session_seeds:
-        for fault_seed in fault_seeds:
-            reports.append(kill_sweep(
-                session_seed, fault_seed=fault_seed,
-                num_batches=num_batches, batch_size=batch_size,
-                num_modules=num_modules, checkpoint_every=checkpoint_every))
-            reports.append(fault_sweep(
-                session_seed, fault_seed=fault_seed, faults=faults,
-                num_batches=num_batches, batch_size=batch_size,
-                num_modules=num_modules, checkpoint_every=checkpoint_every))
-    return reports

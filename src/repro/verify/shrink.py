@@ -1,4 +1,4 @@
-"""Failing-case shrinker plus the replayable-repro JSON format.
+"""Failing-case shrinker plus the session's JSON form.
 
 ``shrink_session`` takes a diverging session and a test function and
 minimizes it with delta debugging: first ddmin over whole batches (drop
@@ -6,18 +6,14 @@ chunks of batches while the failure persists), then payload halving
 inside the surviving batches.  Evaluation count is bounded, so a
 pathological test function cannot spin forever.
 
-``write_repro`` / ``load_repro`` serialize a session (plus the
-divergence that condemned it) to ``tests/golden/repros/`` as JSON.
-Every file in that directory is auto-collected and replayed by
-``tests/test_verify_repros.py`` -- a shrunk fuzz failure becomes a
-permanent regression test by existing.
+``session_to_dict`` / ``session_from_dict`` are the session part of a
+differential or chaos certificate's config
+(:mod:`repro.verify.certificate`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.workloads.sessions import Session, SessionBatch
 
@@ -55,49 +51,6 @@ def session_from_dict(data: Dict[str, Any]) -> Session:
     return Session(batches=batches,
                    initial_keys=list(data["initial_keys"]),
                    seed=int(data["seed"]))
-
-
-def write_repro(session: Session, path: str, *,
-                divergences: Optional[List[Any]] = None,
-                impls: Optional[List[str]] = None,
-                num_modules: Optional[int] = None,
-                read_groups: bool = False,
-                fault_schedule: Optional[str] = None,
-                fault_seed: Optional[int] = None,
-                note: str = "") -> str:
-    """Write a replayable repro file; returns the path written.
-
-    ``fault_schedule`` / ``fault_seed`` mark a *chaos* repro: replay
-    then goes through :func:`repro.verify.chaos.chaos_session` under
-    that machine-level fault schedule instead of the fault-free
-    differential driver.
-    """
-    data = session_to_dict(session)
-    if impls is not None:
-        data["impls"] = list(impls)
-    if num_modules is not None:
-        data["num_modules"] = num_modules
-    if read_groups:  # replay steps were ``differ.session_steps``'s groups
-        data["read_groups"] = True
-    if fault_schedule is not None:
-        data["fault_schedule"] = fault_schedule
-        data["fault_seed"] = int(fault_seed or 0)
-    if note:
-        data["note"] = note
-    if divergences:
-        data["divergences"] = [str(d) for d in divergences]
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_repro(path: str) -> Dict[str, Any]:
-    """Load a repro file; ``session_from_dict(result)`` rebuilds the
-    session, and the dict keeps any impls/num_modules/note metadata."""
-    with open(path) as fh:
-        return json.load(fh)
 
 
 # ----------------------------------------------------------------------

@@ -26,14 +26,13 @@ fault schedule, then proves the serving SLO from the outside:
 Everything is deterministic: client programs are pure functions of
 ``(seed, client, step)`` via the chaos layer's splitmix hash, the
 server runs on virtual ticks, and asyncio's ready queue is FIFO -- so
-``fingerprint`` is stable and :func:`check_soak_determinism` can
-demand bit-identical reruns.
+both digests (every client's outcomes and the journal's length; rounds
+and failovers) are stable and reruns can be demanded bit-identical.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -41,11 +40,11 @@ from repro.recovery import DegradedReason, DegradedResult
 from repro.serve import Refusal, Server, ServerConfig
 from repro.sim.chaos import MACHINE_SCHEDULES, _mix, build_schedule
 from repro.sim.machine import PIMMachine
+from repro.verify.certificate import Certificate
 from repro.verify.chaos import STRUCTURE_FACTORIES
 from repro.verify.oracle import SequentialOracle
 
-__all__ = ["SoakReport", "check_soak_determinism", "soak_matrix",
-           "soak_session"]
+__all__ = ["SoakReport", "soak_session"]
 
 #: Wall-clock guard for the whole async drive.  Purely a harness
 #: backstop (virtual time governs every decision); it only fires if the
@@ -104,7 +103,7 @@ class _Record:
 
 
 @dataclass
-class SoakReport:
+class SoakReport(Certificate):
     """Everything one soak run observed, plus the SLO verdict."""
 
     schedule: str
@@ -117,15 +116,16 @@ class SoakReport:
     refused: Dict[str, int] = field(default_factory=dict)
     degraded: Dict[str, int] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
+    config: Dict[str, Any] = field(default_factory=dict)
     health_state: str = ""
     health_transitions: int = 0
     recoveries: int = 0
     #: ``Server.status()["recovery"]`` at the end of the run: the
-    #: checkpoint cadence counters (not part of the fingerprint).
+    #: checkpoint cadence counters (in neither digest).
     recovery: Dict[str, int] = field(default_factory=dict)
     #: ``Server.status()["runtime"]`` at the end of the run: host
-    #: interpreter counters (not deterministic, so neither in the
-    #: fingerprint nor in :meth:`as_dict`).
+    #: interpreter counters (not deterministic, so neither in a digest
+    #: nor in :meth:`as_dict`).
     runtime: Dict[str, Any] = field(default_factory=dict)
     trips: int = 0
     stale_reads: int = 0
@@ -135,11 +135,6 @@ class SoakReport:
     rounds: int = 0
     items_served: int = 0
     latencies: List[int] = field(default_factory=list)
-    fingerprint: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     @property
     def total_refused(self) -> int:
@@ -193,7 +188,8 @@ class SoakReport:
             "items_served": self.items_served,
             "latency_p50": self.latency_percentile(0.50),
             "latency_p99": self.latency_percentile(0.99),
-            "fingerprint": self.fingerprint,
+            "result_digest": self.result_digest,
+            "model_digest": self.model_digest,
         }
 
 
@@ -204,7 +200,6 @@ class SoakReport:
 def soak_session(schedule: str = "none", fault_seed: int = 0, *,
                  clients: int = 64, ops_per_client: int = 8,
                  num_modules: int = 8, seed: int = 0,
-                 key_space: Optional[int] = None,
                  structure: str = "skiplist",
                  config: Optional[ServerConfig] = None) -> SoakReport:
     """Run one soak: ``clients`` concurrent streams under ``schedule``.
@@ -215,7 +210,8 @@ def soak_session(schedule: str = "none", fault_seed: int = 0, *,
     the chaos harness's :data:`~repro.verify.chaos.STRUCTURE_FACTORIES`
     (both expose the full batch-op surface, so the client mix is
     unchanged).  Returns a :class:`SoakReport`; ``report.ok`` is the
-    SLO verdict.
+    SLO verdict.  A ``config`` (``repro serve``'s state dir) is not part
+    of the report's certificate config.
     """
     if schedule != "none" and schedule not in MACHINE_SCHEDULES:
         raise ValueError(
@@ -227,10 +223,13 @@ def soak_session(schedule: str = "none", fault_seed: int = 0, *,
                          f"{', '.join(sorted(STRUCTURE_FACTORIES))}")
     if clients < 1 or ops_per_client < 1:
         raise ValueError("clients and ops_per_client must be >= 1")
-    key_space = key_space or max(64, 2 * clients)
-    report = SoakReport(schedule=schedule, fault_seed=fault_seed, seed=seed,
-                        clients=clients, ops_per_client=ops_per_client,
-                        structure=structure)
+    key_space = max(64, 2 * clients)
+    report = SoakReport(
+        schedule=schedule, fault_seed=fault_seed, seed=seed, clients=clients,
+        ops_per_client=ops_per_client, structure=structure,
+        config=dict(kind="soak", schedule=schedule, fault_seed=fault_seed,
+                    clients=clients, ops_per_client=ops_per_client,
+                    seed=seed, num_modules=num_modules, structure=structure))
 
     initial = [(k, k * 3) for k in range(0, key_space, 2)]
     machines: List[PIMMachine] = []
@@ -328,14 +327,11 @@ def soak_session(schedule: str = "none", fault_seed: int = 0, *,
         except AssertionError as exc:
             report.violations.append(f"integrity violated after soak: {exc}")
 
-    parts = [f"{name}:{record.op}:{record.outcome!r}"
-             for name in sorted(records)
-             for record in records[name]]
-    parts.append(f"journal={report.journal_batches}")
-    parts.append(f"rounds={report.rounds}")
-    parts.append(f"recoveries={report.recoveries}")
-    report.fingerprint = hashlib.sha256(
-        "\n".join(parts).encode()).hexdigest()
+    report.seal([f"{name}:{record.op}:{record.outcome!r}"
+                 for name in sorted(records) for record in records[name]]
+                + [f"journal={report.journal_batches}"],
+                [f"rounds={report.rounds}",
+                 f"recoveries={report.recoveries}"])
     return report
 
 
@@ -413,38 +409,3 @@ def _verify_replay(report: SoakReport, records: Dict[str, List[_Record]],
                 f"{tenant}: journal holds {len(slots) - cursor} "
                 f"extra batch slice(s) beyond the client's answered "
                 f"stream (refused request executed?)")
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-
-
-def check_soak_determinism(schedule: str, fault_seed: int = 0, *,
-                           clients: int = 32, ops_per_client: int = 6,
-                           seed: int = 0, num_modules: int = 8,
-                           structure: str = "skiplist",
-                           ) -> Tuple[bool, str, str]:
-    """Run the same soak twice; fingerprints must be bit-identical."""
-    first = soak_session(schedule, fault_seed, clients=clients,
-                         ops_per_client=ops_per_client, seed=seed,
-                         num_modules=num_modules, structure=structure)
-    second = soak_session(schedule, fault_seed, clients=clients,
-                          ops_per_client=ops_per_client, seed=seed,
-                          num_modules=num_modules, structure=structure)
-    return (first.fingerprint == second.fingerprint,
-            first.fingerprint, second.fingerprint)
-
-
-def soak_matrix(schedules: List[str], fault_seeds: List[int], *,
-                clients: int = 64, ops_per_client: int = 8,
-                seed: int = 0, num_modules: int = 8,
-                structure: str = "skiplist") -> List[SoakReport]:
-    """The certification sweep: every schedule x every fault seed."""
-    reports = []
-    for schedule in schedules:
-        for fault_seed in fault_seeds:
-            reports.append(soak_session(
-                schedule, fault_seed, clients=clients,
-                ops_per_client=ops_per_client, seed=seed,
-                num_modules=num_modules, structure=structure))
-    return reports

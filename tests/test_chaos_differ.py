@@ -6,12 +6,12 @@ typed -- never diverges); the whole run is a pure function of
 ``(session seed, fault seed)``; round overhead stays inside the
 per-schedule envelopes; the container structures survive message
 schedules; and chaos divergences round-trip through repro files that
-replay under the recorded schedule.
+replay under the recorded schedule and structure.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 
 import pytest
 
@@ -19,15 +19,16 @@ from repro.recovery import DegradedResult, RecoveryManager
 from repro.sim.chaos import CrashEvent, FaultPlan, FaultSpec, MACHINE_SCHEDULES
 from repro.sim.errors import DeliveryTimeout
 from repro.sim.machine import PIMMachine
+from repro.core.skiplist import PIMSkipList
+from repro.structures.pimtree import PIMTree
 from repro.verify import cli as verify_cli
+from repro.verify.certificate import certify, load_repro, write_repro
 from repro.verify.chaos import (
     MESSAGE_SCHEDULES,
     OVERHEAD_ENVELOPES,
     STRUCTURE_FACTORIES,
     chaos_containers,
-    chaos_matrix,
     chaos_session,
-    check_chaos_determinism,
 )
 from repro.verify.oracle import SequentialOracle
 from repro.workloads.sessions import Session, SessionBatch
@@ -43,7 +44,7 @@ from repro.verify.faults import (
     get_fault,
 )
 from repro.verify.fuzz import fuzz_session
-from repro.verify.shrink import load_repro, write_repro
+from repro.verify.shrink import session_to_dict
 
 
 class TestChaosSessions:
@@ -52,7 +53,7 @@ class TestChaosSessions:
     def test_session_is_exact_under_schedule(self, schedule):
         report = chaos_session(3, schedule, fault_seed=1,
                                num_batches=6, batch_size=12)
-        assert report.ok, [str(d) for d in report.divergences]
+        assert report.ok, [str(d) for d in report.violations]
         assert report.schedule == schedule
         assert report.chaos_rounds >= report.base_rounds
         assert report.stats.get("transmissions", 0) > 0
@@ -62,38 +63,37 @@ class TestChaosSessions:
         report = chaos_session(3, "drop", fault_seed=1,
                                num_batches=4, batch_size=8)
         assert not report.ok
-        assert any("overhead" in str(d) for d in report.divergences)
+        assert any("overhead" in str(d) for d in report.violations)
 
-    def test_fingerprints_differ_across_fault_seeds(self):
-        a = chaos_session(5, "mixed", fault_seed=0,
-                          num_batches=4, batch_size=8, check_overhead=False)
-        b = chaos_session(5, "mixed", fault_seed=7,
-                          num_batches=4, batch_size=8, check_overhead=False)
-        assert a.ok and b.ok
-        assert a.fingerprint and b.fingerprint
-        assert a.fingerprint != b.fingerprint
+    @pytest.mark.parametrize("schedule",
+                             ["drop", "mixed", "crash_wipe", "dup_delay"])
+    def test_fault_seeds_move_the_model_digest_only(self, schedule):
+        # An exact session answers the same under any fault seed; what
+        # the faults cost (statistics, recoveries, rounds) differs.
+        a = chaos_session(5, schedule, fault_seed=0,
+                          num_batches=4, batch_size=8)
+        b = chaos_session(5, schedule, fault_seed=7,
+                          num_batches=4, batch_size=8)
+        assert a.ok and b.ok, (a.violations, b.violations)
+        assert a.result_digest == b.result_digest
+        assert a.model_digest != b.model_digest
 
     def test_determinism_check_passes(self):
-        assert check_chaos_determinism(2, "dup_delay", fault_seed=3,
-                                       num_batches=4, batch_size=8) is None
+        report = chaos_session(2, "dup_delay", fault_seed=3,
+                               num_batches=4, batch_size=8)
+        rerun = certify(dict(report.config, check="determinism"))
+        assert rerun.ok, rerun.violations
+        assert rerun.result_digest == report.result_digest
+        assert rerun.model_digest == report.model_digest
 
     def test_fuzzed_sessions_cross_two_checkpoint_rotations(self):
         # Seeds that serve too few items in 10 batches to rotate the
         # manager's checkpoint twice are extended, never cut short.
         for seed in (4, 5, 7):
             report = chaos_session(seed, "drop", fault_seed=1)
-            assert report.ok, report.divergences
+            assert report.ok, report.violations
             assert report.num_batches >= 10
             assert report.rotations >= 2
-
-    def test_matrix_smoke(self):
-        reports = chaos_matrix([1, 2], ["drop", "crash_restart"],
-                               num_batches=3, batch_size=8)
-        assert len(reports) == 4
-        assert all(r.ok for r in reports)
-        assert {(r.session_seed, r.schedule) for r in reports} == \
-            {(1, "drop"), (2, "drop"),
-             (1, "crash_restart"), (2, "crash_restart")}
 
     def test_containers_survive_message_schedules(self):
         for schedule in MESSAGE_SCHEDULES:
@@ -133,7 +133,7 @@ class TestPimtreeChaos:
         report = chaos_session(3, schedule, fault_seed=1,
                                structure="pimtree",
                                num_batches=6, batch_size=12)
-        assert report.ok, [str(d) for d in report.divergences]
+        assert report.ok, [str(d) for d in report.violations]
         assert report.structure == "pimtree"
         assert report.chaos_rounds >= report.base_rounds
 
@@ -142,9 +142,11 @@ class TestPimtreeChaos:
             chaos_session(1, "drop", structure="btree")
 
     def test_determinism_check_passes(self):
-        assert check_chaos_determinism(2, "mixed", fault_seed=3,
-                                       structure="pimtree",
-                                       num_batches=4, batch_size=8) is None
+        report = chaos_session(2, "mixed", fault_seed=3, structure="pimtree",
+                               num_batches=4, batch_size=8)
+        rerun = certify(dict(report.config, check="determinism"))
+        assert rerun.ok, rerun.violations
+        assert rerun.config["structure"] == "pimtree"
 
     @pytest.mark.parametrize("wipe", [False, True],
                              ids=["failstop", "wipe"])
@@ -264,18 +266,60 @@ class TestRegistry:
         assert "stall" in MESSAGE_SCHEDULES
 
 
+class _WrongFirstGet(PIMTree):
+    """A PIM-tree that answers the first key of every Get batch wrongly."""
+
+    def apply_batch(self, op, payload):
+        result = super().apply_batch(op, payload)
+        return ["wrong"] + result[1:] if op == "get" and result else result
+
+
+class _LateWrongGet(PIMSkipList):
+    """A skip list whose 11th and later batches answer Get wrongly."""
+
+    calls = 0
+
+    def apply_batch(self, op, payload):
+        self.calls += 1
+        result = super().apply_batch(op, payload)
+        if op == "get" and result and self.calls > 10:
+            return ["wrong"] + result[1:]
+        return result
+
+
 class TestChaosRepros:
     def test_chaos_repro_round_trips_and_replays_clean(self, tmp_path,
                                                        capsys):
         session = fuzz_session(6, num_batches=3, batch_size=8)
-        path = write_repro(session, str(tmp_path / "chaos.json"),
-                           num_modules=8, fault_schedule="drop",
-                           fault_seed=2, note="chaos round-trip test")
+        path = write_repro(str(tmp_path / "chaos.json"), dict(
+            session_to_dict(session), num_modules=8, fault_schedule="drop",
+            fault_seed=2, note="chaos round-trip test"))
         data = load_repro(path)
+        assert data["kind"] == "chaos"  # a file from before configs had one
         assert data["fault_schedule"] == "drop"
         assert data["fault_seed"] == 2
 
-        args = argparse.Namespace(modules=8)
-        assert verify_cli._replay_one(path, args) is False
+        assert verify_cli.main(["replay", path]) == 0
         out = capsys.readouterr().out
-        assert "'drop'" in out and "clean" in out
+        assert "schedule=drop" in out and out.rstrip().endswith("clean")
+
+    @pytest.mark.parametrize("structure, factory, argv", [
+        # The shrinker once re-ran a PIM-tree failure on a skip list...
+        ("pimtree", _WrongFirstGet, ["--structure", "pimtree"]),
+        # ...and re-fuzzed --batches batches, not the longer session
+        # sized_session ran (seed 4 runs 24; this fails at batch 11+).
+        ("skiplist", _LateWrongGet, ["--seed", "4", "--batches", "10"]),
+    ], ids=["pimtree", "past_batches"])
+    def test_failure_shrinks_the_session_it_ran(
+            self, structure, factory, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(STRUCTURE_FACTORIES, structure, factory)
+        rc = verify_cli.main(["chaos", "--sessions", "1", "--schedules",
+                              "drop", "--no-containers", "--max-evals", "40",
+                              "--repro-dir", str(tmp_path)] + argv)
+        assert rc == 1
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert os.path.isfile(last), f"last line not a repro path: {last!r}"
+        config = load_repro(last)
+        assert config["structure"] == structure
+        assert "check" not in config  # the shrunk session, not a rerun
+        assert not certify(config).ok  # still fails under the patch

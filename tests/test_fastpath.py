@@ -646,7 +646,7 @@ class TestBackendEquivalenceCheck:
 
         session = fuzz_session(17, num_batches=4, batch_size=8)
         report = verify_session(session, impls=["skiplist"], num_modules=P)
-        assert report.ok, [str(d) for d in report.divergences]
+        assert report.ok, [str(d) for d in report.violations]
 
     def test_reference_skiplist_is_on_the_oracle(self):
         from repro.verify.adapters import (CROSS_ENGINE_IMPLS,
@@ -669,7 +669,7 @@ class TestBackendEquivalenceCheck:
 
         session = fuzz_session(17, num_batches=6, batch_size=8)
         report = verify_session(session, impls=["pimtree"], num_modules=P)
-        assert report.ok, [str(d) for d in report.divergences]
+        assert report.ok, [str(d) for d in report.violations]
 
         stream = self._stream_for(session, "pimtree")
         assert {op for op, _ in stream} >= {"pimtree:batch_get"}
@@ -680,7 +680,7 @@ class TestBackendEquivalenceCheck:
         _check_backend_equivalence(report, session, P,
                                    [(op + "!", delta)] + stream[1:],
                                    impl="pimtree")
-        assert [(d.kind, d.impl) for d in report.divergences] \
+        assert [(d.kind, d.impl) for d in report.violations] \
             == [("backend", "pimtree")]
 
     def test_check_flags_doctored_stream(self):
@@ -709,9 +709,9 @@ class TestBackendEquivalenceCheck:
         report = fresh_report()
         _check_backend_equivalence(report, session, P, doctored)
         assert not report.ok
-        assert report.divergences[0].kind == "backend"
+        assert report.violations[0].kind == "backend"
 
         report = fresh_report()
         _check_backend_equivalence(report, session, P, stream[:-1])
         assert not report.ok
-        assert "pipeline ops" in report.divergences[0].detail
+        assert "pipeline ops" in report.violations[0].detail

@@ -146,7 +146,7 @@ class TestConformance:
         session = fuzz_session(11, num_batches=8, batch_size=16)
         report = verify_session(session, impls=["skiplist", "pimtree"],
                                 check_backends=False)
-        assert report.ok, [str(d) for d in report.divergences]
+        assert report.ok, [str(d) for d in report.violations]
 
     def test_pimtree_registered(self):
         assert "pimtree" in IMPLEMENTATIONS
@@ -234,15 +234,15 @@ class TestShadowStaleMutation:
         report = verify_session(session, impls=["pimtree"],
                                 fault=("pimtree", "pimtree_shadow_stale"))
         assert not report.ok
-        kinds = {d.kind for d in report.divergences}
-        assert "result" in kinds, [str(d) for d in report.divergences]
+        kinds = {d.kind for d in report.violations}
+        assert "result" in kinds, [str(d) for d in report.violations]
 
     def test_clean_session_verifies(self):
         report = verify_session(_stale_shadow_session(), impls=["pimtree"])
-        assert report.ok, [str(d) for d in report.divergences]
+        assert report.ok, [str(d) for d in report.violations]
 
     def test_fault_is_noop_on_the_skiplist(self):
         session = _stale_shadow_session()
         report = verify_session(session, impls=["skiplist"],
                                 fault=("skiplist", "pimtree_shadow_stale"))
-        assert report.ok, [str(d) for d in report.divergences]
+        assert report.ok, [str(d) for d in report.violations]

@@ -134,13 +134,13 @@ class TestDiffer:
     def test_clean_sessions_verify_clean(self, seed):
         session = fuzz_session(seed, num_batches=8, batch_size=16)
         report = verify_session(session)
-        assert report.ok, [str(d) for d in report.divergences]
+        assert report.ok, [str(d) for d in report.violations]
         assert report.observed_ops > 0  # the batch_observer hook fired
 
     def test_read_only_session_keeps_fine_grained_live(self):
         session = fuzz_session(11, num_batches=6, read_only=True)
         report = verify_session(session)
-        assert report.ok, [str(d) for d in report.divergences]
+        assert report.ok, [str(d) for d in report.violations]
         assert "fine_grained" not in report.retired
 
     def test_mutating_session_retires_fine_grained(self):
@@ -196,8 +196,9 @@ class TestFaultInjection:
         assert sum(len(b.payload) for b in small.batches) <= 6
 
         path = str(tmp_path / "repro.json")
-        write_repro(small, path, impls=list(self.IMPLS), num_modules=8,
-                    note="unit-test fault repro")
+        write_repro(path, dict(session_to_dict(small), kind="differential",
+                               impls=list(self.IMPLS), num_modules=8,
+                               note="unit-test fault repro"))
         data = load_repro(path)
         loaded = session_from_dict(data)
         assert [(b.op, b.payload) for b in loaded.batches] == \
@@ -272,7 +273,8 @@ class TestReproFormat:
         session = Session(batches=[SessionBatch(op="get", payload=[1])],
                           initial_keys=[1], seed=4)
         path = str(tmp_path / "x" / "y.json")  # parent dir is created
-        write_repro(session, path, num_modules=16, note="hello")
+        write_repro(path, dict(session_to_dict(session), num_modules=16,
+                               note="hello"))
         data = load_repro(path)
         assert data["num_modules"] == 16
         assert data["note"] == "hello"

@@ -16,11 +16,8 @@ import os
 
 import pytest
 
-from repro.verify.durable import (
-    check_durable_determinism,
-    fault_sweep,
-    kill_sweep,
-)
+from repro.verify.certificate import certify
+from repro.verify.durable import fault_sweep, kill_sweep
 from repro.verify.faults import DISK_FAULTS, get_fault
 
 SMALL = dict(num_batches=8, batch_size=8, num_modules=4,
@@ -33,11 +30,12 @@ class TestKillSweep:
         report = kill_sweep(seed, **SMALL)
         assert report.ok, report.violations
         assert report.cases == report.mutations + 1  # every boundary
-        assert report.fingerprint
+        assert report.result_digest and report.model_digest
 
     def test_sweep_is_bit_identical_on_rerun(self):
-        same, first, second = check_durable_determinism(1, **SMALL)
-        assert same, f"{first} != {second}"
+        report = certify(dict(kind="durable", mode="kill", session_seed=1,
+                              fault_seed=0, check="determinism", **SMALL))
+        assert report.ok, report.violations
 
     def test_dropped_payloads_are_caught(self, monkeypatch):
         # Sabotage: a store that acks upserts without logging their

@@ -15,11 +15,11 @@ import pytest
 
 from repro.serve import ServerConfig
 from repro.serve.server import JournalEntry
+from repro.verify.certificate import certify
 from repro.verify.soak import (
     SoakReport,
     _Record,
     _verify_replay,
-    check_soak_determinism,
     soak_session,
 )
 
@@ -60,10 +60,20 @@ class TestSoakSession:
         assert report.health_state == "degraded"
 
     def test_soak_is_deterministic(self):
-        same, first, second = check_soak_determinism(
-            "crash_wipe", 0, clients=12, ops_per_client=5, seed=2,
-            num_modules=4)
-        assert same, (first, second)
+        report = certify(dict(kind="soak", schedule="crash_wipe",
+                              fault_seed=0, clients=12, ops_per_client=5,
+                              seed=2, num_modules=4, check="determinism"))
+        assert report.ok, report.violations
+
+    def test_modules_move_the_model_digest_only(self):
+        # Fault-free, the clients see the same answers and journal on
+        # any machine size; the rounds the model charges differ.
+        four, eight = (soak_session("none", clients=12, ops_per_client=4,
+                                    num_modules=p) for p in (4, 8))
+        assert four.ok and eight.ok
+        assert four.rounds != eight.rounds
+        assert four.result_digest == eight.result_digest
+        assert four.model_digest != eight.model_digest
 
     def test_rejects_unknown_schedule(self):
         with pytest.raises(ValueError, match="unknown fault schedule"):
@@ -186,9 +196,10 @@ class TestVerifyCliExitCodes:
 
         class FailingReport:
             ok = False
-            divergences = [Divergence(seed=0, batch_index=0, op="get",
-                                      impl="skiplist+chaos", kind="test",
-                                      detail="forced")]
+            violations = [Divergence(seed=0, batch_index=0, op="get",
+                                     impl="skiplist+chaos", kind="test",
+                                     detail="forced")]
+            config = {}
 
             @staticmethod
             def summary():
@@ -241,7 +252,7 @@ class TestVerifyCliExitCodes:
         import json
 
         data = json.loads(open(last).read())
-        assert data["kind"] == "soak" and data["check"] == "slo"
+        assert data["kind"] == "soak" and "check" not in data
         # The un-sabotaged soak replays clean through `verify replay`.
         monkeypatch.setattr(soak_mod, "soak_session", real)
         rc = verify_main(["replay", last])
