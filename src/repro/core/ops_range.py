@@ -878,7 +878,7 @@ def _rides(sl: SkipListStructure, pieces: int, riders: int) -> bool:
     Successor batch of its own pays one such walk and then starts from
     hints.  So the keys ride when they cost the joint search no stage --
     or one, if their own search would have run a second -- and a batch
-    that would push the pieces past ``P log P`` onto the paper's pivot
+    that would push the pieces past ``P log P`` onto a narrower pivot
     spacing, or add pivots by the power of two, stays apart.
     """
     own, joint, theirs = (search_stages(sl, b)

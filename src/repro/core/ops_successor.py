@@ -32,8 +32,14 @@ A batch of at most ``P log P`` -- what ``repro serve`` sends -- would
 run the same ``log(P log P)`` root-to-leaf phases for a handful of
 pivots, so it spaces its pivots ``log^2 P`` apart instead: fewer
 phases, at most ``log^2 P`` operations per segment (``O(log^3 P)`` IO
-for a hot one), everything else unchanged.  One line in ``route``;
-DESIGN.md §17 has the argument and the alternatives.
+for a hot one).  Between the two widths the spacing is
+``ceil(P log^3 P / b)`` (:func:`pivot_spacing`), so the pivot count and
+the phases grow with the width without a jump: a batch must cost no
+more than its two halves run back to back.  Up to ``P log P`` keys
+phase 0 also searches the median pivot from the root: three root
+walks are Lemma 4.2's budget of 3 accesses per node, and the divide
+and conquer starts from two halves, one phase fewer.  Everything else
+is unchanged; DESIGN.md §17 has the argument and the alternatives.
 
 The whole two-stage algorithm is one :class:`~repro.ops.BatchOp`: each
 divide-and-conquer phase (and stage 2) is one route stage whose messages
@@ -162,30 +168,45 @@ def _lca_hint(path_a: Optional[List[PathEntry]],
     return None if node is None else ("node", node, None)
 
 
-def pivot_positions(sl: SkipListStructure, b: int) -> List[int]:
-    """Sorted positions of the pivots of a ``b``-key search (``b`` >= 1).
+def pivot_spacing(sl: SkipListStructure, b: int) -> int:
+    """Sorted positions between two pivots of a ``b``-key search
+    (``b`` >= 1): ``max(log P, min(log^2 P, ceil(P log^3 P / b)))`` --
+    ``log^2 P`` up to ``P log P`` keys, the paper's ``log P`` from its
+    ``P log^2 P`` on, and no jump in the pivot count between (see the
+    module docstring)."""
+    log_p = sl.log_p
+    return max(log_p, min(log_p * log_p,
+                          -(-sl.num_modules * log_p ** 3 // b)))
 
-    Pivot spacing: log P, the paper's -- log^2 P for a batch with no
-    more operations than the paper's batch has pivots (see the module
-    docstring).  Everything else about the search is the same at either.
-    """
-    seg_len = sl.log_p
-    if b <= sl.min_point_batch:
-        seg_len *= seg_len
-    piv_pos = list(range(0, b, seg_len))
+
+def pivot_positions(sl: SkipListStructure, b: int) -> List[int]:
+    """Sorted positions of the pivots of a ``b``-key search (``b`` >= 1):
+    every :func:`pivot_spacing`-th key and the last."""
+    piv_pos = list(range(0, b, pivot_spacing(sl, b)))
     if piv_pos[-1] != b - 1:
         piv_pos.append(b - 1)
     return piv_pos
 
 
+def _median_at_root(sl: SkipListStructure, b: int, pivots: int) -> bool:
+    """Whether phase 0 of a ``b``-key search with ``pivots`` pivots
+    searches the median pivot from the root beside the two extremes:
+    when the batch has at most ``P log P`` keys (its pivots sit
+    ``log^2 P`` apart) and there is a median to search."""
+    return pivots >= 3 and b <= sl.min_point_batch
+
+
 def search_stages(sl: SkipListStructure, b: int) -> int:
     """Route stages a ``b``-key search runs one after the other
-    (``b`` >= 1): the two extreme pivots, ``ceil(log2(pivots - 1))``
-    divide-and-conquer phases over the pivots between them, and stage 2
-    if any key is not a pivot.  A stage is a root-to-leaf walk in a
-    recording search; in a record-free one only the first is."""
+    (``b`` >= 1): phase 0 (the extreme pivots, and the median with
+    them when :func:`_median_at_root`), ``ceil(log2(pivots - 1))``
+    divide-and-conquer phases over the pivots between the extremes --
+    one fewer when the median went first -- and stage 2 if any key is
+    not a pivot.  A stage is a root-to-leaf walk in a recording search;
+    in a record-free one only the first is."""
     pivots = len(pivot_positions(sl, b))
-    return 1 + max(0, pivots - 2).bit_length() + (b > pivots)
+    return (1 + max(0, pivots - 2).bit_length()
+            - _median_at_root(sl, b, pivots) + (b > pivots))
 
 
 class _BatchSearchOp(BatchOp):
@@ -388,14 +409,19 @@ class _BatchSearchOp(BatchOp):
             retained_words += words
 
         # ---- Stage 1: pivots by divide and conquer ----------------------
-        first, last = piv_pos[0], piv_pos[-1]
+        # Phase 0 starts the extremes -- and, up to P log P keys, the
+        # median between them -- from the root, in sorted order.
+        top = num_piv - 1
+        if _median_at_root(sl, b, num_piv):
+            roots = [0, top // 2, top]
+        else:
+            roots = [0, top] if top else [0]
         msgs: list = []
-        launch(msgs, first, None, True, True)
-        if last != first:
-            launch(msgs, last, None, True, True)
+        for i in roots:
+            launch(msgs, piv_pos[i], None, True, True)
         yield from stage(msgs, True, True)
 
-        segments: List[Tuple[int, int]] = [(0, num_piv - 1)]
+        segments: List[Tuple[int, int]] = list(zip(roots, roots[1:]))
         while True:
             msgs = []
             next_segments: List[Tuple[int, int]] = []

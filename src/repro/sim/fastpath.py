@@ -113,11 +113,16 @@ today::
              rng_*                            sized and deferred (below)
              sel_*                            stateful per module; not sized
 
-``rng_*`` chunk forms were prototyped while PR 19 was sized (170 lines,
-not kept): the slot share of ``serve_mixed`` fell 0.35 -> 0.04 and
-``ops_per_s`` moved by ~3 %, because the traversal's rounds carry ~15
-tasks over three functions and a chunk round's fixed cost is 6.0 us
-against a slot round's 3.6.  Revisit when batches widen (ROADMAP item 2).
+``rng_*`` chunk forms were prototyped once (170 lines, not kept), when a
+traversal round carried ~15 tasks over three functions: the slot share
+of ``serve_mixed`` fell 0.35 -> 0.04 and ``ops_per_s`` moved by ~3 %,
+against a chunk round's fixed cost of 6.0 us and a slot round's 3.6.
+Re-measured on ``serve_mixed`` at fixed work (seed 7, untraced, Python
+3.11 on a 2-core Xeon VM, three runs): slot-only rounds are 15-16 % of
+the timed wall (0.61-0.63 s of 3.97-4.07 s), and the skip-list range
+traversal alone 14-15 % (0.59-0.60 s), in 6 875 rounds of ~31 tasks
+(214 335 tasks).  That is the largest unchunked host cost on any
+workload; it is the next chunk form to size (ROADMAP item 3).
 
 The contract is not just documented -- it is *certified empirically*:
 ``repro.verify.differ`` replays fuzz sessions of the skip list and the

@@ -120,6 +120,52 @@ class TestLemma42Contention:
         assert cont <= 2 * seg + 3
         assert cont < b / 4  # nowhere near the naive Theta(B)
 
+    @staticmethod
+    def _drain_windows(machine):
+        """The access tracer's ``[start, end)`` rounds of every drain."""
+        windows = []
+        drain = machine.drain
+
+        def traced(*args, **kwargs):
+            start = machine.tracer.access.num_rounds
+            replies = drain(*args, **kwargs)
+            windows.append((start, machine.tracer.access.num_rounds))
+            return replies
+
+        machine.drain = traced
+        return windows
+
+    @pytest.mark.parametrize("p", [16, 64])
+    def test_three_root_walks_settle_a_same_successor_batch(self, p):
+        """64 keys sharing one successor, pivots ``log^2 P`` apart (5
+        pivots at P = 16, 3 at P = 64): phase 0 walks the median pivot
+        from the root with the two extremes.  The three paths end on one
+        leaf, so every other pivot and key settles from them without a
+        message, and three walks down one path stay within Lemma 4.2's
+        3 accesses per node per round."""
+        machine, sl, ref = make_skiplist(num_modules=p, n=500, seed=22,
+                                         trace=True)
+        batch = same_successor_batch(sorted(ref.data), 64,
+                                     random.Random(p))
+        windows = self._drain_windows(machine)
+        assert sl.batch_successor(batch) == [ref.successor(k) for k in batch]
+        assert len(windows) == 1  # phase 0 is the whole batch
+        # Lemma 4.2's bound, reached: three walks share the lower path
+        # (two, before the median joined phase 0).
+        assert machine.tracer.access.max_contention(*windows[0]) == 3
+
+    @pytest.mark.parametrize("p", [16, 64])
+    def test_phase0_of_a_uniform_narrow_batch_has_contention_at_most_3(
+            self, p):
+        machine, sl, ref = make_skiplist(num_modules=p, n=500, seed=23,
+                                         trace=True)
+        rng = random.Random(p)
+        batch = [rng.randrange(-1000, 501_000) for _ in range(64)]
+        windows = self._drain_windows(machine)
+        assert sl.batch_successor(batch) == [ref.successor(k) for k in batch]
+        assert len(windows) > 1
+        assert machine.tracer.access.max_contention(*windows[0]) <= 3
+
     def test_naive_batch_contention_is_theta_b(self):
         machine, sl, ref = make_skiplist(num_modules=8, n=500, seed=18,
                                          trace=True)

@@ -2,18 +2,27 @@
 
 ``_ParentSearchOp`` is ``_BatchSearchOp`` as PR 19 left it: a
 dataclass and four dicts per batch, a ``(pos, hint)`` tuple per op, two
-``setdefault`` dicts per path reply -- verbatim but for three lines: the
-search message's ``record`` argument, which PR 21 turned from a flag
-into the highest level to stream back (see ``execute``), the pivot
-spacing, which PR 22 made ``log^2 P`` for a batch of at most ``P log P``
-keys (see ``route``; the boundary sessions below run both spacings,
-recording and record-free), and the start of an op whose record limit is
-``-1``, which PR 24 gave the record-free hint (see ``derive_or_hint``;
-the boundary sessions mix ``h_cap`` and ``-1`` limits the way a range
-batch with Successor riders does).  The shipped route
-keeps its state in position-indexed columns, folds the recording
-replies in one pass and builds stage 2's messages while it derives the
-hints; it must return the
+``setdefault`` dicts per path reply -- verbatim but for these deltas:
+
+- the search message's ``record`` argument, once a flag and now the
+  highest level to stream back (see ``execute``);
+- the pivot spacing, once ``log P`` at every width, then ``log^2 P`` for
+  a batch of at most ``P log P`` keys, and now one continuous formula,
+  ``max(log P, min(log^2 P, ceil(P log^3 P / b)))`` (see ``route``; the
+  boundary sessions below run the ``log^2 P``, the interpolated and the
+  paper's spacing, recording and record-free);
+- the start of an op whose record limit is ``-1``, which now takes the
+  record-free hint (see ``derive_or_hint``; the boundary sessions mix
+  ``h_cap`` and ``-1`` limits the way a range batch with Successor
+  riders does);
+- phase 0, which searches the median pivot from the root with the two
+  extremes in a batch of at most ``P log P`` keys (see ``route``; the
+  boundary sessions start at the first width with a median and end past
+  the last one).
+
+The shipped route keeps its state in position-indexed columns, folds
+the recording replies in one pass and builds stage 2's messages while
+it derives the hints; it must return the
 same outcomes, field by field, send the same messages in the same order
 (so the machine's RNG stream and every model metric agree) and charge
 the CPU side the same work, depth and shared memory.  Hypothesis drives
@@ -111,13 +120,13 @@ class _ParentSearchOp(BatchOp):
         if b == 0:
             return []
         p = sl.num_modules
-        seg_len = max(1, int(round(math.log2(p))) if p > 1 else 1)
-        # The one intended difference from the parent (PR 22): a batch of
-        # at most P log P keys spaces its pivots log^2 P apart.  Spelled
-        # from ``p`` alone, not read from the structure, so the spec and
-        # the shipped rule are two derivations of the same boundary.
-        if b <= p * seg_len:
-            seg_len *= seg_len
+        log_p = max(1, int(round(math.log2(p))) if p > 1 else 1)
+        # Delta: the pivot spacing, log^2 P up to P log P keys, log P
+        # from P log^2 P on, and ceil(P log^3 P / b) between.  Spelled from
+        # ``p`` alone, not read from the structure, so the spec and the
+        # shipped rule are two derivations of the same schedule.
+        seg_len = max(log_p, min(log_p * log_p,
+                                 math.ceil(p * log_p ** 3 / b)))
 
         # Sort the batch on the CPU side (O(B log B) expected, O(log B)
         # whp depth).
@@ -324,11 +333,18 @@ class _ParentSearchOp(BatchOp):
         # ---- Stage 1: pivots by divide and conquer ----------------------
         first, last = piv_pos[0], piv_pos[-1]
         phase0 = [(first, None)]
+        segments: List[Tuple[int, int]] = [(0, num_piv - 1)]
+        # Delta: up to P log P keys the median pivot joins phase 0 (from
+        # the root, between the extremes in launch order), and the divide
+        # and conquer starts from its two halves.
+        if b <= p * log_p and num_piv >= 3:
+            mid = (num_piv - 1) // 2
+            phase0.append((piv_pos[mid], None))
+            segments = [(0, mid), (mid, num_piv - 1)]
         if last != first:
             phase0.append((last, None))
         yield from execute(phase0, record=True, keep_ordered=True)
 
-        segments: List[Tuple[int, int]] = [(0, num_piv - 1)]
         while True:
             minis: List[Tuple[int, Hint]] = []
             next_segments: List[Tuple[int, int]] = []
@@ -496,14 +512,18 @@ def searches(draw):
 
 
 def _boundary_sessions():
-    """Widths on both sides of ``P log P``, where the pivot spacing
-    switches: one key under it, on it, one key over it and twice it,
-    for P in {8, 16}, in every recording mode."""
+    """Widths on both sides of ``P log P``, where phase 0 loses its
+    median and the pivot spacing starts to shrink: one key under it, on
+    it, one key over it and twice it; the first width whose phase 0 has
+    a median (``log^2 P + 2``) and the first one past the ``log^2 P``
+    spacing; for P in {8, 16}, in every recording mode."""
     cases = []
     for p in (8, 16):
-        edge = p * int(math.log2(p))
+        log_p = int(math.log2(p))
+        edge = p * log_p
+        past = (edge * log_p ** 2 - 1) // (log_p ** 2 - 1) + 1
         items = build_items(300, stride=STRIDE)
-        for b in (edge - 1, edge, edge + 1, 2 * edge):
+        for b in (log_p ** 2 + 2, edge - 1, edge, edge + 1, past, 2 * edge):
             rng = random.Random(b)
             keys = [rng.randrange(-50, 300 * STRIDE + 50) for _ in range(b)]
             levels = [rng.choice([0, 0, 0, 1, 2, 3, 7]) for _ in range(b)]
