@@ -70,9 +70,8 @@ from bench_pimtree import (ADVERSARY, CONTESTANTS,  # noqa: E402
 from bench_wallclock import ENGINES, SCENARIOS  # noqa: E402
 from repro.balls.hashing import KeyLevelHash  # noqa: E402
 from repro.core import ops_upsert  # noqa: E402
-from repro.core.ops_write import handlers_for as write_handlers  # noqa: E402
 from repro.core.skiplist import PIMSkipList  # noqa: E402
-from repro.ops import BatchOp, Columns, run_batch  # noqa: E402
+from repro.ops import Columns, run_batch  # noqa: E402
 from repro.serve import AdmissionController, Coalescer, Request  # noqa: E402
 from repro.sim.chaos import FaultPlan, FaultSpec  # noqa: E402
 from repro.sim.machine import PIMMachine  # noqa: E402
@@ -450,17 +449,8 @@ class Bench:
         owners = [n.owner for n in nodes]
         fn = s.fn_write_ptr
 
-        class Stage(BatchOp):
-            name = "gate:write_stage"
-
-            def __init__(self, stage):
-                self.stage = stage
-
-            def handlers(self):
-                return write_handlers(s)
-
-            def route(self, machine, plan):
-                yield self.stage
+        def route(stage):
+            yield stage
 
         forms = {
             "rows": [(o, fn, (n, f, v), None)
@@ -472,7 +462,7 @@ class Bench:
             for form, stage in forms.items():
                 before = machine.snapshot()
                 start = time.perf_counter()
-                run_batch(machine, Stage(stage))
+                run_batch(machine, "gate:write_stage", route(stage))
                 best[form] = min(best[form], time.perf_counter() - start)
                 # A write is one message and replies nothing.
                 if machine.delta_since(before).messages != len(nodes):
@@ -550,7 +540,7 @@ GATES: List[Gate] = [
     # apply_batch wall minus drain minus send_all, over drain, one fixed
     # 2 304-key batch at P = 64.  Recorded 0.28 (Get) and 0.43
     # (Successor); PR 19 read 0.72-0.75 and 0.58-0.60 here, with a
-    # Python frame or two per key in plan / route / aggregate.  Above
+    # Python frame or two per key in the route's CPU side.  Above
     # the ceiling, a per-key spelling is back on the route.
     Gate("CPU side / drain, 2304-key Get",
          lambda b: b.cpu_side_over_drain("get"), "<=", 0.45),

@@ -7,10 +7,10 @@ model together with its PIM-balanced batch-parallel skip list:
   memories, a CPU side with an ``M``-word shared memory, a
   bulk-synchronous network, and exact accounting of the model's cost
   metrics (CPU work/depth, PIM time, IO time, rounds).
-- :mod:`repro.ops` -- the batched-operation pipeline: the
-  :class:`~repro.ops.BatchOp` plan/route/execute/aggregate protocol and
-  the :func:`~repro.ops.run_batch` driver every batched op (core,
-  baselines, collectives, structures) runs through.
+- :mod:`repro.ops` -- the batched-operation pipeline: an op is a name
+  and a route generator, and :func:`~repro.ops.run_batch` is the driver
+  every batched op (core, baselines, collectives, structures) runs
+  through.
 - :mod:`repro.core` -- the paper's contribution: the skip list with
   replicated upper part + hashed lower part, supporting batched Get,
   Update, Predecessor, Successor, Upsert, Delete, and RangeOperation.

@@ -22,7 +22,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 
 from repro.balls.hashing import KeyLevelHash
 from repro.core.node import NEG_INF, NODE_WORDS, Node
-from repro.ops import BatchOp, run_batch
+from repro.ops import run_batch
 from repro.sim.machine import PIMMachine
 
 
@@ -38,10 +38,7 @@ class FineGrainedSkipList:
         self.num_keys = 0
         self.sentinels: List[Node] = []
         self.top_level = 0
-        # One stable handler dict per map: the ops' handlers() return it,
-        # so the driver's re-registration is a no-op.
-        self._handler_map = self._handlers()
-        machine.register_all(self._handler_map)
+        machine.register_all(self._handlers())
 
     # -- structure ------------------------------------------------------------
 
@@ -119,7 +116,8 @@ class FineGrainedSkipList:
         return {fn_step: h_step}
 
     def _batch_search(self, keys: Sequence[Hashable]) -> List[Node]:
-        return run_batch(self.machine, _FineGrainedSearchOp(self, keys))
+        return run_batch(self.machine, f"{self.name}:batch_search",
+                         _search_route(self, keys))
 
     def batch_get(self, keys: Sequence[Hashable]) -> List[Optional[Any]]:
         out: List[Optional[Any]] = []
@@ -154,27 +152,15 @@ class FineGrainedSkipList:
                          f"(fine-grained baseline is read-only)")
 
 
-class _FineGrainedSearchOp(BatchOp):
+def _search_route(fg: FineGrainedSkipList, keys: Sequence[Hashable]):
     """All searches launched at the (unreplicated) root in one stage."""
-
-    def __init__(self, fg: FineGrainedSkipList,
-                 keys: Sequence[Hashable]) -> None:
-        self.fg = fg
-        self.keys = keys
-        self.name = f"{fg.name}:batch_search"
-
-    def handlers(self):
-        return self.fg._handler_map
-
-    def route(self, machine, plan):
-        fg, keys = self.fg, self.keys
-        root = fg.root
-        fn_step = f"{fg.name}:step"
-        replies = yield ((root.owner, fn_step, (root, key, i), None)
-                         for i, key in enumerate(keys))
-        results: List[Optional[Tuple[Node, Optional[Node]]]] = \
-            [None] * len(keys)
-        for r in replies:
-            _, opid, pred, right = r.payload
-            results[opid] = (pred, right)
-        return results  # type: ignore[return-value]
+    root = fg.root
+    fn_step = f"{fg.name}:step"
+    replies = yield ((root.owner, fn_step, (root, key, i), None)
+                     for i, key in enumerate(keys))
+    results: List[Optional[Tuple[Node, Optional[Node]]]] = \
+        [None] * len(keys)
+    for r in replies:
+        _, opid, pred, right = r.payload
+        results[opid] = (pred, right)
+    return results

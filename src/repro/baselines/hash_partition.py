@@ -18,12 +18,13 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 
 from repro.balls.hashing import KeyLevelHash
 from repro.baselines.local_skiplist import LocalSkipList
+from repro.core.skiplist import BatchDispatch
 from repro.cpuside.semisort import dedup_last, group_positions
-from repro.ops import BatchOp, Broadcast, run_batch
+from repro.ops import Broadcast, run_batch
 from repro.sim.machine import PIMMachine
 
 
-class HashPartitionedMap:
+class HashPartitionedMap(BatchDispatch):
     """Coarse partitioning by key hash with per-module skip lists."""
 
     def __init__(self, machine: PIMMachine, name: str = "hashpart") -> None:
@@ -38,10 +39,7 @@ class HashPartitionedMap:
             module.state[name] = LocalSkipList(
                 rng=machine.spawn_rng(0x9B0 + mid), charge=module.charge,
             )
-        # One stable handler dict per map: the ops' handlers() return it,
-        # so the driver's re-registration is a no-op.
-        self._handler_map = self._handlers()
-        machine.register_all(self._handler_map)
+        machine.register_all(self._handlers())
 
     def _handlers(self) -> Dict[str, Any]:
         name = self.name
@@ -94,156 +92,99 @@ class HashPartitionedMap:
     # -- batched operations -------------------------------------------------
 
     def batch_get(self, keys: Sequence[Hashable]) -> List[Optional[Any]]:
-        return run_batch(self.machine, _HashGetOp(self, keys))
+        return run_batch(self.machine, f"{self.name}:batch_get",
+                         _get_route(self, keys))
 
     def batch_upsert(self, pairs: Sequence[Tuple[Hashable, Any]]) -> int:
-        return run_batch(self.machine, _HashUpsertOp(self, pairs))
+        return run_batch(self.machine, f"{self.name}:batch_upsert",
+                         _upsert_route(self, pairs))
 
     def batch_delete(self, keys: Sequence[Hashable]) -> int:
-        return run_batch(self.machine, _HashDeleteOp(self, keys))
+        return run_batch(self.machine, f"{self.name}:batch_delete",
+                         _delete_route(self, keys))
 
     def batch_successor(self, keys: Sequence[Hashable],
                         ) -> List[Optional[Tuple[Hashable, Any]]]:
         """Every query broadcasts: P messages out + P local searches + P
         answers back, then a CPU min-combine.  IO ~ B (not B/P)."""
-        return run_batch(self.machine, _HashSuccessorOp(self, keys))
+        return run_batch(self.machine, f"{self.name}:batch_successor",
+                         _successor_route(self, keys))
 
     def batch_range(self, ops: Sequence[Tuple[Hashable, Hashable]],
                     ) -> List[List[Tuple[Hashable, Any]]]:
         """Every range op broadcasts to all modules; the CPU merge-sorts
         the scattered partial results."""
-        return run_batch(self.machine, _HashRangeOp(self, ops))
-
-    #: Batch ops replayable through :meth:`apply_batch`.
-    BATCH_CAPS = frozenset({"get", "successor", "upsert", "delete", "range"})
-
-    def apply_batch(self, op: str, payload: Sequence) -> Optional[list]:
-        """Uniform batch dispatch (contract: see
-        :meth:`repro.core.skiplist.PIMSkipList.apply_batch`)."""
-        if op == "get":
-            return self.batch_get(list(payload))
-        if op == "successor":
-            return self.batch_successor(list(payload))
-        if op == "upsert":
-            if payload:
-                self.batch_upsert(list(payload))
-            return None
-        if op == "delete":
-            if payload:
-                self.batch_delete(list(payload))
-            return None
-        if op == "range":
-            return self.batch_range(list(payload)) if payload else []
-        raise ValueError(f"apply_batch: unknown op {op!r}")
+        return run_batch(self.machine, f"{self.name}:batch_range",
+                         _range_route(self, ops))
 
 
-class _HashPartOp(BatchOp):
-    """Base for the map's ops: handlers come from the host's stable dict."""
-
-    def __init__(self, hp: HashPartitionedMap, batch: Any,
-                 suffix: str) -> None:
-        self.hp = hp
-        self.batch = batch
-        self.name = f"{hp.name}:{suffix}"
-
-    def handlers(self):
-        return self.hp._handler_map
-
-
-class _HashGetOp(_HashPartOp):
-    def __init__(self, hp: HashPartitionedMap,
-                 keys: Sequence[Hashable]) -> None:
-        super().__init__(hp, keys, "batch_get")
-
-    def route(self, machine, plan):
-        hp, keys = self.hp, self.batch
-        groups = group_positions(machine.cpu, keys)
-        fn_get = f"{hp.name}:get"
-        replies = yield ((hp.owner(key), fn_get, (key,), None)
-                         for key in groups)
-        results: List[Optional[Any]] = [None] * len(keys)
-        for r in replies:
-            key, value = r.payload
-            for i in groups[key]:
-                results[i] = value
-        return results
+def _get_route(hp: HashPartitionedMap, keys: Sequence[Hashable]):
+    groups = group_positions(hp.machine.cpu, keys)
+    fn_get = f"{hp.name}:get"
+    replies = yield ((hp.owner(key), fn_get, (key,), None)
+                     for key in groups)
+    results: List[Optional[Any]] = [None] * len(keys)
+    for r in replies:
+        key, value = r.payload
+        for i in groups[key]:
+            results[i] = value
+    return results
 
 
-class _HashUpsertOp(_HashPartOp):
-    def __init__(self, hp: HashPartitionedMap,
-                 pairs: Sequence[Tuple[Hashable, Any]]) -> None:
-        super().__init__(hp, pairs, "batch_upsert")
-
-    def route(self, machine, plan):
-        hp, pairs = self.hp, self.batch
-        wanted = dedup_last(machine.cpu, pairs)
-        fn_upsert = f"{hp.name}:upsert"
-        replies = yield ((hp.owner(key), fn_upsert, (key, value), None)
-                         for key, value in wanted.items())
-        created = sum(1 for r in replies if r.payload[1])
-        hp.num_keys += created
-        return created
+def _upsert_route(hp: HashPartitionedMap,
+                  pairs: Sequence[Tuple[Hashable, Any]]):
+    wanted = dedup_last(hp.machine.cpu, pairs)
+    fn_upsert = f"{hp.name}:upsert"
+    replies = yield ((hp.owner(key), fn_upsert, (key, value), None)
+                     for key, value in wanted.items())
+    created = sum(1 for r in replies if r.payload[1])
+    hp.num_keys += created
+    return created
 
 
-class _HashDeleteOp(_HashPartOp):
-    def __init__(self, hp: HashPartitionedMap,
-                 keys: Sequence[Hashable]) -> None:
-        super().__init__(hp, keys, "batch_delete")
-
-    def route(self, machine, plan):
-        hp, keys = self.hp, self.batch
-        groups = group_positions(machine.cpu, keys)
-        fn_delete = f"{hp.name}:delete"
-        replies = yield ((hp.owner(key), fn_delete, (key,), None)
-                         for key in groups)
-        removed = sum(1 for r in replies if r.payload[1])
-        hp.num_keys -= removed
-        return removed
+def _delete_route(hp: HashPartitionedMap, keys: Sequence[Hashable]):
+    groups = group_positions(hp.machine.cpu, keys)
+    fn_delete = f"{hp.name}:delete"
+    replies = yield ((hp.owner(key), fn_delete, (key,), None)
+                     for key in groups)
+    removed = sum(1 for r in replies if r.payload[1])
+    hp.num_keys -= removed
+    return removed
 
 
-class _HashSuccessorOp(_HashPartOp):
-    def __init__(self, hp: HashPartitionedMap,
-                 keys: Sequence[Hashable]) -> None:
-        super().__init__(hp, keys, "batch_successor")
+def _successor_route(hp: HashPartitionedMap, keys: Sequence[Hashable]):
+    fn_lsucc = f"{hp.name}:lsucc"
+    replies = yield (Broadcast(fn_lsucc, (key, i))
+                     for i, key in enumerate(keys))
+    best: List[Optional[Tuple[Hashable, Any]]] = [None] * len(keys)
+    for r in replies:
+        _, opid, res = r.payload
+        if res is not None and (best[opid] is None
+                                or res[0] < best[opid][0]):
+            best[opid] = res
+    hp.machine.cpu.charge(
+        len(keys) * hp.num_modules,
+        max(1.0, math.log2(hp.num_modules + 1)),
+    )
+    return best
 
-    def route(self, machine, plan):
-        hp, keys = self.hp, self.batch
-        fn_lsucc = f"{hp.name}:lsucc"
-        replies = yield (Broadcast(fn_lsucc, (key, i))
-                         for i, key in enumerate(keys))
-        best: List[Optional[Tuple[Hashable, Any]]] = [None] * len(keys)
-        for r in replies:
-            _, opid, res = r.payload
-            if res is not None and (best[opid] is None
-                                    or res[0] < best[opid][0]):
-                best[opid] = res
-        machine.cpu.charge(
-            len(keys) * hp.num_modules,
-            max(1.0, math.log2(hp.num_modules + 1)),
+
+def _range_route(hp: HashPartitionedMap,
+                 ops: Sequence[Tuple[Hashable, Hashable]]):
+    cpu = hp.machine.cpu
+    fn_range = f"{hp.name}:range"
+    replies = yield (Broadcast(fn_range, (l, r, i))
+                     for i, (l, r) in enumerate(ops))
+    parts: Dict[int, List[Tuple[Hashable, Any]]] = {}
+    for rep in replies:
+        _, opid, vals = rep.payload
+        parts.setdefault(opid, []).extend(vals)
+    out: List[List[Tuple[Hashable, Any]]] = []
+    for i in range(len(ops)):
+        vals = sorted(parts.get(i, []))
+        cpu.charge(
+            (len(vals) + 1) * max(1.0, math.log2(len(vals) + 2)),
+            max(1.0, math.log2(len(vals) + 2)),
         )
-        return best
-
-
-class _HashRangeOp(_HashPartOp):
-    def __init__(self, hp: HashPartitionedMap,
-                 ops: Sequence[Tuple[Hashable, Hashable]]) -> None:
-        super().__init__(hp, ops, "batch_range")
-
-    def route(self, machine, plan):
-        hp, ops = self.hp, self.batch
-        fn_range = f"{hp.name}:range"
-        replies = yield (Broadcast(fn_range, (l, r, i))
-                         for i, (l, r) in enumerate(ops))
-        parts: Dict[int, List[Tuple[Hashable, Any]]] = {}
-        for rep in replies:
-            _, opid, vals = rep.payload
-            parts.setdefault(opid, []).extend(vals)
-        out: List[List[Tuple[Hashable, Any]]] = []
-        for i in range(len(ops)):
-            vals = sorted(parts.get(i, []))
-            machine.cpu.charge(
-                (len(vals) + 1) * max(1.0, math.log2(len(vals) + 2)),
-                max(1.0, math.log2(len(vals) + 2)),
-            )
-            out.append(vals)
-        return out
+        out.append(vals)
+    return out

@@ -13,40 +13,29 @@ from __future__ import annotations
 
 from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.ops_search import handlers_for, search_message
+from repro.core.ops_search import search_message
 from repro.core.structure import SkipListStructure
-from repro.ops import BatchOp, run_batch
+from repro.ops import run_batch
 
 
-class _NaiveBatchSearchOp(BatchOp):
+def _naive_route(sl: SkipListStructure, keys: Sequence[Hashable]):
     """One stage carrying every query; contention is the whole point."""
-
-    def __init__(self, sl: SkipListStructure,
-                 keys: Sequence[Hashable]) -> None:
-        self.sl = sl
-        self.keys = keys
-        self.name = f"{sl.name}:naive_batch_search"
-
-    def handlers(self):
-        return handlers_for(self.sl)
-
-    def route(self, machine, plan):
-        sl, keys = self.sl, self.keys
-        replies = yield [search_message(sl, key, opid=i)
-                         for i, key in enumerate(keys)]
-        results: List[Optional[Tuple[Any, Any]]] = [None] * len(keys)
-        for r in replies:
-            payload = r.payload
-            if payload[0] == "done":
-                _, opid, pred, right = payload
-                results[opid] = (pred, right)
-        return results
+    replies = yield [search_message(sl, key, opid=i)
+                     for i, key in enumerate(keys)]
+    results: List[Optional[Tuple[Any, Any]]] = [None] * len(keys)
+    for r in replies:
+        payload = r.payload
+        if payload[0] == "done":
+            _, opid, pred, right = payload
+            results[opid] = (pred, right)
+    return results
 
 
 def naive_batch_search(sl: SkipListStructure, keys: Sequence[Hashable]):
     """All searches at once, no pivots, no hints.  Returns (pred, right)
     pairs aligned with ``keys``."""
-    return run_batch(sl.machine, _NaiveBatchSearchOp(sl, keys))
+    return run_batch(sl.machine, f"{sl.name}:naive_batch_search",
+                     _naive_route(sl, keys))
 
 
 def naive_batch_successor(sl: SkipListStructure, keys: Sequence[Hashable],

@@ -24,12 +24,13 @@ import math
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.local_skiplist import LocalSkipList
+from repro.core.skiplist import BatchDispatch
 from repro.cpuside.semisort import dedup_last, group_positions
-from repro.ops import BatchOp, run_batch
+from repro.ops import run_batch
 from repro.sim.machine import PIMMachine
 
 
-class RangePartitionedSkipList:
+class RangePartitionedSkipList(BatchDispatch):
     """Coarse range partitioning: module ``i`` owns keys in
     ``[splitters[i-1], splitters[i])``."""
 
@@ -44,10 +45,7 @@ class RangePartitionedSkipList:
             module.state[name] = LocalSkipList(
                 rng=machine.spawn_rng(0x2A9E + mid), charge=module.charge,
             )
-        # One stable handler dict per map: the ops' handlers() return it,
-        # so the driver's re-registration is a no-op.
-        self._handler_map = self._handlers()
-        machine.register_all(self._handler_map)
+        machine.register_all(self._handlers())
 
     # -- handlers -----------------------------------------------------------
 
@@ -128,155 +126,98 @@ class RangePartitionedSkipList:
     # -- batch operations -----------------------------------------------------------
 
     def batch_get(self, keys: Sequence[Hashable]) -> List[Optional[Any]]:
-        return run_batch(self.machine, _RangeGetOp(self, keys))
+        return run_batch(self.machine, f"{self.name}:batch_get",
+                         _get_route(self, keys))
 
     def batch_upsert(self, pairs: Sequence[Tuple[Hashable, Any]]) -> int:
-        return run_batch(self.machine, _RangeUpsertOp(self, pairs))
+        return run_batch(self.machine, f"{self.name}:batch_upsert",
+                         _upsert_route(self, pairs))
 
     def batch_delete(self, keys: Sequence[Hashable]) -> int:
-        return run_batch(self.machine, _RangeDeleteOp(self, keys))
+        return run_batch(self.machine, f"{self.name}:batch_delete",
+                         _delete_route(self, keys))
 
     def batch_successor(self, keys: Sequence[Hashable],
                         ) -> List[Optional[Tuple[Hashable, Any]]]:
-        return run_batch(self.machine, _RangeSuccessorOp(self, keys))
+        return run_batch(self.machine, f"{self.name}:batch_successor",
+                         _successor_route(self, keys))
 
     def batch_range(self, ops: Sequence[Tuple[Hashable, Hashable]],
                     ) -> List[List[Tuple[Hashable, Any]]]:
         """Range scans; each op contacts only the modules its range spans
         (the baseline's strong suit)."""
-        return run_batch(self.machine, _RangeScanOp(self, ops))
-
-    #: Batch ops replayable through :meth:`apply_batch`.
-    BATCH_CAPS = frozenset({"get", "successor", "upsert", "delete", "range"})
-
-    def apply_batch(self, op: str, payload: Sequence) -> Optional[list]:
-        """Uniform batch dispatch (contract: see
-        :meth:`repro.core.skiplist.PIMSkipList.apply_batch`)."""
-        if op == "get":
-            return self.batch_get(list(payload))
-        if op == "successor":
-            return self.batch_successor(list(payload))
-        if op == "upsert":
-            if payload:
-                self.batch_upsert(list(payload))
-            return None
-        if op == "delete":
-            if payload:
-                self.batch_delete(list(payload))
-            return None
-        if op == "range":
-            return self.batch_range(list(payload)) if payload else []
-        raise ValueError(f"apply_batch: unknown op {op!r}")
+        return run_batch(self.machine, f"{self.name}:batch_range",
+                         _scan_route(self, ops))
 
 
-class _RangePartOp(BatchOp):
-    """Base for the map's ops: handlers come from the host's stable dict."""
-
-    def __init__(self, rp: RangePartitionedSkipList, batch: Any,
-                 suffix: str) -> None:
-        self.rp = rp
-        self.batch = batch
-        self.name = f"{rp.name}:{suffix}"
-
-    def handlers(self):
-        return self.rp._handler_map
-
-
-class _RangeGetOp(_RangePartOp):
-    def __init__(self, rp: RangePartitionedSkipList,
-                 keys: Sequence[Hashable]) -> None:
-        super().__init__(rp, keys, "batch_get")
-
-    def route(self, machine, plan):
-        rp, keys = self.rp, self.batch
-        groups = group_positions(machine.cpu, keys)
-        fn_get = f"{rp.name}:get"
-        replies = yield ((rp.route(key), fn_get, (key,), None)
-                         for key in groups)
-        results: List[Optional[Any]] = [None] * len(keys)
-        for r in replies:
-            key, value = r.payload
-            for i in groups[key]:
-                results[i] = value
-        return results
+def _get_route(rp: RangePartitionedSkipList, keys: Sequence[Hashable]):
+    groups = group_positions(rp.machine.cpu, keys)
+    fn_get = f"{rp.name}:get"
+    replies = yield ((rp.route(key), fn_get, (key,), None)
+                     for key in groups)
+    results: List[Optional[Any]] = [None] * len(keys)
+    for r in replies:
+        key, value = r.payload
+        for i in groups[key]:
+            results[i] = value
+    return results
 
 
-class _RangeUpsertOp(_RangePartOp):
-    def __init__(self, rp: RangePartitionedSkipList,
-                 pairs: Sequence[Tuple[Hashable, Any]]) -> None:
-        super().__init__(rp, pairs, "batch_upsert")
-
-    def route(self, machine, plan):
-        rp, pairs = self.rp, self.batch
-        wanted = dedup_last(machine.cpu, pairs)
-        fn_upsert = f"{rp.name}:upsert"
-        replies = yield ((rp.route(key), fn_upsert, (key, value), None)
-                         for key, value in wanted.items())
-        created = sum(1 for r in replies if r.payload[1])
-        rp.num_keys += created
-        return created
+def _upsert_route(rp: RangePartitionedSkipList,
+                  pairs: Sequence[Tuple[Hashable, Any]]):
+    wanted = dedup_last(rp.machine.cpu, pairs)
+    fn_upsert = f"{rp.name}:upsert"
+    replies = yield ((rp.route(key), fn_upsert, (key, value), None)
+                     for key, value in wanted.items())
+    created = sum(1 for r in replies if r.payload[1])
+    rp.num_keys += created
+    return created
 
 
-class _RangeDeleteOp(_RangePartOp):
-    def __init__(self, rp: RangePartitionedSkipList,
-                 keys: Sequence[Hashable]) -> None:
-        super().__init__(rp, keys, "batch_delete")
-
-    def route(self, machine, plan):
-        rp, keys = self.rp, self.batch
-        groups = group_positions(machine.cpu, keys)
-        fn_delete = f"{rp.name}:delete"
-        replies = yield ((rp.route(key), fn_delete, (key,), None)
-                         for key in groups)
-        removed = sum(1 for r in replies if r.payload[1])
-        rp.num_keys -= removed
-        return removed
+def _delete_route(rp: RangePartitionedSkipList, keys: Sequence[Hashable]):
+    groups = group_positions(rp.machine.cpu, keys)
+    fn_delete = f"{rp.name}:delete"
+    replies = yield ((rp.route(key), fn_delete, (key,), None)
+                     for key in groups)
+    removed = sum(1 for r in replies if r.payload[1])
+    rp.num_keys -= removed
+    return removed
 
 
-class _RangeSuccessorOp(_RangePartOp):
-    def __init__(self, rp: RangePartitionedSkipList,
-                 keys: Sequence[Hashable]) -> None:
-        super().__init__(rp, keys, "batch_successor")
-
-    def route(self, machine, plan):
-        rp, keys = self.rp, self.batch
-        fn_succ = f"{rp.name}:succ"
-        replies = yield ((rp.route(key), fn_succ, (key, i), None)
-                         for i, key in enumerate(keys))
-        results: List[Optional[Tuple[Hashable, Any]]] = [None] * len(keys)
-        for r in replies:
-            _, opid, res = r.payload
-            results[opid] = res
-        return results
+def _successor_route(rp: RangePartitionedSkipList,
+                     keys: Sequence[Hashable]):
+    fn_succ = f"{rp.name}:succ"
+    replies = yield ((rp.route(key), fn_succ, (key, i), None)
+                     for i, key in enumerate(keys))
+    results: List[Optional[Tuple[Hashable, Any]]] = [None] * len(keys)
+    for r in replies:
+        _, opid, res = r.payload
+        results[opid] = res
+    return results
 
 
-class _RangeScanOp(_RangePartOp):
-    def __init__(self, rp: RangePartitionedSkipList,
-                 ops: Sequence[Tuple[Hashable, Hashable]]) -> None:
-        super().__init__(rp, ops, "batch_range")
+def _scan_route(rp: RangePartitionedSkipList,
+                ops: Sequence[Tuple[Hashable, Hashable]]):
+    fn_range = f"{rp.name}:range"
 
-    def route(self, machine, plan):
-        rp, ops = self.rp, self.batch
-        fn_range = f"{rp.name}:range"
+    def messages():
+        for i, (l, r) in enumerate(ops):
+            lo, hi = rp.route(l), rp.route(r)
+            for mid in range(lo, hi + 1):
+                yield (mid, fn_range, (l, r, i), None)
 
-        def messages():
-            for i, (l, r) in enumerate(ops):
-                lo, hi = rp.route(l), rp.route(r)
-                for mid in range(lo, hi + 1):
-                    yield (mid, fn_range, (l, r, i), None)
-
-        replies = yield messages()
-        parts: Dict[int, List[Tuple[int, List]]] = {}
-        for rep in replies:
-            _, opid, mid, vals = rep.payload
-            parts.setdefault(opid, []).append((mid, vals))
-        out: List[List[Tuple[Hashable, Any]]] = []
-        for i in range(len(ops)):
-            chunks = sorted(parts.get(i, []))
-            merged: List[Tuple[Hashable, Any]] = []
-            for _, vals in chunks:
-                merged.extend(vals)
-            machine.cpu.charge(len(merged) + 1,
-                               max(1.0, math.log2(len(merged) + 2)))
-            out.append(merged)
-        return out
+    replies = yield messages()
+    parts: Dict[int, List[Tuple[int, List]]] = {}
+    for rep in replies:
+        _, opid, mid, vals = rep.payload
+        parts.setdefault(opid, []).append((mid, vals))
+    out: List[List[Tuple[Hashable, Any]]] = []
+    for i in range(len(ops)):
+        chunks = sorted(parts.get(i, []))
+        merged: List[Tuple[Hashable, Any]] = []
+        for _, vals in chunks:
+            merged.extend(vals)
+        rp.machine.cpu.charge(len(merged) + 1,
+                              max(1.0, math.log2(len(merged) + 2)))
+        out.append(merged)
+    return out

@@ -6,7 +6,7 @@ import math
 from collections import Counter
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
-from repro.ops import BatchOp, Broadcast, run_batch
+from repro.ops import Broadcast, run_batch
 from repro.sim.machine import PIMMachine
 
 
@@ -85,6 +85,16 @@ class Collectives:
             ctx.reply(("inbox", ctx.mid, inbox),
                       size=max(1, sum(_words(p) for p in inbox)), tag=tag)
 
+        def h_count(ctx, bucket, tag=None):
+            ctx.charge(1)
+            st(ctx).setdefault("hist", Counter())[bucket] += 1
+
+        def h_flush(ctx, tag=None):
+            counts = st(ctx).pop("hist", Counter())
+            ctx.charge(len(counts) + 1)
+            ctx.reply(("hist", dict(counts)),
+                      size=max(1, len(counts)), tag=tag)
+
         return {
             f"{name}:put": h_put,
             f"{name}:get": h_get,
@@ -92,6 +102,8 @@ class Collectives:
             f"{name}:send_row": h_send_row,
             fn_recv_piece: h_recv_piece,
             f"{name}:collect_inbox": h_collect_inbox,
+            f"{name}:hist_count": h_count,
+            f"{name}:hist_flush": h_flush,
         }
 
     # -- data movement -----------------------------------------------------
@@ -100,19 +112,23 @@ class Collectives:
         """Store ``values[i]`` into module ``i``'s slot."""
         if len(values) != self.num_modules:
             raise ValueError("scatter needs one value per module")
-        run_batch(self.machine, _ScatterOp(self, values))
+        run_batch(self.machine, f"{self.name}:scatter",
+                  _scatter_route(self, values))
 
     def gather(self) -> List[Any]:
         """Return every module's slot (ordered by module id)."""
-        return run_batch(self.machine, _GatherOp(self))
+        return run_batch(self.machine, f"{self.name}:gather",
+                         _gather_route(self))
 
     def broadcast(self, value: Any) -> None:
         """Store ``value`` into every module's slot."""
-        run_batch(self.machine, _BroadcastOp(self, value))
+        run_batch(self.machine, f"{self.name}:broadcast",
+                  _broadcast_route(self, value))
 
     def map_slots(self, fn: Callable[[int, Any], Any]) -> None:
         """Apply ``fn(mid, slot) -> (new_slot, pim_work)`` on each module."""
-        run_batch(self.machine, _MapSlotsOp(self, fn))
+        run_batch(self.machine, f"{self.name}:map_slots",
+                  _map_slots_route(self, fn))
 
     # -- combining collectives --------------------------------------------
 
@@ -163,7 +179,8 @@ class Collectives:
         """
         if len(matrix) != self.num_modules:
             raise ValueError("alltoall needs one row per module")
-        return run_batch(self.machine, _AllToAllOp(self, matrix))
+        return run_batch(self.machine, f"{self.name}:alltoall",
+                         _alltoall_route(self, matrix))
 
     # -- histogram ------------------------------------------------------------
 
@@ -175,126 +192,62 @@ class Collectives:
         With a hash placement, Lemma 2.1 makes both the scatter and the
         local work balanced whp for any input distribution.
         """
-        name = self.name
-        fn_count = f"{name}:hist_count"
-        fn_flush = f"{name}:hist_flush"
-        if fn_count not in self.machine._handlers:
-            def h_count(ctx, bucket, tag=None):
-                ctx.charge(1)
-                counts = ctx.module.state[name].setdefault(
-                    "hist", Counter())
-                counts[bucket] += 1
-
-            def h_flush(ctx, tag=None):
-                counts = ctx.module.state[name].pop("hist", Counter())
-                ctx.charge(len(counts) + 1)
-                ctx.reply(("hist", dict(counts)),
-                          size=max(1, len(counts)), tag=tag)
-
-            self.machine.register(fn_count, h_count)
-            self.machine.register(fn_flush, h_flush)
-        return run_batch(self.machine,
-                         _HistogramOp(self, records, placement))
+        return run_batch(self.machine, f"{self.name}:histogram",
+                         _histogram_route(self, records, placement))
 
 
-class _CollectiveOp(BatchOp):
-    """Base for the collectives: handlers are registered by the context's
-    constructor (guarded by name), so ops contribute none themselves."""
-
-    def __init__(self, coll: Collectives, suffix: str) -> None:
-        self.coll = coll
-        self.name = f"{coll.name}:{suffix}"
+def _scatter_route(coll: Collectives, values: Sequence[Any]):
+    fn_put = f"{coll.name}:put"
+    yield ((mid, fn_put, (value,), None, _words(value))
+           for mid, value in enumerate(values))
 
 
-class _ScatterOp(_CollectiveOp):
-    def __init__(self, coll: Collectives, values: Sequence[Any]) -> None:
-        super().__init__(coll, "scatter")
-        self.values = values
-
-    def route(self, machine, plan):
-        fn_put = f"{self.coll.name}:put"
-        yield ((mid, fn_put, (value,), None, _words(value))
-               for mid, value in enumerate(self.values))
-
-
-class _GatherOp(_CollectiveOp):
-    def __init__(self, coll: Collectives) -> None:
-        super().__init__(coll, "gather")
-
-    def route(self, machine, plan):
-        coll = self.coll
-        replies = yield [Broadcast(f"{coll.name}:get", ())]
-        out: List[Any] = [None] * coll.num_modules
-        for r in replies:
-            _, mid, value = r.payload
-            out[mid] = value
-        machine.cpu.charge(coll.num_modules,
-                           max(1.0, math.log2(coll.num_modules)))
-        return out
+def _gather_route(coll: Collectives):
+    replies = yield [Broadcast(f"{coll.name}:get", ())]
+    out: List[Any] = [None] * coll.num_modules
+    for r in replies:
+        _, mid, value = r.payload
+        out[mid] = value
+    coll.machine.cpu.charge(coll.num_modules,
+                            max(1.0, math.log2(coll.num_modules)))
+    return out
 
 
-class _BroadcastOp(_CollectiveOp):
-    def __init__(self, coll: Collectives, value: Any) -> None:
-        super().__init__(coll, "broadcast")
-        self.value = value
-
-    def route(self, machine, plan):
-        yield [Broadcast(f"{self.coll.name}:put", (self.value,),
-                         size=_words(self.value))]
+def _broadcast_route(coll: Collectives, value: Any):
+    yield [Broadcast(f"{coll.name}:put", (value,), size=_words(value))]
 
 
-class _MapSlotsOp(_CollectiveOp):
-    def __init__(self, coll: Collectives,
-                 fn: Callable[[int, Any], Any]) -> None:
-        super().__init__(coll, "map_slots")
-        self.fn = fn
-
-    def route(self, machine, plan):
-        yield [Broadcast(f"{self.coll.name}:apply", (self.fn,))]
+def _map_slots_route(coll: Collectives, fn: Callable[[int, Any], Any]):
+    yield [Broadcast(f"{coll.name}:apply", (fn,))]
 
 
-class _AllToAllOp(_CollectiveOp):
-    def __init__(self, coll: Collectives,
-                 matrix: Sequence[Dict[int, Any]]) -> None:
-        super().__init__(coll, "alltoall")
-        self.matrix = matrix
-
-    def route(self, machine, plan):
-        coll = self.coll
-        fn_send_row = f"{coll.name}:send_row"
-        yield ((mid, fn_send_row, (dict(row),), None,
-                max(1, sum(_words(v) for v in row.values())))
-               for mid, row in enumerate(self.matrix))
-        replies = yield [Broadcast(f"{coll.name}:collect_inbox", ())]
-        out: List[List[Any]] = [[] for _ in range(coll.num_modules)]
-        for r in replies:
-            _, mid, inbox = r.payload
-            out[mid] = inbox
-        return out
+def _alltoall_route(coll: Collectives, matrix: Sequence[Dict[int, Any]]):
+    fn_send_row = f"{coll.name}:send_row"
+    yield ((mid, fn_send_row, (dict(row),), None,
+            max(1, sum(_words(v) for v in row.values())))
+           for mid, row in enumerate(matrix))
+    replies = yield [Broadcast(f"{coll.name}:collect_inbox", ())]
+    out: List[List[Any]] = [[] for _ in range(coll.num_modules)]
+    for r in replies:
+        _, mid, inbox = r.payload
+        out[mid] = inbox
+    return out
 
 
-class _HistogramOp(_CollectiveOp):
-    def __init__(self, coll: Collectives, records: Sequence[Hashable],
-                 placement: Callable[[Hashable], int]) -> None:
-        super().__init__(coll, "histogram")
-        self.records = records
-        self.placement = placement
-
-    def route(self, machine, plan):
-        coll, records = self.coll, self.records
-        placement = self.placement
-        fn_count = f"{coll.name}:hist_count"
-        fn_flush = f"{coll.name}:hist_flush"
-        yield ((placement(rec), fn_count, (rec,), None) for rec in records)
-        replies = yield [Broadcast(fn_flush, ())]
-        total: Counter = Counter()
-        for r in replies:
-            total.update(r.payload[1])
-        machine.cpu.charge(
-            len(records) // max(1, coll.num_modules) + coll.num_modules,
-            max(1.0, math.log2(len(records) + 2)),
-        )
-        return total
+def _histogram_route(coll: Collectives, records: Sequence[Hashable],
+                     placement: Callable[[Hashable], int]):
+    fn_count = f"{coll.name}:hist_count"
+    fn_flush = f"{coll.name}:hist_flush"
+    yield ((placement(rec), fn_count, (rec,), None) for rec in records)
+    replies = yield [Broadcast(fn_flush, ())]
+    total: Counter = Counter()
+    for r in replies:
+        total.update(r.payload[1])
+    coll.machine.cpu.charge(
+        len(records) // max(1, coll.num_modules) + coll.num_modules,
+        max(1.0, math.log2(len(records) + 2)),
+    )
+    return total
 
 
 def _words(value: Any) -> int:

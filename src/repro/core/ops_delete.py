@@ -24,9 +24,9 @@ Bounds (Theorem 4.5): ``O(log^2 P)`` IO time, ``O(log^2 P)`` PIM time,
 ``O(P log^2 P)`` expected CPU work, ``O(log P)`` CPU depth, and
 ``Theta(P log^2 P)`` shared memory, whp, for batches of ``P log^2 P``.
 
-The three stages above are the route stages of one
-:class:`~repro.ops.BatchOp`; the contraction runs on the CPU side while
-building stage 3's RemoteWrite messages.
+The three stages above are the stages of one route
+(:mod:`repro.ops`); the contraction runs on the CPU side while building
+stage 3's RemoteWrite messages.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.core.ops_write import write_stage
 from repro.core.structure import SkipListStructure
 from repro.cpuside.list_contraction import ContractionList
 from repro.cpuside.semisort import group_positions
-from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
+from repro.ops import Broadcast, run_batch
 from repro.sim.cpu import WorkDepth
 from repro.sim.task import Reply
 
@@ -152,88 +152,73 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     }
 
 
-def handlers_for(sl: SkipListStructure) -> Dict[str, Any]:
-    """The delete handler dict, created once per structure."""
-    return cached_handlers(sl, "delete", lambda: make_handlers(sl))
+def _delete_route(sl, keys):
+    cpu = sl.machine.cpu
+    n = len(keys)
+    if n == 0:
+        return DeleteStats(deleted=0, not_found=0)
 
+    shared_words = n
+    cpu.alloc(shared_words)
+    try:
+        # -- stage 1: shortcut marking -------------------------------
+        distinct = list(group_positions(cpu, keys))
+        replies = yield sl.shortcut_stage(f"{sl.name}:del_mark",
+                                          distinct, zip(distinct))
+        marked: List[Tuple[Node, Optional[Node], Optional[Node]]] = []
+        upper_leaves: List[Node] = []
+        not_found = 0
+        deleted = 0
+        for r in replies:
+            payload = r.payload
+            if payload[0] == "notfound":
+                not_found += 1
+            elif payload[0] == "marked":
+                _, _key, leaf, left, right, up_ref = payload
+                marked.append((leaf, left, right))
+                deleted += 1
+                if up_ref is not None:
+                    upper_leaves.append(up_ref)
+            else:  # marked_node
+                _, node, left, right, up_ref = payload
+                marked.append((node, left, right))
+                if up_ref is not None:
+                    upper_leaves.append(up_ref)
 
-class _BatchDeleteOp(BatchOp):
-    def __init__(self, sl: SkipListStructure,
-                 keys: Sequence[Hashable]) -> None:
-        self.sl = sl
-        self.keys = keys
-        self.name = f"{sl.name}:batch_delete"
+        # -- stage 2a: replicated upper towers, by broadcast ---------
+        if upper_leaves:
+            fn_upper = f"{sl.name}:del_upper"
+            yield [Broadcast(fn_upper, (u,)) for u in upper_leaves]
 
-    def handlers(self):
-        return handlers_for(self.sl)
+        # -- stage 2b: lower splice via parallel list contraction ----
+        if marked:
+            yield _splice_lower(sl, marked)
 
-    def route(self, machine, plan):
-        sl, keys = self.sl, self.keys
-        cpu = machine.cpu
-        n = len(keys)
-        if n == 0:
-            return DeleteStats(deleted=0, not_found=0)
+        # -- teardown (host memory only; no model cost) --------------
+        # Every marked node is out of the structure now.  Consecutive
+        # deleted neighbors and each tower's up/down/up_chain links
+        # are reference cycles; cut them so the towers die with this
+        # batch's temporaries.
+        for node, _left, _right in marked:
+            node.clear_links()
+        for u in upper_leaves:
+            while u is not None:
+                above = u.up
+                u.clear_links()
+                u = above
 
-        shared_words = n
-        cpu.alloc(shared_words)
-        try:
-            # -- stage 1: shortcut marking -------------------------------
-            distinct = list(group_positions(cpu, keys))
-            replies = yield sl.shortcut_stage(f"{sl.name}:del_mark",
-                                              distinct, zip(distinct))
-            marked: List[Tuple[Node, Optional[Node], Optional[Node]]] = []
-            upper_leaves: List[Node] = []
-            not_found = 0
-            deleted = 0
-            for r in replies:
-                payload = r.payload
-                if payload[0] == "notfound":
-                    not_found += 1
-                elif payload[0] == "marked":
-                    _, _key, leaf, left, right, up_ref = payload
-                    marked.append((leaf, left, right))
-                    deleted += 1
-                    if up_ref is not None:
-                        upper_leaves.append(up_ref)
-                else:  # marked_node
-                    _, node, left, right, up_ref = payload
-                    marked.append((node, left, right))
-                    if up_ref is not None:
-                        upper_leaves.append(up_ref)
-
-            # -- stage 2a: replicated upper towers, by broadcast ---------
-            if upper_leaves:
-                fn_upper = f"{sl.name}:del_upper"
-                yield [Broadcast(fn_upper, (u,)) for u in upper_leaves]
-
-            # -- stage 2b: lower splice via parallel list contraction ----
-            if marked:
-                yield _splice_lower(sl, marked)
-
-            # -- teardown (host memory only; no model cost) --------------
-            # Every marked node is out of the structure now.  Consecutive
-            # deleted neighbors and each tower's up/down/up_chain links
-            # are reference cycles; cut them so the towers die with this
-            # batch's temporaries.
-            for node, _left, _right in marked:
-                node.clear_links()
-            for u in upper_leaves:
-                while u is not None:
-                    above = u.up
-                    u.clear_links()
-                    u = above
-
-            sl.num_keys -= deleted
-            return DeleteStats(deleted=deleted, not_found=not_found)
-        finally:
-            cpu.free(shared_words)
+        sl.num_keys -= deleted
+        return DeleteStats(deleted=deleted, not_found=not_found)
+    finally:
+        cpu.free(shared_words)
 
 
 def batch_delete(sl: SkipListStructure,
                  keys: Sequence[Hashable]) -> DeleteStats:
     """Execute a batch of Delete operations (duplicates collapse; missing
     keys are ignored, each counted in ``not_found``)."""
-    return run_batch(sl.machine, _BatchDeleteOp(sl, keys))
+    return run_batch(sl.machine, f"{sl.name}:batch_delete",
+                     _delete_route(sl, keys))
 
 
 def _splice_lower(sl: SkipListStructure,

@@ -14,10 +14,9 @@ uniformly random modules, so by Lemma 2.1 each module receives
 ``O(log P)`` operations whp: ``O(log P)`` IO time and ``O(log P)`` PIM
 time, independent of the key distribution.
 
-All three ops are single-stage :class:`~repro.ops.BatchOp` pipelines:
-plan/route semisort and issue the deduplicated sends, the handlers below
-are the execute phase, and aggregate fans results back out to duplicate
-positions.
+All three ops are single-stage routes (:mod:`repro.ops`): semisort,
+issue the deduplicated sends to the handlers below, and fan the results
+back out to duplicate positions.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.structure import SkipListStructure
 from repro.cpuside.semisort import dedup_last, group_positions
-from repro.ops import BatchOp, cached_handlers, run_batch
+from repro.ops import run_batch
 from repro.sim.task import Reply
 
 
@@ -106,78 +105,48 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     }
 
 
-def handlers_for(sl: SkipListStructure) -> Dict[str, Any]:
-    """The point-op handler dict, created once per structure."""
-    return cached_handlers(sl, "point", lambda: make_handlers(sl))
+def _get_route(sl, keys, want_value):
+    """Batched Get / Contains (they differ only in which reply field
+    fans out)."""
+    cpu = sl.machine.cpu
+    n = len(keys)
+    if n == 0:
+        return []
+    with cpu.region(2 * n):
+        # Semisort to deduplicate (O(B) expected work, O(log B) whp
+        # depth).
+        groups = group_positions(cpu, keys)
+        distinct = list(groups)
+        replies = yield sl.shortcut_stage(f"{sl.name}:pt_get", distinct,
+                                          zip(distinct))
+        if want_value:
+            results: List[Optional[Any]] = [None] * n
+            for r in replies:
+                key, value, _found = r.payload
+                for i in groups[key]:
+                    results[i] = value
+        else:
+            results = [False] * n
+            for r in replies:
+                key, _value, found = r.payload
+                for i in groups[key]:
+                    results[i] = found
+        # Fan-out of results to duplicates: O(B) work, O(log B) depth.
+        cpu.charge(n, max(1.0, math.log2(n)))
+    return results
 
 
-class _PointGetOp(BatchOp):
-    """Shared pipeline of batched Get / Contains (they differ only in
-    which reply field fans out)."""
-
-    def __init__(self, sl: SkipListStructure, keys: Sequence[Hashable],
-                 want_value: bool) -> None:
-        self.sl = sl
-        self.keys = keys
-        self.want_value = want_value
-        self.name = f"{sl.name}:batch_get" if want_value else \
-            f"{sl.name}:batch_contains"
-
-    def handlers(self):
-        return handlers_for(self.sl)
-
-    def route(self, machine, plan):
-        sl, keys = self.sl, self.keys
-        cpu = machine.cpu
-        n = len(keys)
-        if n == 0:
-            return []
-        with cpu.region(2 * n):
-            # Semisort to deduplicate (O(B) expected work, O(log B) whp
-            # depth).
-            groups = group_positions(cpu, keys)
-            distinct = list(groups)
-            replies = yield sl.shortcut_stage(f"{sl.name}:pt_get", distinct,
-                                              zip(distinct))
-            if self.want_value:
-                results: List[Optional[Any]] = [None] * n
-                for r in replies:
-                    key, value, _found = r.payload
-                    for i in groups[key]:
-                        results[i] = value
-            else:
-                results = [False] * n
-                for r in replies:
-                    key, _value, found = r.payload
-                    for i in groups[key]:
-                        results[i] = found
-            # Fan-out of results to duplicates: O(B) work, O(log B) depth.
-            cpu.charge(n, max(1.0, math.log2(n)))
-        return results
-
-
-class _PointUpdateOp(BatchOp):
-    def __init__(self, sl: SkipListStructure,
-                 pairs: Sequence[Tuple[Hashable, Any]]) -> None:
-        self.sl = sl
-        self.pairs = pairs
-        self.name = f"{sl.name}:batch_update"
-
-    def handlers(self):
-        return handlers_for(self.sl)
-
-    def route(self, machine, plan):
-        sl, pairs = self.sl, self.pairs
-        cpu = machine.cpu
-        n = len(pairs)
-        if n == 0:
-            return 0
-        with cpu.region(2 * n):
-            wanted = dedup_last(cpu, pairs)
-            replies = yield sl.shortcut_stage(
-                f"{sl.name}:pt_update", list(wanted), wanted.items())
-            found = sum(1 for r in replies if r.payload[1])
-        return found
+def _update_route(sl, pairs):
+    cpu = sl.machine.cpu
+    n = len(pairs)
+    if n == 0:
+        return 0
+    with cpu.region(2 * n):
+        wanted = dedup_last(cpu, pairs)
+        replies = yield sl.shortcut_stage(
+            f"{sl.name}:pt_update", list(wanted), wanted.items())
+        found = sum(1 for r in replies if r.payload[1])
+    return found
 
 
 def batch_get(sl: SkipListStructure,
@@ -186,13 +155,15 @@ def batch_get(sl: SkipListStructure,
 
     Missing keys yield ``None``.
     """
-    return run_batch(sl.machine, _PointGetOp(sl, keys, want_value=True))
+    return run_batch(sl.machine, f"{sl.name}:batch_get",
+                     _get_route(sl, keys, want_value=True))
 
 
 def batch_contains(sl: SkipListStructure,
                    keys: Sequence[Hashable]) -> List[bool]:
     """Membership test per key (same costs and dedup as batched Get)."""
-    return run_batch(sl.machine, _PointGetOp(sl, keys, want_value=False))
+    return run_batch(sl.machine, f"{sl.name}:batch_contains",
+                     _get_route(sl, keys, want_value=False))
 
 
 def batch_update(sl: SkipListStructure,
@@ -204,4 +175,5 @@ def batch_update(sl: SkipListStructure,
     occurrence winning (batches are sets in the model; we define a
     deterministic tie-break for convenience).
     """
-    return run_batch(sl.machine, _PointUpdateOp(sl, pairs))
+    return run_batch(sl.machine, f"{sl.name}:batch_update",
+                     _update_route(sl, pairs))

@@ -50,7 +50,7 @@ from repro.core.ops_successor import (batch_search, batch_successor,
                                        search_stages)
 from repro.core.structure import SkipListStructure
 from repro.cpuside.sort import parallel_sort
-from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
+from repro.ops import Broadcast, run_batch
 from repro.sim.cpu import WorkDepth
 
 # ---------------------------------------------------------------------------
@@ -157,11 +157,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     return handlers
 
 
-def handlers_for(sl: SkipListStructure) -> Dict[str, Any]:
-    """The range-op handler dict, created once per structure."""
-    return cached_handlers(sl, "range", lambda: make_handlers(sl))
-
-
 def _make_bcast(sl: SkipListStructure):
     def h_range_bcast(ctx, lkey, bound, func, farg, opid, tag=None):
         u = sl.upper_descend(lkey, ctx.charge)
@@ -188,36 +183,23 @@ def _make_bcast(sl: SkipListStructure):
     return h_range_bcast
 
 
-class _RangeBroadcastOp(BatchOp):
-    def __init__(self, sl: SkipListStructure, lkey: Hashable, rkey: Hashable,
-                 func: str, farg: Any, inclusive: Tuple[bool, bool]) -> None:
-        self.sl = sl
-        self.lkey, self.rkey = lkey, rkey
-        self.func, self.farg = func, farg
-        self.inclusive = inclusive
-        self.name = f"{sl.name}:range_broadcast"
-
-    def handlers(self):
-        return handlers_for(self.sl)
-
-    def route(self, machine, plan):
-        sl = self.sl
-        cpu = machine.cpu
-        lq = JustBelow(self.lkey) if self.inclusive[0] else self.lkey
-        bound = Bound(self.rkey, self.inclusive[1])
-        replies = yield [Broadcast(f"{sl.name}:rng_bcast",
-                                   (lq, bound, self.func, self.farg, 0))]
-        total = 0
-        values: List[Tuple[Hashable, Any]] = []
-        for r in replies:
-            _, _, _, hits, vals = r.payload
-            total += hits
-            values.extend(vals)
-        if values:
-            values = parallel_sort(cpu, values, key=lambda kv: kv[0])
-            cpu.alloc(len(values))
-            cpu.free(len(values))
-        return RangeResult(count=total, values=values)
+def _broadcast_route(sl, lkey, rkey, func, farg, inclusive):
+    cpu = sl.machine.cpu
+    lq = JustBelow(lkey) if inclusive[0] else lkey
+    bound = Bound(rkey, inclusive[1])
+    replies = yield [Broadcast(f"{sl.name}:rng_bcast",
+                               (lq, bound, func, farg, 0))]
+    total = 0
+    values: List[Tuple[Hashable, Any]] = []
+    for r in replies:
+        _, _, _, hits, vals = r.payload
+        total += hits
+        values.extend(vals)
+    if values:
+        values = parallel_sort(cpu, values, key=lambda kv: kv[0])
+        cpu.alloc(len(values))
+        cpu.free(len(values))
+    return RangeResult(count=total, values=values)
 
 
 def range_broadcast(sl: SkipListStructure, lkey: Hashable, rkey: Hashable,
@@ -225,8 +207,8 @@ def range_broadcast(sl: SkipListStructure, lkey: Hashable, rkey: Hashable,
                     inclusive: Tuple[bool, bool] = (True, True),
                     ) -> RangeResult:
     """Execute one range operation by broadcasting (Theorem 5.1)."""
-    return run_batch(sl.machine,
-                     _RangeBroadcastOp(sl, lkey, rkey, func, farg, inclusive))
+    return run_batch(sl.machine, f"{sl.name}:range_broadcast",
+                     _broadcast_route(sl, lkey, rkey, func, farg, inclusive))
 
 
 # ---------------------------------------------------------------------------
@@ -625,27 +607,13 @@ def _next_opids(sl: SkipListStructure, count: int) -> int:
     return base
 
 
-class _RangeTreeSingleOp(BatchOp):
-    def __init__(self, sl: SkipListStructure, lkey: Hashable, rkey: Hashable,
-                 func: str, farg: Any, inclusive: Tuple[bool, bool]) -> None:
-        self.sl = sl
-        self.lkey, self.rkey = lkey, rkey
-        self.func, self.farg = func, farg
-        self.inclusive = inclusive
-        self.name = f"{sl.name}:range_tree_single"
-
-    def handlers(self):
-        return handlers_for(self.sl)
-
-    def route(self, machine, plan):
-        sl = self.sl
-        lq = JustBelow(self.lkey) if self.inclusive[0] else self.lkey
-        bound = Bound(self.rkey, self.inclusive[1])
-        opid = _next_opids(sl, 1)
-        replies = yield [(machine.random_module(), f"{sl.name}:rng_root",
-                          (opid, lq, bound, self.func, self.farg, None),
-                          None)]
-        return _collect_one(sl, replies, opid=opid)
+def _tree_single_route(sl, lkey, rkey, func, farg, inclusive):
+    lq = JustBelow(lkey) if inclusive[0] else lkey
+    bound = Bound(rkey, inclusive[1])
+    opid = _next_opids(sl, 1)
+    replies = yield [(sl.machine.random_module(), f"{sl.name}:rng_root",
+                      (opid, lq, bound, func, farg, None), None)]
+    return _collect_one(sl, replies, opid=opid)
 
 
 def range_tree_single(sl: SkipListStructure, lkey: Hashable, rkey: Hashable,
@@ -653,8 +621,8 @@ def range_tree_single(sl: SkipListStructure, lkey: Hashable, rkey: Hashable,
                       inclusive: Tuple[bool, bool] = (True, True),
                       ) -> RangeResult:
     """One range operation by the naive tree search (paper §5.2)."""
-    return run_batch(sl.machine,
-                     _RangeTreeSingleOp(sl, lkey, rkey, func, farg,
+    return run_batch(sl.machine, f"{sl.name}:range_tree_single",
+                     _tree_single_route(sl, lkey, rkey, func, farg,
                                         inclusive))
 
 
@@ -713,8 +681,8 @@ def _cut_pieces(ops: Sequence[Tuple[Hashable, Hashable]],
     return pieces, [(below[(l, 0)], below[(r, 1)]) for l, r in ops]
 
 
-class _BatchRangeTreeOp(BatchOp):
-    """The batched tree range; routes to ``(results, rider answers)``.
+def _tree_route(sl, ops, func, farg, riders=()):
+    """The batched tree range; returns ``(results, rider answers)``.
 
     ``riders`` are Successor keys that share the batch's boundary search:
     they join the pieces' search keys with a record limit of ``-1``, so
@@ -722,152 +690,136 @@ class _BatchRangeTreeOp(BatchOp):
     streams nothing back but its ``pred`` / ``pred_right``.  With no
     riders the op is the range batch alone, message for message.
     """
+    machine = sl.machine
+    cpu = machine.cpu
+    n = len(ops)
+    if n == 0:
+        return [], batch_successor(sl, riders) if riders else []
+    for l, r in ops:
+        if r < l:
+            raise ValueError("range with rkey < lkey")
+    if func in ("set", "fetch_and_add"):
+        _require_disjoint(ops)
 
-    def __init__(self, sl: SkipListStructure,
-                 ops: Sequence[Tuple[Hashable, Hashable]],
-                 func: str, farg: Any,
-                 riders: Sequence[Hashable] = ()) -> None:
-        self.sl = sl
-        self.ops = ops
-        self.func, self.farg = func, farg
-        self.riders = riders
-        self.name = f"{sl.name}:batch_range_tree"
+    # -- split into disjoint subranges (paper §5.2 step 1) -----------
+    subranges, spans = _cut_pieces(ops)
+    cpu.charge_wd(WorkDepth(2 * n * max(1, int(math.log2(n + 1))),
+                            max(1.0, math.log2(n + 1))))
 
-    def handlers(self):
-        return handlers_for(self.sl)
+    # -- boundary predecessors via the pivot-protected search --------
+    lqs = [lq for lq, _ in subranges]
+    levels = [sl.h_low - 1] * len(lqs)
+    successors: List[Optional[Tuple[Hashable, Any]]] = []
+    riding = bool(riders) and _rides(sl, len(lqs), len(riders))
+    if riding:
+        lqs.extend(riders)
+        levels.extend([-1] * len(riders))
+    elif riders:
+        successors = batch_successor(sl, riders)
+    outcomes = batch_search(sl, lqs, record_all=True,
+                            record_levels=levels)
+    if riding:
+        successors = _successors(cpu, riders, outcomes[len(subranges):])
 
-    def route(self, machine, plan):
-        sl, ops, riders = self.sl, self.ops, self.riders
-        func, farg = self.func, self.farg
-        cpu = machine.cpu
-        n = len(ops)
-        if n == 0:
-            return [], batch_successor(sl, riders) if riders else []
-        for l, r in ops:
-            if r < l:
-                raise ValueError("range with rkey < lkey")
-        if func in ("set", "fetch_and_add"):
-            _require_disjoint(ops)
+    # -- launch one traversal per subrange ---------------------------
+    # sides[lvl] is the level's in-range side-chain head (the recorded
+    # predecessor's right neighbor).  When that node's tower continues
+    # upward it is also reachable as a down-child from the level
+    # above; the snapshot test below skips those, and the one case
+    # snapshots cannot see (a tower reaching the upper part) is
+    # resolved by the root handler, which leaves that upper leaf's
+    # slot empty -- the two candidate positions are adjacent in the
+    # traversal order, so either is valid.
+    base = _next_opids(sl, len(subranges))
+    root_module: Dict[int, int] = {}
+    launch_msgs: List[tuple] = []
+    for sid, ((lq, bound), outcome) in enumerate(zip(subranges,
+                                                     outcomes)):
+        sides: List[Optional[Node]] = [None] * sl.h_low
+        by_level = outcome.by_level or {}
+        for lvl in range(sl.h_low):
+            entry = by_level.get(lvl)
+            if entry is None:
+                continue
+            _, right = entry
+            if right is None or not bound.admits(right.key):
+                continue
+            above = by_level.get(lvl + 1)
+            if above is not None and above[1] is not None \
+                    and above[1].key == right.key:
+                continue  # covered by the level above (same tower)
+            sides[lvl] = right
+        dest = machine.random_module()
+        root_module[sid] = dest
+        launch_msgs.append(
+            (dest, f"{sl.name}:rng_root",
+             (base + sid, lq, bound, func, farg, sides), None,
+             max(1, sum(1 for s in sides if s is not None))))
+    cpu.charge_wd(WorkDepth(len(subranges) * sl.h_low,
+                            max(1.0, math.log2(len(subranges) + 1))))
 
-        # -- split into disjoint subranges (paper §5.2 step 1) -----------
-        subranges, spans = _cut_pieces(ops)
-        cpu.charge_wd(WorkDepth(2 * n * max(1, int(math.log2(n + 1))),
-                                max(1.0, math.log2(n + 1))))
+    # -- count pass: traversal + subtree counts, no result traffic ---
+    totals: Dict[int, int] = {}
+    items: Dict[int, List[Tuple[int, Hashable, Any]]] = {}
+    replies = yield launch_msgs
+    for r in replies:
+        payload = r.payload
+        if payload[0] == "total":
+            totals[payload[1] - base] = payload[2]
 
-        # -- boundary predecessors via the pivot-protected search --------
-        lqs = [lq for lq, _ in subranges]
-        levels = [sl.h_low - 1] * len(lqs)
-        successors: List[Optional[Tuple[Hashable, Any]]] = []
-        riding = bool(riders) and _rides(sl, len(lqs), len(riders))
-        if riding:
-            lqs.extend(riders)
-            levels.extend([-1] * len(riders))
-        elif riders:
-            successors = batch_successor(sl, riders)
-        outcomes = batch_search(sl, lqs, record_all=True,
-                                record_levels=levels)
-        if riding:
-            successors = _successors(cpu, riders, outcomes[len(subranges):])
+    # -- fetch pass, in shared-memory groups (paper §5.2 step 4) -----
+    # Subranges are ascending; the prefix sums of their sizes
+    # partition them into groups of at most half of M result words
+    # (the other half is headroom for the batch's standing
+    # allocations).  Each group's offset passes are released
+    # together, its results consumed, and its footprint freed before
+    # the next group starts.
+    if func != "count":
+        group_words = max(1, machine.cpu.shared_memory_words // 2)
+        group: List[int] = []
+        group_mass = 0
 
-        # -- launch one traversal per subrange ---------------------------
-        # sides[lvl] is the level's in-range side-chain head (the recorded
-        # predecessor's right neighbor).  When that node's tower continues
-        # upward it is also reachable as a down-child from the level
-        # above; the snapshot test below skips those, and the one case
-        # snapshots cannot see (a tower reaching the upper part) is
-        # resolved by the root handler, which leaves that upper leaf's
-        # slot empty -- the two candidate positions are adjacent in the
-        # traversal order, so either is valid.
-        base = _next_opids(sl, len(subranges))
-        root_module: Dict[int, int] = {}
-        launch_msgs: List[tuple] = []
-        for sid, ((lq, bound), outcome) in enumerate(zip(subranges,
-                                                         outcomes)):
-            sides: List[Optional[Node]] = [None] * sl.h_low
-            by_level = outcome.by_level or {}
-            for lvl in range(sl.h_low):
-                entry = by_level.get(lvl)
-                if entry is None:
-                    continue
-                _, right = entry
-                if right is None or not bound.admits(right.key):
-                    continue
-                above = by_level.get(lvl + 1)
-                if above is not None and above[1] is not None \
-                        and above[1].key == right.key:
-                    continue  # covered by the level above (same tower)
-                sides[lvl] = right
-            dest = machine.random_module()
-            root_module[sid] = dest
-            launch_msgs.append(
-                (dest, f"{sl.name}:rng_root",
-                 (base + sid, lq, bound, func, farg, sides), None,
-                 max(1, sum(1 for s in sides if s is not None))))
-        cpu.charge_wd(WorkDepth(len(subranges) * sl.h_low,
-                                max(1.0, math.log2(len(subranges) + 1))))
+        def run_group(g: List[int], mass: int):
+            msgs = [(root_module[sid], f"{sl.name}:rng_go",
+                     (base + sid,), None) for sid in g]
+            with cpu.region(max(1, mass)):
+                group_replies = yield msgs
+                for r in group_replies:
+                    payload = r.payload
+                    if payload[0] == "item":
+                        _, opid, key, value, idx = payload
+                        items.setdefault(opid - base, []).append(
+                            (idx, key, value))
 
-        # -- count pass: traversal + subtree counts, no result traffic ---
-        totals: Dict[int, int] = {}
-        items: Dict[int, List[Tuple[int, Hashable, Any]]] = {}
-        replies = yield launch_msgs
-        for r in replies:
-            payload = r.payload
-            if payload[0] == "total":
-                totals[payload[1] - base] = payload[2]
-
-        # -- fetch pass, in shared-memory groups (paper §5.2 step 4) -----
-        # Subranges are ascending; the prefix sums of their sizes
-        # partition them into groups of at most half of M result words
-        # (the other half is headroom for the batch's standing
-        # allocations).  Each group's offset passes are released
-        # together, its results consumed, and its footprint freed before
-        # the next group starts.
-        if func != "count":
-            group_words = max(1, machine.cpu.shared_memory_words // 2)
-            group: List[int] = []
-            group_mass = 0
-
-            def run_group(g: List[int], mass: int):
-                msgs = [(root_module[sid], f"{sl.name}:rng_go",
-                         (base + sid,), None) for sid in g]
-                with cpu.region(max(1, mass)):
-                    group_replies = yield msgs
-                    for r in group_replies:
-                        payload = r.payload
-                        if payload[0] == "item":
-                            _, opid, key, value, idx = payload
-                            items.setdefault(opid - base, []).append(
-                                (idx, key, value))
-
-            for sid in range(len(subranges)):
-                mass = totals.get(sid, 0)
-                if group and group_mass + mass > group_words:
-                    yield from run_group(group, group_mass)
-                    group, group_mass = [], 0
-                group.append(sid)
-                group_mass += mass
-            if group:
+        for sid in range(len(subranges)):
+            mass = totals.get(sid, 0)
+            if group and group_mass + mass > group_words:
                 yield from run_group(group, group_mass)
+                group, group_mass = [], 0
+            group.append(sid)
+            group_mass += mass
+        if group:
+            yield from run_group(group, group_mass)
 
-        # -- assemble per-op results -------------------------------------
-        # Pieces never straddle a cut, so op [l, r] is exactly the
-        # contiguous run of pieces between the cut below l and the cut
-        # above r, in ascending key order: concatenation preserves range
-        # order.
-        sorted_items = {sid: sorted(got) for sid, got in items.items()}
-        results: List[RangeResult] = []
-        work = 0
-        for first, stop in spans:
-            total = 0
-            vals: List[Tuple[Hashable, Any]] = []
-            for sid in range(first, stop):
-                total += totals.get(sid, 0)
-                got = sorted_items.get(sid, ())
-                vals.extend((k, v) for _, k, v in got)
-                work += len(got) + 1
-            results.append(RangeResult(count=total, values=vals))
-        cpu.charge_wd(WorkDepth(work + n, max(1.0, math.log2(work + n + 1))))
-        return results, successors
+    # -- assemble per-op results -------------------------------------
+    # Pieces never straddle a cut, so op [l, r] is exactly the
+    # contiguous run of pieces between the cut below l and the cut
+    # above r, in ascending key order: concatenation preserves range
+    # order.
+    sorted_items = {sid: sorted(got) for sid, got in items.items()}
+    results: List[RangeResult] = []
+    work = 0
+    for first, stop in spans:
+        total = 0
+        vals: List[Tuple[Hashable, Any]] = []
+        for sid in range(first, stop):
+            total += totals.get(sid, 0)
+            got = sorted_items.get(sid, ())
+            vals.extend((k, v) for _, k, v in got)
+            work += len(got) + 1
+        results.append(RangeResult(count=total, values=vals))
+    cpu.charge_wd(WorkDepth(work + n, max(1.0, math.log2(work + n + 1))))
+    return results, successors
 
 
 def _rides(sl: SkipListStructure, pieces: int, riders: int) -> bool:
@@ -914,7 +866,8 @@ def batch_range_tree(sl: SkipListStructure,
     pivot-protected batched search, and each subrange runs the fan-out
     traversal; results are assembled per operation on the CPU side.
     """
-    return run_batch(sl.machine, _BatchRangeTreeOp(sl, ops, func, farg))[0]
+    return run_batch(sl.machine, f"{sl.name}:batch_range_tree",
+                     _tree_route(sl, ops, func, farg))[0]
 
 
 def batch_range_with_successors(
@@ -922,7 +875,7 @@ def batch_range_with_successors(
         keys: Sequence[Hashable],
         ) -> Tuple[List[RangeResult], List[Optional[Tuple[Hashable, Any]]]]:
     """A ``read`` range batch and a Successor batch on one boundary
-    search (see :class:`_BatchRangeTreeOp`): ``(range results, successor
+    search (see :func:`_tree_route`): ``(range results, successor
     answers)``, each aligned with its input."""
-    return run_batch(sl.machine,
-                     _BatchRangeTreeOp(sl, ops, "read", None, keys))
+    return run_batch(sl.machine, f"{sl.name}:batch_range_tree",
+                     _tree_route(sl, ops, "read", None, keys))

@@ -25,7 +25,6 @@ from typing import Any, Dict, Hashable, Optional
 
 from repro.core.node import Node, UPPER
 from repro.core.structure import SkipListStructure
-from repro.ops import cached_handlers
 from repro.sim.task import Reply
 
 
@@ -219,11 +218,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     }
 
 
-def handlers_for(sl: SkipListStructure) -> Dict[str, Any]:
-    """The search-walk handler dict, created once per structure."""
-    return cached_handlers(sl, "search", lambda: make_handlers(sl))
-
-
 def search_message(sl: SkipListStructure, key: Hashable, opid: Any,
                    record: int = -1,
                    start: Optional[Node] = None) -> tuple:
@@ -236,7 +230,7 @@ def search_message(sl: SkipListStructure, key: Hashable, opid: Any,
     The destination draw consumes the machine's seeded RNG stream at
     *build* time, so callers must construct messages in launch order.
     The returned tuple is ``send_all`` format, ready to be yielded in a
-    :class:`~repro.ops.BatchOp` route stage.
+    route stage (:mod:`repro.ops`).
     """
     if type(record) is not int:
         # ``False`` would compare as level 0 and record every leaf.

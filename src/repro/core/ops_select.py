@@ -33,7 +33,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.probes import just_above
 from repro.core.structure import SkipListStructure
-from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
+from repro.ops import Broadcast, run_batch
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
@@ -91,11 +91,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     }
 
 
-def handlers_for(sl: SkipListStructure) -> Dict[str, Any]:
-    """The selection handler dict, created once per structure."""
-    return cached_handlers(sl, "select", lambda: make_handlers(sl))
-
-
 def rank(sl: SkipListStructure, key: Hashable) -> int:
     """The number of stored keys strictly below ``key``."""
     from repro.core import ops_range
@@ -106,127 +101,115 @@ def rank(sl: SkipListStructure, key: Hashable) -> int:
     return res.count
 
 
-class _SelectOp(BatchOp):
-    def __init__(self, sl: SkipListStructure, index: int,
-                 gather_threshold: Optional[int]) -> None:
-        self.sl = sl
-        self.index = index
-        self.gather_threshold = gather_threshold
-        self.name = f"{sl.name}:select"
+def _select_route(sl, index, gather_threshold):
+    cpu = sl.machine.cpu
+    p = sl.num_modules
+    if not (0 <= index < sl.num_keys):
+        raise IndexError(
+            f"index {index} out of range 0..{sl.num_keys - 1}")
+    threshold = (gather_threshold
+                 if gather_threshold is not None else 4 * p)
+    opid = getattr(sl, "_sel_seq", 0)
+    sl._sel_seq = opid + 1
+    name = sl.name
 
-    def handlers(self):
-        return handlers_for(self.sl)
+    # snapshot phase
+    replies = yield [Broadcast(f"{name}:sel_begin", (opid,))]
+    sizes = [0] * p
+    for r in replies:
+        _, mid, size = r.payload
+        sizes[mid] = size
+    lo = [0] * p
+    hi = list(sizes)
+    cpu.alloc(2 * p)
+    try:
+        answer = yield from _narrow(sl, opid, lo, hi, index, threshold)
+    finally:
+        cpu.free(2 * p)
+    # release the per-module snapshots (success-path cleanup stage)
+    yield [Broadcast(f"{name}:sel_end", (opid,))]
+    return answer
 
-    def route(self, machine, plan):
-        sl = self.sl
-        p = sl.num_modules
-        index = self.index
-        if not (0 <= index < sl.num_keys):
-            raise IndexError(
-                f"index {index} out of range 0..{sl.num_keys - 1}")
-        threshold = (self.gather_threshold
-                     if self.gather_threshold is not None else 4 * p)
-        opid = getattr(sl, "_sel_seq", 0)
-        sl._sel_seq = opid + 1
-        name = sl.name
 
-        # snapshot phase
-        replies = yield [Broadcast(f"{name}:sel_begin", (opid,))]
-        sizes = [0] * p
-        for r in replies:
-            _, mid, size = r.payload
-            sizes[mid] = size
-        lo = [0] * p
-        hi = list(sizes)
-        machine.cpu.alloc(2 * p)
-        try:
-            answer = yield from self._narrow(machine, opid, lo, hi,
-                                             index, threshold)
-        finally:
-            machine.cpu.free(2 * p)
-        # release the per-module snapshots (success-path cleanup stage)
-        yield [Broadcast(f"{name}:sel_end", (opid,))]
-        return answer
-
-    def _narrow(self, machine, opid, lo, hi, target, threshold):
-        sl = self.sl
-        p = sl.num_modules
-        name = sl.name
-        while True:
-            remaining = sum(h - l for l, h in zip(lo, hi))
-            if remaining <= threshold:
-                break
-            meds: List[Tuple[Hashable, int]] = []
-            replies = yield [(mid, f"{name}:sel_probe",
-                              (opid, lo[mid], hi[mid]), None)
-                             for mid in range(p)]
-            for r in replies:
-                _, mid, size, med = r.payload
-                if med is not None:
-                    meds.append((med, size))
-            machine.cpu.charge(p, max(1.0, math.log2(p + 1)))
-            # 2. weighted median of medians
-            meds.sort()
-            half = sum(w for _, w in meds) / 2
-            acc = 0
-            pivot = meds[-1][0]
-            for med, w in meds:
-                acc += w
-                if acc >= half:
-                    pivot = med
-                    break
-            # 3. pivot's rank within every window
-            replies = yield [(mid, f"{name}:sel_rank",
-                              (opid, lo[mid], hi[mid], pivot), None)
-                             for mid in range(p)]
-            below = [0] * p
-            for r in replies:
-                _, mid, cnt = r.payload
-                below[mid] = cnt
-            machine.cpu.charge(p, max(1.0, math.log2(p + 1)))
-            total_below = sum(below)
-            # 4. keep the side containing the target
-            if target < total_below:
-                for mid in range(p):
-                    hi[mid] = lo[mid] + below[mid]
-            else:
-                target -= total_below
-                for mid in range(p):
-                    lo[mid] = lo[mid] + below[mid]
-            if total_below == 0:
-                # pivot is the global minimum of the remaining windows;
-                # it is the answer iff target == 0
-                if target == 0:
-                    return pivot
-                # otherwise discard it explicitly to guarantee progress
-                replies = yield [(mid, f"{name}:sel_rank",
-                                  (opid, lo[mid], hi[mid],
-                                   just_above(pivot)), None)
-                                 for mid in range(p)]
-                skip = [0] * p
-                for r in replies:
-                    _, mid, cnt = r.payload
-                    skip[mid] = cnt
-                dropped = sum(skip)
-                target -= dropped
-                for mid in range(p):
-                    lo[mid] += skip[mid]
-
-        # gather the few remaining candidates
-        replies = yield [(mid, f"{name}:sel_gather",
+def _narrow(sl, opid, lo, hi, target, threshold):
+    cpu = sl.machine.cpu
+    p = sl.num_modules
+    name = sl.name
+    while True:
+        remaining = sum(h - l for l, h in zip(lo, hi))
+        if remaining <= threshold:
+            break
+        meds: List[Tuple[Hashable, int]] = []
+        replies = yield [(mid, f"{name}:sel_probe",
                           (opid, lo[mid], hi[mid]), None)
                          for mid in range(p)]
-        candidates: List[Hashable] = []
         for r in replies:
-            _, mid, window = r.payload
-            candidates.extend(window)
-        with machine.cpu.region(len(candidates)):
-            candidates.sort()
-            machine.cpu.charge(
-                len(candidates) * max(1.0, math.log2(len(candidates) + 1)),
-                max(1.0, math.log2(len(candidates) + 1)),
-            )
-        return candidates[target]
+            _, mid, size, med = r.payload
+            if med is not None:
+                meds.append((med, size))
+        cpu.charge(p, max(1.0, math.log2(p + 1)))
+        # 2. weighted median of medians
+        meds.sort()
+        half = sum(w for _, w in meds) / 2
+        acc = 0
+        pivot = meds[-1][0]
+        for med, w in meds:
+            acc += w
+            if acc >= half:
+                pivot = med
+                break
+        # 3. pivot's rank within every window
+        replies = yield [(mid, f"{name}:sel_rank",
+                          (opid, lo[mid], hi[mid], pivot), None)
+                         for mid in range(p)]
+        below = [0] * p
+        for r in replies:
+            _, mid, cnt = r.payload
+            below[mid] = cnt
+        cpu.charge(p, max(1.0, math.log2(p + 1)))
+        total_below = sum(below)
+        # 4. keep the side containing the target
+        if target < total_below:
+            for mid in range(p):
+                hi[mid] = lo[mid] + below[mid]
+        else:
+            target -= total_below
+            for mid in range(p):
+                lo[mid] = lo[mid] + below[mid]
+        if total_below == 0:
+            # pivot is the global minimum of the remaining windows;
+            # it is the answer iff target == 0
+            if target == 0:
+                return pivot
+            # otherwise discard it explicitly to guarantee progress
+            replies = yield [(mid, f"{name}:sel_rank",
+                              (opid, lo[mid], hi[mid],
+                               just_above(pivot)), None)
+                             for mid in range(p)]
+            skip = [0] * p
+            for r in replies:
+                _, mid, cnt = r.payload
+                skip[mid] = cnt
+            dropped = sum(skip)
+            target -= dropped
+            for mid in range(p):
+                lo[mid] += skip[mid]
+
+    # gather the few remaining candidates
+    replies = yield [(mid, f"{name}:sel_gather",
+                      (opid, lo[mid], hi[mid]), None)
+                     for mid in range(p)]
+    candidates: List[Hashable] = []
+    for r in replies:
+        _, mid, window = r.payload
+        candidates.extend(window)
+    with cpu.region(len(candidates)):
+        candidates.sort()
+        cpu.charge(
+            len(candidates) * max(1.0, math.log2(len(candidates) + 1)),
+            max(1.0, math.log2(len(candidates) + 1)),
+        )
+    return candidates[target]
 
 
 def select(sl: SkipListStructure, index: int,
@@ -236,4 +219,5 @@ def select(sl: SkipListStructure, index: int,
     Raises IndexError when out of range.  See the module docstring for
     the algorithm and its costs.
     """
-    return run_batch(sl.machine, _SelectOp(sl, index, gather_threshold))
+    return run_batch(sl.machine, f"{sl.name}:select",
+                     _select_route(sl, index, gather_threshold))

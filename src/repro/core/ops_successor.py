@@ -41,10 +41,10 @@ walks are Lemma 4.2's budget of 3 accesses per node, and the divide
 and conquer starts from two halves, one phase fewer.  Everything else
 is unchanged; DESIGN.md §17 has the argument and the alternatives.
 
-The whole two-stage algorithm is one :class:`~repro.ops.BatchOp`: each
-divide-and-conquer phase (and stage 2) is one route stage whose messages
-are :func:`repro.core.ops_search.search_message`'s; the search walk
-handlers are the execute phase.
+The whole two-stage algorithm is one route (:mod:`repro.ops`): each
+divide-and-conquer phase (and stage 2) is one stage whose messages are
+:func:`repro.core.ops_search.search_message`'s, run by the search walk
+handlers.
 
 **How the host runs the CPU side.**  The charges above are formulas of
 the batch (sort ``B log B``; every op pays for scanning both bounding
@@ -73,12 +73,11 @@ import math
 from operator import itemgetter
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.core import ops_search
 from repro.core.node import NEG_INF, UPPER, Node
 from repro.core.ops_search import search_message
 from repro.core.structure import SkipListStructure
 from repro.cpuside.sort import sort_positions
-from repro.ops import BatchOp, run_batch
+from repro.ops import run_batch
 from repro.sim.cpu import WorkDepth
 
 PathEntry = Tuple[Node, int, Optional[Node]]  # (node, level, right snapshot)
@@ -209,345 +208,331 @@ def search_stages(sl: SkipListStructure, b: int) -> int:
             - _median_at_root(sl, b, pivots) + (b > pivots))
 
 
-class _BatchSearchOp(BatchOp):
-    """The two-stage pivot search as a plan/route/execute/aggregate op.
+def _search_route(sl, keys, record_all, record_levels):
+    """The two-stage pivot search's route.
 
-    The route keeps its state in lists indexed by *sorted position*
+    It keeps its state in lists indexed by *sorted position*
     (``order[pos]`` is the caller's index of the op at ``pos``) and
     returns them as columns ``(order, pred, pred_right, by_level)``:
     :func:`batch_successor` / :func:`batch_predecessor` read the columns,
     :func:`batch_search` wraps them in :class:`SearchOutcome` objects.
     """
+    machine = sl.machine
+    cpu = machine.cpu
+    b = len(keys)
+    if b == 0:
+        return [], [], [], []
+    h_cap = sl.h_low - 1
 
-    def __init__(self, sl: SkipListStructure, keys: Sequence[Hashable],
-                 record_all: bool, record_levels: Optional[Sequence[int]],
-                 ) -> None:
-        self.sl = sl
-        self.keys = keys
-        self.record_all = record_all
-        self.record_levels = record_levels
-        self.name = f"{sl.name}:batch_search"
+    # Sort the batch on the CPU side (O(B log B) expected, O(log B)
+    # whp depth).
+    order = sort_positions(cpu, keys)
+    skeys = [keys[i] for i in order]
+    # Per-op retention limit (record mode only).  Pivots always
+    # record their *full* lower-part paths (the paper's stage 1
+    # stores them as the shared hint pool), so in record mode a
+    # pivot's search must start at or above ``h_cap``; a non-pivot
+    # only needs the levels up to its own limit.
+    limits: Optional[List[int]] = None
+    if record_levels is not None:
+        limits = [record_levels[i] for i in order]
+    elif record_all:
+        limits = [h_cap] * b
+    cpu.alloc(b)  # sorted index buffer
+    retained_words = b
 
-    def handlers(self):
-        return ops_search.handlers_for(self.sl)
+    piv_pos = pivot_positions(sl, b)
+    num_piv = len(piv_pos)
 
-    def route(self, machine, plan):
-        sl, keys = self.sl, self.keys
-        cpu = machine.cpu
-        b = len(keys)
-        if b == 0:
-            return [], [], [], []
-        h_cap = sl.h_low - 1
+    # Columns, by sorted position.
+    pred: List[Optional[Node]] = [None] * b
+    pred_right: List[Optional[Node]] = [None] * b
+    by_level: List[Optional[Dict[int, LevelEntry]]] = [None] * b
+    # Recorded paths (``List[PathEntry]``) of the executed pivots.
+    paths: List[Any] = [None] * b
+    pre_derived: Dict[int, Dict[int, LevelEntry]] = {}
 
-        # Sort the batch on the CPU side (O(B log B) expected, O(log B)
-        # whp depth).
-        order = sort_positions(cpu, keys)
-        skeys = [keys[i] for i in order]
-        # Per-op retention limit (record mode only).  Pivots always
-        # record their *full* lower-part paths (the paper's stage 1
-        # stores them as the shared hint pool), so in record mode a
-        # pivot's search must start at or above ``h_cap``; a non-pivot
-        # only needs the levels up to its own limit.
-        limits: Optional[List[int]] = None
-        if self.record_levels is not None:
-            limits = [self.record_levels[i] for i in order]
-        elif self.record_all:
-            limits = [h_cap] * b
-        cpu.alloc(b)  # sorted index buffer
-        retained_words = b
+    piv_level_cache: Dict[int, Dict[int, LevelEntry]] = {}
+    piv_nodes_cache: Dict[int, Set[Node]] = {}
 
-        piv_pos = pivot_positions(sl, b)
-        num_piv = len(piv_pos)
+    def pivot_nodes(ppos: int) -> Set[Node]:
+        """Cached set of a pivot's recorded path nodes."""
+        s = piv_nodes_cache.get(ppos)
+        if s is None:
+            s = piv_nodes_cache[ppos] = set(map(_node_of, paths[ppos]))
+        return s
 
-        # Columns, by sorted position.
-        pred: List[Optional[Node]] = [None] * b
-        pred_right: List[Optional[Node]] = [None] * b
-        by_level: List[Optional[Dict[int, LevelEntry]]] = [None] * b
-        # Recorded paths (``List[PathEntry]``) of the executed pivots.
-        paths: List[Any] = [None] * b
-        pre_derived: Dict[int, Dict[int, LevelEntry]] = {}
+    def level_view(ppos: int) -> Dict[int, LevelEntry]:
+        """Per-level last (node, right) of a pivot's recorded path."""
+        lv = piv_level_cache.get(ppos)
+        if lv is None:
+            lv = piv_level_cache[ppos] = {
+                lvl: (node, right) for node, lvl, right in paths[ppos]}
+        return lv
 
-        piv_level_cache: Dict[int, Dict[int, LevelEntry]] = {}
-        piv_nodes_cache: Dict[int, Set[Node]] = {}
+    def squeeze(lvl_limit: int, pa_pos: int, pb_pos: int,
+                ) -> Dict[int, LevelEntry]:
+        """Squeeze-derive per-level predecessors from bounding pivots.
 
-        def pivot_nodes(ppos: int) -> Set[Node]:
-            """Cached set of a pivot's recorded path nodes."""
-            s = piv_nodes_cache.get(ppos)
-            if s is None:
-                s = piv_nodes_cache[ppos] = set(map(_node_of, paths[ppos]))
-            return s
+        At any level where both bounding pivots have the *same*
+        recorded predecessor, the op's predecessor is squeezed to
+        that node (it lies between them), so no search is needed for
+        that level.  This generalizes the shared-leaf shortcut and is
+        what keeps batched Insert contention-free when many inserts
+        share high-level predecessors (e.g. a contiguous run at the
+        end of the key space).
 
-        def level_view(ppos: int) -> Dict[int, LevelEntry]:
-            """Per-level last (node, right) of a pivot's recorded path."""
-            lv = piv_level_cache.get(ppos)
-            if lv is None:
-                lv = piv_level_cache[ppos] = {
-                    lvl: (node, right) for node, lvl, right in paths[ppos]}
-            return lv
+        Returns the levels derived from ``lvl_limit`` downward, up to
+        the first level the pivots disagree on; the op is settled
+        without a search iff level 0 is among them.
+        """
+        la, lb = level_view(pa_pos), level_view(pb_pos)
+        derived: Dict[int, LevelEntry] = {}
+        for lvl in range(lvl_limit, -1, -1):
+            ea, eb = la.get(lvl), lb.get(lvl)
+            if ea is None or eb is None or ea[0] is not eb[0]:
+                break
+            derived[lvl] = ea
+        return derived
 
-        def squeeze(lvl_limit: int, pa_pos: int, pb_pos: int,
-                    ) -> Dict[int, LevelEntry]:
-            """Squeeze-derive per-level predecessors from bounding pivots.
+    def settle(pos: int, derived: Dict[int, LevelEntry], record: bool,
+               keep_ordered: bool) -> None:
+        """Finish an op entirely from derived levels (no search)."""
+        nonlocal retained_words
+        pred[pos], pred_right[pos] = derived[0]
+        if record:
+            by_level[pos] = dict(derived)
+        cpu.alloc(len(derived))
+        retained_words += len(derived)
+        if keep_ordered:  # ``derived`` was filled top level first
+            paths[pos] = [(node, lvl, right)
+                          for lvl, (node, right) in derived.items()]
 
-            At any level where both bounding pivots have the *same*
-            recorded predecessor, the op's predecessor is squeezed to
-            that node (it lies between them), so no search is needed for
-            that level.  This generalizes the shared-leaf shortcut and is
-            what keeps batched Insert contention-free when many inserts
-            share high-level predecessors (e.g. a contiguous run at the
-            end of the key space).
+    def launch(msgs: list, pos: int, hint: Hint, record: bool,
+               keep_ordered: bool) -> None:
+        """Start op ``pos`` from ``hint``: append its search message
+        to ``msgs``, or settle it on the spot from a leaf hint.  The
+        destination draw consumes the machine's RNG stream, so ops
+        are launched in ascending sorted position.
 
-            Returns the levels derived from ``lvl_limit`` downward, up to
-            the first level the pivots disagree on; the op is settled
-            without a search iff level 0 is among them.
-            """
-            la, lb = level_view(pa_pos), level_view(pb_pos)
-            derived: Dict[int, LevelEntry] = {}
-            for lvl in range(lvl_limit, -1, -1):
-                ea, eb = la.get(lvl), lb.get(lvl)
-                if ea is None or eb is None or ea[0] is not eb[0]:
-                    break
-                derived[lvl] = ea
-            return derived
-
-        def settle(pos: int, derived: Dict[int, LevelEntry], record: bool,
-                   keep_ordered: bool) -> None:
-            """Finish an op entirely from derived levels (no search)."""
-            nonlocal retained_words
-            pred[pos], pred_right[pos] = derived[0]
+        The search streams back what the fold below keeps and no
+        more: a pivot (``keep_ordered``) its whole lower-part path,
+        any other recording op the levels up to its own limit."""
+        nonlocal retained_words
+        if keep_ordered:
+            level = h_cap
+        elif record:  # a recording caller: ``limits`` is set
+            level = min(limits[pos], h_cap)
+        else:
+            level = -1
+        if hint is None:
+            msgs.append(search_message(sl, skeys[pos], opid=pos,
+                                       record=level))
+        elif hint[0] == "leaf":
+            _, leaf, right = hint
+            pred[pos], pred_right[pos] = leaf, right
             if record:
-                by_level[pos] = dict(derived)
-            cpu.alloc(len(derived))
-            retained_words += len(derived)
-            if keep_ordered:  # ``derived`` was filled top level first
-                paths[pos] = [(node, lvl, right)
-                              for lvl, (node, right) in derived.items()]
-
-        def launch(msgs: list, pos: int, hint: Hint, record: bool,
-                   keep_ordered: bool) -> None:
-            """Start op ``pos`` from ``hint``: append its search message
-            to ``msgs``, or settle it on the spot from a leaf hint.  The
-            destination draw consumes the machine's RNG stream, so ops
-            are launched in ascending sorted position.
-
-            The search streams back what the fold below keeps and no
-            more: a pivot (``keep_ordered``) its whole lower-part path,
-            any other recording op the levels up to its own limit."""
-            nonlocal retained_words
+                by_level[pos] = {0: (leaf, right)}
             if keep_ordered:
-                level = h_cap
-            elif record:  # a recording caller: ``limits`` is set
-                level = min(limits[pos], h_cap)
+                paths[pos] = [(leaf, 0, right)]
+                cpu.alloc(1)
+                retained_words += 1
+        else:
+            msgs.append(search_message(sl, skeys[pos], opid=pos,
+                                       record=level, start=hint[1]))
+
+    def stage(msgs: list, record: bool, keep_ordered: bool):
+        """One phase: yield its messages and fold the drained replies
+        into the columns, in one pass over the replies.  Stage 1
+        records and keeps the ordered paths (the hint pool); stage 2
+        records only for a recording caller and keeps no path."""
+        nonlocal retained_words
+        if not msgs:
+            return
+        replies = yield msgs
+        if not record:
+            # Every reply is a "done": no search emitted path records.
+            for r in replies:
+                _, opid, node, right = r.payload
+                pred[opid] = node
+                pred_right[opid] = right
+            return
+        got = paths if keep_ordered else [None] * b
+        recorded: List[int] = []
+        for r in replies:
+            payload = r.payload
+            if payload[0] == "path":  # (_, opid, node, level, right)
+                opid = payload[1]
+                pth = got[opid]
+                if pth is None:
+                    got[opid] = pth = []
+                    recorded.append(opid)
+                pth.append(payload[2:])
             else:
-                level = -1
+                _, opid, node, right = payload
+                pred[opid] = node
+                pred_right[opid] = right
+        words = 0
+        for opid in recorded:
+            pth = got[opid]
+            if keep_ordered:
+                words += len(pth)
+            # The last entry per level is that level's predecessor.
+            if limits is None:
+                bl = {lvl: (node, right) for node, lvl, right in pth}
+            else:
+                limit = limits[opid]
+                bl = {lvl: (node, right) for node, lvl, right in pth
+                      if lvl <= limit}
+                extra = pre_derived.pop(opid, None)
+                if extra:
+                    for lvl, entry in extra.items():
+                        bl.setdefault(lvl, entry)
+            by_level[opid] = bl
+            words += len(bl)
+        cpu.alloc(words)
+        retained_words += words
+
+    # ---- Stage 1: pivots by divide and conquer ----------------------
+    # Phase 0 starts the extremes -- and, up to P log P keys, the
+    # median between them -- from the root, in sorted order.
+    top = num_piv - 1
+    if _median_at_root(sl, b, num_piv):
+        roots = [0, top // 2, top]
+    else:
+        roots = [0, top] if top else [0]
+    msgs: list = []
+    for i in roots:
+        launch(msgs, piv_pos[i], None, True, True)
+    yield from stage(msgs, True, True)
+
+    segments: List[Tuple[int, int]] = list(zip(roots, roots[1:]))
+    while True:
+        msgs = []
+        next_segments: List[Tuple[int, int]] = []
+        hint_work = 0.0
+        launched = 0
+        for i, j in segments:
+            if j - i < 2:
+                continue
+            mid = (i + j) // 2
+            lo, mpos, hi = piv_pos[i], piv_pos[mid], piv_pos[j]
+            pa, pb = paths[lo], paths[hi]
+            hint_work += len(pa) + len(pb)
+            next_segments.append((i, mid))
+            next_segments.append((mid, j))
+            if limits is None:
+                hint = _lca_hint(pa, pb, 0, nodes_b=pivot_nodes(hi))
+            else:
+                # Full-path recording from an elevated hint would walk
+                # horizontally across the whole segment (endpoints are
+                # far apart in early phases); the root start is
+                # cheaper -- its upper descent is local on a replica
+                # -- and the shared-predecessor contention case is
+                # settled by the squeeze derivation.
+                hint = None
+                derived = squeeze(h_cap, lo, hi) if h_cap else {}
+                if 0 in derived:
+                    settle(mpos, derived, True, True)
+                    continue
+                if derived:
+                    pre_derived[mpos] = derived
+            launch(msgs, mpos, hint, True, True)
+            launched += 1
+        cpu.charge_wd(WorkDepth(hint_work + launched + 1,
+                                max(1.0, math.log2(launched + 2)) + 8))
+        if not launched and not any(j - i >= 2 for i, j in next_segments):
+            break
+        yield from stage(msgs, True, True)
+        segments = next_segments
+        if not segments:
+            break
+
+    # ---- Stage 2: everything else, with pivot-path hints ------------
+    # One pass per segment derives the hint and builds the messages.
+    # Every op is charged for scanning both bounding paths, whether
+    # or not the host shares the scan across the segment.
+    msgs = []
+    madd = msgs.append
+    hint_work = 0.0
+    rest = 0
+    record = record_all
+    for a in range(num_piv - 1):
+        lo, hi = piv_pos[a], piv_pos[a + 1]
+        if hi - lo < 2:
+            continue
+        pa, pb = paths[lo], paths[hi]
+        seg_work = len(pa) + len(pb)
+        if limits is None:
+            # Record-free searches: the hint depends only on the two
+            # bounding pivot paths, so the segment shares one, and
+            # its messages are built here (``search_message``
+            # inlined: this loop launches most of the batch).
+            hint_work += seg_work * (hi - lo - 1)
+            rest += hi - lo - 1
+            hint = _lca_hint(pa, pb, 0, nodes_b=pivot_nodes(hi))
             if hint is None:
-                msgs.append(search_message(sl, skeys[pos], opid=pos,
-                                           record=level))
+                fn = sl.fn_search_entry
+                for pos in range(lo + 1, hi):
+                    madd((machine.random_module(), fn,
+                          (skeys[pos], pos, -1), None))
             elif hint[0] == "leaf":
                 _, leaf, right = hint
-                pred[pos], pred_right[pos] = leaf, right
-                if record:
-                    by_level[pos] = {0: (leaf, right)}
-                if keep_ordered:
-                    paths[pos] = [(leaf, 0, right)]
-                    cpu.alloc(1)
-                    retained_words += 1
+                for pos in range(lo + 1, hi):
+                    pred[pos], pred_right[pos] = leaf, right
             else:
-                msgs.append(search_message(sl, skeys[pos], opid=pos,
-                                           record=level, start=hint[1]))
-
-        def stage(msgs: list, record: bool, keep_ordered: bool):
-            """One phase: yield its messages and fold the drained replies
-            into the columns, in one pass over the replies.  Stage 1
-            records and keeps the ordered paths (the hint pool); stage 2
-            records only for a recording caller and keeps no path."""
-            nonlocal retained_words
-            if not msgs:
-                return
-            replies = yield msgs
-            if not record:
-                # Every reply is a "done": no search emitted path records.
-                for r in replies:
-                    _, opid, node, right = r.payload
-                    pred[opid] = node
-                    pred_right[opid] = right
-                return
-            got = paths if keep_ordered else [None] * b
-            recorded: List[int] = []
-            for r in replies:
-                payload = r.payload
-                if payload[0] == "path":  # (_, opid, node, level, right)
-                    opid = payload[1]
-                    pth = got[opid]
-                    if pth is None:
-                        got[opid] = pth = []
-                        recorded.append(opid)
-                    pth.append(payload[2:])
-                else:
-                    _, opid, node, right = payload
-                    pred[opid] = node
-                    pred_right[opid] = right
-            words = 0
-            for opid in recorded:
-                pth = got[opid]
-                if keep_ordered:
-                    words += len(pth)
-                # The last entry per level is that level's predecessor.
-                if limits is None:
-                    bl = {lvl: (node, right) for node, lvl, right in pth}
-                else:
-                    limit = limits[opid]
-                    bl = {lvl: (node, right) for node, lvl, right in pth
-                          if lvl <= limit}
-                    extra = pre_derived.pop(opid, None)
-                    if extra:
-                        for lvl, entry in extra.items():
-                            bl.setdefault(lvl, entry)
-                by_level[opid] = bl
-                words += len(bl)
-            cpu.alloc(words)
-            retained_words += words
-
-        # ---- Stage 1: pivots by divide and conquer ----------------------
-        # Phase 0 starts the extremes -- and, up to P log P keys, the
-        # median between them -- from the root, in sorted order.
-        top = num_piv - 1
-        if _median_at_root(sl, b, num_piv):
-            roots = [0, top // 2, top]
-        else:
-            roots = [0, top] if top else [0]
-        msgs: list = []
-        for i in roots:
-            launch(msgs, piv_pos[i], None, True, True)
-        yield from stage(msgs, True, True)
-
-        segments: List[Tuple[int, int]] = list(zip(roots, roots[1:]))
-        while True:
-            msgs = []
-            next_segments: List[Tuple[int, int]] = []
-            hint_work = 0.0
-            launched = 0
-            for i, j in segments:
-                if j - i < 2:
-                    continue
-                mid = (i + j) // 2
-                lo, mpos, hi = piv_pos[i], piv_pos[mid], piv_pos[j]
-                pa, pb = paths[lo], paths[hi]
-                hint_work += len(pa) + len(pb)
-                next_segments.append((i, mid))
-                next_segments.append((mid, j))
-                if limits is None:
-                    hint = _lca_hint(pa, pb, 0, nodes_b=pivot_nodes(hi))
-                else:
-                    # Full-path recording from an elevated hint would walk
-                    # horizontally across the whole segment (endpoints are
-                    # far apart in early phases); the root start is
-                    # cheaper -- its upper descent is local on a replica
-                    # -- and the shared-predecessor contention case is
-                    # settled by the squeeze derivation.
-                    hint = None
-                    derived = squeeze(h_cap, lo, hi) if h_cap else {}
-                    if 0 in derived:
-                        settle(mpos, derived, True, True)
-                        continue
-                    if derived:
-                        pre_derived[mpos] = derived
-                launch(msgs, mpos, hint, True, True)
-                launched += 1
-            cpu.charge_wd(WorkDepth(hint_work + launched + 1,
-                                    max(1.0, math.log2(launched + 2)) + 8))
-            if not launched and not any(j - i >= 2 for i, j in next_segments):
-                break
-            yield from stage(msgs, True, True)
-            segments = next_segments
-            if not segments:
-                break
-
-        # ---- Stage 2: everything else, with pivot-path hints ------------
-        # One pass per segment derives the hint and builds the messages.
-        # Every op is charged for scanning both bounding paths, whether
-        # or not the host shares the scan across the segment.
-        msgs = []
-        madd = msgs.append
-        hint_work = 0.0
-        rest = 0
-        record = self.record_all
-        for a in range(num_piv - 1):
-            lo, hi = piv_pos[a], piv_pos[a + 1]
-            if hi - lo < 2:
-                continue
-            pa, pb = paths[lo], paths[hi]
-            seg_work = len(pa) + len(pb)
-            if limits is None:
-                # Record-free searches: the hint depends only on the two
-                # bounding pivot paths, so the segment shares one, and
-                # its messages are built here (``search_message``
-                # inlined: this loop launches most of the batch).
-                hint_work += seg_work * (hi - lo - 1)
-                rest += hi - lo - 1
+                start = hint[1]
+                owner = start.owner
+                fn = sl.fn_search_step
+                for pos in range(lo + 1, hi):
+                    madd((owner if owner != UPPER
+                          else machine.random_module(), fn,
+                          (start, skeys[pos], pos, -1), None))
+            continue
+        for pos in range(lo + 1, hi):
+            hint_work += seg_work
+            lvl_limit = min(limits[pos], h_cap)
+            if lvl_limit <= 0:
+                # Nothing above the leaf level to record (or, at
+                # -1, nothing at all): the record-free start.
                 hint = _lca_hint(pa, pb, 0, nodes_b=pivot_nodes(hi))
-                if hint is None:
-                    fn = sl.fn_search_entry
-                    for pos in range(lo + 1, hi):
-                        madd((machine.random_module(), fn,
-                              (skeys[pos], pos, -1), None))
-                elif hint[0] == "leaf":
-                    _, leaf, right = hint
-                    for pos in range(lo + 1, hi):
-                        pred[pos], pred_right[pos] = leaf, right
-                else:
-                    start = hint[1]
-                    owner = start.owner
-                    fn = sl.fn_search_step
-                    for pos in range(lo + 1, hi):
-                        madd((owner if owner != UPPER
-                              else machine.random_module(), fn,
-                              (start, skeys[pos], pos, -1), None))
-                continue
-            for pos in range(lo + 1, hi):
-                hint_work += seg_work
-                lvl_limit = min(limits[pos], h_cap)
-                if lvl_limit <= 0:
-                    # Nothing above the leaf level to record (or, at
-                    # -1, nothing at all): the record-free start.
-                    hint = _lca_hint(pa, pb, 0, nodes_b=pivot_nodes(hi))
-                else:
-                    # Underived level-constrained search: start from the
-                    # root.  The upper descent is local (replicated), and
-                    # an elevated per-segment hint can force a long
-                    # horizontal walk when many stored keys separate the
-                    # bounding pivots; the shared-predecessor contention
-                    # case never reaches here (the squeeze derivation
-                    # settles it).
-                    hint = None
-                    derived = squeeze(lvl_limit, lo, hi)
-                    if 0 in derived:
-                        settle(pos, derived, record, False)
-                        continue
-                    if derived:
-                        pre_derived[pos] = derived
-                launch(msgs, pos, hint, record, False)
-                rest += 1
-        if rest:
-            cpu.charge_wd(WorkDepth(hint_work + rest,
-                                    max(1.0, math.log2(rest + 1)) + 8))
-            yield from stage(msgs, record, False)
+            else:
+                # Underived level-constrained search: start from the
+                # root.  The upper descent is local (replicated), and
+                # an elevated per-segment hint can force a long
+                # horizontal walk when many stored keys separate the
+                # bounding pivots; the shared-predecessor contention
+                # case never reaches here (the squeeze derivation
+                # settles it).
+                hint = None
+                derived = squeeze(lvl_limit, lo, hi)
+                if 0 in derived:
+                    settle(pos, derived, record, False)
+                    continue
+                if derived:
+                    pre_derived[pos] = derived
+            launch(msgs, pos, hint, record, False)
+            rest += 1
+    if rest:
+        cpu.charge_wd(WorkDepth(hint_work + rest,
+                                max(1.0, math.log2(rest + 1)) + 8))
+        yield from stage(msgs, record, False)
 
-        cpu.free(retained_words)
-        # Mapping back to the caller's order (``order[pos]`` is the
-        # original index of the op at sorted position ``pos``) is the
-        # consumer's loop; its cost is charged here.
-        cpu.charge(b, max(1.0, math.log2(b)))
-        return order, pred, pred_right, by_level
+    cpu.free(retained_words)
+    # Mapping back to the caller's order (``order[pos]`` is the
+    # original index of the op at sorted position ``pos``) is the
+    # consumer's loop; its cost is charged here.
+    cpu.charge(b, max(1.0, math.log2(b)))
+    return order, pred, pred_right, by_level
 
 
 def _search_columns(sl: SkipListStructure, keys: Sequence[Hashable],
                     record_all: bool = False,
                     record_levels: Optional[Sequence[int]] = None):
     """Run the two-stage search; ``(order, pred, pred_right, by_level)``
-    by sorted position (see :class:`_BatchSearchOp`)."""
-    return run_batch(sl.machine,
-                     _BatchSearchOp(sl, keys, record_all, record_levels))
+    by sorted position (see :func:`_search_route`)."""
+    return run_batch(sl.machine, f"{sl.name}:batch_search",
+                     _search_route(sl, keys, record_all, record_levels))
 
 
 def batch_search(sl: SkipListStructure, keys: Sequence[Hashable],

@@ -28,9 +28,9 @@ Bounds (Theorem 4.4): same as Successor -- ``O(log^3 P)`` IO time,
 ``O(log^2 P log n)`` PIM time, ``O(P log^3 P)`` expected CPU work,
 ``O(log^2 P)`` CPU depth, ``Theta(P log^2 P)`` shared memory, whp.
 
-Each numbered phase above is one route stage of a single
-:class:`~repro.ops.BatchOp`; phase 4 nests the batched-search op as a
-plain call (the machine is quiescent between stages).
+Each numbered phase above is one stage of a single route
+(:mod:`repro.ops`); phase 4 nests the batched-search op as a plain call
+(the machine is quiescent between stages).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from repro.core.ops_write import write_stage
 from repro.core.structure import SkipListStructure
 from repro.cpuside.semisort import dedup_last
 from repro.cpuside.sort import parallel_sort
-from repro.ops import BatchOp, Broadcast, cached_handlers, run_batch
+from repro.ops import Broadcast, run_batch
 from repro.sim.cpu import WorkDepth
 
 
@@ -140,11 +140,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     }
 
 
-def handlers_for(sl: SkipListStructure) -> Dict[str, Any]:
-    """The upsert handler dict, created once per structure."""
-    return cached_handlers(sl, "upsert", lambda: make_handlers(sl))
-
-
 @dataclass
 class _Tower:
     key: Hashable
@@ -182,83 +177,72 @@ def _build_towers(sl: SkipListStructure,
     return towers
 
 
-class _BatchUpsertOp(BatchOp):
-    def __init__(self, sl: SkipListStructure,
-                 pairs: Sequence[Tuple[Hashable, Any]]) -> None:
-        self.sl = sl
-        self.pairs = pairs
-        self.name = f"{sl.name}:batch_upsert"
+def _upsert_route(sl, pairs):
+    cpu = sl.machine.cpu
+    n = len(pairs)
+    if n == 0:
+        return UpsertStats(updated=0, inserted=0)
 
-    def handlers(self):
-        return handlers_for(self.sl)
+    shared_words = 2 * n
+    cpu.alloc(shared_words)
+    try:
+        # -- phase A: deduplicate, try Update via the hash shortcut --
+        wanted = dedup_last(cpu, pairs)
+        cpu.charge(len(wanted), max(1.0, math.log2(len(wanted) + 1)))
+        replies = yield sl.shortcut_stage(
+            f"{sl.name}:ups_try_update", list(wanted), wanted.items())
+        found = {r.payload[0] for r in replies if r.payload[1]}
+        missing = [(k, v) for k, v in wanted.items() if k not in found]
+        updated = len(wanted) - len(missing)
+        if not missing:
+            return UpsertStats(updated=updated, inserted=0)
 
-    def route(self, machine, plan):
-        sl, pairs = self.sl, self.pairs
-        cpu = machine.cpu
-        n = len(pairs)
-        if n == 0:
-            return UpsertStats(updated=0, inserted=0)
+        # -- phase B: sort, draw heights, build towers ----------------
+        missing = parallel_sort(cpu, missing, key=itemgetter(0))
+        heights = [sl.draw_height() for _ in missing]
+        towers = _build_towers(sl, missing, heights)
+        tower_words = sum(t.height + 1 for t in towers)
+        cpu.alloc(tower_words)
+        shared_words += tower_words
+        cpu.charge_wd(WorkDepth(tower_words,
+                                max(1.0, math.log2(len(towers) + 1)) + 8))
 
-        shared_words = 2 * n
-        cpu.alloc(shared_words)
-        try:
-            # -- phase A: deduplicate, try Update via the hash shortcut --
-            wanted = dedup_last(cpu, pairs)
-            cpu.charge(len(wanted), max(1.0, math.log2(len(wanted) + 1)))
-            replies = yield sl.shortcut_stage(
-                f"{sl.name}:ups_try_update", list(wanted), wanted.items())
-            found = {r.payload[0] for r in replies if r.payload[1]}
-            missing = [(k, v) for k, v in wanted.items() if k not in found]
-            updated = len(wanted) - len(missing)
-            if not missing:
-                return UpsertStats(updated=updated, inserted=0)
+        # -- phase C: deliver lower-part nodes -----------------------
+        fn_insert_lower = f"{sl.name}:ups_insert_lower"
+        yield (
+            (node.owner, fn_insert_lower, (node,), None)
+            for t in towers for node in t.nodes
+            if not sl.is_upper_level(node.level))
 
-            # -- phase B: sort, draw heights, build towers ----------------
-            missing = parallel_sort(cpu, missing, key=itemgetter(0))
-            heights = [sl.draw_height() for _ in missing]
-            towers = _build_towers(sl, missing, heights)
-            tower_words = sum(t.height + 1 for t in towers)
-            cpu.alloc(tower_words)
-            shared_words += tower_words
-            cpu.charge_wd(WorkDepth(tower_words,
-                                    max(1.0, math.log2(len(towers) + 1)) + 8))
+        # -- phase D: batched Predecessor on the old structure -------
+        keys = [k for k, _ in missing]
+        outcomes = batch_search(sl, keys, record_all=True,
+                                record_levels=heights)
 
-            # -- phase C: deliver lower-part nodes -----------------------
-            fn_insert_lower = f"{sl.name}:ups_insert_lower"
-            yield (
-                (node.owner, fn_insert_lower, (node,), None)
-                for t in towers for node in t.nodes
-                if not sl.is_upper_level(node.level))
+        # -- phase E: sentinel growth + upper-part installation ------
+        max_h = max(heights)
+        if max_h + 1 > sl.top_level:
+            added = (max_h + 1) - sl.top_level
+            yield [Broadcast(f"{sl.name}:grow", (max_h, added))]
+        upper_nodes = [
+            node for t in towers for node in t.nodes
+            if sl.is_upper_level(node.level)
+        ]
+        if upper_nodes:
+            fn_prepare = f"{sl.name}:ups_upper_prepare"
+            yield [Broadcast(fn_prepare, (node,))
+                   for node in upper_nodes]
+            fn_link = f"{sl.name}:ups_upper_link"
+            yield [Broadcast(fn_link, (node,))
+                   for node in upper_nodes]
 
-            # -- phase D: batched Predecessor on the old structure -------
-            keys = [k for k, _ in missing]
-            outcomes = batch_search(sl, keys, record_all=True,
-                                    record_levels=heights)
+        # -- phase F: Algorithm 1 (lower horizontal pointers) --------
+        yield _algorithm1(sl, towers, outcomes)
 
-            # -- phase E: sentinel growth + upper-part installation ------
-            max_h = max(heights)
-            if max_h + 1 > sl.top_level:
-                added = (max_h + 1) - sl.top_level
-                yield [Broadcast(f"{sl.name}:grow", (max_h, added))]
-            upper_nodes = [
-                node for t in towers for node in t.nodes
-                if sl.is_upper_level(node.level)
-            ]
-            if upper_nodes:
-                fn_prepare = f"{sl.name}:ups_upper_prepare"
-                yield [Broadcast(fn_prepare, (node,))
-                       for node in upper_nodes]
-                fn_link = f"{sl.name}:ups_upper_link"
-                yield [Broadcast(fn_link, (node,))
-                       for node in upper_nodes]
-
-            # -- phase F: Algorithm 1 (lower horizontal pointers) --------
-            yield _algorithm1(sl, towers, outcomes)
-
-            sl.num_keys += len(missing)
-            return UpsertStats(updated=updated, inserted=len(missing))
-        finally:
-            cpu.free(shared_words)
+        sl.num_keys += len(missing)
+        return UpsertStats(updated=updated, inserted=len(missing))
+    finally:
+        cpu.free(shared_words)
 
 
 def batch_upsert(sl: SkipListStructure,
@@ -267,7 +251,8 @@ def batch_upsert(sl: SkipListStructure,
 
     Duplicate keys in the batch collapse to the last occurrence.
     """
-    return run_batch(sl.machine, _BatchUpsertOp(sl, pairs))
+    return run_batch(sl.machine, f"{sl.name}:batch_upsert",
+                     _upsert_route(sl, pairs))
 
 
 def _algorithm1(sl: SkipListStructure, towers: List[_Tower],

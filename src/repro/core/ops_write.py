@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.core.node import NODE_WORDS, Node, UPPER
 from repro.core.structure import SkipListStructure
-from repro.ops import BatchOp, Broadcast, Columns, cached_handlers, run_batch
+from repro.ops import Broadcast, Columns, run_batch
 from repro.sim.fastpath import BCAST, COLS
 
 _FIELDS = frozenset(("left", "right", "up", "down", "local_left",
@@ -98,11 +98,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     }
 
 
-def handlers_for(sl: SkipListStructure) -> Dict[str, Any]:
-    """The write/grow handler dict, created once per structure."""
-    return cached_handlers(sl, "write", lambda: make_handlers(sl))
-
-
 def write_message(sl: SkipListStructure, node: Node, field: str,
                   value: Optional[Node]) -> Union[tuple, Broadcast]:
     """Build the RemoteWrite of ``node.field = value`` as a stage element.
@@ -141,20 +136,12 @@ def write_stage(sl: SkipListStructure, nodes: List[Node], fields: List[str],
     return stage
 
 
-class _RemoteWriteOp(BatchOp):
-    def __init__(self, sl: SkipListStructure) -> None:
-        self.sl = sl
-        self.name = f"{sl.name}:remote_write"
-
-    def handlers(self):
-        return handlers_for(self.sl)
-
-    def route(self, machine, plan):
-        node, field, value = plan
-        yield [write_message(self.sl, node, field, value)]
+def _remote_write_route(sl, node, field, value):
+    yield [write_message(sl, node, field, value)]
 
 
 def remote_write(sl: SkipListStructure, node: Node, field: str,
                  value: Optional[Node]) -> None:
     """Apply one RemoteWrite of ``node.field = value`` (issue + drain)."""
-    run_batch(sl.machine, _RemoteWriteOp(sl), (node, field, value))
+    run_batch(sl.machine, f"{sl.name}:remote_write",
+              _remote_write_route(sl, node, field, value))

@@ -20,50 +20,38 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Optional, Tuple
 
-from repro.core import ops_delete, ops_point, ops_search, ops_upsert
+from repro.core import ops_delete, ops_upsert
 from repro.core.ops_search import search_message
 from repro.core.structure import SkipListStructure
-from repro.ops import BatchOp, run_batch
+from repro.ops import run_batch
 
 
-class _OneShotOp(BatchOp):
-    """A single-message op: one route stage, one reply."""
-
-    def __init__(self, sl: SkipListStructure, suffix: str,
-                 handler_src) -> None:
-        self.sl = sl
-        self.name = f"{sl.name}:{suffix}"
-        self._handler_src = handler_src
-
-    def handlers(self):
-        return self._handler_src(self.sl)
-
-    def route(self, machine, plan):
-        replies = yield [plan]
-        return replies
+def _one_shot_route(msg):
+    """A single-message op: one stage, its replies."""
+    return (yield [msg])
 
 
 def get_one(sl: SkipListStructure, key: Hashable) -> Optional[Any]:
     """Get(key) via the hash shortcut: exactly 2 messages."""
-    op = _OneShotOp(sl, "get_one", ops_point.handlers_for)
     msg = (sl.leaf_owner(key), f"{sl.name}:pt_get", (key,), None)
-    (reply,) = run_batch(sl.machine, op, msg)
+    (reply,) = run_batch(sl.machine, f"{sl.name}:get_one",
+                         _one_shot_route(msg))
     _key, value, found = reply.payload
     return value if found else None
 
 
 def update_one(sl: SkipListStructure, key: Hashable, value: Any) -> bool:
     """Update(key, value); returns whether the key existed."""
-    op = _OneShotOp(sl, "update_one", ops_point.handlers_for)
     msg = (sl.leaf_owner(key), f"{sl.name}:pt_update", (key, value), None)
-    (reply,) = run_batch(sl.machine, op, msg)
+    (reply,) = run_batch(sl.machine, f"{sl.name}:update_one",
+                         _one_shot_route(msg))
     return bool(reply.payload[1])
 
 
 def _search_one(sl: SkipListStructure, key: Hashable):
-    op = _OneShotOp(sl, "search_one", ops_search.handlers_for)
     msg = search_message(sl, key, opid=0)
-    replies = run_batch(sl.machine, op, msg)
+    replies = run_batch(sl.machine, f"{sl.name}:search_one",
+                        _one_shot_route(msg))
     pred = right = None
     for r in replies:
         if r.payload[0] == "done":

@@ -36,6 +36,36 @@ def distinct_reads(reads: Sequence[Tuple[str, Sequence]],
     return payloads
 
 
+class BatchDispatch:
+    """``apply_batch`` for a structure whose ``batch_get`` /
+    ``batch_successor`` / ``batch_upsert`` / ``batch_delete`` /
+    ``batch_range`` already return the conformance shapes (the hash- and
+    range-partitioned baselines, the LSM store).  ``self`` is typed
+    ``Any``: those methods are the host class's."""
+
+    #: Batch ops replayable through :meth:`apply_batch`.
+    BATCH_CAPS = frozenset({"get", "successor", "upsert", "delete", "range"})
+
+    def apply_batch(self: Any, op: str, payload: Sequence) -> Optional[list]:
+        """Uniform batch dispatch (contract: see
+        :meth:`PIMSkipList.apply_batch`)."""
+        if op == "get":
+            return self.batch_get(list(payload))
+        if op == "successor":
+            return self.batch_successor(list(payload))
+        if op == "upsert":
+            if payload:
+                self.batch_upsert(list(payload))
+            return None
+        if op == "delete":
+            if payload:
+                self.batch_delete(list(payload))
+            return None
+        if op == "range":
+            return self.batch_range(list(payload)) if payload else []
+        raise ValueError(f"apply_batch: unknown op {op!r}")
+
+
 class PIMSkipList:
     """A batch-parallel ordered map over a :class:`PIMMachine`.
 
@@ -61,17 +91,13 @@ class PIMSkipList:
         self.struct = SkipListStructure(machine, name=name,
                                         h_low_override=h_low_override)
         self.enforce_batch_size = enforce_batch_size
-        # Register eagerly (direct sends in tests and the single-op path
-        # rely on it); the op-pipeline driver re-registers the same cached
-        # dicts as a no-op on every run_batch.
-        machine.register_all(ops_point.handlers_for(self.struct))
-        machine.register_all(ops_search.handlers_for(self.struct))
-        machine.register_all(ops_write.handlers_for(self.struct))
-        machine.register_all(ops_upsert.handlers_for(self.struct))
-        machine.register_all(ops_delete.handlers_for(self.struct))
+        # Every handler the structure's ops name is registered here,
+        # once: routes only send to function ids, and the op-pipeline
+        # driver registers nothing.
         from repro.core import ops_range, ops_select
-        machine.register_all(ops_range.handlers_for(self.struct))
-        machine.register_all(ops_select.handlers_for(self.struct))
+        for ops in (ops_point, ops_search, ops_write, ops_upsert,
+                    ops_delete, ops_range, ops_select):
+            machine.register_all(ops.make_handlers(self.struct))
 
     # -- batch-size policy ---------------------------------------------------
 
@@ -223,10 +249,11 @@ class PIMSkipList:
         """Uniform batch dispatch for the differential verifier.
 
         The conformance contract, shared by the baselines, the LSM store
-        and :mod:`repro.verify`: ``get`` returns a list of values
-        (``None`` for missing keys), ``successor`` a list of ``(key,
-        value)`` pairs or ``None``, ``range`` one inclusive
-        ``[(key, value), ...]`` result list per ``(lo, hi)`` op;
+        (both through :class:`BatchDispatch`) and :mod:`repro.verify`:
+        ``get`` returns a list of values (``None`` for missing keys),
+        ``successor`` a list of ``(key, value)`` pairs or ``None``,
+        ``range`` one inclusive ``[(key, value), ...]`` result list per
+        ``(lo, hi)`` op;
         ``upsert`` and ``delete`` return ``None`` -- mutations are
         verified through subsequent reads and final-state comparison.
         """

@@ -1,12 +1,12 @@
-"""The batched-operation pipeline layer (plan/route/execute/aggregate).
+"""The batched-operation pipeline: an op is a name and a route generator.
 
-See :mod:`repro.ops.pipeline` for the :class:`BatchOp` protocol and the
+See :mod:`repro.ops.pipeline` for the route protocol and the
 :func:`run_batch` driver that every batched op in the repository runs
 through.
 """
 
-from repro.ops.pipeline import (BatchOp, Broadcast, Columns, batch_epoch,
-                                cached_handlers, run_batch)
+from repro.ops.pipeline import (Broadcast, Columns, backoff_rounds,
+                                batch_epoch, run_batch)
 
-__all__ = ["BatchOp", "Broadcast", "Columns", "batch_epoch",
-           "cached_handlers", "run_batch"]
+__all__ = ["Broadcast", "Columns", "backoff_rounds", "batch_epoch",
+           "run_batch"]

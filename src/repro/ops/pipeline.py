@@ -1,65 +1,64 @@
-"""The batched-operation pipeline: plan -> route -> execute -> aggregate.
+"""The batched-operation pipeline: an op is a name and a route.
 
 Every bound in the paper (Theorems 4.1-4.5, 5.1-5.2) has the same shape:
-some CPU-side planning, one or more bulk-synchronous message rounds
-against the PIM modules, and a CPU-side reduction of the replies.  This
-module factors that shape into a single reusable driver so the skip-list
-ops, the baselines, the collectives and the container structures all
-share one dispatch/transfer substrate instead of hand-rolled staging
-loops.
+CPU-side code issues a bulk-synchronous round against the PIM modules,
+reads the replies, and issues the next one (PAPER.md §2).  In this
+repository that code is one generator per op, its **route**, and this
+module is the one driver every route runs through -- the skip-list ops,
+the baselines, the collectives and the container structures share one
+dispatch/transfer substrate instead of hand-rolled staging loops.
 
-The four phases of a :class:`BatchOp`:
+A route yields message **stages**.  A stage is an iterable of three
+kinds of element, in issue order: ``send_all`` format tuples (``(dest,
+fn, args, tag)`` or ``(dest, fn, args, tag, size)``), :class:`Broadcast`
+markers, and :class:`Columns` -- one function's messages as parallel
+lists.  What each becomes on the machine is the driver's decision alone
+(see :func:`_issue`); a route never asks which engine it runs on.  After
+each stage the driver issues the messages, drains the network to
+quiescence, and sends the collected replies back into the generator
+(``replies = yield stage``); the generator's return value is the op's
+result.  CPU-side work (dedup, sort, grouping, the final reduction) is
+plain code in the route, charged via ``machine.cpu``.  Between stages the
+machine is quiescent, so a route may run *other* ops (nested
+``run_batch``) as plain calls -- that is how composite ops (upsert's
+embedded search, the LSM's delta probes) are built.
 
-- **plan** -- CPU-side preparation (dedup, sort, grouping); charged via
-  ``machine.cpu`` exactly as before.  Returns an opaque plan object that
-  the later phases receive.
-- **route** -- a *generator* that yields message **stages**.  A stage is
-  an iterable of three kinds of element, in issue order: ``send_all``
-  format tuples (``(dest, fn, args, tag)`` or ``(dest, fn, args, tag,
-  size)``), :class:`Broadcast` markers, and :class:`Columns` -- one
-  function's messages as parallel lists.  What each becomes on the
-  machine is the driver's decision alone (see :func:`_issue`); an op
-  never asks which engine it runs on.  After each stage the driver
-  issues the messages, drains the network to quiescence, and sends the
-  collected replies back into the generator (``replies = yield
-  stage``).  The generator's return
-  value becomes the routed result.  Between stages the machine is
-  quiescent, so a route may invoke *other* ops (nested ``run_batch``) as
-  plain calls -- that is how composite ops (upsert's embedded search, the
-  LSM's delta probes) are built.
-- **execute** -- the PIM side: the handler functions returned by
-  :meth:`BatchOp.handlers`, registered by the driver and run by the round
-  engine on the modules.
-- **aggregate** -- the final CPU-side reduction from the routed result to
-  the op's return value.
+The PIM side -- the handlers the round engine runs on the modules -- is
+the structure's: each structure registers its handlers once, when it is
+built, and a route only names their function ids.  The driver registers
+nothing.
 
-The driver (:func:`run_batch`) owns handler registration, staged-queue
-issue, round draining (labelled with the op name, so a livelock report
-names its originating op) and leaves all metric charging to the phases
-and the round engine -- the cost model is unchanged.  The outermost
-``run_batch`` on a machine is also one host-memory *reclamation epoch*
-(:func:`batch_epoch`): the interpreter's cyclic collector is paused for
-its length, so ops must not build reference cycles among their
-temporaries (see the notes for op authors below).
+The driver (:func:`run_batch`) owns staged-queue issue and round
+draining (labelled with the op name, so a livelock report names its
+originating op) and leaves all metric charging to the route and the
+round engine.  A stage the machine rejects at issue time (a malformed
+message, an unknown function, a bad module id) leaves nothing staged
+behind.  The outermost ``run_batch`` on a machine is also one
+host-memory *reclamation epoch* (:func:`batch_epoch`): the interpreter's
+cyclic collector is paused for its length, so routes must not build
+reference cycles among their temporaries (see the notes below).
 
 Backends and observability hook in here: a different driver (e.g. one
 that ships stages to multiprocess shards, or charges an alternative cost
-model) can run any existing op unmodified, because ops never touch the
-machine's message API directly.  A machine may carry a
+model) can run any existing route unmodified, because routes never touch
+the machine's message API directly.  A machine may carry a
 ``batch_observer`` callable (see :attr:`PIMMachine.batch_observer`);
 when set, the driver snapshots the machine around every op and reports
-``(op.name, MetricsDelta)`` after a successful run -- the per-batch
-metric feed the differential-verification subsystem (:mod:`repro.verify`)
+``(name, MetricsDelta)`` after a successful run -- the per-batch metric
+feed the differential-verification subsystem (:mod:`repro.verify`)
 checks its cost invariants against.  Nested ops report too (inner ops
 first, since they complete first); observers must not issue messages or
 charge costs.
 
-Design notes for op authors
----------------------------
+Design notes for route authors
+------------------------------
 
-- ``route`` must be a generator function.  A stage-free op can
-  ``return value`` before any ``yield`` (use the ``if False: yield``
-  idiom to force generator-ness if there is no other yield).
+- A route is a generator function taking what the op needs (the
+  structure, the batch).  Calling it runs nothing: the body starts when
+  the driver sends the first ``None``, inside the batch epoch.  A
+  stage-free route can ``return value`` before any ``yield`` (use the
+  ``if False: yield`` idiom to force generator-ness if there is no other
+  yield).
 - An *empty* stage is legal and free: draining a quiescent machine is a
   no-op, so conditional stages may simply yield nothing.
 - Hold shared-memory allocations across stages with ``try/finally`` (or
@@ -68,16 +67,11 @@ Design notes for op authors
   yield from inside a ``finally`` -- cleanup *messages* must be a normal
   success-path stage.
 - Keep a batch's temporaries acyclic.  The cyclic collector is paused
-  while a batch runs, so a plan record that points back at its op, or a
-  freed structure node that keeps its neighbour pointers, is a leak
-  until some later full collection.  Index into flat lists instead of
-  linking scratch objects both ways, and clear the pointer slots of
-  whatever the op removes from the structure.
-- Handler dicts must be stable: :meth:`PIMMachine.register` treats
-  re-registration of the identical handler object as a no-op but rejects
-  a different object under the same id, so :meth:`BatchOp.handlers` must
-  return a cached dict (see :func:`cached_handlers`), or ``{}`` when the
-  owning structure registered its handlers at construction time.
+  while a batch runs, so a scratch record that points back at its
+  owner, or a freed structure node that keeps its neighbour pointers, is
+  a leak until some later full collection.  Index into flat lists
+  instead of linking scratch objects both ways, and clear the pointer
+  slots of whatever the op removes from the structure.
 """
 
 from __future__ import annotations
@@ -85,15 +79,20 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from itertools import repeat
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Generator, Iterable, Iterator, List, Optional, \
+    Sequence
 
-from repro.sim.chaos import DELIVER_FN
+from repro.sim.chaos import ACK_TAG, DELIVER_FN
 from repro.sim.errors import (DeliveryTimeout, MalformedMessageError,
                               UnknownHandlerError)
-from repro.sim.machine import Handler, PIMMachine, check_columns
+from repro.sim.machine import PIMMachine, check_columns
 
-__all__ = ["ACK_TAG", "BatchOp", "Broadcast", "Columns", "batch_epoch",
-           "cached_handlers", "run_batch"]
+__all__ = ["Broadcast", "Columns", "backoff_rounds", "batch_epoch",
+           "run_batch"]
+
+#: What :func:`run_batch` drives: a generator that yields stages, is sent
+#: each stage's replies, and returns the op's result.
+Route = Generator[Any, Any, Any]
 
 
 class Broadcast:
@@ -153,59 +152,13 @@ class Columns:
                 f"{len(self.cols)} columns)")
 
 
-class BatchOp:
-    """One batched operation, split into its pipeline phases.
-
-    Subclasses override the phases they need; the defaults make the
-    trivial op (no handlers, plan is the batch, no stages, aggregate is
-    the routed value) a no-op.
-    """
-
-    #: Human-readable op id; names the drain in livelock reports.
-    name = "op"
-    #: Round bound passed to ``drain`` for every stage of this op.
-    max_rounds = 1_000_000
-
-    def handlers(self) -> Dict[str, Handler]:
-        """The execute phase: function-id -> handler dict to register.
-
-        Must return a *stable* dict (same object every call) -- see the
-        module docstring -- or ``{}`` when the host structure registers
-        its handlers itself at construction time.
-        """
-        return {}
-
-    def plan(self, machine: PIMMachine, batch: Any) -> Any:
-        """CPU-side planning; returns the plan passed to route/aggregate."""
-        return batch
-
-    def route(self, machine: PIMMachine, plan: Any):
-        """Generator yielding message stages; returns the routed result."""
-        return plan
-        yield  # pragma: no cover - marks this default as a generator
-
-    def aggregate(self, machine: PIMMachine, plan: Any, routed: Any) -> Any:
-        """Final CPU-side reduction; defaults to the routed result."""
-        return routed
-
-
-def cached_handlers(host: Any, key: str, factory) -> Dict[str, Handler]:
-    """Create a handler dict once per ``host`` object and memoise it.
-
-    The machine requires re-registration to present the *same* handler
-    objects, so handler factories (which build fresh closures) must run
-    at most once per host structure.  The cache lives on the host under
-    ``_handler_cache`` (hosts are plain objects without ``__slots__``).
-    """
-    cache = getattr(host, "_handler_cache", None)
-    if cache is None:
-        cache = {}
-        host._handler_cache = cache
-    h = cache.get(key)
-    if h is None:
-        h = factory()
-        cache[key] = h
-    return h
+def backoff_rounds(attempt: int) -> int:
+    """The one retry backoff curve: idle rounds waited after failed
+    attempt ``attempt`` (1-based), ``min(2^(attempt - 1), 8)``.  The
+    reliable-delivery protocol below waits it between delivery attempts,
+    the recovery manager between in-place read retries, and the serving
+    layer adds its jitter to it."""
+    return min(1 << (attempt - 1), 8)
 
 
 # -- reliable delivery ----------------------------------------------------
@@ -213,49 +166,24 @@ def cached_handlers(host: Any, key: str, factory) -> Dict[str, Handler]:
 # With a fault plan installed (machine.install_fault_plan) the driver
 # wraps every CPU->module message of every stage in a sequence-numbered
 # envelope (function id repro.sim.chaos.DELIVER_FN).  The module-side
-# wrapper acknowledges each arrival with a one-unit reply and executes
-# the inner handler exactly once (ModuleContext.first_delivery dedups
+# wrapper (repro.sim.chaos.deliver_envelope, registered with the plan)
+# acknowledges each arrival with a one-unit reply and executes the inner
+# handler exactly once (ModuleContext.first_delivery dedups
 # redelivery); the CPU side retries unacknowledged envelopes after each
-# drain with capped exponential backoff charged as idle rounds, and
-# escalates to DeliveryTimeout when config.max_delivery_attempts is
-# exhausted.  Every protocol byte is charged to the ordinary metrics:
-# envelopes and retransmissions enter the h-relation like any message,
-# acks are one-unit replies, and backoff burns rounds + sync cost.
-# Replies and forwards stay outside the protocol -- the chaos layer
-# never faults them (see repro.sim.chaos for why that makes the
-# protocol end-to-end exactly-once).
-
-
-class _AckTag:
-    """Identity tag of protocol acknowledgements (never user-visible)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<ack>"
-
-
-ACK_TAG = _AckTag()
-
-
-def _deliver(ctx, seq, fn, args, inner_tag, size, corrupt=False, tag=None):
-    """Module-side envelope handler: ack, dedup, run the inner task."""
-    if corrupt:
-        # Payload failed its checksum in flight: discard without acking;
-        # the sender's retry carries a fresh copy.
-        ctx.charge(1)
-        return
-    ctx.reply(seq, tag=ACK_TAG, size=1)
-    if not ctx.first_delivery(seq):
-        return
-    ctx._handlers[fn](ctx, *args, tag=inner_tag)
+# drain with capped exponential backoff (backoff_rounds) charged as idle
+# rounds, and escalates to DeliveryTimeout when
+# config.max_delivery_attempts is exhausted.  Every protocol byte is
+# charged to the ordinary metrics: envelopes and retransmissions enter
+# the h-relation like any message, acks are one-unit replies, and
+# backoff burns rounds + sync cost.  Replies and forwards stay outside
+# the protocol -- the chaos layer never faults them (see repro.sim.chaos
+# for why that makes the protocol end-to-end exactly-once).
 
 
 class _ReliableChannel:
     """Per-machine protocol state: sequence counter + in-flight table."""
 
-    def __init__(self, machine: PIMMachine) -> None:
-        machine.register(DELIVER_FN, _deliver)
+    def __init__(self) -> None:
         self.next_seq = 0
         # seq -> [dest, fn, attempt]; populated while a stage is being
         # delivered, so drain diagnostics can tell an in-flight retry
@@ -275,55 +203,63 @@ class _ReliableChannel:
 def _channel(machine: PIMMachine) -> _ReliableChannel:
     chan = getattr(machine, "_rdp", None)
     if chan is None:
-        chan = machine._rdp = _ReliableChannel(machine)
+        chan = machine._rdp = _ReliableChannel()
     return chan
 
 
-def _reliable_stage(machine: PIMMachine, op: "BatchOp",
-                    stage: Optional[Iterable]) -> list:
-    """Issue one stage under the reliable-delivery protocol and drain to
-    quiescence, retrying lost envelopes; returns the inner replies."""
+def _reliable_issue(machine: PIMMachine,
+                    stage: Optional[Iterable]) -> Dict[int, tuple]:
+    """Issue one stage under the reliable-delivery protocol; returns its
+    envelopes, ``seq -> send tuple``."""
     chan = _channel(machine)
-    pending: Dict[int, tuple] = {}  # seq -> envelope send tuple
-    if stage is not None:
-        handlers = machine._handlers
+    pending: Dict[int, tuple] = {}
+    if stage is None:
+        return pending
+    handlers = machine._handlers
 
-        def wrap(dest: int, fn: str, args: tuple, tag: Any,
-                 size: int) -> None:
-            if fn not in handlers:
-                raise UnknownHandlerError(
-                    f"no handler for {fn!r} (resolved at send time)")
-            seq = chan.next_seq
-            chan.next_seq += 1
-            pending[seq] = (dest, DELIVER_FN, (seq, fn, args, tag, size),
-                            None, size)
-            chan.inflight[seq] = [dest, fn, 1]
+    def wrap(dest: int, fn: str, args: tuple, tag: Any, size: int) -> None:
+        if fn not in handlers:
+            raise UnknownHandlerError(
+                f"no handler for {fn!r} (resolved at send time)")
+        seq = chan.next_seq
+        chan.next_seq += 1
+        pending[seq] = (dest, DELIVER_FN, (seq, fn, args, tag, size),
+                        None, size)
+        chan.inflight[seq] = [dest, fn, 1]
 
-        for item in stage:
-            cls = item.__class__
-            if cls is Broadcast:
-                for mid in range(machine.num_modules):
-                    wrap(mid, item.fn, item.args, item.tag, item.size)
-            elif cls is Columns:
-                for dest, fn, args, tag in item.rows():
-                    wrap(dest, fn, args, tag, 1)
-            elif len(item) == 4:
-                dest, fn, args, tag = item
+    for item in stage:
+        cls = item.__class__
+        if cls is Broadcast:
+            for mid in range(machine.num_modules):
+                wrap(mid, item.fn, item.args, item.tag, item.size)
+        elif cls is Columns:
+            for dest, fn, args, tag in item.rows():
                 wrap(dest, fn, args, tag, 1)
-            elif len(item) == 5:
-                wrap(*item)
-            else:
-                raise MalformedMessageError(
-                    f"send_all message has {len(item)} elements; expected "
-                    f"(dest, fn, args, tag) or (dest, fn, args, tag, size): "
-                    f"{item!r}")
-        if pending:
-            machine.send_all(pending.values())
+        elif len(item) == 4:
+            dest, fn, args, tag = item
+            wrap(dest, fn, args, tag, 1)
+        elif len(item) == 5:
+            wrap(*item)
+        else:
+            raise MalformedMessageError(
+                f"send_all message has {len(item)} elements; expected "
+                f"(dest, fn, args, tag) or (dest, fn, args, tag, size): "
+                f"{item!r}")
+    if pending:
+        machine.send_all(pending.values())
+    return pending
+
+
+def _reliable_drain(machine: PIMMachine, name: str,
+                    pending: Dict[int, tuple]) -> list:
+    """Drain an issued stage's envelopes to quiescence, retrying lost
+    ones; returns the inner replies."""
+    chan = _channel(machine)
     inner: List[Any] = []
     attempt = 1
     cfg = machine.config
     while True:
-        for r in machine.drain(op.max_rounds, label=op.name):
+        for r in machine.drain(label=name):
             if r.tag is ACK_TAG:
                 if pending.pop(r.payload, None) is not None:
                     chan.inflight.pop(r.payload, None)
@@ -368,14 +304,12 @@ def _reliable_stage(machine: PIMMachine, op: "BatchOp",
             for seq in pending:
                 chan.inflight.pop(seq, None)
             raise DeliveryTimeout(
-                f"op {op.name!r}: {len(pending)} message(s) undelivered "
+                f"op {name!r}: {len(pending)} message(s) undelivered "
                 f"after {attempt} attempts (max_delivery_attempts="
                 f"{cfg.max_delivery_attempts}): {'; '.join(sections)}",
-                op=op.name, attempts=attempt, undelivered=len(pending),
+                op=name, attempts=attempt, undelivered=len(pending),
                 stuck=len(stuck), retrying=len(retrying))
-        backoff = min(cfg.retry_backoff_base << (attempt - 1),
-                      cfg.retry_backoff_cap)
-        machine.idle_rounds(backoff)
+        machine.idle_rounds(backoff_rounds(attempt))
         attempt += 1
         for seq in pending:
             chan.inflight[seq][2] = attempt
@@ -430,6 +364,19 @@ def _issue(machine: PIMMachine, stage: Optional[Iterable]) -> None:
         machine.send_all(run)
 
 
+def _discard_stage(machine: PIMMachine) -> None:
+    """Undo a stage the machine rejected part-way through its issue.
+
+    A stage boundary is quiescent, so whatever is pending now -- staged
+    messages, and under a fault plan envelopes in the protocol's
+    in-flight table -- was staged by the rejected stage: drop it, unrun
+    and uncharged, so the next op drains only its own messages."""
+    machine._discard_staged()
+    chan = getattr(machine, "_rdp", None)
+    if chan is not None:
+        chan.inflight.clear()
+
+
 @contextmanager
 def batch_epoch(machine: PIMMachine) -> Iterator[None]:
     """One reclamation epoch: the outermost batch scope on ``machine``.
@@ -463,59 +410,60 @@ def batch_epoch(machine: PIMMachine) -> Iterator[None]:
             gc.enable()
 
 
-def run_batch(machine: PIMMachine, op: BatchOp, batch: Any = None) -> Any:
-    """Drive one :class:`BatchOp` to completion and return its result.
+def run_batch(machine: PIMMachine, name: str, route: Route) -> Any:
+    """Drive the op ``name`` -- its ``route`` generator -- to completion
+    and return the route's return value.
 
-    Registers the op's handlers (idempotent), runs ``plan``, then
-    alternates ``route`` stages with network drains, and finishes with
-    ``aggregate``.  Draining an empty network is free, so the driver
-    drains unconditionally after every stage -- the op's yield points
-    alone determine the round structure.
+    Alternates the route's stages with network drains.  Draining an
+    empty network is free, so the driver drains unconditionally after
+    every stage -- the route's yield points alone determine the round
+    structure.  A stage the machine rejects while it is being issued
+    raises to the caller with nothing of it left staged.
 
     With a fault plan installed on the machine, every stage is issued
     through the reliable-delivery protocol instead (see the module
-    comment above): ops are written against a perfect network and
+    comment above): routes are written against a perfect network and
     survive message-level faults without changes.
 
     The outermost call on a machine is one reclamation epoch (see
     :func:`batch_epoch`); nested calls run inside it.
     """
-    # The driver is its own frame so that the plan, the replies and the
-    # routed value are already released when the epoch closes: the
-    # collector comes back to the result alone.
+    # The driver is its own frame so that the replies and the route's
+    # locals are already released when the epoch closes: the collector
+    # comes back to the result alone.
     with batch_epoch(machine):
-        return _drive(machine, op, batch)
+        return _drive(machine, name, route)
 
 
-def _drive(machine: PIMMachine, op: BatchOp, batch: Any) -> Any:
-    observer = getattr(machine, "batch_observer", None)
+def _drive(machine: PIMMachine, name: str, route: Route) -> Any:
+    observer = machine.batch_observer
     before = machine.snapshot() if observer is not None else None
-    handlers = op.handlers()
-    if handlers:
-        machine.register_all(handlers)
-    plan = op.plan(machine, batch)
-    gen = op.route(machine, plan)
     replies: Any = None
     try:
         while True:
             try:
-                stage = gen.send(replies)
+                stage = route.send(replies)
             except StopIteration as stop:
-                routed = stop.value
+                result = stop.value
                 break
-            if machine._chaos is None:
-                _issue(machine, stage)
-                replies = machine.drain(op.max_rounds, label=op.name)
-            else:
-                replies = _reliable_stage(machine, op, stage)
+            envelopes: Optional[Dict[int, tuple]] = None
+            try:
+                if machine._chaos is None:
+                    _issue(machine, stage)
+                else:
+                    envelopes = _reliable_issue(machine, stage)
+            except BaseException:
+                _discard_stage(machine)
+                raise
+            replies = (machine.drain(label=name) if envelopes is None
+                       else _reliable_drain(machine, name, envelopes))
     except BaseException:
-        gen.close()
+        route.close()
         raise
-    result = op.aggregate(machine, plan, routed)
     if observer is not None:
         machine.batch_observer = None
         try:
-            observer(op.name, machine.delta_since(before))
+            observer(name, machine.delta_since(before))
         finally:
             machine.batch_observer = observer
     return result

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.ops import backoff_rounds
 from repro.recovery.checkpoint import (
     Checkpoint,
     CheckpointUnavailable,
@@ -162,11 +163,6 @@ class RecoveryEvent:
     replayed_batches: int
 
 
-def _default_backoff(attempt: int) -> int:
-    """Capped exponential in-place retry backoff (idle rounds)."""
-    return min(1 << (attempt - 1), 8)
-
-
 def _replay_payload(op: str, payload: list) -> list:
     """WAL form -> batch payload (upsert pairs back to tuples)."""
     if op == "upsert":
@@ -187,8 +183,8 @@ class RecoveryManager:
     *read* batch on :class:`~repro.sim.errors.DeliveryTimeout` before a
     failover is spent; ``retry_backoff`` maps the attempt number (1-based)
     to idle rounds charged on the structure's machine between attempts
-    (default: capped exponential; the serving layer passes a jittered
-    curve).  The ``on_failure(op, exc)``, ``on_recovery(event)`` and
+    (default: :func:`repro.ops.backoff_rounds`; the serving layer passes
+    it jittered).  The ``on_failure(op, exc)``, ``on_recovery(event)`` and
     ``on_degrade(result)`` hooks observe the failure stream without
     being able to alter it.
     """
@@ -213,7 +209,7 @@ class RecoveryManager:
         self.allow_restore = allow_restore
         self.max_recoveries = max_recoveries
         self.read_retry_attempts = read_retry_attempts
-        self.retry_backoff = retry_backoff or _default_backoff
+        self.retry_backoff = retry_backoff or backoff_rounds
         self.on_failure = on_failure
         self.on_recovery = on_recovery
         self.on_degrade = on_degrade

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Dict, Optional, Union
 
+from repro.ops import backoff_rounds
 from repro.recovery import (
     DegradedReason,
     DegradedResult,
@@ -53,16 +54,17 @@ __all__ = ["ResiliencePolicy", "jittered_backoff"]
 
 
 def jittered_backoff(seed: int) -> Callable[[int], int]:
-    """Capped exponential backoff with deterministic jitter.
+    """The retry backoff curve with deterministic jitter.
 
-    ``attempt`` (1-based) maps to ``min(2^(attempt-1), 8)`` idle rounds
-    plus a 0-2 round jitter hashed from ``(seed, attempt)`` -- jitter
-    decorrelates retry storms across tenants without sacrificing the
-    bit-identical replays the soak harness depends on.
+    ``attempt`` (1-based) maps to :func:`repro.ops.backoff_rounds`
+    (``min(2^(attempt-1), 8)`` idle rounds) plus a 0-2 round jitter
+    hashed from ``(seed, attempt)`` -- jitter decorrelates retry storms
+    across tenants without sacrificing the bit-identical replays the soak
+    harness depends on.
     """
 
     def backoff(attempt: int) -> int:
-        return min(1 << (attempt - 1), 8) + _mix(seed, 0xBAC0FF, attempt) % 3
+        return backoff_rounds(attempt) + _mix(seed, 0xBAC0FF, attempt) % 3
 
     return backoff
 

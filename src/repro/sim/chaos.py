@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.sim.errors import ModuleCrashed
 
 __all__ = [
+    "ACK_TAG",
     "DELIVER_FN",
     "ChaosStats",
     "CrashEvent",
@@ -57,6 +58,7 @@ __all__ = [
     "MACHINE_SCHEDULES",
     "StallEvent",
     "build_schedule",
+    "deliver_envelope",
 ]
 
 #: Function id of the reliable-delivery envelope handler.  Defined here
@@ -66,6 +68,34 @@ __all__ = [
 #: size)``; the chaos filter may append a truthy 6th element to mark the
 #: payload corrupted in flight.
 DELIVER_FN = "__reliable_deliver__"
+
+
+class _AckTag:
+    """Identity tag of protocol acknowledgements (never user-visible)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "<ack>"
+
+
+ACK_TAG = _AckTag()
+
+
+def deliver_envelope(ctx, seq, fn, args, inner_tag, size, corrupt=False,
+                     tag=None):
+    """The module side of the reliable-delivery protocol, registered
+    under :data:`DELIVER_FN` when a fault plan is installed: ack the
+    envelope, dedup redelivery, run the inner task."""
+    if corrupt:
+        # Payload failed its checksum in flight: discard without acking;
+        # the sender's retry carries a fresh copy.
+        ctx.charge(1)
+        return
+    ctx.reply(seq, tag=ACK_TAG, size=1)
+    if not ctx.first_delivery(seq):
+        return
+    ctx._handlers[fn](ctx, *args, tag=inner_tag)
 
 
 def _mix(*vals: int) -> int:

@@ -81,12 +81,9 @@ class MachineConfig:
         times a CPU->module envelope is (re)sent before the driver raises
         :class:`repro.sim.errors.DeliveryTimeout`.  Only consulted when a
         fault plan is installed (see :mod:`repro.sim.chaos`); the
-        fault-free path never retries.
-    retry_backoff_base / retry_backoff_cap:
-        Capped exponential backoff between delivery attempts, measured in
-        bulk-synchronous rounds: attempt ``k`` waits
-        ``min(base * 2**(k-1), cap)`` idle rounds (each charged one round
-        plus ``log2 P`` sync cost -- waiting is not free).
+        fault-free path never retries.  Between attempts the driver
+        waits :func:`repro.ops.backoff_rounds` idle rounds (each charged
+        one round plus ``log2 P`` sync cost -- waiting is not free).
     """
 
     num_modules: int
@@ -99,8 +96,6 @@ class MachineConfig:
     trace_rounds: bool = True
     contention_model: str = "none"
     max_delivery_attempts: int = 8
-    retry_backoff_base: int = 1
-    retry_backoff_cap: int = 8
 
     def __post_init__(self) -> None:
         if self.num_modules < 1:
@@ -113,8 +108,6 @@ class MachineConfig:
             raise ValueError("contention_model must be 'none' or 'qrqw'")
         if self.max_delivery_attempts < 1:
             raise ValueError("max_delivery_attempts must be >= 1")
-        if self.retry_backoff_base < 1 or self.retry_backoff_cap < 1:
-            raise ValueError("retry backoff rounds must be >= 1")
 
     @property
     def resolved_shared_memory_words(self) -> int:

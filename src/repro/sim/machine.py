@@ -72,7 +72,8 @@ from itertools import repeat
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.sim.chaos import ChaosState, FaultPlan
+from repro.sim.chaos import (DELIVER_FN, ChaosState, FaultPlan,
+                             deliver_envelope)
 from repro.sim.config import MachineConfig
 from repro.sim.cpu import CPUSide
 from repro.sim.errors import (LivelockError, MalformedMessageError,
@@ -538,6 +539,20 @@ class PIMMachine:
         self._incoming_total += n * size
         self._cq.append(ch)
 
+    def _discard_staged(self) -> None:
+        """Drop every staged message, unrun and uncharged: the ops
+        driver's cleanup of a stage rejected part-way through its
+        issue."""
+        recv = self._recv
+        for mid in self._active:
+            recv[mid] = 0
+        self._active = []
+        self._staged = {}
+        self._cq = []
+        self._fq = []
+        self._bcast_units = 0
+        self._incoming_total = 0
+
     # -- chunk staging ------------------------------------------------------
 
     def _stage_row(self, queue: List[_Chunk], fn: str, dest: int,
@@ -884,8 +899,9 @@ class PIMMachine:
         """Arm a :class:`~repro.sim.chaos.FaultPlan` on this machine.
 
         Event rounds in the plan are interpreted relative to the install
-        point.  Installing also makes :func:`repro.ops.run_batch` wrap
-        every CPU->module message in the reliable-delivery protocol, and
+        point.  Installing also registers the protocol's envelope handler
+        and makes :func:`repro.ops.run_batch` wrap every CPU->module
+        message in the reliable-delivery protocol, and
         keeps every message in slots until :meth:`uninstall_fault_plan`
         (the chaos filter rewrites per-destination queues in place).
         Refuses while any message is :attr:`pending` -- rows, columns,
@@ -897,6 +913,7 @@ class PIMMachine:
         if self.pending:
             raise RuntimeError("cannot install a fault plan with messages "
                                "pending; drain first")
+        self.register(DELIVER_FN, deliver_envelope)
         self._chunk_fns = _NO_CHUNK_FNS
         self._chaos = ChaosState(plan, base_round=self.metrics.rounds)
         return self._chaos

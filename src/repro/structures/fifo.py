@@ -20,7 +20,7 @@ import math
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.balls.hashing import KeyLevelHash
-from repro.ops import BatchOp, run_batch
+from repro.ops import run_batch
 from repro.sim.machine import PIMMachine
 
 
@@ -68,56 +68,36 @@ class PIMQueue:
 
     def enqueue_batch(self, values: Sequence[Any]) -> None:
         """Append ``values`` in order (one balanced round)."""
-        run_batch(self.machine, _EnqueueOp(self, values))
+        run_batch(self.machine, f"{self.name}:enqueue",
+                  _enqueue_route(self, values))
 
     def dequeue_batch(self, count: int) -> List[Any]:
         """Remove and return up to ``count`` oldest items, in order."""
-        return run_batch(self.machine, _DequeueOp(self, count))
+        return run_batch(self.machine, f"{self.name}:dequeue",
+                         _dequeue_route(self, count))
 
 
-class _QueueOp(BatchOp):
-    """Base for the queue's ops: handlers are registered by the queue's
-    constructor (guarded by name), so ops contribute none themselves."""
-
-    def __init__(self, q: PIMQueue, suffix: str) -> None:
-        self.q = q
-        self.name = f"{q.name}:{suffix}"
-
-
-class _EnqueueOp(_QueueOp):
-    def __init__(self, q: PIMQueue, values: Sequence[Any]) -> None:
-        super().__init__(q, "enqueue")
-        self.values = values
-
-    def route(self, machine, plan):
-        q, values = self.q, self.values
-        base = q.tail
-        q.tail += len(values)
-        machine.cpu.charge(len(values),
-                           max(1.0, math.log2(len(values) + 1)))
-        fn_store = f"{q.name}:store"
-        yield ((q._owner(base + i), fn_store, (base + i, value), None)
-               for i, value in enumerate(values))
+def _enqueue_route(q: PIMQueue, values: Sequence[Any]):
+    base = q.tail
+    q.tail += len(values)
+    q.machine.cpu.charge(len(values), max(1.0, math.log2(len(values) + 1)))
+    fn_store = f"{q.name}:store"
+    yield ((q._owner(base + i), fn_store, (base + i, value), None)
+           for i, value in enumerate(values))
 
 
-class _DequeueOp(_QueueOp):
-    def __init__(self, q: PIMQueue, count: int) -> None:
-        super().__init__(q, "dequeue")
-        self.count = count
-
-    def route(self, machine, plan):
-        q = self.q
-        count = min(self.count, len(q))
-        if count == 0:
-            return []
-        base = q.head
-        q.head += count
-        machine.cpu.charge(count, max(1.0, math.log2(count + 1)))
-        fn_take = f"{q.name}:take"
-        replies = yield ((q._owner(base + i), fn_take, (base + i,), None)
-                         for i in range(count))
-        out: List[Optional[Any]] = [None] * count
-        for r in replies:
-            _, seq, value = r.payload
-            out[seq - base] = value
-        return out
+def _dequeue_route(q: PIMQueue, count: int):
+    count = min(count, len(q))
+    if count == 0:
+        return []
+    base = q.head
+    q.head += count
+    q.machine.cpu.charge(count, max(1.0, math.log2(count + 1)))
+    fn_take = f"{q.name}:take"
+    replies = yield ((q._owner(base + i), fn_take, (base + i,), None)
+                     for i in range(count))
+    out: List[Optional[Any]] = [None] * count
+    for r in replies:
+        _, seq, value = r.payload
+        out[seq - base] = value
+    return out

@@ -34,15 +34,15 @@ import math
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.balls.hashing import KeyLevelHash
-from repro.core.skiplist import PIMSkipList
+from repro.core.skiplist import BatchDispatch, PIMSkipList
 from repro.cpuside.semisort import group_positions
-from repro.ops import BatchOp, run_batch
+from repro.ops import run_batch
 from repro.sim.machine import PIMMachine
 
 TOMBSTONE = ("__lsm_tombstone__",)
 
 
-class PIMLSMStore:
+class PIMLSMStore(BatchDispatch):
     """Delta skip list + static hashed-block run, with compaction."""
 
     def __init__(self, machine: PIMMachine, name: str = "lsm",
@@ -173,7 +173,8 @@ class PIMLSMStore:
     def batch_get(self, keys: Sequence[Hashable]) -> List[Optional[Any]]:
         """Point lookups: delta first (shadowing), then one fence-routed
         block probe per miss."""
-        return run_batch(self.machine, _LSMGetOp(self, keys))
+        return run_batch(self.machine, f"{self.name}:batch_get",
+                         _get_route(self, keys))
 
     def batch_successor(self, keys: Sequence[Hashable],
                         ) -> List[Optional[Tuple[Hashable, Any]]]:
@@ -184,7 +185,8 @@ class PIMLSMStore:
         key) -- a range-partitioned access pattern with the imbalance
         that entails under adversarial batches.
         """
-        return run_batch(self.machine, _LSMSuccessorOp(self, keys))
+        return run_batch(self.machine, f"{self.name}:batch_successor",
+                         _successor_route(self, keys))
 
     def _delta_successor_skipping_tombstones(self, keys):
         """Delta successors, stepping over tombstoned entries."""
@@ -228,29 +230,8 @@ class PIMLSMStore:
     def batch_range(self, ops: Sequence[Tuple[Hashable, Hashable]],
                     ) -> List[List[Tuple[Hashable, Any]]]:
         """Merge delta ranges with block scans, dropping tombstones."""
-        return run_batch(self.machine, _LSMRangeOp(self, ops))
-
-    #: Batch ops replayable through :meth:`apply_batch`.
-    BATCH_CAPS = frozenset({"get", "successor", "upsert", "delete", "range"})
-
-    def apply_batch(self, op: str, payload: Sequence) -> Optional[list]:
-        """Uniform batch dispatch (contract: see
-        :meth:`repro.core.skiplist.PIMSkipList.apply_batch`)."""
-        if op == "get":
-            return self.batch_get(list(payload))
-        if op == "successor":
-            return self.batch_successor(list(payload))
-        if op == "upsert":
-            if payload:
-                self.batch_upsert(list(payload))
-            return None
-        if op == "delete":
-            if payload:
-                self.batch_delete(list(payload))
-            return None
-        if op == "range":
-            return self.batch_range(list(payload)) if payload else []
-        raise ValueError(f"apply_batch: unknown op {op!r}")
+        return run_batch(self.machine, f"{self.name}:batch_range",
+                         _range_route(self, ops))
 
     # ------------------------------------------------------------------
     # compaction
@@ -258,7 +239,7 @@ class PIMLSMStore:
 
     def compact(self) -> None:
         """Merge delta into the run; rewrite hashed blocks; clear delta."""
-        run_batch(self.machine, _LSMCompactOp(self))
+        run_batch(self.machine, f"{self.name}:compact", _compact_route(self))
 
     def _min_key_probe(self):
         # smallest key present in the delta
@@ -280,201 +261,172 @@ class PIMLSMStore:
         return ABOVE_ALL
 
 
-class _LSMOp(BatchOp):
-    """Base for the store's ops: block handlers are registered by the
-    store's constructor (guarded by name), so ops contribute none."""
+def _get_route(lsm: PIMLSMStore, keys: Sequence[Hashable]):
+    cpu = lsm.machine.cpu
+    groups = group_positions(cpu, keys)
+    out: List[Optional[Any]] = [None] * len(keys)
+    delta_vals = lsm.delta.batch_get(list(groups))
+    delta_hit: Dict[Hashable, Any] = {}
+    misses: List[Hashable] = []
+    for key, dv in zip(groups, delta_vals):
+        if dv is not None:
+            delta_hit[key] = None if dv == TOMBSTONE else dv
+        else:
+            misses.append(key)
+    msgs = []
+    fn_get = f"{lsm.name}:blk_get"
+    for key in misses:
+        bid = lsm._block_of(key)
+        if bid is None:
+            delta_hit[key] = None
+            continue
+        msgs.append((lsm.block_owner[bid], fn_get, (bid, key), None))
+    replies = yield msgs
+    for r in replies:
+        _, key, value, hit = r.payload
+        delta_hit[key] = value if hit else None
+    for key, idxs in groups.items():
+        for i in idxs:
+            out[i] = delta_hit.get(key)
+    cpu.charge(len(keys), max(1.0, math.log2(len(keys) + 1)))
+    return out
 
-    def __init__(self, lsm: PIMLSMStore, suffix: str) -> None:
-        self.lsm = lsm
-        self.name = f"{lsm.name}:{suffix}"
 
-
-class _LSMGetOp(_LSMOp):
-    def __init__(self, lsm: PIMLSMStore, keys: Sequence[Hashable]) -> None:
-        super().__init__(lsm, "batch_get")
-        self.keys = keys
-
-    def route(self, machine, plan):
-        lsm, keys = self.lsm, self.keys
-        groups = group_positions(machine.cpu, keys)
-        out: List[Optional[Any]] = [None] * len(keys)
-        delta_vals = lsm.delta.batch_get(list(groups))
-        delta_hit: Dict[Hashable, Any] = {}
-        misses: List[Hashable] = []
-        for key, dv in zip(groups, delta_vals):
-            if dv is not None:
-                delta_hit[key] = None if dv == TOMBSTONE else dv
-            else:
-                misses.append(key)
-        msgs = []
-        fn_get = f"{lsm.name}:blk_get"
-        for key in misses:
-            bid = lsm._block_of(key)
-            if bid is None:
-                delta_hit[key] = None
-                continue
-            msgs.append((lsm.block_owner[bid], fn_get, (bid, key), None))
-        replies = yield msgs
+def _successor_route(lsm: PIMLSMStore, keys: Sequence[Hashable]):
+    cpu = lsm.machine.cpu
+    n = len(keys)
+    delta_succ = lsm._delta_successor_skipping_tombstones(keys)
+    run_succ: List[Optional[Tuple[Hashable, Any]]] = [None] * n
+    pending: Dict[int, int] = {}
+    fn_succ = f"{lsm.name}:blk_succ"
+    msgs = []
+    for i, key in enumerate(keys):
+        bid = lsm._block_of(key)
+        if bid is None:
+            continue
+        msgs.append((lsm.block_owner[bid], fn_succ, (bid, key, i),
+                     None))
+        pending[i] = bid
+    replies = yield msgs
+    # spill rounds: a block holding nothing at/after the key forwards
+    # the probe to its right neighbour, one extra stage per hop
+    while pending:
+        spills = []
         for r in replies:
-            _, key, value, hit = r.payload
-            delta_hit[key] = value if hit else None
-        for key, idxs in groups.items():
-            for i in idxs:
-                out[i] = delta_hit.get(key)
-        machine.cpu.charge(len(keys), max(1.0, math.log2(len(keys) + 1)))
-        return out
+            _, opid, found = r.payload
+            bid = pending.pop(opid)
+            if found is not None:
+                run_succ[opid] = found
+            elif bid + 1 < len(lsm.block_owner):
+                spills.append((lsm.block_owner[bid + 1], fn_succ,
+                               (bid + 1, keys[opid], opid), None))
+                pending[opid] = bid + 1
+        if pending:
+            replies = yield spills
+    out: List[Optional[Tuple[Hashable, Any]]] = []
+    for i, key in enumerate(keys):
+        cands = [c for c in (delta_succ[i], run_succ[i])
+                 if c is not None]
+        if not cands:
+            out.append(None)
+            continue
+        best = min(cands, key=lambda kv: kv[0])
+        out.append(best)
+    cpu.charge(2 * n, max(1.0, math.log2(n + 1)))
+    return lsm._resolve_shadowed(keys, out)
 
 
-class _LSMSuccessorOp(_LSMOp):
-    def __init__(self, lsm: PIMLSMStore, keys: Sequence[Hashable]) -> None:
-        super().__init__(lsm, "batch_successor")
-        self.keys = keys
-
-    def route(self, machine, plan):
-        lsm, keys = self.lsm, self.keys
-        n = len(keys)
-        delta_succ = lsm._delta_successor_skipping_tombstones(keys)
-        run_succ: List[Optional[Tuple[Hashable, Any]]] = [None] * n
-        pending: Dict[int, int] = {}
-        fn_succ = f"{lsm.name}:blk_succ"
-        msgs = []
-        for i, key in enumerate(keys):
-            bid = lsm._block_of(key)
-            if bid is None:
-                continue
-            msgs.append((lsm.block_owner[bid], fn_succ, (bid, key, i),
-                         None))
-            pending[i] = bid
-        replies = yield msgs
-        # spill rounds: a block holding nothing at/after the key forwards
-        # the probe to its right neighbour, one extra stage per hop
-        while pending:
-            spills = []
-            for r in replies:
-                _, opid, found = r.payload
-                bid = pending.pop(opid)
-                if found is not None:
-                    run_succ[opid] = found
-                elif bid + 1 < len(lsm.block_owner):
-                    spills.append((lsm.block_owner[bid + 1], fn_succ,
-                                   (bid + 1, keys[opid], opid), None))
-                    pending[opid] = bid + 1
-            if pending:
-                replies = yield spills
-        out: List[Optional[Tuple[Hashable, Any]]] = []
-        for i, key in enumerate(keys):
-            cands = [c for c in (delta_succ[i], run_succ[i])
-                     if c is not None]
-            if not cands:
-                out.append(None)
-                continue
-            best = min(cands, key=lambda kv: kv[0])
-            out.append(best)
-        machine.cpu.charge(2 * n, max(1.0, math.log2(n + 1)))
-        return lsm._resolve_shadowed(keys, out)
-
-
-class _LSMRangeOp(_LSMOp):
-    def __init__(self, lsm: PIMLSMStore,
-                 ops: Sequence[Tuple[Hashable, Hashable]]) -> None:
-        super().__init__(lsm, "batch_range")
-        self.ops = ops
-
-    def route(self, machine, plan):
-        lsm, ops = self.lsm, self.ops
-        delta_res = lsm.delta.batch_range(list(ops))
-        run_parts: Dict[int, Dict[int, List]] = {}
-        fn_scan = f"{lsm.name}:blk_scan"
-        msgs = []
-        for i, (lo, hi) in enumerate(ops):
-            b0 = lsm._block_of(lo)
-            if b0 is None:
-                continue
-            b1 = lsm._block_of(hi)
-            for bid in range(b0, (b1 if b1 is not None else b0) + 1):
-                msgs.append((lsm.block_owner[bid], fn_scan,
-                             (bid, lo, hi, i), None))
-        replies = yield msgs
-        for r in replies:
-            _, opid, bid, items = r.payload
-            run_parts.setdefault(opid, {})[bid] = items
-        out: List[List[Tuple[Hashable, Any]]] = []
-        work = 0
-        for i, (lo, hi) in enumerate(ops):
-            run_items: List[Tuple[Hashable, Any]] = []
-            for bid in sorted(run_parts.get(i, {})):
-                run_items.extend(run_parts[i][bid])
-            delta_items = delta_res[i].values
-            delta_map = dict(delta_items)
-            merged: List[Tuple[Hashable, Any]] = []
-            for k, v in run_items:
-                if k in delta_map:
-                    continue  # shadowed (update or tombstone)
-                merged.append((k, v))
-            merged.extend((k, v) for k, v in delta_items
-                          if v != TOMBSTONE)
-            merged.sort(key=lambda kv: kv[0])
-            work += len(merged) + 1
-            out.append(merged)
-        machine.cpu.charge(
-            work * max(1.0, math.log2(work + 1)),
-            max(1.0, math.log2(work + 1)),
-        )
-        return out
-
-
-class _LSMCompactOp(_LSMOp):
-    def __init__(self, lsm: PIMLSMStore) -> None:
-        super().__init__(lsm, "compact")
-
-    def route(self, machine, plan):
-        lsm = self.lsm
-        # 1. stream the old blocks back (balanced: each block one reply)
-        old_blocks: Dict[int, List] = {}
-        replies = yield ((owner, f"{lsm.name}:blk_dump", (bid,), None)
-                         for bid, owner in enumerate(lsm.block_owner))
-        for r in replies:
-            _, bid, block = r.payload
-            old_blocks[bid] = block
+def _range_route(lsm: PIMLSMStore, ops: Sequence[Tuple[Hashable, Hashable]]):
+    cpu = lsm.machine.cpu
+    delta_res = lsm.delta.batch_range(list(ops))
+    run_parts: Dict[int, Dict[int, List]] = {}
+    fn_scan = f"{lsm.name}:blk_scan"
+    msgs = []
+    for i, (lo, hi) in enumerate(ops):
+        b0 = lsm._block_of(lo)
+        if b0 is None:
+            continue
+        b1 = lsm._block_of(hi)
+        for bid in range(b0, (b1 if b1 is not None else b0) + 1):
+            msgs.append((lsm.block_owner[bid], fn_scan,
+                         (bid, lo, hi, i), None))
+    replies = yield msgs
+    for r in replies:
+        _, opid, bid, items = r.payload
+        run_parts.setdefault(opid, {})[bid] = items
+    out: List[List[Tuple[Hashable, Any]]] = []
+    work = 0
+    for i, (lo, hi) in enumerate(ops):
         run_items: List[Tuple[Hashable, Any]] = []
-        for bid in sorted(old_blocks):
-            run_items.extend(old_blocks[bid])
-        # 2. delta contents, sorted, via a full-range read
-        delta_items = []
-        if lsm.delta.size:
-            res = lsm.delta.range_broadcast(
-                lsm._min_key_probe(), lsm._max_key_probe())
-            delta_items = res.values
-        # 3. CPU merge with shadowing + tombstone elimination
+        for bid in sorted(run_parts.get(i, {})):
+            run_items.extend(run_parts[i][bid])
+        delta_items = delta_res[i].values
+        delta_map = dict(delta_items)
         merged: List[Tuple[Hashable, Any]] = []
-        di = dict(delta_items)
         for k, v in run_items:
-            if k not in di:
-                merged.append((k, v))
-        merged.extend((k, v) for k, v in delta_items if v != TOMBSTONE)
+            if k in delta_map:
+                continue  # shadowed (update or tombstone)
+            merged.append((k, v))
+        merged.extend((k, v) for k, v in delta_items
+                      if v != TOMBSTONE)
         merged.sort(key=lambda kv: kv[0])
-        n = len(merged)
-        machine.cpu.charge(n * max(1.0, math.log2(n + 1)),
-                           max(1.0, math.log2(n + 1)))
-        # 4. rewrite fresh blocks under a new generation
-        yield ((owner, f"{lsm.name}:blk_drop", (bid,), None)
-               for bid, owner in enumerate(lsm.block_owner))
-        lsm.generation += 1
-        lsm.fences = []
-        lsm.block_owner = []
-        store_msgs = []
-        fn_store = f"{lsm.name}:blk_store"
-        for start in range(0, n, lsm.block_size):
-            block = merged[start:start + lsm.block_size]
-            bid = len(lsm.fences)
-            owner = lsm.hash.module_of((lsm.generation, bid))
-            lsm.fences.append(block[0][0])
-            lsm.block_owner.append(owner)
-            store_msgs.append((owner, fn_store, (bid, block), None,
-                               max(1, len(block))))
-        yield store_msgs
-        lsm.run_size = n
-        # 5. clear the delta
-        if lsm.delta.size:
-            remaining = [k for k, _ in delta_items]
-            lsm.delta.batch_delete(remaining)
+        work += len(merged) + 1
+        out.append(merged)
+    cpu.charge(
+        work * max(1.0, math.log2(work + 1)),
+        max(1.0, math.log2(work + 1)),
+    )
+    return out
+
+
+def _compact_route(lsm: PIMLSMStore):
+    cpu = lsm.machine.cpu
+    # 1. stream the old blocks back (balanced: each block one reply)
+    old_blocks: Dict[int, List] = {}
+    replies = yield ((owner, f"{lsm.name}:blk_dump", (bid,), None)
+                     for bid, owner in enumerate(lsm.block_owner))
+    for r in replies:
+        _, bid, block = r.payload
+        old_blocks[bid] = block
+    run_items: List[Tuple[Hashable, Any]] = []
+    for bid in sorted(old_blocks):
+        run_items.extend(old_blocks[bid])
+    # 2. delta contents, sorted, via a full-range read
+    delta_items = []
+    if lsm.delta.size:
+        res = lsm.delta.range_broadcast(
+            lsm._min_key_probe(), lsm._max_key_probe())
+        delta_items = res.values
+    # 3. CPU merge with shadowing + tombstone elimination
+    merged: List[Tuple[Hashable, Any]] = []
+    di = dict(delta_items)
+    for k, v in run_items:
+        if k not in di:
+            merged.append((k, v))
+    merged.extend((k, v) for k, v in delta_items if v != TOMBSTONE)
+    merged.sort(key=lambda kv: kv[0])
+    n = len(merged)
+    cpu.charge(n * max(1.0, math.log2(n + 1)),
+                       max(1.0, math.log2(n + 1)))
+    # 4. rewrite fresh blocks under a new generation
+    yield ((owner, f"{lsm.name}:blk_drop", (bid,), None)
+           for bid, owner in enumerate(lsm.block_owner))
+    lsm.generation += 1
+    lsm.fences = []
+    lsm.block_owner = []
+    store_msgs = []
+    fn_store = f"{lsm.name}:blk_store"
+    for start in range(0, n, lsm.block_size):
+        block = merged[start:start + lsm.block_size]
+        bid = len(lsm.fences)
+        owner = lsm.hash.module_of((lsm.generation, bid))
+        lsm.fences.append(block[0][0])
+        lsm.block_owner.append(owner)
+        store_msgs.append((owner, fn_store, (bid, block), None,
+                           max(1, len(block))))
+    yield store_msgs
+    lsm.run_size = n
+    # 5. clear the delta
+    if lsm.delta.size:
+        remaining = [k for k, _ in delta_items]
+        lsm.delta.batch_delete(remaining)

@@ -55,7 +55,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from repro.balls.hashing import KeyLevelHash, stable_hash
 from repro.core.skiplist import distinct_reads
 from repro.cpuside.semisort import group_positions
-from repro.ops import BatchOp, Broadcast, run_batch
+from repro.ops import Broadcast, run_batch
 from repro.sim.machine import PIMMachine
 from repro.sim.task import Reply
 
@@ -579,11 +579,14 @@ class PIMTree:
         """Bulk-load sorted-deduplicated ``items`` into an empty tree."""
         if self.first_leaf is not None:
             raise ValueError("build requires an empty tree")
-        run_batch(self.machine, _PTBuildOp(self, items))
+        run_batch(self.machine, f"{self.name}:build",
+                  _build_route(self, items))
 
     def _read(self, reads: Sequence[Tuple[str, Sequence]]) -> List[list]:
-        return run_batch(self.machine, _PTReadOp(
-            self, [_READ_PARTS[op](self, payload) for op, payload in reads]))
+        parts = [_READ_PARTS[op](self, payload) for op, payload in reads]
+        suffix = parts[0].suffix if len(parts) == 1 else "batch_reads"
+        return run_batch(self.machine, f"{self.name}:{suffix}",
+                         _read_route(self, parts))
 
     def batch_get(self, keys: Sequence[Hashable]) -> List[Optional[Any]]:
         return self._read([("get", keys)])[0]
@@ -597,10 +600,12 @@ class PIMTree:
         return self._read([("range", ops)])[0]
 
     def batch_upsert(self, pairs: Sequence[Tuple[Hashable, Any]]) -> None:
-        run_batch(self.machine, _PTUpsertOp(self, pairs))
+        run_batch(self.machine, f"{self.name}:batch_upsert",
+                  _upsert_route(self, pairs))
 
     def batch_delete(self, keys: Sequence[Hashable]) -> None:
-        run_batch(self.machine, _PTDeleteOp(self, keys))
+        run_batch(self.machine, f"{self.name}:batch_delete",
+                  _delete_route(self, keys))
 
     def apply_batch(self, op: str, payload: Sequence) -> Optional[list]:
         """Uniform batch dispatch (contract: see
@@ -646,80 +651,67 @@ class PIMTree:
           nodes, each equal to the mirror (a stale replica -- the
           ``pimtree_shadow_stale`` fault -- fails here).
         """
-        run_batch(self.machine, _PTIntegrityOp(self))
+        run_batch(self.machine, f"{self.name}:check_integrity",
+                  _integrity_route(self))
 
 
 # ----------------------------------------------------------------------
 # ops
 # ----------------------------------------------------------------------
 
-class _PTOp(BatchOp):
-    """Base: handlers are registered by the tree's constructor."""
-
-    def __init__(self, tree: PIMTree, suffix: str) -> None:
-        self.tree = tree
-        self.name = f"{tree.name}:{suffix}"
-
-
-class _PTBuildOp(_PTOp):
-    def __init__(self, tree: PIMTree,
-                 items: Sequence[Tuple[Hashable, Any]]) -> None:
-        super().__init__(tree, "build")
-        self.items = items
-
-    def route(self, machine, plan):
-        tree = self.tree
-        merged: Dict[Hashable, Any] = {}
-        for k, v in self.items:
-            merged[k] = v
-        items = sorted(merged.items())
-        n = len(items)
-        if not items:
-            return None
-        machine.cpu.charge(n * _log2(n), _log2(n))
-        name = tree.name
-        msgs: List = []
-        level: List[Tuple[Any, int]] = []  # (min key, id)
-        prev: Optional[int] = None
-        for chunk in _chunks(items, tree.leaf_size):
-            lid = tree._new_id()
-            owner = tree.hash.module_of(("leaf", lid))
-            tree.leaf_owner[lid] = owner
-            tree.leaf_len[lid] = len(chunk)
-            tree.leaf_next[lid] = None
-            if prev is None:
-                tree.first_leaf = lid
-            else:
-                tree.leaf_next[prev] = lid
-            prev = lid
-            level.append((chunk[0][0], lid))
-            msgs.append((owner, f"{name}:lf_store", (lid, tuple(chunk)),
-                         None, max(1, len(chunk))))
-        kind = "leaf"
-        while len(level) > tree.fanout:
-            up: List[Tuple[Any, int]] = []
-            for chunk in _chunks(level, tree.fanout):
-                nid = tree._new_id()
-                node = _Node([f for f, _ in chunk], [c for _, c in chunk],
-                             kind)
-                tree.nodes[nid] = node
-                tree.node_owner[nid] = tree.hash.module_of(("node", nid))
-                for _, child in chunk:
-                    tree.parent[child] = nid
-                up.append((chunk[0][0], nid))
-                msgs.append((tree.node_owner[nid], f"{name}:nd_store",
-                             (nid, tuple(node.fences), tuple(node.children),
-                              node.kind), None, max(1, len(node.children))))
-            level = up
-            kind = "node"
-            tree.height += 1
-        tree.root = _Node([f for f, _ in level], [c for _, c in level],
-                          kind)
-        for _, child in level:
-            tree.parent[child] = None
-        tree.size = n
-        yield msgs
+def _build_route(tree: PIMTree, items: Sequence[Tuple[Hashable, Any]]):
+    machine = tree.machine
+    merged: Dict[Hashable, Any] = {}
+    for k, v in items:
+        merged[k] = v
+    items = sorted(merged.items())
+    n = len(items)
+    if not items:
         return None
+    machine.cpu.charge(n * _log2(n), _log2(n))
+    name = tree.name
+    msgs: List = []
+    level: List[Tuple[Any, int]] = []  # (min key, id)
+    prev: Optional[int] = None
+    for chunk in _chunks(items, tree.leaf_size):
+        lid = tree._new_id()
+        owner = tree.hash.module_of(("leaf", lid))
+        tree.leaf_owner[lid] = owner
+        tree.leaf_len[lid] = len(chunk)
+        tree.leaf_next[lid] = None
+        if prev is None:
+            tree.first_leaf = lid
+        else:
+            tree.leaf_next[prev] = lid
+        prev = lid
+        level.append((chunk[0][0], lid))
+        msgs.append((owner, f"{name}:lf_store", (lid, tuple(chunk)),
+                     None, max(1, len(chunk))))
+    kind = "leaf"
+    while len(level) > tree.fanout:
+        up: List[Tuple[Any, int]] = []
+        for chunk in _chunks(level, tree.fanout):
+            nid = tree._new_id()
+            node = _Node([f for f, _ in chunk], [c for _, c in chunk],
+                         kind)
+            tree.nodes[nid] = node
+            tree.node_owner[nid] = tree.hash.module_of(("node", nid))
+            for _, child in chunk:
+                tree.parent[child] = nid
+            up.append((chunk[0][0], nid))
+            msgs.append((tree.node_owner[nid], f"{name}:nd_store",
+                         (nid, tuple(node.fences), tuple(node.children),
+                          node.kind), None, max(1, len(node.children))))
+        level = up
+        kind = "node"
+        tree.height += 1
+    tree.root = _Node([f for f, _ in level], [c for _, c in level],
+                      kind)
+    for _, child in level:
+        tree.parent[child] = None
+    tree.size = n
+    yield msgs
+    return None
 
 
 class _KeysPart:
@@ -730,7 +722,7 @@ class _KeysPart:
         self.tree = tree
         self.keys = keys
 
-    def plan(self, machine) -> List[Hashable]:
+    def queries(self, machine) -> List[Hashable]:
         self.groups = group_positions(machine.cpu, self.keys)
         return sorted(self.groups)
 
@@ -875,7 +867,7 @@ class _RangePart:
         self.tree = tree
         self.ops = ops
 
-    def plan(self, machine) -> List[Hashable]:
+    def queries(self, machine) -> List[Hashable]:
         return [lo for lo, _hi in self.ops]
 
     def empty(self) -> List[List[Tuple[Hashable, Any]]]:
@@ -946,187 +938,164 @@ def _lockstep(phases: Sequence):
             owed[r.tag].append(r)
 
 
-class _PTReadOp(_PTOp):
+def _read_route(tree: PIMTree, parts: Sequence[Any]):
     """Read batches -- one part each of Get / Successor / Range -- on one
     descent: the parts' queries route to their leaves together
     (:meth:`PIMTree._descend` over their union), then every part runs
     its leaf phase, a hop's stages shared (:func:`_lockstep`).  With one
     part this is that read op alone, named as it always was."""
-
-    def __init__(self, tree: PIMTree, parts: Sequence[Any]) -> None:
-        super().__init__(tree, parts[0].suffix if len(parts) == 1
-                         else "batch_reads")
-        self.parts = parts
-
-    def route(self, machine, plan):
-        tree, parts = self.tree, self.parts
-        queries = [part.plan(machine) for part in parts]
-        if tree.first_leaf is None:
-            return [part.empty() for part in parts]
-        target = yield from tree._descend(
-            machine, list(enumerate(q for qs in queries for q in qs)))
-        phases, base = [], 0
-        for part, qs in zip(parts, queries):
-            lids = [target.get(base + j) for j in range(len(qs))]
-            phases.append(part.leaves(machine, qs, lids))
-            base += len(qs)
-        return (yield from _lockstep(phases))
+    machine = tree.machine
+    queries = [part.queries(machine) for part in parts]
+    if tree.first_leaf is None:
+        return [part.empty() for part in parts]
+    target = yield from tree._descend(
+        machine, list(enumerate(q for qs in queries for q in qs)))
+    phases, base = [], 0
+    for part, qs in zip(parts, queries):
+        lids = [target.get(base + j) for j in range(len(qs))]
+        phases.append(part.leaves(machine, qs, lids))
+        base += len(qs)
+    return (yield from _lockstep(phases))
 
 
-class _PTUpsertOp(_PTOp):
-    def __init__(self, tree: PIMTree,
-                 pairs: Sequence[Tuple[Hashable, Any]]) -> None:
-        super().__init__(tree, "batch_upsert")
-        self.pairs = pairs
+def _upsert_route(tree: PIMTree, pairs: Sequence[Tuple[Hashable, Any]]):
+    machine = tree.machine
+    merged: Dict[Hashable, Any] = {}
+    for k, v in pairs:
+        merged[k] = v
+    machine.cpu.charge(2.0 * len(pairs), _log2(len(pairs)))
+    if not merged:
+        return None
+    if tree.first_leaf is None:
+        # Bootstrap: the first upsert bulk-loads the empty tree.
+        yield from _build_route(tree, sorted(merged.items()))
+        return None
+    name = tree.name
+    distinct = sorted(merged)
+    target = yield from tree._descend(
+        machine, list(enumerate(distinct)))
+    by_leaf: Dict[int, List[Tuple[Hashable, Any]]] = {}
+    for qid, key in enumerate(distinct):
+        by_leaf.setdefault(target[qid], []).append((key, merged[key]))
+    msgs = [(tree.leaf_owner[lid], f"{name}:lf_write",
+             (lid, tuple(by_leaf[lid])), None,
+             max(1, len(by_leaf[lid])))
+            for lid in sorted(by_leaf)]
+    replies = yield msgs
+    oversize: List[int] = []
+    for r in replies:
+        _, lid, new_len = r.payload
+        tree.size += new_len - tree.leaf_len[lid]
+        tree.leaf_len[lid] = new_len
+        if new_len > tree.leaf_size:
+            oversize.append(lid)
+    if oversize:
+        replies = yield [(tree.leaf_owner[lid], f"{name}:lf_pull",
+                          (lid,), None) for lid in sorted(oversize)]
+        contents = {r.payload[1]: r.payload[2] for r in replies}
+        store_msgs, _changed = tree._plan_splits(contents)
+        yield store_msgs
+    return None
 
-    def route(self, machine, plan):
-        tree = self.tree
-        merged: Dict[Hashable, Any] = {}
-        for k, v in self.pairs:
-            merged[k] = v
-        machine.cpu.charge(2.0 * len(self.pairs), _log2(len(self.pairs)))
-        if not merged:
-            return None
-        if tree.first_leaf is None:
-            # Bootstrap: the first upsert bulk-loads the empty tree.
-            yield from _PTBuildOp(tree, sorted(merged.items())).route(
-                machine, plan)
-            return None
-        name = tree.name
-        distinct = sorted(merged)
-        target = yield from tree._descend(
-            machine, list(enumerate(distinct)))
-        by_leaf: Dict[int, List[Tuple[Hashable, Any]]] = {}
-        for qid, key in enumerate(distinct):
-            by_leaf.setdefault(target[qid], []).append((key, merged[key]))
-        msgs = [(tree.leaf_owner[lid], f"{name}:lf_write",
-                 (lid, tuple(by_leaf[lid])), None,
-                 max(1, len(by_leaf[lid])))
-                for lid in sorted(by_leaf)]
+
+def _delete_route(tree: PIMTree, keys: Sequence[Hashable]):
+    machine = tree.machine
+    groups = group_positions(machine.cpu, keys)
+    if not groups or tree.first_leaf is None:
+        return None
+    name = tree.name
+    distinct = sorted(groups)
+    target = yield from tree._descend(
+        machine, list(enumerate(distinct)))
+    by_leaf: Dict[int, List[Hashable]] = {}
+    for qid, key in enumerate(distinct):
+        lid = target[qid]
+        if tree.leaf_len.get(lid, 0) == 0:
+            continue  # nothing to delete there
+        by_leaf.setdefault(lid, []).append(key)
+    msgs = [(tree.leaf_owner[lid], f"{name}:lf_del",
+             (lid, tuple(by_leaf[lid])), None,
+             max(1, len(by_leaf[lid])))
+            for lid in sorted(by_leaf)]
+    if msgs:
         replies = yield msgs
-        oversize: List[int] = []
         for r in replies:
-            _, lid, new_len = r.payload
-            tree.size += new_len - tree.leaf_len[lid]
+            _, lid, new_len, removed = r.payload
             tree.leaf_len[lid] = new_len
-            if new_len > tree.leaf_size:
-                oversize.append(lid)
-        if oversize:
-            replies = yield [(tree.leaf_owner[lid], f"{name}:lf_pull",
-                              (lid,), None) for lid in sorted(oversize)]
-            contents = {r.payload[1]: r.payload[2] for r in replies}
-            store_msgs, _changed = tree._plan_splits(contents)
-            yield store_msgs
-        return None
+            tree.size -= removed
+    return None
 
 
-class _PTDeleteOp(_PTOp):
-    def __init__(self, tree: PIMTree, keys: Sequence[Hashable]) -> None:
-        super().__init__(tree, "batch_delete")
-        self.keys = keys
-
-    def route(self, machine, plan):
-        tree = self.tree
-        groups = group_positions(machine.cpu, self.keys)
-        if not groups or tree.first_leaf is None:
-            return None
-        name = tree.name
-        distinct = sorted(groups)
-        target = yield from tree._descend(
-            machine, list(enumerate(distinct)))
-        by_leaf: Dict[int, List[Hashable]] = {}
-        for qid, key in enumerate(distinct):
-            lid = target[qid]
-            if tree.leaf_len.get(lid, 0) == 0:
-                continue  # nothing to delete there
-            by_leaf.setdefault(lid, []).append(key)
-        msgs = [(tree.leaf_owner[lid], f"{name}:lf_del",
-                 (lid, tuple(by_leaf[lid])), None,
-                 max(1, len(by_leaf[lid])))
-                for lid in sorted(by_leaf)]
-        if msgs:
-            replies = yield msgs
-            for r in replies:
-                _, lid, new_len, removed = r.payload
-                tree.leaf_len[lid] = new_len
-                tree.size -= removed
-        return None
-
-
-class _PTIntegrityOp(_PTOp):
-    def __init__(self, tree: PIMTree) -> None:
-        super().__init__(tree, "check_integrity")
-
-    def route(self, machine, plan):
-        tree, name = self.tree, self.tree.name
-        msgs: List = [(owner, f"{name}:lf_pull", (lid,), None)
-                      for lid, owner in sorted(tree.leaf_owner.items())]
-        msgs.extend((tree.node_owner[nid], f"{name}:nd_pull", (nid,), None)
-                    for nid in sorted(tree.nodes))
-        msgs.append(Broadcast(f"{name}:sh_dump", (), None, 1))
-        replies = yield msgs
-        leaves: Dict[int, tuple] = {}
-        nodes: Dict[int, tuple] = {}
-        shadow_dumps: Dict[int, tuple] = {}
-        for r in replies:
-            if r.payload[0] == "lpull":
-                leaves[r.payload[1]] = r.payload[2]
-            elif r.payload[0] == "pull":
-                _, nid, fences, children, kind = r.payload
-                nodes[nid] = (fences, children, kind)
-            else:
-                _, mid, dump = r.payload
-                shadow_dumps[mid] = dump
-        # Leaf chain: complete, ordered, sizes exact, total exact.
-        assert set(leaves) == set(tree.leaf_owner), \
-            f"leaf dump {sorted(leaves)} != directory " \
-            f"{sorted(tree.leaf_owner)}"
-        seen: List[int] = []
-        lid = tree.first_leaf
-        prev_key = None
-        total = 0
-        while lid is not None:
-            seen.append(lid)
-            items = leaves[lid]
-            assert len(items) == tree.leaf_len[lid], \
-                f"leaf {lid}: {len(items)} items != directory " \
-                f"{tree.leaf_len[lid]}"
-            for k, _v in items:
-                assert prev_key is None or k > prev_key, \
-                    f"leaf {lid}: key {k!r} <= predecessor {prev_key!r}"
-                prev_key = k
-            total += len(items)
-            lid = tree.leaf_next[lid]
-        assert sorted(seen) == sorted(tree.leaf_owner), \
-            f"chain visits {sorted(seen)} != directory " \
-            f"{sorted(tree.leaf_owner)}"
-        assert total == tree.size, \
-            f"{total} chained items != size {tree.size}"
-        # Interior module copies match the CPU mirror.
-        assert set(nodes) == set(tree.nodes), \
-            f"node dump {sorted(nodes)} != mirror {sorted(tree.nodes)}"
-        for nid, (fences, children, kind) in nodes.items():
+def _integrity_route(tree: PIMTree):
+    machine, name = tree.machine, tree.name
+    msgs: List = [(owner, f"{name}:lf_pull", (lid,), None)
+                  for lid, owner in sorted(tree.leaf_owner.items())]
+    msgs.extend((tree.node_owner[nid], f"{name}:nd_pull", (nid,), None)
+                for nid in sorted(tree.nodes))
+    msgs.append(Broadcast(f"{name}:sh_dump", (), None, 1))
+    replies = yield msgs
+    leaves: Dict[int, tuple] = {}
+    nodes: Dict[int, tuple] = {}
+    shadow_dumps: Dict[int, tuple] = {}
+    for r in replies:
+        if r.payload[0] == "lpull":
+            leaves[r.payload[1]] = r.payload[2]
+        elif r.payload[0] == "pull":
+            _, nid, fences, children, kind = r.payload
+            nodes[nid] = (fences, children, kind)
+        else:
+            _, mid, dump = r.payload
+            shadow_dumps[mid] = dump
+    # Leaf chain: complete, ordered, sizes exact, total exact.
+    assert set(leaves) == set(tree.leaf_owner), \
+        f"leaf dump {sorted(leaves)} != directory " \
+        f"{sorted(tree.leaf_owner)}"
+    seen: List[int] = []
+    lid = tree.first_leaf
+    prev_key = None
+    total = 0
+    while lid is not None:
+        seen.append(lid)
+        items = leaves[lid]
+        assert len(items) == tree.leaf_len[lid], \
+            f"leaf {lid}: {len(items)} items != directory " \
+            f"{tree.leaf_len[lid]}"
+        for k, _v in items:
+            assert prev_key is None or k > prev_key, \
+                f"leaf {lid}: key {k!r} <= predecessor {prev_key!r}"
+            prev_key = k
+        total += len(items)
+        lid = tree.leaf_next[lid]
+    assert sorted(seen) == sorted(tree.leaf_owner), \
+        f"chain visits {sorted(seen)} != directory " \
+        f"{sorted(tree.leaf_owner)}"
+    assert total == tree.size, \
+        f"{total} chained items != size {tree.size}"
+    # Interior module copies match the CPU mirror.
+    assert set(nodes) == set(tree.nodes), \
+        f"node dump {sorted(nodes)} != mirror {sorted(tree.nodes)}"
+    for nid, (fences, children, kind) in nodes.items():
+        mirror = tree.nodes[nid]
+        assert (list(fences) == list(mirror.fences)
+                and list(children) == list(mirror.children)
+                and kind == mirror.kind), \
+            f"node {nid}: module copy {fences}/{children}/{kind} != " \
+            f"mirror {mirror.fences}/{mirror.children}/{mirror.kind}"
+    # Shadow replicas: present on every module, none stray, each
+    # bit-equal to the mirror.
+    for mid in range(machine.num_modules):
+        dump = dict()
+        for nid, fences, children, kind in shadow_dumps.get(mid, ()):
+            dump[nid] = (fences, children, kind)
+        assert set(dump) == set(tree.shadows), \
+            f"module {mid}: shadow set {sorted(dump)} != promoted " \
+            f"{sorted(tree.shadows)}"
+        for nid, (fences, children, kind) in dump.items():
             mirror = tree.nodes[nid]
             assert (list(fences) == list(mirror.fences)
                     and list(children) == list(mirror.children)
                     and kind == mirror.kind), \
-                f"node {nid}: module copy {fences}/{children}/{kind} != " \
-                f"mirror {mirror.fences}/{mirror.children}/{mirror.kind}"
-        # Shadow replicas: present on every module, none stray, each
-        # bit-equal to the mirror.
-        for mid in range(machine.num_modules):
-            dump = dict()
-            for nid, fences, children, kind in shadow_dumps.get(mid, ()):
-                dump[nid] = (fences, children, kind)
-            assert set(dump) == set(tree.shadows), \
-                f"module {mid}: shadow set {sorted(dump)} != promoted " \
-                f"{sorted(tree.shadows)}"
-            for nid, (fences, children, kind) in dump.items():
-                mirror = tree.nodes[nid]
-                assert (list(fences) == list(mirror.fences)
-                        and list(children) == list(mirror.children)
-                        and kind == mirror.kind), \
-                    f"module {mid}: stale shadow of node {nid}: " \
-                    f"{fences}/{children} != mirror " \
-                    f"{mirror.fences}/{mirror.children}"
-        return None
+                f"module {mid}: stale shadow of node {nid}: " \
+                f"{fences}/{children} != mirror " \
+                f"{mirror.fences}/{mirror.children}"
+    return None

@@ -31,7 +31,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.skiplist import PIMSkipList
-from repro.ops import BatchOp, run_batch
+from repro.ops import run_batch
 from repro.sim.machine import PIMMachine
 
 
@@ -100,7 +100,8 @@ class PIMPriorityQueue:
 
     def _smallest_keys(self, count: int) -> List[Any]:
         """The ``count`` globally smallest keys, via safe prefix fetches."""
-        return run_batch(self.machine, _SmallestKeysOp(self, count))
+        return run_batch(self.machine, f"{self.name}:smallest_keys",
+                         _smallest_keys_route(self, count))
 
     def clear(self) -> None:
         """Remove everything (batched)."""
@@ -108,55 +109,45 @@ class PIMPriorityQueue:
             self.extract_min_batch(len(self))
 
 
-class _SmallestKeysOp(BatchOp):
-    """Quota-doubling safe-prefix fetch; one stage per re-ask round.
-
-    The prefix handler is registered by the queue's constructor, so the
-    op contributes no handlers itself."""
-
-    def __init__(self, pq: PIMPriorityQueue, count: int) -> None:
-        self.pq = pq
-        self.count = count
-        self.name = f"{pq.name}:smallest_keys"
-
-    def route(self, machine, plan):
-        pq, count = self.pq, self.count
-        p = machine.num_modules
-        log_p = max(1, int(round(math.log2(p)))) if p > 1 else 1
-        quotas: Dict[int, int] = {
-            mid: min(count, 2 * ((count + p - 1) // p) + 4 * log_p)
-            for mid in range(p)
-        }
-        fn_prefix = f"{pq.name}:local_prefix"
-        supplied: Dict[int, Tuple[List[Any], bool]] = {}
-        while True:
-            ask = [mid for mid in range(p) if mid not in supplied]
-            replies = yield [(mid, fn_prefix, (quotas[mid],), None)
-                             for mid in ask]
-            for r in replies:
-                _, mid, keys, exhausted = r.payload
-                supplied[mid] = (keys, exhausted)
-            merged: List[Any] = []
-            for keys, _ in supplied.values():
-                merged.extend(keys)
-            merged.sort()
-            with machine.cpu.region(len(merged)):
-                machine.cpu.charge(
-                    len(merged) * max(1.0, math.log2(len(merged) + 1)),
-                    max(1.0, math.log2(len(merged) + 1)),
-                )
-            take = merged[:count]
-            if not take:
-                return []
-            bound = take[-1]
-            unsafe = [
-                mid for mid, (keys, exhausted) in supplied.items()
-                if not exhausted and keys and keys[-1] < bound
-                and len(keys) >= quotas[mid]
-            ]
-            if not unsafe:
-                return take
-            # whp-rare: a module may still hide keys below the bound.
-            for mid in unsafe:
-                quotas[mid] *= 2
-                del supplied[mid]
+def _smallest_keys_route(pq: PIMPriorityQueue, count: int):
+    """Quota-doubling safe-prefix fetch; one stage per re-ask round."""
+    machine = pq.machine
+    p = machine.num_modules
+    log_p = max(1, int(round(math.log2(p)))) if p > 1 else 1
+    quotas: Dict[int, int] = {
+        mid: min(count, 2 * ((count + p - 1) // p) + 4 * log_p)
+        for mid in range(p)
+    }
+    fn_prefix = f"{pq.name}:local_prefix"
+    supplied: Dict[int, Tuple[List[Any], bool]] = {}
+    while True:
+        ask = [mid for mid in range(p) if mid not in supplied]
+        replies = yield [(mid, fn_prefix, (quotas[mid],), None)
+                         for mid in ask]
+        for r in replies:
+            _, mid, keys, exhausted = r.payload
+            supplied[mid] = (keys, exhausted)
+        merged: List[Any] = []
+        for keys, _ in supplied.values():
+            merged.extend(keys)
+        merged.sort()
+        with machine.cpu.region(len(merged)):
+            machine.cpu.charge(
+                len(merged) * max(1.0, math.log2(len(merged) + 1)),
+                max(1.0, math.log2(len(merged) + 1)),
+            )
+        take = merged[:count]
+        if not take:
+            return []
+        bound = take[-1]
+        unsafe = [
+            mid for mid, (keys, exhausted) in supplied.items()
+            if not exhausted and keys and keys[-1] < bound
+            and len(keys) >= quotas[mid]
+        ]
+        if not unsafe:
+            return take
+        # whp-rare: a module may still hide keys below the bound.
+        for mid in unsafe:
+            quotas[mid] *= 2
+            del supplied[mid]

@@ -11,9 +11,9 @@ comparison); ``replay_session`` runs one against anything exposing the
 batch API and returns per-batch metric deltas.
 
 Sessions never touch the machine's message API: every batch dispatches
-to a structure method, and every structure method is a
-:class:`~repro.ops.BatchOp` driven by :func:`repro.ops.run_batch` -- the
-replay loop below is pure dispatch + metric snapshots.
+to a structure method, and every structure method is a route driven by
+:func:`repro.ops.run_batch` -- the replay loop below is pure dispatch +
+metric snapshots.
 """
 
 from __future__ import annotations

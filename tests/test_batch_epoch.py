@@ -23,7 +23,7 @@ import pytest
 
 from repro import PIMMachine, PIMSkipList
 from repro.cpuside.list_contraction import ContractionList
-from repro.ops import BatchOp, batch_epoch, run_batch
+from repro.ops import batch_epoch, run_batch
 from repro.recovery import DegradedResult, RecoveryManager
 from repro.serve import Server, ServerConfig
 from repro.sim.chaos import CrashEvent, FaultPlan, FaultSpec
@@ -52,36 +52,28 @@ def _skiplist(p: int = 8, n: int = 512) -> PIMSkipList:
     return sl
 
 
-class _Probe(BatchOp):
-    """One echo round; records the collector state seen from inside the
-    batch, optionally runs an inner op first or fails after the round."""
-
-    name = "probe"
-
-    def __init__(self, inner: Optional[BatchOp] = None,
-                 fail: bool = False) -> None:
-        self.inner, self.fail = inner, fail
-        self.seen: List[bool] = []
-
-    def handlers(self):
-        return _ECHO
-
-    def route(self, machine, plan):
-        if self.inner is not None:
-            run_batch(machine, self.inner)
-        self.seen.append(gc.isenabled())
-        replies = yield [(0, "probe:echo", (1,), None)]
-        self.seen.append(gc.isenabled())
-        if self.fail:
-            raise RuntimeError("route failed mid-batch")
-        return [r.payload for r in replies]
+def _probe(machine: PIMMachine, seen: List[bool], inner=None,
+           fail: bool = False):
+    """One echo round; records in ``seen`` the collector state observed
+    from inside the batch, optionally runs an ``inner`` route first or
+    fails after the round."""
+    if inner is not None:
+        run_batch(machine, "probe", inner)
+    seen.append(gc.isenabled())
+    replies = yield [(0, "probe:echo", (1,), None)]
+    seen.append(gc.isenabled())
+    if fail:
+        raise RuntimeError("route failed mid-batch")
+    return [r.payload for r in replies]
 
 
 def _echo(ctx, x, tag=None):
     ctx.reply(x, tag=tag)
 
 
-_ECHO = {"probe:echo": _echo}
+def _echo_machine(machine: PIMMachine) -> PIMMachine:
+    machine.register("probe:echo", _echo)
+    return machine
 
 
 # ---------------------------------------------------------------------------
@@ -90,24 +82,24 @@ _ECHO = {"probe:echo": _echo}
 
 class TestCollectorIsHandedBack:
     def test_paused_inside_and_restored_on_success(self, collector):
-        machine = PIMMachine(num_modules=4, seed=1)
+        machine = _echo_machine(PIMMachine(num_modules=4, seed=1))
         before = _collector_state()
-        op = _Probe()
-        assert run_batch(machine, op) == [1]
-        assert op.seen == [False, False]
+        seen: List[bool] = []
+        assert run_batch(machine, "probe", _probe(machine, seen)) == [1]
+        assert seen == [False, False]
         assert _collector_state() == before
         assert machine.batch_epochs == 1
 
     def test_restored_when_a_route_generator_raises(self, collector):
-        machine = PIMMachine(num_modules=4, seed=1)
+        machine = _echo_machine(PIMMachine(num_modules=4, seed=1))
         before = _collector_state()
         with pytest.raises(RuntimeError, match="mid-batch"):
-            run_batch(machine, _Probe(fail=True))
+            run_batch(machine, "probe", _probe(machine, [], fail=True))
         assert _collector_state() == before
         # and the machine is not stuck "inside" an epoch
-        op = _Probe()
-        run_batch(machine, op)
-        assert op.seen == [False, False] and gc.isenabled()
+        seen: List[bool] = []
+        run_batch(machine, "probe", _probe(machine, seen))
+        assert seen == [False, False] and gc.isenabled()
 
     def test_a_disabled_collector_stays_disabled(self, collector):
         gc.disable()
@@ -115,18 +107,20 @@ class TestCollectorIsHandedBack:
         sl = _skiplist()
         sl.batch_upsert([(5, "a"), (15, "b")])
         assert sl.batch_get([5, 15]) == ["a", "b"]
+        machine = _echo_machine(sl.machine)
         with pytest.raises(RuntimeError):
-            run_batch(sl.machine, _Probe(fail=True))
+            run_batch(machine, "probe", _probe(machine, [], fail=True))
         assert _collector_state() == before
 
     def test_nested_run_batch_does_not_reenable(self, collector):
-        machine = PIMMachine(num_modules=4, seed=1)
-        inner = _Probe()
-        outer = _Probe(inner=inner)
-        run_batch(machine, outer)
-        assert inner.seen == [False, False]
+        machine = _echo_machine(PIMMachine(num_modules=4, seed=1))
+        inner: List[bool] = []
+        outer: List[bool] = []
+        run_batch(machine, "probe", _probe(
+            machine, outer, inner=_probe(machine, inner)))
+        assert inner == [False, False]
         # after the inner run_batch returned, still inside the outer one
-        assert outer.seen == [False, False]
+        assert outer == [False, False]
         assert machine.batch_epochs == 1
         assert gc.isenabled()
 

@@ -220,7 +220,7 @@ class TestBackendSelection:
         actual: dict = {}
         _skiplist_workloads(actual)
         assert len(actual) == 7
-        for label, delta in actual.items():
+        for label, (delta, _ops) in actual.items():
             assert delta == golden[label], label
 
     def test_storage_argument_rejected(self):

@@ -29,8 +29,8 @@ from hypothesis import given, strategies as st
 from repro import PIMMachine, PIMSkipList
 from repro.core.node import Node
 from repro.core.ops_upsert import _build_towers
-from repro.core.ops_write import handlers_for, write_message, write_stage
-from repro.ops import BatchOp, Broadcast, Columns, pipeline, run_batch
+from repro.core.ops_write import write_message, write_stage
+from repro.ops import Broadcast, Columns, pipeline, run_batch
 from repro.ops.pipeline import COLUMNS_CROSSOVER, _issue
 from repro.sim.chaos import FaultPlan, FaultSpec
 from repro.sim.fastpath import BCAST, COLS, ROWS
@@ -212,19 +212,9 @@ def _rows_only_issue(machine, stage):
         machine.send_all(run)
 
 
-class _StageOp(BatchOp):
+def _stage_route(stage):
     """Issues one prebuilt stage and returns its replies."""
-
-    name = "test:stage"
-
-    def __init__(self, sl, stage):
-        self.sl, self.stage = sl, stage
-
-    def handlers(self):
-        return handlers_for(self.sl.struct)
-
-    def route(self, machine, plan):
-        return (yield self.stage)
+    return (yield stage)
 
 
 class TestWriteColumns:
@@ -337,9 +327,9 @@ class TestWriteColumns:
             stage, writes = self._stage(sl, with_broadcast=True)
             chaos = sl.machine.install_fault_plan(FaultPlan(spec, seed=5))
             replies = run_batch(
-                sl.machine,
-                _StageOp(sl, _rows_of_stage(stage) if form == "rows"
-                         else stage))
+                sl.machine, "test:stage",
+                _stage_route(_rows_of_stage(stage) if form == "rows"
+                             else stage))
             self._assert_written(writes)
             outcomes.append((chaos.stats.as_dict(), _replies(replies),
                              sl.machine.snapshot().as_dict()))

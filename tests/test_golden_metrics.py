@@ -7,7 +7,12 @@ The golden file was generated with the pre-fast-path round engine, so a
 pass here proves the optimized engine reports *identical* model metrics
 -- any future perf work that silently changes the accounting fails here.
 
-Regenerate (only when the model accounting intentionally changes)::
+Beside the metrics, ``golden_ops.json`` pins, per workload, the ordered
+names of the ops the pipeline driver reports to ``batch_observer``
+(nested ops first): a renamed, dropped or doubled op fails here.
+
+Regenerate both files (only when the model accounting or an op's name
+intentionally changes)::
 
     PYTHONPATH=src python tests/test_golden_metrics.py --regen
 """
@@ -30,13 +35,21 @@ from repro.workloads import same_successor_batch, zipf_batch
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "golden_metrics.json")
+GOLDEN_OPS_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                               "golden_ops.json")
 
 
 def _measure(machine, label, fn, out):
-    before = machine.snapshot()
-    fn()
-    delta = machine.delta_since(before)
-    out[label] = delta.as_dict()
+    """Record ``fn``'s metric delta and the names of the ops it ran."""
+    names = []
+    machine.batch_observer = lambda name, _delta: names.append(name)
+    try:
+        before = machine.snapshot()
+        fn()
+        delta = machine.delta_since(before)
+    finally:
+        machine.batch_observer = None
+    out[label] = (delta.as_dict(), names)
 
 
 def _skiplist_workloads(out):
@@ -292,7 +305,7 @@ def _read_group_workloads(out):
              lambda: tree.apply_reads(reads), out)
 
 
-def compute_all() -> dict:
+def _compute() -> dict:
     out: dict = {}
     _skiplist_workloads(out)
     _skiplist_write_workloads(out)
@@ -306,6 +319,14 @@ def compute_all() -> dict:
     return out
 
 
+def compute_all() -> dict:
+    return {label: metrics for label, (metrics, _ops) in _compute().items()}
+
+
+def compute_ops() -> dict:
+    return {label: ops for label, (_metrics, ops) in _compute().items()}
+
+
 def test_golden_metrics_exact():
     with open(GOLDEN_PATH) as f:
         golden = json.load(f)
@@ -316,12 +337,23 @@ def test_golden_metrics_exact():
             f"metrics drifted for {label}"
 
 
+def test_golden_op_names_exact():
+    with open(GOLDEN_OPS_PATH) as f:
+        golden = json.load(f)
+    actual = compute_ops()
+    assert sorted(actual) == sorted(golden), "workload set changed"
+    for label in golden:
+        assert actual[label] == golden[label], f"op names changed for {label}"
+
+
 if __name__ == "__main__":
     import sys
     if "--regen" in sys.argv:
         os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-        with open(GOLDEN_PATH, "w") as f:
-            json.dump(compute_all(), f, indent=2, sort_keys=True)
-        print(f"wrote {GOLDEN_PATH}")
+        for path, table in ((GOLDEN_PATH, compute_all()),
+                            (GOLDEN_OPS_PATH, compute_ops())):
+            with open(path, "w") as f:
+                json.dump(table, f, indent=2, sort_keys=True)
+            print(f"wrote {path}")
     else:
         print(__doc__)

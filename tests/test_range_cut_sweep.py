@@ -1,7 +1,7 @@
 """The cut-point sweep behind the batched tree range (paper §5.2 step 1).
 
 ``_cut_pieces`` cuts the union of a batch's ops where the set of
-covering ops changes; ``_BatchRangeTreeOp`` pays one boundary search,
+covering ops changes; the batch's route pays one boundary search,
 one root and one go per kept piece.  Hypothesis checks the geometry of
 the pieces on the real line (half-integer probes see open and closed
 ends apart) and the results of whole batches against the oracle, in the

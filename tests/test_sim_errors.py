@@ -22,7 +22,7 @@ from repro.sim.errors import (
     SimulationError,
     UnknownHandlerError,
 )
-from repro.ops import BatchOp, Columns, run_batch
+from repro.ops import Columns, run_batch
 from repro.sim.chaos import FaultPlan, FaultSpec
 from repro.sim.machine import PIMMachine
 
@@ -189,13 +189,12 @@ class TestMalformedMessages:
         with pytest.raises(MalformedMessageError, match=r"\[4, 2\]"):
             Columns("echo", dests, cols)
 
-        class Stage(BatchOp):
-            def route(self, machine, plan):
-                yield [Columns("echo", dests, cols)]
+        def stage():
+            yield [Columns("echo", dests, cols)]
 
         machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
         with pytest.raises(MalformedMessageError):
-            run_batch(machine, Stage())
+            run_batch(machine, "stage", stage())
         assert not machine.pending and machine.metrics.messages == 0
 
 
