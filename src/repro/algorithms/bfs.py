@@ -27,6 +27,7 @@ import math
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.balls.hashing import KeyLevelHash
+from repro.ops import Broadcast, run_batch
 from repro.sim.machine import PIMMachine
 
 
@@ -90,18 +91,8 @@ class PIMGraph:
 
     def bfs(self, source: Hashable) -> Dict[Hashable, int]:
         """Distances from ``source`` for every reachable vertex."""
-        machine = self.machine
-        machine.broadcast(f"{self.name}:reset", ())
-        machine.drain()
-        machine.send(self.owner(source), f"{self.name}:visit", (source, 0))
-        dist: Dict[Hashable, int] = {}
-        for r in machine.drain():
-            if r.payload[0] == "visited":
-                _, v, d = r.payload
-                dist[v] = d
-        machine.cpu.charge(len(dist) + 1,
-                           max(1.0, math.log2(len(dist) + 2)))
-        return dist
+        return run_batch(self.machine, f"{self.name}:bfs",
+                         _bfs_route(self, source))
 
     def connected_components(self) -> Dict[Hashable, int]:
         """Component id (a representative vertex's index) per vertex,
@@ -119,3 +110,17 @@ class PIMGraph:
                 comp[u] = cid
             cid += 1
         return comp
+
+
+def _bfs_route(graph: PIMGraph, source: Hashable):
+    yield [Broadcast(f"{graph.name}:reset", ())]
+    replies = yield [(graph.owner(source), f"{graph.name}:visit",
+                      (source, 0), None)]
+    dist: Dict[Hashable, int] = {}
+    for r in replies:
+        if r.payload[0] == "visited":
+            _, v, d = r.payload
+            dist[v] = d
+    graph.machine.cpu.charge(len(dist) + 1,
+                             max(1.0, math.log2(len(dist) + 2)))
+    return dist

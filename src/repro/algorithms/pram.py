@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.balls.hashing import KeyLevelHash
 from repro.collectives import Collectives
+from repro.ops import Broadcast, run_batch
 from repro.sim.machine import PIMMachine
 
 
@@ -75,20 +76,13 @@ class PRAMEmulation:
 
     def write_many(self, writes: Sequence[Tuple[int, Any]]) -> None:
         """Parallel exclusive writes: one message per write."""
-        for addr, value in writes:
-            self.machine.send(self.owner(addr), f"{self.name}:write",
-                              (addr, value))
-        self.machine.drain()
+        run_batch(self.machine, f"{self.name}:write_many",
+                  _write_many_route(self, writes))
 
     def read_many(self, addrs: Sequence[int]) -> List[Any]:
         """Parallel exclusive reads: one message each way per read."""
-        for i, addr in enumerate(addrs):
-            self.machine.send(self.owner(addr), f"{self.name}:read",
-                              (addr,), tag=i)
-        out: List[Any] = [None] * len(addrs)
-        for r in self.machine.drain():
-            out[r.tag] = r.payload[2]
-        return out
+        return run_batch(self.machine, f"{self.name}:read_many",
+                         _read_many_route(self, addrs))
 
     # -- PRAM super-step ---------------------------------------------------
 
@@ -187,9 +181,34 @@ def native_prefix_sum(machine: PIMMachine, parts: Sequence[Sequence[float]],
     for mid, part in enumerate(parts):
         machine.modules[mid].state.setdefault(name, {})["part"] = list(part)
 
-    machine.broadcast(fn_scan, ())
+    return run_batch(machine, f"{name}:prefix_sum",
+                     _native_prefix_sum_route(machine, fn_scan, fn_shift,
+                                              fn_dump))
+
+
+def _write_many_route(pram: PRAMEmulation,
+                      writes: Sequence[Tuple[int, Any]]):
+    fn_write = f"{pram.name}:write"
+    yield [(pram.owner(addr), fn_write, (addr, value), None)
+           for addr, value in writes]
+
+
+def _read_many_route(pram: PRAMEmulation, addrs: Sequence[int]):
+    fn_read = f"{pram.name}:read"
+    replies = yield [(pram.owner(addr), fn_read, (addr,), i)
+                     for i, addr in enumerate(addrs)]
+    out: List[Any] = [None] * len(addrs)
+    for r in replies:
+        out[r.tag] = r.payload[2]
+    return out
+
+
+def _native_prefix_sum_route(machine: PIMMachine, fn_scan: str,
+                             fn_shift: str, fn_dump: str):
+    p = machine.num_modules
+    replies = yield [Broadcast(fn_scan, ())]
     sums = [0.0] * p
-    for r in machine.drain():
+    for r in replies:
         _, mid, total = r.payload
         sums[mid] = total
     acc = 0.0
@@ -198,12 +217,11 @@ def native_prefix_sum(machine: PIMMachine, parts: Sequence[Sequence[float]],
         offsets.append(acc)
         acc += total
     machine.cpu.charge(2 * p, 2 * max(1.0, math.log2(p)))
-    for mid, off in enumerate(offsets):
-        machine.send(mid, fn_shift, (off,))
-    machine.drain()
-    machine.broadcast(fn_dump, ())
+    yield [(mid, fn_shift, (off,), None)
+           for mid, off in enumerate(offsets)]
+    replies = yield [Broadcast(fn_dump, ())]
     out: List[List[float]] = [[] for _ in range(p)]
-    for r in machine.drain():
+    for r in replies:
         _, mid, scan = r.payload
         out[mid] = scan
     return out

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.ops import run_batch
 from repro.sim.machine import PIMMachine
 
 
@@ -64,40 +65,8 @@ class TopKSelector:
         k = min(k, self.total)
         if k <= 0:
             return []
-        machine = self.machine
-        p = machine.num_modules
-        log_p = max(1, int(round(math.log2(p)))) if p > 1 else 1
-        quotas = {mid: min(k, 2 * ((k + p - 1) // p) + 4 * log_p)
-                  for mid in range(p)}
-        supplied: Dict[int, Tuple[List[Any], bool]] = {}
-        while True:
-            for mid in range(p):
-                if mid not in supplied:
-                    machine.send(mid, f"{self.name}:prefix",
-                                 (quotas[mid],))
-            for r in machine.drain():
-                _, mid, keys, exhausted = r.payload
-                supplied[mid] = (keys, exhausted)
-            merged: List[Any] = []
-            for keys, _ in supplied.values():
-                merged.extend(keys)
-            merged.sort()
-            with machine.cpu.region(len(merged)):
-                machine.cpu.charge(
-                    len(merged) * max(1.0, math.log2(len(merged) + 1)),
-                    max(1.0, math.log2(len(merged) + 1)),
-                )
-            take = merged[:k]
-            bound = take[-1]
-            unsafe = [
-                mid for mid, (keys, exhausted) in supplied.items()
-                if not exhausted and keys and keys[-1] < bound
-            ]
-            if not unsafe:
-                return take
-            for mid in unsafe:
-                quotas[mid] *= 2
-                del supplied[mid]
+        return run_batch(self.machine, f"{self.name}:top_k",
+                         _top_k_route(self, k))
 
     def select(self, rank: int) -> Any:
         """The element of 0-indexed ``rank`` in sorted order."""
@@ -108,3 +77,39 @@ class TopKSelector:
     def median(self) -> Any:
         """The lower median."""
         return self.select((self.total - 1) // 2)
+
+
+def _top_k_route(sel: TopKSelector, k: int):
+    machine = sel.machine
+    p = machine.num_modules
+    log_p = max(1, int(round(math.log2(p)))) if p > 1 else 1
+    quotas = {mid: min(k, 2 * ((k + p - 1) // p) + 4 * log_p)
+              for mid in range(p)}
+    supplied: Dict[int, Tuple[List[Any], bool]] = {}
+    fn_prefix = f"{sel.name}:prefix"
+    while True:
+        replies = yield [(mid, fn_prefix, (quotas[mid],), None)
+                         for mid in range(p) if mid not in supplied]
+        for r in replies:
+            _, mid, keys, exhausted = r.payload
+            supplied[mid] = (keys, exhausted)
+        merged: List[Any] = []
+        for keys, _ in supplied.values():
+            merged.extend(keys)
+        merged.sort()
+        with machine.cpu.region(len(merged)):
+            machine.cpu.charge(
+                len(merged) * max(1.0, math.log2(len(merged) + 1)),
+                max(1.0, math.log2(len(merged) + 1)),
+            )
+        take = merged[:k]
+        bound = take[-1]
+        unsafe = [
+            mid for mid, (keys, exhausted) in supplied.items()
+            if not exhausted and keys and keys[-1] < bound
+        ]
+        if not unsafe:
+            return take
+        for mid in unsafe:
+            quotas[mid] *= 2
+            del supplied[mid]

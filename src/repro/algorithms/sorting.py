@@ -33,6 +33,7 @@ from typing import Any, List, Optional, Sequence
 
 from repro.collectives import Collectives
 from repro.cpuside.sort import parallel_sort
+from repro.ops import Broadcast, run_batch
 from repro.sim.errors import SharedMemoryExceeded
 from repro.sim.machine import PIMMachine
 
@@ -70,7 +71,6 @@ def pim_sample_sort(machine: PIMMachine, parts: Sequence[Sequence[Any]],
     if len(parts) != p:
         raise ValueError("need one part per module")
     coll = Collectives(machine, name=name)
-    rng = random.Random(seed)
     n = sum(len(part) for part in parts)
 
     # Inputs start resident on the PIM side (slot load is not network IO,
@@ -78,6 +78,56 @@ def pim_sample_sort(machine: PIMMachine, parts: Sequence[Sequence[Any]],
     for mid, part in enumerate(parts):
         machine.modules[mid].state[name]["slot"] = list(part)
         machine.modules[mid].alloc_words(len(part))
+
+    # The exchange's handlers: each module forwards its bucket pieces
+    # (h = max per module of words sent + received), then merges the
+    # already-sorted runs it received.
+    fn_route = f"{name}:route"
+    if fn_route not in machine._handlers:
+        def h_route(ctx, splitters, tag=None):
+            state = ctx.module.state[name]
+            slot, _picks = state["slot"]
+            ctx.charge(len(slot) + 1)
+            row: dict = {}
+            for x in slot:
+                dest = bisect.bisect_right(splitters, x)
+                row.setdefault(dest, []).append(x)
+            state["slot"] = []
+            for dest, piece in row.items():
+                ctx.forward(dest, f"{name}:recv_piece", (piece,),
+                            size=max(1, len(piece)))
+
+        def h_merge(ctx, tag=None):
+            state = ctx.module.state[name]
+            runs = state["inbox"]
+            state["inbox"] = []
+            out: List[Any] = []
+            work = 1
+            for run in runs:
+                out = _merge2(out, run)
+                work += len(out)
+            ctx.charge(work)
+            state["slot"] = out
+
+        machine.register(fn_route, h_route)
+        machine.register(f"{name}:merge", h_merge)
+
+    result = run_batch(machine, f"{name}:sample_sort",
+                       _sample_sort_route(coll, oversample,
+                                          random.Random(seed)))
+    # cleanup: release the resident-input accounting
+    for mid, part in enumerate(parts):
+        machine.modules[mid].free_words(len(part))
+    flat_check = sum(len(r) for r in result)
+    if flat_check != n:  # pragma: no cover - sanity
+        raise AssertionError("sample sort lost elements")
+    return result
+
+
+def _sample_sort_route(coll: Collectives, oversample: int,
+                       rng: random.Random):
+    machine = coll.machine
+    p = coll.num_modules
 
     # 1. local sorts
     def local_sort(mid, slot):
@@ -110,54 +160,14 @@ def pim_sample_sort(machine: PIMMachine, parts: Sequence[Sequence[Any]],
         splitters = [samples[i * step] for i in range(1, p)
                      if i * step < len(samples)]
 
-    # 4. all-to-all exchange by bucket, module-to-module (the pieces are
-    # forwarded directly; h = max per module of words sent + received)
-    fn_route = f"{name}:route"
-    fn_merge = f"{name}:merge"
-    if fn_route not in machine._handlers:
-        def h_route(ctx, splitters, tag=None):
-            state = ctx.module.state[name]
-            slot, _picks = state["slot"]
-            ctx.charge(len(slot) + 1)
-            row: dict = {}
-            for x in slot:
-                dest = bisect.bisect_right(splitters, x)
-                row.setdefault(dest, []).append(x)
-            state["slot"] = []
-            for dest, piece in row.items():
-                ctx.forward(dest, f"{name}:recv_piece", (piece,),
-                            size=max(1, len(piece)))
-
-        def h_merge(ctx, tag=None):
-            state = ctx.module.state[name]
-            runs = state["inbox"]
-            state["inbox"] = []
-            out: List[Any] = []
-            work = 1
-            for run in runs:
-                out = _merge2(out, run)
-                work += len(out)
-            ctx.charge(work)
-            state["slot"] = out
-
-        machine.register(fn_route, h_route)
-        machine.register(fn_merge, h_merge)
-
-    machine.broadcast(fn_route, (splitters,), size=max(1, len(splitters)))
-    machine.drain()
+    # 4. all-to-all exchange by bucket, module-to-module
+    yield [Broadcast(f"{coll.name}:route", (splitters,),
+                     size=max(1, len(splitters)))]
 
     # 5. local multiway merges of the received sorted runs
-    machine.broadcast(fn_merge, ())
-    machine.drain()
+    yield [Broadcast(f"{coll.name}:merge", ())]
     # result extraction (verification only; costs one gather of the data)
-    result = coll.gather()
-    # cleanup: release the resident-input accounting
-    for mid, part in enumerate(parts):
-        machine.modules[mid].free_words(len(part))
-    flat_check = sum(len(r) for r in result)
-    if flat_check != n:  # pragma: no cover - sanity
-        raise AssertionError("sample sort lost elements")
-    return result
+    return coll.gather()
 
 
 def _merge2(a: List[Any], b: List[Any]) -> List[Any]:

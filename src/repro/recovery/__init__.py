@@ -2,18 +2,17 @@
 
 Three layers, composable:
 
-- :mod:`repro.recovery.checkpoint` -- logical snapshots of the four
-  batched structures (skip list, LSM store, FIFO queue, priority
-  queue) and charged restore into a fresh structure.
-- :mod:`repro.recovery.repair` -- in-place re-replication of one wiped
-  module's share (skip list and LSM) from surviving replicas plus a
-  checkpoint, ending with the structure's own integrity check green.
-- :mod:`repro.recovery.manager` -- the failover driver: periodic
-  checkpoints + a mutating-batch log; on :class:`~repro.sim.errors.ModuleCrashed`
-  or :class:`~repro.sim.errors.DeliveryTimeout` it rebuilds on standby
+- :mod:`repro.recovery.checkpoint` -- logical snapshots of the five
+  batched structures (skip list, LSM store, PIM-tree, FIFO queue,
+  priority queue) and charged restore into a fresh structure.
+- :mod:`repro.recovery.manager` -- the failover driver, and the one
+  recovery path: periodic checkpoints + a mutating-batch log; on
+  :class:`~repro.sim.errors.ModuleCrashed` or
+  :class:`~repro.sim.errors.DeliveryTimeout` it rebuilds on standby
   hardware, replays, and retries -- or returns a typed
   :class:`~repro.recovery.manager.DegradedResult` when recovery is
-  disabled or exhausted.  Never a wrong answer.
+  disabled or exhausted.  Never a wrong answer.  A wiped module is
+  never repaired in place: it stays unreachable until the failover.
 - :mod:`repro.recovery.durable` -- the host-crash half: an on-disk WAL
   plus atomic snapshots under one state dir, so the manager's
   checkpoint + log survive process death and restarts replay to
@@ -23,7 +22,6 @@ Three layers, composable:
 from repro.recovery.checkpoint import (
     Checkpoint,
     checkpoint_structure,
-    merged_lsm_items,
     restore_structure,
 )
 from repro.recovery.durable import (
@@ -41,11 +39,6 @@ from repro.recovery.manager import (
     RecoveryManager,
     apply_to,
 )
-from repro.recovery.repair import (
-    RepairError,
-    reattach_lsm_module,
-    reattach_module,
-)
 
 __all__ = [
     "Checkpoint",
@@ -59,11 +52,7 @@ __all__ = [
     "READ_GROUP",
     "RecoveryEvent",
     "RecoveryManager",
-    "RepairError",
     "apply_to",
     "checkpoint_structure",
-    "merged_lsm_items",
-    "reattach_lsm_module",
-    "reattach_module",
     "restore_structure",
 ]

@@ -12,13 +12,14 @@ PIM work, words).
 
 Canonical payloads:
 
-- :class:`~repro.core.skiplist.PIMSkipList` -- sorted ``(key, value)``
-  list.
-- :class:`~repro.structures.lsm.PIMLSMStore` -- dict with the delta's
-  items (tombstones included), the run blocks keyed by block id, fences,
-  block ownership, generation and run size.  The extra physical detail
-  exists for in-place module repair (:mod:`repro.recovery.repair`);
-  logical restore uses :func:`merged_lsm_items`.
+- the three ordered maps -- :class:`~repro.core.skiplist.PIMSkipList`,
+  :class:`~repro.structures.lsm.PIMLSMStore` and
+  :class:`~repro.structures.pimtree.PIMTree` -- sorted ``(key, value)``
+  list.  The LSM's is its run merged with its delta, the delta
+  shadowing the run and tombstones dropped; a restore upserts it into
+  an empty store.  The tree's is drained leaf by leaf along the chain;
+  a restore bulk-loads an empty tree (shadow promotions restart cold --
+  they are a cache).
 - :class:`~repro.structures.fifo.PIMQueue` -- queued values oldest
   first.  A restore re-enqueues them, so sequence counters restart at
   zero; FIFO semantics are unchanged.
@@ -26,13 +27,14 @@ Canonical payloads:
   ``(priority, value)`` pairs in extraction order.  A restore re-inserts
   them in that order, so fresh tiebreaks preserve FIFO among equal
   priorities.
-- :class:`~repro.structures.pimtree.PIMTree` -- sorted ``(key, value)``
-  list, drained leaf by leaf along the chain.  A restore bulk-loads an
-  empty tree (shadow promotions restart cold -- they are a cache).
-  Unlike the skip list (whose object graph is CPU-visible), the tree's
-  leaves live *only* in module DRAM, so capture from a machine with a
-  wiped-and-unrepaired module raises :class:`CheckpointUnavailable`;
-  the recovery manager keeps its previous checkpoint + log instead.
+
+The skip lists' object graphs (the skip list, the LSM's delta, the
+priority queue) are CPU-visible.  The LSM's run blocks, the FIFO's
+slots and the tree's leaves live *only* in module DRAM, so capturing
+one of them from a machine whose wiped module holds part of it raises
+:class:`CheckpointUnavailable`; the recovery manager keeps its previous
+checkpoint + log instead, and the wiped module stays unreachable until
+the manager fails over.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointUnavailable",
     "checkpoint_structure",
-    "merged_lsm_items",
     "restore_structure",
 ]
 
@@ -65,85 +66,78 @@ class Checkpoint:
     """One logical snapshot of one structure.
 
     ``kind`` names the structure family (``skiplist`` / ``lsm`` /
-    ``fifo`` / ``pq``), ``name`` is the instance name on its machine,
-    ``payload`` the canonical contents (see module docstring), and
-    ``batches`` the number of mutating batches the owner had applied at
-    capture time (bookkeeping for :class:`repro.recovery.manager.RecoveryManager`).
+    ``pimtree`` / ``fifo`` / ``pq``), ``name`` is the instance name on
+    its machine and ``payload`` the canonical contents (see module
+    docstring).
     """
 
     kind: str
     name: str
     payload: Any
-    batches: int = 0
 
     def item_count(self) -> int:
-        """Logical item count (merged and tombstone-free for LSM)."""
-        if self.kind == "lsm":
-            return len(merged_lsm_items(self))
+        """Logical item count."""
         return len(self.payload)
 
 
-def checkpoint_structure(obj: Any, batches: int = 0) -> Checkpoint:
+def _module_state(obj: Any, mid: int, what: str) -> Any:
+    """``obj``'s state on module ``mid``, which holds ``what``;
+    :class:`CheckpointUnavailable` when the module was wiped."""
+    machine = obj.machine
+    state = (None if mid in machine.wiped_modules
+             else machine.modules[mid].state.get(obj.name))
+    if state is None:
+        raise CheckpointUnavailable(
+            f"{obj.name} {what} unreadable on module {mid}")
+    return state
+
+
+def checkpoint_structure(obj: Any) -> Checkpoint:
     """Capture a logical checkpoint of ``obj`` (diagnostic, cost-free)."""
     if isinstance(obj, PIMSkipList):
         items = [(n.key, n.value) for n in obj.struct.iter_level(0)]
-        return Checkpoint("skiplist", obj.struct.name, items, batches)
+        return Checkpoint("skiplist", obj.struct.name, items)
     if isinstance(obj, PIMLSMStore):
-        blocks: Dict[int, List[Tuple[Any, Any]]] = {}
-        for module in obj.machine.modules:
-            for bid, block in module.state.get(obj.name, {}).items():
-                blocks[bid] = [tuple(entry) for entry in block]
-        payload = {
-            "delta": [(n.key, n.value) for n in obj.delta.struct.iter_level(0)],
-            "blocks": blocks,
-            "fences": list(obj.fences),
-            "block_owner": list(obj.block_owner),
-            "generation": obj.generation,
-            "run_size": obj.run_size,
-        }
-        return Checkpoint("lsm", obj.name, payload, batches)
+        merged: Dict[Any, Any] = {}
+        for bid, owner in enumerate(obj.block_owner):
+            merged.update(_module_state(obj, owner, f"run block {bid}")[bid])
+        for node in obj.delta.struct.iter_level(0):
+            if node.value == TOMBSTONE:
+                merged.pop(node.key, None)
+            else:
+                merged[node.key] = node.value
+        return Checkpoint("lsm", obj.name, sorted(merged.items()))
     if isinstance(obj, PIMQueue):
-        values = [
-            obj.machine.modules[obj._owner(seq)].state[obj.name][seq]
-            for seq in range(obj.head, obj.tail)
-        ]
-        return Checkpoint("fifo", obj.name, values, batches)
+        values = [_module_state(obj, obj._owner(seq), f"slot {seq}")[seq]
+                  for seq in range(obj.head, obj.tail)]
+        return Checkpoint("fifo", obj.name, values)
     if isinstance(obj, PIMPriorityQueue):
         pairs = [(n.key[0], n.value) for n in obj.sl.struct.iter_level(0)]
-        return Checkpoint("pq", obj.name, pairs, batches)
+        return Checkpoint("pq", obj.name, pairs)
     if isinstance(obj, PIMTree):
-        items: List[Tuple[Any, Any]] = []
+        items = []
         lid = obj.first_leaf
         while lid is not None:
             owner = obj.leaf_owner[lid]
-            if owner in obj.machine.wiped_modules:
-                raise CheckpointUnavailable(
-                    f"pimtree leaf {lid} lives on wiped module {owner}")
-            state = obj.machine.modules[owner].state.get(obj.name)
-            if state is None or lid not in state["leaf"]:
+            leaves = _module_state(obj, owner, f"leaf {lid}")["leaf"]
+            if lid not in leaves:
                 raise CheckpointUnavailable(
                     f"pimtree leaf {lid} unreadable on module {owner}")
-            items.extend(tuple(p) for p in state["leaf"][lid])
+            items.extend(tuple(p) for p in leaves[lid])
             lid = obj.leaf_next[lid]
-        return Checkpoint("pimtree", obj.name, items, batches)
+        return Checkpoint("pimtree", obj.name, items)
     raise TypeError(f"no checkpoint support for {type(obj).__name__}")
 
 
-def merged_lsm_items(chk: Checkpoint) -> List[Tuple[Any, Any]]:
-    """An LSM checkpoint's logical contents: run blocks merged with the
-    delta, delta shadowing the run, tombstones dropped; sorted."""
-    if chk.kind != "lsm":
-        raise ValueError(f"not an LSM checkpoint: {chk.kind!r}")
-    merged: Dict[Any, Any] = {}
-    for bid in sorted(chk.payload["blocks"]):
-        for key, value in chk.payload["blocks"][bid]:
-            merged[key] = value
-    for key, value in chk.payload["delta"]:
-        if value == TOMBSTONE:
-            merged.pop(key, None)
-        else:
-            merged[key] = value
-    return sorted(merged.items())
+#: ``(class, checkpoint kind, emptiness test, batched load method)`` per
+#: structure: a restore is one batched load into an empty target.
+_RESTORE: List[Tuple[type, str, Any, str]] = [
+    (PIMSkipList, "skiplist", lambda t: t.size == 0, "batch_upsert"),
+    (PIMLSMStore, "lsm", lambda t: t.size_estimate == 0, "batch_upsert"),
+    (PIMQueue, "fifo", lambda t: len(t) == 0, "enqueue_batch"),
+    (PIMPriorityQueue, "pq", lambda t: len(t) == 0, "insert_batch"),
+    (PIMTree, "pimtree", lambda t: t.first_leaf is None, "build"),
+]
 
 
 def restore_structure(chk: Checkpoint, target: Any) -> int:
@@ -155,45 +149,13 @@ def restore_structure(chk: Checkpoint, target: Any) -> int:
     recovery -- run it on a clean machine).  Returns the number of
     logical items restored.
     """
-    if isinstance(target, PIMSkipList):
-        if chk.kind != "skiplist":
-            raise ValueError(f"checkpoint kind {chk.kind!r} != skiplist")
-        if target.size != 0:
-            raise ValueError("restore requires an empty structure")
-        if chk.payload:
-            target.batch_upsert(list(chk.payload))
-        return len(chk.payload)
-    if isinstance(target, PIMLSMStore):
-        if chk.kind != "lsm":
-            raise ValueError(f"checkpoint kind {chk.kind!r} != lsm")
-        if target.size_estimate != 0:
-            raise ValueError("restore requires an empty structure")
-        items = merged_lsm_items(chk)
-        if items:
-            target.batch_upsert(items)
-        return len(items)
-    if isinstance(target, PIMQueue):
-        if chk.kind != "fifo":
-            raise ValueError(f"checkpoint kind {chk.kind!r} != fifo")
-        if len(target) != 0:
-            raise ValueError("restore requires an empty queue")
-        if chk.payload:
-            target.enqueue_batch(list(chk.payload))
-        return len(chk.payload)
-    if isinstance(target, PIMPriorityQueue):
-        if chk.kind != "pq":
-            raise ValueError(f"checkpoint kind {chk.kind!r} != pq")
-        if len(target) != 0:
-            raise ValueError("restore requires an empty queue")
-        if chk.payload:
-            target.insert_batch(list(chk.payload))
-        return len(chk.payload)
-    if isinstance(target, PIMTree):
-        if chk.kind != "pimtree":
-            raise ValueError(f"checkpoint kind {chk.kind!r} != pimtree")
-        if target.first_leaf is not None:
-            raise ValueError("restore requires an empty tree")
-        if chk.payload:
-            target.build(list(chk.payload))
-        return len(chk.payload)
+    for cls, kind, is_empty, load in _RESTORE:
+        if isinstance(target, cls):
+            if chk.kind != kind:
+                raise ValueError(f"checkpoint kind {chk.kind!r} != {kind}")
+            if not is_empty(target):
+                raise ValueError("restore requires an empty structure")
+            if chk.payload:
+                getattr(target, load)(list(chk.payload))
+            return len(chk.payload)
     raise TypeError(f"no restore support for {type(target).__name__}")

@@ -15,9 +15,9 @@ reopen must ignore (and fsck must sweep) orphaned ``.tmp`` files.
 
 The body reuses the WAL's header framing (length + crc32), so a
 truncated or bit-flipped snapshot fails its checksum and is skipped in
-favour of an older one.  JSON round-trip notes: pair tuples come back
-as lists (re-tupled on decode) and the LSM block dict's int keys come
-back as strings (re-int'ed on decode).
+favour of an older one.  Every payload is a JSON list; the pair
+tuples of the ordered maps and the priority queue come back as lists
+and are re-tupled on decode (a FIFO payload is values, kept as read).
 """
 
 from __future__ import annotations
@@ -53,43 +53,17 @@ def snapshot_name(lsn: int) -> str:
 
 
 def encode_checkpoint(chk: Checkpoint) -> Dict[str, Any]:
-    """Checkpoint -> JSON-safe dict (see module docstring for caveats)."""
-    payload: Any = chk.payload
-    if chk.kind in ("skiplist", "pimtree", "pq"):
-        payload = [list(p) for p in payload]
-    elif chk.kind == "lsm":
-        payload = {
-            "delta": [list(p) for p in payload["delta"]],
-            "blocks": {str(bid): [list(e) for e in block]
-                       for bid, block in payload["blocks"].items()},
-            "fences": list(payload["fences"]),
-            "block_owner": list(payload["block_owner"]),
-            "generation": payload["generation"],
-            "run_size": payload["run_size"],
-        }
-    return {"kind": chk.kind, "name": chk.name, "payload": payload,
-            "batches": chk.batches}
+    """Checkpoint -> JSON-safe dict (JSON writes tuples as lists)."""
+    return {"kind": chk.kind, "name": chk.name, "payload": chk.payload}
 
 
 def decode_checkpoint(doc: Dict[str, Any]) -> Checkpoint:
-    """Inverse of :func:`encode_checkpoint` (re-tuples pairs, re-ints
-    LSM block ids)."""
+    """Inverse of :func:`encode_checkpoint` (re-tuples pairs)."""
     kind = doc["kind"]
-    payload: Any = doc["payload"]
-    if kind in ("skiplist", "pimtree", "pq"):
+    payload = doc["payload"]
+    if kind != "fifo":
         payload = [tuple(p) for p in payload]
-    elif kind == "lsm":
-        payload = {
-            "delta": [tuple(p) for p in payload["delta"]],
-            "blocks": {int(bid): [tuple(e) for e in block]
-                       for bid, block in payload["blocks"].items()},
-            "fences": list(payload["fences"]),
-            "block_owner": list(payload["block_owner"]),
-            "generation": payload["generation"],
-            "run_size": payload["run_size"],
-        }
-    return Checkpoint(kind=kind, name=doc["name"], payload=payload,
-                      batches=int(doc.get("batches", 0)))
+    return Checkpoint(kind=kind, name=doc["name"], payload=payload)
 
 
 class SnapshotInfo:

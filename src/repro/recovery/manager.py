@@ -230,7 +230,7 @@ class RecoveryManager:
             # snapshot restore + WAL replay onto clean hardware.
             standby = rebuild()
             assert durable.report.checkpoint is not None
-            self._adopt(durable.report.checkpoint)
+            self.checkpoint = durable.report.checkpoint
             restore_structure(self.checkpoint, standby)
             for record in durable.report.records:
                 self._log_batch(record.op,
@@ -240,7 +240,7 @@ class RecoveryManager:
             self._served_items = self._log_items
             self.structure = standby
             return
-        self._adopt(checkpoint_structure(structure))
+        self.checkpoint = checkpoint_structure(structure)
         self.checkpoints_captured = 1
         if durable is not None:
             durable.bootstrap(self.checkpoint)
@@ -278,7 +278,24 @@ class RecoveryManager:
     def last_checkpoint_items(self) -> int:
         """Item count of the current checkpoint -- the served-items
         threshold the next capture waits for."""
-        return self._checkpoint_items
+        return self.checkpoint.item_count()
+
+    def durable_items(self) -> List[Tuple[Any, Any]]:
+        """What a failover or restart would rebuild right now, for an
+        ordered map (skip list, LSM store, PIM-tree): the checkpoint's
+        items advanced by the mutation log, as sorted ``(key, value)``
+        pairs."""
+        if self.checkpoint.kind not in ("skiplist", "lsm", "pimtree"):
+            raise TypeError(f"a {self.checkpoint.kind!r} checkpoint is "
+                            f"not an ordered map")
+        data = dict(self.checkpoint.payload)
+        for op, payload in self._log:
+            if op == "upsert":
+                data.update(payload)
+            else:
+                for key in payload:
+                    data.pop(key, None)
+        return sorted(data.items())
 
     # -- batch driver ----------------------------------------------------
 
@@ -319,12 +336,6 @@ class RecoveryManager:
         if machine is not None and rounds > 0:
             machine.idle_rounds(rounds)
 
-    def _adopt(self, checkpoint: Checkpoint) -> None:
-        self.checkpoint = checkpoint
-        # Cached: the capture rule reads it per batch, and an LSM
-        # checkpoint's item_count() merges its runs on every call.
-        self._checkpoint_items = checkpoint.item_count()
-
     def _log_batch(self, op: str, payload: list) -> None:
         self._log.append((op, payload))
         self._log_items += len(payload)
@@ -344,7 +355,7 @@ class RecoveryManager:
             # layer only acks) after this record survives a crash.
             self.durable.append(op, logged)
         if (self._mutations >= self.checkpoint_every
-                and self._served_items >= self._checkpoint_items):
+                and self._served_items >= self.checkpoint.item_count()):
             try:
                 captured = checkpoint_structure(self.structure)
             except CheckpointUnavailable:
@@ -354,7 +365,7 @@ class RecoveryManager:
                 # recovery recipe; capture retries after the next
                 # mutation.
                 return
-            self._adopt(captured)
+            self.checkpoint = captured
             self.checkpoints_captured += 1
             self._log.clear()
             self._log_items = 0
@@ -377,7 +388,7 @@ class RecoveryManager:
             standby.apply_batch(logged_op, logged_payload)
         event = RecoveryEvent(
             op=op, cause=cause,
-            checkpoint_items=self._checkpoint_items,
+            checkpoint_items=self.checkpoint.item_count(),
             replayed_batches=len(self._log))
         self.events.append(event)
         self.structure = standby

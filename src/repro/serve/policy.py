@@ -42,7 +42,6 @@ from repro.recovery import (
     RecoveryEvent,
     RecoveryManager,
     apply_to,
-    merged_lsm_items,
 )
 from repro.serve.coalesce import MergedBatch, ReadGroup
 from repro.serve.errors import Refusal, RefusalReason
@@ -152,23 +151,12 @@ class ResiliencePolicy:
 
     def _durable_view(self) -> SequentialOracle:
         """The manager's durable state: checkpoint + mutation log."""
-        chk = self.manager.checkpoint
         # Captures counted, not ``id(chk)``: a freed checkpoint's address
         # is reused, and right after a capture the log is empty again.
         key = (self.manager.checkpoints_captured, self.manager.log_size)
         if self._stale_cache is not None and self._stale_cache[0] == key:
             return self._stale_cache[1]
-        if chk.kind in ("skiplist", "pimtree"):
-            # Both checkpoint as a sorted (key, value) pair list.
-            items = list(chk.payload)
-        elif chk.kind == "lsm":
-            items = merged_lsm_items(chk)
-        else:
-            raise TypeError(
-                f"no degraded-read support for checkpoint kind {chk.kind!r}")
-        oracle = SequentialOracle(items)
-        for op, payload in self.manager._log:
-            oracle.apply_batch(op, payload)
+        oracle = SequentialOracle(self.manager.durable_items())
         self._stale_cache = (key, oracle)
         return oracle
 

@@ -450,9 +450,9 @@ class ChaosState:
 
     def _deliver_to_dead(self, mid: int, slot: list, stats: ChaosStats,
                          wiped: bool = False) -> None:
-        """Messages arriving at a crashed (or wiped-and-unrepaired)
-        module: envelopes are lost, anything else is a hard fault."""
-        why = ("lost its DRAM and awaits repair" if wiped
+        """Messages arriving at a crashed (or wiped) module: envelopes
+        are lost, anything else is a hard fault."""
+        why = ("lost its DRAM and awaits failover" if wiped
                else "crashed (fail-stop)")
         for q in (slot[1], slot[2]):
             for entry in q:

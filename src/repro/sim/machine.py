@@ -241,9 +241,9 @@ class PIMMachine:
         # fault-free path: the round loop pays exactly one attribute
         # check per round for the chaos capability.
         self._chaos: Optional[ChaosState] = None
-        # Modules whose DRAM was wiped and not yet repaired.  The chaos
-        # filter keeps them unreachable (typed faults, not KeyErrors on
-        # missing state) until recovery calls :meth:`mark_repaired`.
+        # Modules whose DRAM was wiped.  The chaos filter keeps them
+        # unreachable for the machine's lifetime (typed faults, not
+        # KeyErrors on missing state); recovery abandons the machine.
         self.wiped_modules: set = set()
 
     # -- handler registry ---------------------------------------------------
@@ -941,6 +941,10 @@ class PIMMachine:
         was executed *before* the wipe destroyed its guard, and the
         recovery layer rebuilds state rather than replaying messages).
         Used by crash-and-wipe fault schedules and recovery tests.
+
+        The module is never repaired in place: it stays in
+        :attr:`wiped_modules` until the recovery manager fails over to
+        standby hardware and abandons this machine.
         """
         module = self.modules[mid]
         module.state.clear()
@@ -948,15 +952,9 @@ class PIMMachine:
         self._contexts[mid].reset_replay_guard()
         # Under a fault plan the module stays unreachable (protocol
         # envelopes are dead-dropped, anything else is a typed
-        # ModuleCrashed) until recovery declares it repaired -- a blank
-        # module serving traffic would fault on missing state instead
-        # of failing typed.
+        # ModuleCrashed) -- a blank module serving traffic would fault
+        # on missing state instead of failing typed.
         self.wiped_modules.add(mid)
-
-    def mark_repaired(self, mid: int) -> None:
-        """Declare a wiped module's state re-replicated and routable again
-        (see :func:`repro.recovery.repair.reattach_module`)."""
-        self.wiped_modules.discard(mid)
 
     def drain(self, max_rounds: int = 1_000_000,
               label: Optional[str] = None) -> List[Reply]:

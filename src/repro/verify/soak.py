@@ -251,10 +251,7 @@ def soak_session(schedule: str = "none", fault_seed: int = 0, *,
         # manager just restored snapshot + WAL tail over the built
         # structure, so the replay oracle must start from the restored
         # state, not the synthetic build.
-        view = SequentialOracle(list(server.manager.checkpoint.payload))
-        for op, payload in server.manager._log:
-            view.apply_batch(op, payload)
-        initial = sorted(view.data.items())
+        initial = server.manager.durable_items()
 
     records: Dict[str, List[_Record]] = {}
 

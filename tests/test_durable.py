@@ -17,7 +17,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.skiplist import PIMSkipList
-from repro.recovery import Checkpoint, RecoveryManager
+from repro.recovery import (
+    Checkpoint,
+    RecoveryManager,
+    checkpoint_structure,
+    restore_structure,
+)
 from repro.recovery.durable import (
     DurabilityError,
     DurabilityPolicy,
@@ -35,6 +40,10 @@ from repro.recovery.durable import (
 )
 from repro.recovery.durable.wal import decode_record, encode_record
 from repro.sim.machine import PIMMachine
+from repro.structures.fifo import PIMQueue
+from repro.structures.lsm import PIMLSMStore
+from repro.structures.pimtree import PIMTree
+from repro.structures.priority_queue import PIMPriorityQueue
 from tests.conftest import DETERMINISTIC
 
 FAST = DurabilityPolicy(snapshot_every=3, os_fsync=False)
@@ -249,6 +258,91 @@ class TestSnapshots:
         lsn, chk, corrupt = load_snapshot(root)
         assert lsn == 2 and chk.payload == [(1, "a")]
         assert corrupt == [newest]
+
+
+_VALUES = st.one_of(st.integers(-9, 9), st.text(max_size=3))
+_PAIRS = st.lists(st.tuples(st.integers(0, 60), _VALUES), max_size=40)
+
+
+def _ordered_map(make):
+    """Fills an ordered map: upsert half the pairs (the LSM then
+    compacts them into its run), upsert the rest, delete ``doomed``
+    (the LSM's tombstones)."""
+
+    def build(machine, pairs, doomed, taken):
+        s = make(machine)
+        half = len(pairs) // 2
+        if half:
+            s.apply_batch("upsert", pairs[:half])
+        if isinstance(s, PIMLSMStore):
+            s.compact()
+        if pairs[half:]:
+            s.apply_batch("upsert", pairs[half:])
+        if doomed:
+            s.apply_batch("delete", doomed)
+        expected = dict(pairs)
+        for key in doomed:
+            expected.pop(key, None)
+        return s, sorted(expected.items())
+    return build
+
+
+def _fifo(machine, pairs, doomed, taken):
+    q = PIMQueue(machine)
+    values = [v for _, v in pairs]
+    if values:
+        q.enqueue_batch(values)
+    taken = min(taken, len(values))
+    assert q.dequeue_batch(taken) == values[:taken]
+    return q, values[taken:]
+
+
+def _pq(machine, pairs, doomed, taken):
+    pq = PIMPriorityQueue(machine)
+    if pairs:
+        pq.insert_batch(list(pairs))
+    order = sorted(pairs, key=lambda kv: kv[0])  # stable: FIFO ties
+    taken = min(taken, len(pairs))
+    assert pq.extract_min_batch(taken) == order[:taken]
+    return pq, order[taken:]
+
+
+#: structure -> (fresh-structure factory, a function that fills one and
+#: returns it with the payload its checkpoint must hold)
+_STRUCTURES = {
+    "skiplist": (PIMSkipList, _ordered_map(PIMSkipList)),
+    "lsm": (lambda m: PIMLSMStore(m, block_size=4),
+            _ordered_map(lambda m: PIMLSMStore(m, block_size=4))),
+    "pimtree": (lambda m: PIMTree(m, leaf_size=4, fanout=4),
+                _ordered_map(lambda m: PIMTree(m, leaf_size=4, fanout=4))),
+    "fifo": (PIMQueue, _fifo),
+    "pq": (PIMPriorityQueue, _pq),
+}
+
+
+class TestSnapshotRoundTripEveryStructure:
+    """Capture, write the snapshot, read it back and restore it into a
+    fresh structure: the restored contents equal the source's, for each
+    of the five structures ``restore_structure`` supports."""
+
+    @pytest.mark.parametrize("kind", sorted(_STRUCTURES))
+    @DETERMINISTIC
+    @given(pairs=_PAIRS, doomed=st.lists(st.integers(0, 60), max_size=12),
+           taken=st.integers(0, 40))
+    def test_restored_contents_equal_the_source(self, tmp_path_factory,
+                                                kind, pairs, doomed, taken):
+        make, build = _STRUCTURES[kind]
+        source, expected = build(PIMMachine(num_modules=4, seed=1), pairs,
+                                 doomed, taken)
+        chk = checkpoint_structure(source)
+        assert chk.kind == kind and chk.payload == expected
+        root = str(tmp_path_factory.mktemp("snap"))
+        write_snapshot(root, 3, chk, os_fsync=False)
+        got = read_snapshot(list_snapshots(root)[0].path)
+        assert got == (3, chk)
+        fresh = make(PIMMachine(num_modules=4, seed=2))
+        assert restore_structure(got[1], fresh) == len(expected)
+        assert checkpoint_structure(fresh).payload == expected
 
 
 class TestDurableStore:

@@ -1,11 +1,12 @@
 """Tests for :mod:`repro.recovery`: checkpoint/restore round trips,
-in-place wipe repair, and crash-driven failover.
+capture refused around a wiped module, and crash-driven failover.
 
 The layer's contract is "a correct answer or a typed refusal, never a
 wrong answer": checkpoints restore to observably-identical structures,
-a wiped module's share reattaches with exact word re-accounting, and a
-:class:`RecoveryManager` survives a module crash at *any* round of a
-session -- or quiesces into typed :class:`DegradedResult` refusals.
+a capture that would read a wiped module refuses instead of dropping
+data, and a :class:`RecoveryManager` survives a module crash at *any*
+round of a session -- or quiesces into typed :class:`DegradedResult`
+refusals.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from repro.recovery import (
     DegradedResult,
     MUTATING_OPS,
     RecoveryManager,
-    RepairError,
     checkpoint_structure,
-    merged_lsm_items,
-    reattach_lsm_module,
-    reattach_module,
     restore_structure,
 )
+from repro.recovery.checkpoint import CheckpointUnavailable
 from repro.sim.chaos import CrashEvent, FaultPlan, FaultSpec
 from repro.sim.machine import PIMMachine
 from repro.structures.fifo import PIMQueue
@@ -62,7 +60,9 @@ class TestCheckpointRoundTrips:
         chk = checkpoint_structure(lsm)
         expected = {k: k * 2 for k in range(40) if k not in (3, 17, 31)}
         expected.update({17: "resurrected", 100: "fresh"})
-        assert dict(merged_lsm_items(chk)) == expected
+        assert chk.kind == "lsm"
+        assert chk.payload == sorted(expected.items())
+        assert chk.item_count() == len(expected)
 
         fresh = PIMLSMStore(_machine(seed=98))
         restore_structure(chk, fresh)
@@ -101,70 +101,62 @@ class TestCheckpointRoundTrips:
             restore_structure(chk, busy)
 
 
-class TestReattachModule:
-    def test_wipe_then_reattach_restores_queries_words_and_invariants(self):
-        machine = _machine()
-        sl = PIMSkipList(machine)
-        sl.build(ITEMS)
-        sl.batch_upsert([(weird, f"w{weird}") for weird in (5, 7, 11)])
-        values = dict(checkpoint_structure(sl).payload)
-        words_before = [m.words_used for m in machine.modules]
+class TestCaptureAroundAWipedModule:
+    """A capture never drops what a wiped module held: the structures
+    whose contents live only in module DRAM refuse, typed."""
 
-        mid = 3
-        machine.wipe_module(mid)
-        assert sl.struct.name not in machine.modules[mid].state
-
-        count = reattach_module(sl.struct, mid, values)
-        assert count == sum(1 for n in sl.struct.iter_level(0)
-                            if n.owner == mid)
-        assert mid not in machine.wiped_modules
-        sl.check_integrity()
-        assert [m.words_used for m in machine.modules] == words_before
-        keys = sorted(values) + [9999999]
-        assert sl.batch_get(keys) == \
-            [values.get(k) for k in keys]
-
-    def test_reattach_refuses_live_module(self):
-        machine = _machine()
-        sl = PIMSkipList(machine)
-        sl.build(ITEMS)
-        with pytest.raises(RepairError, match="still holds state"):
-            reattach_module(sl.struct, 0, dict(ITEMS))
-
-    def test_reattach_refuses_missing_values(self):
-        machine = _machine()
-        sl = PIMSkipList(machine)
-        sl.build(ITEMS)
-        machine.wipe_module(2)
-        with pytest.raises(RepairError, match="misses"):
-            reattach_module(sl.struct, 2, {})
-
-
-class TestReattachLSM:
-    def test_wipe_then_reattach_restores_blocks_and_delta(self):
-        machine = _machine()
-        lsm = PIMLSMStore(machine)
-        lsm.batch_upsert([(k, k) for k in range(48)])  # flushes runs
-        lsm.batch_upsert([(1000, "delta")])
-        chk = checkpoint_structure(lsm)
-        mid = 1
-        machine.wipe_module(mid)
-        reattach_lsm_module(lsm, mid, chk)
-        keys = list(range(48)) + [1000, 7777]
-        expected = {k: k for k in range(48)}
-        expected[1000] = "delta"
-        assert lsm.batch_get(keys) == [expected.get(k) for k in keys]
-
-    def test_stale_generation_refused(self):
+    def test_lsm_capture_refuses_a_wiped_run_block(self):
         machine = _machine()
         lsm = PIMLSMStore(machine)
         lsm.batch_upsert([(k, k) for k in range(48)])
-        chk = checkpoint_structure(lsm)
-        lsm.batch_upsert([(k, -k) for k in range(48, 96)])
         lsm.compact()
-        machine.wipe_module(0)
-        with pytest.raises(RepairError, match="stale checkpoint"):
-            reattach_lsm_module(lsm, 0, chk)
+        lsm.batch_upsert([(1000, "delta")])
+        machine.wipe_module(lsm.block_owner[0])
+        with pytest.raises(CheckpointUnavailable, match="run block 0"):
+            checkpoint_structure(lsm)
+
+    def test_fifo_capture_refuses_a_wiped_slot(self):
+        machine = _machine()
+        q = PIMQueue(machine)
+        q.enqueue_batch(list(range(30)))
+        machine.wipe_module(q._owner(q.head))
+        with pytest.raises(CheckpointUnavailable, match="slot"):
+            checkpoint_structure(q)
+
+    def test_lsm_failover_after_a_refused_capture_answers_exactly(self):
+        """Module 0 is wiped under a compacted run while update batches
+        that never touch it keep succeeding.  The capture they trigger
+        must refuse, so the failover restores the last whole checkpoint
+        plus the log, not a checkpoint missing module 0's run blocks."""
+
+        def standby() -> PIMLSMStore:
+            return PIMLSMStore(_machine(seed=1), block_size=16)
+
+        lsm = standby()
+        run = [(k * 10, k) for k in range(200)]
+        lsm.batch_upsert(run)
+        lsm.compact()
+        assert lsm.block_owner[0] == 0  # keys 0..150 live on module 0
+        fresh = list(range(5001, 5121, 2))
+        lsm.batch_upsert([(k, "d") for k in fresh])
+        owner = {n.key: n.owner for n in lsm.delta.struct.iter_level(0)}
+        updated = [k for k in fresh if owner[k] != 0]
+        lsm.machine.install_fault_plan(FaultPlan(FaultSpec(crashes=(
+            CrashEvent(mid=0, at_round=0, restart_round=1, wipe=True),)),
+            seed=0))
+        manager = RecoveryManager(lsm, standby, checkpoint_every=1)
+        stored = len(run) + len(fresh)
+        assert manager.checkpoint.item_count() == stored
+        for i in range(8):  # enough served items to trigger a capture
+            assert manager.run("upsert",
+                               [(k, f"u{i}") for k in updated]) is None
+        assert manager.recoveries == 0
+        keys = [0, 10, 20, 30, 40, updated[0], fresh[-1]]
+        want = [0, 1, 2, 3, 4, "u7", "u7" if fresh[-1] in updated else "d"]
+        assert manager.run("get", keys) == want
+        assert manager.recoveries == 1
+        assert manager.checkpoints_captured == 1  # the capture refused
+        assert manager.events[0].replayed_batches == 8
 
 
 class TestRecoveryManager:

@@ -178,8 +178,10 @@ class TestCrashSemantics:
         assert 2 in machine.wiped_modules
         with pytest.raises(DeliveryTimeout):
             sl.batch_get([k for k, _ in ITEMS[:8]])
-        machine.mark_repaired(2)
-        assert 2 not in machine.wiped_modules
+        # nothing repairs a module in place: the machine stays faulted
+        assert 2 in machine.wiped_modules
+        with pytest.raises(DeliveryTimeout):
+            sl.batch_get([k for k, _ in ITEMS[:8]])
 
     def test_crash_with_restart_recovers_in_protocol(self):
         # Fail-stop (no wipe) with a restart: retries outlast the outage
