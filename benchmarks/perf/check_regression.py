@@ -72,10 +72,13 @@ from repro.balls.hashing import KeyLevelHash  # noqa: E402
 from repro.core import ops_upsert  # noqa: E402
 from repro.core.skiplist import PIMSkipList  # noqa: E402
 from repro.ops import Columns, run_batch  # noqa: E402
+from repro.recovery.checkpoint import (Checkpoint,  # noqa: E402
+                                       restore_structure)
 from repro.serve import AdmissionController, Coalescer, Request  # noqa: E402
 from repro.sim.chaos import FaultPlan, FaultSpec  # noqa: E402
 from repro.sim.machine import PIMMachine  # noqa: E402
 from repro.sim.profiling import HandlerProfile, ThroughputProbe  # noqa: E402
+from repro.structures.lsm import PIMLSMStore  # noqa: E402
 from repro.structures.pimtree import PIMTree  # noqa: E402
 from repro.workloads import build_items, zipf_batch  # noqa: E402
 
@@ -470,6 +473,24 @@ class Bench:
         return best["rows"] / best["columns"]
 
     @memo
+    def restore(self, kind: str, p: int, n: int) -> tuple:
+        """``(rounds, io_time / (n/P), pim_time / (n/P))`` of restoring
+        a checkpoint of ``n`` sorted items into an empty ``kind`` (skip
+        list or LSM store) on a fresh ``p``-module machine."""
+        machine = PIMMachine(num_modules=p, seed=7)
+        target = {"skiplist": PIMSkipList, "lsm": PIMLSMStore}[kind](machine)
+        restore_structure(Checkpoint(kind, kind, build_items(n, stride=2)),
+                          target)
+        m = machine.metrics
+        return m.rounds, m.io_time * p / n, m.pim_time * p / n
+
+    def restore_growth(self, kind: str, p: int, field: int) -> float:
+        """A restore's per-``n/P`` IO (``field`` 1) or PIM time (2) at
+        65 536 items over its value at 4 096."""
+        return (self.restore(kind, p, 65536)[field]
+                / self.restore(kind, p, 4096)[field])
+
+    @memo
     def wal_append(self) -> dict:
         base = self.baseline("durable")["wal_append"]
         return min((bench_wal_append(base["records"],
@@ -662,6 +683,27 @@ GATES: List[Gate] = [
     # queued.
     Gate("serve tick cost, 4096 idle tenants / none",
          lambda b: b.serve_ticks(4096) / b.serve_ticks(0), "<=", 2.0),
+    # -- restore is a bulk load: a checkpoint of n sorted items
+    # re-enters an empty skip list in two rounds (lower nodes as columns
+    # and the upper part by broadcast, then each module's one-pass table
+    # load and next-leaf sweep) and an empty LSM store in one (its run's
+    # blocks).  Rounds equal across n, and IO and PIM time per n/P flat
+    # from 4 096 to 65 536 items: through batch_upsert the skip list paid
+    # 7 rounds and PIM 310 574 -> 4 691 520 at P = 8 from 4 096 to 16 384
+    # items (13x for 4x), the LSM 19-21 rounds.
+    *[row for kind, rounds in (("skiplist", 2), ("lsm", 1))
+      for p in (8, 64)
+      for row in (
+          Gate(f"restore {kind}, P = {p}: rounds at n = 4096, 65536",
+               lambda b, kind=kind, p=p: (b.restore(kind, p, 4096)[0],
+                                          b.restore(kind, p, 65536)[0]),
+               "==", (rounds, rounds), EXACT),
+          Gate(f"restore {kind}, P = {p}: IO/(n/P), 65536 / 4096",
+               lambda b, kind=kind, p=p: b.restore_growth(kind, p, 1),
+               "<=", 1.25, EXACT),
+          Gate(f"restore {kind}, P = {p}: PIM/(n/P), 65536 / 4096",
+               lambda b, kind=kind, p=p: b.restore_growth(kind, p, 2),
+               "<=", 1.25, EXACT))],
     # -- durability (bench_durable.py), modeled fsync.  A fast restart to
     # the wrong state is a correctness bug, not a perf win; a replayed-
     # record count that moved means the checkpoint cadence changed
@@ -689,12 +731,18 @@ GATES: List[Gate] = [
          lambda b: (b.restart(BEFORE)["replayed_items"]
                     - b.restart(BEFORE)["checkpoint_items"]),
          "<=", Base("durable", "rto_replay_debt.batch_items"), EXACT),
-    # Restore + a full window of replay over restore only: ~2x measured,
-    # a constant because the window is bounded by the checkpoint's size;
-    # an unbounded log shows up as a ratio that grows with the run.
+    # Restore + a full window of replay over restore only, a constant
+    # because the window is bounded by the checkpoint's size; an
+    # unbounded log shows up as a ratio that grows with the run.  A
+    # restore is a two-round bulk load and the window 255 batched
+    # Upserts, so the ratio is 8.4-13.8x at the committed 2 048-item
+    # checkpoint (11.7x at 1 024 items, 12.9x at 4 096: flat in the
+    # run's length); it was 2-3.2x while a restore was itself one
+    # batch_upsert of the checkpoint.  The ceiling is about twice the
+    # highest reading.
     Gate("durable rto worst/best",
          lambda b: (b.restart(BEFORE)["rto_seconds"]
-                    / b.restart(AFTER)["rto_seconds"]), "<=", 4.0),
+                    / b.restart(AFTER)["rto_seconds"]), "<=", 30.0),
     # -- printed, never failed.
     Gate("wall macro_successor [object], s",
          lambda b: b.scenario("macro_successor", "object")["seconds"],

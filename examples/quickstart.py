@@ -26,8 +26,8 @@ def main():
     machine = PIMMachine(num_modules=16, seed=7)
     sl = PIMSkipList(machine)
 
-    # Initial data: the model assumes the input starts resident on the
-    # PIM side, so bulk construction is not charged as network traffic.
+    # Initial data: a bulk load of sorted pairs into the empty list, one
+    # charged op of two rounds and O(n/P) IO.
     sl.build((k, k * 10) for k in range(0, 100_000, 10))
     print(f"built skip list with {sl.size} keys on P={machine.num_modules}")
     print()

@@ -149,7 +149,13 @@ class CuckooHashTable:
 
     def _rebuild(self, new_capacity: int) -> None:
         """Rehash everything with fresh seeds; grow until the stash fits."""
-        items = list(self.items())
+        self._place_all(list(self.items()), new_capacity)
+
+    def _place_all(self, items: List[Tuple[Hashable, Any]],
+                   new_capacity: int) -> None:
+        """Empty the table and place ``items`` eagerly at
+        ``new_capacity`` (or above), with fresh seeds: charged
+        ``len(items) + 1`` per attempt plus one unit per placement move."""
         capacity = max(4, new_capacity)
         while True:
             self._set_capacity(capacity)
@@ -223,6 +229,21 @@ class CuckooHashTable:
         if self._count > 2 * self.MAX_LOAD * self._capacity:
             self._rebuild(self._capacity * 2)
         self._drain_pending(self._moves_per_op)
+
+    def load(self, items: List[Tuple[Hashable, Any]]) -> None:
+        """Fill an empty table with ``items`` (distinct keys) in one
+        eager pass, charged like a rebuild.
+
+        The capacity is the one inserting the items one at a time would
+        grow the table to by its load-factor rule, so the table ends as
+        full as that, without the rebuilds along the way.
+        """
+        if self._count:
+            raise ValueError("load requires an empty table")
+        capacity = self._capacity
+        while len(items) > 2 * self.MAX_LOAD * capacity:
+            capacity *= 2
+        self._place_all(items, capacity)
 
     def _update_in_place(self, key: Hashable, value: Any) -> bool:
         self._charge(1)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core import ops_delete, ops_point, ops_search, ops_successor, ops_upsert, ops_write
+from repro.core import (ops_build, ops_delete, ops_point, ops_search,
+                        ops_successor, ops_upsert, ops_write)
 from repro.core.structure import SkipListStructure
-from repro.ops import batch_epoch
 from repro.sim.errors import InvalidBatchError
 from repro.sim.machine import PIMMachine
 
@@ -95,7 +95,7 @@ class PIMSkipList:
         # once: routes only send to function ids, and the op-pipeline
         # driver registers nothing.
         from repro.core import ops_range, ops_select
-        for ops in (ops_point, ops_search, ops_write, ops_upsert,
+        for ops in (ops_build, ops_point, ops_search, ops_write, ops_upsert,
                     ops_delete, ops_range, ops_select):
             machine.register_all(ops.make_handlers(self.struct))
 
@@ -123,10 +123,11 @@ class PIMSkipList:
     # -- construction ---------------------------------------------------------
 
     def build(self, items: Iterable[Tuple[Hashable, Any]]) -> None:
-        """Initialize from sorted unique (key, value) pairs (see
-        :meth:`SkipListStructure.bulk_build`)."""
-        with batch_epoch(self.machine):
-            self.struct.bulk_build(items)
+        """Load sorted unique (key, value) pairs into the empty structure:
+        one charged op of two rounds, O(n/P) whp IO and PIM time (see
+        :mod:`repro.core.ops_build`).  Raises ``ValueError`` on a
+        non-empty structure or keys that are not strictly increasing."""
+        ops_build.build(self.struct, list(items))
 
     # -- point operations -----------------------------------------------------
 
@@ -324,7 +325,7 @@ class PIMSkipList:
 
         Returns the new :class:`PIMSkipList` (on the same machine, with
         a derived name).  A composition: one broadcast range read, one
-        batched Delete from ``self``, one bulk build of the new
+        batched Delete from ``self``, one :meth:`build` of the new
         structure -- O(moved/P) IO plus Delete's Theorem 4.5 costs.
         """
         from repro.core import ops_range

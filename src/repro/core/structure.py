@@ -5,7 +5,9 @@ tower, the upper/lower split (paper §3.1), per-module local state (hash
 table, local leaf list), node creation with memory accounting, the local
 mutators that task handlers call (local leaf insertion/removal with
 next-leaf maintenance, idempotent upper-part linking), and the replicated
-upper-part descent.
+upper-part descent.  Whatever creates or links nodes in bulk is an op
+over these pieces: a batched Upsert (``ops_upsert``) or, into an empty
+structure, the bulk load ``build`` (``ops_build``).
 
 Placement recap (Fig. 2): the skip list is cut horizontally at height
 ``h_low = log2 P``.  Nodes at level >= ``h_low`` (the *upper part*) are
@@ -454,100 +456,6 @@ class SkipListStructure:
         charge(steps)
         _, succ = self._local_position_from(u, mid, upper_leaf.key, charge)
         upper_leaf.next_leaf[mid] = succ
-
-    # ------------------------------------------------------------------
-    # bulk construction
-    # ------------------------------------------------------------------
-
-    def bulk_build(self, items) -> None:
-        """Initialize the structure with sorted, unique (key, value) pairs.
-
-        The model assumes "the input starts evenly divided among the PIM
-        modules"; this constructor realizes that initial state directly
-        (memory is accounted; construction work is charged at one unit per
-        created node on the receiving side, but no network messages are
-        billed -- the input is already resident).  For dynamic insertion
-        with full cost accounting use batched Upsert.
-        """
-        if self.num_keys != 0:
-            raise ValueError("bulk_build requires an empty structure")
-        items = list(items)
-        for (k1, _), (k2, _) in zip(items, items[1:]):
-            if not (k1 < k2):
-                raise ValueError("bulk_build requires sorted unique keys")
-        p = self.num_modules
-        heights = [self.draw_height() for _ in items]
-        max_h = max(heights, default=0)
-        if max_h + 1 > self.top_level:
-            before = len(self.sentinels)
-            self.grow_to_level(max_h, lambda w: None)
-            grown = len(self.sentinels) - before
-            for mid in range(p):
-                self.machine.modules[mid].alloc_words(grown * NODE_WORDS)
-
-        # Build towers and link all levels horizontally.
-        owners = self.lower_owners([k for k, _ in items], heights)
-        level_tail: List[Node] = list(self.sentinels)
-        for (key, value), h in zip(items, heights):
-            below: Optional[Node] = None
-            up_chain: List[Node] = []
-            for lvl in range(h + 1):
-                if self.is_upper_level(lvl):
-                    node = self.make_upper_node(key, lvl)
-                    for mid in range(p):
-                        self.account_upper_alloc_on(mid, node)
-                        self.machine.modules[mid].charge(1)
-                else:
-                    node = Node(key, lvl, next(owners[lvl]),
-                                value if lvl == 0 else None)
-                    self.account_lower_alloc(node)
-                    self.machine.modules[node.owner].charge(1)
-                tail = level_tail[lvl]
-                tail.right = node
-                node.left = tail
-                level_tail[lvl] = node
-                if below is not None:
-                    below.up = node
-                    node.down = below
-                below = node
-                if lvl == 0:
-                    leaf = node
-                elif not self.is_upper_level(lvl):
-                    up_chain.append(node)
-            leaf.up_chain = up_chain
-            leaf.has_upper = h >= self.h_low
-
-        # Local leaf lists + hash tables, per module, in key order.
-        locals_by_mid: List[List[Node]] = [[] for _ in range(p)]
-        for leaf in self.iter_level(0):
-            locals_by_mid[leaf.owner].append(leaf)
-        for mid in range(p):
-            ml = self.mlocal(mid)
-            chain = locals_by_mid[mid]
-            prev: Optional[Node] = None
-            for leaf in chain:
-                leaf.local_left = prev
-                if prev is not None:
-                    prev.local_right = leaf
-                prev = leaf
-                ml.table.insert(leaf.key, leaf)
-            ml.first_leaf = chain[0] if chain else None
-            ml.last_leaf = chain[-1] if chain else None
-            ml.leaf_count = len(chain)
-
-        # next-leaf pointers: two-pointer sweep per module over the
-        # descending upper leaves and that module's descending leaves.
-        upper_leaves = [self.upper_leaf_sentinel] + list(self.iter_level(self.h_low))
-        for mid in range(p):
-            chain = locals_by_mid[mid]
-            j = len(chain) - 1
-            for u in reversed(upper_leaves):
-                while j >= 0 and chain[j].key >= u.key:
-                    j -= 1
-                # chain[j+1] is the first local leaf with key >= u.key
-                u.next_leaf[mid] = chain[j + 1] if j + 1 < len(chain) else None
-
-        self.num_keys = len(items)
 
     # ------------------------------------------------------------------
     # diagnostics / integrity

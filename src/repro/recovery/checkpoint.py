@@ -2,13 +2,13 @@
 
 A checkpoint is a *logical* snapshot: the structure's contents in a
 canonical, structure-specific form, not a byte image of module memory.
-Capture is diagnostic and cost-free -- the model's checkpoint stream
-leaves over the same out-of-band bulk channel that ``bulk_build`` uses
-for initial loading (the paper assumes the input "starts evenly divided
-among the PIM modules"; a checkpoint drain is the reverse of that bulk
-load).  *Restore* is the opposite: it re-enters the machine through the
-ordinary batched operations and is charged honestly (rounds, messages,
-PIM work, words).
+Capture is diagnostic and cost-free: the model's checkpoint stream
+leaves the modules out of band (the paper assumes the input "starts
+evenly divided among the PIM modules"; a checkpoint drain is the reverse
+of that placement).  *Restore* is charged honestly (rounds, messages,
+PIM work, words): it re-enters the machine as one batched op on the
+empty target -- for the three ordered maps their bulk load ``build``,
+O(1) rounds and O(n/P) whp IO and PIM time.
 
 Canonical payloads:
 
@@ -16,8 +16,8 @@ Canonical payloads:
   :class:`~repro.structures.lsm.PIMLSMStore` and
   :class:`~repro.structures.pimtree.PIMTree` -- sorted ``(key, value)``
   list.  The LSM's is its run merged with its delta, the delta
-  shadowing the run and tombstones dropped; a restore upserts it into
-  an empty store.  The tree's is drained leaf by leaf along the chain;
+  shadowing the run and tombstones dropped; a restore writes it as the
+  empty store's run.  The tree's is drained leaf by leaf along the chain;
   a restore bulk-loads an empty tree (shadow promotions restart cold --
   they are a cache).
 - :class:`~repro.structures.fifo.PIMQueue` -- queued values oldest
@@ -130,10 +130,11 @@ def checkpoint_structure(obj: Any) -> Checkpoint:
 
 
 #: ``(class, checkpoint kind, emptiness test, batched load method)`` per
-#: structure: a restore is one batched load into an empty target.
+#: structure: a restore is one batched load into an empty target -- for
+#: the three ordered maps, their bulk load ``build``.
 _RESTORE: List[Tuple[type, str, Any, str]] = [
-    (PIMSkipList, "skiplist", lambda t: t.size == 0, "batch_upsert"),
-    (PIMLSMStore, "lsm", lambda t: t.size_estimate == 0, "batch_upsert"),
+    (PIMSkipList, "skiplist", lambda t: t.size == 0, "build"),
+    (PIMLSMStore, "lsm", lambda t: t.size_estimate == 0, "build"),
     (PIMQueue, "fifo", lambda t: len(t) == 0, "enqueue_batch"),
     (PIMPriorityQueue, "pq", lambda t: len(t) == 0, "insert_batch"),
     (PIMTree, "pimtree", lambda t: t.first_leaf is None, "build"),
@@ -143,8 +144,8 @@ _RESTORE: List[Tuple[type, str, Any, str]] = [
 def restore_structure(chk: Checkpoint, target: Any) -> int:
     """Load ``chk`` into the freshly built, *empty* structure ``target``.
 
-    Restore re-enters the machine through the structure's ordinary
-    batched operations, so it is charged honestly on ``target``'s
+    Restore re-enters the machine as one batched op of the structure
+    (see ``_RESTORE``), so it is charged honestly on ``target``'s
     machine (this is the "re-replicate onto standby hardware" leg of
     recovery -- run it on a clean machine).  Returns the number of
     logical items restored.

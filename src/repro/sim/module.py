@@ -81,13 +81,14 @@ class PIMModule:
     def charge(self, w: float = 1.0) -> None:
         """Charge ``w`` units of local work to this module's core.
 
-        Callable both from handlers (e.g. as a bound charge callback
-        handed to local data structures) and from out-of-round code such
-        as bulk construction.  In-round charges feed the engine's
-        per-round PIM-time maximum via :attr:`round_work`; out-of-round
-        charges are wiped by the reset when the module next becomes
-        active, so they count toward cumulative :attr:`work` only
-        (matching the model: bulk construction bills no network round).
+        Called from handlers, most often as the bound charge callback
+        handed to local data structures (a module's hash table charges
+        its probes through it).  The charge feeds the engine's per-round
+        PIM-time maximum via :attr:`round_work`, which the engine reads
+        back for modules that received row, column or slot traffic this
+        round; a charge made outside any round would count toward
+        cumulative :attr:`work` only, and nothing in the library makes
+        one.
         """
         self.work += w
         self.round_work += w

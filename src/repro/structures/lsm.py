@@ -152,6 +152,20 @@ class PIMLSMStore(BatchDispatch):
     # writes
     # ------------------------------------------------------------------
 
+    def build(self, items: Sequence[Tuple[Hashable, Any]]) -> None:
+        """Load sorted unique ``(key, value)`` pairs into the empty store
+        as its run: compaction's block-store stage over the items, one
+        round.  Raises ``ValueError`` on a non-empty store or keys that
+        are not strictly increasing."""
+        items = list(items)
+        if self.size_estimate or self.block_owner:
+            raise ValueError("build requires an empty store")
+        for (k1, _), (k2, _) in zip(items, items[1:]):
+            if not k1 < k2:
+                raise ValueError("build requires sorted unique keys")
+        run_batch(self.machine, f"{self.name}:build",
+                  _store_run(self, items))
+
     def batch_upsert(self, pairs: Sequence[Tuple[Hashable, Any]]) -> None:
         """Upsert into the delta (flushing when it outgrows the threshold)."""
         self.delta.batch_upsert(list(pairs))
@@ -379,6 +393,26 @@ def _range_route(lsm: PIMLSMStore, ops: Sequence[Tuple[Hashable, Hashable]]):
     return out
 
 
+def _store_run(lsm: PIMLSMStore, items: List[Tuple[Hashable, Any]]):
+    """One stage: sorted ``items`` become the run, as fresh blocks of
+    ``block_size`` keys hashed onto modules under a new generation."""
+    lsm.generation += 1
+    lsm.fences = []
+    lsm.block_owner = []
+    store_msgs = []
+    fn_store = f"{lsm.name}:blk_store"
+    for start in range(0, len(items), lsm.block_size):
+        block = items[start:start + lsm.block_size]
+        bid = len(lsm.fences)
+        owner = lsm.hash.module_of((lsm.generation, bid))
+        lsm.fences.append(block[0][0])
+        lsm.block_owner.append(owner)
+        store_msgs.append((owner, fn_store, (bid, block), None,
+                           max(1, len(block))))
+    yield store_msgs
+    lsm.run_size = len(items)
+
+
 def _compact_route(lsm: PIMLSMStore):
     cpu = lsm.machine.cpu
     # 1. stream the old blocks back (balanced: each block one reply)
@@ -411,21 +445,7 @@ def _compact_route(lsm: PIMLSMStore):
     # 4. rewrite fresh blocks under a new generation
     yield ((owner, f"{lsm.name}:blk_drop", (bid,), None)
            for bid, owner in enumerate(lsm.block_owner))
-    lsm.generation += 1
-    lsm.fences = []
-    lsm.block_owner = []
-    store_msgs = []
-    fn_store = f"{lsm.name}:blk_store"
-    for start in range(0, n, lsm.block_size):
-        block = merged[start:start + lsm.block_size]
-        bid = len(lsm.fences)
-        owner = lsm.hash.module_of((lsm.generation, bid))
-        lsm.fences.append(block[0][0])
-        lsm.block_owner.append(owner)
-        store_msgs.append((owner, fn_store, (bid, block), None,
-                           max(1, len(block))))
-    yield store_msgs
-    lsm.run_size = n
+    yield from _store_run(lsm, merged)
     # 5. clear the delta
     if lsm.delta.size:
         remaining = [k for k, _ in delta_items]

@@ -2,7 +2,7 @@
 it only because the batch path is acyclic.
 
 Two halves.  The scope (:func:`repro.ops.batch_epoch`, entered by every
-outermost ``run_batch`` and by bulk build) pauses the interpreter's
+outermost ``run_batch``, a ``build`` included) pauses the interpreter's
 cyclic collector and must hand it back exactly as it found it -- on
 success, on an exception, across a failover, and when the caller had it
 off already.  The teardown (``Node.clear_links`` after a batched Delete,
@@ -147,19 +147,19 @@ class TestCollectorIsHandedBack:
         assert manager.recoveries == 1  # ModuleCrashed inside a batch
         assert machines[0]._epoch_depth == 0
 
-    def test_bulk_build_shares_the_scope(self, collector):
+    def test_build_shares_the_scope(self, collector):
         machine = PIMMachine(num_modules=4, seed=1)
         sl = PIMSkipList(machine)
         seen: List[bool] = []
-        real = sl.struct.bulk_build
+        real = machine.drain
 
-        def spying_build(items):
+        def spying_drain(*args, **kwargs):
             seen.append(gc.isenabled())
-            real(items)
+            return real(*args, **kwargs)
 
-        sl.struct.bulk_build = spying_build
+        machine.drain = spying_drain
         sl.build([(k, k) for k in range(64)])
-        assert seen == [False] and gc.isenabled()
+        assert seen == [False, False] and gc.isenabled()  # its two stages
         assert machine.batch_epochs == 1
         tree = PIMTree(PIMMachine(num_modules=4, seed=1))
         tree.build([(k, k) for k in range(64)])
@@ -234,7 +234,7 @@ def test_server_status_reports_the_runtime(collector):
     assert len(runtime["gc_collections"]) == 3
     assert all(isinstance(c, int) and c >= 0
                for c in runtime["gc_collections"])
-    # the bulk build + at least one epoch per served batch
+    # the build + at least one epoch per served batch
     assert runtime["batch_epochs"] == machines[0].batch_epochs
     assert runtime["batch_epochs"] > server.batches_served >= 2
     # the upsert and the gets ran their point tasks in batch handlers

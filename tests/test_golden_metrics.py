@@ -28,6 +28,7 @@ import pytest
 from repro.baselines import HashPartitionedMap
 from repro.collectives import Collectives
 from repro.core.skiplist import PIMSkipList
+from repro.recovery.checkpoint import Checkpoint, restore_structure
 from repro.sim.machine import PIMMachine
 from repro.structures import PIMLSMStore, PIMPriorityQueue, PIMQueue
 from repro.structures.pimtree import PIMTree
@@ -127,6 +128,20 @@ def _tower(node):
     while node is not None:
         yield node
         node = node.up
+
+
+def _restore_workloads(out):
+    """A checkpoint of 512 sorted items restored into an empty skip
+    list: its bulk load, lower nodes and upper part in one round, each
+    module's table and next-leaf pointers in the next."""
+    rng = random.Random(111)
+    items = [(k, k * 5) for k in sorted(rng.sample(range(1, 50_000), 512))]
+    machine = PIMMachine(num_modules=16, seed=29)
+    sl = PIMSkipList(machine, name="goldr")
+    _measure(machine, "skiplist/restore",
+             lambda: restore_structure(Checkpoint("skiplist", "goldr", items),
+                                       sl), out)
+    sl.check_integrity()
 
 
 def _search_boundary_workloads(out):
@@ -309,6 +324,7 @@ def _compute() -> dict:
     out: dict = {}
     _skiplist_workloads(out)
     _skiplist_write_workloads(out)
+    _restore_workloads(out)
     _search_boundary_workloads(out)
     _baseline_workloads(out)
     _collective_workloads(out)

@@ -36,6 +36,20 @@ def _machine(seed: int = 11, p: int = 8) -> PIMMachine:
     return PIMMachine(num_modules=p, seed=seed)
 
 
+def _failover_costs(manager: RecoveryManager) -> list:
+    """Record, at each failover of ``manager``, what the standby has been
+    charged by then -- its restore and the log replay:
+    ``(rounds, io_time, pim_time)``."""
+    costs = []
+
+    def on_recovery(_event) -> None:
+        m = manager.structure.machine.metrics
+        costs.append((m.rounds, m.io_time, m.pim_time))
+
+    manager.on_recovery = on_recovery
+    return costs
+
+
 class TestCheckpointRoundTrips:
     def test_skiplist_round_trip_is_exact(self):
         sl = PIMSkipList(_machine())
@@ -145,6 +159,7 @@ class TestCaptureAroundAWipedModule:
             CrashEvent(mid=0, at_round=0, restart_round=1, wipe=True),)),
             seed=0))
         manager = RecoveryManager(lsm, standby, checkpoint_every=1)
+        costs = _failover_costs(manager)
         stored = len(run) + len(fresh)
         assert manager.checkpoint.item_count() == stored
         for i in range(8):  # enough served items to trigger a capture
@@ -157,6 +172,10 @@ class TestCaptureAroundAWipedModule:
         assert manager.recoveries == 1
         assert manager.checkpoints_captured == 1  # the capture refused
         assert manager.events[0].replayed_batches == 8
+        # The standby's restore writes the checkpoint as its run in one
+        # round; the 8 replayed batches then insert into an empty delta.
+        # Upserting the checkpoint into the delta cost (15, 537, 2 969).
+        assert costs == [(15, 317.0, 587.0)]
 
 
 class TestRecoveryManager:
@@ -224,6 +243,7 @@ class TestRecoveryManager:
         machines[0].install_fault_plan(FaultPlan(FaultSpec(
             crashes=(CrashEvent(mid=2, at_round=2),)), seed=0))
         manager = RecoveryManager(lsm, standby, checkpoint_every=2)
+        costs = _failover_costs(manager)
         oracle = dict(ITEMS)
         script = [
             ("upsert", [(150, "x"), (4100, "y")]),
@@ -243,6 +263,9 @@ class TestRecoveryManager:
             else:
                 assert result == [oracle.get(k) for k in payload]
         assert manager.recoveries == 1
+        # One round: the checkpoint becomes the standby's run (the log
+        # was empty).  Upserting it into the delta cost (7, 111, 540).
+        assert costs == [(1, 40.0, 41.0)]
 
     def test_degrades_typed_when_restore_disabled(self):
         manager, _ = self._manager(allow_restore=False)

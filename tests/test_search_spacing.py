@@ -131,7 +131,10 @@ LOG3_P = 6 ** 3
 #: apart: ceil(P log^3 P / 385) = 36), and P log^2 P.  The Upsert's
 #: io_time and messages were re-recorded when write tasks stopped
 #: replying (DESIGN.md §19; at 384 keys 248 -> 158 and 8 566 -> 4 690);
-#: its rounds and PIM time did not move.
+#: its rounds and PIM time did not move.  The Upsert's PIM time was
+#: re-recorded when ``build`` began loading each module's hash table in
+#: one pass (other slots, other probes; at 384 keys 788 -> 781; the
+#: "before the median" notes are the old tables' values).
 SUCCESSOR_AT_PARENT = (8, 44.0, 22.0, 46)
 #: Where phase 0 walks the median pivot from the root with the extremes
 #: (at most P log P keys and three pivots, DESIGN.md §17): the same 8
@@ -142,12 +145,12 @@ SUCCESSOR_MEDIAN_AT_ROOT = (8, 65.0, 29.0, 69)
 MEDIAN_AT_ROOT = {64, 141, 384}
 UPSERT_AT_PARENT = {
     8: (11, 52.0, 59.0, 125),
-    36: (13, 62.0, 235.0, 462),
-    64: (13, 91.0, 254.0, 703),      # 70.0, 247.0, 680 before the median
-    141: (13, 109.0, 367.0, 1584),   # 88.0, 360.0, 1561
-    384: (13, 179.0, 788.0, 4713),   # 158.0, 781.0, 4690
-    385: (13, 152.0, 774.0, 4695),
-    2304: (13, 597.0, 5615.0, 28930),
+    36: (13, 62.0, 230.0, 462),
+    64: (13, 91.0, 251.0, 703),      # 70.0, 247.0, 680 before the median
+    141: (13, 109.0, 366.0, 1584),   # 88.0, 360.0, 1561
+    384: (13, 179.0, 781.0, 4713),   # 158.0, 781.0, 4690
+    385: (13, 152.0, 767.0, 4695),
+    2304: (13, 597.0, 5463.0, 28930),
 }
 
 

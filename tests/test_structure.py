@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.node import NEG_INF, NODE_WORDS, UPPER
+from repro.core.skiplist import PIMSkipList
 from repro.core.structure import SkipListStructure
 from repro.sim.machine import PIMMachine
 from repro.workloads import build_items
@@ -13,6 +14,13 @@ from tests.conftest import make_skiplist
 
 def make_struct(p=8, seed=0):
     return SkipListStructure(PIMMachine(num_modules=p, seed=seed))
+
+
+def built(items, p=8, seed=0, machine=None):
+    """The structure of a skip list loaded with ``items`` by ``build``."""
+    sl = PIMSkipList(machine or PIMMachine(num_modules=p, seed=seed))
+    sl.build(items)
+    return sl.struct
 
 
 class TestGeometry:
@@ -31,8 +39,7 @@ class TestGeometry:
         assert s.upper_leaf_sentinel.next_leaf == [None] * 8
 
     def test_empty_build_is_valid(self):
-        s = make_struct()
-        s.bulk_build([])
+        s = built([])
         s.check_integrity()
         assert s.keys_in_order() == []
 
@@ -48,15 +55,13 @@ class TestGeometry:
 
 class TestPlacement:
     def test_lower_owner_matches_hash(self):
-        s = make_struct()
-        s.bulk_build(build_items(100))
+        s = built(build_items(100))
         for lvl in range(s.h_low):
             for node in s.iter_level(lvl):
                 assert node.owner == s.owner_of(node.key, lvl)
 
     def test_upper_nodes_replicated(self):
-        s = make_struct(p=4, seed=3)
-        s.bulk_build(build_items(300))
+        s = built(build_items(300), p=4, seed=3)
         found_upper = False
         for lvl in range(s.h_low, s.top_level + 1):
             for node in s.iter_level(lvl):
@@ -71,14 +76,15 @@ class TestPlacement:
         with pytest.raises(ValueError):
             s.make_upper_node(1, s.h_low - 1)
 
-    def test_bulk_build_rejects_unsorted_and_nonempty(self):
-        s = make_struct()
-        with pytest.raises(ValueError):
-            s.bulk_build([(2, 0), (1, 0)])
-        s2 = make_struct()
-        s2.bulk_build([(1, 0)])
-        with pytest.raises(ValueError):
-            s2.bulk_build([(2, 0)])
+    def test_build_rejects_unsorted_and_nonempty(self):
+        sl = PIMSkipList(PIMMachine(num_modules=8, seed=0))
+        for bad in ([(2, 0), (1, 0)], [(1, 0), (1, 1)]):
+            with pytest.raises(ValueError, match="sorted unique"):
+                sl.build(bad)
+        assert sl.machine.metrics.rounds == 0  # refused before any send
+        sl.build([(1, 0)])
+        with pytest.raises(ValueError, match="empty"):
+            sl.build([(2, 0)])
 
 
 class TestSpaceTheorem31:
@@ -88,8 +94,7 @@ class TestSpaceTheorem31:
     def test_per_module_space_balanced(self, p):
         n = 600 * p // 4
         machine = PIMMachine(num_modules=p, seed=5)
-        s = SkipListStructure(machine)
-        s.bulk_build(build_items(n))
+        built(build_items(n), machine=machine)
         words = [m.words_used for m in machine.modules]
         mean = sum(words) / p
         assert max(words) < 2.2 * mean
@@ -99,8 +104,7 @@ class TestSpaceTheorem31:
         per_n = {}
         for n in (500, 2000):
             machine = PIMMachine(num_modules=8, seed=6)
-            s = SkipListStructure(machine)
-            s.bulk_build(build_items(n))
+            built(build_items(n), machine=machine)
             per_n[n] = sum(m.words_used for m in machine.modules) / n
         # words per key roughly constant (towers avg 2 nodes * 8 words,
         # plus the replicated upper part's P-fold copies ~ another 2P/P*8)
@@ -108,10 +112,8 @@ class TestSpaceTheorem31:
 
     def test_upper_part_is_small(self):
         """Upper part has O(n/P) nodes whp (height cut at log P)."""
-        machine = PIMMachine(num_modules=16, seed=7)
-        s = SkipListStructure(machine)
         n = 4000
-        s.bulk_build(build_items(n))
+        s = built(build_items(n), p=16, seed=7)
         upper = sum(1 for lvl in range(s.h_low, s.top_level + 1)
                     for _ in s.iter_level(lvl))
         assert upper < 4 * n / 16
