@@ -200,7 +200,8 @@ class Bench:
         """One batch of 12 pairwise-disjoint ranges, each 2-9 wide in a
         key space of 4096 (``serve_mixed``'s widths), on a 16-module,
         2048-key skip list: tasks per function -- a boundary search is
-        one ``search_entry`` -- and the batch's messages and rounds.
+        one ``search_entry`` -- the batch's messages and rounds, and the
+        share of its tasks run in batch handlers.
         Counted under the per-handler profiler, which times the rounds
         the engine runs unprofiled and counts the tasks of each
         batch-handler call."""
@@ -213,10 +214,13 @@ class Bench:
         profile = HandlerProfile()
         machine.set_profiler(profile)
         before = machine.snapshot()
+        tasks, chunked = machine.tasks_executed, machine.tasks_chunked
         sl.batch_range(ops)
         delta = machine.delta_since(before)
         calls = {fn.split(":")[1]: n for fn, n in profile.calls.items()}
-        return dict(calls, messages=delta.messages, rounds=delta.rounds)
+        return dict(calls, messages=delta.messages, rounds=delta.rounds,
+                    chunked_share=((machine.tasks_chunked - chunked)
+                                   / (machine.tasks_executed - tasks)))
 
     @memo
     def pimtree_read_share(self) -> float:
@@ -653,6 +657,11 @@ GATES: List[Gate] = [
     # 0 before: below the floor, a PIM-tree read function is in slots.
     Gate("chunked share pimtree reads",
          lambda b: b.pimtree_read_share(), ">=", 0.95, EXACT),
+    # The search and all six rng_* traversal functions run in batch
+    # handlers (0.34 while the traversal ran in slots): anything below
+    # 1.0 means one of them went back to slots.
+    Gate("chunked share range batch",
+         lambda b: b.range_batch()["chunked_share"], "==", 1.0, EXACT),
     # -- the skew adversary (bench_pimtree.py; load = max messages
     # delivered to one module): the tree's shallow pull-collapsed descent
     # vs the skip list's Theta(log n) lockstep walk.  An equality that

@@ -52,6 +52,7 @@ from repro.core.structure import SkipListStructure
 from repro.cpuside.sort import parallel_sort
 from repro.ops import Broadcast, run_batch
 from repro.sim.cpu import WorkDepth
+from repro.sim.task import Reply
 
 # ---------------------------------------------------------------------------
 # ordered "just below k" search keys (for inclusive left bounds)
@@ -145,15 +146,13 @@ class RangeResult:
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    handlers = {
-        f"{sl.name}:rng_bcast": _make_bcast(sl),
-        f"{sl.name}:rng_root": _make_root(sl),
-        f"{sl.name}:rng_boundary": _make_boundary(sl),
-        f"{sl.name}:rng_chain": _make_chain(sl),
-        f"{sl.name}:rng_count": _make_count(sl),
-        f"{sl.name}:rng_offset": _make_offset(sl),
-        f"{sl.name}:rng_go": _make_go(sl),
-    }
+    """The broadcast range's one scalar handler and the tree traversal's
+    six functions (:func:`_tree_handlers`, which registers their chunk
+    forms).  ``rng_bcast`` stays scalar: it is one broadcast per op, its
+    modules each walking their own leaf list to a different reply, so a
+    round of it has nothing to batch."""
+    handlers = _tree_handlers(sl)
+    handlers[f"{sl.name}:rng_bcast"] = _make_bcast(sl)
     return handlers
 
 
@@ -222,94 +221,147 @@ def range_broadcast(sl: SkipListStructure, lkey: Hashable, rkey: Hashable,
 # Tree shape: the root has one slot per lower level's boundary side chain
 # plus one slot per in-range upper leaf's down chain (in ascending key
 # order).  A chain node's children are its down chain ("d") and its
-# sibling continuation ("s").
+# sibling continuation ("s"); a count names its parent's child by that
+# letter, or by the slot index when the parent is the root.
+
+ROOT = "root"
 
 
-@dataclass
 class _NodeCtx:
-    node: Node
-    parent_mid: int
-    parent_token: Any
-    parent_tag: Any
-    func: str
-    farg: Any
-    pending: int = 0
-    count_d: int = 0
-    count_s: int = 0
-    self_count: int = 0
-    child_d: Optional[Node] = None
-    child_s: Optional[Node] = None
+    __slots__ = ("node", "parent_mid", "parent_token", "parent_tag", "func",
+                 "farg", "pending", "count_d", "count_s", "self_count",
+                 "child_d", "child_s")
+
+    def __init__(self, node: Node, parent_mid: int, parent_token: Any,
+                 parent_tag: Any, func: str, farg: Any) -> None:
+        self.node = node
+        self.parent_mid = parent_mid
+        self.parent_token = parent_token
+        self.parent_tag = parent_tag
+        self.func = func
+        self.farg = farg
+        self.pending = 0
+        self.count_d = 0
+        self.count_s = 0
+        self.self_count = 0
+        self.child_d: Optional[Node] = None
+        self.child_s: Optional[Node] = None
 
 
-@dataclass
 class _RootCtx:
-    func: str
-    farg: Any
-    pending: int = 0
-    slots: List[Optional[Node]] = field(default_factory=list)
-    counts: List[int] = field(default_factory=list)
-    want_offsets: bool = True
     # Single-operation mode dispatches offsets as soon as counts settle;
     # batched mode waits for the CPU's per-group "go" (paper §5.2 step 4:
     # groups of Theta(P log^2 P) results execute in ascending order so
     # each fits the shared memory).
-    auto_offsets: bool = True
+    __slots__ = ("pending", "slots", "counts", "want_offsets", "auto_offsets")
+
+    def __init__(self, nslots: int, want_offsets: bool,
+                 auto_offsets: bool) -> None:
+        self.pending = nslots
+        self.slots: List[Optional[Node]] = [None] * nslots
+        self.counts = [0] * nslots
+        self.want_offsets = want_offsets
+        self.auto_offsets = auto_offsets
 
 
-def _owner_or_here(ctx, node: Node) -> int:
-    return node.owner if node.owner != UPPER else ctx.mid
+class _Out:
+    """What row bodies emitted: reply payloads, forwarded rows ``(dest,
+    args, None, 1)`` keyed by function, and the node ids they touched."""
+
+    __slots__ = ("replies", "chain", "count", "offset", "boundary", "touched")
+
+    def __init__(self) -> None:
+        self.replies: list = []
+        self.chain: list = []
+        self.count: list = []
+        self.offset: list = []
+        self.boundary: list = []
+        self.touched: list = []
 
 
-def _spawn_chain(ctx, sl: SkipListStructure, node: Node, opid: Any,
-                 parent_mid: int, parent_token: Any, parent_tag: Any,
-                 bound: Bound, func: str, farg: Any) -> None:
-    ctx.forward(_owner_or_here(ctx, node), f"{sl.name}:rng_chain",
-                (node, opid, parent_mid, parent_token, parent_tag, bound,
-                 func, farg))
+def _tree_handlers(sl: SkipListStructure) -> Dict[str, Any]:
+    """The traversal's six functions, each a row body written once and
+    registered as a scalar handler and as a chunk (batch) handler.
 
+    A body ``(range_ctx, mid, args, out)`` runs one task on module
+    ``mid`` and returns ``(work, sends)``: every task pays one unit (the
+    root its upper-part descent and upper-leaf walk, a boundary step one
+    unit a node), and every reply and forward is one message unit.  The
+    contract of ``repro.sim.fastpath`` holds: state is keyed ``(opid,
+    token)``, a count reaches a node the round after its chain task at
+    the earliest and offsets go out only after every count has arrived,
+    so no two tasks of one round touch the same state in an
+    order-dependent way, and no body draws from the machine RNG.
+    """
+    name = sl.name
+    h_low = sl.h_low
+    fn_chain, fn_count, fn_offset, fn_boundary = (
+        f"{name}:rng_{f}" for f in ("chain", "count", "offset", "boundary"))
 
-def _make_root(sl: SkipListStructure):
-    def h_rng_root(ctx, opid, lq, bound, func, farg, sides, tag=None):
-        """Per-operation root aggregator.
+    def spawn(out, mid, node, opid, parent_mid, parent_token, parent_tag,
+              bound, func, farg):
+        owner = node.owner
+        out.chain.append((mid if owner == UPPER else owner,
+                          (node, opid, parent_mid, parent_token, parent_tag,
+                           bound, func, farg), None, 1))
 
-        ``sides``: precomputed boundary side-chain heads (batched mode,
-        one per lower level, possibly None), or None for single-operation
-        mode where a boundary descent is spawned instead.
-        """
-        ml = sl.mlocal(ctx.mid)
-        root = _RootCtx(func=func, farg=farg, auto_offsets=sides is None)
+    def report(out, opid, nctx) -> int:
+        # The chain head rides along so the root learns where to send the
+        # slot's offset (single-operation mode spawns boundary chains
+        # without the root knowing their heads in advance).
+        total = nctx.self_count + nctx.count_d + nctx.count_s
+        out.count.append((nctx.parent_mid, (opid, nctx.parent_token,
+                                             nctx.parent_tag, total,
+                                             nctx.node), None, 1))
+        return total
+
+    def dispatch(out, mid, opid, root) -> int:
+        offset = sent = 0
+        rows = out.offset
+        for node, count in zip(root.slots, root.counts):
+            if node is not None and count > 0:
+                owner = node.owner
+                rows.append((mid if owner == UPPER else owner,
+                             (opid, node.nid, offset), None, 1))
+                sent += 1
+            offset += count
+        return sent
+
+    def root_body(rc, mid, args, out):
+        """Per-operation root aggregator.  ``sides``: precomputed boundary
+        side-chain heads (batched mode, one per lower level, possibly
+        None), or None for single-operation mode, where a boundary
+        descent is spawned instead."""
+        opid, lq, bound, func, farg, sides = args
         # Upper region: walk the replicated upper-leaf level for in-range
         # upper leaves; each spawns its down chain.
-        u0 = sl.upper_descend(lq, ctx.charge)
+        u0, work = sl.upper_descend_steps(lq)
         uppers: List[Node] = []
         u = u0.right
         while u is not None and bound.admits(u.key):
-            ctx.charge(1)
+            work += 1
             uppers.append(u)
             u = u.right
-        nslots = sl.h_low + len(uppers)
-        root.slots = [None] * nslots
-        root.counts = [0] * nslots
-        root.pending = nslots
-        root.want_offsets = func != "count"
-        ml.range_ctx[(opid, "root")] = root
-
+        root = _RootCtx(h_low + len(uppers), func != "count", sides is None)
+        rc[(opid, ROOT)] = root
+        sent = 0
         if sides is None:
-            # Single-operation mode: spawn the boundary descent; it will
-            # report one count (possibly via a spawned chain) per level.
             x = u0.down
-            ctx.forward(_owner_or_here(ctx, x), f"{sl.name}:rng_boundary",
-                        (x, opid, ctx.mid, lq, bound, func, farg))
+            owner = x.owner
+            out.boundary.append((mid if owner == UPPER else owner,
+                                 (x, opid, mid, lq, bound, func, farg),
+                                 None, 1))
+            sent = 1
         else:
             for lvl, node in enumerate(sides):
                 if node is None:
                     root.pending -= 1
                 else:
                     root.slots[lvl] = node
-                    _spawn_chain(ctx, sl, node, opid, ctx.mid, "root",
-                                 ("slot", lvl), bound, func, farg)
-        for j, un in enumerate(uppers):
-            slot = sl.h_low + j
+                    spawn(out, mid, node, opid, mid, ROOT, lvl, bound, func,
+                          farg)
+                    sent += 1
+        for slot, un in enumerate(uppers, h_low):
             if sides is not None and un.down is sides[-1]:
                 # This tower reaches the upper part, so its top lower
                 # node was just spawned as that level's side chain (the
@@ -318,188 +370,192 @@ def _make_root(sl: SkipListStructure):
                 root.pending -= 1
                 continue
             root.slots[slot] = un.down
-            _spawn_chain(ctx, sl, un.down, opid, ctx.mid, "root",
-                         ("slot", slot), bound, func, farg)
+            spawn(out, mid, un.down, opid, mid, ROOT, slot, bound, func,
+                  farg)
+            sent += 1
         if root.pending == 0:
             # Empty search area: nothing was spawned at all.
-            ctx.reply(("total", opid, 0), tag=tag)
+            out.replies.append(("total", opid, 0))
+            sent += 1
             if root.auto_offsets or not root.want_offsets:
-                del ml.range_ctx[(opid, "root")]
+                del rc[(opid, ROOT)]
             # else: held (empty) until the CPU's per-group "go"
+        return work, sent
 
-    return h_rng_root
-
-
-def _make_boundary(sl: SkipListStructure):
-    def h_rng_boundary(ctx, node, opid, root_mid, lq, bound, func, farg,
-                       tag=None):
+    def boundary_body(rc, mid, args, out):
         """Boundary descent: walk to pred(lq) at this level, hand the side
         chain to the root's slot for this level, continue down."""
-        x = node
+        x, opid, root_mid, lq, bound, func, farg = args
+        work = 0
+        touched = out.touched
         while True:
-            ctx.charge(1)
-            ctx.touch(x.nid)
-            if x.right is not None and x.right.key <= lq:
-                nxt = x.right
-                if nxt.owner == UPPER or nxt.owner == ctx.mid:
-                    x = nxt
-                    continue
-                ctx.forward(nxt.owner, f"{sl.name}:rng_boundary",
-                            (nxt, opid, root_mid, lq, bound, func, farg))
-                return
-            break
+            work += 1
+            touched.append(x.nid)
+            nxt = x.right
+            if nxt is None or not nxt.key <= lq:
+                break
+            if nxt.owner != UPPER and nxt.owner != mid:
+                out.boundary.append((nxt.owner, (nxt, opid, root_mid, lq,
+                                                 bound, func, farg), None, 1))
+                return work, 1
+            x = nxt
         # x = pred(lq) at x.level; its side chain starts at x.right.
         s = x.right
         lvl = x.level
-        if (s is not None and bound.admits(s.key)
-                and s.up is None):
-            _spawn_chain(ctx, sl, s, opid, root_mid, "root", ("slot", lvl),
-                         bound, func, farg)
+        if s is not None and bound.admits(s.key) and s.up is None:
+            spawn(out, mid, s, opid, root_mid, ROOT, lvl, bound, func, farg)
         else:
             # No chain at this level (either nothing in range here, or the
             # first in-range node has a tower and is covered above).
-            ctx.forward(root_mid, f"{sl.name}:rng_count",
-                        (opid, "root", ("slot", lvl), 0))
-        if lvl > 0:
-            d = x.down
-            if d.owner == UPPER or d.owner == ctx.mid:
-                # continue locally by re-entering the handler logic
-                ctx.forward(ctx.mid, f"{sl.name}:rng_boundary",
-                            (d, opid, root_mid, lq, bound, func, farg))
-            else:
-                ctx.forward(d.owner, f"{sl.name}:rng_boundary",
-                            (d, opid, root_mid, lq, bound, func, farg))
+            out.count.append((root_mid, (opid, ROOT, lvl, 0, None), None, 1))
+        if lvl == 0:
+            return work, 1
+        d = x.down
+        owner = d.owner
+        out.boundary.append((mid if owner == UPPER else owner,
+                             (d, opid, root_mid, lq, bound, func, farg),
+                             None, 1))
+        return work, 2
 
-    return h_rng_boundary
-
-
-def _make_chain(sl: SkipListStructure):
-    def h_rng_chain(ctx, node, opid, parent_mid, parent_token, parent_tag,
-                    bound, func, farg, tag=None):
-        ml = sl.mlocal(ctx.mid)
-        ctx.charge(1)
-        ctx.touch(node.nid)
-        nctx = _NodeCtx(node=node, parent_mid=parent_mid,
-                        parent_token=parent_token, parent_tag=parent_tag,
-                        func=func, farg=farg)
+    def chain_body(rc, mid, args, out):
+        node, opid, parent_mid, parent_token, parent_tag, bound, func, \
+            farg = args
+        out.touched.append(node.nid)
+        nctx = _NodeCtx(node, parent_mid, parent_token, parent_tag, func,
+                        farg)
         if node.level == 0:
             nctx.self_count = 1
         else:
             nctx.child_d = node.down
             nctx.pending += 1
+            spawn(out, mid, node.down, opid, mid, node.nid, "d", bound,
+                  func, farg)
         s = node.right
         if s is not None and bound.admits(s.key) and s.up is None:
             nctx.child_s = s
             nctx.pending += 1
-        ml.range_ctx[(opid, node.nid)] = nctx
-        if nctx.child_d is not None:
-            _spawn_chain(ctx, sl, nctx.child_d, opid, ctx.mid, node.nid,
-                         "d", bound, func, farg)
-        if nctx.child_s is not None:
-            _spawn_chain(ctx, sl, nctx.child_s, opid, ctx.mid, node.nid,
-                         "s", bound, func, farg)
-        if nctx.pending == 0:
-            total = _report_count(ctx, sl, opid, nctx)
-            if func == "count" or total == 0:
-                # count mode never runs the offset pass; a zero-count
-                # subtree never receives an offset either -- release the
-                # state now or it would leak into later operations.
-                del ml.range_ctx[(opid, node.nid)]
+            spawn(out, mid, s, opid, mid, node.nid, "s", bound, func,
+                  farg)
+        if nctx.pending:
+            rc[(opid, node.nid)] = nctx
+            return 1, nctx.pending
+        # A leaf with nothing to its right in range: its count is 1, and
+        # count mode never runs the offset pass, so its state is kept
+        # only for the offset to come.
+        report(out, opid, nctx)
+        if func != "count":
+            rc[(opid, node.nid)] = nctx
+        return 1, 1
 
-    return h_rng_chain
-
-
-def _report_count(ctx, sl: SkipListStructure, opid: Any, nctx: _NodeCtx,
-                  ) -> int:
-    total = nctx.self_count + nctx.count_d + nctx.count_s
-    # The chain head rides along so the root learns where to send the
-    # slot's offset (single-operation mode spawns boundary chains without
-    # the root knowing their heads in advance).
-    ctx.forward(nctx.parent_mid, f"{sl.name}:rng_count",
-                (opid, nctx.parent_token, nctx.parent_tag, total, nctx.node))
-    return total
-
-
-def _make_count(sl: SkipListStructure):
-    def h_rng_count(ctx, opid, token, tag_slot, count, head=None, tag=None):
-        ml = sl.mlocal(ctx.mid)
-        ctx.charge(1)
-        if token == "root":
-            root: _RootCtx = ml.range_ctx[(opid, "root")]
-            _, slot = tag_slot
-            root.counts[slot] = count
-            if head is not None and root.slots[slot] is None:
-                root.slots[slot] = head
+    def count_body(rc, mid, args, out):
+        opid, token, tag_slot, count, head = args
+        if token == ROOT:
+            root = rc[(opid, ROOT)]
+            root.counts[tag_slot] = count
+            if head is not None and root.slots[tag_slot] is None:
+                root.slots[tag_slot] = head
             root.pending -= 1
-            if root.pending == 0:
-                total = sum(root.counts)
-                ctx.reply(("total", opid, total), size=1)
-                if not root.want_offsets:
-                    del ml.range_ctx[(opid, "root")]
-                elif root.auto_offsets:
-                    _dispatch_offsets(ctx, sl, opid, root)
-                    del ml.range_ctx[(opid, "root")]
-                # else: hold the root until the CPU's per-group "go"
+            if root.pending:
+                return 1, 0
+            out.replies.append(("total", opid, sum(root.counts)))
+            sent = 1
+            if not root.want_offsets:
+                del rc[(opid, ROOT)]
+            elif root.auto_offsets:
+                sent += dispatch(out, mid, opid, root)
+                del rc[(opid, ROOT)]
+            # else: hold the root until the CPU's per-group "go"
+            return 1, sent
+        nctx = rc[(opid, token)]
+        if tag_slot == "d":
+            nctx.count_d = count
         else:
-            nctx: _NodeCtx = ml.range_ctx[(opid, token)]
-            if tag_slot == "d":
-                nctx.count_d = count
-            else:
-                nctx.count_s = count
-            nctx.pending -= 1
-            if nctx.pending == 0:
-                total = _report_count(ctx, sl, opid, nctx)
-                if nctx.func == "count" or total == 0:
-                    # no offset pass will come; free the state now
-                    del ml.range_ctx[(opid, token)]
+            nctx.count_s = count
+        nctx.pending -= 1
+        if nctx.pending:
+            return 1, 0
+        if report(out, opid, nctx) == 0 or nctx.func == "count":
+            # no offset pass will come; free the state now
+            del rc[(opid, token)]
+        return 1, 1
 
-    return h_rng_count
-
-
-def _dispatch_offsets(ctx, sl: SkipListStructure, opid: Any,
-                      root: _RootCtx) -> None:
-    offset = 0
-    for slot, node in enumerate(root.slots):
-        if node is not None and root.counts[slot] > 0:
-            ctx.forward(_owner_or_here(ctx, node), f"{sl.name}:rng_offset",
-                        (opid, node.nid, offset))
-        offset += root.counts[slot]
-
-
-def _make_go(sl: SkipListStructure):
-    def h_rng_go(ctx, opid, tag=None):
+    def go_body(rc, mid, args, out):
         """Per-group trigger: release one held root's offset pass."""
-        ml = sl.mlocal(ctx.mid)
-        ctx.charge(1)
-        root: _RootCtx = ml.range_ctx.pop((opid, "root"))
-        _dispatch_offsets(ctx, sl, opid, root)
+        (opid,) = args
+        return 1, dispatch(out, mid, opid, rc.pop((opid, ROOT)))
 
-    return h_rng_go
-
-
-def _make_offset(sl: SkipListStructure):
-    def h_rng_offset(ctx, opid, token, offset, tag=None):
-        ml = sl.mlocal(ctx.mid)
-        ctx.charge(1)
-        nctx: _NodeCtx = ml.range_ctx.pop((opid, token))
-        node = nctx.node
-        after_self = offset
+    def offset_body(rc, mid, args, out):
+        opid, token, offset = args
+        nctx = rc.pop((opid, token))
+        sent = 0
         if nctx.self_count:
+            node = nctx.node
             value = _apply_func(node, nctx.func, nctx.farg)
             if nctx.func in ("read", "fetch_and_add"):
-                ctx.reply(("item", opid, node.key, value, offset), size=1)
-            after_self = offset + 1
-        if nctx.child_d is not None and nctx.count_d > 0:
-            ctx.forward(_owner_or_here(ctx, nctx.child_d),
-                        f"{sl.name}:rng_offset",
-                        (opid, nctx.child_d.nid, after_self))
-        if nctx.child_s is not None and nctx.count_s > 0:
-            ctx.forward(_owner_or_here(ctx, nctx.child_s),
-                        f"{sl.name}:rng_offset",
-                        (opid, nctx.child_s.nid,
-                         after_self + nctx.count_d))
+                out.replies.append(("item", opid, node.key, value, offset))
+                sent = 1
+            offset += 1
+        rows = out.offset
+        for child, count in ((nctx.child_d, nctx.count_d),
+                             (nctx.child_s, nctx.count_s)):
+            if child is not None and count > 0:
+                owner = child.owner
+                rows.append((mid if owner == UPPER else owner,
+                             (opid, child.nid, offset), None, 1))
+                sent += 1
+            offset += count
+        return 1, sent
 
-    return h_rng_offset
+    def scalar(body):
+        def handler(ctx, *args, tag=None):
+            out = _Out()
+            work, _sends = body(ctx.module.state[name].range_ctx, ctx.mid,
+                                args, out)
+            ctx.charge(work)
+            for nid in out.touched:
+                ctx.touch(nid)
+            for payload in out.replies:
+                ctx.reply(payload, tag=tag)
+            # Chains before counts before boundaries: each body's own
+            # forwards keep the order they were emitted in.
+            for fn, rows in ((fn_chain, out.chain), (fn_count, out.count),
+                             (fn_offset, out.offset),
+                             (fn_boundary, out.boundary)):
+                for dest, fargs, _tag, _size in rows:
+                    ctx.forward(dest, fn, fargs)
+        return handler
+
+    def chunked(body):
+        def batch(bct, chunks):
+            modules = bct.machine.modules
+            work, sent = bct.work, bct.sent
+            rep_append = bct.replies.append
+            out = _Out()
+            replies = out.replies
+            for ch in chunks:
+                for mid, args, tag, _size in bct.rows_of(ch):
+                    w, s = body(modules[mid].state[name].range_ctx, mid,
+                                args, out)
+                    work[mid] += w
+                    sent[mid] += s
+                    if replies:
+                        for payload in replies:
+                            rep_append(Reply(payload, tag, mid))
+                        replies.clear()
+            for fn, rows in ((fn_chain, out.chain), (fn_count, out.count),
+                             (fn_offset, out.offset),
+                             (fn_boundary, out.boundary)):
+                if rows:
+                    bct.stage_rows(fn, rows)
+        return batch
+
+    handlers = {}
+    for fn, body in (("root", root_body), ("boundary", boundary_body),
+                     ("chain", chain_body), ("count", count_body),
+                     ("go", go_body), ("offset", offset_body)):
+        handlers[f"{name}:rng_{fn}"] = scalar(body)
+        sl.machine.register_batch(f"{name}:rng_{fn}", chunked(body))
+    return handlers
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +667,26 @@ def _tree_single_route(sl, lkey, rkey, func, farg, inclusive):
     lq = JustBelow(lkey) if inclusive[0] else lkey
     bound = Bound(rkey, inclusive[1])
     opid = _next_opids(sl, 1)
-    replies = yield [(sl.machine.random_module(), f"{sl.name}:rng_root",
-                      (opid, lq, bound, func, farg, None), None)]
+    try:
+        replies = yield [(sl.machine.random_module(), f"{sl.name}:rng_root",
+                          (opid, lq, bound, func, farg, None), None)]
+    except BaseException:
+        _drop_traversals(sl, opid, opid + 1)
+        raise
     return _collect_one(sl, replies, opid=opid)
+
+
+def _drop_traversals(sl: SkipListStructure, first: int, stop: int) -> None:
+    """Forget the traversal state of opids ``[first, stop)`` on every
+    module: an op that ends in an exception (a crashed module, a delivery
+    timeout) never runs the passes that would release it.  Uncharged host
+    bookkeeping, like ``repro.ops.pipeline`` dropping a rejected stage."""
+    for module in sl.machine.modules:
+        ml = module.state.get(sl.name)
+        if ml is not None:  # a wiped module holds nothing
+            rc = ml.range_ctx
+            for key in [key for key in rc if first <= key[0] < stop]:
+                del rc[key]
 
 
 def range_tree_single(sl: SkipListStructure, lkey: Hashable, rkey: Hashable,
@@ -731,6 +804,7 @@ def _tree_route(sl, ops, func, farg, riders=()):
     # slot empty -- the two candidate positions are adjacent in the
     # traversal order, so either is valid.
     base = _next_opids(sl, len(subranges))
+    fn_root = f"{sl.name}:rng_root"
     root_module: Dict[int, int] = {}
     launch_msgs: List[tuple] = []
     for sid, ((lq, bound), outcome) in enumerate(zip(subranges,
@@ -752,12 +826,44 @@ def _tree_route(sl, ops, func, farg, riders=()):
         dest = machine.random_module()
         root_module[sid] = dest
         launch_msgs.append(
-            (dest, f"{sl.name}:rng_root",
-             (base + sid, lq, bound, func, farg, sides), None,
+            (dest, fn_root, (base + sid, lq, bound, func, farg, sides), None,
              max(1, sum(1 for s in sides if s is not None))))
     cpu.charge_wd(WorkDepth(len(subranges) * sl.h_low,
                             max(1.0, math.log2(len(subranges) + 1))))
 
+    try:
+        totals, items = yield from _passes(sl, base, launch_msgs,
+                                           root_module, func)
+    except BaseException:
+        _drop_traversals(sl, base, base + len(subranges))
+        raise
+
+    # -- assemble per-op results -------------------------------------
+    # Pieces never straddle a cut, so op [l, r] is exactly the
+    # contiguous run of pieces between the cut below l and the cut
+    # above r, in ascending key order: concatenation preserves range
+    # order.
+    sorted_items = {sid: sorted(got) for sid, got in items.items()}
+    results: List[RangeResult] = []
+    work = 0
+    for first, stop in spans:
+        total = 0
+        vals: List[Tuple[Hashable, Any]] = []
+        for sid in range(first, stop):
+            total += totals.get(sid, 0)
+            got = sorted_items.get(sid, ())
+            vals.extend((k, v) for _, k, v in got)
+            work += len(got) + 1
+        results.append(RangeResult(count=total, values=vals))
+    cpu.charge_wd(WorkDepth(work + n, max(1.0, math.log2(work + n + 1))))
+    return results, successors
+
+
+def _passes(sl, base, launch_msgs, root_module, func):
+    """The launched traversals' count pass, then their fetch pass in
+    shared-memory groups; returns ``(totals, items)`` by piece."""
+    machine = sl.machine
+    cpu = machine.cpu
     # -- count pass: traversal + subtree counts, no result traffic ---
     totals: Dict[int, int] = {}
     items: Dict[int, List[Tuple[int, Hashable, Any]]] = {}
@@ -779,9 +885,11 @@ def _tree_route(sl, ops, func, farg, riders=()):
         group: List[int] = []
         group_mass = 0
 
+        fn_go = f"{sl.name}:rng_go"
+
         def run_group(g: List[int], mass: int):
-            msgs = [(root_module[sid], f"{sl.name}:rng_go",
-                     (base + sid,), None) for sid in g]
+            msgs = [(root_module[sid], fn_go, (base + sid,), None)
+                    for sid in g]
             with cpu.region(max(1, mass)):
                 group_replies = yield msgs
                 for r in group_replies:
@@ -791,7 +899,7 @@ def _tree_route(sl, ops, func, farg, riders=()):
                         items.setdefault(opid - base, []).append(
                             (idx, key, value))
 
-        for sid in range(len(subranges)):
+        for sid in range(len(launch_msgs)):
             mass = totals.get(sid, 0)
             if group and group_mass + mass > group_words:
                 yield from run_group(group, group_mass)
@@ -801,25 +909,7 @@ def _tree_route(sl, ops, func, farg, riders=()):
         if group:
             yield from run_group(group, group_mass)
 
-    # -- assemble per-op results -------------------------------------
-    # Pieces never straddle a cut, so op [l, r] is exactly the
-    # contiguous run of pieces between the cut below l and the cut
-    # above r, in ascending key order: concatenation preserves range
-    # order.
-    sorted_items = {sid: sorted(got) for sid, got in items.items()}
-    results: List[RangeResult] = []
-    work = 0
-    for first, stop in spans:
-        total = 0
-        vals: List[Tuple[Hashable, Any]] = []
-        for sid in range(first, stop):
-            total += totals.get(sid, 0)
-            got = sorted_items.get(sid, ())
-            vals.extend((k, v) for _, k, v in got)
-            work += len(got) + 1
-        results.append(RangeResult(count=total, values=vals))
-    cpu.charge_wd(WorkDepth(work + n, max(1.0, math.log2(work + n + 1))))
-    return results, successors
+    return totals, items
 
 
 def _rides(sl: SkipListStructure, pieces: int, riders: int) -> bool:

@@ -554,3 +554,7 @@ class SkipListStructure:
                 )
         # 7. key count
         assert self.num_keys == len(all_leaves)
+        # 8. no range traversal state outlives its op, finished or failed
+        for mid in range(p):
+            assert not self.mlocal(mid).range_ctx, \
+                f"module {mid} holds range traversal state"

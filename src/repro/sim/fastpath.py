@@ -106,23 +106,24 @@ today::
              del_mark, del_mark_node          in slot order (see above)
              nd_step, sh_step, lf_get,        PIM-tree reads: rows, ``bisect``
              lf_succ, lf_scan                 on the module's own lists
+             rng_root, rng_boundary,          the §5.2 range traversal: state
+             rng_chain, rng_count, rng_go,    keyed (opid, token), one row
+             rng_offset                       body per function
     scalar   ups_upper_link, del_upper, grow  first executor pays
              nd_pull, lf_pull, *_store,       PIM-tree: the CPU side sums the
              lf_write, lf_del                 pulls' non-integer charges in
                                               reply order; slots run first
-             rng_*                            sized and deferred (below)
+             rng_bcast                        one broadcast per op, a different
+                                              walk and reply on every module
              sel_*                            stateful per module; not sized
 
-``rng_*`` chunk forms were prototyped once (170 lines, not kept), when a
-traversal round carried ~15 tasks over three functions: the slot share
-of ``serve_mixed`` fell 0.35 -> 0.04 and ``ops_per_s`` moved by ~3 %,
-against a chunk round's fixed cost of 6.0 us and a slot round's 3.6.
-Re-measured on ``serve_mixed`` at fixed work (seed 7, untraced, Python
-3.11 on a 2-core Xeon VM, three runs): slot-only rounds are 15-16 % of
-the timed wall (0.61-0.63 s of 3.97-4.07 s), and the skip-list range
-traversal alone 14-15 % (0.59-0.60 s), in 6 875 rounds of ~31 tasks
-(214 335 tasks).  That is the largest unchunked host cost on any
-workload; it is the next chunk form to size (ROADMAP item 3).
+The range traversal's chunk forms were deferred while a traversal round
+carried ~15 tasks (a prototype bought ~3 % of ``ops_per_s``); at ~31
+tasks a round they pay.  On ``serve_mixed`` at fixed work (seed 7,
+traced, Python 3.11 on a 2-core Xeon VM) ``sim.machine.drain_s`` reads
+1.84 -> 1.55 s and the slot tasks 265 777 -> 21 376, the model values
+are unchanged, and ``repro serve --clients 100`` runs 96 % of its tasks
+chunked (69 % before); EXPERIMENTS.md has the paired end-to-end runs.
 
 The contract is not just documented -- it is *certified empirically*:
 ``repro.verify.differ`` replays fuzz sessions of the skip list and the
@@ -130,7 +131,8 @@ PIM-tree on the per-task reference oracle
 (:class:`repro.sim.machine.ReferencePIMMachine`) and requires
 bit-identical per-op metric streams and results, the parity tests
 (``tests/test_fastpath.py``, ``tests/test_fastpath_writes.py``,
-``tests/test_fastpath_pimtree.py``) compare the two round by round, and
+``tests/test_fastpath_pimtree.py``) compare the two round by round
+(``tests/test_fastpath_range.py`` op by op), and
 the golden suite pins the values the per-task loop produced.
 
 What turns chunks off

@@ -215,3 +215,36 @@ class TestTreeVsBroadcastCost:
         range_tree_single(sl.struct, lo, hi, func="count")
         tree = machine.delta_since(s1)
         assert bcast.io_time < tree.io_time
+
+
+class TestAbortedTraversals:
+    """A range op that raises part-way (here a fail-stop crash) never
+    runs the passes that release its traversal state; the route drops
+    it on its way out, on every module, and ``check_integrity`` holds
+    that none is left."""
+
+    @pytest.mark.parametrize("single", [False, True])
+    def test_crash_at_every_round_leaves_no_state(self, single):
+        from repro.sim.chaos import CrashEvent, FaultPlan, FaultSpec
+        from repro.sim.errors import ModuleCrashed
+
+        crashed = 0
+        for at_round in range(15, 40):
+            machine, sl, _ = make_skiplist(num_modules=8, n=2000, stride=10)
+            machine.install_fault_plan(FaultPlan(FaultSpec(
+                crashes=(CrashEvent(mid=3, at_round=at_round),)), seed=0))
+            try:
+                if single:
+                    # the rng_boundary descent; its round count depends
+                    # on the start module, so shift the crash with it
+                    for lo in (100, 5000, 12000):
+                        range_tree_single(sl.struct, lo, lo + 900)
+                else:
+                    sl.batch_range([(100, 1000), (5000, 5900),
+                                    (12000, 12900)])
+            except ModuleCrashed:
+                crashed += 1
+            for mid in range(8):
+                assert sl.struct.mlocal(mid).range_ctx == {}, (at_round, mid)
+            sl.check_integrity()
+        assert crashed > 0
