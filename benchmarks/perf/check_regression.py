@@ -13,6 +13,7 @@ one process can measure against itself:
   fixed batch of ranges, the CPU-side charges and RNG position after
   one fixed session, the messages of one fixed Upsert batch and how
   many of them are path replies the route drops or write rows, the
+  read messages of one PIM-tree read group sent as rows, the
   rounds of the search at the widths the serve path sends and one key
   past ``P log P``.
   Deterministic functions of the committed parameters (or of the
@@ -139,6 +140,32 @@ def _width_batches() -> dict:
                      [(2 * i + 1, i)
                       for i in rng.sample(range(16384), 64)]),
     }
+
+
+#: The PIM-tree's read functions, on a tree of the default name.
+_PIMTREE_READS = frozenset(f"pimtree:{f}" for f in (
+    "nd_step", "sh_step", "lf_get", "lf_succ", "lf_scan"))
+
+
+def _rows_through_send_all(machine: PIMMachine, fns: frozenset,
+                           run: Callable[[], Any]) -> int:
+    """How many messages of ``fns`` reach ``machine.send_all`` as rows
+    while ``run()`` runs."""
+    send_all = machine.send_all
+    rows = 0
+
+    def counting_send_all(messages):
+        nonlocal rows
+        messages = list(messages)
+        rows += sum(m[1] in fns for m in messages)
+        send_all(messages)
+
+    machine.send_all = counting_send_all
+    try:
+        run()
+    finally:
+        del machine.send_all
+    return rows
 
 
 class Bench:
@@ -350,7 +377,9 @@ class Bench:
         13 Successor keys and 26 ranges of :meth:`search_widths` on the
         skip list (a ``serve_mixed`` shared-read tick), and 218 Gets,
         13 Successor keys and 13 ranges on the PIM-tree (a
-        ``serve_read_pimtree`` tick's mix)."""
+        ``serve_read_pimtree`` tick's mix).  ``(name, "read rows")`` counts
+        the group's messages of the PIM-tree's five read functions that
+        reached ``send_all`` as rows (none on the skip list)."""
         batches = _width_batches()
         rng = random.Random(7)
         groups = {
@@ -369,7 +398,9 @@ class Bench:
                 structure.build(build_items(16384, stride=2))
                 before = machine.snapshot()
                 if how == "group":
-                    structure.apply_reads(reads)
+                    cells[name, "read rows"] = _rows_through_send_all(
+                        machine, _PIMTREE_READS,
+                        lambda: structure.apply_reads(reads))
                 else:
                     for op, payload in reads:
                         structure.apply_batch(op, payload)
@@ -637,6 +668,14 @@ GATES: List[Gate] = [
     Gate("read group: pimtree apart, (rounds, io, messages)",
          lambda b: b.read_groups()["pimtree", "apart"],
          "==", (10, 105.0, 1127), EXACT),
+    # The tree's reads leave a route as one ``Columns`` element per
+    # function and stage; the driver sends an element as rows below
+    # COLUMNS_CROSSOVER messages only: the 13 ranges' scans and the
+    # Successor keys' probes, 32 of the group's 461 read messages (all
+    # 461 were rows while every message was its own tuple).
+    Gate("pimtree read group: read rows through send_all",
+         lambda b: b.read_groups()["pimtree", "read rows"], "==", 32,
+         EXACT),
     # -- batched tree range (core/ops_range.py): the cut-point sweep
     # pays one boundary search, one root and one go per covered piece,
     # so n pairwise-disjoint ops cost n of each (3n under the old

@@ -89,23 +89,25 @@ a callback back.
 
 Which functions are chunked (skip list, then PIM-tree).  Any of them
 may be sent as a column chunk -- a column receiver is accounted like a
-row receiver -- and ``write_ptr`` is the one a route sends that way
-today::
+row receiver -- and ``write_ptr`` and the PIM-tree's five reads are the
+ones routes send that way today (the ops pipeline's ``Columns``
+element, from ``COLUMNS_CROSSOVER`` messages up)::
 
-    chunked  search_entry, search_step        the walk (read-only)
-             write_ptr                        a batch's writes as one column
-                                              chunk (the ops pipeline's
-                                              ``Columns`` element), single
-                                              writes as rows; broadcast
-                                              executed once
+    columns  write_ptr                        a batch's writes as one column
+                                              chunk, single writes as rows;
+                                              broadcast executed once
+             nd_step, sh_step, lf_get,        PIM-tree reads: one element per
+             lf_succ, lf_scan                 function and stage, each a kernel
+                                              written once (``bisect`` on the
+                                              module's own lists) that reads
+                                              a column chunk column-wise
+    rows     search_entry, search_step        the walk (read-only)
              pt_get, pt_update,               hash-shortcut point tasks
              ups_try_update
              ups_insert_lower                 tower delivery (module-local)
              ups_upper_prepare                broadcast, run per module: each
                                               replica's own storage + next-leaf
              del_mark, del_mark_node          in slot order (see above)
-             nd_step, sh_step, lf_get,        PIM-tree reads: rows, ``bisect``
-             lf_succ, lf_scan                 on the module's own lists
              rng_root, rng_boundary,          the §5.2 range traversal: state
              rng_chain, rng_count, rng_go,    keyed (opid, token), one row
              rng_offset                       body per function

@@ -50,14 +50,21 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import repeat
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.balls.hashing import KeyLevelHash, stable_hash
 from repro.core.skiplist import distinct_reads
 from repro.cpuside.semisort import group_positions
-from repro.ops import Broadcast, run_batch
+from repro.ops import Broadcast, Columns, run_batch
+from repro.sim.fastpath import COLS
 from repro.sim.machine import PIMMachine
 from repro.sim.task import Reply
+
+#: The module-side functions, each registered as ``<tree name>:<function>``.
+_FUNCTIONS = ("nd_store", "nd_step", "nd_pull", "sh_store", "sh_step",
+              "sh_dump", "lf_store", "lf_get", "lf_succ", "lf_scan",
+              "lf_write", "lf_del", "lf_pull")
 
 
 def _log2(n: int) -> float:
@@ -94,9 +101,71 @@ class _Node:
         self.kind = kind
 
 
-def _child_of(node: _Node, key: Hashable) -> Tuple[int, str]:
-    i = max(0, bisect.bisect_right(node.fences, key) - 1)
-    return node.children[i], node.kind
+# ----------------------------------------------------------------------
+# read kernels: one per read function, over a run of ``(module, tag,
+# *args)`` rows.  ``stores[module]`` is that module's node, shadow or
+# leaf store; each row charges ``work[module]``, counts its reply's size
+# into ``sent[module]`` and passes the reply to ``out``.
+# ----------------------------------------------------------------------
+
+#: ``max(1, int(log2(n + 1)))``, a ``bisect`` over ``n`` entries, by the
+#: bit length of ``n + 1``: the same integers for every ``n`` below
+#: ``2**47``.
+_LOG_WORK = tuple(max(1, bits - 1) for bits in range(64))
+
+
+def _step_kernel(stores, rows, work, sent, out) -> None:
+    """``nd_step`` / ``sh_step``: a key one level down the node the
+    module holds (its home copy or a shadow replica)."""
+    right = bisect.bisect_right
+    for mid, tag, nid, key, qid in rows:
+        fences, children, kind = stores[mid][nid]
+        i = right(fences, key) - 1
+        work[mid] += _LOG_WORK[(len(children) + 1).bit_length()]
+        sent[mid] += 1
+        out(Reply(("step", qid, children[i if i > 0 else 0], kind), tag,
+                  mid))
+
+
+def _get_kernel(stores, rows, work, sent, out) -> None:
+    """``lf_get``: a key's value in its leaf, or a miss."""
+    left = bisect.bisect_left
+    for mid, tag, lid, key in rows:
+        leaf = stores[mid][lid]
+        n = len(leaf)
+        i = left(leaf, (key,))
+        hit = i < n and leaf[i][0] == key
+        work[mid] += _LOG_WORK[(n + 1).bit_length()]
+        sent[mid] += 1
+        out(Reply(("lget", key, leaf[i][1] if hit else None, hit), tag, mid))
+
+
+def _succ_kernel(stores, rows, work, sent, out) -> None:
+    """``lf_succ``: the leaf's first item at or above a key, if any."""
+    left = bisect.bisect_left
+    for mid, tag, lid, key, qid in rows:
+        leaf = stores[mid][lid]
+        n = len(leaf)
+        i = left(leaf, (key,))
+        work[mid] += _LOG_WORK[(n + 1).bit_length()]
+        sent[mid] += 1
+        out(Reply(("lsucc", qid, leaf[i] if i < n else None), tag, mid))
+
+
+def _scan_kernel(stores, rows, work, sent, out) -> None:
+    """``lf_scan``: the leaf's items in ``[lo, hi]`` and its last key; one
+    message unit an item."""
+    left = bisect.bisect_left
+    for mid, tag, lid, lo, hi, qid in rows:
+        leaf = stores[mid][lid]
+        n = len(leaf)
+        i = j = left(leaf, (lo,))
+        while j < n and leaf[j][0] <= hi:
+            j += 1
+        work[mid] += j - i + _LOG_WORK[(n + 1).bit_length()]
+        sent[mid] += max(1, j - i)
+        out(Reply(("lscan", qid, lid, tuple(leaf[i:j]),
+                   leaf[-1][0] if n else None), tag, mid))
 
 
 class PIMTree:
@@ -149,27 +218,40 @@ class PIMTree:
         self.size = 0
         self.height = 0  # interior levels below the root
         self._next_id = 0
+        #: Function ids, formatted once.
+        self._fn = {f: f"{name}:{f}" for f in _FUNCTIONS}
+        if any(fn in machine._handlers for fn in self._fn.values()) or any(
+                name in module.state for module in machine.modules):
+            raise ValueError(
+                f"PIMTree: the name {name!r} is taken on this machine")
         for module in machine.modules:
-            module.state.setdefault(name, {"leaf": {}, "node": {},
-                                           "shadow": {}})
-        if f"{name}:nd_step" not in machine._handlers:
-            handlers, chunked = self._handlers()
-            machine.register_all(handlers)
-            for fn, batch_handler in chunked.items():
-                machine.register_batch(fn, batch_handler)
+            module.state[name] = {"leaf": {}, "node": {}, "shadow": {}}
+        handlers, chunked = self._handlers()
+        machine.register_all(handlers)
+        for fn, batch_handler in chunked.items():
+            machine.register_batch(fn, batch_handler)
 
     # ------------------------------------------------------------------
     # handlers (module-resident nodes, shadow replicas, leaves)
     # ------------------------------------------------------------------
 
     def _handlers(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """``(handlers, chunked)``: every function's scalar handler, and
-        the row chunk handlers of the five read functions.  The stores,
-        writes, deletes and ``nd_pull`` / ``lf_pull`` stay in slots: the
-        CPU side sums the pull replies' non-integer ``log2`` charges in
-        arrival order, and slots run before chunks, module ascending, so
-        that order is the per-task loop's."""
-        name = self.name
+        """``(handlers, chunked)``: every function's slot handler, and
+        the batch handlers of the five read functions.
+
+        A read function is one kernel over a run of rows (``_step_kernel``
+        serves ``nd_step`` and ``sh_step``, then ``_get_kernel``,
+        ``_succ_kernel``, ``_scan_kernel``).  Its batch handler runs the
+        kernel over each chunk -- a column chunk column-wise, straight
+        from ``dests`` and ``cols``, a row chunk row by row -- and its
+        slot handler (fault plans, qrqw, access tracing,
+        :class:`~repro.sim.machine.ReferencePIMMachine`) over the task's
+        one row.  The stores, writes, deletes and ``nd_pull`` /
+        ``lf_pull`` stay in slots: the CPU side sums the pull replies'
+        non-integer ``log2`` charges in arrival order, and slots run
+        before chunks, module ascending, so that order is the per-task
+        loop's."""
+        name, fn = self.name, self._fn
 
         def nstate(ctx):
             return ctx.module.state[name]["node"]
@@ -180,28 +262,27 @@ class PIMTree:
         def lstate(ctx):
             return ctx.module.state[name]["leaf"]
 
-        def read_pair(store, body):
-            """One read function's ``(scalar, chunk)`` handlers around a
-            row body written once: ``body(module's store, args)`` ->
-            ``(work, reply payload, reply size)``, ``bisect`` over the
-            lists the module already holds."""
+        def read_pair(store, kernel):
             def scalar(ctx, *args, tag=None):
-                work, payload, size = body(ctx.module.state[name][store],
-                                           args)
-                ctx.charge(work)
-                ctx.reply(payload, tag=tag, size=size)
+                work, sent, got = [0], [0], []
+                kernel((ctx.module.state[name][store],), ((0, tag) + args,),
+                       work, sent, got.append)
+                ctx.charge(work[0])
+                ctx.reply(got[0].payload, tag=tag, size=sent[0])
 
             def chunk(bct, chunks):
                 modules = bct.machine.modules
-                work, sent = bct.work, bct.sent
-                rep_append = bct.replies.append
                 for ch in chunks:
-                    for mid, args, tag, _size in bct.rows_of(ch):
-                        w, payload, size = body(
-                            modules[mid].state[name][store], args)
-                        work[mid] += w
-                        sent[mid] += size
-                        rep_append(Reply(payload, tag, mid))
+                    if ch.kind == COLS:
+                        mids = ch.counts
+                        rows = zip(ch.dests, repeat(None), *ch.cols)
+                    else:
+                        rows = [(mid, tag) + args
+                                for mid, args, tag, _size in bct.rows_of(ch)]
+                        mids = {row[0] for row in rows}
+                    kernel({mid: modules[mid].state[name][store]
+                            for mid in mids},
+                           rows, bct.work, bct.sent, bct.replies.append)
 
             return scalar, chunk
 
@@ -215,13 +296,6 @@ class PIMTree:
         def h_nd_store(ctx, nid, fences, children, kind, tag=None):
             ctx.charge(len(children) + 1)
             _store_node(nstate(ctx), nid, fences, children, kind, ctx.module)
-
-        def step(nodes, args):
-            nid, key, qid = args
-            fences, children, kind = nodes[nid]
-            i = max(0, bisect.bisect_right(fences, key) - 1)
-            return (max(1, int(math.log2(len(children) + 1))),
-                    ("step", qid, children[i], kind), 1)
 
         def h_nd_pull(ctx, nid, tag=None):
             fences, children, kind = nstate(ctx)[nid]
@@ -250,33 +324,6 @@ class PIMTree:
                 ctx.module.free_words(2 * len(old))
             leaves[lid] = [tuple(p) for p in items]
             ctx.module.alloc_words(2 * len(items))
-
-        def lf_get(leaves, args):
-            lid, key = args
-            leaf = leaves[lid]
-            i = bisect.bisect_left(leaf, (key,))
-            hit = i < len(leaf) and leaf[i][0] == key
-            return (max(1, int(math.log2(len(leaf) + 1))),
-                    ("lget", key, leaf[i][1] if hit else None, hit), 1)
-
-        def lf_succ(leaves, args):
-            lid, key, qid = args
-            leaf = leaves[lid]
-            i = bisect.bisect_left(leaf, (key,))
-            return (max(1, int(math.log2(len(leaf) + 1))),
-                    ("lsucc", qid, leaf[i] if i < len(leaf) else None), 1)
-
-        def lf_scan(leaves, args):
-            lid, lo, hi, qid = args
-            leaf = leaves[lid]
-            i = bisect.bisect_left(leaf, (lo,))
-            out = []
-            while i < len(leaf) and leaf[i][0] <= hi:
-                out.append(leaf[i])
-                i += 1
-            last = leaf[-1][0] if leaf else None
-            return (len(out) + max(1, int(math.log2(len(leaf) + 1))),
-                    ("lscan", qid, lid, tuple(out), last), max(1, len(out)))
 
         def h_lf_write(ctx, lid, pairs, tag=None):
             leaves = lstate(ctx)
@@ -310,23 +357,22 @@ class PIMTree:
                       size=max(1, len(leaf)), tag=tag)
 
         handlers = {
-            f"{name}:nd_store": h_nd_store,
-            f"{name}:nd_pull": h_nd_pull,
-            f"{name}:sh_store": h_sh_store,
-            f"{name}:sh_dump": h_sh_dump,
-            f"{name}:lf_store": h_lf_store,
-            f"{name}:lf_write": h_lf_write,
-            f"{name}:lf_del": h_lf_del,
-            f"{name}:lf_pull": h_lf_pull,
+            fn["nd_store"]: h_nd_store,
+            fn["nd_pull"]: h_nd_pull,
+            fn["sh_store"]: h_sh_store,
+            fn["sh_dump"]: h_sh_dump,
+            fn["lf_store"]: h_lf_store,
+            fn["lf_write"]: h_lf_write,
+            fn["lf_del"]: h_lf_del,
+            fn["lf_pull"]: h_lf_pull,
         }
         chunked = {}
-        for fn, store, body in (("nd_step", "node", step),
-                                ("sh_step", "shadow", step),
-                                ("lf_get", "leaf", lf_get),
-                                ("lf_succ", "leaf", lf_succ),
-                                ("lf_scan", "leaf", lf_scan)):
-            handlers[f"{name}:{fn}"], chunked[f"{name}:{fn}"] = \
-                read_pair(store, body)
+        for f, store, kernel in (("nd_step", "node", _step_kernel),
+                                 ("sh_step", "shadow", _step_kernel),
+                                 ("lf_get", "leaf", _get_kernel),
+                                 ("lf_succ", "leaf", _succ_kernel),
+                                 ("lf_scan", "leaf", _scan_kernel)):
+            handlers[fn[f]], chunked[fn[f]] = read_pair(store, kernel)
         return handlers, chunked
 
     # ------------------------------------------------------------------
@@ -355,79 +401,101 @@ class PIMTree:
             self.machine.cpu.charge(float(hops), 1.0)
         return lid
 
-    def _descend(self, machine: PIMMachine, queries: List[Tuple[int, Any]]):
-        """Route every ``(qid, key)`` to its covering leaf id.
+    def _descend(self, machine: PIMMachine, keys: Sequence[Hashable]):
+        """Route every query -- query ``qid`` is ``keys[qid]`` -- to its
+        covering leaf id.
 
         The push-pull walk: per level, per node, ship the queries or
         pull the node by the load rule; hot nodes answer from shadow
-        replicas sprayed across all modules.  A generator (used via
-        ``yield from``); returns ``{qid: lid}``.  Ends with a shadow
-        promotion broadcast when this batch's pulls made nodes hot.
+        replicas sprayed across all modules.  A level's stage is the
+        pulls, as rows in node order, then one :class:`Columns` element
+        each for the ``sh_step`` and the ``nd_step`` messages.  The
+        frontier stays grouped by node from one level to the next (in
+        reply order within a node, which nothing charged depends on).
+        A generator (used via ``yield from``); returns the leaf ids,
+        indexed by ``qid``.  Ends with a shadow promotion broadcast when
+        this batch's pulls made nodes hot.
         """
-        name, p = self.name, machine.num_modules
-        done: Dict[int, int] = {}
-        at_node: Dict[int, Tuple[Any, int]] = {}  # qid -> (key, nid)
+        p, fn, stats = machine.num_modules, self._fn, self.stats
+        done: List[Optional[int]] = [None] * len(keys)
         root = self.root
         if not root.children:
             return done
         machine.cpu.charge(
-            len(queries) * max(1.0, math.log2(len(root.children) + 1)),
-            _log2(len(queries)))
-        for qid, key in queries:
-            child, kind = _child_of(root, key)
-            if kind == "leaf":
-                done[qid] = child
-            else:
-                at_node[qid] = (key, child)
-        while at_node:
-            by_node: Dict[int, List[Tuple[int, Any]]] = {}
-            for qid in sorted(at_node):
-                key, nid = at_node[qid]
-                by_node.setdefault(nid, []).append((qid, key))
-            msgs: List = []
-            pulled: Dict[int, List[Tuple[int, Any]]] = {}
-            for nid in sorted(by_node):
-                grp = by_node[nid]
-                if nid in self.shadows:
-                    for j, (qid, key) in enumerate(grp):
-                        msgs.append(((nid + qid) % p, f"{name}:sh_step",
-                                     (nid, key, qid), None))
-                    self.stats["shadow_msgs"] += len(grp)
-                elif len(grp) >= self.pull_threshold:
-                    msgs.append((self.node_owner[nid], f"{name}:nd_pull",
-                                 (nid,), None))
-                    pulled[nid] = grp
-                    self.stats["pull_msgs"] += 1
-                    self._note_pull(nid)
+            len(keys) * max(1.0, math.log2(len(root.children) + 1)),
+            _log2(len(keys)))
+        # nid -> ([qid], [key]): the queries at that node.
+        frontier: Dict[int, Tuple[List[int], List[Any]]] = {}
+
+        def route(fences, children, kind, qids) -> None:
+            """Queries one level down a node the CPU side holds."""
+            for qid in qids:
+                i = bisect.bisect_right(fences, keys[qid]) - 1
+                child = children[i if i > 0 else 0]
+                if kind == "leaf":
+                    done[qid] = child
+                    continue
+                grp = frontier.get(child)
+                if grp is None:
+                    frontier[child] = ([qid], [keys[qid]])
                 else:
-                    for qid, key in grp:
-                        msgs.append((self.node_owner[nid], f"{name}:nd_step",
-                                     (nid, key, qid), None))
-                    self.stats["push_msgs"] += len(grp)
-            replies = yield msgs
-            prev_at = at_node
-            at_node = {}
+                    grp[0].append(qid)
+                    grp[1].append(keys[qid])
+
+        route(root.fences, root.children, root.kind, range(len(keys)))
+        while frontier:
+            stage: List = []
+            pulled: Dict[int, List[int]] = {}
+            # dests, nids, keys, qids of the sprayed and the pushed steps
+            spray: Tuple[list, list, list, list] = ([], [], [], [])
+            push: Tuple[list, list, list, list] = ([], [], [], [])
+            for nid in sorted(frontier):
+                qids, gkeys = frontier[nid]
+                g = len(qids)
+                if nid in self.shadows:
+                    cols, dests = spray, [(nid + qid) % p for qid in qids]
+                    stats["shadow_msgs"] += g
+                elif g >= self.pull_threshold:
+                    stage.append((self.node_owner[nid], fn["nd_pull"],
+                                  (nid,), None))
+                    pulled[nid] = qids
+                    stats["pull_msgs"] += 1
+                    self._note_pull(nid)
+                    continue
+                else:
+                    cols, dests = push, [self.node_owner[nid]] * g
+                    stats["push_msgs"] += g
+                cols[0].extend(dests)
+                cols[1].extend([nid] * g)
+                cols[2].extend(gkeys)
+                cols[3].extend(qids)
+            for f, cols in (("sh_step", spray), ("nd_step", push)):
+                if cols[0]:
+                    stage.append(Columns(fn[f], cols[0], cols[1:]))
+            replies = yield stage
+            frontier = {}
             for r in replies:
-                if r.payload[0] == "step":
-                    _, qid, child, kind = r.payload
-                    key = prev_at[qid][0]
+                payload = r.payload
+                if payload[0] == "step":
+                    # ``route``'s grouping, inlined: a reply per pushed
+                    # query.
+                    _, qid, child, kind = payload
                     if kind == "leaf":
                         done[qid] = child
+                        continue
+                    grp = frontier.get(child)
+                    if grp is None:
+                        frontier[child] = ([qid], [keys[qid]])
                     else:
-                        at_node[qid] = (key, child)
-                else:
-                    _, nid, fences, children, kind = r.payload
-                    grp = pulled[nid]
-                    machine.cpu.charge(
-                        len(grp) * max(1.0, math.log2(len(children) + 1)),
-                        _log2(len(grp)))
-                    node = _Node(list(fences), list(children), kind)
-                    for qid, key in grp:
-                        child, ckind = _child_of(node, key)
-                        if ckind == "leaf":
-                            done[qid] = child
-                        else:
-                            at_node[qid] = (key, child)
+                        grp[0].append(qid)
+                        grp[1].append(keys[qid])
+                    continue
+                _, nid, fences, children, kind = payload
+                qids = pulled[nid]
+                machine.cpu.charge(
+                    len(qids) * max(1.0, math.log2(len(children) + 1)),
+                    _log2(len(qids)))
+                route(fences, children, kind, qids)
         promos = self._drain_promos()
         if promos:
             yield promos
@@ -442,7 +510,7 @@ class PIMTree:
             if node is None:
                 continue
             msgs.append(Broadcast(
-                f"{self.name}:sh_store",
+                self._fn["sh_store"],
                 (nid, tuple(node.fences), tuple(node.children), node.kind),
                 None, max(1, len(node.children))))
             self.shadows.add(nid)
@@ -463,7 +531,7 @@ class PIMTree:
         stage, plus the interior nodes whose module (and shadow) copies
         went stale.
         """
-        name, cpu = self.name, self.machine.cpu
+        fn, cpu = self._fn, self.machine.cpu
         msgs: List = []
         changed: Set[int] = set()
         touched_parents: Set[Optional[int]] = set()
@@ -474,7 +542,7 @@ class PIMTree:
                        _log2(len(items)))
             old_next = self.leaf_next[lid]
             self.leaf_len[lid] = len(chunks[0])
-            msgs.append((self.leaf_owner[lid], f"{name}:lf_store",
+            msgs.append((self.leaf_owner[lid], fn["lf_store"],
                          (lid, tuple(chunks[0])), None,
                          max(1, len(chunks[0]))))
             pid = self.parent.get(lid)
@@ -491,7 +559,7 @@ class PIMTree:
                 self.parent[nlid] = pid
                 node.fences.insert(pos + j, chunk[0][0])
                 node.children.insert(pos + j, nlid)
-                msgs.append((owner, f"{name}:lf_store",
+                msgs.append((owner, fn["lf_store"],
                              (nlid, tuple(chunk)), None,
                              max(1, len(chunk))))
             self.leaf_next[prev] = old_next
@@ -511,7 +579,7 @@ class PIMTree:
             self._split_root(changed)
         for nid in sorted(changed):
             node = self.nodes[nid]
-            msgs.append((self.node_owner[nid], f"{name}:nd_store",
+            msgs.append((self.node_owner[nid], fn["nd_store"],
                          (nid, tuple(node.fences), tuple(node.children),
                           node.kind), None, max(1, len(node.children))))
         stale_shadows = sorted(changed & self.shadows)
@@ -519,7 +587,7 @@ class PIMTree:
             for nid in stale_shadows:
                 node = self.nodes[nid]
                 msgs.append(Broadcast(
-                    f"{name}:sh_store",
+                    fn["sh_store"],
                     (nid, tuple(node.fences), tuple(node.children),
                      node.kind), None, max(1, len(node.children))))
                 self.stats["shadow_msgs"] += self.machine.num_modules
@@ -669,7 +737,7 @@ def _build_route(tree: PIMTree, items: Sequence[Tuple[Hashable, Any]]):
     if not items:
         return None
     machine.cpu.charge(n * _log2(n), _log2(n))
-    name = tree.name
+    fn = tree._fn
     msgs: List = []
     level: List[Tuple[Any, int]] = []  # (min key, id)
     prev: Optional[int] = None
@@ -685,7 +753,7 @@ def _build_route(tree: PIMTree, items: Sequence[Tuple[Hashable, Any]]):
             tree.leaf_next[prev] = lid
         prev = lid
         level.append((chunk[0][0], lid))
-        msgs.append((owner, f"{name}:lf_store", (lid, tuple(chunk)),
+        msgs.append((owner, fn["lf_store"], (lid, tuple(chunk)),
                      None, max(1, len(chunk))))
     kind = "leaf"
     while len(level) > tree.fanout:
@@ -699,7 +767,7 @@ def _build_route(tree: PIMTree, items: Sequence[Tuple[Hashable, Any]]):
             for _, child in chunk:
                 tree.parent[child] = nid
             up.append((chunk[0][0], nid))
-            msgs.append((tree.node_owner[nid], f"{name}:nd_store",
+            msgs.append((tree.node_owner[nid], fn["nd_store"],
                          (nid, tuple(node.fences), tuple(node.children),
                           node.kind), None, max(1, len(node.children))))
         level = up
@@ -737,42 +805,69 @@ class _KeysPart:
         machine.cpu.charge(float(len(out)), _log2(len(out)))
         return out
 
+    def hop(self, by_leaf: Dict[int, List[Any]], fn: str,
+            echo: bool = False):
+        """One leaf stage over ``{leaf: keys}``, leaves ascending: a
+        group that reaches the leaf pull threshold pulls its leaf (a
+        row), every other group's keys go to ``fn`` as one
+        :class:`Columns` element -- ``(lid, key)``, and the key again as
+        the query id when ``echo``.  Returns ``(stage, pulled)``,
+        ``pulled`` holding each pulled leaf's keys."""
+        tree = self.tree
+        stage: List = []
+        pulled: Dict[int, List[Any]] = {}
+        dests: List[int] = []
+        lids: List[int] = []
+        keys: List[Any] = []
+        for lid in sorted(by_leaf):
+            grp = by_leaf[lid]
+            if len(grp) >= tree.leaf_pull_threshold:
+                stage.append((tree.leaf_owner[lid], tree._fn["lf_pull"],
+                              (lid,), None))
+                pulled[lid] = grp
+                tree.stats["pull_msgs"] += 1
+            else:
+                dests.extend([tree.leaf_owner[lid]] * len(grp))
+                lids.extend([lid] * len(grp))
+                keys.extend(grp)
+        if dests:
+            stage.append(Columns(tree._fn[fn], dests,
+                                 (lids, keys, keys) if echo else (lids, keys)))
+            tree.stats["push_msgs"] += len(dests)
+        return stage, pulled
+
+
+def _by_leaf(pairs) -> Dict[int, List[Any]]:
+    """``{leaf: [key, ...]}`` of ``(key, leaf)`` pairs, in pair order."""
+    out: Dict[int, List[Any]] = {}
+    for key, lid in pairs:
+        grp = out.get(lid)
+        if grp is None:
+            out[lid] = [key]
+        else:
+            grp.append(key)
+    return out
+
 
 class _GetPart(_KeysPart):
     """Get's share of a read op: one leaf stage."""
 
     suffix = "batch_get"
+    reply_kind = "lget"
 
     def leaves(self, machine, distinct, lids):
         tree = self.tree
-        by_leaf: Dict[int, List[Any]] = {}
-        for key, lid in zip(distinct, lids):
-            by_leaf.setdefault(lid, []).append(key)
-        name = tree.name
         values: Dict[Any, Any] = {}
-        msgs: List = []
-        pulled: Dict[int, List[Any]] = {}
-        for lid in sorted(by_leaf):
-            grp = by_leaf[lid]
-            if tree.leaf_len.get(lid, 0) == 0:
-                for key in grp:
-                    values[key] = None
-            elif len(grp) >= tree.leaf_pull_threshold:
-                msgs.append((tree.leaf_owner[lid], f"{name}:lf_pull",
-                             (lid,), None))
-                pulled[lid] = grp
-                tree.stats["pull_msgs"] += 1
-            else:
-                for key in grp:
-                    msgs.append((tree.leaf_owner[lid], f"{name}:lf_get",
-                                 (lid, key), None))
-                tree.stats["push_msgs"] += len(grp)
-        if msgs:
-            replies = yield msgs
+        by_leaf = _by_leaf(zip(distinct, lids))
+        for lid in [lid for lid in by_leaf if tree.leaf_len.get(lid, 0) == 0]:
+            for key in by_leaf.pop(lid):
+                values[key] = None
+        stage, pulled = self.hop(by_leaf, "lf_get")
+        if stage:
+            replies = yield stage
             for r in replies:
                 if r.payload[0] == "lget":
-                    _, key, value, hit = r.payload
-                    values[key] = value if hit else None
+                    values[r.payload[1]] = r.payload[2]  # None on a miss
                 else:
                     _, lid, items = r.payload
                     probe_keys = pulled[lid]
@@ -792,13 +887,14 @@ class _SuccessorPart(_KeysPart):
     leaf chain."""
 
     suffix = "batch_successor"
+    reply_kind = "lsucc"
 
     def leaves(self, machine, distinct, lids):
         tree = self.tree
-        name = tree.name
         found: Dict[Any, Optional[Tuple[Hashable, Any]]] = {}
-        # key -> the leaf currently probed (None -> chain exhausted).
-        pending: Dict[Any, Optional[int]] = {}
+        # key -> the leaf currently probed, in key order (``distinct`` is
+        # sorted, and every hop keeps the order).
+        pending: Dict[Any, int] = {}
         for key, lid in zip(distinct, lids):
             lid = tree._next_nonempty(lid)
             if lid is None:
@@ -806,24 +902,9 @@ class _SuccessorPart(_KeysPart):
             else:
                 pending[key] = lid
         while pending:
-            by_leaf: Dict[int, List[Any]] = {}
-            for key in sorted(pending):
-                by_leaf.setdefault(pending[key], []).append(key)
-            msgs: List = []
-            pulled: Dict[int, List[Any]] = {}
-            for lid in sorted(by_leaf):
-                grp = by_leaf[lid]
-                if len(grp) >= tree.leaf_pull_threshold:
-                    msgs.append((tree.leaf_owner[lid], f"{name}:lf_pull",
-                                 (lid,), None))
-                    pulled[lid] = grp
-                    tree.stats["pull_msgs"] += 1
-                else:
-                    for key in grp:
-                        msgs.append((tree.leaf_owner[lid], f"{name}:lf_succ",
-                                     (lid, key, key), None))
-                    tree.stats["push_msgs"] += len(grp)
-            replies = yield msgs
+            stage, pulled = self.hop(_by_leaf(pending.items()), "lf_succ",
+                                     echo=True)
+            replies = yield stage
             resolved: Dict[Any, Optional[Tuple[Hashable, Any]]] = {}
             for r in replies:
                 if r.payload[0] == "lsucc":
@@ -839,7 +920,7 @@ class _SuccessorPart(_KeysPart):
                         i = bisect.bisect_left(items, (key,))
                         resolved[key] = (tuple(items[i]) if i < len(items)
                                          else None)
-            nxt: Dict[Any, Optional[int]] = {}
+            nxt: Dict[Any, int] = {}
             for key, lid in pending.items():
                 hit = resolved[key]
                 if hit is not None:
@@ -861,6 +942,7 @@ class _RangePart:
     leaf scans frontier-parallel (one stage per hop across all ops)."""
 
     suffix = "batch_range"
+    reply_kind = "lscan"
 
     def __init__(self, tree: PIMTree,
                  ops: Sequence[Tuple[Hashable, Hashable]]) -> None:
@@ -875,7 +957,7 @@ class _RangePart:
 
     def leaves(self, machine, _lows, lids):
         tree, ops = self.tree, self.ops
-        name = tree.name
+        fn_scan = tree._fn["lf_scan"]
         out = self.empty()
         # op index -> leaf currently scanned.
         active: Dict[int, int] = {}
@@ -884,11 +966,13 @@ class _RangePart:
             if lid is not None:
                 active[i] = lid
         while active:
-            msgs = [(tree.leaf_owner[active[i]], f"{name}:lf_scan",
-                     (active[i], ops[i][0], ops[i][1], i), None)
-                    for i in sorted(active)]
-            tree.stats["push_msgs"] += len(msgs)
-            replies = yield msgs
+            idxs = sorted(active)
+            scan_lids = [active[i] for i in idxs]
+            tree.stats["push_msgs"] += len(idxs)
+            replies = yield [Columns(
+                fn_scan, [tree.leaf_owner[lid] for lid in scan_lids],
+                (scan_lids, [ops[i][0] for i in idxs],
+                 [ops[i][1] for i in idxs], idxs))]
             nxt: Dict[int, int] = {}
             for r in replies:
                 _, i, lid, items, last = r.payload
@@ -909,16 +993,20 @@ _READ_PARTS = {"get": _GetPart, "successor": _SuccessorPart,
                "range": _RangePart}
 
 
-def _lockstep(phases: Sequence):
+def _lockstep(parts: Sequence[Any], phases: Sequence):
     """Advance leaf-phase generators together, one shared stage per hop.
 
-    Each phase yields its hop's messages and is sent back its own
-    replies (a message's tag is its phase's index, and a reply echoes
-    the tag), in arrival order; a hop's stage is the phases' messages
-    in phase order.  Returns the phases' return values.  Used via
-    ``yield from``.
+    Phase ``i`` is ``parts[i]``'s leaf phase.  Each phase yields its
+    hop's stage and is sent back its own replies, in arrival order; a
+    hop's stage is the phases' elements in phase order.  A row (a pull)
+    is tagged with its phase's index, and its reply echoes the tag; a
+    :class:`Columns` element passes through untagged, and its replies
+    go to the phase whose ``reply_kind`` their payload names -- one
+    phase at most, as a read group holds each read class at most once.
+    Returns the phases' return values.  Used via ``yield from``.
     """
     results: List[Any] = [None] * len(phases)
+    by_kind = {part.reply_kind: i for i, part in enumerate(parts)}
     # phase -> the replies it is owed (``None`` starts a generator)
     owed: Dict[int, Optional[List]] = dict.fromkeys(range(len(phases)))
     while True:
@@ -930,12 +1018,13 @@ def _lockstep(phases: Sequence):
                 results[i] = stop.value
         if not stages:
             return results
-        replies = yield [(dest, fn, args, i)
-                         for i, msgs in stages.items()
-                         for dest, fn, args, _tag in msgs]
+        replies = yield [
+            item if item.__class__ is Columns
+            else (item[0], item[1], item[2], i)
+            for i, stage in stages.items() for item in stage]
         owed = {i: [] for i in stages}
         for r in replies:
-            owed[r.tag].append(r)
+            owed[by_kind[r.payload[0]] if r.tag is None else r.tag].append(r)
 
 
 def _read_route(tree: PIMTree, parts: Sequence[Any]):
@@ -949,13 +1038,12 @@ def _read_route(tree: PIMTree, parts: Sequence[Any]):
     if tree.first_leaf is None:
         return [part.empty() for part in parts]
     target = yield from tree._descend(
-        machine, list(enumerate(q for qs in queries for q in qs)))
+        machine, [q for qs in queries for q in qs])
     phases, base = [], 0
     for part, qs in zip(parts, queries):
-        lids = [target.get(base + j) for j in range(len(qs))]
-        phases.append(part.leaves(machine, qs, lids))
+        phases.append(part.leaves(machine, qs, target[base:base + len(qs)]))
         base += len(qs)
-    return (yield from _lockstep(phases))
+    return (yield from _lockstep(parts, phases))
 
 
 def _upsert_route(tree: PIMTree, pairs: Sequence[Tuple[Hashable, Any]]):
@@ -970,14 +1058,13 @@ def _upsert_route(tree: PIMTree, pairs: Sequence[Tuple[Hashable, Any]]):
         # Bootstrap: the first upsert bulk-loads the empty tree.
         yield from _build_route(tree, sorted(merged.items()))
         return None
-    name = tree.name
+    fn = tree._fn
     distinct = sorted(merged)
-    target = yield from tree._descend(
-        machine, list(enumerate(distinct)))
+    target = yield from tree._descend(machine, distinct)
     by_leaf: Dict[int, List[Tuple[Hashable, Any]]] = {}
     for qid, key in enumerate(distinct):
         by_leaf.setdefault(target[qid], []).append((key, merged[key]))
-    msgs = [(tree.leaf_owner[lid], f"{name}:lf_write",
+    msgs = [(tree.leaf_owner[lid], fn["lf_write"],
              (lid, tuple(by_leaf[lid])), None,
              max(1, len(by_leaf[lid])))
             for lid in sorted(by_leaf)]
@@ -990,7 +1077,7 @@ def _upsert_route(tree: PIMTree, pairs: Sequence[Tuple[Hashable, Any]]):
         if new_len > tree.leaf_size:
             oversize.append(lid)
     if oversize:
-        replies = yield [(tree.leaf_owner[lid], f"{name}:lf_pull",
+        replies = yield [(tree.leaf_owner[lid], fn["lf_pull"],
                           (lid,), None) for lid in sorted(oversize)]
         contents = {r.payload[1]: r.payload[2] for r in replies}
         store_msgs, _changed = tree._plan_splits(contents)
@@ -1003,17 +1090,16 @@ def _delete_route(tree: PIMTree, keys: Sequence[Hashable]):
     groups = group_positions(machine.cpu, keys)
     if not groups or tree.first_leaf is None:
         return None
-    name = tree.name
+    fn = tree._fn
     distinct = sorted(groups)
-    target = yield from tree._descend(
-        machine, list(enumerate(distinct)))
+    target = yield from tree._descend(machine, distinct)
     by_leaf: Dict[int, List[Hashable]] = {}
     for qid, key in enumerate(distinct):
         lid = target[qid]
         if tree.leaf_len.get(lid, 0) == 0:
             continue  # nothing to delete there
         by_leaf.setdefault(lid, []).append(key)
-    msgs = [(tree.leaf_owner[lid], f"{name}:lf_del",
+    msgs = [(tree.leaf_owner[lid], fn["lf_del"],
              (lid, tuple(by_leaf[lid])), None,
              max(1, len(by_leaf[lid])))
             for lid in sorted(by_leaf)]
@@ -1027,12 +1113,12 @@ def _delete_route(tree: PIMTree, keys: Sequence[Hashable]):
 
 
 def _integrity_route(tree: PIMTree):
-    machine, name = tree.machine, tree.name
-    msgs: List = [(owner, f"{name}:lf_pull", (lid,), None)
+    machine, fn = tree.machine, tree._fn
+    msgs: List = [(owner, fn["lf_pull"], (lid,), None)
                   for lid, owner in sorted(tree.leaf_owner.items())]
-    msgs.extend((tree.node_owner[nid], f"{name}:nd_pull", (nid,), None)
+    msgs.extend((tree.node_owner[nid], fn["nd_pull"], (nid,), None)
                 for nid in sorted(tree.nodes))
-    msgs.append(Broadcast(f"{name}:sh_dump", (), None, 1))
+    msgs.append(Broadcast(fn["sh_dump"], (), None, 1))
     replies = yield msgs
     leaves: Dict[int, tuple] = {}
     nodes: Dict[int, tuple] = {}

@@ -62,6 +62,7 @@ def test_exact_rows_pass():
             "chunked share range batch",
             "CPU-side session: cpu_work, cpu_depth, shared_mem_peak, rng",
             "upsert batch: write_ptr rows through send_all",
+            "pimtree read group: read rows through send_all",
             "upsert batch: path replies above their op's limit",
             "upsert batch: messages",
             "range batch: boundary searches == ops",

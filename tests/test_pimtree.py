@@ -81,6 +81,25 @@ class TestBasics:
         with pytest.raises(ValueError):
             tree.build([(2, 2)])
 
+    def test_a_taken_name_is_refused(self):
+        """A second tree of the same name on one machine would share the
+        first one's leaves: building it over other keys broke the first
+        tree's reads and its integrity sweep.  It is refused; a tree of
+        another name shares the machine."""
+        machine = PIMMachine(num_modules=4, seed=0)
+        a = PIMTree(machine)
+        a.build([(k, -k) for k in range(0, 200, 2)])
+        before = machine.snapshot()
+        with pytest.raises(ValueError, match="'pimtree' is taken"):
+            PIMTree(machine)
+        assert machine.delta_since(before).rounds == 0
+        b = PIMTree(machine, name="other")
+        b.build([(k, -k) for k in range(1, 40, 2)])
+        assert a.batch_get([10, 11]) == [-10, None]
+        assert b.batch_get([10, 11]) == [None, -11]
+        a.check_integrity()
+        b.check_integrity()
+
     def test_empty_payloads_short_circuit(self):
         machine, tree = make_tree()
         tree.build([(1, 1)])
