@@ -13,7 +13,8 @@ one process can measure against itself:
   fixed batch of ranges, the CPU-side charges and RNG position after
   one fixed session, the messages of one fixed Upsert batch and how
   many of them are path replies the route drops or write rows, the
-  read messages of one PIM-tree read group sent as rows, the
+  rounds / IO / messages of one tick group on each structure and the
+  read messages of the PIM-tree's sent as rows, the
   rounds of the search at the widths the serve path sends and one key
   past ``P log P``.
   Deterministic functions of the committed parameters (or of the
@@ -370,28 +371,29 @@ class Bench:
         return cells
 
     @memo
-    def read_groups(self) -> dict:
-        """``(rounds, io_time, messages)`` of one ``apply_reads`` call
+    def tick_groups(self) -> dict:
+        """``(rounds, io_time, messages)`` of one ``apply_group`` call
         and of the same batches through ``apply_batch`` one after the
         other, each on a fresh 64-module, 16 384-key structure: the
-        13 Successor keys and 26 ranges of :meth:`search_widths` on the
-        skip list (a ``serve_mixed`` shared-read tick), and 218 Gets,
-        13 Successor keys and 13 ranges on the PIM-tree (a
-        ``serve_read_pimtree`` tick's mix).  ``(name, "read rows")`` counts
-        the group's messages of the PIM-tree's five read functions that
-        reached ``send_all`` as rows (none on the skip list)."""
+        64-key Upsert and its 13 Successor riders of
+        :meth:`search_widths` on the skip list (a ``serve_durable_write``
+        write tick), and 218 Gets, 13 Successor keys and 13 ranges on
+        the PIM-tree (a ``serve_read_pimtree`` tick's mix).
+        ``(name, "read rows")`` counts the group's messages of the
+        PIM-tree's five read functions that reached ``send_all`` as rows
+        (none on the skip list)."""
         batches = _width_batches()
         rng = random.Random(7)
         groups = {
-            "skiplist": (PIMSkipList, [batches["successor13"],
-                                       batches["range26"]]),
+            "skiplist": (PIMSkipList, [batches["upsert64"],
+                                       batches["successor13"]]),
             "pimtree": (PIMTree, [
                 ("get", [rng.randrange(2 * 16384) for _ in range(218)]),
                 batches["successor13"],
                 ("range", batches["range26"][1][:13])]),
         }
         cells = {}
-        for name, (cls, reads) in groups.items():
+        for name, (cls, group) in groups.items():
             for how in ("group", "apart"):
                 machine = PIMMachine(num_modules=64, seed=7)
                 structure = cls(machine)
@@ -400,9 +402,9 @@ class Bench:
                 if how == "group":
                     cells[name, "read rows"] = _rows_through_send_all(
                         machine, _PIMTREE_READS,
-                        lambda: structure.apply_reads(reads))
+                        lambda: structure.apply_group(group))
                 else:
-                    for op, payload in reads:
+                    for op, payload in group:
                         structure.apply_batch(op, payload)
                 delta = machine.delta_since(before)
                 cells[name, how] = (delta.rounds, delta.io_time,
@@ -647,26 +649,26 @@ GATES: List[Gate] = [
     Gate("search widths: 385-key Successor, (rounds, io_time)",
          lambda b: b.search_widths()["successor385"], "==", (92, 636.0),
          EXACT),
-    # -- reads that share a traversal (PR 24).  The 13 keys ride the 26
-    # ranges' boundary search: 39 keys have three pivots and run the
-    # stages 26 pieces run alone, so the group costs 59 rounds, as many
-    # as the ranges alone (71, one stage more, before phase 0 walked the
-    # median); apart: 88 = 29 + 59, the two `search widths:` rows above,
-    # same batches.
-    # On the PIM-tree the three classes descend once and share a leaf
-    # stage per hop.
-    Gate("read group: 13-key Successor + 26 ranges, (rounds, io, messages)",
-         lambda b: b.read_groups()["skiplist", "group"],
-         "==", (59, 280.0, 2338), EXACT),
-    Gate("read group: the two batches apart, (rounds, io, messages)",
-         lambda b: b.read_groups()["skiplist", "apart"],
-         "==", (88, 345.0, 2347), EXACT),
+    # -- batches that share a tick.  The skip list's write group: the 13
+    # Successor keys ride the 64-key Upsert's recording search (77 keys
+    # search in three stages, 64 in two, 13 alone in two) and are
+    # answered as after the write: 47 rounds; apart, 65 = 36 + 29, the
+    # two `search widths:` rows above, same batches.
+    # On the PIM-tree the three read classes descend once and share a
+    # leaf stage per hop.
+    Gate("write group: skiplist Upsert + Successor, (rounds, io, messages)",
+         lambda b: b.tick_groups()["skiplist", "group"],
+         "==", (47, 258.0, 2978), EXACT),
+    Gate("write group: skiplist Upsert + Successor apart, "
+         "(rounds, io, messages)",
+         lambda b: b.tick_groups()["skiplist", "apart"],
+         "==", (65, 292.0, 2994), EXACT),
     Gate("read group: pimtree 218 Get + 13 Successor + 13 ranges, "
          "(rounds, io, messages)",
-         lambda b: b.read_groups()["pimtree", "group"],
+         lambda b: b.tick_groups()["pimtree", "group"],
          "==", (4, 72.0, 1077), EXACT),
     Gate("read group: pimtree apart, (rounds, io, messages)",
-         lambda b: b.read_groups()["pimtree", "apart"],
+         lambda b: b.tick_groups()["pimtree", "apart"],
          "==", (10, 105.0, 1127), EXACT),
     # The tree's reads leave a route as one ``Columns`` element per
     # function and stage; the driver sends an element as rows below
@@ -674,7 +676,7 @@ GATES: List[Gate] = [
     # Successor keys' probes, 32 of the group's 461 read messages (all
     # 461 were rows while every message was its own tuple).
     Gate("pimtree read group: read rows through send_all",
-         lambda b: b.read_groups()["pimtree", "read rows"], "==", 32,
+         lambda b: b.tick_groups()["pimtree", "read rows"], "==", 32,
          EXACT),
     # -- batched tree range (core/ops_range.py): the cut-point sweep
     # pays one boundary search, one root and one go per covered piece,

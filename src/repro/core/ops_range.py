@@ -45,9 +45,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.node import NEG_INF, Node, UPPER
-from repro.core.ops_successor import (batch_search, batch_successor,
-                                       search_stages)
+from repro.core.node import Node, UPPER
+from repro.core.ops_successor import batch_search
 from repro.core.structure import SkipListStructure
 from repro.cpuside.sort import parallel_sort
 from repro.ops import Broadcast, run_batch
@@ -754,20 +753,13 @@ def _cut_pieces(ops: Sequence[Tuple[Hashable, Hashable]],
     return pieces, [(below[(l, 0)], below[(r, 1)]) for l, r in ops]
 
 
-def _tree_route(sl, ops, func, farg, riders=()):
-    """The batched tree range; returns ``(results, rider answers)``.
-
-    ``riders`` are Successor keys that share the batch's boundary search:
-    they join the pieces' search keys with a record limit of ``-1``, so
-    the one pivot-protected ``batch_search`` resolves both and a rider
-    streams nothing back but its ``pred`` / ``pred_right``.  With no
-    riders the op is the range batch alone, message for message.
-    """
+def _tree_route(sl, ops, func, farg):
+    """The batched tree range's route; returns the per-op results."""
     machine = sl.machine
     cpu = machine.cpu
     n = len(ops)
     if n == 0:
-        return [], batch_successor(sl, riders) if riders else []
+        return []
     for l, r in ops:
         if r < l:
             raise ValueError("range with rkey < lkey")
@@ -782,17 +774,8 @@ def _tree_route(sl, ops, func, farg, riders=()):
     # -- boundary predecessors via the pivot-protected search --------
     lqs = [lq for lq, _ in subranges]
     levels = [sl.h_low - 1] * len(lqs)
-    successors: List[Optional[Tuple[Hashable, Any]]] = []
-    riding = bool(riders) and _rides(sl, len(lqs), len(riders))
-    if riding:
-        lqs.extend(riders)
-        levels.extend([-1] * len(riders))
-    elif riders:
-        successors = batch_successor(sl, riders)
     outcomes = batch_search(sl, lqs, record_all=True,
                             record_levels=levels)
-    if riding:
-        successors = _successors(cpu, riders, outcomes[len(subranges):])
 
     # -- launch one traversal per subrange ---------------------------
     # sides[lvl] is the level's in-range side-chain head (the recorded
@@ -856,7 +839,7 @@ def _tree_route(sl, ops, func, farg, riders=()):
             work += len(got) + 1
         results.append(RangeResult(count=total, values=vals))
     cpu.charge_wd(WorkDepth(work + n, max(1.0, math.log2(work + n + 1))))
-    return results, successors
+    return results
 
 
 def _passes(sl, base, launch_msgs, root_module, func):
@@ -912,38 +895,6 @@ def _passes(sl, base, launch_msgs, root_module, func):
     return totals, items
 
 
-def _rides(sl: SkipListStructure, pieces: int, riders: int) -> bool:
-    """Whether ``riders`` Successor keys join the boundary search of
-    ``pieces`` subranges, or run as the Successor batch they are first.
-
-    Every stage of the recording search is a root-to-leaf walk, while a
-    Successor batch of its own pays one such walk and then starts from
-    hints.  So the keys ride when they cost the joint search no stage --
-    or one, if their own search would have run a second -- and a batch
-    that would push the pieces past ``P log P`` onto a narrower pivot
-    spacing, or add pivots by the power of two, stays apart.
-    """
-    own, joint, theirs = (search_stages(sl, b)
-                          for b in (pieces, pieces + riders, riders))
-    return joint - own <= min(1, theirs - 1)
-
-
-def _successors(cpu, keys: Sequence[Hashable], outcomes: Sequence[Any],
-                ) -> List[Optional[Tuple[Hashable, Any]]]:
-    """Successor answers read off search outcomes, as
-    :func:`~repro.core.ops_successor.batch_successor` reads them (and
-    charges the CPU side for it)."""
-    out: List[Optional[Tuple[Hashable, Any]]] = []
-    for key, outcome in zip(keys, outcomes):
-        node, right = outcome.pred, outcome.pred_right
-        if node.key == key and node.key is not NEG_INF:
-            out.append((node.key, node.value))
-        else:
-            out.append(None if right is None else (right.key, right.value))
-    cpu.charge(len(keys), 8)
-    return out
-
-
 def batch_range_tree(sl: SkipListStructure,
                      ops: Sequence[Tuple[Hashable, Hashable]],
                      func: str = "read", farg: Any = None,
@@ -957,15 +908,4 @@ def batch_range_tree(sl: SkipListStructure,
     traversal; results are assembled per operation on the CPU side.
     """
     return run_batch(sl.machine, f"{sl.name}:batch_range_tree",
-                     _tree_route(sl, ops, func, farg))[0]
-
-
-def batch_range_with_successors(
-        sl: SkipListStructure, ops: Sequence[Tuple[Hashable, Hashable]],
-        keys: Sequence[Hashable],
-        ) -> Tuple[List[RangeResult], List[Optional[Tuple[Hashable, Any]]]]:
-    """A ``read`` range batch and a Successor batch on one boundary
-    search (see :func:`_tree_route`): ``(range results, successor
-    answers)``, each aligned with its input."""
-    return run_batch(sl.machine, f"{sl.name}:batch_range_tree",
-                     _tree_route(sl, ops, "read", None, keys))
+                     _tree_route(sl, ops, func, farg))

@@ -208,6 +208,23 @@ def search_stages(sl: SkipListStructure, b: int) -> int:
             - _median_at_root(sl, b, pivots) + (b > pivots))
 
 
+def rides(sl: SkipListStructure, own: int, riders: int) -> bool:
+    """Whether ``riders`` Successor keys join the recording search of
+    ``own`` keys (at record level -1), or run as the Successor batch
+    they are first.
+
+    Every stage of the recording search is a root-to-leaf walk, while a
+    Successor batch of its own pays one such walk and then starts from
+    hints.  So the keys ride when they cost the joint search no stage --
+    or one, if their own search would have run a second -- and a batch
+    that would push the search past ``P log P`` onto a narrower pivot
+    spacing, or add pivots by the power of two, stays apart.
+    """
+    mine, joint, theirs = (search_stages(sl, b)
+                           for b in (own, own + riders, riders))
+    return joint - mine <= min(1, theirs - 1)
+
+
 def _search_route(sl, keys, record_all, record_levels):
     """The two-stage pivot search's route.
 

@@ -31,18 +31,31 @@ Bounds (Theorem 4.4): same as Successor -- ``O(log^3 P)`` IO time,
 Each numbered phase above is one stage of a single route
 (:mod:`repro.ops`); phase 4 nests the batched-search op as a plain call
 (the machine is quiescent between stages).
+
+**Successor riders.**  A Successor batch served in the same tick
+(``repro serve``'s write group) rides phase 4: its keys join the search
+at record level -1 when :func:`~repro.core.ops_successor.rides` says
+they cost it at most the stage their own search would pay, and
+otherwise run as their own ``batch_successor`` after the write.  A
+rider is answered as if it ran after the write: the old structure's
+successor (``pred`` / ``pred_right``), replaced by the batch's smallest
+inserted key at or above it when that key is smaller.  That is the
+answer after the write because an Upsert only adds keys and overwrites
+values, and phase 4 walks only ``right`` / ``down`` pointers, which
+phase 6 has not yet written.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.node import Node
+from repro.core.node import NEG_INF, Node
 from repro.core.ops_point import update_handlers
-from repro.core.ops_successor import batch_search
+from repro.core.ops_successor import batch_search, batch_successor, rides
 from repro.core.ops_write import write_stage
 from repro.core.structure import SkipListStructure
 from repro.cpuside.semisort import dedup_last
@@ -53,10 +66,12 @@ from repro.sim.cpu import WorkDepth
 
 @dataclass
 class UpsertStats:
-    """What a batched Upsert did."""
+    """What a batched Upsert did, and its riders' Successor answers
+    (aligned with the rider keys; ``None`` until answered)."""
 
     updated: int
     inserted: int
+    successors: Optional[List[Optional[Tuple[Hashable, Any]]]] = None
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
@@ -177,7 +192,7 @@ def _build_towers(sl: SkipListStructure,
     return towers
 
 
-def _upsert_route(sl, pairs):
+def _upsert_route(sl, pairs, riders):
     cpu = sl.machine.cpu
     n = len(pairs)
     if n == 0:
@@ -216,8 +231,10 @@ def _upsert_route(sl, pairs):
 
         # -- phase D: batched Predecessor on the old structure -------
         keys = [k for k, _ in missing]
-        outcomes = batch_search(sl, keys, record_all=True,
-                                record_levels=heights)
+        riding = bool(riders) and rides(sl, len(keys), len(riders))
+        joined = riders if riding else []
+        outcomes = batch_search(sl, keys + joined, record_all=True,
+                                record_levels=heights + [-1] * len(joined))
 
         # -- phase E: sentinel growth + upper-part installation ------
         max_h = max(heights)
@@ -240,19 +257,56 @@ def _upsert_route(sl, pairs):
         yield _algorithm1(sl, towers, outcomes)
 
         sl.num_keys += len(missing)
-        return UpsertStats(updated=updated, inserted=len(missing))
+        return UpsertStats(
+            updated=updated, inserted=len(missing),
+            successors=_after_the_write(cpu, riders, outcomes[len(keys):],
+                                        missing) if riding else None)
     finally:
         cpu.free(shared_words)
 
 
+def _after_the_write(cpu, keys: Sequence[Hashable], outcomes: Sequence[Any],
+                     inserted: Sequence[Tuple[Hashable, Any]],
+                     ) -> List[Optional[Tuple[Hashable, Any]]]:
+    """The riders' Successor answers after the write, from their search
+    on the old structure and the batch's sorted ``inserted`` pairs: the
+    old answer, or the smallest inserted key at or above the rider's
+    when that is smaller (one bisect per rider, charged here).  Called
+    once the write's last stage has run, so it reads the values the
+    write left."""
+    new_keys = [k for k, _ in inserted]
+    steps = max(1.0, math.log2(len(new_keys) + 1))
+    cpu.charge(len(keys) * steps, steps)
+    cpu.charge(len(keys), 8)
+    out: List[Optional[Tuple[Hashable, Any]]] = []
+    for key, outcome in zip(keys, outcomes):
+        node, right = outcome.pred, outcome.pred_right
+        if node.key == key and node.key is not NEG_INF:
+            out.append((node.key, node.value))
+            continue
+        j = bisect_left(new_keys, key)
+        if j < len(new_keys) and (right is None or new_keys[j] < right.key):
+            out.append(inserted[j])
+        else:
+            out.append(None if right is None else (right.key, right.value))
+    return out
+
+
 def batch_upsert(sl: SkipListStructure,
-                 pairs: Sequence[Tuple[Hashable, Any]]) -> UpsertStats:
+                 pairs: Sequence[Tuple[Hashable, Any]],
+                 riders: Sequence[Hashable] = ()) -> UpsertStats:
     """Execute a batch of Upsert operations.
 
-    Duplicate keys in the batch collapse to the last occurrence.
+    Duplicate keys in the batch collapse to the last occurrence.  With
+    ``riders`` (Successor keys) the stats carry their answers after the
+    write: from the batch's own search when they ride it, else from a
+    Successor batch run after it (see the module docstring).
     """
-    return run_batch(sl.machine, f"{sl.name}:batch_upsert",
-                     _upsert_route(sl, pairs))
+    stats = run_batch(sl.machine, f"{sl.name}:batch_upsert",
+                      _upsert_route(sl, pairs, list(riders)))
+    if riders and stats.successors is None:
+        stats.successors = batch_successor(sl, riders)
+    return stats
 
 
 def _algorithm1(sl: SkipListStructure, towers: List[_Tower],

@@ -24,16 +24,27 @@ from repro.sim.machine import PIMMachine
 READ_OPS = frozenset({"get", "successor", "range"})
 
 
-def distinct_reads(reads: Sequence[Tuple[str, Sequence]],
-                    ) -> Dict[str, Sequence]:
-    """``{op: payload}`` of an ``apply_reads`` group, which holds read
-    ops only and each at most once."""
-    payloads = dict(reads)
-    if len(payloads) != len(reads) or not payloads.keys() <= READ_OPS:
+def group_payloads(batches: Sequence[Tuple[str, Sequence]],
+                   ) -> Dict[str, Sequence]:
+    """``{op: payload}`` of an ``apply_group`` call: one tick's batches,
+    of distinct ops, at most one of them a write and that one first."""
+    payloads = dict(batches)
+    writes = [i for i, (op, _) in enumerate(batches) if op not in READ_OPS]
+    if len(payloads) != len(batches) or writes not in ([], [0]):
         raise ValueError(
-            f"apply_reads: a group is distinct read ops, got "
-            f"{[op for op, _ in reads]}")
+            f"apply_group: a group is distinct ops with at most one "
+            f"write, first; got {[op for op, _ in batches]}")
     return payloads
+
+
+def answer_ranges(run: Any, pairs: Sequence[Tuple[Hashable, Hashable]],
+                  ) -> List[list]:
+    """One result list per inclusive ``(lo, hi)`` pair: ``run`` over the
+    pairs with ``lo <= hi``, and ``[]`` for an inverted one -- the
+    oracle's answer (the batched range itself refuses such a pair)."""
+    kept = [pair for pair in pairs if not pair[1] < pair[0]]
+    results = iter(run(kept) if kept else ())
+    return [[] if hi < lo else next(results) for lo, hi in pairs]
 
 
 class BatchDispatch:
@@ -62,7 +73,7 @@ class BatchDispatch:
                 self.batch_delete(list(payload))
             return None
         if op == "range":
-            return self.batch_range(list(payload)) if payload else []
+            return answer_ranges(self.batch_range, payload)
         raise ValueError(f"apply_batch: unknown op {op!r}")
 
 
@@ -159,10 +170,15 @@ class PIMSkipList:
     # -- updates ----------------------------------------------------------------
 
     def batch_upsert(self, pairs: Sequence[Tuple[Hashable, Any]],
+                     riders: Sequence[Hashable] = (),
                      ) -> ops_upsert.UpsertStats:
-        """Upsert(k, v): update if present, insert otherwise (Thm 4.4)."""
+        """Upsert(k, v): update if present, insert otherwise (Thm 4.4).
+        ``riders`` are Successor keys answered as after the write, on
+        the batch's own search where they ride it
+        (:mod:`repro.core.ops_upsert`); ``stats.successors`` holds
+        their answers."""
         self._check_batch(len(pairs), self.min_search_batch, "Upsert")
-        return ops_upsert.batch_upsert(self.struct, pairs)
+        return ops_upsert.batch_upsert(self.struct, pairs, riders)
 
     def batch_delete(self, keys: Sequence[Hashable]) -> ops_delete.DeleteStats:
         """Delete(k); missing keys are ignored (Theorem 4.5)."""
@@ -271,39 +287,39 @@ class PIMSkipList:
                 self.batch_delete(list(payload))
             return None
         if op == "range":
-            if not payload:
-                return []
-            return [list(r.values) for r in self.batch_range(list(payload))]
+            return answer_ranges(
+                lambda ops: [list(r.values) for r in self.batch_range(ops)],
+                payload)
         raise ValueError(f"apply_batch: unknown op {op!r}")
 
-    #: Read classes whose batches share a traversal when they run in one
-    #: :meth:`apply_reads` call: Successor keys ride the Range batch's
-    #: boundary search (§4.2 / §5.2).  Get is a one-round hash shortcut
-    #: and shares nothing.  ``repro serve`` drains these classes in one
-    #: tick; it is a fact of the structure, not a setting.
-    SHARED_READS = frozenset({"successor", "range"})
+    #: Classes whose batches ``repro serve`` runs in one tick, as one
+    #: :meth:`apply_group` call: Successor keys ride the Upsert's
+    #: recording search (§4.2 / §4.3) and are answered as after the
+    #: write -- a write shares its tick only with its riders.  Every
+    #: other class is a tick of its own.  A fact of the structure, not
+    #: a setting.
+    TICK_GROUPS = (frozenset({"upsert", "successor"}),)
 
-    def apply_reads(self, reads: Sequence[Tuple[str, Sequence]],
-                    ) -> List[list]:
-        """Several read batches -- ``(op, payload)`` pairs of distinct
-        read ops -- in one call; one :meth:`apply_batch` result each.
+    def apply_group(self, batches: Sequence[Tuple[str, Sequence]],
+                    ) -> List[Optional[list]]:
+        """One tick's batches -- ``(op, payload)`` pairs of distinct
+        ops, a write only first -- in one call; one :meth:`apply_batch`
+        result each, as if run one after another.
 
-        A Successor and a Range batch run as one op on one boundary
-        search (:func:`~repro.core.ops_range.batch_range_with_successors`);
-        every other batch, and either of the two without the other, runs
-        exactly as :meth:`apply_batch` runs it.
+        An Upsert and a Successor batch run as one op, the Successor
+        keys riding the Upsert's search
+        (:func:`~repro.core.ops_upsert.batch_upsert`); every other
+        batch, and either of the two without the other, runs exactly
+        as :meth:`apply_batch` runs it.
         """
-        payloads = distinct_reads(reads)
+        payloads = group_payloads(batches)
         out = {}
-        keys, ranges = payloads.get("successor"), payloads.get("range")
-        if keys and ranges:
-            from repro.core import ops_range
-            results, out["successor"] = \
-                ops_range.batch_range_with_successors(
-                    self.struct, list(ranges), list(keys))
-            out["range"] = [list(r.values) for r in results]
+        pairs, keys = payloads.get("upsert"), payloads.get("successor")
+        if pairs and keys:
+            stats = self.batch_upsert(list(pairs), list(keys))
+            out["upsert"], out["successor"] = None, stats.successors
         return [out[op] if op in out else self.apply_batch(op, payload)
-                for op, payload in reads]
+                for op, payload in batches]
 
     # -- bulk structure surgery (compositions; costs = the moved data) ----
 

@@ -32,12 +32,13 @@ from repro.recovery.durable import (
 )
 from repro.recovery.manager import (
     MUTATING_OPS,
-    READ_GROUP,
+    TICK_GROUP,
     DegradedReason,
     DegradedResult,
     RecoveryEvent,
     RecoveryManager,
     apply_to,
+    write_of,
 )
 
 __all__ = [
@@ -49,10 +50,11 @@ __all__ = [
     "DurableStore",
     "WalCorruption",
     "MUTATING_OPS",
-    "READ_GROUP",
+    "TICK_GROUP",
     "RecoveryEvent",
     "RecoveryManager",
     "apply_to",
+    "write_of",
     "checkpoint_structure",
     "restore_structure",
 ]

@@ -73,30 +73,41 @@ from repro.recovery.checkpoint import (
 from repro.recovery.durable.store import DurableStore
 from repro.sim.errors import DeliveryTimeout, ModuleCrashed
 
-__all__ = ["DegradedReason", "DegradedResult", "MUTATING_OPS", "READ_GROUP",
-           "RecoveryEvent", "RecoveryManager", "apply_to"]
+__all__ = ["DegradedReason", "DegradedResult", "MUTATING_OPS", "TICK_GROUP",
+           "RecoveryEvent", "RecoveryManager", "apply_to", "write_of"]
 
 #: ``apply_batch`` ops that change structure state (and so must be
 #: logged for replay).  Reads are never logged.
 MUTATING_OPS = frozenset({"upsert", "delete"})
 
-#: What ``run`` is handed in place of an op name when the payload is a
-#: group of read batches -- ``[(op, payload), ...]``, answered by the
-#: structure's ``apply_reads`` in one call.  Not an ``apply_batch`` op.
-READ_GROUP = "reads"
+#: What ``run`` is handed in place of an op name when the payload is
+#: one tick's group of batches -- ``[(op, payload), ...]``, a write (if
+#: any) first, answered by the structure's ``apply_group`` in one call.
+#: Not an ``apply_batch`` op.
+TICK_GROUP = "group"
 
 
 def apply_to(structure: Any, op: str, payload: Sequence) -> Any:
-    """``structure.apply_batch(op, payload)``, or ``apply_reads`` for a
-    :data:`READ_GROUP`."""
-    if op == READ_GROUP:
-        return structure.apply_reads(payload)
+    """``structure.apply_batch(op, payload)``, or ``apply_group`` for a
+    :data:`TICK_GROUP`."""
+    if op == TICK_GROUP:
+        return structure.apply_group(payload)
     return structure.apply_batch(op, payload)
+
+
+def write_of(op: str, payload: Sequence) -> Optional[Tuple[str, Sequence]]:
+    """The ``(op, payload)`` a ``run`` writes -- the batch itself, or a
+    group's leading write -- or ``None`` for a read.  Only this part is
+    logged and appended to the WAL: a group's riders are reads."""
+    if op == TICK_GROUP:
+        return payload[0] if payload and payload[0][0] in MUTATING_OPS \
+            else None
+    return (op, payload) if op in MUTATING_OPS else None
 
 
 def _items(op: str, payload: Sequence) -> int:
     """Payload items of one ``run``: a group counts its batches' items."""
-    if op == READ_GROUP:
+    if op == TICK_GROUP:
         return sum(len(part) for _, part in payload)
     return len(payload)
 
@@ -302,9 +313,13 @@ class RecoveryManager:
     def run(self, op: str, payload: Sequence) -> Any:
         """Apply one batch; recover or degrade on module failure.
 
-        A group of read batches (``op`` is :data:`READ_GROUP`) is one
-        non-mutating batch here: retried in place, failed over and
-        degraded whole, and answered with one result per batch."""
+        A tick's group (``op`` is :data:`TICK_GROUP`) is one batch
+        here -- a mutating one when it holds a write: retried in place
+        only without one, failed over and degraded whole, and answered
+        with one result per batch.  A write shares its tick only with
+        its riders, and only the write is logged (and appended to the
+        WAL) before ``run`` returns, so the riders are answered after a
+        durable write (RPO 0)."""
         if self.degraded:
             return DegradedResult(op, DegradedReason.QUIESCED,
                                   self.degraded_reason)
@@ -315,7 +330,7 @@ class RecoveryManager:
             except (ModuleCrashed, DeliveryTimeout) as exc:
                 if self.on_failure is not None:
                     self.on_failure(op, exc)
-                if (op not in MUTATING_OPS
+                if (write_of(op, payload) is None
                         and isinstance(exc, DeliveryTimeout)
                         and attempt < self.read_retry_attempts):
                     # A timed-out read left no partial state; a cheap
@@ -343,12 +358,13 @@ class RecoveryManager:
 
     def _note_success(self, op: str, payload: Sequence) -> None:
         self._served_items += _items(op, payload)
-        if op not in MUTATING_OPS:
+        write = write_of(op, payload)
+        if write is None:
             return
         # The one copy the manager takes: the caller keeps its list, and
         # ``apply_batch`` copies for itself.  The WAL encodes this same
         # list (JSON writes pair tuples as the lists replay expects).
-        logged = list(payload)
+        op, logged = write[0], list(write[1])
         self._log_batch(op, logged)
         if self.durable is not None:
             # Durable-before-ack: run() only returns (and the serving

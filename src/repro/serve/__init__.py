@@ -21,7 +21,7 @@ Certified by the chaos soak harness (:mod:`repro.verify.soak`).
 """
 
 from repro.serve.admission import AdmissionController, TenantState, TokenBucket
-from repro.serve.coalesce import Coalescer, MergedBatch, ReadGroup
+from repro.serve.coalesce import Coalescer, MergedBatch, TickGroup
 from repro.serve.errors import Refusal, RefusalReason, Request, ServerStalled
 from repro.serve.health import HealthMonitor, HealthState
 from repro.serve.policy import ResiliencePolicy, jittered_backoff
@@ -34,7 +34,6 @@ __all__ = [
     "HealthState",
     "JournalEntry",
     "MergedBatch",
-    "ReadGroup",
     "Refusal",
     "RefusalReason",
     "Request",
@@ -43,6 +42,7 @@ __all__ = [
     "ServerConfig",
     "ServerStalled",
     "TenantState",
+    "TickGroup",
     "TokenBucket",
     "jittered_backoff",
 ]

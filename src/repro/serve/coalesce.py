@@ -6,31 +6,33 @@ small per-tenant requests become machine-sized batches, one scheduler
 **tick** at a time:
 
 - a tick serves one **kind**, chosen FIFO: the kind of the *oldest*
-  waiting request goes first, so no kind can starve.  A kind is one op
-  class -- or, for the read classes the structure declares as sharing a
-  traversal (``SHARED_READS``: Successor + Range on the skip list, all
-  three reads on the PIM-tree, none elsewhere), the whole set: those
+  waiting request goes first, so no kind can starve.  A kind is one
+  **tick group** of the structure's (``TICK_GROUPS``: Upsert +
+  Successor on the skip list, all three reads on the PIM-tree; every
+  other class, and every class of any other structure, alone): its
   classes are drained in the same tick and reach the structure as one
-  ``apply_reads`` call, because run back to back they would each pay
-  the same search;
+  ``apply_group`` call, because run back to back they would each pay
+  the same search.  A group holds at most one write, and it goes first;
 - a batch is still **same-op** (the model's batch constraint -- a batch
-  has one operation type): a shared-read tick is one
-  :class:`MergedBatch` per class, journaled and demuxed class by class.
-  Writes never share a tick with anything;
+  has one operation type): a grouped tick is one :class:`MergedBatch`
+  per class, journaled and demuxed class by class, in drain order.  A
+  write shares its tick only with its riders, which are answered as
+  after it;
 - within a class, requests are drained **round-robin across tenants**
   in ``quantum``-item slices (rotating the starting tenant each tick),
   up to ``max_batch_items`` a class, so one chatty tenant cannot
   monopolise a batch;
 - only queue *heads* are eligible -- a tenant's stream executes in its
   program order, which is what lets the soak harness compare each
-  client's responses against a sequential replay.  On a shared-read
-  tick a tenant's next head may ride too once the class before it has
-  left (reads commute, and the batches run in the order they were
-  built);
+  client's responses against a sequential replay.  On a grouped tick
+  a tenant's next head may ride too once the class before it has left
+  (the batches run in the order they were built): a tenant's
+  Successor behind its own Upsert rides, a Successor ahead of its
+  Upsert leaves the Upsert for a later tick;
 - expired requests are evicted here (typed ``DEADLINE`` refusals),
   never dispatched.
 
-Why the set and not every class: N closed-loop clients over G kinds
+Why the group and not every class: N closed-loop clients over G kinds
 with request shares q complete 2N / (1 + sum q^2) requests per cycle of
 G ticks whatever G is, so draining everything every tick (G = 1) only
 throws away what accumulates between a class's turns, while merging the
@@ -46,13 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, FrozenSet, List, Optional, Tuple
+from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.recovery import READ_GROUP
+from repro.recovery import MUTATING_OPS, TICK_GROUP
 from repro.serve.admission import AdmissionController, TenantState
 from repro.serve.errors import Request
 
-__all__ = ["Coalescer", "MergedBatch", "ReadGroup"]
+__all__ = ["Coalescer", "MergedBatch", "TickGroup"]
 
 _request_id = attrgetter("id")
 
@@ -72,14 +74,14 @@ class MergedBatch:
         return len(self.items)
 
 
-class ReadGroup:
-    """The batches of one shared-read tick, shaped like the one
-    non-mutating batch the resilience policy and the recovery manager
-    carry them as: ``op`` is :data:`~repro.recovery.READ_GROUP`,
-    ``items`` the ``(op, payload)`` pairs ``apply_reads`` takes, and the
-    deadline the tightest of the batches'."""
+class TickGroup:
+    """The batches of one grouped tick, shaped like the one batch the
+    resilience policy and the recovery manager carry them as: ``op`` is
+    :data:`~repro.recovery.TICK_GROUP`, ``items`` the ``(op, payload)``
+    pairs ``apply_group`` takes (a write first), and the deadline the
+    tightest of the batches'."""
 
-    op = READ_GROUP
+    op = TICK_GROUP
 
     def __init__(self, batches: List[MergedBatch]) -> None:
         self.batches = batches
@@ -103,17 +105,16 @@ class Coalescer:
         self._rr = 0  # rotating round-robin offset
 
     def next_batch(self, admission: AdmissionController, tick: int,
-                   shared_reads: FrozenSet[str] = frozenset(),
+                   groups: Sequence[FrozenSet[str]] = (),
                    ) -> Tuple[List[MergedBatch], List[Request]]:
         """Build the next tick's batches from the active tenants' queues.
 
         Returns ``(batches, expired)``: the tick's same-op batches in
         execution order (empty when nothing is dispatchable; more than
-        one only on a shared-read tick -- ``shared_reads`` is the
-        structure's ``SHARED_READS``) and the requests evicted because
-        their deadline passed before dispatch.  Every request leaves
-        its queue through ``admission.take``; tenants with nothing
-        queued are not visited.
+        one only on a grouped tick -- ``groups`` is the structure's
+        ``TICK_GROUPS``) and the requests evicted because their deadline
+        passed before dispatch.  Every request leaves its queue through
+        ``admission.take``; tenants with nothing queued are not visited.
         """
         take = admission.take
         waiting = admission.heads
@@ -133,23 +134,20 @@ class Coalescer:
         offset = self._rr % len(heads)
         self._rr += 1
         rotated = heads[offset:] + heads[:offset]
-        # The oldest head's class first ...
-        batch = self._drain(
-            op, [head.state for head in rotated if head.op == op],
-            take, tick, expired)
-        batches = [] if batch is None else [batch]
-        if op in shared_reads:
-            # ... and on a shared-read tick the rest of the set after
-            # it, each class drained from the heads as they stand once
-            # the classes before it have left.
-            states = [head.state for head in rotated]
-            for other in sorted(shared_reads - {op}):
-                batch = self._drain(
-                    other, [state for state in states
-                            if state.queue and state.queue[0].op == other],
-                    take, tick, expired)
-                if batch is not None:
-                    batches.append(batch)
+        group = next((g for g in groups if op in g), frozenset((op,)))
+        # The group's write first, then the oldest head's class, then
+        # the rest of the group, each class drained from the heads as
+        # they stand once the classes before it have left.
+        states = [head.state for head in rotated]
+        batches = []
+        for cls in dict.fromkeys(
+                sorted(group & MUTATING_OPS) + [op] + sorted(group)):
+            batch = self._drain(
+                cls, [state for state in states
+                      if state.queue and state.queue[0].op == cls],
+                take, tick, expired)
+            if batch is not None:
+                batches.append(batch)
         return batches, expired
 
     def _drain(self, op: str, turn: List[TenantState], take: Any, tick: int,

@@ -32,18 +32,18 @@ strongest promise the SLO allows once no live hardware remains.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.ops import backoff_rounds
 from repro.recovery import (
     DegradedReason,
     DegradedResult,
-    MUTATING_OPS,
     RecoveryEvent,
     RecoveryManager,
     apply_to,
+    write_of,
 )
-from repro.serve.coalesce import MergedBatch, ReadGroup
+from repro.serve.coalesce import MergedBatch, TickGroup
 from repro.serve.errors import Refusal, RefusalReason
 from repro.serve.health import HealthMonitor, HealthState
 from repro.sim.chaos import _mix
@@ -160,37 +160,53 @@ class ResiliencePolicy:
         self._stale_cache = (key, oracle)
         return oracle
 
-    def _stale_read(self, batch: Union[MergedBatch, ReadGroup],
-                    ) -> DegradedResult:
+    def _stale_read(self, batch: Union[MergedBatch, TickGroup],
+                    ) -> Union[DegradedResult, List[DegradedResult]]:
+        """The durable view's answer: a group gets one per batch."""
         self.stats["stale_reads"] += 1
         view = self._durable_view()
-        return DegradedResult(
-            batch.op, DegradedReason.STALE_READ,
-            cause=self.manager.degraded_reason or "circuit open",
-            value=apply_to(view, batch.op, batch.items))
+        cause = self.manager.degraded_reason or "circuit open"
+        if isinstance(batch, TickGroup):
+            return [DegradedResult(op, DegradedReason.STALE_READ, cause=cause,
+                                   value=apply_to(view, op, items))
+                    for op, items in batch.items]
+        return DegradedResult(batch.op, DegradedReason.STALE_READ,
+                              cause=cause,
+                              value=apply_to(view, batch.op, batch.items))
+
+    def _write_denied(self, batch: Union[MergedBatch, TickGroup],
+                      outcome: Union[DegradedResult, Refusal]) -> Any:
+        """A mutating batch's degraded ``outcome``.  A group's riders are
+        reads and are answered stale, as a read group is: the write they
+        ride was never logged, so the durable view is the state they
+        would have read before it."""
+        if not isinstance(batch, TickGroup):
+            return outcome
+        return [outcome] + self._stale_read(TickGroup(batch.batches[1:]))
 
     # -- the execute path -------------------------------------------------
 
-    def execute(self, batch: Union[MergedBatch, ReadGroup], tick: int,
+    def execute(self, batch: Union[MergedBatch, TickGroup], tick: int,
                 ) -> Union[Any, DegradedResult, Refusal]:
         """Run one merged batch under the resilience rules.
 
         Returns the structure's batch result on success, a
         :class:`DegradedResult` (stale read / quiesced), or a
         :class:`Refusal` template (degraded writes) that the server
-        stamps per request.  A :class:`ReadGroup` is one non-mutating
-        batch: its result (and a stale read's ``value``) is a list,
-        one entry per batch of the group.
+        stamps per request.  A :class:`TickGroup` is one batch -- a
+        mutating one when it holds a write -- and gets a list of these,
+        one per batch of the group: while degraded, a refused or
+        quiesced write and stale reads for its riders.
         """
         self._tick = tick
         self._maybe_half_open(tick)
+        mutating = write_of(batch.op, batch.items) is not None
         if self.circuit_open:
-            if batch.op in MUTATING_OPS:
+            if mutating:
                 self.stats["refused_writes"] += 1
-                return Refusal(batch.op, "*",
-                               RefusalReason.WRITE_UNAVAILABLE,
-                               "circuit open; writes refused while "
-                               "degraded")
+                return self._write_denied(batch, Refusal(
+                    batch.op, "*", RefusalReason.WRITE_UNAVAILABLE,
+                    "circuit open; writes refused while degraded"))
             return self._stale_read(batch)
 
         failures_before = self._failures
@@ -198,8 +214,8 @@ class ResiliencePolicy:
         if isinstance(result, DegradedResult):
             # The manager quiesced mid-batch (hooks already latched the
             # breaker open).  Honour the SLO for *this* batch too.
-            if batch.op in MUTATING_OPS:
-                return result
+            if mutating:
+                return self._write_denied(batch, result)
             return self._stale_read(batch)
 
         # Success on live (possibly freshly promoted) hardware.
@@ -220,7 +236,7 @@ class ResiliencePolicy:
                                f"{self._streak} clean batch(es)")
         return result
 
-    def _run_clamped(self, batch: Union[MergedBatch, ReadGroup],
+    def _run_clamped(self, batch: Union[MergedBatch, TickGroup],
                      tick: int) -> Any:
         """``manager.run`` with the deadline-clamped retry budget."""
         machine = getattr(self.manager.structure, "machine", None)

@@ -17,25 +17,27 @@ program and the fault seed, which is what lets the soak harness replay
 it bit-for-bit and compare against a sequential oracle.
 
 The scheduler loop pipelines: it dispatches the next tick's batches
-(one same-op batch, or one per class of a shared-read tick -- see
-:mod:`repro.serve.coalesce`) as soon as the previous tick resolves,
-yielding to the event loop between ticks so clients can consume results
-and submit follow-ups (closed loop).  Per-tenant *program order* is preserved end to end -- the
-coalescer only ever drains queue heads -- so each client's response
+(one same-op batch, or one per class of a grouped tick -- see
+:mod:`repro.serve.coalesce`; a write shares its tick only with its
+riders) as soon as the previous tick resolves, yielding to the event
+loop between ticks so clients can consume results and submit follow-ups
+(closed loop).  Per-tenant *program order* is preserved end to end --
+the coalescer only ever drains queue heads -- so each client's response
 stream is comparable against a sequential replay of the journal.
 
 The **journal** records every batch that produced an answer (live
 results and degraded stale reads) in execution order, with the demux
-slices.  Refused requests are never journaled: a refusal is proof of
-non-effect, and the soak harness leans on exactly that when it replays
-the journal sequentially.
+slices: a grouped tick's write before its riders, whose answers are the
+ones a sequential replay gives after it.  Refused requests are never
+journaled: a refusal is proof of non-effect, and the soak harness leans
+on exactly that when it replays the journal sequentially.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.recovery import (
@@ -45,7 +47,7 @@ from repro.recovery import (
 )
 from repro.recovery.durable import DurabilityPolicy, DurableStore
 from repro.serve.admission import AdmissionController
-from repro.serve.coalesce import Coalescer, MergedBatch, ReadGroup
+from repro.serve.coalesce import Coalescer, MergedBatch, TickGroup
 from repro.serve.errors import Refusal, RefusalReason, Request, ServerStalled
 from repro.serve.health import HealthMonitor
 from repro.serve.policy import ResiliencePolicy, jittered_backoff
@@ -120,10 +122,9 @@ class Server:
         cfg = self.config
         self.caps = frozenset(getattr(type(structure), "BATCH_CAPS",
                                       frozenset()))
-        # The read classes one tick drains together (see coalesce.py):
-        # the structure's fact, like its caps.
-        self.shared_reads = frozenset(getattr(type(structure),
-                                              "SHARED_READS", frozenset()))
+        # The classes one tick drains together (see coalesce.py): the
+        # structure's fact, like its caps.
+        self.groups = tuple(getattr(type(structure), "TICK_GROUPS", ()))
         self.health = HealthMonitor()
         # With a state dir the journaled answer contract gains a leg:
         # policy.execute -> manager.run only returns after the batch's
@@ -156,7 +157,7 @@ class Server:
         self.journal: List[JournalEntry] = []
         self.batches_served = 0
         #: Ticks that ran a batch, by kind: the op, or the ops of a
-        #: shared-read tick joined with ``+``.
+        #: grouped tick joined with ``+``.
         self.ticks_by_kind: Dict[str, int] = {}
         self._work = asyncio.Event()
         self._running = False
@@ -236,7 +237,7 @@ class Server:
                     continue
                 self.tick += 1
                 batches, expired = self.coalescer.next_batch(
-                    self.admission, self.tick, self.shared_reads)
+                    self.admission, self.tick, self.groups)
                 progressed = False
                 for req in expired:
                     self._refuse(
@@ -267,8 +268,8 @@ class Server:
 
     def _execute(self, batches: List[MergedBatch]) -> None:
         """Run one tick's batches: a lone batch as itself, the batches
-        of a shared-read tick as one :class:`ReadGroup` whose outcome
-        fans back out batch by batch."""
+        of a grouped tick as one :class:`TickGroup` whose outcome fans
+        back out batch by batch, in drain order (the write first)."""
         self.batches_served += len(batches)
         if len(batches) == 1:
             [batch] = batches
@@ -276,14 +277,7 @@ class Server:
             self._demux(batch, self.policy.execute(batch, self.tick))
             return
         self._count_tick("+".join(sorted(batch.op for batch in batches)))
-        result = self.policy.execute(ReadGroup(batches), self.tick)
-        if isinstance(result, DegradedResult) and result.value is not None:
-            # a stale read answers each class from the durable view
-            parts = [replace(result, value=value) for value in result.value]
-        elif isinstance(result, (Refusal, DegradedResult)):
-            parts = [result] * len(batches)
-        else:
-            parts = result
+        parts = self.policy.execute(TickGroup(batches), self.tick)
         for batch, part in zip(batches, parts):
             self._demux(batch, part)
 
@@ -383,7 +377,7 @@ class Server:
             "recovery": cadence,
             # What a tick was (ticks that ran a batch, by kind; the
             # same-op batches they ran, per tick -- above one only where
-            # shared-read ticks happen: ``batches_served`` and the
+            # grouped ticks happen: ``batches_served`` and the
             # journal count same-op batches, ``tick`` counts ticks), and
             # what the host interpreter did since start(): collections
             # per generation (batches run with the cyclic collector

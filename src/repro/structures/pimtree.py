@@ -54,7 +54,7 @@ from itertools import repeat
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.balls.hashing import KeyLevelHash, stable_hash
-from repro.core.skiplist import distinct_reads
+from repro.core.skiplist import READ_OPS, group_payloads
 from repro.cpuside.semisort import group_positions
 from repro.ops import Broadcast, Columns, run_batch
 from repro.sim.fastpath import COLS
@@ -694,19 +694,21 @@ class PIMTree:
             return self.batch_range(list(payload)) if payload else []
         raise ValueError(f"apply_batch: unknown op {op!r}")
 
-    #: Read classes whose batches share a traversal in one
-    #: :meth:`apply_reads` call: all three start with the same descent.
-    SHARED_READS = frozenset({"get", "successor", "range"})
+    #: Classes whose batches share one tick's :meth:`apply_group` call:
+    #: all three reads start with the same descent.
+    TICK_GROUPS = (frozenset({"get", "successor", "range"}),)
 
-    def apply_reads(self, reads: Sequence[Tuple[str, Sequence]],
+    def apply_group(self, batches: Sequence[Tuple[str, Sequence]],
                     ) -> List[list]:
-        """Several read batches in one call (contract: see
-        :meth:`repro.core.skiplist.PIMSkipList.apply_reads`): the
-        non-empty ones descend once, as one op."""
-        distinct_reads(reads)
-        live = [(op, list(payload)) for op, payload in reads if payload]
+        """One tick's read batches in one call (contract: see
+        :meth:`repro.core.skiplist.PIMSkipList.apply_group`; no group
+        here holds a write): the non-empty ones descend once, as one
+        op."""
+        if not READ_OPS.issuperset(group_payloads(batches)):
+            raise ValueError("apply_group: a PIM-tree group is reads only")
+        live = [(op, list(payload)) for op, payload in batches if payload]
         results = iter(self._read(live) if live else ())
-        return [next(results) if payload else [] for _, payload in reads]
+        return [next(results) if payload else [] for _, payload in batches]
 
     def check_integrity(self) -> None:
         """Assert the structural invariants, dumping module state:

@@ -50,8 +50,9 @@ class ImplAdapter:
         self.impl = impl
         self.machine = machine
         self.caps = frozenset(impl.BATCH_CAPS)
-        #: The structure's declared shared-read set (empty: none).
-        self.shared_reads = frozenset(getattr(impl, "SHARED_READS", ()))
+        #: The structure's declared tick groups (empty: every class
+        #: alone).
+        self.groups = tuple(getattr(impl, "TICK_GROUPS", ()))
         self._apply = apply_fn if apply_fn is not None else impl.apply_batch
         self.stale = False
         self.stale_at: Optional[int] = None  # batch index that retired it
@@ -79,12 +80,12 @@ class ImplAdapter:
 
     def apply_step(self, batches: Sequence[Any]) -> List[Any]:
         """Run one replay step (see :func:`repro.verify.differ.session_steps`);
-        one result per batch.  Several read batches go to an
-        implementation that declares shared reads as one ``apply_reads``
-        call -- straight to the structure: an adapter fault wraps
-        :meth:`apply` and so acts on lone batches only."""
-        if len(batches) > 1 and self.shared_reads:
-            return self.impl.apply_reads(
+        one result per batch.  Several batches -- one of this
+        implementation's tick groups -- go as one ``apply_group`` call,
+        straight to the structure: an adapter fault wraps :meth:`apply`
+        and so acts on lone batches only."""
+        if len(batches) > 1:
+            return self.impl.apply_group(
                 [(batch.op, batch.payload) for batch in batches])
         return [self.apply(batch.op, batch.payload) for batch in batches]
 

@@ -63,9 +63,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="skip the cross-engine equivalence replay on "
                         "the per-task reference oracle")
     p.add_argument("--read-groups", action="store_true",
-                   help="replay runs of consecutive read batches as one "
-                        "apply_reads call on the structures that declare "
-                        "shared reads (what a shared-read serve tick "
+                   help="replay runs of consecutive batches that form "
+                        "one of a structure's declared tick groups as one "
+                        "apply_group call (what a grouped serve tick "
                         "sends)")
 
 

@@ -26,9 +26,9 @@ reference oracle* (the engine's array-native rounds vs the scalar loop,
 the primary run's results and metric stream bit-for-bit.
 
 With ``read_groups`` the unit of replay is a *step*
-(:func:`session_steps`): runs of consecutive read batches go to the
-implementations that declare ``SHARED_READS`` as one ``apply_reads``
-call, and every check above runs over the same steps.
+(:func:`session_steps`): runs of consecutive batches that form one of
+an implementation's declared ``TICK_GROUPS`` go to it as one
+``apply_group`` call, and every check above runs over the same steps.
 
 Divergences are collected as the report's violations, not raised: the
 driver is also the shrinker's test function, and a shrinker needs "still
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.skiplist import READ_OPS
 from repro.recovery.manager import MUTATING_OPS
@@ -182,13 +182,13 @@ def verify_session(session: Session,
                    ) -> SessionReport:
     """Differentially replay ``session``; returns the full report.
 
-    With ``read_groups`` the replay steps are :func:`session_steps`'s:
-    runs of consecutive read batches reach the implementations that
-    declare ``SHARED_READS`` (the skip list, the PIM-tree) as one
-    ``apply_reads`` call -- what a shared-read tick of ``repro serve``
-    sends -- and every check below covers that path: each sub-batch
-    against the oracle, the determinism rerun and the cross-engine
-    replay over the same steps.
+    With ``read_groups`` the replay steps are :func:`session_steps`'s,
+    per implementation: runs of consecutive batches inside one of its
+    ``TICK_GROUPS`` (the skip list's Upsert + Successor, the PIM-tree's
+    three reads) reach it as one ``apply_group`` call -- what a grouped
+    tick of ``repro serve`` sends -- and every check below covers that
+    path: each sub-batch against the oracle, the determinism rerun and
+    the cross-engine replay over the same steps.
 
     ``fault`` optionally injects a named fault (see
     :mod:`repro.verify.faults`) into one implementation's adapter --
@@ -246,19 +246,30 @@ def verify_session(session: Session,
             lambda op_name, delta, out=stream: out.append((op_name, delta))
     skiplist_stream = streams.get("skiplist")
 
-    answers: List[str] = []
-    for step in session_steps(session, read_groups):
-        expected = [oracle.apply_batch(batch.op, batch.payload)
-                    for _, batch in step]
-        answers += map(repr, expected)
+    expected: List[Any] = []
+    sizes: List[int] = []  # the oracle's key count after each batch
+    for batch in session.batches:
+        expected.append(oracle.apply_batch(batch.op, batch.payload))
+        sizes.append(len(oracle))
+    answers = [repr(want) for want in expected]
+    # Each implementation's steps, by the index of their last batch:
+    # batch by batch, every implementation replays a step once all of
+    # it has arrived.
+    ends = {adapter.name: {step[-1][0]: step for step in session_steps(
+        session, adapter.groups if read_groups else ())}
+        for adapter in adapters}
+    for last in range(len(session.batches)):
         for adapter in adapters:
-            if len(step) > 1 and adapter.shared_reads:
-                _replay_group(report, session, adapter, step, expected,
-                              len(oracle), twin)
+            step = ends[adapter.name].get(last)
+            if step is None:
                 continue
-            for (i, batch), want in zip(step, expected):
-                _replay_batch(report, session, adapter, i, batch, want,
-                              len(oracle), twin)
+            if len(step) > 1:
+                _replay_group(report, session, adapter, step,
+                              [expected[i] for i, _ in step], sizes[last],
+                              twin)
+            else:
+                _replay_batch(report, session, adapter, last, step[0][1],
+                              expected[last], sizes[last], twin)
 
     # Detach the observers before the final-state scans, which run extra
     # pipeline ops that the reruns do not replay.
@@ -284,19 +295,20 @@ def verify_session(session: Session,
     return report
 
 
-def session_steps(session: Session, read_groups: bool = False,
+def session_steps(session: Session,
+                  groups: Sequence[FrozenSet[str]] = (),
                   ) -> List[List[Tuple[int, Any]]]:
     """The session's ``(index, batch)`` pairs as replay steps: one batch
-    a step, or -- with ``read_groups`` -- every maximal run of
-    consecutive read batches of distinct ops as one step, which an
-    implementation that declares ``SHARED_READS`` answers with one
-    ``apply_reads`` call (and any other, batch by batch)."""
+    a step, or every maximal run of consecutive batches of distinct ops
+    inside one of ``groups`` (an implementation's ``TICK_GROUPS``), a
+    write only first, as one step -- what a grouped tick of ``repro
+    serve`` hands that implementation as one ``apply_group`` call."""
     steps: List[List[Tuple[int, Any]]] = []
     for i, batch in enumerate(session.batches):
         run = steps[-1] if steps else []
-        if (read_groups and run and batch.op in READ_OPS
-                and all(b.op in READ_OPS and b.op != batch.op
-                        for _, b in run)):
+        ops = {b.op for _, b in run} | {batch.op}
+        if (run and batch.op not in MUTATING_OPS and len(ops) > len(run)
+                and any(ops <= group for group in groups)):
             run.append((i, batch))
         else:
             steps.append([(i, batch)])
@@ -359,11 +371,11 @@ def _replay_group(report: SessionReport, session: Session,
                   adapter: ImplAdapter, step: List[Tuple[int, Any]],
                   expected: List[Any], n_keys: int,
                   twin: Optional[ImplAdapter]) -> None:
-    """One read group through an implementation that declares shared
-    reads: every sub-batch against the oracle, the group's rounds
-    against the sum of its batches' envelopes and -- the skip list,
-    against its twin -- against the same batches run one after another
-    (a shared traversal must not cost more rounds than two)."""
+    """One tick group through an implementation that declares it: every
+    sub-batch against the oracle, the group's rounds against the sum of
+    its batches' envelopes and -- the skip list, against its twin --
+    against the same batches run one after another (a shared traversal
+    must not cost more rounds than two)."""
     if adapter.stale:
         return
     first = step[0][0]
@@ -384,7 +396,7 @@ def _replay_group(report: SessionReport, session: Session,
             report.violations.append(Divergence(
                 seed=session.seed, batch_index=i, op=batch.op,
                 impl=adapter.name, kind="result",
-                detail="[read group] " + _diff_results(
+                detail="[tick group] " + _diff_results(
                     batch.op, batch.payload, want, got)))
     envelope_fn = ENVELOPE_FNS.get(adapter.name)
     if envelope_fn is None or delta is None:
@@ -395,7 +407,7 @@ def _replay_group(report: SessionReport, session: Session,
         report.violations.append(Divergence(
             seed=session.seed, batch_index=first, op=ops,
             impl=adapter.name, kind="rounds_envelope",
-            detail=(f"read group took {delta.rounds} rounds > {budget}, "
+            detail=(f"tick group took {delta.rounds} rounds > {budget}, "
                     f"the sum of its batches' envelopes")))
     if adapter.name == "skiplist" and twin is not None:
         apart = [twin.measured_apply(batch.op, batch.payload)
@@ -404,7 +416,7 @@ def _replay_group(report: SessionReport, session: Session,
             report.violations.append(Divergence(
                 seed=session.seed, batch_index=first, op=ops,
                 impl="skiplist", kind="split_result",
-                detail="twin's one-after-another replay of a read group "
+                detail="twin's one-after-another replay of a tick group "
                        "disagrees with the oracle"))
         # The twin's machine has drawn different random modules by now
         # (it splits every read batch), hence Successor's round slack.
@@ -413,7 +425,7 @@ def _replay_group(report: SessionReport, session: Session,
             report.violations.append(Divergence(
                 seed=session.seed, batch_index=first, op=ops,
                 impl="skiplist", kind="split_monotonicity",
-                detail=(f"read group took {delta.rounds} rounds > {rounds} "
+                detail=(f"tick group took {delta.rounds} rounds > {rounds} "
                         f"(+8 slack) for its batches one after another")))
 
 
@@ -557,7 +569,8 @@ def _check_determinism(report: SessionReport, session: Session,
     assert rerun.machine is not None
     rerun.machine.batch_observer = \
         lambda op_name, delta: stream.append((op_name, delta))
-    for step in session_steps(session, read_groups):
+    for step in session_steps(session,
+                              rerun.groups if read_groups else ()):
         rerun.apply_step([batch for _, batch in step])
     rerun.machine.batch_observer = None
     if len(stream) != len(first_stream):
@@ -606,7 +619,8 @@ def _check_backend_equivalence(report: SessionReport, session: Session,
     assert rerun.machine is not None
     rerun.machine.batch_observer = \
         lambda op_name, delta: stream.append((op_name, delta))
-    for step in session_steps(session, read_groups):
+    for step in session_steps(session,
+                              rerun.groups if read_groups else ()):
         batches = [batch for _, batch in step]
         wanted = [oracle.apply_batch(batch.op, batch.payload)
                   for batch in batches]

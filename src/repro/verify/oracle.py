@@ -96,9 +96,9 @@ class SequentialOracle:
             return [self.range(lo, hi) for lo, hi in payload]
         raise ValueError(f"apply_batch: unknown op {op!r}")
 
-    def apply_reads(self, reads: Sequence[Tuple[str, Sequence]],
-                    ) -> List[list]:
-        """A group of read batches (contract: see
-        :meth:`repro.core.skiplist.PIMSkipList.apply_reads`): here, one
+    def apply_group(self, batches: Sequence[Tuple[str, Sequence]],
+                    ) -> List[Optional[list]]:
+        """One tick's batches (contract: see
+        :meth:`repro.core.skiplist.PIMSkipList.apply_group`): here, one
         after the other."""
-        return [self.apply_batch(op, payload) for op, payload in reads]
+        return [self.apply_batch(op, payload) for op, payload in batches]

@@ -8,12 +8,13 @@ only tenants with queued work and leaves through
 reads it must build exactly the batches the old one built, tick for
 tick.  Hypothesis drives both over the same generated queues.
 
-With a declared set (``PIMSkipList.SHARED_READS``, ``PIMTree``'s) a
-tick may hold one same-op batch per class of the set, and there is no
+With declared tick groups (``PIMSkipList.TICK_GROUPS``, ``PIMTree``'s)
+a tick may hold one same-op batch per class of a group, and there is no
 old function to copy: the second half of this file states what a tick
-is as properties of generated queues -- program order, no request
-behind a write of its own tenant in one tick, what a tick may mix, and
-how long a class can wait.
+is as properties of generated queues -- program order, a request behind
+a write of its own tenant only after that write in the same tick, what
+a tick may mix and in which order, and how long a class can wait -- and
+pins the write group's drain order on fixed queues.
 """
 
 import asyncio
@@ -147,7 +148,7 @@ def test_batches_equal_the_old_coalescers(tenants, creation, requests, ticks,
 
         expect = outcome(*reference_next_batch(old, old_ctl.tenants, tick))
         batches, expired = new.next_batch(new_ctl, tick)
-        assert len(batches) <= 1  # no shared reads declared: a tick is a batch
+        assert len(batches) <= 1  # no groups declared: a tick is a batch
         batch = batches[0] if batches else None
         assert outcome(batch, expired) == expect
         assert new._rr == old._rr
@@ -171,10 +172,14 @@ def test_batches_equal_the_old_coalescers(tenants, creation, requests, ticks,
         assert new_ctl.heads == {name: q[0] for name, q in queues.items()}
 
 
-# -- a tick over a declared set, as properties ---------------------------
+# -- a tick over declared groups, as properties --------------------------
 
 WRITES = frozenset({"upsert", "delete"})
-DECLARED = [frozenset(), PIMSkipList.SHARED_READS, PIMTree.SHARED_READS]
+DECLARED = [(), PIMSkipList.TICK_GROUPS, PIMTree.TICK_GROUPS]
+
+
+def _group_of(op, groups):
+    return next((g for g in groups if op in g), frozenset([op]))
 
 _mixed_requests = st.lists(
     st.tuples(
@@ -191,11 +196,11 @@ _mixed_requests = st.lists(
     tenants=st.integers(1, 12),
     requests=_mixed_requests,
     ticks=st.integers(1, 8),
-    shared=st.sampled_from(DECLARED),
+    groups=st.sampled_from(DECLARED),
     quantum=st.integers(1, 16),
     max_batch_items=st.integers(1, 64),
 )
-def test_a_tick_over_a_declared_set(tenants, requests, ticks, shared,
+def test_a_tick_over_a_declared_set(tenants, requests, ticks, groups,
                                     quantum, max_batch_items):
     ctl = AdmissionController()
     coalescer = Coalescer(max_batch_items=max_batch_items, quantum=quantum)
@@ -219,18 +224,21 @@ def test_a_tick_over_a_declared_set(tenants, requests, ticks, shared,
                     if not all(e.expired(tick) for e in queue[:i + 1])]
             live += rest[:1]
 
-        batches, expired = coalescer.next_batch(ctl, tick, shared)
+        batches, expired = coalescer.next_batch(ctl, tick, groups)
 
-        # A tick is one class, or classes of the declared set; the oldest
-        # live head's class is in it, first; same-op batches, one a class.
+        # A tick is the oldest live head's group: its write first when
+        # a head has it, else the oldest head's class, and every live
+        # head of the group rides; same-op batches, one a class.
         ops = [batch.op for batch in batches]
         assert len(set(ops)) == len(ops)
-        assert len(ops) <= 1 or set(ops) <= shared
         if live:
             oldest = min(live, key=lambda r: r.id)
-            assert ops and ops[0] == oldest.op
-            if oldest.op in shared:  # ... and the set's other heads ride
-                assert set(ops) >= {r.op for r in live} & shared
+            group = _group_of(oldest.op, groups)
+            assert set(ops) <= group
+            assert set(ops) >= {r.op for r in live} & group
+            lead = group & WRITES & {r.op for r in live}
+            assert ops[0] == (min(lead) if lead else oldest.op)
+            assert not set(ops[1:]) & WRITES
         else:
             assert not ops
         for batch in batches:
@@ -245,13 +253,17 @@ def test_a_tick_over_a_declared_set(tenants, requests, ticks, shared,
         assert all(r.expired(tick) for r in expired)
 
         taken = [r for batch in batches for r, _, _ in batch.slices]
+        batch_of = {r.id: b for b, batch in enumerate(batches)
+                    for r, _, _ in batch.slices}
         for request in taken:
-            # Nothing rides a tick behind a write of its own tenant,
-            # unless the two are one class (one batch, payload order).
+            # Nothing rides a tick behind a write of its own tenant
+            # unless that write runs first in it: in an earlier batch,
+            # or earlier in the same one.
             ahead = queued[request.tenant]
             ahead = [e for e in ahead[:ahead.index(request)]
                      if e.op in WRITES and not e.expired(tick)]
-            assert all(e.op == request.op for e in ahead)
+            assert all(batch_of.get(e.id, len(batches))
+                       <= batch_of[request.id] for e in ahead)
         for request in expired + taken:
             gone.setdefault(request.tenant, []).append(request)
         for name, left in gone.items():
@@ -271,20 +283,19 @@ def test_a_tick_over_a_declared_set(tenants, requests, ticks, shared,
     program=st.lists(st.sampled_from(
         ["get", "successor", "range", "upsert", "delete"]),
         min_size=1, max_size=40),
-    shared=st.sampled_from(DECLARED),
+    groups=st.sampled_from(DECLARED),
     ticks=st.integers(1, 30),
 )
-def test_no_class_waits_more_than_a_cycle_of_kinds(clients, program, shared,
+def test_no_class_waits_more_than_a_cycle_of_kinds(clients, program, groups,
                                                    ticks):
     """Closed-loop tenants (one request in flight each, the next one
     submitted when it is served) and no batch bound in the way: a
     request leaves within G ticks of its admission, G the number of tick
-    kinds -- every class outside the declared set is a kind of its own,
-    the set is one.  (A deeper queue can wait longer: FIFO-by-oldest-head
-    bounds a head's wait by the requests older than it, and behind a
-    head those need not be heads.)"""
-    kinds = {frozenset([op]) if op not in shared else shared
-             for op in program}
+    kinds -- every class outside the declared groups is a kind of its
+    own, a group is one.  (A deeper queue can wait longer:
+    FIFO-by-oldest-head bounds a head's wait by the requests older than
+    it, and behind a head those need not be heads.)"""
+    kinds = {_group_of(op, groups) for op in program}
     ctl = AdmissionController()
     coalescer = Coalescer(max_batch_items=10_000, quantum=10_000)
     cursor = 0
@@ -297,12 +308,48 @@ def test_no_class_waits_more_than_a_cycle_of_kinds(clients, program, shared,
                 cursor += 1
                 assert ctl.admit(request, tick - 1) is None
                 admitted_at[request.id] = tick
-        batches, _ = coalescer.next_batch(ctl, tick, shared)
+        batches, _ = coalescer.next_batch(ctl, tick, groups)
         for batch in batches:
             for request, _, _ in batch.slices:
                 del admitted_at[request.id]
         assert all(tick - since < len(kinds)
                    for since in admitted_at.values())
+
+
+def test_a_write_group_drains_the_write_first_and_only_heads_ride():
+    """The skip list's Upsert + Successor tick on fixed queues: the
+    Upsert batch first, whoever's head is a Successor oldest; then the
+    Successors at the heads as they stand -- a tenant's Successor behind
+    its own Upsert rides, in order; one ahead of its own Upsert rides
+    and leaves that Upsert for a later tick; nothing behind another
+    class rides."""
+    ctl = AdmissionController()
+    program = [("a", "successor", [1]),   # oldest head: a Successor
+               ("b", "upsert", [(2, 2)]),
+               ("b", "successor", [2]),   # behind b's Upsert: rides
+               ("a", "upsert", [(3, 3)]),  # behind a's Successor: waits
+               ("c", "get", [4]),
+               ("c", "successor", [5]),   # behind a Get: not a head
+               ("d", "upsert", [(6, 6)])]
+    ids = {}
+    for tenant, op, payload in program:
+        request = Request(tenant, op, payload)
+        ids[request.id] = (tenant, op)
+        assert ctl.admit(request, 0) is None
+    coalescer = Coalescer()
+
+    def tick(n):
+        batches, expired = coalescer.next_batch(ctl, n,
+                                                PIMSkipList.TICK_GROUPS)
+        assert expired == []
+        return [(b.op, [ids[r.id][0] for r, _, _ in b.slices])
+                for b in batches]
+
+    assert tick(1) == [("upsert", ["b", "d"]), ("successor", ["a", "b"])]
+    assert tick(2) == [("upsert", ["a"])]  # older than c's Get
+    assert tick(3) == [("get", ["c"])]
+    assert tick(4) == [("successor", ["c"])]
+    assert ctl.pending == 0
 
 
 def _server():

@@ -364,6 +364,6 @@ def test_read_groups_engine_equals_oracle(num_modules, emptied, groups):
     for gets, succ, ranges in groups:
         reads = [("get", gets), ("successor", succ),
                  ("range", [(a, a + w) for a, w in ranges])]
-        _same_op(pair, lambda t: t.apply_reads(reads))
+        _same_op(pair, lambda t: t.apply_group(reads))
     for tree in pair:
         tree.check_integrity()

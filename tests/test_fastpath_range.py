@@ -19,9 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import PIMMachine, PIMSkipList
-from repro.core.ops_range import (apply_range_cpu,
-                                  batch_range_with_successors,
-                                  range_tree_single)
+from repro.core.ops_range import apply_range_cpu, range_tree_single
 from repro.sim.profiling import HandlerProfile
 from repro.workloads import build_items
 from tests.conftest import DETERMINISTIC, ENGINES
@@ -101,19 +99,6 @@ def test_overlapping_reads_and_counts():
     ops = [(0, 900), (400, 1300), (450, 460), (1300, 1300), (2000, 2990)]
     for func in ("read", "count"):
         _run(pair, lambda sl: sl.batch_range(ops, func))
-
-
-@pytest.mark.parametrize("riders", [3, 40])
-def test_successor_riders(riders):
-    """Successor keys that ride the range batch's boundary search (a
-    few) and that run as their own batch first (many)."""
-    pair = _pair()
-    rng = random.Random(riders)
-    ops = _disjoint(rng, 6, 3000, 200)
-    keys = [rng.randrange(-50, 3100) for _ in range(riders)]
-    (res, succ), _, _ = _run(
-        pair, lambda sl: batch_range_with_successors(sl.struct, ops, keys))
-    assert len(res) == 6 and len(succ) == riders
 
 
 @pytest.mark.parametrize("func,farg", [("read", None), ("count", None),
@@ -201,16 +186,12 @@ def test_scalar_handlers_replay_the_touches():
        ops=st.lists(st.tuples(st.integers(-5, 130), st.integers(0, 30)),
                     min_size=1, max_size=6),
        func=st.sampled_from(["read", "count"]),
-       riders=st.lists(st.integers(-5, 130), max_size=4),
        single=st.booleans())
-def test_engine_equals_oracle(num_modules, ops, func, riders, single):
+def test_engine_equals_oracle(num_modules, ops, func, single):
     pair = _pair(num_modules=num_modules, n=40, stride=3, seed=num_modules)
     ops = [(lo, lo + width) for lo, width in ops]
     if single:
         lo, hi = ops[0]
         _run(pair, lambda sl: range_tree_single(sl.struct, lo, hi, func))
-    elif riders and func == "read":
-        _run(pair, lambda sl: batch_range_with_successors(sl.struct, ops,
-                                                          riders))
     else:
         _run(pair, lambda sl: sl.batch_range(ops, func))

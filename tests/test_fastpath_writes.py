@@ -495,3 +495,22 @@ class TestDeleteMarking:
                 == pair[1].struct.keys_in_order())
         assert 0 < col.tasks_chunked < col.tasks_executed
         assert col.columnar_active
+
+
+@pytest.mark.parametrize("riders", [3, 40])
+def test_successor_riders(pair, riders):
+    """Successor keys on an Upsert batch -- a few ride its recording
+    search, many run as their own batch after it: equal answers,
+    metrics, RNG state and contents on the oracle and the engine."""
+    rng = random.Random(riders)
+    fresh = [(k * STRIDE + 7, k) for k in rng.sample(range(200), 12)]
+    keys = [rng.randrange(-50, 200 * STRIDE + 50) for _ in range(riders)]
+    seen = []
+    for sl in pair:
+        before = sl.machine.snapshot()
+        stats = sl.batch_upsert(fresh, keys)
+        sl.struct.check_integrity()
+        seen.append((stats, sl.machine.delta_since(before),
+                     sl.machine.rng.getstate(), sl.struct.keys_in_order()))
+    assert seen[0] == seen[1]
+    assert len(seen[1][0].successors) == riders

@@ -295,9 +295,9 @@ def _pimtree_workloads(out):
 
 
 def _read_group_workloads(out):
-    """``apply_reads`` on fresh machines (the rows above keep theirs): a
-    Successor batch riding a Range batch's boundary search on the skip
-    list, and Get + Successor + Range on one descent of the PIM-tree."""
+    """``apply_group`` on fresh machines (the rows above keep theirs): a
+    Successor batch riding an Upsert's search on the skip list, and
+    Get + Successor + Range on one descent of the PIM-tree."""
     p, n = 16, 512
     rng = random.Random(909)
     keys = sorted(rng.sample(range(1, 50_000), n))
@@ -311,13 +311,15 @@ def _read_group_workloads(out):
     machine = PIMMachine(num_modules=p, seed=19)
     sl = PIMSkipList(machine, name="goldg")
     sl.build([(k, k) for k in keys])
-    _measure(machine, "skiplist/batch_read_group",
-             lambda: sl.apply_reads(reads[1:]), out)
+    writes = [("upsert", [(k, -k) for k in rng.sample(range(50_000), 24)]),
+              reads[1]]
+    _measure(machine, "skiplist/batch_write_group",
+             lambda: sl.apply_group(writes), out)
     machine = PIMMachine(num_modules=p, seed=73)
     tree = PIMTree(machine, leaf_size=8, fanout=4, promote_threshold=2)
     tree.build([(k, k) for k in keys])
     _measure(machine, "pimtree/batch_read_group",
-             lambda: tree.apply_reads(reads), out)
+             lambda: tree.apply_group(reads), out)
 
 
 def _compute() -> dict:

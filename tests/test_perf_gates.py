@@ -53,7 +53,8 @@ def test_quick_baseline_is_refused(tmp_path):
 
 def test_exact_rows_pass():
     """The chunked-task shares, the CPU-side charges of one fixed
-    session, the fixed Upsert batch and batch of ranges, the search at
+    session, the fixed Upsert batch and batch of ranges, one tick group
+    per structure, the search at
     four widths around its pivot-spacing boundary, the seven
     skew-adversary rows and the durable restart counts, measured in
     process with the committed baselines' parameters."""
@@ -63,6 +64,10 @@ def test_exact_rows_pass():
             "CPU-side session: cpu_work, cpu_depth, shared_mem_peak, rng",
             "upsert batch: write_ptr rows through send_all",
             "pimtree read group: read rows through send_all",
+            "write group: skiplist Upsert + Successor, (rounds, io, "
+            "messages)",
+            "write group: skiplist Upsert + Successor apart, (rounds, io, "
+            "messages)",
             "upsert batch: path replies above their op's limit",
             "upsert batch: messages",
             "range batch: boundary searches == ops",

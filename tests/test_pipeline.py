@@ -201,8 +201,8 @@ def test_batches_register_no_handlers(faults):
         structure.apply_batch("upsert", [(7, 7), (401, 1)])
         structure.apply_batch("delete", [10, 401])
         structure.apply_batch("range", [(0, 40), (300, 320)])
-    sl.apply_reads([("successor", keys), ("range", [(5, 50)])])
-    tree.apply_reads([("get", keys), ("successor", keys)])
+    sl.apply_group([("upsert", [(9, 9)]), ("successor", keys)])
+    tree.apply_group([("get", keys), ("successor", keys)])
     sl.get(20)
     sl.successor(21)
     sl.rank(100)

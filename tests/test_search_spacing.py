@@ -19,7 +19,7 @@ the two extremes.  What has to hold at every width:
   existed, to the unit, wherever phase 0 walks two pivots, and one more
   root walk where it walks three;
 - one hot segment stays inside Theorem 4.3's ``O(log^3 P)`` IO;
-- ``search_stages``, which ``ops_range._rides`` decides riding from, is
+- ``search_stages``, which ``ops_successor.rides`` decides riding from, is
   the number of stages the route runs.
 """
 
@@ -245,7 +245,7 @@ def stage_cases(draw):
 @DETERMINISTIC
 @given(stage_cases())
 def test_search_stages_counts_the_routes_drains(case):
-    """``ops_range._rides`` decides riding from ``search_stages``; over
+    """``ops_successor.rides`` decides riding from ``search_stages``; over
     uniform keys it is the number of ``drain`` calls of a record-free
     Successor batch and of a full-recording search (no segment's keys
     share a gap, so no stage is settled without a message)."""
