@@ -28,10 +28,10 @@ its per-task reference oracle (``ReferencePIMMachine``, label
   per-fn runs (stresses grouped dispatch: one batch call per function id
   versus one context dispatch per task).
 
-Handlers that matter for throughput register *batch* variants via
-``machine.register_batch`` -- one call per round over contiguous chunks,
-inert on the reference oracle (the scalar handler remains the reference
-semantics; ``repro.verify.differ`` certifies the streams bit-identical).
+Handlers that matter for throughput are *batch* bodies registered via
+``machine.register_batch`` -- one call per round over contiguous chunks
+on the engine, one call per task over its one row on the reference
+oracle (``repro.verify.differ`` certifies the streams bit-identical).
 
 Usage::
 
@@ -187,12 +187,8 @@ def engine_echo(probe_machine, *, P=64, rounds=400, fanout=16, seed=3,
                 machine_cls=PIMMachine):
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
 
-    def echo(ctx, x, tag=None):
-        ctx.charge(1)
-        ctx.reply(x, tag=tag)
-
     def batch_echo(bct, chunks):
-        # Mirrors `echo` exactly: one unit of work and one reply per task.
+        # One unit of work and one reply per task.
         replies = bct.replies
         work = bct.work
         sent = bct.sent
@@ -204,7 +200,6 @@ def engine_echo(probe_machine, *, P=64, rounds=400, fanout=16, seed=3,
                 work[mid] += 1
                 sent[mid] += 1
 
-    machine.register("echo", echo)
     machine.register_batch("echo", batch_echo)
     rng = random.Random(seed)
     plan = [[(rng.randrange(P), i) for i in range(fanout)]
@@ -226,11 +221,6 @@ def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9,
     plain ``bct.work`` list instead of P context dispatches.
     """
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
-
-    def accum(ctx, i, tag=None):
-        ctx.charge(1)
-
-    machine.register("accum", accum)
 
     def batch_accum(bct, chunks):
         work = bct.work
@@ -261,12 +251,6 @@ def mixed_dispatch(probe_machine, *, P=64, fns=24, per_fn=12, rounds=120,
     """
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
 
-    def make_scalar(j):
-        def h(ctx, x, tag=None):
-            ctx.charge(1)
-            ctx.reply(x + j, tag=tag)
-        return h
-
     def make_batch(j):
         def bh(bct, chunks):
             replies = bct.replies
@@ -285,7 +269,6 @@ def mixed_dispatch(probe_machine, *, P=64, fns=24, per_fn=12, rounds=120,
     for j in range(fns):
         name = f"mix{j}"
         names.append(name)
-        machine.register(name, make_scalar(j))
         machine.register_batch(name, make_batch(j))
     rng = random.Random(seed)
     plan = []

@@ -190,19 +190,24 @@ class Bench:
         return v if ref.times == 1.0 else v * ref.times
 
     @memo
-    def scenario(self, name: str, backend: str, armed: bool = False) -> dict:
+    def scenario(self, name: str, backend: str, armed: bool = False,
+                 traced: bool = False) -> dict:
         """Fastest probe of a ``bench_wallclock`` scenario on one side of
         ``ENGINES``, plus the share of its tasks that ran in chunks.
         ``armed`` installs a zero-rate fault plan: every stage rides
-        sequence numbers, acks and replay guards, and no fault fires."""
+        sequence numbers, acks and replay guards, and no fault fires.
+        ``traced`` builds the machine with ``trace_accesses=True``."""
         params = self.value(Base(
             "simwall", f"backends.{backend}.scenarios.{name}.params"))
         if armed:
             params = dict(params, fault_plan=FaultPlan(FaultSpec(), seed=0))
+        machine_cls = ENGINES[backend]
+        if traced:
+            machine_cls = functools.partial(machine_cls, trace_accesses=True)
         best = None
         for _ in range(self.repeat):
             probe = SCENARIOS[name][0](ThroughputProbe,
-                                       machine_cls=ENGINES[backend], **params)
+                                       machine_cls=machine_cls, **params)
             if best is None or probe.seconds < best["seconds"]:
                 best = probe.as_dict()
                 best["chunked_share"] = (probe.machine.tasks_chunked
@@ -589,6 +594,14 @@ GATES: List[Gate] = [
     Gate("chunked share write_churn",
          lambda b: b.scenario("write_churn", "columnar")["chunked_share"],
          ">=", 0.85, EXACT),
+    # Access tracing chunks like a plain machine: every batch body
+    # reports its touches through ``bct.touch``, so a traced machine
+    # sends no task to a slot that the plain one runs in a chunk.
+    Gate("chunked share write_churn, trace_accesses / plain",
+         lambda b: (b.scenario("write_churn", "columnar", False,
+                               True)["chunked_share"]
+                    / b.scenario("write_churn", "columnar")["chunked_share"]),
+         "==", 1.0, EXACT),
     # -- the CPU side of a batch (PR 20): charged by formula, executed as
     # arrays.  The vector placement hash over the scalar loop it
     # replaced, 2 304 plain ints (recorded 12x on the development host;

@@ -47,10 +47,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     name = sl.name
     h_low = sl.h_low
 
-    def h_load_lower(ctx, node, tag=None):
-        ctx.module.alloc_words(NODE_WORDS)
-        ctx.charge(1)
-
     def batch_load_lower(bct, chunks):
         modules = bct.machine.modules
         work = bct.work
@@ -61,23 +57,26 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 modules[mid].alloc_words(k * NODE_WORDS)
                 work[mid] += k
 
-    def h_load_upper(ctx, node, tag=None):
-        sl.account_upper_alloc_on(ctx.mid, node)
-        ctx.charge(1)
-
     def batch_load_upper(bct, chunks):
-        # Broadcasts only: every module installs every replica, so one
-        # word total and one task count serve all of them.
+        # Every module installs every replica, so one word total and
+        # one task count serve all of a round's broadcasts; a row (a
+        # broadcast's task in a slot) installs its replica on its own
+        # module.
+        modules = bct.machine.modules
+        work = bct.work
         words = tasks = 0
         for ch in chunks:
-            if ch.kind != BCAST:
-                raise AssertionError("load_upper is broadcast only")
-            words += NODE_WORDS + (ch.args[0].level == h_low)
-            tasks += 1
-        work = bct.work
-        for mid, module in enumerate(bct.machine.modules):
-            module.alloc_words(words)
-            work[mid] += tasks
+            if ch.kind == BCAST:
+                words += NODE_WORDS + (ch.args[0].level == h_low)
+                tasks += 1
+                continue
+            for mid, (node,), _tag, _size in bct.rows_of(ch):
+                sl.account_upper_alloc_on(mid, node)
+                work[mid] += 1
+        if tasks:
+            for mid, module in enumerate(modules):
+                module.alloc_words(words)
+                work[mid] += tasks
 
     def h_load_finish(ctx, first, tag=None):
         # The module's list ends and count, its table in one pass
@@ -108,11 +107,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
 
     sl.machine.register_batch(f"{name}:load_lower", batch_load_lower)
     sl.machine.register_batch(f"{name}:load_upper", batch_load_upper)
-    return {
-        f"{name}:load_lower": h_load_lower,
-        f"{name}:load_upper": h_load_upper,
-        f"{name}:load_finish": h_load_finish,
-    }
+    return {f"{name}:load_finish": h_load_finish}
 
 
 def _build_route(sl: SkipListStructure,

@@ -57,7 +57,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     name = sl.name
     fn_mark_node = f"{name}:del_mark_node"
 
-    # Row bodies, shared by the scalar handlers and the chunk loops.
+    # Row bodies of the two chunk loops below.
 
     def mark_leaf(module, key, charge):
         """Take ``key``'s leaf out of ``module``'s local state.  Returns
@@ -89,19 +89,6 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         return ("marked_node", node, node.left, node.right,
                 node.up if is_top else None)
 
-    def h_delete_mark(ctx, key, tag=None):
-        payload, markers = mark_leaf(ctx.module, key, ctx.charge)
-        if payload[0] == "marked":
-            ctx.touch(payload[2].nid)
-        ctx.reply(payload, size=1, tag=tag)
-        for args in markers:
-            ctx.forward(args[0].owner, fn_mark_node, args, tag=tag)
-
-    def h_mark_node(ctx, node, is_top, tag=None):
-        ctx.charge(1)
-        ctx.touch(node.nid)
-        ctx.reply(mark_node(node, is_top), size=1, tag=tag)
-
     # The CPU side contracts the marked nodes in the order their replies
     # arrive (the random-mate coins are drawn in that order), so both
     # chunk loops run their rows in the scalar loop's order and the
@@ -111,10 +98,13 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         modules = bct.machine.modules
         sent = bct.sent
         rep_append = bct.replies.append
+        tracing = bct.tracing
         out: list = []
         for mid, (key,), tag, _size in bct.rows_in_slot_order(chunks):
             module = modules[mid]
             payload, markers = mark_leaf(module, key, module.charge)
+            if tracing and payload[0] == "marked":
+                bct.touch(mid, payload[2].nid)
             rep_append(Reply(payload, tag, mid))
             sent[mid] += 1 + len(markers)
             for args in markers:
@@ -125,13 +115,16 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         work = bct.work
         sent = bct.sent
         rep_append = bct.replies.append
+        tracing = bct.tracing
         for mid, (node, is_top), tag, _size in bct.rows_in_slot_order(chunks):
             work[mid] += 1
             sent[mid] += 1
+            if tracing:
+                bct.touch(mid, node.nid)
             rep_append(Reply(mark_node(node, is_top), tag, mid))
 
     def h_delete_upper_tower(ctx, upper_leaf, tag=None):
-        # Scalar only: the first executor's unlink splices the shared
+        # Slot only: the first executor's unlink splices the shared
         # level, the others find the node already unlinked.
         u: Optional[Node] = upper_leaf
         while u is not None:
@@ -145,11 +138,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     machine.register_batch(f"{name}:del_mark", batch_delete_mark)
     machine.register_batch(fn_mark_node, batch_mark_node)
 
-    return {
-        f"{name}:del_mark": h_delete_mark,
-        fn_mark_node: h_mark_node,
-        f"{name}:del_upper": h_delete_upper_tower,
-    }
+    return {f"{name}:del_upper": h_delete_upper_tower}
 
 
 def _delete_route(sl, keys):

@@ -30,79 +30,65 @@ from repro.ops import run_batch
 from repro.sim.task import Reply
 
 
-def update_handlers(sl: SkipListStructure) -> Tuple[Any, Any]:
-    """The hash-shortcut Update as a ``(scalar, batch)`` handler pair.
+def update_handlers(sl: SkipListStructure) -> Any:
+    """The hash-shortcut Update's batch body.
 
     Batched Update registers it as ``pt_update`` and batched Upsert's
-    phase A as ``ups_try_update``: one task, two function ids.
+    phase A as ``ups_try_update``: one body, two function ids.  The
+    table charges its probes through the ``module.charge`` it was built
+    with; the task's own unit goes to ``bct.work``.
     """
     name = sl.name
 
-    def update_leaf(module, key, value):
-        leaf = module.state[name].table.lookup(key)
-        if leaf is not None:
-            leaf.value = value
-        return leaf
-
-    def h_update(ctx, key, value, tag=None):
-        leaf = update_leaf(ctx.module, key, value)
-        ctx.charge(1)
-        if leaf is not None:
-            ctx.touch(leaf.nid)
-        ctx.reply((key, leaf is not None), tag=tag)
-
     def batch_update(bct, chunks):
-        # The table charges its probes through the ``module.charge`` it
-        # was built with; the handler's own unit goes to ``bct.work``.
         modules = bct.machine.modules
         work = bct.work
         sent = bct.sent
         rep_append = bct.replies.append
+        tracing = bct.tracing
         for ch in chunks:
             for mid, (key, value), tag, _size in bct.rows_of(ch):
-                leaf = update_leaf(modules[mid], key, value)
+                leaf = modules[mid].state[name].table.lookup(key)
                 work[mid] += 1
                 sent[mid] += 1
-                rep_append(Reply((key, leaf is not None), tag, mid))
+                if leaf is None:
+                    rep_append(Reply((key, False), tag, mid))
+                    continue
+                leaf.value = value
+                if tracing:
+                    bct.touch(mid, leaf.nid)
+                rep_append(Reply((key, True), tag, mid))
 
-    return h_update, batch_update
+    return batch_update
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    """PIM-side handlers for point operations on ``sl``."""
+    """Register the point operations' batch bodies on ``sl``'s machine;
+    no slot-only handler."""
     name = sl.name
-
-    def h_get(ctx, key, tag=None):
-        leaf = ctx.module.state[name].table.lookup(key)
-        ctx.charge(1)
-        if leaf is not None:
-            ctx.touch(leaf.nid)
-        ctx.reply((key, leaf.value if leaf is not None else None,
-                   leaf is not None), tag=tag)
 
     def batch_get(bct, chunks):
         modules = bct.machine.modules
         work = bct.work
         sent = bct.sent
         rep_append = bct.replies.append
+        tracing = bct.tracing
         for ch in chunks:
             for mid, (key,), tag, _size in bct.rows_of(ch):
                 leaf = modules[mid].state[name].table.lookup(key)
                 work[mid] += 1
                 sent[mid] += 1
-                rep_append(Reply(
-                    (key, None, False) if leaf is None
-                    else (key, leaf.value, True), tag, mid))
+                if leaf is None:
+                    rep_append(Reply((key, None, False), tag, mid))
+                    continue
+                if tracing:
+                    bct.touch(mid, leaf.nid)
+                rep_append(Reply((key, leaf.value, True), tag, mid))
 
-    h_update, batch_update = update_handlers(sl)
     machine = sl.machine
     machine.register_batch(f"{name}:pt_get", batch_get)
-    machine.register_batch(f"{name}:pt_update", batch_update)
-
-    return {
-        f"{name}:pt_get": h_get,
-        f"{name}:pt_update": h_update,
-    }
+    machine.register_batch(f"{name}:pt_update", update_handlers(sl))
+    return {}
 
 
 def _get_route(sl, keys, want_value):

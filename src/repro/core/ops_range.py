@@ -145,14 +145,13 @@ class RangeResult:
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    """The broadcast range's one scalar handler and the tree traversal's
-    six functions (:func:`_tree_handlers`, which registers their chunk
-    forms).  ``rng_bcast`` stays scalar: it is one broadcast per op, its
-    modules each walking their own leaf list to a different reply, so a
-    round of it has nothing to batch."""
-    handlers = _tree_handlers(sl)
-    handlers[f"{sl.name}:rng_bcast"] = _make_bcast(sl)
-    return handlers
+    """The broadcast range's one slot handler; registers the tree
+    traversal's six batch bodies (:func:`_tree_bodies`).  ``rng_bcast``
+    stays in slots: it is one broadcast per op, its modules each walking
+    their own leaf list to a different reply, so a round of it has
+    nothing to batch."""
+    _tree_bodies(sl)
+    return {f"{sl.name}:rng_bcast": _make_bcast(sl)}
 
 
 def _make_bcast(sl: SkipListStructure):
@@ -278,9 +277,10 @@ class _Out:
         self.touched: list = []
 
 
-def _tree_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    """The traversal's six functions, each a row body written once and
-    registered as a scalar handler and as a chunk (batch) handler.
+def _tree_bodies(sl: SkipListStructure) -> None:
+    """Register the traversal's six functions, each a row body written
+    once and registered through one chunk loop (its slot tasks run the
+    same loop over one row).
 
     A body ``(range_ctx, mid, args, out)`` runs one task on module
     ``mid`` and returns ``(work, sends)``: every task pays one unit (the
@@ -505,32 +505,15 @@ def _tree_handlers(sl: SkipListStructure) -> Dict[str, Any]:
             offset += count
         return 1, sent
 
-    def scalar(body):
-        def handler(ctx, *args, tag=None):
-            out = _Out()
-            work, _sends = body(ctx.module.state[name].range_ctx, ctx.mid,
-                                args, out)
-            ctx.charge(work)
-            for nid in out.touched:
-                ctx.touch(nid)
-            for payload in out.replies:
-                ctx.reply(payload, tag=tag)
-            # Chains before counts before boundaries: each body's own
-            # forwards keep the order they were emitted in.
-            for fn, rows in ((fn_chain, out.chain), (fn_count, out.count),
-                             (fn_offset, out.offset),
-                             (fn_boundary, out.boundary)):
-                for dest, fargs, _tag, _size in rows:
-                    ctx.forward(dest, fn, fargs)
-        return handler
-
     def chunked(body):
         def batch(bct, chunks):
             modules = bct.machine.modules
             work, sent = bct.work, bct.sent
             rep_append = bct.replies.append
+            tracing = bct.tracing
             out = _Out()
             replies = out.replies
+            touched = out.touched
             for ch in chunks:
                 for mid, args, tag, _size in bct.rows_of(ch):
                     w, s = body(modules[mid].state[name].range_ctx, mid,
@@ -541,6 +524,12 @@ def _tree_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                         for payload in replies:
                             rep_append(Reply(payload, tag, mid))
                         replies.clear()
+                    if tracing:
+                        for nid in touched:
+                            bct.touch(mid, nid)
+                        touched.clear()
+            # Chains before counts before offsets before boundaries:
+            # each function's forwards keep the order they were emitted.
             for fn, rows in ((fn_chain, out.chain), (fn_count, out.count),
                              (fn_offset, out.offset),
                              (fn_boundary, out.boundary)):
@@ -548,13 +537,10 @@ def _tree_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                     bct.stage_rows(fn, rows)
         return batch
 
-    handlers = {}
     for fn, body in (("root", root_body), ("boundary", boundary_body),
                      ("chain", chain_body), ("count", count_body),
                      ("go", go_body), ("offset", offset_body)):
-        handlers[f"{name}:rng_{fn}"] = scalar(body)
         sl.machine.register_batch(f"{name}:rng_{fn}", chunked(body))
-    return handlers
 
 
 # ---------------------------------------------------------------------------

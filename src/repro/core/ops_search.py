@@ -29,101 +29,35 @@ from repro.sim.task import Reply
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    """PIM-side handlers for the search walk on ``sl``.
+    """Register the search walk's batch bodies on ``sl``'s machine; no
+    slot-only handler.
 
-    ``lower_walk`` is registered directly as the ``search_step`` handler
-    (the hottest function in the whole simulator): it walks the run of
-    locally-available nodes (this module's, plus replicated sentinels),
-    then either forwards to the next owner or replies
-    ``("done", opid, pred_leaf, pred_right)``.  Work is charged once per
-    run (same total as per-node charging) and per-node touches are
-    skipped entirely when neither tracing nor qrqw needs them.
+    ``search_step`` (the hottest function in the whole simulator) walks
+    each task's run of locally-available nodes (this module's, plus
+    replicated sentinels), then either forwards it to the next owner or
+    replies ``("done", opid, pred_leaf, pred_right)``.  Work is charged
+    once per run (same total as per-node charging).  The walk is
+    read-only over the shared structure, order-insensitive and draws no
+    RNG, so it keeps the batch-handler execution contract.
     """
     fn_step = sl.fn_search_step
 
-    def lower_walk(ctx, x, key, opid, record, tag=None):
+    def _walk_batch(bct, mid, x, key, opid, record):
+        """Walk one task from ``x``, streaming back the levels up to
+        ``record`` and touching every node when ``bct.tracing``;
+        returns a forward row or None."""
+        replies = bct.replies
+        work = bct.work
+        sent = bct.sent
+        tracing = bct.tracing
         hops = 0
-        tracing = ctx.tracing
         # A step right stays on the level, a step down is one level
         # lower: the level is tracked, not re-read per node.
         level = x.level
         while True:
             hops += 1
             if tracing:
-                ctx.touch(x.nid)
-            r = x.right
-            if level <= record:
-                ctx.reply(("path", opid, x, level, r), size=1)
-            if r is not None and r.key <= key:
-                nxt = r
-            elif level > 0:
-                nxt = x.down
-                level -= 1
-            else:
-                module = ctx.module
-                module.work += hops
-                module.round_work += hops
-                # Inlined ctx.reply: the "done" reply ends every search.
-                ctx._replies.append(Reply(("done", opid, x, r),
-                                          None, ctx.mid))
-                ctx._sent_size += 1
-                return
-            owner = nxt.owner
-            if owner == UPPER or owner == ctx.mid:
-                x = nxt
-            else:
-                module = ctx.module
-                module.work += hops
-                module.round_work += hops
-                # ctx.forward(owner, fn_step, ...) inlined, staged
-                # directly into the destination's slot: the continuation
-                # handler is this function and the destination comes
-                # from the placement hash, so the per-hop registry lookup
-                # and bounds check are skipped.  (This scalar walk only
-                # runs for search steps that are themselves in slots --
-                # a fault plan, qrqw, the reference oracle -- and a slot
-                # entry always runs scalar, so the chain stays in slots.)
-                staged = ctx.machine._staged
-                entry = (lower_walk, (nxt, key, opid, record), None, fn_step)
-                slot = staged.get(owner)
-                if slot is None:
-                    staged[owner] = [1, [], [entry]]
-                else:
-                    slot[0] += 1
-                    slot[2].append(entry)
-                ctx._sent_size += 1
-                return
-
-    def h_search_entry(ctx, key, opid, record, tag=None):
-        # Upper-part descent is local: all touched nodes are replicated.
-        u = sl.upper_descend(key, ctx.charge)
-        x = u.down  # first lower-part node on the path
-        if x.owner == UPPER or x.owner == ctx.mid:
-            lower_walk(ctx, x, key, opid, record)
-        else:
-            ctx.forward(x.owner, fn_step, (x, key, opid, record))
-
-    # -- batch variants (array-native rounds) -----------------------------
-    #
-    # One call per round over all of the round's search tasks, mirroring
-    # the scalar handlers' charges/replies/forwards exactly.  The walk is
-    # read-only over the shared structure, order-insensitive and draws no
-    # RNG, so it satisfies the batch-handler execution contract (certified
-    # bit-identical by repro.verify.differ).  Inert wherever messages
-    # stay in slots (a fault plan, qrqw, the reference oracle).
-
-    def _walk_batch(bct, mid, x, key, opid, record, hops):
-        """Walk one task from ``x``; returns a forward row or None.
-
-        ``hops`` pre-counts nodes already attributed (0 for a step task).
-        Work/sent/reply accounting matches ``lower_walk`` exactly.
-        """
-        replies = bct.replies
-        work = bct.work
-        sent = bct.sent
-        level = x.level  # tracked as in ``lower_walk``
-        while True:
-            hops += 1
+                bct.touch(mid, x.nid)
             r = x.right
             if level <= record:
                 replies.append(Reply(("path", opid, x, level, r), None, mid))
@@ -151,13 +85,17 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
         sent = bct.sent
         rows_of = bct.rows_of
         rep_append = bct.replies.append
+        # A recording task takes ``_walk_batch``, and on a traced
+        # machine every task does (``record`` is at least -1): the plain
+        # walk below checks nothing for tracing.
+        floor = -2 if bct.tracing else -1
         out: list = []
         out_append = out.append
         for ch in chunks:
             for mid, args, _tag, _size in rows_of(ch):
                 x, key, opid, record = args
-                if record >= 0:
-                    fwd = _walk_batch(bct, mid, x, key, opid, record, 0)
+                if record > floor:
+                    fwd = _walk_batch(bct, mid, x, key, opid, record)
                     if fwd is not None:
                         out_append(fwd)
                     continue
@@ -187,6 +125,8 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
             bct.stage_rows(fn_step, out)
 
     def batch_search_entry(bct, chunks):
+        # The upper-part descent is local (every node on it is
+        # replicated) and touches nothing.
         work = bct.work
         sent = bct.sent
         rows_of = bct.rows_of
@@ -199,7 +139,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 work[mid] += steps
                 x = u.down
                 if x.owner == UPPER or x.owner == mid:
-                    fwd = _walk_batch(bct, mid, x, key, opid, record, 0)
+                    fwd = _walk_batch(bct, mid, x, key, opid, record)
                     if fwd is not None:
                         out_append(fwd)
                 else:
@@ -211,11 +151,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     machine = sl.machine
     machine.register_batch(fn_step, batch_search_step)
     machine.register_batch(sl.fn_search_entry, batch_search_entry)
-
-    return {
-        sl.fn_search_entry: h_search_entry,
-        fn_step: lower_walk,
-    }
+    return {}
 
 
 def search_message(sl: SkipListStructure, key: Hashable, opid: Any,

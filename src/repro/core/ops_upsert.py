@@ -78,10 +78,9 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
     name = sl.name
 
     # Row bodies: what one task does on ``module``, charging through
-    # ``charge`` -- ``ctx.charge`` under the scalar loop, a ``bct.work``
-    # adder in a chunk loop.  ``memo`` is scratch shared by the rows of
-    # one handler call (one round; the structure's upper part does not
-    # change within it).
+    # ``charge``, a ``bct.work`` adder.  ``memo`` is scratch shared by
+    # the rows of one handler call (one round; the structure's upper
+    # part does not change within it).
 
     def insert_lower(module, node, charge, memo):
         sl.account_lower_alloc(node)
@@ -106,22 +105,17 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 landing = memo[node.nid] = sl.upper_descend_steps(node.key)
             sl.compute_next_leaf(module.mid, node, landing, charge)
 
-    def h_insert_lower(ctx, node, tag=None):
-        insert_lower(ctx.module, node, ctx.charge, {})
-        ctx.touch(node.nid)
-
-    def h_upper_prepare(ctx, node, tag=None):
-        upper_prepare(ctx.module, node, ctx.charge, {})
-
-    def node_batch(body):
-        """The chunk loop of a one-node task with nothing to return.
-        Charges go to ``bct.work``: under a broadcast every module runs
-        the body, and the engine reads ``module.charge`` back only for
-        row and slot receivers (the leaf table's own probes, on a
-        delivery row)."""
+    def node_batch(body, touches):
+        """The chunk loop of a one-node task with nothing to return;
+        ``touches`` says whether the task accesses its node.  Charges go
+        to ``bct.work``: under a broadcast every module runs the body,
+        and the engine reads ``module.charge`` back only for row and
+        slot receivers (the leaf table's own probes, on a delivery
+        row)."""
         def batch(bct, chunks):
             modules = bct.machine.modules
             work = bct.work
+            tracing = touches and bct.tracing
             mid = 0
             memo: dict = {}
 
@@ -131,28 +125,23 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
             for ch in chunks:
                 for mid, (node,), _tag, _size in bct.rows_of(ch):
                     body(modules[mid], node, charge, memo)
+                    if tracing:
+                        bct.touch(mid, node.nid)
         return batch
 
     def h_upper_link(ctx, node, tag=None):
         # Round 2: idempotent horizontal linking of the shared replica.
-        # Scalar only: the first executor pays the descent, the others
+        # Slot only: the first executor pays the descent, the others
         # one unit each.
         sl.link_upper_node(node, ctx.charge)
 
-    h_try_update, batch_try_update = update_handlers(sl)
     machine = sl.machine
-    machine.register_batch(f"{name}:ups_try_update", batch_try_update)
+    machine.register_batch(f"{name}:ups_try_update", update_handlers(sl))
     machine.register_batch(f"{name}:ups_insert_lower",
-                           node_batch(insert_lower))
+                           node_batch(insert_lower, True))
     machine.register_batch(f"{name}:ups_upper_prepare",
-                           node_batch(upper_prepare))
-
-    return {
-        f"{name}:ups_try_update": h_try_update,
-        f"{name}:ups_insert_lower": h_insert_lower,
-        f"{name}:ups_upper_prepare": h_upper_prepare,
-        f"{name}:ups_upper_link": h_upper_link,
-    }
+                           node_batch(upper_prepare, False))
+    return {f"{name}:ups_upper_link": h_upper_link}
 
 
 @dataclass

@@ -5,9 +5,9 @@ owns the target node (paper §3.2).  Writes to replicated nodes (sentinels,
 upper-part nodes) are broadcast to every module; the handler's mutation is
 idempotent (it stores a fixed value), so replaying it per replica is safe
 and each replica's work is charged on its own module.  The simulator
-keeps one object per replicated node, so the chunk handler applies a
-broadcast write once and charges every module its unit; the scalar
-handler (reference oracle, fault plans) replays it per module.
+keeps one object per replicated node, so the batch body applies a
+broadcast write once and charges every module its unit; in slots
+(reference oracle, fault plans) each module's task replays it.
 
 No write-path task replies: the round's barrier is what tells the CPU
 side a write has landed (DESIGN.md §19), so a write is one message in
@@ -44,19 +44,13 @@ def _check_fields(fields: Iterable[str]) -> None:
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    def h_write_ptr(ctx, node, field, value, tag=None):
-        ctx.charge(1)
-        ctx.touch(node.nid)
-        _check_fields((field,))
-        setattr(node, field, value)
-
     def batch_write_ptr(bct, chunks):
         # One RemoteWrite per row.  A broadcast write targets a
         # replicated node, which the simulator keeps as ONE object: the
         # mutation stores a fixed value, so it is applied once and every
-        # module is charged its replica's unit of work.  The round's
-        # fields are checked before its first write, so a bad one cannot
-        # leave the structure half-written.
+        # module is charged (and touches) its replica's unit.  The
+        # round's fields are checked before its first write, so a bad
+        # one cannot leave the structure half-written.
         for ch in chunks:
             if ch.kind == COLS:
                 _check_fields(ch.cols[1])
@@ -66,6 +60,7 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 _check_fields([args[1] for _mid, args, _tag, _size
                                in ch.rows])
         work = bct.work
+        tracing = bct.tracing
         for ch in chunks:
             if ch.kind == COLS:
                 # Every module's unit of work per write is the count of
@@ -74,28 +69,31 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                     setattr(node, field, value)
                 for mid, k in ch.counts.items():
                     work[mid] += k
+                if tracing:
+                    for mid, node in zip(ch.dests, ch.cols[0]):
+                        bct.touch(mid, node.nid)
             elif ch.kind == BCAST:
                 setattr(*ch.args)
                 for mid in range(bct.num_modules):
                     work[mid] += 1
+                    if tracing:
+                        bct.touch(mid, ch.args[0].nid)
             else:
                 for mid, args, _tag, _size in ch.rows:
                     setattr(*args)
                     work[mid] += 1
+                    if tracing:
+                        bct.touch(mid, args[0].nid)
 
     def h_grow(ctx, target_level, added_levels, tag=None):
         # Idempotent shared mutation; every module charges its replica's
-        # share of the new sentinel storage.  Scalar only: the first
+        # share of the new sentinel storage.  Slot only: the first
         # executor pays the growth's charges, the rest pay none.
         sl.grow_to_level(target_level, ctx.charge)
         ctx.module.alloc_words(added_levels * NODE_WORDS)
 
     sl.machine.register_batch(sl.fn_write_ptr, batch_write_ptr)
-
-    return {
-        sl.fn_write_ptr: h_write_ptr,
-        f"{sl.name}:grow": h_grow,
-    }
+    return {f"{sl.name}:grow": h_grow}
 
 
 def write_message(sl: SkipListStructure, node: Node, field: str,

@@ -228,6 +228,7 @@ class Server:
     # -- the scheduler loop -----------------------------------------------
 
     async def _run(self) -> None:
+        batches: List[MergedBatch] = []
         try:
             while self._running:
                 if self.admission.pending == 0:
@@ -263,7 +264,7 @@ class Server:
         except BaseException as exc:
             self._failure = exc
             self._running = False
-            self._abort_pending(exc)
+            self._abort_pending(exc, batches)
             raise
 
     def _execute(self, batches: List[MergedBatch]) -> None:
@@ -342,8 +343,12 @@ class Server:
         return [take(state) for state in self.admission.tenants.values()
                 for _ in range(len(state.queue))]
 
-    def _abort_pending(self, exc: BaseException) -> None:
-        for req in self._drain_queues():
+    def _abort_pending(self, exc: BaseException,
+                       batches: Sequence[MergedBatch] = ()) -> None:
+        """Fail with ``exc`` every request the failed tick took out of
+        admission (``batches``) and every request still queued."""
+        taken = [req for batch in batches for req, _, _ in batch.slices]
+        for req in taken + self._drain_queues():
             if not req.future.done():
                 req.future.set_exception(exc)
 

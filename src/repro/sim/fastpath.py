@@ -5,8 +5,11 @@ a function with a registered **batch handler**
 (:meth:`~repro.sim.machine.PIMMachine.register_batch`) are staged as
 *chunks* and executed as one call per function per round; every other
 message is placed in its destination's slot when it is issued and runs
-through the per-task scalar loop.  This module holds the array-native
-half's data types; the round loop itself lives on the machine.
+through the per-task scalar loop.  The batch handler is the function's
+one implementation: where its messages sit in slots (a fault plan, the
+reference oracle) each task runs the same body over a one-row chunk.
+This module holds the array-native half's data types; the round loop
+itself lives on the machine.
 
 Columnar layout
 ---------------
@@ -74,9 +77,14 @@ any execution order.  Batch handlers are therefore required to be:
   rest -- ``ups_upper_link``, ``del_upper``, ``grow``: the first
   replica to run links, unlinks or grows the shared object and pays the
   descent, the others pay one unit -- depends on which module runs
-  first, and stays scalar; and
+  first, and stays a slot-only handler; and
 - **RNG-free** (the machine's seeded stream must be consumed in the
   same order as under the scalar loop).
+
+Touches: a body reports an access with ``bct.touch(mid, obj)``, guarded
+by ``bct.tracing`` (access tracing or qrqw).  The round clears its
+receivers' ``module.round_touch`` and, under qrqw, reads the hottest
+queue back into the round's PIM maximum, as the scalar loop does.
 
 Charging: a batch handler charges into ``bct.work[mid]``.  On a module
 that received **row, column or slot** traffic this round it may also
@@ -91,7 +99,9 @@ Which functions are chunked (skip list, then PIM-tree).  Any of them
 may be sent as a column chunk -- a column receiver is accounted like a
 row receiver -- and ``write_ptr`` and the PIM-tree's five reads are the
 ones routes send that way today (the ops pipeline's ``Columns``
-element, from ``COLUMNS_CROSSOVER`` messages up)::
+element, from ``COLUMNS_CROSSOVER`` messages up).  The ``slots`` rows
+are plain ``register``-ed handlers; every other function is its batch
+body alone::
 
     columns  write_ptr                        a batch's writes as one column
                                               chunk, single writes as rows;
@@ -111,7 +121,9 @@ element, from ``COLUMNS_CROSSOVER`` messages up)::
              rng_root, rng_boundary,          the §5.2 range traversal: state
              rng_chain, rng_count, rng_go,    keyed (opid, token), one row
              rng_offset                       body per function
-    scalar   ups_upper_link, del_upper, grow  first executor pays
+             load_lower, load_upper           the build: lower nodes as one
+                                              column chunk, upper by broadcast
+    slots    ups_upper_link, del_upper, grow  first executor pays
              nd_pull, lf_pull, *_store,       PIM-tree: the CPU side sums the
              lf_write, lf_del                 pulls' non-integer charges in
                                               reply order; slots run first
@@ -127,33 +139,32 @@ traced, Python 3.11 on a 2-core Xeon VM) ``sim.machine.drain_s`` reads
 are unchanged, and ``repro serve --clients 100`` runs 96 % of its tasks
 chunked (69 % before); EXPERIMENTS.md has the paired end-to-end runs.
 
-The contract is not just documented -- it is *certified empirically*:
+The contract is not just documented -- it is *certified empirically*.
+The per-task reference oracle
+(:class:`repro.sim.machine.ReferencePIMMachine`) runs the same bodies
+one row per task, so it certifies chunking, ordering and accounting:
 ``repro.verify.differ`` replays fuzz sessions of the skip list and the
-PIM-tree on the per-task reference oracle
-(:class:`repro.sim.machine.ReferencePIMMachine`) and requires
-bit-identical per-op metric streams and results, the parity tests
-(``tests/test_fastpath.py``, ``tests/test_fastpath_writes.py``,
-``tests/test_fastpath_pimtree.py``) compare the two round by round
-(``tests/test_fastpath_range.py`` op by op), and
-the golden suite pins the values the per-task loop produced.
+PIM-tree on it and requires bit-identical per-op metric streams and
+results, and the parity tests (``tests/test_fastpath.py``,
+``tests/test_fastpath_writes.py``, ``tests/test_fastpath_pimtree.py``)
+compare the two round by round (``tests/test_fastpath_range.py`` op by
+op).  The independent checks are the sequential oracle
+(``repro.verify.oracle.SequentialOracle``: results) and the golden
+suite (the costs the per-task loop produced).
 
 What turns chunks off
 ---------------------
 
-Two things keep every message in slots, and neither ever meets a
-pending chunk:
+A fault plan keeps every message in slots, and never meets a pending
+chunk: chaos schedules and the reliable-delivery protocol rewrite
+per-destination queues in place, ``install_fault_plan`` refuses while
+anything is pending, so the plan starts on a quiescent machine, and
+``uninstall_fault_plan`` routes new traffic to chunks again.
 
-- ``qrqw`` / ``trace_accesses`` -- per-object access accounting is
-  per-task by definition; fixed when the machine is built, so such a
-  machine never routes to chunks (like the reference oracle).
-- a fault plan -- chaos schedules and the reliable-delivery protocol
-  rewrite per-destination queues in place.  ``install_fault_plan``
-  refuses while anything is pending, so the plan starts on a quiescent
-  machine; ``uninstall_fault_plan`` routes new traffic to chunks again.
-
-The profiler is not one of them: it times each slot task and each
-batch-handler call (``profiler.add(fn, seconds, tasks)``) on the rounds
-the machine runs unprofiled.
+qrqw and access tracing do not turn chunks off (bodies report their
+touches, above), and neither does the profiler: it times each slot task
+and each batch-handler call (``profiler.add(fn, seconds, tasks)``) on
+the rounds the machine runs unprofiled.
 """
 
 from __future__ import annotations
@@ -216,7 +227,8 @@ class BatchRound:
       the execution contract); on a row, column or slot receiver it may
       also pass ``machine.modules[mid].charge`` to module-local
       structures (see the module docstring's charging rule);
-    - stages next-round continuations with :meth:`stage_rows`.
+    - stages next-round continuations with :meth:`stage_rows`;
+    - reports object accesses with :meth:`touch` when :attr:`tracing`.
 
     Work values must be integer-valued (the model charges unit RAM
     instructions), which keeps the per-module sums independent of the
@@ -224,7 +236,8 @@ class BatchRound:
     bit-identical to the reference oracle's.
     """
 
-    __slots__ = ("machine", "num_modules", "replies", "work", "sent")
+    __slots__ = ("machine", "num_modules", "replies", "work", "sent",
+                 "tracing")
 
     def __init__(self, machine: "PIMMachine") -> None:  # noqa: F821
         self.machine = machine
@@ -232,6 +245,9 @@ class BatchRound:
         self.replies: list = []
         self.work: List[float] = [0.0] * machine.num_modules
         self.sent: List[int] = [0] * machine.num_modules
+        #: True when :meth:`touch` records anything (access tracing or
+        #: qrqw, as ``ModuleContext.tracing``).
+        self.tracing = machine.tracer.access.enabled or machine.qrqw
 
     def _arm(self, replies: list) -> None:
         self.replies = replies
@@ -246,9 +262,22 @@ class BatchRound:
         self.replies.append(Reply(payload, tag, mid))
         self.sent[mid] += size
 
+    def touch(self, mid: int, obj: Any) -> None:
+        """Record module ``mid``'s access to ``obj``: one count in the
+        round's access trace and, under qrqw, in the module's queue for
+        ``obj``, which the round reads back for its hottest-object
+        charge.  Call it only when :attr:`tracing` is set."""
+        machine = self.machine
+        if machine._trace_access:
+            machine.tracer.access._current[obj] += 1
+        if machine.qrqw:
+            machine.modules[mid].round_touch[obj] += 1
+
     def rows_of(self, ch: _Chunk) -> Iterable[tuple]:
         """The ``(dest, args, tag, size)`` rows of a chunk of any kind
         (a broadcast chunk yields one row per module)."""
+        if ch.kind == ROWS:
+            return ch.rows
         return self.machine._iter_chunk(ch)
 
     def rows_in_slot_order(self, chunks: List[_Chunk]) -> List[tuple]:

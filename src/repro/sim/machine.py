@@ -39,19 +39,21 @@ issued or forwarded:
   batch handler (:meth:`PIMMachine.register_batch`) is appended to a
   per-function chunk, and the round makes ONE batch-handler call per
   function over all of its chunks; see :mod:`repro.sim.fastpath` for the
-  layout and the execution contract.
+  layout and the execution contract.  The batch handler is the
+  function's one implementation: its slot handler is the engine's
+  runner of the same body over one row.
 
 A round with no chunks *is* the scalar loop (``_run_round``); a round
 with chunks runs its slots first, in the same order, then the batch
 handlers, and accounts both halves in one pass (``_array_round``).
-Three things keep every message in slots: a machine built with qrqw or
-access tracing (per-object accounting is per-task by definition), a
-fault plan for as long as it is installed (installing one needs a
-quiescent machine, so no chunk is ever pending under chaos), and
-:class:`ReferencePIMMachine` -- the per-task oracle the differ, the
-tests and the perf gates compare the engine against.  The profiler is
-not one of them: it times slot tasks one by one and each batch-handler
-call as a whole, on whichever loop the round runs.
+Two things keep every message in slots: a fault plan for as long as it
+is installed (installing one needs a quiescent machine, so no chunk is
+ever pending under chaos), and :class:`ReferencePIMMachine` -- the
+per-task oracle the differ, the tests and the perf gates compare the
+engine against.  qrqw and access tracing are not among them (bodies
+report their touches through the batch context), and neither is the
+profiler: it times slot tasks one by one and each batch-handler call as
+a whole, on whichever loop the round runs.
 
 Bookkeeping is gated: round logs (``trace_rounds``), access tracing
 (``trace_accesses``) and qrqw queue accounting are no-ops when disabled
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -88,8 +90,7 @@ from repro.sim.tracing import Tracer
 Handler = Callable[..., None]
 
 # What ``_chunk_fns`` points at while no function is routed to chunks
-# (qrqw, access tracing, a fault plan, the reference oracle).  Never
-# mutated.
+# (a fault plan, the reference oracle).  Never mutated.
 _NO_CHUNK_FNS: Dict[str, Any] = {}
 
 
@@ -145,9 +146,8 @@ class PIMMachine:
 
     There is one round engine and no option that selects another: rounds
     run array-native for every function with a batch handler
-    (:attr:`columnar_active`) and per-task for the rest.  qrqw and access
-    tracing, fixed at construction, and an installed fault plan keep
-    every message in slots.
+    (:attr:`columnar_active`) and per-task for the rest.  An installed
+    fault plan keeps every message in slots.
     """
 
     #: False only on :class:`ReferencePIMMachine`, which opts out of the
@@ -200,15 +200,12 @@ class PIMMachine:
         self._batch_handlers: Dict[str, Callable[..., None]] = {}
         # The functions whose messages are staged as chunks right now:
         # ``_batch_handlers`` itself on the engine, the empty
-        # ``_NO_CHUNK_FNS`` on the reference oracle and on a machine
-        # built with qrqw or access tracing (``_base_chunk_fns``), and
-        # while a fault plan is installed.  Every issue path asks
-        # ``fn in self._chunk_fns`` once per message.
+        # ``_NO_CHUNK_FNS`` on the reference oracle
+        # (``_base_chunk_fns``) and while a fault plan is installed.
+        # Every issue path asks ``fn in self._chunk_fns`` once per
+        # message.
         self._base_chunk_fns: Dict[str, Any] = (
-            self._batch_handlers
-            if self._array_native and not (self.qrqw
-                                           or config.trace_accesses)
-            else _NO_CHUNK_FNS)
+            self._batch_handlers if self._array_native else _NO_CHUNK_FNS)
         self._chunk_fns = self._base_chunk_fns
         # mid -> [units_in, cpu_entries, forward_entries]; see module doc.
         self._staged: Dict[int, list] = {}
@@ -230,6 +227,9 @@ class PIMMachine:
         self._zeros_f: List[float] = [0.0] * P
         self._zeros_i: List[int] = [0] * P
         self._bct = BatchRound(self)
+        # The slot runners' own context (see ``register_batch``): the
+        # round's ``_bct`` is mid-round while slot tasks run.
+        self._slot_bct = BatchRound(self)
         self._log_p = config.log_p
         self._trace_rounds = config.trace_rounds
         self._trace_access = config.trace_accesses
@@ -254,8 +254,13 @@ class PIMMachine:
         Re-registering the same id with a different handler is an error
         (two structures must not collide on a function id); re-registering
         the identical handler is a no-op so structures can be constructed
-        repeatedly on one machine.
+        repeatedly on one machine.  Registering a handler for a function
+        that has a batch body (:meth:`register_batch`) is an error too: a
+        function has one implementation.
         """
+        if fn in self._batch_handlers:
+            raise ValueError(f"handler id {fn!r} already registered as a "
+                             f"batch body")
         existing = self._handlers.get(fn)
         if existing is not None and existing is not handler:
             raise ValueError(f"handler id {fn!r} already registered")
@@ -268,34 +273,73 @@ class PIMMachine:
 
     def register_batch(self, fn: str,
                        batch_handler: Callable[..., None]) -> None:
-        """Register a *batch* variant of the handler for ``fn``.
+        """Register ``batch_handler`` as the one implementation of ``fn``.
 
         A batch handler ``batch_handler(bct, chunks)`` processes one
         round's entire task population for ``fn`` in a single call over
         contiguous chunk buffers (see
-        :class:`repro.sim.fastpath.BatchRound`); the engine dispatches
-        it instead of calling the scalar handler per task.  Wherever
-        messages stay in slots (qrqw, access tracing, a fault plan,
-        :class:`ReferencePIMMachine`) the registration is inert -- the
-        scalar handler remains the reference semantics, and the
-        differential oracle certifies the two produce bit-identical
-        metric streams.
+        :class:`repro.sim.fastpath.BatchRound`).  The registration also
+        installs ``fn``'s slot handler, the engine's runner of the same
+        body over a one-row chunk: wherever ``fn``'s messages stay in
+        slots (a fault plan, :class:`ReferencePIMMachine`) each task
+        runs that body alone.  The reference oracle therefore runs the
+        same bodies one row per task and certifies chunking, ordering
+        and accounting; :class:`repro.verify.oracle.SequentialOracle`
+        (results) and the golden suite (the costs the per-task loop
+        produced) stay the independent checks.
 
-        Batch handlers must be behaviourally equivalent to their scalar
-        handler under the execution contract: order-insensitive within a
-        round, every task paying the charges its own arguments determine
-        (no first-executor-pays mutation of shared replicated
+        Batch handlers must keep the execution contract: order-insensitive
+        within a round, every task paying the charges its own arguments
+        determine (no first-executor-pays mutation of shared replicated
         structure), and no reads of the machine RNG (see
         ``repro/sim/fastpath.py``).
 
         Same collision rule as :meth:`register`: re-registering a
-        different callable under an existing id is an error, the
-        identical callable is a no-op.
+        different callable under an existing id is an error and the
+        identical callable is a no-op; a batch body for a function
+        :meth:`register` already holds a handler for is an error too.
         """
         existing = self._batch_handlers.get(fn)
-        if existing is not None and existing is not batch_handler:
+        if existing is batch_handler:
+            return
+        if existing is not None:
             raise ValueError(f"batch handler id {fn!r} already registered")
+        if fn in self._handlers:
+            raise ValueError(f"handler id {fn!r} already registered as a "
+                             f"slot handler")
         self._batch_handlers[fn] = batch_handler
+        self._handlers[fn] = self._slot_runner(fn, batch_handler)
+
+    def _slot_runner(self, fn: str, batch: Callable[..., None]) -> Handler:
+        """``fn``'s slot handler: ``batch`` over the task's one row, on
+        the machine's slot context.  Work reaches ``ctx.charge``, sends
+        ``ctx._sent_size`` and replies the round's list; forwarded rows
+        go through ``stage_rows`` to the next round."""
+        bct = self._slot_bct
+        work = bct.work
+        sent = bct.sent
+        # One chunk per function, refilled per task: a body never keeps
+        # its chunks past the call, and no body runs another's task.
+        ch = _Chunk(fn, ROWS)
+        chunks = [ch]
+
+        def run(ctx: ModuleContext, *args: Any, tag: Any = None) -> None:
+            mid = ctx.mid
+            ch.rows = [(mid, args, tag, 1)]
+            bct.replies = ctx._replies
+            batch(bct, chunks)
+            w = work[mid]
+            if w:
+                work[mid] = 0.0
+                module = ctx.module  # ctx.charge, inlined
+                module.work += w
+                module.round_work += w
+            s = sent[mid]
+            if s:
+                sent[mid] = 0
+                ctx._sent_size += s
+
+        return run
 
     @property
     def backend(self) -> str:
@@ -314,8 +358,8 @@ class PIMMachine:
     @property
     def columnar_active(self) -> bool:
         """A read-only label: True while batch-handled functions run
-        array-native (the engine, built without qrqw or access tracing,
-        with no fault plan installed)."""
+        array-native (the engine, with no fault plan installed; qrqw and
+        access tracing run chunked too)."""
         return self._chunk_fns is self._batch_handlers
 
     def _iter_chunk(self, ch: _Chunk) -> Iterable[tuple]:
@@ -677,13 +721,6 @@ class PIMMachine:
             else:
                 _run_timed(profiler, ctx, cpu_q, fwd_q)
             module_round = module.round_work
-            if qrqw and module.round_touch:
-                # Queue-write variant (paper §2.1 Discussion): a module's
-                # effective round time is at least its hottest object's
-                # access-queue length.
-                hottest = max(module.round_touch.values())
-                if hottest > module_round:
-                    module_round = hottest
             if module_round > round_pim_max:
                 round_pim_max = module_round
             sent = ctx._sent_size
@@ -694,10 +731,27 @@ class PIMMachine:
             h_mod = slot[0] + sent
             if h_mod > h:
                 h = h_mod
+        if qrqw:
+            round_pim_max = self._hottest_queue(staged, round_pim_max)
 
         self._commit_round(h, incoming_total + sent_total, round_pim_max,
                            tasks)
         return replies
+
+    def _hottest_queue(self, mids: Iterable[int],
+                       round_pim_max: float) -> float:
+        """The queue-write variant (paper §2.1 Discussion): a module's
+        round time is at least its hottest object's access-queue length,
+        so the round's PIM maximum is at least the longest queue of any
+        of its receivers ``mids``."""
+        modules = self.modules
+        for mid in mids:
+            touches = modules[mid].round_touch
+            if touches:
+                hottest = max(touches.values())
+                if hottest > round_pim_max:
+                    round_pim_max = hottest
+        return round_pim_max
 
     def _commit_round(self, h: int, total_msgs: int, round_pim_max: float,
                       tasks: int) -> None:
@@ -723,10 +777,10 @@ class PIMMachine:
         the scalar loop's own order (module id ascending, CPU-issued
         before forwarded, arrival order within), then every chunked
         function runs as one batch-handler call; both halves are
-        accounted together.  A machine with qrqw or access tracing, or
-        with a fault plan installed, has no chunk to run, so neither
-        needs handling here; an attached profiler times each slot task
-        and each batch-handler call."""
+        accounted together.  Under qrqw every receiver's touches are
+        cleared first and its hottest object read back last; a machine
+        with a fault plan installed has no chunk to run; an attached
+        profiler times each slot task and each batch-handler call."""
         P = self.num_modules
         cq = self._cq
         fq = self._fq
@@ -764,6 +818,10 @@ class PIMMachine:
         # hold -- as well as through ``bct.work``.
         for mid in active:
             modules[mid].round_work = 0.0
+        qrqw = self.qrqw
+        if qrqw:
+            for mid in (range(P) if bcast_units else chain(active, staged)):
+                modules[mid].round_touch.clear()
         tasks = 0
         profiler = self._profiler
         if staged:
@@ -841,6 +899,9 @@ class PIMMachine:
                 h = hm
             if w > round_pim_max:
                 round_pim_max = w
+        if qrqw:
+            round_pim_max = self._hottest_queue(
+                range(P) if bcast_units else active, round_pim_max)
 
         self._commit_round(h, incoming_total + sent_total, round_pim_max,
                            tasks)
@@ -1070,8 +1131,8 @@ class PIMMachine:
 
 class ReferencePIMMachine(PIMMachine):
     """The per-task reference oracle: every message, whatever its
-    function, is placed in a slot and run by the scalar loop, and a
-    registered batch handler is never dispatched.
+    function, is placed in a slot and run by the scalar loop; a chunked
+    function's task runs its batch body over its one row.
 
     This is what the engine is certified against -- the differ's
     cross-engine replay, the parity tests and the perf gates construct

@@ -236,17 +236,16 @@ class PIMTree:
     # ------------------------------------------------------------------
 
     def _handlers(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """``(handlers, chunked)``: every function's slot handler, and
-        the batch handlers of the five read functions.
+        """``(handlers, chunked)``: the slot-only functions' handlers,
+        and the batch handlers of the five read functions.
 
         A read function is one kernel over a run of rows (``_step_kernel``
         serves ``nd_step`` and ``sh_step``, then ``_get_kernel``,
         ``_succ_kernel``, ``_scan_kernel``).  Its batch handler runs the
         kernel over each chunk -- a column chunk column-wise, straight
-        from ``dests`` and ``cols``, a row chunk row by row -- and its
-        slot handler (fault plans, qrqw, access tracing,
-        :class:`~repro.sim.machine.ReferencePIMMachine`) over the task's
-        one row.  The stores, writes, deletes and ``nd_pull`` /
+        from ``dests`` and ``cols``, a row chunk row by row, a slot task
+        (fault plans, :class:`~repro.sim.machine.ReferencePIMMachine`)
+        as its one row.  The stores, writes, deletes and ``nd_pull`` /
         ``lf_pull`` stay in slots: the CPU side sums the pull replies'
         non-integer ``log2`` charges in arrival order, and slots run
         before chunks, module ascending, so that order is the per-task
@@ -262,14 +261,7 @@ class PIMTree:
         def lstate(ctx):
             return ctx.module.state[name]["leaf"]
 
-        def read_pair(store, kernel):
-            def scalar(ctx, *args, tag=None):
-                work, sent, got = [0], [0], []
-                kernel((ctx.module.state[name][store],), ((0, tag) + args,),
-                       work, sent, got.append)
-                ctx.charge(work[0])
-                ctx.reply(got[0].payload, tag=tag, size=sent[0])
-
+        def read_body(store, kernel):
             def chunk(bct, chunks):
                 modules = bct.machine.modules
                 for ch in chunks:
@@ -284,7 +276,7 @@ class PIMTree:
                             for mid in mids},
                            rows, bct.work, bct.sent, bct.replies.append)
 
-            return scalar, chunk
+            return chunk
 
         def _store_node(store, nid, fences, children, kind, module):
             old = store.get(nid)
@@ -372,7 +364,7 @@ class PIMTree:
                                  ("lf_get", "leaf", _get_kernel),
                                  ("lf_succ", "leaf", _succ_kernel),
                                  ("lf_scan", "leaf", _scan_kernel)):
-            handlers[fn[f]], chunked[fn[f]] = read_pair(store, kernel)
+            chunked[fn[f]] = read_body(store, kernel)
         return handlers, chunked
 
     # ------------------------------------------------------------------

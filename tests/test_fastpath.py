@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,7 +28,7 @@ from repro.sim.errors import LivelockError
 from repro.sim.fastpath import BCAST, COLS, ROWS
 from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.profiling import HandlerProfile
-from repro.workloads import build_items
+from repro.workloads import build_items, zipf_batch
 from tests.conftest import ENGINES
 from tests.test_golden_metrics import (
     GOLDEN_PATH,
@@ -57,28 +58,13 @@ def _loop(ctx, n, tag=None):
     ctx.forward((ctx.mid + 1) % ctx.machine.num_modules, "loop", (n + 1,))
 
 
-def _walk(ctx, rem, opid, tag=None):
-    """Batch-handled below: hop to the next module ``rem`` times, then
-    hand the op to the scalar-only ``echo``."""
-    ctx.charge(2)
-    nxt = (ctx.mid + 1) % ctx.machine.num_modules
-    if rem > 0:
-        ctx.forward(nxt, "walk", (rem - 1, opid))
-    else:
-        ctx.forward(nxt, "echo", (opid,), tag=opid)
-
-
-def _ping(ctx, tag=None):
-    ctx.charge(1)
-    ctx.reply(("ping", ctx.mid), tag=tag)
-
-
 def _batch_walk(bct, chunks):
-    """``_walk`` over a round's chunks.  A column chunk (CPU-issued:
-    list columns) is charged from its ``counts`` and read column by
-    column, a row chunk row by row; both answer with row forwards, the
-    scalar-only continuation through ``stage_rows`` too (which must land
-    in slots)."""
+    """``walk``: hop to the next module ``rem`` times, then hand the op
+    to the slot-only ``echo``.  A column chunk (CPU-issued: list
+    columns) is charged from its ``counts`` and read column by column, a
+    row chunk row by row; both answer with row forwards, the slot-only
+    continuation through ``stage_rows`` too (which must land in
+    slots)."""
     P_ = bct.num_modules
     rows_out, echo_out = [], []
     for ch in chunks:
@@ -107,11 +93,11 @@ def _batch_walk(bct, chunks):
 
 
 def _batch_ping(bct, chunks):
+    """``ping``: broadcast on the engine, one row a task in slots."""
     for ch in chunks:
-        assert ch.kind == BCAST
-        for mid in range(bct.num_modules):
+        for mid, _args, tag, _size in bct.rows_of(ch):
             bct.work[mid] += 1
-            bct.reply(mid, ("ping", mid), tag=ch.tag)
+            bct.reply(mid, ("ping", mid), tag=tag)
 
 
 def _machine(engine="columnar", **kwargs):
@@ -119,8 +105,6 @@ def _machine(engine="columnar", **kwargs):
     machine.register("echo", _echo)
     machine.register("relay", _relay)
     machine.register("loop", _loop)
-    machine.register("walk", _walk)
-    machine.register("ping", _ping)
     machine.register_batch("walk", _batch_walk)
     machine.register_batch("ping", _batch_ping)
     return machine
@@ -246,23 +230,69 @@ class TestBackendSelection:
 
     def test_register_batch_collision(self):
         machine = _machine()
-
-        def batch_a(bct, chunks):
-            pass
-
-        machine.register_batch("echo", batch_a)
-        machine.register_batch("echo", batch_a)  # idempotent
+        runner = machine._handlers["walk"]
+        machine.register_batch("walk", _batch_walk)  # idempotent
+        assert machine._handlers["walk"] is runner
+        with pytest.raises(ValueError, match="already registered"):
+            machine.register_batch("walk", lambda bct, chunks: None)
+        # One implementation per function, in either order.
         with pytest.raises(ValueError, match="already registered"):
             machine.register_batch("echo", lambda bct, chunks: None)
+        with pytest.raises(ValueError, match="already registered"):
+            machine.register("walk", _echo)
 
-    def test_register_batch_inert_on_object_backend(self):
+    def test_no_function_has_two_implementations(self):
+        """On a machine carrying a skip list, a PIM-tree and an LSM
+        store, every function with a batch body has the engine's slot
+        runner of that body as its slot handler, and no id takes a
+        second implementation in either registration order."""
+        import inspect
+
+        from repro.structures.lsm import PIMLSMStore
+        from repro.structures.pimtree import PIMTree
+
+        machine = PIMMachine(P, seed=0)
+        PIMSkipList(machine)
+        PIMTree(machine)
+        PIMLSMStore(machine)
+        runner = machine._slot_runner("probe", _batch_ping).__code__
+        assert len(machine._batch_handlers) == 41
+        for fn, batch in machine._batch_handlers.items():
+            handler = machine._handlers[fn]
+            assert handler.__code__ is runner, fn
+            assert inspect.getclosurevars(handler).nonlocals["batch"] \
+                is batch, fn
+            with pytest.raises(ValueError, match="already registered"):
+                machine.register(fn, _echo)
+        for fn in set(machine._handlers) - set(machine._batch_handlers):
+            with pytest.raises(ValueError, match="already registered"):
+                machine.register_batch(fn, _batch_ping)
+
+    def test_register_batch_runs_one_row_per_slot_task_on_the_oracle(self):
+        """On the oracle a batch body is the slot handler: every task is
+        one call over a one-row chunk, and its work, sends and replies
+        reach the task's module and the round."""
         machine = _machine("object")
-        called = []
-        machine.register_batch("echo", lambda bct, chunks: called.append(1))
-        machine.send(0, "echo", (1,))
-        (reply,) = machine.drain()
-        assert reply.payload == 2
-        assert not called
+        calls = []
+
+        def batch_double(bct, chunks):
+            calls.append([(ch.kind, ch.rows) for ch in chunks])
+            for ch in chunks:
+                for mid, (x,), tag, _size in bct.rows_of(ch):
+                    bct.work[mid] += 3
+                    bct.reply(mid, 2 * x, tag=tag)
+
+        machine.register_batch("double", batch_double)
+        machine.send(1, "double", (4,), tag="a")
+        machine.send(1, "double", (5,), tag="b")
+        replies = machine.drain()
+        assert [(r.payload, r.tag, r.src) for r in replies] \
+            == [(8, "a", 1), (10, "b", 1)]
+        assert calls == [[(ROWS, [(1, (4,), "a", 1)])],
+                         [(ROWS, [(1, (5,), "b", 1)])]]
+        assert machine.modules[1].work == 6
+        assert machine.metrics.io_time == 4  # 2 in + 2 replies
+        assert machine.tasks_chunked == 0
 
     def test_fault_free_server_session_never_falls_back(self):
         import asyncio
@@ -340,18 +370,13 @@ class TestBackendParity:
         round's PIM maximum on modules with no slot traffic, next to
         ``bct.work`` charges and next to slot charges."""
 
-        def meter(ctx, units, tag=None):
-            ctx.charge(1)
-            ctx.module.charge(units)  # what a local structure would do
-            ctx.reply(units, tag=tag)
-
         def batch_meter(bct, chunks):
             modules = bct.machine.modules
             for ch in chunks:
                 for mid, (units,), tag, _size in bct.rows_of(ch):
                     if ch.kind == BCAST:  # charged through bct only
                         bct.work[mid] += units + 1
-                    else:
+                    else:  # what a local structure would do
                         modules[mid].charge(units)
                         bct.work[mid] += 1
                     bct.reply(mid, units, tag=tag)
@@ -367,7 +392,6 @@ class TestBackendParity:
 
         obj, col = _machine("object"), _machine("columnar")
         for machine in (obj, col):
-            machine.register("meter", meter)
             machine.register_batch("meter", batch_meter)
             # Stale round_work on a broadcast-only receiver (out-of-round
             # charging) must not leak into the round either.
@@ -428,7 +452,15 @@ class TestBackendParity:
                 else:
                     machine.send_all(Columns(fn, dests, cols).rows())
             assert not (machine._cq or machine._fq)
-            staged = machine._staged
+            # Each entry carries its machine's own handler: compare the
+            # function ids, and that they resolve to that handler.
+            staged = {}
+            for mid, (units, *queues) in machine._staged.items():
+                for queue in queues:
+                    assert all(handler is machine._handlers[fn]
+                               for handler, _args, _tag, fn in queue)
+                staged[mid] = [units] + [[entry[1:] for entry in queue]
+                                         for queue in queues]
             got.append((staged, machine.drain(), machine.snapshot()))
         assert got[0] == got[1]
 
@@ -486,14 +518,19 @@ class TestBackendParity:
 # the profiler times the shipped path
 # ----------------------------------------------------------------------
 
-def _session(engine, profiler):
-    """A get / successor / upsert / delete / range session at P = 16,
-    profiled from the first batch on if ``profiler`` is given; returns
-    (results, MetricsDelta, tasks_chunked, tasks run, columnar_active)."""
-    machine = ENGINES[engine](num_modules=16, seed=5)
+def _session(engine, profiler=None, **config):
+    """A get / successor / upsert / delete / range session at P = 16 on
+    a machine built with ``config``, profiled from the first batch on if
+    ``profiler`` is given; returns (results, MetricsDelta,
+    tasks_chunked, tasks run, columnar_active, the per-op MetricsDelta
+    stream, the per-round access counts keyed by node id from the
+    structure's first sentinel, an offset two sessions share)."""
+    machine = ENGINES[engine](num_modules=16, seed=5, **config)
     sl = PIMSkipList(machine)
     sl.build(build_items(400, stride=10))
     machine.set_profiler(profiler)
+    stream = []
+    machine.batch_observer = lambda op, delta: stream.append((op, delta))
     before, tasks = machine.snapshot(), machine.tasks_executed
     rng = random.Random(3)
     keys = [rng.randrange(4000) for _ in range(64)]
@@ -504,8 +541,12 @@ def _session(engine, profiler):
         sl.apply_batch("delete", [k * 10 for k in range(0, 400, 5)]),
         sl.apply_batch("range", [(k, k + 300) for k in keys[:12]]),
     ]
+    access = machine.tracer.access
+    base = sl.struct.sentinels[0].nid
     return (results, machine.delta_since(before), machine.tasks_chunked,
-            machine.tasks_executed - tasks, machine.columnar_active)
+            machine.tasks_executed - tasks, machine.columnar_active, stream,
+            [Counter({nid - base: k for nid, k in access.round_counter(i)
+                      .items()}) for i in range(access.num_rounds)])
 
 
 class TestProfiledEngine:
@@ -517,7 +558,7 @@ class TestProfiledEngine:
         prof, ref_prof = HandlerProfile(), HandlerProfile()
         profiled = _session("columnar", prof)
         assert profiled == _session("columnar", None)
-        results, delta, chunked, tasks, active = profiled
+        results, delta, chunked, tasks, active, _stream, _access = profiled
         assert active and chunked > 0
         ref = _session("object", ref_prof)
         assert ref[:2] == (results, delta) and ref[2] == 0
@@ -605,18 +646,65 @@ class TestChaosFallback:
             results[backend] = _mixed_workload(machine)
         assert results["object"] == results["columnar"]
 
-    def test_qrqw_contention_model_falls_back_at_construction(self):
-        """qrqw and access tracing are fixed when the machine is built:
-        such a machine never routes to chunks, like the oracle."""
-        for kwargs in ({"contention_model": "qrqw"},
-                       {"trace_accesses": True}):
-            machine = _machine(**kwargs)
-            assert not machine.columnar_active
-            _issue_mixed_round(machine)
-            assert not (machine._cq or machine._fq)
-            machine.drain()
-            assert machine.tasks_executed > 0
-            assert machine.tasks_chunked == 0
+    def test_qrqw_and_access_tracing_run_chunked(self):
+        """qrqw and access tracing, fixed when the machine is built,
+        route to chunks like a plain machine: a skip-list session runs
+        as many tasks chunked as it does there, and equals the reference
+        oracle with the same config -- results, per-op MetricsDelta
+        stream and per-round access counts."""
+        plain_results, _, plain_chunked, *_ = _session("columnar")
+        assert plain_chunked > 0
+        for config in ({"contention_model": "qrqw"},
+                       {"trace_accesses": True},
+                       {"contention_model": "qrqw", "trace_accesses": True}):
+            results, _, chunked, tasks, active, stream, access = \
+                _session("columnar", **config)
+            ref = _session("object", **config)
+            assert active and chunked == plain_chunked
+            assert ref[2] == 0 and ref[3] == tasks
+            assert results == ref[0] == plain_results
+            assert stream == ref[5]
+            assert access == ref[6]
+            assert any(access) == config.get("trace_accesses", False)
+
+    def test_qrqw_hot_key_queue_is_charged_on_chunks(self):
+        """A Zipf hot-key session of a function that queues three
+        accesses on its key's object per unit of work: under qrqw the
+        hot object's queue, not the charged work, bounds its rounds, on
+        chunks as on the oracle's slots."""
+
+        def batch_hammer(bct, chunks):
+            for ch in chunks:
+                for mid, (key,), tag, _size in bct.rows_of(ch):
+                    bct.work[mid] += 1
+                    if bct.tracing:
+                        for _ in range(3):
+                            bct.touch(mid, ("key", key))
+                    bct.reply(mid, key, tag=tag)
+
+        def run(engine, **config):
+            machine = ENGINES[engine](num_modules=P, seed=1, **config)
+            machine.register_batch("hammer", batch_hammer)
+            rounds = []
+            for seed in range(4):
+                keys = zipf_batch(48, range(64), alpha=1.2, seed=seed)
+                machine.send_all([(key % P, "hammer", (key,), None)
+                                  for key in keys])
+                replies = sorted(machine.step(), key=repr)
+                rounds.append((replies, machine.snapshot().as_dict()))
+            return rounds, machine.tasks_chunked
+
+        qrqw, chunked = run("columnar", contention_model="qrqw")
+        assert (qrqw, 0) == run("object", contention_model="qrqw")
+        plain, plain_chunked = run("columnar")
+        assert chunked == plain_chunked == 4 * 48
+        # Every round's maximum is its hottest queue: three times the
+        # hot key's tasks, above the work of the module that holds it.
+        for (_, q), (_, w), prev_q, prev_w in zip(
+                qrqw, plain, [{"pim_time": 0.0}] + [r for _, r in qrqw],
+                [{"pim_time": 0.0}] + [r for _, r in plain]):
+            assert (q["pim_time"] - prev_q["pim_time"]
+                    > w["pim_time"] - prev_w["pim_time"])
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The tree range's six functions (``rng_root``, ``rng_boundary``,
 ``rng_chain``, ``rng_count``, ``rng_go``, ``rng_offset``) run as chunk
-handlers on the engine (:class:`~repro.sim.machine.PIMMachine`) and as
-per-task handlers on :class:`~repro.sim.machine.ReferencePIMMachine`;
-one row body per function serves both.  Each test runs the same ops on
+handlers on the engine (:class:`~repro.sim.machine.PIMMachine`) and one
+row per task on :class:`~repro.sim.machine.ReferencePIMMachine`; one row
+body per function serves both.  Each test runs the same ops on
 one skip list on each side and requires, op by op, equal results,
 equal ``MetricsDelta``, the same machine RNG state and no traversal
 state left on any module -- and that the engine really ran the
@@ -18,7 +18,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import PIMMachine, PIMSkipList
+from repro import PIMSkipList
 from repro.core.ops_range import apply_range_cpu, range_tree_single
 from repro.sim.profiling import HandlerProfile
 from repro.workloads import build_items
@@ -161,18 +161,25 @@ def test_multi_group_go_passes():
     assert rounds[1] > rounds[0]
 
 
-def test_scalar_handlers_replay_the_touches():
-    """Access tracing keeps the traversal in slots, where the scalar
-    wrappers replay each body's touches: every in-range node once (its
-    chain task) and the nodes the boundary descent walked."""
-    machine = PIMMachine(num_modules=P, seed=42, trace_accesses=True)
-    sl = PIMSkipList(machine)
-    sl.build(build_items(300, stride=STRIDE))
-    struct = sl.struct
-    machine.tracer.access.reset()
-    assert range_tree_single(struct, 500, 900).count == 41
-    assert machine.tasks_chunked == 0
-    touched = machine.tracer.access.total_accesses()
+def test_traced_traversal_runs_chunked_and_touches_as_the_oracle():
+    """Access tracing chunks the traversal like a plain machine: op by
+    op the engine equals the oracle built with the same config, and so
+    do its access counts -- every in-range node once (its chain task)
+    and the nodes the boundary descent walked."""
+    pair = _pair(trace_accesses=True)
+    for sl in pair:
+        sl.machine.tracer.access.reset()
+    res, _, fns = _run(pair, lambda sl: range_tree_single(sl.struct, 500,
+                                                          900))
+    assert res.count == 41 and "skiplist:rng_chain" in fns
+    counts = []
+    for sl in pair:
+        base = sl.struct.sentinels[0].nid
+        counts.append({nid - base: k for nid, k
+                       in sl.machine.tracer.access.total_accesses().items()})
+    assert counts[0] == counts[1]
+    struct = pair[1].struct
+    touched = pair[1].machine.tracer.access.total_accesses()
     lower = {n.nid: n for lvl in range(struct.h_low)
              for n in struct.iter_level(lvl)}
     in_range = {nid for nid, n in lower.items() if 500 <= n.key <= 900}

@@ -575,6 +575,38 @@ class TestServer:
         status = _run(scenario())
         assert "ServerStalled" in status["failure"]
 
+    def test_a_tick_that_raises_fails_every_request_it_took(self):
+        """An untyped exception out of a tick fails the requests that
+        tick took out of admission, not only those still queued: every
+        future resolves, none hangs."""
+
+        class Faulty(PIMSkipList):
+            def apply_batch(self, op, payload):
+                if op == "get":
+                    raise RuntimeError("structure bug")
+                return super().apply_batch(op, payload)
+
+        def standby():
+            return Faulty(PIMMachine(num_modules=4, seed=7))
+
+        async def scenario():
+            sl = standby()
+            sl.build([(i, i * 10) for i in range(0, 100, 2)])
+            server = Server(sl, standby, ServerConfig())
+            await server.start()
+            futures = [server.submit(f"t{i}", "get", [2 * i])
+                       for i in range(4)]
+            futures.append(server.submit("w", "upsert", [(1, 1)]))
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*futures, return_exceptions=True), timeout=5)
+            with pytest.raises(RuntimeError):
+                await server.stop()
+            return outcomes
+
+        outcomes = _run(scenario())
+        assert [type(o) for o in outcomes] == [RuntimeError] * 5
+        assert all(str(o) == "structure bug" for o in outcomes)
+
     def test_status_is_json_serialisable(self):
         import json
 

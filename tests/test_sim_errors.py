@@ -32,9 +32,14 @@ def _echo(ctx, x, tag=None):
     ctx.reply(x, tag=tag)
 
 
-def _machine() -> PIMMachine:
+def _machine(chunked: bool = False) -> PIMMachine:
+    """``echo`` as a slot handler, or as a batch body that does
+    nothing."""
     machine = PIMMachine(num_modules=4, seed=0)
-    machine.register("echo", _echo)
+    if chunked:
+        machine.register_batch("echo", lambda bct, chunks: None)
+    else:
+        machine.register("echo", _echo)
     return machine
 
 
@@ -126,9 +131,7 @@ class TestMalformedMessages:
 
     @pytest.mark.parametrize("path", ["slots", "chunks", "send_cols"])
     def test_send_and_broadcast_reject_what_send_all_rejects(self, path):
-        machine = _machine()
-        if path != "slots":
-            machine.register_batch("echo", lambda bct, chunks: None)
+        machine = _machine(chunked=path != "slots")
         for bad in (0, -3, 1.5, "3", True):
             if path == "send_cols":
                 with pytest.raises(MalformedMessageError, match="size"):
@@ -158,8 +161,7 @@ class TestMalformedMessages:
         # check: nothing is staged for an id outside ``[0, P)``, to a
         # chunked function or to a slot one.
         for chunked in (False, True):
-            if chunked:
-                machine.register_batch("echo", lambda bct, chunks: None)
+            machine = _machine(chunked)
             with pytest.raises(ValueError, match="bad module id 99"):
                 machine.send_cols("echo", [0, 99], ([1, 2],))
             with pytest.raises(ValueError, match="bad module id -1"):
@@ -173,9 +175,7 @@ class TestMalformedMessages:
         receive accounting counts ``dests``: four units and four tasks
         on the books, two tasks run.  Rejected at issue / construction,
         nothing staged; under a fault plan nothing wrapped either."""
-        machine = _machine()
-        if chunked:
-            machine.register_batch("echo", lambda bct, chunks: None)
+        machine = _machine(chunked)
         dests, cols = [0, 1, 2, 3], ([10, 11, 12, 13], [20, 21])
         with pytest.raises(MalformedMessageError, match=r"\[4, 2\]"):
             machine.send_cols("echo", dests, cols)
