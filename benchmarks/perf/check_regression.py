@@ -382,8 +382,10 @@ class Bench:
         other, each on a fresh 64-module, 16 384-key structure: the
         64-key Upsert and its 13 Successor riders of
         :meth:`search_widths` on the skip list (a ``serve_durable_write``
-        write tick), and 218 Gets, 13 Successor keys and 13 ranges on
-        the PIM-tree (a ``serve_read_pimtree`` tick's mix).
+        write tick), the same with the first 13 ranges of ``range26``
+        riding too (a ``serve_mixed`` write tick), and 218 Gets, 13
+        Successor keys and 13 ranges on the PIM-tree (a
+        ``serve_read_pimtree`` tick's mix).
         ``(name, "read rows")`` counts the group's messages of the
         PIM-tree's five read functions that reached ``send_all`` as rows
         (none on the skip list)."""
@@ -392,6 +394,9 @@ class Bench:
         groups = {
             "skiplist": (PIMSkipList, [batches["upsert64"],
                                        batches["successor13"]]),
+            "skiplist+range": (PIMSkipList, [
+                batches["upsert64"], batches["successor13"],
+                ("range", batches["range26"][1][:13])]),
             "pimtree": (PIMTree, [
                 ("get", [rng.randrange(2 * 16384) for _ in range(218)]),
                 batches["successor13"],
@@ -667,6 +672,17 @@ GATES: List[Gate] = [
     # search in three stages, 64 in two, 13 alone in two) and are
     # answered as after the write: 47 rounds; apart, 65 = 36 + 29, the
     # two `search widths:` rows above, same batches.
+    # With the first 13 ranges of `range26` riding too, their 13 piece
+    # boundaries join the same search (90 keys, still three stages) and
+    # their count and fetch passes run before the write links anything:
+    # 73 rounds = 47 + 26 for the passes; apart, 123 = 65 + 58, the
+    # ranges' own boundary search and passes after the write.
+    Gate("write group + 13 ranges: skiplist, (rounds, io, messages)",
+         lambda b: b.tick_groups()["skiplist+range", "group"],
+         "==", (73, 377.0, 4004), EXACT),
+    Gate("write group + 13 ranges: skiplist apart, (rounds, io, messages)",
+         lambda b: b.tick_groups()["skiplist+range", "apart"],
+         "==", (123, 496.0, 4023), EXACT),
     # On the PIM-tree the three read classes descend once and share a
     # leaf stage per hop.
     Gate("write group: skiplist Upsert + Successor, (rounds, io, messages)",

@@ -17,14 +17,16 @@ therefore placed as the ``int`` it equals (:func:`stable_hash`).
 A batch is placed by :meth:`KeyLevelHash.module_of_many`: the same fold
 as :meth:`KeyLevelHash.module_of`, taken as uint64 numpy arithmetic when
 every key is a plain ``int`` that fits int64 and the batch is wide enough
-to pay for the conversion, and by the scalar loop otherwise.
+to pay for the conversion (:func:`uint64_keys`), and by the scalar loop
+otherwise.  :func:`fold64` is that arithmetic, the splitmix64 finalizer
+over an array: the module tables' cuckoo hashes take it too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import numbers
-from typing import Dict, Hashable, List, Sequence, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,6 +52,28 @@ def mix64(x: int) -> int:
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
     return (x ^ (x >> 31)) & _MASK
+
+
+def fold64(x: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of every element of a uint64 array (uint64 products
+    wrap exactly as ``& _MASK`` does)."""
+    x = (x ^ (x >> _U30)) * _C1
+    x = (x ^ (x >> _U27)) * _C2
+    x ^= x >> _U31
+    return x
+
+
+def uint64_keys(keys: Sequence[Hashable]) -> Optional[np.ndarray]:
+    """``[k & _MASK for k in keys]`` as a uint64 array -- the int64 two's
+    complement view -- when there are at least :data:`VECTOR_CROSSOVER`
+    keys and every one is a plain ``int`` within int64; ``None``
+    otherwise, and the caller hashes key by key."""
+    if len(keys) < VECTOR_CROSSOVER or set(map(type, keys)) != {int}:
+        return None
+    try:
+        return np.array(keys, dtype=np.int64).view(np.uint64)
+    except OverflowError:  # an int past int64
+        return None
 
 
 def stable_hash(obj: Hashable, seed: int = 0) -> int:
@@ -128,34 +152,44 @@ class KeyLevelHash:
         past int64, str, tuple, float, numpy scalars, narrow batches --
         is the scalar loop, so there is one placement, not two.
         """
-        arr = None
         if isinstance(keys, np.ndarray):
-            if keys.dtype.kind in "iu":
-                arr = keys
-            else:
-                keys = keys.tolist()
-        elif len(keys) >= VECTOR_CROSSOVER and set(map(type, keys)) == {int}:
-            try:
-                arr = np.array(keys, dtype=np.int64)
-            except OverflowError:  # an int past int64
-                pass
+            if keys.dtype.kind not in "iu":
+                return self.module_of_many(keys.tolist(), level)
+            # Two's complement makes ``key & _MASK`` the uint64 view of
+            # an int64.
+            arr = (keys if keys.dtype == np.uint64
+                   else keys.astype(np.int64, copy=False).view(np.uint64))
+        else:
+            arr = uint64_keys(keys)
+            if arr is None:
+                return [self.module_of(k, level) for k in keys]
+        return self._level_fold(fold64(arr ^ np.uint64(self._seed_mix)),
+                                level)
+
+    def module_of_levels(self, keys: Sequence[Hashable],
+                         heights: Sequence[int], levels: int,
+                         ) -> List[List[int]]:
+        """Element ``lvl < levels``: ``module_of_many`` of the keys whose
+        height is at least ``lvl``, in order -- the owners of a batch
+        of towers' level-``lvl`` nodes.  The key's own mix does not
+        depend on the level, so it is folded once for all of them."""
+        arr = uint64_keys(keys)
         if arr is None:
-            return [self.module_of(k, level) for k in keys]
+            return [self.module_of_many(
+                [k for k, h in zip(keys, heights) if h >= lvl], lvl)
+                for lvl in range(levels)]
+        mixed = fold64(arr ^ np.uint64(self._seed_mix))
+        tall = np.array(heights)
+        return [self._level_fold(mixed if lvl == 0 else mixed[tall >= lvl],
+                                 lvl)
+                for lvl in range(levels)]
+
+    def _level_fold(self, mixed: np.ndarray, level: int) -> List[int]:
+        """The modules of keys whose own mix is ``mixed``, at ``level``."""
         lm = self._level_mix.get(level)
         if lm is None:
             lm = self._level_mix[level] = mix64(level ^ self.seed)
-        # Two's complement makes ``key & _MASK`` the uint64 view of an
-        # int64, and uint64 products wrap exactly as ``& _MASK`` does.
-        if arr.dtype != np.uint64:
-            arr = arr.astype(np.int64, copy=False).view(np.uint64)
-        x = arr ^ np.uint64(self._seed_mix)
-        x = (x ^ (x >> _U30)) * _C1
-        x = (x ^ (x >> _U27)) * _C2
-        x ^= x >> _U31
-        x ^= np.uint64(lm)
-        x = (x ^ (x >> _U30)) * _C1
-        x = (x ^ (x >> _U27)) * _C2
-        x ^= x >> _U31
+        x = fold64(mixed ^ np.uint64(lm))
         return (x % np.uint64(self.num_modules)).tolist()
 
     def __call__(self, key: Hashable, level: int = 0) -> int:

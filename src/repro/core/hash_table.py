@@ -28,7 +28,9 @@ import random
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple
 
-from repro.balls.hashing import mix64, stable_hash
+import numpy as np
+
+from repro.balls.hashing import fold64, mix64, stable_hash, uint64_keys
 
 _ABSENT = object()
 _MASK = (1 << 64) - 1
@@ -154,41 +156,62 @@ class CuckooHashTable:
     def _place_all(self, items: List[Tuple[Hashable, Any]],
                    new_capacity: int) -> None:
         """Empty the table and place ``items`` eagerly at
-        ``new_capacity`` (or above), with fresh seeds: charged
-        ``len(items) + 1`` per attempt plus one unit per placement move."""
+        ``new_capacity`` (or above), with fresh seeds.
+
+        One attempt is one loop over the item indices: every key is
+        hashed once into the columns ``h1`` / ``h2`` (one numpy fold for
+        int64 keys, :meth:`_h1` / :meth:`_h2` otherwise), and each item
+        chases evictions between the two tables, parking in the stash
+        after ``_max_chase`` moves.  An attempt is charged
+        ``len(items) + 1`` plus one unit per move; one whose stash ends
+        over the limit is dropped and the capacity doubles."""
+        n = len(items)
+        keys = [k for k, _ in items]
+        arr = uint64_keys(keys)
         capacity = max(4, new_capacity)
+        # Slots hold item indices, -1 for empty: ``slots[-1]`` is None.
+        slots: List[Any] = list(items) + [None]
         while True:
             self._set_capacity(capacity)
             self._new_seeds()
-            self._t1 = [None] * self._capacity
-            self._t2 = [None] * self._capacity
-            self._stash = OrderedDict()
-            self._pending = OrderedDict()
-            self._charge(len(items) + 1)
-            for k, v in items:
-                self._place_eager(k, v)
-            if len(self._stash) <= self._stash_limit:
+            if arr is None:
+                h1 = [self._h1(k) for k in keys]
+                h2 = [self._h2(k) for k in keys]
+            else:
+                cap = np.uint64(capacity)
+                h1 = (fold64(arr ^ np.uint64(self._mix1)) % cap).tolist()
+                h2 = (fold64(arr ^ np.uint64(self._mix2)) % cap).tolist()
+            t1 = [-1] * capacity
+            t2 = [-1] * capacity
+            stashed: List[int] = []
+            moves = 0
+            chase = range(self._max_chase)
+            for i in range(n):
+                j = i
+                for step in chase:
+                    moves += 1
+                    if step & 1:
+                        idx = h2[j]
+                        evicted = t2[idx]
+                        t2[idx] = j
+                    else:
+                        idx = h1[j]
+                        evicted = t1[idx]
+                        t1[idx] = j
+                    if evicted < 0:
+                        break
+                    j = evicted
+                else:
+                    stashed.append(j)
+            self._charge(n + 1 + moves)
+            if len(stashed) <= self._stash_limit:
                 break
             capacity *= 2
-        self._count = len(items)
-
-    def _place_eager(self, key: Hashable, value: Any) -> None:
-        """Eager cuckoo placement used during rebuilds (overflow -> stash)."""
-        item: Optional[Tuple[Hashable, Any]] = (key, value)
-        use_t1 = True
-        for _ in range(self._max_chase):
-            if item is None:
-                return
-            self._charge(1)
-            k, v = item
-            idx = self._h1(k) if use_t1 else self._h2(k)
-            table = self._t1 if use_t1 else self._t2
-            evicted = table[idx]
-            table[idx] = (k, v)
-            item = evicted
-            use_t1 = not use_t1
-        if item is not None:
-            self._stash[item[0]] = item[1]
+        self._t1 = [slots[j] for j in t1]
+        self._t2 = [slots[j] for j in t2]
+        self._stash = OrderedDict((keys[j], items[j][1]) for j in stashed)
+        self._pending = OrderedDict()
+        self._count = n
 
     # -- public API ---------------------------------------------------------
 

@@ -37,8 +37,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.node import NODE_WORDS, Node
-from repro.core.structure import SkipListStructure
+from repro.core.node import NODE_WORDS, UPPER, Node
+from repro.core.structure import MAX_HEIGHT, SkipListStructure
 from repro.ops import Broadcast, Columns, run_batch
 from repro.sim.fastpath import BCAST, COLS
 
@@ -116,7 +116,14 @@ def _build_route(sl: SkipListStructure,
     if n == 0:
         return
     p = sl.num_modules
-    heights = [sl.draw_height() for _ in items]
+    # ``sl.draw_height`` per item, inlined: the same stream.
+    coin, promote = sl.rng.random, sl.level_p
+    heights: List[int] = []
+    for _ in items:
+        h = 0
+        while h < MAX_HEIGHT and coin() < promote:
+            h += 1
+        heights.append(h)
     max_h = max(heights)
     grown_from = len(sl.sentinels)
     if max_h + 1 > sl.top_level:
@@ -136,7 +143,9 @@ def _build_route(sl: SkipListStructure,
         up_chain: List[Node] = []
         for lvl in range(h + 1):
             if lvl >= h_low:
-                node = sl.make_upper_node(key, lvl)
+                node = Node(key, lvl, UPPER)
+                if lvl == h_low:
+                    node.next_leaf = [None] * p
                 upper.append(node)
             else:
                 node = Node(key, lvl, next(owners[lvl]),

@@ -739,10 +739,15 @@ def _cut_pieces(ops: Sequence[Tuple[Hashable, Hashable]],
     return pieces, [(below[(l, 0)], below[(r, 1)]) for l, r in ops]
 
 
+def charge_cut(cpu: Any, n: int) -> None:
+    """Charge the cut of ``n`` ops into pieces (:func:`_cut_pieces`):
+    a sort of the ``2n`` cuts and one sweep."""
+    cpu.charge_wd(WorkDepth(2 * n * max(1, int(math.log2(n + 1))),
+                            max(1.0, math.log2(n + 1))))
+
+
 def _tree_route(sl, ops, func, farg):
     """The batched tree range's route; returns the per-op results."""
-    machine = sl.machine
-    cpu = machine.cpu
     n = len(ops)
     if n == 0:
         return []
@@ -754,14 +759,26 @@ def _tree_route(sl, ops, func, farg):
 
     # -- split into disjoint subranges (paper §5.2 step 1) -----------
     subranges, spans = _cut_pieces(ops)
-    cpu.charge_wd(WorkDepth(2 * n * max(1, int(math.log2(n + 1))),
-                            max(1.0, math.log2(n + 1))))
+    charge_cut(sl.machine.cpu, n)
 
     # -- boundary predecessors via the pivot-protected search --------
     lqs = [lq for lq, _ in subranges]
     levels = [sl.h_low - 1] * len(lqs)
     outcomes = batch_search(sl, lqs, record_all=True,
                             record_levels=levels)
+    return (yield from traverse(sl, subranges, spans, outcomes, func, farg))
+
+
+def traverse(sl, subranges, spans, outcomes, func, farg):
+    """The route stages of a cut batch past its boundary search: one
+    traversal per piece from that piece's recorded predecessors
+    (``outcomes``, aligned with ``subranges``), its count and fetch
+    passes, and the per-op results assembled from ``spans``.  A batched
+    Upsert runs it between its search and its first link
+    (:mod:`repro.core.ops_upsert`), with outcomes from its own search."""
+    machine = sl.machine
+    cpu = machine.cpu
+    n = len(spans)
 
     # -- launch one traversal per subrange ---------------------------
     # sides[lvl] is the level's in-range side-chain head (the recorded

@@ -209,20 +209,25 @@ def search_stages(sl: SkipListStructure, b: int) -> int:
 
 
 def rides(sl: SkipListStructure, own: int, riders: int) -> bool:
-    """Whether ``riders`` Successor keys join the recording search of
-    ``own`` keys (at record level -1), or run as the Successor batch
-    they are first.
+    """Whether ``riders`` keys join the recording search of ``own``
+    keys, or run as the batch they are first: Successor keys (at record
+    level -1) or a Range batch's piece boundaries (at ``h_low - 1``).
 
     Every stage of the recording search is a root-to-leaf walk, while a
     Successor batch of its own pays one such walk and then starts from
-    hints.  So the keys ride when they cost the joint search no stage --
-    or one, if their own search would have run a second -- and a batch
-    that would push the search past ``P log P`` onto a narrower pivot
-    spacing, or add pivots by the power of two, stays apart.
+    hints, and a Range batch's own boundary search is recording too.
+    So the keys ride when they cost the joint search no stage -- or
+    one, if their own search would have run a second.  A joint search
+    past ``P log P`` stays apart: there the pivots sit closer than
+    ``log^2 P`` and the divide and conquer walks from the root once a
+    phase, phases that a batch whose keys share a segment settles
+    without a walk (the squeeze) but a joint batch spread over the key
+    space does not.
     """
     mine, joint, theirs = (search_stages(sl, b)
                            for b in (own, own + riders, riders))
-    return joint - mine <= min(1, theirs - 1)
+    return (own + riders <= sl.min_point_batch
+            and joint - mine <= min(1, theirs - 1))
 
 
 def _search_route(sl, keys, record_all, record_levels):

@@ -32,30 +32,41 @@ Each numbered phase above is one stage of a single route
 (:mod:`repro.ops`); phase 4 nests the batched-search op as a plain call
 (the machine is quiescent between stages).
 
-**Successor riders.**  A Successor batch served in the same tick
-(``repro serve``'s write group) rides phase 4: its keys join the search
-at record level -1 when :func:`~repro.core.ops_successor.rides` says
-they cost it at most the stage their own search would pay, and
-otherwise run as their own ``batch_successor`` after the write.  A
-rider is answered as if it ran after the write: the old structure's
-successor (``pred`` / ``pred_right``), replaced by the batch's smallest
-inserted key at or above it when that key is smaller.  That is the
-answer after the write because an Upsert only adds keys and overwrites
-values, and phase 4 walks only ``right`` / ``down`` pointers, which
-phase 6 has not yet written.
+**Riders.**  A Successor and a Range batch served in the same tick
+(``repro serve``'s write group) ride phase 4.  Successor keys join the
+search at record level -1, and a Range batch's subrange boundary keys
+(its cut, :func:`~repro.core.ops_range._cut_pieces`) at ``h_low - 1``,
+each when :func:`~repro.core.ops_successor.rides` says they cost the
+search at most one stage, fewer than their own search would pay, and
+keep it within ``P log P`` keys; otherwise they run as their own
+batches after the write.  The riding
+ranges' traversals -- count pass, fetch pass -- run right after phase
+4, on the old structure, before phase 5 grows the sentinel or links an
+upper node: phase 3 touched only local leaf lists and tables, and the
+traversal walks ``right`` / ``down`` pointers, which phase 6 has not
+yet written.  A rider is answered as if it ran after the write,
+because an Upsert only adds keys and overwrites values, and phase 1
+has already overwritten them: a Successor gets the old structure's
+successor (``pred`` / ``pred_right``), replaced by the batch's
+smallest inserted key at or above it when that key is smaller; a
+Range gets its old items merged with the batch's inserted pairs inside
+it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import merge
 from operator import itemgetter
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.node import NEG_INF, Node
 from repro.core.ops_point import update_handlers
-from repro.core.ops_successor import batch_search, batch_successor, rides
+from repro.core.ops_range import (RangeResult, _cut_pieces, charge_cut,
+                                  traverse)
+from repro.core.ops_successor import batch_search, rides
 from repro.core.ops_write import write_stage
 from repro.core.structure import SkipListStructure
 from repro.cpuside.semisort import dedup_last
@@ -66,12 +77,14 @@ from repro.sim.cpu import WorkDepth
 
 @dataclass
 class UpsertStats:
-    """What a batched Upsert did, and its riders' Successor answers
-    (aligned with the rider keys; ``None`` until answered)."""
+    """What a batched Upsert did, and its riders' answers: Successor
+    answers aligned with the rider keys, Range results with the rider
+    ranges; ``None`` for riders that did not ride."""
 
     updated: int
     inserted: int
     successors: Optional[List[Optional[Tuple[Hashable, Any]]]] = None
+    ranges: Optional[List[RangeResult]] = None
 
 
 def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
@@ -181,7 +194,7 @@ def _build_towers(sl: SkipListStructure,
     return towers
 
 
-def _upsert_route(sl, pairs, riders):
+def _upsert_route(sl, pairs, riders, ranges):
     cpu = sl.machine.cpu
     n = len(pairs)
     if n == 0:
@@ -219,11 +232,29 @@ def _upsert_route(sl, pairs, riders):
             if not sl.is_upper_level(node.level))
 
         # -- phase D: batched Predecessor on the old structure -------
+        # Riders join at record level -1 (Successor keys) and h_low - 1
+        # (a Range batch's piece boundaries), each when it rides.
         keys = [k for k, _ in missing]
+        levels = list(heights)
         riding = bool(riders) and rides(sl, len(keys), len(riders))
-        joined = riders if riding else []
-        outcomes = batch_search(sl, keys + joined, record_all=True,
-                                record_levels=heights + [-1] * len(joined))
+        if riding:
+            keys += riders
+            levels += [-1] * len(riders)
+        pieces, spans = _cut_pieces(ranges) if ranges else ([], [])
+        if pieces and rides(sl, len(keys), len(pieces)):
+            charge_cut(cpu, len(ranges))
+            keys += [lq for lq, _ in pieces]
+            levels += [sl.h_low - 1] * len(pieces)
+        else:
+            pieces = []
+        outcomes = batch_search(sl, keys, record_all=True,
+                                record_levels=levels)
+        ranged = None
+        if pieces:
+            # The riding ranges' passes, on the old structure.
+            ranged = yield from traverse(sl, pieces, spans,
+                                         outcomes[-len(pieces):], "read",
+                                         None)
 
         # -- phase E: sentinel growth + upper-part installation ------
         max_h = max(heights)
@@ -245,11 +276,15 @@ def _upsert_route(sl, pairs, riders):
         # -- phase F: Algorithm 1 (lower horizontal pointers) --------
         yield _algorithm1(sl, towers, outcomes)
 
-        sl.num_keys += len(missing)
+        mine = len(missing)
+        sl.num_keys += mine
         return UpsertStats(
-            updated=updated, inserted=len(missing),
-            successors=_after_the_write(cpu, riders, outcomes[len(keys):],
-                                        missing) if riding else None)
+            updated=updated, inserted=mine,
+            successors=_after_the_write(
+                cpu, riders, outcomes[mine:mine + len(riders)], missing)
+            if riding else None,
+            ranges=_ranges_after_the_write(cpu, ranges, ranged, missing)
+            if pieces else None)
     finally:
         cpu.free(shared_words)
 
@@ -281,21 +316,51 @@ def _after_the_write(cpu, keys: Sequence[Hashable], outcomes: Sequence[Any],
     return out
 
 
+def _ranges_after_the_write(cpu, ops: Sequence[Tuple[Hashable, Hashable]],
+                            results: Sequence[RangeResult],
+                            inserted: Sequence[Tuple[Hashable, Any]],
+                            ) -> List[RangeResult]:
+    """The Range riders' results after the write, from their traversal
+    of the old structure and the batch's sorted ``inserted`` pairs:
+    each op's old items merged with the inserted pairs inside it, found
+    by two bisects (the old items hold no inserted key).  Charged here:
+    the bisects, one unit per merged item, and the inserted pairs'
+    words while they are merged."""
+    new_keys = [k for k, _ in inserted]
+    steps = max(1.0, math.log2(len(new_keys) + 1))
+    spans = [(bisect_left(new_keys, lo), bisect_right(new_keys, hi))
+             for lo, hi in ops]
+    added = sum(hi - lo for lo, hi in spans)
+    merged = added + sum(len(r.values) for r in results)
+    cpu.charge(2 * len(ops) * steps + merged,
+               steps + max(1.0, math.log2(merged + 1)))
+    cpu.alloc(added)
+    out = [RangeResult(count=r.count + hi - lo,
+                       values=list(merge(r.values, inserted[lo:hi],
+                                         key=itemgetter(0)))
+                       if hi > lo else r.values)
+           for r, (lo, hi) in zip(results, spans)]
+    cpu.free(added)
+    return out
+
+
 def batch_upsert(sl: SkipListStructure,
                  pairs: Sequence[Tuple[Hashable, Any]],
-                 riders: Sequence[Hashable] = ()) -> UpsertStats:
+                 riders: Sequence[Hashable] = (),
+                 ranges: Sequence[Tuple[Hashable, Hashable]] = (),
+                 ) -> UpsertStats:
     """Execute a batch of Upsert operations.
 
-    Duplicate keys in the batch collapse to the last occurrence.  With
-    ``riders`` (Successor keys) the stats carry their answers after the
-    write: from the batch's own search when they ride it, else from a
-    Successor batch run after it (see the module docstring).
+    Duplicate keys in the batch collapse to the last occurrence.
+    ``riders`` (Successor keys) and ``ranges`` (inclusive ``(lo, hi)``
+    read ranges, ``lo <= hi``) that ride the batch's search come back
+    answered as after the write in ``stats.successors`` /
+    ``stats.ranges`` (see the module docstring); those that do not
+    ride -- or all of them, when the batch inserts nothing -- come back
+    ``None``, for the caller to run after the write.
     """
-    stats = run_batch(sl.machine, f"{sl.name}:batch_upsert",
-                      _upsert_route(sl, pairs, list(riders)))
-    if riders and stats.successors is None:
-        stats.successors = batch_successor(sl, riders)
-    return stats
+    return run_batch(sl.machine, f"{sl.name}:batch_upsert",
+                     _upsert_route(sl, pairs, list(riders), list(ranges)))
 
 
 def _algorithm1(sl: SkipListStructure, towers: List[_Tower],

@@ -178,7 +178,11 @@ class PIMSkipList:
         (:mod:`repro.core.ops_upsert`); ``stats.successors`` holds
         their answers."""
         self._check_batch(len(pairs), self.min_search_batch, "Upsert")
-        return ops_upsert.batch_upsert(self.struct, pairs, riders)
+        stats = ops_upsert.batch_upsert(self.struct, pairs, riders)
+        if riders and stats.successors is None:
+            stats.successors = ops_successor.batch_successor(self.struct,
+                                                             riders)
+        return stats
 
     def batch_delete(self, keys: Sequence[Hashable]) -> ops_delete.DeleteStats:
         """Delete(k); missing keys are ignored (Theorem 4.5)."""
@@ -293,12 +297,12 @@ class PIMSkipList:
         raise ValueError(f"apply_batch: unknown op {op!r}")
 
     #: Classes whose batches ``repro serve`` runs in one tick, as one
-    #: :meth:`apply_group` call: Successor keys ride the Upsert's
-    #: recording search (§4.2 / §4.3) and are answered as after the
-    #: write -- a write shares its tick only with its riders.  Every
-    #: other class is a tick of its own.  A fact of the structure, not
-    #: a setting.
-    TICK_GROUPS = (frozenset({"upsert", "successor"}),)
+    #: :meth:`apply_group` call: Successor keys and Range boundaries
+    #: ride the Upsert's recording search (§4.2 / §4.3) and are
+    #: answered as after the write -- a write shares its tick only with
+    #: its riders.  Every other class is a tick of its own.  A fact of
+    #: the structure, not a setting.
+    TICK_GROUPS = (frozenset({"upsert", "successor", "range"}),)
 
     def apply_group(self, batches: Sequence[Tuple[str, Sequence]],
                     ) -> List[Optional[list]]:
@@ -306,18 +310,31 @@ class PIMSkipList:
         ops, a write only first -- in one call; one :meth:`apply_batch`
         result each, as if run one after another.
 
-        An Upsert and a Successor batch run as one op, the Successor
-        keys riding the Upsert's search
-        (:func:`~repro.core.ops_upsert.batch_upsert`); every other
-        batch, and either of the two without the other, runs exactly
-        as :meth:`apply_batch` runs it.
+        An Upsert batch carries the group's Successor and Range batches
+        as riders (:func:`~repro.core.ops_upsert.batch_upsert`): those
+        that ride its search are answered from it, a Range batch's
+        traversal running between the search and the write's first
+        link.  Every other batch -- a rider that does not ride, every
+        rider of an Upsert that inserts nothing, a group without an
+        Upsert -- runs after the write exactly as :meth:`apply_batch`
+        runs it, in the group's order.
         """
         payloads = group_payloads(batches)
         out = {}
-        pairs, keys = payloads.get("upsert"), payloads.get("successor")
-        if pairs and keys:
-            stats = self.batch_upsert(list(pairs), list(keys))
-            out["upsert"], out["successor"] = None, stats.successors
+        pairs = payloads.get("upsert")
+        keys = list(payloads.get("successor", ()))
+        ranges = payloads.get("range", ())
+        kept = [pair for pair in ranges if not pair[1] < pair[0]]
+        if pairs and (keys or kept):
+            self._check_batch(len(pairs), self.min_search_batch, "Upsert")
+            stats = ops_upsert.batch_upsert(self.struct, list(pairs), keys,
+                                            kept)
+            out["upsert"] = None
+            if stats.successors is not None:
+                out["successor"] = stats.successors
+            if stats.ranges is not None:
+                values = [r.values for r in stats.ranges]
+                out["range"] = answer_ranges(lambda _: values, ranges)
         return [out[op] if op in out else self.apply_batch(op, payload)
                 for op, payload in batches]
 

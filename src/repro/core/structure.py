@@ -166,14 +166,12 @@ class SkipListStructure:
     def lower_owners(self, keys: Sequence[Hashable],
                      heights: Sequence[int]) -> List[Iterator[int]]:
         """Placement of a batch of towers' lower-part nodes, one hash
-        call per level: element ``lvl`` iterates, in tower order, over
+        fold per level: element ``lvl`` iterates, in tower order, over
         the owners of the level-``lvl`` nodes of the towers that reach
         that level."""
-        owners = [iter(self.hash.module_of_many(keys, 0))]
-        for lvl in range(1, min(self.h_low, max(heights, default=0) + 1)):
-            owners.append(iter(self.hash.module_of_many(
-                [k for k, h in zip(keys, heights) if h >= lvl], lvl)))
-        return owners
+        levels = min(self.h_low, max(heights, default=0) + 1)
+        return [iter(owners) for owners
+                in self.hash.module_of_levels(keys, heights, levels)]
 
     def draw_height(self) -> int:
         """Tower top level: geometric(1/2), so the tower spans 0..height."""

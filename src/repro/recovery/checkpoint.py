@@ -95,7 +95,11 @@ def _module_state(obj: Any, mid: int, what: str) -> Any:
 def checkpoint_structure(obj: Any) -> Checkpoint:
     """Capture a logical checkpoint of ``obj`` (diagnostic, cost-free)."""
     if isinstance(obj, PIMSkipList):
-        items = [(n.key, n.value) for n in obj.struct.iter_level(0)]
+        items = []
+        leaf = obj.struct.sentinels[0].right
+        while leaf is not None:
+            items.append((leaf.key, leaf.value))
+            leaf = leaf.right
         return Checkpoint("skiplist", obj.struct.name, items)
     if isinstance(obj, PIMLSMStore):
         merged: Dict[Any, Any] = {}

@@ -8,11 +8,12 @@ small per-tenant requests become machine-sized batches, one scheduler
 - a tick serves one **kind**, chosen FIFO: the kind of the *oldest*
   waiting request goes first, so no kind can starve.  A kind is one
   **tick group** of the structure's (``TICK_GROUPS``: Upsert +
-  Successor on the skip list, all three reads on the PIM-tree; every
-  other class, and every class of any other structure, alone): its
-  classes are drained in the same tick and reach the structure as one
-  ``apply_group`` call, because run back to back they would each pay
-  the same search.  A group holds at most one write, and it goes first;
+  Successor + Range on the skip list, all three reads on the PIM-tree;
+  every other class, and every class of any other structure, alone):
+  its classes are drained in the same tick and reach the structure as
+  one ``apply_group`` call, because run back to back they would each
+  pay the same search.  A group holds at most one write, and it goes
+  first;
 - a batch is still **same-op** (the model's batch constraint -- a batch
   has one operation type): a grouped tick is one :class:`MergedBatch`
   per class, journaled and demuxed class by class, in drain order.  A

@@ -211,6 +211,25 @@ def test_module_of_many_on_ndarrays(data, width, seed, dtype):
         assert h.module_of_many(arr, level) == _scalar(h, arr.tolist(), level)
 
 
+@DETERMINISTIC
+@given(data=st.data(), width=_WIDTH, seed=st.integers(0, 2**32 - 1),
+       exotic=st.booleans())
+def test_module_of_levels_is_module_of_many_per_level(data, width, seed,
+                                                      exotic):
+    """A batch of towers placed level by level from one fold of the
+    keys' own mix: each level's owners are the scalar placement of the
+    keys tall enough to reach it."""
+    h = KeyLevelHash(64, seed=seed)
+    keys = data.draw(st.lists(_INT64, min_size=width, max_size=width))
+    if exotic:
+        keys.insert(data.draw(st.integers(0, width)), data.draw(_exotic))
+    heights = data.draw(st.lists(st.integers(0, 6), min_size=len(keys),
+                                 max_size=len(keys)))
+    assert h.module_of_levels(keys, heights, 5) == [
+        _scalar(h, [k for k, t in zip(keys, heights) if t >= lvl], lvl)
+        for lvl in range(5)]
+
+
 def test_module_of_many_every_level_at_bench_width():
     h = KeyLevelHash(64, seed=20)
     rng = random.Random(20)

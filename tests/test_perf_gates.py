@@ -69,6 +69,9 @@ def test_exact_rows_pass():
             "messages)",
             "write group: skiplist Upsert + Successor apart, (rounds, io, "
             "messages)",
+            "write group + 13 ranges: skiplist, (rounds, io, messages)",
+            "write group + 13 ranges: skiplist apart, (rounds, io, "
+            "messages)",
             "upsert batch: path replies above their op's limit",
             "upsert batch: messages",
             "range batch: boundary searches == ops",

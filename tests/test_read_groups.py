@@ -369,6 +369,64 @@ def test_an_open_circuit_refuses_the_write_and_reads_its_riders_stale():
         ("successor", "stale")]
 
 
+def test_a_write_tick_answers_its_ranges_after_the_write():
+    """The skip list's write tick drains its Range heads too: a tenant's
+    Range behind its own Upsert sees the Upsert's key, an inverted pair
+    is answered ``[]``, and only the write is logged."""
+    server = _server()
+    logged = []
+    note = server.manager._log_batch
+    server.manager._log_batch = lambda op, payload: (
+        logged.append((op, payload)), note(op, payload))[1]
+
+    async def session():
+        await server.start()
+        got = await asyncio.gather(
+            server.submit("b", "upsert", [(11, "b")]),
+            server.submit("b", "range", [(9, 13), (20, 18)]),
+            server.submit("c", "range", [(396, 500)]))
+        await server.stop()
+        return got
+
+    assert asyncio.run(session()) == [
+        None, [[(10, 10), (11, "b"), (12, 12)], []],
+        [[(396, 396), (398, 398), (400, 400)]]]
+    assert [(e.tick, e.op) for e in server.journal] == [
+        (1, "upsert"), (1, "range")]
+    assert logged == [("upsert", [(11, "b")])]
+    assert server.status()["runtime"]["ticks_by_kind"] == {
+        "range+upsert": 1}
+
+
+def test_an_open_circuit_reads_a_write_ticks_ranges_stale_too():
+    """A Range batch in the skip list's write tick is a rider like a
+    Successor batch: with the circuit open the Upsert is refused and the
+    ranges are answered from the durable view, without the write."""
+    server = _server()
+    server.policy._trip(0, "test")
+    server.policy._open_until = 10 ** 6
+
+    async def session():
+        await server.start()
+        got = await asyncio.gather(
+            server.submit("a", "upsert", [(11, "a")]),
+            server.submit("b", "range", [(9, 13), (20, 18)]),
+            server.submit("c", "successor", [11]))
+        await server.stop()
+        return got
+
+    write, ranged, rider = asyncio.run(session())
+    assert isinstance(write, Refusal)
+    assert write.reason is RefusalReason.WRITE_UNAVAILABLE
+    assert all(isinstance(r, DegradedResult)
+               and r.reason is DegradedReason.STALE_READ
+               for r in (ranged, rider))
+    assert (ranged.op, ranged.value) == ("range", [[(10, 10), (12, 12)], []])
+    assert (rider.op, rider.value) == ("successor", [(12, 12)])
+    assert server.status()["runtime"]["ticks_by_kind"] == {
+        "range+successor+upsert": 1}
+
+
 def test_a_degraded_group_fans_out_per_class_and_request():
     server = _server(build=_pimtree)
     server.policy._trip(0, "test")
