@@ -161,10 +161,12 @@ def test_ext_qrqw_variant(benchmark):
     for model in ("none", "qrqw"):
         m = PIMMachine(num_modules=4, seed=1, contention_model=model)
 
-        def storm(ctx, tag=None):
-            ctx.charge(1)
-            for _ in range(5):
-                ctx.touch(("cell", ctx.mid))
+        def storm(bct, chunks):
+            for mid, _args, _tag, _size in bct.rows(chunks):
+                bct.work[mid] += 1
+                if bct.tracing:
+                    for _ in range(5):
+                        bct.touch(mid, ("cell", mid))
 
         m.register("storm", storm)
         for _ in range(20):

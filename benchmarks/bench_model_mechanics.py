@@ -15,9 +15,10 @@ from repro.sim.machine import PIMMachine
 from conftest import report
 
 
-def _echo(ctx, x, tag=None):
-    ctx.charge(1)
-    ctx.reply(x, tag=tag)
+def _echo(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        bct.reply(mid, x, tag)
 
 
 def test_h_relation_accounting(benchmark):
@@ -56,13 +57,15 @@ def test_offload_chain_rounds(benchmark):
     """A k-hop module-to-module chain costs k rounds and 2k IO."""
     hops = 10
 
-    def h_chain(ctx, left, tag=None):
-        ctx.charge(1)
-        if left == 0:
-            ctx.reply("done")
-        else:
-            ctx.forward((ctx.mid + 1) % ctx.num_modules, "chain",
-                        (left - 1,))
+    def h_chain(bct, chunks):
+        for mid, (left,), _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            if left == 0:
+                bct.reply(mid, "done")
+            else:
+                bct.sent[mid] += 1
+                bct.stage_rows("chain", [((mid + 1) % bct.num_modules,
+                                          (left - 1,), None, 1)])
 
     m = PIMMachine(num_modules=8, seed=0)
     m.register("chain", h_chain)

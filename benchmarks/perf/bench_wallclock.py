@@ -23,15 +23,15 @@ its per-task reference oracle (``ReferencePIMMachine``, label
   fanout (stresses send/step fixed overhead at low occupancy);
 - ``fanout_broadcast`` -- one CPU broadcast per round to every module
   (the high-fanout dispatch-stress case: the engine retires the whole
-  round as one batch-handler call over one ``BCAST`` chunk);
+  round as one body call over one ``BCAST`` chunk);
 - ``mixed_dispatch`` -- many distinct function ids per round, issued in
-  per-fn runs (stresses grouped dispatch: one batch call per function id
-  versus one context dispatch per task).
+  per-fn runs (stresses grouped dispatch: one body call per function id
+  versus one body call per task).
 
-Handlers that matter for throughput are *batch* bodies registered via
-``machine.register_batch`` -- one call per round over contiguous chunks
-on the engine, one call per task over its one row on the reference
-oracle (``repro.verify.differ`` certifies the streams bit-identical).
+Every module function is a batch body registered via
+``machine.register`` -- one call per round over contiguous chunks on the
+engine, one call per task over its one row on the reference oracle
+(``repro.verify.differ`` certifies the streams bit-identical).
 
 Usage::
 
@@ -162,10 +162,10 @@ def write_churn(probe_machine, *, P=32, n=4096, cycles=4, seed=17,
     Every cycle inserts one ``P log^2 P`` batch of keys the list does
     not hold, reads them back and deletes them again, so the traffic is
     RemoteWrites, hash-shortcut point tasks, tower delivery and delete
-    marking around one embedded search.  On the engine those run as
-    batch handlers; on the reference oracle every one is a task through
-    a slot.  The regression gate holds the engine's floor on this
-    scenario by its chunked-task share.
+    marking around one embedded search.  On the engine they run chunked;
+    on the reference oracle every one is a task through a slot.  The
+    regression gate holds every task of this scenario to a chunk
+    (its chunked-task share is exactly 1).
     """
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
     sl = PIMSkipList(machine, name="bench")
@@ -200,7 +200,7 @@ def engine_echo(probe_machine, *, P=64, rounds=400, fanout=16, seed=3,
                 work[mid] += 1
                 sent[mid] += 1
 
-    machine.register_batch("echo", batch_echo)
+    machine.register("echo", batch_echo)
     rng = random.Random(seed)
     plan = [[(rng.randrange(P), i) for i in range(fanout)]
             for _ in range(rounds)]
@@ -217,8 +217,8 @@ def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9,
     """High-fanout dispatch stress: one CPU broadcast per round.
 
     Every module charges one unit per broadcast; the engine retires
-    the whole P-task round as one batch-handler call that adds to the
-    plain ``bct.work`` list instead of P context dispatches.
+    the whole P-task round as one body call that adds to the plain
+    ``bct.work`` list instead of P one-row body calls.
     """
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
 
@@ -231,7 +231,7 @@ def fanout_broadcast(probe_machine, *, P=256, rounds=400, seed=9,
                 for mid, _args, _tag, _size in ch.rows:
                     work[mid] += 1
 
-    machine.register_batch("accum", batch_accum)
+    machine.register("accum", batch_accum)
     with probe_machine(machine) as probe:
         for i in range(rounds):
             machine.broadcast("accum", (i,))
@@ -269,7 +269,7 @@ def mixed_dispatch(probe_machine, *, P=64, fns=24, per_fn=12, rounds=120,
     for j in range(fns):
         name = f"mix{j}"
         names.append(name)
-        machine.register_batch(name, make_batch(j))
+        machine.register(name, make_batch(j))
     rng = random.Random(seed)
     plan = []
     for _ in range(rounds):
@@ -373,8 +373,8 @@ def main() -> None:
                     help="repeats per scenario; best is reported (default 3)")
     ap.add_argument("--profile", action="store_true",
                     help="per-handler wall-time attribution (slows the run; "
-                         "times slot tasks one by one and each batch-handler "
-                         "call as a whole, on the rounds the engine ships)")
+                         "times slot tasks one by one and each body call as "
+                         "a whole, on the rounds the engine ships)")
     ap.add_argument("--backend", choices=list(BACKENDS), default=None,
                     help="measure only the reference oracle (object) or "
                          "only the engine (columnar); default: both")

@@ -257,10 +257,9 @@ class Bench:
 
     @memo
     def pimtree_read_share(self) -> float:
-        """Share of tasks run inside batch handlers over eight rounds of
-        uniform gets, Zipf gets, successors and short ranges on a
-        16-module, 4096-key PIM-tree (``nd_pull`` / ``lf_pull`` are the
-        slot remainder)."""
+        """Share of tasks run inside body calls over chunks over eight
+        rounds of uniform gets, Zipf gets, successors and short ranges
+        on a 16-module, 4096-key PIM-tree."""
         machine = PIMMachine(num_modules=16, seed=7)
         tree = PIMTree(machine)
         items = build_items(4096, stride=2)
@@ -275,6 +274,28 @@ class Bench:
                              [rng.randrange(8192) for _ in range(32)])
             tree.apply_batch("range", [(lo, lo + 1 + rng.randrange(8))
                                        for lo in rng.sample(range(8192), 8)])
+        if not machine.columnar_active:
+            raise AssertionError("the engine stopped routing to chunks")
+        return ((machine.tasks_chunked - chunked)
+                / (machine.tasks_executed - tasks))
+
+    @memo
+    def pimtree_write_share(self) -> float:
+        """Share of tasks run inside body calls over chunks over eight
+        rounds of upserts (leaf writes, pulls of the oversize leaves,
+        their splits' stores) and deletes on a 16-module, 4096-key
+        PIM-tree, then its integrity dump."""
+        machine = PIMMachine(num_modules=16, seed=7)
+        tree = PIMTree(machine)
+        tree.build(build_items(4096, stride=2))
+        rng = random.Random(7)
+        tasks, chunked = machine.tasks_executed, machine.tasks_chunked
+        for _ in range(8):
+            tree.apply_batch("upsert", [(2 * rng.randrange(4096) + 1, 0)
+                                        for _ in range(256)])
+            tree.apply_batch("delete", [rng.randrange(8192)
+                                        for _ in range(64)])
+        tree.check_integrity()
         if not machine.columnar_active:
             raise AssertionError("the engine stopped routing to chunks")
         return ((machine.tasks_chunked - chunked)
@@ -593,12 +614,11 @@ GATES: List[Gate] = [
          lambda b: b.speedup("write_churn"), ">=", 1.02),
     Gate("speedup fanout_broadcast",
          lambda b: b.speedup("fanout_broadcast"), ">=", 2.5),
-    # 0.8965 with the committed parameters (ups_upper_link / del_upper /
-    # grow stay in slots), 0.30 with only the search walk chunked: below
-    # the floor, a write-path function fell back to slots.
+    # Every module function is a batch body, so every task of the write
+    # path runs chunked: anything below 1.0 means a task went to a slot.
     Gate("chunked share write_churn",
          lambda b: b.scenario("write_churn", "columnar")["chunked_share"],
-         ">=", 0.85, EXACT),
+         "==", 1.0, EXACT),
     # Access tracing chunks like a plain machine: every batch body
     # reports its touches through ``bct.touch``, so a traced machine
     # sends no task to a slot that the plain one runs in a chunk.
@@ -723,10 +743,14 @@ GATES: List[Gate] = [
          lambda b: b.range_batch()["messages"], "==", 727, EXACT),
     Gate("range batch: rounds",
          lambda b: b.range_batch()["rounds"], "==", 39, EXACT),
-    # 0.983 with nd_step / sh_step / lf_get / lf_succ / lf_scan chunked,
-    # 0 before: below the floor, a PIM-tree read function is in slots.
+    # Every PIM-tree function is a batch body, the pulls included:
+    # anything below 1.0 means a task went to a slot.
     Gate("chunked share pimtree reads",
-         lambda b: b.pimtree_read_share(), ">=", 0.95, EXACT),
+         lambda b: b.pimtree_read_share(), "==", 1.0, EXACT),
+    # The writes too: leaf writes and deletes, the pulls and stores of
+    # the splits, the integrity dump.
+    Gate("chunked share pimtree writes",
+         lambda b: b.pimtree_write_share(), "==", 1.0, EXACT),
     # The search and all six rng_* traversal functions run in batch
     # handlers (0.34 while the traversal ran in slots): anything below
     # 1.0 means one of them went back to slots.

@@ -27,20 +27,27 @@ BUCKETS = 512
 
 def build_histogram(machine, placement, records):
     """Scatter `records` to modules by `placement(bucket)`, count locally,
-    gather per-module partial counts."""
+    gather per-module partial counts.
 
-    def h_count(ctx, bucket, tag=None):
-        counts = ctx.module.state.setdefault("hist", Counter())
-        counts[bucket] += 1
-        ctx.charge(1)
+    A module function is one *batch body* ``body(bct, chunks)``: it runs
+    all of a round's tasks for its function, reading each task's
+    ``(module id, args, tag, size)`` row and charging work, replies and
+    forwards to the executing module through ``bct``."""
+    modules = machine.modules
 
-    def h_collect(ctx, tag=None):
-        counts = ctx.module.state.get("hist", Counter())
-        ctx.charge(len(counts) + 1)
-        ctx.reply(dict(counts), size=max(1, len(counts)))
+    def count(bct, chunks):
+        for mid, (bucket,), _tag, _size in bct.rows(chunks):
+            modules[mid].state.setdefault("hist", Counter())[bucket] += 1
+            bct.work[mid] += 1
 
-    machine.register("hist_count", h_count)
-    machine.register("hist_collect", h_collect)
+    def collect(bct, chunks):
+        for mid, _args, tag, _size in bct.rows(chunks):
+            counts = modules[mid].state.get("hist", Counter())
+            bct.work[mid] += len(counts) + 1
+            bct.reply(mid, dict(counts), tag, max(1, len(counts)))
+
+    machine.register("hist_count", count)
+    machine.register("hist_collect", collect)
 
     # Scatter: one message per record to its bucket's module.
     for bucket in records:

@@ -9,21 +9,17 @@
   it quantifies the paper's argument that such emulations are
   "impractical because all accessed memory incurs maximal data
   movement".
-- :mod:`repro.algorithms.selection` -- top-k / rank selection over
-  module-resident data via safe balanced prefix fetches.
 - :mod:`repro.algorithms.bfs` -- level-synchronous BFS over a
   hash-distributed graph (one bulk-synchronous round per level).
 """
 
 from repro.algorithms.bfs import PIMGraph
 from repro.algorithms.pram import PRAMEmulation
-from repro.algorithms.selection import TopKSelector
 from repro.algorithms.sorting import pim_sample_sort, sort_within_cache
 
 __all__ = [
     "PIMGraph",
     "PRAMEmulation",
-    "TopKSelector",
     "pim_sample_sort",
     "sort_within_cache",
 ]

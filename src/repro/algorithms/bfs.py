@@ -58,36 +58,44 @@ class PIMGraph:
             machine.modules[mid].state[name]["adj"][u] = list(vs)
             machine.modules[mid].alloc_words(1 + len(vs))
         if f"{name}:visit" not in machine._handlers:
-            machine.register_all(self._handlers())
+            machine.register(f"{name}:visit", self._visit_body)
+            machine.register(f"{name}:reset", self._reset_body)
 
     def owner(self, v: Hashable) -> int:
         """The module holding vertex ``v``'s adjacency and label."""
         return self.hash.module_of(("vtx", v))
 
-    def _handlers(self) -> Dict[str, Any]:
-        name = self.name
-
-        def h_visit(ctx, v, dist, tag=None):
-            state = ctx.module.state[name]
-            ctx.charge(1)
-            ctx.touch(("vtx", v))
+    def _visit_body(self, bct, chunks) -> None:
+        """Label each newly reached vertex and forward its neighbors'
+        visits, in slot order: the labels and the next frontier arrive
+        as in the per-task loop."""
+        modules = bct.machine.modules
+        tracing = bct.tracing
+        out = []
+        for mid, (v, dist), _tag, _size in bct.rows_in_slot_order(chunks):
+            state = modules[mid].state[self.name]
+            bct.work[mid] += 1
+            if tracing:
+                bct.touch(mid, ("vtx", v))
             if v in state["dist"]:
-                return  # duplicate arrival: absorbed at O(1)
+                continue  # duplicate arrival: absorbed at O(1)
             if v not in state["adj"]:
                 raise KeyError(f"unknown vertex {v!r}")
             state["dist"][v] = dist
-            ctx.reply(("visited", v, dist), size=1)
+            bct.reply(mid, ("visited", v, dist))
             neighbors = state["adj"][v]
-            ctx.charge(len(neighbors))
-            for u in neighbors:
-                ctx.forward(self.owner(u), f"{name}:visit", (u, dist + 1))
+            bct.work[mid] += len(neighbors)
+            bct.sent[mid] += len(neighbors)
+            out.extend((self.owner(u), (u, dist + 1), None, 1)
+                       for u in neighbors)
+        bct.stage_rows(f"{self.name}:visit", out)
 
-        def h_reset(ctx, tag=None):
-            state = ctx.module.state[name]
-            ctx.charge(len(state["dist"]) + 1)
+    def _reset_body(self, bct, chunks) -> None:
+        modules = bct.machine.modules
+        for mid, _args, _tag, _size in bct.rows(chunks):
+            state = modules[mid].state[self.name]
+            bct.work[mid] += len(state["dist"]) + 1
             state["dist"] = {}
-
-        return {f"{name}:visit": h_visit, f"{name}:reset": h_reset}
 
     def bfs(self, source: Hashable) -> Dict[Hashable, int]:
         """Distances from ``source`` for every reachable vertex."""

@@ -50,24 +50,25 @@ class PRAMEmulation:
         for module in machine.modules:
             module.state.setdefault(name, {})
         if f"{name}:write" not in machine._handlers:
-            machine.register_all(self._handlers())
+            machine.register(f"{name}:write", self._write_body)
+            machine.register(f"{name}:read", self._read_body)
 
-    def _handlers(self) -> Dict[str, Any]:
-        name = self.name
-
-        def h_write(ctx, addr, value, tag=None):
-            ctx.charge(1)
-            cells = ctx.module.state[name]
+    def _write_body(self, bct, chunks) -> None:
+        modules = bct.machine.modules
+        for mid, (addr, value), _tag, _size in bct.rows(chunks):
+            module = modules[mid]
+            bct.work[mid] += 1
+            cells = module.state[self.name]
             if addr not in cells:
-                ctx.module.alloc_words(1)
+                module.alloc_words(1)
             cells[addr] = value
 
-        def h_read(ctx, addr, tag=None):
-            ctx.charge(1)
-            ctx.reply(("cell", addr, ctx.module.state[name].get(addr)),
-                      tag=tag)
-
-        return {f"{name}:write": h_write, f"{name}:read": h_read}
+    def _read_body(self, bct, chunks) -> None:
+        modules = bct.machine.modules
+        for mid, (addr,), tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            bct.reply(mid, ("cell", addr,
+                            modules[mid].state[self.name].get(addr)), tag)
 
     def owner(self, addr: int) -> int:
         return self.hash.module_of(("pram", addr))
@@ -152,31 +153,36 @@ def native_prefix_sum(machine: PIMMachine, parts: Sequence[Sequence[float]],
     fn_shift = f"{name}:shift"
     fn_dump = f"{name}:dump"
     if fn_scan not in machine._handlers:
-        def h_scan(ctx, tag=None):
-            state = ctx.module.state[name]
-            acc = 0.0
-            out = []
-            for x in state["part"]:
-                acc += x
-                out.append(acc)
-            ctx.charge(len(out) + 1)
-            state["scan"] = out
-            ctx.reply(("sum", ctx.mid, acc), tag=tag)
+        def scan(bct, chunks):
+            modules = bct.machine.modules
+            for mid, _args, tag, _size in bct.rows(chunks):
+                state = modules[mid].state[name]
+                acc = 0.0
+                out = []
+                for x in state["part"]:
+                    acc += x
+                    out.append(acc)
+                bct.work[mid] += len(out) + 1
+                state["scan"] = out
+                bct.reply(mid, ("sum", mid, acc), tag)
 
-        def h_shift(ctx, offset, tag=None):
-            state = ctx.module.state[name]
-            state["scan"] = [x + offset for x in state["scan"]]
-            ctx.charge(len(state["scan"]) + 1)
+        def shift(bct, chunks):
+            modules = bct.machine.modules
+            for mid, (offset,), _tag, _size in bct.rows(chunks):
+                state = modules[mid].state[name]
+                state["scan"] = [x + offset for x in state["scan"]]
+                bct.work[mid] += len(state["scan"]) + 1
 
-        def h_dump(ctx, tag=None):
-            scan = ctx.module.state[name]["scan"]
-            ctx.charge(1)
-            ctx.reply(("scan", ctx.mid, scan), size=max(1, len(scan)),
-                      tag=tag)
+        def dump(bct, chunks):
+            modules = bct.machine.modules
+            for mid, _args, tag, _size in bct.rows(chunks):
+                scan = modules[mid].state[name]["scan"]
+                bct.work[mid] += 1
+                bct.reply(mid, ("scan", mid, scan), tag, max(1, len(scan)))
 
-        machine.register(fn_scan, h_scan)
-        machine.register(fn_shift, h_shift)
-        machine.register(fn_dump, h_dump)
+        machine.register(fn_scan, scan)
+        machine.register(fn_shift, shift)
+        machine.register(fn_dump, dump)
 
     for mid, part in enumerate(parts):
         machine.modules[mid].state.setdefault(name, {})["part"] = list(part)

@@ -79,38 +79,47 @@ def pim_sample_sort(machine: PIMMachine, parts: Sequence[Sequence[Any]],
         machine.modules[mid].state[name]["slot"] = list(part)
         machine.modules[mid].alloc_words(len(part))
 
-    # The exchange's handlers: each module forwards its bucket pieces
+    # The exchange's bodies: each module forwards its bucket pieces
     # (h = max per module of words sent + received), then merges the
     # already-sorted runs it received.
     fn_route = f"{name}:route"
     if fn_route not in machine._handlers:
-        def h_route(ctx, splitters, tag=None):
-            state = ctx.module.state[name]
-            slot, _picks = state["slot"]
-            ctx.charge(len(slot) + 1)
-            row: dict = {}
-            for x in slot:
-                dest = bisect.bisect_right(splitters, x)
-                row.setdefault(dest, []).append(x)
-            state["slot"] = []
-            for dest, piece in row.items():
-                ctx.forward(dest, f"{name}:recv_piece", (piece,),
-                            size=max(1, len(piece)))
+        def route(bct, chunks):
+            # Slot order: the pieces reach each inbox, and so each
+            # merge, in the per-task loop's order.
+            modules = bct.machine.modules
+            out = []
+            for mid, (splitters,), _tag, _size in \
+                    bct.rows_in_slot_order(chunks):
+                state = modules[mid].state[name]
+                slot, _picks = state["slot"]
+                bct.work[mid] += len(slot) + 1
+                row: dict = {}
+                for x in slot:
+                    dest = bisect.bisect_right(splitters, x)
+                    row.setdefault(dest, []).append(x)
+                state["slot"] = []
+                for dest, piece in row.items():
+                    out.append((dest, (piece,), None, max(1, len(piece))))
+                    bct.sent[mid] += max(1, len(piece))
+            bct.stage_rows(f"{name}:recv_piece", out)
 
-        def h_merge(ctx, tag=None):
-            state = ctx.module.state[name]
-            runs = state["inbox"]
-            state["inbox"] = []
-            out: List[Any] = []
-            work = 1
-            for run in runs:
-                out = _merge2(out, run)
-                work += len(out)
-            ctx.charge(work)
-            state["slot"] = out
+        def merge(bct, chunks):
+            modules = bct.machine.modules
+            for mid, _args, _tag, _size in bct.rows(chunks):
+                state = modules[mid].state[name]
+                runs = state["inbox"]
+                state["inbox"] = []
+                out: List[Any] = []
+                work = 1
+                for run in runs:
+                    out = _merge2(out, run)
+                    work += len(out)
+                bct.work[mid] += work
+                state["slot"] = out
 
-        machine.register(fn_route, h_route)
-        machine.register(f"{name}:merge", h_merge)
+        machine.register(fn_route, route)
+        machine.register(f"{name}:merge", merge)
 
     result = run_batch(machine, f"{name}:sample_sort",
                        _sample_sort_route(coll, oversample,

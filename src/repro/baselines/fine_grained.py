@@ -18,7 +18,7 @@ cited design), and batched Successor.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.balls.hashing import KeyLevelHash
 from repro.core.node import NEG_INF, NODE_WORDS, Node
@@ -38,7 +38,7 @@ class FineGrainedSkipList:
         self.num_keys = 0
         self.sentinels: List[Node] = []
         self.top_level = 0
-        machine.register_all(self._handlers())
+        machine.register(f"{name}:step", self._step_body)
 
     # -- structure ------------------------------------------------------------
 
@@ -86,34 +86,32 @@ class FineGrainedSkipList:
 
     # -- search ---------------------------------------------------------------
 
-    def _handlers(self) -> Dict[str, Any]:
-        name = self.name
-        fn_step = f"{name}:step"
-
-        def h_step(ctx, node, key, opid, tag=None):
-            x = node
+    def _step_body(self, bct, chunks) -> None:
+        """Walk each task's run of this module's nodes, then reply at the
+        leaf level or forward the walk to the next node's owner."""
+        tracing = bct.tracing
+        out = []
+        for mid, (x, key, opid), _tag, _size in bct.rows(chunks):
             hops = 0
-            tracing = ctx.tracing
             while True:
                 hops += 1
                 if tracing:
-                    ctx.touch(("fg", x.nid))
+                    bct.touch(mid, ("fg", x.nid))
                 if x.right is not None and x.right.key <= key:
                     nxt = x.right
                 elif x.level > 0:
                     nxt = x.down
                 else:
-                    ctx.charge(hops)
-                    ctx.reply(("done", opid, x, x.right), size=1)
-                    return
-                if nxt.owner == ctx.mid:
+                    bct.reply(mid, ("done", opid, x, x.right))
+                    break
+                if nxt.owner == mid:
                     x = nxt
                 else:
-                    ctx.charge(hops)
-                    ctx.forward(nxt.owner, fn_step, (nxt, key, opid))
-                    return
-
-        return {fn_step: h_step}
+                    out.append((nxt.owner, (nxt, key, opid), None, 1))
+                    bct.sent[mid] += 1
+                    break
+            bct.work[mid] += hops
+        bct.stage_rows(f"{self.name}:step", out)
 
     def _batch_search(self, keys: Sequence[Hashable]) -> List[Node]:
         return run_batch(self.machine, f"{self.name}:batch_search",

@@ -17,7 +17,8 @@ import math
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.balls.hashing import KeyLevelHash
-from repro.baselines.local_skiplist import LocalSkipList
+from repro.baselines.local_skiplist import (LocalSkipList, module_rows,
+                                            point_bodies)
 from repro.core.skiplist import BatchDispatch
 from repro.cpuside.semisort import dedup_last, group_positions
 from repro.ops import Broadcast, run_batch
@@ -39,45 +40,29 @@ class HashPartitionedMap(BatchDispatch):
             module.state[name] = LocalSkipList(
                 rng=machine.spawn_rng(0x9B0 + mid), charge=module.charge,
             )
-        machine.register_all(self._handlers())
+        for fn, body in self._bodies().items():
+            machine.register(f"{name}:{fn}", body)
 
-    def _handlers(self) -> Dict[str, Any]:
+    def _bodies(self) -> Dict[str, Any]:
+        """One body per function: each task pays one unit, and its local
+        skip list charges its hops through ``module.charge``."""
         name = self.name
+        bodies = point_bodies(name)
 
-        def h_get(ctx, key, tag=None):
-            ctx.charge(1)
-            ctx.reply((key, ctx.state(name).get(key)), tag=tag)
+        def lsucc(bct, chunks):
+            for mid, (key, opid), tag, local in module_rows(bct, chunks,
+                                                            name):
+                bct.reply(mid, ("succ", opid, local.successor(key)), tag)
 
-        def h_upsert(ctx, key, value, tag=None):
-            ctx.charge(1)
-            created = ctx.state(name).upsert(key, value)
-            if created:
-                ctx.module.alloc_words(4)
-            ctx.reply((key, created), tag=tag)
+        def range_(bct, chunks):
+            for mid, (lkey, rkey, opid), tag, local in module_rows(
+                    bct, chunks, name):
+                vals = local.range_scan(lkey, rkey)
+                bct.reply(mid, ("range", opid, vals), tag,
+                          max(1, len(vals)))
 
-        def h_delete(ctx, key, tag=None):
-            ctx.charge(1)
-            removed = ctx.state(name).delete(key)
-            if removed:
-                ctx.module.free_words(4)
-            ctx.reply((key, removed), tag=tag)
-
-        def h_local_succ(ctx, key, opid, tag=None):
-            ctx.charge(1)
-            ctx.reply(("succ", opid, ctx.state(name).successor(key)), tag=tag)
-
-        def h_range(ctx, lkey, rkey, opid, tag=None):
-            ctx.charge(1)
-            vals = ctx.state(name).range_scan(lkey, rkey)
-            ctx.reply(("range", opid, vals), size=max(1, len(vals)), tag=tag)
-
-        return {
-            f"{name}:get": h_get,
-            f"{name}:upsert": h_upsert,
-            f"{name}:delete": h_delete,
-            f"{name}:lsucc": h_local_succ,
-            f"{name}:range": h_range,
-        }
+        bodies.update(lsucc=lsucc, range=range_)
+        return bodies
 
     def owner(self, key: Hashable) -> int:
         return self.hash.module_of(key)

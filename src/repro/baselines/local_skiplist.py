@@ -10,7 +10,8 @@ baselines reimplement.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterator, List, Optional,
+                    Tuple)
 
 MAX_LEVEL = 48
 
@@ -177,3 +178,41 @@ class LocalSkipList:
                 self._charge(1)
         self._size -= 1
         return True
+
+
+def module_rows(bct: Any, chunks: List[Any], name: str) -> Iterator[tuple]:
+    """``(mid, args, tag, local skip list)`` per row of a partitioned
+    baseline's function, charging each task its one unit (the list
+    charges its own hops through the module's ``charge``)."""
+    modules = bct.machine.modules
+    work = bct.work
+    for mid, args, tag, _size in bct.rows(chunks):
+        work[mid] += 1
+        yield mid, args, tag, modules[mid].state[name]
+
+
+def point_bodies(name: str) -> Dict[str, Callable[..., None]]:
+    """The ``get`` / ``upsert`` / ``delete`` batch bodies of a baseline
+    that keeps a :class:`LocalSkipList` per module under ``name``."""
+
+    def get(bct, chunks):
+        for mid, (key,), tag, local in module_rows(bct, chunks, name):
+            bct.reply(mid, (key, local.get(key)), tag)
+
+    def upsert(bct, chunks):
+        modules = bct.machine.modules
+        for mid, (key, value), tag, local in module_rows(bct, chunks, name):
+            created = local.upsert(key, value)
+            if created:
+                modules[mid].alloc_words(4)
+            bct.reply(mid, (key, created), tag)
+
+    def delete(bct, chunks):
+        modules = bct.machine.modules
+        for mid, (key,), tag, local in module_rows(bct, chunks, name):
+            removed = local.delete(key)
+            if removed:
+                modules[mid].free_words(4)
+            bct.reply(mid, (key, removed), tag)
+
+    return {"get": get, "upsert": upsert, "delete": delete}

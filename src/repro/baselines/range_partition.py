@@ -23,7 +23,8 @@ import bisect
 import math
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.baselines.local_skiplist import LocalSkipList
+from repro.baselines.local_skiplist import (LocalSkipList, module_rows,
+                                            point_bodies)
 from repro.core.skiplist import BatchDispatch
 from repro.cpuside.semisort import dedup_last, group_positions
 from repro.ops import run_batch
@@ -45,59 +46,42 @@ class RangePartitionedSkipList(BatchDispatch):
             module.state[name] = LocalSkipList(
                 rng=machine.spawn_rng(0x2A9E + mid), charge=module.charge,
             )
-        machine.register_all(self._handlers())
+        for fn, body in self._bodies().items():
+            machine.register(f"{name}:{fn}", body)
 
-    # -- handlers -----------------------------------------------------------
+    # -- batch bodies -------------------------------------------------------
 
-    def _handlers(self) -> Dict[str, Any]:
+    def _bodies(self) -> Dict[str, Any]:
+        """One body per function: each task pays one unit, and its local
+        skip list charges its hops through ``module.charge``."""
         name = self.name
         fn_succ = f"{name}:succ"
+        bodies = point_bodies(name)
 
-        def local(ctx) -> LocalSkipList:
-            return ctx.state(name)
+        def succ(bct, chunks):
+            last = bct.num_modules - 1
+            out = []
+            for mid, (key, opid), tag, local in module_rows(bct, chunks,
+                                                            name):
+                res = local.successor(key)
+                if res is None and mid < last:
+                    # The successor lives in a later range; forward
+                    # rightward.
+                    out.append((mid + 1, (key, opid), None, 1))
+                    bct.sent[mid] += 1
+                else:
+                    bct.reply(mid, ("succ", opid, res), tag)
+            bct.stage_rows(fn_succ, out)
 
-        def h_get(ctx, key, tag=None):
-            ctx.charge(1)
-            sl = local(ctx)
-            ctx.reply((key, sl.get(key)), tag=tag)
+        def range_(bct, chunks):
+            for mid, (lkey, rkey, opid), tag, local in module_rows(
+                    bct, chunks, name):
+                vals = local.range_scan(lkey, rkey)
+                bct.reply(mid, ("range", opid, mid, vals), tag,
+                          max(1, len(vals)))
 
-        def h_upsert(ctx, key, value, tag=None):
-            ctx.charge(1)
-            created = local(ctx).upsert(key, value)
-            words = 4
-            if created:
-                ctx.module.alloc_words(words)
-            ctx.reply((key, created), tag=tag)
-
-        def h_delete(ctx, key, tag=None):
-            ctx.charge(1)
-            removed = local(ctx).delete(key)
-            if removed:
-                ctx.module.free_words(4)
-            ctx.reply((key, removed), tag=tag)
-
-        def h_succ(ctx, key, opid, tag=None):
-            ctx.charge(1)
-            res = local(ctx).successor(key)
-            if res is None and ctx.mid + 1 < ctx.num_modules:
-                # The successor lives in a later range; forward rightward.
-                ctx.forward(ctx.mid + 1, fn_succ, (key, opid))
-            else:
-                ctx.reply(("succ", opid, res), tag=tag)
-
-        def h_range(ctx, lkey, rkey, opid, tag=None):
-            ctx.charge(1)
-            vals = local(ctx).range_scan(lkey, rkey)
-            ctx.reply(("range", opid, ctx.mid, vals),
-                      size=max(1, len(vals)), tag=tag)
-
-        return {
-            f"{name}:get": h_get,
-            f"{name}:upsert": h_upsert,
-            f"{name}:delete": h_delete,
-            fn_succ: h_succ,
-            f"{name}:range": h_range,
-        }
+        bodies.update(succ=succ, range=range_)
+        return bodies
 
     # -- routing ---------------------------------------------------------------
 

@@ -40,71 +40,81 @@ class Collectives:
         # the modules), so re-creating a context with the same name on
         # the same machine is allowed.
         if f"{name}:put" not in machine._handlers:
-            machine.register_all(self._handlers())
+            for fn, body in self._bodies().items():
+                machine.register(f"{name}:{fn}", body)
 
-    # -- handlers ----------------------------------------------------------
+    # -- batch bodies --------------------------------------------------------
 
-    def _handlers(self) -> Dict[str, Any]:
+    def _bodies(self) -> Dict[str, Any]:
         name = self.name
         fn_recv_piece = f"{name}:recv_piece"
 
-        def st(ctx):
-            return ctx.module.state[name]
+        def rows(bct, chunks):
+            """``(mid, args, tag, state)`` per row, in slot order: the
+            replies fill lists and counters the CPU side reads in
+            arrival order, and the forwarded pieces reach each inbox in
+            the per-task loop's order."""
+            modules = bct.machine.modules
+            for mid, args, tag, _size in bct.rows_in_slot_order(chunks):
+                yield mid, args, tag, modules[mid].state[name]
 
-        def h_put(ctx, value, tag=None):
-            ctx.charge(1)
-            st(ctx)["slot"] = value
+        def put(bct, chunks):
+            for mid, (value,), _tag, st in rows(bct, chunks):
+                bct.work[mid] += 1
+                st["slot"] = value
 
-        def h_get(ctx, tag=None):
-            ctx.charge(1)
-            ctx.reply(("slot", ctx.mid, st(ctx)["slot"]),
-                      size=_words(st(ctx)["slot"]), tag=tag)
+        def get(bct, chunks):
+            for mid, _args, tag, st in rows(bct, chunks):
+                bct.work[mid] += 1
+                bct.reply(mid, ("slot", mid, st["slot"]), tag,
+                          _words(st["slot"]))
 
-        def h_apply(ctx, fn, tag=None):
-            slot = st(ctx)["slot"]
-            out, cost = fn(ctx.mid, slot)
-            ctx.charge(max(1, cost))
-            st(ctx)["slot"] = out
+        def apply(bct, chunks):
+            for mid, (fn,), _tag, st in rows(bct, chunks):
+                out, cost = fn(mid, st["slot"])
+                bct.work[mid] += max(1, cost)
+                st["slot"] = out
 
-        def h_send_row(ctx, row, tag=None):
-            # all-to-all phase 1: this module forwards its row pieces.
-            ctx.charge(len(row) + 1)
-            for dest, piece in row.items():
-                if piece:
-                    ctx.forward(dest, fn_recv_piece, (piece,),
-                                size=_words(piece))
+        def send_row(bct, chunks):
+            # all-to-all phase 1: each module forwards its row pieces.
+            out = []
+            for mid, (row,), _tag, _st in rows(bct, chunks):
+                bct.work[mid] += len(row) + 1
+                for dest, piece in row.items():
+                    if piece:
+                        out.append((dest, (piece,), None, _words(piece)))
+                        bct.sent[mid] += _words(piece)
+            bct.stage_rows(fn_recv_piece, out)
 
-        def h_recv_piece(ctx, piece, tag=None):
-            ctx.charge(max(1, _words(piece)))
-            st(ctx)["inbox"].append(piece)
+        def recv_piece(bct, chunks):
+            for mid, (piece,), _tag, st in rows(bct, chunks):
+                bct.work[mid] += max(1, _words(piece))
+                st["inbox"].append(piece)
 
-        def h_collect_inbox(ctx, tag=None):
-            inbox = st(ctx)["inbox"]
-            ctx.charge(len(inbox) + 1)
-            st(ctx)["inbox"] = []
-            ctx.reply(("inbox", ctx.mid, inbox),
-                      size=max(1, sum(_words(p) for p in inbox)), tag=tag)
+        def collect_inbox(bct, chunks):
+            for mid, _args, tag, st in rows(bct, chunks):
+                inbox = st["inbox"]
+                bct.work[mid] += len(inbox) + 1
+                st["inbox"] = []
+                bct.reply(mid, ("inbox", mid, inbox), tag,
+                          max(1, sum(_words(p) for p in inbox)))
 
-        def h_count(ctx, bucket, tag=None):
-            ctx.charge(1)
-            st(ctx).setdefault("hist", Counter())[bucket] += 1
+        def hist_count(bct, chunks):
+            for mid, (bucket,), _tag, st in rows(bct, chunks):
+                bct.work[mid] += 1
+                st.setdefault("hist", Counter())[bucket] += 1
 
-        def h_flush(ctx, tag=None):
-            counts = st(ctx).pop("hist", Counter())
-            ctx.charge(len(counts) + 1)
-            ctx.reply(("hist", dict(counts)),
-                      size=max(1, len(counts)), tag=tag)
+        def hist_flush(bct, chunks):
+            for mid, _args, tag, st in rows(bct, chunks):
+                counts = st.pop("hist", Counter())
+                bct.work[mid] += len(counts) + 1
+                bct.reply(mid, ("hist", dict(counts)), tag,
+                          max(1, len(counts)))
 
-        return {
-            f"{name}:put": h_put,
-            f"{name}:get": h_get,
-            f"{name}:apply": h_apply,
-            f"{name}:send_row": h_send_row,
-            fn_recv_piece: h_recv_piece,
-            f"{name}:collect_inbox": h_collect_inbox,
-            f"{name}:hist_count": h_count,
-            f"{name}:hist_flush": h_flush,
-        }
+        return {"put": put, "get": get, "apply": apply,
+                "send_row": send_row, "recv_piece": recv_piece,
+                "collect_inbox": collect_inbox, "hist_count": hist_count,
+                "hist_flush": hist_flush}
 
     # -- data movement -----------------------------------------------------
 

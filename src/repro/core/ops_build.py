@@ -35,7 +35,7 @@ re-sends within a stage).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.node import NODE_WORDS, UPPER, Node
 from repro.core.structure import MAX_HEIGHT, SkipListStructure
@@ -43,7 +43,7 @@ from repro.ops import Broadcast, Columns, run_batch
 from repro.sim.fastpath import BCAST, COLS
 
 
-def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
+def make_handlers(sl: SkipListStructure) -> None:
     name = sl.name
     h_low = sl.h_low
 
@@ -78,36 +78,37 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 module.alloc_words(words)
                 work[mid] += tasks
 
-    def h_load_finish(ctx, first, tag=None):
-        # The module's list ends and count, its table in one pass
+    def batch_load_finish(bct, chunks):
+        # Per module: its list ends and count, its table in one pass
         # (charged by the table), and one sweep of the upper leaves
         # against its chain: each points at the first local leaf at or
         # after it.
-        ml = sl.mlocal(ctx.mid)
-        items: List[Tuple[Hashable, Node]] = []
-        leaf = first
-        while leaf is not None:
-            items.append((leaf.key, leaf))
-            ml.last_leaf = leaf
-            leaf = leaf.local_right
-        ml.first_leaf = first
-        ml.leaf_count = len(items)
-        if items:
-            ml.table.load(items)
-        steps = len(items)
-        u: Optional[Node] = sl.upper_leaf_sentinel
-        leaf = first
-        while u is not None:
-            while leaf is not None and leaf.key < u.key:
+        for mid, (first,), _tag, _size in bct.rows(chunks):
+            ml = sl.mlocal(mid)
+            items: List[Tuple[Hashable, Node]] = []
+            leaf = first
+            while leaf is not None:
+                items.append((leaf.key, leaf))
+                ml.last_leaf = leaf
                 leaf = leaf.local_right
-            u.next_leaf[ctx.mid] = leaf
-            u = u.right
-            steps += 1
-        ctx.charge(steps)
+            ml.first_leaf = first
+            ml.leaf_count = len(items)
+            if items:
+                ml.table.load(items)
+            steps = len(items)
+            u: Optional[Node] = sl.upper_leaf_sentinel
+            leaf = first
+            while u is not None:
+                while leaf is not None and leaf.key < u.key:
+                    leaf = leaf.local_right
+                u.next_leaf[mid] = leaf
+                u = u.right
+                steps += 1
+            bct.work[mid] += steps
 
-    sl.machine.register_batch(f"{name}:load_lower", batch_load_lower)
-    sl.machine.register_batch(f"{name}:load_upper", batch_load_upper)
-    return {f"{name}:load_finish": h_load_finish}
+    sl.machine.register(f"{name}:load_lower", batch_load_lower)
+    sl.machine.register(f"{name}:load_upper", batch_load_upper)
+    sl.machine.register(f"{name}:load_finish", batch_load_finish)
 
 
 def _build_route(sl: SkipListStructure,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.node import Node
 from repro.core.ops_write import write_stage
@@ -53,7 +53,7 @@ class DeleteStats:
     not_found: int
 
 
-def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
+def make_handlers(sl: SkipListStructure) -> None:
     name = sl.name
     fn_mark_node = f"{name}:del_mark_node"
 
@@ -123,22 +123,30 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 bct.touch(mid, node.nid)
             rep_append(Reply(mark_node(node, is_top), tag, mid))
 
-    def h_delete_upper_tower(ctx, upper_leaf, tag=None):
-        # Slot only: the first executor's unlink splices the shared
-        # level, the others find the node already unlinked.
-        u: Optional[Node] = upper_leaf
-        while u is not None:
-            ctx.charge(1)
-            sl.account_upper_free_on(ctx.mid, u)
-            u.deleted = True
-            sl.unlink_upper_node(u, ctx.charge)
-            u = u.up
+    def batch_delete_upper(bct, chunks):
+        # The first executor's unlink splices the shared level, the
+        # others find the node already unlinked: rows run in slot order,
+        # so the first is the oracle's.
+        work = bct.work
+        mid = 0
+
+        def charge(w):  # reads ``mid`` when called: the row's module
+            work[mid] += w
+
+        for mid, (upper_leaf,), _tag, _size in bct.rows_in_slot_order(
+                chunks):
+            u: Optional[Node] = upper_leaf
+            while u is not None:
+                work[mid] += 1
+                sl.account_upper_free_on(mid, u)
+                u.deleted = True
+                sl.unlink_upper_node(u, charge)
+                u = u.up
 
     machine = sl.machine
-    machine.register_batch(f"{name}:del_mark", batch_delete_mark)
-    machine.register_batch(fn_mark_node, batch_mark_node)
-
-    return {f"{name}:del_upper": h_delete_upper_tower}
+    machine.register(f"{name}:del_mark", batch_delete_mark)
+    machine.register(fn_mark_node, batch_mark_node)
+    machine.register(f"{name}:del_upper", batch_delete_upper)
 
 
 def _delete_route(sl, keys):

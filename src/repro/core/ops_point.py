@@ -22,7 +22,7 @@ back out to duplicate positions.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.structure import SkipListStructure
 from repro.cpuside.semisort import dedup_last, group_positions
@@ -62,9 +62,8 @@ def update_handlers(sl: SkipListStructure) -> Any:
     return batch_update
 
 
-def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    """Register the point operations' batch bodies on ``sl``'s machine;
-    no slot-only handler."""
+def make_handlers(sl: SkipListStructure) -> None:
+    """Register the point operations' batch bodies on ``sl``'s machine."""
     name = sl.name
 
     def batch_get(bct, chunks):
@@ -86,9 +85,8 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                 rep_append(Reply((key, leaf.value, True), tag, mid))
 
     machine = sl.machine
-    machine.register_batch(f"{name}:pt_get", batch_get)
-    machine.register_batch(f"{name}:pt_update", update_handlers(sl))
-    return {}
+    machine.register(f"{name}:pt_get", batch_get)
+    machine.register(f"{name}:pt_update", update_handlers(sl))
 
 
 def _get_route(sl, keys, want_value):

@@ -144,40 +144,49 @@ class RangeResult:
     values: List[Tuple[Hashable, Any]] = field(default_factory=list)
 
 
-def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    """The broadcast range's one slot handler; registers the tree
-    traversal's six batch bodies (:func:`_tree_bodies`).  ``rng_bcast``
-    stays in slots: it is one broadcast per op, its modules each walking
-    their own leaf list to a different reply, so a round of it has
-    nothing to batch."""
+def make_handlers(sl: SkipListStructure) -> None:
+    """Register the broadcast range's body and the tree traversal's six
+    (:func:`_tree_bodies`)."""
     _tree_bodies(sl)
-    return {f"{sl.name}:rng_bcast": _make_bcast(sl)}
+    sl.machine.register(f"{sl.name}:rng_bcast", _bcast_body(sl))
 
 
-def _make_bcast(sl: SkipListStructure):
-    def h_range_bcast(ctx, lkey, bound, func, farg, opid, tag=None):
-        u = sl.upper_descend(lkey, ctx.charge)
-        cur = u.next_leaf[ctx.mid] if u.next_leaf is not None else None
-        while cur is not None and cur.key <= lkey:
-            # local successor search: first local leaf strictly past lkey
-            # (lkey is a JustBelow for inclusive bounds, so `<=` is the
-            # "not yet in range" test in both cases).
-            cur = cur.local_right
-            ctx.charge(1)
-        hits = 0
-        values = []
-        while cur is not None and bound.admits(cur.key):
-            ctx.charge(1)
-            ctx.touch(cur.nid)
-            out = _apply_func(cur, func, farg)
-            if out is not None:
-                values.append((cur.key, out))
-            hits += 1
-            cur = cur.local_right
-        ctx.reply(("bcast", opid, ctx.mid, hits, values),
-                  size=max(1, len(values)), tag=tag)
+def _bcast_body(sl: SkipListStructure):
+    """``rng_bcast``: every module walks its own leaf list from the
+    range's low key to a reply of its own."""
+    def batch_range_bcast(bct, chunks):
+        work = bct.work
+        tracing = bct.tracing
+        mid = 0
 
-    return h_range_bcast
+        def charge(w):  # reads ``mid`` when called: the row's module
+            work[mid] += w
+
+        for mid, (lkey, bound, func, farg, opid), tag, _size in \
+                bct.rows(chunks):
+            u = sl.upper_descend(lkey, charge)
+            cur = u.next_leaf[mid] if u.next_leaf is not None else None
+            while cur is not None and cur.key <= lkey:
+                # local successor search: first local leaf strictly past
+                # lkey (lkey is a JustBelow for inclusive bounds, so `<=`
+                # is the "not yet in range" test in both cases).
+                cur = cur.local_right
+                work[mid] += 1
+            hits = 0
+            values = []
+            while cur is not None and bound.admits(cur.key):
+                work[mid] += 1
+                if tracing:
+                    bct.touch(mid, cur.nid)
+                out = _apply_func(cur, func, farg)
+                if out is not None:
+                    values.append((cur.key, out))
+                hits += 1
+                cur = cur.local_right
+            bct.reply(mid, ("bcast", opid, mid, hits, values), tag,
+                      max(1, len(values)))
+
+    return batch_range_bcast
 
 
 def _broadcast_route(sl, lkey, rkey, func, farg, inclusive):
@@ -540,7 +549,7 @@ def _tree_bodies(sl: SkipListStructure) -> None:
     for fn, body in (("root", root_body), ("boundary", boundary_body),
                      ("chain", chain_body), ("count", count_body),
                      ("go", go_body), ("offset", offset_body)):
-        sl.machine.register_batch(f"{name}:rng_{fn}", chunked(body))
+        sl.machine.register(f"{name}:rng_{fn}", chunked(body))
 
 
 # ---------------------------------------------------------------------------

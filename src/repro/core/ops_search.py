@@ -21,16 +21,15 @@ streamed that the CPU side would drop.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Hashable, Optional
 
 from repro.core.node import Node, UPPER
 from repro.core.structure import SkipListStructure
 from repro.sim.task import Reply
 
 
-def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
-    """Register the search walk's batch bodies on ``sl``'s machine; no
-    slot-only handler.
+def make_handlers(sl: SkipListStructure) -> None:
+    """Register the search walk's batch bodies on ``sl``'s machine.
 
     ``search_step`` (the hottest function in the whole simulator) walks
     each task's run of locally-available nodes (this module's, plus
@@ -149,9 +148,8 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
             bct.stage_rows(fn_step, out)
 
     machine = sl.machine
-    machine.register_batch(fn_step, batch_search_step)
-    machine.register_batch(sl.fn_search_entry, batch_search_entry)
-    return {}
+    machine.register(fn_step, batch_search_step)
+    machine.register(sl.fn_search_entry, batch_search_entry)
 
 
 def search_message(sl: SkipListStructure, key: Hashable, opid: Any,

@@ -29,66 +29,69 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from repro.core.probes import just_above
 from repro.core.structure import SkipListStructure
 from repro.ops import Broadcast, run_batch
 
 
-def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
+def make_handlers(sl: SkipListStructure) -> None:
+    """Register the five ``sel_*`` bodies: each module's snapshot of its
+    sorted local keys, keyed by op id, and the probes over it."""
     name = sl.name
 
-    def snapshots(ctx):
-        return ctx.module.state.setdefault(name + ":sel", {})
+    def rows(bct, chunks):
+        """``(mid, args, tag, module, snapshots)`` per row."""
+        modules = bct.machine.modules
+        for mid, args, tag, _size in bct.rows(chunks):
+            module = modules[mid]
+            yield (mid, args, tag, module,
+                   module.state.setdefault(name + ":sel", {}))
 
-    def h_begin(ctx, opid, tag=None):
-        ml = sl.mlocal(ctx.mid)
-        keys: List[Hashable] = []
-        leaf = ml.first_leaf
-        while leaf is not None:
-            keys.append(leaf.key)
-            leaf = leaf.local_right
-        ctx.charge(len(keys) + 1)
-        ctx.module.alloc_words(len(keys))
-        snapshots(ctx)[opid] = keys
-        ctx.reply(("sel_size", ctx.mid, len(keys)), tag=tag)
+    def begin(bct, chunks):
+        for mid, (opid,), tag, module, snaps in rows(bct, chunks):
+            keys: List[Hashable] = []
+            leaf = sl.mlocal(mid).first_leaf
+            while leaf is not None:
+                keys.append(leaf.key)
+                leaf = leaf.local_right
+            bct.work[mid] += len(keys) + 1
+            module.alloc_words(len(keys))
+            snaps[opid] = keys
+            bct.reply(mid, ("sel_size", mid, len(keys)), tag)
 
-    def h_probe(ctx, opid, lo, hi, tag=None):
-        keys = snapshots(ctx)[opid]
-        ctx.charge(max(1, int(math.log2(len(keys) + 2))))
-        window = keys[lo:hi]
-        if window:
-            med = window[len(window) // 2]
-        else:
-            med = None
-        ctx.reply(("sel_probe", ctx.mid, hi - lo, med), tag=tag)
+    def probe(bct, chunks):
+        for mid, (opid, lo, hi), tag, _module, snaps in rows(bct, chunks):
+            keys = snaps[opid]
+            bct.work[mid] += max(1, int(math.log2(len(keys) + 2)))
+            window = keys[lo:hi]
+            med = window[len(window) // 2] if window else None
+            bct.reply(mid, ("sel_probe", mid, hi - lo, med), tag)
 
-    def h_rank_of(ctx, opid, lo, hi, pivot, tag=None):
-        keys = snapshots(ctx)[opid]
-        ctx.charge(max(1, int(math.log2(len(keys) + 2))))
-        r = bisect.bisect_left(keys, pivot, lo, hi) - lo
-        ctx.reply(("sel_rank", ctx.mid, r), tag=tag)
+    def rank_of(bct, chunks):
+        for mid, (opid, lo, hi, pivot), tag, _m, snaps in rows(bct, chunks):
+            keys = snaps[opid]
+            bct.work[mid] += max(1, int(math.log2(len(keys) + 2)))
+            r = bisect.bisect_left(keys, pivot, lo, hi) - lo
+            bct.reply(mid, ("sel_rank", mid, r), tag)
 
-    def h_gather(ctx, opid, lo, hi, tag=None):
-        keys = snapshots(ctx)[opid]
-        window = keys[lo:hi]
-        ctx.charge(len(window) + 1)
-        ctx.reply(("sel_gather", ctx.mid, window),
-                  size=max(1, len(window)), tag=tag)
+    def gather(bct, chunks):
+        for mid, (opid, lo, hi), tag, _module, snaps in rows(bct, chunks):
+            window = snaps[opid][lo:hi]
+            bct.work[mid] += len(window) + 1
+            bct.reply(mid, ("sel_gather", mid, window), tag,
+                      max(1, len(window)))
 
-    def h_end(ctx, opid, tag=None):
-        keys = snapshots(ctx).pop(opid, [])
-        ctx.charge(1)
-        ctx.module.free_words(len(keys))
+    def end(bct, chunks):
+        for mid, (opid,), _tag, module, snaps in rows(bct, chunks):
+            keys = snaps.pop(opid, [])
+            bct.work[mid] += 1
+            module.free_words(len(keys))
 
-    return {
-        f"{name}:sel_begin": h_begin,
-        f"{name}:sel_probe": h_probe,
-        f"{name}:sel_rank": h_rank_of,
-        f"{name}:sel_gather": h_gather,
-        f"{name}:sel_end": h_end,
-    }
+    for fn, body in (("begin", begin), ("probe", probe), ("rank", rank_of),
+                     ("gather", gather), ("end", end)):
+        sl.machine.register(f"{name}:sel_{fn}", body)
 
 
 def rank(sl: SkipListStructure, key: Hashable) -> int:

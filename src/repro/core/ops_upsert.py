@@ -60,7 +60,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import merge
 from operator import itemgetter
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.node import NEG_INF, Node
 from repro.core.ops_point import update_handlers
@@ -87,7 +87,7 @@ class UpsertStats:
     ranges: Optional[List[RangeResult]] = None
 
 
-def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
+def make_handlers(sl: SkipListStructure) -> None:
     name = sl.name
 
     # Row bodies: what one task does on ``module``, charging through
@@ -142,19 +142,26 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                         bct.touch(mid, node.nid)
         return batch
 
-    def h_upper_link(ctx, node, tag=None):
+    def batch_upper_link(bct, chunks):
         # Round 2: idempotent horizontal linking of the shared replica.
-        # Slot only: the first executor pays the descent, the others
-        # one unit each.
-        sl.link_upper_node(node, ctx.charge)
+        # The first executor pays the descent, the others one unit
+        # each: rows run in slot order, so the first is the oracle's.
+        work = bct.work
+        mid = 0
+
+        def charge(w):  # reads ``mid`` when called: the row's module
+            work[mid] += w
+
+        for mid, (node,), _tag, _size in bct.rows_in_slot_order(chunks):
+            sl.link_upper_node(node, charge)
 
     machine = sl.machine
-    machine.register_batch(f"{name}:ups_try_update", update_handlers(sl))
-    machine.register_batch(f"{name}:ups_insert_lower",
-                           node_batch(insert_lower, True))
-    machine.register_batch(f"{name}:ups_upper_prepare",
-                           node_batch(upper_prepare, False))
-    return {f"{name}:ups_upper_link": h_upper_link}
+    machine.register(f"{name}:ups_try_update", update_handlers(sl))
+    machine.register(f"{name}:ups_insert_lower",
+                     node_batch(insert_lower, True))
+    machine.register(f"{name}:ups_upper_prepare",
+                     node_batch(upper_prepare, False))
+    machine.register(f"{name}:ups_upper_link", batch_upper_link)
 
 
 @dataclass

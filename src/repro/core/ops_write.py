@@ -24,7 +24,7 @@ each write to a replicated node as a :class:`~repro.ops.Broadcast`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.core.node import NODE_WORDS, Node, UPPER
 from repro.core.structure import SkipListStructure
@@ -43,7 +43,7 @@ def _check_fields(fields: Iterable[str]) -> None:
         raise ValueError(f"bad pointer field {bad!r}")
 
 
-def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
+def make_handlers(sl: SkipListStructure) -> None:
     def batch_write_ptr(bct, chunks):
         # One RemoteWrite per row.  A broadcast write targets a
         # replicated node, which the simulator keeps as ONE object: the
@@ -85,15 +85,25 @@ def make_handlers(sl: SkipListStructure) -> Dict[str, Any]:
                     if tracing:
                         bct.touch(mid, args[0].nid)
 
-    def h_grow(ctx, target_level, added_levels, tag=None):
+    def batch_grow(bct, chunks):
         # Idempotent shared mutation; every module charges its replica's
-        # share of the new sentinel storage.  Slot only: the first
-        # executor pays the growth's charges, the rest pay none.
-        sl.grow_to_level(target_level, ctx.charge)
-        ctx.module.alloc_words(added_levels * NODE_WORDS)
+        # share of the new sentinel storage.  The first executor pays the
+        # growth's charges, the rest pay none: rows run in slot order, so
+        # the first is the oracle's.
+        modules = bct.machine.modules
+        work = bct.work
+        mid = 0
 
-    sl.machine.register_batch(sl.fn_write_ptr, batch_write_ptr)
-    return {f"{sl.name}:grow": h_grow}
+        def charge(w):  # reads ``mid`` when called: the row's module
+            work[mid] += w
+
+        for mid, (target_level, added_levels), _tag, _size in \
+                bct.rows_in_slot_order(chunks):
+            sl.grow_to_level(target_level, charge)
+            modules[mid].alloc_words(added_levels * NODE_WORDS)
+
+    sl.machine.register(sl.fn_write_ptr, batch_write_ptr)
+    sl.machine.register(f"{sl.name}:grow", batch_grow)
 
 
 def write_message(sl: SkipListStructure, node: Node, field: str,

@@ -102,13 +102,13 @@ class PIMSkipList:
         self.struct = SkipListStructure(machine, name=name,
                                         h_low_override=h_low_override)
         self.enforce_batch_size = enforce_batch_size
-        # Every handler the structure's ops name is registered here,
-        # once: routes only send to function ids, and the op-pipeline
-        # driver registers nothing.
+        # Every body the structure's ops name is registered here, once:
+        # routes only send to function ids, and the op-pipeline driver
+        # registers nothing.
         from repro.core import ops_range, ops_select
         for ops in (ops_build, ops_point, ops_search, ops_write, ops_upsert,
                     ops_delete, ops_range, ops_select):
-            machine.register_all(ops.make_handlers(self.struct))
+            ops.make_handlers(self.struct)
 
     # -- batch-size policy ---------------------------------------------------
 

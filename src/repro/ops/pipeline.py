@@ -168,7 +168,7 @@ def backoff_rounds(attempt: int) -> int:
 # envelope (function id repro.sim.chaos.DELIVER_FN).  The module-side
 # wrapper (repro.sim.chaos.deliver_envelope, registered with the plan)
 # acknowledges each arrival with a one-unit reply and executes the inner
-# handler exactly once (ModuleContext.first_delivery dedups
+# body exactly once (PIMModule.first_delivery dedups
 # redelivery); the CPU side retries unacknowledged envelopes after each
 # drain with capped exponential backoff (backoff_rounds) charged as idle
 # rounds, and escalates to DeliveryTimeout when

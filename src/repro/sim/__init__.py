@@ -9,8 +9,9 @@ model of Kang et al. (SPAA 2021).  It provides:
 - :class:`~repro.sim.metrics.Metrics` -- the model's cost metrics (CPU
   work, CPU depth, PIM time, IO time, rounds, synchronization cost,
   shared-memory footprint), charged exactly as the paper defines them.
-- :class:`~repro.sim.module.PIMModule` / :class:`~repro.sim.module.ModuleContext`
-  -- a PIM module's local memory, task queue and handler registry.
+- :class:`~repro.sim.module.PIMModule` -- a PIM module's local memory,
+  work and structure state; :class:`~repro.sim.fastpath.BatchRound` --
+  the context a function's batch body runs a round's tasks through.
 - :class:`~repro.sim.cpu.CPUSide` -- work/depth accounting and shared
   memory allocation for the CPU side.
 
@@ -41,7 +42,7 @@ from repro.sim.errors import (
 )
 from repro.sim.machine import PIMMachine
 from repro.sim.metrics import Metrics, MetricsDelta
-from repro.sim.module import ModuleContext, PIMModule
+from repro.sim.module import PIMModule
 from repro.sim.profiling import HandlerProfile, ThroughputProbe, WallTimer
 from repro.sim.task import Message, Reply, Task
 from repro.sim.tracing import AccessTrace, RoundLog
@@ -64,7 +65,6 @@ __all__ = [
     "Message",
     "Metrics",
     "MetricsDelta",
-    "ModuleContext",
     "PIMMachine",
     "PIMModule",
     "Reply",

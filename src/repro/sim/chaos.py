@@ -47,6 +47,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.errors import ModuleCrashed
+from repro.sim.fastpath import ROWS, BatchRound, _Chunk
 
 __all__ = [
     "ACK_TAG",
@@ -82,20 +83,25 @@ class _AckTag:
 ACK_TAG = _AckTag()
 
 
-def deliver_envelope(ctx, seq, fn, args, inner_tag, size, corrupt=False,
-                     tag=None):
-    """The module side of the reliable-delivery protocol, registered
-    under :data:`DELIVER_FN` when a fault plan is installed: ack the
-    envelope, dedup redelivery, run the inner task."""
-    if corrupt:
-        # Payload failed its checksum in flight: discard without acking;
-        # the sender's retry carries a fresh copy.
-        ctx.charge(1)
-        return
-    ctx.reply(seq, tag=ACK_TAG, size=1)
-    if not ctx.first_delivery(seq):
-        return
-    ctx._handlers[fn](ctx, *args, tag=inner_tag)
+def deliver_envelope(bct: BatchRound, chunks: List[_Chunk]) -> None:
+    """The module side of the reliable-delivery protocol, the body
+    registered under :data:`DELIVER_FN` when a fault plan is installed:
+    per envelope, ack it, dedup redelivery, and run the inner function's
+    body over the inner task's one row."""
+    modules = bct.machine.modules
+    bodies = bct.machine._handlers
+    for mid, (seq, fn, args, inner_tag, _size, *corrupt), _tag, _s in \
+            bct.rows(chunks):
+        if corrupt:
+            # Payload failed its checksum in flight: discard without
+            # acking; the sender's retry carries a fresh copy.
+            bct.work[mid] += 1
+            continue
+        bct.reply(mid, seq, ACK_TAG)
+        if modules[mid].first_delivery(seq):
+            inner = _Chunk(fn, ROWS)
+            inner.rows = [(mid, args, inner_tag, 1)]
+            bodies[fn](bct, [inner])
 
 
 def _mix(*vals: int) -> int:
@@ -431,8 +437,8 @@ class ChaosState:
             return -size
         if action == "corrupt":
             stats.corrupts += 1
-            handler, args, tag, fn = entry
-            cpu_q.append((handler, args + (True,), tag, fn))
+            body, args, tag, fn = entry
+            cpu_q.append((body, args + (True,), tag, fn))
             return 0
         cpu_q.append(entry)
         return 0

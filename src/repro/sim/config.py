@@ -74,7 +74,7 @@ class MachineConfig:
         sketches a queue-read/queue-write variant where ``k`` accesses to
         one location cost ``k`` time; under ``"qrqw"`` a module's
         effective work in a round is at least the access count of its
-        hottest object (handlers mark accesses with ``ctx.touch``), and
+        hottest object (bodies mark accesses with ``bct.touch``), and
         PIM time accumulates the effective per-round maxima.
     max_delivery_attempts:
         Reliable-delivery protocol (:mod:`repro.ops.pipeline`): how many

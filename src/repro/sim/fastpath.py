@@ -1,28 +1,28 @@
-"""Array-native round data: chunks and the batch-handler context.
+"""Array-native round data: chunks and the batch-body context.
 
-:class:`repro.sim.machine.PIMMachine` is one round engine.  Messages for
-a function with a registered **batch handler**
-(:meth:`~repro.sim.machine.PIMMachine.register_batch`) are staged as
-*chunks* and executed as one call per function per round; every other
-message is placed in its destination's slot when it is issued and runs
-through the per-task scalar loop.  The batch handler is the function's
-one implementation: where its messages sit in slots (a fault plan, the
-reference oracle) each task runs the same body over a one-row chunk.
-This module holds the array-native half's data types; the round loop
-itself lives on the machine.
+:class:`repro.sim.machine.PIMMachine` is one round engine, and a module
+function has one implementation: its **batch body**
+``body(bct, chunks)``, registered with
+:meth:`~repro.sim.machine.PIMMachine.register`.  Its messages are staged
+as *chunks* and a round makes one body call per function over all of
+them.  Where messages sit in per-destination slots instead (a fault
+plan, the reference oracle) each task runs the same body over a one-row
+chunk.  This module holds the chunks' data types and the body context;
+the round loop itself lives on the machine.
 
 Columnar layout
 ---------------
 
 Chunked traffic is a sequence of **chunks**, each one function id's
-contiguous run of messages, in two streams mirroring the scalar loop's
+contiguous run of messages, in two streams mirroring the per-task loop's
 CPU-before-forward delivery order::
 
     _cq (CPU-issued)    [ chunk(fn=A) | chunk(fn=B) | ... ]
     _fq (continuations) [ chunk(fn=A) | ... ]
 
     chunk kinds
-      rows:  rows = [(dest, args, tag, size), ...]   (scalar issue path)
+      rows:  rows = [(dest, args, tag, size), ...]   (send / send_all /
+                                                     stage_rows)
       cols:  dests = list of module ids; cols = tuple of payload
              columns, plain lists as long as ``dests`` (``send_cols``,
              for the ops pipeline's ``Columns`` stage element);
@@ -35,73 +35,69 @@ accumulated *at append time* into one pooled flat counter list
 scans or re-buckets messages.  A column chunk is counted once, with
 ``collections.Counter``, when it is issued: that count is its bounds
 check and its receive accounting, and it stays on the chunk
-(``counts``) for a handler whose work and sends per message are
-uniform.  Row, column and slot receivers share the one set of books;
-only a broadcast's units are kept apart (``_bcast_units``: every module
-receives them).
+(``counts``) for a body whose work and sends per message are uniform.
+Row and column receivers share the one set of books; only a broadcast's
+units are kept apart (``_bcast_units``: every module receives them).
 
 Grouped dispatch
 ----------------
 
-A round with chunks runs its scalar slots first, in exactly the scalar
-loop's order (destinations ascending, CPU-issued before forwarded,
-arrival order within a queue), then groups its chunks by function id and
-makes ONE batch-handler call per function over all of its chunks -- the
-handler loops over contiguous slices, charging work and sends into flat
-per-module lists on the shared :class:`BatchRound` context, and the
-round is finished by one plain accounting loop over its receivers.  A
-round with no chunks *is* the scalar loop.
+A round groups its chunks by function id and makes ONE body call per
+function over all of its chunks -- the body loops over contiguous
+slices, charging work and sends into flat per-module lists on the
+shared :class:`BatchRound` context, and the round is finished by one
+plain accounting loop over its receivers.  A round is all chunks or all
+slots: with no fault plan installed the engine never puts a message in
+a slot.
 
-Execution contract for batch handlers
--------------------------------------
+Execution contract for batch bodies
+-----------------------------------
 
 Within a round, all model metrics (h, message count, per-module work
 sums, the per-round PIM maximum) are order-independent, and the
 per-destination multisets staged for the next round are preserved under
-any execution order.  Batch handlers are therefore required to be:
+any execution order.  Batch bodies are therefore required to be:
 
 - **order-insensitive** across the round's tasks: the metrics, the
   structure and the next round's staging may not depend on the order
   the round's tasks run in.  Tasks of one module keep their arrival
   order in every chunk loop, so module-local state (a leaf list, a
-  cuckoo table) evolves exactly as under the scalar loop.  Where the
-  CPU side reduces the *replies* in arrival order (Delete contracts the
-  marked nodes in reply order), the handler runs its rows through
-  :meth:`BatchRound.rows_in_slot_order` and the reply stream is the
-  scalar loop's, element for element;
-- **uniform across executors**: every task pays the charges its own
-  arguments determine.  A write to a replicated node that stores a
-  fixed value is idempotent, so a *broadcast* of it may be executed
-  **once**, with P unit charges (``write_ptr``).
-  A handler whose *first* executor pays different charges than the
-  rest -- ``ups_upper_link``, ``del_upper``, ``grow``: the first
-  replica to run links, unlinks or grows the shared object and pays the
-  descent, the others pay one unit -- depends on which module runs
-  first, and stays a slot-only handler; and
+  cuckoo table) evolves exactly as under the per-task loop;
+- **in slot order where order shows**: where the CPU side reduces the
+  *replies* in arrival order (Delete contracts the marked nodes in reply
+  order; the PIM-tree sums its pulls' non-integer charges in reply
+  order) or where the *first* executor pays different charges than the
+  rest (``ups_upper_link``, ``del_upper``, ``grow``: the first replica
+  to run links, unlinks or grows the shared object and pays the
+  descent, the others one unit), the body runs its rows through
+  :meth:`BatchRound.rows_in_slot_order`, and its reply stream and its
+  charges are the per-task loop's, element for element.  A write to a
+  replicated node that stores a fixed value is idempotent, so a
+  *broadcast* of it may be executed **once**, with P unit charges
+  (``write_ptr``); and
 - **RNG-free** (the machine's seeded stream must be consumed in the
-  same order as under the scalar loop).
+  same order as under the per-task loop).
 
 Touches: a body reports an access with ``bct.touch(mid, obj)``, guarded
 by ``bct.tracing`` (access tracing or qrqw).  The round clears its
 receivers' ``module.round_touch`` and, under qrqw, reads the hottest
 queue back into the round's PIM maximum, as the scalar loop does.
 
-Charging: a batch handler charges into ``bct.work[mid]``.  On a module
-that received **row, column or slot** traffic this round it may also
-hand out ``module.charge`` -- the bound callback the module's local
-structures already hold (the cuckoo table charges its probes through
-it) -- and the engine adds what that left in ``round_work`` to the
-module's round total.  Work done for a broadcast is charged through
-``bct`` only: the engine does not sweep all P modules per round to read
-a callback back.
+Charging: a body charges into ``bct.work[mid]``.  It may also hand out
+``module.charge`` -- the bound callback the module's local structures
+already hold (the cuckoo table charges its probes through it; a
+baseline's local skip list charges its hops) -- and the engine adds what
+that left in ``round_work`` to the module's round total, for every
+receiver of the round (a broadcast's included).  A mutator of a shared
+replicated object that takes a charge callback (``link_upper_node``,
+``grow_to_level``, ...) is handed one that writes ``bct.work[mid]``.
 
-Which functions are chunked (skip list, then PIM-tree).  Any of them
-may be sent as a column chunk -- a column receiver is accounted like a
-row receiver -- and ``write_ptr`` and the PIM-tree's five reads are the
-ones routes send that way today (the ops pipeline's ``Columns``
-element, from ``COLUMNS_CROSSOVER`` messages up).  The ``slots`` rows
-are plain ``register``-ed handlers; every other function is its batch
-body alone::
+The skip list's and the PIM-tree's functions, by the form their rows
+take.  Any function may be sent as a column chunk -- a column receiver
+is accounted like a row receiver -- and ``write_ptr`` and the
+PIM-tree's five reads are the ones routes send that way today (the ops
+pipeline's ``Columns`` element, from ``COLUMNS_CROSSOVER`` messages
+up)::
 
     columns  write_ptr                        a batch's writes as one column
                                               chunk, single writes as rows;
@@ -123,13 +119,19 @@ body alone::
              rng_offset                       body per function
              load_lower, load_upper           the build: lower nodes as one
                                               column chunk, upper by broadcast
-    slots    ups_upper_link, del_upper, grow  first executor pays
-             nd_pull, lf_pull, *_store,       PIM-tree: the CPU side sums the
-             lf_write, lf_del                 pulls' non-integer charges in
-                                              reply order; slots run first
-             rng_bcast                        one broadcast per op, a different
-                                              walk and reply on every module
-             sel_*                            stateful per module; not sized
+             load_finish                      one row per module: list ends,
+                                              table load, next-leaf sweep
+             nd_store, sh_store, lf_store,    PIM-tree maintenance, one row per
+             lf_write, lf_del, sh_dump        node / leaf / module
+             rng_bcast                        one broadcast per op, a
+                                              different walk and reply on
+                                              every module
+             sel_*                            order statistics, per-module
+                                              snapshots keyed by op id
+    slot     ups_upper_link, del_upper, grow  first executor pays
+    order    nd_pull, lf_pull                 the CPU side sums the pulls'
+                                              non-integer charges in reply
+                                              order
 
 The range traversal's chunk forms were deferred while a traversal round
 carried ~15 tasks (a prototype bought ~3 % of ``ops_per_s``); at ~31
@@ -142,7 +144,9 @@ chunked (69 % before); EXPERIMENTS.md has the paired end-to-end runs.
 The contract is not just documented -- it is *certified empirically*.
 The per-task reference oracle
 (:class:`repro.sim.machine.ReferencePIMMachine`) runs the same bodies
-one row per task, so it certifies chunking, ordering and accounting:
+one row per task, so it certifies chunking, ordering and accounting
+(``tests/test_fastpath_census.py`` runs one session of every other
+registering structure on both):
 ``repro.verify.differ`` replays fuzz sessions of the skip list and the
 PIM-tree on it and requires bit-identical per-op metric streams and
 results, and the parity tests (``tests/test_fastpath.py``,
@@ -155,20 +159,21 @@ suite (the costs the per-task loop produced).
 What turns chunks off
 ---------------------
 
-A fault plan keeps every message in slots, and never meets a pending
+A fault plan keeps every message in slots, and no slot ever meets a
 chunk: chaos schedules and the reliable-delivery protocol rewrite
-per-destination queues in place, ``install_fault_plan`` refuses while
-anything is pending, so the plan starts on a quiescent machine, and
-``uninstall_fault_plan`` routes new traffic to chunks again.
+per-destination queues in place, and ``install_fault_plan`` and
+``uninstall_fault_plan`` both refuse while anything is pending, so a
+plan starts and ends on a quiescent machine.
 
 qrqw and access tracing do not turn chunks off (bodies report their
 touches, above), and neither does the profiler: it times each slot task
-and each batch-handler call (``profiler.add(fn, seconds, tasks)``) on
-the rounds the machine runs unprofiled.
+and each body call (``profiler.add(fn, seconds, tasks)``) on the rounds
+the machine runs unprofiled.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -178,7 +183,7 @@ from repro.sim.task import Reply
 ROWS, COLS, BCAST = 0, 1, 2
 
 # A staged per-destination slot is [units_in, cpu_entries, forward_entries]
-# where each entry is (handler, args, tag, fn); the two streams keep the
+# where each entry is (body, args, tag, fn); the two streams keep the
 # same indices wherever one is named.
 _CPU_Q, _FWD_Q = 1, 2
 
@@ -211,12 +216,12 @@ class _Chunk:
 
 
 class BatchRound:
-    """Per-round context handed to batch handlers.
+    """Per-round context handed to batch bodies.
 
     One instance lives on the machine and is re-armed each round; the
     flat per-module accumulators (:attr:`work`, :attr:`sent` --
     length-P lists indexed by module id) are pooled and slice-reset on
-    re-arm, part of the zero-allocation steady state.  A batch handler:
+    re-arm, part of the zero-allocation steady state.  A batch body:
 
     - reads its tasks from the chunks it is passed;
     - appends :class:`~repro.sim.task.Reply` objects to :attr:`replies`
@@ -224,10 +229,11 @@ class BatchRound:
     - charges local work into ``work[mid]`` and message sends into
       ``sent[mid]`` -- only for modules that received tasks this round
       (the executing module of some task; charging elsewhere violates
-      the execution contract); on a row, column or slot receiver it may
-      also pass ``machine.modules[mid].charge`` to module-local
-      structures (see the module docstring's charging rule);
-    - stages next-round continuations with :meth:`stage_rows`;
+      the execution contract); it may also pass
+      ``machine.modules[mid].charge`` to module-local structures (see
+      the module docstring's charging rule);
+    - stages next-round continuations with :meth:`stage_rows` (and
+      charges their sends to ``sent[mid]``);
     - reports object accesses with :meth:`touch` when :attr:`tracing`.
 
     Work values must be integer-valued (the model charges unit RAM
@@ -246,7 +252,7 @@ class BatchRound:
         self.work: List[float] = [0.0] * machine.num_modules
         self.sent: List[int] = [0] * machine.num_modules
         #: True when :meth:`touch` records anything (access tracing or
-        #: qrqw, as ``ModuleContext.tracing``).
+        #: qrqw).
         self.tracing = machine.tracer.access.enabled or machine.qrqw
 
     def _arm(self, replies: list) -> None:
@@ -280,15 +286,20 @@ class BatchRound:
             return ch.rows
         return self.machine._iter_chunk(ch)
 
+    def rows(self, chunks: List[_Chunk]) -> Iterable[tuple]:
+        """All rows of one function's ``chunks``, chunk by chunk."""
+        return chain.from_iterable(map(self.rows_of, chunks))
+
     def rows_in_slot_order(self, chunks: List[_Chunk]) -> List[tuple]:
-        """All rows of one function's ``chunks`` in the order the scalar
-        loop would run them: destination ascending and, within one,
-        CPU-issued before forwarded, arrival order (the engine passes
-        the CPU stream's chunks first; the sort is stable).  For
-        handlers whose *replies* feed an order-sensitive CPU-side
-        reduction: in a round that runs only this function, the reply
-        stream then equals the reference oracle's element for element."""
-        rows = [row for ch in chunks for row in self.rows_of(ch)]
+        """All rows of one function's ``chunks`` in the order the
+        per-task loop would run them: destination ascending and, within
+        one, CPU-issued before forwarded, arrival order (the engine
+        passes the CPU stream's chunks first; the sort is stable).  For
+        bodies whose *replies* feed an order-sensitive CPU-side
+        reduction, or whose first executor pays: the reply stream and
+        the charges then equal the reference oracle's element for
+        element."""
+        rows = list(self.rows(chunks))
         rows.sort(key=_row_dest)
         return rows
 
@@ -297,5 +308,7 @@ class BatchRound:
     def stage_rows(self, fn: str, rows: list) -> None:
         """Stage continuation rows ``[(dest, args, tag, size), ...]``
         for the next round (receive accounting included).  The sender
-        side must be charged by the handler via :attr:`sent`."""
+        side must be charged by the body via :attr:`sent`.  A
+        destination outside ``[0, P)`` raises ``ValueError`` before
+        anything is staged.  ``rows`` is kept: do not reuse the list."""
         self.machine._stage_fwd_rows(fn, rows)

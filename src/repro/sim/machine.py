@@ -16,44 +16,38 @@ Algorithms are CPU-side orchestration code that:
    network busy for multiple rounds, exactly like the paper's step-by-step
    "push each query one node further" execution).
 
-Handlers are plain functions ``handler(ctx, *args) -> None`` registered
-under a function id; they receive a :class:`repro.sim.module.ModuleContext`.
+A module function is one **batch body** ``body(bct, chunks)``
+registered under a function id with :meth:`PIMMachine.register`: it
+runs every task a round delivers for its function, reading rows from
+the chunks and reporting work, sends, replies, forwards and touches
+through the :class:`repro.sim.fastpath.BatchRound` context ``bct``.
 
 One round engine
 ----------------
 
 The round engine is the hot loop of every benchmark.  It is one engine
-with two staging forms, chosen per *function id* when a message is
-issued or forwarded:
+with two staging forms:
 
-- **Slots (the scalar loop).**  A message for a function with no
-  registered batch handler is placed straight into its destination's
-  slot (``_staged``) by ``send``/``send_all``/``broadcast``/``forward``,
-  carrying its handler *callable*, resolved at issue time (an unknown
-  function id raises :class:`~repro.sim.errors.UnknownHandlerError` when
-  the message is issued, not a round later).  A round iterates only the
-  modules that received messages (in module-id order, for reply-order
-  stability) and calls one handler per task; CPU-issued messages are
+- **Chunks (the array-native path).**  A message is appended to a
+  per-function chunk, and the round makes ONE body call per function
+  over all of its chunks (``_array_round``); see
+  :mod:`repro.sim.fastpath` for the layout and the execution contract.
+- **Slots (the per-task loop).**  Under a fault plan, and on
+  :class:`ReferencePIMMachine` -- the per-task oracle the differ, the
+  tests and the perf gates compare the engine against -- a message is
+  placed straight into its destination's slot (``_staged``) with its
+  body.  A round iterates the modules that received messages (in
+  module-id order, for reply-order stability) and runs the body over
+  each task's one row (``_run_round``); CPU-issued messages are
   delivered before module-to-module continuations within a slot.
-- **Chunks (the array-native path).**  A message for a function with a
-  batch handler (:meth:`PIMMachine.register_batch`) is appended to a
-  per-function chunk, and the round makes ONE batch-handler call per
-  function over all of its chunks; see :mod:`repro.sim.fastpath` for the
-  layout and the execution contract.  The batch handler is the
-  function's one implementation: its slot handler is the engine's
-  runner of the same body over one row.
 
-A round with no chunks *is* the scalar loop (``_run_round``); a round
-with chunks runs its slots first, in the same order, then the batch
-handlers, and accounts both halves in one pass (``_array_round``).
-Two things keep every message in slots: a fault plan for as long as it
-is installed (installing one needs a quiescent machine, so no chunk is
-ever pending under chaos), and :class:`ReferencePIMMachine` -- the
-per-task oracle the differ, the tests and the perf gates compare the
-engine against.  qrqw and access tracing are not among them (bodies
-report their touches through the batch context), and neither is the
-profiler: it times slot tasks one by one and each batch-handler call as
-a whole, on whichever loop the round runs.
+An unknown function id raises
+:class:`~repro.sim.errors.UnknownHandlerError` when the message is
+issued, not a round later.  A round is all chunks or all slots:
+installing or uninstalling a fault plan needs a quiescent machine.
+qrqw and access tracing run chunked (bodies report their touches
+through the batch context), and so does the profiler: it times slot
+tasks one by one and each body call as a whole.
 
 Bookkeeping is gated: round logs (``trace_rounds``), access tracing
 (``trace_accesses``) and qrqw queue accounting are no-ops when disabled
@@ -70,7 +64,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import chain, repeat
+from itertools import repeat
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -83,25 +77,13 @@ from repro.sim.errors import (LivelockError, MalformedMessageError,
 from repro.sim.fastpath import (BCAST, COLS, ROWS, _CPU_Q, _FWD_Q,
                                 BatchRound, _Chunk)
 from repro.sim.metrics import Metrics, MetricsDelta
-from repro.sim.module import ModuleContext, PIMModule
+from repro.sim.module import PIMModule
 from repro.sim.task import Reply
 from repro.sim.tracing import Tracer
-
-Handler = Callable[..., None]
 
 # What ``_chunk_fns`` points at while no function is routed to chunks
 # (a fault plan, the reference oracle).  Never mutated.
 _NO_CHUNK_FNS: Dict[str, Any] = {}
-
-
-def _run_timed(profiler: Any, ctx: ModuleContext, cpu_q: list,
-               fwd_q: list) -> None:
-    """Run one slot's tasks in order, timing each into ``profiler``."""
-    for queue in (cpu_q, fwd_q):
-        for handler, args, tag, fn in queue:
-            t0 = perf_counter()
-            handler(ctx, *args, tag=tag)
-            profiler.add(fn, perf_counter() - t0)
 
 
 def _bad_size(what: str, size: Any) -> MalformedMessageError:
@@ -136,18 +118,18 @@ class PIMMachine:
     Examples
     --------
     >>> m = PIMMachine(num_modules=4, seed=1)
-    >>> def hello(ctx, x, tag=None):  # handlers must accept tag
-    ...     ctx.charge(1)
-    ...     ctx.reply(x * 2, tag=tag)
+    >>> def hello(bct, chunks):  # one call per round, every row of it
+    ...     for mid, (x,), tag, _size in bct.rows(chunks):
+    ...         bct.work[mid] += 1
+    ...         bct.reply(mid, x * 2, tag)
     >>> m.register("hello", hello)
     >>> m.send(2, "hello", (21,))
     >>> [r.payload for r in m.drain()]
     [42]
 
     There is one round engine and no option that selects another: rounds
-    run array-native for every function with a batch handler
-    (:attr:`columnar_active`) and per-task for the rest.  An installed
-    fault plan keeps every message in slots.
+    run array-native (:attr:`columnar_active`).  An installed fault plan
+    keeps every message in slots.
     """
 
     #: False only on :class:`ReferencePIMMachine`, which opts out of the
@@ -182,7 +164,7 @@ class PIMMachine:
         self.tracer = Tracer(trace_accesses=config.trace_accesses)
         self.qrqw = config.contention_model == "qrqw"
         self.tasks_executed = 0  # cumulative, across all rounds
-        self._tasks_chunked = 0  # of those, run by batch handlers
+        self._tasks_chunked = 0  # of those, run by body calls over chunks
         #: Optional per-batch metric feed: when set to a callable
         #: ``observer(op_name, delta)``, the op-pipeline driver
         #: (:func:`repro.ops.run_batch`) reports every completed op's
@@ -194,18 +176,17 @@ class PIMMachine:
         #: :func:`repro.ops.batch_epoch`, which also owns the depth).
         self.batch_epochs = 0
         self._epoch_depth = 0
-        self._handlers: Dict[str, Handler] = {}
-        # fn -> batch handler (see register_batch): a round's tasks for a
-        # registered fn run as ONE call over contiguous chunks.
-        self._batch_handlers: Dict[str, Callable[..., None]] = {}
+        # fn -> batch body (see register): a round's tasks for fn run as
+        # ONE call over contiguous chunks.
+        self._handlers: Dict[str, Callable[..., None]] = {}
         # The functions whose messages are staged as chunks right now:
-        # ``_batch_handlers`` itself on the engine, the empty
+        # ``_handlers`` itself on the engine, the empty
         # ``_NO_CHUNK_FNS`` on the reference oracle
         # (``_base_chunk_fns``) and while a fault plan is installed.
         # Every issue path asks ``fn in self._chunk_fns`` once per
         # message.
         self._base_chunk_fns: Dict[str, Any] = (
-            self._batch_handlers if self._array_native else _NO_CHUNK_FNS)
+            self._handlers if self._array_native else _NO_CHUNK_FNS)
         self._chunk_fns = self._base_chunk_fns
         # mid -> [units_in, cpu_entries, forward_entries]; see module doc.
         self._staged: Dict[int, list] = {}
@@ -227,16 +208,13 @@ class PIMMachine:
         self._zeros_f: List[float] = [0.0] * P
         self._zeros_i: List[int] = [0] * P
         self._bct = BatchRound(self)
-        # The slot runners' own context (see ``register_batch``): the
-        # round's ``_bct`` is mid-round while slot tasks run.
-        self._slot_bct = BatchRound(self)
+        # The one-row chunk a slot task runs its body over, refilled
+        # per task: a body never keeps its chunks past the call.
+        self._slot_chunk = _Chunk("", ROWS)
         self._log_p = config.log_p
         self._trace_rounds = config.trace_rounds
         self._trace_access = config.trace_accesses
         self._profiler: Optional[Any] = None
-        self._contexts: List[ModuleContext] = [
-            ModuleContext(self, m) for m in self.modules
-        ]
         # Installed fault plan (see repro.sim.chaos).  None on the
         # fault-free path: the round loop pays exactly one attribute
         # check per round for the chaos capability.
@@ -248,98 +226,33 @@ class PIMMachine:
 
     # -- handler registry ---------------------------------------------------
 
-    def register(self, fn: str, handler: Handler) -> None:
-        """Register ``handler`` under function id ``fn``.
+    def register(self, fn: str, body: Callable[..., None]) -> None:
+        """Register ``body`` as the one implementation of ``fn``.
 
-        Re-registering the same id with a different handler is an error
-        (two structures must not collide on a function id); re-registering
-        the identical handler is a no-op so structures can be constructed
-        repeatedly on one machine.  Registering a handler for a function
-        that has a batch body (:meth:`register_batch`) is an error too: a
-        function has one implementation.
+        A batch body ``body(bct, chunks)`` processes one round's entire
+        task population for ``fn`` in a single call over contiguous
+        chunk buffers (see :class:`repro.sim.fastpath.BatchRound`).
+        Wherever ``fn``'s messages stay in slots (a fault plan,
+        :class:`ReferencePIMMachine`) each task runs the same body over
+        its one row, so the reference oracle certifies chunking,
+        ordering and accounting;
+        :class:`repro.verify.oracle.SequentialOracle` (results) and the
+        golden suite (the costs the per-task loop produced) stay the
+        independent checks.
+
+        Bodies must keep the execution contract: order-insensitive
+        within a round, or in slot order where order shows, and no reads
+        of the machine RNG (see ``repro/sim/fastpath.py``).
+
+        Re-registering a different callable under an existing id is an
+        error (two structures must not collide on a function id); the
+        identical callable is a no-op, so structures can be constructed
+        repeatedly on one machine.
         """
-        if fn in self._batch_handlers:
-            raise ValueError(f"handler id {fn!r} already registered as a "
-                             f"batch body")
         existing = self._handlers.get(fn)
-        if existing is not None and existing is not handler:
+        if existing is not None and existing is not body:
             raise ValueError(f"handler id {fn!r} already registered")
-        self._handlers[fn] = handler
-
-    def register_all(self, handlers: Dict[str, Handler]) -> None:
-        """Register every (function id, handler) pair in ``handlers``."""
-        for fn, h in handlers.items():
-            self.register(fn, h)
-
-    def register_batch(self, fn: str,
-                       batch_handler: Callable[..., None]) -> None:
-        """Register ``batch_handler`` as the one implementation of ``fn``.
-
-        A batch handler ``batch_handler(bct, chunks)`` processes one
-        round's entire task population for ``fn`` in a single call over
-        contiguous chunk buffers (see
-        :class:`repro.sim.fastpath.BatchRound`).  The registration also
-        installs ``fn``'s slot handler, the engine's runner of the same
-        body over a one-row chunk: wherever ``fn``'s messages stay in
-        slots (a fault plan, :class:`ReferencePIMMachine`) each task
-        runs that body alone.  The reference oracle therefore runs the
-        same bodies one row per task and certifies chunking, ordering
-        and accounting; :class:`repro.verify.oracle.SequentialOracle`
-        (results) and the golden suite (the costs the per-task loop
-        produced) stay the independent checks.
-
-        Batch handlers must keep the execution contract: order-insensitive
-        within a round, every task paying the charges its own arguments
-        determine (no first-executor-pays mutation of shared replicated
-        structure), and no reads of the machine RNG (see
-        ``repro/sim/fastpath.py``).
-
-        Same collision rule as :meth:`register`: re-registering a
-        different callable under an existing id is an error and the
-        identical callable is a no-op; a batch body for a function
-        :meth:`register` already holds a handler for is an error too.
-        """
-        existing = self._batch_handlers.get(fn)
-        if existing is batch_handler:
-            return
-        if existing is not None:
-            raise ValueError(f"batch handler id {fn!r} already registered")
-        if fn in self._handlers:
-            raise ValueError(f"handler id {fn!r} already registered as a "
-                             f"slot handler")
-        self._batch_handlers[fn] = batch_handler
-        self._handlers[fn] = self._slot_runner(fn, batch_handler)
-
-    def _slot_runner(self, fn: str, batch: Callable[..., None]) -> Handler:
-        """``fn``'s slot handler: ``batch`` over the task's one row, on
-        the machine's slot context.  Work reaches ``ctx.charge``, sends
-        ``ctx._sent_size`` and replies the round's list; forwarded rows
-        go through ``stage_rows`` to the next round."""
-        bct = self._slot_bct
-        work = bct.work
-        sent = bct.sent
-        # One chunk per function, refilled per task: a body never keeps
-        # its chunks past the call, and no body runs another's task.
-        ch = _Chunk(fn, ROWS)
-        chunks = [ch]
-
-        def run(ctx: ModuleContext, *args: Any, tag: Any = None) -> None:
-            mid = ctx.mid
-            ch.rows = [(mid, args, tag, 1)]
-            bct.replies = ctx._replies
-            batch(bct, chunks)
-            w = work[mid]
-            if w:
-                work[mid] = 0.0
-                module = ctx.module  # ctx.charge, inlined
-                module.work += w
-                module.round_work += w
-            s = sent[mid]
-            if s:
-                sent[mid] = 0
-                ctx._sent_size += s
-
-        return run
+        self._handlers[fn] = body
 
     @property
     def backend(self) -> str:
@@ -349,24 +262,24 @@ class PIMMachine:
 
     @property
     def tasks_chunked(self) -> int:
-        """How many of :attr:`tasks_executed` ran inside a batch-handler
-        call rather than through a slot.  :attr:`columnar_active` says
+        """How many of :attr:`tasks_executed` ran inside a body call over
+        chunks rather than through a slot.  :attr:`columnar_active` says
         the array-native path is *on*; this says how much of the
         traffic it actually carries."""
         return self._tasks_chunked
 
     @property
     def columnar_active(self) -> bool:
-        """A read-only label: True while batch-handled functions run
-        array-native (the engine, with no fault plan installed; qrqw and
-        access tracing run chunked too)."""
-        return self._chunk_fns is self._batch_handlers
+        """A read-only label: True while rounds run array-native (the
+        engine, with no fault plan installed; qrqw and access tracing run
+        chunked too)."""
+        return self._chunk_fns is self._handlers
 
     def _iter_chunk(self, ch: _Chunk) -> Iterable[tuple]:
         """The ``(dest, args, tag, size)`` rows of a chunk of any kind.
-        The column and broadcast forms are C-level iterators: a batch
-        handler with no arm of its own for them reads their rows without
-        an interpreted step per row."""
+        The column and broadcast forms are C-level iterators: a body with
+        no arm of its own for them reads their rows without an
+        interpreted step per row."""
         if ch.kind == ROWS:
             return ch.rows
         if ch.kind == COLS:
@@ -383,11 +296,10 @@ class PIMMachine:
         The profiler must expose ``add(fn, seconds, tasks=1)``; see
         :class:`repro.sim.profiling.HandlerProfile`.  Attaching it
         changes no routing: the engine times every slot task (one
-        ``add`` per task) and every batch-handler call (one ``add`` per
-        call, with the number of tasks it ran), so the profile is of the
-        rounds the machine runs unprofiled.  The clock reads around slot
-        tasks cost more than dispatching most handlers, so attach it
-        only when attributing wall time.
+        ``add`` per task) and every body call (one ``add`` per call,
+        with the number of tasks it ran), so the profile is of the
+        rounds the machine runs unprofiled.  Attach it only when
+        attributing wall time.
         """
         self._profiler = profiler
 
@@ -404,8 +316,8 @@ class PIMMachine:
             raise ValueError(f"bad module id {dest}")
         if type(size) is not int or size < 1:
             raise _bad_size(f"send {(dest, fn)}", size)
-        handler = self._handlers.get(fn)
-        if handler is None:
+        body = self._handlers.get(fn)
+        if body is None:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at send time)")
         if fn in self._chunk_fns:
@@ -413,10 +325,10 @@ class PIMMachine:
             return
         slot = self._staged.get(dest)
         if slot is None:
-            self._staged[dest] = [size, [(handler, args, tag, fn)], []]
+            self._staged[dest] = [size, [(body, args, tag, fn)], []]
         else:
             slot[0] += size
-            slot[1].append((handler, args, tag, fn))
+            slot[1].append((body, args, tag, fn))
 
     def send_all(self, messages: Iterable[Sequence]) -> None:
         """Queue many CPU->PIM messages in one call.
@@ -425,7 +337,7 @@ class PIMMachine:
         message size in constant-size units, ``(dest, fn, args, tag,
         size)``.  This is the allocation-light bulk path: a message is
         staged directly into its function's tail chunk or its
-        destination's slot, resolving the handler once per run of
+        destination's slot, resolving the body once per run of
         messages for the same function.  Malformed
         messages -- wrong arity, or a size element that is not a
         positive ``int`` -- raise
@@ -440,10 +352,10 @@ class PIMMachine:
         recv = self._recv
         active = self._active
         inc = 0
-        # Resolved once per run of same-fn messages: the handler, and
-        # the run's row chunk (``None`` for a slot-routed function).
+        # Resolved once per run of same-fn messages: the body, and the
+        # run's row chunk (``None`` for a slot-routed function).
         run_fn = None
-        handler = None
+        body = None
         tail = None
         try:
             for msg in messages:
@@ -463,8 +375,8 @@ class PIMMachine:
                 if not 0 <= dest < n:
                     raise ValueError(f"bad module id {dest}")
                 if fn != run_fn:
-                    handler = handlers.get(fn)
-                    if handler is None:
+                    body = handlers.get(fn)
+                    if body is None:
                         raise UnknownHandlerError(
                             f"no handler for {fn!r} (resolved at send time)")
                     run_fn = fn
@@ -479,10 +391,10 @@ class PIMMachine:
                 if tail is None:
                     slot = staged.get(dest)
                     if slot is None:
-                        staged[dest] = [size, [(handler, args, tag, fn)], []]
+                        staged[dest] = [size, [(body, args, tag, fn)], []]
                     else:
                         slot[0] += size
-                        slot[1].append((handler, args, tag, fn))
+                        slot[1].append((body, args, tag, fn))
                     continue
                 if recv[dest] == 0:
                     active.append(dest)
@@ -500,8 +412,8 @@ class PIMMachine:
         """
         if type(size) is not int or size < 1:
             raise _bad_size(f"broadcast {fn!r}", size)
-        handler = self._handlers.get(fn)
-        if handler is None:
+        body = self._handlers.get(fn)
+        if body is None:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at send time)")
         if fn in self._chunk_fns:
@@ -514,7 +426,7 @@ class PIMMachine:
             self._incoming_total += size * self.num_modules
             return
         staged = self._staged
-        entry = (handler, args, tag, fn)
+        entry = (body, args, tag, fn)
         for mid in range(self.num_modules):
             slot = staged.get(mid)
             if slot is None:
@@ -531,11 +443,10 @@ class PIMMachine:
         message ``i`` goes to module ``dests[i]`` with arguments
         ``(cols[0][i], cols[1][i], ...)``, no tag.  ``dests`` and every
         column are plain lists of one length; they land as one chunk
-        that ``fn``'s registered batch handler reads next round.  A
-        function that is not chunked right now -- no batch handler, or a
-        machine whose messages all stay in slots -- gets the rows in its
-        destinations' slots, exactly where :meth:`send_all` would put
-        them.  The destinations are counted once: that count is the bounds
+        that ``fn``'s body reads next round.  On a machine whose
+        messages all stay in slots the rows go to their destinations'
+        slots, exactly where :meth:`send_all` would put them.  The
+        destinations are counted once: that count is the bounds
         check, the receive accounting -- the same per-module units and
         task counts as sending the rows one by one, so metric streams do
         not depend on which form a caller uses -- and the chunk's
@@ -552,8 +463,8 @@ class PIMMachine:
         """
         if type(size) is not int or size < 1:
             raise _bad_size(f"send_cols {fn!r}", size)
-        handler = self._handlers.get(fn)
-        if handler is None:
+        body = self._handlers.get(fn)
+        if body is None:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at send time)")
         cols = tuple(cols)
@@ -572,7 +483,7 @@ class PIMMachine:
         ch.counts = counts
         ch.size = size
         if fn not in self._chunk_fns:
-            self._rows_to_slots(_CPU_Q, fn, handler, self._iter_chunk(ch))
+            self._rows_to_slots(_CPU_Q, fn, body, self._iter_chunk(ch))
             return
         recv = self._recv
         active = self._active
@@ -617,7 +528,7 @@ class PIMMachine:
         ch.rows = [(dest, args, tag, size)]
         queue.append(ch)
 
-    def _rows_to_slots(self, q: int, fn: str, handler: Any,
+    def _rows_to_slots(self, q: int, fn: str, body: Any,
                        rows: Iterable[tuple]) -> None:
         """Place ``(dest, args, tag, size)`` rows in their destination
         slots (queue ``q``), preserving arrival order and units."""
@@ -627,27 +538,47 @@ class PIMMachine:
             if slot is None:
                 slot = staged[dest] = [0, [], []]
             slot[0] += size
-            slot[q].append((handler, args, tag, fn))
+            slot[q].append((body, args, tag, fn))
 
     def _stage_fwd_rows(self, fn: str, rows: list) -> None:
-        """Bulk-append continuation rows (``BatchRound.stage_rows``)."""
+        """Bulk-append continuation rows (``BatchRound.stage_rows``);
+        a destination outside ``[0, P)`` raises ``ValueError`` before
+        anything is staged."""
         if not rows:
             return
-        handler = self._handlers.get(fn)
-        if handler is None:
+        body = self._handlers.get(fn)
+        if body is None:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at forward time)")
+        P = self.num_modules
         if fn not in self._chunk_fns:
-            self._rows_to_slots(_FWD_Q, fn, handler, rows)
+            for dest, _args, _tag, _size in rows:
+                if not 0 <= dest < P:
+                    raise ValueError(f"bad module id {dest}")
+            self._rows_to_slots(_FWD_Q, fn, body, rows)
             return
         recv = self._recv
         active = self._active
+        n_active = len(active)
         inc = 0
-        for dest, _args, _tag, size in rows:
-            if recv[dest] == 0:
-                active.append(dest)
-            recv[dest] += size
-            inc += size
+        try:
+            for dest, _args, _tag, size in rows:
+                if dest < 0:
+                    raise IndexError(dest)
+                if recv[dest] == 0:
+                    active.append(dest)
+                recv[dest] += size
+                inc += size
+        except IndexError:
+            # Take back the rows counted before the bad one (the hot loop
+            # checks only the sign; ``recv`` bounds the rest).
+            bad = dest
+            for dest, _args, _tag, size in rows:
+                if not 0 <= dest < P:
+                    break
+                recv[dest] -= size
+            del active[n_active:]
+            raise ValueError(f"bad module id {bad}") from None
         self._incoming_total += inc
         fq = self._fq
         if fq:
@@ -689,46 +620,53 @@ class PIMMachine:
 
     def _run_round(self, staged: Dict[int, list]) -> List[Reply]:
         """Deliver and execute one round's already-unstaged slots: the
-        per-task scalar loop."""
-        incoming_total = 0
-
+        per-task loop, each task its function's body over its one row."""
         qrqw = self.qrqw
         profiler = self._profiler
-        contexts = self._contexts
         modules = self.modules
         replies: List[Reply] = []
+        bct = self._bct
+        bct._arm(replies)
+        work = bct.work
+        sent = bct.sent
+        ch = self._slot_chunk
+        chunks = [ch]
+        incoming_total = 0
         h = 0
         sent_total = 0
         round_pim_max = 0.0
         tasks = 0
         for mid, slot in sorted(staged.items()):
             incoming_total += slot[0]
-            ctx = contexts[mid]
-            ctx._replies = replies
-            ctx._sent_size = 0
             module = modules[mid]
             module.round_work = 0.0
             if qrqw:
                 module.round_touch.clear()
-            cpu_q = slot[_CPU_Q]
-            fwd_q = slot[_FWD_Q]
-            tasks += len(cpu_q) + len(fwd_q)
-            if profiler is None:
-                for handler, args, tag, _fn in cpu_q:
-                    handler(ctx, *args, tag=tag)
-                for handler, args, tag, _fn in fwd_q:
-                    handler(ctx, *args, tag=tag)
-            else:
-                _run_timed(profiler, ctx, cpu_q, fwd_q)
+            for queue in (slot[_CPU_Q], slot[_FWD_Q]):
+                tasks += len(queue)
+                for body, args, tag, fn in queue:
+                    ch.fn = fn
+                    ch.rows = [(mid, args, tag, 1)]
+                    if profiler is None:
+                        body(bct, chunks)
+                    else:
+                        t0 = perf_counter()
+                        body(bct, chunks)
+                        profiler.add(fn, perf_counter() - t0)
+                    w = work[mid]
+                    if w:
+                        work[mid] = 0.0
+                        module.work += w
+                        module.round_work += w
             module_round = module.round_work
             if module_round > round_pim_max:
                 round_pim_max = module_round
-            sent = ctx._sent_size
-            sent_total += sent
-            # A module->module forward is counted once at send (in `sent`
+            s = sent[mid]
+            sent_total += s
+            # A module->module forward is counted once at send (in `s`
             # this round) and once at receive (in the round it is
             # delivered).
-            h_mod = slot[0] + sent
+            h_mod = slot[0] + s
             if h_mod > h:
                 h = h_mod
         if qrqw:
@@ -773,24 +711,20 @@ class PIMMachine:
             self.tracer.access.end_round()
 
     def _array_round(self) -> List[Reply]:
-        """One round with chunks pending: the slots run first, through
-        the scalar loop's own order (module id ascending, CPU-issued
-        before forwarded, arrival order within), then every chunked
-        function runs as one batch-handler call; both halves are
-        accounted together.  Under qrqw every receiver's touches are
-        cleared first and its hottest object read back last; a machine
-        with a fault plan installed has no chunk to run; an attached
-        profiler times each slot task and each batch-handler call."""
+        """One round with chunks pending: every chunked function runs as
+        one body call, then one accounting loop covers the receivers.
+        Under qrqw every receiver's touches are cleared first and its
+        hottest object read back last; an attached profiler times each
+        body call."""
         P = self.num_modules
         cq = self._cq
         fq = self._fq
-        staged = self._staged
         recv = self._recv
         active = self._active
         bcast_units = self._bcast_units
         incoming_total = self._incoming_total
         # Install fresh staging (pooled recv buffer) for the messages
-        # this round's handlers emit toward the NEXT round.
+        # this round's bodies emit toward the NEXT round.
         spare = self._recv_spare
         if spare is None:
             spare = [0] * P
@@ -798,7 +732,6 @@ class PIMMachine:
             self._recv_spare = None
         self._cq = []
         self._fq = []
-        self._staged = {}
         self._recv = spare
         self._active = []
         self._bcast_units = 0
@@ -810,45 +743,19 @@ class PIMMachine:
         bwork = bct.work
         bsent = bct.sent
         modules = self.modules
-        # A module that receives row, column or slot traffic starts the
-        # round with ``round_work`` zero (``active`` lists the chunk
-        # receivers; the slot receivers join it below) and has it read
-        # back afterwards, so a batch handler may charge such a module
-        # through ``module.charge`` -- the callback its local structures
-        # hold -- as well as through ``bct.work``.
-        for mid in active:
+        # Every receiver (all P under a broadcast) starts the round with
+        # ``round_work`` zero and has it read back afterwards, so a body
+        # may charge it through ``module.charge`` -- the callback its
+        # local structures hold -- as well as through ``bct.work``.
+        receivers = range(P) if bcast_units else active
+        for mid in receivers:
             modules[mid].round_work = 0.0
         qrqw = self.qrqw
         if qrqw:
-            for mid in (range(P) if bcast_units else chain(active, staged)):
+            for mid in receivers:
                 modules[mid].round_touch.clear()
         tasks = 0
         profiler = self._profiler
-        if staged:
-            # Scalar charges go through ctx.charge into round_work; the
-            # slot's receive and send units join the chunks' flat
-            # per-module counters so one accounting pass covers both.
-            contexts = self._contexts
-            for mid, slot in sorted(staged.items()):
-                ctx = contexts[mid]
-                ctx._replies = replies
-                ctx._sent_size = 0
-                modules[mid].round_work = 0.0
-                cpu_q = slot[_CPU_Q]
-                fwd_q = slot[_FWD_Q]
-                tasks += len(cpu_q) + len(fwd_q)
-                if profiler is None:
-                    for handler, args, tag, _fn in cpu_q:
-                        handler(ctx, *args, tag=tag)
-                    for handler, args, tag, _fn in fwd_q:
-                        handler(ctx, *args, tag=tag)
-                else:
-                    _run_timed(profiler, ctx, cpu_q, fwd_q)
-                if recv[mid] == 0:
-                    active.append(mid)
-                recv[mid] += slot[0]
-                incoming_total += slot[0]
-                bsent[mid] = ctx._sent_size
 
         # Grouped dispatch: one call per function id over its chunks.
         by_fn: Dict[str, List[_Chunk]] = {}
@@ -863,35 +770,30 @@ class PIMMachine:
                     lst.append(ch)
         tasks += chunked
         self._tasks_chunked += chunked
-        batch_handlers = self._batch_handlers
+        bodies = self._handlers
         for fn, fn_chunks in by_fn.items():
             if profiler is None:
-                batch_handlers[fn](bct, fn_chunks)
+                bodies[fn](bct, fn_chunks)
             else:
                 t0 = perf_counter()
-                batch_handlers[fn](bct, fn_chunks)
+                bodies[fn](bct, fn_chunks)
                 profiler.add(fn, perf_counter() - t0,
                              sum(ch.task_count(P) for ch in fn_chunks))
 
         # -- round accounting (exact; see repro.sim.fastpath) ---------------
-        # Batch charges made through ``bct`` are folded into cumulative
-        # per-module work here (``ctx.charge`` / ``module.charge`` already
-        # added theirs); a module's round total is the two together.
-        # Only a broadcast reaches modules outside ``active``.
+        # Charges made through ``bct`` are folded into cumulative
+        # per-module work here (``module.charge`` already added its own);
+        # a module's round total is the two together.
         h = 0
         round_pim_max = 0.0
         sent_total = 0
-        for mid in (range(P) if bcast_units else active):
+        for mid in receivers:
+            module = modules[mid]
             w = bwork[mid]
-            if recv[mid]:
-                # A chunk or slot receiver: round_work is this round's.
-                module = modules[mid]
-                if w:
-                    module.work += w
-                    module.round_work += w
-                w = module.round_work
-            elif w:
-                modules[mid].work += w
+            if w:
+                module.work += w
+                module.round_work += w
+            w = module.round_work
             s = bsent[mid]
             sent_total += s
             hm = recv[mid] + bcast_units + s
@@ -900,8 +802,7 @@ class PIMMachine:
             if w > round_pim_max:
                 round_pim_max = w
         if qrqw:
-            round_pim_max = self._hottest_queue(
-                range(P) if bcast_units else active, round_pim_max)
+            round_pim_max = self._hottest_queue(receivers, round_pim_max)
 
         self._commit_round(h, incoming_total + sent_total, round_pim_max,
                            tasks)
@@ -960,7 +861,7 @@ class PIMMachine:
         """Arm a :class:`~repro.sim.chaos.FaultPlan` on this machine.
 
         Event rounds in the plan are interpreted relative to the install
-        point.  Installing also registers the protocol's envelope handler
+        point.  Installing also registers the protocol's envelope body
         and makes :func:`repro.ops.run_batch` wrap every CPU->module
         message in the reliable-delivery protocol, and
         keeps every message in slots until :meth:`uninstall_fault_plan`
@@ -982,13 +883,18 @@ class PIMMachine:
     def uninstall_fault_plan(self) -> Optional[ChaosState]:
         """Disarm the fault plan, restoring the perfect network.
 
-        Refuses while chaos-held (delayed) messages are in flight --
-        uninstalling then would silently lose them.
+        Refuses while any message is :attr:`pending`, as
+        :meth:`install_fault_plan` does: chaos-held (delayed) messages
+        would be silently lost, and a message staged in a slot under the
+        plan would meet the chunks of the fault-free engine.
         """
         chaos = self._chaos
         if chaos is not None and chaos.has_pending():
             raise RuntimeError("fault plan holds delayed messages; "
                                "drain before uninstalling")
+        if self.pending:
+            raise RuntimeError("cannot uninstall a fault plan with "
+                               "messages pending; drain first")
         self._chaos = None
         self._chunk_fns = self._base_chunk_fns
         return chaos
@@ -1010,7 +916,7 @@ class PIMMachine:
         module = self.modules[mid]
         module.state.clear()
         module.words_used = 0
-        self._contexts[mid].reset_replay_guard()
+        module._seen_seqs = None
         # Under a fault plan the module stays unreachable (protocol
         # envelopes are dead-dropped, anything else is a typed
         # ModuleCrashed) -- a blank module serving traffic would fault

@@ -36,10 +36,10 @@ class RoundLog:
 class AccessTrace:
     """Records per-round access counts for traced objects.
 
-    Handlers call :meth:`repro.sim.module.ModuleContext.touch` with a
+    Batch bodies call :meth:`repro.sim.fastpath.BatchRound.touch` with a
     hashable object key; the trace accumulates a ``Counter`` per round.
     Tracing is enabled via ``MachineConfig(trace_accesses=True)``; when
-    disabled, ``touch`` is a no-op and no memory is used.
+    disabled, nothing is recorded and no memory is used.
     """
 
     def __init__(self, enabled: bool = False) -> None:

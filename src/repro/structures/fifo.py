@@ -39,26 +39,28 @@ class PIMQueue:
         for module in machine.modules:
             module.state.setdefault(name, {})
         if f"{name}:store" not in machine._handlers:
-            machine.register_all(self._handlers())
+            machine.register(f"{name}:store", self._store_body)
+            machine.register(f"{name}:take", self._take_body)
 
-    def _handlers(self) -> Dict[str, Any]:
-        name = self.name
+    def _store_body(self, bct, chunks) -> None:
+        modules = bct.machine.modules
+        for mid, (seq, value), _tag, _size in bct.rows(chunks):
+            module = modules[mid]
+            bct.work[mid] += 1
+            module.state[self.name][seq] = value
+            module.alloc_words(2)
 
-        def h_store(ctx, seq, value, tag=None):
-            ctx.charge(1)
-            ctx.module.state[name][seq] = value
-            ctx.module.alloc_words(2)
-
-        def h_take(ctx, seq, tag=None):
-            ctx.charge(1)
-            slots = ctx.module.state[name]
+    def _take_body(self, bct, chunks) -> None:
+        modules = bct.machine.modules
+        for mid, (seq,), tag, _size in bct.rows(chunks):
+            module = modules[mid]
+            bct.work[mid] += 1
+            slots = module.state[self.name]
             if seq not in slots:
                 raise KeyError(f"queue slot {seq} missing (counter bug)")
             value = slots.pop(seq)
-            ctx.module.free_words(2)
-            ctx.reply(("item", seq, value), tag=tag)
-
-        return {f"{name}:store": h_store, f"{name}:take": h_take}
+            module.free_words(2)
+            bct.reply(mid, ("item", seq, value), tag)
 
     def _owner(self, seq: int) -> int:
         return self.hash.module_of(("fifo", seq))

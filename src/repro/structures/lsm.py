@@ -64,70 +64,80 @@ class PIMLSMStore(BatchDispatch):
         for module in machine.modules:
             module.state.setdefault(name, {})
         if f"{name}:blk_get" not in machine._handlers:
-            machine.register_all(self._handlers())
+            for fn, body in self._bodies().items():
+                machine.register(f"{name}:blk_{fn}", body)
 
     # ------------------------------------------------------------------
-    # handlers (block storage)
+    # batch bodies (block storage)
     # ------------------------------------------------------------------
 
-    def _handlers(self) -> Dict[str, Any]:
+    def _bodies(self) -> Dict[str, Any]:
         name = self.name
 
-        def blocks(ctx):
-            return ctx.module.state[name]
+        def rows(bct, chunks):
+            """``(mid, args, tag, module, blocks)`` per row."""
+            modules = bct.machine.modules
+            for mid, args, tag, _size in bct.rows(chunks):
+                module = modules[mid]
+                yield mid, args, tag, module, module.state[name]
 
-        def h_store(ctx, bid, block, tag=None):
-            ctx.charge(len(block) + 1)
-            blocks(ctx)[bid] = block
-            ctx.module.alloc_words(2 * len(block))
+        def store(bct, chunks):
+            for mid, (bid, block), _tag, module, blocks in rows(bct, chunks):
+                bct.work[mid] += len(block) + 1
+                blocks[bid] = block
+                module.alloc_words(2 * len(block))
 
-        def h_drop(ctx, bid, tag=None):
-            ctx.charge(1)
-            block = blocks(ctx).pop(bid, None)
-            if block is not None:
-                ctx.module.free_words(2 * len(block))
+        def drop(bct, chunks):
+            for mid, (bid,), _tag, module, blocks in rows(bct, chunks):
+                bct.work[mid] += 1
+                block = blocks.pop(bid, None)
+                if block is not None:
+                    module.free_words(2 * len(block))
 
-        def h_get(ctx, bid, key, tag=None):
-            block = blocks(ctx)[bid]
-            ctx.charge(max(1, int(math.log2(len(block) + 1))))
-            i = bisect.bisect_left(block, (key,))
-            hit = i < len(block) and block[i][0] == key
-            ctx.reply(("blk", key, block[i][1] if hit else None, hit),
-                      tag=tag)
+        def get(bct, chunks):
+            for mid, (bid, key), tag, _module, blocks in rows(bct, chunks):
+                block = blocks[bid]
+                bct.work[mid] += max(1, int(math.log2(len(block) + 1)))
+                i = bisect.bisect_left(block, (key,))
+                hit = i < len(block) and block[i][0] == key
+                bct.reply(mid, ("blk", key, block[i][1] if hit else None,
+                                hit), tag)
 
-        def h_succ(ctx, bid, key, opid, tag=None):
-            block = blocks(ctx)[bid]
-            ctx.charge(max(1, int(math.log2(len(block) + 1))))
-            ctx.touch((self.name, "blk", bid))
-            i = bisect.bisect_left(block, (key,))
-            found = block[i] if i < len(block) else None
-            ctx.reply(("bsucc", opid, found), tag=tag)
+        def succ(bct, chunks):
+            tracing = bct.tracing
+            for mid, (bid, key, opid), tag, _module, blocks in \
+                    rows(bct, chunks):
+                block = blocks[bid]
+                bct.work[mid] += max(1, int(math.log2(len(block) + 1)))
+                if tracing:
+                    bct.touch(mid, (name, "blk", bid))
+                i = bisect.bisect_left(block, (key,))
+                found = block[i] if i < len(block) else None
+                bct.reply(mid, ("bsucc", opid, found), tag)
 
-        def h_scan(ctx, bid, lo, hi, opid, tag=None):
-            block = blocks(ctx)[bid]
-            i = bisect.bisect_left(block, (lo,))
-            out = []
-            while i < len(block) and block[i][0] <= hi:
-                out.append(block[i])
-                i += 1
-            ctx.charge(len(out) + max(1, int(math.log2(len(block) + 1))))
-            ctx.reply(("bscan", opid, bid, out),
-                      size=max(1, len(out)), tag=tag)
+        def scan(bct, chunks):
+            for mid, (bid, lo, hi, opid), tag, _module, blocks in \
+                    rows(bct, chunks):
+                block = blocks[bid]
+                i = bisect.bisect_left(block, (lo,))
+                out = []
+                while i < len(block) and block[i][0] <= hi:
+                    out.append(block[i])
+                    i += 1
+                bct.work[mid] += len(out) + max(
+                    1, int(math.log2(len(block) + 1)))
+                bct.reply(mid, ("bscan", opid, bid, out), tag,
+                          max(1, len(out)))
 
-        def h_dump(ctx, bid, tag=None):
-            block = blocks(ctx)[bid]
-            ctx.charge(len(block) + 1)
-            ctx.reply(("bdump", bid, block), size=max(1, len(block)),
-                      tag=tag)
+        def dump(bct, chunks):
+            for mid, (bid,), tag, _module, blocks in rows(bct, chunks):
+                block = blocks[bid]
+                bct.work[mid] += len(block) + 1
+                bct.reply(mid, ("bdump", bid, block), tag,
+                          max(1, len(block)))
 
-        return {
-            f"{name}:blk_store": h_store,
-            f"{name}:blk_drop": h_drop,
-            f"{name}:blk_get": h_get,
-            f"{name}:blk_succ": h_succ,
-            f"{name}:blk_scan": h_scan,
-            f"{name}:blk_dump": h_dump,
-        }
+        return {"store": store, "drop": drop, "get": get, "succ": succ,
+                "scan": scan, "dump": dump}
 
     # ------------------------------------------------------------------
     # routing

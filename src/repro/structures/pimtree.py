@@ -226,40 +226,27 @@ class PIMTree:
                 f"PIMTree: the name {name!r} is taken on this machine")
         for module in machine.modules:
             module.state[name] = {"leaf": {}, "node": {}, "shadow": {}}
-        handlers, chunked = self._handlers()
-        machine.register_all(handlers)
-        for fn, batch_handler in chunked.items():
-            machine.register_batch(fn, batch_handler)
+        for fn, body in self._bodies().items():
+            machine.register(fn, body)
 
     # ------------------------------------------------------------------
-    # handlers (module-resident nodes, shadow replicas, leaves)
+    # batch bodies (module-resident nodes, shadow replicas, leaves)
     # ------------------------------------------------------------------
 
-    def _handlers(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """``(handlers, chunked)``: the slot-only functions' handlers,
-        and the batch handlers of the five read functions.
+    def _bodies(self) -> Dict[str, Any]:
+        """Every function's batch body, by function id.
 
         A read function is one kernel over a run of rows (``_step_kernel``
         serves ``nd_step`` and ``sh_step``, then ``_get_kernel``,
-        ``_succ_kernel``, ``_scan_kernel``).  Its batch handler runs the
-        kernel over each chunk -- a column chunk column-wise, straight
-        from ``dests`` and ``cols``, a row chunk row by row, a slot task
+        ``_succ_kernel``, ``_scan_kernel``).  Its body runs the kernel
+        over each chunk -- a column chunk column-wise, straight from
+        ``dests`` and ``cols``, a row chunk row by row, a slot task
         (fault plans, :class:`~repro.sim.machine.ReferencePIMMachine`)
-        as its one row.  The stores, writes, deletes and ``nd_pull`` /
-        ``lf_pull`` stay in slots: the CPU side sums the pull replies'
-        non-integer ``log2`` charges in arrival order, and slots run
-        before chunks, module ascending, so that order is the per-task
-        loop's."""
+        as its one row.  The stores, writes, deletes and dumps run row
+        by row; ``nd_pull`` / ``lf_pull`` run their rows in slot order:
+        the CPU side sums the pull replies' non-integer ``log2`` charges
+        in arrival order, so that order is the per-task loop's."""
         name, fn = self.name, self._fn
-
-        def nstate(ctx):
-            return ctx.module.state[name]["node"]
-
-        def sstate(ctx):
-            return ctx.module.state[name]["shadow"]
-
-        def lstate(ctx):
-            return ctx.module.state[name]["leaf"]
 
         def read_body(store, kernel):
             def chunk(bct, chunks):
@@ -278,94 +265,110 @@ class PIMTree:
 
             return chunk
 
-        def _store_node(store, nid, fences, children, kind, module):
-            old = store.get(nid)
-            if old is not None:
-                module.free_words(2 * len(old[1]))
-            store[nid] = (list(fences), list(children), kind)
-            module.alloc_words(2 * len(children))
+        def store_body(store):
+            """``nd_store`` / ``sh_store``: (re)place one node copy."""
+            def body(bct, chunks):
+                modules = bct.machine.modules
+                for mid, (nid, fences, children, kind), _tag, _size in \
+                        bct.rows(chunks):
+                    module = modules[mid]
+                    nodes = module.state[name][store]
+                    bct.work[mid] += len(children) + 1
+                    old = nodes.get(nid)
+                    if old is not None:
+                        module.free_words(2 * len(old[1]))
+                    nodes[nid] = (list(fences), list(children), kind)
+                    module.alloc_words(2 * len(children))
 
-        def h_nd_store(ctx, nid, fences, children, kind, tag=None):
-            ctx.charge(len(children) + 1)
-            _store_node(nstate(ctx), nid, fences, children, kind, ctx.module)
+            return body
 
-        def h_nd_pull(ctx, nid, tag=None):
-            fences, children, kind = nstate(ctx)[nid]
-            ctx.charge(len(children) + 1)
-            ctx.reply(("pull", nid, tuple(fences), tuple(children), kind),
-                      size=max(1, len(children)), tag=tag)
+        def nd_pull(bct, chunks):
+            modules = bct.machine.modules
+            for mid, (nid,), tag, _size in bct.rows_in_slot_order(chunks):
+                fences, children, kind = modules[mid].state[name]["node"][nid]
+                bct.work[mid] += len(children) + 1
+                bct.reply(mid, ("pull", nid, tuple(fences), tuple(children),
+                                kind), tag, max(1, len(children)))
 
-        def h_sh_store(ctx, nid, fences, children, kind, tag=None):
-            ctx.charge(len(children) + 1)
-            _store_node(sstate(ctx), nid, fences, children, kind, ctx.module)
+        def sh_dump(bct, chunks):
+            modules = bct.machine.modules
+            for mid, _args, tag, _size in bct.rows(chunks):
+                shadows = modules[mid].state[name]["shadow"]
+                bct.work[mid] += len(shadows) + 1
+                dump = tuple(sorted(
+                    (nid, tuple(f), tuple(c), k)
+                    for nid, (f, c, k) in shadows.items()))
+                bct.reply(mid, ("shdump", mid, dump), tag,
+                          max(1, len(dump)))
 
-        def h_sh_dump(ctx, tag=None):
-            shadows = sstate(ctx)
-            ctx.charge(len(shadows) + 1)
-            dump = tuple(sorted(
-                (nid, tuple(f), tuple(c), k)
-                for nid, (f, c, k) in shadows.items()))
-            ctx.reply(("shdump", ctx.module.mid, dump),
-                      size=max(1, len(dump)), tag=tag)
+        def lf_store(bct, chunks):
+            modules = bct.machine.modules
+            for mid, (lid, items), _tag, _size in bct.rows(chunks):
+                module = modules[mid]
+                leaves = module.state[name]["leaf"]
+                bct.work[mid] += len(items) + 1
+                old = leaves.get(lid)
+                if old is not None:
+                    module.free_words(2 * len(old))
+                leaves[lid] = [tuple(p) for p in items]
+                module.alloc_words(2 * len(items))
 
-        def h_lf_store(ctx, lid, items, tag=None):
-            leaves = lstate(ctx)
-            ctx.charge(len(items) + 1)
-            old = leaves.get(lid)
-            if old is not None:
-                ctx.module.free_words(2 * len(old))
-            leaves[lid] = [tuple(p) for p in items]
-            ctx.module.alloc_words(2 * len(items))
+        def lf_write(bct, chunks):
+            modules = bct.machine.modules
+            for mid, (lid, pairs), tag, _size in bct.rows(chunks):
+                module = modules[mid]
+                leaves = module.state[name]["leaf"]
+                leaf = leaves[lid]
+                bct.work[mid] += len(leaf) + len(pairs) + 1
+                merged = dict(leaf)
+                merged.update(pairs)
+                new = sorted(merged.items())
+                grown = len(new) - len(leaf)
+                if grown > 0:
+                    module.alloc_words(2 * grown)
+                leaves[lid] = new
+                bct.reply(mid, ("lwrote", lid, len(new)), tag)
 
-        def h_lf_write(ctx, lid, pairs, tag=None):
-            leaves = lstate(ctx)
-            leaf = leaves[lid]
-            ctx.charge(len(leaf) + len(pairs) + 1)
-            merged = dict(leaf)
-            merged.update(pairs)
-            new = sorted(merged.items())
-            grown = len(new) - len(leaf)
-            if grown > 0:
-                ctx.module.alloc_words(2 * grown)
-            leaves[lid] = new
-            ctx.reply(("lwrote", lid, len(new)), tag=tag)
+        def lf_del(bct, chunks):
+            modules = bct.machine.modules
+            for mid, (lid, keys), tag, _size in bct.rows(chunks):
+                module = modules[mid]
+                leaves = module.state[name]["leaf"]
+                leaf = leaves[lid]
+                bct.work[mid] += len(leaf) + len(keys) + 1
+                drop = set(keys)
+                new = [p for p in leaf if p[0] not in drop]
+                removed = len(leaf) - len(new)
+                if removed:
+                    module.free_words(2 * removed)
+                leaves[lid] = new
+                bct.reply(mid, ("ldel", lid, len(new), removed), tag)
 
-        def h_lf_del(ctx, lid, keys, tag=None):
-            leaves = lstate(ctx)
-            leaf = leaves[lid]
-            ctx.charge(len(leaf) + len(keys) + 1)
-            drop = set(keys)
-            new = [p for p in leaf if p[0] not in drop]
-            removed = len(leaf) - len(new)
-            if removed:
-                ctx.module.free_words(2 * removed)
-            leaves[lid] = new
-            ctx.reply(("ldel", lid, len(new), removed), tag=tag)
+        def lf_pull(bct, chunks):
+            modules = bct.machine.modules
+            for mid, (lid,), tag, _size in bct.rows_in_slot_order(chunks):
+                leaf = modules[mid].state[name]["leaf"][lid]
+                bct.work[mid] += len(leaf) + 1
+                bct.reply(mid, ("lpull", lid, tuple(leaf)), tag,
+                          max(1, len(leaf)))
 
-        def h_lf_pull(ctx, lid, tag=None):
-            leaf = lstate(ctx)[lid]
-            ctx.charge(len(leaf) + 1)
-            ctx.reply(("lpull", lid, tuple(leaf)),
-                      size=max(1, len(leaf)), tag=tag)
-
-        handlers = {
-            fn["nd_store"]: h_nd_store,
-            fn["nd_pull"]: h_nd_pull,
-            fn["sh_store"]: h_sh_store,
-            fn["sh_dump"]: h_sh_dump,
-            fn["lf_store"]: h_lf_store,
-            fn["lf_write"]: h_lf_write,
-            fn["lf_del"]: h_lf_del,
-            fn["lf_pull"]: h_lf_pull,
+        bodies = {
+            fn["nd_store"]: store_body("node"),
+            fn["nd_pull"]: nd_pull,
+            fn["sh_store"]: store_body("shadow"),
+            fn["sh_dump"]: sh_dump,
+            fn["lf_store"]: lf_store,
+            fn["lf_write"]: lf_write,
+            fn["lf_del"]: lf_del,
+            fn["lf_pull"]: lf_pull,
         }
-        chunked = {}
         for f, store, kernel in (("nd_step", "node", _step_kernel),
                                  ("sh_step", "shadow", _step_kernel),
                                  ("lf_get", "leaf", _get_kernel),
                                  ("lf_succ", "leaf", _succ_kernel),
                                  ("lf_scan", "leaf", _scan_kernel)):
-            chunked[fn[f]] = read_body(store, kernel)
-        return handlers, chunked
+            bodies[fn[f]] = read_body(store, kernel)
+        return bodies
 
     # ------------------------------------------------------------------
     # CPU-side helpers

@@ -43,24 +43,21 @@ class PIMPriorityQueue:
         self.name = name
         self.sl = PIMSkipList(machine, name=name)
         self._tiebreak = 0
-        machine.register(f"{name}:local_prefix", self._make_prefix_handler())
+        machine.register(f"{name}:local_prefix", self._prefix_body)
 
-    def _make_prefix_handler(self):
+    def _prefix_body(self, bct, chunks) -> None:
+        """Each module's smallest ``quota`` local keys, and whether its
+        leaf list ran out first."""
         struct = self.sl.struct
-
-        def h_local_prefix(ctx, quota, tag=None):
-            ml = struct.mlocal(ctx.mid)
+        for mid, (quota,), tag, _size in bct.rows(chunks):
             keys = []
-            leaf = ml.first_leaf
+            leaf = struct.mlocal(mid).first_leaf
             while leaf is not None and len(keys) < quota:
-                ctx.charge(1)
                 keys.append(leaf.key)
                 leaf = leaf.local_right
-            exhausted = leaf is None
-            ctx.reply(("prefix", ctx.mid, keys, exhausted),
-                      size=max(1, len(keys)), tag=tag)
-
-        return h_local_prefix
+            bct.work[mid] += len(keys)
+            bct.reply(mid, ("prefix", mid, keys, leaf is None), tag,
+                      max(1, len(keys)))
 
     # -- public API -----------------------------------------------------
 

@@ -14,9 +14,10 @@ from repro.analysis import (
 from repro.sim.tracing import RoundLog
 
 
-def _echo(ctx, x, tag=None):
-    ctx.charge(1)
-    ctx.reply(x, tag=tag)
+def _echo(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        bct.reply(mid, x, tag)
 
 
 class TestSweep:

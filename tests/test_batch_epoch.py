@@ -67,8 +67,9 @@ def _probe(machine: PIMMachine, seen: List[bool], inner=None,
     return [r.payload for r in replies]
 
 
-def _echo(ctx, x, tag=None):
-    ctx.reply(x, tag=tag)
+def _echo(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.reply(mid, x, tag)
 
 
 def _echo_machine(machine: PIMMachine) -> PIMMachine:

@@ -11,9 +11,16 @@ import pytest
 from repro.sim.machine import PIMMachine
 
 
-def echo(ctx, x, tag=None):
-    ctx.charge(1)
-    ctx.reply(x, tag=tag)
+def echo(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        bct.reply(mid, x, tag)
+
+
+def _forward(bct, mid, dest, fn, args):
+    """Stage one continuation task and charge its send."""
+    bct.sent[mid] += 1
+    bct.stage_rows(fn, [(dest, args, None, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +67,15 @@ def test_forward_counted_once_sent_once_received():
     # on each side).
     m = PIMMachine(num_modules=2, seed=0)
 
-    def relay(ctx, tag=None):
-        ctx.charge(1)
-        ctx.forward(1, "sink", ())
+    def relay(bct, chunks):
+        for mid, _args, _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            _forward(bct, mid, 1, "sink", ())
 
-    def sink(ctx, tag=None):
-        ctx.charge(1)
-        ctx.reply("ok")
+    def sink(bct, chunks):
+        for mid, _args, _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            bct.reply(mid, "ok")
 
     m.register("relay", relay)
     m.register("sink", sink)
@@ -95,14 +104,16 @@ def test_forward_delivered_next_round_not_same_round():
     m = PIMMachine(num_modules=2, seed=0)
     log = []
 
-    def relay(ctx, tag=None):
-        ctx.charge(1)
-        log.append(("relay", ctx.machine.metrics.rounds))
-        ctx.forward(1, "sink", ())
+    def relay(bct, chunks):
+        for mid, _args, _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            log.append(("relay", bct.machine.metrics.rounds))
+            _forward(bct, mid, 1, "sink", ())
 
-    def sink(ctx, tag=None):
-        ctx.charge(1)
-        log.append(("sink", ctx.machine.metrics.rounds))
+    def sink(bct, chunks):
+        for mid, _args, _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            log.append(("sink", bct.machine.metrics.rounds))
 
     m.register("relay", relay)
     m.register("sink", sink)
@@ -119,9 +130,10 @@ def test_forward_delivered_next_round_not_same_round():
 def test_qrqw_round_touch_drives_pim_time():
     m = PIMMachine(num_modules=2, seed=0, contention_model="qrqw")
 
-    def probe(ctx, obj, tag=None):
-        ctx.charge(1)
-        ctx.touch(obj)
+    def probe(bct, chunks):
+        for mid, (obj,), _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            bct.touch(mid, obj)
 
     m.register("probe", probe)
     before = m.snapshot()
@@ -135,8 +147,14 @@ def test_qrqw_round_touch_drives_pim_time():
     # 5 tasks touching distinct objects: max(work=5, hottest=1) = 5, but
     # 1 task touching one object 9 times: max(work=1, hottest=9) = 9.
     before = m.snapshot()
-    m.register("hammer", lambda ctx, tag=None: (ctx.charge(1),
-                                                ctx.touch("x", 9)))
+
+    def hammer(bct, chunks):
+        for mid, _args, _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            for _ in range(9):
+                bct.touch(mid, "x")
+
+    m.register("hammer", hammer)
     m.send(1, "hammer", ())
     m.step()
     assert m.delta_since(before).pim_time == 9.0
@@ -147,9 +165,11 @@ def test_qrqw_round_touch_cleared_between_active_rounds():
     # from an earlier round must not inflate a later round's maximum.
     m = PIMMachine(num_modules=1, seed=0, contention_model="qrqw")
 
-    def touch_n(ctx, n, tag=None):
-        ctx.charge(1)
-        ctx.touch("obj", n)
+    def touch_n(bct, chunks):
+        for mid, (n,), _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            for _ in range(n):
+                bct.touch(mid, "obj")
 
     m.register("touch_n", touch_n)
     m.send(0, "touch_n", (7,))
@@ -205,9 +225,11 @@ def test_send_all_size_matches_loop_of_sends():
 # ---------------------------------------------------------------------------
 
 def _register_pingpong(m):
-    def pingpong(ctx, n, tag=None):
-        ctx.charge(1)
-        ctx.forward(1 - ctx.mid, "pingpong", (n + 1,))
+    def pingpong(bct, chunks):
+        for mid, (n,), _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            _forward(bct, mid, 1 - mid, "pingpong", (n + 1,))
+
     m.register("pingpong", pingpong)
 
 

@@ -4,10 +4,11 @@
 equivalent* to the per-task reference oracle
 (:class:`~repro.sim.machine.ReferencePIMMachine`): same replies, same
 model metrics, bit for bit.  These tests pin that equivalence where it
-is easiest to break -- mixed slot/chunk rounds, golden metrics, chaos,
-drain diagnostics, a profiled session -- plus the absence of any
-engine-selection surface and what keeps messages in slots (qrqw, access
-tracing, a fault plan installed on a quiescent machine).
+is easiest to break -- rounds mixing row, column and broadcast chunks,
+golden metrics, chaos, drain diagnostics, a profiled session -- plus the
+absence of any engine-selection surface, the one registration (a batch
+body for every function) and what keeps messages in slots (a fault plan
+installed on a quiescent machine; not qrqw or access tracing).
 """
 
 from __future__ import annotations
@@ -39,32 +40,42 @@ from tests.test_golden_metrics import (
 P = 8
 
 
-def _echo(ctx, x, tag=None):
-    ctx.charge(1)
-    ctx.reply(x * 2, tag=tag)
+def _echo(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        bct.reply(mid, x * 2, tag)
 
 
-def _relay(ctx, x, hops, tag=None):
-    ctx.charge(1)
-    if hops <= 0:
-        ctx.reply(x, tag=tag)
-    else:
-        ctx.forward((ctx.mid + 3) % ctx.machine.num_modules,
-                     "relay", (x + 1, hops - 1), tag=tag)
+def _relay(bct, chunks):
+    """Forward ``hops`` times, three modules on each time, then reply:
+    each task's continuation keeps its tag."""
+    out = []
+    for mid, (x, hops), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        if hops <= 0:
+            bct.reply(mid, x, tag)
+        else:
+            bct.sent[mid] += 1
+            out.append(((mid + 3) % bct.num_modules, (x + 1, hops - 1), tag,
+                        1))
+    bct.stage_rows("relay", out)
 
 
-def _loop(ctx, n, tag=None):
-    ctx.charge(1)
-    ctx.forward((ctx.mid + 1) % ctx.machine.num_modules, "loop", (n + 1,))
+def _loop(bct, chunks):
+    out = []
+    for mid, (n,), _tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        bct.sent[mid] += 1
+        out.append(((mid + 1) % bct.num_modules, (n + 1,), None, 1))
+    bct.stage_rows("loop", out)
 
 
 def _batch_walk(bct, chunks):
     """``walk``: hop to the next module ``rem`` times, then hand the op
-    to the slot-only ``echo``.  A column chunk (CPU-issued: list
-    columns) is charged from its ``counts`` and read column by column, a
-    row chunk row by row; both answer with row forwards, the slot-only
-    continuation through ``stage_rows`` too (which must land in
-    slots)."""
+    to ``echo``.  A column chunk (CPU-issued: list columns) is charged
+    from its ``counts`` and read column by column, a row chunk row by
+    row; both answer with row forwards, the continuation to ``echo``
+    through ``stage_rows`` too."""
     P_ = bct.num_modules
     rows_out, echo_out = [], []
     for ch in chunks:
@@ -102,11 +113,9 @@ def _batch_ping(bct, chunks):
 
 def _machine(engine="columnar", **kwargs):
     machine = ENGINES[engine](num_modules=P, seed=42, **kwargs)
-    machine.register("echo", _echo)
-    machine.register("relay", _relay)
-    machine.register("loop", _loop)
-    machine.register_batch("walk", _batch_walk)
-    machine.register_batch("ping", _batch_ping)
+    for fn, body in (("echo", _echo), ("relay", _relay), ("loop", _loop),
+                     ("walk", _batch_walk), ("ping", _batch_ping)):
+        machine.register(fn, body)
     return machine
 
 
@@ -119,7 +128,7 @@ def _staging(machine, norm=tuple):
     for mid, slot in machine._staged.items():
         units[mid] = units.get(mid, 0) + slot[0]
         for queue in (slot[1], slot[2]):
-            for _handler, args, _tag, fn in queue:
+            for _body, args, _tag, fn in queue:
                 tasks.setdefault(mid, []).append((fn, norm(args)))
     for chunks in (machine._cq, machine._fq):
         for ch in chunks:
@@ -131,30 +140,28 @@ def _staging(machine, norm=tuple):
 
 
 def _mixed_workload(machine):
-    """Scalar echoes, multi-hop forwards, an uneven send_all, and rounds
-    that mix slots with row, column and broadcast chunks -- returns
-    (replies, final snapshot dict).  Reply order is compared only where
-    no batch handler runs (batch handlers are order-insensitive by
-    contract, so mixed rounds compare the sorted replies)."""
-    replies = []
+    """Echoes, multi-hop forwards, an uneven send_all, and rounds that
+    mix row, column and broadcast chunks -- returns (replies, final
+    snapshot dict).  Reply order is compared only where each module
+    gets one task (bodies are order-insensitive by contract, so the
+    other drains compare their sorted replies)."""
     machine.send_all([(m, "echo", (m,), m) for m in range(P)])
-    replies += machine.drain()
+    replies = machine.drain()
     machine.send_all([(m % P, "relay", (m, 1 + m % 4), m)
                       for m in range(3 * P)])
-    replies += machine.drain()
+    relayed = sorted(machine.drain(), key=repr)
     for m in range(P // 2):
         machine.send(m, "echo", (100 + m,))
     replies += machine.drain()
-    mixed = []
     _issue_mixed_round(machine)
-    mixed += machine.drain()
-    return (replies, sorted(mixed, key=repr)), machine.snapshot().as_dict()
+    mixed = sorted(machine.drain(), key=repr)
+    return (replies, relayed, mixed), machine.snapshot().as_dict()
 
 
 def _issue_mixed_round(machine):
-    """One round's worth of every staging form: rows for the scalar-only
-    ``relay``/``echo``, rows and (on the engine) a column chunk for the
-    batch-handled ``walk``, one batch-handled broadcast, sizes > 1."""
+    """One round's worth of every staging form: rows for ``relay`` /
+    ``echo``, rows and (on the engine) a column chunk for ``walk``, one
+    broadcast, sizes > 1."""
     machine.send_all(
         [(m % P, "relay", (m, m % 3), m) for m in range(P + 3)]
         + [(m % P, "walk", (m % 4, 100 + m), None) for m in range(2 * P)]
@@ -214,64 +221,70 @@ class TestBackendSelection:
             SkipListStructure(PIMMachine(P), storage="object")
 
     def test_reference_class_runs_the_scalar_loop(self, monkeypatch):
+        """The oracle stages every message in a slot and runs each task
+        as its function's body over the task's one row."""
         machine = _machine("object")
         assert not machine.columnar_active
         assert machine.backend == "object"
         monkeypatch.setattr(
             machine, "_array_round",
             lambda: pytest.fail("array round on the reference oracle"))
-        for fn in ("walk", "ping"):  # registered, never dispatched
-            monkeypatch.setitem(
-                machine._batch_handlers, fn,
-                lambda bct, chunks: pytest.fail("batch handler dispatched"))
+        calls = []
+
+        def body(bct, chunks):
+            calls.append([(ch.kind, len(ch.rows)) for ch in chunks])
+            _batch_ping(bct, chunks)
+
+        monkeypatch.setitem(machine._handlers, "ping", body)
         _issue_mixed_round(machine)
         assert not (machine._cq or machine._fq)  # slots only
+        assert all(entry[0] is machine._handlers[entry[3]]
+                   for slot in machine._staged.values()
+                   for queue in slot[1:] for entry in queue)
         assert machine.drain()
+        assert calls == [[(ROWS, 1)]] * P
 
     def test_register_batch_collision(self):
+        """``register`` is the one registration: the identical body is a
+        no-op, a second body for an id is refused."""
         machine = _machine()
-        runner = machine._handlers["walk"]
-        machine.register_batch("walk", _batch_walk)  # idempotent
-        assert machine._handlers["walk"] is runner
+        assert not hasattr(machine, "register_batch")
+        assert not hasattr(machine, "register_all")
+        machine.register("walk", _batch_walk)  # idempotent
+        assert machine._handlers["walk"] is _batch_walk
         with pytest.raises(ValueError, match="already registered"):
-            machine.register_batch("walk", lambda bct, chunks: None)
-        # One implementation per function, in either order.
+            machine.register("walk", lambda bct, chunks: None)
         with pytest.raises(ValueError, match="already registered"):
-            machine.register_batch("echo", lambda bct, chunks: None)
-        with pytest.raises(ValueError, match="already registered"):
-            machine.register("walk", _echo)
+            machine.register("echo", _batch_walk)
+        assert machine._handlers["echo"] is _echo
 
     def test_no_function_has_two_implementations(self):
-        """On a machine carrying a skip list, a PIM-tree and an LSM
-        store, every function with a batch body has the engine's slot
-        runner of that body as its slot handler, and no id takes a
-        second implementation in either registration order."""
+        """A census over one machine carrying every class that registers
+        module functions: every registered function is a batch body --
+        a callable of ``(bct, chunks)``, none taking a ``ctx``, a no-op
+        over no chunks -- and a fault-free session of all of them runs
+        every task chunked."""
         import inspect
 
-        from repro.structures.lsm import PIMLSMStore
-        from repro.structures.pimtree import PIMTree
+        from tests.test_fastpath_census import SESSIONS
 
         machine = PIMMachine(P, seed=0)
-        PIMSkipList(machine)
-        PIMTree(machine)
-        PIMLSMStore(machine)
-        runner = machine._slot_runner("probe", _batch_ping).__code__
-        assert len(machine._batch_handlers) == 41
-        for fn, batch in machine._batch_handlers.items():
-            handler = machine._handlers[fn]
-            assert handler.__code__ is runner, fn
-            assert inspect.getclosurevars(handler).nonlocals["batch"] \
-                is batch, fn
-            with pytest.raises(ValueError, match="already registered"):
-                machine.register(fn, _echo)
-        for fn in set(machine._handlers) - set(machine._batch_handlers):
-            with pytest.raises(ValueError, match="already registered"):
-                machine.register_batch(fn, _batch_ping)
+        for session in SESSIONS.values():
+            session(machine)
+        assert machine.tasks_chunked == machine.tasks_executed > 0
+        assert machine.columnar_active
+        assert len(machine._handlers) == 142
+        before = machine.snapshot()
+        for fn, body in machine._handlers.items():
+            params = list(inspect.signature(body).parameters)
+            assert params == ["bct", "chunks"], (fn, params)
+            body(machine._bct, [])
+        assert machine.snapshot() == before and not machine.pending
 
     def test_register_batch_runs_one_row_per_slot_task_on_the_oracle(self):
-        """On the oracle a batch body is the slot handler: every task is
-        one call over a one-row chunk, and its work, sends and replies
-        reach the task's module and the round."""
+        """On the oracle a body runs per slot task: every task is one
+        call over a one-row chunk, and its work, sends and replies reach
+        the task's module and the round."""
         machine = _machine("object")
         calls = []
 
@@ -282,7 +295,7 @@ class TestBackendSelection:
                     bct.work[mid] += 3
                     bct.reply(mid, 2 * x, tag=tag)
 
-        machine.register_batch("double", batch_double)
+        machine.register("double", batch_double)
         machine.send(1, "double", (4,), tag="a")
         machine.send(1, "double", (5,), tag="b")
         replies = machine.drain()
@@ -332,18 +345,18 @@ class TestBackendParity:
     def test_mixed_workload_bit_identical(self):
         obj = _mixed_workload(_machine("object"))
         col = _mixed_workload(_machine("columnar"))
-        assert obj[0] == col[0]  # replies (order included where scalar)
+        assert obj[0] == col[0]  # replies (order included where defined)
         assert obj[1] == col[1]  # full metrics snapshot
 
     def test_mixed_round_staging_parity(self):
-        """A round mixing slots with row, column and broadcast chunks:
-        round by round the engine and the oracle agree on replies,
-        per-module work, ``h``, messages, next-round staging and the
-        pending diagnostics."""
+        """A round mixing row, column and broadcast chunks of four
+        functions: round by round the engine and the oracle agree on
+        replies, per-module work, ``h``, messages, next-round staging
+        and the pending diagnostics."""
         obj, col = _machine("object"), _machine("columnar")
         for machine in (obj, col):
             _issue_mixed_round(machine)
-        assert col._staged and col._cq  # slots AND chunks pending
+        assert col._cq and not col._staged  # chunks only, on the engine
         kinds = {ch.kind for ch in col._cq}
         assert kinds == {ROWS, COLS, BCAST}
         rounds = 0
@@ -364,17 +377,16 @@ class TestBackendParity:
         assert col.columnar_active
 
     def test_module_bound_charges_reach_the_round_maximum(self):
-        """A batch handler may hand ``module.charge`` to module-local
-        structures (the cuckoo table holds one) on a module that
-        receives row or column traffic: those charges must land in the
-        round's PIM maximum on modules with no slot traffic, next to
-        ``bct.work`` charges and next to slot charges."""
+        """A body may hand ``module.charge`` to module-local structures
+        (the cuckoo table holds one; a baseline's local skip list too):
+        those charges must land in the round's PIM maximum next to
+        ``bct.work`` charges, on a row, column or broadcast receiver."""
 
         def batch_meter(bct, chunks):
             modules = bct.machine.modules
             for ch in chunks:
                 for mid, (units,), tag, _size in bct.rows_of(ch):
-                    if ch.kind == BCAST:  # charged through bct only
+                    if mid % 2:
                         bct.work[mid] += units + 1
                     else:  # what a local structure would do
                         modules[mid].charge(units)
@@ -392,22 +404,29 @@ class TestBackendParity:
 
         obj, col = _machine("object"), _machine("columnar")
         for machine in (obj, col):
-            machine.register_batch("meter", batch_meter)
+            machine.register("meter", batch_meter)
             # Stale round_work on a broadcast-only receiver (out-of-round
             # charging) must not leak into the round either.
             machine.modules[5].charge(1000)
             machine.send_all(
-                [(1, "meter", (30,), "a"), (1, "meter", (2,), "b"),  # chunk
-                 (2, "echo", (1,), "s"),                             # slot
-                 (4, "meter", (7,), "c"), (4, "echo", (2,), "t")])   # both
+                [(1, "meter", (30,), "a"), (1, "meter", (2,), "b"),
+                 (2, "echo", (1,), "s"),
+                 (4, "meter", (7,), "c"), (4, "echo", (2,), "t"),
+                 (6, "meter", (50,), "d")])
             machine.broadcast("meter", (3,), tag="all")
-        assert col._cq and col._staged
+        assert col._cq and not col._staged
         lockstep(obj, col)
-        # The maximum sits on module 1, which has no slot: two metered
-        # rows and the broadcast one, each with its own unit.
-        assert col.metrics.pim_time == (30 + 1) + (2 + 1) + (3 + 1)
-        assert col.tasks_chunked == 3 + P
-        assert col.tasks_executed == obj.tasks_executed == 5 + P
+        # A broadcast alone: every even module charges the callback.
+        for machine in (obj, col):
+            machine.broadcast("meter", (8,), tag="solo")
+        assert [ch.kind for ch in col._cq] == [BCAST]
+        lockstep(obj, col)
+        # The first round's maximum sits on module 6, charged through
+        # its module's callback, plus the broadcast's (callback) charge;
+        # the second round's is any module's charge of the broadcast.
+        assert col.metrics.pim_time == ((50 + 1) + (3 + 1)) + (8 + 1)
+        assert col.tasks_chunked == col.tasks_executed == 6 + 2 * P
+        assert obj.tasks_executed == 6 + 2 * P
         assert obj.tasks_chunked == 0
 
         # A round of nothing but one column chunk: its receivers are in
@@ -420,12 +439,14 @@ class TestBackendParity:
         assert [ch.kind for ch in col._cq] == [COLS] and not col._staged
         lockstep(obj, col)
         assert col.metrics.pim_time - before == (40 + 1) + (5 + 1)
-        assert col.tasks_chunked == 3 + P + 3
+        assert col.tasks_chunked == 6 + 2 * P + 3
 
     def test_column_send_to_scalar_only_function_lands_in_slots(self):
-        """Chunks are for batch handlers only: a column batch for a
-        function without one is bucketed into slots at issue time."""
+        """Where a machine keeps every message in slots -- here, under a
+        fault plan -- a column batch is bucketed into its rows' slots at
+        issue time, units included."""
         machine = _machine()
+        machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
         machine.send_cols("echo", [1, 1, 5], ([10, 11, 12],), size=2)
         assert not machine._cq
         assert {mid: slot[0] for mid, slot in machine._staged.items()} \
@@ -436,7 +457,7 @@ class TestBackendParity:
         """On the reference oracle a column send is the rows it stands
         for: the slots ``send_all`` of :meth:`Columns.rows` stages --
         entries, order and units -- behind the traffic already there,
-        for a batch-handled function and a scalar-only one alike."""
+        for two functions alike."""
         from repro.ops import Columns
 
         got = []
@@ -452,28 +473,31 @@ class TestBackendParity:
                 else:
                     machine.send_all(Columns(fn, dests, cols).rows())
             assert not (machine._cq or machine._fq)
-            # Each entry carries its machine's own handler: compare the
-            # function ids, and that they resolve to that handler.
+            # Each entry carries its machine's own body: compare the
+            # function ids, and that they resolve to that body.
             staged = {}
             for mid, (units, *queues) in machine._staged.items():
                 for queue in queues:
-                    assert all(handler is machine._handlers[fn]
-                               for handler, _args, _tag, fn in queue)
+                    assert all(body is machine._handlers[fn]
+                               for body, _args, _tag, fn in queue)
                 staged[mid] = [units] + [[entry[1:] for entry in queue]
                                          for queue in queues]
             got.append((staged, machine.drain(), machine.snapshot()))
         assert got[0] == got[1]
 
     def test_scalar_only_round_is_the_scalar_loop(self, monkeypatch):
-        """No batch-handled function in a round: the engine must not
-        enter the array path at all."""
+        """With no fault plan installed the engine never puts a message
+        in a slot: a round is all chunks, and the per-task loop is not
+        entered at all."""
         machine = _machine()
         monkeypatch.setattr(
-            machine, "_array_round",
-            lambda: pytest.fail("array round for a slot-only round"))
+            machine, "_run_round",
+            lambda staged: pytest.fail("slot round on the engine"))
         machine.send_all([(m, "relay", (m, 2), m) for m in range(P)])
         machine.broadcast("echo", (1,))
+        assert not machine._staged
         assert len(machine.drain()) == 2 * P
+        assert machine.tasks_chunked == machine.tasks_executed == 4 * P
 
     def test_golden_metrics_under_columnar(self):
         """All golden workloads (skip list, baselines, collectives,
@@ -609,15 +633,15 @@ class TestChaosFallback:
         assert machine.tasks_chunked > 0
 
     def test_fault_plan_refused_with_messages_pending(self):
-        """Row, column and broadcast chunks beside slots, then one slot,
-        then forwarded continuations: each time the install raises and
-        moves nothing, the machine drains to the oracle's result, and a
-        quiescent machine accepts the plan."""
+        """Row, column and broadcast chunks (slots on the oracle), then
+        one message, then forwarded continuations: each time the install
+        raises and moves nothing, the machine drains to the oracle's
+        result, and a quiescent machine accepts the plan."""
         obj, col = _machine("object"), _machine("columnar")
         for machine in (obj, col):
             _issue_mixed_round(machine)
         assert {ch.kind for ch in col._cq} == {ROWS, COLS, BCAST}
-        assert col._staged
+        assert obj._staged and not col._staged
         for machine in (obj, col):
             _assert_install_refused(machine)
         assert sorted(col.drain(), key=repr) == sorted(obj.drain(), key=repr)
@@ -633,6 +657,23 @@ class TestChaosFallback:
             machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
             assert not machine.columnar_active
         assert obj.snapshot().as_dict() == col.snapshot().as_dict()
+
+    def test_uninstall_refused_with_messages_pending(self):
+        """``uninstall_fault_plan`` with a message staged in a slot under
+        the plan raises and moves nothing: that slot would otherwise meet
+        the engine's chunks.  Drained, the plan comes off."""
+        machine = _machine()
+        plan = FaultPlan(FaultSpec(), seed=0)
+        machine.install_fault_plan(plan)
+        machine.send(2, "echo", (1,))
+        before = _staging(machine)
+        with pytest.raises(RuntimeError, match="messages pending"):
+            machine.uninstall_fault_plan()
+        assert machine._chaos is not None and not machine.columnar_active
+        assert _staging(machine) == before
+        assert [r.payload for r in machine.drain()] == [2]
+        assert machine.uninstall_fault_plan().plan is plan
+        assert machine.columnar_active
 
     def test_behaviour_parity_under_faults(self):
         """With an identical seeded fault plan the engine (every message
@@ -684,7 +725,7 @@ class TestChaosFallback:
 
         def run(engine, **config):
             machine = ENGINES[engine](num_modules=P, seed=1, **config)
-            machine.register_batch("hammer", batch_hammer)
+            machine.register("hammer", batch_hammer)
             rounds = []
             for seed in range(4):
                 keys = zipf_batch(48, range(64), alpha=1.2, seed=seed)

@@ -10,10 +10,11 @@ slot handlers run it over one task's row.  Each test drives the same
 messages into one tree on each, steps both in lockstep, and requires,
 round by round, equal replies (as multisets), per-module work, ``h``,
 messages and next-round staging -- ``tests/test_fastpath_writes.py``'s
-harness.  The stores, writes, deletes and the two pulls stay in slots:
-the CPU side sums the pull replies' non-integer ``log2`` charges in
-arrival order, so their relative order must be the per-task loop's.
-A Hypothesis property runs read groups op by op on both machines.
+harness.  The stores, writes, deletes and the two pulls are chunked
+too; the pulls run their rows in slot order: the CPU side sums the pull
+replies' non-integer ``log2`` charges in arrival order, so each pull's
+reply stream must be the per-task loop's.  A Hypothesis property runs
+read groups op by op on both machines.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +45,15 @@ from tests.test_fastpath_writes import (
 
 P = 8
 STRIDE = 100
+
+
+def _by_module(got):
+    """Replies read in slot order: stably by module."""
+    return sorted(got, key=itemgetter(0))
+
+
+def _pulls(got):
+    return [r for r in got if r[2][0] in ("pull", "lpull")]
 N = 300
 
 
@@ -158,28 +169,28 @@ class TestMixedRounds:
         return msgs
 
     def test_pulls_keep_the_per_task_loops_order(self, pair):
-        """One round of chunked steps and gets with slot-run pulls: the
-        pulls reply first, in the oracle's relative order."""
+        """One round of steps, gets and both pulls, all chunked: each
+        pull's reply stream is the oracle's, and the two read together
+        in slot order (stably by module) are too."""
         obj, col = _issue(pair, self._mixed)
-        assert col._staged and _chunked_fns(col) == {"pimtree:nd_step",
-                                                     "pimtree:lf_get"}
+        assert not col._staged and _chunked_fns(col) == {
+            "pimtree:nd_step", "pimtree:nd_pull", "pimtree:lf_get",
+            "pimtree:lf_pull"}
         assert _norm_staging(obj) == _norm_staging(col)
         got_obj, got_col = _replies(obj.step()), _replies(col.step())
         assert sorted(got_obj) == sorted(got_col)
-
-        def pulls(got):
-            return [r for r in got if r[2][0] in ("pull", "lpull")]
-
-        assert pulls(got_col) == pulls(got_obj) != []
-        assert got_col[:len(pulls(got_col))] == pulls(got_col)
+        for kind in ("pull", "lpull"):
+            assert ([r for r in got_col if r[2][0] == kind]
+                    == [r for r in got_obj if r[2][0] == kind] != [])
+        assert _pulls(_by_module(got_col)) == _pulls(got_obj)
         assert obj.snapshot().as_dict() == col.snapshot().as_dict()
         assert obj.tracer.rounds[-1] == col.tracer.rounds[-1]
-        assert 0 < col.tasks_chunked < col.tasks_executed
+        assert col.tasks_chunked == col.tasks_executed > 0
 
     def test_fault_plan_refused_with_read_chunks_pending(self, pair):
-        """Installing a fault plan with read chunks and slot-run pulls
-        pending raises and moves nothing; the round then runs chunked
-        and equals the oracle's."""
+        """Installing a fault plan with read and pull chunks pending
+        raises and moves nothing; the round then runs chunked and equals
+        the oracle's."""
         obj, col = _issue(pair, self._mixed)
         chunked_before = col.tasks_chunked
         _assert_install_refused(col, norm=_norm)
@@ -216,7 +227,7 @@ def test_whole_ops_leave_equal_trees(pair):
     assert obj.snapshot().as_dict() == col.snapshot().as_dict()
     assert obj.tracer.rounds == col.tracer.rounds
     assert pair[0].stats == pair[1].stats
-    assert 0 < col.tasks_chunked < col.tasks_executed
+    assert col.tasks_chunked == col.tasks_executed > 0
     assert col.columnar_active
 
 
@@ -284,7 +295,8 @@ class TestColumnKernels:
 
     def test_all_five_beside_the_pulls(self, pair):
         """One round: the five functions as column chunks and both pulls
-        as tagged rows; the pulls run first, in the oracle's order."""
+        as tagged rows; the pulls run first, in the oracle's order when
+        read in slot order."""
         for tree in pair:
             stage = [(tree.node_owner[nid], "pimtree:nd_pull", (nid,), 0)
                      for nid in sorted(tree.nodes)[::3]]
@@ -295,11 +307,11 @@ class TestColumnKernels:
                                      *_read_columns(tree, fn, 40)))
             issue_stage(tree.machine, stage)
         obj, col = (tree.machine for tree in pair)
-        assert {ch.kind for ch in col._cq} == {COLS}
+        assert {ch.kind for ch in col._cq} == {ROWS, COLS}
         got_obj, got_col = _replies(obj.step()), _replies(col.step())
         assert sorted(got_obj) == sorted(got_col)
-        pulls = [r for r in got_obj if r[2][0] in ("pull", "lpull")]
-        assert got_col[:len(pulls)] == pulls
+        pulls = _pulls(got_obj)
+        assert _by_module(got_col[:len(pulls)]) == pulls
         assert obj.snapshot().as_dict() == col.snapshot().as_dict()
         assert obj.tracer.rounds[-1] == col.tracer.rounds[-1]
 

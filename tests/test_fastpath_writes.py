@@ -137,8 +137,9 @@ class TestWritePtr:
                 assert node.right is value
 
     def test_mixed_with_scalar_upper_link(self, pair):
-        """(b): one round with chunked ``write_ptr`` and the scalar-only
-        ``ups_upper_link`` (its first executor pays the descent)."""
+        """(b): one round with ``write_ptr`` and ``ups_upper_link``, both
+        chunked: the link runs its rows in slot order, so its first
+        executor pays the descent, as on the oracle."""
         for sl in pair:
             s = sl.struct
             _targets, msgs = self._writes(sl)
@@ -146,9 +147,9 @@ class TestWritePtr:
             _issue(sl.machine, msgs)
             sl.machine.broadcast(f"{s.name}:ups_upper_link", (node,))
         obj, col = (sl.machine for sl in pair)
-        assert col._cq and len(col._staged) == P
+        assert col._cq and not col._staged
         assert _lockstep(obj, col) == 1
-        assert col.tasks_chunked < col.tasks_executed
+        assert col.tasks_chunked == col.tasks_executed
 
     def test_fault_plan_refused_with_write_chunks_pending(self, pair):
         """(d): installing a fault plan with write rows and a broadcast
@@ -479,8 +480,8 @@ class TestDeleteMarking:
                 == col.tasks_executed - executed)
 
     def test_whole_ops_leave_equal_structures(self, pair):
-        """The ops end to end, chunk handlers and scalar ones mixed as
-        the pipeline mixes them: equal results, metrics and contents."""
+        """The ops end to end, every function chunked on the engine:
+        equal results, metrics and contents."""
         fresh = [(k * STRIDE + 3, k) for k in range(0, 200, 5)]
         for sl in pair:
             assert sl.batch_upsert(fresh + [(4 * STRIDE, "x")]).inserted \
@@ -493,7 +494,7 @@ class TestDeleteMarking:
         assert obj.snapshot().as_dict() == col.snapshot().as_dict()
         assert (pair[0].struct.keys_in_order()
                 == pair[1].struct.keys_in_order())
-        assert 0 < col.tasks_chunked < col.tasks_executed
+        assert col.tasks_chunked == col.tasks_executed > 0
         assert col.columnar_active
 
 

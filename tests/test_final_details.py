@@ -34,9 +34,10 @@ class TestSendAll:
     def test_send_all_batches_messages(self):
         machine = PIMMachine(num_modules=4, seed=0)
 
-        def echo(ctx, x, tag=None):
-            ctx.charge(1)
-            ctx.reply(x, tag=tag)
+        def echo(bct, chunks):
+            for mid, (x,), tag, _size in bct.rows(chunks):
+                bct.work[mid] += 1
+                bct.reply(mid, x, tag)
 
         machine.register("echo", echo)
         machine.send_all([(i % 4, "echo", (i,), i) for i in range(12)])

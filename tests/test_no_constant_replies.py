@@ -5,7 +5,7 @@ A reply whose payload is a constant tells the CPU side only that the
 task ran, which the end of the round already tells it -- and the model
 would still bill the reply as a message in the round's h-relation.  This
 lint walks every source file under ``src/repro`` and fails on any
-``<ctx>.reply(...)`` or ``Reply(...)`` whose payload is a literal, a
+``<bct>.reply(mid, ...)`` or ``Reply(...)`` whose payload is a literal, a
 module-level name bound to one, or ``map(Reply, repeat(<literal>),
 ...)``.  The reliable-delivery protocol's acknowledgement replies its
 envelope's sequence number, which is not a constant, so it passes."""
@@ -33,10 +33,14 @@ def _is_literal(node: ast.AST, names: set) -> bool:
 def _payload(call: ast.Call):
     """The payload expression of a reply-building call, or None."""
     fn = call.func
+    # ``BatchRound.reply(mid, payload, ...)``: the payload follows the
+    # module id (a one-argument ``reply`` has only a payload);
+    # ``Reply(payload, ...)``: the payload comes first.
     if (isinstance(fn, ast.Attribute) and fn.attr == "reply") or (
             isinstance(fn, ast.Name) and fn.id == "Reply"):
         if call.args:
-            return call.args[0]
+            return call.args[1 if fn.__class__ is ast.Attribute
+                             and len(call.args) > 1 else 0]
         return next((kw.value for kw in call.keywords
                      if kw.arg == "payload"), None)
     # map(Reply, repeat(<payload>), ...): one reply per row, one payload.
@@ -69,6 +73,8 @@ def constant_replies(source: str, label: str) -> list:
 @pytest.mark.parametrize("snippet", [
     'ctx.reply(("ack",), tag=tag)',
     "ctx.reply(None)",
+    'bct.reply(mid, ("ack",), tag)',
+    "bct.reply(mid, None)",
     "bct.reply(payload=1)",
     "rep_append(Reply(ACK, tag, mid))",
     "replies.extend(map(Reply, repeat(ACK), repeat(None), dests))",
@@ -78,8 +84,8 @@ def test_the_lint_catches_a_constant_reply(snippet):
 
 
 def test_the_lint_passes_a_computed_reply():
-    assert constant_replies("ctx.reply(seq, tag=ACK_TAG, size=1)\n"
-                            "ctx.reply(('total', opid, 0), tag=tag)\n"
+    assert constant_replies("bct.reply(mid, seq, ACK_TAG)\n"
+                            "bct.reply(mid, ('total', opid, 0), tag)\n"
                             "rep_append(Reply(payload, tag, mid))\n",
                             "probe") == []
 

@@ -60,6 +60,7 @@ def test_exact_rows_pass():
     process with the committed baselines' parameters."""
     names = {g.name for g in EXACT_ROWS}
     assert {"chunked share write_churn", "chunked share pimtree reads",
+            "chunked share pimtree writes",
             "chunked share write_churn, trace_accesses / plain",
             "chunked share range batch",
             "CPU-side session: cpu_work, cpu_depth, shared_mem_peak, rng",

@@ -26,17 +26,15 @@ from repro.structures.pimtree import PIMTree
 from tests.conftest import ReferenceMap, make_skiplist
 
 
-def _echo_handlers():
-    def h_echo(ctx, value, tag=None):
-        ctx.charge(1)
-        ctx.reply(("echo", ctx.mid, value), tag=tag)
-
-    return {"t:echo": h_echo}
+def _echo(bct, chunks):
+    for mid, (value,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        bct.reply(mid, ("echo", mid, value), tag)
 
 
 def _echo_machine(num_modules: int, seed: int = 1) -> PIMMachine:
     machine = PIMMachine(num_modules=num_modules, seed=seed)
-    machine.register_all(_echo_handlers())
+    machine.register("t:echo", _echo)
     return machine
 
 
@@ -85,9 +83,10 @@ class TestDriver:
         machine = PIMMachine(num_modules=2, seed=1)
         seen = []
 
-        def h_log(ctx, value, tag=None):
-            ctx.charge(1)
-            seen.append((ctx.mid, value))
+        def h_log(bct, chunks):
+            for mid, (value,), _tag, _size in bct.rows(chunks):
+                bct.work[mid] += 1
+                seen.append((mid, value))
 
         machine.register("t:log", h_log)
         run_batch(machine, "t:mixed", _one_stage(
@@ -113,9 +112,12 @@ class TestDriver:
     def test_livelock_report_names_op_and_handler(self, monkeypatch):
         machine = PIMMachine(num_modules=2, seed=1)
 
-        def h_pingpong(ctx, hops, tag=None):
-            ctx.charge(1)
-            ctx.forward(1 - ctx.mid, "t:pingpong", (hops + 1,))
+        def h_pingpong(bct, chunks):
+            for mid, (hops,), _tag, _size in bct.rows(chunks):
+                bct.work[mid] += 1
+                bct.sent[mid] += 1
+                bct.stage_rows("t:pingpong", [(1 - mid, (hops + 1,), None,
+                                               1)])
 
         machine.register("t:pingpong", h_pingpong)
         # The driver drains with the machine's default bound; five rounds
@@ -186,14 +188,13 @@ def _structures(machine):
 def test_batches_register_no_handlers(faults):
     """Every structure registers its handlers when it is built; a session
     of batches on all of them leaves the machine's registries as they
-    were (installing a fault plan adds the protocol's envelope handler,
+    were (installing a fault plan adds the protocol's envelope body,
     before any batch runs)."""
     machine = PIMMachine(num_modules=4, seed=7)
     sl, tree, hp, rp, lsm, fg, fifo, pq, coll = _structures(machine)
     if faults:
         machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
     handlers = dict(machine._handlers)
-    batch_handlers = dict(machine._batch_handlers)
     keys = [3, 50, 51, 395, 1000]
     for structure in (sl, tree, hp, rp, lsm):
         structure.apply_batch("get", keys)
@@ -218,13 +219,11 @@ def test_batches_register_no_handlers(faults):
     coll.alltoall([{(i + 1) % 4: [i]} for i in range(4)])
     coll.histogram(list(range(20)), lambda r: r % 4)
     assert machine._handlers == handlers
-    assert machine._batch_handlers == batch_handlers
 
 
 class TestSendAllValidation:
     def test_wrong_arity_is_typed_error_at_issue_time(self):
-        machine = PIMMachine(num_modules=2, seed=1)
-        machine.register_all(_echo_handlers())
+        machine = _echo_machine(2)
         with pytest.raises(MalformedMessageError):
             machine.send_all([(0, "t:echo", (1,))])  # 3 elements
         with pytest.raises(MalformedMessageError):
@@ -232,14 +231,12 @@ class TestSendAllValidation:
 
     @pytest.mark.parametrize("size", [0, -3, 1.5, "4", None])
     def test_bad_size_element_is_typed_error(self, size):
-        machine = PIMMachine(num_modules=2, seed=1)
-        machine.register_all(_echo_handlers())
+        machine = _echo_machine(2)
         with pytest.raises(MalformedMessageError):
             machine.send_all([(0, "t:echo", (1,), None, size)])
 
     def test_valid_messages_still_pass(self):
-        machine = PIMMachine(num_modules=2, seed=1)
-        machine.register_all(_echo_handlers())
+        machine = _echo_machine(2)
         machine.send_all([(0, "t:echo", (1,), None),
                           (1, "t:echo", (2,), None, 3)])
         assert len(machine.drain()) == 2
@@ -314,7 +311,7 @@ class TestReliableDelivery:
             if schedule is not None:
                 machine.install_fault_plan(
                     build_schedule(schedule, seed=5, num_modules=4))
-            machine.register_all(_echo_handlers())
+            machine.register("t:echo", _echo)
             result = run_batch(machine, "t:two_stage",
                                _two_stage([7, 1, 5, 3]))
             return result, machine.metrics.rounds

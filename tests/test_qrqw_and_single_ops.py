@@ -21,10 +21,12 @@ class TestQRQWModel:
         but charges only 1 unit of work: under qrqw the object's queue
         length (not the charged work) bounds the round."""
 
-        def toucher(ctx, tag=None):
-            ctx.charge(1)
-            for _ in range(5):
-                ctx.touch(("obj", ctx.mid))
+        def toucher(bct, chunks):
+            for mid, _args, _tag, _size in bct.rows(chunks):
+                bct.work[mid] += 1
+                if bct.tracing:
+                    for _ in range(5):
+                        bct.touch(mid, ("obj", mid))
 
         m = PIMMachine(num_modules=4, seed=0, contention_model="qrqw")
         m.register("t", toucher)
@@ -43,9 +45,11 @@ class TestQRQWModel:
     def test_qrqw_counters_reset_per_round(self):
         m = PIMMachine(num_modules=2, seed=0, contention_model="qrqw")
 
-        def toucher(ctx, tag=None):
-            ctx.charge(1)
-            ctx.touch("x")
+        def toucher(bct, chunks):
+            for mid, _args, _tag, _size in bct.rows(chunks):
+                bct.work[mid] += 1
+                if bct.tracing:
+                    bct.touch(mid, "x")
 
         m.register("t", toucher)
         for _ in range(3):

@@ -1,4 +1,4 @@
-"""Tests for top-k selection and PIM BFS."""
+"""Tests for PIM BFS."""
 
 import random
 
@@ -6,64 +6,7 @@ import networkx as nx
 import pytest
 
 from repro import PIMMachine
-from repro.algorithms import PIMGraph, TopKSelector
-
-
-class TestTopK:
-    def make(self, data, p=8, seed=0):
-        machine = PIMMachine(num_modules=p, seed=seed)
-        parts = [data[i::p] for i in range(p)]
-        return machine, TopKSelector(machine, parts)
-
-    def test_top_k_matches_sorted(self):
-        rng = random.Random(0)
-        data = [rng.randrange(10 ** 6) for _ in range(1000)]
-        machine, sel = self.make(data)
-        for k in (1, 7, 64, 500, 1000, 2000):
-            assert sel.top_k(k) == sorted(data)[:min(k, 1000)]
-
-    def test_top_k_zero_and_negative(self):
-        machine, sel = self.make([3, 1, 2])
-        assert sel.top_k(0) == []
-        assert sel.top_k(-1) == []
-
-    def test_select_and_median(self):
-        rng = random.Random(1)
-        data = [rng.randrange(1000) for _ in range(501)]
-        machine, sel = self.make(data, seed=1)
-        s = sorted(data)
-        assert sel.select(0) == s[0]
-        assert sel.select(250) == s[250]
-        assert sel.median() == s[250]
-        with pytest.raises(IndexError):
-            sel.select(501)
-
-    def test_skewed_placement_still_safe(self):
-        """One module holds all the small values: the safety loop must
-        re-ask it rather than return a wrong answer."""
-        p = 4
-        machine = PIMMachine(num_modules=p, seed=2)
-        parts = [list(range(100)), list(range(1000, 1100)),
-                 list(range(2000, 2100)), list(range(3000, 3100))]
-        sel = TopKSelector(machine, parts)
-        assert sel.top_k(80) == list(range(80))
-
-    def test_small_k_io_is_polylog(self):
-        p = 16
-        rng = random.Random(3)
-        data = [rng.randrange(10 ** 9) for _ in range(4000)]
-        machine, sel = self.make(data, p=p, seed=3)
-        sel.top_k(1)  # pay the one-time local sorts
-        before = machine.snapshot()
-        sel.top_k(8)
-        d = machine.delta_since(before)
-        assert d.io_time < 80  # ~ quota words per module, one round
-        assert d.rounds <= 3
-
-    def test_arity_check(self):
-        machine = PIMMachine(num_modules=4, seed=4)
-        with pytest.raises(ValueError):
-            TopKSelector(machine, [[1]])
+from repro.algorithms import PIMGraph
 
 
 class TestBFS:

@@ -147,9 +147,10 @@ class TestCrashSemantics:
     def test_unprotected_send_to_dead_module_raises_typed(self):
         machine = PIMMachine(num_modules=4, seed=0)
 
-        def echo(ctx, x, tag=None):
-            ctx.charge(1)
-            ctx.reply(x, tag=tag)
+        def echo(bct, chunks):
+            for mid, (x,), tag, _size in bct.rows(chunks):
+                bct.work[mid] += 1
+                bct.reply(mid, x, tag)
 
         machine.register("echo", echo)
         machine.install_fault_plan(FaultPlan(FaultSpec(

@@ -24,22 +24,29 @@ from repro.sim.errors import (
 )
 from repro.ops import Columns, run_batch
 from repro.sim.chaos import FaultPlan, FaultSpec
-from repro.sim.machine import PIMMachine
+from repro.sim.machine import PIMMachine, ReferencePIMMachine
 
 
-def _echo(ctx, x, tag=None):
-    ctx.charge(1)
-    ctx.reply(x, tag=tag)
+def _echo(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        bct.reply(mid, x, tag)
+
+
+def _spin(bct, chunks):
+    for mid, (x,), _tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        bct.sent[mid] += 1
+        bct.stage_rows("spin", [((mid + 1) % bct.num_modules, (x,),
+                                 None, 1)])
 
 
 def _machine(chunked: bool = False) -> PIMMachine:
-    """``echo`` as a slot handler, or as a batch body that does
-    nothing."""
-    machine = PIMMachine(num_modules=4, seed=0)
-    if chunked:
-        machine.register_batch("echo", lambda bct, chunks: None)
-    else:
-        machine.register("echo", _echo)
+    """``echo`` on the engine (its messages staged as chunks), or on the
+    reference oracle (its messages in slots)."""
+    machine = (PIMMachine if chunked else ReferencePIMMachine)(
+        num_modules=4, seed=0)
+    machine.register("echo", _echo)
     return machine
 
 
@@ -100,13 +107,36 @@ class TestUnknownHandlerAtIssue:
     def test_forward_raises_at_forward_time(self):
         machine = _machine()
 
-        def bad_forwarder(ctx, x, tag=None):
-            ctx.forward((ctx.mid + 1) % 4, "not_registered", (x,))
+        def bad_forwarder(bct, chunks):
+            for mid, (x,), _tag, _size in bct.rows(chunks):
+                bct.stage_rows("not_registered", [((mid + 1) % 4, (x,),
+                                                   None, 1)])
 
         machine.register("bad_forwarder", bad_forwarder)
         machine.send(0, "bad_forwarder", (1,))
         with pytest.raises(UnknownHandlerError, match="forward time"):
             machine.drain()
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("dest", [-1, 4])
+    def test_forward_to_a_bad_module_id_rejected(self, chunked, dest):
+        """A body forwarding outside ``[0, P)`` raises ``ValueError`` on
+        the engine and on the oracle alike, before anything is staged:
+        module -1 does not run as module P - 1, and P is not a bare
+        ``IndexError`` in the middle of the round."""
+        machine = _machine(chunked)
+
+        def bad_forwarder(bct, chunks):
+            for mid, _args, _tag, _size in bct.rows(chunks):
+                bct.stage_rows("echo", [(0, (1,), None, 1),
+                                        (dest, (2,), None, 1)])
+
+        machine.register("bad_forwarder", bad_forwarder)
+        machine.send(0, "bad_forwarder", ())
+        with pytest.raises(ValueError, match=f"bad module id {dest}"):
+            machine.step()
+        assert not machine.pending
+        assert machine._active == [] and not any(machine._recv)
 
     def test_register_then_send_succeeds(self):
         machine = _machine()
@@ -201,12 +231,7 @@ class TestMalformedMessages:
 class TestLivelockReport:
     def test_drain_names_op_label_and_handler(self):
         machine = _machine()
-
-        def spin(ctx, x, tag=None):
-            ctx.charge(1)
-            ctx.forward((ctx.mid + 1) % ctx.num_modules, "spin", (x,))
-
-        machine.register("spin", spin)
+        machine.register("spin", _spin)
         machine.send(0, "spin", (1,))
         with pytest.raises(LivelockError) as ei:
             machine.drain(max_rounds=10, label="skiplist:batch_get")
@@ -218,12 +243,7 @@ class TestLivelockReport:
 
     def test_drain_without_label_omits_op_clause(self):
         machine = _machine()
-
-        def spin(ctx, x, tag=None):
-            ctx.charge(1)
-            ctx.forward((ctx.mid + 1) % ctx.num_modules, "spin", (x,))
-
-        machine.register("spin", spin)
+        machine.register("spin", _spin)
         machine.send(0, "spin", (1,))
         with pytest.raises(LivelockError) as ei:
             machine.drain(max_rounds=5)

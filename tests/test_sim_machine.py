@@ -7,9 +7,10 @@ from repro.sim.errors import UnknownHandlerError
 from repro.sim.machine import PIMMachine
 
 
-def echo(ctx, x, tag=None):
-    ctx.charge(1)
-    ctx.reply(x, tag=tag)
+def echo(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        bct.reply(mid, x, tag)
 
 
 def test_send_and_drain_roundtrip():
@@ -37,7 +38,7 @@ def test_handler_collision_rejected():
     m.register("f", echo)
     m.register("f", echo)  # same handler: idempotent
     with pytest.raises(ValueError):
-        m.register("f", lambda ctx, tag=None: None)
+        m.register("f", lambda bct, chunks: None)
 
 
 def test_h_relation_is_max_per_module_not_total():
@@ -66,13 +67,16 @@ def test_forward_counts_on_both_rounds():
     """A module->module forward is sent in round t, received in t+1."""
     m = PIMMachine(num_modules=4, seed=0)
 
-    def hop(ctx, dest, tag=None):
-        ctx.charge(1)
-        ctx.forward(dest, "land", ())
+    def hop(bct, chunks):
+        for mid, (dest,), _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            bct.sent[mid] += 1
+            bct.stage_rows("land", [(dest, (), None, 1)])
 
-    def land(ctx, tag=None):
-        ctx.charge(1)
-        ctx.reply("done")
+    def land(bct, chunks):
+        for mid, _args, _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            bct.reply(mid, "done")
 
     m.register("hop", hop)
     m.register("land", land)
@@ -89,9 +93,10 @@ def test_broadcast_is_h1_per_round():
     m = PIMMachine(num_modules=8, seed=0)
     received = []
 
-    def noop(ctx, tag=None):
-        ctx.charge(1)
-        received.append(ctx.mid)
+    def noop(bct, chunks):
+        for mid, _args, _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            received.append(mid)
 
     m.register("noop", noop)
     m.broadcast("noop", ())
@@ -112,8 +117,9 @@ def test_message_size_weights_h():
 def test_pim_time_is_sum_of_round_maxima():
     m = PIMMachine(num_modules=2, seed=0)
 
-    def work(ctx, units, tag=None):
-        ctx.charge(units)
+    def work(bct, chunks):
+        for mid, (units,), _tag, _size in bct.rows(chunks):
+            bct.work[mid] += units
 
     m.register("work", work)
     m.send(0, "work", (10,))
@@ -139,9 +145,11 @@ def test_sync_cost_counts_rounds_times_logp():
 def test_drain_raises_on_livelock():
     m = PIMMachine(num_modules=2, seed=0)
 
-    def pingpong(ctx, tag=None):
-        ctx.charge(1)
-        ctx.forward(1 - ctx.mid, "pingpong", ())
+    def pingpong(bct, chunks):
+        for mid, _args, _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 1
+            bct.sent[mid] += 1
+            bct.stage_rows("pingpong", [(1 - mid, (), None, 1)])
 
     m.register("pingpong", pingpong)
     m.send(0, "pingpong", ())
@@ -186,10 +194,11 @@ def test_random_module_in_range_and_deterministic():
 def test_tracer_round_logs():
     m = PIMMachine(num_modules=2, seed=0, trace_accesses=True)
 
-    def toucher(ctx, tag=None):
-        ctx.charge(2)
-        ctx.touch("obj")
-        ctx.touch("obj")
+    def toucher(bct, chunks):
+        for mid, _args, _tag, _size in bct.rows(chunks):
+            bct.work[mid] += 2
+            bct.touch(mid, "obj")
+            bct.touch(mid, "obj")
 
     m.register("t", toucher)
     m.send(0, "t", ())

@@ -14,15 +14,17 @@ from repro.sim.profiling import (
 )
 
 
-def _work(ctx, x, tag=None):
-    ctx.charge(1)
-    ctx.reply(x, tag=tag)
+def _work(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        bct.reply(mid, x, tag)
 
 
-def _slow(ctx, x, tag=None):
-    ctx.charge(1)
-    time.sleep(0.002)
-    ctx.reply(x, tag=tag)
+def _slow(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        time.sleep(0.002)
+        bct.reply(mid, x, tag)
 
 
 def _machine() -> PIMMachine:

@@ -12,22 +12,30 @@ from repro.sim.tracing import AccessTrace, RoundLog, Tracer
 from tests.conftest import ENGINES
 
 
-def _echo(ctx, x, tag=None):
-    ctx.charge(1)
-    ctx.touch(("node", x))
-    ctx.reply(x, tag=tag)
+def _echo(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        if bct.tracing:
+            bct.touch(mid, ("node", x))
+        bct.reply(mid, x, tag)
 
 
-def _touch_twice(ctx, x, tag=None):
-    ctx.charge(1)
-    ctx.touch(("hot", 0), count=2)
-    ctx.reply(x, tag=tag)
+def _touch_twice(bct, chunks):
+    for mid, (x,), tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        if bct.tracing:
+            bct.touch(mid, ("hot", 0))
+            bct.touch(mid, ("hot", 0))
+        bct.reply(mid, x, tag)
 
 
-def _hop(ctx, hops_left, tag=None):
-    ctx.charge(1)
-    if hops_left:
-        ctx.forward((ctx.mid + 1) % ctx.num_modules, "hop", (hops_left - 1,))
+def _hop(bct, chunks):
+    for mid, (hops_left,), _tag, _size in bct.rows(chunks):
+        bct.work[mid] += 1
+        if hops_left:
+            bct.sent[mid] += 1
+            bct.stage_rows("hop", [((mid + 1) % bct.num_modules,
+                                    (hops_left - 1,), None, 1)])
 
 
 class TestAccessTrace:
