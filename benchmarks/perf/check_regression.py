@@ -326,12 +326,21 @@ class Bench:
         round engine: ``apply_batch`` wall minus the time inside
         ``machine.drain`` and ``machine.send_all``, over the time inside
         ``drain``.  Median of ``3 * repeat`` runs of the batch after one
-        warm-up; reads leave the structure as it was."""
+        warm-up.  Every run leaves the structure as it was: reads do,
+        an Upsert of fresh keys is followed by a Delete of them and a
+        Delete is preceded by their Upsert, both untimed."""
         machine = PIMMachine(num_modules=64, seed=7)
         sl = PIMSkipList(machine)
         sl.build(build_items(16384, stride=2))
         rng = random.Random(7)
         keys = [rng.randrange(2 * 16384) for _ in range(sl.min_search_batch)]
+        fresh = [2 * i + 1 for i in rng.sample(range(16384), len(keys))]
+        batch, before, after = {
+            "get": (keys, None, None),
+            "successor": (keys, None, None),
+            "upsert": ([(k, 0) for k in fresh], None, ("delete", fresh)),
+            "delete": (fresh, ("upsert", [(k, 0) for k in fresh]), None),
+        }[op]
         inside = {"drain": 0.0, "send_all": 0.0}
 
         def timed(name: str) -> None:
@@ -349,12 +358,16 @@ class Bench:
         timed("send_all")
         ratios = []
         for _ in range(1 + 3 * self.repeat):
+            if before:
+                sl.apply_batch(*before)
             inside["drain"] = inside["send_all"] = 0.0
             start = time.perf_counter()
-            sl.apply_batch(op, keys)
+            sl.apply_batch(op, batch)
             wall = time.perf_counter() - start
             ratios.append((wall - inside["drain"] - inside["send_all"])
                           / inside["drain"])
+            if after:
+                sl.apply_batch(*after)
         return statistics.median(ratios[1:])
 
     @memo
@@ -642,6 +655,17 @@ GATES: List[Gate] = [
          lambda b: b.cpu_side_over_drain("get"), "<=", 0.45),
     Gate("CPU side / drain, 2304-key Successor",
          lambda b: b.cpu_side_over_drain("successor"), "<=", 0.50),
+    # The write routes' CPU side as columns (Delete's splice, Algorithm
+    # 1, the tower build): an Upsert of 2 304 fresh keys read 0.51 and
+    # the Delete of the same keys 0.48 (2-core VM, Python 3.11), where
+    # the per-node dict build and per-write tuple rows read 0.58-0.63
+    # and 0.87-0.95.  Each ceiling is its reading times the Successor
+    # row's margin (0.50 over 0.43).  Most of the Upsert's CPU side is
+    # its search's, which the columns did not touch.
+    Gate("CPU side / drain, 2304-key Upsert of fresh keys",
+         lambda b: b.cpu_side_over_drain("upsert"), "<=", 0.59),
+    Gate("CPU side / drain, 2304-key Delete of the same keys",
+         lambda b: b.cpu_side_over_drain("delete"), "<=", 0.56),
     # The charges and the RNG stream are PR 19's, to the last bit: how
     # the host executes the CPU side is free, what the model is billed
     # and which modules the searches start on are not.  The continuous

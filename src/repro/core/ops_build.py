@@ -38,7 +38,7 @@ from collections import Counter
 from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.node import NODE_WORDS, UPPER, Node
-from repro.core.structure import MAX_HEIGHT, SkipListStructure
+from repro.core.structure import SkipListStructure
 from repro.ops import Broadcast, Columns, run_batch
 from repro.sim.fastpath import BCAST, COLS
 
@@ -117,14 +117,7 @@ def _build_route(sl: SkipListStructure,
     if n == 0:
         return
     p = sl.num_modules
-    # ``sl.draw_height`` per item, inlined: the same stream.
-    coin, promote = sl.rng.random, sl.level_p
-    heights: List[int] = []
-    for _ in items:
-        h = 0
-        while h < MAX_HEIGHT and coin() < promote:
-            h += 1
-        heights.append(h)
+    heights = sl.draw_heights(n)
     max_h = max(heights)
     grown_from = len(sl.sentinels)
     if max_h + 1 > sl.top_level:

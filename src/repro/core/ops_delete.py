@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence
 
 from repro.core.node import Node
 from repro.core.ops_write import write_stage
 from repro.core.structure import SkipListStructure
-from repro.cpuside.list_contraction import ContractionList
+from repro.cpuside.list_contraction import contract_rows
 from repro.cpuside.semisort import group_positions
 from repro.ops import Broadcast, run_batch
 from repro.sim.cpu import WorkDepth
@@ -162,25 +162,28 @@ def _delete_route(sl, keys):
         distinct = list(group_positions(cpu, keys))
         replies = yield sl.shortcut_stage(f"{sl.name}:del_mark",
                                           distinct, zip(distinct))
-        marked: List[Tuple[Node, Optional[Node], Optional[Node]]] = []
+        marked: List[Node] = []
+        lefts: List[Optional[Node]] = []
+        rights: List[Optional[Node]] = []
         upper_leaves: List[Node] = []
         not_found = 0
         deleted = 0
         for r in replies:
             payload = r.payload
-            if payload[0] == "notfound":
+            kind = payload[0]
+            if kind == "notfound":
                 not_found += 1
-            elif payload[0] == "marked":
-                _, _key, leaf, left, right, up_ref = payload
-                marked.append((leaf, left, right))
+                continue
+            if kind == "marked":
+                _, _key, node, left, right, up_ref = payload
                 deleted += 1
-                if up_ref is not None:
-                    upper_leaves.append(up_ref)
             else:  # marked_node
                 _, node, left, right, up_ref = payload
-                marked.append((node, left, right))
-                if up_ref is not None:
-                    upper_leaves.append(up_ref)
+            marked.append(node)
+            lefts.append(left)
+            rights.append(right)
+            if up_ref is not None:
+                upper_leaves.append(up_ref)
 
         # -- stage 2a: replicated upper towers, by broadcast ---------
         if upper_leaves:
@@ -189,14 +192,14 @@ def _delete_route(sl, keys):
 
         # -- stage 2b: lower splice via parallel list contraction ----
         if marked:
-            yield _splice_lower(sl, marked)
+            yield _splice_lower(sl, marked, lefts, rights)
 
         # -- teardown (host memory only; no model cost) --------------
         # Every marked node is out of the structure now.  Consecutive
         # deleted neighbors and each tower's up/down/up_chain links
         # are reference cycles; cut them so the towers die with this
         # batch's temporaries.
-        for node, _left, _right in marked:
+        for node in marked:
             node.clear_links()
         for u in upper_leaves:
             while u is not None:
@@ -218,54 +221,62 @@ def batch_delete(sl: SkipListStructure,
                      _delete_route(sl, keys))
 
 
-def _splice_lower(sl: SkipListStructure,
-                  marked: List[Tuple[Node, Optional[Node], Optional[Node]]],
-                  ) -> list:
-    """Contract the marked lower nodes out of their horizontal lists and
-    build the RemoteWrite stage of only the changed adjacencies."""
+def _splice_lower(sl: SkipListStructure, nodes: List[Node],
+                  lefts: List[Optional[Node]],
+                  rights: List[Optional[Node]]) -> list:
+    """Contract the marked lower ``nodes`` (with their reported
+    ``lefts`` / ``rights``, in reply order) out of their horizontal lists
+    and build the RemoteWrite stage of only the changed adjacencies.
+
+    The copy in shared memory is index columns: marked node ``i`` is row
+    ``i``, and each unmarked neighbor gets the next row on its first
+    mention, left before right.  Only an unmarked row that was a marked
+    node's left neighbor has a right pointer that changes, so its new
+    right adjacency (both ways) is the write, in row order."""
     cpu = sl.machine.cpu
-    by_nid: Dict[int, Node] = {}
-    clist = ContractionList()
-    original_right: Dict[int, Optional[int]] = {}
+    m = len(nodes)
+    row = dict(zip(nodes, range(m)))
+    if len(row) != m:
+        raise ValueError("a node was marked twice")
+    left = [-1] * (3 * m)  # room for m marked rows and 2m neighbors
+    right = [-1] * (3 * m)
+    add = row.setdefault
+    i = 0
+    for lf, rt in zip(lefts, rights):
+        if lf is not None:
+            j = add(lf, len(row))
+            left[i] = j
+            right[j] = i
+        if rt is not None:
+            j = add(rt, len(row))
+            right[i] = j
+            left[j] = i
+        i += 1
+    objs = list(row)
+    total = len(objs)
+    bounds = [j for j in range(m, total) if right[j] >= 0]
 
-    entries: List[Tuple[int, Optional[int], Optional[int]]] = []
-    for node, left, right in marked:
-        by_nid[node.nid] = node
-        if left is not None:
-            by_nid.setdefault(left.nid, left)
-        if right is not None:
-            by_nid.setdefault(right.nid, right)
-        entries.append((node.nid, left.nid if left else None,
-                        right.nid if right else None))
-        original_right[node.nid] = right.nid if right else None
-        if left is not None:
-            original_right.setdefault(left.nid, node.nid)
-
-    clist.add_adjacency(entries)
-    words = 4 * len(by_nid)
+    words = 4 * total
     with cpu.region(words):
-        stats = clist.contract(sl.machine.spawn_rng(0x11C7))
-        links = clist.links()
-    total = len(by_nid)
+        rounds, work = contract_rows(list(range(m)), left, right,
+                                     sl.machine.spawn_rng(0x11C7))
     logt = max(1.0, math.log2(total + 1))
-    cpu.charge_wd(WorkDepth(max(total, stats.work), stats.rounds + logt))
+    cpu.charge_wd(WorkDepth(max(total, work), rounds + logt))
 
-    nodes: List[Node] = []
+    out: List[Node] = []
     fields: List[str] = []
     values: List[Optional[Node]] = []
-    writes = 0
-    for a_nid, b_nid in links:
-        if original_right.get(a_nid, b_nid) == b_nid:
-            continue  # adjacency unchanged; no write needed
-        a = by_nid[a_nid]
-        b = by_nid[b_nid] if b_nid is not None else None
-        nodes.append(a)
-        fields.append("right")
-        values.append(b)
-        if b is not None:
-            nodes.append(b)
-            fields.append("left")
-            values.append(a)
-        writes += 1
-    cpu.charge_wd(WorkDepth(writes + 1, logt))
-    return write_stage(sl, nodes, fields, values)
+    for j in bounds:
+        a = objs[j]
+        r = right[j]
+        if r >= 0:
+            b = objs[r]
+            out += (a, b)
+            fields += ("right", "left")
+            values += (b, a)
+        else:
+            out.append(a)
+            fields.append("right")
+            values.append(None)
+    cpu.charge_wd(WorkDepth(len(bounds) + 1, logt))
+    return write_stage(sl, out, fields, values)

@@ -59,6 +59,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import merge
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
@@ -71,7 +72,7 @@ from repro.core.ops_write import write_stage
 from repro.core.structure import SkipListStructure
 from repro.cpuside.semisort import dedup_last
 from repro.cpuside.sort import parallel_sort
-from repro.ops import Broadcast, run_batch
+from repro.ops import Broadcast, Columns, run_batch
 from repro.sim.cpu import WorkDepth
 
 
@@ -164,41 +165,52 @@ def make_handlers(sl: SkipListStructure) -> None:
     machine.register(f"{name}:ups_upper_link", batch_upper_link)
 
 
-@dataclass
-class _Tower:
-    key: Hashable
-    height: int
-    nodes: List[Node]  # levels 0..height
-
-
 def _build_towers(sl: SkipListStructure,
                   items: Sequence[Tuple[Hashable, Any]],
-                  heights: Sequence[int]) -> List[_Tower]:
-    """Create each item's tower: nodes with vertical pointers and leaf
-    metadata, the lower-part nodes placed one level of the batch at a
-    time."""
+                  heights: Sequence[int],
+                  ) -> Tuple[List[List[Node]], List[Sequence[int]],
+                             List[Node], List[Node]]:
+    """Create each item's tower -- nodes with vertical pointers and leaf
+    metadata -- one level of the batch at a time.
+
+    Returns ``(levels, reach, lower, upper)``: ``levels[lvl]`` holds the
+    level-``lvl`` nodes of the towers that reach that lower level, in
+    key order, and ``reach[lvl]`` those towers' positions; ``lower`` /
+    ``upper`` hold every lower- / upper-part node tower by tower, level
+    by level within a tower (the order phases C and E send them in).
+    """
     h_low = sl.h_low
     owners = sl.lower_owners([k for k, _ in items], heights)
-    towers: List[_Tower] = []
-    for (key, value), height in zip(items, heights):
-        nodes: List[Node] = []
-        below: Optional[Node] = None
-        for lvl in range(height + 1):
-            if lvl >= h_low:
-                node = sl.make_upper_node(key, lvl)
-            else:
-                node = Node(key, lvl, next(owners[lvl]),
-                            value if lvl == 0 else None)
-            if below is not None:
-                below.up = node
-                node.down = below
-            nodes.append(node)
-            below = node
-        leaf = nodes[0]
-        leaf.up_chain = nodes[1:h_low]
+    below = [Node(key, 0, owner, value)
+             for (key, value), owner in zip(items, owners[0])]
+    levels = [below]
+    reach: List[Sequence[int]] = [range(len(below))]
+    towers = [[leaf] for leaf in below]  # each tower's lower nodes
+    for lvl in range(1, len(owners)):  # every level some tower reaches
+        idx = [j for j in reach[-1] if heights[j] >= lvl]
+        nodes = [Node(items[j][0], lvl, owner)
+                 for j, owner in zip(idx, owners[lvl])]
+        for j, node in zip(idx, nodes):
+            tower = towers[j]
+            b = tower[-1]
+            b.up = node
+            node.down = b
+            tower.append(node)
+        levels.append(nodes)
+        reach.append(idx)
+    upper: List[Node] = []
+    for leaf, tower, height in zip(below, towers, heights):
+        leaf.up_chain = tower[1:]
         leaf.has_upper = height >= h_low
-        towers.append(_Tower(key=key, height=height, nodes=nodes))
-    return towers
+        if height >= h_low:
+            b = tower[-1]
+            for lvl in range(h_low, height + 1):
+                node = sl.make_upper_node(leaf.key, lvl)
+                b.up = node
+                node.down = b
+                upper.append(node)
+                b = node
+    return levels, reach, list(chain.from_iterable(towers)), upper
 
 
 def _upsert_route(sl, pairs, riders, ranges):
@@ -223,20 +235,18 @@ def _upsert_route(sl, pairs, riders, ranges):
 
         # -- phase B: sort, draw heights, build towers ----------------
         missing = parallel_sort(cpu, missing, key=itemgetter(0))
-        heights = [sl.draw_height() for _ in missing]
-        towers = _build_towers(sl, missing, heights)
-        tower_words = sum(t.height + 1 for t in towers)
+        heights = sl.draw_heights(len(missing))
+        tiers, reach, lower, upper_nodes = _build_towers(sl, missing,
+                                                         heights)
+        tower_words = len(lower) + len(upper_nodes)
         cpu.alloc(tower_words)
         shared_words += tower_words
         cpu.charge_wd(WorkDepth(tower_words,
-                                max(1.0, math.log2(len(towers) + 1)) + 8))
+                                max(1.0, math.log2(len(missing) + 1)) + 8))
 
         # -- phase C: deliver lower-part nodes -----------------------
-        fn_insert_lower = f"{sl.name}:ups_insert_lower"
-        yield (
-            (node.owner, fn_insert_lower, (node,), None)
-            for t in towers for node in t.nodes
-            if not sl.is_upper_level(node.level))
+        yield [Columns(f"{sl.name}:ups_insert_lower",
+                       [node.owner for node in lower], (lower,))]
 
         # -- phase D: batched Predecessor on the old structure -------
         # Riders join at record level -1 (Successor keys) and h_low - 1
@@ -268,10 +278,6 @@ def _upsert_route(sl, pairs, riders, ranges):
         if max_h + 1 > sl.top_level:
             added = (max_h + 1) - sl.top_level
             yield [Broadcast(f"{sl.name}:grow", (max_h, added))]
-        upper_nodes = [
-            node for t in towers for node in t.nodes
-            if sl.is_upper_level(node.level)
-        ]
         if upper_nodes:
             fn_prepare = f"{sl.name}:ups_upper_prepare"
             yield [Broadcast(fn_prepare, (node,))
@@ -281,7 +287,7 @@ def _upsert_route(sl, pairs, riders, ranges):
                    for node in upper_nodes]
 
         # -- phase F: Algorithm 1 (lower horizontal pointers) --------
-        yield _algorithm1(sl, towers, outcomes)
+        yield _algorithm1(sl, tiers, reach, outcomes)
 
         mine = len(missing)
         sl.num_keys += mine
@@ -370,49 +376,57 @@ def batch_upsert(sl: SkipListStructure,
                      _upsert_route(sl, pairs, list(riders), list(ranges)))
 
 
-def _algorithm1(sl: SkipListStructure, towers: List[_Tower],
-                outcomes) -> list:
+def _algorithm1(sl: SkipListStructure, levels: List[List[Node]],
+                reach: List[Sequence[int]], outcomes) -> list:
     """Build the RemoteWrites of the paper's Algorithm 1 as one route
     stage.
 
-    ``towers`` are key-sorted; ``outcomes[j].by_level[i]`` holds the old
-    structure's (pred, pred.right) at level ``i`` for tower ``j``.  For
-    each lower level, runs of new nodes sharing an old segment are chained
-    together; the run ends attach to the old pred/succ.  Every pointer is
-    written exactly once: write ``i`` is ``nodes[i].fields[i] =
-    values[i]``.
+    ``levels[i]`` holds the new level-``i`` nodes in key order, of the
+    towers at positions ``reach[i]``; ``outcomes[j].by_level[i]`` holds
+    the old structure's (pred, pred.right) at level ``i`` for tower
+    ``j``.  For each lower level, runs of new nodes sharing an old
+    segment are chained together; the run ends attach to the old
+    pred/succ.  Every pointer is written exactly once: write ``i`` is
+    ``nodes[i].fields[i] = values[i]``, node by node within a level:
+    its right pointer, the left pointer of its right neighbor, and --
+    for the first node of a run -- the pred's right pointer and its own
+    left pointer.
     """
     cpu = sl.machine.cpu
+    by_level = [o.by_level for o in outcomes]
     nodes: List[Node] = []
     fields: List[str] = []
     values: List[Optional[Node]] = []
     total = 0
-    for lvl in range(sl.h_low):
-        row: List[Tuple[Node, Node, Optional[Node]]] = []
-        for t, outcome in zip(towers, outcomes):
-            if t.height < lvl:
-                continue
-            pred, succ = outcome.by_level[lvl]
-            row.append((t.nodes[lvl], pred, succ))
-        m = len(row)
-        for j, (cur, pred, succ) in enumerate(row):
-            right_end = (j == m - 1) or (row[j + 1][2] is not succ)
-            right = succ if right_end else row[j + 1][0]
-            nodes.append(cur)
-            fields.append("right")
-            values.append(right)
-            if right is not None:
-                nodes.append(right)
-                fields.append("left")
-                values.append(cur)
-            left_end = (j == 0) or (row[j - 1][1] is not pred)
-            if left_end:
-                nodes.append(pred)
-                fields.append("right")
-                values.append(cur)
+    for lvl, (curs, idx) in enumerate(zip(levels, reach)):
+        segs = [by_level[j][lvl] for j in idx]
+        preds = [pred for pred, _ in segs]
+        succs = [succ for _, succ in segs]
+        # a run continues while the next node shares this one's succ,
+        # and starts where the pred changes (_END matches neither)
+        for cur, pred, succ, nxt, nsucc, ppred in zip(
+                curs, preds, succs, curs[1:] + [None],
+                succs[1:] + [_END], [_END] + preds):
+            right = nxt if nsucc is succ else succ
+            if right is None:
                 nodes.append(cur)
-                fields.append("left")
-                values.append(pred)
-        total += m
+                fields.append("right")
+                values.append(None)
+            else:
+                nodes += (cur, right)
+                fields += _RIGHT_LEFT
+                values += (right, cur)
+            if ppred is not pred:
+                nodes += (pred, cur)
+                fields += _RIGHT_LEFT
+                values += (cur, pred)
+        total += len(curs)
     cpu.charge_wd(WorkDepth(2 * total + 1, max(1.0, math.log2(total + 2)) + 8))
     return write_stage(sl, nodes, fields, values)
+
+
+_END = object()
+"""Neither a pred nor a succ: what the first node's previous pred and
+the last node's next succ read as."""
+
+_RIGHT_LEFT = ("right", "left")

@@ -173,12 +173,17 @@ class SkipListStructure:
         return [iter(owners) for owners
                 in self.hash.module_of_levels(keys, heights, levels)]
 
-    def draw_height(self) -> int:
-        """Tower top level: geometric(1/2), so the tower spans 0..height."""
-        h = 0
-        while h < MAX_HEIGHT and self.rng.random() < self.level_p:
-            h += 1
-        return h
+    def draw_heights(self, n: int) -> List[int]:
+        """``n`` towers' top levels, in order: each geometric(1/2), so a
+        tower spans 0..height."""
+        coin, promote = self.rng.random, self.level_p
+        heights: List[int] = []
+        for _ in range(n):
+            h = 0
+            while h < MAX_HEIGHT and coin() < promote:
+                h += 1
+            heights.append(h)
+        return heights
 
     # ------------------------------------------------------------------
     # node creation / destruction (with memory accounting)

@@ -13,7 +13,9 @@ cites (Blelloch et al. [9]):
 - randomized parallel list contraction with ``O(n)`` expected work and
   ``O(log n)`` whp depth, used by batched Delete to splice runs of deleted
   nodes out of the horizontal linked lists
-  (:mod:`repro.cpuside.list_contraction`).
+  (:mod:`repro.cpuside.list_contraction`; batched Delete builds its index
+  columns itself and calls :func:`contract_rows`, the loop
+  :class:`ContractionList` runs too).
 
 Each primitive *executes* the real computation (sequentially, in Python)
 and *charges* the canonical work/depth of the parallel algorithm to the
@@ -38,7 +40,8 @@ The generic forms stay as the reference the property tests compare them
 with (``tests/test_cpuside.py``).
 """
 
-from repro.cpuside.list_contraction import ContractionList, splice_out_marked
+from repro.cpuside.list_contraction import (ContractionList, contract_rows,
+                                            splice_out_marked)
 from repro.cpuside.primitives import (
     pfilter,
     pflatten,
@@ -58,6 +61,7 @@ from repro.cpuside.sort import merge_sorted, parallel_sort, sort_positions
 
 __all__ = [
     "ContractionList",
+    "contract_rows",
     "dedup",
     "dedup_last",
     "group_by",

@@ -19,7 +19,10 @@ rounds whp.
 The simulator executes the rounds for real (so correctness is tested, not
 assumed) and charges the *measured* work (sum of live nodes over rounds)
 and depth (rounds + fork-tree ``log``), which realizes the canonical
-bounds.
+bounds.  :func:`contract_rows` is the one contraction loop: it runs over
+index columns, which batched Delete builds straight from its marking
+replies and :class:`ContractionList` builds from chains or adjacency
+records.
 """
 
 from __future__ import annotations
@@ -30,6 +33,58 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.sim.cpu import CPUSide, WorkDepth
+
+
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+"""Byte -> its top bit, for :meth:`bytes.translate`."""
+
+
+def contract_rows(live: List[int], left: List[int], right: List[int],
+                  rng: random.Random) -> Tuple[int, int]:
+    """The random-mate contraction over index columns; returns the
+    measured ``(rounds, work)``.
+
+    ``left`` / ``right`` hold each row's neighbor row (-1 for none) and
+    are rewired in place; ``live`` lists the marked rows, in the order
+    their coins are drawn, and every other row is unmarked.  A round
+    draws its ``k`` coins as one ``rng.getrandbits(32 * k)``: coin ``i``
+    is the top bit of 32-bit word ``i``, which is exactly what the
+    ``i``-th of ``k`` calls of ``rng.getrandbits(1)`` returns, and the
+    generator ends in the same state (CPython fills the words least
+    significant first, one 32-bit output each;
+    ``tests/test_list_contraction.py`` pins it).
+    """
+    # coin[-1] is the spare last byte: "no left neighbor" reads tails,
+    # as an unmarked row does (only live rows are ever written).  A live
+    # row's left neighbor is never a spliced row (splicing rewires
+    # around it), so stale coins of dead rows are never read.
+    coin = bytearray(len(left) + 1)
+    rounds = 0
+    work = 0
+    while live:
+        k = len(live)
+        rounds += 1
+        work += k
+        coins = rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4]
+        for row, c in zip(live, coins.translate(_TOP_BIT)):
+            coin[row] = c
+        # heads, and no marked left neighbor that is also heads (that
+        # one goes first; adjacent marked rows never splice together)
+        to_splice: List[int] = []
+        waiting: List[int] = []
+        for row in live:
+            if coin[row] and not coin[left[row]]:
+                to_splice.append(row)
+            else:
+                waiting.append(row)
+        for row in to_splice:
+            lf, rt = left[row], right[row]
+            if lf >= 0:
+                right[lf] = rt
+            if rt >= 0:
+                left[rt] = lf
+        live = waiting
+    return rounds, work
 
 
 @dataclass
@@ -131,40 +186,9 @@ class ContractionList:
         pointers bypass every marked node.  Query the result with
         :meth:`links`.
         """
-        marked, left, right = self._marked, self._left, self._right
-        live = [row for row, m in enumerate(marked) if m]
-        # A live node's left neighbor is never a spliced node (splicing
-        # rewires around it), so stale coins of dead rows are never read.
-        coin = [0] * len(marked)
-        rounds = 0
-        work = 0
-        spliced_total = 0
-        while live:
-            rounds += 1
-            for row in live:
-                coin[row] = rng.getrandbits(1)
-            work += len(live)
-            to_splice: List[int] = []
-            waiting: List[int] = []
-            for row in live:
-                if coin[row]:
-                    lf = left[row]
-                    # heads, and no marked left neighbor that is also
-                    # heads (that one goes first; adjacent marked nodes
-                    # never splice in the same round)
-                    if lf < 0 or not marked[lf] or not coin[lf]:
-                        to_splice.append(row)
-                        continue
-                waiting.append(row)
-            for row in to_splice:
-                lf, rt = left[row], right[row]
-                if lf >= 0:
-                    right[lf] = rt
-                if rt >= 0:
-                    left[rt] = lf
-            spliced_total += len(to_splice)
-            live = waiting
-        return ContractionStats(rounds=rounds, work=work, spliced=spliced_total)
+        live = [row for row, m in enumerate(self._marked) if m]
+        rounds, work = contract_rows(live, self._left, self._right, rng)
+        return ContractionStats(rounds=rounds, work=work, spliced=len(live))
 
     def links(self) -> List[Tuple[Optional[Hashable], Optional[Hashable]]]:
         """New (left_ident, right_ident) adjacencies between survivors.

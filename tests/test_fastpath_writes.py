@@ -429,10 +429,10 @@ class TestUpsertInstall:
         new_keys = [k * STRIDE + 7 for k in (5, 60, 61, 120)]
         for sl in pair:
             s = sl.struct
-            towers = _build_towers(
+            _, _, lower, upper = _build_towers(
                 s, [(k, -k) for k in new_keys],
                 [s.h_low + (i % 2) for i in range(len(new_keys))])
-            nodes = [n for t in towers for n in t.nodes]
+            nodes = lower + upper
             sl.machine.send_all(
                 (n.owner, f"{s.name}:ups_insert_lower", (n,), None)
                 for n in nodes if not s.is_upper_level(n.level))

@@ -132,3 +132,18 @@ def test_contraction_matches_reference(marks, seed):
     cl.add_chain(chain)
     cl.contract(random.Random(seed))
     assert cl.links() == reference_splice(chain)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 33, 1000])
+@pytest.mark.parametrize("seed", [0, 0x11C7, 2**40 + 3])
+def test_one_wide_draw_is_k_one_bit_draws(k, seed):
+    """The CPython detail ``contract_rows`` relies on: the top bit of
+    32-bit word ``i`` of ``getrandbits(32 * k)`` is the ``i``-th of ``k``
+    ``getrandbits(1)`` calls, and both generators end in the same
+    state."""
+    wide, narrow = random.Random(seed), random.Random(seed)
+    bits = wide.getrandbits(32 * k)
+    assert [(bits >> (32 * i + 31)) & 1 for i in range(k)] == [
+        narrow.getrandbits(1) for _ in range(k)]
+    assert wide.getstate() == narrow.getstate()
+    assert wide.getrandbits(64) == narrow.getrandbits(64)

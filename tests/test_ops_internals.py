@@ -58,40 +58,43 @@ class TestBuildTower:
     def test_short_tower_all_lower(self):
         machine, sl, _ = make_skiplist(num_modules=16, n=10, seed=54)
         s = sl.struct
-        t, = _build_towers(s, [(999, "v")], [1])
-        assert [n.level for n in t.nodes] == [0, 1]
-        assert all(n.owner != UPPER for n in t.nodes)
-        leaf = t.nodes[0]
+        levels, reach, lower, upper = _build_towers(s, [(999, "v")], [1])
+        assert [n.level for n in lower] == [0, 1] and upper == []
+        assert levels == [[lower[0]], [lower[1]]]
+        assert [list(r) for r in reach] == [[0], [0]]
+        assert all(n.owner != UPPER for n in lower)
+        leaf = lower[0]
         assert leaf.value == "v"
-        assert leaf.up_chain == [t.nodes[1]]
+        assert leaf.up_chain == [lower[1]]
         assert leaf.has_upper is False
-        assert t.nodes[0].up is t.nodes[1]
-        assert t.nodes[1].down is t.nodes[0]
+        assert lower[0].up is lower[1]
+        assert lower[1].down is lower[0]
 
     def test_tall_tower_crosses_into_upper_part(self):
         machine, sl, _ = make_skiplist(num_modules=16, n=10, seed=55)
         s = sl.struct  # h_low = 4
-        t, = _build_towers(s, [(999, "v")], [6])
-        lowers = [n for n in t.nodes if n.level < s.h_low]
-        uppers = [n for n in t.nodes if n.level >= s.h_low]
+        _, _, lowers, uppers = _build_towers(s, [(999, "v")], [6])
+        assert [n.level for n in lowers + uppers] == list(range(7))
         assert len(lowers) == 4 and len(uppers) == 3
         assert all(n.owner == UPPER for n in uppers)
-        leaf = t.nodes[0]
+        leaf = lowers[0]
         assert leaf.has_upper is True
         assert leaf.up_chain == lowers[1:]
         # vertical chain is continuous across the boundary
-        for below, above in zip(t.nodes, t.nodes[1:]):
+        tower = lowers + uppers
+        for below, above in zip(tower, tower[1:]):
             assert below.up is above and above.down is below
         # the new upper leaf carries a per-module next-leaf array
-        boundary = t.nodes[s.h_low]
+        boundary = tower[s.h_low]
         assert boundary.next_leaf is not None
         assert len(boundary.next_leaf) == 16
 
     def test_owners_follow_the_hash(self):
         machine, sl, _ = make_skiplist(num_modules=8, n=10, seed=56)
         s = sl.struct
-        t, = _build_towers(s, [(555, None)], [2])
-        for n in t.nodes:
+        _, _, lower, _ = _build_towers(s, [(555, None)], [2])
+        assert len(lower) == 3
+        for n in lower:
             if n.level < s.h_low:
                 assert n.owner == s.owner_of(555, n.level)
 

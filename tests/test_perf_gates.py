@@ -85,6 +85,17 @@ def test_exact_rows_pass():
     assert gates.run(gates.Bench(repeat=1), EXACT_ROWS) == []
 
 
+def test_cpu_side_rows_are_gated():
+    """The timed rows that hold each batch route's CPU side under a
+    ceiling of its round engine's time (run by CI's perf-smoke job,
+    not here): a Python frame per key back on a route fails one."""
+    ceilings = {g.name for g in gates.GATES if g.cmp == "<="}
+    assert {"CPU side / drain, 2304-key Get",
+            "CPU side / drain, 2304-key Successor",
+            "CPU side / drain, 2304-key Upsert of fresh keys",
+            "CPU side / drain, 2304-key Delete of the same keys"} <= ceilings
+
+
 def test_a_failing_row_is_reported_and_an_info_row_never_fails(capsys):
     rows = [
         gates.Gate("short of the floor", lambda b: 1.0, ">=", 2.0),
