@@ -419,22 +419,25 @@ class Bench:
         write tick), the same with the first 13 ranges of ``range26``
         riding too (a ``serve_mixed`` write tick), and 218 Gets, 13
         Successor keys and 13 ranges on the PIM-tree (a
-        ``serve_read_pimtree`` tick's mix).
+        ``serve_read_pimtree`` tick's mix), and that tick's mix led by
+        the first 13 pairs of the 64-key Upsert (its write tick).
         ``(name, "read rows")`` counts the group's messages of the
         PIM-tree's five read functions that reached ``send_all`` as rows
         (none on the skip list)."""
         batches = _width_batches()
         rng = random.Random(7)
+        reads = [("get", [rng.randrange(2 * 16384) for _ in range(218)]),
+                 batches["successor13"],
+                 ("range", batches["range26"][1][:13])]
         groups = {
             "skiplist": (PIMSkipList, [batches["upsert64"],
                                        batches["successor13"]]),
             "skiplist+range": (PIMSkipList, [
                 batches["upsert64"], batches["successor13"],
                 ("range", batches["range26"][1][:13])]),
-            "pimtree": (PIMTree, [
-                ("get", [rng.randrange(2 * 16384) for _ in range(218)]),
-                batches["successor13"],
-                ("range", batches["range26"][1][:13])]),
+            "pimtree": (PIMTree, reads),
+            "pimtree+upsert": (PIMTree, [
+                ("upsert", batches["upsert64"][1][:13])] + reads),
         }
         cells = {}
         for name, (cls, group) in groups.items():
@@ -743,6 +746,18 @@ GATES: List[Gate] = [
     Gate("read group: pimtree apart, (rounds, io, messages)",
          lambda b: b.tick_groups()["pimtree", "apart"],
          "==", (10, 105.0, 1127), EXACT),
+    # The PIM-tree's write group: 13 fresh keys descend with the reads'
+    # queries and their leaf writes share the reads' first leaf round;
+    # the 13 leaves they overfill split after the reads' second hop:
+    # 6 rounds = 2 descent + 2 leaf hops + pull + store.  Apart, the
+    # Upsert pays its own descent and write: 15 = 5 + 10.
+    Gate("write group: pimtree 13 Upserts + the read group, "
+         "(rounds, io, messages)",
+         lambda b: b.tick_groups()["pimtree+upsert", "group"],
+         "==", (6, 141.0, 1862), EXACT),
+    Gate("write group: pimtree apart, (rounds, io, messages)",
+         lambda b: b.tick_groups()["pimtree+upsert", "apart"],
+         "==", (15, 166.0, 1957), EXACT),
     # The tree's reads leave a route as one ``Columns`` element per
     # function and stage; the driver sends an element as rows below
     # COLUMNS_CROSSOVER messages only: the 13 ranges' scans and the

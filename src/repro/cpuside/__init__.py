@@ -14,8 +14,7 @@ cites (Blelloch et al. [9]):
   ``O(log n)`` whp depth, used by batched Delete to splice runs of deleted
   nodes out of the horizontal linked lists
   (:mod:`repro.cpuside.list_contraction`; batched Delete builds its index
-  columns itself and calls :func:`contract_rows`, the loop
-  :class:`ContractionList` runs too).
+  columns itself and calls :func:`contract_rows`).
 
 Each primitive *executes* the real computation (sequentially, in Python)
 and *charges* the canonical work/depth of the parallel algorithm to the
@@ -40,8 +39,7 @@ The generic forms stay as the reference the property tests compare them
 with (``tests/test_cpuside.py``).
 """
 
-from repro.cpuside.list_contraction import (ContractionList, contract_rows,
-                                            splice_out_marked)
+from repro.cpuside.list_contraction import contract_rows
 from repro.cpuside.primitives import (
     pfilter,
     pflatten,
@@ -60,7 +58,6 @@ from repro.cpuside.semisort import (
 from repro.cpuside.sort import merge_sorted, parallel_sort, sort_positions
 
 __all__ = [
-    "ContractionList",
     "contract_rows",
     "dedup",
     "dedup_last",
@@ -76,5 +73,4 @@ __all__ = [
     "pscan_exclusive",
     "semisort",
     "sort_positions",
-    "splice_out_marked",
 ]

@@ -8,12 +8,12 @@ small per-tenant requests become machine-sized batches, one scheduler
 - a tick serves one **kind**, chosen FIFO: the kind of the *oldest*
   waiting request goes first, so no kind can starve.  A kind is one
   **tick group** of the structure's (``TICK_GROUPS``: Upsert +
-  Successor + Range on the skip list, all three reads on the PIM-tree;
-  every other class, and every class of any other structure, alone):
-  its classes are drained in the same tick and reach the structure as
-  one ``apply_group`` call, because run back to back they would each
-  pay the same search.  A group holds at most one write, and it goes
-  first;
+  Successor + Range on the skip list, the Upsert and all three reads on
+  the PIM-tree; every other class, and every class of any other
+  structure, alone): its classes are drained in the same tick and reach
+  the structure as one ``apply_group`` call, because run back to back
+  they would each pay the same search (the skip list's) or descent (the
+  PIM-tree's).  A group holds at most one write, and it goes first;
 - a batch is still **same-op** (the model's batch constraint -- a batch
   has one operation type): a grouped tick is one :class:`MergedBatch`
   per class, journaled and demuxed class by class, in drain order.  A
@@ -38,7 +38,9 @@ with request shares q complete 2N / (1 + sum q^2) requests per cycle of
 G ticks whatever G is, so draining everything every tick (G = 1) only
 throws away what accumulates between a class's turns, while merging the
 classes that *share work* removes their duplicated rounds and keeps it
-(DESIGN.md §18).
+(DESIGN.md §18).  On the PIM-tree every class but Delete shares the
+descent, so a workload without Deletes runs one kind: every tick
+drains every head.
 
 The result is a list of :class:`MergedBatch`: the concatenated payload
 plus the per-request slices the demux stage uses to route each

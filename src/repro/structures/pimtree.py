@@ -54,7 +54,7 @@ from itertools import repeat
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.balls.hashing import KeyLevelHash, stable_hash
-from repro.core.skiplist import READ_OPS, group_payloads
+from repro.core.skiplist import group_payloads
 from repro.cpuside.semisort import group_positions
 from repro.ops import Broadcast, Columns, run_batch
 from repro.sim.fastpath import COLS
@@ -645,26 +645,27 @@ class PIMTree:
         run_batch(self.machine, f"{self.name}:build",
                   _build_route(self, items))
 
-    def _read(self, reads: Sequence[Tuple[str, Sequence]]) -> List[list]:
-        parts = [_READ_PARTS[op](self, payload) for op, payload in reads]
-        suffix = parts[0].suffix if len(parts) == 1 else "batch_reads"
+    def _tick(self, batches: Sequence[Tuple[str, Sequence]]) -> List[Any]:
+        parts = [_PARTS[op](self, payload) for op, payload in batches]
+        lead = parts[0]
+        suffix = (lead.suffix if len(parts) == 1
+                  or isinstance(lead, _UpsertPart) else "batch_reads")
         return run_batch(self.machine, f"{self.name}:{suffix}",
-                         _read_route(self, parts))
+                         _tick_route(self, parts))
 
     def batch_get(self, keys: Sequence[Hashable]) -> List[Optional[Any]]:
-        return self._read([("get", keys)])[0]
+        return self._tick([("get", keys)])[0]
 
     def batch_successor(self, keys: Sequence[Hashable],
                         ) -> List[Optional[Tuple[Hashable, Any]]]:
-        return self._read([("successor", keys)])[0]
+        return self._tick([("successor", keys)])[0]
 
     def batch_range(self, ops: Sequence[Tuple[Hashable, Hashable]],
                     ) -> List[List[Tuple[Hashable, Any]]]:
-        return self._read([("range", ops)])[0]
+        return self._tick([("range", ops)])[0]
 
     def batch_upsert(self, pairs: Sequence[Tuple[Hashable, Any]]) -> None:
-        run_batch(self.machine, f"{self.name}:batch_upsert",
-                  _upsert_route(self, pairs))
+        self._tick([("upsert", pairs)])
 
     def batch_delete(self, keys: Sequence[Hashable]) -> None:
         run_batch(self.machine, f"{self.name}:batch_delete",
@@ -690,20 +691,22 @@ class PIMTree:
         raise ValueError(f"apply_batch: unknown op {op!r}")
 
     #: Classes whose batches share one tick's :meth:`apply_group` call:
-    #: all three reads start with the same descent.
-    TICK_GROUPS = (frozenset({"get", "successor", "range"}),)
+    #: the Upsert and all three reads start with the same descent.
+    TICK_GROUPS = (frozenset({"upsert", "get", "successor", "range"}),)
 
     def apply_group(self, batches: Sequence[Tuple[str, Sequence]],
-                    ) -> List[list]:
-        """One tick's read batches in one call (contract: see
-        :meth:`repro.core.skiplist.PIMSkipList.apply_group`; no group
-        here holds a write): the non-empty ones descend once, as one
-        op."""
-        if not READ_OPS.issuperset(group_payloads(batches)):
-            raise ValueError("apply_group: a PIM-tree group is reads only")
+                    ) -> List[Optional[list]]:
+        """One tick's batches in one call (contract: see
+        :meth:`repro.core.skiplist.PIMSkipList.apply_group`): the
+        non-empty ones run as one op (:func:`_tick_route`), every read
+        answered as after the group's Upsert."""
+        if "delete" in group_payloads(batches):
+            raise ValueError("apply_group: a PIM-tree group's write is an "
+                             "Upsert")
         live = [(op, list(payload)) for op, payload in batches if payload]
-        results = iter(self._read(live) if live else ())
-        return [next(results) if payload else [] for _, payload in batches]
+        results = iter(self._tick(live) if live else ())
+        return [next(results) if payload else self.apply_batch(op, payload)
+                for op, payload in batches]
 
     def check_integrity(self) -> None:
         """Assert the structural invariants, dumping module state:
@@ -878,6 +881,18 @@ class _GetPart(_KeysPart):
                         values[key] = items[i][1] if hit else None
         return self.fan_out(machine, values)
 
+    def after(self, machine, write: "_UpsertPart", out: List[Any]):
+        """Each key the write holds, looked up among the part's keys,
+        answers the write's value wherever it was asked."""
+        moved = 0
+        for key, value in write.merged.items():
+            for i in self.groups.get(key, ()):
+                out[i] = value
+                moved += 1
+        machine.cpu.charge(float(len(write.merged) + moved),
+                           _log2(len(write.merged)))
+        return out
+
 
 class _SuccessorPart(_KeysPart):
     """Successor's share of a read op: one leaf stage per hop along the
@@ -933,6 +948,27 @@ class _SuccessorPart(_KeysPart):
             pending = nxt
         return self.fan_out(machine, found)
 
+    def after(self, machine, write: "_UpsertPart", out: List[Any]):
+        """Per distinct key, the smaller of the leaf's answer and the
+        write's first key at or above it, with the write's value for a
+        key it holds."""
+        keys, merged = write.keys, write.merged
+        n = len(keys)
+        left = bisect.bisect_left
+        moved = 0
+        for key, idxs in self.groups.items():
+            i = left(keys, key)
+            hit = out[idxs[0]]
+            if i < n and (hit is None or keys[i] <= hit[0]):
+                hit = (keys[i], merged[keys[i]])
+                for j in idxs:
+                    out[j] = hit
+                moved += len(idxs)
+        machine.cpu.charge(
+            len(self.groups) * max(1.0, math.log2(n + 1)) + moved,
+            _log2(len(self.groups)))
+        return out
+
 
 class _RangePart:
     """Range's share of a read op: every op's low key in, the chained
@@ -985,9 +1021,26 @@ class _RangePart:
         machine.cpu.charge(total + len(ops), _log2(total + len(ops)))
         return out
 
-
-_READ_PARTS = {"get": _GetPart, "successor": _SuccessorPart,
-               "range": _RangePart}
+    def after(self, machine, write: "_UpsertPart", out: List[list]):
+        """Each op's items with the write's pairs inside it merged in: a
+        bisect for the write's first key at or above ``lo``, then the
+        write's keys up to ``hi``."""
+        keys, merged = write.keys, write.merged
+        n = len(keys)
+        merged_items = 0
+        for i, (lo, hi) in enumerate(self.ops):
+            a = z = bisect.bisect_left(keys, lo)
+            while z < n and keys[z] <= hi:
+                z += 1
+            if a < z:
+                rows = dict(out[i])
+                rows.update((key, merged[key]) for key in keys[a:z])
+                out[i] = sorted(rows.items())
+                merged_items += len(out[i])
+        machine.cpu.charge(
+            len(out) * max(1.0, math.log2(n + 1)) + merged_items,
+            _log2(len(out)))
+        return out
 
 
 def _lockstep(parts: Sequence[Any], phases: Sequence):
@@ -995,11 +1048,12 @@ def _lockstep(parts: Sequence[Any], phases: Sequence):
 
     Phase ``i`` is ``parts[i]``'s leaf phase.  Each phase yields its
     hop's stage and is sent back its own replies, in arrival order; a
-    hop's stage is the phases' elements in phase order.  A row (a pull)
-    is tagged with its phase's index, and its reply echoes the tag; a
+    hop's stage is the phases' elements in phase order.  A row (a pull,
+    a leaf write) is tagged with its phase's index, keeping its size,
+    and its reply echoes the tag; a
     :class:`Columns` element passes through untagged, and its replies
     go to the phase whose ``reply_kind`` their payload names -- one
-    phase at most, as a read group holds each read class at most once.
+    phase at most, as a group holds each class at most once.
     Returns the phases' return values.  Used via ``yield from``.
     """
     results: List[Any] = [None] * len(phases)
@@ -1017,69 +1071,103 @@ def _lockstep(parts: Sequence[Any], phases: Sequence):
             return results
         replies = yield [
             item if item.__class__ is Columns
-            else (item[0], item[1], item[2], i)
+            else item[:3] + (i,) + item[4:]
             for i, stage in stages.items() for item in stage]
         owed = {i: [] for i in stages}
         for r in replies:
             owed[by_kind[r.payload[0]] if r.tag is None else r.tag].append(r)
 
 
-def _read_route(tree: PIMTree, parts: Sequence[Any]):
-    """Read batches -- one part each of Get / Successor / Range -- on one
-    descent: the parts' queries route to their leaves together
-    (:meth:`PIMTree._descend` over their union), then every part runs
-    its leaf phase, a hop's stages shared (:func:`_lockstep`).  With one
-    part this is that read op alone, named as it always was."""
+def _tick_route(tree: PIMTree, parts: Sequence[Any]):
+    """One tick's batches -- an Upsert part first, if any, then a part
+    each of Get / Successor / Range -- on one descent: the parts'
+    queries route to their leaves together (:meth:`PIMTree._descend`
+    over their union), then every part runs its leaf phase, a hop's
+    stages shared (:func:`_lockstep`): the Upsert's leaf writes go out
+    in the first hop, beside the reads' first leaf stage.  Leaves the
+    write grew past ``leaf_size`` split once every read has finished,
+    so no read follows a ``leaf_next`` that changed under it; then each
+    read is answered as after the write (the parts' ``after``).  With
+    one part this is that op alone, named as it always was."""
     machine = tree.machine
     queries = [part.queries(machine) for part in parts]
+    write = parts[0] if isinstance(parts[0], _UpsertPart) else None
+    if write is not None and not write.merged:
+        return [None]  # an empty Upsert, alone: a group holds no empty batch
     if tree.first_leaf is None:
-        return [part.empty() for part in parts]
-    target = yield from tree._descend(
-        machine, [q for qs in queries for q in qs])
-    phases, base = [], 0
-    for part, qs in zip(parts, queries):
-        phases.append(part.leaves(machine, qs, target[base:base + len(qs)]))
-        base += len(qs)
-    return (yield from _lockstep(parts, phases))
+        results = [part.empty() for part in parts]
+        if write is not None:
+            # Bootstrap: the first upsert bulk-loads the empty tree.
+            yield from _build_route(tree, sorted(write.merged.items()))
+    else:
+        target = yield from tree._descend(
+            machine, [q for qs in queries for q in qs])
+        phases, base = [], 0
+        for part, qs in zip(parts, queries):
+            phases.append(part.leaves(machine, qs,
+                                      target[base:base + len(qs)]))
+            base += len(qs)
+        results = yield from _lockstep(parts, phases)
+        if write is not None and results[0]:
+            fn = tree._fn["lf_pull"]
+            replies = yield [(tree.leaf_owner[lid], fn, (lid,), None)
+                             for lid in sorted(results[0])]
+            store_msgs, _changed = tree._plan_splits(
+                {r.payload[1]: r.payload[2] for r in replies})
+            yield store_msgs
+    if write is None:
+        return results
+    return [None] + [part.after(machine, write, result)
+                     for part, result in zip(parts[1:], results[1:])]
 
 
-def _upsert_route(tree: PIMTree, pairs: Sequence[Tuple[Hashable, Any]]):
-    machine = tree.machine
-    merged: Dict[Hashable, Any] = {}
-    for k, v in pairs:
-        merged[k] = v
-    machine.cpu.charge(2.0 * len(pairs), _log2(len(pairs)))
-    if not merged:
+class _UpsertPart:
+    """The Upsert's share of a tick: its distinct keys descend with the
+    reads' queries, and one ``lf_write`` row a leaf goes out in the
+    first leaf hop.  The phase returns the leaves that grew past
+    ``leaf_size``."""
+
+    suffix = "batch_upsert"
+    reply_kind = "lwrote"
+
+    def __init__(self, tree: PIMTree,
+                 pairs: Sequence[Tuple[Hashable, Any]]) -> None:
+        self.tree = tree
+        self.pairs = pairs
+
+    def queries(self, machine) -> List[Hashable]:
+        merged: Dict[Hashable, Any] = {}
+        for k, v in self.pairs:
+            merged[k] = v
+        machine.cpu.charge(2.0 * len(self.pairs), _log2(len(self.pairs)))
+        self.merged = merged
+        self.keys = sorted(merged)
+        return self.keys
+
+    def empty(self) -> None:
         return None
-    if tree.first_leaf is None:
-        # Bootstrap: the first upsert bulk-loads the empty tree.
-        yield from _build_route(tree, sorted(merged.items()))
-        return None
-    fn = tree._fn
-    distinct = sorted(merged)
-    target = yield from tree._descend(machine, distinct)
-    by_leaf: Dict[int, List[Tuple[Hashable, Any]]] = {}
-    for qid, key in enumerate(distinct):
-        by_leaf.setdefault(target[qid], []).append((key, merged[key]))
-    msgs = [(tree.leaf_owner[lid], fn["lf_write"],
-             (lid, tuple(by_leaf[lid])), None,
-             max(1, len(by_leaf[lid])))
-            for lid in sorted(by_leaf)]
-    replies = yield msgs
-    oversize: List[int] = []
-    for r in replies:
-        _, lid, new_len = r.payload
-        tree.size += new_len - tree.leaf_len[lid]
-        tree.leaf_len[lid] = new_len
-        if new_len > tree.leaf_size:
-            oversize.append(lid)
-    if oversize:
-        replies = yield [(tree.leaf_owner[lid], fn["lf_pull"],
-                          (lid,), None) for lid in sorted(oversize)]
-        contents = {r.payload[1]: r.payload[2] for r in replies}
-        store_msgs, _changed = tree._plan_splits(contents)
-        yield store_msgs
-    return None
+
+    def leaves(self, machine, distinct, lids):
+        tree, merged = self.tree, self.merged
+        by_leaf: Dict[int, List[Tuple[Hashable, Any]]] = {}
+        for key, lid in zip(distinct, lids):
+            by_leaf.setdefault(lid, []).append((key, merged[key]))
+        fn = tree._fn["lf_write"]
+        replies = yield [(tree.leaf_owner[lid], fn, (lid, tuple(by_leaf[lid])),
+                          None, max(1, len(by_leaf[lid])))
+                         for lid in sorted(by_leaf)]
+        oversize: List[int] = []
+        for r in replies:
+            _, lid, new_len = r.payload
+            tree.size += new_len - tree.leaf_len[lid]
+            tree.leaf_len[lid] = new_len
+            if new_len > tree.leaf_size:
+                oversize.append(lid)
+        return oversize
+
+
+_PARTS = {"get": _GetPart, "successor": _SuccessorPart,
+          "range": _RangePart, "upsert": _UpsertPart}
 
 
 def _delete_route(tree: PIMTree, keys: Sequence[Hashable]):

@@ -184,11 +184,12 @@ def verify_session(session: Session,
 
     With ``read_groups`` the replay steps are :func:`session_steps`'s,
     per implementation: runs of consecutive batches inside one of its
-    ``TICK_GROUPS`` (the skip list's Upsert + Successor, the PIM-tree's
-    three reads) reach it as one ``apply_group`` call -- what a grouped
-    tick of ``repro serve`` sends -- and every check below covers that
-    path: each sub-batch against the oracle, the determinism rerun and
-    the cross-engine replay over the same steps.
+    ``TICK_GROUPS`` (the skip list's Upsert + Successor + Range, the
+    PIM-tree's Upsert + its three reads) reach it as one
+    ``apply_group`` call -- what a grouped tick of ``repro serve``
+    sends -- and every check below covers that path: each sub-batch
+    against the oracle, the determinism rerun and the cross-engine
+    replay over the same steps.
 
     ``fault`` optionally injects a named fault (see
     :mod:`repro.verify.faults`) into one implementation's adapter --

@@ -36,7 +36,7 @@ class SequentialOracle:
         if key not in self.data:
             return False
         del self.data[key]
-        self._sorted.remove(key)
+        del self._sorted[bisect.bisect_left(self._sorted, key)]
         return True
 
     def get(self, key: Any) -> Optional[Any]:

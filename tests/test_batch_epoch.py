@@ -6,7 +6,7 @@ outermost ``run_batch``, a ``build`` included) pauses the interpreter's
 cyclic collector and must hand it back exactly as it found it -- on
 success, on an exception, across a failover, and when the caller had it
 off already.  The teardown (``Node.clear_links`` after a batched Delete,
-index columns in ``ContractionList``) must leave nothing for the paused
+the contraction's index columns) must leave nothing for the paused
 collector to miss: a churn of upserts and deletes leaves zero
 unreachable structure objects behind.
 """
@@ -22,12 +22,12 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import pytest
 
 from repro import PIMMachine, PIMSkipList
-from repro.cpuside.list_contraction import ContractionList
 from repro.ops import batch_epoch, run_batch
 from repro.recovery import DegradedResult, RecoveryManager
 from repro.serve import Server, ServerConfig
 from repro.sim.chaos import CrashEvent, FaultPlan, FaultSpec
 from repro.structures.pimtree import PIMTree
+from tests.test_list_contraction import Contracted
 
 POINTER_SLOTS = ("left", "right", "up", "down", "local_left",
                  "local_right", "next_leaf", "up_chain")
@@ -409,22 +409,18 @@ def test_contraction_draws_the_same_coins_as_the_linked_version(seed):
     ref_rng = random.Random(99)
     ref_stats = ref.contract(ref_rng)
 
-    cl = ContractionList()
-    for chain in chains:
-        cl.add_chain(chain)
     rng = random.Random(99)
-    stats = cl.contract(rng)
-    assert (stats.rounds, stats.work, stats.spliced) == ref_stats
-    assert cl.links() == ref.links()
+    out = Contracted(chains, rng)
+    assert (out.rounds, out.work, out.spliced) == ref_stats
+    assert out.links == ref.links()
     # same number of draws, in the same order: the streams stay in step
     assert rng.getstate() == ref_rng.getstate()
 
 
 def test_contraction_list_is_acyclic(collector):
     def churn() -> None:
-        cl = ContractionList()
-        cl.add_adjacency([(i, i - 1, i + 1) for i in range(1, 400)])
-        cl.contract(random.Random(0))
-        assert cl.links() == [(0, 400), (400, None)]
+        out = Contracted([[(0, False)] + [(i, True) for i in range(1, 400)]
+                          + [(400, False)]], random.Random(0))
+        assert out.links == [(0, 400), (400, None)]
 
     assert sum(_unreachable_by_type(churn).values()) == 0

@@ -1,17 +1,48 @@
-"""Tests for randomized parallel list contraction (batched Delete's core)."""
+"""Tests for randomized parallel list contraction (batched Delete's core):
+:func:`~repro.cpuside.list_contraction.contract_rows` over the index
+columns of doubly linked chains."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpuside.list_contraction import ContractionList, splice_out_marked
-from repro.sim.cpu import CPUSide
-from repro.sim.metrics import Metrics
+from repro.cpuside.list_contraction import contract_rows
 
 
-def make_cpu():
-    return CPUSide(Metrics(num_modules=2), shared_memory_words=10_000)
+class Contracted:
+    """``chains`` of ``(ident, marked)`` pairs, each linked in order, as
+    ``contract_rows``' index columns, contracted with ``rng``: the
+    measured ``rounds`` / ``work``, the ``spliced`` count and each
+    survivor's new ``links``."""
+
+    def __init__(self, chains, rng):
+        ident, left, right, live = [], [], [], []
+        for chain in chains:
+            prev = -1
+            for name, marked in chain:
+                row = len(ident)
+                ident.append(name)
+                left.append(prev)
+                right.append(-1)
+                if prev >= 0:
+                    right[prev] = row
+                if marked:
+                    live.append(row)
+                prev = row
+        self.spliced = len(live)
+        marked = set(live)
+        self.rounds, self.work = contract_rows(live, left, right, rng)
+        self._ident, self._left, self._right = ident, left, right
+        self.links = [(ident[row], ident[right[row]] if right[row] >= 0
+                       else None)
+                      for row in range(len(ident)) if row not in marked]
+
+    def neighbor_of(self, name):
+        row = self._ident.index(name)
+        lf, rt = self._left[row], self._right[row]
+        return (self._ident[lf] if lf >= 0 else None,
+                self._ident[rt] if rt >= 0 else None)
 
 
 def reference_splice(chain):
@@ -27,97 +58,58 @@ def reference_splice(chain):
 
 class TestContractionList:
     def test_single_run_spliced(self):
-        cl = ContractionList()
-        cl.add_chain([("L", False), ("m1", True), ("m2", True), ("R", False)])
-        stats = cl.contract(random.Random(0))
-        assert stats.spliced == 2
-        assert cl.links() == [("L", "R"), ("R", None)]
-        assert cl.neighbor_of("L") == (None, "R")
-        assert cl.neighbor_of("R") == ("L", None)
+        out = Contracted([[("L", False), ("m1", True), ("m2", True),
+                           ("R", False)]], random.Random(0))
+        assert out.spliced == 2
+        assert out.links == [("L", "R"), ("R", None)]
+        assert out.neighbor_of("L") == (None, "R")
+        assert out.neighbor_of("R") == ("L", None)
 
     def test_all_marked_chain(self):
-        cl = ContractionList()
-        cl.add_chain([(i, True) for i in range(10)])
-        cl.contract(random.Random(1))
-        assert cl.links() == []
+        out = Contracted([[(i, True) for i in range(10)]], random.Random(1))
+        assert out.links == []
 
     def test_alternating_marks(self):
         chain = [(i, i % 2 == 1) for i in range(9)]
-        cl = ContractionList()
-        cl.add_chain(chain)
-        cl.contract(random.Random(2))
-        assert cl.links() == reference_splice(chain)
+        out = Contracted([chain], random.Random(2))
+        assert out.links == reference_splice(chain)
 
     def test_multiple_chains_independent(self):
         c1 = [("a", False), ("x", True), ("b", False)]
         c2 = [("c", False), ("y", True), ("z", True), ("d", False)]
-        cl = ContractionList()
-        cl.add_chain(c1)
-        cl.add_chain(c2)
-        cl.contract(random.Random(3))
-        assert set(cl.links()) == set(reference_splice(c1) + reference_splice(c2))
-
-    def test_duplicate_ident_rejected(self):
-        cl = ContractionList()
-        cl.add_chain([("a", False)])
-        with pytest.raises(ValueError):
-            cl.add_chain([("a", True)])
-
-    def test_neighbor_of_marked_rejected(self):
-        cl = ContractionList()
-        cl.add_chain([("a", True)])
-        with pytest.raises(ValueError):
-            cl.neighbor_of("a")
+        out = Contracted([c1, c2], random.Random(3))
+        assert set(out.links) == set(reference_splice(c1)
+                                     + reference_splice(c2))
 
     def test_long_run_rounds_logarithmic(self):
         """A 1024-node marked run contracts in O(log) rounds, not O(n)."""
-        cl = ContractionList()
-        cl.add_chain([("L", False)] + [(i, True) for i in range(1024)]
-                     + [("R", False)])
-        stats = cl.contract(random.Random(4))
-        assert stats.spliced == 1024
-        assert stats.rounds <= 60  # whp ~ log_{4/3}(1024) ~ 24
-        assert cl.links()[0] == ("L", "R")
+        out = Contracted([[("L", False)] + [(i, True) for i in range(1024)]
+                          + [("R", False)]], random.Random(4))
+        assert out.spliced == 1024
+        assert out.rounds <= 60  # whp ~ log_{4/3}(1024) ~ 24
+        assert out.links[0] == ("L", "R")
 
 
 class TestAdjacencyBuilder:
+    """The run shapes batched Delete's marking replies report."""
+
     def test_adjacency_equivalent_to_chain(self):
-        # marked nodes m1-m2 between L and R, built from neighbor reports
-        cl = ContractionList()
-        cl.add_adjacency([("m1", "L", "m2"), ("m2", "m1", "R")])
-        cl.contract(random.Random(5))
-        assert ("L", "R") in cl.links()
+        # marked nodes m1-m2 between L and R
+        out = Contracted([[("L", False), ("m1", True), ("m2", True),
+                           ("R", False)]], random.Random(5))
+        assert ("L", "R") in out.links
 
     def test_adjacency_run_at_tail(self):
-        cl = ContractionList()
-        cl.add_adjacency([("m", "L", None)])
-        cl.contract(random.Random(6))
-        assert cl.links() == [("L", None)]
-
-    def test_adjacency_duplicate_rejected(self):
-        cl = ContractionList()
-        with pytest.raises(ValueError):
-            cl.add_adjacency([("m", None, None), ("m", None, None)])
+        out = Contracted([[("L", False), ("m", True)]], random.Random(6))
+        assert out.links == [("L", None)]
 
     def test_two_runs_sharing_boundary(self):
         # L m1 X m2 R : X is right boundary of run 1 and left of run 2
-        cl = ContractionList()
-        cl.add_adjacency([("m1", "L", "X"), ("m2", "X", "R")])
-        cl.contract(random.Random(7))
-        links = dict(cl.links())
+        out = Contracted([[("L", False), ("m1", True), ("X", False),
+                           ("m2", True), ("R", False)]], random.Random(7))
+        links = dict(out.links)
         assert links["L"] == "X"
         assert links["X"] == "R"
-
-
-class TestSpliceOutMarked:
-    def test_returns_links_and_charges(self):
-        cpu = make_cpu()
-        chain = [("L", False), (1, True), (2, True), ("R", False)]
-        links, stats = splice_out_marked(cpu, random.Random(0), [chain])
-        assert ("L", "R") in links
-        assert cpu.metrics.cpu_work >= stats.work
-        assert cpu.metrics.shared_mem_peak == 4 * 4
-        assert cpu.metrics.shared_mem_in_use == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,10 +120,8 @@ class TestSpliceOutMarked:
 def test_contraction_matches_reference(marks, seed):
     """Property: contraction == sequential splice for any mark pattern."""
     chain = [(i, m) for i, m in enumerate(marks)]
-    cl = ContractionList()
-    cl.add_chain(chain)
-    cl.contract(random.Random(seed))
-    assert cl.links() == reference_splice(chain)
+    assert Contracted([chain], random.Random(seed)).links == \
+        reference_splice(chain)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 33, 1000])

@@ -53,9 +53,9 @@ def test_quick_baseline_is_refused(tmp_path):
 
 def test_exact_rows_pass():
     """The chunked-task shares, the CPU-side charges of one fixed
-    session, the fixed Upsert batch and batch of ranges, one tick group
-    per structure, the search at
-    four widths around its pivot-spacing boundary, the seven
+    session, the fixed Upsert batch and batch of ranges, the tick groups
+    of both structures (the PIM-tree's with and without its write), the
+    search at four widths around its pivot-spacing boundary, the seven
     skew-adversary rows and the durable restart counts, measured in
     process with the committed baselines' parameters."""
     names = {g.name for g in EXACT_ROWS}
@@ -73,6 +73,9 @@ def test_exact_rows_pass():
             "write group + 13 ranges: skiplist, (rounds, io, messages)",
             "write group + 13 ranges: skiplist apart, (rounds, io, "
             "messages)",
+            "write group: pimtree 13 Upserts + the read group, (rounds, "
+            "io, messages)",
+            "write group: pimtree apart, (rounds, io, messages)",
             "upsert batch: path replies above their op's limit",
             "upsert batch: messages",
             "range batch: boundary searches == ops",

@@ -7,7 +7,11 @@ after another on an identically built machine: equal answers (and the
 sequential oracle's), no more rounds.  Riding is decided from the widths
 (``ops_successor.rides``), so the grid runs widths on both sides of
 ``P log P`` -- where the joint search would change its pivot spacing and
-the keys stay apart -- for 8 <= P <= 64.  The serving half drives one
+the keys stay apart -- for 8 <= P <= 64.  The PIM-tree's write group
+(its Upsert with any of its three reads: one descent, the write in the
+first leaf round, splits last) is held to the oracle's write-then-reads
+by a Hypothesis property at P in {1, 2, 8, 64}, no more rounds than its
+batches apart, on small leaves that split.  The serving half drives one
 grouped tick end to end: one group call, one journal entry and one
 demux per class, and in degraded mode stale answers for every read
 class -- a write group's riders included, beside its refused write.
@@ -18,6 +22,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import PIMMachine, PIMSkipList
 from repro.core import ops_successor
@@ -31,6 +36,7 @@ from repro.sim.machine import ReferencePIMMachine
 from repro.structures.pimtree import PIMTree
 from repro.verify.oracle import SequentialOracle
 from repro.workloads import build_items
+from tests.conftest import DETERMINISTIC
 
 
 def _skiplist(p, items, seed, machine_cls=PIMMachine):
@@ -160,12 +166,121 @@ def test_a_group_is_distinct_read_ops(build):
     assert structure.apply_group([("range", [(1, 5)]), ("successor", [])]) \
         == [[[(2, 2), (4, 4)]], []]
     writes = [("upsert", [(3, "c")]), ("successor", [3, 5]), ("get", [3])]
-    if build is _pimtree:
-        # the PIM-tree's one tick group is its three reads
-        with pytest.raises(ValueError, match="reads only"):
-            structure.apply_group(writes)
-        return
     assert structure.apply_group(writes) == [None, [(3, "c"), (6, 6)], ["c"]]
+    if build is _pimtree:
+        # the PIM-tree's tick group holds an Upsert, never a Delete
+        with pytest.raises(ValueError, match="write is an Upsert"):
+            structure.apply_group([("delete", [4]), ("get", [4])])
+
+
+@st.composite
+def pimtree_write_groups(draw):
+    """``(P, items, dead, group)``: items on multiples of 3, some of
+    them deleted first (emptying leaves), then the PIM-tree's tick
+    group -- an Upsert of stored keys (updates) and fresh ones
+    (inserts), duplicates included, then any of its three read classes
+    in any order.  Reads probe the Upsert's keys, the key just below
+    each (a Successor that lands on an inserted key) and keys below and
+    past everything stored; ranges are empty, inverted, over inserted
+    keys and up to 20 keys wide, across the leaves (of at most 4 pairs)
+    the write splits and the ones it refills."""
+    p = draw(st.sampled_from([1, 2, 8, 64]))
+    n = draw(st.integers(0, 40))
+    items = [(3 * i, i) for i in range(n)]
+    dead = draw(st.lists(st.sampled_from([k for k, _ in items]),
+                         max_size=20)) if n else []
+    key = st.integers(-5, 3 * n + 5)
+    keys = draw(st.lists(key, min_size=1, max_size=24))
+    pairs = [(k, draw(st.integers(0, 9))) for k in keys]
+    probe = st.one_of(key, st.sampled_from(keys),
+                      st.sampled_from(keys).map(lambda k: k - 1),
+                      st.sampled_from([-100, 10 ** 6]))
+    reads = {
+        "get": st.lists(probe, min_size=1, max_size=30),
+        "successor": st.lists(probe, min_size=1, max_size=30),
+        "range": st.lists(st.tuples(probe, st.integers(-2, 20)).map(
+            lambda lo_w: (lo_w[0], lo_w[0] + lo_w[1])),
+            min_size=1, max_size=12),
+    }
+    ops = draw(st.lists(st.sampled_from(sorted(reads)), min_size=1,
+                        max_size=3, unique=True))
+    return p, items, dead, [("upsert", pairs)] + [(op, draw(reads[op]))
+                                                  for op in ops]
+
+
+def _small_tree_run(machine_cls, p, items, call, dead=()):
+    tree = PIMTree(machine_cls(num_modules=p, seed=p + 1), leaf_size=4,
+                   fanout=4)
+    tree.build(items)
+    tree.apply_batch("delete", dead)
+    before = tree.machine.snapshot()
+    got = call(tree)
+    tree.check_integrity()
+    return got, tree.machine.delta_since(before), tree.machine.rng.random()
+
+
+@DETERMINISTIC
+@given(pimtree_write_groups())
+def test_a_pimtree_write_group_is_the_oracles_upsert_then_its_reads(case):
+    """One descent for the write and the reads, the write in the first
+    leaf round, splits last: the oracle's answers, the reference
+    engine's costs, and no more rounds than the batches apart."""
+    p, items, dead, group = case
+    oracle = SequentialOracle(items)
+    oracle.apply_batch("delete", dead)
+    want = oracle.apply_group(group)
+    joined = _small_tree_run(PIMMachine, p, items,
+                             lambda tree: tree.apply_group(group), dead)
+    assert joined[0] == want
+    assert _small_tree_run(ReferencePIMMachine, p, items,
+                           lambda tree: tree.apply_group(group),
+                           dead) == joined
+    apart = _small_tree_run(PIMMachine, p, items, lambda tree: [
+        tree.apply_batch(op, payload) for op, payload in group], dead)
+    assert apart[0] == want
+    assert joined[1].rounds <= apart[1].rounds
+
+
+def test_a_range_across_a_leaf_the_write_splits():
+    """Four inserts into the full leaf 12..21 split it once every read
+    has finished, and a fifth refills the leaf a Delete emptied (which
+    the reads' chain walks skip): a range across each, Successors
+    landing on inserted keys (13 written twice, the last value winning)
+    and Gets of inserted, updated and absent keys are answered as after
+    the write."""
+    items = [(3 * i, i) for i in range(16)]
+    dead = [0, 3, 6, 9]
+    group = [("upsert", [(13, "a"), (14, "b"), (16, "c"), (17, "d"),
+                         (13, "e"), (15, "u"), (5, "f")]),
+             ("range", [(10, 25), (19, 20), (0, 12)]),
+             ("successor", [13, 11, 22, 46, 1]),
+             ("get", [13, 15, 14, 19, 5])]
+    oracle = SequentialOracle(items)
+    oracle.apply_batch("delete", dead)
+    want = oracle.apply_group(group)
+    assert want == [
+        None,
+        [[(12, 4), (13, "e"), (14, "b"), (15, "u"), (16, "c"), (17, "d"),
+          (18, 6), (21, 7), (24, 8)], [], [(5, "f"), (12, 4)]],
+        [(13, "e"), (12, 4), (24, 8), None, (5, "f")],
+        ["e", "u", "b", None, "f"]]
+    leaves = {}
+
+    def run(tree):
+        before = len(tree.leaf_owner)
+        got = tree.apply_group(group)
+        leaves[tree.machine.__class__] = len(tree.leaf_owner) - before
+        return got
+
+    joined = _small_tree_run(PIMMachine, 8, items, run, dead)
+    assert joined[0] == want
+    assert _small_tree_run(ReferencePIMMachine, 8, items, run,
+                           dead) == joined
+    assert leaves == {PIMMachine: 1, ReferencePIMMachine: 1}
+    apart = _small_tree_run(PIMMachine, 8, items, lambda tree: [
+        tree.apply_batch(op, payload) for op, payload in group], dead)
+    assert apart[0] == want
+    assert joined[1].rounds < apart[1].rounds
 
 
 # -- the serving layer ------------------------------------------------------
@@ -264,15 +379,15 @@ def test_a_pimtree_tick_drains_all_three_read_classes():
         await server.stop()
         return got
 
-    # a's second get waits behind nothing of its own, so it rides tick 1
-    # with the other reads; c's write is a tick of its own after them.
+    # One tick drains every head: c's write goes first, every read is
+    # answered as after it, and a's second get rides behind its first.
     assert asyncio.run(session()) == [
-        [10, None], [(12, 12)], None, [[(10, 10), (12, 12), (14, 14)]],
-        [None]]
+        [10, "new"], [(11, "new")], None,
+        [[(10, 10), (11, "new"), (12, 12), (14, 14)]], ["new"]]
     assert [(e.tick, e.op) for e in server.journal] == [
-        (1, "get"), (1, "range"), (1, "successor"), (2, "upsert")]
+        (1, "upsert"), (1, "get"), (1, "range"), (1, "successor")]
     assert server.status()["runtime"]["ticks_by_kind"] == {
-        "get+range+successor": 1, "upsert": 1}
+        "get+range+successor+upsert": 1}
 
 
 def test_a_group_is_one_batch_to_the_policy_in_degraded_mode():

@@ -83,6 +83,18 @@ class TestOracle:
         with pytest.raises(ValueError, match="unknown op"):
             o.apply_batch("frobnicate", [])
 
+    @pytest.mark.parametrize("key", [-1, 0, 3, 4, 9, 10, 20])
+    def test_a_delete_keeps_the_sorted_keys(self, key):
+        """A delete of a present key (the first, a middle, the last) or
+        an absent one (below, between, above) leaves ``_sorted`` equal
+        to ``sorted(data)``."""
+        o = SequentialOracle([(k, -k) for k in (9, 0, 3, 6, 4)])
+        assert o.delete(key) == (key in (0, 3, 4, 6, 9))
+        assert o._sorted == sorted(o.data)
+        o.apply_batch("delete", [key, 6, 6, 0])
+        assert o._sorted == sorted(o.data) == [k for k in (3, 4, 9)
+                                              if k != key]
+
     def test_conftest_reference_map_is_the_oracle(self):
         from tests.conftest import ReferenceMap
 
