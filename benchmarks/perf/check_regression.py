@@ -16,7 +16,8 @@ one process can measure against itself:
   rounds / IO / messages of one tick group on each structure and the
   read messages of the PIM-tree's sent as rows, the
   rounds of the search at the widths the serve path sends and one key
-  past ``P log P``.
+  past ``P log P``, and the chaos layer's books after one fixed session
+  under the ``mixed`` fault schedule.
   Deterministic functions of the committed parameters (or of the
   seeds in :class:`Bench`), equal on every host, so they cannot flake;
   ``tests/test_perf_gates.py`` runs them in tier-1.
@@ -77,7 +78,8 @@ from repro.ops import Columns, run_batch  # noqa: E402
 from repro.recovery.checkpoint import (Checkpoint,  # noqa: E402
                                        restore_structure)
 from repro.serve import AdmissionController, Coalescer, Request  # noqa: E402
-from repro.sim.chaos import FaultPlan, FaultSpec  # noqa: E402
+from repro.sim.chaos import (FaultPlan, FaultSpec,  # noqa: E402
+                             build_schedule)
 from repro.sim.machine import PIMMachine  # noqa: E402
 from repro.sim.profiling import HandlerProfile, ThroughputProbe  # noqa: E402
 from repro.structures.lsm import PIMLSMStore  # noqa: E402
@@ -391,6 +393,30 @@ class Bench:
                 machine.rng.random())
 
     @memo
+    def chaos_session(self) -> tuple:
+        """The chaos layer's books after one fixed Get + Successor +
+        Upsert + Delete + Get session on an 8-module, 512-key skip list
+        under the ``mixed`` fault schedule (drop, dup, delay, corrupt
+        and a three-round stall): ``(rounds, idle_rounds, stalled_slots,
+        transmissions, retransmissions)``, rounds counted from the
+        install."""
+        machine = PIMMachine(num_modules=8, seed=11)
+        sl = PIMSkipList(machine)
+        sl.build(build_items(512, stride=4))
+        state = machine.install_fault_plan(
+            build_schedule("mixed", seed=3, num_modules=8))
+        rng = random.Random(11)
+        keys = [rng.randrange(2100) for _ in range(48)]
+        sl.apply_batch("get", keys)
+        sl.apply_batch("successor", keys)
+        sl.apply_batch("upsert", [(2 * k + 1, k) for k in keys])
+        sl.apply_batch("delete", keys[:16])
+        sl.apply_batch("get", keys)
+        s = state.stats
+        return (machine.metrics.rounds - state.base_round, s.idle_rounds,
+                s.stalled_slots, s.transmissions, s.retransmissions)
+
+    @memo
     def search_widths(self) -> dict:
         """``(rounds, io_time)`` of four fixed batches, one after the
         other, on a 64-module, 16 384-key skip list (``serve_mixed``'s
@@ -679,6 +705,14 @@ GATES: List[Gate] = [
          lambda b: b.cpu_side_session(), "==",
          (12016.312800138461, 285.89029833108435, 1275,
           0.8849328792636154), EXACT),
+    # The chaos layer's accounting, the same while a fault plan's slots
+    # were staged at issue time as since a round builds them: the rounds
+    # under the plan, the idle ones it charged (delays, the stall, retry
+    # backoff), the slots the stall held and the envelopes transmitted
+    # and retransmitted.
+    Gate("chaos session, mixed schedule: (rounds, idle_rounds, "
+         "stalled_slots, transmissions, retransmissions)",
+         lambda b: b.chaos_session(), "==", (162, 24, 3, 799, 56), EXACT),
     # -- the write path (PR 21).  A batch's RemoteWrites cross the ops
     # boundary as columns: none reaches ``send_all`` as a row (6 066 did),
     # and a 6 000-write stage is issued and drained 1.75-1.9x faster than

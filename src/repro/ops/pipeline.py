@@ -335,10 +335,9 @@ def _issue(machine: PIMMachine, stage: Optional[Iterable]) -> None:
     """Issue one stage: runs of send tuples via ``send_all``, broadcasts
     in place, preserving the stage's element order exactly.  A
     :class:`Columns` element of :data:`COLUMNS_CROSSOVER` messages or
-    more goes through ``machine.send_cols`` -- one column chunk where
-    its function is chunked, the rows it stands for in their slots
-    elsewhere; a shorter one becomes those rows, joined to the
-    surrounding run -- exactly what ``send_all`` would have been
+    more goes through ``machine.send_cols`` -- one column chunk on
+    every machine; a shorter one becomes the rows it stands for, joined
+    to the surrounding run -- exactly what ``send_all`` would have been
     handed."""
     if stage is None:
         return

@@ -390,8 +390,9 @@ class Server:
             # generation's count should barely move), and how many
             # outermost batch scopes the live machine has run, and what
             # share of its tasks ran inside batch handlers rather than
-            # through per-task slots (``columnar_active`` only says the
-            # array-native path is on, not how much traffic it carries).
+            # through the per-task loop a fault plan's rounds run
+            # (``columnar_active`` only says the array-native path is
+            # on, not how much traffic it carries).
             "runtime": {
                 "ticks_by_kind": dict(sorted(self.ticks_by_kind.items())),
                 "batches_per_tick": (

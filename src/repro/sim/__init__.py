@@ -44,7 +44,7 @@ from repro.sim.machine import PIMMachine
 from repro.sim.metrics import Metrics, MetricsDelta
 from repro.sim.module import PIMModule
 from repro.sim.profiling import HandlerProfile, ThroughputProbe, WallTimer
-from repro.sim.task import Message, Reply, Task
+from repro.sim.task import Reply
 from repro.sim.tracing import AccessTrace, RoundLog
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "ModuleCrashed",
     "StallEvent",
     "build_schedule",
-    "Message",
     "Metrics",
     "MetricsDelta",
     "PIMMachine",
@@ -71,7 +70,6 @@ __all__ = [
     "RoundLog",
     "SharedMemoryExceeded",
     "SimulationError",
-    "Task",
     "ThroughputProbe",
     "UnknownHandlerError",
     "WallTimer",

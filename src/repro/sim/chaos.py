@@ -284,7 +284,8 @@ class ChaosState:
     """Runtime state of an installed :class:`FaultPlan`.
 
     Owned by the machine (one per install); holds the delayed-message
-    buffer, fired lifecycle transitions and fault statistics.  All
+    buffer, the slots stalls hold back, fired lifecycle transitions and
+    fault statistics.  All
     methods are called from the engine's chaos round path only -- the
     fault-free path never touches this class.
     """
@@ -297,13 +298,17 @@ class ChaosState:
         # (due_round, dest, entry, size); kept in insertion order --
         # re-injection sorts by (due, insertion) implicitly via scan.
         self.delayed: List[Tuple[int, int, tuple, int]] = []
+        # mid -> the slot a stall holds back; it lands ahead of that
+        # module's next traffic.
+        self.held: Dict[int, list] = {}
         self._fired: set = set()  # (kind, event) lifecycle transitions
 
     # -- pending work ----------------------------------------------------
 
     def has_pending(self) -> bool:
-        """True when chaos holds messages the drain loop must wait for."""
-        return bool(self.delayed)
+        """True when chaos holds messages the drain loop must wait for
+        (delayed envelopes or stalled slots)."""
+        return bool(self.delayed or self.held)
 
     def describe(self, rnd: int) -> str:
         """Chaos-side context for drain/livelock diagnostics."""
@@ -346,14 +351,25 @@ class ChaosState:
                      rnd: int) -> Dict[int, list]:
         """Apply the fault plan to one round's staged messages.
 
+        ``staged`` is the round's slots as the machine unstaged them.
         Returns the slots to actually deliver this round.  Side effects:
-        stalled slots are pushed back into ``machine._staged`` (they
-        arrive in a later round), delayed envelopes move into
-        :attr:`delayed`, and due delayed envelopes are re-injected.
+        held slots land ahead of their module's fresh traffic, stalled
+        slots move into :attr:`held` (they arrive in a later round),
+        delayed envelopes move into :attr:`delayed`, and due delayed
+        envelopes are re-injected.
         """
         plan = self.plan
         stats = self.stats
         out: Dict[int, list] = {}
+
+        held, self.held = self.held, {}
+        for mid, slot in held.items():
+            fresh = staged.get(mid)
+            if fresh is not None:
+                slot[0] += fresh[0]
+                slot[1].extend(fresh[1])
+                slot[2].extend(fresh[2])
+            staged[mid] = slot
 
         wiped = machine.wiped_modules
 
@@ -382,7 +398,7 @@ class ChaosState:
         for mid, slot in sorted(staged.items()):
             if plan.is_stalled(mid, rnd):
                 stats.stalled_slots += 1
-                self._defer(machine, mid, slot)
+                self.held[mid] = slot
                 continue
             if plan.is_dead(mid, rnd) or mid in wiped:
                 self._deliver_to_dead(mid, slot, stats,
@@ -442,17 +458,6 @@ class ChaosState:
             return 0
         cpu_q.append(entry)
         return 0
-
-    def _defer(self, machine: Any, mid: int, slot: list) -> None:
-        """Push a stalled destination's whole slot to the next round."""
-        staged = machine._staged
-        nxt = staged.get(mid)
-        if nxt is None:
-            staged[mid] = slot
-        else:
-            nxt[0] += slot[0]
-            nxt[1].extend(slot[1])
-            nxt[2].extend(slot[2])
 
     def _deliver_to_dead(self, mid: int, slot: list, stats: ChaosStats,
                          wiped: bool = False) -> None:

@@ -3,17 +3,19 @@
 :class:`repro.sim.machine.PIMMachine` is one round engine, and a module
 function has one implementation: its **batch body**
 ``body(bct, chunks)``, registered with
-:meth:`~repro.sim.machine.PIMMachine.register`.  Its messages are staged
-as *chunks* and a round makes one body call per function over all of
-them.  Where messages sit in per-destination slots instead (a fault
-plan, the reference oracle) each task runs the same body over a one-row
-chunk.  This module holds the chunks' data types and the body context;
-the round loop itself lives on the machine.
+:meth:`~repro.sim.machine.PIMMachine.register`.  Every message, on
+every machine, is staged as a *chunk*, and a round on the engine makes
+one body call per function over all of them.  Where a round runs the
+per-task loop instead (a fault plan, the reference oracle) it first
+unstages its chunks into per-destination slots, and each task runs the
+same body over a one-row chunk.  This module holds the chunks' data
+types and the body context; the round loop itself lives on the
+machine.
 
 Columnar layout
 ---------------
 
-Chunked traffic is a sequence of **chunks**, each one function id's
+Staged traffic is a sequence of **chunks**, each one function id's
 contiguous run of messages, in two streams mirroring the per-task loop's
 CPU-before-forward delivery order::
 
@@ -46,9 +48,8 @@ A round groups its chunks by function id and makes ONE body call per
 function over all of its chunks -- the body loops over contiguous
 slices, charging work and sends into flat per-module lists on the
 shared :class:`BatchRound` context, and the round is finished by one
-plain accounting loop over its receivers.  A round is all chunks or all
-slots: with no fault plan installed the engine never puts a message in
-a slot.
+plain accounting loop over its receivers.  With no fault plan
+installed the engine never unstages a round into slots.
 
 Execution contract for batch bodies
 -----------------------------------
@@ -156,17 +157,21 @@ op).  The independent checks are the sequential oracle
 (``repro.verify.oracle.SequentialOracle``: results) and the golden
 suite (the costs the per-task loop produced).
 
-What turns chunks off
----------------------
+What runs the per-task loop
+---------------------------
 
-A fault plan keeps every message in slots, and no slot ever meets a
-chunk: chaos schedules and the reliable-delivery protocol rewrite
-per-destination queues in place, and ``install_fault_plan`` and
+A fault plan: messages are staged as chunks as always, and each round
+under the plan unstages them into per-destination slots
+(``PIMMachine._take_slots``: the CPU stream, then the forwards, in issue
+order) that the chaos filter rewrites in place -- dropping,
+duplicating, delaying or corrupting envelopes, holding a stalled
+module's slot until it lands ahead of that module's next traffic --
+before the per-task loop runs them.  ``install_fault_plan`` and
 ``uninstall_fault_plan`` both refuse while anything is pending, so a
 plan starts and ends on a quiescent machine.
 
-qrqw and access tracing do not turn chunks off (bodies report their
-touches, above), and neither does the profiler: it times each slot task
+qrqw and access tracing run chunked (bodies report their touches,
+above), and so does the profiler: it times each slot task
 and each body call (``profiler.add(fn, seconds, tasks)``) on the rounds
 the machine runs unprofiled.
 """
@@ -182,9 +187,9 @@ from repro.sim.task import Reply
 # Chunk kinds.
 ROWS, COLS, BCAST = 0, 1, 2
 
-# A staged per-destination slot is [units_in, cpu_entries, forward_entries]
-# where each entry is (body, args, tag, fn); the two streams keep the
-# same indices wherever one is named.
+# A round-time per-destination slot is [units_in, cpu_entries,
+# forward_entries] where each entry is (body, args, tag, fn); the two
+# streams keep the same indices wherever one is named.
 _CPU_Q, _FWD_Q = 1, 2
 
 _row_dest = itemgetter(0)

@@ -25,29 +25,30 @@ through the :class:`repro.sim.fastpath.BatchRound` context ``bct``.
 One round engine
 ----------------
 
-The round engine is the hot loop of every benchmark.  It is one engine
-with two staging forms:
+The round engine is the hot loop of every benchmark.  Every message,
+on every machine and in every mode, is staged one way: appended to a
+per-function **chunk** (see :mod:`repro.sim.fastpath` for the layout
+and the execution contract).  A round runs them one of two ways:
 
-- **Chunks (the array-native path).**  A message is appended to a
-  per-function chunk, and the round makes ONE body call per function
-  over all of its chunks (``_array_round``); see
-  :mod:`repro.sim.fastpath` for the layout and the execution contract.
-- **Slots (the per-task loop).**  Under a fault plan, and on
+- **Array-native.**  The round makes ONE body call per function over
+  all of its chunks (``_array_round``).
+- **The per-task loop.**  Under a fault plan, and on
   :class:`ReferencePIMMachine` -- the per-task oracle the differ, the
-  tests and the perf gates compare the engine against -- a message is
-  placed straight into its destination's slot (``_staged``) with its
-  body.  A round iterates the modules that received messages (in
-  module-id order, for reply-order stability) and runs the body over
-  each task's one row (``_run_round``); CPU-issued messages are
-  delivered before module-to-module continuations within a slot.
+  tests and the perf gates compare the engine against -- the round
+  first unstages its chunks into per-destination slots
+  (``_take_slots``; the chaos filter rewrites those), then iterates the
+  modules that received messages (in module-id order, for reply-order
+  stability) and runs the body over each task's one row
+  (``_run_round``); CPU-issued messages are delivered before
+  module-to-module continuations within a slot.
 
 An unknown function id raises
 :class:`~repro.sim.errors.UnknownHandlerError` when the message is
-issued, not a round later.  A round is all chunks or all slots:
-installing or uninstalling a fault plan needs a quiescent machine.
-qrqw and access tracing run chunked (bodies report their touches
-through the batch context), and so does the profiler: it times slot
-tasks one by one and each body call as a whole.
+issued, not a round later.  Installing or uninstalling a fault plan
+needs a quiescent machine.  qrqw and access tracing run chunked (bodies
+report their touches through the batch context), and so does the
+profiler: it times slot tasks one by one and each body call as a
+whole.
 
 Bookkeeping is gated: round logs (``trace_rounds``), access tracing
 (``trace_accesses``) and qrqw queue accounting are no-ops when disabled
@@ -55,7 +56,7 @@ Bookkeeping is gated: round logs (``trace_rounds``), access tracing
 once per call or per round.
 
 All *model* metrics (IO time, rounds, messages, sync cost, PIM time,
-per-module work) are accounted exactly the same way on both forms; the
+per-module work) are accounted exactly the same way both ways; the
 golden-metrics regression suite (``tests/test_golden_metrics.py``) pins
 the values the per-task loop produced on seed workloads.
 """
@@ -80,11 +81,6 @@ from repro.sim.metrics import Metrics, MetricsDelta
 from repro.sim.module import PIMModule
 from repro.sim.task import Reply
 from repro.sim.tracing import Tracer
-
-# What ``_chunk_fns`` points at while no function is routed to chunks
-# (a fault plan, the reference oracle).  Never mutated.
-_NO_CHUNK_FNS: Dict[str, Any] = {}
-
 
 def _bad_size(what: str, size: Any) -> MalformedMessageError:
     """The error every CPU-side issue call raises for a ``size`` that is
@@ -128,12 +124,12 @@ class PIMMachine:
     [42]
 
     There is one round engine and no option that selects another: rounds
-    run array-native (:attr:`columnar_active`).  An installed fault plan
-    keeps every message in slots.
+    run array-native (:attr:`columnar_active`).  Under an installed fault
+    plan each round is unstaged into slots and runs the per-task loop.
     """
 
-    #: False only on :class:`ReferencePIMMachine`, which opts out of the
-    #: array-native path for its whole lifetime.
+    #: False only on :class:`ReferencePIMMachine`, which runs every
+    #: round through the per-task loop for its whole lifetime.
     _array_native = True
 
     def __init__(self, num_modules: Optional[int] = None,
@@ -179,17 +175,6 @@ class PIMMachine:
         # fn -> batch body (see register): a round's tasks for fn run as
         # ONE call over contiguous chunks.
         self._handlers: Dict[str, Callable[..., None]] = {}
-        # The functions whose messages are staged as chunks right now:
-        # ``_handlers`` itself on the engine, the empty
-        # ``_NO_CHUNK_FNS`` on the reference oracle
-        # (``_base_chunk_fns``) and while a fault plan is installed.
-        # Every issue path asks ``fn in self._chunk_fns`` once per
-        # message.
-        self._base_chunk_fns: Dict[str, Any] = (
-            self._handlers if self._array_native else _NO_CHUNK_FNS)
-        self._chunk_fns = self._base_chunk_fns
-        # mid -> [units_in, cpu_entries, forward_entries]; see module doc.
-        self._staged: Dict[int, list] = {}
         # Chunk staging (see repro.sim.fastpath): CPU-issued and
         # forwarded chunk streams, per-destination receive units of the
         # row and column chunks (``_recv``, pooled; ``_active`` lists its
@@ -232,7 +217,7 @@ class PIMMachine:
         A batch body ``body(bct, chunks)`` processes one round's entire
         task population for ``fn`` in a single call over contiguous
         chunk buffers (see :class:`repro.sim.fastpath.BatchRound`).
-        Wherever ``fn``'s messages stay in slots (a fault plan,
+        Wherever a round runs the per-task loop (a fault plan,
         :class:`ReferencePIMMachine`) each task runs the same body over
         its one row, so the reference oracle certifies chunking,
         ordering and accounting;
@@ -273,7 +258,7 @@ class PIMMachine:
         """A read-only label: True while rounds run array-native (the
         engine, with no fault plan installed; qrqw and access tracing run
         chunked too)."""
-        return self._chunk_fns is self._handlers
+        return self._array_native and self._chaos is None
 
     def _iter_chunk(self, ch: _Chunk) -> Iterable[tuple]:
         """The ``(dest, args, tag, size)`` rows of a chunk of any kind.
@@ -316,19 +301,10 @@ class PIMMachine:
             raise ValueError(f"bad module id {dest}")
         if type(size) is not int or size < 1:
             raise _bad_size(f"send {(dest, fn)}", size)
-        body = self._handlers.get(fn)
-        if body is None:
+        if fn not in self._handlers:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at send time)")
-        if fn in self._chunk_fns:
-            self._stage_row(self._cq, fn, dest, args, tag, size)
-            return
-        slot = self._staged.get(dest)
-        if slot is None:
-            self._staged[dest] = [size, [(body, args, tag, fn)], []]
-        else:
-            slot[0] += size
-            slot[1].append((body, args, tag, fn))
+        self._stage_row(self._cq, fn, dest, args, tag, size)
 
     def send_all(self, messages: Iterable[Sequence]) -> None:
         """Queue many CPU->PIM messages in one call.
@@ -336,26 +312,21 @@ class PIMMachine:
         Each message is ``(dest, fn, args, tag)`` or, with an explicit
         message size in constant-size units, ``(dest, fn, args, tag,
         size)``.  This is the allocation-light bulk path: a message is
-        staged directly into its function's tail chunk or its
-        destination's slot, resolving the body once per run of
-        messages for the same function.  Malformed
-        messages -- wrong arity, or a size element that is not a
-        positive ``int`` -- raise
+        appended directly to its function's tail chunk, the function
+        resolved once per run of messages for the same function.
+        Malformed messages -- wrong arity, or a size element that is not
+        a positive ``int`` -- raise
         :class:`~repro.sim.errors.MalformedMessageError` here, at issue
         time, rather than corrupting the round accounting.
         """
-        staged = self._staged
         handlers = self._handlers
-        chunk_fns = self._chunk_fns
         n = self.num_modules
         cq = self._cq
         recv = self._recv
         active = self._active
         inc = 0
-        # Resolved once per run of same-fn messages: the body, and the
-        # run's row chunk (``None`` for a slot-routed function).
+        # Resolved once per run of same-fn messages: the run's row chunk.
         run_fn = None
-        body = None
         tail = None
         try:
             for msg in messages:
@@ -375,27 +346,16 @@ class PIMMachine:
                 if not 0 <= dest < n:
                     raise ValueError(f"bad module id {dest}")
                 if fn != run_fn:
-                    body = handlers.get(fn)
-                    if body is None:
+                    if fn not in handlers:
                         raise UnknownHandlerError(
                             f"no handler for {fn!r} (resolved at send time)")
                     run_fn = fn
-                    if fn not in chunk_fns:
-                        tail = None
-                    elif cq and cq[-1].fn == fn and cq[-1].kind == ROWS:
+                    if cq and cq[-1].fn == fn and cq[-1].kind == ROWS:
                         tail = cq[-1]
                     else:
                         tail = _Chunk(fn, ROWS)
                         tail.rows = []
                         cq.append(tail)
-                if tail is None:
-                    slot = staged.get(dest)
-                    if slot is None:
-                        staged[dest] = [size, [(body, args, tag, fn)], []]
-                    else:
-                        slot[0] += size
-                        slot[1].append((body, args, tag, fn))
-                    continue
                 if recv[dest] == 0:
                     active.append(dest)
                 recv[dest] += size
@@ -412,28 +372,16 @@ class PIMMachine:
         """
         if type(size) is not int or size < 1:
             raise _bad_size(f"broadcast {fn!r}", size)
-        body = self._handlers.get(fn)
-        if body is None:
+        if fn not in self._handlers:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at send time)")
-        if fn in self._chunk_fns:
-            ch = _Chunk(fn, BCAST)
-            ch.args = args
-            ch.tag = tag
-            ch.size = size
-            self._cq.append(ch)
-            self._bcast_units += size
-            self._incoming_total += size * self.num_modules
-            return
-        staged = self._staged
-        entry = (body, args, tag, fn)
-        for mid in range(self.num_modules):
-            slot = staged.get(mid)
-            if slot is None:
-                staged[mid] = [size, [entry], []]
-            else:
-                slot[0] += size
-                slot[1].append(entry)
+        ch = _Chunk(fn, BCAST)
+        ch.args = args
+        ch.tag = tag
+        ch.size = size
+        self._cq.append(ch)
+        self._bcast_units += size
+        self._incoming_total += size * self.num_modules
 
     def send_cols(self, fn: str, dests: Sequence[int],
                   cols: Sequence[Sequence[Any]], size: int = 1) -> None:
@@ -443,14 +391,11 @@ class PIMMachine:
         message ``i`` goes to module ``dests[i]`` with arguments
         ``(cols[0][i], cols[1][i], ...)``, no tag.  ``dests`` and every
         column are plain lists of one length; they land as one chunk
-        that ``fn``'s body reads next round.  On a machine whose
-        messages all stay in slots the rows go to their destinations'
-        slots, exactly where :meth:`send_all` would put them.  The
-        destinations are counted once: that count is the bounds
-        check, the receive accounting -- the same per-module units and
-        task counts as sending the rows one by one, so metric streams do
-        not depend on which form a caller uses -- and the chunk's
-        ``counts``.  A column of another length than ``dests`` (or no
+        that ``fn``'s body reads next round.  The destinations are
+        counted once: that count is the bounds check, the receive
+        accounting -- the same per-module units and task counts as
+        sending the rows one by one, so metric streams do not depend on
+        which form a caller uses -- and the chunk's ``counts``.  A column of another length than ``dests`` (or no
         column at all) raises
         :class:`~repro.sim.errors.MalformedMessageError`, a module id
         outside ``[0, P)`` ``ValueError``, an unknown ``fn``
@@ -463,8 +408,7 @@ class PIMMachine:
         """
         if type(size) is not int or size < 1:
             raise _bad_size(f"send_cols {fn!r}", size)
-        body = self._handlers.get(fn)
-        if body is None:
+        if fn not in self._handlers:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at send time)")
         cols = tuple(cols)
@@ -482,9 +426,6 @@ class PIMMachine:
         ch.cols = cols
         ch.counts = counts
         ch.size = size
-        if fn not in self._chunk_fns:
-            self._rows_to_slots(_CPU_Q, fn, body, self._iter_chunk(ch))
-            return
         recv = self._recv
         active = self._active
         for mid, k in counts.items():
@@ -502,7 +443,6 @@ class PIMMachine:
         for mid in self._active:
             recv[mid] = 0
         self._active = []
-        self._staged = {}
         self._cq = []
         self._fq = []
         self._bcast_units = 0
@@ -528,35 +468,16 @@ class PIMMachine:
         ch.rows = [(dest, args, tag, size)]
         queue.append(ch)
 
-    def _rows_to_slots(self, q: int, fn: str, body: Any,
-                       rows: Iterable[tuple]) -> None:
-        """Place ``(dest, args, tag, size)`` rows in their destination
-        slots (queue ``q``), preserving arrival order and units."""
-        staged = self._staged
-        for dest, args, tag, size in rows:
-            slot = staged.get(dest)
-            if slot is None:
-                slot = staged[dest] = [0, [], []]
-            slot[0] += size
-            slot[q].append((body, args, tag, fn))
-
     def _stage_fwd_rows(self, fn: str, rows: list) -> None:
         """Bulk-append continuation rows (``BatchRound.stage_rows``);
         a destination outside ``[0, P)`` raises ``ValueError`` before
         anything is staged."""
         if not rows:
             return
-        body = self._handlers.get(fn)
-        if body is None:
+        if fn not in self._handlers:
             raise UnknownHandlerError(
                 f"no handler for {fn!r} (resolved at forward time)")
         P = self.num_modules
-        if fn not in self._chunk_fns:
-            for dest, _args, _tag, _size in rows:
-                if not 0 <= dest < P:
-                    raise ValueError(f"bad module id {dest}")
-            self._rows_to_slots(_FWD_Q, fn, body, rows)
-            return
         recv = self._recv
         active = self._active
         n_active = len(active)
@@ -590,6 +511,29 @@ class PIMMachine:
         ch.rows = rows
         fq.append(ch)
 
+    def _take_slots(self) -> Dict[int, list]:
+        """Unstage the pending chunks into per-destination slots
+        ``{mid: [units, cpu_entries, forward_entries]}`` for the per-task
+        loop, each entry ``(body, args, tag, fn)``: the CPU stream, then
+        the forwards, in issue order, the units summed from the rows
+        themselves (never from the receive books, which the oracle's own
+        accounting checks).  The staging is left empty: bodies run this
+        round stage the next one's messages."""
+        slots: Dict[int, list] = {}
+        bodies = self._handlers
+        for q, chunks in ((_CPU_Q, self._cq), (_FWD_Q, self._fq)):
+            for ch in chunks:
+                fn = ch.fn
+                body = bodies[fn]
+                for dest, args, tag, size in self._iter_chunk(ch):
+                    slot = slots.get(dest)
+                    if slot is None:
+                        slot = slots[dest] = [0, [], []]
+                    slot[0] += size
+                    slot[q].append((body, args, tag, fn))
+        self._discard_staged()
+        return slots
+
     # -- round execution -----------------------------------------------------
 
     def step(self) -> List[Reply]:
@@ -608,15 +552,10 @@ class PIMMachine:
         """
         if self._chaos is not None:
             return self._chaos_round()
-        if self._cq or self._fq:
-            return self._array_round()
-        staged = self._staged
-        if not staged:
-            return []
-        # Swap in a fresh staging dict: handlers forwarding during this
-        # round stage messages for the NEXT round.
-        self._staged = {}
-        return self._run_round(staged)
+        if self._array_native:
+            return self._array_round() if self._cq or self._fq else []
+        slots = self._take_slots()
+        return self._run_round(slots) if slots else []
 
     def _run_round(self, staged: Dict[int, list]) -> List[Reply]:
         """Deliver and execute one round's already-unstaged slots: the
@@ -830,12 +769,10 @@ class PIMMachine:
         assert chaos is not None
         rnd = self.metrics.rounds - chaos.base_round
         chaos.begin_round(self, rnd)
-        staged = self._staged
-        self._staged = {}
-        deliver = chaos.filter_round(self, staged, rnd)
+        deliver = chaos.filter_round(self, self._take_slots(), rnd)
         if deliver:
             return self._run_round(deliver)
-        if self._staged or chaos.has_pending():
+        if chaos.has_pending():
             self._charge_idle_round()
         return []
 
@@ -863,20 +800,19 @@ class PIMMachine:
         Event rounds in the plan are interpreted relative to the install
         point.  Installing also registers the protocol's envelope body
         and makes :func:`repro.ops.run_batch` wrap every CPU->module
-        message in the reliable-delivery protocol, and
-        keeps every message in slots until :meth:`uninstall_fault_plan`
-        (the chaos filter rewrites per-destination queues in place).
-        Refuses while any message is :attr:`pending` -- rows, columns,
-        slots or a previous plan's delayed messages -- so no chunk is
-        ever pending under a plan.  Returns the runtime
-        :class:`~repro.sim.chaos.ChaosState` (fault statistics,
-        delayed-message buffer).
+        message in the reliable-delivery protocol; until
+        :meth:`uninstall_fault_plan` each round is unstaged into slots,
+        which the chaos filter rewrites in place, and runs the per-task
+        loop.  Refuses while any message is :attr:`pending` -- rows,
+        columns, broadcasts or a previous plan's held messages -- so
+        every message a plan sees was issued under it.  Returns the
+        runtime :class:`~repro.sim.chaos.ChaosState` (fault statistics,
+        delayed and stalled messages).
         """
         if self.pending:
             raise RuntimeError("cannot install a fault plan with messages "
                                "pending; drain first")
         self.register(DELIVER_FN, deliver_envelope)
-        self._chunk_fns = _NO_CHUNK_FNS
         self._chaos = ChaosState(plan, base_round=self.metrics.rounds)
         return self._chaos
 
@@ -884,19 +820,16 @@ class PIMMachine:
         """Disarm the fault plan, restoring the perfect network.
 
         Refuses while any message is :attr:`pending`, as
-        :meth:`install_fault_plan` does: chaos-held (delayed) messages
-        would be silently lost, and a message staged in a slot under the
-        plan would meet the chunks of the fault-free engine.
+        :meth:`install_fault_plan` does: chaos-held (delayed or stalled)
+        messages would be silently lost, and a message issued under the
+        plan is an envelope whose ack only the protocol's drain reads.
         """
         chaos = self._chaos
-        if chaos is not None and chaos.has_pending():
-            raise RuntimeError("fault plan holds delayed messages; "
-                               "drain before uninstalling")
         if self.pending:
             raise RuntimeError("cannot uninstall a fault plan with "
-                               "messages pending; drain first")
+                               "messages pending or held by the plan; "
+                               "drain first")
         self._chaos = None
-        self._chunk_fns = self._base_chunk_fns
         return chaos
 
     def wipe_module(self, mid: int) -> None:
@@ -946,10 +879,12 @@ class PIMMachine:
 
     def _pending_stats(self) -> tuple:
         """Pending-queue diagnostics: ``({mid: tasks}, {fn: tasks})``,
-        module ids in ascending order, over slots and chunks alike."""
+        module ids in ascending order, over the chunks and the slots a
+        stall holds alike."""
         pending: Dict[int, int] = {}
         by_fn: Dict[str, int] = {}
-        for mid, slot in self._staged.items():
+        held = self._chaos.held if self._chaos is not None else {}
+        for mid, slot in held.items():
             pending[mid] = len(slot[_CPU_Q]) + len(slot[_FWD_Q])
             for queue in (slot[_CPU_Q], slot[_FWD_Q]):
                 for entry in queue:
@@ -997,7 +932,7 @@ class PIMMachine:
     def pending(self) -> bool:
         """True if messages await delivery in a future round (including
         messages the fault plan is holding back for later rounds)."""
-        if self._staged or self._cq or self._fq:
+        if self._cq or self._fq:
             return True
         chaos = self._chaos
         return chaos is not None and chaos.has_pending()
@@ -1036,9 +971,10 @@ class PIMMachine:
 
 
 class ReferencePIMMachine(PIMMachine):
-    """The per-task reference oracle: every message, whatever its
-    function, is placed in a slot and run by the scalar loop; a chunked
-    function's task runs its batch body over its one row.
+    """The per-task reference oracle: messages are staged as chunks, as
+    on the engine, and every round is unstaged into per-destination
+    slots and run by the scalar loop, each task its function's batch
+    body over its one row.
 
     This is what the engine is certified against -- the differ's
     cross-engine replay, the parity tests and the perf gates construct

@@ -11,78 +11,20 @@ messages carry a constant number of words, so a payload of ``k`` words is
 accounted as ``k`` messages (used e.g. when a pivot search streams its
 lower-part path back to shared memory).
 
-These are plain ``__slots__`` value classes, not dataclasses: the round
-engine creates them (``Reply``) or their flattened equivalents at very
-high rates, and the per-instance dict plus dataclass machinery showed up
-as a measurable share of simulator wall time.  The engine's internal
-queues carry pre-resolved ``(handler, args, tag, fn)`` entries;
-:class:`Task` and :class:`Message` remain the public value types for code
-that builds or inspects messages explicitly.
+The one value class here is :class:`Reply`, a plain ``__slots__`` class
+rather than a dataclass: the round engine creates replies at very high
+rates, and the per-instance dict plus dataclass machinery showed up as a
+measurable share of simulator wall time.  Outgoing messages have no
+value class: the engine stages them as chunks of ``(dest, args, tag,
+size)`` rows (see :mod:`repro.sim.fastpath`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any
 
 CPU_SIDE = -1
 """Pseudo module id for the CPU side (the shared memory)."""
-
-
-class Task:
-    """A unit of offloaded work: a function id plus arguments.
-
-    ``fn`` must name a handler registered on the machine (see
-    :meth:`repro.sim.machine.PIMMachine.register`).  ``args`` is an
-    arbitrary tuple passed to the handler.  ``tag`` is an opaque value the
-    issuer can use to match replies to requests (e.g. the index of the
-    operation within a batch).
-    """
-
-    __slots__ = ("fn", "args", "tag")
-
-    def __init__(self, fn: str, args: Tuple[Any, ...] = (),
-                 tag: Any = None) -> None:
-        self.fn = fn
-        self.args = args
-        self.tag = tag
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, Task):
-            return NotImplemented
-        return (self.fn == other.fn and self.args == other.args
-                and self.tag == other.tag)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Task(fn={self.fn!r}, args={self.args!r}, tag={self.tag!r})"
-
-
-class Message:
-    """A routed message: a task headed to ``dest`` of a given ``size``.
-
-    ``src`` is the sending side: :data:`CPU_SIDE` for CPU-issued offloads or
-    a module id for module-to-module continuations (which the paper routes
-    via the shared memory; the simulator accounts them as one send at the
-    source round and one receive at the destination round).
-    """
-
-    __slots__ = ("dest", "task", "size", "src")
-
-    def __init__(self, dest: int, task: Task, size: int = 1,
-                 src: int = CPU_SIDE) -> None:
-        self.dest = dest
-        self.task = task
-        self.size = size
-        self.src = src
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, Message):
-            return NotImplemented
-        return (self.dest == other.dest and self.task == other.task
-                and self.size == other.size and self.src == other.src)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Message(dest={self.dest}, task={self.task!r}, "
-                f"size={self.size}, src={self.src})")
 
 
 class Reply:

@@ -51,7 +51,8 @@ from __future__ import annotations
 import bisect
 import math
 from itertools import repeat
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, Hashable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.balls.hashing import KeyLevelHash, stable_hash
 from repro.core.skiplist import group_payloads
@@ -646,12 +647,20 @@ class PIMTree:
                   _build_route(self, items))
 
     def _tick(self, batches: Sequence[Tuple[str, Sequence]]) -> List[Any]:
-        parts = [_PARTS[op](self, payload) for op, payload in batches]
-        lead = parts[0]
-        suffix = (lead.suffix if len(parts) == 1
-                  or isinstance(lead, _UpsertPart) else "batch_reads")
-        return run_batch(self.machine, f"{self.name}:{suffix}",
-                         _tick_route(self, parts))
+        """One tick's batches as one op (:func:`_tick_route`); an empty
+        batch runs nothing and is answered ``[]``, or ``None`` for the
+        Upsert."""
+        parts = [_PARTS[op](self, payload) for op, payload in batches
+                 if payload]
+        results: Iterator[Any] = iter(())
+        if parts:
+            lead = parts[0]
+            suffix = (lead.suffix if len(parts) == 1
+                      or isinstance(lead, _UpsertPart) else "batch_reads")
+            results = iter(run_batch(self.machine, f"{self.name}:{suffix}",
+                                     _tick_route(self, parts)))
+        return [next(results) if payload else None if op == "upsert" else []
+                for op, payload in batches]
 
     def batch_get(self, keys: Sequence[Hashable]) -> List[Optional[Any]]:
         return self._tick([("get", keys)])[0]
@@ -668,27 +677,18 @@ class PIMTree:
         self._tick([("upsert", pairs)])
 
     def batch_delete(self, keys: Sequence[Hashable]) -> None:
-        run_batch(self.machine, f"{self.name}:batch_delete",
-                  _delete_route(self, keys))
+        if keys:
+            run_batch(self.machine, f"{self.name}:batch_delete",
+                      _delete_route(self, keys))
 
     def apply_batch(self, op: str, payload: Sequence) -> Optional[list]:
         """Uniform batch dispatch (contract: see
         :meth:`repro.core.skiplist.PIMSkipList.apply_batch`)."""
-        if op == "get":
-            return self.batch_get(list(payload)) if payload else []
-        if op == "successor":
-            return self.batch_successor(list(payload)) if payload else []
-        if op == "upsert":
-            if payload:
-                self.batch_upsert(list(payload))
-            return None
         if op == "delete":
-            if payload:
-                self.batch_delete(list(payload))
-            return None
-        if op == "range":
-            return self.batch_range(list(payload)) if payload else []
-        raise ValueError(f"apply_batch: unknown op {op!r}")
+            return self.batch_delete(list(payload))
+        if op not in _PARTS:
+            raise ValueError(f"apply_batch: unknown op {op!r}")
+        return self._tick([(op, list(payload))])[0]
 
     #: Classes whose batches share one tick's :meth:`apply_group` call:
     #: the Upsert and all three reads start with the same descent.
@@ -703,10 +703,7 @@ class PIMTree:
         if "delete" in group_payloads(batches):
             raise ValueError("apply_group: a PIM-tree group's write is an "
                              "Upsert")
-        live = [(op, list(payload)) for op, payload in batches if payload]
-        results = iter(self._tick(live) if live else ())
-        return [next(results) if payload else self.apply_batch(op, payload)
-                for op, payload in batches]
+        return self._tick([(op, list(payload)) for op, payload in batches])
 
     def check_integrity(self) -> None:
         """Assert the structural invariants, dumping module state:
@@ -1092,8 +1089,6 @@ def _tick_route(tree: PIMTree, parts: Sequence[Any]):
     machine = tree.machine
     queries = [part.queries(machine) for part in parts]
     write = parts[0] if isinstance(parts[0], _UpsertPart) else None
-    if write is not None and not write.merged:
-        return [None]  # an empty Upsert, alone: a group holds no empty batch
     if tree.first_leaf is None:
         results = [part.empty() for part in parts]
         if write is not None:

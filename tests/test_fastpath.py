@@ -7,8 +7,9 @@ model metrics, bit for bit.  These tests pin that equivalence where it
 is easiest to break -- rounds mixing row, column and broadcast chunks,
 golden metrics, chaos, drain diagnostics, a profiled session -- plus the
 absence of any engine-selection surface, the one registration (a batch
-body for every function) and what keeps messages in slots (a fault plan
-installed on a quiescent machine; not qrqw or access tracing).
+body for every function), what runs the per-task loop (a fault plan
+installed on a quiescent machine; not qrqw or access tracing) and the
+one staging form, whose round-time slots must be the issue log's.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.node import Node
 from repro.core.skiplist import PIMSkipList
@@ -30,7 +32,7 @@ from repro.sim.fastpath import BCAST, COLS, ROWS
 from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.profiling import HandlerProfile
 from repro.workloads import build_items, zipf_batch
-from tests.conftest import ENGINES
+from tests.conftest import DETERMINISTIC, ENGINES
 from tests.test_golden_metrics import (
     GOLDEN_PATH,
     _skiplist_workloads,
@@ -104,7 +106,8 @@ def _batch_walk(bct, chunks):
 
 
 def _batch_ping(bct, chunks):
-    """``ping``: broadcast on the engine, one row a task in slots."""
+    """``ping``: a broadcast chunk on the engine, one row a task on the
+    oracle."""
     for ch in chunks:
         for mid, _args, tag, _size in bct.rows_of(ch):
             bct.work[mid] += 1
@@ -121,15 +124,10 @@ def _machine(engine="columnar", **kwargs):
 
 def _staging(machine, norm=tuple):
     """Next-round staging as ``{mid: sorted (fn, args) tasks}`` plus the
-    per-module receive units -- slots and chunks alike.  ``norm`` maps
-    an args tuple to its comparable form."""
+    per-module receive units, read from the chunks.  ``norm`` maps an
+    args tuple to its comparable form."""
     tasks = {}
     units = {}
-    for mid, slot in machine._staged.items():
-        units[mid] = units.get(mid, 0) + slot[0]
-        for queue in (slot[1], slot[2]):
-            for _body, args, _tag, fn in queue:
-                tasks.setdefault(mid, []).append((fn, norm(args)))
     for chunks in (machine._cq, machine._fq):
         for ch in chunks:
             for dest, args, _tag, size in machine._iter_chunk(ch):
@@ -137,6 +135,20 @@ def _staging(machine, norm=tuple):
                 tasks.setdefault(dest, []).append((ch.fn, norm(args)))
     return ({mid: sorted(v, key=repr) for mid, v in sorted(tasks.items())},
             dict(sorted(units.items())))
+
+
+def _record_slots(machine):
+    """The slots each of ``machine``'s per-task rounds runs, one dict a
+    round, in order: ``_run_round`` wrapped to keep its argument."""
+    seen = []
+    run = machine._run_round
+
+    def recording(slots):
+        seen.append(slots)
+        return run(slots)
+
+    machine._run_round = recording
+    return seen
 
 
 def _mixed_workload(machine):
@@ -221,8 +233,9 @@ class TestBackendSelection:
             SkipListStructure(PIMMachine(P), storage="object")
 
     def test_reference_class_runs_the_scalar_loop(self, monkeypatch):
-        """The oracle stages every message in a slot and runs each task
-        as its function's body over the task's one row."""
+        """The oracle stages chunks as the engine does, unstages each
+        round into slots and runs each task as its function's body over
+        the task's one row."""
         machine = _machine("object")
         assert not machine.columnar_active
         assert machine.backend == "object"
@@ -237,11 +250,15 @@ class TestBackendSelection:
 
         monkeypatch.setitem(machine._handlers, "ping", body)
         _issue_mixed_round(machine)
-        assert not (machine._cq or machine._fq)  # slots only
-        assert all(entry[0] is machine._handlers[entry[3]]
-                   for slot in machine._staged.values()
-                   for queue in slot[1:] for entry in queue)
+        assert {ch.kind for ch in machine._cq} == {ROWS, COLS, BCAST}
+        slots = _record_slots(machine)
         assert machine.drain()
+        assert all(entry[0] is machine._handlers[entry[3]]
+                   for slot in slots[0].values()
+                   for queue in slot[1:] for entry in queue)
+        assert sum(len(q) for slot in slots[0].values() for q in slot[1:]) \
+            == (P + 3) + 2 * P + 2 + 12 + P + 1
+        assert machine.tasks_chunked == 0
         assert calls == [[(ROWS, 1)]] * P
 
     def test_register_batch_collision(self):
@@ -356,7 +373,7 @@ class TestBackendParity:
         obj, col = _machine("object"), _machine("columnar")
         for machine in (obj, col):
             _issue_mixed_round(machine)
-        assert col._cq and not col._staged  # chunks only, on the engine
+        assert col._cq
         kinds = {ch.kind for ch in col._cq}
         assert kinds == {ROWS, COLS, BCAST}
         rounds = 0
@@ -414,7 +431,7 @@ class TestBackendParity:
                  (4, "meter", (7,), "c"), (4, "echo", (2,), "t"),
                  (6, "meter", (50,), "d")])
             machine.broadcast("meter", (3,), tag="all")
-        assert col._cq and not col._staged
+        assert col._cq
         lockstep(obj, col)
         # A broadcast alone: every even module charges the callback.
         for machine in (obj, col):
@@ -436,28 +453,29 @@ class TestBackendParity:
         col.send_cols("meter", [6, 3, 6], ([40, 9, 5],))
         obj.send_all([(6, "meter", (40,), None), (3, "meter", (9,), None),
                       (6, "meter", (5,), None)])
-        assert [ch.kind for ch in col._cq] == [COLS] and not col._staged
+        assert [ch.kind for ch in col._cq] == [COLS]
         lockstep(obj, col)
         assert col.metrics.pim_time - before == (40 + 1) + (5 + 1)
         assert col.tasks_chunked == 6 + 2 * P + 3
 
     def test_column_send_to_scalar_only_function_lands_in_slots(self):
-        """Where a machine keeps every message in slots -- here, under a
-        fault plan -- a column batch is bucketed into its rows' slots at
-        issue time, units included."""
+        """Where a round runs the per-task loop -- here, under a fault
+        plan -- a column batch is staged as one chunk and unstaged into
+        its rows' slots at round time, units included."""
         machine = _machine()
         machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
         machine.send_cols("echo", [1, 1, 5], ([10, 11, 12],), size=2)
-        assert not machine._cq
-        assert {mid: slot[0] for mid, slot in machine._staged.items()} \
-            == {1: 4, 5: 2}
+        assert [ch.kind for ch in machine._cq] == [COLS]
+        slots = _record_slots(machine)
         assert sorted(r.payload for r in machine.drain()) == [20, 22, 24]
+        assert {mid: slot[0] for mid, slot in slots[0].items()} \
+            == {1: 4, 5: 2}
 
     def test_send_cols_on_the_oracle_stages_the_rows(self):
         """On the reference oracle a column send is the rows it stands
-        for: the slots ``send_all`` of :meth:`Columns.rows` stages --
-        entries, order and units -- behind the traffic already there,
-        for two functions alike."""
+        for: the round-time slots equal those of ``send_all`` of
+        :meth:`Columns.rows` -- entries, order and units -- behind the
+        traffic already there, for two functions alike."""
         from repro.ops import Columns
 
         got = []
@@ -472,30 +490,30 @@ class TestBackendParity:
                     machine.send_cols(fn, dests, cols)
                 else:
                     machine.send_all(Columns(fn, dests, cols).rows())
-            assert not (machine._cq or machine._fq)
+            slots = _record_slots(machine)
+            replies = machine.drain()
             # Each entry carries its machine's own body: compare the
             # function ids, and that they resolve to that body.
             staged = {}
-            for mid, (units, *queues) in machine._staged.items():
+            for mid, (units, *queues) in slots[0].items():
                 for queue in queues:
                     assert all(body is machine._handlers[fn]
                                for body, _args, _tag, fn in queue)
                 staged[mid] = [units] + [[entry[1:] for entry in queue]
                                          for queue in queues]
-            got.append((staged, machine.drain(), machine.snapshot()))
+            got.append((staged, replies, machine.snapshot()))
         assert got[0] == got[1]
 
     def test_scalar_only_round_is_the_scalar_loop(self, monkeypatch):
-        """With no fault plan installed the engine never puts a message
-        in a slot: a round is all chunks, and the per-task loop is not
-        entered at all."""
+        """With no fault plan installed the engine never unstages a round
+        into slots: the per-task loop is not entered at all."""
         machine = _machine()
         monkeypatch.setattr(
             machine, "_run_round",
             lambda staged: pytest.fail("slot round on the engine"))
         machine.send_all([(m, "relay", (m, 2), m) for m in range(P)])
         machine.broadcast("echo", (1,))
-        assert not machine._staged
+        assert [ch.kind for ch in machine._cq] == [ROWS, BCAST]
         assert len(machine.drain()) == 2 * P
         assert machine.tasks_chunked == machine.tasks_executed == 4 * P
 
@@ -592,7 +610,7 @@ class TestProfiledEngine:
 
 
 # ----------------------------------------------------------------------
-# what keeps messages in slots
+# what runs the per-task loop
 # ----------------------------------------------------------------------
 
 def _assert_install_refused(machine, norm=tuple):
@@ -613,27 +631,31 @@ def _assert_install_refused(machine, norm=tuple):
 
 class TestChaosFallback:
     def test_fault_plan_triggers_typed_fallback(self):
-        """An installed fault plan keeps every message in slots;
-        uninstalling it routes new traffic to chunks again.
-        ``columnar_active`` is the label of that, ``backend`` of the
-        machine's class."""
+        """Under an installed fault plan every round is unstaged into
+        slots and runs the per-task loop; uninstalling it runs rounds
+        chunked again.  ``columnar_active`` is the label of that,
+        ``backend`` of the machine's class."""
         machine = _machine()
         machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
         assert not machine.columnar_active
         assert machine.backend == "columnar"  # identity, not engine state
         _issue_mixed_round(machine)
-        assert machine._staged and not (machine._cq or machine._fq)
+        assert {ch.kind for ch in machine._cq} == {ROWS, COLS, BCAST}
+        slots = _record_slots(machine)
         machine.drain()
-        assert machine.tasks_chunked == 0
+        assert slots and machine.tasks_chunked == 0
+        assert sum(len(q) for rnd in slots for slot in rnd.values()
+                   for q in slot[1:]) == machine.tasks_executed
         machine.uninstall_fault_plan()
         assert machine.columnar_active
         _issue_mixed_round(machine)
         assert machine._cq
+        rounds = len(slots)
         machine.drain()
-        assert machine.tasks_chunked > 0
+        assert machine.tasks_chunked > 0 and len(slots) == rounds
 
     def test_fault_plan_refused_with_messages_pending(self):
-        """Row, column and broadcast chunks (slots on the oracle), then
+        """Row, column and broadcast chunks (on the oracle too), then
         one message, then forwarded continuations: each time the install
         raises and moves nothing, the machine drains to the oracle's
         result, and a quiescent machine accepts the plan."""
@@ -641,7 +663,8 @@ class TestChaosFallback:
         for machine in (obj, col):
             _issue_mixed_round(machine)
         assert {ch.kind for ch in col._cq} == {ROWS, COLS, BCAST}
-        assert obj._staged and not col._staged
+        assert [(ch.fn, ch.kind) for ch in obj._cq] \
+            == [(ch.fn, ch.kind) for ch in col._cq]
         for machine in (obj, col):
             _assert_install_refused(machine)
         assert sorted(col.drain(), key=repr) == sorted(obj.drain(), key=repr)
@@ -676,9 +699,9 @@ class TestChaosFallback:
         assert machine.columnar_active
 
     def test_behaviour_parity_under_faults(self):
-        """With an identical seeded fault plan the engine (every message
-        in slots) and the oracle observe the same faults, emit the same
-        replies and account the same metrics."""
+        """With an identical seeded fault plan the engine (every round
+        unstaged into slots) and the oracle observe the same faults, emit
+        the same replies and account the same metrics."""
         spec = FaultSpec(drop=0.15, dup=0.1, delay=0.1, delay_rounds=2)
         results = {}
         for backend in ENGINES:
@@ -844,3 +867,124 @@ class TestBackendEquivalenceCheck:
         _check_backend_equivalence(report, session, P, stream[:-1])
         assert not report.ok
         assert "pipeline ops" in report.violations[0].detail
+
+
+# ----------------------------------------------------------------------
+# staging: one form on every machine, slots built at round time
+# ----------------------------------------------------------------------
+
+_DEST = st.integers(0, P - 1)
+_SIZE = st.integers(1, 3)
+_FN = st.sampled_from(("f0", "f1", "f2"))
+_ROW = st.tuples(_DEST, _FN, _SIZE)
+ISSUE_LOGS = st.lists(st.one_of(
+    st.tuples(st.just("send"), _ROW),
+    st.tuples(st.just("send_all"), st.lists(_ROW, max_size=6)),
+    st.tuples(st.just("broadcast"), _FN, _SIZE),
+    st.tuples(st.just("send_cols"), _FN, st.lists(_DEST, max_size=6),
+              _SIZE),
+    st.tuples(st.just("forward"), _FN,
+              st.lists(st.tuples(_DEST, _SIZE), max_size=6)),
+), max_size=12)
+
+
+def _nop(bct, chunks):
+    pass
+
+
+def _issue_log(machine, log):
+    """Issue ``log`` on ``machine`` -- forwards through ``stage_rows``,
+    as a body stages them -- and return the slots built straight from
+    it: ``{mid: [units, cpu (fn, args, tag), forward (fn, args, tag)]}``
+    in issue order.  Every message's args are its issue serial."""
+    want = {}
+    serial = iter(range(1 << 20))
+
+    def expect(q, dest, fn, args, tag, size):
+        slot = want.setdefault(dest, [0, [], []])
+        slot[0] += size
+        slot[q].append((fn, args, tag))
+
+    for item in log:
+        kind = item[0]
+        if kind == "send":
+            dest, fn, size = item[1]
+            args = (next(serial),)
+            machine.send(dest, fn, args, tag="s", size=size)
+            expect(1, dest, fn, args, "s", size)
+        elif kind == "send_all":
+            msgs = []
+            for dest, fn, size in item[1]:
+                args = (next(serial),)
+                msgs.append((dest, fn, args, None) if size == 1
+                            else (dest, fn, args, None, size))
+                expect(1, dest, fn, args, None, size)
+            machine.send_all(msgs)
+        elif kind == "broadcast":
+            _, fn, size = item
+            args = (next(serial),)
+            machine.broadcast(fn, args, tag="b", size=size)
+            for mid in range(P):
+                expect(1, mid, fn, args, "b", size)
+        elif kind == "send_cols":
+            _, fn, dests, size = item
+            xs = [next(serial) for _ in dests]
+            machine.send_cols(fn, dests, (xs,), size=size)
+            for dest, x in zip(dests, xs):
+                expect(1, dest, fn, (x,), None, size)
+        else:
+            _, fn, rows = item
+            out = []
+            for dest, size in rows:
+                args = (next(serial),)
+                out.append((dest, args, "f", size))
+                expect(2, dest, fn, args, "f", size)
+            machine._bct.stage_rows(fn, out)
+    return want
+
+
+def _plain_slots(machine, slots):
+    """Round-time slots with each entry ``(fn, args, tag)``, after
+    checking that its body is the machine's handler for ``fn``."""
+    out = {}
+    for mid, (units, *queues) in slots.items():
+        for queue in queues:
+            assert all(body is machine._handlers[fn]
+                       for body, _args, _tag, fn in queue)
+        out[mid] = [units] + [[(fn, args, tag)
+                               for _body, args, tag, fn in queue]
+                              for queue in queues]
+    return out
+
+
+class TestStaging:
+    @DETERMINISTIC
+    @given(ISSUE_LOGS)
+    def test_round_time_slots_are_the_issue_log(self, log):
+        """Any interleaving of the issue paths: the slots a round builds
+        are the per-destination lists of the issue log -- CPU entries
+        before forwards, each in issue order, units the sum of sizes --
+        on the engine (``_take_slots`` directly, after its receive books
+        are read against the log) and on the oracle (what its round
+        runs)."""
+        machine = ENGINES["columnar"](num_modules=P, seed=0)
+        oracle = ENGINES["object"](num_modules=P, seed=0)
+        for m in (machine, oracle):
+            for fn in ("f0", "f1", "f2"):
+                m.register(fn, _nop)
+        want = _issue_log(machine, log)
+        assert _issue_log(oracle, log) == want
+        units = {mid: slot[0] for mid, slot in want.items()}
+        books = [machine._recv[mid] + machine._bcast_units
+                 for mid in range(P)]
+        assert {mid: k for mid, k in enumerate(books) if k} == units
+        assert machine._incoming_total == sum(units.values())
+        assert machine.pending == bool(want)
+        assert _plain_slots(machine, machine._take_slots()) == want
+        assert not machine.pending and machine._incoming_total == 0
+        assert machine._recv == [0] * P and not machine._active
+        slots = _record_slots(oracle)
+        oracle.step()
+        assert [_plain_slots(oracle, rnd) for rnd in slots] \
+            == ([want] if want else [])
+        assert not oracle.pending

@@ -34,7 +34,7 @@ from repro.sim.fastpath import COLS, ROWS
 from repro.structures.pimtree import _LOG_WORK, PIMTree
 from repro.workloads import build_items, same_successor_batch
 from tests.conftest import DETERMINISTIC, ENGINES
-from tests.test_fastpath import _assert_install_refused
+from tests.test_fastpath import _assert_install_refused, _record_slots
 from tests.test_fastpath_writes import (
     _chunked_fns,
     _lockstep,
@@ -97,7 +97,6 @@ class TestSteps:
             for qid, (nid, key) in enumerate(
                 itertools.product(sorted(t.nodes), PROBES))])
         assert _chunked_fns(col) == {"pimtree:nd_step"}
-        assert not col._staged
         assert _lockstep(obj, col) == 1
         assert col.tasks_chunked > 0
 
@@ -173,11 +172,18 @@ class TestMixedRounds:
         pull's reply stream is the oracle's, and the two read together
         in slot order (stably by module) are too."""
         obj, col = _issue(pair, self._mixed)
-        assert not col._staged and _chunked_fns(col) == {
+        assert _chunked_fns(col) == _chunked_fns(obj) == {
             "pimtree:nd_step", "pimtree:nd_pull", "pimtree:lf_get",
             "pimtree:lf_pull"}
         assert _norm_staging(obj) == _norm_staging(col)
+        slots = _record_slots(obj)
         got_obj, got_col = _replies(obj.step()), _replies(col.step())
+        # The oracle's slots hold each module's tasks in issue order.
+        want = {}
+        for dest, fn, args, _tag in self._mixed(pair[0]):
+            want.setdefault(dest, []).append((fn, args))
+        assert {mid: [(fn, args) for _b, args, _t, fn in cpu]
+                for mid, (_units, cpu, _fwd) in slots[0].items()} == want
         assert sorted(got_obj) == sorted(got_col)
         for kind in ("pull", "lpull"):
             assert ([r for r in got_col if r[2][0] == kind]

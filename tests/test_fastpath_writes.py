@@ -36,7 +36,11 @@ from repro.sim.chaos import FaultPlan, FaultSpec
 from repro.sim.fastpath import BCAST, COLS, ROWS
 from repro.workloads import build_items
 from tests.conftest import DETERMINISTIC, ENGINES
-from tests.test_fastpath import _assert_install_refused, _staging
+from tests.test_fastpath import (
+    _assert_install_refused,
+    _record_slots,
+    _staging,
+)
 
 P = 8
 STRIDE = 1000
@@ -128,7 +132,6 @@ class TestWritePtr:
             _issue(sl.machine, msgs)
         obj, col = (sl.machine for sl in pair)
         assert {ch.kind for ch in col._cq} == {ROWS, BCAST}
-        assert not col._staged
         before = col.tasks_chunked
         assert _lockstep(obj, col) == 1
         assert col.tasks_chunked - before == len(want[1]) - 1 + P
@@ -147,7 +150,7 @@ class TestWritePtr:
             _issue(sl.machine, msgs)
             sl.machine.broadcast(f"{s.name}:ups_upper_link", (node,))
         obj, col = (sl.machine for sl in pair)
-        assert col._cq and not col._staged
+        assert col._cq
         assert _lockstep(obj, col) == 1
         assert col.tasks_chunked == col.tasks_executed
 
@@ -245,9 +248,9 @@ class TestWriteColumns:
     def test_columns_on_the_engine_rows_on_the_oracle(self, pair,
                                                       with_broadcast):
         """One stage, issued by the driver on both machines: a column
-        chunk (two around the broadcast, order kept) on the engine, the
-        rows it stands for on the oracle; one round, equal in every
-        count."""
+        chunk (two around the broadcast, order kept) on each, run as
+        one on the engine and unstaged at round time into the rows it
+        stands for on the oracle; one round, equal in every count."""
         written = []
         for sl in pair:
             stage, writes = self._stage(sl, with_broadcast)
@@ -256,10 +259,14 @@ class TestWriteColumns:
         obj, col = (sl.machine for sl in pair)
         assert [ch.kind for ch in col._cq] == (
             [COLS, BCAST, COLS] if with_broadcast else [COLS])
-        assert not col._staged and len(obj._staged) == P
+        assert [ch.kind for ch in obj._cq] == [ch.kind for ch in col._cq]
+        slots = _record_slots(obj)
         before = col.tasks_chunked
         assert _lockstep(obj, col) == 1
         assert col.tasks_chunked - before == self.N + P * with_broadcast
+        assert len(slots) == 1 and len(slots[0]) == P
+        assert sum(len(slot[1]) for slot in slots[0].values()) \
+            == self.N + P * with_broadcast
         self._assert_written(*written)
 
     @pytest.mark.parametrize("with_broadcast", [False, True])
@@ -442,7 +449,6 @@ class TestUpsertInstall:
         obj, col = (sl.machine for sl in pair)
         assert _chunked_fns(col) == {"skiplist:ups_insert_lower",
                                      "skiplist:ups_upper_prepare"}
-        assert not col._staged
         assert _lockstep(obj, col) == 1
         for sl in pair:
             s = sl.struct
@@ -473,9 +479,13 @@ class TestDeleteMarking:
         got = [_replies(m.step()) for m in (obj, col)]
         assert got[0] == got[1]
         assert sum(r[2][0] == "notfound" for r in got[1]) == 1
-        assert _chunked_fns(col) == {"skiplist:del_mark_node"}
-        assert not col._staged and obj._staged
+        assert _chunked_fns(col) == _chunked_fns(obj) \
+            == {"skiplist:del_mark_node"}
+        slots = _record_slots(obj)
         assert _lockstep(obj, col, ordered=True) == 1
+        # The oracle ran the forwards from its slots' forward queues.
+        assert slots[0] and all(not cpu and fwd
+                                for _units, cpu, fwd in slots[0].values())
         assert (col.tasks_chunked - chunked
                 == col.tasks_executed - executed)
 

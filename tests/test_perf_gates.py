@@ -56,7 +56,8 @@ def test_exact_rows_pass():
     session, the fixed Upsert batch and batch of ranges, the tick groups
     of both structures (the PIM-tree's with and without its write), the
     search at four widths around its pivot-spacing boundary, the seven
-    skew-adversary rows and the durable restart counts, measured in
+    skew-adversary rows, the durable restart counts and the chaos
+    layer's books after one session under faults, measured in
     process with the committed baselines' parameters."""
     names = {g.name for g in EXACT_ROWS}
     assert {"chunked share write_churn", "chunked share pimtree reads",
@@ -84,7 +85,9 @@ def test_exact_rows_pass():
             "search widths: 385-key Successor, (rounds, io_time)",
             "pimtree rounds",
             "skiplist rounds above ceiling",
-            "durable replayed records: before snapshot"} <= names
+            "durable replayed records: before snapshot",
+            "chaos session, mixed schedule: (rounds, idle_rounds, "
+            "stalled_slots, transmissions, retransmissions)"} <= names
     assert gates.run(gates.Bench(repeat=1), EXACT_ROWS) == []
 
 

@@ -108,6 +108,33 @@ class TestBasics:
         assert tree.apply_batch("upsert", []) is None
         assert machine.delta_since(before).rounds == 0
 
+    def test_empty_batches_run_nothing(self):
+        """Each empty batch call -- the ``batch_*`` methods, the uniform
+        dispatch, an all-empty group -- runs no op: no charge of any
+        metric (CPU depth included) and nothing reported to the batch
+        observer."""
+        machine, tree = make_tree()
+        tree.build([(k, k) for k in range(0, 40, 2)])
+        ops = []
+        machine.batch_observer = lambda name, _delta: ops.append(name)
+        before = machine.snapshot()
+        assert tree.batch_get([]) == []
+        assert tree.batch_successor([]) == []
+        assert tree.batch_range([]) == []
+        assert tree.batch_upsert([]) is None
+        assert tree.batch_delete([]) is None
+        for op in ("get", "successor", "range"):
+            assert tree.apply_batch(op, []) == []
+        for op in ("upsert", "delete"):
+            assert tree.apply_batch(op, []) is None
+        assert tree.apply_group([("upsert", []), ("get", []),
+                                 ("range", [])]) == [None, [], []]
+        assert machine.snapshot() == before and ops == []
+        assert tree.apply_group([("upsert", [(3, 30)]), ("get", []),
+                                 ("successor", [3])]) \
+            == [None, [], [(3, 30)]]
+        assert ops == ["pimtree:batch_upsert"]
+
     def test_push_and_pull_branches_both_taken(self):
         """A funnel batch pulls (one message per level); a spread batch
         pushes.  Both must answer identically to the reference."""

@@ -196,3 +196,66 @@ class TestCrashSemantics:
         assert sl.batch_get(keys) == clean.batch_get(keys)
         assert state.stats.dead_drops > 0
         assert state.stats.restarts == 1
+
+
+class TestStallSemantics:
+    def test_held_slot_lands_ahead_of_later_traffic(self):
+        """Module 2 stalls for chaos rounds 1 and 2 with traffic on both
+        queues (CPU sends and module-to-module forwards) and more sent
+        to it during the window: the hold is counted by ``pending``, the
+        diagnostics and ``stalled_slots``, keeps the plan installed, is
+        charged idle rounds when nothing else moves, and lands ahead of
+        the later traffic -- CPU tasks then forwards, each in issue
+        order."""
+        machine = PIMMachine(num_modules=4, seed=0)
+
+        def echo(bct, chunks):
+            for mid, (x,), tag, _size in bct.rows(chunks):
+                bct.work[mid] += 1
+                bct.reply(mid, x, tag)
+
+        def hop(bct, chunks):
+            out = []
+            for mid, (dest, x), _tag, _size in bct.rows(chunks):
+                bct.work[mid] += 1
+                bct.sent[mid] += 1
+                out.append((dest, (x,), None, 1))
+            bct.stage_rows("echo", out)
+
+        machine.register("echo", echo)
+        machine.register("hop", hop)
+        state = machine.install_fault_plan(FaultPlan(FaultSpec(
+            stalls=(StallEvent(mid=2, at_round=1, rounds=2),)), seed=0))
+
+        def payloads(replies, mid):
+            return [r.payload for r in replies if r.src == mid]
+
+        # Chaos round 0: module 1 forwards h0 to module 2.
+        machine.send(1, "hop", (2, "h0"))
+        machine.send(3, "echo", ("a",))
+        assert payloads(machine.step(), 3) == ["a"]
+        # Round 1: module 2's slot (c1, h0) is held; h1 is forwarded.
+        machine.send(2, "echo", ("c1",))
+        machine.send(1, "hop", (2, "h1"))
+        assert machine.step() == []
+        assert state.stats.stalled_slots == 1
+        assert machine.pending
+        assert machine._pending_stats() == ({2: 3}, {"echo": 3})
+        with pytest.raises(RuntimeError, match="drain"):
+            machine.uninstall_fault_plan()
+        # Round 2: still held, with c2 and h1 joined; nothing else moves,
+        # so the round is idle: charged, with no IO or work.
+        machine.send(2, "echo", ("c2",))
+        io, rounds = machine.metrics.io_time, machine.metrics.rounds
+        assert machine.step() == []
+        assert state.stats.stalled_slots == 2
+        assert state.stats.idle_rounds == 1
+        assert machine.metrics.rounds == rounds + 1
+        assert machine.metrics.io_time == io
+        assert machine.modules[2].work == 0
+        # Round 3: the hold lands ahead of c3, CPU tasks before forwards.
+        machine.send(2, "echo", ("c3",))
+        assert payloads(machine.drain(), 2) == ["c1", "c2", "c3", "h0", "h1"]
+        assert not machine.pending
+        assert state.stats.stalled_slots == 2
+        assert machine.uninstall_fault_plan() is state

@@ -42,8 +42,8 @@ def _spin(bct, chunks):
 
 
 def _machine(chunked: bool = False) -> PIMMachine:
-    """``echo`` on the engine (its messages staged as chunks), or on the
-    reference oracle (its messages in slots)."""
+    """``echo`` on the engine, or on the reference oracle (its chunks
+    unstaged into slots when a round runs)."""
     machine = (PIMMachine if chunked else ReferencePIMMachine)(
         num_modules=4, seed=0)
     machine.register("echo", _echo)
@@ -188,8 +188,8 @@ class TestMalformedMessages:
         with pytest.raises(ValueError, match="bad module id -1"):
             machine.send_all([(-1, "echo", (1,), None)])
         # The column form's count of its destinations is its bounds
-        # check: nothing is staged for an id outside ``[0, P)``, to a
-        # chunked function or to a slot one.
+        # check: nothing is staged for an id outside ``[0, P)``, on the
+        # engine or on the oracle.
         for chunked in (False, True):
             machine = _machine(chunked)
             with pytest.raises(ValueError, match="bad module id 99"):
