@@ -85,8 +85,7 @@ def bench_wal_append(records: int, pairs: int, *,
     """Append ``records`` batches straight into a DurableStore."""
     root = tempfile.mkdtemp(prefix="repro-bench-wal-")
     try:
-        store = DurableStore.open(root, DurabilityPolicy(
-            fsync_every=1, snapshot_every=records + 1, os_fsync=os_fsync))
+        store = DurableStore.open(root, DurabilityPolicy(os_fsync=os_fsync))
         store.bootstrap(Checkpoint(kind="skiplist", name="bench",
                                    payload=list(INITIAL_ITEMS)))
         payloads = [[[i * pairs + j, j] for j in range(pairs)]
@@ -115,8 +114,7 @@ def bench_wal_append(records: int, pairs: int, *,
 
 def _durable_manager(root: str, checkpoint_every: int,
                      ) -> Tuple[RecoveryManager, DurableStore]:
-    store = DurableStore.open(root, DurabilityPolicy(
-        snapshot_every=checkpoint_every, os_fsync=False))
+    store = DurableStore.open(root, DurabilityPolicy(os_fsync=False))
 
     def rebuild() -> PIMSkipList:
         return PIMSkipList(PIMMachine(num_modules=NUM_MODULES, seed=3))

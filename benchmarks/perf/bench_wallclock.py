@@ -100,20 +100,13 @@ def _settle_heap() -> None:
 
 
 def macro_successor(probe_machine, *, P=128, n=4096, batches=4, seed=7,
-                    machine_cls=PIMMachine, fault_plan=None):
-    """The ISSUE acceptance scenario: P=128 batched-successor session.
-
-    ``fault_plan`` optionally installs a chaos plan after the build (the
-    regression gate uses a zero-rate plan to price the reliable-delivery
-    protocol's envelope overhead against the fault-free fast path).
-    """
+                    machine_cls=PIMMachine):
+    """Batched Successor on ``P`` modules after a build of ``n`` keys."""
     machine = machine_cls(num_modules=P, seed=seed, trace_rounds=False)
     sl = PIMSkipList(machine, name="bench")
     rng = random.Random(seed)
     keys = sorted(rng.sample(range(10 * n), n))
     sl.build([(k, k) for k in keys])
-    if fault_plan is not None:
-        machine.install_fault_plan(fault_plan)
     B = sl.min_search_batch
     queries = [[rng.randrange(10 * n) for _ in range(B)] for _ in range(batches)]
     _settle_heap()

@@ -41,11 +41,11 @@ one process can measure against itself:
 
 ``info`` rows are printed and never fail: wall seconds against
 ``BENCH_simwall.json`` (a baseline's seconds belong to the box that
-recorded them) and the reliable-delivery protocol's price.  Wall-time
-and serving-throughput claims are parent/change pairs on
-``benchmarks/e2e``; the serving SLO and zero fault-free refusals are
-certified by ``repro verify soak``.  Run this before anything rewrites
-a ``BENCH_*.json`` in the working tree; exit status 1 if a row fails::
+recorded them).  Wall-time and serving-throughput claims are
+parent/change pairs on ``benchmarks/e2e``; the serving SLO and zero
+fault-free refusals are certified by ``repro verify soak``.  Run this
+before anything rewrites a ``BENCH_*.json`` in the working tree; exit
+status 1 if a row fails::
 
     PYTHONPATH=src python benchmarks/perf/check_regression.py [--repeat 3]
 """
@@ -78,8 +78,7 @@ from repro.ops import Columns, run_batch  # noqa: E402
 from repro.recovery.checkpoint import (Checkpoint,  # noqa: E402
                                        restore_structure)
 from repro.serve import AdmissionController, Coalescer, Request  # noqa: E402
-from repro.sim.chaos import (FaultPlan, FaultSpec,  # noqa: E402
-                             build_schedule)
+from repro.sim.chaos import build_schedule  # noqa: E402
 from repro.sim.machine import PIMMachine  # noqa: E402
 from repro.sim.profiling import HandlerProfile, ThroughputProbe  # noqa: E402
 from repro.structures.lsm import PIMLSMStore  # noqa: E402
@@ -192,17 +191,13 @@ class Bench:
         return v if ref.times == 1.0 else v * ref.times
 
     @memo
-    def scenario(self, name: str, backend: str, armed: bool = False,
+    def scenario(self, name: str, backend: str,
                  traced: bool = False) -> dict:
         """Fastest probe of a ``bench_wallclock`` scenario on one side of
         ``ENGINES``, plus the share of its tasks that ran in chunks.
-        ``armed`` installs a zero-rate fault plan: every stage rides
-        sequence numbers, acks and replay guards, and no fault fires.
         ``traced`` builds the machine with ``trace_accesses=True``."""
         params = self.value(Base(
             "simwall", f"backends.{backend}.scenarios.{name}.params"))
-        if armed:
-            params = dict(params, fault_plan=FaultPlan(FaultSpec(), seed=0))
         machine_cls = ENGINES[backend]
         if traced:
             machine_cls = functools.partial(machine_cls, trace_accesses=True)
@@ -665,7 +660,7 @@ GATES: List[Gate] = [
     # reports its touches through ``bct.touch``, so a traced machine
     # sends no task to a slot that the plain one runs in a chunk.
     Gate("chunked share write_churn, trace_accesses / plain",
-         lambda b: (b.scenario("write_churn", "columnar", False,
+         lambda b: (b.scenario("write_churn", "columnar",
                                True)["chunked_share"]
                     / b.scenario("write_churn", "columnar")["chunked_share"]),
          "==", 1.0, EXACT),
@@ -926,10 +921,6 @@ GATES: List[Gate] = [
     Gate("wall macro_successor [columnar], s",
          lambda b: b.scenario("macro_successor", "columnar")["seconds"],
          "info", Base("simwall", WALL.format("columnar"))),
-    Gate("reliable-delivery price, armed/fault-free",
-         lambda b: (b.scenario("macro_successor", "object", True)["seconds"]
-                    / b.scenario("macro_successor", "object")["seconds"]),
-         "info", None),
 ]
 
 

@@ -7,20 +7,12 @@ constants:
 - :func:`~repro.analysis.fit.fit_power` / :func:`~repro.analysis.fit.fit_polylog`
   -- least-squares growth-exponent estimation of a metric against ``P``
   or ``log P``;
-- :func:`~repro.analysis.fit.normalized_curve` -- metric divided by its
-  predicted bound: flat means the bound's shape holds;
 - :mod:`repro.analysis.tables` -- ASCII renderers producing the
   paper-style rows the benchmarks print (one per table/figure).
 """
 
 from repro.analysis.experiments import Sweep, SweepTable
-from repro.analysis.export import export_delta, export_rounds, read_jsonl
-from repro.analysis.fit import (
-    fit_polylog,
-    fit_power,
-    growth_ratios,
-    normalized_curve,
-)
+from repro.analysis.fit import fit_polylog, fit_power
 from repro.analysis.tables import render_table
 from repro.analysis.structure_viz import layout_summary, render_structure
 from repro.analysis.trace_report import (
@@ -33,17 +25,12 @@ from repro.analysis.trace_report import (
 __all__ = [
     "Sweep",
     "SweepTable",
-    "export_delta",
-    "export_rounds",
     "layout_summary",
-    "read_jsonl",
     "render_structure",
     "TraceSummary",
     "fit_polylog",
     "fit_power",
-    "growth_ratios",
     "hotspot_rounds",
-    "normalized_curve",
     "render_table",
     "render_timeline",
     "summarize",

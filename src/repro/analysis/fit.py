@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -32,14 +32,3 @@ def fit_polylog(ps: Sequence[int], ys: Sequence[float]) -> Tuple[float, float]:
         raise ValueError("fit_polylog requires P >= 2")
     return fit_power(logs, ys)
 
-
-def normalized_curve(ps: Sequence[int], ys: Sequence[float],
-                     bound: Callable[[int], float]) -> List[float]:
-    """``y / bound(P)`` for each point: flat (bounded) means the bound's
-    shape holds; growth means the measurement outpaces the bound."""
-    return [y / bound(p) for p, y in zip(ps, ys)]
-
-
-def growth_ratios(ys: Sequence[float]) -> List[float]:
-    """Consecutive ratios ``y[i+1]/y[i]`` (doubling-experiment readout)."""
-    return [b / a if a else float("inf") for a, b in zip(ys, ys[1:])]

@@ -191,7 +191,7 @@ def _fsck_selftest() -> int:
 
     root = tempfile.mkdtemp(prefix="repro-fsck-selftest-")
     try:
-        policy = DurabilityPolicy(snapshot_every=4, os_fsync=False)
+        policy = DurabilityPolicy(os_fsync=False)
         store = DurableStore.open(root, policy)
         store.bootstrap(Checkpoint(kind="skiplist", name="selftest",
                                    payload=[(0, 0)]))

@@ -14,7 +14,7 @@ uniformly random modules, so by Lemma 2.1 each module receives
 ``O(log P)`` operations whp: ``O(log P)`` IO time and ``O(log P)`` PIM
 time, independent of the key distribution.
 
-All three ops are single-stage routes (:mod:`repro.ops`): semisort,
+Both ops are single-stage routes (:mod:`repro.ops`): semisort,
 issue the deduplicated sends to the handlers below, and fan the results
 back out to duplicate positions.
 """
@@ -89,9 +89,7 @@ def make_handlers(sl: SkipListStructure) -> None:
     machine.register(f"{name}:pt_update", update_handlers(sl))
 
 
-def _get_route(sl, keys, want_value):
-    """Batched Get / Contains (they differ only in which reply field
-    fans out)."""
+def _get_route(sl, keys):
     cpu = sl.machine.cpu
     n = len(keys)
     if n == 0:
@@ -103,18 +101,11 @@ def _get_route(sl, keys, want_value):
         distinct = list(groups)
         replies = yield sl.shortcut_stage(f"{sl.name}:pt_get", distinct,
                                           zip(distinct))
-        if want_value:
-            results: List[Optional[Any]] = [None] * n
-            for r in replies:
-                key, value, _found = r.payload
-                for i in groups[key]:
-                    results[i] = value
-        else:
-            results = [False] * n
-            for r in replies:
-                key, _value, found = r.payload
-                for i in groups[key]:
-                    results[i] = found
+        results: List[Optional[Any]] = [None] * n
+        for r in replies:
+            key, value, _found = r.payload
+            for i in groups[key]:
+                results[i] = value
         # Fan-out of results to duplicates: O(B) work, O(log B) depth.
         cpu.charge(n, max(1.0, math.log2(n)))
     return results
@@ -140,14 +131,7 @@ def batch_get(sl: SkipListStructure,
     Missing keys yield ``None``.
     """
     return run_batch(sl.machine, f"{sl.name}:batch_get",
-                     _get_route(sl, keys, want_value=True))
-
-
-def batch_contains(sl: SkipListStructure,
-                   keys: Sequence[Hashable]) -> List[bool]:
-    """Membership test per key (same costs and dedup as batched Get)."""
-    return run_batch(sl.machine, f"{sl.name}:batch_contains",
-                     _get_route(sl, keys, want_value=False))
+                     _get_route(sl, keys))
 
 
 def batch_update(sl: SkipListStructure,

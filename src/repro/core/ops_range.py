@@ -2,8 +2,8 @@
 
 ``RangeOperation(LKey, RKey, Func)`` applies ``Func`` to the value of
 every key in ``[LKey, RKey]``.  Functions are a small PIM-side registry
-(``read``, ``count``, ``set``, ``fetch_and_add``); richer functions are
-modeled, as the paper suggests, by a ``read`` + CPU-side application + a
+(``read``, ``count``, ``set``, ``fetch_and_add``); the paper composes
+richer functions from a ``read``, a CPU-side application and a
 write-back.
 
 Broadcast execution (Theorem 5.1)
@@ -550,94 +550,6 @@ def _tree_bodies(sl: SkipListStructure) -> None:
                      ("chain", chain_body), ("count", count_body),
                      ("go", go_body), ("offset", offset_body)):
         sl.machine.register(f"{name}:rng_{fn}", chunked(body))
-
-
-# ---------------------------------------------------------------------------
-# general CPU-side functions (§5's "more complicated operations")
-# ---------------------------------------------------------------------------
-
-
-def apply_range_cpu(sl: SkipListStructure, lkey: Hashable, rkey: Hashable,
-                    fn, use_broadcast: Optional[bool] = None,
-                    ) -> RangeResult:
-    """RangeOperation with an arbitrary CPU-side function.
-
-    The paper: "More complicated operations can be split into a range
-    query returning the values, a function applied on the CPU side, and
-    a range update that writes back the results."  This helper performs
-    exactly that split: one range read (broadcast for large ranges, tree
-    otherwise -- or forced via ``use_broadcast``), a CPU application of
-    ``fn(key, value) -> new_value`` (charged O(1) work per pair, O(log K)
-    depth), and one batched Update writing the results back through the
-    hash shortcut.
-
-    Returns the *old* values (like ``fetch_and_add`` does).
-    """
-    from repro.core import ops_point
-
-    machine = sl.machine
-    if use_broadcast is None:
-        probe = range_broadcast(sl, lkey, rkey, func="count")
-        use_broadcast = probe.count > sl.min_point_batch
-    if use_broadcast:
-        res = range_broadcast(sl, lkey, rkey, func="read")
-    else:
-        res = range_tree_single(sl, lkey, rkey, func="read")
-    k = len(res.values)
-    with machine.cpu.region(2 * k):
-        updates = [(key, fn(key, value)) for key, value in res.values]
-        machine.cpu.charge(k, max(1.0, math.log2(k + 1)))
-        if updates:
-            ops_point.batch_update(sl, updates)
-    return res
-
-
-# ---------------------------------------------------------------------------
-# hybrid routing (§5.2's closing remark)
-# ---------------------------------------------------------------------------
-
-
-def batch_range_auto(sl: SkipListStructure,
-                     ops: Sequence[Tuple[Hashable, Hashable]],
-                     func: str = "read", farg: Any = None,
-                     large_threshold: Optional[int] = None,
-                     ) -> List[RangeResult]:
-    """Route each range op to its cheaper execution.
-
-    The paper's §5.2 notes that instead of splitting very large
-    subranges across shared-memory groups, "we could apply the algorithm
-    from §5.1 [broadcast] to all large ranges."  This wrapper does that
-    per *operation*: ops expected to cover more than ``large_threshold``
-    pairs run as broadcasts (O(1) IO + O(K/P) returns), the rest run
-    through the batched tree execution.
-
-    The expected size of each op is estimated with one cheap counting
-    pass (a count-mode tree batch costs no value traffic); the threshold
-    defaults to the measured tree-vs-broadcast crossover ``~P·log P``.
-    """
-    machine = sl.machine
-    n = len(ops)
-    if n == 0:
-        return []
-    if func in ("set", "fetch_and_add"):
-        _require_disjoint(ops)
-    threshold = large_threshold if large_threshold is not None \
-        else sl.min_point_batch
-    counts = batch_range_tree(sl, ops, func="count")
-    large_idx = [i for i, c in enumerate(counts) if c.count > threshold]
-    small_idx = [i for i, c in enumerate(counts) if c.count <= threshold]
-    results: List[Optional[RangeResult]] = [None] * n
-    if func == "count":
-        return counts
-    if small_idx:
-        small_ops = [ops[i] for i in small_idx]
-        for i, res in zip(small_idx, batch_range_tree(sl, small_ops,
-                                                      func, farg)):
-            results[i] = res
-    for i in large_idx:
-        l, r = ops[i]
-        results[i] = range_broadcast(sl, l, r, func, farg)
-    return results  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

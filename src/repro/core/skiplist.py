@@ -170,19 +170,10 @@ class PIMSkipList:
     # -- updates ----------------------------------------------------------------
 
     def batch_upsert(self, pairs: Sequence[Tuple[Hashable, Any]],
-                     riders: Sequence[Hashable] = (),
                      ) -> ops_upsert.UpsertStats:
-        """Upsert(k, v): update if present, insert otherwise (Thm 4.4).
-        ``riders`` are Successor keys answered as after the write, on
-        the batch's own search where they ride it
-        (:mod:`repro.core.ops_upsert`); ``stats.successors`` holds
-        their answers."""
+        """Upsert(k, v): update if present, insert otherwise (Thm 4.4)."""
         self._check_batch(len(pairs), self.min_search_batch, "Upsert")
-        stats = ops_upsert.batch_upsert(self.struct, pairs, riders)
-        if riders and stats.successors is None:
-            stats.successors = ops_successor.batch_successor(self.struct,
-                                                             riders)
-        return stats
+        return ops_upsert.batch_upsert(self.struct, pairs)
 
     def batch_delete(self, keys: Sequence[Hashable]) -> ops_delete.DeleteStats:
         """Delete(k); missing keys are ignored (Theorem 4.5)."""
@@ -204,25 +195,6 @@ class PIMSkipList:
         self._check_batch(len(ops), self.min_search_batch, "RangeOperation")
         from repro.core import ops_range
         return ops_range.batch_range_tree(self.struct, ops, func, func_arg)
-
-    def batch_range_auto(self, ops: Sequence[Tuple[Hashable, Hashable]],
-                         func: str = "read", func_arg: Any = None,
-                         large_threshold: Optional[int] = None):
-        """Batched ranges with per-op routing: large ops broadcast (§5.1),
-        small ops run through the tree execution (§5.2's closing remark)."""
-        self._check_batch(len(ops), self.min_search_batch, "RangeOperation")
-        from repro.core import ops_range
-        return ops_range.batch_range_auto(self.struct, ops, func, func_arg,
-                                          large_threshold)
-
-    def apply_range(self, lkey: Hashable, rkey: Hashable, fn,
-                    use_broadcast: Optional[bool] = None):
-        """Range operation with an arbitrary CPU-side function
-        ``fn(key, value) -> new_value`` (the paper's read / CPU-apply /
-        write-back split); returns the old values."""
-        from repro.core import ops_range
-        return ops_range.apply_range_cpu(self.struct, lkey, rkey, fn,
-                                         use_broadcast)
 
     # -- single operations (paper §4's warm-up executions) ----------------
 
@@ -255,11 +227,6 @@ class PIMSkipList:
         """Delete one key; returns whether it existed."""
         from repro.core import single_ops
         return single_ops.delete_one(self.struct, key)
-
-    def batch_contains(self, keys: Sequence[Hashable]) -> List[bool]:
-        """Membership per key (distinguishes stored-None from missing)."""
-        from repro.core import ops_point
-        return ops_point.batch_contains(self.struct, keys)
 
     # -- differential-verification conformance surface ----------------------
 
@@ -338,44 +305,6 @@ class PIMSkipList:
         return [out[op] if op in out else self.apply_batch(op, payload)
                 for op, payload in batches]
 
-    # -- bulk structure surgery (compositions; costs = the moved data) ----
-
-    def union_into(self, other: "PIMSkipList") -> int:
-        """Absorb every pair from ``other`` (other is left unchanged);
-        returns the number of keys inserted or updated.
-
-        A composition: one broadcast scan of ``other`` (O(1) rounds,
-        O(n_other/P) IO) + one batched Upsert into ``self``.
-        """
-        items = other.scan_all()
-        if not items:
-            return 0
-        stats = self.batch_upsert(items)
-        return stats.updated + stats.inserted
-
-    def split(self, key: Hashable) -> "PIMSkipList":
-        """Move every pair with key >= ``key`` into a new structure.
-
-        Returns the new :class:`PIMSkipList` (on the same machine, with
-        a derived name).  A composition: one broadcast range read, one
-        batched Delete from ``self``, one :meth:`build` of the new
-        structure -- O(moved/P) IO plus Delete's Theorem 4.5 costs.
-        """
-        from repro.core import ops_range
-        from repro.core.probes import ABOVE_ALL
-        seq = getattr(self, "_split_seq", 0)
-        self._split_seq = seq + 1
-        moved = ops_range.range_broadcast(
-            self.struct, key, ABOVE_ALL, func="read",
-            inclusive=(True, False)).values
-        if moved:
-            self.batch_delete([k for k, _ in moved])
-        out = PIMSkipList(self.machine,
-                          name=f"{self.struct.name}:split{seq}",
-                          enforce_batch_size=self.enforce_batch_size)
-        out.build(moved)
-        return out
-
     # -- order statistics ---------------------------------------------------
 
     def rank(self, key: Hashable) -> int:
@@ -389,30 +318,6 @@ class PIMSkipList:
         weighted-median selection (O(log n) whp rounds of O(P) probes)."""
         from repro.core import ops_select
         return ops_select.select(self.struct, index)
-
-    # -- whole-structure queries --------------------------------------------
-
-    def min_item(self) -> Optional[Tuple[Hashable, Any]]:
-        """The smallest (key, value), or None when empty (one search)."""
-        from repro.core.probes import BELOW_ALL
-        return self.successor(BELOW_ALL)
-
-    def max_item(self) -> Optional[Tuple[Hashable, Any]]:
-        """The largest (key, value), or None when empty (one search)."""
-        from repro.core.probes import ABOVE_ALL
-        return self.predecessor(ABOVE_ALL)
-
-    def scan_all(self) -> List[Tuple[Hashable, Any]]:
-        """Every (key, value) in order, via one broadcast range (§5.1):
-        O(1) rounds, O(n/P) whp IO for the returned values."""
-        if self.size == 0:
-            return []
-        from repro.core.probes import ABOVE_ALL, BELOW_ALL
-        from repro.core import ops_range
-        res = ops_range.range_broadcast(
-            self.struct, BELOW_ALL, ABOVE_ALL, func="read",
-            inclusive=(False, False))
-        return res.values
 
     # -- introspection ---------------------------------------------------------
 

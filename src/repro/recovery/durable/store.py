@@ -74,17 +74,12 @@ class WalCorruption(DurabilityError):
 class DurabilityPolicy:
     """Knobs for the durability/performance trade.
 
-    - ``fsync_every`` -- sync the active segment after every N appends.
-      1 (the default) is the RPO = 0 setting: every acked write is
-      durable.  Larger values batch syncs; a crash may lose up to
-      N - 1 *unacked* tail records (never acked ones -- ack waits for
-      the covering sync).
     - ``snapshot_every`` -- accepted and validated, but read by
       nothing: the store has no cadence of its own.  The recovery
       manager calls :meth:`DurableStore.snapshot` in lockstep with its
       amortized checkpoint capture (``repro.recovery.manager``).  The
-      field stays because existing callers -- the end-to-end benchmark
-      among them -- construct the policy with it.
+      field stays because the end-to-end benchmark constructs the
+      policy with it.
     - ``keep_snapshots`` -- snapshots retained; segments are kept back
       to the oldest retained snapshot's LSN.
     - ``os_fsync`` -- issue real ``os.fsync`` calls.  False keeps the
@@ -93,14 +88,11 @@ class DurabilityPolicy:
       :meth:`DurableStore.crash` stay exact either way.
     """
 
-    fsync_every: int = 1
     snapshot_every: int = 8
     keep_snapshots: int = 2
     os_fsync: bool = True
 
     def __post_init__(self) -> None:
-        if self.fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         if self.keep_snapshots < 1:
@@ -252,13 +244,12 @@ class DurableStore:
     # -- the durable write path ------------------------------------------
 
     def append(self, op: str, payload: list) -> WalRecord:
-        """Log one mutating batch; returns after it is durable (per
-        ``fsync_every``).  The caller acks only after this returns."""
+        """Log one mutating batch; returns after it is synced (RPO 0).
+        The caller acks only after this returns."""
         writer = self._require_writer()
         record = writer.append(op, payload)
         self.appends += 1
-        if writer.pending_records >= self.policy.fsync_every:
-            writer.sync()
+        writer.sync()
         return record
 
     def sync(self) -> None:

@@ -134,8 +134,7 @@ class Server:
         if cfg.state_dir is not None:
             self.durable = DurableStore.open(
                 cfg.state_dir,
-                DurabilityPolicy(snapshot_every=cfg.checkpoint_every,
-                                 os_fsync=cfg.os_fsync))
+                DurabilityPolicy(os_fsync=cfg.os_fsync))
         self.manager = RecoveryManager(
             structure, rebuild,
             checkpoint_every=cfg.checkpoint_every,

@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis import (
-    fit_polylog,
-    fit_power,
-    growth_ratios,
-    normalized_curve,
-    render_table,
-)
+from repro.analysis import fit_polylog, fit_power, render_table
 
 
 class TestFitPower:
@@ -45,18 +39,6 @@ class TestFitPolylog:
     def test_rejects_p1(self):
         with pytest.raises(ValueError):
             fit_polylog([1, 2], [1, 1])
-
-
-class TestCurves:
-    def test_normalized_curve_flat_when_bound_matches(self):
-        ps = [4, 8, 16]
-        ys = [7 * math.log2(p) for p in ps]
-        curve = normalized_curve(ps, ys, lambda p: math.log2(p))
-        assert all(abs(v - 7) < 1e-9 for v in curve)
-
-    def test_growth_ratios(self):
-        assert growth_ratios([1, 2, 8]) == [2, 4]
-        assert growth_ratios([0, 5]) == [float("inf")]
 
 
 class TestRenderTable:

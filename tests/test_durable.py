@@ -46,7 +46,7 @@ from repro.structures.pimtree import PIMTree
 from repro.structures.priority_queue import PIMPriorityQueue
 from tests.conftest import DETERMINISTIC
 
-FAST = DurabilityPolicy(snapshot_every=3, os_fsync=False)
+FAST = DurabilityPolicy(os_fsync=False)
 
 
 def _chk(pairs) -> Checkpoint:

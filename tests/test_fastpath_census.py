@@ -47,7 +47,7 @@ def _skiplist(machine):
     assert sl.struct.top_level > top  # the upsert grew the sentinels
     out += [sl.select(0), sl.select(150), sl.rank(1001),
             sl.range_broadcast(100, 900).values,
-            sl.batch_range_auto([(0, 300), (500, 520)]),
+            sl.batch_range([(0, 300), (500, 520)]),
             sl.batch_delete([k for k, _ in fresh[::2]]),
             sl.batch_get([k for k, _ in fresh[:40]]),
             sl.batch_successor([k + 1 for k, _ in fresh[:40]])]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import PIMSkipList
-from repro.core.ops_range import apply_range_cpu, range_tree_single
+from repro.core.ops_range import range_tree_single
 from repro.sim.profiling import HandlerProfile
 from repro.workloads import build_items
 from tests.conftest import DETERMINISTIC, ENGINES
@@ -109,13 +109,6 @@ def test_single_range_runs_the_boundary_descent(func, farg):
         _, _, fns = _run(pair, lambda sl: range_tree_single(
             sl.struct, lo, hi, func, farg))
         assert "skiplist:rng_boundary" in fns
-
-
-def test_apply_range_cpu():
-    pair = _pair()
-    res, _, fns = _run(pair, lambda sl: apply_range_cpu(
-        sl.struct, 500, 1500, lambda k, v: (k, v), use_broadcast=False))
-    assert len(res.values) == 101 and "skiplist:rng_boundary" in fns
 
 
 def test_empty_search_areas():

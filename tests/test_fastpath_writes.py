@@ -510,7 +510,7 @@ class TestDeleteMarking:
 
 @pytest.mark.parametrize("riders", [3, 40])
 def test_successor_riders(pair, riders):
-    """Successor keys on an Upsert batch -- a few ride its recording
+    """Successor keys in an Upsert's group -- a few ride its recording
     search, many run as their own batch after it: equal answers,
     metrics, RNG state and contents on the oracle and the engine."""
     rng = random.Random(riders)
@@ -519,9 +519,9 @@ def test_successor_riders(pair, riders):
     seen = []
     for sl in pair:
         before = sl.machine.snapshot()
-        stats = sl.batch_upsert(fresh, keys)
+        out = sl.apply_group([("upsert", fresh), ("successor", keys)])
         sl.struct.check_integrity()
-        seen.append((stats, sl.machine.delta_since(before),
+        seen.append((out, sl.machine.delta_since(before),
                      sl.machine.rng.getstate(), sl.struct.keys_in_order()))
     assert seen[0] == seen[1]
-    assert len(seen[1][0].successors) == riders
+    assert len(seen[1][0][1]) == riders

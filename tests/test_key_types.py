@@ -95,8 +95,6 @@ class TestKeysEqualToAnInt:
         _, sl = build(self.STORED)
         assert sl.batch_get(np.arange(8, 14)) == [80, None, 100, None,
                                                   120, None]
-        assert sl.batch_contains(np.arange(8, 12)) == [True, False,
-                                                       True, False]
 
     def test_numpy_scalar_and_its_int_twin_in_one_batch(self):
         _, sl = build(self.STORED)

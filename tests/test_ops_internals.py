@@ -97,31 +97,3 @@ class TestBuildTower:
         for n in lower:
             if n.level < s.h_low:
                 assert n.owner == s.owner_of(555, n.level)
-
-
-class TestApplyRangeCPU:
-    def test_applies_and_returns_old_values(self, built8):
-        machine, sl, ref = built8
-        old = sl.apply_range(2000, 5000, lambda k, v: v * 2)
-        assert old.values == ref.range(2000, 5000)
-        assert sl.batch_get([2000, 5000, 6000]) == [
-            ref.get(2000) * 2, ref.get(5000) * 2, ref.get(6000)]
-
-    def test_small_range_uses_tree(self, built8):
-        machine, sl, ref = built8
-        before = machine.snapshot()
-        sl.apply_range(2000, 3000, lambda k, v: v, use_broadcast=False)
-        d = machine.delta_since(before)
-        assert d.messages < 2 * machine.num_modules + 60
-
-    def test_large_range_auto_broadcasts(self, built8):
-        machine, sl, ref = built8
-        old = sl.apply_range(0, 10 ** 9, lambda k, v: -v)
-        assert old.count == sl.size
-        keys = sorted(ref.data)[:4]
-        assert sl.batch_get(keys) == [-ref.get(k) for k in keys]
-
-    def test_empty_range_noop(self, built8):
-        machine, sl, _ = built8
-        res = sl.apply_range(2001, 2999, lambda k, v: 0)
-        assert res.count == 0

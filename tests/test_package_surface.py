@@ -104,6 +104,24 @@ def test_the_round_engine_does_not_import_numpy():
                 f"{path.relative_to(ROOT)}:{node.lineno} imports numpy")
 
 
+def test_the_skip_lists_public_surface_is_pinned():
+    """:class:`PIMSkipList`'s public names, exactly: the paper's batched
+    ops, §4's single-op warm-ups, order statistics, the broadcast range
+    and the conformance surface the certificates and ``repro serve``
+    drive.  A name joins only with a caller that backs a claim, by an
+    edit here."""
+    from repro.core import PIMSkipList
+    public = {n for n in dir(PIMSkipList) if not n.startswith("_")}
+    assert public == {
+        "BATCH_CAPS", "TICK_GROUPS", "apply_batch", "apply_group",
+        "batch_delete", "batch_get", "batch_predecessor", "batch_range",
+        "batch_successor", "batch_update", "batch_upsert", "build",
+        "check_integrity", "delete", "get", "min_point_batch",
+        "min_search_batch", "predecessor", "range_broadcast", "rank",
+        "select", "size", "successor", "to_dict", "update", "upsert",
+    }
+
+
 def test_storage_module_is_one_inert_name():
     """``repro.core.storage`` survives only for the frozen end-to-end
     benchmark's import of ``STORAGE_ENV_VAR``."""

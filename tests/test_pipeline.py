@@ -208,7 +208,6 @@ def test_batches_register_no_handlers(faults):
     sl.successor(21)
     sl.rank(100)
     sl.select(3)
-    sl.batch_range_auto([(0, 30)])
     fg.apply_batch("get", keys)
     fifo.enqueue_batch([1, 2, 3])
     fifo.dequeue_batch(2)

@@ -1,70 +1,8 @@
-"""Tests for hybrid range routing and the CLI."""
-
-import random
+"""Tests for the CLI."""
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main as cli_main
-from repro.core.ops_range import batch_range_auto
-from tests.conftest import make_skiplist
-
-
-class TestBatchRangeAuto:
-    def test_matches_tree_results(self, built8):
-        machine, sl, ref = built8
-        ops = [(1000, 3000), (5000, 150000), (180000, 180000)]
-        auto = sl.batch_range_auto(ops, large_threshold=20)
-        for (l, r), res in zip(ops, auto):
-            assert res.values == ref.range(l, r)
-            assert res.count == len(res.values)
-
-    def test_routes_large_ops_to_broadcast(self):
-        machine, sl, ref = make_skiplist(num_modules=8, n=1000, seed=50)
-        keys = sorted(ref.data)
-        small = (keys[10], keys[13])          # K = 4
-        large = (keys[0], keys[900])          # K = 901
-        before = machine.snapshot()
-        res = sl.batch_range_auto([small, large], large_threshold=50)
-        d_auto = machine.delta_since(before)
-        assert res[0].values == ref.range(*small)
-        assert res[1].values == ref.range(*large)
-        # versus reading everything through the tree execution: the
-        # broadcast route for the large op saves its three extra tree
-        # passes (even after paying the counting pre-pass)
-        before = machine.snapshot()
-        tree = sl.batch_range([small, large])
-        d_tree = machine.delta_since(before)
-        assert tree[1].values == ref.range(*large)
-        assert d_auto.io_time < d_tree.io_time + 200
-        assert d_auto.messages < 2 * d_tree.messages
-
-    def test_count_short_circuits(self, built8):
-        machine, sl, ref = built8
-        ops = [(1000, 90000)]
-        res = sl.batch_range_auto(ops, func="count")
-        assert res[0].count == len(ref.range(1000, 90000))
-        assert res[0].values == []
-
-    def test_mutating_overlap_rejected_across_routes(self, built8):
-        _, sl, _ = built8
-        with pytest.raises(ValueError):
-            sl.batch_range_auto([(1000, 99999), (2000, 3000)],
-                                func="fetch_and_add", func_arg=1,
-                                large_threshold=10)
-
-    def test_disjoint_mutation_through_both_routes(self):
-        machine, sl, ref = make_skiplist(num_modules=8, n=500, seed=51)
-        keys = sorted(ref.data)
-        ops = [(keys[0], keys[400]), (keys[450], keys[453])]
-        sl.batch_range_auto(ops, func="fetch_and_add", func_arg=1,
-                            large_threshold=50)
-        assert sl.batch_get([keys[0]])[0] == ref.get(keys[0]) + 1
-        assert sl.batch_get([keys[450]])[0] == ref.get(keys[450]) + 1
-        assert sl.batch_get([keys[440]])[0] == ref.get(keys[440])
-
-    def test_empty(self, built8):
-        _, sl, _ = built8
-        assert sl.batch_range_auto([]) == []
 
 
 class TestCLI:

@@ -20,12 +20,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro import PIMMachine, PIMSkipList
-from repro.core.ops_range import (
-    JustBelow,
-    _cut_pieces,
-    _require_disjoint,
-    batch_range_auto,
-)
+from repro.core.ops_range import JustBelow, _cut_pieces, _require_disjoint
 from tests.conftest import DETERMINISTIC, ReferenceMap
 
 KEY = st.integers(0, 40)
@@ -154,9 +149,6 @@ def test_batched_results_equal_the_oracles(ops, func):
         want = ref.range(l, r)
         assert res.count == len(want), (l, r)
         assert res.values == (want if func == "read" else []), (l, r)
-    # batch_range_auto's counting pass is the same sweep
-    assert [res.count for res in batch_range_auto(sl.struct, ops, func)] \
-        == [res.count for res in got]
     for mid in range(sl.machine.num_modules):
         assert sl.struct.mlocal(mid).range_ctx == {}
 
@@ -167,8 +159,6 @@ def test_mutating_funcs_still_reject_overlap(func):
     for ops in (NESTED, OVERLAPPING, DUPLICATED, SHARED_ENDPOINT):
         with pytest.raises(ValueError, match="must be disjoint"):
             sl.batch_range(ops, func=func, func_arg=1)
-        with pytest.raises(ValueError, match="must be disjoint"):
-            batch_range_auto(sl.struct, ops, func=func, farg=1)
 
 
 # -- h_low == 1: the side chain's head is a childless leaf -------------------

@@ -6,9 +6,8 @@ paper's ``log P`` from its ``P log^2 P`` on, continuous between; up to
 ``P log P`` keys phase 0 searches the median pivot from the root beside
 the two extremes.  What has to hold at every width:
 
-- one ``log P``: the structure, :class:`PIMSkipList`'s batch minima and
-  both tree-vs-broadcast range thresholds read the same rounded integer
-  (the range call sites used the floor until PR 22);
+- one ``log P``: the structure and :class:`PIMSkipList`'s batch minima
+  read the same rounded integer;
 - a batch answers as its two halves do and costs no more rounds / IO
   than they do run back to back, under the slack the differ's
   split-monotonicity check uses -- the property the coalescer relies on
@@ -31,7 +30,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import PIMMachine, PIMSkipList
-from repro.core import ops_range
 from repro.core.ops_successor import (batch_search, batch_successor,
                                       search_stages)
 from repro.workloads import build_items, same_successor_batch
@@ -56,7 +54,7 @@ def _cost(sl: PIMSkipList, op: str, payload):
 
 
 @pytest.mark.parametrize("p, log_p", [(6, 3), (12, 4), (48, 6), (64, 6)])
-def test_one_log_p(p, log_p, monkeypatch):
+def test_one_log_p(p, log_p):
     """At P = 6, 12, 48 the floor of ``log2 P`` is one less than the
     rounded value every other reader used."""
     sl = _built(p, 4 * p * log_p, stride=1)
@@ -64,23 +62,6 @@ def test_one_log_p(p, log_p, monkeypatch):
     assert s.log_p == s.h_low == log_p
     assert sl.min_point_batch == s.min_point_batch == p * log_p
     assert sl.min_search_batch == p * log_p ** 2
-
-    # Both range call sites switch to a broadcast strictly above P log P
-    # covered pairs (keys are 0, 1, 2, ...: [lo, lo + k - 1] covers k).
-    reads = []
-    broadcast = ops_range.range_broadcast
-
-    def counting(struct, lkey, rkey, func="read", farg=None):
-        if func == "read":
-            reads.append(rkey - lkey + 1)
-        return broadcast(struct, lkey, rkey, func, farg)
-
-    monkeypatch.setattr(ops_range, "range_broadcast", counting)
-    edge = s.min_point_batch
-    for covered in (edge, edge + 1):
-        sl.batch_range_auto([(5, 5 + covered - 1)])
-        sl.apply_range(5, 5 + covered - 1, lambda k, v: v)
-    assert reads == [edge + 1, edge + 1]
 
 
 # -- (a) a batch against its two halves --------------------------------------

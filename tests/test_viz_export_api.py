@@ -1,18 +1,6 @@
-"""Tests for structure rendering, JSONL export, and whole-structure API."""
+"""Tests for structure rendering and the order probes."""
 
-import json
-import os
-
-import pytest
-
-from repro import PIMMachine, PIMSkipList
-from repro.analysis import (
-    export_delta,
-    export_rounds,
-    layout_summary,
-    read_jsonl,
-    render_structure,
-)
+from repro.analysis import layout_summary, render_structure
 from repro.core.probes import ABOVE_ALL, BELOW_ALL, AboveAll, BelowAll
 from tests.conftest import make_skiplist
 
@@ -33,31 +21,6 @@ class TestProbes:
         xs = [5, ABOVE_ALL, 1, BELOW_ALL, 3]
         s = sorted(xs)
         assert s[0] is BELOW_ALL and s[-1] is ABOVE_ALL
-
-
-class TestWholeStructureAPI:
-    def test_min_max_scan(self, built8):
-        _, sl, ref = built8
-        keys = sorted(ref.data)
-        assert sl.min_item() == (keys[0], ref.get(keys[0]))
-        assert sl.max_item() == (keys[-1], ref.get(keys[-1]))
-        assert sl.scan_all() == [(k, ref.get(k)) for k in keys]
-
-    def test_empty_structure(self):
-        machine = PIMMachine(num_modules=4, seed=0)
-        sl = PIMSkipList(machine)
-        assert sl.min_item() is None
-        assert sl.max_item() is None
-        assert sl.scan_all() == []
-
-    def test_scan_all_is_one_round_broadcast(self, built8):
-        machine, sl, _ = built8
-        before = machine.snapshot()
-        sl.scan_all()
-        d = machine.delta_since(before)
-        assert d.rounds == 1
-        # returned values dominate: io ~ n/P + O(1)
-        assert d.io_time < 3 * (sl.size / machine.num_modules) + 10
 
 
 class TestStructureViz:
@@ -83,56 +46,3 @@ class TestStructureViz:
         assert s["upper_nodes"] + s["lower_nodes"] == sum(
             s["per_level"].values())
         assert s["h_low"] == sl.struct.h_low
-
-
-class TestJSONLExport:
-    def test_delta_roundtrip(self, tmp_path, built8):
-        machine, sl, _ = built8
-        before = machine.snapshot()
-        sl.batch_get([1000, 2000])
-        d = machine.delta_since(before)
-        path = os.path.join(tmp_path, "runs.jsonl")
-        export_delta(path, "get-batch", d, meta={"B": 2})
-        export_delta(path, "get-batch-2", d)
-        records = read_jsonl(path)
-        assert len(records) == 2
-        r = records[0]
-        assert r["kind"] == "delta"
-        assert r["label"] == "get-batch"
-        assert r["meta"] == {"B": 2}
-        assert r["metrics"]["io_time"] == d.io_time
-        assert len(r["pim_work_per_module"]) == 8
-
-    def test_rounds_roundtrip_and_filter(self, tmp_path, built8):
-        machine, sl, _ = built8
-        r0 = len(machine.tracer.rounds)
-        sl.batch_successor([123, 456])
-        rounds = machine.tracer.rounds[r0:]
-        path = os.path.join(tmp_path, "runs.jsonl")
-        export_rounds(path, "succ", rounds, append=False)
-        before = machine.snapshot()
-        sl.batch_get([1000])
-        export_delta(path, "get", machine.delta_since(before))
-        assert len(read_jsonl(path)) == 2
-        only_rounds = read_jsonl(path, kind="rounds")
-        assert len(only_rounds) == 1
-        series = only_rounds[0]["series"]
-        assert len(series) == len(rounds)
-        assert series[0]["h"] == rounds[0].h
-
-    def test_overwrite_mode(self, tmp_path, built8):
-        machine, sl, _ = built8
-        d = machine.delta_since(machine.snapshot())
-        path = os.path.join(tmp_path, "x.jsonl")
-        export_delta(path, "a", d)
-        export_delta(path, "b", d, append=False)
-        records = read_jsonl(path)
-        assert [r["label"] for r in records] == ["b"]
-
-    def test_export_is_valid_json_lines(self, tmp_path, built8):
-        machine, sl, _ = built8
-        d = machine.delta_since(machine.snapshot())
-        path = os.path.join(tmp_path, "x.jsonl")
-        export_delta(path, "a", d)
-        for line in open(path):
-            json.loads(line)
