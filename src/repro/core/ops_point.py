@@ -78,11 +78,11 @@ def make_handlers(sl: SkipListStructure) -> None:
                 work[mid] += 1
                 sent[mid] += 1
                 if leaf is None:
-                    rep_append(Reply((key, None, False), tag, mid))
+                    rep_append(Reply((key, None), tag, mid))
                     continue
                 if tracing:
                     bct.touch(mid, leaf.nid)
-                rep_append(Reply((key, leaf.value, True), tag, mid))
+                rep_append(Reply((key, leaf.value), tag, mid))
 
     machine = sl.machine
     machine.register(f"{name}:pt_get", batch_get)
@@ -103,7 +103,7 @@ def _get_route(sl, keys):
                                           zip(distinct))
         results: List[Optional[Any]] = [None] * n
         for r in replies:
-            key, value, _found = r.payload
+            key, value = r.payload
             for i in groups[key]:
                 results[i] = value
         # Fan-out of results to duplicates: O(B) work, O(log B) depth.

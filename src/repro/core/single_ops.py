@@ -36,8 +36,8 @@ def get_one(sl: SkipListStructure, key: Hashable) -> Optional[Any]:
     msg = (sl.leaf_owner(key), f"{sl.name}:pt_get", (key,), None)
     (reply,) = run_batch(sl.machine, f"{sl.name}:get_one",
                          _one_shot_route(msg))
-    _key, value, found = reply.payload
-    return value if found else None
+    _key, value = reply.payload
+    return value
 
 
 def update_one(sl: SkipListStructure, key: Hashable, value: Any) -> bool:

@@ -6,7 +6,7 @@ through.
 """
 
 from repro.ops.pipeline import (Broadcast, Columns, backoff_rounds,
-                                batch_epoch, run_batch)
+                                batch_epoch, collector_paused, run_batch)
 
 __all__ = ["Broadcast", "Columns", "backoff_rounds", "batch_epoch",
-           "run_batch"]
+           "collector_paused", "run_batch"]

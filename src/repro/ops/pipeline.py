@@ -88,7 +88,7 @@ from repro.sim.errors import (DeliveryTimeout, MalformedMessageError,
 from repro.sim.machine import PIMMachine, check_columns
 
 __all__ = ["Broadcast", "Columns", "backoff_rounds", "batch_epoch",
-           "run_batch"]
+           "collector_paused", "run_batch"]
 
 #: What :func:`run_batch` drives: a generator that yields stages, is sent
 #: each stage's replies, and returns the op's result.
@@ -377,6 +377,29 @@ def _discard_stage(machine: PIMMachine) -> None:
 
 
 @contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the interpreter's cyclic collector for one reclamation epoch.
+
+    Only an enabled collector is paused, and it is restored on every
+    exit path, so a caller who had it off keeps it off and a scope
+    nested inside another epoch does nothing.  Whatever the epoch
+    allocated must die by reference count when it ends, which holds only
+    while its code creates no reference cycles (DESIGN.md, "Host memory:
+    batch epochs").  This is the one place that touches the collector:
+    the batch scope below and :class:`repro.serve.Server`'s tick share
+    it, and thresholds are never changed.
+    """
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            gc.enable()
+
+
+@contextmanager
 def batch_epoch(machine: PIMMachine) -> Iterator[None]:
     """One reclamation epoch: the outermost batch scope on ``machine``.
 
@@ -386,27 +409,18 @@ def batch_epoch(machine: PIMMachine) -> Iterator[None]:
     alive are all dead when it ends.  The interpreter's cyclic
     collector cannot know that: left running it promotes them and then
     walks the whole structure, in full collections that free nothing.
-    The outermost scope therefore pauses the collector (only if it was
-    enabled) and restores it on every exit path; scopes nested inside
-    it -- composite ops, bulk construction inside an op -- do nothing.
-    Temporaries die by reference count when the batch ends, which holds
-    only while the batch path creates no reference cycles (DESIGN.md,
-    "Host memory: batch epochs").  This is the one place that touches
-    the collector; thresholds are never changed.
+    The scope therefore runs under :func:`collector_paused`; scopes
+    nested inside it -- composite ops, bulk construction inside an op --
+    or inside a server tick find the collector off and leave it so.
     """
-    paused = False
-    if machine._epoch_depth == 0:
-        machine.batch_epochs += 1
-        paused = gc.isenabled()
-        if paused:
-            gc.disable()
-    machine._epoch_depth += 1
-    try:
-        yield
-    finally:
-        machine._epoch_depth -= 1
-        if paused:
-            gc.enable()
+    with collector_paused():
+        if machine._epoch_depth == 0:
+            machine.batch_epochs += 1
+        machine._epoch_depth += 1
+        try:
+            yield
+        finally:
+            machine._epoch_depth -= 1
 
 
 def run_batch(machine: PIMMachine, name: str, route: Route) -> Any:

@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import asyncio
 import gc
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.ops import collector_paused
 from repro.recovery import (
     DegradedReason,
     DegradedResult,
@@ -83,7 +85,6 @@ class ServerConfig:
     os_fsync: bool = True            # real fsyncs (False: modeled only)
 
 
-@dataclass(frozen=True)
 class JournalEntry:
     """One executed batch, in execution order, with its demux map.
 
@@ -91,14 +92,34 @@ class JournalEntry:
     (answered from the durable checkpoint+log view while the circuit
     was open -- still journal-replayable, because the durable view
     contains exactly the journaled mutations).
+
+    The journal lives as long as the server, so an entry keeps the
+    ``(request_id, tenant, lo, hi)`` demux slices it is given as
+    per-batch columns -- request ids and slice bounds as arrays,
+    tenants as a tuple -- and :attr:`slices` builds the tuples again
+    when it is read: no collector-tracked object per request outlives
+    the tick.
     """
 
-    tick: int
-    op: str
-    items: Tuple[Any, ...]
-    #: ``(request_id, tenant, lo, hi)`` demux slices.
-    slices: Tuple[Tuple[int, str, int, int], ...]
-    kind: str = "live"
+    __slots__ = ("tick", "op", "items", "ids", "tenants", "los", "his",
+                 "kind")
+
+    def __init__(self, tick: int, op: str, items: Tuple[Any, ...],
+                 slices: Sequence[Tuple[int, str, int, int]],
+                 kind: str = "live") -> None:
+        self.tick = tick
+        self.op = op
+        self.items = items
+        ids, self.tenants, los, his = zip(*slices)
+        self.ids = array("q", ids)
+        self.los = array("q", los)
+        self.his = array("q", his)
+        self.kind = kind
+
+    @property
+    def slices(self) -> Tuple[Tuple[int, str, int, int], ...]:
+        """``(request_id, tenant, lo, hi)`` demux slices."""
+        return tuple(zip(self.ids, self.tenants, self.los, self.his))
 
 
 def _gc_collections() -> List[int]:
@@ -227,7 +248,6 @@ class Server:
     # -- the scheduler loop -----------------------------------------------
 
     async def _run(self) -> None:
-        batches: List[MergedBatch] = []
         try:
             while self._running:
                 if self.admission.pending == 0:
@@ -235,34 +255,51 @@ class Server:
                     self._last_progress = self.tick  # idle is not a stall
                     await self._work.wait()
                     continue
-                self.tick += 1
-                batches, expired = self.coalescer.next_batch(
-                    self.admission, self.tick, self.groups)
-                progressed = False
-                for req in expired:
-                    self._refuse(
-                        req, RefusalReason.DEADLINE,
-                        f"deadline tick {req.deadline} passed at tick "
-                        f"{self.tick} before dispatch")
-                    progressed = True
-                if batches:
-                    self._execute(batches)
-                    progressed = True
-                if progressed:
-                    self._last_progress = self.tick
-                elif (self.admission.pending
-                      and self.tick - self._last_progress
-                      > self.config.watchdog_ticks):
-                    raise ServerStalled(
-                        f"{self.admission.pending} request(s) pending but "
-                        f"no progress for {self.config.watchdog_ticks} "
-                        f"ticks (tick {self.tick})")
+                # A tick is one reclamation epoch (DESIGN.md §16): what
+                # it allocates is dead when _tick returns, so nothing of
+                # it reaches the collector.
+                with collector_paused():
+                    self._tick()
                 # Yield so clients consume results and submit follow-ups
-                # before the next batch forms (closed-loop pipelining).
+                # before the next batch forms (closed-loop pipelining);
+                # their code runs with the collector as they left it.
                 await asyncio.sleep(0)
         except BaseException as exc:
             self._failure = exc
             self._running = False
+            self._abort_pending(exc)
+            raise
+
+    def _tick(self) -> None:
+        """One scheduler tick: form the batches, refuse the expired
+        requests, run the batches and fan their outcomes out.  Its own
+        frame, so the tick's batches, requests and slices are released
+        when it returns; a tick that raises fails the requests it took
+        out of admission, and everything still queued."""
+        self.tick += 1
+        batches, expired = self.coalescer.next_batch(
+            self.admission, self.tick, self.groups)
+        try:
+            progressed = False
+            for req in expired:
+                self._refuse(
+                    req, RefusalReason.DEADLINE,
+                    f"deadline tick {req.deadline} passed at tick "
+                    f"{self.tick} before dispatch")
+                progressed = True
+            if batches:
+                self._execute(batches)
+                progressed = True
+            if progressed:
+                self._last_progress = self.tick
+            elif (self.admission.pending
+                  and self.tick - self._last_progress
+                  > self.config.watchdog_ticks):
+                raise ServerStalled(
+                    f"{self.admission.pending} request(s) pending but "
+                    f"no progress for {self.config.watchdog_ticks} "
+                    f"ticks (tick {self.tick})")
+        except BaseException as exc:
             self._abort_pending(exc, batches)
             raise
 
@@ -289,8 +326,7 @@ class Server:
     def _journal(self, batch: MergedBatch, kind: str) -> None:
         self.journal.append(JournalEntry(
             self.tick, batch.op, tuple(batch.items),
-            tuple([(r.id, r.tenant, lo, hi) for r, lo, hi in batch.slices]),
-            kind))
+            [(r.id, r.tenant, lo, hi) for r, lo, hi in batch.slices], kind))
 
     def _demux(self, batch: MergedBatch, result: Any) -> None:
         """Fan one batch outcome back out to its requests' futures."""
@@ -384,9 +420,11 @@ class Server:
             # grouped ticks happen: ``batches_served`` and the
             # journal count same-op batches, ``tick`` counts ticks), and
             # what the host interpreter did since start(): collections
-            # per generation (batches run with the cyclic collector
-            # paused -- repro.ops.batch_epoch -- so the oldest
-            # generation's count should barely move), and how many
+            # per generation (every tick, and every batch outside one,
+            # runs with the cyclic collector paused --
+            # repro.ops.collector_paused -- so what is counted here
+            # started between ticks, and a fault-free session runs no
+            # full collection), and how many
             # outermost batch scopes the live machine has run, and what
             # share of its tasks ran inside batch handlers rather than
             # through the per-task loop a fault plan's rounds run

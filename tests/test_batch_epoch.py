@@ -8,7 +8,10 @@ success, on an exception, across a failover, and when the caller had it
 off already.  The teardown (``Node.clear_links`` after a batched Delete,
 the contraction's index columns) must leave nothing for the paused
 collector to miss: a churn of upserts and deletes leaves zero
-unreachable structure objects behind.
+unreachable structure objects behind.  A server tick is the same scope
+one level out: the collector is off for the whole tick, back on for the
+clients' code between ticks, and a serve session leaves no cyclic
+garbage either.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pytest
 from repro import PIMMachine, PIMSkipList
 from repro.ops import batch_epoch, run_batch
 from repro.recovery import DegradedResult, RecoveryManager
-from repro.serve import Server, ServerConfig
+from repro.serve import Refusal, Server, ServerConfig
 from repro.sim.chaos import CrashEvent, FaultPlan, FaultSpec
 from repro.structures.pimtree import PIMTree
 from tests.test_list_contraction import Contracted
@@ -335,6 +338,163 @@ def test_a_freed_tower_holds_no_pointers():
                 [None] * len(POINTER_SLOTS), node
     assert sl.batch_get(keys) == [None] * len(keys)
     sl.check_integrity()
+
+
+# ---------------------------------------------------------------------------
+# the serve tick: one epoch around a whole tick, none around client code
+
+
+SERVE_KEYS = 512
+
+
+def _serve_rig(kind: str) -> Server:
+    """A fault-free server over ``SERVE_KEYS`` keys (stride 4)."""
+    machines: List[PIMMachine] = []
+
+    def standby():
+        machines.append(PIMMachine(num_modules=8, seed=7))
+        return (PIMSkipList if kind == "skiplist" else PIMTree)(machines[-1])
+
+    structure = standby()
+    structure.build([(k * 4, k) for k in range(SERVE_KEYS)])
+    return Server(structure, standby, ServerConfig())
+
+
+def _programs(clients: int, ops: int) -> List[list]:
+    """Each client's ``(op, payload)`` stream: gets, successors and
+    upserts of keys already present, so the structure does not grow."""
+    programs = []
+    for c in range(clients):
+        rng = random.Random(c)
+        program = []
+        for _ in range(ops):
+            key = 4 * rng.randrange(SERVE_KEYS)
+            op = rng.choice(("get", "get", "successor", "upsert"))
+            program.append(
+                (op, [(key, c)] if op == "upsert" else [key, key + 3]))
+        programs.append(program)
+    return programs
+
+
+async def _serve(server: Server, programs: List[list],
+                 between: Optional[List[bool]] = None) -> int:
+    """Start ``server``, run every program to its end, stop; returns how
+    many requests were refused or degraded.  The client tasks exist
+    before ``start`` and keep no answer, so what the server counts from
+    there on is the session's steady state; ``between`` collects the
+    collector state each client sees when its request resolves."""
+    async def client(c: int) -> int:
+        failed = 0
+        for op, payload in programs[c]:
+            answer = await server.submit(f"c{c}", op, payload)
+            failed += isinstance(answer, (Refusal, DegradedResult))
+            if between is not None:
+                between.append(gc.isenabled())
+        return failed
+
+    tasks = [asyncio.ensure_future(client(c)) for c in range(len(programs))]
+    gc.collect()
+    await server.start()
+    try:
+        return sum(await asyncio.gather(*tasks))
+    finally:
+        await server.stop()
+
+
+def _spy_ticks(server: Server) -> List[bool]:
+    """Record the collector state each tick runs its batches under."""
+    inside: List[bool] = []
+    real = server._execute
+
+    def execute(batches):
+        inside.append(gc.isenabled())
+        return real(batches)
+
+    server._execute = execute
+    return inside
+
+
+class TestTheTickIsAnEpoch:
+    def test_off_inside_a_tick_on_between_ticks_and_after_stop(
+            self, collector):
+        server = _serve_rig("skiplist")
+        inside = _spy_ticks(server)
+        between: List[bool] = []
+        before = _collector_state()
+        assert asyncio.run(_serve(server, _programs(8, 6), between)) == 0
+        assert inside and not any(inside)
+        assert len(between) == 48 and all(between)
+        assert _collector_state() == before
+
+    def test_handed_back_after_a_tick_that_raises(self, collector):
+        server = _serve_rig("pimtree")
+        inside = _spy_ticks(server)
+
+        def broken(batch, tick):
+            raise RuntimeError("tick failed")
+
+        server.policy.execute = broken
+        before = _collector_state()
+
+        async def session():
+            await server.start()
+            future = server.submit("a", "get", [4])
+            with pytest.raises(RuntimeError, match="tick failed"):
+                await future   # failed through _abort_pending
+            assert gc.isenabled()
+            with pytest.raises(RuntimeError, match="tick failed"):
+                await server.stop()
+
+        asyncio.run(session())
+        assert inside == [False]
+        assert _collector_state() == before
+        assert not server.status()["running"]
+
+    def test_a_caller_who_had_it_off_keeps_it_off(self, collector):
+        gc.disable()
+        server = _serve_rig("pimtree")
+        inside = _spy_ticks(server)
+        between: List[bool] = []
+        before = _collector_state()
+        assert asyncio.run(_serve(server, _programs(8, 6), between)) == 0
+        assert inside and not any(inside)
+        assert between and not any(between)
+        assert _collector_state() == before
+
+
+@pytest.mark.parametrize("kind", ["skiplist", "pimtree"])
+def test_a_serve_session_leaves_no_cyclic_garbage(collector, kind):
+    server = _serve_rig(kind)
+    programs = _programs(64, 8)
+    loop = asyncio.new_event_loop()
+    failed: List[int] = []
+    try:
+        found = _unreachable_by_type(lambda: failed.append(
+            loop.run_until_complete(_serve(server, programs))))
+    finally:
+        loop.close()
+    assert failed == [0]
+    assert sum(found.values()) == 0, found
+    assert server.status()["pending"] == 0
+    server.manager.structure.check_integrity()
+
+
+@pytest.mark.parametrize("kind", ["skiplist", "pimtree"])
+def test_a_serve_session_runs_no_full_collection(collector, kind):
+    """What a tick allocates dies inside it, so only client code between
+    ticks feeds the collector: no full collection, and young ones far
+    rarer than ticks.  With the collector running through the tick
+    (every request's future, handle, request and slice alive across the
+    yield, and a journal tuple per request) 256 clients run about one
+    young collection a tick."""
+    server = _serve_rig(kind)
+    # asyncio's debug mode (``python -X dev``) keeps a traceback on
+    # every future and handle: the loop's allocations, not the server's.
+    assert asyncio.run(_serve(server, _programs(256, 64)), debug=False) == 0
+    young, _middle, full = server.status()["runtime"]["gc_collections"]
+    assert full == 0
+    assert server.tick >= 64
+    assert 4 * young < server.tick, (young, server.tick)
 
 
 # ---------------------------------------------------------------------------

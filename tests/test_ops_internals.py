@@ -3,7 +3,6 @@ Algorithm 1 row segmentation, and the CPU-side general range function."""
 
 import pytest
 
-from repro import PIMMachine, PIMSkipList
 from repro.core.node import UPPER
 from repro.core.ops_upsert import _build_towers
 from repro.core.ops_write import remote_write

@@ -23,7 +23,7 @@ from repro.sim.errors import (LivelockError, MalformedMessageError,
 from repro.sim.machine import PIMMachine
 from repro.structures import PIMLSMStore, PIMPriorityQueue, PIMQueue
 from repro.structures.pimtree import PIMTree
-from tests.conftest import ReferenceMap, make_skiplist
+from tests.conftest import make_skiplist
 
 
 def _echo(bct, chunks):

@@ -643,3 +643,50 @@ class TestRecoveryLimitBoundary:
         assert [c[0] for c in calls] == ["failure", "recovery",
                                         "failure", "degrade"]
         assert calls[3][1] is DegradedReason.RECOVERY_EXHAUSTED
+
+
+class TestAStandbyThatFailsTheRetry:
+    """The factory may hand back faulty hardware: a standby that crashes
+    on the retried batch is one more failure, reported to ``on_failure``
+    when there is a hook, and costs one more failover onto the next
+    standby, which answers."""
+
+    KEYS = [k for k, _ in ITEMS]
+
+    def _manager(self, **hooks):
+        machines = []
+
+        def standby() -> PIMSkipList:
+            m = _machine(seed=11)
+            machines.append(m)
+            if len(machines) == 2:
+                # The log is empty, so this standby's restore is one
+                # build: rounds 0 and 1.  The retried get is round 2.
+                m.install_fault_plan(FaultPlan(FaultSpec(
+                    crashes=(CrashEvent(mid=2, at_round=2),)), seed=0))
+            return PIMSkipList(m)
+
+        sl = standby()
+        sl.build(ITEMS)
+        machines[0].install_fault_plan(FaultPlan(FaultSpec(), seed=0))
+        machines[0].wipe_module(2)
+        return RecoveryManager(sl, standby, **hooks), machines
+
+    def test_the_hook_sees_both_failures(self):
+        failures = []
+        manager, machines = self._manager(
+            on_failure=lambda op, exc: failures.append(
+                (op, type(exc).__name__)))
+        assert manager.run("get", self.KEYS) == [v for _, v in ITEMS]
+        assert failures == [("get", "DeliveryTimeout")] * 2
+        assert manager.recoveries == 2 and len(machines) == 3
+        assert manager.structure.machine is machines[2]
+        assert manager.healthy
+
+    def test_without_a_hook(self):
+        manager, machines = self._manager()
+        assert manager.run("get", self.KEYS) == [v for _, v in ITEMS]
+        assert manager.recoveries == 2 and len(machines) == 3
+        assert all("DeliveryTimeout" in event.cause
+                   for event in manager.events)
+        assert manager.healthy
