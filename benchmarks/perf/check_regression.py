@@ -61,7 +61,7 @@ import statistics
 import sys
 import time
 from operator import eq, ge, gt, le
-from typing import Any, Callable, Dict, List, NamedTuple, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
@@ -149,25 +149,30 @@ _PIMTREE_READS = frozenset(f"pimtree:{f}" for f in (
     "nd_step", "sh_step", "lf_get", "lf_succ", "lf_scan"))
 
 
-def _rows_through_send_all(machine: PIMMachine, fns: frozenset,
-                           run: Callable[[], Any]) -> int:
-    """How many messages of ``fns`` reach ``machine.send_all`` as rows
-    while ``run()`` runs."""
-    send_all = machine.send_all
-    rows = 0
+def _read_traffic(machine: PIMMachine, fns: frozenset,
+                  run: Callable[[], Any]) -> Tuple[int, int]:
+    """``(rows, replies)`` while ``run()`` runs: how many messages of
+    ``fns`` reach ``machine.send_all`` as rows, and how many ``Reply``
+    objects ``machine.drain`` returns."""
+    send_all, drain = machine.send_all, machine.drain
+    seen = [0, 0]
 
     def counting_send_all(messages):
-        nonlocal rows
         messages = list(messages)
-        rows += sum(m[1] in fns for m in messages)
+        seen[0] += sum(m[1] in fns for m in messages)
         send_all(messages)
 
-    machine.send_all = counting_send_all
+    def counting_drain(*args, **kwargs):
+        replies = drain(*args, **kwargs)
+        seen[1] += len(replies)
+        return replies
+
+    machine.send_all, machine.drain = counting_send_all, counting_drain
     try:
         run()
     finally:
-        del machine.send_all
-    return rows
+        del machine.send_all, machine.drain
+    return seen[0], seen[1]
 
 
 class Bench:
@@ -444,7 +449,8 @@ class Bench:
         the first 13 pairs of the 64-key Upsert (its write tick).
         ``(name, "read rows")`` counts the group's messages of the
         PIM-tree's five read functions that reached ``send_all`` as rows
-        (none on the skip list)."""
+        (none on the skip list), ``(name, "replies")`` the ``Reply``
+        objects its drains returned."""
         batches = _width_batches()
         rng = random.Random(7)
         reads = [("get", [rng.randrange(2 * 16384) for _ in range(218)]),
@@ -468,7 +474,8 @@ class Bench:
                 structure.build(build_items(16384, stride=2))
                 before = machine.snapshot()
                 if how == "group":
-                    cells[name, "read rows"] = _rows_through_send_all(
+                    (cells[name, "read rows"],
+                     cells[name, "replies"]) = _read_traffic(
                         machine, _PIMTREE_READS,
                         lambda: structure.apply_group(group))
                 else:
@@ -794,6 +801,12 @@ GATES: List[Gate] = [
     # 461 were rows while every message was its own tuple).
     Gate("pimtree read group: read rows through send_all",
          lambda b: b.tick_groups()["pimtree", "read rows"], "==", 32,
+         EXACT),
+    # Each read kernel call answers in one column reply, not one reply
+    # per message: the group's drains return 13 replies, its pulls'
+    # rows included (469 while every message replied on its own).
+    Gate("pimtree read group: replies drained",
+         lambda b: b.tick_groups()["pimtree", "replies"], "==", 13,
          EXACT),
     # -- batched tree range (core/ops_range.py): the cut-point sweep
     # pays one boundary search, one root and one go per covered piece,

@@ -399,21 +399,23 @@ class RecoveryManager:
                                  cause)
 
         standby = self.rebuild()
-        restore_structure(self.checkpoint, standby)
-        for logged_op, logged_payload in self._log:
-            standby.apply_batch(logged_op, logged_payload)
         event = RecoveryEvent(
             op=op, cause=cause,
             checkpoint_items=self.checkpoint.item_count(),
             replayed_batches=len(self._log))
         self.events.append(event)
-        self.structure = standby
-        if self.on_recovery is not None:
-            self.on_recovery(event)
-        # Retry the failed batch on the standby.  A clean machine cannot
-        # crash, but the factory may hand back faulty hardware; recurse
-        # so a second failure consumes another recovery (or degrades).
+        # Restore the checkpoint, replay the log and retry the failed
+        # batch on the standby.  A clean machine cannot crash, but the
+        # factory may hand back faulty hardware; a failure anywhere in
+        # here has spent this failover, and recursing makes it consume
+        # another recovery (or degrade).
         try:
+            restore_structure(self.checkpoint, standby)
+            for logged_op, logged_payload in self._log:
+                standby.apply_batch(logged_op, logged_payload)
+            self.structure = standby
+            if self.on_recovery is not None:
+                self.on_recovery(event)
             result = apply_to(standby, op, payload)
         except (ModuleCrashed, DeliveryTimeout) as retry_exc:
             if self.on_failure is not None:

@@ -107,7 +107,10 @@ up)::
              lf_succ, lf_scan                 function and stage, each a kernel
                                               written once (``bisect`` on the
                                               module's own lists) that reads
-                                              a column chunk column-wise
+                                              a column chunk column-wise and
+                                              replies in columns: one Reply
+                                              per kernel call, a row per
+                                              message (one row per slot task)
     rows     search_entry, search_step        the walk (read-only)
              pt_get, pt_update,               hash-shortcut point tasks
              ups_try_update
@@ -230,7 +233,10 @@ class BatchRound:
 
     - reads its tasks from the chunks it is passed;
     - appends :class:`~repro.sim.task.Reply` objects to :attr:`replies`
-      (bumping ``sent[mid]`` for the executing module);
+      -- a reply per message, or a *column reply* per run of messages
+      (its ``src`` the list of modules that replied, a row each) --
+      bumping ``sent[mid]`` by each row's units for the module that
+      replied;
     - charges local work into ``work[mid]`` and message sends into
       ``sent[mid]`` -- only for modules that received tasks this round
       (the executing module of some task; charging elsewhere violates
@@ -247,13 +253,17 @@ class BatchRound:
     bit-identical to the reference oracle's.
     """
 
-    __slots__ = ("machine", "num_modules", "replies", "work", "sent",
-                 "tracing")
+    __slots__ = ("machine", "num_modules", "replies", "_idle", "work",
+                 "sent", "tracing")
 
     def __init__(self, machine: "PIMMachine") -> None:  # noqa: F821
         self.machine = machine
         self.num_modules = machine.num_modules
-        self.replies: list = []
+        #: :attr:`replies` between rounds: an empty list of the context's
+        #: own, never the last round's (which would keep its replies
+        #: alive until the next round).
+        self._idle: list = []
+        self.replies: list = self._idle
         self.work: List[float] = [0.0] * machine.num_modules
         self.sent: List[int] = [0] * machine.num_modules
         #: True when :meth:`touch` records anything (access tracing or
@@ -266,6 +276,10 @@ class BatchRound:
         # templates -- no reallocation).
         self.work[:] = self.machine._zeros_f
         self.sent[:] = self.machine._zeros_i
+
+    def _disarm(self) -> None:
+        """End the round: its replies leave with the caller alone."""
+        self.replies = self._idle
 
     def reply(self, mid: int, payload: Any, tag: Any = None,
               size: int = 1) -> None:

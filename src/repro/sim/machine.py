@@ -613,6 +613,7 @@ class PIMMachine:
 
         self._commit_round(h, incoming_total + sent_total, round_pim_max,
                            tasks)
+        bct._disarm()
         return replies
 
     def _hottest_queue(self, mids: Iterable[int],
@@ -745,6 +746,7 @@ class PIMMachine:
 
         self._commit_round(h, incoming_total + sent_total, round_pim_max,
                            tasks)
+        bct._disarm()
         # Return the consumed recv buffer to the pool, zeroed.
         for mid in active:
             recv[mid] = 0

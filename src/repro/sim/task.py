@@ -32,6 +32,12 @@ class Reply:
 
     ``payload`` is the returned value, ``tag`` echoes the originating
     task's tag, and ``src`` is the module that produced the reply.
+
+    A **column reply** answers a run of messages at once: ``src`` is the
+    list of modules that replied, a row per message, and ``payload`` is
+    the reply kind followed by one list per field, as long as ``src``
+    (the PIM-tree's read kernels reply this way).  Its rows are charged
+    as the messages they are; only the host holds them together.
     """
 
     __slots__ = ("payload", "tag", "src")

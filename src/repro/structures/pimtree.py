@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import repeat
+from itertools import groupby
+from operator import itemgetter
 from typing import (Any, Dict, Hashable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -103,10 +104,13 @@ class _Node:
 
 
 # ----------------------------------------------------------------------
-# read kernels: one per read function, over a run of ``(module, tag,
-# *args)`` rows.  ``stores[module]`` is that module's node, shadow or
-# leaf store; each row charges ``work[module]``, counts its reply's size
-# into ``sent[module]`` and passes the reply to ``out``.
+# read kernels: one per read function, over one run of messages held as
+# columns -- ``mids``, the receiving modules, and ``cols``, the
+# function's argument columns.  ``stores[module]`` is that module's
+# node, shadow or leaf store.  Each row charges ``work[module]`` and
+# counts its reply row's size into ``sent[module]``; the kernel returns
+# the run's reply payload: the reply kind, then one list per field, a
+# row per message (``read_body`` sends it back as one reply).
 # ----------------------------------------------------------------------
 
 #: ``max(1, int(log2(n + 1)))``, a ``bisect`` over ``n`` entries, by the
@@ -115,49 +119,68 @@ class _Node:
 _LOG_WORK = tuple(max(1, bits - 1) for bits in range(64))
 
 
-def _step_kernel(stores, rows, work, sent, out) -> None:
+def _step_kernel(stores, mids, cols, work, sent) -> tuple:
     """``nd_step`` / ``sh_step``: a key one level down the node the
-    module holds (its home copy or a shadow replica)."""
+    module holds (its home copy or a shadow replica).  Replies
+    ``("step", qids, children, kinds)``."""
+    nids, keys, qids = cols
     right = bisect.bisect_right
-    for mid, tag, nid, key, qid in rows:
+    down: List[int] = []
+    kinds: List[str] = []
+    for mid, nid, key in zip(mids, nids, keys):
         fences, children, kind = stores[mid][nid]
         i = right(fences, key) - 1
         work[mid] += _LOG_WORK[(len(children) + 1).bit_length()]
         sent[mid] += 1
-        out(Reply(("step", qid, children[i if i > 0 else 0], kind), tag,
-                  mid))
+        down.append(children[i if i > 0 else 0])
+        kinds.append(kind)
+    return ("step", qids, down, kinds)
 
 
-def _get_kernel(stores, rows, work, sent, out) -> None:
-    """``lf_get``: a key's value in its leaf, or a miss."""
+def _get_kernel(stores, mids, cols, work, sent) -> tuple:
+    """``lf_get``: a key's value in its leaf, or a miss.  Replies
+    ``("lget", keys, values, hits)``, a miss's value ``None``."""
+    lids, keys = cols
     left = bisect.bisect_left
-    for mid, tag, lid, key in rows:
+    values: List[Any] = []
+    hits: List[bool] = []
+    for mid, lid, key in zip(mids, lids, keys):
         leaf = stores[mid][lid]
         n = len(leaf)
         i = left(leaf, (key,))
         hit = i < n and leaf[i][0] == key
         work[mid] += _LOG_WORK[(n + 1).bit_length()]
         sent[mid] += 1
-        out(Reply(("lget", key, leaf[i][1] if hit else None, hit), tag, mid))
+        values.append(leaf[i][1] if hit else None)
+        hits.append(hit)
+    return ("lget", keys, values, hits)
 
 
-def _succ_kernel(stores, rows, work, sent, out) -> None:
-    """``lf_succ``: the leaf's first item at or above a key, if any."""
+def _succ_kernel(stores, mids, cols, work, sent) -> tuple:
+    """``lf_succ``: the leaf's first item at or above a key, if any.
+    Replies ``("lsucc", qids, items)``, ``None`` past the leaf's end."""
+    lids, keys, qids = cols
     left = bisect.bisect_left
-    for mid, tag, lid, key, qid in rows:
+    found: List[Any] = []
+    for mid, lid, key in zip(mids, lids, keys):
         leaf = stores[mid][lid]
         n = len(leaf)
         i = left(leaf, (key,))
         work[mid] += _LOG_WORK[(n + 1).bit_length()]
         sent[mid] += 1
-        out(Reply(("lsucc", qid, leaf[i] if i < n else None), tag, mid))
+        found.append(leaf[i] if i < n else None)
+    return ("lsucc", qids, found)
 
 
-def _scan_kernel(stores, rows, work, sent, out) -> None:
-    """``lf_scan``: the leaf's items in ``[lo, hi]`` and its last key; one
-    message unit an item."""
+def _scan_kernel(stores, mids, cols, work, sent) -> tuple:
+    """``lf_scan``: the leaf's items in ``[lo, hi]`` and its last key;
+    one message unit an item.  Replies ``("lscan", qids, lids, items,
+    lasts)``."""
+    lids, los, his, qids = cols
     left = bisect.bisect_left
-    for mid, tag, lid, lo, hi, qid in rows:
+    items: List[list] = []
+    lasts: List[Any] = []
+    for mid, lid, lo, hi in zip(mids, lids, los, his):
         leaf = stores[mid][lid]
         n = len(leaf)
         i = j = left(leaf, (lo,))
@@ -165,8 +188,19 @@ def _scan_kernel(stores, rows, work, sent, out) -> None:
             j += 1
         work[mid] += j - i + _LOG_WORK[(n + 1).bit_length()]
         sent[mid] += max(1, j - i)
-        out(Reply(("lscan", qid, lid, tuple(leaf[i:j]),
-                   leaf[-1][0] if n else None), tag, mid))
+        items.append(leaf[i:j])
+        lasts.append(leaf[-1][0] if n else None)
+    return ("lscan", qids, lids, items, lasts)
+
+
+def _tag_runs(rows) -> Iterator[Tuple[Any, list, List[tuple]]]:
+    """``(dest, args, tag, size)`` rows as runs of one tag, each
+    ``(tag, dests, argument columns)``.  A route's reads are untagged, so
+    a row chunk is one run; a slot task is a run of one row."""
+    for tag, run in groupby(rows, itemgetter(2)):
+        run = list(run)
+        yield (tag, [row[0] for row in run],
+               list(zip(*[row[1] for row in run])))
 
 
 class PIMTree:
@@ -237,34 +271,39 @@ class PIMTree:
     def _bodies(self) -> Dict[str, Any]:
         """Every function's batch body, by function id.
 
-        A read function is one kernel over a run of rows (``_step_kernel``
-        serves ``nd_step`` and ``sh_step``, then ``_get_kernel``,
-        ``_succ_kernel``, ``_scan_kernel``).  Its body runs the kernel
-        over each chunk -- a column chunk column-wise, straight from
-        ``dests`` and ``cols``, a row chunk row by row, a slot task
-        (fault plans, :class:`~repro.sim.machine.ReferencePIMMachine`)
-        as its one row.  The stores, writes, deletes and dumps run row
-        by row; ``nd_pull`` / ``lf_pull`` run their rows in slot order:
-        the CPU side sums the pull replies' non-integer ``log2`` charges
-        in arrival order, so that order is the per-task loop's."""
+        A read function is one kernel over a run of messages as
+        columns (``_step_kernel`` serves ``nd_step`` and ``sh_step``,
+        then ``_get_kernel``, ``_succ_kernel``, ``_scan_kernel``).  Its
+        body runs the kernel once a chunk -- a column chunk straight
+        from ``dests`` and ``cols``, a row chunk as its columns (a run of
+        them per tag), a slot task (fault plans,
+        :class:`~repro.sim.machine.ReferencePIMMachine`) as its one row
+        -- and appends one **column reply** a kernel call: its payload
+        is the kernel's (the reply kind, then a list per field, a row
+        per message), its tag the run's, and its ``src`` the list of
+        modules that replied, a row each.  The stores, writes, deletes
+        and dumps run row by row and reply a row each; ``nd_pull`` /
+        ``lf_pull`` run their rows in slot order: the CPU side sums the
+        pull replies' non-integer ``log2`` charges in arrival order, so
+        that order is the per-task loop's."""
         name, fn = self.name, self._fn
 
         def read_body(store, kernel):
-            def chunk(bct, chunks):
+            def body(bct, chunks):
                 modules = bct.machine.modules
                 for ch in chunks:
                     if ch.kind == COLS:
-                        mids = ch.counts
-                        rows = zip(ch.dests, repeat(None), *ch.cols)
+                        runs = ((None, ch.dests, ch.cols),)
                     else:
-                        rows = [(mid, tag) + args
-                                for mid, args, tag, _size in bct.rows_of(ch)]
-                        mids = {row[0] for row in rows}
-                    kernel({mid: modules[mid].state[name][store]
-                            for mid in mids},
-                           rows, bct.work, bct.sent, bct.replies.append)
+                        runs = _tag_runs(bct.rows_of(ch))
+                    for tag, mids, cols in runs:
+                        stores = {mid: modules[mid].state[name][store]
+                                  for mid in (ch.counts or mids)}
+                        bct.replies.append(Reply(
+                            kernel(stores, mids, cols, bct.work, bct.sent),
+                            tag, mids))
 
-            return chunk
+            return body
 
         def store_body(store):
             """``nd_store`` / ``sh_store``: (re)place one node copy."""
@@ -405,9 +444,10 @@ class PIMTree:
         pull the node by the load rule; hot nodes answer from shadow
         replicas sprayed across all modules.  A level's stage is the
         pulls, as rows in node order, then one :class:`Columns` element
-        each for the ``sh_step`` and the ``nd_step`` messages.  The
-        frontier stays grouped by node from one level to the next (in
-        reply order within a node, which nothing charged depends on).
+        each for the ``sh_step`` and the ``nd_step`` messages, whose
+        column replies the CPU side reads row by row.  The frontier
+        stays grouped by node from one level to the next (in reply order
+        within a node, which nothing charged depends on).
         A generator (used via ``yield from``); returns the leaf ids,
         indexed by ``qid``.  Ends with a shadow promotion broadcast when
         this batch's pulls made nodes hot.
@@ -473,18 +513,18 @@ class PIMTree:
             for r in replies:
                 payload = r.payload
                 if payload[0] == "step":
-                    # ``route``'s grouping, inlined: a reply per pushed
-                    # query.
-                    _, qid, child, kind = payload
-                    if kind == "leaf":
-                        done[qid] = child
-                        continue
-                    grp = frontier.get(child)
-                    if grp is None:
-                        frontier[child] = ([qid], [keys[qid]])
-                    else:
-                        grp[0].append(qid)
-                        grp[1].append(keys[qid])
+                    # ``route``'s grouping, inlined, over a column reply:
+                    # a row per pushed query.
+                    for qid, child, kind in zip(*payload[1:]):
+                        if kind == "leaf":
+                            done[qid] = child
+                            continue
+                        grp = frontier.get(child)
+                        if grp is None:
+                            frontier[child] = ([qid], [keys[qid]])
+                        else:
+                            grp[0].append(qid)
+                            grp[1].append(keys[qid])
                     continue
                 _, nid, fences, children, kind = payload
                 qids = pulled[nid]
@@ -795,10 +835,8 @@ class _KeysPart:
         return [None] * len(self.keys)
 
     def fan_out(self, machine, answers: Dict[Any, Any]) -> List[Any]:
-        out = self.empty()
-        for key, idxs in self.groups.items():
-            for i in idxs:
-                out[i] = answers[key]
+        """Every position's answer, its key's (one lookup a position)."""
+        out = list(map(answers.__getitem__, self.keys))
         machine.cpu.charge(float(len(out)), _log2(len(out)))
         return out
 
@@ -864,7 +902,8 @@ class _GetPart(_KeysPart):
             replies = yield stage
             for r in replies:
                 if r.payload[0] == "lget":
-                    values[r.payload[1]] = r.payload[2]  # None on a miss
+                    # keys and their values, None on a miss
+                    values.update(zip(r.payload[1], r.payload[2]))
                 else:
                     _, lid, items = r.payload
                     probe_keys = pulled[lid]
@@ -917,8 +956,8 @@ class _SuccessorPart(_KeysPart):
             resolved: Dict[Any, Optional[Tuple[Hashable, Any]]] = {}
             for r in replies:
                 if r.payload[0] == "lsucc":
-                    _, key, hit = r.payload
-                    resolved[key] = tuple(hit) if hit is not None else None
+                    # keys and their leaf items (tuples), None past the end
+                    resolved.update(zip(r.payload[1], r.payload[2]))
                 else:
                     _, lid, items = r.payload
                     grp = pulled[lid]
@@ -1005,14 +1044,14 @@ class _RangePart:
                  [ops[i][1] for i in idxs], idxs))]
             nxt: Dict[int, int] = {}
             for r in replies:
-                _, i, lid, items, last = r.payload
-                out[i].extend(tuple(p) for p in items)
-                hi = ops[i][1]
-                if last is None or last > hi:
-                    continue
-                follow = tree._next_nonempty(tree.leaf_next.get(lid))
-                if follow is not None:
-                    nxt[i] = follow
+                _, qids, scanned, items, lasts = r.payload
+                for i, lid, got, last in zip(qids, scanned, items, lasts):
+                    out[i].extend(got)
+                    if last is None or last > ops[i][1]:
+                        continue
+                    follow = tree._next_nonempty(tree.leaf_next.get(lid))
+                    if follow is not None:
+                        nxt[i] = follow
             active = nxt
         total = sum(len(rows) for rows in out)
         machine.cpu.charge(total + len(ops), _log2(total + len(ops)))
@@ -1047,10 +1086,11 @@ def _lockstep(parts: Sequence[Any], phases: Sequence):
     hop's stage and is sent back its own replies, in arrival order; a
     hop's stage is the phases' elements in phase order.  A row (a pull,
     a leaf write) is tagged with its phase's index, keeping its size,
-    and its reply echoes the tag; a
-    :class:`Columns` element passes through untagged, and its replies
-    go to the phase whose ``reply_kind`` their payload names -- one
-    phase at most, as a group holds each class at most once.
+    and its reply echoes the tag; a :class:`Columns` element passes
+    through untagged, and its column replies -- one per kernel call,
+    not one per message -- go to the phase whose ``reply_kind`` their
+    payload names: one phase at most, as a group holds each class at
+    most once.
     Returns the phases' return values.  Used via ``yield from``.
     """
     results: List[Any] = [None] * len(phases)

@@ -31,6 +31,7 @@ from repro.sim.errors import LivelockError
 from repro.sim.fastpath import BCAST, COLS, ROWS
 from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.sim.profiling import HandlerProfile
+from repro.sim.task import Reply
 from repro.workloads import build_items, zipf_batch
 from tests.conftest import DETERMINISTIC, ENGINES
 from tests.test_golden_metrics import (
@@ -357,6 +358,30 @@ class TestBackendSelection:
 # ----------------------------------------------------------------------
 # observational equivalence
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("engine", ["object", "columnar", "fault plan"])
+def test_a_drained_round_leaves_no_reply_on_the_context(engine):
+    """Once ``drain`` has returned, the machine's one round context
+    holds none of the rounds' replies (they would stay alive until the
+    next round): not after mixed rounds, not after a skip-list Get, on
+    the engine, on the oracle and under a fault plan."""
+    machine = _machine("columnar" if engine == "fault plan" else engine)
+    if engine == "fault plan":
+        machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
+    _issue_mixed_round(machine)
+    assert machine.drain()
+    items = build_items(200, stride=10)
+    sl = PIMSkipList(machine)
+    sl.build(items)
+    assert sl.batch_get([k for k, _ in items[:50]]) \
+        == [v for _, v in items[:50]]
+    bct = machine._bct
+    for name in type(bct).__slots__:
+        held = getattr(bct, name)
+        assert not (isinstance(held, list)
+                    and any(isinstance(x, Reply) for x in held)), name
+    assert bct.replies == []
+
 
 class TestBackendParity:
     def test_mixed_workload_bit_identical(self):

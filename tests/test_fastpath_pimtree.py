@@ -6,9 +6,12 @@ each one kernel over a run of rows: on the engine
 over a column chunk -- what a route's :class:`~repro.ops.Columns`
 element of ``COLUMNS_CROSSOVER`` messages or more becomes -- or over a
 row chunk, and on :class:`~repro.sim.machine.ReferencePIMMachine` their
-slot handlers run it over one task's row.  Each test drives the same
+slot handlers run it over one task's row.  Each kernel call answers
+with one column reply (a row per message), so the engine replies once a
+chunk and the oracle once a task.  Each test drives the same
 messages into one tree on each, steps both in lockstep, and requires,
-round by round, equal replies (as multisets), per-module work, ``h``,
+round by round, equal reply rows (as multisets; ``_replies`` expands a
+column reply into its rows), per-module work, ``h``,
 messages and next-round staging -- ``tests/test_fastpath_writes.py``'s
 harness.  The stores, writes, deletes and the two pulls are chunked
 too; the pulls run their rows in slot order: the CPU side sums the pull
@@ -298,6 +301,23 @@ class TestColumnKernels:
         assert [ch.kind for ch in col._cq] == [
             COLS if n >= COLUMNS_CROSSOVER else ROWS]
         assert _lockstep(obj, col) == 1
+
+    @pytest.mark.parametrize("fn", READ_FNS)
+    def test_one_reply_a_kernel_call(self, pair, fn):
+        """The engine answers a column chunk with one column reply, its
+        ``src`` the chunk's destinations; the oracle answers each task
+        with a one-row column reply.  Expanded, they are the same
+        rows."""
+        obj, col = (tree.machine for tree in pair)
+        dests, cols = _read_columns(pair[0], fn, 40)
+        obj.send_all((dest, f"pimtree:{fn}", args, None)
+                     for dest, args in zip(dests, zip(*cols)))
+        col.send_cols(f"pimtree:{fn}", dests, cols)
+        got_obj, got_col = obj.step(), col.step()
+        assert len(got_col) == 1 and got_col[0].src == dests
+        assert len(got_obj) == 40
+        assert all(len(r.src) == 1 for r in got_obj)
+        assert sorted(_replies(got_obj)) == sorted(_replies(got_col))
 
     def test_all_five_beside_the_pulls(self, pair):
         """One round: the five functions as column chunks and both pulls

@@ -70,7 +70,20 @@ def _norm(x):
 
 
 def _replies(replies):
-    return [(r.src, repr(r.tag), _norm(r.payload)) for r in replies]
+    """Each reply as ``(src, tag, payload)`` rows: a column reply (one
+    per kernel call; its ``src`` is the list of modules that replied)
+    expands into the rows it holds, ``(src[i], tag, (kind, col[i],
+    ...))`` -- what one reply per message would read."""
+    rows = []
+    for r in replies:
+        if r.src.__class__ is list:
+            kind, *cols = r.payload
+            assert all(len(col) == len(r.src) for col in cols), r
+            rows.extend((src, repr(r.tag), _norm((kind,) + row))
+                        for src, row in zip(r.src, zip(*cols)))
+        else:
+            rows.append((r.src, repr(r.tag), _norm(r.payload)))
+    return rows
 
 
 def _norm_staging(machine):

@@ -67,6 +67,7 @@ def test_exact_rows_pass():
             "CPU-side session: cpu_work, cpu_depth, shared_mem_peak, rng",
             "upsert batch: write_ptr rows through send_all",
             "pimtree read group: read rows through send_all",
+            "pimtree read group: replies drained",
             "write group: skiplist Upsert + Successor, (rounds, io, "
             "messages)",
             "write group: skiplist Upsert + Successor apart, (rounds, io, "

@@ -645,25 +645,29 @@ class TestRecoveryLimitBoundary:
         assert calls[3][1] is DegradedReason.RECOVERY_EXHAUSTED
 
 
+#: The log is empty, so a standby's restore is one build: rounds 0 and
+#: 1.  The retried get is round 2.
+IN_THE_RESTORE, IN_THE_RETRY = 1, 2
+
+
 class TestAStandbyThatFailsTheRetry:
     """The factory may hand back faulty hardware: a standby that crashes
-    on the retried batch is one more failure, reported to ``on_failure``
-    when there is a hook, and costs one more failover onto the next
-    standby, which answers."""
+    while it is restored or on the retried batch is one more failure,
+    reported to ``on_failure`` when there is a hook, and costs one more
+    failover onto the next standby, which answers."""
 
     KEYS = [k for k, _ in ITEMS]
 
-    def _manager(self, **hooks):
+    def _manager(self, at_round=IN_THE_RETRY, **hooks):
         machines = []
 
         def standby() -> PIMSkipList:
             m = _machine(seed=11)
             machines.append(m)
             if len(machines) == 2:
-                # The log is empty, so this standby's restore is one
-                # build: rounds 0 and 1.  The retried get is round 2.
                 m.install_fault_plan(FaultPlan(FaultSpec(
-                    crashes=(CrashEvent(mid=2, at_round=2),)), seed=0))
+                    crashes=(CrashEvent(mid=2, at_round=at_round),)),
+                    seed=0))
             return PIMSkipList(m)
 
         sl = standby()
@@ -672,9 +676,10 @@ class TestAStandbyThatFailsTheRetry:
         machines[0].wipe_module(2)
         return RecoveryManager(sl, standby, **hooks), machines
 
-    def test_the_hook_sees_both_failures(self):
+    def _with_a_hook(self, at_round):
         failures = []
         manager, machines = self._manager(
+            at_round,
             on_failure=lambda op, exc: failures.append(
                 (op, type(exc).__name__)))
         assert manager.run("get", self.KEYS) == [v for _, v in ITEMS]
@@ -683,10 +688,25 @@ class TestAStandbyThatFailsTheRetry:
         assert manager.structure.machine is machines[2]
         assert manager.healthy
 
-    def test_without_a_hook(self):
-        manager, machines = self._manager()
+    def _without_a_hook(self, at_round):
+        manager, machines = self._manager(at_round)
         assert manager.run("get", self.KEYS) == [v for _, v in ITEMS]
         assert manager.recoveries == 2 and len(machines) == 3
         assert all("DeliveryTimeout" in event.cause
                    for event in manager.events)
         assert manager.healthy
+
+    def test_the_hook_sees_both_failures(self):
+        self._with_a_hook(IN_THE_RETRY)
+
+    def test_without_a_hook(self):
+        self._without_a_hook(IN_THE_RETRY)
+
+    def test_a_standby_that_fails_its_restore_with_a_hook(self):
+        """The crash lands inside the standby's build, before any retry:
+        the same failure, reported, and one more failover -- not an
+        exception out of ``run``."""
+        self._with_a_hook(IN_THE_RESTORE)
+
+    def test_a_standby_that_fails_its_restore_without_a_hook(self):
+        self._without_a_hook(IN_THE_RESTORE)
