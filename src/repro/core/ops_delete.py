@@ -149,6 +149,10 @@ def make_handlers(sl: SkipListStructure) -> None:
     machine.register(f"{name}:del_upper", batch_delete_upper)
 
 
+def _mark_order(r: Reply) -> tuple:
+    return (r.payload[0] == "marked_node", r.src)
+
+
 def _delete_route(sl, keys):
     cpu = sl.machine.cpu
     n = len(keys)
@@ -162,6 +166,12 @@ def _delete_route(sl, keys):
         distinct = list(group_positions(cpu, keys))
         replies = yield sl.shortcut_stage(f"{sl.name}:del_mark",
                                           distinct, zip(distinct))
+        # The contraction draws its coins in this order: the marked
+        # leaves, then the tower nodes, each by module in arrival order.
+        # A drain already returns it (one round each, in slot order);
+        # under a fault plan a late envelope's round also runs tower
+        # nodes, and the two functions' replies interleave per machine.
+        replies = sorted(replies, key=_mark_order)
         marked: List[Node] = []
         lefts: List[Optional[Node]] = []
         rights: List[Optional[Node]] = []

@@ -6,8 +6,9 @@ upper-part nodes) are broadcast to every module; the handler's mutation is
 idempotent (it stores a fixed value), so replaying it per replica is safe
 and each replica's work is charged on its own module.  The simulator
 keeps one object per replicated node, so the batch body applies a
-broadcast write once and charges every module its unit; in the per-task
-loop (reference oracle, fault plans) each module's task replays it.
+broadcast write once and charges every module its unit; where the
+broadcast arrives as rows (the reference oracle's slot tasks, a fault
+plan's envelopes) each module's row replays it.
 
 No write-path task replies: the round's barrier is what tells the CPU
 side a write has landed (DESIGN.md §19), so a write is one message in

@@ -174,13 +174,6 @@ class RecoveryEvent:
     replayed_batches: int
 
 
-def _replay_payload(op: str, payload: list) -> list:
-    """WAL form -> batch payload (upsert pairs back to tuples)."""
-    if op == "upsert":
-        return [tuple(p) if isinstance(p, list) else p for p in payload]
-    return list(payload)
-
-
 class RecoveryManager:
     """Run batches with crash recovery (see module docstring).
 
@@ -244,8 +237,7 @@ class RecoveryManager:
             self.checkpoint = durable.report.checkpoint
             restore_structure(self.checkpoint, standby)
             for record in durable.report.records:
-                self._log_batch(record.op,
-                                _replay_payload(record.op, record.payload))
+                self._log_batch(record.op, record.payload)
             for op, payload in self._log:
                 standby.apply_batch(op, payload)
             self._served_items = self._log_items
@@ -363,7 +355,8 @@ class RecoveryManager:
             return
         # The one copy the manager takes: the caller keeps its list, and
         # ``apply_batch`` copies for itself.  The WAL encodes this same
-        # list (JSON writes pair tuples as the lists replay expects).
+        # list (JSON writes pair tuples as lists, which a restart logs
+        # and replays as they are).
         op, logged = write[0], list(write[1])
         self._log_batch(op, logged)
         if self.durable is not None:

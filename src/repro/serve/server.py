@@ -426,10 +426,9 @@ class Server:
             # started between ticks, and a fault-free session runs no
             # full collection), and how many
             # outermost batch scopes the live machine has run, and what
-            # share of its tasks ran inside batch handlers rather than
-            # through the per-task loop a fault plan's rounds run
-            # (``columnar_active`` only says the array-native path is
-            # on, not how much traffic it carries).
+            # share of its tasks ran inside batch handlers (every one on
+            # the engine, under a fault plan too; the per-task loop is
+            # the reference oracle's alone).
             "runtime": {
                 "ticks_by_kind": dict(sorted(self.ticks_by_kind.items())),
                 "batches_per_tick": (

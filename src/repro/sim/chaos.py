@@ -86,10 +86,11 @@ ACK_TAG = _AckTag()
 def deliver_envelope(bct: BatchRound, chunks: List[_Chunk]) -> None:
     """The module side of the reliable-delivery protocol, the body
     registered under :data:`DELIVER_FN` when a fault plan is installed:
-    per envelope, ack it, dedup redelivery, and run the inner function's
-    body over the inner task's one row."""
+    per envelope, ack it and dedup redelivery; then each inner
+    function's surviving rows, in arrival order, run through its body
+    as one chunk."""
     modules = bct.machine.modules
-    bodies = bct.machine._handlers
+    inner: Dict[str, list] = {}
     for mid, (seq, fn, args, inner_tag, _size, *corrupt), _tag, _s in \
             bct.rows(chunks):
         if corrupt:
@@ -99,9 +100,12 @@ def deliver_envelope(bct: BatchRound, chunks: List[_Chunk]) -> None:
             continue
         bct.reply(mid, seq, ACK_TAG)
         if modules[mid].first_delivery(seq):
-            inner = _Chunk(fn, ROWS)
-            inner.rows = [(mid, args, inner_tag, 1)]
-            bodies[fn](bct, [inner])
+            inner.setdefault(fn, []).append((mid, args, inner_tag, 1))
+    bodies = bct.machine._handlers
+    for fn, rows in inner.items():
+        ch = _Chunk(fn, ROWS)
+        ch.rows = rows
+        bodies[fn](bct, [ch])
 
 
 def _mix(*vals: int) -> int:
@@ -153,9 +157,9 @@ class CrashEvent:
 class StallEvent:
     """Module ``mid`` is a straggler for rounds ``[at_round, at_round + rounds)``.
 
-    A stalled module's incoming messages sit in the network: the whole
-    per-destination slot is deferred to the next round (charged when it
-    finally lands), modelling the UPMEM straggler-DPU effect.
+    A stalled module's incoming messages sit in the network: every row
+    bound for it is held to the next round (charged when it finally
+    lands), modelling the UPMEM straggler-DPU effect.
     """
 
     mid: int
@@ -204,7 +208,7 @@ class ChaosStats:
     delays: int = 0
     corrupts: int = 0
     dead_drops: int = 0     # envelopes lost to a crashed destination
-    stalled_slots: int = 0  # per-destination slots deferred by a stall
+    stalled_slots: int = 0  # destinations' rounds held by a stall
     idle_rounds: int = 0    # empty rounds charged (delays, stalls, backoff)
     retransmissions: int = 0  # re-sends issued by the delivery protocol
     crashes: int = 0
@@ -284,7 +288,7 @@ class ChaosState:
     """Runtime state of an installed :class:`FaultPlan`.
 
     Owned by the machine (one per install); holds the delayed-message
-    buffer, the slots stalls hold back, fired lifecycle transitions and
+    buffer, the rows stalls hold back, fired lifecycle transitions and
     fault statistics.  All
     methods are called from the engine's chaos round path only -- the
     fault-free path never touches this class.
@@ -294,20 +298,19 @@ class ChaosState:
         self.plan = plan
         self.base_round = base_round
         self.stats = ChaosStats()
-        self.transmissions = 0
-        # (due_round, dest, entry, size); kept in insertion order --
-        # re-injection sorts by (due, insertion) implicitly via scan.
-        self.delayed: List[Tuple[int, int, tuple, int]] = []
-        # mid -> the slot a stall holds back; it lands ahead of that
-        # module's next traffic.
-        self.held: Dict[int, list] = {}
+        # (due_round, dest, row), rows ``(fn, args, tag, size)``; kept in
+        # insertion order -- re-injection scans it in that order.
+        self.delayed: List[Tuple[int, int, tuple]] = []
+        # mid -> the (CPU rows, forwarded rows) a stall holds back; they
+        # land ahead of that module's next traffic.
+        self.held: Dict[int, tuple] = {}
         self._fired: set = set()  # (kind, event) lifecycle transitions
 
     # -- pending work ----------------------------------------------------
 
     def has_pending(self) -> bool:
         """True when chaos holds messages the drain loop must wait for
-        (delayed envelopes or stalled slots)."""
+        (delayed envelopes or held rows)."""
         return bool(self.delayed or self.held)
 
     def describe(self, rnd: int) -> str:
@@ -347,132 +350,104 @@ class ChaosState:
 
     # -- the per-round message filter ------------------------------------
 
-    def filter_round(self, machine: Any, staged: Dict[int, list],
-                     rnd: int) -> Dict[int, list]:
-        """Apply the fault plan to one round's staged messages.
+    def filter_round(self, machine: Any, rnd: int) -> None:
+        """Apply the fault plan to the round staged on ``machine``.
 
-        ``staged`` is the round's slots as the machine unstaged them.
-        Returns the slots to actually deliver this round.  Side effects:
-        held slots land ahead of their module's fresh traffic, stalled
-        slots move into :attr:`held` (they arrive in a later round),
-        delayed envelopes move into :attr:`delayed`, and due delayed
-        envelopes are re-injected.
+        The staged rows are taken per destination -- held rows first,
+        then the CPU stream and the forwards, each in issue order -- and
+        what this round delivers is staged again as chunks, destination
+        by destination (its CPU rows, its due delayed envelopes, its
+        forwards), receive books included.  A stalled destination's rows
+        move into :attr:`held`, a crashed one's envelopes are lost, and
+        each envelope bound for a live module draws its fate in that
+        order: delivered, dropped, duplicated (staged twice), delayed
+        (into :attr:`delayed`) or corrupted (staged with a truthy 6th
+        argument).  A hard fault leaves nothing of the round staged.
         """
         plan = self.plan
         stats = self.stats
-        out: Dict[int, list] = {}
-
-        held, self.held = self.held, {}
-        for mid, slot in held.items():
-            fresh = staged.get(mid)
-            if fresh is not None:
-                slot[0] += fresh[0]
-                slot[1].extend(fresh[1])
-                slot[2].extend(fresh[2])
-            staged[mid] = slot
-
         wiped = machine.wiped_modules
+        by_dest, self.held = self.held, {}
+        for q, chunks in ((0, machine._cq), (1, machine._fq)):
+            for ch in chunks:
+                fn = ch.fn
+                for dest, args, tag, size in machine._iter_chunk(ch):
+                    queues = by_dest.get(dest)
+                    if queues is None:
+                        queues = by_dest[dest] = ([], [])
+                    queues[q].append((fn, args, tag, size))
+        machine._discard_staged()
 
-        # Re-inject delayed envelopes that come due this round.
-        if self.delayed:
-            still: List[Tuple[int, int, tuple, int]] = []
-            for due, dest, entry, size in self.delayed:
-                if due > rnd:
-                    still.append((due, dest, entry, size))
-                    continue
-                if plan.is_dead(dest, rnd) or dest in wiped:
-                    stats.dead_drops += 1
-                    continue
-                if plan.is_stalled(dest, rnd):
-                    # Arrived at a straggler: hold one more round.
-                    still.append((rnd + 1, dest, entry, size))
-                    continue
-                slot = out.get(dest)
-                if slot is None:
-                    out[dest] = [size, [entry], []]
-                else:
-                    slot[0] += size
-                    slot[1].append(entry)
-            self.delayed = still
-
-        for mid, slot in sorted(staged.items()):
-            if plan.is_stalled(mid, rnd):
-                stats.stalled_slots += 1
-                self.held[mid] = slot
-                continue
-            if plan.is_dead(mid, rnd) or mid in wiped:
-                self._deliver_to_dead(mid, slot, stats,
-                                      wiped=mid in wiped)
-                continue
-            units = slot[0]
-            cpu_q: List[tuple] = []
-            for entry in slot[1]:
-                if entry[3] != DELIVER_FN:
-                    cpu_q.append(entry)
-                    continue
-                units -= self._fault_entry(entry, mid, rnd, cpu_q)
-            dst = out.get(mid)
-            if dst is None:
-                if cpu_q or slot[2]:
-                    out[mid] = [units, cpu_q, slot[2]]
+        # Delayed envelopes that come due this round draw nothing.
+        due: Dict[int, list] = {}
+        still: List[Tuple[int, int, tuple]] = []
+        for item in self.delayed:
+            when, dest, row = item
+            if when > rnd:
+                still.append(item)
+            elif plan.is_dead(dest, rnd) or dest in wiped:
+                stats.dead_drops += 1
+            elif plan.is_stalled(dest, rnd):
+                # Arrived at a straggler: hold one more round.
+                still.append((rnd + 1, dest, row))
             else:
-                dst[0] += units
-                dst[1] = cpu_q + dst[1]  # delayed arrivals go after fresh
-                dst[2].extend(slot[2])
-                # Reorder: keep CPU-before-forward delivery order but put
-                # this round's fresh sends ahead of re-injected stragglers.
-                out[mid] = [dst[0], dst[1], dst[2]]
-        return out
+                due.setdefault(dest, []).append(row)
+        self.delayed = still
 
-    def _fault_entry(self, entry: tuple, mid: int, rnd: int,
-                     cpu_q: List[tuple]) -> int:
-        """Apply a message fault to one protocol envelope.
+        cpu: List[tuple] = []
+        fwd: List[tuple] = []
+        for mid in sorted(by_dest.keys() | due.keys()):
+            queues = by_dest.get(mid, ((), ()))
+            if mid in by_dest:
+                if plan.is_stalled(mid, rnd):
+                    stats.stalled_slots += 1
+                    self.held[mid] = queues
+                    continue
+                if plan.is_dead(mid, rnd) or mid in wiped:
+                    self._deliver_to_dead(mid, queues, wiped=mid in wiped)
+                    continue
+            for fn, args, tag, size in queues[0]:
+                if fn == DELIVER_FN:
+                    t = stats.transmissions
+                    stats.transmissions += 1
+                    action = plan.message_action(t)
+                    if action == "drop":
+                        stats.drops += 1
+                        continue
+                    if action == "delay":
+                        stats.delays += 1
+                        self.delayed.append((rnd + plan.delay_for(t), mid,
+                                             (fn, args, tag, size)))
+                        continue
+                    if action == "dup":
+                        stats.dups += 1
+                        cpu.append((fn, mid, args, tag, size))
+                    elif action == "corrupt":
+                        stats.corrupts += 1
+                        args = args + (True,)
+                cpu.append((fn, mid, args, tag, size))
+            for fn, args, tag, size in due.get(mid, ()):
+                cpu.append((fn, mid, args, tag, size))
+            for fn, args, tag, size in queues[1]:
+                fwd.append((fn, mid, args, tag, size))
+        for queue, rows in ((machine._cq, cpu), (machine._fq, fwd)):
+            for row in rows:
+                machine._stage_row(queue, *row)
 
-        Appends the (possibly duplicated/corrupted) entry to ``cpu_q``
-        and returns how many message units to *subtract* from the slot
-        (positive for drop/delay, negative for dup).
-        """
-        plan = self.plan
-        stats = self.stats
-        size = entry[1][4]
-        t = self.transmissions
-        self.transmissions += 1
-        stats.transmissions += 1
-        action = plan.message_action(t)
-        if action == "drop":
-            stats.drops += 1
-            return size
-        if action == "delay":
-            stats.delays += 1
-            self.delayed.append((rnd + plan.delay_for(t), mid, entry, size))
-            return size
-        if action == "dup":
-            stats.dups += 1
-            cpu_q.append(entry)
-            cpu_q.append(entry)
-            return -size
-        if action == "corrupt":
-            stats.corrupts += 1
-            body, args, tag, fn = entry
-            cpu_q.append((body, args + (True,), tag, fn))
-            return 0
-        cpu_q.append(entry)
-        return 0
-
-    def _deliver_to_dead(self, mid: int, slot: list, stats: ChaosStats,
+    def _deliver_to_dead(self, mid: int, queues: tuple,
                          wiped: bool = False) -> None:
-        """Messages arriving at a crashed (or wiped) module: envelopes
-        are lost, anything else is a hard fault."""
+        """Rows arriving at a crashed (or wiped) module: envelopes are
+        lost, anything else is a hard fault."""
         why = ("lost its DRAM and awaits failover" if wiped
                else "crashed (fail-stop)")
-        for q in (slot[1], slot[2]):
-            for entry in q:
-                if entry[3] == DELIVER_FN:
-                    stats.dead_drops += 1
+        for queue in queues:
+            for row in queue:
+                if row[0] == DELIVER_FN:
+                    self.stats.dead_drops += 1
                 else:
                     raise ModuleCrashed(
                         f"module {mid} {why} with task "
-                        f"{entry[3]!r} in flight to it; unprotected "
+                        f"{row[0]!r} in flight to it; unprotected "
                         f"messages have no retry path", mid=mid)
 
 

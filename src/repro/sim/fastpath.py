@@ -5,12 +5,11 @@ function has one implementation: its **batch body**
 ``body(bct, chunks)``, registered with
 :meth:`~repro.sim.machine.PIMMachine.register`.  Every message, on
 every machine, is staged as a *chunk*, and a round on the engine makes
-one body call per function over all of them.  Where a round runs the
-per-task loop instead (a fault plan, the reference oracle) it first
-unstages its chunks into per-destination slots, and each task runs the
-same body over a one-row chunk.  This module holds the chunks' data
-types and the body context; the round loop itself lives on the
-machine.
+one body call per function over all of them, under a fault plan too.
+The reference oracle alone unstages its chunks into per-destination
+slots, and each task runs the same body over a one-row chunk.  This
+module holds the chunks' data types and the body context; the round
+loop itself lives on the machine.
 
 Columnar layout
 ---------------
@@ -48,8 +47,8 @@ A round groups its chunks by function id and makes ONE body call per
 function over all of its chunks -- the body loops over contiguous
 slices, charging work and sends into flat per-module lists on the
 shared :class:`BatchRound` context, and the round is finished by one
-plain accounting loop over its receivers.  With no fault plan
-installed the engine never unstages a round into slots.
+plain accounting loop over its receivers.  The engine never unstages
+a round into slots.
 
 Execution contract for batch bodies
 -----------------------------------
@@ -163,20 +162,28 @@ suite (the costs the per-task loop produced).
 What runs the per-task loop
 ---------------------------
 
-A fault plan: messages are staged as chunks as always, and each round
-under the plan unstages them into per-destination slots
-(``PIMMachine._take_slots``: the CPU stream, then the forwards, in issue
-order) that the chaos filter rewrites in place -- dropping,
-duplicating, delaying or corrupting envelopes, holding a stalled
-module's slot until it lands ahead of that module's next traffic --
-before the per-task loop runs them.  ``install_fault_plan`` and
+The reference oracle alone.  A fault plan filters the staged chunks
+instead (``repro.sim.chaos.ChaosState.filter_round``): it takes a
+round's rows per destination -- a held destination's rows first, then
+the CPU stream and the forwards, each in issue order -- drops, delays,
+duplicates or corrupts envelopes, holds a stalled destination's rows
+until they land ahead of its next traffic, and stages the survivors
+again as chunks, destination by destination, which the engine's one
+executor runs.  The envelope body (``chaos.deliver_envelope``) acks
+and guards each row and hands each inner function's surviving rows to
+its body as one chunk.  So under a plan one round may run a function
+twice (its envelopes' rows, then its forwards) and may hold functions
+a route keeps in separate rounds (a late envelope meets the next hop's
+forwards): each call keeps slot order within itself, and a CPU side
+that reduces two functions' replies together orders them itself
+(Delete's ``_mark_order``).  ``install_fault_plan`` and
 ``uninstall_fault_plan`` both refuse while anything is pending, so a
 plan starts and ends on a quiescent machine.
 
 qrqw and access tracing run chunked (bodies report their touches,
-above), and so does the profiler: it times each slot task
-and each body call (``profiler.add(fn, seconds, tasks)``) on the rounds
-the machine runs unprofiled.
+above), and so does the profiler: it times each body call
+(``profiler.add(fn, seconds, tasks)``; each slot task on the oracle) on
+the rounds the machine runs unprofiled.
 """
 
 from __future__ import annotations
@@ -189,11 +196,6 @@ from repro.sim.task import Reply
 
 # Chunk kinds.
 ROWS, COLS, BCAST = 0, 1, 2
-
-# A round-time per-destination slot is [units_in, cpu_entries,
-# forward_entries] where each entry is (body, args, tag, fn); the two
-# streams keep the same indices wherever one is named.
-_CPU_Q, _FWD_Q = 1, 2
 
 _row_dest = itemgetter(0)
 

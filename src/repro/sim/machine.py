@@ -28,27 +28,31 @@ One round engine
 The round engine is the hot loop of every benchmark.  Every message,
 on every machine and in every mode, is staged one way: appended to a
 per-function **chunk** (see :mod:`repro.sim.fastpath` for the layout
-and the execution contract).  A round runs them one of two ways:
+and the execution contract).  A round on :class:`PIMMachine` makes ONE
+body call per function over all of its chunks (``_array_round``), with
+or without a fault plan: an installed plan first filters the staged
+chunks (:meth:`repro.sim.chaos.ChaosState.filter_round` selects,
+duplicates, delays, corrupts and holds rows and stages the survivors
+again as chunks), then the same executor runs them.
 
-- **Array-native.**  The round makes ONE body call per function over
-  all of its chunks (``_array_round``).
-- **The per-task loop.**  Under a fault plan, and on
-  :class:`ReferencePIMMachine` -- the per-task oracle the differ, the
-  tests and the perf gates compare the engine against -- the round
-  first unstages its chunks into per-destination slots
-  (``_take_slots``; the chaos filter rewrites those), then iterates the
-  modules that received messages (in module-id order, for reply-order
-  stability) and runs the body over each task's one row
-  (``_run_round``); CPU-issued messages are delivered before
-  module-to-module continuations within a slot.
+What runs the per-task loop
+---------------------------
+
+:class:`ReferencePIMMachine` alone -- the per-task oracle the differ,
+the tests and the perf gates compare the engine against.  Its round
+unstages the chunks into per-destination slots (``_take_slots``), then
+iterates the modules that received messages (in module-id order, for
+reply-order stability) and runs the body over each task's one row
+(``_run_round``); CPU-issued messages are delivered before
+module-to-module continuations within a slot.
 
 An unknown function id raises
 :class:`~repro.sim.errors.UnknownHandlerError` when the message is
 issued, not a round later.  Installing or uninstalling a fault plan
 needs a quiescent machine.  qrqw and access tracing run chunked (bodies
 report their touches through the batch context), and so does the
-profiler: it times slot tasks one by one and each body call as a
-whole.
+profiler: it times each body call as a whole (each slot task, on the
+oracle).
 
 Bookkeeping is gated: round logs (``trace_rounds``), access tracing
 (``trace_accesses``) and qrqw queue accounting are no-ops when disabled
@@ -56,7 +60,7 @@ Bookkeeping is gated: round logs (``trace_rounds``), access tracing
 once per call or per round.
 
 All *model* metrics (IO time, rounds, messages, sync cost, PIM time,
-per-module work) are accounted exactly the same way both ways; the
+per-module work) are accounted exactly the same way on both; the
 golden-metrics regression suite (``tests/test_golden_metrics.py``) pins
 the values the per-task loop produced on seed workloads.
 """
@@ -75,8 +79,7 @@ from repro.sim.config import MachineConfig
 from repro.sim.cpu import CPUSide
 from repro.sim.errors import (LivelockError, MalformedMessageError,
                               UnknownHandlerError)
-from repro.sim.fastpath import (BCAST, COLS, ROWS, _CPU_Q, _FWD_Q,
-                                BatchRound, _Chunk)
+from repro.sim.fastpath import BCAST, COLS, ROWS, BatchRound, _Chunk
 from repro.sim.metrics import Metrics, MetricsDelta
 from repro.sim.module import PIMModule
 from repro.sim.task import Reply
@@ -123,14 +126,10 @@ class PIMMachine:
     >>> [r.payload for r in m.drain()]
     [42]
 
-    There is one round engine and no option that selects another: rounds
-    run array-native (:attr:`columnar_active`).  Under an installed fault
-    plan each round is unstaged into slots and runs the per-task loop.
+    There is one round engine and no option that selects another: every
+    round runs array-native, under an installed fault plan too (the
+    plan filters the staged chunks first).
     """
-
-    #: False only on :class:`ReferencePIMMachine`, which runs every
-    #: round through the per-task loop for its whole lifetime.
-    _array_native = True
 
     def __init__(self, num_modules: Optional[int] = None,
                  config: Optional[MachineConfig] = None, **kwargs: Any) -> None:
@@ -193,9 +192,6 @@ class PIMMachine:
         self._zeros_f: List[float] = [0.0] * P
         self._zeros_i: List[int] = [0] * P
         self._bct = BatchRound(self)
-        # The one-row chunk a slot task runs its body over, refilled
-        # per task: a body never keeps its chunks past the call.
-        self._slot_chunk = _Chunk("", ROWS)
         self._log_p = config.log_p
         self._trace_rounds = config.trace_rounds
         self._trace_access = config.trace_accesses
@@ -217,10 +213,9 @@ class PIMMachine:
         A batch body ``body(bct, chunks)`` processes one round's entire
         task population for ``fn`` in a single call over contiguous
         chunk buffers (see :class:`repro.sim.fastpath.BatchRound`).
-        Wherever a round runs the per-task loop (a fault plan,
-        :class:`ReferencePIMMachine`) each task runs the same body over
-        its one row, so the reference oracle certifies chunking,
-        ordering and accounting;
+        :class:`ReferencePIMMachine` runs the same body over each task's
+        one row, so the reference oracle certifies chunking, ordering
+        and accounting;
         :class:`repro.verify.oracle.SequentialOracle` (results) and the
         golden suite (the costs the per-task loop produced) stay the
         independent checks.
@@ -243,7 +238,7 @@ class PIMMachine:
     def backend(self) -> str:
         """A read-only label, not a selector: ``"columnar"`` on the
         engine, ``"object"`` on :class:`ReferencePIMMachine`."""
-        return "columnar" if self._array_native else "object"
+        return "columnar"
 
     @property
     def tasks_chunked(self) -> int:
@@ -255,10 +250,10 @@ class PIMMachine:
 
     @property
     def columnar_active(self) -> bool:
-        """A read-only label: True while rounds run array-native (the
-        engine, with no fault plan installed; qrqw and access tracing run
-        chunked too)."""
-        return self._array_native and self._chaos is None
+        """A read-only label: True on the engine, whose every round runs
+        array-native (under a fault plan, qrqw and access tracing too);
+        False on :class:`ReferencePIMMachine`."""
+        return True
 
     def _iter_chunk(self, ch: _Chunk) -> Iterable[tuple]:
         """The ``(dest, args, tag, size)`` rows of a chunk of any kind.
@@ -280,9 +275,9 @@ class PIMMachine:
 
         The profiler must expose ``add(fn, seconds, tasks=1)``; see
         :class:`repro.sim.profiling.HandlerProfile`.  Attaching it
-        changes no routing: the engine times every slot task (one
-        ``add`` per task) and every body call (one ``add`` per call,
-        with the number of tasks it ran), so the profile is of the
+        changes no routing: the engine times every body call (one
+        ``add`` per call, with the number of tasks it ran), the oracle
+        every slot task (one ``add`` per task), so the profile is of the
         rounds the machine runs unprofiled.  Attach it only when
         attributing wall time.
         """
@@ -511,29 +506,6 @@ class PIMMachine:
         ch.rows = rows
         fq.append(ch)
 
-    def _take_slots(self) -> Dict[int, list]:
-        """Unstage the pending chunks into per-destination slots
-        ``{mid: [units, cpu_entries, forward_entries]}`` for the per-task
-        loop, each entry ``(body, args, tag, fn)``: the CPU stream, then
-        the forwards, in issue order, the units summed from the rows
-        themselves (never from the receive books, which the oracle's own
-        accounting checks).  The staging is left empty: bodies run this
-        round stage the next one's messages."""
-        slots: Dict[int, list] = {}
-        bodies = self._handlers
-        for q, chunks in ((_CPU_Q, self._cq), (_FWD_Q, self._fq)):
-            for ch in chunks:
-                fn = ch.fn
-                body = bodies[fn]
-                for dest, args, tag, size in self._iter_chunk(ch):
-                    slot = slots.get(dest)
-                    if slot is None:
-                        slot = slots[dest] = [0, [], []]
-                    slot[0] += size
-                    slot[q].append((body, args, tag, fn))
-        self._discard_staged()
-        return slots
-
     # -- round execution -----------------------------------------------------
 
     def step(self) -> List[Reply]:
@@ -547,74 +519,12 @@ class PIMMachine:
         synchronization cost and advances the per-round PIM-time maximum.
 
         With a fault plan installed (:meth:`install_fault_plan`) the
-        round is routed through the chaos filter first; the fault-free
-        path is otherwise untouched.
+        chaos filter rewrites the staged chunks first; the same executor
+        then runs what it left.
         """
-        if self._chaos is not None:
-            return self._chaos_round()
-        if self._array_native:
-            return self._array_round() if self._cq or self._fq else []
-        slots = self._take_slots()
-        return self._run_round(slots) if slots else []
-
-    def _run_round(self, staged: Dict[int, list]) -> List[Reply]:
-        """Deliver and execute one round's already-unstaged slots: the
-        per-task loop, each task its function's body over its one row."""
-        qrqw = self.qrqw
-        profiler = self._profiler
-        modules = self.modules
-        replies: List[Reply] = []
-        bct = self._bct
-        bct._arm(replies)
-        work = bct.work
-        sent = bct.sent
-        ch = self._slot_chunk
-        chunks = [ch]
-        incoming_total = 0
-        h = 0
-        sent_total = 0
-        round_pim_max = 0.0
-        tasks = 0
-        for mid, slot in sorted(staged.items()):
-            incoming_total += slot[0]
-            module = modules[mid]
-            module.round_work = 0.0
-            if qrqw:
-                module.round_touch.clear()
-            for queue in (slot[_CPU_Q], slot[_FWD_Q]):
-                tasks += len(queue)
-                for body, args, tag, fn in queue:
-                    ch.fn = fn
-                    ch.rows = [(mid, args, tag, 1)]
-                    if profiler is None:
-                        body(bct, chunks)
-                    else:
-                        t0 = perf_counter()
-                        body(bct, chunks)
-                        profiler.add(fn, perf_counter() - t0)
-                    w = work[mid]
-                    if w:
-                        work[mid] = 0.0
-                        module.work += w
-                        module.round_work += w
-            module_round = module.round_work
-            if module_round > round_pim_max:
-                round_pim_max = module_round
-            s = sent[mid]
-            sent_total += s
-            # A module->module forward is counted once at send (in `s`
-            # this round) and once at receive (in the round it is
-            # delivered).
-            h_mod = slot[0] + s
-            if h_mod > h:
-                h = h_mod
-        if qrqw:
-            round_pim_max = self._hottest_queue(staged, round_pim_max)
-
-        self._commit_round(h, incoming_total + sent_total, round_pim_max,
-                           tasks)
-        bct._disarm()
-        return replies
+        if self._chaos is not None and not self._filter_round():
+            return []
+        return self._array_round() if self._cq or self._fq else []
 
     def _hottest_queue(self, mids: Iterable[int],
                        round_pim_max: float) -> float:
@@ -756,27 +666,29 @@ class PIMMachine:
 
     # -- unreliable execution (chaos) ---------------------------------------
 
-    def _chaos_round(self) -> List[Reply]:
-        """One round under an installed fault plan.
+    def _filter_round(self) -> bool:
+        """Apply the installed fault plan to the staged round; True when
+        it left anything to run.
 
-        The chaos filter decides each staged message's fate (deliver,
-        drop, duplicate, delay, corrupt; whole slots defer on stalls and
-        are lost or hard-fault on crashes); whatever survives runs
-        through the ordinary round executor so all cost accounting is
-        identical.  A round with nothing deliverable but work still in
-        flight (delayed messages, stalled slots) is charged as an *idle*
-        round -- waiting on the network is not free.
+        The chaos filter decides each staged row's fate (deliver, drop,
+        duplicate, delay, corrupt; a stalled destination's rows are held
+        and a crashed one's lost or a hard fault) and stages the
+        survivors again as chunks, so the round runs through the
+        machine's own executor and all cost accounting is identical.  A
+        round with nothing deliverable but work still in flight (delayed
+        messages, held rows) is charged as an *idle* round -- waiting on
+        the network is not free.
         """
         chaos = self._chaos
         assert chaos is not None
         rnd = self.metrics.rounds - chaos.base_round
         chaos.begin_round(self, rnd)
-        deliver = chaos.filter_round(self, self._take_slots(), rnd)
-        if deliver:
-            return self._run_round(deliver)
+        chaos.filter_round(self, rnd)
+        if self._cq or self._fq:
+            return True
         if chaos.has_pending():
             self._charge_idle_round()
-        return []
+        return False
 
     def _charge_idle_round(self) -> None:
         """Advance one round in which nothing is delivered.
@@ -803,9 +715,8 @@ class PIMMachine:
         point.  Installing also registers the protocol's envelope body
         and makes :func:`repro.ops.run_batch` wrap every CPU->module
         message in the reliable-delivery protocol; until
-        :meth:`uninstall_fault_plan` each round is unstaged into slots,
-        which the chaos filter rewrites in place, and runs the per-task
-        loop.  Refuses while any message is :attr:`pending` -- rows,
+        :meth:`uninstall_fault_plan` the chaos filter rewrites each
+        round's staged chunks before it runs.  Refuses while any message is :attr:`pending` -- rows,
         columns, broadcasts or a previous plan's held messages -- so
         every message a plan sees was issued under it.  Returns the
         runtime :class:`~repro.sim.chaos.ChaosState` (fault statistics,
@@ -881,16 +792,16 @@ class PIMMachine:
 
     def _pending_stats(self) -> tuple:
         """Pending-queue diagnostics: ``({mid: tasks}, {fn: tasks})``,
-        module ids in ascending order, over the chunks and the slots a
+        module ids in ascending order, over the chunks and the rows a
         stall holds alike."""
         pending: Dict[int, int] = {}
         by_fn: Dict[str, int] = {}
         held = self._chaos.held if self._chaos is not None else {}
-        for mid, slot in held.items():
-            pending[mid] = len(slot[_CPU_Q]) + len(slot[_FWD_Q])
-            for queue in (slot[_CPU_Q], slot[_FWD_Q]):
-                for entry in queue:
-                    by_fn[entry[3]] = by_fn.get(entry[3], 0) + 1
+        for mid, queues in held.items():
+            for queue in queues:
+                pending[mid] = pending.get(mid, 0) + len(queue)
+                for row in queue:
+                    by_fn[row[0]] = by_fn.get(row[0], 0) + 1
         for chunks in (self._cq, self._fq):
             for ch in chunks:
                 by_fn[ch.fn] = (by_fn.get(ch.fn, 0)
@@ -981,7 +892,106 @@ class ReferencePIMMachine(PIMMachine):
     This is what the engine is certified against -- the differ's
     cross-engine replay, the parity tests and the perf gates construct
     it by name; nothing on a production path does, and no string, config
-    field or environment variable selects it.
+    field or environment variable selects it.  Under a fault plan it
+    runs the rows the chaos filter staged, as the engine does.
     """
 
-    _array_native = False
+    @property
+    def backend(self) -> str:
+        return "object"
+
+    @property
+    def columnar_active(self) -> bool:
+        return False
+
+    def step(self) -> List[Reply]:
+        """One round as :meth:`PIMMachine.step`, run by the per-task
+        loop over the round's unstaged slots."""
+        if self._chaos is not None and not self._filter_round():
+            return []
+        slots = self._take_slots()
+        return self._run_round(slots) if slots else []
+
+    def _take_slots(self) -> Dict[int, list]:
+        """Unstage the pending chunks into per-destination slots
+        ``{mid: [units, cpu_entries, forward_entries]}``, each entry
+        ``(body, args, tag, fn)``: the CPU stream, then the forwards, in
+        issue order, the units summed from the rows themselves (never
+        from the receive books, which the oracle's own accounting
+        checks).  The staging is left empty: bodies run this round stage
+        the next one's messages."""
+        slots: Dict[int, list] = {}
+        bodies = self._handlers
+        for q, chunks in ((1, self._cq), (2, self._fq)):
+            for ch in chunks:
+                fn = ch.fn
+                body = bodies[fn]
+                for dest, args, tag, size in self._iter_chunk(ch):
+                    slot = slots.get(dest)
+                    if slot is None:
+                        slot = slots[dest] = [0, [], []]
+                    slot[0] += size
+                    slot[q].append((body, args, tag, fn))
+        self._discard_staged()
+        return slots
+
+    def _run_round(self, staged: Dict[int, list]) -> List[Reply]:
+        """Deliver and execute one round's unstaged slots: the per-task
+        loop, each task its function's body over its one row (a chunk
+        refilled per task: a body never keeps its chunks past the
+        call)."""
+        qrqw = self.qrqw
+        profiler = self._profiler
+        modules = self.modules
+        replies: List[Reply] = []
+        bct = self._bct
+        bct._arm(replies)
+        work = bct.work
+        sent = bct.sent
+        ch = _Chunk("", ROWS)
+        chunks = [ch]
+        incoming_total = 0
+        h = 0
+        sent_total = 0
+        round_pim_max = 0.0
+        tasks = 0
+        for mid, (units, *queues) in sorted(staged.items()):
+            incoming_total += units
+            module = modules[mid]
+            module.round_work = 0.0
+            if qrqw:
+                module.round_touch.clear()
+            for queue in queues:
+                tasks += len(queue)
+                for body, args, tag, fn in queue:
+                    ch.fn = fn
+                    ch.rows = [(mid, args, tag, 1)]
+                    if profiler is None:
+                        body(bct, chunks)
+                    else:
+                        t0 = perf_counter()
+                        body(bct, chunks)
+                        profiler.add(fn, perf_counter() - t0)
+                    w = work[mid]
+                    if w:
+                        work[mid] = 0.0
+                        module.work += w
+                        module.round_work += w
+            module_round = module.round_work
+            if module_round > round_pim_max:
+                round_pim_max = module_round
+            s = sent[mid]
+            sent_total += s
+            # A module->module forward is counted once at send (in `s`
+            # this round) and once at receive (in the round it is
+            # delivered).
+            h_mod = units + s
+            if h_mod > h:
+                h = h_mod
+        if qrqw:
+            round_pim_max = self._hottest_queue(staged, round_pim_max)
+
+        self._commit_round(h, incoming_total + sent_total, round_pim_max,
+                           tasks)
+        bct._disarm()
+        return replies

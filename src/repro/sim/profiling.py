@@ -92,8 +92,9 @@ class HandlerProfile:
     """Per-handler wall-time attribution.
 
     Install with :meth:`repro.sim.machine.PIMMachine.set_profiler`; the
-    engine then times every slot task and every batch-handler call on
-    the same rounds it runs unprofiled, and calls :meth:`add`.
+    engine then times every batch-handler call (the reference oracle
+    every slot task) on the same rounds it runs unprofiled, and calls
+    :meth:`add`.
     :attr:`calls` counts tasks per function id whichever loop ran them.
     Slows the run (two clock reads per slot task and per batch-handler
     call), so keep it off for throughput numbers and on for "where does

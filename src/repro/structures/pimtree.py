@@ -139,21 +139,18 @@ def _step_kernel(stores, mids, cols, work, sent) -> tuple:
 
 def _get_kernel(stores, mids, cols, work, sent) -> tuple:
     """``lf_get``: a key's value in its leaf, or a miss.  Replies
-    ``("lget", keys, values, hits)``, a miss's value ``None``."""
+    ``("lget", keys, values)``, a miss's value ``None``."""
     lids, keys = cols
     left = bisect.bisect_left
     values: List[Any] = []
-    hits: List[bool] = []
     for mid, lid, key in zip(mids, lids, keys):
         leaf = stores[mid][lid]
         n = len(leaf)
         i = left(leaf, (key,))
-        hit = i < n and leaf[i][0] == key
         work[mid] += _LOG_WORK[(n + 1).bit_length()]
         sent[mid] += 1
-        values.append(leaf[i][1] if hit else None)
-        hits.append(hit)
-    return ("lget", keys, values, hits)
+        values.append(leaf[i][1] if i < n and leaf[i][0] == key else None)
+    return ("lget", keys, values)
 
 
 def _succ_kernel(stores, mids, cols, work, sent) -> tuple:
@@ -275,9 +272,9 @@ class PIMTree:
         columns (``_step_kernel`` serves ``nd_step`` and ``sh_step``,
         then ``_get_kernel``, ``_succ_kernel``, ``_scan_kernel``).  Its
         body runs the kernel once a chunk -- a column chunk straight
-        from ``dests`` and ``cols``, a row chunk as its columns (a run of
-        them per tag), a slot task (fault plans,
-        :class:`~repro.sim.machine.ReferencePIMMachine`) as its one row
+        from ``dests`` and ``cols``, a row chunk (a fault plan's rows
+        too) as its columns (a run of them per tag), a slot task of
+        :class:`~repro.sim.machine.ReferencePIMMachine` as its one row
         -- and appends one **column reply** a kernel call: its payload
         is the kernel's (the reply kind, then a list per field, a row
         per message), its tag the run's, and its ``src`` the list of

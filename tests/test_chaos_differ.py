@@ -18,9 +18,10 @@ import pytest
 from repro.recovery import DegradedResult, RecoveryManager
 from repro.sim.chaos import CrashEvent, FaultPlan, FaultSpec, MACHINE_SCHEDULES
 from repro.sim.errors import DeliveryTimeout
-from repro.sim.machine import PIMMachine
+from repro.sim.machine import PIMMachine, ReferencePIMMachine
 from repro.core.skiplist import PIMSkipList
 from repro.structures.pimtree import PIMTree
+from repro.verify import chaos as chaos_harness
 from repro.verify import cli as verify_cli
 from repro.verify.certificate import certify, load_repro, write_repro
 from repro.verify.chaos import (
@@ -45,6 +46,49 @@ from repro.verify.faults import (
 )
 from repro.verify.fuzz import fuzz_session
 from repro.verify.shrink import session_to_dict
+
+
+def _chaos_on(monkeypatch, engine, schedule, structure):
+    """One chaos session whose machines -- twin, chaotic and standbys --
+    are ``engine``'s class (patched into the harness, which takes no
+    machine argument); returns the report and, per machine a plan was
+    installed on, its tasks run and run chunked since the install."""
+    since = []
+
+    class Counted(engine):
+        def install_fault_plan(self, plan):
+            since.append((self, self.tasks_executed, self.tasks_chunked))
+            return super().install_fault_plan(plan)
+
+    monkeypatch.setattr(chaos_harness, "PIMMachine", Counted)
+    report = chaos_session(0, schedule, fault_seed=1, structure=structure)
+    return report, [(m.tasks_executed - tasks, m.tasks_chunked - chunked)
+                    for m, tasks, chunked in since]
+
+
+class TestChaosAcrossEngines:
+    @pytest.mark.parametrize(
+        "structure,schedule",
+        [("skiplist", name) for name in MACHINE_SCHEDULES]
+        + [("pimtree", "mixed"), ("pimtree", "crash_wipe")])
+    def test_the_engine_runs_a_plan_chunked_as_the_oracle_runs_it(
+            self, monkeypatch, structure, schedule):
+        """A chaos session on the engine and on the per-task oracle: the
+        same answers, model costs, fault decisions and rounds, and on
+        the engine every task under the plan ran inside a body call."""
+        engine, engine_counts = _chaos_on(monkeypatch, PIMMachine,
+                                          schedule, structure)
+        oracle, oracle_counts = _chaos_on(monkeypatch, ReferencePIMMachine,
+                                          schedule, structure)
+        assert engine.ok, [str(d) for d in engine.violations]
+        assert engine.stats["transmissions"] > 0
+        assert ((engine.result_digest, engine.model_digest, engine.stats,
+                 engine.chaos_rounds)
+                == (oracle.result_digest, oracle.model_digest, oracle.stats,
+                    oracle.chaos_rounds))
+        [(tasks, chunked)] = engine_counts
+        assert chunked == tasks > 0
+        assert oracle_counts == [(tasks, 0)]
 
 
 class TestChaosSessions:

@@ -7,9 +7,10 @@ model metrics, bit for bit.  These tests pin that equivalence where it
 is easiest to break -- rounds mixing row, column and broadcast chunks,
 golden metrics, chaos, drain diagnostics, a profiled session -- plus the
 absence of any engine-selection surface, the one registration (a batch
-body for every function), what runs the per-task loop (a fault plan
-installed on a quiescent machine; not qrqw or access tracing) and the
-one staging form, whose round-time slots must be the issue log's.
+body for every function), what runs the per-task loop (the oracle
+alone: not a fault plan, installed on a quiescent machine, nor qrqw or
+access tracing) and the one staging form, whose round-time slots must
+be the issue log's.
 """
 
 from __future__ import annotations
@@ -484,17 +485,27 @@ class TestBackendParity:
         assert col.tasks_chunked == 6 + 2 * P + 3
 
     def test_column_send_to_scalar_only_function_lands_in_slots(self):
-        """Where a round runs the per-task loop -- here, under a fault
-        plan -- a column batch is staged as one chunk and unstaged into
-        its rows' slots at round time, units included."""
-        machine = _machine()
-        machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
-        machine.send_cols("echo", [1, 1, 5], ([10, 11, 12],), size=2)
-        assert [ch.kind for ch in machine._cq] == [COLS]
-        slots = _record_slots(machine)
-        assert sorted(r.payload for r in machine.drain()) == [20, 22, 24]
-        assert {mid: slot[0] for mid, slot in slots[0].items()} \
-            == {1: 4, 5: 2}
+        """Under a fault plan a column batch is staged as one chunk; the
+        chaos filter stages its rows again, receive units included,
+        which the engine runs chunked and the oracle unstages into its
+        rows' slots."""
+        for engine in ENGINES:
+            machine = _machine(engine)
+            state = machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
+            machine.send_cols("echo", [1, 1, 5], ([10, 11, 12],), size=2)
+            assert [ch.kind for ch in machine._cq] == [COLS]
+            state.filter_round(machine, 0)
+            assert [ch.kind for ch in machine._cq] == [ROWS]
+            assert {mid: machine._recv[mid] for mid in machine._active} \
+                == {1: 4, 5: 2}
+            slots = _record_slots(machine) if engine == "object" else None
+            assert sorted(r.payload for r in machine.drain()) \
+                == [20, 22, 24]
+            if slots is None:
+                assert machine.tasks_chunked == machine.tasks_executed == 3
+            else:
+                assert {mid: slot[0] for mid, slot in slots[0].items()} \
+                    == {1: 4, 5: 2}
 
     def test_send_cols_on_the_oracle_stages_the_rows(self):
         """On the reference oracle a column send is the rows it stands
@@ -529,13 +540,12 @@ class TestBackendParity:
             got.append((staged, replies, machine.snapshot()))
         assert got[0] == got[1]
 
-    def test_scalar_only_round_is_the_scalar_loop(self, monkeypatch):
-        """With no fault plan installed the engine never unstages a round
-        into slots: the per-task loop is not entered at all."""
+    def test_scalar_only_round_is_the_scalar_loop(self):
+        """The engine never unstages a round into slots: it has no
+        per-task loop to enter, and every task runs in a body call."""
         machine = _machine()
-        monkeypatch.setattr(
-            machine, "_run_round",
-            lambda staged: pytest.fail("slot round on the engine"))
+        assert not hasattr(machine, "_run_round")
+        assert not hasattr(machine, "_take_slots")
         machine.send_all([(m, "relay", (m, 2), m) for m in range(P)])
         machine.broadcast("echo", (1,))
         assert [ch.kind for ch in machine._cq] == [ROWS, BCAST]
@@ -656,28 +666,26 @@ def _assert_install_refused(machine, norm=tuple):
 
 class TestChaosFallback:
     def test_fault_plan_triggers_typed_fallback(self):
-        """Under an installed fault plan every round is unstaged into
-        slots and runs the per-task loop; uninstalling it runs rounds
-        chunked again.  ``columnar_active`` is the label of that,
-        ``backend`` of the machine's class."""
+        """Under an installed fault plan every round on the engine runs
+        chunked, as it does after the plan comes off: the engine has no
+        per-task loop to fall back to, and ``columnar_active`` and
+        ``backend`` are labels of the machine's class."""
         machine = _machine()
         machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
-        assert not machine.columnar_active
+        assert machine.columnar_active
         assert machine.backend == "columnar"  # identity, not engine state
+        assert not hasattr(machine, "_run_round")
         _issue_mixed_round(machine)
         assert {ch.kind for ch in machine._cq} == {ROWS, COLS, BCAST}
-        slots = _record_slots(machine)
         machine.drain()
-        assert slots and machine.tasks_chunked == 0
-        assert sum(len(q) for rnd in slots for slot in rnd.values()
-                   for q in slot[1:]) == machine.tasks_executed
+        assert machine.tasks_chunked == machine.tasks_executed > 0
         machine.uninstall_fault_plan()
         assert machine.columnar_active
         _issue_mixed_round(machine)
         assert machine._cq
-        rounds = len(slots)
+        tasks = machine.tasks_executed
         machine.drain()
-        assert machine.tasks_chunked > 0 and len(slots) == rounds
+        assert machine.tasks_chunked == machine.tasks_executed > tasks
 
     def test_fault_plan_refused_with_messages_pending(self):
         """Row, column and broadcast chunks (on the oracle too), then
@@ -703,13 +711,14 @@ class TestChaosFallback:
             _assert_install_refused(machine)
             machine.drain()
             machine.install_fault_plan(FaultPlan(FaultSpec(), seed=0))
-            assert not machine.columnar_active
+            assert machine.columnar_active == (machine is col)
         assert obj.snapshot().as_dict() == col.snapshot().as_dict()
 
     def test_uninstall_refused_with_messages_pending(self):
-        """``uninstall_fault_plan`` with a message staged in a slot under
-        the plan raises and moves nothing: that slot would otherwise meet
-        the engine's chunks.  Drained, the plan comes off."""
+        """``uninstall_fault_plan`` with a message staged under the plan
+        raises and moves nothing: the plan's protocol or its held rows
+        would otherwise be cut off.  Drained -- chunked, as every round
+        under the plan -- the plan comes off."""
         machine = _machine()
         plan = FaultPlan(FaultSpec(), seed=0)
         machine.install_fault_plan(plan)
@@ -717,15 +726,17 @@ class TestChaosFallback:
         before = _staging(machine)
         with pytest.raises(RuntimeError, match="messages pending"):
             machine.uninstall_fault_plan()
-        assert machine._chaos is not None and not machine.columnar_active
+        assert machine._chaos is not None
         assert _staging(machine) == before
         assert [r.payload for r in machine.drain()] == [2]
+        assert machine.tasks_chunked == machine.tasks_executed == 1
         assert machine.uninstall_fault_plan().plan is plan
         assert machine.columnar_active
 
     def test_behaviour_parity_under_faults(self):
-        """With an identical seeded fault plan the engine (every round
-        unstaged into slots) and the oracle observe the same faults, emit
+        """With an identical seeded fault plan the engine (the plan
+        filters its chunks and every round runs chunked) and the oracle
+        (every round unstaged into slots) observe the same faults, emit
         the same replies and account the same metrics."""
         spec = FaultSpec(drop=0.15, dup=0.1, delay=0.1, delay_rounds=2)
         results = {}
@@ -989,9 +1000,9 @@ class TestStaging:
         """Any interleaving of the issue paths: the slots a round builds
         are the per-destination lists of the issue log -- CPU entries
         before forwards, each in issue order, units the sum of sizes --
-        on the engine (``_take_slots`` directly, after its receive books
-        are read against the log) and on the oracle (what its round
-        runs)."""
+        on the engine (the oracle's ``_take_slots`` over the engine's
+        chunks, after its receive books are read against the log) and on
+        the oracle (what its round runs)."""
         machine = ENGINES["columnar"](num_modules=P, seed=0)
         oracle = ENGINES["object"](num_modules=P, seed=0)
         for m in (machine, oracle):
@@ -1005,7 +1016,8 @@ class TestStaging:
         assert {mid: k for mid, k in enumerate(books) if k} == units
         assert machine._incoming_total == sum(units.values())
         assert machine.pending == bool(want)
-        assert _plain_slots(machine, machine._take_slots()) == want
+        assert _plain_slots(
+            machine, ReferencePIMMachine._take_slots(machine)) == want
         assert not machine.pending and machine._incoming_total == 0
         assert machine._recv == [0] * P and not machine._active
         slots = _record_slots(oracle)

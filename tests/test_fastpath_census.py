@@ -28,6 +28,7 @@ from repro.baselines import (FineGrainedSkipList, HashPartitionedMap,
                              RangePartitionedSkipList)
 from repro.collectives import Collectives
 from repro.core.skiplist import PIMSkipList
+from repro.sim.chaos import build_schedule
 from repro.sim.profiling import HandlerProfile
 from repro.structures import PIMLSMStore, PIMPriorityQueue, PIMQueue
 from repro.structures.pimtree import PIMTree
@@ -158,8 +159,10 @@ SESSIONS = {
 }
 
 
-def _run(session, engine):
+def _run(session, engine, plan=None):
     machine = ENGINES[engine](num_modules=P, seed=11)
+    if plan is not None:
+        machine.install_fault_plan(build_schedule(plan, 1, P))
     stream = []
     machine.batch_observer = lambda op, delta: stream.append((op, delta))
     profile = HandlerProfile()
@@ -169,7 +172,8 @@ def _run(session, engine):
             "snapshot": machine.snapshot().as_dict(),
             "tasks": profile.calls,
             "rng": [machine.rng.random() for _ in range(3)],
-            "chunked": (machine.tasks_chunked, machine.tasks_executed)}
+            "chunked": (machine.tasks_chunked, machine.tasks_executed),
+            "faults": plan and machine._chaos.stats.as_dict()}
 
 
 @pytest.mark.parametrize("name", sorted(SESSIONS))
@@ -181,6 +185,21 @@ def test_engine_equals_the_oracle(name):
     for key in ("results", "stream", "snapshot", "tasks", "rng"):
         assert eng[key] == ref[key], key
     assert eng["stream"]
+
+
+@pytest.mark.parametrize("name", sorted(SESSIONS))
+def test_engine_equals_the_oracle_under_a_fault_plan(name):
+    """The same session under the ``mixed`` schedule (drops, dups,
+    delays, corruption, a stall) from its first op: every task on the
+    engine still runs chunked, and the engine equals the oracle --
+    results, per-op stream, snapshot, task counts, RNG and the faults
+    the plan fired."""
+    ref = _run(SESSIONS[name], "object", "mixed")
+    eng = _run(SESSIONS[name], "columnar", "mixed")
+    assert eng["chunked"][0] == eng["chunked"][1] == ref["chunked"][1] > 0
+    assert eng["faults"]["transmissions"] > 0
+    for key in ("results", "stream", "snapshot", "tasks", "rng", "faults"):
+        assert eng[key] == ref[key], key
 
 
 def test_the_sessions_reach_every_ported_function():

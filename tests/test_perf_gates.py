@@ -52,10 +52,10 @@ def test_quick_baseline_is_refused(tmp_path):
 
 
 def test_exact_rows_pass():
-    """The chunked-task shares, the CPU-side charges of one fixed
-    session, the fixed Upsert batch and batch of ranges, the tick groups
-    of both structures (the PIM-tree's with and without its write), the
-    search at four widths around its pivot-spacing boundary, the seven
+    """The chunked-task shares (under a fault plan too), the CPU-side
+    charges of one fixed session, the fixed Upsert batch and batch of
+    ranges, the tick groups of both structures (the PIM-tree's with and
+    without its write), the search at four widths around its pivot-spacing boundary, the seven
     skew-adversary rows, the durable restart counts and the chaos
     layer's books after one session under faults, measured in
     process with the committed baselines' parameters."""
@@ -64,6 +64,7 @@ def test_exact_rows_pass():
             "chunked share pimtree writes",
             "chunked share write_churn, trace_accesses / plain",
             "chunked share range batch",
+            "chunked share chaos session, mixed schedule",
             "CPU-side session: cpu_work, cpu_depth, shared_mem_peak, rng",
             "upsert batch: write_ptr rows through send_all",
             "pimtree read group: read rows through send_all",
