@@ -141,7 +141,7 @@ def _populate(root: str, mutations: int, checkpoint_every: int,
     state = dict(INITIAL_ITEMS)
     for i in range(mutations):
         payload = _batch(i)
-        manager.run("upsert", payload)
+        manager.run([("upsert", payload)])
         state.update(payload)
     store.close()
     return sorted(state.items())
@@ -156,7 +156,7 @@ def rotation_points(rotations: int, checkpoint_every: int) -> List[int]:
         points: List[int] = []
         done = 0
         while len(points) < rotations:
-            manager.run("upsert", _batch(done))
+            manager.run([("upsert", _batch(done))])
             done += 1
             if store.snapshots_written > len(points):
                 points.append(done)
@@ -183,7 +183,7 @@ def bench_restart(mutations: int, checkpoint_every: int,
             replayed = len(store.report.records)
             replayed_items = manager.replay_debt_items
             checkpoint_items = manager.last_checkpoint_items
-            got = manager.run("range", [(lo, hi)])
+            [got] = manager.run([("range", [(lo, hi)])])
             ok = ok and got == [expected] and manager.restored_from_disk
             store.close()
             if best is None or seconds < best:

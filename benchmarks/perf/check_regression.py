@@ -196,29 +196,43 @@ class Bench:
         return v if ref.times == 1.0 else v * ref.times
 
     @memo
-    def scenario(self, name: str, backend: str,
-                 traced: bool = False) -> dict:
-        """Fastest probe of a ``bench_wallclock`` scenario on one side of
-        ``ENGINES``, plus the share of its tasks that ran in chunks.
-        ``traced`` builds the machine with ``trace_accesses=True``."""
-        params = self.value(Base(
-            "simwall", f"backends.{backend}.scenarios.{name}.params"))
-        machine_cls = ENGINES[backend]
-        if traced:
-            machine_cls = functools.partial(machine_cls, trace_accesses=True)
-        best = None
+    def probes(self, name: str, traced: bool = False) -> Dict[str, dict]:
+        """Fastest probe of a ``bench_wallclock`` scenario on each side
+        of ``ENGINES``, plus the share of its tasks that ran in chunks.
+        The sides run alternately, one probe each per repeat, so a ratio
+        of the two compares runs made under the same host load.
+        ``traced`` probes the engine alone, built with
+        ``trace_accesses=True``."""
+        best: Dict[str, dict] = {}
+        sides = ("columnar",) if traced else tuple(ENGINES)
         for _ in range(self.repeat):
-            probe = SCENARIOS[name][0](ThroughputProbe,
-                                       machine_cls=machine_cls, **params)
-            if best is None or probe.seconds < best["seconds"]:
-                best = probe.as_dict()
-                best["chunked_share"] = (probe.machine.tasks_chunked
-                                         / probe.machine.tasks_executed)
+            for backend in sides:
+                params = self.value(Base(
+                    "simwall",
+                    f"backends.{backend}.scenarios.{name}.params"))
+                machine_cls = ENGINES[backend]
+                if traced:
+                    machine_cls = functools.partial(machine_cls,
+                                                    trace_accesses=True)
+                probe = SCENARIOS[name][0](ThroughputProbe,
+                                           machine_cls=machine_cls, **params)
+                if (backend not in best
+                        or probe.seconds < best[backend]["seconds"]):
+                    best[backend] = probe.as_dict()
+                    best[backend]["chunked_share"] = (
+                        probe.machine.tasks_chunked
+                        / probe.machine.tasks_executed)
         return best
 
+    def scenario(self, name: str, backend: str,
+                 traced: bool = False) -> dict:
+        """One side's cell of :meth:`probes`."""
+        return self.probes(name, traced)[backend]
+
     def speedup(self, name: str) -> float:
-        return (self.scenario(name, "columnar")["tasks_per_sec"]
-                / self.scenario(name, "object")["tasks_per_sec"])
+        cells = self.probes(name)
+        return (cells["columnar"]["tasks_per_sec"]
+                / cells["object"]["tasks_per_sec"])
 
     @memo
     def adversary(self, contestant: str) -> dict:

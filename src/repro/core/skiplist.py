@@ -48,11 +48,11 @@ def answer_ranges(run: Any, pairs: Sequence[Tuple[Hashable, Hashable]],
 
 
 class BatchDispatch:
-    """``apply_batch`` for a structure whose ``batch_get`` /
-    ``batch_successor`` / ``batch_upsert`` / ``batch_delete`` /
-    ``batch_range`` already return the conformance shapes (the hash- and
-    range-partitioned baselines, the LSM store).  ``self`` is typed
-    ``Any``: those methods are the host class's."""
+    """``apply_batch`` and ``apply_group`` for a structure whose
+    ``batch_get`` / ``batch_successor`` / ``batch_upsert`` /
+    ``batch_delete`` / ``batch_range`` already return the conformance
+    shapes (the hash- and range-partitioned baselines, the LSM store).
+    ``self`` is typed ``Any``: those methods are the host class's."""
 
     #: Batch ops replayable through :meth:`apply_batch`.
     BATCH_CAPS = frozenset({"get", "successor", "upsert", "delete", "range"})
@@ -75,6 +75,12 @@ class BatchDispatch:
         if op == "range":
             return answer_ranges(self.batch_range, payload)
         raise ValueError(f"apply_batch: unknown op {op!r}")
+
+    def apply_group(self: Any, batches: Sequence[Tuple[str, Sequence]],
+                    ) -> List[Optional[list]]:
+        """One tick's batches (contract: see
+        :meth:`PIMSkipList.apply_group`): here, one after the other."""
+        return [self.apply_batch(op, payload) for op, payload in batches]
 
 
 class PIMSkipList:

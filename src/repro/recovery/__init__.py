@@ -32,12 +32,10 @@ from repro.recovery.durable import (
 )
 from repro.recovery.manager import (
     MUTATING_OPS,
-    TICK_GROUP,
     DegradedReason,
     DegradedResult,
     RecoveryEvent,
     RecoveryManager,
-    apply_to,
     write_of,
 )
 
@@ -50,10 +48,8 @@ __all__ = [
     "DurableStore",
     "WalCorruption",
     "MUTATING_OPS",
-    "TICK_GROUP",
     "RecoveryEvent",
     "RecoveryManager",
-    "apply_to",
     "write_of",
     "checkpoint_structure",
     "restore_structure",

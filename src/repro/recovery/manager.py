@@ -43,9 +43,10 @@ the manager degrades instead: the structure is quiesced and every
 subsequent batch returns a typed :class:`DegradedResult` rather than a
 possibly-wrong answer.
 
-The serving layer (:mod:`repro.serve`) drives its circuit breaker and
-health state machine off the ``on_failure`` / ``on_recovery`` /
-``on_degrade`` hooks; the manager itself stays policy-free.
+The manager itself stays policy-free: it keeps its books -- ``failures``
+(every crash or timeout it caught), ``events`` (one per failover) and
+``degraded`` -- and the serving layer (:mod:`repro.serve`) reads them
+after each ``run`` to drive its circuit breaker and health state machine.
 
 With a :class:`~repro.recovery.durable.store.DurableStore` attached
 (``durable=``), the checkpoint + log additionally survive *host*
@@ -73,43 +74,24 @@ from repro.recovery.checkpoint import (
 from repro.recovery.durable.store import DurableStore
 from repro.sim.errors import DeliveryTimeout, ModuleCrashed
 
-__all__ = ["DegradedReason", "DegradedResult", "MUTATING_OPS", "TICK_GROUP",
-           "RecoveryEvent", "RecoveryManager", "apply_to", "write_of"]
+__all__ = ["DegradedReason", "DegradedResult", "MUTATING_OPS",
+           "RecoveryEvent", "RecoveryManager", "write_of"]
 
 #: ``apply_batch`` ops that change structure state (and so must be
 #: logged for replay).  Reads are never logged.
 MUTATING_OPS = frozenset({"upsert", "delete"})
 
-#: What ``run`` is handed in place of an op name when the payload is
-#: one tick's group of batches -- ``[(op, payload), ...]``, a write (if
-#: any) first, answered by the structure's ``apply_group`` in one call.
-#: Not an ``apply_batch`` op.
-TICK_GROUP = "group"
+#: One tick's batches, as ``run`` and ``apply_group`` take them: same-op
+#: ``(op, payload)`` pairs, a write (if any) first.  A lone batch is a
+#: group of one.
+Batches = Sequence[Tuple[str, Sequence]]
 
 
-def apply_to(structure: Any, op: str, payload: Sequence) -> Any:
-    """``structure.apply_batch(op, payload)``, or ``apply_group`` for a
-    :data:`TICK_GROUP`."""
-    if op == TICK_GROUP:
-        return structure.apply_group(payload)
-    return structure.apply_batch(op, payload)
-
-
-def write_of(op: str, payload: Sequence) -> Optional[Tuple[str, Sequence]]:
-    """The ``(op, payload)`` a ``run`` writes -- the batch itself, or a
-    group's leading write -- or ``None`` for a read.  Only this part is
-    logged and appended to the WAL: a group's riders are reads."""
-    if op == TICK_GROUP:
-        return payload[0] if payload and payload[0][0] in MUTATING_OPS \
-            else None
-    return (op, payload) if op in MUTATING_OPS else None
-
-
-def _items(op: str, payload: Sequence) -> int:
-    """Payload items of one ``run``: a group counts its batches' items."""
-    if op == TICK_GROUP:
-        return sum(len(part) for _, part in payload)
-    return len(payload)
+def write_of(batches: Batches) -> Optional[Tuple[str, Sequence]]:
+    """The ``(op, payload)`` a ``run`` writes -- the group's leading
+    batch when it mutates -- or ``None`` for reads only.  Only this part
+    is logged and appended to the WAL: a write's riders are reads."""
+    return batches[0] if batches and batches[0][0] in MUTATING_OPS else None
 
 
 class DegradedReason(Enum):
@@ -166,7 +148,8 @@ class DegradedResult:
 
 @dataclass(frozen=True)
 class RecoveryEvent:
-    """One failover: what failed, and what the rebuild replayed."""
+    """One failover: what failed, and what the rebuild replayed.  ``op``
+    is the failed batch's op (a group's ops joined with ``+``)."""
 
     op: str
     cause: str
@@ -180,17 +163,15 @@ class RecoveryManager:
     ``rebuild`` is a zero-argument factory returning a fresh, *empty*
     structure on a clean machine (no fault plan) -- the standby
     hardware.  The structure must implement ``apply_batch(op, payload)``
-    (both :class:`~repro.core.skiplist.PIMSkipList` and
-    :class:`~repro.structures.lsm.PIMLSMStore` do).
+    (the log replay) and ``apply_group(batches)`` (every ``run``; the
+    skip list, the PIM-tree and the LSM store do).
 
     ``read_retry_attempts`` allows that many in-place retries of a
     *read* batch on :class:`~repro.sim.errors.DeliveryTimeout` before a
     failover is spent; ``retry_backoff`` maps the attempt number (1-based)
     to idle rounds charged on the structure's machine between attempts
     (default: :func:`repro.ops.backoff_rounds`; the serving layer passes
-    it jittered).  The ``on_failure(op, exc)``, ``on_recovery(event)`` and
-    ``on_degrade(result)`` hooks observe the failure stream without
-    being able to alter it.
+    it jittered).
     """
 
     def __init__(self, structure: Any, rebuild: Callable[[], Any], *,
@@ -198,9 +179,6 @@ class RecoveryManager:
                  max_recoveries: int = 4,
                  read_retry_attempts: int = 0,
                  retry_backoff: Optional[Callable[[int], int]] = None,
-                 on_failure: Optional[Callable[[str, Exception], None]] = None,
-                 on_recovery: Optional[Callable[["RecoveryEvent"], None]] = None,
-                 on_degrade: Optional[Callable[[DegradedResult], None]] = None,
                  durable: Optional[DurableStore] = None,
                  ) -> None:
         if checkpoint_every < 1:
@@ -214,9 +192,7 @@ class RecoveryManager:
         self.max_recoveries = max_recoveries
         self.read_retry_attempts = read_retry_attempts
         self.retry_backoff = retry_backoff or backoff_rounds
-        self.on_failure = on_failure
-        self.on_recovery = on_recovery
-        self.on_degrade = on_degrade
+        self.failures = 0  # crashes and timeouts caught, retries included
         self.degraded = False
         self.degraded_reason = ""
         self.events: List[RecoveryEvent] = []
@@ -232,16 +208,12 @@ class RecoveryManager:
             # Reopened state dir: disk is the source of truth.  The
             # passed-in structure is discarded; state comes back as
             # snapshot restore + WAL replay onto clean hardware.
-            standby = rebuild()
             assert durable.report.checkpoint is not None
             self.checkpoint = durable.report.checkpoint
-            restore_structure(self.checkpoint, standby)
             for record in durable.report.records:
                 self._log_batch(record.op, record.payload)
-            for op, payload in self._log:
-                standby.apply_batch(op, payload)
+            self.structure = self._restore(rebuild())
             self._served_items = self._log_items
-            self.structure = standby
             return
         self.checkpoint = checkpoint_structure(structure)
         self.checkpoints_captured = 1
@@ -302,27 +274,26 @@ class RecoveryManager:
 
     # -- batch driver ----------------------------------------------------
 
-    def run(self, op: str, payload: Sequence) -> Any:
-        """Apply one batch; recover or degrade on module failure.
+    def run(self, batches: Batches) -> List[Any]:
+        """Apply one tick's batches; recover or degrade on module failure.
 
-        A tick's group (``op`` is :data:`TICK_GROUP`) is one batch
-        here -- a mutating one when it holds a write: retried in place
-        only without one, failed over and degraded whole, and answered
-        with one result per batch.  A write shares its tick only with
-        its riders, and only the write is logged (and appended to the
-        WAL) before ``run`` returns, so the riders are answered after a
-        durable write (RPO 0)."""
+        Returns one outcome per batch: its ``apply_group`` result, or a
+        :class:`DegradedResult` each when the manager has quiesced.  The
+        batches are one unit: retried in place only without a write,
+        failed over and degraded whole.  A write shares its tick only
+        with its riders, and only the write is logged (and appended to
+        the WAL) before ``run`` returns, so the riders are answered
+        after a durable write (RPO 0)."""
         if self.degraded:
-            return DegradedResult(op, DegradedReason.QUIESCED,
-                                  self.degraded_reason)
+            return self._degrade(batches, DegradedReason.QUIESCED,
+                                 self.degraded_reason)
         attempt = 0
         while True:
             try:
-                result = apply_to(self.structure, op, payload)
+                results = self.structure.apply_group(batches)
             except (ModuleCrashed, DeliveryTimeout) as exc:
-                if self.on_failure is not None:
-                    self.on_failure(op, exc)
-                if (write_of(op, payload) is None
+                self.failures += 1
+                if (write_of(batches) is None
                         and isinstance(exc, DeliveryTimeout)
                         and attempt < self.read_retry_attempts):
                     # A timed-out read left no partial state; a cheap
@@ -332,9 +303,9 @@ class RecoveryManager:
                     self.read_retries += 1
                     self._idle(self.retry_backoff(attempt))
                     continue
-                return self._recover(op, payload, exc)
-            self._note_success(op, payload)
-            return result
+                return self._recover(batches, exc)
+            self._note_success(batches)
+            return results
 
     # -- internals -------------------------------------------------------
 
@@ -348,9 +319,17 @@ class RecoveryManager:
         self._log_items += len(payload)
         self._mutations += 1
 
-    def _note_success(self, op: str, payload: Sequence) -> None:
-        self._served_items += _items(op, payload)
-        write = write_of(op, payload)
+    def _restore(self, standby: Any) -> Any:
+        """``standby`` (fresh from ``rebuild``) brought to the durable
+        state: the checkpoint restored, then the log replayed."""
+        restore_structure(self.checkpoint, standby)
+        for op, payload in self._log:
+            standby.apply_batch(op, payload)
+        return standby
+
+    def _note_success(self, batches: Batches) -> None:
+        self._served_items += sum(len(payload) for _, payload in batches)
+        write = write_of(batches)
         if write is None:
             return
         # The one copy the manager takes: the caller keeps its list, and
@@ -383,45 +362,37 @@ class RecoveryManager:
             if self.durable is not None:
                 self.durable.snapshot(captured)
 
-    def _recover(self, op: str, payload: Sequence, exc: Exception) -> Any:
+    def _recover(self, batches: Batches, exc: Exception) -> List[Any]:
         cause = f"{type(exc).__name__}: {exc}"
         if not self.allow_restore:
-            return self._degrade(op, DegradedReason.RESTORE_DISABLED, cause)
+            return self._degrade(batches, DegradedReason.RESTORE_DISABLED,
+                                 cause)
         if self.recoveries >= self.max_recoveries:
-            return self._degrade(op, DegradedReason.RECOVERY_EXHAUSTED,
+            return self._degrade(batches, DegradedReason.RECOVERY_EXHAUSTED,
                                  cause)
 
         standby = self.rebuild()
-        event = RecoveryEvent(
-            op=op, cause=cause,
+        self.events.append(RecoveryEvent(
+            op="+".join(op for op, _ in batches), cause=cause,
             checkpoint_items=self.checkpoint.item_count(),
-            replayed_batches=len(self._log))
-        self.events.append(event)
+            replayed_batches=len(self._log)))
         # Restore the checkpoint, replay the log and retry the failed
-        # batch on the standby.  A clean machine cannot crash, but the
+        # batches on the standby.  A clean machine cannot crash, but the
         # factory may hand back faulty hardware; a failure anywhere in
         # here has spent this failover, and recursing makes it consume
         # another recovery (or degrade).
         try:
-            restore_structure(self.checkpoint, standby)
-            for logged_op, logged_payload in self._log:
-                standby.apply_batch(logged_op, logged_payload)
-            self.structure = standby
-            if self.on_recovery is not None:
-                self.on_recovery(event)
-            result = apply_to(standby, op, payload)
+            self.structure = self._restore(standby)
+            results = standby.apply_group(batches)
         except (ModuleCrashed, DeliveryTimeout) as retry_exc:
-            if self.on_failure is not None:
-                self.on_failure(op, retry_exc)
-            return self._recover(op, payload, retry_exc)
-        self._note_success(op, payload)
-        return result
+            self.failures += 1
+            return self._recover(batches, retry_exc)
+        self._note_success(batches)
+        return results
 
-    def _degrade(self, op: str, reason: DegradedReason,
-                 cause: str) -> DegradedResult:
+    def _degrade(self, batches: Batches, reason: DegradedReason,
+                 cause: str) -> List[DegradedResult]:
+        """Quiesce (for good), refusing each batch typed."""
         self.degraded = True
         self.degraded_reason = cause
-        result = DegradedResult(op, reason, cause)
-        if self.on_degrade is not None:
-            self.on_degrade(result)
-        return result
+        return [DegradedResult(op, reason, cause) for op, _ in batches]

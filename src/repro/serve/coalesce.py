@@ -44,7 +44,9 @@ drains every head.
 
 The result is a list of :class:`MergedBatch`: the concatenated payload
 plus the per-request slices the demux stage uses to route each
-tenant's share of the replies back to its future.
+tenant's share of the replies back to its future.  That list is the
+one shape of a tick down to the structure: a lone batch is a group of
+one.
 """
 
 from __future__ import annotations
@@ -53,11 +55,11 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.recovery import MUTATING_OPS, TICK_GROUP
+from repro.recovery import MUTATING_OPS
 from repro.serve.admission import AdmissionController, TenantState
 from repro.serve.errors import Request
 
-__all__ = ["Coalescer", "MergedBatch", "TickGroup"]
+__all__ = ["Coalescer", "MergedBatch"]
 
 _request_id = attrgetter("id")
 
@@ -75,23 +77,6 @@ class MergedBatch:
 
     def __len__(self) -> int:
         return len(self.items)
-
-
-class TickGroup:
-    """The batches of one grouped tick, shaped like the one batch the
-    resilience policy and the recovery manager carry them as: ``op`` is
-    :data:`~repro.recovery.TICK_GROUP`, ``items`` the ``(op, payload)``
-    pairs ``apply_group`` takes (a write first), and the deadline the
-    tightest of the batches'."""
-
-    op = TICK_GROUP
-
-    def __init__(self, batches: List[MergedBatch]) -> None:
-        self.batches = batches
-        self.items = [(batch.op, batch.items) for batch in batches]
-        self.min_deadline = min(
-            (batch.min_deadline for batch in batches
-             if batch.min_deadline is not None), default=None)
 
 
 class Coalescer:

@@ -32,18 +32,17 @@ strongest promise the SLO allows once no live hardware remains.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.ops import backoff_rounds
 from repro.recovery import (
     DegradedReason,
     DegradedResult,
-    RecoveryEvent,
     RecoveryManager,
-    apply_to,
     write_of,
 )
-from repro.serve.coalesce import MergedBatch, TickGroup
+from repro.recovery.manager import Batches
+from repro.serve.coalesce import MergedBatch
 from repro.serve.errors import Refusal, RefusalReason
 from repro.serve.health import HealthMonitor, HealthState
 from repro.sim.chaos import _mix
@@ -69,12 +68,13 @@ def jittered_backoff(seed: int) -> Callable[[int], int]:
 
 
 class ResiliencePolicy:
-    """Execute merged batches under the resilience rules above.
+    """Execute a tick's merged batches under the resilience rules above.
 
-    Constructed by the server around a :class:`RecoveryManager` whose
-    hooks this policy owns (it wires them itself).  ``execute`` returns
-    the batch result, a :class:`DegradedResult`, or a
-    :class:`Refusal` template the server fans out per request.
+    Constructed by the server around a :class:`RecoveryManager`, whose
+    books -- ``failures``, ``events``, ``degraded`` -- it reads after
+    each run.  ``execute`` returns one outcome per batch: its result, a
+    :class:`DegradedResult`, or a :class:`Refusal` template the server
+    fans out per request.
     """
 
     def __init__(self, manager: RecoveryManager, health: HealthMonitor, *,
@@ -89,40 +89,38 @@ class ResiliencePolicy:
         self.breaker_threshold = breaker_threshold
         self.cooldown_ticks = cooldown_ticks
         self.healthy_streak = healthy_streak
-        manager.on_failure = self._on_failure
-        manager.on_recovery = self._on_recovery
-        manager.on_degrade = self._on_degrade
         self._failures = 0        # consecutive failure events
         self._streak = 0          # consecutive successful batches
         self._open_until: Optional[int] = None  # breaker cooldown end
-        self._tick = 0            # last tick seen (for hook context)
         self._stale_cache: Optional[tuple] = None
         self.stats: Dict[str, int] = {
             "failures": 0, "failovers": 0, "trips": 0, "probes": 0,
             "stale_reads": 0, "refused_writes": 0,
         }
 
-    # -- manager hooks ----------------------------------------------------
+    # -- the manager's books ----------------------------------------------
 
-    def _on_failure(self, op: str, exc: Exception) -> None:
-        self._failures += 1
-        self.stats["failures"] += 1
-
-    def _on_recovery(self, event: RecoveryEvent) -> None:
-        self.stats["failovers"] += 1
-        self._streak = 0
-        if self.health.state in (HealthState.HEALTHY,
-                                 HealthState.RECOVERING,
-                                 HealthState.FAILED_OVER):
-            self.health.to(HealthState.FAILED_OVER, self._tick,
-                           f"failover after {event.cause}")
-
-    def _on_degrade(self, result: DegradedResult) -> None:
-        # Permanent: no live hardware remains.  Latch the breaker open.
-        self._open_until = None
-        if self.health.state is not HealthState.DEGRADED:
-            self.health.to(HealthState.DEGRADED, self._tick,
-                           f"quiesced: {result.cause}")
+    def _read_books(self, tick: int, failures: int, failovers: int,
+                    degraded: bool) -> None:
+        """Account what the manager's last run recorded; the arguments
+        are its books from before the run."""
+        manager = self.manager
+        self._failures += manager.failures - failures
+        self.stats["failures"] += manager.failures - failures
+        for event in manager.events[failovers:]:
+            self.stats["failovers"] += 1
+            self._streak = 0
+            if self.health.state in (HealthState.HEALTHY,
+                                     HealthState.RECOVERING,
+                                     HealthState.FAILED_OVER):
+                self.health.to(HealthState.FAILED_OVER, tick,
+                               f"failover after {event.cause}")
+        if manager.degraded and not degraded:
+            # Permanent: no live hardware remains.  Latch the breaker open.
+            self._open_until = None
+            if self.health.state is not HealthState.DEGRADED:
+                self.health.to(HealthState.DEGRADED, tick,
+                               f"quiesced: {manager.degraded_reason}")
 
     # -- breaker state ----------------------------------------------------
 
@@ -160,69 +158,66 @@ class ResiliencePolicy:
         self._stale_cache = (key, oracle)
         return oracle
 
-    def _stale_read(self, batch: Union[MergedBatch, TickGroup],
-                    ) -> Union[DegradedResult, List[DegradedResult]]:
-        """The durable view's answer: a group gets one per batch."""
+    def _stale_read(self, pairs: Batches) -> List[DegradedResult]:
+        """The durable view's answer, one per batch."""
         self.stats["stale_reads"] += 1
         view = self._durable_view()
         cause = self.manager.degraded_reason or "circuit open"
-        if isinstance(batch, TickGroup):
-            return [DegradedResult(op, DegradedReason.STALE_READ, cause=cause,
-                                   value=apply_to(view, op, items))
-                    for op, items in batch.items]
-        return DegradedResult(batch.op, DegradedReason.STALE_READ,
-                              cause=cause,
-                              value=apply_to(view, batch.op, batch.items))
+        return [DegradedResult(op, DegradedReason.STALE_READ, cause=cause,
+                               value=view.apply_batch(op, items))
+                for op, items in pairs]
 
-    def _write_denied(self, batch: Union[MergedBatch, TickGroup],
-                      outcome: Union[DegradedResult, Refusal]) -> Any:
-        """A mutating batch's degraded ``outcome``.  A group's riders are
-        reads and are answered stale, as a read group is: the write they
-        ride was never logged, so the durable view is the state they
-        would have read before it."""
-        if not isinstance(batch, TickGroup):
-            return outcome
-        return [outcome] + self._stale_read(TickGroup(batch.batches[1:]))
+    def _write_denied(self, pairs: Batches, outcome: Any) -> List[Any]:
+        """A mutating tick's degraded outcomes: ``outcome`` for the
+        write, and stale answers for its riders, as for a read tick: the
+        write they ride was never logged, so the durable view is the
+        state they would have read before it."""
+        riders = pairs[1:]
+        return [outcome] + (self._stale_read(riders) if riders else [])
 
     # -- the execute path -------------------------------------------------
 
-    def execute(self, batch: Union[MergedBatch, TickGroup], tick: int,
-                ) -> Union[Any, DegradedResult, Refusal]:
-        """Run one merged batch under the resilience rules.
+    def execute(self, batches: Sequence[MergedBatch], tick: int,
+                ) -> List[Any]:
+        """Run one tick's batches under the resilience rules.
 
-        Returns the structure's batch result on success, a
-        :class:`DegradedResult` (stale read / quiesced), or a
-        :class:`Refusal` template (degraded writes) that the server
-        stamps per request.  A :class:`TickGroup` is one batch -- a
-        mutating one when it holds a write -- and gets a list of these,
-        one per batch of the group: while degraded, a refused or
-        quiesced write and stale reads for its riders.
+        Returns one outcome per batch: the structure's result on
+        success, a :class:`DegradedResult` (stale read / quiesced), or a
+        :class:`Refusal` template (degraded write) that the server
+        stamps per request.  The batches are one unit -- a mutating one
+        when they hold a write, which leads: while degraded, the write
+        is refused or quiesced and its riders are read stale.
         """
-        self._tick = tick
         self._maybe_half_open(tick)
-        mutating = write_of(batch.op, batch.items) is not None
+        pairs = [(batch.op, batch.items) for batch in batches]
+        mutating = write_of(pairs) is not None
         if self.circuit_open:
             if mutating:
                 self.stats["refused_writes"] += 1
-                return self._write_denied(batch, Refusal(
-                    batch.op, "*", RefusalReason.WRITE_UNAVAILABLE,
+                return self._write_denied(pairs, Refusal(
+                    pairs[0][0], "*", RefusalReason.WRITE_UNAVAILABLE,
                     "circuit open; writes refused while degraded"))
-            return self._stale_read(batch)
+            return self._stale_read(pairs)
 
+        manager = self.manager
+        books = (manager.failures, len(manager.events), manager.degraded)
         failures_before = self._failures
-        result = self._run_clamped(batch, tick)
-        if isinstance(result, DegradedResult):
-            # The manager quiesced mid-batch (hooks already latched the
-            # breaker open).  Honour the SLO for *this* batch too.
+        results = self._run_clamped(pairs, min(
+            (batch.min_deadline for batch in batches
+             if batch.min_deadline is not None), default=None), tick)
+        self._read_books(tick, *books)
+        if manager.degraded:
+            # The manager quiesced mid-run (the breaker is now latched
+            # open).  Honour the SLO for *these* batches too.
             if mutating:
-                return self._write_denied(batch, result)
-            return self._stale_read(batch)
+                return self._write_denied(pairs, results[0])
+            return self._stale_read(pairs)
 
         # Success on live (possibly freshly promoted) hardware.
         self._streak += 1
         if self._failures > failures_before \
                 and self._failures >= self.breaker_threshold:
-            # The batch survived via retries/failovers, but the fault
+            # The batches survived via retries/failovers, but the fault
             # rate says the next ones may not: open the circuit.
             self._trip(tick, f"{self._failures} failure events; "
                              f"cooling down {self.cooldown_ticks} ticks")
@@ -234,25 +229,25 @@ class ResiliencePolicy:
                         and self._streak >= self.healthy_streak)):
                 self.health.to(HealthState.HEALTHY, tick,
                                f"{self._streak} clean batch(es)")
-        return result
+        return results
 
-    def _run_clamped(self, batch: Union[MergedBatch, TickGroup],
-                     tick: int) -> Any:
-        """``manager.run`` with the deadline-clamped retry budget."""
+    def _run_clamped(self, pairs: Batches, deadline: Optional[int],
+                     tick: int) -> List[Any]:
+        """``manager.run`` with the retry budget clamped by ``deadline``,
+        the tightest of the batches'."""
         machine = getattr(self.manager.structure, "machine", None)
-        deadline = batch.min_deadline
         if machine is None or deadline is None:
-            return self.manager.run(batch.op, batch.items)
+            return self.manager.run(pairs)
         original = machine.config
         # One delivery attempt per remaining tick, floor one: a batch
         # admitted with 3 ticks to spare gets 3 attempts, not the full
         # backoff curve charged long past its deadline.  MachineConfig
-        # is frozen, so swap in a clamped copy for this batch only.
+        # is frozen, so swap in a clamped copy for this run only.
         clamped = max(1, min(original.max_delivery_attempts,
                              deadline - tick + 1))
         machine.config = replace(original, max_delivery_attempts=clamped)
         try:
-            return self.manager.run(batch.op, batch.items)
+            return self.manager.run(pairs)
         finally:
             machine.config = original
 

@@ -49,7 +49,7 @@ from repro.recovery import (
 )
 from repro.recovery.durable import DurabilityPolicy, DurableStore
 from repro.serve.admission import AdmissionController
-from repro.serve.coalesce import Coalescer, MergedBatch, TickGroup
+from repro.serve.coalesce import Coalescer, MergedBatch
 from repro.serve.errors import Refusal, RefusalReason, Request, ServerStalled
 from repro.serve.health import HealthMonitor
 from repro.serve.policy import ResiliencePolicy, jittered_backoff
@@ -304,22 +304,15 @@ class Server:
             raise
 
     def _execute(self, batches: List[MergedBatch]) -> None:
-        """Run one tick's batches: a lone batch as itself, the batches
-        of a grouped tick as one :class:`TickGroup` whose outcome fans
-        back out batch by batch, in drain order (the write first)."""
+        """Run one tick's batches -- a lone batch is a group of one --
+        and fan their outcomes back out batch by batch, in drain order
+        (the write first)."""
         self.batches_served += len(batches)
-        if len(batches) == 1:
-            [batch] = batches
-            self._count_tick(batch.op)
-            self._demux(batch, self.policy.execute(batch, self.tick))
-            return
-        self._count_tick("+".join(sorted(batch.op for batch in batches)))
-        parts = self.policy.execute(TickGroup(batches), self.tick)
-        for batch, part in zip(batches, parts):
-            self._demux(batch, part)
-
-    def _count_tick(self, kind: str) -> None:
+        kind = "+".join(sorted(batch.op for batch in batches))
         self.ticks_by_kind[kind] = self.ticks_by_kind.get(kind, 0) + 1
+        outcomes = self.policy.execute(batches, self.tick)
+        for batch, outcome in zip(batches, outcomes):
+            self._demux(batch, outcome)
 
     # -- demux ------------------------------------------------------------
 

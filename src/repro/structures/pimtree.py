@@ -734,12 +734,15 @@ class PIMTree:
     def apply_group(self, batches: Sequence[Tuple[str, Sequence]],
                     ) -> List[Optional[list]]:
         """One tick's batches in one call (contract: see
-        :meth:`repro.core.skiplist.PIMSkipList.apply_group`): the
-        non-empty ones run as one op (:func:`_tick_route`), every read
-        answered as after the group's Upsert."""
+        :meth:`repro.core.skiplist.PIMSkipList.apply_group`): a group of
+        one is :meth:`apply_batch`; a larger group runs its non-empty
+        batches as one op (:func:`_tick_route`), every read answered as
+        after the group's Upsert.  A Delete is a group of one."""
+        if len(batches) == 1:
+            return [self.apply_batch(*batches[0])]
         if "delete" in group_payloads(batches):
-            raise ValueError("apply_group: a PIM-tree group's write is an "
-                             "Upsert")
+            raise ValueError("apply_group: a PIM-tree Delete is a group "
+                             "of one")
         return self._tick([(op, list(payload)) for op, payload in batches])
 
     def check_integrity(self) -> None:

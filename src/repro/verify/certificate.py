@@ -28,7 +28,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.verify.shrink import session_from_dict
 
-__all__ = ["Certificate", "certify", "load_repro", "write_repro"]
+__all__ = ["Certificate", "certify", "cpu_books", "load_repro",
+           "write_repro"]
 
 
 class Certificate:
@@ -54,6 +55,13 @@ class Certificate:
         self.result_digest, self.model_digest = (
             hashlib.sha256("\n".join(parts).encode()).hexdigest()
             for parts in (results, model))
+
+
+def cpu_books(machines: List[Any]) -> List[str]:
+    """A session's CPU-side charges, summed over its machines, as
+    ``model`` lines for :meth:`Certificate.seal`."""
+    return [f"cpu_work={sum(m.metrics.cpu_work for m in machines)!r}",
+            f"cpu_depth={sum(m.metrics.cpu_depth for m in machines)!r}"]
 
 
 def certify(config: Dict[str, Any], *,

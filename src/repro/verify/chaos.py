@@ -35,7 +35,7 @@ from repro.recovery import DegradedResult, RecoveryManager
 from repro.sim.chaos import MACHINE_SCHEDULES, build_schedule
 from repro.sim.machine import PIMMachine
 from repro.structures.pimtree import PIMTree
-from repro.verify.certificate import Certificate
+from repro.verify.certificate import Certificate, cpu_books
 from repro.verify.differ import (
     Divergence,
     READ_OPS,
@@ -137,7 +137,7 @@ def sized_session(seed: int, make: Callable[[int], Any], *,
     manager = RecoveryManager(live, lambda: make(longest.seed),
                               checkpoint_every=checkpoint_every)
     for done, batch in enumerate(longest.batches, start=1):
-        manager.run(batch.op, batch.payload)
+        manager.run([(batch.op, batch.payload)])
         if (done >= num_batches and manager.log_size >= 2
                 and manager.checkpoints_captured > MIN_ROTATIONS):
             return Session(batches=longest.batches[:done],
@@ -263,7 +263,7 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
             impl=f"{structure}+chaos", kind=kind, detail=detail))
 
     for i, batch in enumerate(session.batches):
-        result = manager.run(batch.op, batch.payload)
+        [result] = manager.run([(batch.op, batch.payload)])
         if isinstance(result, DegradedResult):
             report.degraded = True
             report.degraded_at = i
@@ -279,7 +279,7 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     if not report.degraded:
         bounds = _session_key_bounds(session)
         if bounds is not None:
-            final = manager.run("range", [bounds])
+            [final] = manager.run([("range", [bounds])])
             if isinstance(final, DegradedResult):
                 report.degraded = True
                 report.degraded_at = len(session.batches)
@@ -306,7 +306,8 @@ def chaos_session(session_seed: int, schedule: str, fault_seed: int = 0, *,
     report.stats = chaos_state.stats.as_dict()
     report.seal(parts, [repr(sorted(report.stats.items())),
                         f"recoveries={report.recoveries}",
-                        f"rounds={report.chaos_rounds}"])
+                        f"rounds={report.chaos_rounds}",
+                        *cpu_books(machines)])
 
     if not report.degraded:
         factor, constant = OVERHEAD_ENVELOPES[schedule]

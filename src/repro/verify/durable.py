@@ -174,7 +174,7 @@ def _drive(manager: RecoveryManager, session: Session, answers: List[Any],
         if (stop_mutations is not None and batch.op in MUTATING_OPS
                 and mutated >= stop_mutations):
             return index, mutated
-        result = manager.run(batch.op, list(batch.payload))
+        [result] = manager.run([(batch.op, list(batch.payload))])
         if batch.op in MUTATING_OPS:
             mutated += 1
         elif result != answers[index]:

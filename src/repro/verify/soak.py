@@ -40,7 +40,7 @@ from repro.recovery import DegradedReason, DegradedResult
 from repro.serve import Refusal, Server, ServerConfig
 from repro.sim.chaos import MACHINE_SCHEDULES, _mix, build_schedule
 from repro.sim.machine import PIMMachine
-from repro.verify.certificate import Certificate
+from repro.verify.certificate import Certificate, cpu_books
 from repro.verify.chaos import STRUCTURE_FACTORIES
 from repro.verify.oracle import SequentialOracle
 
@@ -328,7 +328,8 @@ def soak_session(schedule: str = "none", fault_seed: int = 0, *,
                  for name in sorted(records) for record in records[name]]
                 + [f"journal={report.journal_batches}"],
                 [f"rounds={report.rounds}",
-                 f"recoveries={report.recoveries}"])
+                 f"recoveries={report.recoveries}",
+                 *cpu_books(machines)])
     return report
 
 

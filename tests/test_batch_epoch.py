@@ -144,7 +144,7 @@ class TestCollectorIsHandedBack:
         for op, payload in [("upsert", [(150, "x"), (4100, "y")]),
                             ("delete", [200, 300]),
                             ("get", [100, 150, 200, 4100])]:
-            result = manager.run(op, payload)
+            [result] = manager.run([(op, payload)])
             assert not isinstance(result, DegradedResult)
             assert _collector_state() == before
         assert result == ["v1", "x", None, "y"]

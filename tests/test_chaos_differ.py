@@ -122,6 +122,36 @@ class TestChaosSessions:
         assert a.result_digest == b.result_digest
         assert a.model_digest != b.model_digest
 
+    @pytest.mark.parametrize("harness", ["chaos", "soak"])
+    def test_a_cpu_only_charge_moves_the_model_digest(self, monkeypatch,
+                                                      harness):
+        """The model digest seals the CPU side's books: one extra CPU
+        charge per machine moves it, while the rounds and every answer
+        stay the same."""
+        from repro.verify.soak import soak_session
+
+        def run():
+            if harness == "chaos":
+                report = chaos_session(5, "crash_wipe", fault_seed=1,
+                                       num_batches=4, batch_size=8)
+                return report, report.chaos_rounds
+            report = soak_session("crash_wipe", clients=8, ops_per_client=4)
+            return report, report.rounds
+
+        plain, plain_rounds = run()
+
+        def charged(machine):
+            machine.cpu.charge(1.0, 1.0)
+            return PIMSkipList(machine)
+
+        monkeypatch.setitem(chaos_harness.STRUCTURE_FACTORIES, "skiplist",
+                            charged)
+        extra, extra_rounds = run()
+        assert plain.ok and extra.ok, (plain.violations, extra.violations)
+        assert extra_rounds == plain_rounds
+        assert extra.result_digest == plain.result_digest
+        assert extra.model_digest != plain.model_digest
+
     def test_determinism_check_passes(self):
         report = chaos_session(2, "dup_delay", fault_seed=3,
                                num_batches=4, batch_size=8)
@@ -232,7 +262,7 @@ class TestPimtreeChaos:
                                       checkpoint_every=2)
             ran_degraded = False
             for i, batch in enumerate(session.batches):
-                result = manager.run(batch.op, batch.payload)
+                [result] = manager.run([(batch.op, batch.payload)])
                 if isinstance(result, DegradedResult):
                     ran_degraded = True
                     break
@@ -241,7 +271,7 @@ class TestPimtreeChaos:
                         (wipe, r, i, batch.op, result, expected[i])
             assert state.stats.crashes <= 1
             if not ran_degraded:
-                final = manager.run("range", [(0, 10**6)])
+                [final] = manager.run([("range", [(0, 10**6)])])
                 if isinstance(final, DegradedResult):
                     ran_degraded = True
                 else:

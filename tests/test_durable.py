@@ -611,26 +611,26 @@ class TestManagerDurableWiring:
         root = str(tmp_path)
         manager, store = _durable_manager(root)
         assert not manager.restored_from_disk
-        manager.run("upsert", [(5, "x"), (15, "y")])
-        manager.run("delete", [10])
-        manager.run("upsert", [(7, "z")])
-        want = manager.run("range", [(0, 1000)])
+        manager.run([("upsert", [(5, "x"), (15, "y")])])
+        manager.run([("delete", [10])])
+        manager.run([("upsert", [(7, "z")])])
+        [want] = manager.run([("range", [(0, 1000)])])
         store.close()
         manager2, store2 = _durable_manager(root)
         assert manager2.restored_from_disk
-        assert manager2.run("range", [(0, 1000)]) == want
+        assert manager2.run([("range", [(0, 1000)])]) == [want]
         # the replayed log mirrors what was durable, so a module crash
         # after restart still fails over correctly
-        assert manager2.run("get", [5, 7]) == ["x", "z"]
+        assert manager2.run([("get", [5, 7])]) == [["x", "z"]]
         store2.close()
 
     def test_unacked_record_never_resurfaces(self, tmp_path):
         root = str(tmp_path)
         manager, store = _durable_manager(root)
-        manager.run("upsert", [(5, "x")])
+        manager.run([("upsert", [(5, "x")])])
         # crash with a torn fragment of a record that was never acked
         store.crash(b"\x01\x02\x03")
         manager2, store2 = _durable_manager(root)
-        assert manager2.run("get", [5]) == ["x"]  # acked write kept
+        assert manager2.run([("get", [5])]) == [["x"]]  # acked write kept
         assert store2.last_durable_lsn == 1
         store2.close()

@@ -26,13 +26,13 @@ from hypothesis import given, strategies as st
 
 from repro import PIMMachine, PIMSkipList
 from repro.core import ops_successor
-from repro.recovery import TICK_GROUP, DegradedReason, DegradedResult, \
-    RecoveryManager
+from repro.recovery import DegradedReason, DegradedResult, RecoveryManager
 from repro.serve import HealthMonitor, Refusal, RefusalReason, \
     ResiliencePolicy, Server
-from repro.serve.coalesce import MergedBatch, TickGroup
+from repro.serve.coalesce import MergedBatch
 from repro.serve.errors import Request
 from repro.sim.machine import ReferencePIMMachine
+from repro.structures.lsm import PIMLSMStore
 from repro.structures.pimtree import PIMTree
 from repro.verify.oracle import SequentialOracle
 from repro.workloads import build_items
@@ -148,6 +148,45 @@ def test_a_group_costs_the_same_on_the_reference_oracle(build):
     assert cost == reference
 
 
+def _lsm(p, items, seed):
+    lsm = PIMLSMStore(PIMMachine(num_modules=p, seed=seed))
+    lsm.batch_upsert(items)
+    return lsm
+
+
+def _one_batch(op):
+    """A batch of ``op`` over ``build_items(60, stride=2)``'s keys:
+    stored keys, absent ones and keys past the end."""
+    keys = [0, 3, 10, 57, 58, 121, 500]
+    return {"get": keys, "successor": keys, "delete": keys,
+            "upsert": [(k, f"n{k}") for k in keys],
+            "range": [(4, 20), (9, 9), (30, 20), (100, 999)]}[op]
+
+
+@pytest.mark.parametrize("build", [_skiplist, _pimtree, _lsm],
+                         ids=["skiplist", "pimtree", "lsm"])
+def test_a_group_of_one_is_exactly_apply_batch(build):
+    """The invariant a tick of one batch rests on: ``apply_group`` of
+    one batch is ``apply_batch`` of it -- the same result, the same
+    model charges and the same ops seen by ``batch_observer`` -- for
+    every op the structure declares, a PIM-tree Delete included."""
+    def run(call, op):
+        structure = build(4, build_items(60, stride=2), 3)
+        machine = structure.machine
+        ops = []
+        machine.batch_observer = lambda name, _: ops.append(name)
+        before = machine.snapshot()
+        result = call(structure, op, _one_batch(op))
+        return result, machine.delta_since(before), ops
+
+    for op in sorted(build(1, [], 3).BATCH_CAPS):
+        grouped, delta, ops = run(
+            lambda s, op, payload: s.apply_group([(op, payload)]), op)
+        alone = run(lambda s, op, payload: [s.apply_batch(op, payload)], op)
+        assert (grouped, delta, ops) == alone, op
+        assert ops, op
+
+
 @pytest.mark.parametrize("build", [_skiplist, _pimtree],
                          ids=["skiplist", "pimtree"])
 def test_a_group_is_distinct_read_ops(build):
@@ -168,8 +207,9 @@ def test_a_group_is_distinct_read_ops(build):
     writes = [("upsert", [(3, "c")]), ("successor", [3, 5]), ("get", [3])]
     assert structure.apply_group(writes) == [None, [(3, "c"), (6, 6)], ["c"]]
     if build is _pimtree:
-        # the PIM-tree's tick group holds an Upsert, never a Delete
-        with pytest.raises(ValueError, match="write is an Upsert"):
+        # the PIM-tree's tick group holds an Upsert; a Delete is a
+        # group of one
+        with pytest.raises(ValueError, match="Delete is a group of one"):
             structure.apply_group([("delete", [4]), ("get", [4])])
 
 
@@ -292,10 +332,11 @@ def _server(build=_skiplist):
 
 
 def _counting_runs(server):
+    """The ops of each ``manager.run`` call, one list per call."""
     calls = []
     run = server.manager.run
-    server.manager.run = lambda op, payload: (calls.append(op),
-                                              run(op, payload))[1]
+    server.manager.run = lambda batches: (
+        calls.append([op for op, _ in batches]), run(batches))[1]
     return calls
 
 
@@ -321,7 +362,7 @@ def test_a_shared_read_tick_is_one_call_and_a_journal_entry_per_class():
     # successor behind its range rides it.
     assert [(e.tick, e.op) for e in server.journal] == [
         (1, "range"), (1, "get"), (1, "successor")]
-    assert calls == [TICK_GROUP]
+    assert calls == [["range", "get", "successor"]]
     assert server.batches_served == 3 and server.tick == 1
     runtime = server.status()["runtime"]
     assert runtime["ticks_by_kind"] == {"get+range+successor": 1}
@@ -358,7 +399,7 @@ def test_a_write_tick_journals_the_write_before_its_riders():
     assert [(e.tick, e.op) for e in server.journal] == [
         (1, "upsert"), (1, "successor"), (2, "upsert"), (3, "get")]
     assert [s[1] for s in server.journal[1].slices] == ["a", "b"]
-    assert calls == [TICK_GROUP, "upsert", "get"]
+    assert calls == [["upsert", "successor"], ["upsert"], ["get"]]
     # only the write parts are logged (and would reach the WAL)
     assert logged == [("upsert", [(11, "b")]), ("upsert", [(13, "a")])]
     assert server.status()["runtime"]["ticks_by_kind"] == {
@@ -395,17 +436,23 @@ def test_a_group_is_one_batch_to_the_policy_in_degraded_mode():
     manager = RecoveryManager(sl, lambda: _skiplist(4, [], 7))
     policy = ResiliencePolicy(manager, HealthMonitor(), breaker_threshold=1,
                               cooldown_ticks=50)
-    group = TickGroup([
+    group = [
         MergedBatch("successor", [3, 999],
                     [(Request("a", "successor", [3, 999]), 0, 2)],
                     min_deadline=9),
         MergedBatch("range", [(4, 8)],
                     [(Request("b", "range", [(4, 8)]), 0, 1)],
-                    min_deadline=7)])
-    assert group.min_deadline == 7  # the tightest sub-deadline clamps
+                    min_deadline=7)]
+    attempts = []
+    run = manager.run
+    manager.run = lambda batches: (attempts.append(
+        manager.structure.machine.config.max_delivery_attempts),
+        run(batches))[1]
     live = policy.execute(group, tick=1)
+    assert attempts == [7]  # the tightest sub-deadline clamps
     assert live == [[(4, 4), None], [[(4, 4), (6, 6), (8, 8)]]]
-    manager.run("upsert", [(5, "five")])
+    manager.run = run
+    manager.run([("upsert", [(5, "five")])])
     policy._trip(2, "test")
     stale = policy.execute(group, tick=3)
     assert all(isinstance(part, DegradedResult) and not part
@@ -418,11 +465,11 @@ def test_a_group_is_one_batch_to_the_policy_in_degraded_mode():
     # A group that holds a write is a mutating batch: the write is
     # refused, and its riders are read stale -- without the write, which
     # was never logged.
-    writes = TickGroup([
+    writes = [
         MergedBatch("upsert", [(7, 7)],
                     [(Request("a", "upsert", [(7, 7)]), 0, 1)]),
         MergedBatch("successor", [6, 7],
-                    [(Request("b", "successor", [6, 7]), 0, 2)])])
+                    [(Request("b", "successor", [6, 7]), 0, 2)])]
     refused, rider = policy.execute(writes, tick=4)
     assert isinstance(refused, Refusal)
     assert refused.reason is RefusalReason.WRITE_UNAVAILABLE
@@ -438,13 +485,13 @@ def test_a_write_group_that_quiesces_answers_its_riders_stale():
     sl = _skiplist(4, build_items(50, stride=2), 7)
     manager = RecoveryManager(sl, lambda: _skiplist(4, [], 7))
     policy = ResiliencePolicy(manager, HealthMonitor())
-    manager.run = lambda op, payload: manager._degrade(
-        op, DegradedReason.QUIESCED, "no standby")
-    writes = TickGroup([
+    manager.run = lambda batches: manager._degrade(
+        batches, DegradedReason.QUIESCED, "no standby")
+    writes = [
         MergedBatch("upsert", [(7, 7)],
                     [(Request("a", "upsert", [(7, 7)]), 0, 1)]),
         MergedBatch("successor", [7],
-                    [(Request("b", "successor", [7]), 0, 1)])])
+                    [(Request("b", "successor", [7]), 0, 1)])]
     quiesced, rider = policy.execute(writes, tick=1)
     assert quiesced.reason is DegradedReason.QUIESCED
     assert quiesced.value is None

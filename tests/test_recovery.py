@@ -38,15 +38,25 @@ def _machine(seed: int = 11, p: int = 8) -> PIMMachine:
 
 def _failover_costs(manager: RecoveryManager) -> list:
     """Record, at each failover of ``manager``, what the standby has been
-    charged by then -- its restore and the log replay:
-    ``(rounds, io_time, pim_time)``."""
+    charged by then -- its restore and the log replay, read when the
+    failed batches are retried on it: ``(rounds, io_time, pim_time)``."""
     costs = []
+    rebuild = manager.rebuild
 
-    def on_recovery(_event) -> None:
-        m = manager.structure.machine.metrics
-        costs.append((m.rounds, m.io_time, m.pim_time))
+    def standby():
+        structure = rebuild()
+        retry = structure.apply_group
 
-    manager.on_recovery = on_recovery
+        def first_call(batches):
+            m = structure.machine.metrics
+            costs.append((m.rounds, m.io_time, m.pim_time))
+            structure.apply_group = retry
+            return retry(batches)
+
+        structure.apply_group = first_call
+        return structure
+
+    manager.rebuild = standby
     return costs
 
 
@@ -163,12 +173,12 @@ class TestCaptureAroundAWipedModule:
         stored = len(run) + len(fresh)
         assert manager.checkpoint.item_count() == stored
         for i in range(8):  # enough served items to trigger a capture
-            assert manager.run("upsert",
-                               [(k, f"u{i}") for k in updated]) is None
+            assert manager.run([("upsert",
+                                 [(k, f"u{i}") for k in updated])]) == [None]
         assert manager.recoveries == 0
         keys = [0, 10, 20, 30, 40, updated[0], fresh[-1]]
         want = [0, 1, 2, 3, 4, "u7", "u7" if fresh[-1] in updated else "d"]
-        assert manager.run("get", keys) == want
+        assert manager.run([("get", keys)]) == [want]
         assert manager.recoveries == 1
         assert manager.checkpoints_captured == 1  # the capture refused
         assert manager.events[0].replayed_batches == 8
@@ -208,7 +218,7 @@ class TestRecoveryManager:
             ("get", [50, 150, 200]),
         ]
         for op, payload in script:
-            result = manager.run(op, payload)
+            [result] = manager.run([(op, payload)])
             assert not isinstance(result, DegradedResult)
             if op == "upsert":
                 oracle.update(payload)
@@ -253,7 +263,7 @@ class TestRecoveryManager:
             ("get", [50, 100, 200, 300, 4100]),
         ]
         for op, payload in script:
-            result = manager.run(op, payload)
+            [result] = manager.run([(op, payload)])
             assert not isinstance(result, DegradedResult)
             if op == "upsert":
                 oracle.update(payload)
@@ -275,14 +285,14 @@ class TestRecoveryManager:
             ("get", [k for k, _ in ITEMS]),
             ("upsert", [(50, "z")]),
         ]
-        results = [manager.run(op, payload) for op, payload in script]
+        results = [manager.run([(op, payload)])[0] for op, payload in script]
         degraded = [r for r in results if isinstance(r, DegradedResult)]
         assert degraded, "the crash must surface as a DegradedResult"
         assert not degraded[0]  # falsy by contract
         assert degraded[0].reason is DegradedReason.RESTORE_DISABLED
         assert not manager.healthy
         # Once quiesced, every further batch refuses, typed.
-        later = manager.run("get", [100])
+        [later] = manager.run([("get", [100])])
         assert isinstance(later, DegradedResult)
         assert later.reason is DegradedReason.QUIESCED
 
@@ -339,7 +349,7 @@ class TestCrashAtEveryRound:
                                       max_recoveries=2)
             dead = False
             for (op, payload), want in zip(script, expected):
-                result = manager.run(op, payload)
+                [result] = manager.run([(op, payload)])
                 if isinstance(result, DegradedResult):
                     dead = True
                     break
@@ -374,9 +384,10 @@ class TestRecoveryManagerValidation:
         machines[0].wipe_module(2)  # wiped + unrepaired -> DeliveryTimeout
         manager = RecoveryManager(sl, standby)
         keys = [k for k, _ in ITEMS]
-        result = manager.run("get", keys)
+        [result] = manager.run([("get", keys)])
         assert result == [v for _, v in ITEMS]
-        assert manager.recoveries == 1
+        assert manager.recoveries == 1 and manager.failures == 1
+        assert manager.events[0].op == "get"
         assert "DeliveryTimeout" in manager.events[0].cause
 
 
@@ -416,10 +427,10 @@ class TestCheckpointBoundaries:
         manager, _ = _managed_skiplist(checkpoint_every=1)
         n = manager.checkpoint.item_count()
         for i in range(1, n):
-            manager.run("upsert", [(5 + i, f"n{i}")])
+            manager.run([("upsert", [(5 + i, f"n{i}")])])
             assert manager.log_size == i
         assert manager.checkpoints_captured == 1  # the initial one only
-        manager.run("upsert", [(5 + n, "last")])  # the n-th served item
+        manager.run([("upsert", [(5 + n, "last")])])  # the n-th served item
         assert manager.log_size == 0
         assert manager.checkpoints_captured == 2
         # ...and k still binds when served items are plentiful: batches
@@ -427,28 +438,28 @@ class TestCheckpointBoundaries:
         manager, _ = _managed_skiplist(checkpoint_every=3)
         rewrite = [(k, "x") for k in self.KEYS]
         for expected_log in (1, 2, 0, 1, 2, 0):
-            manager.run("upsert", rewrite)
+            manager.run([("upsert", rewrite)])
             assert manager.log_size == expected_log
         assert manager.checkpoints_captured == 3
 
     def test_boundary_falls_where_served_items_reach_checkpoint_size(self):
         manager, _ = _managed_skiplist(checkpoint_every=2)
         n = manager.checkpoint.item_count()
-        manager.run("upsert", [(5, "a")])
-        manager.run("upsert", [(7, "b")])
+        manager.run([("upsert", [(5, "a")])])
+        manager.run([("upsert", [(7, "b")])])
         assert manager.log_size == 2  # k reached, 2 of 40 items served
-        manager.run("get", self.KEYS[:n - 3])
+        manager.run([("get", self.KEYS[:n - 3])])
         assert manager.log_size == 2  # reads count, but never capture
-        manager.run("upsert", [(9, "c")])  # served item number 40
+        manager.run([("upsert", [(9, "c")])])  # served item number 40
         assert manager.log_size == 0
         assert manager.replay_debt_items == 0
         assert manager.last_checkpoint_items == n + 3
         # the next window is measured against the *new* checkpoint
-        manager.run("get", self.KEYS)
-        manager.run("upsert", [(11, "d")])
-        manager.run("upsert", [(13, "e")])
+        manager.run([("get", self.KEYS)])
+        manager.run([("upsert", [(11, "d")])])
+        manager.run([("upsert", [(13, "e")])])
         assert manager.log_size == 2  # 42 of 43
-        manager.run("upsert", [(15, "f")])
+        manager.run([("upsert", [(15, "f")])])
         assert manager.log_size == 0
 
     def test_tiny_structure_keeps_the_every_k_cadence(self):
@@ -462,20 +473,20 @@ class TestCheckpointBoundaries:
         assert manager.last_checkpoint_items == 0  # empty: rule is k alone
         batch = [(k, "v") for k in (1, 2, 3, 4)]
         for expected_log in (1, 0, 1, 0, 1, 0):
-            manager.run("upsert", batch)  # never outgrows one batch
+            manager.run([("upsert", batch)])  # never outgrows one batch
             assert manager.log_size == expected_log
         assert manager.checkpoints_captured == 4
 
     def test_crash_exactly_at_a_boundary_replays_an_empty_log(self):
         manager, machines = _managed_skiplist(checkpoint_every=2)
-        manager.run("upsert", [(5, "a")])
+        manager.run([("upsert", [(5, "a")])])
         assert manager.log_size == 1
-        manager.run("get", self.KEYS[:-2])
-        manager.run("upsert", [(7, "b")])  # k=2 and served item 40
+        manager.run([("get", self.KEYS[:-2])])
+        manager.run([("upsert", [(7, "b")])])  # k=2 and served item 40
         assert manager.log_size == 0
         assert manager.checkpoint.item_count() == len(ITEMS) + 2
         machines[0].wipe_module(2)
-        result = manager.run("get", self.KEYS + [5, 7])
+        [result] = manager.run([("get", self.KEYS + [5, 7])])
         assert result == [v for _, v in ITEMS] + ["a", "b"]
         assert manager.events[0].replayed_batches == 0
         assert manager.events[0].checkpoint_items == len(ITEMS) + 2
@@ -483,21 +494,21 @@ class TestCheckpointBoundaries:
     def test_mid_window_crash_replays_the_log_and_keeps_it(self):
         manager, machines = _managed_skiplist(checkpoint_every=4)
         for i, key in enumerate((5, 7, 9), start=1):
-            manager.run("upsert", [(key, f"n{i}")])
+            manager.run([("upsert", [(key, f"n{i}")])])
         assert manager.log_size == 3
         machines[0].wipe_module(2)
-        assert manager.run("get", [5, 7, 9]) == ["n1", "n2", "n3"]
+        assert manager.run([("get", [5, 7, 9])]) == [["n1", "n2", "n3"]]
         assert manager.events[0].replayed_batches == 3
         # Failover must NOT clear the log: checkpoint + log is still the
         # recipe for rebuilding the standby if *it* fails too.
         assert manager.log_size == 3
         # the k=4 floor alone no longer closes the window ...
-        manager.run("upsert", [(11, "n4")])
+        manager.run([("upsert", [(11, "n4")])])
         assert manager.log_size == 4
         assert manager.replay_debt_items == 4
         # ... the 40th served item does (3 + 3 + 1 + 32 + 1)
-        manager.run("get", self.KEYS[:32])
-        manager.run("upsert", [(13, "n5")])
+        manager.run([("get", self.KEYS[:32])])
+        manager.run([("upsert", [(13, "n5")])])
         assert manager.log_size == 0
         assert manager.checkpoint.item_count() == len(ITEMS) + 5
 
@@ -533,7 +544,7 @@ class TestCheckpointAmortization:
         writes = 3 * n + 5
         for i in range(writes):
             key = ITEMS[i % n][0]  # overwrite: n stays put, the tight case
-            manager.run("upsert", [(key, i)])
+            manager.run([("upsert", [(key, i)])])
             assert (manager.replay_debt_items
                     <= manager.checkpoint.item_count() + 1)
         bound = -(-writes // n) + 1
@@ -546,47 +557,27 @@ class TestCheckpointAmortization:
 
 class TestManagerHooksAndReadRetry:
     def test_read_retries_spend_backoff_then_fail_over(self):
-        backoffs, failures = [], []
+        backoffs = []
         manager, machines = _managed_skiplist(
             read_retry_attempts=2,
-            retry_backoff=lambda attempt: backoffs.append(attempt) or 2,
-            on_failure=lambda op, exc: failures.append(
-                (op, type(exc).__name__)))
+            retry_backoff=lambda attempt: backoffs.append(attempt) or 2)
         machines[0].wipe_module(2)
-        result = manager.run("get", [k for k, _ in ITEMS])
+        [result] = manager.run([("get", [k for k, _ in ITEMS])])
         assert result == [v for _, v in ITEMS]
         assert manager.read_retries == 2
         assert backoffs == [1, 2]  # attempt number drives the curve
-        # the initial attempt and both in-place retries each reported
-        assert failures == [("get", "DeliveryTimeout")] * 3
+        # the initial attempt and both in-place retries each counted
+        assert manager.failures == 3
         assert manager.recoveries == 1
 
     def test_mutations_never_retry_in_place(self):
         manager, machines = _managed_skiplist(read_retry_attempts=5)
         machines[0].wipe_module(2)
         payload = [(k + 1, f"x{k}") for k, _ in ITEMS]
-        assert manager.run("upsert", payload) is None
+        assert manager.run([("upsert", payload)]) == [None]
         assert manager.read_retries == 0  # budget present, never spent
+        assert manager.failures == 1
         assert manager.recoveries == 1
-
-    def test_on_recovery_hook_sees_the_failover_event(self):
-        seen = []
-        manager, machines = _managed_skiplist(on_recovery=seen.append)
-        machines[0].wipe_module(2)
-        manager.run("get", [k for k, _ in ITEMS])
-        assert len(seen) == 1 and seen[0] is manager.events[0]
-        assert "DeliveryTimeout" in seen[0].cause
-
-    def test_on_degrade_hook_sees_the_typed_refusal(self):
-        recovered, degrades = [], []
-        manager, machines = _managed_skiplist(
-            max_recoveries=0, on_recovery=recovered.append,
-            on_degrade=degrades.append)
-        machines[0].wipe_module(2)
-        result = manager.run("get", [k for k, _ in ITEMS])
-        assert isinstance(result, DegradedResult)
-        assert result.reason is DegradedReason.RECOVERY_EXHAUSTED
-        assert recovered == [] and degrades == [result]
 
 
 def _crash_current_primary(machines) -> None:
@@ -601,8 +592,9 @@ def _crash_current_primary(machines) -> None:
 
 class TestRecoveryLimitBoundary:
     """``max_recoveries`` exactly at the limit: the N-th failover still
-    succeeds, the (N+1)-th crash degrades, and the hooks fire in
-    failure -> recovery order (failure -> degrade at exhaustion)."""
+    succeeds, the (N+1)-th crash degrades, and the manager's books --
+    ``failures``, ``events``, ``degraded`` -- count failure -> recovery
+    (failure -> degrade at exhaustion)."""
 
     def test_nth_failover_succeeds_and_n_plus_first_degrades(self):
         manager, machines = _managed_skiplist(max_recoveries=2)
@@ -610,39 +602,36 @@ class TestRecoveryLimitBoundary:
         values = [v for _, v in ITEMS]
         for expected in (1, 2):  # recoveries 1..N all serve exactly
             _crash_current_primary(machines)
-            assert manager.run("get", keys) == values
+            assert manager.run([("get", keys)]) == [values]
             assert manager.recoveries == expected
+            assert manager.failures == expected
+            assert "DeliveryTimeout" in manager.events[-1].cause
             assert manager.healthy
         _crash_current_primary(machines)  # crash N+1: budget spent
-        result = manager.run("get", keys)
+        [result] = manager.run([("get", keys)])
         assert isinstance(result, DegradedResult)
         assert result.reason is DegradedReason.RECOVERY_EXHAUSTED
         assert manager.recoveries == 2  # the refusal burns no budget
-        assert not manager.healthy
+        assert manager.failures == 3
+        assert not manager.healthy and manager.degraded
+        assert result.cause == manager.degraded_reason
+        assert "DeliveryTimeout" in result.cause
         # degraded mode is sticky: the next batch refuses immediately
-        again = manager.run("get", keys)
+        [again] = manager.run([("get", keys)])
         assert isinstance(again, DegradedResult)
+        assert again.reason is DegradedReason.QUIESCED
+        assert manager.failures == 3
 
-    def test_hooks_fire_failure_then_recovery_then_degrade(self):
-        calls = []
-        manager, machines = _managed_skiplist(
-            max_recoveries=1,
-            on_failure=lambda op, exc: calls.append(
-                ("failure", op, type(exc).__name__)),
-            on_recovery=lambda ev: calls.append(("recovery", ev.cause)),
-            on_degrade=lambda res: calls.append(("degrade", res.reason)))
-        keys = [k for k, _ in ITEMS]
-        _crash_current_primary(machines)
-        manager.run("get", keys)
-        assert [c[0] for c in calls] == ["failure", "recovery"]
-        assert calls[0][1:] == ("get", "DeliveryTimeout")
-        assert "DeliveryTimeout" in calls[1][1]
-        _crash_current_primary(machines)
-        result = manager.run("get", keys)
-        assert isinstance(result, DegradedResult)
-        assert [c[0] for c in calls] == ["failure", "recovery",
-                                        "failure", "degrade"]
-        assert calls[3][1] is DegradedReason.RECOVERY_EXHAUSTED
+    def test_no_budget_degrades_a_group_with_one_refusal_per_batch(self):
+        manager, machines = _managed_skiplist(max_recoveries=0)
+        machines[0].wipe_module(2)
+        results = manager.run([("upsert", [(5, "a")]), ("successor", [5])])
+        assert [r.reason for r in results] == [
+            DegradedReason.RECOVERY_EXHAUSTED] * 2
+        assert [r.op for r in results] == ["upsert", "successor"]
+        assert not any(results)
+        assert manager.events == [] and manager.failures == 1
+        assert manager.log_size == 0  # the refused write is never logged
 
 
 #: The log is empty, so a standby's restore is one build: rounds 0 and
@@ -652,13 +641,13 @@ IN_THE_RESTORE, IN_THE_RETRY = 1, 2
 
 class TestAStandbyThatFailsTheRetry:
     """The factory may hand back faulty hardware: a standby that crashes
-    while it is restored or on the retried batch is one more failure,
-    reported to ``on_failure`` when there is a hook, and costs one more
-    failover onto the next standby, which answers."""
+    while it is restored or on the retried batch is one more failure in
+    the manager's ``failures``, and costs one more failover onto the
+    next standby, which answers."""
 
     KEYS = [k for k, _ in ITEMS]
 
-    def _manager(self, at_round=IN_THE_RETRY, **hooks):
+    def _manager(self, at_round):
         machines = []
 
         def standby() -> PIMSkipList:
@@ -674,39 +663,24 @@ class TestAStandbyThatFailsTheRetry:
         sl.build(ITEMS)
         machines[0].install_fault_plan(FaultPlan(FaultSpec(), seed=0))
         machines[0].wipe_module(2)
-        return RecoveryManager(sl, standby, **hooks), machines
+        return RecoveryManager(sl, standby), machines
 
-    def _with_a_hook(self, at_round):
-        failures = []
-        manager, machines = self._manager(
-            at_round,
-            on_failure=lambda op, exc: failures.append(
-                (op, type(exc).__name__)))
-        assert manager.run("get", self.KEYS) == [v for _, v in ITEMS]
-        assert failures == [("get", "DeliveryTimeout")] * 2
-        assert manager.recoveries == 2 and len(machines) == 3
-        assert manager.structure.machine is machines[2]
-        assert manager.healthy
-
-    def _without_a_hook(self, at_round):
+    def _fails_over_twice(self, at_round):
         manager, machines = self._manager(at_round)
-        assert manager.run("get", self.KEYS) == [v for _, v in ITEMS]
+        assert manager.run([("get", self.KEYS)]) == [[v for _, v in ITEMS]]
+        assert manager.failures == 2
         assert manager.recoveries == 2 and len(machines) == 3
         assert all("DeliveryTimeout" in event.cause
                    for event in manager.events)
+        assert [event.op for event in manager.events] == ["get", "get"]
+        assert manager.structure.machine is machines[2]
         assert manager.healthy
 
-    def test_the_hook_sees_both_failures(self):
-        self._with_a_hook(IN_THE_RETRY)
-
     def test_without_a_hook(self):
-        self._without_a_hook(IN_THE_RETRY)
-
-    def test_a_standby_that_fails_its_restore_with_a_hook(self):
-        """The crash lands inside the standby's build, before any retry:
-        the same failure, reported, and one more failover -- not an
-        exception out of ``run``."""
-        self._with_a_hook(IN_THE_RESTORE)
+        self._fails_over_twice(IN_THE_RETRY)
 
     def test_a_standby_that_fails_its_restore_without_a_hook(self):
-        self._without_a_hook(IN_THE_RESTORE)
+        """The crash lands inside the standby's build, before any retry:
+        the same failure, counted, and one more failover -- not an
+        exception out of ``run``."""
+        self._fails_over_twice(IN_THE_RESTORE)

@@ -317,14 +317,13 @@ class TestResiliencePolicy:
         seen = {}
         real_run = manager.run
 
-        def spy(op, payload):
+        def spy(batches):
             seen["attempts"] = manager.structure.machine \
                 .config.max_delivery_attempts
-            return real_run(op, payload)
+            return real_run(batches)
 
         manager.run = spy
-        result = policy.execute(batch, tick=10)
-        assert result == [2]
+        assert policy.execute([batch], tick=10) == [[2]]
         assert seen["attempts"] == 3  # deadline 12, tick 10 -> 3 attempts
         assert machines[0].config.max_delivery_attempts == original
 
@@ -339,33 +338,32 @@ class TestResiliencePolicy:
                                   cooldown_ticks=5)
         batch = MergedBatch("get", [2], [(Request("t", "get", [2]), 0, 1)])
         # simulate a batch that survives only via two in-batch failure
-        # events (exactly what the manager hooks report during retries)
+        # events (exactly what the manager counts during retries)
         real_run = manager.run
 
-        def run_with_failures(op, payload):
-            policy._on_failure(op, RuntimeError("boom"))
-            policy._on_failure(op, RuntimeError("boom"))
-            return real_run(op, payload)
+        def run_with_failures(batches):
+            manager.failures += 2
+            return real_run(batches)
 
         manager.run = run_with_failures
-        result = policy.execute(batch, tick=1)
+        result = policy.execute([batch], tick=1)
         manager.run = real_run
-        assert result == [2]  # the batch itself still answered
+        assert result == [[2]]  # the batch itself still answered
+        assert policy.stats["failures"] == 2
         assert policy.circuit_open
         assert health.state is HealthState.DEGRADED
         # while open: reads are stale-typed, writes typed-refused
         write = MergedBatch("upsert", [(3, 3)],
                             [(Request("t", "upsert", [(3, 3)]), 0, 1)])
-        refused = policy.execute(write, tick=2)
+        [refused] = policy.execute([write], tick=2)
         assert isinstance(refused, Refusal)
         assert refused.reason is RefusalReason.WRITE_UNAVAILABLE
-        stale = policy.execute(batch, tick=3)
+        [stale] = policy.execute([batch], tick=3)
         assert isinstance(stale, DegradedResult)
         assert stale.reason is DegradedReason.STALE_READ
         assert stale.value == [2]
         # cooldown elapses -> half-open probe -> healthy again
-        probe = policy.execute(batch, tick=1 + 5)
-        assert probe == [2]
+        assert policy.execute([batch], tick=1 + 5) == [[2]]
         assert health.state is HealthState.HEALTHY
         assert policy.stats["probes"] == 1
 
@@ -390,13 +388,14 @@ class TestResiliencePolicy:
         assert policy._durable_view().get(10) is None
         for value in (1, 2):
             # 32 items served >= the 18 stored: every batch captures
-            manager.run("upsert", [(10 + i % 16, value) for i in range(32)])
+            manager.run([("upsert",
+                          [(10 + i % 16, value) for i in range(32)])])
             assert manager.log_size == 0
             assert policy._durable_view().get(10) == value
         assert manager.checkpoints_captured == 3
         # between captures the log grows and the view follows it
         manager.checkpoint_every = 100
-        manager.run("upsert", [(10, 3)])
+        manager.run([("upsert", [(10, 3)])])
         assert manager.log_size == 1
         assert policy._durable_view().get(10) == 3
 
