@@ -70,7 +70,7 @@ from typing import Any, Dict, Optional, Sequence
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-from repro.core.ops_search import search_message
+from repro.core.ops_search import search_message, walk_columns
 from repro.core.skiplist import PIMSkipList
 from repro.sim.fastpath import BCAST
 from repro.sim.machine import PIMMachine, ReferencePIMMachine
@@ -139,8 +139,8 @@ def pointer_walk(probe_machine, *, P=128, n=8192, B=4096, batches=3,
                     for i, k in enumerate(qs)]
             machine.send_all(msgs)
             succ = [None] * len(qs)
-            for r in machine.drain():
-                _tag, opid, pred, right = r.payload
+            (opids, preds, rights), _path = walk_columns(machine.drain())
+            for opid, pred, right in zip(opids, preds, rights):
                 if not pred.is_sentinel and pred.key == qs[opid]:
                     succ[opid] = (pred.key, pred.value)
                 elif right is not None:

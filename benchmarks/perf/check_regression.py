@@ -73,6 +73,7 @@ from bench_pimtree import (ADVERSARY, CONTESTANTS,  # noqa: E402
 from bench_wallclock import ENGINES, SCENARIOS  # noqa: E402
 from repro.balls.hashing import KeyLevelHash  # noqa: E402
 from repro.core import ops_upsert  # noqa: E402
+from repro.core.ops_search import walk_columns  # noqa: E402
 from repro.core.skiplist import PIMSkipList  # noqa: E402
 from repro.ops import Columns, run_batch  # noqa: E402
 from repro.recovery.checkpoint import (Checkpoint,  # noqa: E402
@@ -335,56 +336,82 @@ class Bench:
                 best[side] = min(best[side], time.perf_counter() - start)
         return best["scalar"] / best["vector"]
 
-    @memo
     def cpu_side_over_drain(self, op: str) -> float:
+        """One op's cell of :meth:`cpu_side_ratios`."""
+        return self.cpu_side_ratios()[op]
+
+    @memo
+    def cpu_side_ratios(self) -> Dict[str, float]:
         """The host's CPU side of one fixed ``min_search_batch`` (2 304
-        keys) of ``op`` on a 64-module, 16 384-key skip list, over its
-        round engine: ``apply_batch`` wall minus the time inside
-        ``machine.drain`` and ``machine.send_all``, over the time inside
-        ``drain``.  Median of ``3 * repeat`` runs of the batch after one
-        warm-up.  Every run leaves the structure as it was: reads do,
-        an Upsert of fresh keys is followed by a Delete of them and a
+        keys) of each op on a 64-module, 16 384-key skip list (one per
+        op), over its round engine: ``apply_batch`` wall minus the time
+        inside ``machine.drain`` and ``machine.send_all``, over the
+        time inside ``drain``.  A ``Columns`` stage element's
+        ``send_cols`` is not subtracted: its issue time counts as CPU
+        side.  Median of ``3 * repeat`` runs of each batch after one
+        warm-up; the four ops run alternately, one batch each per
+        repeat, so every ratio is read across the same stretch of host
+        load.  Every run leaves the structure as it was: reads do, an
+        Upsert of fresh keys is followed by a Delete of them and a
         Delete is preceded by their Upsert, both untimed."""
+        runs = {}
+        for op in ("get", "successor", "upsert", "delete"):
+            machine = PIMMachine(num_modules=64, seed=7)
+            sl = PIMSkipList(machine)
+            sl.build(build_items(16384, stride=2))
+            rng = random.Random(7)
+            keys = [rng.randrange(2 * 16384)
+                    for _ in range(sl.min_search_batch)]
+            fresh = [2 * i + 1 for i in rng.sample(range(16384), len(keys))]
+            batch, before, after = {
+                "get": (keys, None, None),
+                "successor": (keys, None, None),
+                "upsert": ([(k, 0) for k in fresh], None, ("delete", fresh)),
+                "delete": (fresh, ("upsert", [(k, 0) for k in fresh]),
+                           None),
+            }[op]
+            inside = {"drain": 0.0, "send_all": 0.0}
+            for name in inside:
+                setattr(machine, name, _timed(getattr(machine, name),
+                                              inside, name))
+            runs[op] = (sl, batch, before, after, inside, [])
+        for _ in range(1 + 3 * self.repeat):
+            for op, (sl, batch, before, after, inside, ratios) in \
+                    runs.items():
+                if before:
+                    sl.apply_batch(*before)
+                inside["drain"] = inside["send_all"] = 0.0
+                start = time.perf_counter()
+                sl.apply_batch(op, batch)
+                wall = time.perf_counter() - start
+                ratios.append((wall - inside["drain"] - inside["send_all"])
+                              / inside["drain"])
+                if after:
+                    sl.apply_batch(*after)
+        return {op: statistics.median(run[-1][1:])
+                for op, run in runs.items()}
+
+    @memo
+    def replies_drained(self, op: str) -> int:
+        """The ``Reply`` objects the drains of one fixed 2 304-key
+        ``op`` batch return, on a 64-module, 16 384-key skip list (the
+        ``cpu_side_over_drain`` fixture)."""
         machine = PIMMachine(num_modules=64, seed=7)
         sl = PIMSkipList(machine)
         sl.build(build_items(16384, stride=2))
         rng = random.Random(7)
         keys = [rng.randrange(2 * 16384) for _ in range(sl.min_search_batch)]
-        fresh = [2 * i + 1 for i in rng.sample(range(16384), len(keys))]
-        batch, before, after = {
-            "get": (keys, None, None),
-            "successor": (keys, None, None),
-            "upsert": ([(k, 0) for k in fresh], None, ("delete", fresh)),
-            "delete": (fresh, ("upsert", [(k, 0) for k in fresh]), None),
-        }[op]
-        inside = {"drain": 0.0, "send_all": 0.0}
+        drain = machine.drain
+        seen = [0]
 
-        def timed(name: str) -> None:
-            call = getattr(machine, name)
+        def counting_drain(*args, **kwargs):
+            replies = drain(*args, **kwargs)
+            seen[0] += len(replies)
+            return replies
 
-            def wrapper(*args, **kwargs):
-                start = time.perf_counter()
-                try:
-                    return call(*args, **kwargs)
-                finally:
-                    inside[name] += time.perf_counter() - start
-            setattr(machine, name, wrapper)
-
-        timed("drain")
-        timed("send_all")
-        ratios = []
-        for _ in range(1 + 3 * self.repeat):
-            if before:
-                sl.apply_batch(*before)
-            inside["drain"] = inside["send_all"] = 0.0
-            start = time.perf_counter()
-            sl.apply_batch(op, batch)
-            wall = time.perf_counter() - start
-            ratios.append((wall - inside["drain"] - inside["send_all"])
-                          / inside["drain"])
-            if after:
-                sl.apply_batch(*after)
-        return statistics.median(ratios[1:])
+        machine.drain = counting_drain
+        sl.apply_batch(op, keys)
+        return seen[0]
 
     @memo
     def cpu_side_session(self) -> tuple:
@@ -542,9 +569,10 @@ class Bench:
 
             def counting_drain(*args, **kwargs):
                 replies = drain(*args, **kwargs)
-                seen["above"] += sum(
-                    r.payload[0] == "path" and r.payload[3] > keeps[r.payload[1]]
-                    for r in replies)
+                _done, (opids, _nodes, levels, _rights) = walk_columns(
+                    replies)
+                seen["above"] += sum(level > keeps[opid]
+                                     for opid, level in zip(opids, levels))
                 return replies
 
             machine.drain = counting_drain
@@ -657,6 +685,18 @@ class Bench:
         return best
 
 
+def _timed(call: Callable, inside: Dict[str, float],
+           name: str) -> Callable:
+    """``call``, adding the seconds spent inside it to ``inside[name]``."""
+    def wrapper(*args: Any, **kwargs: Any) -> Any:
+        start = time.perf_counter()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            inside[name] += time.perf_counter() - start
+    return wrapper
+
+
 EXACT = True
 LOG, AFTER, BEFORE = ("rto_log_length.-1", "rto_replay_debt.after_snapshot",
                       "rto_replay_debt.before_snapshot")
@@ -697,10 +737,16 @@ GATES: List[Gate] = [
     Gate("vector placement / scalar loop, n = 2304",
          lambda b: b.placement_speedup(), ">=", 6.0),
     # apply_batch wall minus drain minus send_all, over drain, one fixed
-    # 2 304-key batch at P = 64.  Recorded 0.28 (Get) and 0.43
-    # (Successor); PR 19 read 0.72-0.75 and 0.58-0.60 here, with a
-    # Python frame or two per key in the route's CPU side.  Above
-    # the ceiling, a per-key spelling is back on the route.
+    # 2 304-key batch at P = 64, the four ops run alternately (a
+    # ``Columns`` element's send_cols counts as CPU side).  Recorded
+    # 0.28 (Get) and 0.43 (Successor); with a Python frame or two per
+    # key in the route's CPU side they read 0.72-0.75 and 0.58-0.60
+    # here.  Above the ceiling, a per-key spelling is back on the
+    # route.  A faster drain raises a ratio: with the walk and the
+    # point bodies in columns the four rows read 0.24-0.26 / 0.42-0.45
+    # / 0.54-0.58 / 0.50-0.53 over five full-table runs (0.27-0.30 /
+    # 0.40-0.41 / 0.49-0.52 / 0.49-0.51 before, each op's runs back to
+    # back).
     Gate("CPU side / drain, 2304-key Get",
          lambda b: b.cpu_side_over_drain("get"), "<=", 0.45),
     Gate("CPU side / drain, 2304-key Successor",
@@ -833,6 +879,15 @@ GATES: List[Gate] = [
     Gate("pimtree read group: replies drained",
          lambda b: b.tick_groups()["pimtree", "replies"], "==", 13,
          EXACT),
+    # The skip list's walk answers in a "done" and a "path" column reply
+    # at most per body call, and its point bodies in one reply per call:
+    # a 2 304-key Successor batch at P = 64 drains 281 replies (6 843
+    # while every answer was its own), a Get batch 1 (2 230: one per
+    # distinct key).
+    Gate("skiplist 2304-key Successor: replies drained",
+         lambda b: b.replies_drained("successor"), "==", 281, EXACT),
+    Gate("skiplist 2304-key Get: replies drained",
+         lambda b: b.replies_drained("get"), "==", 1, EXACT),
     # -- batched tree range (core/ops_range.py): the cut-point sweep
     # pays one boundary search, one root and one go per covered piece,
     # so n pairwise-disjoint ops cost n of each (3n under the old

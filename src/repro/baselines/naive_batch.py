@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.ops_search import search_message
+from repro.core.ops_search import search_message, walk_columns
 from repro.core.structure import SkipListStructure
 from repro.ops import run_batch
 
@@ -23,11 +23,9 @@ def _naive_route(sl: SkipListStructure, keys: Sequence[Hashable]):
     replies = yield [search_message(sl, key, opid=i)
                      for i, key in enumerate(keys)]
     results: List[Optional[Tuple[Any, Any]]] = [None] * len(keys)
-    for r in replies:
-        payload = r.payload
-        if payload[0] == "done":
-            _, opid, pred, right = payload
-            results[opid] = (pred, right)
+    (opids, preds, rights), _path = walk_columns(replies)
+    for opid, pred, right in zip(opids, preds, rights):
+        results[opid] = (pred, right)
     return results
 
 

@@ -220,22 +220,38 @@ class CuckooHashTable:
 
         Like every public operation, a lookup also advances the pending
         placement queue by O(1) moves (the de-amortization schedule).
+        The public operations hash an int key inline (:meth:`_h1` /
+        :meth:`_h2` spelled out) and charge their probes in one call.
         """
-        self._drain_pending(self._moves_per_op)
-        self._charge(1)
-        slot = self._t1[self._h1(key)]
+        if self._pending or len(self._stash) > self._stash_limit:
+            self._drain_pending(self._moves_per_op)
+        if type(key) is int:
+            x = (key ^ self._mix1) & _MASK
+            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+            slot = self._t1[(x ^ (x >> 31)) % self._capacity]
+        else:
+            slot = self._t1[self._h1(key)]
         if slot is not None and slot[0] == key:
+            self._charge(1)
             return slot[1]
-        self._charge(1)
-        slot = self._t2[self._h2(key)]
+        if type(key) is int:
+            x = (key ^ self._mix2) & _MASK
+            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+            slot = self._t2[(x ^ (x >> 31)) % self._capacity]
+        else:
+            slot = self._t2[self._h2(key)]
         if slot is not None and slot[0] == key:
+            self._charge(2)
             return slot[1]
         if key in self._stash:
-            self._charge(1)
+            self._charge(3)
             return self._stash[key]
         if key in self._pending:
-            self._charge(1)
+            self._charge(3)
             return self._pending[key][0]
+        self._charge(2)
         return default
 
     def __contains__(self, key: Hashable) -> bool:
@@ -243,15 +259,17 @@ class CuckooHashTable:
 
     def insert(self, key: Hashable, value: Any) -> None:
         """Insert or overwrite ``key``.  O(1) de-amortized moves."""
-        if self._update_in_place(key, value):
+        probes = self._update_in_place(key, value)
+        if probes:
+            self._charge(probes)
+        else:
+            self._pending[key] = (value, True)
+            self._count += 1
+            self._charge(3)  # two probes and the queue push
+            if self._count > 2 * self.MAX_LOAD * self._capacity:
+                self._rebuild(self._capacity * 2)
+        if self._pending or len(self._stash) > self._stash_limit:
             self._drain_pending(self._moves_per_op)
-            return
-        self._pending[key] = (value, True)
-        self._count += 1
-        self._charge(1)
-        if self._count > 2 * self.MAX_LOAD * self._capacity:
-            self._rebuild(self._capacity * 2)
-        self._drain_pending(self._moves_per_op)
 
     def load(self, items: List[Tuple[Hashable, Any]]) -> None:
         """Fill an empty table with ``items`` (distinct keys) in one
@@ -268,55 +286,78 @@ class CuckooHashTable:
             capacity *= 2
         self._place_all(items, capacity)
 
-    def _update_in_place(self, key: Hashable, value: Any) -> bool:
-        self._charge(1)
-        i1 = self._h1(key)
+    def _update_in_place(self, key: Hashable, value: Any) -> int:
+        """Overwrite ``key``'s value where it is; returns the probes
+        that took, for the caller to charge, or 0 (two probes, charged
+        by the caller) when the key is absent."""
+        if type(key) is int:
+            x = (key ^ self._mix1) & _MASK
+            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+            i1 = (x ^ (x >> 31)) % self._capacity
+        else:
+            i1 = self._h1(key)
         slot = self._t1[i1]
         if slot is not None and slot[0] == key:
             self._t1[i1] = (key, value)
-            return True
-        self._charge(1)
-        i2 = self._h2(key)
+            return 1
+        if type(key) is int:
+            x = (key ^ self._mix2) & _MASK
+            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+            i2 = (x ^ (x >> 31)) % self._capacity
+        else:
+            i2 = self._h2(key)
         slot = self._t2[i2]
         if slot is not None and slot[0] == key:
             self._t2[i2] = (key, value)
-            return True
-        if key in self._stash:
+        elif key in self._stash:
             self._stash[key] = value
-            return True
-        if key in self._pending:
+        elif key in self._pending:
             self._pending[key] = (value, self._pending[key][1])
-            return True
-        return False
+        else:
+            return 0
+        return 2
 
     def delete(self, key: Hashable) -> bool:
         """Remove ``key``; returns whether it was present.  O(1) probes."""
-        removed = False
-        self._charge(1)
-        i1 = self._h1(key)
+        if type(key) is int:
+            x = (key ^ self._mix1) & _MASK
+            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+            i1 = (x ^ (x >> 31)) % self._capacity
+        else:
+            i1 = self._h1(key)
         slot = self._t1[i1]
         if slot is not None and slot[0] == key:
             self._t1[i1] = None
-            removed = True
-        if not removed:
-            self._charge(1)
-            i2 = self._h2(key)
+            probes = 1
+        else:
+            if type(key) is int:
+                x = (key ^ self._mix2) & _MASK
+                x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+                x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+                i2 = (x ^ (x >> 31)) % self._capacity
+            else:
+                i2 = self._h2(key)
             slot = self._t2[i2]
             if slot is not None and slot[0] == key:
                 self._t2[i2] = None
-                removed = True
-        if not removed and key in self._stash:
-            del self._stash[key]
-            self._charge(1)
-            removed = True
-        if not removed and key in self._pending:
-            del self._pending[key]
-            self._charge(1)
-            removed = True
-        if removed:
+                probes = 2
+            elif key in self._stash:
+                del self._stash[key]
+                probes = 3
+            elif key in self._pending:
+                del self._pending[key]
+                probes = 3
+            else:
+                probes = 0
+        self._charge(probes or 2)
+        if probes:
             self._count -= 1
-        self._drain_pending(self._moves_per_op)
-        return removed
+        if self._pending or len(self._stash) > self._stash_limit:
+            self._drain_pending(self._moves_per_op)
+        return probes > 0
 
     def __len__(self) -> int:
         return self._count

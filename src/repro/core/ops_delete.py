@@ -164,8 +164,7 @@ def _delete_route(sl, keys):
     try:
         # -- stage 1: shortcut marking -------------------------------
         distinct = list(group_positions(cpu, keys))
-        replies = yield sl.shortcut_stage(f"{sl.name}:del_mark",
-                                          distinct, zip(distinct))
+        replies = yield [sl.shortcut_stage(f"{sl.name}:del_mark", distinct)]
         # The contraction draws its coins in this order: the marked
         # leaves, then the tower nodes, each by module in arrival order.
         # A drain already returns it (one round each, in slot order);

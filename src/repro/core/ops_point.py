@@ -30,63 +30,65 @@ from repro.ops import run_batch
 from repro.sim.task import Reply
 
 
+def _point_body(name: str, update: bool) -> Any:
+    """A hash-shortcut point body: each task looks its key up in its
+    module's table (which charges its probes through the
+    ``module.charge`` it was built with; the task's own unit goes to
+    ``bct.work``) and, for an Update, overwrites the leaf's value.
+
+    It answers in columns: one reply per run of one tag -- one per call
+    for a route's untagged stage -- whose payload is the kind (``"get"``
+    / ``"update"``), the keys and the values read (``None`` for a miss)
+    or whether each key was found, and whose ``src`` lists the replying
+    modules, a row each."""
+    kind = "update" if update else "get"
+
+    def body(bct, chunks):
+        modules = bct.machine.modules
+        work = bct.work
+        sent = bct.sent
+        tracing = bct.tracing
+        srcs = keys = answers = None
+        run_tag: Any = body  # no row's tag: the first row opens a run
+        for ch in chunks:
+            for mid, args, tag, _size in bct.rows_of(ch):
+                key = args[0]
+                leaf = modules[mid].state[name].table.lookup(key)
+                work[mid] += 1
+                sent[mid] += 1
+                if tag is not run_tag:
+                    run_tag = tag
+                    srcs, keys, answers = [], [], []
+                    bct.replies.append(Reply((kind, keys, answers), tag,
+                                             srcs))
+                srcs.append(mid)
+                keys.append(key)
+                if leaf is None:
+                    answers.append(False if update else None)
+                    continue
+                if update:
+                    leaf.value = args[1]
+                if tracing:
+                    bct.touch(mid, leaf.nid)
+                answers.append(True if update else leaf.value)
+
+    return body
+
+
 def update_handlers(sl: SkipListStructure) -> Any:
     """The hash-shortcut Update's batch body.
 
     Batched Update registers it as ``pt_update`` and batched Upsert's
-    phase A as ``ups_try_update``: one body, two function ids.  The
-    table charges its probes through the ``module.charge`` it was built
-    with; the task's own unit goes to ``bct.work``.
+    phase A as ``ups_try_update``: one body, two function ids.
     """
-    name = sl.name
-
-    def batch_update(bct, chunks):
-        modules = bct.machine.modules
-        work = bct.work
-        sent = bct.sent
-        rep_append = bct.replies.append
-        tracing = bct.tracing
-        for ch in chunks:
-            for mid, (key, value), tag, _size in bct.rows_of(ch):
-                leaf = modules[mid].state[name].table.lookup(key)
-                work[mid] += 1
-                sent[mid] += 1
-                if leaf is None:
-                    rep_append(Reply((key, False), tag, mid))
-                    continue
-                leaf.value = value
-                if tracing:
-                    bct.touch(mid, leaf.nid)
-                rep_append(Reply((key, True), tag, mid))
-
-    return batch_update
+    return _point_body(sl.name, True)
 
 
 def make_handlers(sl: SkipListStructure) -> None:
     """Register the point operations' batch bodies on ``sl``'s machine."""
-    name = sl.name
-
-    def batch_get(bct, chunks):
-        modules = bct.machine.modules
-        work = bct.work
-        sent = bct.sent
-        rep_append = bct.replies.append
-        tracing = bct.tracing
-        for ch in chunks:
-            for mid, (key,), tag, _size in bct.rows_of(ch):
-                leaf = modules[mid].state[name].table.lookup(key)
-                work[mid] += 1
-                sent[mid] += 1
-                if leaf is None:
-                    rep_append(Reply((key, None), tag, mid))
-                    continue
-                if tracing:
-                    bct.touch(mid, leaf.nid)
-                rep_append(Reply((key, leaf.value), tag, mid))
-
     machine = sl.machine
-    machine.register(f"{name}:pt_get", batch_get)
-    machine.register(f"{name}:pt_update", update_handlers(sl))
+    machine.register(f"{sl.name}:pt_get", _point_body(sl.name, False))
+    machine.register(f"{sl.name}:pt_update", update_handlers(sl))
 
 
 def _get_route(sl, keys):
@@ -99,13 +101,13 @@ def _get_route(sl, keys):
         # depth).
         groups = group_positions(cpu, keys)
         distinct = list(groups)
-        replies = yield sl.shortcut_stage(f"{sl.name}:pt_get", distinct,
-                                          zip(distinct))
+        replies = yield [sl.shortcut_stage(f"{sl.name}:pt_get", distinct)]
         results: List[Optional[Any]] = [None] * n
         for r in replies:
-            key, value = r.payload
-            for i in groups[key]:
-                results[i] = value
+            _, got, values = r.payload
+            for key, value in zip(got, values):
+                for i in groups[key]:
+                    results[i] = value
         # Fan-out of results to duplicates: O(B) work, O(log B) depth.
         cpu.charge(n, max(1.0, math.log2(n)))
     return results
@@ -118,9 +120,9 @@ def _update_route(sl, pairs):
         return 0
     with cpu.region(2 * n):
         wanted = dedup_last(cpu, pairs)
-        replies = yield sl.shortcut_stage(
-            f"{sl.name}:pt_update", list(wanted), wanted.items())
-        found = sum(1 for r in replies if r.payload[1])
+        replies = yield [sl.shortcut_stage(
+            f"{sl.name}:pt_update", list(wanted), list(wanted.values()))]
+        found = sum(sum(r.payload[2]) for r in replies)
     return found
 
 

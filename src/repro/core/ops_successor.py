@@ -74,7 +74,7 @@ from operator import itemgetter
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.node import NEG_INF, UPPER, Node
-from repro.core.ops_search import search_message
+from repro.core.ops_search import search_message, walk_columns
 from repro.core.structure import SkipListStructure
 from repro.cpuside.sort import sort_positions
 from repro.ops import run_batch
@@ -371,29 +371,21 @@ def _search_route(sl, keys, record_all, record_levels):
         nonlocal retained_words
         if not msgs:
             return
-        replies = yield msgs
+        done, path = walk_columns((yield msgs))
+        for opid, node, right in zip(*done):
+            pred[opid] = node
+            pred_right[opid] = right
         if not record:
-            # Every reply is a "done": no search emitted path records.
-            for r in replies:
-                _, opid, node, right = r.payload
-                pred[opid] = node
-                pred_right[opid] = right
+            # No search emitted path records.
             return
         got = paths if keep_ordered else [None] * b
         recorded: List[int] = []
-        for r in replies:
-            payload = r.payload
-            if payload[0] == "path":  # (_, opid, node, level, right)
-                opid = payload[1]
-                pth = got[opid]
-                if pth is None:
-                    got[opid] = pth = []
-                    recorded.append(opid)
-                pth.append(payload[2:])
-            else:
-                _, opid, node, right = payload
-                pred[opid] = node
-                pred_right[opid] = right
+        for opid, node, level, right in zip(*path):
+            pth = got[opid]
+            if pth is None:
+                got[opid] = pth = []
+                recorded.append(opid)
+            pth.append((node, level, right))
         words = 0
         for opid in recorded:
             pth = got[opid]

@@ -225,9 +225,11 @@ def _upsert_route(sl, pairs, riders, ranges):
         # -- phase A: deduplicate, try Update via the hash shortcut --
         wanted = dedup_last(cpu, pairs)
         cpu.charge(len(wanted), max(1.0, math.log2(len(wanted) + 1)))
-        replies = yield sl.shortcut_stage(
-            f"{sl.name}:ups_try_update", list(wanted), wanted.items())
-        found = {r.payload[0] for r in replies if r.payload[1]}
+        replies = yield [sl.shortcut_stage(
+            f"{sl.name}:ups_try_update", list(wanted),
+            list(wanted.values()))]
+        found = {key for r in replies
+                 for key, hit in zip(r.payload[1], r.payload[2]) if hit}
         missing = [(k, v) for k, v in wanted.items() if k not in found]
         updated = len(wanted) - len(missing)
         if not missing:

@@ -21,9 +21,10 @@ from __future__ import annotations
 from typing import Any, Hashable, Optional, Tuple
 
 from repro.core import ops_delete, ops_upsert
-from repro.core.ops_search import search_message
+from repro.core.ops_search import search_message, walk_columns
 from repro.core.structure import SkipListStructure
 from repro.ops import run_batch
+from repro.sim.task import reply_rows
 
 
 def _one_shot_route(msg):
@@ -34,29 +35,25 @@ def _one_shot_route(msg):
 def get_one(sl: SkipListStructure, key: Hashable) -> Optional[Any]:
     """Get(key) via the hash shortcut: exactly 2 messages."""
     msg = (sl.leaf_owner(key), f"{sl.name}:pt_get", (key,), None)
-    (reply,) = run_batch(sl.machine, f"{sl.name}:get_one",
-                         _one_shot_route(msg))
-    _key, value = reply.payload
+    [(_src, _tag, (_kind, _key, value))] = reply_rows(run_batch(
+        sl.machine, f"{sl.name}:get_one", _one_shot_route(msg)))
     return value
 
 
 def update_one(sl: SkipListStructure, key: Hashable, value: Any) -> bool:
     """Update(key, value); returns whether the key existed."""
     msg = (sl.leaf_owner(key), f"{sl.name}:pt_update", (key, value), None)
-    (reply,) = run_batch(sl.machine, f"{sl.name}:update_one",
-                         _one_shot_route(msg))
-    return bool(reply.payload[1])
+    [(_src, _tag, (_kind, _key, found))] = reply_rows(run_batch(
+        sl.machine, f"{sl.name}:update_one", _one_shot_route(msg)))
+    return found
 
 
 def _search_one(sl: SkipListStructure, key: Hashable):
     msg = search_message(sl, key, opid=0)
     replies = run_batch(sl.machine, f"{sl.name}:search_one",
                         _one_shot_route(msg))
-    pred = right = None
-    for r in replies:
-        if r.payload[0] == "done":
-            _, _, pred, right = r.payload
-    return pred, right
+    (_, preds, rights), _path = walk_columns(replies)
+    return (preds[0], rights[0]) if preds else (None, None)
 
 
 def successor_one(sl: SkipListStructure, key: Hashable,

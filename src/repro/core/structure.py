@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
+from typing import (Any, Callable, Dict, Hashable, Iterator, List,
                     Optional, Sequence, Tuple)
 
 from repro.balls.hashing import KeyLevelHash, stable_hash
 from repro.core.hash_table import CuckooHashTable
 from repro.core.node import NEG_INF, NODE_WORDS, Node, UPPER
+from repro.ops import Columns
 from repro.sim.machine import PIMMachine
 
 Charge = Callable[[float], None]
@@ -154,14 +155,14 @@ class SkipListStructure:
         """Module owning ``key``'s leaf (the Get/Update shortcut target)."""
         return self.owner_of(key, 0)
 
-    def shortcut_stage(self, fn: str, keys: Sequence[Hashable],
-                       args: Iterable[tuple]) -> List[tuple]:
-        """The hash-shortcut stage of a point operation (paper §4.1):
-        one ``fn`` message per key of the batch, with that key's
-        ``args``, sent to the module owning the key's leaf -- the whole
-        batch placed in one call."""
-        return [(owner, fn, a, None) for owner, a
-                in zip(self.hash.module_of_many(keys), args)]
+    def shortcut_stage(self, fn: str, keys: List[Hashable],
+                       *cols: List[Any]) -> Columns:
+        """The hash-shortcut stage element of a point operation (paper
+        §4.1): one ``fn`` message per key of the batch, with arguments
+        ``(key, cols[0][i], ...)``, sent to the module owning the key's
+        leaf -- the whole batch placed in one call and handed to the
+        driver as one :class:`~repro.ops.Columns` element."""
+        return Columns(fn, self.hash.module_of_many(keys), (keys,) + cols)
 
     def lower_owners(self, keys: Sequence[Hashable],
                      heights: Sequence[int]) -> List[Iterator[int]]:

@@ -127,7 +127,10 @@ def checkpoint_structure(obj: Any) -> Checkpoint:
             if lid not in leaves:
                 raise CheckpointUnavailable(
                     f"pimtree leaf {lid} unreadable on module {owner}")
-            items.extend(tuple(p) for p in leaves[lid])
+            # A leaf holds (key, value) tuples already (``lf_store``
+            # converts them, ``lf_write`` / ``lf_del`` keep them): the
+            # capture takes them as they are.
+            items.extend(leaves[lid])
             lid = obj.leaf_next[lid]
         return Checkpoint("pimtree", obj.name, items)
     raise TypeError(f"no checkpoint support for {type(obj).__name__}")

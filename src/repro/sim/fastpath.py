@@ -26,17 +26,21 @@ CPU-before-forward delivery order::
                                                      stage_rows)
       cols:  dests = list of module ids; cols = tuple of payload
              columns, plain lists as long as ``dests`` (``send_cols``,
-             for the ops pipeline's ``Columns`` stage element);
+             for the ops pipeline's ``Columns`` stage element, and
+             ``stage_cols``, for a body's forwards);
              counts = {dest: messages}, the one count of ``dests``
       bcast: one (args, tag, size) delivered to every module
 
 Per-destination receive totals (the ``h``-relation's incoming half) are
 accumulated *at append time* into one pooled flat counter list
 (``_recv``; ``_active`` lists its non-zero entries), so a round never
-scans or re-buckets messages.  A column chunk is counted once, with
-``collections.Counter``, when it is issued: that count is its bounds
-check and its receive accounting, and it stays on the chunk
+scans or re-buckets messages.  A CPU-issued column chunk is counted
+once, with ``collections.Counter``, when it is issued: that count is
+its bounds check and its receive accounting, and it stays on the chunk
 (``counts``) for a body whose work and sends per message are uniform.
+A forwarded one is booked destination by destination, as forwarded
+rows are (a round's forwards are too few for a ``Counter`` to pay),
+and counted only if a body reads its ``counts``.
 Row and column receivers share the one set of books; only a broadcast's
 units are kept apart (``_bcast_units``: every module receives them).
 
@@ -94,10 +98,10 @@ replicated object that takes a charge callback (``link_upper_node``,
 
 The skip list's and the PIM-tree's functions, by the form their rows
 take.  Any function may be sent as a column chunk -- a column receiver
-is accounted like a row receiver -- and ``write_ptr`` and the
-PIM-tree's five reads are the ones routes send that way today (the ops
-pipeline's ``Columns`` element, from ``COLUMNS_CROSSOVER`` messages
-up)::
+is accounted like a row receiver -- and the ones below under
+"columns" are sent that way today: by a route (the ops pipeline's
+``Columns`` element, from ``COLUMNS_CROSSOVER`` messages up) or, for
+the walk, forwarded by a body (:meth:`BatchRound.stage_cols`)::
 
     columns  write_ptr                        a batch's writes as one column
                                               chunk, single writes as rows;
@@ -110,13 +114,23 @@ up)::
                                               replies in columns: one Reply
                                               per kernel call, a row per
                                               message (one row per slot task)
-    rows     search_entry, search_step        the walk (read-only)
-             pt_get, pt_update,               hash-shortcut point tasks
-             ups_try_update
+             search_entry, search_step        the walk (read-only): rows and
+                                              columns read by one loop
+                                              (``flat_rows``), a call's
+                                              forwards staged as one column
+                                              chunk, its answers in a "done"
+                                              and a "path" column reply
+             pt_get, pt_update,               hash-shortcut point tasks: the
+             ups_try_update, del_mark         route's one ``Columns`` element
+                                              (``shortcut_stage``); the first
+                                              three answer one column reply
+                                              a call (a tag run), del_mark a
+                                              reply a row (see below)
              ups_insert_lower                 tower delivery (module-local)
-             ups_upper_prepare                broadcast, run per module: each
+    rows     ups_upper_prepare                broadcast, run per module: each
                                               replica's own storage + next-leaf
-             del_mark, del_mark_node          in slot order (see above)
+             del_mark_node                    in slot order (see above);
+                                              del_mark too
              rng_root, rng_boundary,          the §5.2 range traversal: state
              rng_chain, rng_count, rng_go,    keyed (opid, token), one row
              rng_offset                       body per function
@@ -188,6 +202,7 @@ the rounds the machine runs unprofiled.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional
@@ -198,12 +213,13 @@ from repro.sim.task import Reply
 ROWS, COLS, BCAST = 0, 1, 2
 
 _row_dest = itemgetter(0)
+_row_args = itemgetter(1)
 
 
 class _Chunk:
     """One function id's contiguous run of staged messages."""
 
-    __slots__ = ("fn", "kind", "rows", "dests", "cols", "counts", "args",
+    __slots__ = ("fn", "kind", "rows", "dests", "cols", "_counts", "args",
                  "tag", "size")
 
     def __init__(self, fn: str, kind: int) -> None:
@@ -212,10 +228,21 @@ class _Chunk:
         self.rows: Optional[list] = None   # ROWS: [(dest, args, tag, size)]
         self.dests: Any = None             # COLS: list of destinations
         self.cols: Any = None              # COLS: tuple of payload columns
-        self.counts: Optional[Dict[int, int]] = None  # COLS: dest -> messages
+        self._counts: Optional[Dict[int, int]] = None  # see ``counts``
         self.args: Any = None              # BCAST: the shared args tuple
         self.tag: Any = None               # BCAST: the shared tag
         self.size: int = 1                 # COLS/BCAST: uniform message size
+
+    @property
+    def counts(self) -> Optional[Dict[int, int]]:
+        """COLS: ``{dest: messages}``, the one count of ``dests``
+        (``None`` for the other kinds).  ``send_cols`` counts a
+        CPU-issued chunk when it stages it; a forwarded one
+        (``stage_cols``) is counted here, on first read, by a body that
+        charges from it."""
+        if self._counts is None and self.kind == COLS:
+            self._counts = Counter(self.dests)
+        return self._counts
 
     def task_count(self, num_modules: int) -> int:
         if self.kind == ROWS:
@@ -245,8 +272,9 @@ class BatchRound:
       the execution contract); it may also pass
       ``machine.modules[mid].charge`` to module-local structures (see
       the module docstring's charging rule);
-    - stages next-round continuations with :meth:`stage_rows` (and
-      charges their sends to ``sent[mid]``);
+    - stages next-round continuations with :meth:`stage_rows` or, as
+      columns, :meth:`stage_cols` (and charges their sends to
+      ``sent[mid]``);
     - reports object accesses with :meth:`touch` when :attr:`tracing`.
 
     Work values must be integer-valued (the model charges unit RAM
@@ -307,6 +335,18 @@ class BatchRound:
             return ch.rows
         return self.machine._iter_chunk(ch)
 
+    def flat_rows(self, ch: _Chunk) -> Iterable[tuple]:
+        """A chunk's messages as ``(dest, *args)`` tuples, tag and size
+        dropped: a column chunk's columns zipped (one C-level tuple a
+        message), any other chunk's rows spelled out so."""
+        if ch.kind == COLS:
+            return zip(ch.dests, *ch.cols)
+        rows = ch.rows if ch.kind == ROWS else list(self.rows_of(ch))
+        if len(rows) == 1:  # a slot task's one row
+            dest, args, _tag, _size = rows[0]
+            return ((dest, *args),)
+        return zip(map(_row_dest, rows), *zip(*map(_row_args, rows)))
+
     def rows(self, chunks: List[_Chunk]) -> Iterable[tuple]:
         """All rows of one function's ``chunks``, chunk by chunk."""
         return chain.from_iterable(map(self.rows_of, chunks))
@@ -333,3 +373,17 @@ class BatchRound:
         destination outside ``[0, P)`` raises ``ValueError`` before
         anything is staged.  ``rows`` is kept: do not reuse the list."""
         self.machine._stage_fwd_rows(fn, rows)
+
+    def stage_cols(self, fn: str, dests: list, cols: tuple) -> None:
+        """Stage continuations as one column chunk: message ``i`` goes
+        to module ``dests[i]`` with arguments ``(cols[0][i], cols[1][i],
+        ...)``, no tag, size 1 -- the rows :meth:`stage_rows` would
+        stage, receive accounting included, so the metric stream does
+        not depend on the form.  The sender side must be charged by
+        the body via :attr:`sent`.  A destination outside ``[0, P)``
+        raises ``ValueError`` and a column of another length than
+        ``dests`` :class:`~repro.sim.errors.MalformedMessageError`,
+        before anything is staged.  ``dests`` and ``cols`` are plain
+        lists, kept (a later call for the same function may extend
+        them): do not reuse them."""
+        self.machine._stage_fwd_cols(fn, dests, cols)

@@ -101,11 +101,16 @@ def check_columns(what: str, dests: Sequence[int],
     cut the messages at the shortest column while the receive accounting
     counts ``dests``."""
     n = len(dests)
-    if not cols or any(len(col) != n for col in cols):
-        raise MalformedMessageError(
-            f"{what} has columns of lengths {[len(col) for col in cols]} "
-            f"for {n} destinations: expected at least one column, each as "
-            f"long as dests")
+    for col in cols:
+        if len(col) != n:
+            break
+    else:
+        if cols:
+            return
+    raise MalformedMessageError(
+        f"{what} has columns of lengths {[len(col) for col in cols]} "
+        f"for {n} destinations: expected at least one column, each as "
+        f"long as dests")
 
 
 class PIMMachine:
@@ -419,7 +424,7 @@ class PIMMachine:
         ch = _Chunk(fn, COLS)
         ch.dests = dests
         ch.cols = cols
-        ch.counts = counts
+        ch._counts = counts
         ch.size = size
         recv = self._recv
         active = self._active
@@ -505,6 +510,54 @@ class PIMMachine:
         ch = _Chunk(fn, ROWS)
         ch.rows = rows
         fq.append(ch)
+
+    def _stage_fwd_cols(self, fn: str, dests: list, cols: tuple) -> None:
+        """Stage continuation columns (``BatchRound.stage_cols``) as a
+        column chunk, booked by :meth:`_stage_fwd_rows`'s plain loop: a
+        destination outside ``[0, P)`` raises ``ValueError`` with the
+        units counted before it taken back, nothing staged.  Columns
+        for the function of the tail forward chunk extend it (the
+        reference oracle stages a task's forwards at a time)."""
+        if not dests:
+            return
+        if fn not in self._handlers:
+            raise UnknownHandlerError(
+                f"no handler for {fn!r} (resolved at forward time)")
+        check_columns(f"stage_cols {fn!r}", dests, cols)
+        P = self.num_modules
+        recv = self._recv
+        active = self._active
+        n_active = len(active)
+        try:
+            for dest in dests:
+                if dest < 0:
+                    raise IndexError(dest)
+                k = recv[dest]
+                if k == 0:
+                    active.append(dest)
+                recv[dest] = k + 1
+        except IndexError:
+            bad = dest
+            for dest in dests:
+                if not 0 <= dest < P:
+                    break
+                recv[dest] -= 1
+            del active[n_active:]
+            raise ValueError(f"bad module id {bad}") from None
+        self._incoming_total += len(dests)
+        fq = self._fq
+        if fq:
+            tail = fq[-1]
+            if (tail.fn == fn and tail.kind == COLS
+                    and len(tail.cols) == len(cols)):
+                tail.dests.extend(dests)
+                for col, more in zip(tail.cols, cols):
+                    col.extend(more)
+                return
+        ch = _Chunk(fn, COLS)
+        ch.dests = dests
+        ch.cols = cols
+        self._fq.append(ch)
 
     # -- round execution -----------------------------------------------------
 

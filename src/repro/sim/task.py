@@ -21,7 +21,7 @@ size)`` rows (see :mod:`repro.sim.fastpath`).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable, List, Tuple
 
 CPU_SIDE = -1
 """Pseudo module id for the CPU side (the shared memory)."""
@@ -35,9 +35,13 @@ class Reply:
 
     A **column reply** answers a run of messages at once: ``src`` is the
     list of modules that replied, a row per message, and ``payload`` is
-    the reply kind followed by one list per field, as long as ``src``
-    (the PIM-tree's read kernels reply this way).  Its rows are charged
-    as the messages they are; only the host holds them together.
+    the reply kind followed by one list per field, as long as ``src``.
+    The PIM-tree's read kernels reply this way, one per kernel call, and
+    so do the skip list's walk (a ``"done"`` and a ``"path"`` reply at
+    most per body call; :func:`repro.core.ops_search.walk_columns` reads
+    them) and its hash-shortcut point bodies.  Its rows are charged as
+    the messages they are; only the host holds them together, and
+    :func:`reply_rows` spells them out one by one.
     """
 
     __slots__ = ("payload", "tag", "src")
@@ -57,3 +61,25 @@ class Reply:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Reply(payload={self.payload!r}, tag={self.tag!r}, "
                 f"src={self.src})")
+
+
+def reply_rows(replies: Iterable[Reply]) -> List[Tuple[Any, Any, Any]]:
+    """Each reply as ``(src, tag, payload)`` rows, what one reply per
+    message would read: a column reply (its ``src`` a list) expands
+    into the rows it holds, ``(src[i], tag, (kind, col[i], ...))``, and
+    any other reply is its one row.  A column reply whose columns are
+    not as long as its ``src`` raises ``ValueError``."""
+    rows: List[Tuple[Any, Any, Any]] = []
+    for r in replies:
+        src = r.src
+        if src.__class__ is list:
+            kind, *cols = r.payload
+            if any(len(col) != len(src) for col in cols):
+                raise ValueError(f"a column reply's columns are not as "
+                                 f"long as its src: {r!r}")
+            tag = r.tag
+            rows.extend((mid, tag, (kind,) + row)
+                        for mid, row in zip(src, zip(*cols)))
+        else:
+            rows.append((src, r.tag, r.payload))
+    return rows

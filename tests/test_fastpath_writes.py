@@ -28,12 +28,17 @@ from hypothesis import given, strategies as st
 
 from repro import PIMMachine, PIMSkipList
 from repro.core.node import Node
+from repro.core.ops_range import _cut_pieces
+from repro.core.ops_search import search_message, walk_columns
+from repro.core.ops_successor import rides
 from repro.core.ops_upsert import _build_towers
 from repro.core.ops_write import write_message, write_stage
 from repro.ops import Broadcast, Columns, pipeline, run_batch
 from repro.ops.pipeline import COLUMNS_CROSSOVER, _issue
-from repro.sim.chaos import FaultPlan, FaultSpec
+from repro.sim.chaos import FaultPlan, FaultSpec, build_schedule
+from repro.sim.errors import MalformedMessageError
 from repro.sim.fastpath import BCAST, COLS, ROWS
+from repro.sim.task import reply_rows
 from repro.workloads import build_items
 from tests.conftest import DETERMINISTIC, ENGINES
 from tests.test_fastpath import (
@@ -70,20 +75,11 @@ def _norm(x):
 
 
 def _replies(replies):
-    """Each reply as ``(src, tag, payload)`` rows: a column reply (one
-    per kernel call; its ``src`` is the list of modules that replied)
-    expands into the rows it holds, ``(src[i], tag, (kind, col[i],
-    ...))`` -- what one reply per message would read."""
-    rows = []
-    for r in replies:
-        if r.src.__class__ is list:
-            kind, *cols = r.payload
-            assert all(len(col) == len(r.src) for col in cols), r
-            rows.extend((src, repr(r.tag), _norm((kind,) + row))
-                        for src, row in zip(r.src, zip(*cols)))
-        else:
-            rows.append((r.src, repr(r.tag), _norm(r.payload)))
-    return rows
+    """Each reply as comparable ``(src, tag, payload)`` rows: a column
+    reply expands into the rows it holds (``reply_rows``), the tag as
+    its repr and the payload normalised."""
+    return [(src, repr(tag), _norm(payload))
+            for src, tag, payload in reply_rows(replies)]
 
 
 def _norm_staging(machine):
@@ -538,3 +534,135 @@ def test_successor_riders(pair, riders):
                      sl.machine.rng.getstate(), sl.struct.keys_in_order()))
     assert seen[0] == seen[1]
     assert len(seen[1][0][1]) == riders
+
+
+class TestWalkColumns:
+    """The search walk forwards a body call's continuations as one
+    column chunk and answers in at most one ``"done"`` and one
+    ``"path"`` column reply a call; its rows equal the oracle's, round
+    by round, recording or not."""
+
+    def _launch(self, sl, record):
+        s = sl.struct
+        keys = [k * STRIDE + k % 3 for k in range(0, 200, 7)] + [-9, 10 ** 6]
+        sl.machine.send_all(
+            search_message(s, k, opid=i,
+                           record=min(record, s.h_low - 1) if i % 2 else -1)
+            for i, k in enumerate(keys))
+        return keys
+
+    @pytest.mark.parametrize("record", [-1, 0, 99])
+    def test_walk_rows_equal_the_oracle(self, pair, record):
+        for sl in pair:
+            self._launch(sl, record)
+        obj, col = (sl.machine for sl in pair)
+        forwards = []
+        while obj.pending or col.pending:
+            assert _norm_staging(obj) == _norm_staging(col)
+            got_obj, got_col = obj.step(), col.step()
+            assert sorted(_replies(got_obj)) == sorted(_replies(got_col))
+            assert obj.snapshot().as_dict() == col.snapshot().as_dict()
+            # One reply per kind and body call on the engine.
+            kinds = [r.payload[0] for r in got_col]
+            assert len(kinds) == len(set(kinds))
+            assert all(r.src.__class__ is list for r in got_col)
+            forwards.append([ch.kind for ch in col._fq])
+        assert any(forwards)
+        assert all(kinds == [COLS] for kinds in forwards if kinds)
+
+    def test_the_reader_answers_every_search(self, pair):
+        """``walk_columns`` folds the drained replies into one done row
+        per search, and the path rows of each recording search in the
+        order its walk visited them (levels descending)."""
+        sl = pair[1]
+        keys = self._launch(sl, 99)
+        (opids, preds, rights), (p_ops, _nodes, levels, _r) = walk_columns(
+            sl.machine.drain())
+        assert sorted(opids) == list(range(len(keys)))
+        for opid, pred in zip(opids, preds):
+            want = max((k for k, _ in build_items(200, stride=STRIDE)
+                        if k <= keys[opid]), default=None)
+            assert (None if pred.is_sentinel else pred.key) == want
+        assert p_ops and all(opid % 2 for opid in p_ops)
+        for opid in set(p_ops):
+            mine = [lvl for o, lvl in zip(p_ops, levels) if o == opid]
+            assert mine == sorted(mine, reverse=True)
+
+    def test_stage_cols_books_and_refusals(self, pair):
+        """A forward staged as columns books the receive units its rows
+        would; a bad module id or a short column stages nothing."""
+        col = pair[1].machine
+        bct = col._bct
+        fn = pair[1].struct.fn_search_step
+        node = pair[1].struct.sentinels[0]
+        bct.stage_cols(fn, [1, 3, 1], ([node] * 3, [5] * 3, [0, 1, 2],
+                                      [-1] * 3))
+        (ch,) = col._fq
+        assert ch.kind == COLS and ch.counts == {1: 2, 3: 1}
+        assert col._recv[1] == 2 and col._recv[3] == 1
+        assert col._incoming_total == 3
+        books = (list(col._recv), list(col._active), col._incoming_total)
+        for dests in ([2, 0, P], [4, -1]):
+            with pytest.raises(ValueError, match="bad module id"):
+                n = len(dests)
+                bct.stage_cols(fn, dests, ([node] * n, [5] * n,
+                                           list(range(n)), [-1] * n))
+            assert (list(col._recv), list(col._active),
+                    col._incoming_total) == books
+        with pytest.raises(MalformedMessageError):
+            bct.stage_cols(fn, [0, 1], ([node], [5, 5], [0, 1], [-1, -1]))
+        assert len(col._fq) == 1
+        col._discard_staged()
+
+
+def _riding_group(engine, restaged):
+    """An Upsert with Successor and Range riders on an 8-module,
+    512-key skip list under the ``mixed`` schedule; counts into
+    ``restaged`` the messages of the column chunks each filtered round
+    found forwarded (the filter stages every survivor again as rows)."""
+    machine = ENGINES[engine](num_modules=8, seed=11)
+    sl = PIMSkipList(machine)
+    sl.build(build_items(512, stride=4))
+    chaos = machine.install_fault_plan(build_schedule("mixed", 1, 8))
+    stream = []
+    machine.batch_observer = lambda op, delta: stream.append((op, delta))
+    filter_round = chaos.filter_round
+
+    def counting(m, rnd):
+        restaged[engine] += sum(len(ch.dests) for ch in m._fq
+                                if ch.kind == COLS)
+        filter_round(m, rnd)
+        assert all(ch.kind == ROWS for q in (m._cq, m._fq) for ch in q)
+
+    chaos.filter_round = counting
+    rng = random.Random(3)
+    fresh = [(4 * k + 1, k) for k in rng.sample(range(512), 8)]
+    riders = [rng.randrange(2048) for _ in range(4)]
+    ranges = [(lo, lo + 30) for lo in rng.sample(range(2048), 2)]
+    assert rides(sl.struct, len(fresh), len(riders))
+    assert rides(sl.struct, len(fresh) + len(riders),
+                 len(_cut_pieces(ranges)[0]))
+    tasks = machine.tasks_executed, machine.tasks_chunked
+    results = sl.apply_group([("upsert", fresh), ("successor", riders),
+                              ("range", ranges)])
+    sl.check_integrity()
+    return {"results": results, "stream": stream,
+            "faults": chaos.stats.as_dict(),
+            "tasks": (machine.tasks_executed - tasks[0],
+                      machine.tasks_chunked - tasks[1])}
+
+
+def test_column_forwards_under_a_fault_plan():
+    """Under a plan the walk's forwards are column chunks until the
+    filter takes them apart: engine and oracle still agree on results,
+    the per-op metric stream and the faults fired, and every task the
+    engine runs is chunked."""
+    restaged = {"object": 0, "columnar": 0}
+    ref = _riding_group("object", restaged)
+    eng = _riding_group("columnar", restaged)
+    for key in ("results", "stream", "faults"):
+        assert eng[key] == ref[key], key
+    assert eng["results"][1] is not None and eng["results"][2]
+    executed, chunked = eng["tasks"]
+    assert chunked == executed > 0
+    assert restaged["columnar"] == restaged["object"] > 0

@@ -54,8 +54,9 @@ def test_quick_baseline_is_refused(tmp_path):
 def test_exact_rows_pass():
     """The chunked-task shares (under a fault plan too), the CPU-side
     charges of one fixed session, the fixed Upsert batch and batch of
-    ranges, the tick groups of both structures (the PIM-tree's with and
-    without its write), the search at four widths around its pivot-spacing boundary, the seven
+    ranges, the replies a Successor and a Get batch drain, the tick
+    groups of both structures (the PIM-tree's with and without its
+    write), the search at four widths around its pivot-spacing boundary, the seven
     skew-adversary rows, the durable restart counts and the chaos
     layer's books after one session under faults, measured in
     process with the committed baselines' parameters."""
@@ -69,6 +70,8 @@ def test_exact_rows_pass():
             "upsert batch: write_ptr rows through send_all",
             "pimtree read group: read rows through send_all",
             "pimtree read group: replies drained",
+            "skiplist 2304-key Successor: replies drained",
+            "skiplist 2304-key Get: replies drained",
             "write group: skiplist Upsert + Successor, (rounds, io, "
             "messages)",
             "write group: skiplist Upsert + Successor apart, (rounds, io, "

@@ -27,6 +27,7 @@ from repro.sim.chaos import CrashEvent, FaultPlan, FaultSpec
 from repro.sim.machine import PIMMachine
 from repro.structures.fifo import PIMQueue
 from repro.structures.lsm import PIMLSMStore
+from repro.structures.pimtree import PIMTree
 from repro.structures.priority_queue import PIMPriorityQueue
 
 ITEMS = [(k * 100, f"v{k}") for k in range(1, 41)]
@@ -146,6 +147,32 @@ class TestCaptureAroundAWipedModule:
         machine.wipe_module(q._owner(q.head))
         with pytest.raises(CheckpointUnavailable, match="slot"):
             checkpoint_structure(q)
+
+    def test_pimtree_capture_takes_the_leaf_pairs_as_they_are(self):
+        """A PIM-tree capture extends its payload by each leaf's list of
+        ``(key, value)`` tuples, uncopied: the payload equals the pair
+        by pair copy the capture used to make, after leaf stores, leaf
+        writes that split leaves and leaf deletes."""
+        machine = _machine()
+        tree = PIMTree(machine, leaf_size=4)
+        tree.build(ITEMS)
+        tree.apply_batch("upsert", [(k * 100 + 50, k) for k in range(30)]
+                         + [(100, "new")])
+        tree.apply_batch("delete", [200, 300, 1250, 7])
+        chk = checkpoint_structure(tree)
+        copied = []
+        lid = tree.first_leaf
+        while lid is not None:
+            state = machine.modules[tree.leaf_owner[lid]].state[tree.name]
+            copied.extend(tuple(p) for p in state["leaf"][lid])
+            lid = tree.leaf_next[lid]
+        expected = dict(ITEMS)
+        expected.update((k * 100 + 50, k) for k in range(30))
+        expected[100] = "new"
+        for k in (200, 300, 1250):
+            del expected[k]
+        assert chk.payload == copied == sorted(expected.items())
+        assert all(type(p) is tuple for p in chk.payload)
 
     def test_lsm_failover_after_a_refused_capture_answers_exactly(self):
         """Module 0 is wiped under a compacted run while update batches

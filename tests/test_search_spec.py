@@ -19,7 +19,10 @@ its state moved into columns: a dataclass and four dicts per batch, a
 - phase 0, which searches the median pivot from the root with the two
   extremes in a batch of at most ``P log P`` keys (see ``route``; the
   boundary sessions start at the first width with a median and end past
-  the last one).
+  the last one);
+- the reply reader: the walk now answers in column replies, and
+  ``reply_rows`` spells them out into the per-message payloads the
+  fold reads (see ``execute``).
 
 The shipped route keeps its state in position-indexed columns, folds
 the recording replies in one pass and builds stage 2's messages while
@@ -47,6 +50,7 @@ from repro.core.structure import SkipListStructure
 from repro.cpuside.sort import parallel_sort
 from repro.ops import run_batch
 from repro.sim.cpu import WorkDepth
+from repro.sim.task import reply_rows
 from repro.workloads import build_items, same_successor_batch
 from tests.conftest import DETERMINISTIC
 
@@ -278,15 +282,14 @@ def _parent_search_route(sl: SkipListStructure, keys: Sequence[Hashable],
         if not record and not keep_ordered:
             # Record-free phase: every reply is a "done" (no search
             # emitted path records), so fold without the path branch.
-            for r in replies:
-                _, opid, node, right = r.payload
+            for _src, _tag, payload in reply_rows(replies):
+                _, opid, node, right = payload
                 outcomes[opid] = SearchOutcome(pred=node,
                                                pred_right=right)
             return
         acc_paths: Dict[int, List[PathEntry]] = {}
         acc_bylevel: Dict[int, Dict[int, Tuple[Node, Optional[Node]]]] = {}
-        for r in replies:
-            payload = r.payload
+        for _src, _tag, payload in reply_rows(replies):
             if payload[0] == "path":
                 _, opid, node, level, right = payload
                 if keep_ordered:

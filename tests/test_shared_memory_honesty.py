@@ -3,9 +3,9 @@
 Table 1's "minimal M needed" column is only meaningful if the
 implementation *declares* its CPU-side allocations.  These tests run
 every batched operation with shared-memory enforcement ON at the
-machine's default M = 8 P log^2 P -- within the paper's Theta(P log^2 P)
--- and at canonical batch sizes, so any undeclared or leaking allocation
-raises :class:`SharedMemoryExceeded`.
+machine's default M = 32 P ceil(log2 P)^2 -- within the paper's
+Theta(P log^2 P) -- and at canonical batch sizes, so any undeclared or
+leaking allocation raises :class:`SharedMemoryExceeded`.
 """
 
 import random
